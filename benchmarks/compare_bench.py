@@ -18,8 +18,9 @@ Guarded files:
 * ``BENCH_netsim.json`` — engine throughput (``events_per_sec``) in the
   ``event_loop`` and ``scale_curve`` sections;
 * ``BENCH_synth.json`` — synthesizer search throughput
-  (``programs_per_sec``) and the measured synthesized-vs-builtin
-  ``speedup`` on the WAN fabric;
+  (``programs_per_sec``), the measured synthesized-vs-builtin
+  ``speedup`` on the WAN fabric, and the executor's ``data_plane``
+  throughput (``gb_per_s`` per algorithm x size);
 * ``BENCH_gateway.json`` — service-gateway request throughput and the
   fleet-scenario wall-clock rate (``requests_per_sec`` in both the
   ``gateway`` and ``fleet`` sections).
@@ -67,6 +68,7 @@ GUARDS = (
     Guard(BENCH_PATH, THROUGHPUT_SECTIONS, "events_per_sec"),
     Guard(SYNTH_PATH, ("synthesizer",), "programs_per_sec"),
     Guard(SYNTH_PATH, ("speedup",), "speedup"),
+    Guard(SYNTH_PATH, ("data_plane",), "gb_per_s"),
     Guard(GATEWAY_PATH, ("gateway", "fleet"), "requests_per_sec"),
 )
 

@@ -16,7 +16,8 @@ Run:  python examples/custom_algorithm.py
 """
 
 from repro import CentralManager, MccsDeployment, RingSchedule, testbed_cluster
-from repro.collectives.types import Collective, ReduceOp, reduce_many
+from repro.collectives import compile_program, hierarchical_allreduce_program
+from repro.collectives.types import Collective
 from repro.core.algorithms import (
     CollectiveAlgorithm,
     RankTransfer,
@@ -30,6 +31,9 @@ class HierarchicalAllReduce(CollectiveAlgorithm):
     """Reduce intra-host first, ring host leaders, broadcast back."""
 
     name = "hierarchical"
+
+    def __init__(self):
+        self._plans = {}  # world -> compiled two-level program
 
     def _leader(self, ctx, rank):
         # the lowest rank on each host leads; hosts are pairs (0,1), (2,3)...
@@ -58,9 +62,17 @@ class HierarchicalAllReduce(CollectiveAlgorithm):
     def steps(self, kind, world):
         return 2 + world // 2  # up, leader ring, down
 
-    def run_data(self, ctx, inputs, op):
-        total = reduce_many(op, list(inputs))
-        return [total.copy() for _ in range(ctx.world)]
+    def plan(self, ctx):
+        # Name the chunk program; the service's one executor moves the
+        # bytes (in place, into the tenant's receive buffers).
+        if ctx.kind is not Collective.ALL_REDUCE:
+            return RingAlgorithm().plan(ctx)
+        if ctx.world not in self._plans:
+            hosts = [[r, r + 1] for r in range(0, ctx.world, 2)]
+            self._plans[ctx.world] = compile_program(
+                hierarchical_allreduce_program(hosts)
+            )
+        return self._plans[ctx.world], None
 
 def main() -> None:
     register_algorithm(HierarchicalAllReduce(), replace=True)

@@ -40,7 +40,6 @@ from .cluster import (
 from .collectives import (
     Collective,
     ReduceOp,
-    RingDataPlane,
     RingSchedule,
     algorithm_bandwidth,
     bus_bandwidth,
@@ -95,7 +94,6 @@ __all__ = [
     "NcclIssuer",
     "PolicyReport",
     "ReduceOp",
-    "RingDataPlane",
     "RingSchedule",
     "ServiceCommunicator",
     "TelemetryHub",

@@ -33,7 +33,8 @@ import numpy as np
 from ..cluster.gpu import AsyncOp, GpuDevice, Stream
 from ..cluster.specs import Cluster
 from ..collectives.cost_model import LatencyModel, NCCL_LATENCY
-from ..collectives.ring import RingDataPlane, RingSchedule, identity_ring
+from ..collectives.executor import builtin_plan
+from ..collectives.ring import RingSchedule, identity_ring
 from ..collectives.tree import double_binary_trees
 from ..collectives.types import Collective, ReduceOp, validate_world
 from ..netsim.errors import CommunicatorError
@@ -269,11 +270,13 @@ class NcclCommunicator:
             raise CommunicatorError("communicator has been destroyed")
         if out_bytes <= 0:
             raise CommunicatorError("collective size must be positive")
-        if (
-            kind is Collective.ALL_REDUCE
-            and self._algorithm_for(kind, out_bytes) == "tree"
-        ):
-            return self._tree_all_reduce(out_bytes, data, op, stream, on_complete)
+        # Ring unless the (static) selection says tree; either way the
+        # bytes move through the one executor, relabelled by the ring.
+        family = (
+            self._algorithm_for(kind, out_bytes)
+            if kind is Collective.ALL_REDUCE
+            else "ring"
+        )
         result = CollectiveOp(kind=kind, issue_time=self.cluster.sim.now)
         self.ops.append(result)
         target_stream = stream if stream is not None else self._stream
@@ -281,64 +284,38 @@ class NcclCommunicator:
         def finished(handle: LaunchHandle, now: float) -> None:
             result.end_time = now
             if data is not None:
-                plane = RingDataPlane(self.schedule)
-                result.outputs = plane.run(kind, list(data), op=op, root=root)
+                plan = builtin_plan(
+                    family, kind, self.world,
+                    self.schedule.position_of(root), self.channels,
+                )
+                result.outputs = plan.run(data, op, order=self.schedule.order)
             kernel.complete()
             if on_complete is not None:
                 on_complete(result, now)
 
         def inject() -> None:
-            result.handle = self._transport.launch_ring(
-                kind=kind,
+            shared = dict(
                 out_bytes=out_bytes,
-                schedule=self.schedule,
-                gpus_by_rank=self.gpus,
-                table=self._table,
-                channels=self.channels,
-                job_id=self.job_id,
-                root=root,
-                on_complete=finished,
-                tags={"comm": self.comm_id},
-            )
-
-        kernel = AsyncOp(name=f"{kind.value}", on_start=inject)
-        target_stream.enqueue(kernel)
-        return result
-
-    def _tree_all_reduce(
-        self,
-        out_bytes: int,
-        data: Optional[Sequence[np.ndarray]],
-        op: ReduceOp,
-        stream: Optional[Stream],
-        on_complete: Optional[Callable[[CollectiveOp, float], None]],
-    ) -> CollectiveOp:
-        from ..collectives.tree import DoubleTreeDataPlane
-
-        result = CollectiveOp(kind=Collective.ALL_REDUCE, issue_time=self.cluster.sim.now)
-        self.ops.append(result)
-        target_stream = stream if stream is not None else self._stream
-
-        def finished(handle: LaunchHandle, now: float) -> None:
-            result.end_time = now
-            if data is not None:
-                plane = DoubleTreeDataPlane(self.trees)
-                result.outputs = plane.all_reduce(list(data), op)
-            kernel.complete()
-            if on_complete is not None:
-                on_complete(result, now)
-
-        def inject() -> None:
-            result.handle = self._transport.launch_double_tree(
-                out_bytes=out_bytes,
-                trees=self.trees,
                 gpus_by_rank=self.gpus,
                 table=self._table,
                 job_id=self.job_id,
                 on_complete=finished,
                 tags={"comm": self.comm_id},
             )
+            if family == "tree":
+                result.handle = self._transport.launch_double_tree(
+                    trees=self.trees, **shared
+                )
+            else:
+                result.handle = self._transport.launch_ring(
+                    kind=kind,
+                    schedule=self.schedule,
+                    channels=self.channels,
+                    root=root,
+                    **shared,
+                )
 
-        kernel = AsyncOp(name="all_reduce_tree", on_start=inject)
+        name = "all_reduce_tree" if family == "tree" else kind.value
+        kernel = AsyncOp(name=name, on_start=inject)
         target_stream.enqueue(kernel)
         return result

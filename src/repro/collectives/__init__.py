@@ -1,10 +1,13 @@
-"""Collective algorithms: ring, tree and butterfly schedules, data planes,
-costs.
+"""Collective algorithms: chunk programs, the executor that runs them,
+schedules, traffic models and costs.
 
-The data planes move real numpy bytes between ring/tree/butterfly peers
-(so correctness is testable bit-for-bit); the traffic models predict
-per-edge byte counts that the fluid network simulator turns into
-completion times.
+Every algorithm family names a chunk-level program
+(:mod:`~repro.collectives.ir`, :mod:`~repro.collectives.generators`) and
+one executor (:mod:`~repro.collectives.executor`) moves the real numpy
+bytes, in place, so correctness is testable bit-for-bit against
+:mod:`~repro.collectives.reference`; the traffic models predict per-edge
+byte counts that the fluid network simulator turns into completion
+times.
 """
 
 from .bandwidth import algorithm_bandwidth, bus_bandwidth, busbw_factor
@@ -20,16 +23,27 @@ from .cost_model import (
     select_ring_or_tree,
     tree_allreduce_cost,
 )
+from .executor import (
+    ExecutionPlan,
+    builtin_plan,
+    compile_program,
+    run_program,
+    toposort,
+)
+from .generators import (
+    double_tree_program,
+    halving_doubling_program,
+    hierarchical_allreduce_program,
+    ring_program,
+)
 from .halving_doubling import (
-    HalvingDoublingDataPlane,
     halving_doubling_traffic,
     hd_steps,
     is_power_of_two,
 )
-from .ring import RingDataPlane, RingSchedule, edge_traffic, identity_ring, steps_for
+from .ir import Instr, OpKind, Program, Protocol, make_program
+from .ring import RingSchedule, edge_traffic, identity_ring, steps_for
 from .tree import (
-    DoubleTreeDataPlane,
-    TreeDataPlane,
     TreeSchedule,
     binary_tree,
     double_binary_trees,
@@ -42,37 +56,47 @@ from .types import Collective, ReduceOp, input_bytes, reduce_many, validate_worl
 __all__ = [
     "Collective",
     "DEFAULT_DATAPATH_LATENCY",
-    "DoubleTreeDataPlane",
-    "HalvingDoublingDataPlane",
+    "ExecutionPlan",
+    "Instr",
     "LatencyModel",
     "MCCS_LATENCY",
     "NCCL_LATENCY",
+    "OpKind",
+    "Program",
+    "Protocol",
     "ReduceOp",
-    "RingDataPlane",
     "RingSchedule",
-    "TreeDataPlane",
     "TreeSchedule",
     "algorithm_bandwidth",
     "binary_tree",
+    "builtin_plan",
     "bus_bandwidth",
     "busbw_factor",
     "chunk_bounds",
     "chunk_for_step",
+    "compile_program",
     "double_binary_trees",
     "double_tree_allreduce_traffic",
+    "double_tree_program",
     "edge_traffic",
     "effective_bandwidth",
     "halving_doubling_traffic",
+    "halving_doubling_program",
     "hd_steps",
+    "hierarchical_allreduce_program",
     "identity_ring",
     "input_bytes",
     "is_power_of_two",
+    "make_program",
     "mccs_latency",
     "reduce_many",
     "ring_allreduce_cost",
     "ring_neighbors",
+    "ring_program",
+    "run_program",
     "select_ring_or_tree",
     "steps_for",
+    "toposort",
     "tree_allreduce_traffic",
     "tree_steps",
     "validate_world",

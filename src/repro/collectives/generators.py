@@ -1,12 +1,15 @@
 """Program generators: parametric families of chunk-level schedules.
 
-Two families feed the synthesizer:
+Every algorithm family is a generator here, and the one executor
+(:mod:`repro.collectives.executor`) runs whatever they emit:
 
 * :func:`ring_program` — the classic chunked ring schedules for all five
-  collective kinds, expressed in the IR.  These exist both as a
-  correctness anchor (they must validate and reproduce the built-in
-  ring data plane byte-for-byte) and as the flat baseline the search
-  compares against.
+  collective kinds (NCCL's rings, §5), also the flat baseline the
+  synthesizer's search compares against.
+* :func:`double_tree_program` — NCCL-style double-binary-tree AllReduce:
+  each half of the vector is reduced up and broadcast down its own tree.
+* :func:`halving_doubling_program` — the butterfly AllReduce: recursive
+  halving ReduceScatter, recursive doubling AllGather.
 * :func:`hierarchical_allreduce_program` — the SCCL-style two-level
   schedule for hierarchical fabrics: intra-group reduce-scatter, an
   inter-group ring all-reduce of each member's shard (the only phase
@@ -16,18 +19,22 @@ Two families feed the synthesizer:
   versus ~``2S`` for a flat locality ring — which is exactly the win the
   cost model and the netsim agree on for multi-region fabrics.
 
-Generators only *construct* programs; callers validate via
-:func:`repro.synth.validate.validate_program` (the synthesizer always
-does).
+Generators only *construct* programs; :func:`repro.synth.validate_program`
+proves them (the synthesizer always does, the test suite does for the
+built-in families).  ``order`` maps schedule positions to ranks; the
+executor compiles the built-ins once with the identity order and
+relabels at run time.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..collectives.types import Collective, validate_world
 from ..netsim.errors import MalformedProgramError
+from .halving_doubling import is_power_of_two
 from .ir import Instr, OpKind, Program, Protocol, make_program
+from .tree import double_binary_trees
+from .types import Collective, validate_world
 
 
 def _channel_of(chunk: int, channels: int) -> int:
@@ -69,6 +76,17 @@ def _sort_rank_programs(programs: List[List[Instr]]) -> List[List[Instr]]:
     ]
 
 
+def _positions(world: int, order: Optional[Sequence[int]]) -> List[int]:
+    """``order`` (default identity) checked to be a permutation of ranks."""
+    validate_world(world)
+    ring = list(order) if order is not None else list(range(world))
+    if sorted(ring) != list(range(world)):
+        raise MalformedProgramError(
+            f"order {ring} is not a permutation of 0..{world - 1}"
+        )
+    return ring
+
+
 # ---------------------------------------------------------------------------
 # flat ring programs
 # ---------------------------------------------------------------------------
@@ -84,17 +102,11 @@ def ring_program(
 ) -> Program:
     """The chunked ring schedule for ``kind``, as an IR program.
 
-    Mirrors :class:`repro.collectives.ring.RingDataPlane` exactly:
-    all-reduce is reduce-scatter + all-gather over ``world`` chunks,
+    All-reduce is reduce-scatter + all-gather over ``world`` chunks,
     all-gather/reduce-scatter rotate rank blocks, broadcast and reduce
     are pipelined whole-buffer chains.
     """
-    validate_world(world)
-    ring = list(order) if order is not None else list(range(world))
-    if sorted(ring) != list(range(world)):
-        raise MalformedProgramError(
-            f"ring order {ring} is not a permutation of 0..{world - 1}"
-        )
+    ring = _positions(world, order)
     n = world
     programs: List[List[Instr]] = [[] for _ in range(n)]
     label = name or f"synth:ring/{kind.value}/w{world}"
@@ -194,6 +206,112 @@ def ring_program(
         protocol=protocol,
         root=root,
         meta={"family": "ring", "order": tuple(ring)},
+    )
+
+
+# ---------------------------------------------------------------------------
+# double binary tree and halving-doubling all-reduce
+# ---------------------------------------------------------------------------
+def double_tree_program(
+    world: int,
+    *,
+    order: Optional[Sequence[int]] = None,
+    channels: int = 1,
+    protocol: Protocol = Protocol.SIMPLE,
+    name: Optional[str] = None,
+) -> Program:
+    """Double-binary-tree all-reduce over two chunks (vector halves).
+
+    Chunk ``t`` rides tree ``t`` of :func:`double_binary_trees`: a node
+    at depth ``d`` of a depth-``D`` tree folds its children in (in
+    ``children()`` order) and sends up at step ``D - d``; the total
+    comes back down at steps ``D + d``, ``2 * D`` steps in all.
+    """
+    ring = _positions(world, order)
+    programs: List[List[Instr]] = [[] for _ in range(world)]
+    for chunk, tree in enumerate(double_binary_trees(ring)):
+        depth = {tree.root: 0}
+        frontier = [tree.root]
+        for parent in frontier:  # breadth first, so parents come first
+            for child in tree.children(parent):
+                depth[child] = depth[parent] + 1
+                frontier.append(child)
+        deepest = max(depth.values())
+        for parent in frontier:
+            for child in tree.children(parent):
+                _transfer(programs, child, parent, chunk,
+                          deepest - depth[child], channels, reduce=True)
+                _transfer(programs, parent, child, chunk,
+                          deepest + depth[parent], channels, reduce=False)
+    return make_program(
+        name or f"tree/{Collective.ALL_REDUCE.value}/w{world}",
+        Collective.ALL_REDUCE,
+        _sort_rank_programs(programs),
+        num_chunks=2,
+        channels=channels,
+        protocol=protocol,
+        meta={"family": "tree", "order": tuple(ring)},
+    )
+
+
+def halving_doubling_program(
+    world: int,
+    *,
+    order: Optional[Sequence[int]] = None,
+    channels: int = 1,
+    protocol: Protocol = Protocol.SIMPLE,
+    name: Optional[str] = None,
+) -> Program:
+    """Recursive halving-doubling (butterfly) all-reduce, ``world`` chunks.
+
+    ``order`` assigns ranks to butterfly positions.  At the halving step
+    with partner mask ``m`` position ``v`` keeps one half of its current
+    chunk range and sends the other to ``v ^ m``; the doubling phase
+    replays the masks upward, each side sending all it holds.
+    """
+    ring = _positions(world, order)
+    n = world
+    if not is_power_of_two(n):
+        raise MalformedProgramError(
+            f"halving-doubling needs a power-of-two world, got {n}"
+        )
+    programs: List[List[Instr]] = [[] for _ in range(n)]
+    ranges = [(0, n)] * n  # chunk range each position is reducing
+    step = 0
+    mask = n >> 1
+    while mask:
+        nxt = list(ranges)
+        for v in range(n):
+            lo, hi = ranges[v]
+            mid = (lo + hi) // 2
+            keep, send = ((mid, hi), (lo, mid)) if v & mask else ((lo, mid), (mid, hi))
+            for chunk in range(*send):
+                _transfer(programs, ring[v], ring[v ^ mask], chunk, step,
+                          channels, reduce=True)
+            nxt[v] = keep
+        ranges = nxt
+        mask >>= 1
+        step += 1
+    mask = 1
+    while mask < n:
+        nxt = list(ranges)
+        for v in range(n):
+            for chunk in range(*ranges[v]):
+                _transfer(programs, ring[v], ring[v ^ mask], chunk, step,
+                          channels, reduce=False)
+            (lo, hi), (plo, phi) = ranges[v], ranges[v ^ mask]
+            nxt[v] = (min(lo, plo), max(hi, phi))
+        ranges = nxt
+        mask <<= 1
+        step += 1
+    return make_program(
+        name or f"halving_doubling/{Collective.ALL_REDUCE.value}/w{world}",
+        Collective.ALL_REDUCE,
+        _sort_rank_programs(programs),
+        num_chunks=n,
+        channels=channels,
+        protocol=protocol,
+        meta={"family": "halving_doubling", "order": tuple(ring)},
     )
 
 

@@ -12,21 +12,20 @@ punishes at large sizes.  That tension (latency-optimal vs
 bisection-heavy) is what makes the algorithm a useful arm for the
 :mod:`repro.autotune` planner.
 
-Like :mod:`repro.collectives.tree`, both a numpy **data plane** and a
-closed-form **traffic model** are provided and cross-checked by tests.
-The schedule requires a power-of-two world; the registry-level algorithm
+This module holds the closed-form **traffic model**; the bytes move
+through the one executor running
+:func:`repro.collectives.generators.halving_doubling_program`, and tests
+cross-check the two.  The schedule requires a power-of-two world; the
+registry-level algorithm
 (:class:`repro.core.algorithms.HalvingDoublingAlgorithm`) falls back to
 rings otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-import numpy as np
-
-from .chunking import chunk_bounds
-from .types import ReduceOp, validate_world
+from .types import validate_world
 
 
 def is_power_of_two(world: int) -> bool:
@@ -64,100 +63,3 @@ def halving_doubling_traffic(
             traffic[pair] = traffic.get(pair, 0.0) + nbytes
         mask >>= 1
     return traffic
-
-
-class HalvingDoublingDataPlane:
-    """Executes butterfly AllReduce on numpy buffers.
-
-    ``order`` assigns ranks to butterfly *positions* (virtual ranks): the
-    provider can therefore keep exchanges with small masks intra-host by
-    ordering co-located ranks into the same low-bit groups, just as a
-    locality ring keeps neighbouring ranks co-located.
-    """
-
-    def __init__(self, order: Sequence[int]) -> None:
-        order = tuple(order)
-        world = len(order)
-        validate_world(world)
-        if not is_power_of_two(world):
-            raise ValueError(
-                f"halving-doubling needs a power-of-two world, got {world}"
-            )
-        if sorted(order) != list(range(world)):
-            raise ValueError(f"order must be a permutation of 0..{world - 1}")
-        self.order = order
-        self.world = world
-        # bytes moved per directed (src_rank, dst_rank) pair
-        self.edge_bytes: Dict[Tuple[int, int], int] = {}
-
-    def _send(self, src_rank: int, dst_rank: int, payload: np.ndarray) -> None:
-        key = (src_rank, dst_rank)
-        self.edge_bytes[key] = self.edge_bytes.get(key, 0) + payload.nbytes
-
-    def all_reduce(
-        self, inputs: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM
-    ) -> List[np.ndarray]:
-        n = self.world
-        if len(inputs) != n:
-            raise ValueError("one input per rank required")
-        first = inputs[0]
-        for arr in inputs[1:]:
-            if arr.shape != first.shape or arr.dtype != first.dtype:
-                raise ValueError("all rank buffers must match in shape and dtype")
-        order = self.order
-        shape = first.shape
-        bounds = chunk_bounds(first.size, n)
-
-        def eslice(block_lo: int, block_hi: int) -> slice:
-            if block_lo >= block_hi:
-                return slice(0, 0)
-            return slice(bounds[block_lo][0], bounds[block_hi - 1][1])
-
-        work = [inputs[r].copy().ravel() for r in range(n)]
-        # block-range (in chunk units) currently being reduced by each
-        # virtual rank; halving narrows it to one block, doubling re-grows
-        # it to the full vector.
-        ranges: List[Tuple[int, int]] = [(0, n)] * n
-
-        # -- ReduceScatter: recursive halving --------------------------------
-        mask = n >> 1
-        while mask:
-            staged: List[Tuple[int, Tuple[int, int], np.ndarray]] = []
-            next_ranges = list(ranges)
-            for v in range(n):
-                p = v ^ mask
-                lo, hi = ranges[v]
-                mid = (lo + hi) // 2
-                if v & mask:
-                    keep, send = (mid, hi), (lo, mid)
-                else:
-                    keep, send = (lo, mid), (mid, hi)
-                payload = work[order[v]][eslice(*send)].copy()
-                self._send(order[v], order[p], payload)
-                staged.append((order[p], send, payload))
-                next_ranges[v] = keep
-            for dst_rank, (blo, bhi), payload in staged:
-                target = work[dst_rank][eslice(blo, bhi)]
-                target[:] = op.combine(target, payload)
-            ranges = next_ranges
-            mask >>= 1
-
-        # -- AllGather: recursive doubling -----------------------------------
-        mask = 1
-        while mask < n:
-            staged = []
-            next_ranges = list(ranges)
-            for v in range(n):
-                p = v ^ mask
-                lo, hi = ranges[v]
-                payload = work[order[v]][eslice(lo, hi)].copy()
-                self._send(order[v], order[p], payload)
-                staged.append((order[p], (lo, hi), payload))
-                plo, phi = ranges[p]
-                next_ranges[v] = (min(lo, plo), max(hi, phi))
-            for dst_rank, (blo, bhi), payload in staged:
-                work[dst_rank][eslice(blo, bhi)] = payload
-            ranges = next_ranges
-            mask <<= 1
-
-        return [w.reshape(shape) for w in work]

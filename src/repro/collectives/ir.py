@@ -34,8 +34,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..collectives.chunking import chunk_bounds
-from ..collectives.types import Collective
+from .chunking import chunk_bounds
+from .types import Collective
 from ..netsim.errors import MalformedProgramError
 
 #: Schema version stamped into every serialized program.
@@ -342,12 +342,7 @@ def initial_state(
     populated.
     """
     all_chunks = range(num_chunks)
-    if kind in (Collective.ALL_REDUCE, Collective.REDUCE):
-        return [
-            {c: (c, frozenset((r,))) for c in all_chunks}
-            for r in range(world)
-        ]
-    if kind is Collective.REDUCE_SCATTER:
+    if kind in (Collective.ALL_REDUCE, Collective.REDUCE, Collective.REDUCE_SCATTER):
         return [
             {c: (c, frozenset((r,))) for c in all_chunks}
             for r in range(world)

@@ -2,10 +2,13 @@
 
 This is the oracle the shared algorithm suite
 (``tests/collectives/test_algorithm_reference.py``) holds every
-registered algorithm — built-in or synthesized — against: whatever
-schedule an algorithm runs, its ``run_data`` must produce exactly these
-outputs.  Conventions match the registry data planes
-(:class:`~repro.collectives.ring.RingDataPlane` et al.):
+registered algorithm — built-in or synthesized — against: every
+algorithm names a chunk program and one executor
+(:mod:`repro.collectives.executor`) runs it, and whatever the program,
+the shared ``run_data`` must produce exactly these outputs.  It is
+deliberately the other kind of code — whole-vector numpy one-liners, no
+chunks, no schedule — and is the only reduction code outside the
+executor.  Conventions (also the executor's):
 
 * ``ALL_REDUCE`` — every rank gets the elementwise reduction;
 * ``ALL_GATHER`` — every rank gets the concatenation, block ``r`` being
@@ -14,7 +17,7 @@ outputs.  Conventions match the registry data planes
   vector (inputs must be divisible into ``world`` equal blocks);
 * ``BROADCAST`` — every rank gets the root's buffer;
 * ``REDUCE`` — the root gets the reduction; non-root outputs are the
-  inputs unchanged (NCCL leaves them unspecified, the data planes keep
+  inputs unchanged (NCCL leaves them unspecified, the executor keeps
   the input for determinism).
 """
 

@@ -1,13 +1,12 @@
-"""Ring collective algorithms.
+"""Ring schedules and their closed-form traffic model.
 
-Two complementary views of the same algorithm are provided, and tests
-cross-check them against each other:
-
-* the **data plane** (:class:`RingDataPlane`) executes the classic chunked
-  ring schedules on real numpy buffers, moving data only between ring
-  neighbours, and records how many bytes crossed each directed ring edge;
-* the **traffic model** (:func:`edge_traffic`) predicts those per-edge byte
-  counts in closed form; the fluid simulator turns them into flows.
+:class:`RingSchedule` is the ring a strategy installs;
+:func:`edge_traffic` predicts in closed form the bytes each directed ring
+edge carries, which the fluid simulator turns into flows.  The bytes
+themselves move through the one executor
+(:mod:`repro.collectives.executor`) running
+:func:`repro.collectives.generators.ring_program`; tests cross-check the
+compiled plan's per-edge bytes against this model.
 
 The MCCS prototype ports NCCL's ring AllReduce and AllGather kernels (§5);
 we implement those plus ReduceScatter, Broadcast and Reduce, which the
@@ -17,12 +16,9 @@ paper notes are straightforward extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-import numpy as np
-
-from .chunking import chunk_bounds
-from .types import Collective, ReduceOp, validate_world
+from .types import Collective, validate_world
 
 
 @dataclass(frozen=True)
@@ -124,212 +120,3 @@ def edge_traffic(
         traffic[unused] = 0.0
         return traffic
     raise ValueError(f"unsupported collective {kind}")
-
-
-# ---------------------------------------------------------------------------
-# data plane
-# ---------------------------------------------------------------------------
-class RingDataPlane:
-    """Chunk-level execution of ring collectives on numpy buffers.
-
-    The executor is deliberately written as a sequence of neighbour-only
-    transfers (no global shortcuts) so that the byte counts it records are
-    a genuine check of :func:`edge_traffic`.
-    """
-
-    def __init__(self, schedule: RingSchedule) -> None:
-        self.schedule = schedule
-        self.world = schedule.world
-        # bytes moved over edge position i -> i+1
-        self.edge_bytes: List[int] = [0] * self.world
-
-    # -- helpers ----------------------------------------------------------
-    def _send(self, src_pos: int, payload: np.ndarray) -> int:
-        """Account for a transfer from ``src_pos`` to the next position."""
-        self.edge_bytes[src_pos] += payload.nbytes
-        return (src_pos + 1) % self.world
-
-    @staticmethod
-    def _check_uniform(arrays: Sequence[np.ndarray]) -> None:
-        first = arrays[0]
-        for arr in arrays[1:]:
-            if arr.shape != first.shape or arr.dtype != first.dtype:
-                raise ValueError("all rank buffers must match in shape and dtype")
-
-    # -- collectives -------------------------------------------------------
-    def all_reduce(
-        self, inputs: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM
-    ) -> List[np.ndarray]:
-        """Ring AllReduce: reduce-scatter phase then allgather phase."""
-        if len(inputs) != self.world:
-            raise ValueError("one input per rank required")
-        self._check_uniform(inputs)
-        n = self.world
-        order = self.schedule.order
-        work = [inputs[r].copy() for r in range(n)]  # indexed by rank
-        bounds = chunk_bounds(inputs[0].size, n)
-
-        def chunk(rank: int, c: int) -> np.ndarray:
-            lo, hi = bounds[c]
-            return work[rank][lo:hi]
-
-        # Reduce-scatter: after step s = n-2, position p holds the fully
-        # reduced ring-chunk (p+1) mod n.
-        for s in range(n - 1):
-            staged: List[Tuple[int, int, np.ndarray]] = []
-            for p in range(n):
-                c = (p - s) % n
-                payload = chunk(order[p], c).copy()
-                dst = self._send(p, payload)
-                staged.append((order[dst], c, payload))
-            for dst_rank, c, payload in staged:
-                lo, hi = bounds[c]
-                work[dst_rank][lo:hi] = op.combine(work[dst_rank][lo:hi], payload)
-        # AllGather: position p starts by sending its reduced chunk (p+1).
-        for s in range(n - 1):
-            staged = []
-            for p in range(n):
-                c = (p + 1 - s) % n
-                payload = chunk(order[p], c).copy()
-                dst = self._send(p, payload)
-                staged.append((order[dst], c, payload))
-            for dst_rank, c, payload in staged:
-                lo, hi = bounds[c]
-                work[dst_rank][lo:hi] = payload
-        return work
-
-    def all_gather(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Ring AllGather; output block ``r`` holds rank ``r``'s input."""
-        if len(inputs) != self.world:
-            raise ValueError("one input per rank required")
-        self._check_uniform(inputs)
-        n = self.world
-        order = self.schedule.order
-        block = inputs[0].size
-        outputs = [
-            np.empty(block * n, dtype=inputs[0].dtype) for _ in range(n)
-        ]
-
-        def store(rank: int, owner_rank: int, payload: np.ndarray) -> None:
-            outputs[rank][owner_rank * block : (owner_rank + 1) * block] = payload
-
-        for p in range(n):
-            store(order[p], order[p], inputs[order[p]].ravel())
-        # At step s, position p forwards the block originated by the rank
-        # at position (p - s) mod n.
-        for s in range(n - 1):
-            staged: List[Tuple[int, int, np.ndarray]] = []
-            for p in range(n):
-                owner = order[(p - s) % n]
-                payload = outputs[order[p]][
-                    owner * block : (owner + 1) * block
-                ].copy()
-                dst = self._send(p, payload)
-                staged.append((order[dst], owner, payload))
-            for dst_rank, owner, payload in staged:
-                store(dst_rank, owner, payload)
-        return outputs
-
-    def reduce_scatter(
-        self, inputs: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM
-    ) -> List[np.ndarray]:
-        """Ring ReduceScatter; rank ``r`` outputs reduced block ``r``.
-
-        Inputs must have size divisible by ``world``; block ``r`` of each
-        input contributes to rank ``r``'s output.
-        """
-        if len(inputs) != self.world:
-            raise ValueError("one input per rank required")
-        self._check_uniform(inputs)
-        n = self.world
-        order = self.schedule.order
-        if inputs[0].size % n:
-            raise ValueError("input size must be divisible by world")
-        block = inputs[0].size // n
-        work = [inputs[r].copy().ravel() for r in range(n)]
-
-        def ring_chunk(rank: int, c: int) -> np.ndarray:
-            # ring-chunk c holds the user block of the rank at position c,
-            # so the final chunk each position keeps is its own rank's.
-            owner = order[c]
-            return work[rank][owner * block : (owner + 1) * block]
-
-        # Shifted schedule: send ring-chunk (p - s - 1); after n-1 steps
-        # position p holds its fully reduced ring-chunk p.
-        for s in range(n - 1):
-            staged: List[Tuple[int, int, np.ndarray]] = []
-            for p in range(n):
-                c = (p - s - 1) % n
-                payload = ring_chunk(order[p], c).copy()
-                dst = self._send(p, payload)
-                staged.append((dst, c, payload))
-            for dst_pos, c, payload in staged:
-                target = ring_chunk(order[dst_pos], c)
-                target[:] = op.combine(target, payload)
-        return [work[r][r * block : (r + 1) * block].copy() for r in range(n)]
-
-    def broadcast(self, inputs: Sequence[np.ndarray], root: int) -> List[np.ndarray]:
-        """Pipelined ring broadcast from ``root``."""
-        if len(inputs) != self.world:
-            raise ValueError("one buffer per rank required")
-        self._check_uniform(inputs)
-        n = self.world
-        order = self.schedule.order
-        outputs = [inputs[r].copy() for r in range(n)]
-        p = self.schedule.position_of(root)
-        payload = inputs[root].copy()
-        for _ in range(n - 1):
-            dst = self._send(p, payload)
-            outputs[order[dst]] = payload.copy()
-            p = dst
-        return outputs
-
-    def reduce(
-        self,
-        inputs: Sequence[np.ndarray],
-        root: int,
-        op: ReduceOp = ReduceOp.SUM,
-    ) -> List[np.ndarray]:
-        """Pipelined ring reduce toward ``root``.
-
-        Non-root outputs are returned unchanged (NCCL leaves recvbuff of
-        non-roots unspecified; we keep the input for determinism).
-        """
-        if len(inputs) != self.world:
-            raise ValueError("one input per rank required")
-        self._check_uniform(inputs)
-        n = self.world
-        order = self.schedule.order
-        root_pos = self.schedule.position_of(root)
-        # Accumulate around the ring ending at root: start at the position
-        # after root, walk forward reducing as we go.
-        p = (root_pos + 1) % n
-        acc = inputs[order[p]].copy()
-        for _ in range(n - 1):
-            dst = self._send(p, acc)
-            acc = op.combine(inputs[order[dst]], acc)
-            p = dst
-        outputs = [inputs[r].copy() for r in range(n)]
-        outputs[root] = acc
-        return outputs
-
-    def run(
-        self,
-        kind: Collective,
-        inputs: Sequence[np.ndarray],
-        *,
-        op: ReduceOp = ReduceOp.SUM,
-        root: int = 0,
-    ) -> List[np.ndarray]:
-        """Dispatch by collective kind."""
-        if kind is Collective.ALL_REDUCE:
-            return self.all_reduce(inputs, op)
-        if kind is Collective.ALL_GATHER:
-            return self.all_gather(inputs)
-        if kind is Collective.REDUCE_SCATTER:
-            return self.reduce_scatter(inputs, op)
-        if kind is Collective.BROADCAST:
-            return self.broadcast(inputs, root)
-        if kind is Collective.REDUCE:
-            return self.reduce(inputs, root, op)
-        raise ValueError(f"unsupported collective {kind}")

@@ -2,22 +2,21 @@
 
 The paper's prototype "focuses on ports of NCCL's ring AllReduce and
 AllGather kernels; however, it is straightforward to implement ... other
-algorithms (e.g., tree algorithms)" (§5).  We implement that extension: a
-binary-tree reduce+broadcast AllReduce and the double-binary-tree variant
-NCCL uses at scale, with both a data plane and a traffic-matrix view, so
-the MCCS proxy engine can switch algorithm families at reconfiguration
-time.
+algorithms (e.g., tree algorithms)" (§5).  We implement that extension:
+the tree schedules and the traffic-matrix view of the double-binary-tree
+AllReduce NCCL uses at scale, so the MCCS proxy engine can switch
+algorithm families at reconfiguration time.  The bytes move through the
+one executor running
+:func:`repro.collectives.generators.double_tree_program`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from .types import ReduceOp, validate_world
+from .types import validate_world
 
 
 @dataclass(frozen=True)
@@ -132,76 +131,3 @@ def double_tree_allreduce_traffic(
 def tree_steps(tree: TreeSchedule) -> int:
     """Latency hops: up the tree then down."""
     return 2 * tree.depth()
-
-
-# ---------------------------------------------------------------------------
-# data plane
-# ---------------------------------------------------------------------------
-class TreeDataPlane:
-    """Executes reduce+broadcast AllReduce on numpy buffers."""
-
-    def __init__(self, tree: TreeSchedule) -> None:
-        self.tree = tree
-        self.edge_bytes: Dict[Tuple[int, int], int] = {}
-
-    def _send(self, src: int, dst: int, payload: np.ndarray) -> None:
-        key = (src, dst)
-        self.edge_bytes[key] = self.edge_bytes.get(key, 0) + payload.nbytes
-
-    def all_reduce(
-        self, inputs: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM
-    ) -> List[np.ndarray]:
-        if len(inputs) != self.tree.world:
-            raise ValueError("one input per rank required")
-        partial: Dict[int, np.ndarray] = {}
-
-        def reduce_up(rank: int) -> np.ndarray:
-            acc = inputs[rank].copy()
-            for child in self.tree.children(rank):
-                child_val = reduce_up(child)
-                self._send(child, rank, child_val)
-                acc = op.combine(acc, child_val)
-            partial[rank] = acc
-            return acc
-
-        total = reduce_up(self.tree.root)
-        outputs: List[Optional[np.ndarray]] = [None] * self.tree.world
-
-        def broadcast_down(rank: int, value: np.ndarray) -> None:
-            outputs[rank] = value.copy()
-            for child in self.tree.children(rank):
-                self._send(rank, child, value)
-                broadcast_down(child, value)
-
-        broadcast_down(self.tree.root, total)
-        return [out for out in outputs if out is not None]
-
-
-class DoubleTreeDataPlane:
-    """AllReduce over two complementary trees, each carrying half."""
-
-    def __init__(self, trees: Tuple[TreeSchedule, TreeSchedule]) -> None:
-        self.trees = trees
-        self.edge_bytes: Dict[Tuple[int, int], int] = {}
-
-    def all_reduce(
-        self, inputs: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM
-    ) -> List[np.ndarray]:
-        world = self.trees[0].world
-        if self.trees[1].world != world:
-            raise ValueError("trees must cover the same world")
-        if len(inputs) != world:
-            raise ValueError("one input per rank required")
-        half = inputs[0].size // 2
-        halves = ([x.ravel()[:half] for x in inputs], [x.ravel()[half:] for x in inputs])
-        outputs = [np.empty_like(inputs[0]).ravel() for _ in range(world)]
-        for tree, part, sl in zip(
-            self.trees, halves, (slice(0, half), slice(half, None))
-        ):
-            plane = TreeDataPlane(tree)
-            outs = plane.all_reduce(part, op)
-            for (pair, nbytes) in plane.edge_bytes.items():
-                self.edge_bytes[pair] = self.edge_bytes.get(pair, 0) + nbytes
-            for r in range(world):
-                outputs[r][sl] = outs[r]
-        return [o.reshape(inputs[0].shape) for o in outputs]

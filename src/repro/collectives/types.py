@@ -34,10 +34,14 @@ class ReduceOp(enum.Enum):
     MAX = "max"
     MIN = "min"
 
+    @property
+    def ufunc(self) -> np.ufunc:
+        """The numpy ufunc; ``ufunc(a, b, out=a)`` reduces in place."""
+        return _NUMPY_OPS[self]
+
     def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Apply the operator elementwise."""
-        fn = _NUMPY_OPS[self]
-        return fn(a, b)
+        return self.ufunc(a, b)
 
 
 _NUMPY_OPS: dict = {

@@ -20,29 +20,24 @@ Built-ins:
   AllReduce for power-of-two worlds (ring otherwise), the latency-optimal
   arm the :mod:`repro.autotune` planner can promote for small messages.
 
-An algorithm also supplies the matching data plane so collectives keep
-moving real bytes correctly whichever strategy the provider picks.
+An algorithm also names the chunk program that moves its bytes
+(:meth:`CollectiveAlgorithm.plan`); the one executor in
+:mod:`repro.collectives.executor` runs it through the shared
+:meth:`CollectiveAlgorithm.run_data`, so collectives keep moving real
+bytes correctly whichever strategy the provider picks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..collectives.halving_doubling import (
-    HalvingDoublingDataPlane,
-    halving_doubling_traffic,
-    hd_steps,
-    is_power_of_two,
-)
-from ..collectives.ring import RingDataPlane, edge_traffic, steps_for
-from ..collectives.tree import (
-    DoubleTreeDataPlane,
-    double_binary_trees,
-    tree_steps,
-)
+from ..collectives.executor import ExecutionPlan, builtin_plan
+from ..collectives.halving_doubling import hd_steps, is_power_of_two
+from ..collectives.ring import edge_traffic, steps_for
+from ..collectives.tree import double_binary_trees, tree_steps
 from ..collectives.types import Collective, ReduceOp
 from ..netsim.errors import MccsError
 
@@ -82,14 +77,35 @@ class CollectiveAlgorithm:
         """Pipeline hops, for the fixed-latency model."""
         raise NotImplementedError
 
+    def plan(
+        self, ctx: AlgorithmContext
+    ) -> Tuple[ExecutionPlan, Optional[Sequence[int]]]:
+        """The compiled chunk program that moves this collective's bytes,
+        and the position -> rank order to run it under (``None`` when
+        the plan is already in rank space)."""
+        raise NotImplementedError
+
     def run_data(
         self,
         ctx: AlgorithmContext,
         inputs: Sequence[np.ndarray],
         op: ReduceOp,
+        out: Optional[Sequence[np.ndarray]] = None,
     ) -> List[np.ndarray]:
-        """Execute the collective on real buffers (data plane)."""
-        raise NotImplementedError
+        """Execute the collective on real buffers, writing ``out`` (the
+        tenant's receive buffers) in place when given.  Shared by every
+        algorithm: the only thing a family chooses is its :meth:`plan`."""
+        plan, order = self.plan(ctx)
+        return plan.run(inputs, op, order=order, out=out)
+
+
+def _position_plan(family: str, ctx: AlgorithmContext):
+    """A built-in family's plan: compiled once in ring-position space,
+    relabelled through the strategy's ring order when it runs."""
+    order = ctx.ring_order
+    root_pos = list(order).index(ctx.root)
+    plan = builtin_plan(family, ctx.kind, ctx.world, root_pos, ctx.channels)
+    return plan, order
 
 
 class RingAlgorithm(CollectiveAlgorithm):
@@ -115,11 +131,8 @@ class RingAlgorithm(CollectiveAlgorithm):
     def steps(self, kind: Collective, world: int) -> int:
         return steps_for(kind, world)
 
-    def run_data(self, ctx, inputs, op):
-        from ..collectives.ring import RingSchedule
-
-        plane = RingDataPlane(RingSchedule(tuple(ctx.ring_order)))
-        return plane.run(ctx.kind, list(inputs), op=op, root=ctx.root)
+    def plan(self, ctx):
+        return _position_plan("ring", ctx)
 
 
 class DoubleTreeAlgorithm(CollectiveAlgorithm):
@@ -161,11 +174,9 @@ class DoubleTreeAlgorithm(CollectiveAlgorithm):
         trees = double_binary_trees(range(world))
         return max(tree_steps(t) for t in trees)
 
-    def run_data(self, ctx, inputs, op):
-        if ctx.kind is not Collective.ALL_REDUCE:
-            return self._ring.run_data(ctx, inputs, op)
-        plane = DoubleTreeDataPlane(self._trees(ctx))
-        return plane.all_reduce(list(inputs), op)
+    def plan(self, ctx):
+        family = "tree" if ctx.kind is Collective.ALL_REDUCE else "ring"
+        return _position_plan(family, ctx)
 
 
 class HalvingDoublingAlgorithm(CollectiveAlgorithm):
@@ -210,11 +221,9 @@ class HalvingDoublingAlgorithm(CollectiveAlgorithm):
             return self._ring.steps(kind, world)
         return hd_steps(world)
 
-    def run_data(self, ctx, inputs, op):
-        if not self._applies(ctx.kind, ctx.world):
-            return self._ring.run_data(ctx, inputs, op)
-        plane = HalvingDoublingDataPlane(ctx.ring_order)
-        return plane.all_reduce(list(inputs), op)
+    def plan(self, ctx):
+        family = self.name if self._applies(ctx.kind, ctx.world) else "ring"
+        return _position_plan(family, ctx)
 
 
 _REGISTRY: Dict[str, CollectiveAlgorithm] = {}

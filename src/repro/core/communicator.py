@@ -41,6 +41,7 @@ from ..telemetry.spans import (
     SpanRecorder,
 )
 from ..transport.connections import ConnectionTable, connection_key
+from .algorithms import AlgorithmContext, get_algorithm
 from .strategy import CollectiveStrategy
 from .tracing import CommTrace
 
@@ -283,9 +284,7 @@ class CollectiveInstance:
                 phase.finish(now)
 
     # ------------------------------------------------------------------
-    def _context(self, strategy: CollectiveStrategy, rank: int) -> "AlgorithmContext":
-        from .algorithms import AlgorithmContext
-
+    def _context(self, strategy: CollectiveStrategy, rank: int) -> AlgorithmContext:
         return AlgorithmContext(
             kind=self.kind,
             out_bytes=self.out_bytes,
@@ -300,8 +299,6 @@ class CollectiveInstance:
         """Called by rank ``rank``'s proxy engine when it launches this
         collective under ``strategy``.  Injects that rank's flows after
         the fixed datapath latency."""
-        from .algorithms import get_algorithm
-
         if self.aborted:
             return
         if rank in self._launched:
@@ -344,8 +341,6 @@ class CollectiveInstance:
         comm.sim.call_in(fixed, deferred)
 
     def _inject_rank(self, rank: int, strategy: CollectiveStrategy) -> None:
-        from .algorithms import get_algorithm
-
         comm = self.comm
         if self.start_time is None:
             self.start_time = comm.sim.now
@@ -523,18 +518,17 @@ class CollectiveInstance:
                     f"collective seq={self.seq} launched with mixed strategy "
                     f"versions {sorted(set(self.rank_versions.values()))}"
                 )
-        if self.send_views is not None and self.consistent:
-            from .algorithms import get_algorithm
-
+        if self.recv_views is not None and self.consistent:
+            # The executor writes the tenant's receive buffers in place;
+            # with nowhere to put a result, no byte moves.
             version = next(iter(self.rank_versions.values()))
             strategy = comm.strategy_history[version]
-            algorithm = get_algorithm(strategy.algorithm)
-            outputs = algorithm.run_data(
-                self._context(strategy, rank=0), self.send_views, self.reduce_op
+            get_algorithm(strategy.algorithm).run_data(
+                self._context(strategy, rank=0),
+                self.send_views,
+                self.reduce_op,
+                out=self.recv_views,
             )
-            if self.recv_views is not None:
-                for dst, src in zip(self.recv_views, outputs):
-                    np.copyto(dst, src.reshape(dst.shape))
         self._close_phases(self.end_time)
         if comm.trace_record:
             rec = comm.trace.record_for(self.seq)

@@ -33,7 +33,7 @@ from ..baselines.nccl import default_channels
 from ..cluster.gpu import AsyncOp, Event, GpuDevice
 from ..cluster.specs import Cluster
 from ..collectives.cost_model import LatencyModel, MCCS_LATENCY
-from ..collectives.types import input_bytes
+from ..collectives.types import Collective, input_bytes
 from ..netsim.errors import (
     CollectiveTimeoutError,
     CommunicatorError,
@@ -704,7 +704,45 @@ class MccsDeployment:
                     )
                 manager = self.service_of_gpu(comm.gpus[rank]).memory
                 recv_views.append(manager.view(app_id, ref, dtype))
+            self._check_aliasing(request)
         return send_views, recv_views
+
+    @staticmethod
+    def _check_aliasing(request: CollectiveRequest) -> None:
+        """Classify overlap between the byte ranges one collective names.
+
+        The executor writes receive buffers in place while it still reads
+        send buffers, so the one legal alias is a rank's receive range
+        being *exactly* its own send range, for the kinds whose input and
+        output coincide; anything partial would silently corrupt the
+        result and is refused before the collective is journaled.  Send
+        ranges may share bytes with each other (they are only read).
+        """
+        by_buffer: Dict[int, List[Tuple[str, int, BufferRef]]] = {}
+        for role, refs in (("send", request.send_refs), ("recv", request.recv_refs)):
+            for rank, ref in enumerate(refs):
+                by_buffer.setdefault(ref.buffer_id, []).append((role, rank, ref))
+        in_place_ok = request.kind in (
+            Collective.ALL_REDUCE, Collective.BROADCAST, Collective.REDUCE
+        )
+        for group in by_buffer.values():  # ranges of one allocation
+            for i, (role_a, rank_a, a) in enumerate(group):
+                for role_b, rank_b, b in group[i + 1:]:
+                    if role_a == role_b == "send" or not (
+                        a.offset < b.offset + b.nbytes
+                        and b.offset < a.offset + a.nbytes
+                    ):
+                        continue
+                    if in_place_ok and rank_a == rank_b and a == b:
+                        continue  # exact in-place: recv is the rank's own send
+                    raise InvalidBufferError(
+                        f"rank {rank_a} {role_a} range [{a.offset}, "
+                        f"{a.offset + a.nbytes}) of buffer {a.buffer_id} overlaps "
+                        f"rank {rank_b} {role_b} range [{b.offset}, "
+                        f"{b.offset + b.nbytes}); only exact in-place (recv == "
+                        f"the same rank's send) all_reduce, broadcast and "
+                        f"reduce may alias"
+                    )
 
     def _check_not_aborted(self, comm: ServiceCommunicator) -> None:
         if comm.aborted:

@@ -2,28 +2,24 @@
 
 The paper argues (§3, §5) that a collective *service* can specialize
 algorithms per tenant and topology because it owns the whole execution
-stack.  This package supplies the machinery above the hand-written
-algorithm zoo: SCCL/GC3-style chunk-level programs
-(:mod:`~repro.synth.ir`), a validator proving a program implements its
-collective kind (:mod:`~repro.synth.validate`), a numpy interpreter
-(:mod:`~repro.synth.interp`), a lowering pass onto the flow data plane
-(:mod:`~repro.synth.lowering`), parametric generators
-(:mod:`~repro.synth.generators`) and a bounded topology-aware search
-(:mod:`~repro.synth.search`) whose pareto front feeds the autotuner.
+stack.  Every algorithm in the repo names a SCCL/GC3-style chunk-level
+program and one executor runs it; the IR, the generators and that
+executor live in :mod:`repro.collectives` (``ir``, ``generators``,
+``executor``) so the service's data path never imports this package.
+What lives *here* is what turns programs into trusted, searched-for
+strategies: a validator proving a program implements its collective kind
+(:mod:`~repro.synth.validate`), a lowering pass registering it as a
+first-class algorithm (:mod:`~repro.synth.lowering`) and a bounded
+topology-aware search (:mod:`~repro.synth.search`) whose pareto front
+feeds the autotuner.  The IR's public names are re-exported below.
 
 See ``docs/synthesis.md`` for the IR grammar, validator invariants,
 lowering contract and search knobs.
 """
 
-from .generators import hierarchical_allreduce_program, ring_program
-from .interp import run_program
-from .ir import (
-    Instr,
-    OpKind,
-    Program,
-    Protocol,
-    make_program,
-)
+from ..collectives.executor import run_program, toposort
+from ..collectives.generators import hierarchical_allreduce_program, ring_program
+from ..collectives.ir import Instr, OpKind, Program, Protocol, make_program
 from .lowering import (
     SYNTH_PREFIX,
     SynthAlgorithm,
@@ -39,7 +35,7 @@ from .search import (
     placement_groups,
     synthesize_and_register,
 )
-from .validate import is_valid, toposort, validate_program
+from .validate import is_valid, validate_program
 
 __all__ = [
     "SYNTH_PREFIX",

@@ -12,9 +12,10 @@ strategy:
   schedules through exactly the same path as rings and trees;
 * ``steps`` reports the program's pipeline step count to the fixed
   latency model;
-* ``run_data`` byte-moves through the numpy interpreter
-  (:func:`repro.synth.interp.run_program`), so consistency checks and
-  the shared reference suite apply unmodified.
+* ``plan`` hands the shared ``run_data`` path the program compiled by
+  the one executor (:mod:`repro.collectives.executor`) — compiled on
+  first use, kept on the algorithm — so consistency checks and the
+  shared reference suite apply unmodified.
 
 A synthesized program targets one (kind, world) point and is built
 against a concrete rank->location mapping, so it deliberately ignores
@@ -27,11 +28,11 @@ halving-doubling algorithms degrade.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
-import numpy as np
-
-from ..collectives.types import Collective, ReduceOp
+from ..collectives.executor import ExecutionPlan, compile_program
+from ..collectives.ir import Program, Protocol
+from ..collectives.types import Collective
 from ..core.algorithms import (
     AlgorithmContext,
     CollectiveAlgorithm,
@@ -41,8 +42,6 @@ from ..core.algorithms import (
     registered_algorithms,
     unregister_algorithm,
 )
-from .ir import Program, Protocol
-from .interp import run_program
 from .validate import validate_program
 
 #: Registry-name prefix marking synthesized algorithms.
@@ -77,6 +76,7 @@ class SynthAlgorithm(CollectiveAlgorithm):
         self.fingerprint = fingerprint
         self.protocol: Protocol = program.protocol
         self._ring = RingAlgorithm()
+        self._plan: Optional[ExecutionPlan] = None
 
     # -- applicability ----------------------------------------------------
     def supports(self, kind: Collective, world: int) -> bool:
@@ -105,15 +105,12 @@ class SynthAlgorithm(CollectiveAlgorithm):
             return self._ring.steps(kind, world)
         return self.program.num_steps
 
-    def run_data(
-        self,
-        ctx: AlgorithmContext,
-        inputs: Sequence[np.ndarray],
-        op: ReduceOp,
-    ) -> List[np.ndarray]:
+    def plan(self, ctx: AlgorithmContext):
         if not self._applies(ctx):
-            return self._ring.run_data(ctx, inputs, op)
-        return run_program(self.program, list(inputs), op)
+            return self._ring.plan(ctx)
+        if self._plan is None:
+            self._plan = compile_program(self.program)
+        return self._plan, None  # already in rank space
 
     def __repr__(self) -> str:
         p = self.program

@@ -28,8 +28,8 @@ from ..collectives.cost_model import LatencyModel, MCCS_LATENCY
 from ..collectives.types import Collective
 from ..netsim.errors import ProgramValidationError
 from ..netsim.units import KB, MB
-from .generators import hierarchical_allreduce_program, ring_program
-from .ir import Program, Protocol
+from ..collectives.generators import hierarchical_allreduce_program, ring_program
+from ..collectives.ir import Program, Protocol
 from .lowering import SynthAlgorithm, register_program
 from .validate import validate_program
 

@@ -23,6 +23,10 @@ of its collective kind:
    chunk with *all* ranks' contributions folded in exactly once
    (:class:`~repro.errors.PostconditionError`).
 
+Checks 2 and 3 are :func:`repro.collectives.executor.schedule` — the
+executor's own compile step — so the validator and the data plane can
+never disagree on what matches what or in which order things run.
+
 Together 4 + 5 imply byte-exactness for any associative/commutative
 reduction: the abstract state tracks exactly which input fragments are
 summed into each slot, so a program that validates computes the same
@@ -31,16 +35,15 @@ bytes as the numpy reference.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..netsim.errors import (
-    DeadlockError,
     MalformedProgramError,
     MissingChunkError,
     PostconditionError,
-    UnmatchedTransferError,
 )
-from .ir import (
+from ..collectives.executor import NodeId, schedule
+from ..collectives.ir import (
     ChunkValue,
     OpKind,
     Program,
@@ -48,9 +51,6 @@ from .ir import (
     initial_state,
     required_state,
 )
-
-#: Identity of one instruction inside a program: (rank, index-in-program).
-NodeId = Tuple[int, int]
 
 
 def _structural_check(program: Program) -> None:
@@ -123,89 +123,8 @@ def _structural_check(program: Program) -> None:
                     )
 
 
-def _match_transfers(program: Program) -> Dict[NodeId, NodeId]:
-    """Pair each SEND with its receive; return send-node -> recv-node."""
-    name = program.name
-    # (src, dst, chunk, channel, step) -> node
-    sends: Dict[Tuple[int, int, int, int, int], NodeId] = {}
-    recvs: Dict[Tuple[int, int, int, int, int], NodeId] = {}
-    for rank, instrs in enumerate(program.rank_programs):
-        for idx, instr in enumerate(instrs):
-            if instr.kind is OpKind.SEND:
-                key = (rank, instr.peer, instr.chunk, instr.channel, instr.step)
-                table = sends
-            elif instr.kind in (OpKind.RECV, OpKind.RECV_REDUCE):
-                key = (instr.peer, rank, instr.chunk, instr.channel, instr.step)
-                table = recvs
-            else:
-                continue
-            if key in table:
-                raise UnmatchedTransferError(
-                    f"{name}: duplicate {instr.kind} for chunk {key[2]} "
-                    f"{key[0]}->{key[1]} channel {key[3]} step {key[4]}"
-                )
-            table[key] = (rank, idx)
-    for key in sends:
-        if key not in recvs:
-            src, dst, chunk, channel, step = key
-            raise UnmatchedTransferError(
-                f"{name}: send of chunk {chunk} {src}->{dst} "
-                f"channel {channel} step {step} has no matching receive"
-            )
-    for key in recvs:
-        if key not in sends:
-            src, dst, chunk, channel, step = key
-            raise UnmatchedTransferError(
-                f"{name}: receive of chunk {chunk} {src}->{dst} "
-                f"channel {channel} step {step} has no matching send"
-            )
-    return {sends[key]: recvs[key] for key in sends}
-
-
-def toposort(program: Program) -> List[NodeId]:
-    """Dependency-order the program's instructions.
-
-    Edges are program order within each rank plus send -> matching
-    receive.  Raises :class:`DeadlockError` on a cycle — such a program
-    would wait forever on real hardware (rank A's receive blocks the send
-    rank B's receive is waiting on, and vice versa).
-    """
-    matches = _match_transfers(program)
-    adj: Dict[NodeId, List[NodeId]] = {}
-    indeg: Dict[NodeId, int] = {}
-    for rank, instrs in enumerate(program.rank_programs):
-        for idx in range(len(instrs)):
-            node = (rank, idx)
-            adj.setdefault(node, [])
-            indeg.setdefault(node, 0)
-            if idx:
-                adj[(rank, idx - 1)].append(node)
-                indeg[node] += 1
-    for send, recv in matches.items():
-        adj[send].append(recv)
-        indeg[recv] += 1
-
-    ready = sorted(node for node, deg in indeg.items() if deg == 0)
-    order: List[NodeId] = []
-    while ready:
-        node = ready.pop()
-        order.append(node)
-        for nxt in adj[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if len(order) != len(indeg):
-        stuck = sorted(node for node, deg in indeg.items() if deg > 0)[:6]
-        raise DeadlockError(
-            f"{program.name}: dependency cycle; "
-            f"{len(indeg) - len(order)} instructions can never run "
-            f"(first stuck: {stuck})"
-        )
-    return order
-
-
 def _execute_abstract(
-    program: Program, order: List[NodeId]
+    program: Program, order: List[NodeId], recv_source: Dict[NodeId, NodeId]
 ) -> List[Dict[int, ChunkValue]]:
     """Run the program over the abstract chunk-provenance state."""
     name = program.name
@@ -214,8 +133,6 @@ def _execute_abstract(
     )
     # Value carried by each in-flight send, consumed by its receive.
     in_flight: Dict[NodeId, ChunkValue] = {}
-    matches = _match_transfers(program)
-    recv_source = {recv: send for send, recv in matches.items()}
 
     for node in order:
         rank, idx = node
@@ -266,8 +183,9 @@ def validate_program(program: Program) -> Program:
     naming the violated invariant otherwise.
     """
     _structural_check(program)
-    order = toposort(program)  # matching + deadlock checks
-    final = _execute_abstract(program, order)
+    # Matching + deadlock checks are the executor's own compile step.
+    order, recv_source = schedule(program)
+    final = _execute_abstract(program, order, recv_source)
     required = required_state(
         program.kind, program.world, program.num_chunks, program.root
     )

@@ -1,16 +1,18 @@
-"""Recursive halving-doubling: traffic model and butterfly data plane."""
+"""Recursive halving-doubling: traffic model and the butterfly program
+through the executor."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.collectives import builtin_plan
 from repro.collectives.halving_doubling import (
-    HalvingDoublingDataPlane,
     halving_doubling_traffic,
     hd_steps,
     is_power_of_two,
 )
-from repro.collectives.types import ReduceOp
+from repro.collectives.types import Collective, ReduceOp
+from repro.errors import MalformedProgramError
 
 
 def test_is_power_of_two():
@@ -65,16 +67,18 @@ def test_traffic_respects_position_order():
     assert (3, 0) in traffic and (1, 2) in traffic
 
 
-def test_data_plane_validation():
+def butterfly(world):
+    return builtin_plan("halving_doubling", Collective.ALL_REDUCE, world)
+
+
+def test_executor_validation():
+    with pytest.raises(MalformedProgramError, match="power-of-two"):
+        butterfly(6)
+    plan = butterfly(4)
     with pytest.raises(ValueError):
-        HalvingDoublingDataPlane(range(6))
+        plan.run([np.zeros(4)])
     with pytest.raises(ValueError):
-        HalvingDoublingDataPlane((0, 0, 1, 1))
-    plane = HalvingDoublingDataPlane(range(4))
-    with pytest.raises(ValueError):
-        plane.all_reduce([np.zeros(4)])
-    with pytest.raises(ValueError):
-        plane.all_reduce([np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(5)])
+        plan.run([np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(5)])
 
 
 @given(
@@ -87,7 +91,7 @@ def test_all_reduce_matches_numpy_sum(world_exp, size, seed):
     world = 2**world_exp
     rng = np.random.default_rng(seed)
     inputs = [rng.standard_normal(size) for _ in range(world)]
-    outputs = HalvingDoublingDataPlane(range(world)).all_reduce(inputs)
+    outputs = butterfly(world).run(inputs)
     expected = np.sum(inputs, axis=0)
     assert len(outputs) == world
     for out in outputs:
@@ -100,7 +104,7 @@ def test_all_reduce_ops_and_dtypes(op, dtype):
     world = 8
     rng = np.random.default_rng(7)
     inputs = [rng.integers(1, 5, size=13).astype(dtype) for _ in range(world)]
-    outputs = HalvingDoublingDataPlane(range(world)).all_reduce(inputs, op)
+    outputs = butterfly(world).run(inputs, op)
     expected = inputs[0].copy()
     for arr in inputs[1:]:
         expected = op.combine(expected, arr)
@@ -113,29 +117,28 @@ def test_all_reduce_over_permuted_order():
     world = 4
     rng = np.random.default_rng(3)
     inputs = [rng.standard_normal((3, 5)) for _ in range(world)]
-    outputs = HalvingDoublingDataPlane([2, 0, 3, 1]).all_reduce(inputs)
+    outputs = butterfly(world).run(inputs, order=[2, 0, 3, 1])
     expected = np.sum(inputs, axis=0)
     for out in outputs:
         assert out.shape == (3, 5)
         assert np.allclose(out, expected)
 
 
-def test_edge_bytes_match_traffic_model():
-    world = 4
-    plane = HalvingDoublingDataPlane(range(world))
-    inputs = [np.zeros(32, dtype=np.float64) for _ in range(world)]
-    plane.all_reduce(inputs)
-    predicted = halving_doubling_traffic(range(world), inputs[0].nbytes)
-    assert plane.edge_bytes == {k: int(v) for k, v in predicted.items()}
+@pytest.mark.parametrize("order", [None, (3, 1, 0, 2)])
+def test_plan_edge_bytes_match_traffic_model(order):
+    world, elems, itemsize = 4, 32, 8
+    predicted = halving_doubling_traffic(order or range(world), elems * itemsize)
+    moved = butterfly(world).edge_bytes(elems, itemsize, order)
+    assert moved == {k: int(v) for k, v in predicted.items()}
 
 
-def test_edge_bytes_match_traffic_model_uneven_size():
-    # 13 elements over 4 ranks: chunk_bounds blocks are uneven, but the
-    # total moved still matches the closed form to within block rounding
-    world = 4
-    plane = HalvingDoublingDataPlane(range(world))
-    inputs = [np.zeros(13, dtype=np.float64) for _ in range(world)]
-    plane.all_reduce(inputs)
-    predicted = halving_doubling_traffic(range(world), inputs[0].nbytes)
-    total = sum(plane.edge_bytes.values())
-    assert total == pytest.approx(sum(predicted.values()), rel=0.25)
+@pytest.mark.parametrize("elems", [13, 3])
+def test_plan_edge_bytes_uneven_size(elems):
+    # 13 (or 3, fewer than the chunk count) elements over 4 ranks:
+    # chunk_bounds blocks are uneven, but the total moved still matches
+    # the closed form to within block rounding
+    world, itemsize = 4, 8
+    moved = butterfly(world).edge_bytes(elems, itemsize)
+    predicted = halving_doubling_traffic(range(world), elems * itemsize)
+    assert set(moved) <= set(predicted)
+    assert sum(moved.values()) == pytest.approx(sum(predicted.values()), rel=0.25)

@@ -1,17 +1,18 @@
-"""Ring schedules, data plane correctness, and traffic-model agreement."""
+"""Ring schedules, the ring programs' correctness through the executor,
+and traffic-model agreement."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.collectives import builtin_plan
 from repro.collectives.ring import (
-    RingDataPlane,
     RingSchedule,
     edge_traffic,
     identity_ring,
     steps_for,
 )
-from repro.collectives.types import Collective, ReduceOp
+from repro.collectives.types import Collective, ReduceOp, reduce_many
 
 
 # -- schedules ----------------------------------------------------------------
@@ -79,7 +80,14 @@ def test_steps():
     assert steps_for(Collective.BROADCAST, 4) == 3
 
 
-# -- data plane -----------------------------------------------------------------
+# -- data plane: ring programs through the one executor ------------------------
+def run_ring(kind, order, inputs, op=ReduceOp.SUM, root=0):
+    """What the registry's ring algorithm does: the position-space plan,
+    relabelled through ``order``."""
+    plan = builtin_plan("ring", kind, len(order), list(order).index(root))
+    return plan.run(inputs, op, order=order)
+
+
 @st.composite
 def world_and_order(draw):
     world = draw(st.integers(2, 6))
@@ -93,7 +101,7 @@ def test_allreduce_matches_numpy_sum(wo, seed):
     world, order = wo
     rng = np.random.default_rng(seed)
     inputs = [rng.standard_normal(24) for _ in range(world)]
-    outputs = RingDataPlane(RingSchedule(order)).all_reduce(inputs)
+    outputs = run_ring(Collective.ALL_REDUCE, order, inputs)
     expected = np.sum(inputs, axis=0)
     for out in outputs:
         assert np.allclose(out, expected)
@@ -105,9 +113,7 @@ def test_allreduce_supports_all_ops(wo, op):
     world, order = wo
     rng = np.random.default_rng(7)
     inputs = [rng.uniform(0.5, 2.0, size=12) for _ in range(world)]
-    outputs = RingDataPlane(RingSchedule(order)).all_reduce(inputs, op)
-    from repro.collectives.types import reduce_many
-
+    outputs = run_ring(Collective.ALL_REDUCE, order, inputs, op)
     expected = reduce_many(op, inputs)
     for out in outputs:
         assert np.allclose(out, expected)
@@ -118,10 +124,10 @@ def test_allreduce_supports_all_ops(wo, op):
 def test_allgather_concatenates_by_rank(wo):
     world, order = wo
     inputs = [np.full(5, float(r)) for r in range(world)]
-    outputs = RingDataPlane(RingSchedule(order)).all_gather(inputs)
+    outputs = run_ring(Collective.ALL_GATHER, order, inputs)
     expected = np.concatenate(inputs)
     for out in outputs:
-        assert np.allclose(out, expected)
+        assert np.array_equal(out, expected)
 
 
 @given(world_and_order())
@@ -130,7 +136,7 @@ def test_reduce_scatter_gives_each_rank_its_block(wo):
     world, order = wo
     rng = np.random.default_rng(3)
     inputs = [rng.standard_normal(world * 4) for _ in range(world)]
-    outputs = RingDataPlane(RingSchedule(order)).reduce_scatter(inputs)
+    outputs = run_ring(Collective.REDUCE_SCATTER, order, inputs)
     total = np.sum(inputs, axis=0)
     for rank in range(world):
         assert np.allclose(outputs[rank], total[rank * 4 : (rank + 1) * 4])
@@ -142,9 +148,9 @@ def test_broadcast_distributes_root(wo, root_seed):
     world, order = wo
     root = root_seed % world
     inputs = [np.full(4, float(r + 1)) for r in range(world)]
-    outputs = RingDataPlane(RingSchedule(order)).broadcast(inputs, root=root)
+    outputs = run_ring(Collective.BROADCAST, order, inputs, root=root)
     for out in outputs:
-        assert np.allclose(out, inputs[root])
+        assert np.array_equal(out, inputs[root])
 
 
 @given(world_and_order(), st.integers(0, 5))
@@ -154,49 +160,64 @@ def test_reduce_collects_at_root(wo, root_seed):
     root = root_seed % world
     rng = np.random.default_rng(11)
     inputs = [rng.standard_normal(6) for _ in range(world)]
-    outputs = RingDataPlane(RingSchedule(order)).reduce(inputs, root=root)
+    outputs = run_ring(Collective.REDUCE, order, inputs, root=root)
     assert np.allclose(outputs[root], np.sum(inputs, axis=0))
+    for rank in range(world):
+        if rank != root:  # non-roots keep their input
+            assert np.array_equal(outputs[rank], inputs[rank])
 
 
-# -- cross-check: data plane bytes == traffic model ------------------------------
-@pytest.mark.parametrize(
-    "kind",
-    [Collective.ALL_REDUCE, Collective.ALL_GATHER, Collective.REDUCE_SCATTER],
-)
+# -- cross-check: the plan's bytes == traffic model ------------------------------
+@pytest.mark.parametrize("kind", list(Collective))
 @pytest.mark.parametrize("world", [2, 3, 4, 5])
-def test_data_plane_bytes_match_traffic_model(kind, world):
-    """The fluid model's per-edge byte counts are exactly what the chunked
-    algorithm moves (sum over edges; chunk rounding redistributes within
-    the ring but preserves the total)."""
-    rng = np.random.default_rng(0)
+@pytest.mark.parametrize("order_seed", [None, 1])
+def test_plan_edge_bytes_match_traffic_model(kind, world, order_seed):
+    """Per directed ring edge, the compiled plan resolved for this size
+    moves exactly what the fluid model's closed form predicts — for every
+    kind, root position and ring order (sizes divisible by world)."""
+    order = list(range(world))
+    if order_seed is not None:
+        np.random.default_rng(order_seed).shuffle(order)
+    elems, itemsize, root_pos = 4 * world, 8, world - 1
     if kind is Collective.ALL_GATHER:
-        inputs = [rng.standard_normal(6).astype(np.float64) for _ in range(world)]
-        out_bytes = inputs[0].nbytes * world
+        out_bytes = elems * itemsize  # working vector == output
     elif kind is Collective.REDUCE_SCATTER:
-        inputs = [rng.standard_normal(world * 6) for _ in range(world)]
-        out_bytes = inputs[0].nbytes // world
+        out_bytes = elems * itemsize // world  # working vector == input
     else:
-        inputs = [rng.standard_normal(4 * world) for _ in range(world)]
-        out_bytes = inputs[0].nbytes
-    plane = RingDataPlane(identity_ring(world))
-    plane.run(kind, inputs)
-    predicted = edge_traffic(kind, out_bytes, world)
-    assert sum(plane.edge_bytes) == pytest.approx(sum(predicted))
+        out_bytes = elems * itemsize
+    plan = builtin_plan("ring", kind, world, root_pos)
+    predicted = edge_traffic(kind, out_bytes, world, root_pos)
+    expected = {
+        (order[p], order[(p + 1) % world]): int(nbytes)
+        for p, nbytes in enumerate(predicted)
+        if nbytes
+    }
+    assert plan.edge_bytes(elems, itemsize, order) == expected
 
 
-def test_data_plane_requires_one_input_per_rank():
-    plane = RingDataPlane(identity_ring(3))
+@pytest.mark.parametrize("elems", [13, 3])
+def test_plan_edge_bytes_total_survives_uneven_chunks(elems):
+    """Chunk rounding redistributes bytes within the ring (and buffers
+    smaller than the chunk count leave chunks empty) but preserves the
+    total the model predicts."""
+    world, itemsize = 5, 4
+    plan = builtin_plan("ring", Collective.ALL_REDUCE, world)
+    moved = plan.edge_bytes(elems, itemsize)
+    assert set(moved) == {(p, (p + 1) % world) for p in range(world)}
+    predicted = edge_traffic(Collective.ALL_REDUCE, elems * itemsize, world)
+    assert sum(moved.values()) == pytest.approx(sum(predicted))
+
+
+def test_executor_requires_one_input_per_rank():
     with pytest.raises(ValueError):
-        plane.all_reduce([np.zeros(4)])
+        run_ring(Collective.ALL_REDUCE, (0, 1, 2), [np.zeros(4)])
 
 
-def test_data_plane_requires_uniform_shapes():
-    plane = RingDataPlane(identity_ring(2))
+def test_executor_requires_uniform_shapes():
     with pytest.raises(ValueError):
-        plane.all_reduce([np.zeros(4), np.zeros(5)])
+        run_ring(Collective.ALL_REDUCE, (0, 1), [np.zeros(4), np.zeros(5)])
 
 
 def test_reduce_scatter_requires_divisible_size():
-    plane = RingDataPlane(identity_ring(3))
     with pytest.raises(ValueError):
-        plane.reduce_scatter([np.zeros(4) for _ in range(3)])
+        run_ring(Collective.REDUCE_SCATTER, (0, 1, 2), [np.zeros(4) for _ in range(3)])

@@ -1,12 +1,13 @@
-"""Tree schedule and double-binary-tree data plane tests."""
+"""Tree schedules, the double-tree program through the executor, traffic."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.collectives.types import Collective
+
+from repro.collectives import builtin_plan
 from repro.collectives.tree import (
-    DoubleTreeDataPlane,
-    TreeDataPlane,
     TreeSchedule,
     binary_tree,
     double_binary_trees,
@@ -70,41 +71,66 @@ def test_double_tree_traffic_splits_in_half():
     assert sum(traffic.values()) == pytest.approx(2 * 3 * 100 / 2 * 2)
 
 
+def tree_plan(world):
+    return builtin_plan("tree", Collective.ALL_REDUCE, world)
+
+
 @given(st.integers(2, 9), st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
-def test_tree_allreduce_correctness(world, seed):
+def test_double_tree_allreduce_correctness(world, seed):
     rng = np.random.default_rng(seed)
-    inputs = [rng.standard_normal(10) for _ in range(world)]
-    tree = binary_tree(range(world))
-    outputs = TreeDataPlane(tree).all_reduce(inputs)
+    inputs = [rng.standard_normal(12) for _ in range(world)]
+    order = tuple(rng.permutation(world).tolist())
+    outputs = tree_plan(world).run(inputs, order=order)
     expected = np.sum(inputs, axis=0)
     assert len(outputs) == world
     for out in outputs:
         assert np.allclose(out, expected)
 
 
-@given(st.integers(2, 9))
+@given(st.integers(2, 9), st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
-def test_double_tree_allreduce_correctness(world):
-    rng = np.random.default_rng(world)
-    inputs = [rng.standard_normal(12) for _ in range(world)]
+def test_double_tree_folds_children_in_schedule_order(world, seed):
+    """Bit-identical to folding by hand along each tree: a node adds its
+    children in ``children()`` order, operands (target, payload)."""
+    rng = np.random.default_rng(seed)
+    inputs = [rng.standard_normal(10).astype(np.float32) for _ in range(world)]
+    halves = [slice(0, 5), slice(5, 10)]
+    expected = np.empty(10, np.float32)
+    for tree, half in zip(double_binary_trees(range(world)), halves):
+        def up(rank):
+            acc = inputs[rank][half].copy()
+            for child in tree.children(rank):
+                acc = acc + up(child)
+            return acc
+        expected[half] = up(tree.root)
+    for out in tree_plan(world).run(inputs):
+        np.testing.assert_array_equal(out, expected)
+
+
+@pytest.mark.parametrize("world", [2, 3, 6, 8])
+def test_plan_edge_bytes_match_traffic_model(world):
+    order = list(np.random.default_rng(world).permutation(world))
+    elems, itemsize = 50, 8  # even: the halves are exact
+    predicted = double_tree_allreduce_traffic(
+        double_binary_trees(order), elems * itemsize
+    )
+    moved = tree_plan(world).edge_bytes(elems, itemsize, order)
+    assert moved == {pair: int(nbytes) for pair, nbytes in predicted.items()}
+
+
+def test_plan_edge_bytes_uneven_size():
+    # 25 elements: the halves are 13 and 12, each tree still carries its
+    # half once up and once down every edge
+    world, itemsize = 5, 8
     trees = double_binary_trees(range(world))
-    outputs = DoubleTreeDataPlane(trees).all_reduce(inputs)
-    expected = np.sum(inputs, axis=0)
-    for out in outputs:
-        assert np.allclose(out, expected)
+    moved = tree_plan(world).edge_bytes(25, itemsize)
+    for nelems, tree in zip((13, 12), trees):
+        for pair, nbytes in tree_allreduce_traffic(tree, nelems * itemsize).items():
+            moved[pair] -= int(nbytes)
+    assert set(moved.values()) == {0}
 
 
-def test_tree_data_plane_edge_bytes():
-    tree = binary_tree(range(3))
-    plane = TreeDataPlane(tree)
-    inputs = [np.zeros(25, dtype=np.float64) for _ in range(3)]
-    plane.all_reduce(inputs)
-    predicted = tree_allreduce_traffic(tree, inputs[0].nbytes)
-    assert plane.edge_bytes == {k: int(v) for k, v in predicted.items()}
-
-
-def test_tree_data_plane_input_count_checked():
-    plane = TreeDataPlane(binary_tree(range(3)))
+def test_executor_input_count_checked():
     with pytest.raises(ValueError):
-        plane.all_reduce([np.zeros(4)])
+        tree_plan(3).run([np.zeros(4)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.specs import testbed_cluster
+from repro.collectives import Instr, OpKind, compile_program, make_program
 from repro.collectives.types import Collective, ReduceOp
 from repro.core.algorithms import (
     AlgorithmContext,
@@ -171,11 +172,23 @@ def test_custom_provider_algorithm_end_to_end():
         def steps(self, kind, world):
             return 2
 
-        def run_data(self, c, inputs, op):
-            from repro.collectives.types import reduce_many
-
-            total = reduce_many(op, list(inputs))
-            return [total.copy() for _ in range(c.world)]
+        def plan(self, c):
+            # the bytes move the way the flows do: name the chunk program,
+            # the shared run_data path executes it
+            if c.kind is not Collective.ALL_REDUCE:
+                return RingAlgorithm().plan(c)
+            ranks = [[] for _ in range(c.world)]
+            for r in range(c.world):
+                if r != c.root:
+                    ranks[r] += [Instr(OpKind.SEND, 0, peer=c.root, step=0),
+                                 Instr(OpKind.RECV, 0, peer=c.root, step=1)]
+                    ranks[c.root].append(Instr(OpKind.RECV_REDUCE, 0, peer=r, step=0))
+            ranks[c.root] += [
+                Instr(OpKind.SEND, 0, peer=r, step=1)
+                for r in range(c.world) if r != c.root
+            ]
+            star = make_program("star", c.kind, ranks, num_chunks=1, root=c.root)
+            return compile_program(star), None
 
     register_algorithm(StarReduce(), replace=True)
     cluster = testbed_cluster()
@@ -192,3 +205,12 @@ def test_custom_provider_algorithm_end_to_end():
     assert op.completed
     # star: 2*(world-1) flows total (in + out of root)
     assert sum(1 for _ in op.instance.rank_versions) == 4
+    # and the program it names moves the bytes, through the shared path
+    sends = [client.alloc(gpu, 64) for gpu in gpus]
+    recvs = [client.alloc(gpu, 64) for gpu in gpus]
+    for rank, buf in enumerate(sends):
+        buf.view(np.float32)[:] = rank + 1
+    client.all_reduce(handle, 64, send=sends, recv=recvs)
+    deployment.run()
+    for buf in recvs:
+        assert np.array_equal(buf.view(np.float32), np.full(16, 10.0, np.float32))

@@ -7,7 +7,7 @@ import pytest
 from repro.collectives.types import Collective
 from repro.errors import MalformedProgramError
 from repro.synth import Instr, OpKind, Program, Protocol, make_program, ring_program
-from repro.synth.ir import chunk_spans
+from repro.collectives.ir import chunk_spans
 
 
 def test_num_steps_and_channel_inference():

@@ -55,15 +55,13 @@ class Cluster:
         gpus_per_host: int,
         gpu_memory: int = 24 * 1024**3,
         interference_penalty: float = 0.0,
-        incremental: Optional[bool] = None,
-        macro: Optional[bool] = None,
-        sharded: Optional[bool] = None,
+        macro: bool = False,
+        sharded: bool = False,
     ) -> None:
         self.fabric = fabric
         self.sim = FlowSimulator(
             fabric.topology,
             interference_penalty=interference_penalty,
-            incremental=incremental,
             macro=macro,
             sharded=sharded,
         )

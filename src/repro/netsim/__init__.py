@@ -38,7 +38,7 @@ from .fabric import (
     wan_link_id,
     wan_links,
 )
-from .fairness import FairnessSolver, bottleneck_rate, link_loads, progressive_filling
+from .fairness import bottleneck_rate, progressive_filling
 from .flows import Flow
 from .macroflow import MacroFlowSolver
 from .sharding import ShardedFairnessSolver
@@ -64,7 +64,6 @@ __all__ = [
     "EcmpSelector",
     "Fabric",
     "FabricSpec",
-    "FairnessSolver",
     "Flow",
     "FlowSimulator",
     "Link",
@@ -91,7 +90,6 @@ __all__ = [
     "fabric_paths",
     "intra_host_path",
     "large_cluster_fabric",
-    "link_loads",
     "local_link_id",
     "multi_pod_clos",
     "multi_region",

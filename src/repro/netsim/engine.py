@@ -11,20 +11,17 @@ Everything above the network (GPU streams, the MCCS engines, the traffic
 generator) is driven by callbacks on this clock, so the whole reproduction
 shares one coherent notion of time.
 
-Two execution modes share one public API:
-
-* **incremental** (default) — a persistent
-  :class:`~repro.netsim.fairness.IncrementalFairnessSolver` absorbs flow
-  churn in O(Δ), completions come from a heap of ETAs under a
-  *virtual-byte clock* (each flow's ``remaining`` is exact as of
-  ``flow._synced_at`` and derived lazily as
-  ``remaining - rate * (now - _synced_at)`` until its rate changes), and
-  heap entries are invalidated by bumping ``flow._heap_epoch`` whenever a
-  rate moves.  Per event the loop touches only the flows whose allocation
-  actually changed.
-* **legacy** (``incremental=False``) — the original per-event full rebuild
-  and full scans, kept as the reference implementation for the
-  old-vs-new determinism tests.
+There is one event loop and one rate-recompute path.  A persistent
+solver (:class:`~repro.netsim.fairness.IncrementalFairnessSolver`,
+optionally wrapped by the macro/sharded fast modes — see the solver
+contract in :mod:`repro.netsim.fairness`) absorbs flow churn in O(Δ),
+completions come from a heap of ETAs under a *virtual-byte clock* (each
+flow's ``remaining`` is exact as of ``flow._synced_at`` and derived lazily
+as ``remaining - rate * (now - _synced_at)`` until its rate changes), and
+heap entries are invalidated by bumping ``flow._heap_epoch`` whenever a
+rate moves.  Per event the loop touches only the flows whose allocation
+actually changed.  :func:`~repro.netsim.fairness.progressive_filling` is
+the rate oracle the tests hold this core to.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import LinkDownError, SimulationError
-from .fairness import FairnessSolver, IncrementalFairnessSolver, link_loads
+from .fairness import IncrementalFairnessSolver
 from .flows import Flow, FlowArena
 from .macroflow import MacroFlowSolver
 from .sharding import ShardedFairnessSolver
@@ -47,16 +44,6 @@ from .topology import Topology
 _BYTE_EPS = 1e-6
 # Two timestamps closer than this are treated as simultaneous.
 _TIME_EPS = 1e-12
-
-#: Default engine mode; tests flip this (or pass ``incremental=False``) to
-#: compare the heap/Δ-update core against the legacy full-scan core.
-DEFAULT_INCREMENTAL = True
-
-#: Default fast-mode flags; the exactness tests flip these to replay whole
-#: experiments (Figure 8/11) under macro aggregation and/or the sharded
-#: solver without threading options through every experiment entry point.
-DEFAULT_MACRO = False
-DEFAULT_SHARDED = False
 
 EventCallback = Callable[[], None]
 
@@ -104,9 +91,8 @@ class FlowSimulator:
         topology: Topology,
         start_time: float = 0.0,
         interference_penalty: float = 0.0,
-        incremental: Optional[bool] = None,
-        macro: Optional[bool] = None,
-        sharded: Optional[bool] = None,
+        macro: bool = False,
+        sharded: bool = False,
     ) -> None:
         """Args:
             topology: The network graph.
@@ -119,22 +105,22 @@ class FlowSimulator:
                 carrying active flows of two or more distinct jobs has its
                 effective capacity scaled by ``1 - interference_penalty``.
                 0 (default) is the paper's §6.5 per-flow-fairness model.
-            incremental: Engine mode; ``None`` uses the module default
-                (:data:`DEFAULT_INCREMENTAL`).  ``False`` selects the
-                legacy full-rebuild/full-scan core.
             macro: Aggregate flows sharing (path, weight, job) into one
                 solver slot (:mod:`repro.netsim.macroflow`); member rates
-                stay bit-identical to the per-flow reference.  Requires
-                the incremental core.  ``None`` uses :data:`DEFAULT_MACRO`.
+                stay bit-identical to the per-flow reference.
             sharded: Shard the fairness solve by sharing component
                 (:mod:`repro.netsim.sharding`) — datacenter-scale mode
-                for multi-pod fabrics.  Requires the incremental core and
-                is incompatible with ``interference_penalty`` (a global
-                capacity coupling).  Composes with ``macro``.  ``None``
-                uses :data:`DEFAULT_SHARDED`.
+                for multi-pod fabrics.  Incompatible with
+                ``interference_penalty`` (a global capacity coupling).
+                Composes with ``macro``.
         """
         if not 0.0 <= interference_penalty < 1.0:
             raise ValueError("interference_penalty must be in [0, 1)")
+        if sharded and interference_penalty > 0:
+            raise ValueError(
+                "sharded mode does not support interference_penalty "
+                "(the penalty couples capacities globally)"
+            )
         self.topology = topology
         self.now = start_time
         self.interference_penalty = interference_penalty
@@ -142,7 +128,12 @@ class FlowSimulator:
             link_id: link.capacity for link_id, link in topology.links.items()
         }
         self._active: Dict[str, Flow] = {}
-        self._known_paths: set = set()
+        # Flow ids restart at 0 per simulator, so a run's ids do not depend
+        # on what else the process simulated before it.
+        self._flow_seq = itertools.count()
+        # path -> distinct links, for every path validated so far (see
+        # ``_checked_route``).
+        self._links_of_path: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._events: List[Tuple[float, int, EventCallback]] = []
         self._event_seq = itertools.count()
         self._dirty = True
@@ -151,40 +142,24 @@ class FlowSimulator:
         self.flows_cancelled = 0
         self.flows_failed = 0
         self.rate_recomputations = 0
-        # incremental-mode state
-        if incremental is None:
-            incremental = DEFAULT_INCREMENTAL
-        if macro is None:
-            macro = DEFAULT_MACRO
-        if sharded is None:
-            sharded = DEFAULT_SHARDED
-        if (macro or sharded) and not incremental:
-            raise ValueError(
-                "macro/sharded modes require the incremental engine"
-            )
-        if sharded and interference_penalty > 0:
-            raise ValueError(
-                "sharded mode does not support interference_penalty "
-                "(the penalty couples capacities globally)"
-            )
         self.macro = macro
         self.sharded = sharded
-        self._inc = None
+        # The solver stack (contract: ``repro.netsim.fairness``): the plain
+        # or sharded solver at the bottom, macro aggregation on top.
         self._shard_solver: Optional[ShardedFairnessSolver] = None
         self._macro_solver: Optional[MacroFlowSolver] = None
-        if incremental:
-            if sharded:
-                self._shard_solver = ShardedFairnessSolver(self._capacities)
-                self._inc = self._shard_solver
-            else:
-                self._inc = IncrementalFairnessSolver(self._capacities)
-            if macro:
-                self._macro_solver = MacroFlowSolver(self._inc)
-                self._inc = self._macro_solver
+        if sharded:
+            self._solver = self._shard_solver = ShardedFairnessSolver(
+                self._capacities
+            )
+        else:
+            self._solver = IncrementalFairnessSolver(self._capacities)
+        if macro:
+            self._solver = self._macro_solver = MacroFlowSolver(self._solver)
         # Flat-array data plane: remaining/rate/synced of in-network flows
         # live in one arena so rate recomputations settle and re-anchor
-        # whole batches with numpy ops (legacy mode keeps per-object state).
-        self._arena: Optional[FlowArena] = FlowArena() if incremental else None
+        # whole batches with numpy ops.
+        self._arena = FlowArena()
         # Structural deltas absorbed beyond the first per recomputation:
         # k churn ops inside one sim timestep cost one solve, not k.
         self.solver_coalesced_solves = 0
@@ -195,11 +170,6 @@ class FlowSimulator:
         self.heap_pushes = 0
         self.heap_invalidations = 0
         self.stale_heap_pops = 0
-
-    @property
-    def incremental(self) -> bool:
-        """True when the Δ-update/heap core is in use."""
-        return self._inc is not None
 
     # ------------------------------------------------------------------
     # observers
@@ -231,39 +201,24 @@ class FlowSimulator:
         Raises :class:`LinkDownError` when the path crosses a link that is
         currently down (a stale connection caching a pre-fault route).
         """
-        path_t = tuple(path)
-        # Links are never deleted from a topology (faults only mark them
-        # down), so a path validated once stays structurally valid; the
-        # cache turns the channelized-workload case (thousands of flows
-        # over a few distinct routes) into one set probe per flow.
-        if path_t not in self._known_paths:
-            self.topology.validate_path(path_t)
-            self._known_paths.add(path_t)
-        # ``topology.has_down_links`` reads the same set behind a property;
-        # probe the set directly on this per-flow path.
-        if self.topology._down:
-            for link_id in path_t:
-                if not self.topology.link_is_up(link_id):
-                    raise LinkDownError(
-                        f"flow path crosses down link {link_id!r}"
-                    )
+        path_t, links = self._checked_route(path)
         flow = Flow(
             size=size,
             path=path_t,
+            flow_id=f"flow{next(self._flow_seq)}",
             job_id=job_id,
             weight=weight,
             gated=gated,
             on_complete=on_complete,
             on_fail=on_fail,
             tags=dict(tags) if tags else None,
+            links=links,
         )
         flow.start_time = self.now
         flow._synced = self.now
-        if self._arena is not None:
-            flow._attach(self._arena)
+        flow._attach(self._arena)
         self._active[flow.flow_id] = flow
-        if self._inc is not None:
-            self._inc.add_flow(flow)
+        self._solver.add_flow(flow)
         self._dirty = True
         for observer in self._observers:
             observer.on_flow_added(flow, self.now)
@@ -285,56 +240,70 @@ class FlowSimulator:
         """Inject ``count`` identical-parameter flows in one call.
 
         The batched form of :meth:`add_flow` for a collective's channel
-        fan-out: path validation and the down-link scan run once, and a
-        solver that understands batches (macro aggregation) registers the
-        whole sibling set with a single group lookup.  Semantically
-        equivalent to calling :meth:`add_flow` ``count`` times.
+        fan-out: path validation and the down-link scan run once, and the
+        solver registers the whole sibling set in one call (macro
+        aggregation does a single group lookup).  Semantically equivalent
+        to calling :meth:`add_flow` ``count`` times.
         """
-        path_t = tuple(path)
-        if path_t not in self._known_paths:
-            self.topology.validate_path(path_t)
-            self._known_paths.add(path_t)
-        if self.topology._down:
-            for link_id in path_t:
-                if not self.topology.link_is_up(link_id):
-                    raise LinkDownError(
-                        f"flow path crosses down link {link_id!r}"
-                    )
+        path_t, links = self._checked_route(path)
         now = self.now
         arena = self._arena
         active = self._active
+        flow_seq = self._flow_seq
         flows: List[Flow] = []
         for _ in range(count):
             flow = Flow(
                 size=size,
                 path=path_t,
+                flow_id=f"flow{next(flow_seq)}",
                 job_id=job_id,
                 weight=weight,
                 gated=gated,
                 on_complete=on_complete,
                 on_fail=on_fail,
                 tags=dict(tags) if tags else None,
+                links=links,
             )
             flow.start_time = now
             flow._synced = now
-            if arena is not None:
-                flow._attach(arena)
+            flow._attach(arena)
             active[flow.flow_id] = flow
             flows.append(flow)
-        inc = self._inc
-        if inc is not None:
-            batch_add = getattr(inc, "add_flows", None)
-            if batch_add is not None:
-                batch_add(flows)
-            else:
-                for flow in flows:
-                    inc.add_flow(flow)
+        self._solver.add_flows(flows)
         self._dirty = True
         if self._observers:
             for flow in flows:
                 for observer in self._observers:
                     observer.on_flow_added(flow, now)
         return flows
+
+    def _checked_route(
+        self, path: Sequence[str]
+    ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """Prologue of every injection: ``(path, distinct links)``.
+
+        Raises if the path is not contiguous in the topology or crosses a
+        link that is currently down.
+        """
+        path_t = tuple(path)
+        # Links are never deleted from a topology (faults only mark them
+        # down), so a path validated once stays structurally valid; the
+        # cache turns the channelized-workload case (thousands of flows
+        # over a few distinct routes) into one dict probe per injection
+        # and hands every flow of a route the same distinct-links tuple.
+        links = self._links_of_path.get(path_t)
+        if links is None:
+            self.topology.validate_path(path_t)
+            links = self._links_of_path[path_t] = tuple(dict.fromkeys(path_t))
+        # ``topology.has_down_links`` reads the same set behind a property;
+        # probe the set directly on this per-flow path.
+        if self.topology._down:
+            for link_id in links:
+                if not self.topology.link_is_up(link_id):
+                    raise LinkDownError(
+                        f"flow path crosses down link {link_id!r}"
+                    )
+        return path_t, links
 
     def cancel_flow(self, flow: Flow) -> None:
         """Remove an in-flight flow without firing its completion callback.
@@ -374,11 +343,10 @@ class FlowSimulator:
 
     def _remove_flow(self, flow: Flow) -> None:
         """Shared teardown of cancel/fail: settle, unplumb, mark dirty."""
-        if self._inc is not None:
-            self._settle(flow)
-            self._inc.remove_flow(flow)
-            flow._heap_epoch += 1
-            self.heap_invalidations += 1
+        self._settle(flow)
+        self._solver.remove_flow(flow)
+        flow._heap_epoch += 1
+        self.heap_invalidations += 1
         flow._detach()
         del self._active[flow.flow_id]
         self._dirty = True
@@ -395,11 +363,9 @@ class FlowSimulator:
         while a prioritized tenant is busy.
         """
         if flow.gated != gated:
-            if self._inc is not None:
-                self._settle(flow)
+            self._settle(flow)
             flow.gated = gated
-            if self._inc is not None:
-                self._inc.set_active(flow, flow.active)
+            self._solver.set_active(flow, flow.active)
             self._dirty = True
             for observer in self._observers:
                 observer.on_flow_gated(flow, gated, self.now)
@@ -424,15 +390,14 @@ class FlowSimulator:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._capacities[link_id] = capacity
-        if self._inc is not None:
-            self._inc.set_capacity(link_id, capacity)
+        self._solver.set_capacity(link_id, capacity)
         self._dirty = True
 
     def set_link_bandwidth(self, link_id: str, capacity: float) -> None:
         """Live bandwidth change with route re-resolution (WAN drift).
 
         Same exact capacity mutation as :meth:`set_link_capacity` —
-        flowing through the incremental/macro/sharded solver chain via
+        flowing through the solver stack via
         ``set_capacity`` — plus a topology routing-epoch bump so
         consumers with pinned paths (:class:`~repro.transport.
         connections.ConnectionTable`) re-resolve and the resized link
@@ -448,15 +413,15 @@ class FlowSimulator:
     def bottleneck_link_of(self, flow: Flow) -> Optional[str]:
         """Link currently limiting ``flow``'s rate.
 
-        Incremental mode reads the solver's per-slot attribution from the
-        last allocation; legacy mode (and flows no longer registered with
-        the solver) fall back to the minimum-capacity link of the path —
-        the best static guess when per-round attribution is unavailable.
+        Reads the solver's per-slot attribution from the last allocation;
+        flows the solver has no freezing link for (not rated yet, or no
+        longer registered) fall back to the minimum-capacity link of the
+        path — the best static guess when per-round attribution is
+        unavailable.
         """
-        if self._inc is not None:
-            link = self._inc.bottleneck_of(flow.flow_id)
-            if link is not None:
-                return link
+        link = self._solver.bottleneck_of(flow.flow_id)
+        if link is not None:
+            return link
         return min(flow.links, key=lambda l: self._capacities[l])
 
     # ------------------------------------------------------------------
@@ -498,14 +463,7 @@ class FlowSimulator:
         links at or above ``min_utilization`` are reported.
         """
         self._ensure_rates()
-        if self._inc is not None:
-            return self._inc.link_utilization(min_utilization)
-        loads = link_loads(self.active_flows())
-        return {
-            link: load / self._capacities[link]
-            for link, load in loads.items()
-            if load / self._capacities[link] >= min_utilization
-        }
+        return self._solver.link_utilization(min_utilization)
 
     def perf_counters(self) -> Dict[str, int]:
         """Engine-core performance counters for telemetry and benchmarks.
@@ -515,6 +473,7 @@ class FlowSimulator:
         ``solver_full_rebuilds`` counts the structure (re)builds that did
         happen (initial build plus tombstone compactions).
         """
+        solver = self._solver
         counters: Dict[str, int] = {
             "rate_recomputations": self.rate_recomputations,
             "flows_completed": self.flows_completed,
@@ -523,44 +482,29 @@ class FlowSimulator:
             "heap_pushes": self.heap_pushes,
             "heap_invalidations": self.heap_invalidations,
             "stale_heap_pops": self.stale_heap_pops,
+            "solver_coalesced_solves": self.solver_coalesced_solves,
+            "solver_full_rebuilds": solver.full_rebuilds,
+            "solver_delta_updates": solver.delta_updates,
+            "solver_rebuilds_avoided": max(
+                self.rate_recomputations - solver.full_rebuilds, 0
+            ),
+            "solver_last_delta": solver.last_delta,
+            "solver_delta_total": solver.delta_flows_total,
+            "solver_solves_skipped": solver.solves_skipped,
+            "solver_scalar_solves": solver.scalar_solves,
         }
-        counters["solver_coalesced_solves"] = self.solver_coalesced_solves
-        if self._inc is not None:
-            counters["solver_full_rebuilds"] = self._inc.full_rebuilds
-            counters["solver_delta_updates"] = self._inc.delta_updates
-            counters["solver_rebuilds_avoided"] = max(
-                self.rate_recomputations - self._inc.full_rebuilds, 0
-            )
-            counters["solver_last_delta"] = self._inc.last_delta
-            counters["solver_delta_total"] = self._inc.delta_flows_total
-            counters["solver_solves_skipped"] = getattr(
-                self._inc, "solves_skipped", 0
-            )
-            counters["solver_scalar_solves"] = getattr(
-                self._inc, "scalar_solves", 0
-            )
-            if self._shard_solver is not None:
-                shard = self._shard_solver
-                counters["solver_domains"] = shard.domain_count
-                counters["solver_domain_merges"] = shard.domain_merges
-                counters["solver_domain_dissolutions"] = (
-                    shard.domain_dissolutions
-                )
-                counters["solver_max_domain_flows"] = shard.max_domain_flows
-                counters["solver_solo_solves"] = shard.solo_solves
-            if self._macro_solver is not None:
-                mac = self._macro_solver
-                counters["macro_groups"] = mac.macro_groups
-                counters["macro_members"] = mac.macro_members
-                counters["macro_peak_group_size"] = mac.macro_peak_group_size
-        else:
-            counters["solver_full_rebuilds"] = self.rate_recomputations
-            counters["solver_delta_updates"] = 0
-            counters["solver_rebuilds_avoided"] = 0
-            counters["solver_last_delta"] = 0
-            counters["solver_delta_total"] = 0
-            counters["solver_solves_skipped"] = 0
-            counters["solver_scalar_solves"] = 0
+        if self._shard_solver is not None:
+            shard = self._shard_solver
+            counters["solver_domains"] = shard.domain_count
+            counters["solver_domain_merges"] = shard.domain_merges
+            counters["solver_domain_dissolutions"] = shard.domain_dissolutions
+            counters["solver_max_domain_flows"] = shard.max_domain_flows
+            counters["solver_solo_solves"] = shard.solo_solves
+        if self._macro_solver is not None:
+            mac = self._macro_solver
+            counters["macro_groups"] = mac.macro_groups
+            counters["macro_members"] = mac.macro_members
+            counters["macro_peak_group_size"] = mac.macro_peak_group_size
         return counters
 
     # ------------------------------------------------------------------
@@ -621,16 +565,14 @@ class FlowSimulator:
         Returns:
             The clock value when the loop stopped.
         """
-        if self._inc is None:
-            return self._run_legacy(until)
         try:
-            return self._run_incremental(until)
+            return self._run(until)
         finally:
             # Materialize every in-flight flow's lazy progress so callers
             # observe exact ``remaining`` values between run() calls.
             self._settle_all()
 
-    def _run_incremental(self, until: Optional[float]) -> float:
+    def _run(self, until: Optional[float]) -> float:
         while True:
             self._ensure_rates()
             next_completion = self._peek_completion()
@@ -649,35 +591,13 @@ class FlowSimulator:
                 self._complete_flows(self._collect_finishing(next_completion))
             self._fire_due_events()
 
-    def _run_legacy(self, until: Optional[float]) -> float:
-        while True:
-            self._ensure_rates()
-            next_completion, finishing = self._next_completion()
-            next_event = self._events[0][0] if self._events else math.inf
-            t = min(next_completion, next_event)
-            if math.isinf(t):
-                if until is not None and until > self.now:
-                    self._advance_to(until)
-                self._check_quiescent()
-                return self.now
-            if until is not None and t > until:
-                self._advance_to(max(until, self.now))
-                return self.now
-            self._advance_to(t)
-            if next_completion <= next_event + _TIME_EPS:
-                self._complete_flows(finishing)
-            self._fire_due_events()
-
     # ------------------------------------------------------------------
-    # internals — shared
+    # internals
     # ------------------------------------------------------------------
     def _ensure_rates(self) -> None:
         if not self._dirty:
             return
-        if self._inc is not None:
-            self._recompute_incremental()
-        else:
-            self._recompute_legacy()
+        self._recompute()
         self._dirty = False
         self.rate_recomputations += 1
         for observer in self._observers:
@@ -686,35 +606,26 @@ class FlowSimulator:
     def _complete_flows(self, finishing: List[Flow]) -> None:
         completed: List[Flow] = []
         now = self.now
-        inc = self._inc
         active = self._active
+        arena = self._arena
         for flow in finishing:
             if flow.flow_id not in active:
                 continue
             flow.end_time = now
             del active[flow.flow_id]
-            if inc is not None:
-                flow._heap_epoch += 1
+            flow._heap_epoch += 1
             # Inlined detach: the final data plane is known (all bytes
             # delivered, anchored at now), so skip the settle-through-
             # arena round trip and write the plain attributes directly.
-            arena = flow._arena
-            if arena is not None:
-                flow._rate = float(arena.rate[flow._slot])
-                arena.release(flow._slot)
-                flow._arena = None
-                flow._slot = -1
+            flow._rate = float(arena.rate[flow._slot])
+            arena.release(flow._slot)
+            flow._arena = None
+            flow._slot = -1
             flow._remaining = 0.0
             flow._synced = now
             completed.append(flow)
         if completed:
-            if inc is not None:
-                batch_remove = getattr(inc, "remove_flows", None)
-                if batch_remove is not None:
-                    batch_remove(completed)
-                else:
-                    for flow in completed:
-                        inc.remove_flow(flow)
+            self._solver.remove_flows(completed)
             self.flows_completed += len(completed)
             self._dirty = True
         for flow in completed:
@@ -743,29 +654,17 @@ class FlowSimulator:
                 + ", ".join(f.flow_id for f in stuck[:5])
             )
 
-    # ------------------------------------------------------------------
-    # internals — incremental core
-    # ------------------------------------------------------------------
     def _settle(self, flow: Flow) -> None:
         """Materialize ``flow.remaining`` at the current clock value."""
         arena = flow._arena
         if arena is None:
-            # Detached (legacy mode, or a flow leaving the network).
-            # ``flow.active`` inlined: this and the other hot-loop sites
-            # below account for hundreds of thousands of property calls
-            # per large run.
-            if flow._synced < self.now:
-                if flow.end_time is None and not flow.gated and flow._rate > 0:
-                    flow._remaining = max(
-                        flow._remaining
-                        - flow._rate * (self.now - flow._synced),
-                        0.0,
-                    )
-                flow._synced = self.now
-            return
+            return  # already left the network: no further progress
         slot = flow._slot
         synced = arena.synced[slot]
         if synced < self.now:
+            # ``flow.active`` inlined: this and the other hot-loop sites
+            # below account for hundreds of thousands of property calls
+            # per large run.
             if flow.end_time is None and not flow.gated:
                 rate = arena.rate[slot]
                 if rate > 0:
@@ -775,7 +674,7 @@ class FlowSimulator:
 
     def _settle_all(self) -> None:
         arena = self._arena
-        if arena is None or len(self._active) < 8:
+        if len(self._active) < 8:
             for flow in self._active.values():
                 self._settle(flow)
             return
@@ -800,26 +699,22 @@ class FlowSimulator:
     #: per-flow loop to the vectorized arena batch.
     _BATCH_MIN = 16
 
-    def _recompute_incremental(self) -> None:
-        inc = self._inc
-        assert inc is not None
+    def _recompute(self) -> None:
+        solver = self._solver
         caps = None
         if self.interference_penalty > 0:
-            caps = inc.scaled_caps(self.interference_penalty)
-        changed, rates = inc.solve(caps)
-        delta = inc.last_delta
+            caps = solver.scaled_caps(self.interference_penalty)
+        changed, rates = solver.solve(caps)
+        delta = solver.last_delta
         if delta > 1:
             self.solver_coalesced_solves += delta - 1
         clist = changed.tolist() if isinstance(changed, np.ndarray) else changed
-        # Every solver flavor keeps its slot table as a plain list
-        # (``_slots`` on the wrappers, ``_flows`` on the incremental
-        # solver); indexing it directly replaces one ``flow_at`` method
-        # call per changed slot, which adds up over 100k-flow runs.
-        table = getattr(inc, "_slots", None)
-        if table is None:
-            table = inc._flows
-        if len(clist) >= self._BATCH_MIN and self._arena is not None:
-            self._install_rates_batch(inc, table, rates, clist)
+        # Indexing the solver's slot table directly replaces one
+        # ``flow_at`` method call per changed slot, which adds up over
+        # 100k-flow runs.
+        table = solver._slots
+        if len(clist) >= self._BATCH_MIN:
+            self._install_rates_batch(solver, table, rates, clist)
             return
         for slot in clist:
             flow = table[slot]
@@ -834,7 +729,7 @@ class FlowSimulator:
                     flow,
                     self.now,
                     flow.rate,
-                    inc.bottleneck_of_slot(slot),
+                    solver.bottleneck_of_slot(slot),
                 )
             flow._heap_epoch += 1
             self.heap_invalidations += 1
@@ -847,7 +742,7 @@ class FlowSimulator:
                 self.heap_pushes += 1
 
     def _install_rates_batch(
-        self, inc, table: List[Optional[Flow]], rates, clist: List[int]
+        self, solver, table: List[Optional[Flow]], rates, clist: List[int]
     ) -> None:
         """Vectorized settle + rate install + ETA re-anchor for a batch.
 
@@ -894,7 +789,7 @@ class FlowSimulator:
         for i, flow in enumerate(flows):
             if flow._recorder is not None:
                 flow._recorder.on_rate_change(
-                    flow, now, new_rates[i], inc.bottleneck_of_slot(slots[i])
+                    flow, now, new_rates[i], solver.bottleneck_of_slot(slots[i])
                 )
             flow._heap_epoch += 1
             if not gated[i] and flow.end_time is None and new_rates[i] > 0:
@@ -960,67 +855,3 @@ class FlowSimulator:
         if t < self.now - _TIME_EPS:
             raise SimulationError(f"time went backwards: {t} < {self.now}")
         self.now = max(t, self.now)
-
-    # ------------------------------------------------------------------
-    # internals — legacy core (reference implementation)
-    # ------------------------------------------------------------------
-    def _recompute_legacy(self) -> None:
-        flows = list(self._active.values())
-        solver = FairnessSolver(flows, self._effective_capacities(flows))
-        rates = solver.solve()
-        for flow in flows:
-            new_rate = rates[flow.flow_id]
-            if flow._recorder is not None and new_rate != flow.rate:
-                flow._recorder.on_rate_change(flow, self.now, new_rate, None)
-            flow.rate = new_rate
-
-    def _effective_capacities(self, flows: List[Flow]) -> Dict[str, float]:
-        """Per-recompute capacities, with the interference model applied.
-
-        Links shared by active flows of two or more distinct jobs lose
-        ``interference_penalty`` of their capacity (see ``__init__``).
-        """
-        if self.interference_penalty <= 0:
-            return self._capacities
-        jobs_on_link: Dict[str, set] = {}
-        for flow in flows:
-            if not flow.active:
-                continue
-            for link in flow.links:
-                jobs_on_link.setdefault(link, set()).add(flow.job_id)
-        scale = 1.0 - self.interference_penalty
-        capacities = dict(self._capacities)
-        for link, jobs in jobs_on_link.items():
-            if len(jobs) >= 2:
-                capacities[link] *= scale
-        return capacities
-
-    def _next_completion(self) -> Tuple[float, List[Flow]]:
-        """Earliest completion time and every flow finishing then."""
-        best = math.inf
-        for flow in self._active.values():
-            if not flow.active or flow.rate <= 0:
-                continue
-            eta = self.now + flow.remaining / flow.rate
-            if eta < best:
-                best = eta
-        if math.isinf(best):
-            return best, []
-        finishing = []
-        for flow in self._active.values():
-            if not flow.active or flow.rate <= 0:
-                continue
-            eta = self.now + flow.remaining / flow.rate
-            if eta <= best + _TIME_EPS:
-                finishing.append(flow)
-        return best, finishing
-
-    def _advance_to(self, t: float) -> None:
-        if t < self.now - _TIME_EPS:
-            raise SimulationError(f"time went backwards: {t} < {self.now}")
-        dt = max(t - self.now, 0.0)
-        if dt > 0:
-            for flow in self._active.values():
-                if flow.active and flow.rate > 0:
-                    flow.remaining = max(flow.remaining - flow.rate * dt, 0.0)
-        self.now = t

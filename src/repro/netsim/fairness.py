@@ -5,19 +5,40 @@ module implements the canonical progressive-filling (water-filling)
 algorithm that realizes weighted max-min fairness over a capacitated link
 set.  Two implementations are provided:
 
-* :func:`progressive_filling` — a direct, readable reference version used
-  by the unit/property tests.
-* :class:`FairnessSolver` — a vectorized numpy version built per call; it
-  remains as the readable one-shot vectorization (and as the solver of the
-  engine's legacy mode).
+* :func:`progressive_filling` — a direct, readable reference version; the
+  rate oracle of the unit/property tests.
 * :class:`IncrementalFairnessSolver` — the engine's persistent solver.  It
   keeps the link index, the CSR-style flow/link incidence arrays, and the
   weight vector alive across recomputations, applying O(Δ) structural
   updates on flow add/remove/gate and capacity change; only the numpy
   water-filling itself is global (max-min fairness is a global property).
 
-All produce identical allocations (tested against each other with
+Both produce identical allocations (tested against each other with
 hypothesis, including under randomized churn sequences).
+
+**Solver contract.**  :class:`~repro.netsim.engine.FlowSimulator` drives
+one solver object and never asks which kind it holds;
+:class:`IncrementalFairnessSolver`,
+:class:`~repro.netsim.sharding.ShardedFairnessSolver` and
+:class:`~repro.netsim.macroflow.MacroFlowSolver` (which wraps either of
+the other two) all expose:
+
+* structural updates — ``add_flow(flow)`` / ``add_flows(flows)``,
+  ``remove_flow(flow)`` / ``remove_flows(flows)``,
+  ``set_active(flow, active)``, ``set_capacity(link_id, capacity)``, and
+  for a solver that can sit under macro aggregation
+  ``set_weight(flow, weight)``;
+* ``solve(capacities=None) -> (changed_slots, rates)`` — the slots whose
+  rate moved since the previous solve (a list or an int64 array) and a
+  ``rates[slot]`` lookup covering at least those slots;
+  ``scaled_caps(penalty)`` builds the override for the interference model;
+* ``_slots`` — the slot table, a plain list of ``Flow | None`` indexed by
+  slot and mutated in place (read-only to callers);
+* queries — ``bottleneck_of(flow_id)``, ``bottleneck_of_slot(slot)``,
+  ``level_of(flow_id)``, ``rates_by_id()``, ``link_loads()``,
+  ``link_utilization(min_utilization)``;
+* counters — ``full_rebuilds``, ``delta_updates``, ``delta_flows_total``,
+  ``last_delta``, ``solves_skipped``, ``scalar_solves``, ``solve_epoch``.
 """
 
 from __future__ import annotations
@@ -94,75 +115,6 @@ def progressive_filling(
     return rates
 
 
-class FairnessSolver:
-    """Vectorized progressive filling over a fixed set of flows.
-
-    The solver is rebuilt whenever the active flow set changes; within one
-    build, :meth:`solve` performs only numpy reductions.
-    """
-
-    def __init__(
-        self, flows: Sequence[Flow], capacities: Mapping[str, float]
-    ) -> None:
-        self._flows = [f for f in flows if f.active]
-        self._all = list(flows)
-        link_ids = sorted({l for f in self._flows for l in f.path})
-        self._link_index = {l: i for i, l in enumerate(link_ids)}
-        self._caps = np.array([capacities[l] for l in link_ids], dtype=float)
-        flat_links: List[int] = []
-        flat_flows: List[int] = []
-        for fi, flow in enumerate(self._flows):
-            for link in flow.links:
-                flat_links.append(self._link_index[link])
-                flat_flows.append(fi)
-        self._flat_links = np.asarray(flat_links, dtype=np.int64)
-        self._flat_flows = np.asarray(flat_flows, dtype=np.int64)
-        self._weights = np.array([f.weight for f in self._flows], dtype=float)
-
-    def solve(self) -> Dict[str, float]:
-        """Run progressive filling; returns flow id -> rate (bytes/s)."""
-        num_flows = len(self._flows)
-        rates = np.zeros(num_flows, dtype=float)
-        if num_flows == 0:
-            return {f.flow_id: 0.0 for f in self._all}
-        num_links = len(self._caps)
-        residual = self._caps.copy()
-        unfrozen = np.ones(num_flows, dtype=bool)
-        while unfrozen.any():
-            member_w = self._weights[self._flat_flows] * unfrozen[self._flat_flows]
-            link_weight = np.bincount(
-                self._flat_links, weights=member_w, minlength=num_links
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                share = np.where(link_weight > 0, residual / link_weight, np.inf)
-            best = share.min()
-            if not np.isfinite(best):
-                break
-            best = max(best, 0.0)
-            bottleneck = share <= best * (1 + 1e-9) + _EPS
-            # Flows incident to any bottleneck link freeze at weight*best.
-            hit = bottleneck[self._flat_links] & unfrozen[self._flat_flows]
-            freeze_flows = np.zeros(num_flows, dtype=bool)
-            freeze_flows[self._flat_flows[hit]] = True
-            freeze_flows &= unfrozen
-            if not freeze_flows.any():
-                break
-            rates[freeze_flows] = self._weights[freeze_flows] * best
-            # Subtract the frozen rates from every link they traverse.
-            frozen_mask = freeze_flows[self._flat_flows]
-            used = np.bincount(
-                self._flat_links[frozen_mask],
-                weights=rates[self._flat_flows[frozen_mask]],
-                minlength=num_links,
-            )
-            residual = np.maximum(residual - used, 0.0)
-            unfrozen &= ~freeze_flows
-        result = {f.flow_id: 0.0 for f in self._all}
-        for fi, flow in enumerate(self._flows):
-            result[flow.flow_id] = float(rates[fi])
-        return result
-
-
 #: Live-entry count at or below which :meth:`IncrementalFairnessSolver.
 #: solve` runs its scalar (pure-Python) progressive-filling core instead
 #: of the vectorized one.  Small problems are dominated by numpy call
@@ -188,7 +140,7 @@ class IncrementalFairnessSolver:
     Δ-updates.
 
     :meth:`solve` runs the same progressive filling as
-    :class:`FairnessSolver` over the persistent arrays and returns the
+    :func:`progressive_filling` over the persistent arrays and returns the
     slots whose rate actually moved, which is what lets the engine
     invalidate only the completion-heap entries that changed.  A solve
     with no pending structural deltas is answered from the cached
@@ -210,7 +162,7 @@ class IncrementalFairnessSolver:
             [capacities[l] for l in self._link_ids], dtype=float
         )
         # per-slot state (a slot is a stable integer id for one flow)
-        self._flows: List[Optional[Flow]] = []
+        self._slots: List[Optional[Flow]] = []
         self._slot_of: Dict[str, int] = {}
         self._free_slots: List[int] = []
         self._weights = np.zeros(0, dtype=float)
@@ -257,14 +209,6 @@ class IncrementalFairnessSolver:
         self._solved_once = False
         self._last_override = False
 
-    @property
-    def num_links(self) -> int:
-        return len(self._link_ids)
-
-    def flow_count(self) -> int:
-        """Registered (non-tombstoned) flows."""
-        return len(self._slot_of)
-
     # -- structural updates (all O(Δ)) ---------------------------------
     def add_links(self, capacities: Mapping[str, float]) -> None:
         """Register additional links (append-only; existing indices keep)."""
@@ -297,10 +241,10 @@ class IncrementalFairnessSolver:
             self._path_idx[flow.links] = link_idx
         if self._free_slots:
             slot = self._free_slots.pop()
-            self._flows[slot] = flow
+            self._slots[slot] = flow
         else:
-            slot = len(self._flows)
-            self._flows.append(flow)
+            slot = len(self._slots)
+            self._slots.append(flow)
             self._spans.append((0, 0))
             if slot >= len(self._weights):
                 self._grow_slots(slot + 1)
@@ -320,11 +264,15 @@ class IncrementalFairnessSolver:
         self._nnz += k
         self._note_delta()
 
+    def add_flows(self, flows: Iterable[Flow]) -> None:
+        for flow in flows:
+            self.add_flow(flow)
+
     def remove_flow(self, flow: Flow) -> None:
         slot = self._slot_of.pop(flow.flow_id, None)
         if slot is None:
             return
-        self._flows[slot] = None
+        self._slots[slot] = None
         self._in_use[slot] = False
         self._active[slot] = False
         if self._rates[slot] != 0.0:
@@ -337,6 +285,10 @@ class IncrementalFairnessSolver:
         # The slot is reusable only after compaction purges its incidence
         # entries; until then reuse would misattribute them.
         self._note_delta()
+
+    def remove_flows(self, flows: Iterable[Flow]) -> None:
+        for flow in flows:
+            self.remove_flow(flow)
 
     def set_active(self, flow: Flow, active: bool) -> None:
         slot = self._slot_of.get(flow.flow_id)
@@ -399,7 +351,7 @@ class IncrementalFairnessSolver:
         # Recompute the spans of surviving slots (runs stay contiguous
         # because compaction preserves order) and free the dead slots.
         self._free_slots = []
-        spans = [(0, 0)] * len(self._flows)
+        spans = [(0, 0)] * len(self._slots)
         pos = 0
         while pos < self._nnz:
             slot = int(self._flat_slots[pos])
@@ -409,15 +361,12 @@ class IncrementalFairnessSolver:
             spans[slot] = (pos, end - pos)
             pos = end
         self._spans = spans
-        for slot, flow in enumerate(self._flows):
+        for slot, flow in enumerate(self._slots):
             if flow is None:
                 self._free_slots.append(slot)
         self.full_rebuilds += 1
 
     # -- queries --------------------------------------------------------
-    def flow_at(self, slot: int) -> Optional[Flow]:
-        return self._flows[slot]
-
     def bottleneck_of_slot(self, slot: int) -> Optional[str]:
         """O(1) bottleneck lookup when the caller already holds the slot."""
         idx = int(self._bneck[slot])
@@ -494,7 +443,7 @@ class IncrementalFairnessSolver:
         carrying active flows of two or more distinct jobs lose
         ``penalty`` of their capacity (see ``FlowSimulator.__init__``)."""
         jobs_on_link: Dict[int, set] = {}
-        for slot, flow in enumerate(self._flows):
+        for slot, flow in enumerate(self._slots):
             if flow is None or not self._active[slot]:
                 continue
             start, k = self._spans[slot]
@@ -746,16 +695,13 @@ class IncrementalFairnessSolver:
             bn[g] = bneck[si]
         return changed
 
-    def level_of_slot(self, slot: int) -> float:
-        """Water level that froze this slot in the most recent solve.
+    def level_of(self, flow_id: str) -> float:
+        """Water level that froze a registered flow in the most recent
+        solve (0.0 for unknown flows).
 
         A slot's rate is exactly ``weight * level``; macro aggregation
         reconstructs member rates as ``member_weight * level`` (the same
         IEEE product the per-flow reference computes)."""
-        return float(self._levels[slot])
-
-    def level_of(self, flow_id: str) -> float:
-        """Water level of a registered flow (0.0 for unknown flows)."""
         slot = self._slot_of.get(flow_id)
         return 0.0 if slot is None else float(self._levels[slot])
 
@@ -769,7 +715,7 @@ class IncrementalFairnessSolver:
             return cached
         result = {
             flow.flow_id: float(self._rates[slot])
-            for slot, flow in enumerate(self._flows)
+            for slot, flow in enumerate(self._slots)
             if flow is not None
         }
         if self._pending_delta == 0:
@@ -782,22 +728,3 @@ def bottleneck_rate(
 ) -> float:
     """Best-case rate of a flow that has each link of ``path`` to itself."""
     return min(capacities[l] for l in path)
-
-
-def link_loads(
-    flows: Sequence[Flow], rates: Optional[Mapping[str, float]] = None
-) -> Dict[str, float]:
-    """Aggregate allocated rate per link.
-
-    With ``rates=None`` each flow's currently assigned ``flow.rate`` is
-    used — this is the aggregation behind the engine's
-    ``link_utilization()`` (legacy mode) and the assertion helpers.
-    """
-    loads: Dict[str, float] = {}
-    for flow in flows:
-        rate = flow.rate if rates is None else rates.get(flow.flow_id, 0.0)
-        if rate <= 0:
-            continue
-        for link in flow.links:
-            loads[link] = loads.get(link, 0.0) + rate
-    return loads

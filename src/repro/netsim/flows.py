@@ -6,15 +6,15 @@ of active flows changes.  Flows carry bookkeeping tags (job id, communicator
 id, channel) so policies such as FFA can round-robin between jobs and the
 traffic-scheduling (TS) policy can gate the flows of a specific tenant.
 
-The engine's incremental mode keeps the per-flow *data plane* —
-remaining bytes, allocated rate, and the lazy-progress anchor — in flat
-numpy arrays (:class:`FlowArena`) so a rate recomputation can settle and
-re-anchor a whole batch of flows with a handful of numpy ops instead of
-N Python attribute walks.  The :class:`Flow` object remains the public
-handle: ``flow.remaining`` / ``flow.rate`` read through to the arena
-while the flow is in the network and fall back to plain attributes once
-it leaves (or when the legacy engine, which never attaches an arena, is
-driving).  Readers never observe stale values either way.
+The engine keeps the per-flow *data plane* — remaining bytes, allocated
+rate, and the lazy-progress anchor — in flat numpy arrays
+(:class:`FlowArena`) so a rate recomputation can settle and re-anchor a
+whole batch of flows with a handful of numpy ops instead of N Python
+attribute walks.  The :class:`Flow` object remains the public handle:
+``flow.remaining`` / ``flow.rate`` read through to the arena while the
+flow is in the network and fall back to plain attributes once it leaves
+(and for a standalone ``Flow`` no engine ever attached).  Readers never
+observe stale values either way.
 """
 
 from __future__ import annotations
@@ -24,18 +24,10 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+# Fallback ids for flows constructed outside a simulator (solver tests,
+# benchmarks); :class:`~repro.netsim.engine.FlowSimulator` numbers its own
+# flows per simulator and never draws from this counter.
 _flow_counter = itertools.count()
-
-
-def _next_flow_id() -> str:
-    return f"flow{next(_flow_counter)}"
-
-
-# Distinct-links tuple per path tuple.  Channelized workloads inject many
-# flows over the same path object (NCCL channel fan-out), so deduplicating
-# the path once per distinct route beats doing it once per flow.  Bounded
-# by the number of distinct routes ever seen, like the topology path cache.
-_links_of_path: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
 
 class FlowArena:
@@ -78,7 +70,8 @@ class Flow:
     """One fluid flow.
 
     Attributes:
-        flow_id: Unique id within a simulation.
+        flow_id: Unique id within a simulation (``flow0``, ``flow1``, ...
+            in injection order; standalone flows get ``flow#N``).
         size: Total bytes to transfer.
         path: Tuple of link ids traversed, in order.
         job_id: Owning job/tenant (used by fairness-aware policies).
@@ -97,9 +90,10 @@ class Flow:
         on_fail: Callback ``fn(flow, now, error)`` fired when a fault
             kills the flow (never fired for plain cancellation).
         tags: Free-form metadata (communicator id, channel index, ...).
-        links: The distinct links of ``path`` (order-stable); cached once
-            so the fairness allocator and utilization aggregation never
-            rebuild a ``set(flow.path)`` on the hot path.
+        links: The distinct links of ``path`` (order-stable); computed
+            once — by the simulator once per distinct route — so the
+            fairness allocator and utilization aggregation never rebuild
+            a ``set(flow.path)`` on the hot path.
     """
 
     __slots__ = (
@@ -137,6 +131,7 @@ class Flow:
         on_complete: Optional[Callable[["Flow", float], None]] = None,
         on_fail: Optional[Callable[["Flow", float, BaseException], None]] = None,
         tags: Optional[Dict[str, object]] = None,
+        links: Optional[Tuple[str, ...]] = None,
     ) -> None:
         if size <= 0:
             raise ValueError("flow size must be positive")
@@ -144,7 +139,9 @@ class Flow:
             raise ValueError("flow path must contain at least one link")
         if weight <= 0:
             raise ValueError("flow weight must be positive")
-        self.flow_id = flow_id if flow_id is not None else _next_flow_id()
+        if flow_id is None:
+            flow_id = f"flow#{next(_flow_counter)}"
+        self.flow_id = flow_id
         self.size = size
         self.path = tuple(path)
         self.job_id = job_id
@@ -157,10 +154,8 @@ class Flow:
         self.on_complete = on_complete
         self.on_fail = on_fail
         self.tags: Dict[str, object] = {} if tags is None else tags
-        links = _links_of_path.get(self.path)
         if links is None:
             links = tuple(dict.fromkeys(self.path))
-            _links_of_path[self.path] = links
         self.links: Tuple[str, ...] = links
         self._remaining = float(size)
         self._rate = 0.0

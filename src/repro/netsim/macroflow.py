@@ -16,8 +16,8 @@ and for any dyadic weight at realistic fan-outs).
 The wrapper is solver-agnostic: the base may be a plain
 :class:`~repro.netsim.fairness.IncrementalFairnessSolver` or a
 :class:`~repro.netsim.sharding.ShardedFairnessSolver` (the engine's
-``macro=True, sharded=True`` composition), as long as it implements the
-shared solve protocol plus ``set_weight`` / ``level_of``.
+``macro=True, sharded=True`` composition): anything implementing the
+solver contract of :mod:`repro.netsim.fairness` including ``set_weight``.
 
 Membership churn (a member joining, leaving, gating, or un-gating)
 resizes the group's weight in place — one O(1) solver delta instead of a
@@ -31,13 +31,11 @@ why exactness tests compare member rates, not link loads.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .flows import Flow
-
-_group_counter = itertools.count()
 
 
 class _MacroGroup:
@@ -59,8 +57,8 @@ class _MacroGroup:
         "active_ids",
     )
 
-    def __init__(self, template: Flow) -> None:
-        self.flow_id = f"macro{next(_group_counter)}"
+    def __init__(self, flow_id: str, template: Flow) -> None:
+        self.flow_id = flow_id
         self.path = template.path
         self.links = template.links
         self.job_id = template.job_id
@@ -76,13 +74,8 @@ class MacroFlowSolver:
 
     def __init__(self, base) -> None:
         self._base = base
-        # The base's slot table is a plain list mutated in place
-        # (``_slots`` on the sharded wrapper, ``_flows`` on the
-        # incremental solver); indexing it avoids a method call per
-        # changed group in the solve fan-out.
-        self._base_table = getattr(base, "_slots", None)
-        if self._base_table is None:
-            self._base_table = base._flows
+        # Group ids are scoped to this solver (hence to its simulator).
+        self._group_seq = itertools.count()
         self._groups: Dict[Tuple, _MacroGroup] = {}
         self._group_of: Dict[str, _MacroGroup] = {}
         # groups with membership/gate churn since the last solve; their
@@ -116,11 +109,11 @@ class MacroFlowSolver:
 
     @property
     def solves_skipped(self) -> int:
-        return getattr(self._base, "solves_skipped", 0)
+        return self._base.solves_skipped
 
     @property
     def scalar_solves(self) -> int:
-        return getattr(self._base, "scalar_solves", 0)
+        return self._base.scalar_solves
 
     @property
     def solve_epoch(self) -> int:
@@ -133,10 +126,6 @@ class MacroFlowSolver:
     @property
     def macro_members(self) -> int:
         return len(self._group_of)
-
-    @property
-    def domain_count(self) -> int:
-        return getattr(self._base, "domain_count", 1)
 
     # -- group maintenance ---------------------------------------------
     def _sync_group(self, group: _MacroGroup) -> None:
@@ -160,29 +149,9 @@ class MacroFlowSolver:
             group.active = True
 
     def add_flow(self, flow: Flow) -> None:
-        key = (flow.path, flow.weight, flow.job_id)
-        group = self._groups.get(key)
-        if group is None:
-            group = _MacroGroup(flow)
-            self._groups[key] = group
-            self._base.add_flow(group)
-        group.members[flow.flow_id] = flow
-        if flow.active:
-            group.active_ids.add(flow.flow_id)
-        self._group_of[flow.flow_id] = group
-        self._touched.add(group)
-        if len(group.members) > self.macro_peak_group_size:
-            self.macro_peak_group_size = len(group.members)
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._slots[slot] = flow
-        else:
-            slot = len(self._slots)
-            self._slots.append(flow)
-        self._slot_of[flow.flow_id] = slot
-        self._member_rate[flow.flow_id] = 0.0
+        self.add_flows((flow,))
 
-    def add_flows(self, flows: List[Flow]) -> None:
+    def add_flows(self, flows: Sequence[Flow]) -> None:
         """Register a sibling batch sharing one (path, weight, tenant).
 
         The engine's :meth:`~FlowSimulator.add_flows` guarantees the batch
@@ -193,7 +162,7 @@ class MacroFlowSolver:
         key = (first.path, first.weight, first.job_id)
         group = self._groups.get(key)
         if group is None:
-            group = _MacroGroup(first)
+            group = _MacroGroup(f"macro{next(self._group_seq)}", first)
             self._groups[key] = group
             self._base.add_flow(group)
         members = group.members
@@ -222,29 +191,13 @@ class MacroFlowSolver:
             self.macro_peak_group_size = len(members)
 
     def remove_flow(self, flow: Flow) -> None:
-        group = self._group_of.pop(flow.flow_id, None)
-        if group is None:
-            return
-        group.members.pop(flow.flow_id, None)
-        group.active_ids.discard(flow.flow_id)
-        self._member_rate.pop(flow.flow_id, None)
-        slot = self._slot_of.pop(flow.flow_id, None)
-        if slot is not None:
-            self._slots[slot] = None
-            self._free_slots.append(slot)
-        if not group.members:
-            self._base.remove_flow(group)
-            del self._groups[(group.path, group.member_weight, group.job_id)]
-            self._touched.discard(group)
-        else:
-            self._touched.add(group)
+        self.remove_flows((flow,))
 
-    def remove_flows(self, flows: List[Flow]) -> None:
+    def remove_flows(self, flows: Iterable[Flow]) -> None:
         """Deregister a batch of members (one completion burst).
 
-        Same semantics as per-flow :meth:`remove_flow`; hoisting the
-        bookkeeping lookups matters because a channelized completion
-        removes whole sibling sets at one instant.
+        Hoisting the bookkeeping lookups matters because a channelized
+        completion removes whole sibling sets at one instant.
         """
         group_of = self._group_of
         member_rate = self._member_rate
@@ -290,12 +243,6 @@ class MacroFlowSolver:
         return self._base.scaled_caps(penalty)
 
     # -- queries --------------------------------------------------------
-    def flow_count(self) -> int:
-        return len(self._group_of)
-
-    def flow_at(self, slot: int) -> Optional[Flow]:
-        return self._slots[slot]
-
     def bottleneck_of(self, flow_id: str) -> Optional[str]:
         group = self._group_of.get(flow_id)
         if group is None:
@@ -351,7 +298,7 @@ class MacroFlowSolver:
             changed_groups = changed_groups.tolist()
         pending: Set[_MacroGroup] = self._touched
         self._touched = set()
-        base_table = self._base_table
+        base_table = base._slots
         for gslot in changed_groups:
             group = base_table[gslot]
             if group is not None:

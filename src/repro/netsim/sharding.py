@@ -42,7 +42,7 @@ solvers through randomized churn and asserts exact equality.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .fairness import IncrementalFairnessSolver
 from .flows import Flow
@@ -75,10 +75,8 @@ class _Domain:
 class ShardedFairnessSolver:
     """Drop-in (engine-facing) solver that shards by sharing component.
 
-    Implements the same protocol the engine drives
-    (:meth:`add_flow`/:meth:`remove_flow`/:meth:`set_active`/
-    :meth:`set_capacity`/:meth:`solve`/:meth:`flow_at`/...) but returns
-    ``solve()`` results as ``(changed_global_slots, {slot: rate})``.
+    Implements the solver contract of :mod:`repro.netsim.fairness`;
+    ``solve()`` results are ``(changed_global_slots, {slot: rate})``.
 
     Capacity overrides (the burst-interference model) are not supported:
     the penalty couples link capacities through tenant co-location, which
@@ -205,6 +203,10 @@ class ShardedFairnessSolver:
             self._slots.append(flow)
         self._slot_of[flow.flow_id] = slot
 
+    def add_flows(self, flows: Iterable[Flow]) -> None:
+        for flow in flows:
+            self.add_flow(flow)
+
     def _merge(
         self, parts: List[_Domain], extra_links: Tuple[str, ...]
     ) -> _Domain:
@@ -269,6 +271,10 @@ class ShardedFairnessSolver:
             self._retire_solver(domain)
             self.domain_dissolutions += 1
 
+    def remove_flows(self, flows: Iterable[Flow]) -> None:
+        for flow in flows:
+            self.remove_flow(flow)
+
     def set_active(self, flow: Flow, active: bool) -> None:
         domain = self._flow_domain.get(flow.flow_id)
         if domain is not None:
@@ -302,12 +308,6 @@ class ShardedFairnessSolver:
         )
 
     # -- queries --------------------------------------------------------
-    def flow_count(self) -> int:
-        return len(self._flow_domain)
-
-    def flow_at(self, slot: int) -> Optional[Flow]:
-        return self._slots[slot]
-
     def bottleneck_of(self, flow_id: str) -> Optional[str]:
         domain = self._flow_domain.get(flow_id)
         if domain is None:
@@ -321,10 +321,6 @@ class ShardedFairnessSolver:
         if flow is None:
             return None
         return self.bottleneck_of(flow.flow_id)
-
-    def level_of_slot(self, slot: int) -> float:
-        flow = self._slots[slot]
-        return self.level_of(flow.flow_id)
 
     def level_of(self, flow_id: str) -> float:
         domain = self._flow_domain.get(flow_id)
@@ -445,7 +441,7 @@ class ShardedFairnessSolver:
             solver = domain.solver
             local_changed, local_rates = solver.solve()
             total_delta += solver.last_delta
-            local_table = solver._flows
+            local_table = solver._slots
             for ls in local_changed.tolist():
                 f = local_table[ls]
                 if f is None:

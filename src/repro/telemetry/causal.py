@@ -15,7 +15,7 @@ This module provides that substrate:
   a per-flow rate recorder (installed via ``Flow._recorder``) captures
   every rate change as a closed *segment* ``(start, end, rate,
   bottleneck_link, co_tenants)``, so attribution costs O(changed flows)
-  per recomputation — the same complexity as the incremental engine.
+  per recomputation — the same complexity as the engine itself.
 * :class:`CriticalPathReport` — the exact-sum decomposition of one
   finished collective: ``queue + serialization + contention`` equals the
   measured duration by construction, per-hop time is grouped by the
@@ -315,8 +315,9 @@ class _BoundRecorder:
         if segments and segments[-1].end is None:
             segments[-1].end = now
         if bottleneck is None and flow.links:
-            # Legacy engine mode has no per-round attribution; fall back
-            # to the static minimum-capacity link of the path.
+            # The solver has no per-round attribution for a flow it has
+            # not rated yet (e.g. injected gated); fall back to the
+            # static minimum-capacity link of the path.
             bottleneck = min(flow.links, key=self.tracer.sim.link_capacity)
         co: Tuple[str, ...] = ()
         if bottleneck is not None:

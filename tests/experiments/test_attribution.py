@@ -17,7 +17,6 @@ import repro.core.communicator
 import repro.core.messages
 import repro.core.reconfig
 import repro.core.sync
-import repro.netsim.flows
 import repro.transport.launcher
 from repro.experiments.fig_attribution import run_attribution
 
@@ -31,7 +30,6 @@ _GLOBAL_COUNTERS = [
     (repro.core.messages, "_msg_counter"),
     (repro.core.reconfig, "_session_counter"),
     (repro.core.sync, "_sync_counter"),
-    (repro.netsim.flows, "_flow_counter"),
     (repro.transport.launcher, "_launch_counter"),
 ]
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+import repro.netsim.flows as flows_mod
 from repro.netsim.engine import FlowSimulator
 from repro.netsim.errors import SimulationError
+from repro.netsim.flows import Flow
 from repro.netsim.topology import Topology
 
 
@@ -222,3 +224,42 @@ def test_flow_counters():
     sim.run()
     assert sim.flows_completed == 2
     assert sim.rate_recomputations >= 1
+
+
+# ----------------------------------------------------------------------
+# per-simulator state: ids and caches do not depend on process history
+# ----------------------------------------------------------------------
+def _fixed_op_sequence(sim):
+    """Adds, a batch, a cancel, a late add; returns every id it minted."""
+    first = sim.add_flow(8.0, ["a->b"])
+    batch = sim.add_flows(4.0, ["a->b", "b->c"], 3)
+    groups = []
+    if sim.macro:
+        groups = [g.flow_id for g in sim._macro_solver._groups.values()]
+    late = []
+    sim.schedule(0.25, lambda: sim.cancel_flow(batch[0]))
+    sim.schedule(0.5, lambda: late.append(sim.add_flow(2.0, ["b->c"])))
+    sim.run()
+    return [f.flow_id for f in [first, *batch, *late]], groups
+
+
+@pytest.mark.parametrize("macro,sharded", [(False, False), (True, True)])
+def test_back_to_back_simulators_mint_identical_ids(macro, sharded):
+    first = FlowSimulator(line_topo(), macro=macro, sharded=sharded)
+    ids, groups = _fixed_op_sequence(first)
+    assert ids == ["flow0", "flow1", "flow2", "flow3", "flow4"]
+    second = FlowSimulator(line_topo(), macro=macro, sharded=sharded)
+    assert _fixed_op_sequence(second) == (ids, groups)
+    assert second.perf_counters() == first.perf_counters()
+
+
+def test_simulators_share_no_path_cache():
+    one, two = FlowSimulator(line_topo()), FlowSimulator(line_topo())
+    path = ("a->b", "b->c")
+    flows = one.add_flows(8.0, path, 2)
+    # One distinct-links tuple per route per simulator, handed to its flows.
+    assert flows[0].links is flows[1].links is one._links_of_path[path]
+    assert two._links_of_path == {}
+    assert not hasattr(flows_mod, "_links_of_path")  # no process-wide cache
+    # A directly constructed Flow still derives its own links.
+    assert Flow(1.0, ("a->b", "a->b", "b->c")).links == path

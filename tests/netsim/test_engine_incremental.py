@@ -1,44 +1,55 @@
-"""Old-engine vs new-engine equivalence, and the incremental-only surface.
+"""The engine core against the deleted legacy core, and its own surface.
 
-The legacy core (full solver rebuild + full completion scans per event) is
-kept as the reference implementation; the incremental core (persistent
-solver, completion heap, virtual-byte clock) must reproduce its results
-exactly on real scenarios.  These tests replay the Figure 7 reconfiguration
-timeline and a Figure 8 multi-tenant grid under both modes and compare
-completion timestamps and bandwidths.
+Until PR 16 ``FlowSimulator`` shipped a second, legacy core (full solver
+rebuild + full completion scans per event) as the reference
+implementation.  Before it was deleted, its output on the scenarios
+below — the Figure 7 reconfiguration timeline, a Figure 8 multi-tenant
+grid, a link-churn script and a deployment-level failover — was captured
+into ``golden_legacy_engine.json`` (see its ``_provenance``); the
+surviving core must keep matching it: fig07/fig08 within ``rel=1e-9``,
+churn and failover bit-identically.  The brute-force oracle for
+arbitrary scenarios lives in ``test_engine_reference.py``.
 """
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 import repro.baselines.nccl as nccl_mod
+import repro.cluster.specs as specs_mod
 import repro.core.communicator as comm_mod
-import repro.netsim.engine as engine_mod
-import repro.netsim.flows as flows_mod
 import repro.transport.launcher as launcher_mod
 from repro.core.transport import TrafficGateManager, WindowSchedule
 from repro.netsim.engine import FlowSimulator, SimObserver
 from repro.netsim.topology import Topology
 
+GOLDEN = json.loads(
+    Path(__file__).with_name("golden_legacy_engine.json").read_text()
+)
+
+
+def _jsonable(value):
+    """Tuples -> lists, exactly as the golden file stored them."""
+    return json.loads(json.dumps(value))
+
 
 def _reset_global_counters(monkeypatch):
-    """Pin every id counter that feeds ECMP hashing / flow identity.
+    """Pin every process-global id counter that feeds ECMP hashing.
 
     Experiment runs are deterministic only relative to these counters;
-    resetting them lets two in-process runs (one per engine mode) see
-    byte-identical inputs.
+    resetting them gives each in-process run the inputs the golden
+    capture saw.  (Flow ids need no pinning: they restart per simulator.)
     """
     monkeypatch.setattr(comm_mod, "_comm_counter", itertools.count())
     monkeypatch.setattr(nccl_mod, "_comm_counter", itertools.count())
-    monkeypatch.setattr(flows_mod, "_flow_counter", itertools.count())
     monkeypatch.setattr(launcher_mod, "_launch_counter", itertools.count())
 
 
-def _run_in_mode(monkeypatch, incremental, fn):
+@pytest.fixture
+def pinned_ids(monkeypatch):
     _reset_global_counters(monkeypatch)
-    monkeypatch.setattr(engine_mod, "DEFAULT_INCREMENTAL", incremental)
-    return fn()
 
 
 def line_topo(cap=8.0):
@@ -50,70 +61,26 @@ def line_topo(cap=8.0):
 
 
 # ----------------------------------------------------------------------
-# determinism: legacy and incremental engines agree on real scenarios
+# the surviving core reproduces the legacy core on real scenarios
 # ----------------------------------------------------------------------
-def test_fig07_timeline_identical_across_engines(monkeypatch):
+def test_fig07_timeline_matches_legacy_golden(pinned_ids):
     from repro.experiments.fig07_reconfig import run_fig07
 
-    def scenario():
-        timeline = run_fig07(
-            op_bytes=64 * 1024 * 1024,
-            duration=6.0,
-            bg_start=2.0,
-            reconfig_at=3.0,
-        )
-        return timeline
-
-    legacy = _run_in_mode(monkeypatch, False, scenario)
-    incremental = _run_in_mode(monkeypatch, True, scenario)
-    assert len(legacy.points) == len(incremental.points)
-    assert len(legacy.points) > 0
-    for old, new in zip(legacy.points, incremental.points):
-        assert new.time == pytest.approx(old.time, rel=1e-9, abs=1e-9)
-        assert new.algbw_gBps == pytest.approx(old.algbw_gBps, rel=1e-9)
-    assert legacy.ring_after == incremental.ring_after
-    assert legacy.reconfig_done == pytest.approx(
-        incremental.reconfig_done, rel=1e-9
+    timeline = run_fig07(
+        op_bytes=64 * 1024 * 1024,
+        duration=6.0,
+        bg_start=2.0,
+        reconfig_at=3.0,
     )
-
-
-def test_fig08_grid_identical_across_engines(monkeypatch):
-    from repro.experiments.fig08_multi_app import run_fig08
-
-    def scenario():
-        results = run_fig08(
-            setups=("setup1",),
-            trials=1,
-            op_bytes=32 * 1024 * 1024,
-            duration=0.8,
-            warmup=0.2,
-        )
-        return [(r.setup, r.system, r.app_id, r.stat.mean) for r in results]
-
-    legacy = _run_in_mode(monkeypatch, False, scenario)
-    incremental = _run_in_mode(monkeypatch, True, scenario)
-    assert len(legacy) == len(incremental)
-    for old, new in zip(legacy, incremental):
-        assert new[:3] == old[:3]
-        assert new[3] == pytest.approx(old[3], rel=1e-9)
-
-
-#: The datacenter fast modes (macro aggregation, sharded solver, both);
-#: each must reproduce the incremental reference *bit-identically* — the
-#: floats below are compared with ``==``, not approx.
-FAST_MODES = [
-    pytest.param(True, False, id="macro"),
-    pytest.param(False, True, id="sharded"),
-    pytest.param(True, True, id="macro+sharded"),
-]
-
-
-def _run_in_fast_mode(monkeypatch, macro, sharded, fn):
-    _reset_global_counters(monkeypatch)
-    monkeypatch.setattr(engine_mod, "DEFAULT_INCREMENTAL", True)
-    monkeypatch.setattr(engine_mod, "DEFAULT_MACRO", macro)
-    monkeypatch.setattr(engine_mod, "DEFAULT_SHARDED", sharded)
-    return fn()
+    golden = GOLDEN["fig07"]
+    assert len(timeline.points) == len(golden["points"]) > 0
+    for (old_time, old_bw), new in zip(golden["points"], timeline.points):
+        assert new.time == pytest.approx(old_time, rel=1e-9, abs=1e-9)
+        assert new.algbw_gBps == pytest.approx(old_bw, rel=1e-9)
+    assert list(timeline.ring_after) == golden["ring_after"]
+    assert timeline.reconfig_done == pytest.approx(
+        golden["reconfig_done"], rel=1e-9
+    )
 
 
 def _fig08_speedup_grid():
@@ -129,6 +96,43 @@ def _fig08_speedup_grid():
     return [(r.setup, r.system, r.app_id, r.stat.mean) for r in results]
 
 
+def test_fig08_grid_matches_legacy_golden(pinned_ids):
+    grid = _fig08_speedup_grid()
+    golden = GOLDEN["fig08_setup1"]
+    assert len(grid) == len(golden)
+    for old, new in zip(golden, grid):
+        assert list(new[:3]) == old[:3]
+        assert new[3] == pytest.approx(old[3], rel=1e-9)
+
+
+#: The datacenter fast modes (macro aggregation, sharded solver, both);
+#: each must reproduce the per-flow result *bit-identically* — the floats
+#: below are compared with ``==``, not approx.
+FAST_MODES = [
+    pytest.param(True, False, id="macro"),
+    pytest.param(False, True, id="sharded"),
+    pytest.param(True, True, id="macro+sharded"),
+]
+
+
+@pytest.fixture
+def run_in_mode(monkeypatch):
+    """``run(macro, sharded, fn)``: replay a whole experiment with every
+    cluster's simulator built in the given mode, by wrapping the single
+    construction site (``Cluster.__init__`` -> ``FlowSimulator(...)``)."""
+
+    def run(macro, sharded, fn):
+        def build(topology, **kwargs):
+            kwargs.update(macro=macro, sharded=sharded)
+            return FlowSimulator(topology, **kwargs)
+
+        _reset_global_counters(monkeypatch)
+        monkeypatch.setattr(specs_mod, "FlowSimulator", build)
+        return fn()
+
+    return run
+
+
 def _fig11_speedup_distributions():
     from repro.experiments.fig11_simulation import run_fig11
 
@@ -141,39 +145,24 @@ def _fig11_speedup_distributions():
 _fast_mode_reference_cache = {}
 
 
-def _reference_run(monkeypatch, fn):
-    """Reference (plain incremental) result, computed once per scenario."""
+def _reference_run(run_in_mode, fn):
+    """Per-flow (no fast mode) result, computed once per scenario."""
     if fn not in _fast_mode_reference_cache:
-        _fast_mode_reference_cache[fn] = _run_in_fast_mode(
-            monkeypatch, False, False, fn
-        )
+        _fast_mode_reference_cache[fn] = run_in_mode(False, False, fn)
     return _fast_mode_reference_cache[fn]
 
 
 @pytest.mark.parametrize("macro,sharded", FAST_MODES)
-def test_fig08_grid_bit_identical_in_fast_modes(monkeypatch, macro, sharded):
-    reference = _reference_run(monkeypatch, _fig08_speedup_grid)
-    fast = _run_in_fast_mode(monkeypatch, macro, sharded, _fig08_speedup_grid)
-    assert fast == reference
+def test_fig08_grid_bit_identical_in_fast_modes(run_in_mode, macro, sharded):
+    reference = _reference_run(run_in_mode, _fig08_speedup_grid)
+    assert run_in_mode(macro, sharded, _fig08_speedup_grid) == reference
 
 
 @pytest.mark.parametrize("macro,sharded", FAST_MODES)
-def test_fig11_speedups_bit_identical_in_fast_modes(monkeypatch, macro, sharded):
-    reference = _reference_run(monkeypatch, _fig11_speedup_distributions)
-    fast = _run_in_fast_mode(
-        monkeypatch, macro, sharded, _fig11_speedup_distributions
-    )
+def test_fig11_speedups_bit_identical_in_fast_modes(run_in_mode, macro, sharded):
+    reference = _reference_run(run_in_mode, _fig11_speedup_distributions)
+    fast = run_in_mode(macro, sharded, _fig11_speedup_distributions)
     assert fast == reference
-
-
-@pytest.mark.parametrize("incremental", [False, True])
-def test_staggered_sharing_same_in_both_modes(incremental):
-    sim = FlowSimulator(line_topo(), incremental=incremental)
-    f1 = sim.add_flow(8.0, ["a->b"])
-    sim.schedule(0.5, lambda: sim.add_flow(8.0, ["a->b"]))
-    sim.run()
-    assert f1.end_time == pytest.approx(1.5)
-    assert sim.incremental is incremental
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +230,7 @@ def test_gate_manager_forgets_cancelled_flows():
 # ----------------------------------------------------------------------
 # perf counters
 # ----------------------------------------------------------------------
-def test_perf_counters_incremental():
+def test_perf_counters():
     sim = FlowSimulator(line_topo())
     for _ in range(5):
         sim.add_flow(8.0, ["a->b"])
@@ -259,31 +248,18 @@ def test_perf_counters_incremental():
     assert counters["heap_invalidations"] > 0
 
 
-def test_perf_counters_legacy_mode_reports_rebuilds():
-    sim = FlowSimulator(line_topo(), incremental=False)
-    sim.add_flow(8.0, ["a->b"])
-    sim.run()
-    counters = sim.perf_counters()
-    assert counters["solver_delta_updates"] == 0
-    assert counters["solver_rebuilds_avoided"] == 0
-    assert counters["solver_full_rebuilds"] == counters["rate_recomputations"]
-
-
 def test_rate_recomputations_count_matches_dirty_transitions():
-    # Semantics guard: one recomputation per dirty->clean transition, in
-    # both modes, for the same scenario.
-    def run(incremental):
-        sim = FlowSimulator(line_topo(), incremental=incremental)
-        sim.add_flow(8.0, ["a->b"])
-        sim.schedule(0.25, lambda: sim.add_flow(4.0, ["a->b"]))
-        sim.run()
-        return sim.rate_recomputations
-
-    assert run(True) == run(False)
+    # Semantics guard: one recomputation per dirty->clean transition —
+    # the count the legacy core produced for this scenario, too.
+    sim = FlowSimulator(line_topo())
+    sim.add_flow(8.0, ["a->b"])
+    sim.schedule(0.25, lambda: sim.add_flow(4.0, ["a->b"]))
+    sim.run()
+    assert sim.rate_recomputations == GOLDEN["rate_recomputations_staggered"]
 
 
 # ----------------------------------------------------------------------
-# link churn: fail/degrade/restore is bit-identical across engine modes
+# link churn: fail/degrade/restore is bit-identical to the legacy core
 # ----------------------------------------------------------------------
 def diamond_topo(cap=8.0):
     topo = Topology()
@@ -296,9 +272,9 @@ def diamond_topo(cap=8.0):
     return topo
 
 
-def _churn_scenario(incremental):
+def _churn_scenario():
     """Flows through a diamond while one path flaps and one degrades."""
-    sim = FlowSimulator(diamond_topo(), incremental=incremental)
+    sim = FlowSimulator(diamond_topo())
     log = []
     f1 = sim.add_flow(
         16.0, ["a->m1", "m1->b"],
@@ -338,17 +314,17 @@ def _churn_scenario(incremental):
     }
 
 
-def test_link_churn_identical_across_engines(monkeypatch):
-    legacy = _run_in_mode(monkeypatch, False, lambda: _churn_scenario(False))
-    incremental = _run_in_mode(monkeypatch, True, lambda: _churn_scenario(True))
-    assert legacy == incremental  # bit-identical, not just approximately
-    assert legacy["flows_failed"] == 1
-    assert legacy["f1"][0] and legacy["f2"][0]
-    assert legacy["link_up"]
+def test_link_churn_matches_legacy_golden():
+    result = _churn_scenario()
+    # bit-identical, not just approximately
+    assert _jsonable(result) == GOLDEN["churn"]
+    assert result["flows_failed"] == 1
+    assert result["f1"][0] and result["f2"][0]
+    assert result["link_up"]
 
 
-def test_fault_recovery_timeline_identical_across_engines(monkeypatch):
-    """A full deployment-level failover replays identically in both modes."""
+def test_fault_recovery_timeline_matches_legacy_golden(pinned_ids):
+    """A full deployment-level failover replays the legacy core's timeline."""
     import numpy as np
 
     from repro.cluster.specs import testbed_cluster
@@ -357,49 +333,45 @@ def test_fault_recovery_timeline_identical_across_engines(monkeypatch):
     from repro.core.recovery import RecoveryPolicy
     from repro.faults import FaultInjector
 
-    def scenario():
-        cluster = testbed_cluster()
-        deployment = MccsDeployment(cluster)
-        recovery = deployment.enable_recovery(
-            RecoveryPolicy(collective_deadline=0.25), heartbeat_until=1.0
+    cluster = testbed_cluster()
+    deployment = MccsDeployment(cluster)
+    recovery = deployment.enable_recovery(
+        RecoveryPolicy(collective_deadline=0.25), heartbeat_until=1.0
+    )
+    manager = CentralManager(deployment)
+    gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
+    state = manager.admit("A", gpus)
+    client = deployment.connect("A")
+    comm = client.adopt_communicator(state.comm_id)
+    injector = FaultInjector(cluster, deployment=deployment)
+
+    def strike():
+        links = sorted(
+            {
+                link
+                for flow in cluster.sim.active_flows()
+                for link in flow.links
+                if "spine" in link
+            }
         )
-        manager = CentralManager(deployment)
-        gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
-        state = manager.admit("A", gpus)
-        client = deployment.connect("A")
-        comm = client.adopt_communicator(state.comm_id)
-        injector = FaultInjector(cluster, deployment=deployment)
+        injector.fail_link(links[0])
+        cluster.sim.call_in(0.05, lambda: injector.restore_link(links[0]))
 
-        def strike():
-            links = sorted(
-                {
-                    link
-                    for flow in cluster.sim.active_flows()
-                    for link in flow.links
-                    if "spine" in link
-                }
-            )
-            injector.fail_link(links[0])
-            cluster.sim.call_in(0.05, lambda: injector.restore_link(links[0]))
-
-        cluster.sim.call_in(0.004, strike)
-        sends = [client.alloc(g, 256) for g in gpus]
-        recvs = [client.alloc(g, 256) for g in gpus]
-        for buf in sends:
-            buf.view(np.float32)[:] = 2.0
-        big = client.all_reduce(comm, 64 * 1024 * 1024)
-        small = client.all_reduce(comm, 256, send=sends, recv=recvs)
-        deployment.run()
-        assert big.completed and small.completed
-        assert all(np.allclose(r.view(np.float32), 8.0) for r in recvs)
-        return (
-            big.instance.end_time,
-            small.instance.end_time,
-            big.instance.attempts,
-            tuple((e["time"], e["event"]) for e in recovery.audit),
-        )
-
-    legacy = _run_in_mode(monkeypatch, False, scenario)
-    incremental = _run_in_mode(monkeypatch, True, scenario)
-    assert legacy == incremental
-    assert legacy[2] >= 2  # the big collective really was retried
+    cluster.sim.call_in(0.004, strike)
+    sends = [client.alloc(g, 256) for g in gpus]
+    recvs = [client.alloc(g, 256) for g in gpus]
+    for buf in sends:
+        buf.view(np.float32)[:] = 2.0
+    big = client.all_reduce(comm, 64 * 1024 * 1024)
+    small = client.all_reduce(comm, 256, send=sends, recv=recvs)
+    deployment.run()
+    assert big.completed and small.completed
+    assert all(np.allclose(r.view(np.float32), 8.0) for r in recvs)
+    result = (
+        big.instance.end_time,
+        small.instance.end_time,
+        big.instance.attempts,
+        tuple((e["time"], e["event"]) for e in recovery.audit),
+    )
+    assert _jsonable(result) == GOLDEN["retry"]
+    assert result[2] >= 2  # the big collective really was retried

@@ -1,12 +1,11 @@
-"""Max-min fairness allocator tests, including reference/vectorized parity."""
+"""Max-min fairness allocator tests, including reference/solver parity."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.fairness import (
-    FairnessSolver,
+    IncrementalFairnessSolver,
     bottleneck_rate,
-    link_loads,
     progressive_filling,
 )
 from repro.netsim.flows import Flow
@@ -14,6 +13,23 @@ from repro.netsim.flows import Flow
 
 def mk_flow(path, weight=1.0, gated=False, size=1e9):
     return Flow(size=size, path=tuple(path), weight=weight, gated=gated)
+
+
+def solve_once(flows, caps):
+    """One-shot allocation by the engine's solver: flow id -> rate."""
+    solver = IncrementalFairnessSolver(caps)
+    solver.add_flows(flows)
+    solver.solve()
+    return solver.rates_by_id()
+
+
+def link_loads(flows, rates):
+    """Aggregate allocated rate per link (brute force)."""
+    loads = {}
+    for flow in flows:
+        for link in flow.links:
+            loads[link] = loads.get(link, 0.0) + rates[flow.flow_id]
+    return loads
 
 
 CAPS = {"l1": 10.0, "l2": 10.0, "l3": 5.0}
@@ -78,16 +94,20 @@ def test_bottleneck_rate():
     assert bottleneck_rate(["l1", "l3"], CAPS) == 5.0
 
 
-def test_link_loads_sum_of_rates():
+def test_solver_link_loads_sum_of_reference_rates():
     f1, f2 = mk_flow(["l1", "l2"]), mk_flow(["l1"])
-    rates = progressive_filling([f1, f2], {"l1": 10.0, "l2": 10.0})
-    loads = link_loads([f1, f2], rates)
+    caps = {"l1": 10.0, "l2": 10.0}
+    rates = progressive_filling([f1, f2], caps)
+    solver = IncrementalFairnessSolver(caps)
+    solver.add_flows([f1, f2])
+    solver.solve()
+    loads = solver.link_loads()
     assert loads["l1"] == pytest.approx(rates[f1.flow_id] + rates[f2.flow_id])
     assert loads["l2"] == pytest.approx(rates[f1.flow_id])
 
 
 # ---------------------------------------------------------------------------
-# property-based: vectorized solver == reference, and max-min invariants
+# property-based: engine solver == reference, and max-min invariants
 # ---------------------------------------------------------------------------
 @st.composite
 def random_scenario(draw):
@@ -109,10 +129,10 @@ def random_scenario(draw):
 
 @given(random_scenario())
 @settings(max_examples=120, deadline=None)
-def test_vectorized_matches_reference(scenario):
+def test_solver_matches_reference(scenario):
     flows, caps = scenario
     ref = progressive_filling(flows, caps)
-    vec = FairnessSolver(flows, caps).solve()
+    vec = solve_once(flows, caps)
     for f in flows:
         assert vec[f.flow_id] == pytest.approx(ref[f.flow_id], rel=1e-6, abs=1e-9)
 
@@ -121,7 +141,7 @@ def test_vectorized_matches_reference(scenario):
 @settings(max_examples=120, deadline=None)
 def test_allocation_is_feasible_and_positive(scenario):
     flows, caps = scenario
-    rates = FairnessSolver(flows, caps).solve()
+    rates = solve_once(flows, caps)
     loads = link_loads(flows, rates)
     for link, load in loads.items():
         assert load <= caps[link] * (1 + 1e-6)
@@ -137,7 +157,7 @@ def test_allocation_is_feasible_and_positive(scenario):
 def test_maxmin_no_unilateral_increase(scenario):
     """No active flow can grow without a saturated link on its path."""
     flows, caps = scenario
-    rates = FairnessSolver(flows, caps).solve()
+    rates = solve_once(flows, caps)
     loads = link_loads(flows, rates)
     for f in flows:
         if not f.active:

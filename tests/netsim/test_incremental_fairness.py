@@ -90,7 +90,7 @@ def test_changed_slots_are_only_the_moved_rates():
     f2 = mk_flow(["l1"])
     solver.add_flow(f2)
     changed, rates = solver.solve()
-    moved = {solver.flow_at(int(s)).flow_id for s in changed}
+    moved = {solver._slots[int(s)].flow_id for s in changed}
     assert moved == {f1.flow_id, f2.flow_id}
     assert solver.rates_by_id()[f0.flow_id] == pytest.approx(10.0)
     assert solver.rates_by_id()[f1.flow_id] == pytest.approx(5.0)
@@ -245,9 +245,8 @@ def test_fast_wrappers_bit_identical_to_reference(ops, data):
                 reference.add_flow(flow)
                 live[flow.flow_id] = flow
             for solver in wrappers.values():
-                batch_add = getattr(solver, "add_flows", None)
-                if batch_add is not None and len(flows) > 1:
-                    batch_add(flows)
+                if len(flows) > 1:
+                    solver.add_flows(flows)
                 else:
                     for flow in flows:
                         solver.add_flow(flow)

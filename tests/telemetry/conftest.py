@@ -1,6 +1,6 @@
 """Fixtures for the telemetry tests.
 
-Object ids (communicators, flows, buffers, streams, events, ...) come
+Object ids (communicators, buffers, streams, events, ...) come
 from process-global counters, and some of them feed the ECMP connection
 hash — so tests that create them shift the path choices of every test
 that runs after them.  The statistical assertions elsewhere in the suite
@@ -20,7 +20,6 @@ import repro.core.communicator
 import repro.core.messages
 import repro.core.reconfig
 import repro.core.sync
-import repro.netsim.flows
 import repro.transport.launcher
 
 _GLOBAL_COUNTERS = [
@@ -33,7 +32,6 @@ _GLOBAL_COUNTERS = [
     (repro.core.messages, "_msg_counter"),
     (repro.core.reconfig, "_session_counter"),
     (repro.core.sync, "_sync_counter"),
-    (repro.netsim.flows, "_flow_counter"),
     (repro.transport.launcher, "_launch_counter"),
 ]
 

@@ -1,7 +1,8 @@
 """Autotune benchmarks: planner throughput and tuned-vs-static speedup.
 
-Results are written to ``BENCH_autotune.json`` at the repo root so CI can
-archive the trend alongside ``BENCH_netsim.json``:
+Run by hand (no CI job, no committed baseline: nothing on a tenant's
+critical path depends on these figures); results are written to the
+git-ignored ``BENCH_autotune.json`` at the repo root:
 
 * ``planner``: candidate evaluations/sec of the offline cost-model sweep
   (per collective kind), and full table-build wall time over the Figure 6

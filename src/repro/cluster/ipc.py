@@ -15,6 +15,8 @@ primitives, so we model them explicitly:
 
 Closing a memory handle (as the shim must do before forwarding a
 deallocation request) is tracked so tests can assert the protocol order.
+Event exports are closed by their exporter (:meth:`IpcRegistry.close_event`)
+once nobody can open them any more.
 """
 
 from __future__ import annotations
@@ -109,6 +111,15 @@ class IpcRegistry:
             return self._events[handle.handle_id]
         except KeyError:
             raise IpcError(f"unknown event handle {handle.handle_id}") from None
+
+    def close_event(self, handle: IpcEventHandle) -> None:
+        """Drop an event export (the cudaIpcCloseMemHandle analogue for
+        events); opening the handle afterwards raises.  Per-collective
+        completion events are closed when their collective terminates,
+        so the registry holds live exports only."""
+        self._check(handle.host_id)
+        if self._events.pop(handle.handle_id, None) is None:
+            raise IpcError(f"event handle {handle.handle_id} is not exported")
 
     def _check(self, host_id: int) -> None:
         if host_id != self.host_id:

@@ -101,14 +101,14 @@ class AdmissionController:
     def outstanding(self, app_id: str) -> int:
         """Collectives currently in flight for one tenant."""
         return sum(
-            len(comm.active_instances)
+            len(comm.inflight)
             for comm in self.deployment.communicators()
             if comm.app_id == app_id
         )
 
     def total_outstanding(self) -> int:
         return sum(
-            len(comm.active_instances)
+            len(comm.inflight)
             for comm in self.deployment.communicators()
         )
 

@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..cluster.gpu import AsyncOp, Event, GpuDevice, Stream
+from ..cluster.ipc import IpcEventHandle
 from ..cluster.specs import Cluster
 from ..collectives.cost_model import LatencyModel, MCCS_LATENCY
 from ..collectives.programs import FlowProgramCache
@@ -157,7 +158,9 @@ class CollectiveInstance:
     on_complete: Optional[Callable[["CollectiveInstance", float], None]] = None
     # filled during execution
     kernel: Optional[AsyncOp] = None
-    done_event: Optional[Event] = None
+    #: The per-op completion event as exported to the shim; closed when
+    #: the instance reaches a terminal state.
+    done_handle: Optional[IpcEventHandle] = None
     start_time: Optional[float] = None
     end_time: Optional[float] = None
     rank_versions: Dict[int, int] = field(default_factory=dict)
@@ -170,7 +173,6 @@ class CollectiveInstance:
     _phase_launch: Optional[Span] = None
     _phase_network: Optional[Span] = None
     _launched: Set[int] = field(default_factory=set)
-    _pending_flows: int = 0
     _injected_ranks: Set[int] = field(default_factory=set)
     # failure state
     #: True once the collective was terminated without completing.
@@ -356,53 +358,56 @@ class CollectiveInstance:
             program_key,
             lambda: tuple(algorithm.rank_transfers(self._context(strategy, rank))),
         )
-        injected_any = False
-        src = comm.gpus[rank]
-        for transfer in transfers:
-            if transfer.nbytes <= 0:
-                continue
-            dst = comm.gpus[transfer.dst_rank]
-            conn = table.establish_edge(src, dst, transfer.channel, selector)
-            flow = comm.sim.add_flow(
-                transfer.nbytes,
-                conn.path,
-                job_id=comm.app_id,
-                tags={
-                    "comm": comm.comm_id,
-                    "seq": self.seq,
-                    "kind": self.kind.value,
-                    "channel": transfer.channel,
-                    "rank": rank,
-                    **(
-                        {"trace": self.trace_ctx.trace_id}
-                        if self.trace_ctx is not None
-                        else {}
-                    ),
-                },
-                on_complete=lambda f, _t: self._flow_done(f),
-                on_fail=lambda f, _t, err, rank=rank: self._flow_failed(
-                    f, rank, err
-                ),
+        gpus = comm.gpus
+        src = gpus[rank]
+        # The rank's whole program enters the network as one batch: every
+        # edge is established first, so a broken path fails the rank
+        # before any of its flows exists.
+        batch = [
+            (
+                t.nbytes,
+                table.establish_edge(
+                    src, gpus[t.dst_rank], t.channel, selector
+                ).path,
+                t.channel,
             )
-            self._live_flows.add(flow)
-            self._pending_flows += 1
-            injected_any = True
+            for t in transfers
+            if t.nbytes > 0
+        ]
+        if batch:
+            tags = {
+                "comm": comm.comm_id,
+                "seq": self.seq,
+                "kind": self.kind.value,
+                "rank": rank,
+            }
+            if self.trace_ctx is not None:
+                tags["trace"] = self.trace_ctx.trace_id
+            flows = comm.sim.add_flows(
+                batch,
+                job_id=comm.app_id,
+                tags=tags,
+                on_complete=self._flow_done,
+                on_fail=self._flow_failed,
+            )
+            self._live_flows.update(flows)
             if comm.gate is not None:
-                comm.gate.register(flow)
+                comm.gate.register(flows)
         self._injected_ranks.add(rank)
         comm.datapath.release(strategy.version, comm.strategy.version)
-        if not injected_any:
+        if not batch:
             self._maybe_complete()
 
-    def _flow_done(self, flow: Flow) -> None:
+    def _flow_done(self, flow: Flow, now: float) -> None:
+        """Completion target shared by every flow of this collective."""
         self._live_flows.discard(flow)
-        self._pending_flows -= 1
-        self._maybe_complete()
+        if not self._live_flows:
+            self._maybe_complete()
 
-    def _flow_failed(self, flow: Flow, rank: int, error: BaseException) -> None:
+    def _flow_failed(self, flow: Flow, now: float, error: BaseException) -> None:
+        """Failure target shared by every flow of this collective."""
         self._live_flows.discard(flow)
-        self._pending_flows -= 1
-        self.rank_failed(rank, error)
+        self.rank_failed(flow.tags["rank"], error)
 
     def _maybe_complete(self) -> None:
         if (
@@ -410,7 +415,7 @@ class CollectiveInstance:
             and not self.aborted
             and not self._failed_ranks
             and len(self._injected_ranks) == self.world
-            and self._pending_flows == 0
+            and not self._live_flows
         ):
             self._finish()
 
@@ -456,7 +461,6 @@ class CollectiveInstance:
         for flow in list(self._live_flows):
             comm.sim.cancel_flow(flow)
         self._live_flows.clear()
-        self._pending_flows = 0
         self._close_phases(self.end_time)
         if comm.trace_record:
             rec = comm.trace.record_for(self.seq)
@@ -472,11 +476,7 @@ class CollectiveInstance:
             ).inc(app=comm.app_id, kind=self.kind.value)
             comm.telemetry.slo.record_abort(comm.app_id)
         self._causal_close("aborted")
-        comm.on_instance_finished(self)
-        if self.kernel is not None:
-            self.kernel.complete()
-        if self.on_complete is not None:
-            self.on_complete(self, self.end_time)
+        self._retire()
 
     def reset_for_retry(self) -> None:
         """Return to the never-launched state so proxies can relaunch.
@@ -499,7 +499,6 @@ class CollectiveInstance:
         for flow in list(self._live_flows):
             self.comm.sim.cancel_flow(flow)
         self._live_flows.clear()
-        self._pending_flows = 0
         self._launched.clear()
         self._injected_ranks.clear()
         self.rank_versions.clear()
@@ -539,15 +538,8 @@ class CollectiveInstance:
             self.span.mark(EVENT_LAST_FLOW_END, self.end_time)
             self.span.finish(self.end_time)
         if comm.telemetry is not None:
-            metrics = comm.telemetry.metrics
-            metrics.counter(
-                "mccs_collectives_completed_total",
-                "Collectives fully drained, by app and kind.",
-            ).inc(app=comm.app_id, kind=self.kind.value)
-            metrics.histogram(
-                "mccs_collective_duration_seconds",
-                "Issue-to-completion time of collectives, by app.",
-            ).observe(self.end_time - self.issue_time, app=comm.app_id)
+            comm.completed_series[self.kind].inc()
+            comm.duration_series.observe(self.end_time - self.issue_time)
             comm.telemetry.slo.record_completion(
                 comm.app_id,
                 self.end_time - self.issue_time,
@@ -555,13 +547,35 @@ class CollectiveInstance:
                 self.end_time,
             )
         self._causal_close("completed")
-        # Retire from the active set before waking anyone: completion
+        self._retire()
+
+    def _retire(self) -> None:
+        """Terminal state reached (completed or aborted): leave the
+        communicator's in-flight map, release what only a live collective
+        needs, then wake the waiters.
+
+        From here on the instance is reachable only through the tenant's
+        handle and the bounded trace rings, and holds the outcome alone —
+        no buffer views (the tenant may free those buffers next), no
+        kernel or callback closures, no open IPC export.
+        """
+        comm = self.comm
+        # Out of the in-flight map before waking anyone: completion
         # callbacks may immediately destroy the communicator.
         comm.on_instance_finished(self)
-        if self.kernel is not None:
-            self.kernel.complete()
-        if self.on_complete is not None:
-            self.on_complete(self, self.end_time)
+        kernel, on_complete = self.kernel, self.on_complete
+        self.kernel = self.on_complete = None
+        self.send_views = self.recv_views = None
+        if self.done_handle is not None:
+            # The shim opened it inside its issue call, long before now.
+            comm.cluster.hosts[self.done_handle.host_id].ipc.close_event(
+                self.done_handle
+            )
+            self.done_handle = None
+        if kernel is not None:
+            kernel.complete()
+        if on_complete is not None:
+            on_complete(self, self.end_time)
 
 
 class ServiceCommunicator:
@@ -617,17 +631,45 @@ class ServiceCommunicator:
         #: shared with the shim (its per-op incarnations are fresh events;
         #: see repro.core.sync for the snapshot-semantics discussion).
         self.comm_event = Event(name=f"comm{self.comm_id}.done")
+        #: Its IPC export, when a tenant created the communicator through
+        #: the shim (closed when the communicator is destroyed).
+        self.comm_event_handle: Optional[IpcEventHandle] = None
         self.next_seq = 0
         #: Bumped once per committed membership change (grow or shrink);
         #: the journal's ``membership_change`` records carry this value.
         self.membership_epoch = 0
-        self.instances: List[CollectiveInstance] = []
-        self.active_instances: Set[int] = set()
+        #: seq -> instance of every collective in flight (issued, not yet
+        #: completed or aborted), in issue order.  A finished instance
+        #: belongs to the tenant's handle, not to the service.
+        self.inflight: Dict[int, CollectiveInstance] = {}
         self.inconsistent_collectives = 0
         self.strict_consistency = strict_consistency
         self.trace = trace if trace is not None else CommTrace(self.comm_id, app_id)
         self.trace_record = True
         self.telemetry = telemetry
+        if telemetry is not None:
+            # Label handles of the per-collective series, bound once here.
+            metrics = telemetry.metrics
+            issued = metrics.counter(
+                "mccs_collectives_issued_total",
+                "Collectives accepted by the frontend, by app and kind.",
+            )
+            completed = metrics.counter(
+                "mccs_collectives_completed_total",
+                "Collectives fully drained, by app and kind.",
+            )
+            self.issued_series = {
+                kind: issued.labels(app=app_id, kind=kind.value)
+                for kind in Collective
+            }
+            self.completed_series = {
+                kind: completed.labels(app=app_id, kind=kind.value)
+                for kind in Collective
+            }
+            self.duration_series = metrics.histogram(
+                "mccs_collective_duration_seconds",
+                "Issue-to-completion time of collectives, by app.",
+            ).labels(app=app_id)
         self.destroyed = False
         #: Set once the communicator is irrecoverably failed; subsequent
         #: tenant requests are rejected with :class:`CommunicatorError`.
@@ -684,10 +726,10 @@ class ServiceCommunicator:
         validate_world(len(gpus))
         if strategy.world != len(gpus):
             raise ValueError("strategy world does not match gpu count")
-        if self.active_instances:
+        if self.inflight:
             raise ReconfigurationError(
                 f"communicator {self.comm_id} still has "
-                f"{len(self.active_instances)} collective(s) in flight"
+                f"{len(self.inflight)} collective(s) in flight"
             )
         self.gpus = list(gpus)
         self.world = len(gpus)
@@ -703,17 +745,10 @@ class ServiceCommunicator:
         still queued on the stream and will arrive through the normal
         :meth:`ProxyEngine.request_launch` ordering check.
         """
-        frontier = -1
-        for instance in self.instances:
-            if (
-                instance.completed
-                or instance.aborted
-                or instance.launch_started
-            ):
-                frontier = instance.seq
-            else:
-                break
-        return frontier
+        for instance in self.inflight.values():
+            if not instance.launch_started:
+                return instance.seq - 1
+        return self.next_seq - 1
 
     def ranks_by_host(self) -> Dict[int, List[int]]:
         by_host: Dict[int, List[int]] = {}
@@ -728,7 +763,7 @@ class ServiceCommunicator:
         self.completion_listeners.append(listener)
 
     def on_instance_finished(self, instance: CollectiveInstance) -> None:
-        self.active_instances.discard(instance.seq)
+        self.inflight.pop(instance.seq, None)
         for listener in list(self.completion_listeners):
             listener(instance)
 
@@ -756,8 +791,12 @@ class ServiceCommunicator:
             return
         self.aborted = True
         self.abort_error = error
-        for seq in sorted(self.active_instances):
-            self.instances[seq].abort(error)
+        # Aborts cascade: aborting seq k completes its kernel, the stream
+        # starts k+1, whose fan-out sees the dead communicator and aborts
+        # it before this loop gets there — hence the snapshot, and
+        # ``CollectiveInstance.abort`` being a no-op the second time.
+        for instance in list(self.inflight.values()):
+            instance.abort(error)
         if self.telemetry is not None:
             self.telemetry.events.log(
                 self.sim.now,

@@ -345,8 +345,11 @@ class MccsDeployment:
         gpus = [self.cluster.gpu(i) for i in request.gpu_global_ids]
         comm = self.create_communicator(app_id, gpus)
         root_host = self.cluster.hosts[gpus[0].host_id]
-        handle = root_host.ipc.export_event(comm.comm_event)
-        return CreateCommunicatorResponse(comm_id=comm.comm_id, done_event=handle)
+        # Exported for the communicator's lifetime; closed at destroy.
+        comm.comm_event_handle = root_host.ipc.export_event(comm.comm_event)
+        return CreateCommunicatorResponse(
+            comm_id=comm.comm_id, done_event=comm.comm_event_handle
+        )
 
     def create_communicator(
         self,
@@ -403,10 +406,10 @@ class MccsDeployment:
         self, app_id: str, request: DestroyCommunicatorRequest
     ) -> None:
         comm = self._owned_comm(app_id, request.comm_id)
-        if comm.active_instances:
+        if comm.inflight:
             raise CommunicatorError(
                 f"communicator {comm.comm_id} still has "
-                f"{len(comm.active_instances)} collective(s) in flight"
+                f"{len(comm.inflight)} collective(s) in flight"
             )
         self.journal.append(
             self.sim.now, "destroy_communicator", app=app_id, comm_id=comm.comm_id
@@ -415,6 +418,10 @@ class MccsDeployment:
             self.service_of_gpu(gpu).proxy_for(gpu.global_id).unregister(comm, rank)
         for version in comm.datapath.live_versions():
             comm.datapath.retire(version)
+        if comm.comm_event_handle is not None:
+            host = self.cluster.hosts[comm.comm_event_handle.host_id]
+            host.ipc.close_event(comm.comm_event_handle)
+            comm.comm_event_handle = None
         comm.destroyed = True
         del self._comms[comm.comm_id]
         del self._comm_owner[comm.comm_id]
@@ -475,10 +482,7 @@ class MccsDeployment:
         comm.trace.record_issue(
             seq, request.kind, request.out_bytes, self.sim.now, span=span
         )
-        self._telemetry.metrics.counter(
-            "mccs_collectives_issued_total",
-            "Collectives accepted by the frontend, by app and kind.",
-        ).inc(app=app_id, kind=request.kind.value)
+        comm.issued_series[request.kind].inc()
         instance = CollectiveInstance(
             comm=comm,
             seq=seq,
@@ -496,8 +500,7 @@ class MccsDeployment:
             trace = tracer.get(trace_ctx.trace_id)
             if trace is not None:
                 trace.root_span_id = span.span_id
-        comm.instances.append(instance)
-        comm.active_instances.add(seq)
+        comm.inflight[seq] = instance
         instance.attach_span(span)
 
         root_host = self.cluster.hosts[comm.gpus[0].host_id]
@@ -524,11 +527,17 @@ class MccsDeployment:
         instance.kernel = kernel
         comm.stream.enqueue(kernel)
         done_event = Event(name=f"comm{comm.comm_id}.seq{seq}.done")
-        instance.done_event = done_event
         comm.stream.record_event(done_event)
         self._arm_deadline(comm, instance)
-        handle = root_host.ipc.export_event(done_event)
-        return CollectiveResponse(comm_id=comm.comm_id, seq=seq, done_event=handle)
+        if instance.end_time is None:
+            # Exported per op, closed by the instance when it terminates.
+            instance.done_handle = root_host.ipc.export_event(done_event)
+        return CollectiveResponse(
+            comm_id=comm.comm_id,
+            seq=seq,
+            done_event=instance.done_handle,
+            instance=instance,
+        )
 
     def _arm_deadline(
         self, comm: ServiceCommunicator, instance: CollectiveInstance
@@ -620,6 +629,7 @@ class MccsDeployment:
             app_event = root_host.ipc.open_event(request.stream_event)
             comm.stream.wait_event(app_event)
         done_event = Event(name=f"comm{comm.comm_id}.p2p.done")
+        handle = root_host.ipc.export_event(done_event)
 
         def start() -> None:
             strategy = comm.strategy
@@ -634,20 +644,21 @@ class MccsDeployment:
                     0,
                     selector,
                 )
-                flow = self.sim.add_flow(
-                    request.nbytes,
-                    conn.path,
+                flows = self.sim.add_flows(
+                    ((request.nbytes, conn.path, 0),),
                     job_id=comm.app_id,
                     tags={"comm": comm.comm_id, "p2p": True},
-                    on_complete=lambda _f, _t: finish(),
+                    on_complete=finish,
                 )
                 if comm.gate is not None:
-                    comm.gate.register(flow)
+                    comm.gate.register(flows)
 
-            def finish() -> None:
+            def finish(_flow, _now: float) -> None:
                 if send_view is not None and recv_view is not None:
                     np.copyto(recv_view, send_view)
                 comm.datapath.release(strategy.version, comm.strategy.version)
+                # The shim opened the per-op export inside its call.
+                root_host.ipc.close_event(handle)
                 kernel.complete()
 
             self.sim.call_in(fixed, inject)
@@ -655,7 +666,6 @@ class MccsDeployment:
         kernel = AsyncOp(name=f"comm{comm.comm_id}.p2p", on_start=start)
         comm.stream.enqueue(kernel)
         comm.stream.record_event(done_event)
-        handle = root_host.ipc.export_event(done_event)
         return P2pResponse(comm_id=comm.comm_id, done_event=handle)
 
     def program_cache_stats(self) -> Dict[str, int]:

@@ -20,7 +20,7 @@ machine per membership operation:
     Wait for the in-flight collectives to finish draining their flows.
     Rank renumbering while traffic is live would corrupt the rank→GPU
     mapping of running instances, so the cutover refuses to proceed until
-    :attr:`~repro.core.communicator.ServiceCommunicator.active_instances`
+    :attr:`~repro.core.communicator.ServiceCommunicator.inflight`
     is empty.
 
 ``CUTOVER``
@@ -374,7 +374,7 @@ class ElasticCoordinator:
             return
         op.record.state = "quiesce"
         comm = op.comm
-        if not comm.active_instances:
+        if not comm.inflight:
             self._cutover(op)
             return
 
@@ -386,7 +386,7 @@ class ElasticCoordinator:
                     f"communicator {op.comm.comm_id} died during quiesce"
                 ))
                 return
-            if not op.comm.active_instances:
+            if not op.comm.inflight:
                 self._cutover(op)
 
         comm.add_completion_listener(on_finished)

@@ -118,6 +118,18 @@ class StateJournal:
         self.telemetry = telemetry
         self.appends_total = 0
         self.compactions = 0
+        if telemetry is not None:
+            appends = telemetry.metrics.counter(
+                "mccs_journal_appends_total",
+                "Control-plane operations appended to the state journal.",
+            )
+            self._append_series = {
+                op: appends.labels(op=op) for op in _STATE_OPS | _INFO_OPS
+            }
+            self._records_gauge = telemetry.metrics.gauge(
+                "mccs_journal_records",
+                "Records currently retained in the state journal.",
+            ).labels()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -139,14 +151,8 @@ class StateJournal:
         self._records.append(record)
         self.appends_total += 1
         if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "mccs_journal_appends_total",
-                "Control-plane operations appended to the state journal.",
-            ).inc(op=op)
-            self.telemetry.metrics.gauge(
-                "mccs_journal_records",
-                "Records currently retained in the state journal.",
-            ).set(len(self._records))
+            self._append_series[op].inc()
+            self._records_gauge.set(len(self._records))
         return record
 
     def records(self) -> List[JournalRecord]:
@@ -252,10 +258,7 @@ class StateJournal:
                 "mccs_journal_compacted_total",
                 "Journal records dropped by compaction.",
             ).inc(records=removed)
-            self.telemetry.metrics.gauge(
-                "mccs_journal_records",
-                "Records currently retained in the state journal.",
-            ).set(len(self._records))
+            self._records_gauge.set(len(self._records))
         return removed
 
 

@@ -12,7 +12,7 @@ at 50-80 us).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 from ..cluster.ipc import IpcEventHandle, IpcMemHandle
@@ -113,7 +113,15 @@ class CollectiveResponse:
 
     comm_id: int
     seq: int
+    #: ``None`` when the collective already terminated inside the call
+    #: (a dead peer proxy aborted it): there is nothing left to wait for.
     done_event: Optional[IpcEventHandle] = None
+    #: Not a wire field: the service-side
+    #: :class:`~repro.core.communicator.CollectiveInstance`, which the
+    #: collapsed-driver client handle reads the outcome from (completion,
+    #: typed error, timings).  The service itself keeps it only while the
+    #: collective is in flight.
+    instance: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

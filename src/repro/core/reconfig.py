@@ -75,7 +75,8 @@ class ControlBarrier:
     def _resolve(self) -> None:
         self.resolved = True
         assert self.max_seq is not None
-        self._on_resolve(self.max_seq)
+        on_resolve, self._on_resolve = self._on_resolve, None
+        on_resolve(self.max_seq)
 
 
 class ReconfigSession:
@@ -209,10 +210,22 @@ class ReconfigSession:
                 now, "reconfig_timeout", str(self.error),
                 comm=self.comm.comm_id, missing=missing,
             )
-        if self._on_failed is not None:
-            self._on_failed(self)
+        on_failed, error = self._on_failed, self.error
+        self._release()
+        if on_failed is not None:
+            on_failed(self)
         else:
-            raise self.error
+            raise error
+
+    def _release(self) -> None:
+        """The session ended (applied everywhere, or timed out): from here
+        on it is a record in :attr:`ReconfigManager.sessions` — timings,
+        ``max_seq``, the barrier's contributions, the error — and lets go
+        of the machinery, so it pins neither the communicator (which the
+        tenant may destroy next) nor the proxies nor the callbacks."""
+        self.comm = None
+        self.proxies = []
+        self._on_done = self._on_failed = None
 
     def _barrier_resolved(self, max_seq: int) -> None:
         if self.failed:
@@ -272,8 +285,10 @@ class ReconfigSession:
                     version=self.new_strategy.version,
                     duration=self.done_time - self.issue_time,
                 )
-            if self._on_done is not None:
-                self._on_done(self)
+            on_done = self._on_done
+            self._release()
+            if on_done is not None:
+                on_done(self)
 
     @property
     def done(self) -> bool:

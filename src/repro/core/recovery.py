@@ -280,7 +280,7 @@ class RecoveryManager:
         # 1. Quiesce: reset every started-but-unfinished collective of the
         #    in-flight window (queued ones relaunch through the normal
         #    path once their turn comes).
-        window = [comm.instances[seq] for seq in sorted(comm.active_instances)]
+        window = list(comm.inflight.values())
         rec.retrying = [
             inst
             for inst in window

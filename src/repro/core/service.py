@@ -86,6 +86,9 @@ class FrontendEngine:
         self.queue.bind(self.handle)
         self.requests_handled = 0
         self.telemetry = service.telemetry
+        #: request type -> (hop histogram, request counter) label handles,
+        #: bound the first time the type is dispatched.
+        self._series: Dict[str, tuple] = {}
 
     def handle(self, request: Request) -> object:
         """Dispatch one shim request, timing the shim->service hop.
@@ -103,15 +106,23 @@ class FrontendEngine:
         try:
             return self._dispatch(request)
         finally:
-            self.telemetry.metrics.histogram(
-                "mccs_ipc_hop_seconds",
-                "Wall-clock shim->frontend dispatch latency, by request type.",
-                buckets=WALL_CLOCK_BUCKETS,
-            ).observe(time.perf_counter() - started, request=kind)
-            self.telemetry.metrics.counter(
-                "mccs_requests_total",
-                "Shim requests dispatched by frontend engines.",
-            ).inc(app=self.app_id, request=kind)
+            series = self._series.get(kind)
+            if series is None:
+                metrics = self.telemetry.metrics
+                series = self._series[kind] = (
+                    metrics.histogram(
+                        "mccs_ipc_hop_seconds",
+                        "Wall-clock shim->frontend dispatch latency, by "
+                        "request type.",
+                        buckets=WALL_CLOCK_BUCKETS,
+                    ).labels(request=kind),
+                    metrics.counter(
+                        "mccs_requests_total",
+                        "Shim requests dispatched by frontend engines.",
+                    ).labels(app=self.app_id, request=kind),
+                )
+            series[0].observe(time.perf_counter() - started)
+            series[1].inc()
 
     def _dispatch(self, request: Request) -> object:
         self.service.check_alive()
@@ -301,8 +312,7 @@ class MccsService:
                     comm = self.deployment._comms.get(comm_id)
                     if comm is None:
                         continue
-                    for seq in sorted(comm.active_instances):
-                        instance = comm.instances[seq]
+                    for instance in list(comm.inflight.values()):
                         if instance.launch_started and not instance.completed:
                             instance.rank_failed(rank, err)
         for proxy in self.proxies.values():

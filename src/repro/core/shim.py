@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 import numpy as np
 
 from ..cluster.gpu import DeviceBuffer, Event, GpuDevice, Stream
-from ..cluster.ipc import IpcMemHandle
+from ..cluster.ipc import IpcEventHandle, IpcMemHandle
 from ..collectives.types import Collective, ReduceOp
 from ..netsim.errors import (
     AdmissionRejectedError,
@@ -35,6 +35,7 @@ from ..netsim.errors import (
     MccsError,
     ServiceUnavailableError,
 )
+from ..telemetry.metrics import BoundCounter
 from .communicator import CollectiveInstance
 from .deployment import MccsDeployment
 from .messages import (
@@ -208,6 +209,12 @@ class MccsClient:
         self._pump_scheduled: Set[int] = set()
         self.retries_total = 0
         self.giveups_total = 0
+        self._calls = deployment.telemetry().metrics.counter(
+            "mccs_shim_calls_total",
+            "Shim API calls, by app and call.",
+        )
+        #: call name -> label handle, bound the first time it is made.
+        self._call_series: Dict[str, BoundCounter] = {}
 
     # ------------------------------------------------------------------
     def _queue_for(self, gpu: GpuDevice):
@@ -215,10 +222,12 @@ class MccsClient:
         return service.frontend_for(self.app_id, self.deployment).queue
 
     def _count_call(self, call: str) -> None:
-        self.deployment.telemetry().metrics.counter(
-            "mccs_shim_calls_total",
-            "Shim API calls, by app and call.",
-        ).inc(app=self.app_id, call=call)
+        series = self._call_series.get(call)
+        if series is None:
+            series = self._call_series[call] = self._calls.labels(
+                app=self.app_id, call=call
+            )
+        series.inc()
 
     # ------------------------------------------------------------------
     # memory management
@@ -413,19 +422,22 @@ class MccsClient:
             _, stream_event_handle = export_snapshot(
                 stream, root_host.ipc, label=f"{self.app_id}.p2p.pre"
             )
-        response = self._queue_for(comm.gpus[0]).call(
-            P2pRequest(
-                comm_id=comm.comm_id,
-                src_rank=src_rank,
-                dst_rank=dst_rank,
-                nbytes=nbytes,
-                send_ref=self._as_ref(send) if send is not None else None,
-                recv_ref=self._as_ref(recv) if recv is not None else None,
-                dtype=dtype,
-                stream_id=stream.stream_id if stream is not None else -1,
-                stream_event=stream_event_handle,
+        try:
+            response = self._queue_for(comm.gpus[0]).call(
+                P2pRequest(
+                    comm_id=comm.comm_id,
+                    src_rank=src_rank,
+                    dst_rank=dst_rank,
+                    nbytes=nbytes,
+                    send_ref=self._as_ref(send) if send is not None else None,
+                    recv_ref=self._as_ref(recv) if recv is not None else None,
+                    dtype=dtype,
+                    stream_id=stream.stream_id if stream is not None else -1,
+                    stream_event=stream_event_handle,
+                )
             )
-        )
+        finally:
+            self._close_snapshot(stream_event_handle)
         assert isinstance(response, P2pResponse)
         done = root_host.ipc.open_event(response.done_event)
         if stream is not None:
@@ -493,6 +505,9 @@ class MccsClient:
             self._count_retry()
             self._reissue.setdefault(comm.comm_id, []).append(item)
             self._schedule_pump(comm.comm_id, item.attempt)
+        except BaseException:
+            self._close_snapshot(request.stream_event)
+            raise
         return collective
 
     def _issue(self, item: _PendingIssue) -> None:
@@ -501,8 +516,7 @@ class MccsClient:
         root_host = self.cluster.hosts[comm.gpus[0].host_id]
         response = self._queue_for(comm.gpus[0]).call(item.request)
         assert isinstance(response, CollectiveResponse)
-        service_comm = self.deployment.communicator(comm.comm_id)
-        instance = service_comm.instances[response.seq]
+        instance = response.instance
         item.collective.seq = response.seq
         item.collective.instance = instance
         item.collective.retries = item.attempt
@@ -511,6 +525,14 @@ class MccsClient:
         if item.stream is not None and response.done_event is not None:
             done = root_host.ipc.open_event(response.done_event)
             item.stream.wait_event(done)
+        self._close_snapshot(item.request.stream_event)
+
+    def _close_snapshot(self, handle: Optional[IpcEventHandle]) -> None:
+        """Close the shim's export of a pre-op stream snapshot.  The
+        service opens it inside the issue call, so the export is done for
+        once that call succeeded — or the shim gave the request up."""
+        if handle is not None:
+            self.cluster.hosts[handle.host_id].ipc.close_event(handle)
 
     # ------------------------------------------------------------------
     # outage handling: deferred reissue on the simulated clock
@@ -551,6 +573,7 @@ class MccsClient:
 
     def _fail_issue(self, item: _PendingIssue, error: BaseException) -> None:
         item.collective.error = error
+        self._close_snapshot(item.request.stream_event)
         self._count_giveup(item.collective.kind.value)
 
     def _count_retry(self) -> None:

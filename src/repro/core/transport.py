@@ -15,7 +15,7 @@ and releases the application's live flows on the simulator clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..netsim.engine import FlowSimulator
 from ..netsim.flows import Flow
@@ -73,18 +73,15 @@ class WindowSchedule:
         return t + (self.period - p) + first
 
 
-def always_open() -> Optional[WindowSchedule]:
-    """Placeholder: no schedule means the app may always transmit."""
-    return None
-
-
 class TrafficGateManager:
     """Gates tenant flows according to per-application window schedules.
 
     The manager is shared by all transport engines of a deployment; each
-    communicator registers its flows here at injection time, and policy
+    communicator hands it every launch batch at injection time, and policy
     code installs or clears schedules through
-    :meth:`TrafficGateManager.set_schedule`.
+    :meth:`TrafficGateManager.set_schedule`.  It keeps no per-flow state:
+    whenever a window toggles it asks the simulator for the app's
+    in-network flows, so a completed or cancelled flow cannot be re-gated.
     """
 
     def __init__(
@@ -93,7 +90,6 @@ class TrafficGateManager:
         self._sim = sim
         self._telemetry = telemetry
         self._schedules: Dict[str, WindowSchedule] = {}
-        self._live: Dict[str, Set[Flow]] = {}
         self._ticking: Set[str] = set()
         self.gate_transitions = 0
 
@@ -122,44 +118,42 @@ class TrafficGateManager:
         return self._schedules.get(app_id)
 
     # -- transport interface ------------------------------------------------
-    def register(self, flow: Flow) -> None:
-        """Adopt a freshly injected flow; gate it if its app is closed."""
-        app_id = flow.job_id or ""
-        self._live.setdefault(app_id, set()).add(flow)
+    def register(self, flows: Sequence[Flow]) -> None:
+        """See one freshly injected launch batch (the flows of one app);
+        gate it if the app's window is closed."""
+        if not self._schedules:
+            return
+        app_id = flows[0].job_id or ""
         schedule = self._schedules.get(app_id)
         if schedule is not None:
             if not schedule.is_open(self._sim.now):
-                self._sim.gate_flow(flow, True)
-                self.gate_transitions += 1
+                for flow in flows:
+                    self._sim.gate_flow(flow, True)
+                self.gate_transitions += len(flows)
             self._ensure_ticker(app_id)
 
-    def gate_for(self, app_id: str):
-        """A per-app registration facade matching the FlowGate protocol."""
-        manager = self
-
-        class _Gate:
-            def register(self, flow: Flow) -> None:
-                manager.register(flow)
-
-        return _Gate()
+    def gate_for(self, app_id: str) -> "TrafficGateManager":
+        """The registration end handed to ``app_id``'s communicators (the
+        FlowGate protocol); flows name their app themselves."""
+        return self
 
     # -- internals ---------------------------------------------------------
     def _flows_of(self, app_id: str) -> List[Flow]:
-        flows = self._live.get(app_id, set())
-        # Completed *or cancelled* flows are stale: a cancelled flow never
-        # sets ``completed``, so ask the simulator whether it still exists
-        # rather than leaking it (and re-gating it) forever.
-        stale = {f for f in flows if f.completed or not self._sim.has_flow(f)}
-        flows -= stale
-        return list(flows)
+        return [
+            f for f in self._sim.active_flows() if (f.job_id or "") == app_id
+        ]
 
-    def _apply(self, app_id: str) -> None:
+    def _apply(self, app_id: str) -> List[Flow]:
+        """Bring the app's in-network flows in line with its window;
+        returns them."""
         schedule = self._schedules.get(app_id)
         open_now = schedule is None or schedule.is_open(self._sim.now)
-        for flow in self._flows_of(app_id):
+        flows = self._flows_of(app_id)
+        for flow in flows:
             if flow.gated == open_now:
                 self._sim.gate_flow(flow, not open_now)
                 self.gate_transitions += 1
+        return flows
 
     def _ensure_ticker(self, app_id: str) -> None:
         if app_id in self._ticking:
@@ -172,8 +166,7 @@ class TrafficGateManager:
         if schedule is None:
             self._ticking.discard(app_id)
             return
-        self._apply(app_id)
-        if not self._flows_of(app_id):
+        if not self._apply(app_id):
             # Nothing live to gate: let the ticker sleep so the simulator
             # can drain; it restarts on the app's next flow registration.
             self._ticking.discard(app_id)

@@ -62,18 +62,20 @@ class _FlowLog:
         self.flows: Dict[str, Tuple[str, Tuple[str, ...], float, Optional[float]]] = {}
         sim.add_observer(self)
 
-    def on_flow_added(self, flow, now: float) -> None:
-        self.flows[flow.flow_id] = (
-            flow.job_id or "none", tuple(flow.links), now, None
-        )
+    def on_flows_added(self, flows, now: float) -> None:
+        for flow in flows:
+            self.flows[flow.flow_id] = (
+                flow.job_id or "none", tuple(flow.links), now, None
+            )
 
     def _ended(self, flow, now: float) -> None:
         rec = self.flows.get(flow.flow_id)
         if rec is not None:
             self.flows[flow.flow_id] = (rec[0], rec[1], rec[2], now)
 
-    def on_flow_completed(self, flow, now: float) -> None:
-        self._ended(flow, now)
+    def on_flows_completed(self, flows, now: float) -> None:
+        for flow in flows:
+            self._ended(flow, now)
 
     def on_flow_cancelled(self, flow, now: float) -> None:
         self._ended(flow, now)

@@ -57,12 +57,24 @@ class SimObserver:
     telemetry layer's link-utilization sampler
     (:class:`repro.telemetry.sampler.NetworkTelemetry`) is the main
     implementation; subclass and override what you need.
+
+    The contract is batch-first.  Flows enter and complete in batches and
+    the engine makes one call per batch per observer:
+
+    * ``on_flows_added(flows, now)`` — one :meth:`FlowSimulator.add_flows`
+      launch batch (never empty); its flows share ``job_id`` and the
+      ``tags`` dict and are already in the network.
+    * ``on_flows_completed(flows, now)`` — every flow that finished at the
+      instant ``now``, in completion order; already out of the network,
+      their ``on_complete`` callbacks not yet fired.
+
+    The rare transitions (cancel, fail, gate) stay per flow.
     """
 
-    def on_flow_added(self, flow: Flow, now: float) -> None:  # pragma: no cover
+    def on_flows_added(self, flows: Sequence[Flow], now: float) -> None:  # pragma: no cover
         pass
 
-    def on_flow_completed(self, flow: Flow, now: float) -> None:  # pragma: no cover
+    def on_flows_completed(self, flows: Sequence[Flow], now: float) -> None:  # pragma: no cover
         pass
 
     def on_flow_cancelled(self, flow: Flow, now: float) -> None:  # pragma: no cover
@@ -130,7 +142,7 @@ class FlowSimulator:
         self._active: Dict[str, Flow] = {}
         # Flow ids restart at 0 per simulator, so a run's ids do not depend
         # on what else the process simulated before it.
-        self._flow_seq = itertools.count()
+        self._flows_injected = 0
         # path -> distinct links, for every path validated so far (see
         # ``_checked_route``).
         self._links_of_path: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
@@ -196,39 +208,17 @@ class FlowSimulator:
         on_fail: Optional[Callable[[Flow, float, BaseException], None]] = None,
         tags: Optional[Dict[str, object]] = None,
     ) -> Flow:
-        """Inject a flow into the network at the current time.
-
-        Raises :class:`LinkDownError` when the path crosses a link that is
-        currently down (a stale connection caching a pre-fault route).
-        """
-        path_t, links = self._checked_route(path)
-        flow = Flow(
-            size=size,
-            path=path_t,
-            flow_id=f"flow{next(self._flow_seq)}",
-            job_id=job_id,
-            weight=weight,
-            gated=gated,
-            on_complete=on_complete,
-            on_fail=on_fail,
+        """Inject one flow at the current time: a batch of one, see
+        :meth:`add_flows` (``tags`` is copied here)."""
+        return self.add_flows(
+            ((size, path, None),), job_id=job_id, weight=weight,
+            gated=gated, on_complete=on_complete, on_fail=on_fail,
             tags=dict(tags) if tags else None,
-            links=links,
-        )
-        flow.start_time = self.now
-        flow._synced = self.now
-        flow._attach(self._arena)
-        self._active[flow.flow_id] = flow
-        self._solver.add_flow(flow)
-        self._dirty = True
-        for observer in self._observers:
-            observer.on_flow_added(flow, self.now)
-        return flow
+        )[0]
 
     def add_flows(
         self,
-        size: float,
-        path: Sequence[str],
-        count: int,
+        transfers: Sequence[Tuple[float, Sequence[str], Optional[int]]],
         *,
         job_id: Optional[str] = None,
         weight: float = 1.0,
@@ -237,55 +227,60 @@ class FlowSimulator:
         on_fail: Optional[Callable[[Flow, float, BaseException], None]] = None,
         tags: Optional[Dict[str, object]] = None,
     ) -> List[Flow]:
-        """Inject ``count`` identical-parameter flows in one call.
+        """Inject one launch batch at the current time.
 
-        The batched form of :meth:`add_flow` for a collective's channel
-        fan-out: path validation and the down-link scan run once, and the
-        solver registers the whole sibling set in one call (macro
-        aggregation does a single group lookup).  Semantically equivalent
-        to calling :meth:`add_flow` ``count`` times.
+        ``transfers`` holds ``(size, path, channel)`` per flow — a rank's
+        compiled program, a connection's channel fan-out — and everything
+        else is common to the batch: the flows share ``job_id``,
+        ``weight``, the completion/failure targets and the ``tags`` dict
+        itself (not copied; read-only from here on).  Equivalent to one
+        :meth:`add_flow` per transfer, in order (same ids, rates and
+        completion times), at one route check per distinct path, one
+        structural delta in the solver and one observer call.
+
+        All-or-nothing: raises :class:`LinkDownError` when any path
+        crosses a link that is currently down (a stale connection caching
+        a pre-fault route) before a single flow entered the network.
         """
-        path_t, links = self._checked_route(path)
+        routes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        flows: List[Flow] = []
+        number = self._flows_injected
+        for size, path, channel in transfers:
+            path_t = tuple(path)
+            links = routes.get(path_t)
+            if links is None:
+                links = routes[path_t] = self._checked_route(path_t)
+            flow = Flow(
+                size, path_t, f"flow{number}", job_id, weight, gated,
+                on_complete, on_fail, tags, links,
+            )
+            flow.channel = channel
+            flows.append(flow)
+            number += 1
+        if not flows:
+            return flows
+        # Numbered only now that the whole batch is good: ids stay dense.
+        self._flows_injected = number
         now = self.now
         arena = self._arena
         active = self._active
-        flow_seq = self._flow_seq
-        flows: List[Flow] = []
-        for _ in range(count):
-            flow = Flow(
-                size=size,
-                path=path_t,
-                flow_id=f"flow{next(flow_seq)}",
-                job_id=job_id,
-                weight=weight,
-                gated=gated,
-                on_complete=on_complete,
-                on_fail=on_fail,
-                tags=dict(tags) if tags else None,
-                links=links,
-            )
+        for flow in flows:
             flow.start_time = now
             flow._synced = now
             flow._attach(arena)
             active[flow.flow_id] = flow
-            flows.append(flow)
         self._solver.add_flows(flows)
         self._dirty = True
-        if self._observers:
-            for flow in flows:
-                for observer in self._observers:
-                    observer.on_flow_added(flow, now)
+        for observer in self._observers:
+            observer.on_flows_added(flows, now)
         return flows
 
-    def _checked_route(
-        self, path: Sequence[str]
-    ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-        """Prologue of every injection: ``(path, distinct links)``.
+    def _checked_route(self, path_t: Tuple[str, ...]) -> Tuple[str, ...]:
+        """Prologue of every injection: the distinct links of ``path_t``.
 
         Raises if the path is not contiguous in the topology or crosses a
         link that is currently down.
         """
-        path_t = tuple(path)
         # Links are never deleted from a topology (faults only mark them
         # down), so a path validated once stays structurally valid; the
         # cache turns the channelized-workload case (thousands of flows
@@ -296,14 +291,14 @@ class FlowSimulator:
             self.topology.validate_path(path_t)
             links = self._links_of_path[path_t] = tuple(dict.fromkeys(path_t))
         # ``topology.has_down_links`` reads the same set behind a property;
-        # probe the set directly on this per-flow path.
+        # probe the set directly on this per-route path.
         if self.topology._down:
             for link_id in links:
                 if not self.topology.link_is_up(link_id):
                     raise LinkDownError(
                         f"flow path crosses down link {link_id!r}"
                     )
-        return path_t, links
+        return links
 
     def cancel_flow(self, flow: Flow) -> None:
         """Remove an in-flight flow without firing its completion callback.
@@ -628,14 +623,13 @@ class FlowSimulator:
             self._solver.remove_flows(completed)
             self.flows_completed += len(completed)
             self._dirty = True
-        for flow in completed:
             for observer in self._observers:
-                observer.on_flow_completed(flow, self.now)
+                observer.on_flows_completed(completed, now)
         # Fire callbacks after all bookkeeping so that callbacks observe a
         # consistent network state (and may inject follow-up flows).
         for flow in completed:
             if flow.on_complete is not None:
-                flow.on_complete(flow, self.now)
+                flow.on_complete(flow, now)
 
     def _fire_due_events(self) -> None:
         while self._events and self._events[0][0] <= self.now + _TIME_EPS:

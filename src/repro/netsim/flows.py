@@ -89,7 +89,12 @@ class Flow:
         on_complete: Callback ``fn(flow, now)`` fired at completion.
         on_fail: Callback ``fn(flow, now, error)`` fired when a fault
             kills the flow (never fired for plain cancellation).
-        tags: Free-form metadata (communicator id, channel index, ...).
+        tags: Free-form metadata (communicator id, sequence number, ...).
+            The flows of one :meth:`FlowSimulator.add_flows` batch share
+            one dict; treat it as read-only.
+        channel: Index of the flow within its connection's channel
+            fan-out (the one tag that differs inside a launch batch; set
+            by :meth:`FlowSimulator.add_flows`), or None.
         links: The distinct links of ``path`` (order-stable); computed
             once — by the simulator once per distinct route — so the
             fairness allocator and utilization aggregation never rebuild
@@ -110,6 +115,7 @@ class Flow:
         "on_complete",
         "on_fail",
         "tags",
+        "channel",
         "links",
         "_remaining",
         "_rate",
@@ -154,6 +160,7 @@ class Flow:
         self.on_complete = on_complete
         self.on_fail = on_fail
         self.tags: Dict[str, object] = {} if tags is None else tags
+        self.channel: Optional[int] = None
         if links is None:
             links = tuple(dict.fromkeys(self.path))
         self.links: Tuple[str, ...] = links

@@ -152,27 +152,29 @@ class MacroFlowSolver:
         self.add_flows((flow,))
 
     def add_flows(self, flows: Sequence[Flow]) -> None:
-        """Register a sibling batch sharing one (path, weight, tenant).
+        """Register one launch batch, whatever mix of routes it carries.
 
-        The engine's :meth:`~FlowSimulator.add_flows` guarantees the batch
-        is parameter-identical, so the group lookup runs once for the
-        whole channel fan-out instead of once per member.
+        Consecutive members sharing (path, weight, tenant) — a
+        connection's channel fan-out — cost one group lookup, and groups
+        are created in member arrival order, exactly as per-flow
+        :meth:`add_flow` calls would.
         """
-        first = flows[0]
-        key = (first.path, first.weight, first.job_id)
-        group = self._groups.get(key)
-        if group is None:
-            group = _MacroGroup(f"macro{next(self._group_seq)}", first)
-            self._groups[key] = group
-            self._base.add_flow(group)
-        members = group.members
-        active_ids = group.active_ids
         group_of = self._group_of
         member_rate = self._member_rate
         slot_of = self._slot_of
         slots = self._slots
         free_slots = self._free_slots
+        path = weight = job = members = active_ids = None
         for flow in flows:
+            if flow.path is not path or flow.weight != weight or flow.job_id != job:
+                path, weight, job = key = (flow.path, flow.weight, flow.job_id)
+                group = self._groups.get(key)
+                if group is None:
+                    group = _MacroGroup(f"macro{next(self._group_seq)}", flow)
+                    self._groups[key] = group
+                    self._base.add_flow(group)
+                self._touched.add(group)
+                members, active_ids = group.members, group.active_ids
             fid = flow.flow_id
             members[fid] = flow
             if flow.active:
@@ -186,9 +188,8 @@ class MacroFlowSolver:
                 slots.append(flow)
             slot_of[fid] = slot
             member_rate[fid] = 0.0
-        self._touched.add(group)
-        if len(members) > self.macro_peak_group_size:
-            self.macro_peak_group_size = len(members)
+            if len(members) > self.macro_peak_group_size:
+                self.macro_peak_group_size = len(members)
 
     def remove_flow(self, flow: Flow) -> None:
         self.remove_flows((flow,))

@@ -116,7 +116,7 @@ def prepare_scale_workload(
 
     All workload *generation* (path synthesis, size draws) happens here,
     before the caller starts its clock; the scheduled injectors only call
-    ``sim.add_flow``, so a timed ``sim.run()`` measures the event loop,
+    ``sim.add_flows``, so a timed ``sim.run()`` measures the event loop,
     not the random-number generator.  Returns the flow count scheduled.
 
     Flows arrive in waves (one sim timestep per wave, so structural churn
@@ -130,7 +130,7 @@ def prepare_scale_workload(
     rng = random.Random(seed)
     num_connections = max(1, num_flows // channels)
     connections = [
-        (path, job, size_base * (1 + rng.randrange(8)))
+        ([(size_base * (1 + rng.randrange(8)), path, None)] * channels, job)
         for path, job in synthetic_connections(
             spec, rng, num_connections, inter_pod_fraction=inter_pod_fraction
         )
@@ -145,8 +145,8 @@ def prepare_scale_workload(
         next_start += wave_interval
 
         def inject(wave=wave) -> None:
-            for path, job, size in wave:
-                add_flows(size, path, channels, job_id=job)
+            for fan_out, job in wave:
+                add_flows(fan_out, job_id=job)
 
         sim.schedule(at, inject)
         injected += len(wave) * channels

@@ -112,16 +112,20 @@ class RequestState(str, Enum):
 
 @dataclass
 class GatewayRecord:
-    """Ledger entry of one data-path request."""
+    """Ledger entry of one data-path request.
 
-    request: GatewayRequest
+    The ledger outlives the request, so a settled record keeps scalars
+    only: ``request`` (the tenant's payload) and ``respond`` are dropped
+    when it settles, and the collective instance is never stored here.
+    """
+
+    request: Optional[GatewayRequest]
     tenant: str
     qos: str
     accepted_at: float
     state: RequestState = RequestState.QUEUED
     deadline: float = 0.0
     finished_at: Optional[float] = None
-    instance: Optional["CollectiveInstance"] = None
     error: Optional[BaseException] = None
     retries: int = 0
     #: Admitted as a half-open breaker probe.
@@ -536,11 +540,9 @@ class ServiceGateway:
         record.state = RequestState.EXECUTING
         record.retries = attempt
         self.executed_ids.add(record.request.request_id)
-        service_comm = self.deployment.communicator(response.comm_id)
-        instance = service_comm.instances[response.seq]
-        record.instance = instance
         MccsClient._chain_callback(
-            instance, lambda inst, now: self._completed(record, inst, now)
+            response.instance,
+            lambda inst, now: self._completed(record, inst, now),
         )
 
     def _retry_or_expire(
@@ -725,10 +727,12 @@ class ServiceGateway:
             "Data-path requests occupying gateway dispatch slots.",
         ).set(self._inflight)
         self._update_brownout()
-        if record.respond is not None:
-            record.respond(
+        request, respond = record.request, record.respond
+        record.request = record.respond = None
+        if respond is not None:
+            respond(
                 GatewayResponse(
-                    request_id=record.request.request_id,
+                    request_id=request.request_id,
                     status=status,
                     body=body or {},
                     error=error,

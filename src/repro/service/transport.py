@@ -12,7 +12,7 @@ honest about the service boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 from .gateway import GatewayRequest, GatewayResponse
 
@@ -86,7 +86,6 @@ class GatewayClient:
     def __init__(self, transport: InProcessTransport, api_key: Optional[str] = None) -> None:
         self.transport = transport
         self.api_key = api_key
-        self.calls: List[PendingCall] = []
 
     def request(
         self,
@@ -97,7 +96,7 @@ class GatewayClient:
         ttl: Optional[float] = None,
         on_response: Optional[Callable[[GatewayResponse], None]] = None,
     ) -> PendingCall:
-        pending = self.transport.submit(
+        return self.transport.submit(
             GatewayRequest(
                 method=method,
                 path=path,
@@ -107,8 +106,6 @@ class GatewayClient:
             ),
             on_response,
         )
-        self.calls.append(pending)
-        return pending
 
     # ------------------------------------------------------------------
     # REST surface helpers
@@ -153,12 +150,3 @@ class GatewayClient:
 
     def slo(self, **kw) -> PendingCall:
         return self.request("GET", "/v1/slo", **kw)
-
-    # ------------------------------------------------------------------
-    def outcomes(self) -> Dict[int, int]:
-        """status -> count over all answered calls (unanswered excluded)."""
-        counts: Dict[int, int] = {}
-        for call in self.calls:
-            if call.response is not None:
-                counts[call.response.status] = counts.get(call.response.status, 0) + 1
-        return counts

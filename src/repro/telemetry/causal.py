@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .ringbuffer import RingBuffer
 
@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..netsim.engine import FlowSimulator
     from ..netsim.flows import Flow
     from .events import EventLog
-    from .metrics import MetricsRegistry
+    from .metrics import BoundCounter, MetricsRegistry
 
 #: Terminal trace states.
 TRACE_COMPLETED = "completed"
@@ -354,7 +354,6 @@ class CausalTracer:
         self.events = events
         self._live: Dict[str, CausalTrace] = {}
         self._closed: RingBuffer[CausalTrace] = RingBuffer(max_closed)
-        self._by_flow: Dict[str, CausalTrace] = {}
         #: link -> tenant -> active flow count (all traffic, traced or not).
         self._link_jobs: Dict[str, Dict[str, int]] = {}
         self._ids = itertools.count(1)
@@ -369,7 +368,8 @@ class CausalTracer:
             self._traces_open = metrics.gauge(
                 "mccs_traces_open",
                 "Causal traces currently open (issued, not yet terminal).",
-            )
+            ).labels()
+            self._traces_by_tenant: Dict[str, "BoundCounter"] = {}
         sim.add_observer(self)
 
     # ------------------------------------------------------------------
@@ -402,7 +402,12 @@ class CausalTracer:
         self._live[ctx.trace_id] = trace
         self.traces_started += 1
         if self._traces_total is not None:
-            self._traces_total.inc(tenant=ctx.tenant)
+            opened = self._traces_by_tenant.get(ctx.tenant)
+            if opened is None:
+                opened = self._traces_by_tenant[ctx.tenant] = (
+                    self._traces_total.labels(tenant=ctx.tenant)
+                )
+            opened.inc()
             self._traces_open.set(len(self._live))
         return trace
 
@@ -435,7 +440,6 @@ class CausalTracer:
                 rec.close_segment(now)
                 rec.t_end = rec.t_end if rec.t_end is not None else now
                 rec.status = "cancelled"
-            self._by_flow.pop(rec.flow_id, None)
         trace.end_time = now
         trace.status = status
         self._closed.append(trace)
@@ -471,35 +475,36 @@ class CausalTracer:
     # ------------------------------------------------------------------
     # SimObserver interface + rate recorder
     # ------------------------------------------------------------------
-    def on_flow_added(self, flow: "Flow", now: float) -> None:
-        job = flow.job_id or "none"
-        for link in flow.links:
-            per_job = self._link_jobs.setdefault(link, {})
-            per_job[job] = per_job.get(job, 0) + 1
-        trace_id = flow.tags.get("trace")
-        if trace_id is None:
-            return
-        trace = self._live.get(trace_id)
+    def on_flows_added(self, flows: Sequence["Flow"], now: float) -> None:
+        """Adopt one launch batch (shared ``job_id`` and ``tags``)."""
+        first = flows[0]
+        job = first.job_id or "none"
+        link_jobs = self._link_jobs
+        for flow in flows:
+            for link in flow.links:
+                per_job = link_jobs.get(link)
+                if per_job is None:
+                    per_job = link_jobs[link] = {}
+                per_job[job] = per_job.get(job, 0) + 1
+        tags = first.tags
+        trace = self._live.get(tags.get("trace"))
         if trace is None:
             return
-        caps = [self.sim.link_capacity(l) for l in flow.links]
-        rec = FlowRecord(
-            flow_id=flow.flow_id,
-            rank=flow.tags.get("rank"),
-            channel=flow.tags.get("channel"),
-            size=flow.size,
-            path=flow.path,
-            ideal_s=flow.size / min(caps),
-            t_start=now,
-        )
-        trace.current_attempt.flows[flow.flow_id] = rec
-        self._by_flow[flow.flow_id] = trace
-        flow._recorder = _BoundRecorder(self, rec, job)
+        rank = tags.get("rank")
+        records = trace.current_attempt.flows
+        capacity = self.sim.link_capacity
+        for flow in flows:
+            rec = records[flow.flow_id] = FlowRecord(
+                flow.flow_id, rank, flow.channel, flow.size, flow.path,
+                flow.size / min(map(capacity, flow.links)), now,
+            )
+            flow._recorder = _BoundRecorder(self, rec, job)
 
     def _flow_left(self, flow: "Flow", now: float, status: str) -> None:
         job = flow.job_id or "none"
+        link_jobs = self._link_jobs
         for link in flow.links:
-            per_job = self._link_jobs.get(link)
+            per_job = link_jobs.get(link)
             if per_job is not None:
                 count = per_job.get(job, 0) - 1
                 if count > 0:
@@ -507,11 +512,10 @@ class CausalTracer:
                 else:
                     per_job.pop(job, None)
                     if not per_job:
-                        del self._link_jobs[link]
+                        del link_jobs[link]
         binding = flow._recorder
         if binding is None:
             return
-        self._by_flow.pop(flow.flow_id, None)
         rec = binding.rec
         if rec.status != "active":  # the trace already closed it
             return
@@ -519,8 +523,9 @@ class CausalTracer:
         rec.t_end = now
         rec.status = status
 
-    def on_flow_completed(self, flow: "Flow", now: float) -> None:
-        self._flow_left(flow, now, "completed")
+    def on_flows_completed(self, flows: Sequence["Flow"], now: float) -> None:
+        for flow in flows:
+            self._flow_left(flow, now, "completed")
 
     def on_flow_cancelled(self, flow: "Flow", now: float) -> None:
         self._flow_left(flow, now, "cancelled")

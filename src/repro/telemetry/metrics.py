@@ -6,8 +6,13 @@ simulated clock (bytes moved, barrier stall seconds), with one deliberate
 exception: wall-clock histograms such as the shim->service IPC hop, which
 measure the *reproduction's* processing cost rather than modelled time.
 
-Metric objects are cheap dictionaries; the hot path (``Counter.inc`` from
-a flow-completion callback) is one dict lookup plus an add.
+Metric objects are cheap dictionaries.  Every update has two forms that
+hit the same series: the kwargs form (``counter.inc(job="a")``), which
+builds the label key on each call, and a *bound handle*
+(``counter.labels(job="a")`` -> ``handle.inc(n)``), which built it once.
+The rule for handles: resolve at construction (of the per-job or
+per-communicator owner), never inside a per-flow loop.  Binding registers
+nothing — a series appears with its first update in either form.
 """
 
 from __future__ import annotations
@@ -64,6 +69,9 @@ class Counter:
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
+    def labels(self, **labels: object) -> "BoundCounter":
+        return BoundCounter(self, _label_key(labels))
+
     def value(self, **labels: object) -> float:
         return self._values.get(_label_key(labels), 0.0)
 
@@ -93,6 +101,9 @@ class Gauge:
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
+
+    def labels(self, **labels: object) -> "BoundGauge":
+        return BoundGauge(self, _label_key(labels))
 
     def value(self, **labels: object) -> float:
         return self._values.get(_label_key(labels), 0.0)
@@ -133,20 +144,21 @@ class Histogram:
         self.buckets = bounds
         self._states: Dict[LabelKey, _HistogramState] = {}
 
-    def _state(self, labels: Dict[str, object]) -> _HistogramState:
-        key = _label_key(labels)
+    def _observe(self, key: LabelKey, value: float) -> None:
         state = self._states.get(key)
         if state is None:
             state = self._states[key] = _HistogramState(len(self.buckets))
-        return state
-
-    def observe(self, value: float, **labels: object) -> None:
-        state = self._state(labels)
         # First bucket whose upper bound is >= value (le semantics).
         index = bisect.bisect_left(self.buckets, value)
         state.bucket_counts[index] += 1
         state.sum += value
         state.count += 1
+
+    def observe(self, value: float, **labels: object) -> None:
+        self._observe(_label_key(labels), value)
+
+    def labels(self, **labels: object) -> "BoundHistogram":
+        return BoundHistogram(self, _label_key(labels))
 
     def count(self, **labels: object) -> int:
         state = self._states.get(_label_key(labels))
@@ -176,6 +188,48 @@ class Histogram:
 
     def samples(self) -> List[Tuple[Dict[str, str], _HistogramState]]:
         return [(dict(key), state) for key, state in sorted(self._states.items())]
+
+
+class BoundCounter:
+    """One label set of a :class:`Counter`, resolved once."""
+
+    __slots__ = ("_metric", "_key")
+
+    def __init__(self, metric: Counter, key: LabelKey) -> None:
+        self._metric = metric
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError(f"counter {self._metric.name} cannot decrease")
+        values = self._metric._values
+        values[self._key] = values.get(self._key, 0.0) + amount
+
+
+class BoundGauge:
+    """One label set of a :class:`Gauge`, resolved once."""
+
+    __slots__ = ("_metric", "_key")
+
+    def __init__(self, metric: Gauge, key: LabelKey) -> None:
+        self._metric = metric
+        self._key = key
+
+    def set(self, value: float) -> None:
+        self._metric._values[self._key] = float(value)
+
+
+class BoundHistogram:
+    """One label set of a :class:`Histogram`, resolved once."""
+
+    __slots__ = ("_metric", "_key")
+
+    def __init__(self, metric: Histogram, key: LabelKey) -> None:
+        self._metric = metric
+        self._key = key
+
+    def observe(self, value: float) -> None:
+        self._metric._observe(self._key, value)
 
 
 Metric = Union[Counter, Gauge, Histogram]

@@ -19,15 +19,27 @@ whenever a flow enters the network or a gated flow is released.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..netsim.engine import FlowSimulator, SimObserver
 from ..netsim.flows import Flow
-from .metrics import MetricsRegistry
+from .metrics import BoundCounter, BoundHistogram, MetricsRegistry
 from .ringbuffer import RingBuffer
 
 #: One utilization sample: (sim_time, utilization in [0, 1]).
 LinkSample = Tuple[float, float]
+
+
+class _JobSeries(NamedTuple):
+    """The per-job label handles, bound the first time a job is seen."""
+
+    added: BoundCounter
+    completed: BoundCounter
+    cancelled: BoundCounter
+    failed: BoundCounter
+    bytes_moved: BoundCounter
+    preemptions: BoundCounter
+    duration: BoundHistogram
 
 
 class NetworkTelemetry(SimObserver):
@@ -86,40 +98,67 @@ class NetworkTelemetry(SimObserver):
         )
         self._active_flows = metrics.gauge(
             "mccs_active_flows", "Flows currently in the network."
-        )
+        ).labels()
         self._flow_duration = metrics.histogram(
             "mccs_flow_duration_seconds",
             "Flow completion time (fluid model), by job.",
         )
 
+        self._by_job: Dict[Optional[str], _JobSeries] = {}
         sim.add_observer(self)
+
+    def _series_of(self, job_id: Optional[str]) -> _JobSeries:
+        series = self._by_job.get(job_id)
+        if series is None:
+            job = job_id or "none"
+            series = self._by_job[job_id] = _JobSeries(
+                self._flows_total.labels(job=job),
+                self._flows_completed.labels(job=job),
+                self._flows_cancelled.labels(job=job),
+                self._flows_failed.labels(job=job),
+                self._bytes_total.labels(job=job),
+                self._preemptions.labels(job=job),
+                self._flow_duration.labels(job=job),
+            )
+        return series
 
     # ------------------------------------------------------------------
     # SimObserver interface
     # ------------------------------------------------------------------
-    def on_flow_added(self, flow: Flow, now: float) -> None:
-        self._flows_total.inc(job=flow.job_id or "none")
+    def on_flows_added(self, flows: Sequence[Flow], now: float) -> None:
+        self._series_of(flows[0].job_id).added.inc(len(flows))
         self._active_flows.set(self.sim.active_flow_count())
         self._start_ticker()
 
-    def on_flow_completed(self, flow: Flow, now: float) -> None:
-        job = flow.job_id or "none"
-        self._flows_completed.inc(job=job)
-        self._bytes_total.inc(flow.size, job=job)
-        self._flow_duration.observe(now - flow.start_time, job=job)
+    def on_flows_completed(self, flows: Sequence[Flow], now: float) -> None:
+        job_id = flows[0].job_id
+        series = self._series_of(job_id)
+        run = 0
+        for flow in flows:
+            if flow.job_id != job_id:
+                series.completed.inc(run)
+                run = 0
+                job_id = flow.job_id
+                series = self._series_of(job_id)
+            run += 1
+            # Float sums take one update per flow, in completion order, so
+            # they come out exactly as if the flows were delivered singly.
+            series.bytes_moved.inc(flow.size)
+            series.duration.observe(now - flow.start_time)
+        series.completed.inc(run)
         self._active_flows.set(self.sim.active_flow_count())
 
     def on_flow_cancelled(self, flow: Flow, now: float) -> None:
-        self._flows_cancelled.inc(job=flow.job_id or "none")
+        self._series_of(flow.job_id).cancelled.inc()
         self._active_flows.set(self.sim.active_flow_count())
 
     def on_flow_failed(self, flow: Flow, now: float) -> None:
-        self._flows_failed.inc(job=flow.job_id or "none")
+        self._series_of(flow.job_id).failed.inc()
         self._active_flows.set(self.sim.active_flow_count())
 
     def on_flow_gated(self, flow: Flow, gated: bool, now: float) -> None:
         if gated:
-            self._preemptions.inc(job=flow.job_id or "none")
+            self._series_of(flow.job_id).preemptions.inc()
         else:
             # A released flow may be the only traffic; make sure the
             # sampler sees it drain.

@@ -40,8 +40,8 @@ _launch_counter = itertools.count()
 class FlowGate(Protocol):
     """Hook letting a QoS policy gate a job's traffic (see TS, §4.3)."""
 
-    def register(self, flow: Flow) -> None:  # pragma: no cover - protocol
-        ...
+    def register(self, flows: Sequence[Flow]) -> None:  # pragma: no cover - protocol
+        """See one freshly injected launch batch (never empty)."""
 
 
 @dataclass
@@ -235,40 +235,48 @@ class FlowTransport:
             if on_fail is not None:
                 on_fail(handle, handle.end_time, error)
 
+        pending: set = set()
+
+        def flow_done(flow: Optional[Flow], now: float) -> None:
+            """Completion target shared by the launch's flows: the
+            collective is done when its slowest flow is."""
+            pending.discard(flow)
+            if not pending and handle.end_time is None:
+                handle.end_time = now
+                if on_complete is not None:
+                    on_complete(handle, now)
+
         def inject() -> None:
             if handle.end_time is not None:
                 return  # deadline expired before injection
             handle.start_time = self.sim.now
             try:
-                for src, dst, channel, nbytes in transfers:
-                    conn = table.connection(src, dst, channel)
-                    flow = self.sim.add_flow(
-                        nbytes,
-                        conn.path,
-                        job_id=job_id,
-                        tags={
-                            "launch": handle.launch_id,
-                            "kind": kind.value,
-                            "channel": channel,
-                            **handle.tags,
-                        },
-                        on_fail=lambda _f, _t, err: fail(err),
-                    )
-                    handle.flows.append(flow)
-                    if self.gate is not None:
-                        self.gate.register(flow)
+                batch = [
+                    (nbytes, table.connection(src, dst, channel).path, channel)
+                    for src, dst, channel, nbytes in transfers
+                ]
+                handle.flows = self.sim.add_flows(
+                    batch,
+                    job_id=job_id,
+                    tags={
+                        "launch": handle.launch_id,
+                        "kind": kind.value,
+                        **handle.tags,
+                    },
+                    on_complete=flow_done,
+                    on_fail=lambda _f, _t, err: fail(err),
+                )
             except FaultError as exc:
                 fail(exc)
                 return
-
-            def finished(now: float) -> None:
-                if handle.end_time is not None:
-                    return
-                handle.end_time = now
-                if on_complete is not None:
-                    on_complete(handle, now)
-
-            self.sim.when_all(handle.flows, finished)
+            if not handle.flows:
+                self.sim.schedule(
+                    self.sim.now, lambda: flow_done(None, self.sim.now)
+                )
+                return
+            pending.update(handle.flows)
+            if self.gate is not None:
+                self.gate.register(handle.flows)
 
         if deadline is not None:
             self.sim.call_in(

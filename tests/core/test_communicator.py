@@ -114,3 +114,80 @@ def test_intra_host_communicator(env):
     # local-only: duration bounded by local bandwidth (25 GB/s), far less
     # than what the 6.25 GB/s NIC path would need.
     assert op.duration() < 8 * MB / 6.25e9 * 1.5 + 1e-3
+
+
+# -- instance lifetime: the in-flight map -----------------------------------------
+def test_inflight_map_holds_unfinished_collectives_only(env):
+    cluster, deployment, comm, client, handle = env
+    gpus = comm.gpus
+    sends = [client.alloc(g, 1 * MB) for g in gpus]
+    recvs = [client.alloc(g, 1 * MB) for g in gpus]
+    ops = [
+        client.all_reduce(handle, 1 * MB, send=sends, recv=recvs)
+        for _ in range(3)
+    ]
+    assert list(comm.inflight) == [0, 1, 2]
+    assert [comm.inflight[op.seq] for op in ops] == [op.instance for op in ops]
+    assert comm.launch_frontier() == 0  # seq 0 launched, 1 and 2 queued
+    first = ops[0].instance
+    first.on_complete = lambda inst, now: seen.append(list(comm.inflight))
+    seen = []
+    deployment.run()
+    # Out of the map before its waiters woke; the stream had not started
+    # the next kernel yet.
+    assert seen == [[1, 2]]
+    assert comm.inflight == {}
+    assert comm.launch_frontier() == 2
+    # A finished instance belongs to the tenant's handle and keeps the
+    # outcome only: no buffer views, kernel, callback or IPC export.
+    for op in ops:
+        inst = op.instance
+        assert op.completed and inst.duration() > 0 and inst.consistent
+        assert inst.send_views is None and inst.recv_views is None
+        assert inst.kernel is None and inst.on_complete is None
+        assert inst.done_handle is None
+
+
+def test_comm_abort_survives_the_cascade_through_the_stream(env):
+    """Aborting seq k completes its kernel; the stream starts k+1, whose
+    fan-out sees the dead communicator and aborts it — all before the
+    abort loop reaches k+1, whose seq has already been retired by then."""
+    from repro.errors import CommunicatorError
+
+    cluster, deployment, comm, client, handle = env
+    ops = [client.all_reduce(handle, 8 * MB) for _ in range(4)]
+    deployment.run(until=1e-4)
+    assert list(comm.inflight) == [0, 1, 2, 3]
+    aborted_in = []
+    for op in ops:
+        op.instance.on_complete = lambda inst, now: aborted_in.append(inst.seq)
+    error = CommunicatorError("gave up")
+    comm.abort(error)
+    # Each exactly once; innermost first, because a kernel completes (and
+    # the stream moves on) before its own waiters are woken.
+    assert aborted_in == [3, 2, 1, 0]
+    assert comm.inflight == {}
+    assert all(op.failed and op.instance.error is error for op in ops)
+    assert cluster.sim.active_flow_count() == 0
+    deployment.run()
+    with pytest.raises(CommunicatorError):
+        client.all_reduce(handle, 1 * MB)
+
+
+def test_collective_terminated_inside_the_issue_call(env):
+    """A dead peer proxy (no recovery armed) aborts the collective before
+    handle_collective returns: the tenant still gets its typed handle, no
+    completion event is exported, nothing stays in flight."""
+    from repro.errors import ServiceCrashedError
+
+    cluster, deployment, comm, client, handle = env
+    deployment.crash_service(comm.gpus[2].host_id)
+    exports = sum(len(host.ipc._events) for host in cluster.hosts)
+    stream = client.create_stream(comm.gpus[0])
+    op = client.all_reduce(handle, 1 * MB, stream=stream)
+    assert op.failed and not op.pending
+    assert isinstance(op.instance.error, ServiceCrashedError)
+    assert comm.inflight == {}
+    assert sum(len(host.ipc._events) for host in cluster.hosts) == exports
+    deployment.run()
+    assert stream.idle

@@ -45,7 +45,7 @@ def test_barrier_keeps_collectives_consistent_under_delays():
     assert session.done
     assert comm.inconsistent_collectives == 0
     assert all(op.completed for op in ops + more)
-    assert all(inst.consistent for inst in comm.instances)
+    assert all(op.instance.consistent for op in ops + more)
     assert comm.strategy.ring.order == (2, 1, 0)
 
 
@@ -76,7 +76,7 @@ def test_paper_scenario_max_seq():
     assert ar1.completed
     assert comm.inconsistent_collectives == 0
     # AR1 ran under the OLD ring on every rank.
-    assert set(comm.instances[1].rank_versions.values()) == {0}
+    assert set(ar1.instance.rank_versions.values()) == {0}
 
 
 def test_broken_protocol_mixes_versions():
@@ -94,9 +94,9 @@ def test_broken_protocol_mixes_versions():
     ar1 = client.all_reduce(handle, 8 * MB)
     deployment.run()
     assert ar1.completed
-    assert not comm.instances[1].consistent
+    assert not ar1.instance.consistent
     assert comm.inconsistent_collectives == 1
-    assert set(comm.instances[1].rank_versions.values()) == {0, 1}
+    assert set(ar1.instance.rank_versions.values()) == {0, 1}
 
 
 def test_strict_mode_raises_on_inconsistency():

@@ -73,9 +73,9 @@ def test_barrier_never_allows_mixed_versions(program_and_tail):
     assert all(op.completed for op in ops)
     assert comm.strategy.version == len(program)
     assert comm.inconsistent_collectives == 0
-    for instance in comm.instances:
-        assert instance.consistent
-        assert len(instance.rank_versions) == 4
+    for op in ops:
+        assert op.instance.consistent
+        assert len(op.instance.rank_versions) == 4
     proxies = deployment.proxies_of(comm)
     seqs = {p.launched_seq(comm.comm_id, r) for r, p in enumerate(proxies)}
     assert len(seqs) == 1  # all ranks launched the same number of ops
@@ -92,16 +92,14 @@ def test_versions_are_monotone_per_rank(delays, pre_ops):
     comm = deployment.create_communicator("app", gpus)
     client = deployment.connect("app")
     handle = client.adopt_communicator(comm.comm_id)
-    for _ in range(pre_ops):
-        client.all_reduce(handle, 2 * MB)
+    ops = [client.all_reduce(handle, 2 * MB) for _ in range(pre_ops)]
     deployment.reconfigure(comm.comm_id, ring=[3, 2, 1, 0], delays=delays)
-    for _ in range(3):
-        client.all_reduce(handle, 2 * MB)
+    ops += [client.all_reduce(handle, 2 * MB) for _ in range(3)]
     deployment.run()
     for rank in range(4):
         versions = [
-            inst.rank_versions[rank]
-            for inst in comm.instances
-            if rank in inst.rank_versions
+            op.instance.rank_versions[rank]
+            for op in ops
+            if rank in op.instance.rank_versions
         ]
         assert versions == sorted(versions)

@@ -178,3 +178,45 @@ def test_on_complete_callback(env):
     client.all_reduce(comm, 1 * MB, on_complete=lambda inst, t: seen.append(t))
     deployment.run()
     assert len(seen) == 1
+
+
+# -- IPC event exports are closed by their exporter -------------------------------
+def test_ipc_event_registry_is_flat_over_many_collectives(env):
+    from repro.cluster.ipc import IpcError
+
+    cluster, deployment, client = env
+    gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
+    comm = client.create_communicator(gpus)
+    stream = client.create_stream(gpus[0])
+    ipc = cluster.hosts[gpus[0].host_id].ipc
+
+    def serve(count):
+        handles = []
+        for k in range(count):
+            # Alternate plain and stream-ordered issue (the latter exports
+            # a pre-op snapshot from the shim side as well), plus p2p.
+            if k % 3 == 0:
+                client.send_recv(comm, 0, 2, 64 * 1024, stream=stream)
+            op = client.all_reduce(
+                comm, 64 * 1024, stream=stream if k % 2 else None
+            )
+            handles.append(op.instance.done_handle)
+            deployment.run()
+            assert op.completed
+        return handles
+
+    serve(5)
+    exported = len(ipc._events)
+    handles = serve(200)
+    assert len(ipc._events) == exported == 1
+    # What survives is the per-communicator event, still openable ...
+    service_comm = deployment.communicator(comm.comm_id)
+    assert ipc.open_event(service_comm.comm_event_handle) is comm.done_event
+    # ... while a finished collective's handle is closed for good.
+    assert all(handle is not None for handle in handles)
+    with pytest.raises(IpcError):
+        ipc.open_event(handles[-1])
+    with pytest.raises(IpcError):
+        ipc.close_event(handles[-1])
+    client.destroy_communicator(comm)
+    assert len(ipc._events) == 0

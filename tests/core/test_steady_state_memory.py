@@ -1,0 +1,177 @@
+"""Steady-state object census: nothing outlives its collective.
+
+A long-lived service must not grow with the number of collectives it has
+served.  Each case warms a deployment up until every bounded ring
+(``max_spans``, the causal tracer's ``max_closed``, ``trace_capacity``)
+is full, counts the live objects of the per-collective types with
+``gc.get_objects()``, serves some more, and counts again: the difference
+must be zero.  These are counts, not timings, so the test is exact.
+
+What is *allowed* to grow, and is therefore not in ``PER_COLLECTIVE``:
+one journal record and three stream-history names per collective, one
+gateway ledger record per request, one ``CommTrace`` per communicator
+ever created (see the retention table in ``docs/observability.md``).
+"""
+
+import gc
+import weakref
+from collections import Counter
+
+import numpy as np
+from repro.cluster.specs import testbed_cluster
+from repro.core.deployment import MccsDeployment
+from repro.service import (
+    GatewayClient,
+    GatewayPolicy,
+    InProcessTransport,
+    ServiceGateway,
+    TenantQuota,
+)
+from repro.telemetry import TelemetryHub
+
+#: Types of which a finished collective must leave no instance behind
+#: (closures show up as ``function`` + ``cell``).
+PER_COLLECTIVE = (
+    "Flow",
+    "FlowRecord",
+    "_BoundRecorder",
+    "RateSegment",
+    "CollectiveInstance",
+    "ClientCollective",
+    "AsyncOp",
+    "Event",
+    "IpcEventHandle",
+    "LaunchHandle",
+    "function",
+    "cell",
+    "method",
+)
+
+#: ``CausalTracer``'s default ``max_closed``: warm-ups serve more
+#: collectives than this, so the closed-trace ring is full before the
+#: first census.
+CAUSAL_RING = 512
+NBYTES = 16 * 1024
+
+
+def census():
+    gc.collect()
+    counts = Counter(type(obj).__name__ for obj in gc.get_objects())
+    return {name: counts.get(name, 0) for name in PER_COLLECTIVE}
+
+
+def make_deployment():
+    cluster = testbed_cluster()
+    hub = TelemetryHub(max_spans=256, max_events=64)
+    return cluster, MccsDeployment(cluster, telemetry=hub, trace_capacity=32)
+
+
+def test_allreduce_loop_leaves_nothing_behind():
+    cluster, dep = make_deployment()
+    client = dep.connect("app")
+    gpus = list(cluster.gpus)
+    comm = client.create_communicator(gpus)
+    sends = [client.alloc(gpu, NBYTES) for gpu in gpus]
+    recvs = [client.alloc(gpu, NBYTES) for gpu in gpus]
+    for k, buf in enumerate(sends):
+        buf.view(np.float32)[:] = k
+
+    def serve(count):
+        for _ in range(count):
+            op = client.all_reduce(comm, NBYTES, send=sends, recv=recvs)
+            dep.run()
+            assert op.completed
+
+    serve(CAUSAL_RING + 40)
+    before = census()
+    serve(300)
+    assert census() == before
+    assert recvs[0].view(np.float32)[0] == sum(range(len(gpus)))
+    # The per-host IPC registries hold live exports only: the two buffers
+    # per GPU and the communicator-level event.
+    assert sum(len(host.ipc._events) for host in cluster.hosts) == 1
+    assert cluster.hosts[gpus[0].host_id].ipc.open_event(
+        dep.communicator(comm.comm_id).comm_event_handle
+    ) is comm.done_event
+    assert all(not c.inflight for c in dep.communicators())
+
+
+def tenant_cycle(dep, client, gpus):
+    """create -> use -> reconfigure mid-stream -> free -> destroy."""
+    comm = client.create_communicator(gpus)
+    sends = [client.alloc(gpu, NBYTES) for gpu in gpus]
+    recvs = [client.alloc(gpu, NBYTES) for gpu in gpus]
+    ops = [
+        client.all_reduce(comm, NBYTES, send=sends, recv=recvs)
+        for _ in range(4)
+    ]
+    order = list(range(len(gpus)))
+    dep.reconfigure(comm.comm_id, ring=order[1:] + order[:1])
+    ops += [
+        client.all_reduce(comm, NBYTES, send=sends, recv=recvs)
+        for _ in range(4)
+    ]
+    dep.run()
+    assert all(op.completed for op in ops)
+    backing = weakref.ref(recvs[0].device_buffer.data)
+    for buf in sends + recvs:
+        client.free(buf)
+    client.destroy_communicator(comm)
+    return backing
+
+
+def test_tenant_cycles_leave_nothing_behind():
+    cluster, dep = make_deployment()
+    client = dep.connect("app")
+    gpus = list(cluster.gpus)[:6]
+    for _ in range(CAUSAL_RING // 8 + 4):
+        tenant_cycle(dep, client, gpus)
+    before = census()
+    backings = [tenant_cycle(dep, client, gpus) for _ in range(10)]
+    assert census() == before
+    # free + destroy really releases tenant memory: nothing the service
+    # keeps (finished instances, traces, cached plans) pins the arrays.
+    assert [ref() for ref in backings] == [None] * 10
+    assert sum(len(host.ipc._events) for host in cluster.hosts) == 0
+    assert sum(len(host.ipc._memory) for host in cluster.hosts) == 0
+    assert dep.verify_journal() == []
+
+
+def test_gateway_requests_leave_nothing_behind():
+    cluster, dep = make_deployment()
+    gateway = ServiceGateway(
+        dep, GatewayPolicy(queue_capacity=64, max_inflight=8)
+    )
+    account = gateway.register_tenant(
+        "acme", TenantQuota(rate=1e6, burst=1e6)
+    )
+    client = GatewayClient(InProcessTransport(gateway), account.key.raw)
+    created = client.create_comm([gpu.global_id for gpu in cluster.gpus][:4])
+    dep.run()
+    comm_id = created.response.body["comm_id"]
+    statuses = Counter()
+
+    def serve(count):
+        for _ in range(count):
+            client.collective(
+                comm_id, NBYTES,
+                on_response=lambda r: statuses.update([r.status]),
+            )
+            dep.run()
+
+    serve(CAUSAL_RING + 40)
+    before = census()
+    stats_before = gateway.stats()
+    serve(300)
+    assert census() == before
+    assert statuses == {200: CAUSAL_RING + 340}
+    # The ledger still counts every request, but a settled record keeps
+    # scalars only.
+    stats = gateway.stats()
+    assert stats["requests"] == stats_before["requests"] + 300
+    assert stats["by_state"] == {"ok": stats["requests"]}
+    assert not gateway.rejected_ids & gateway.executed_ids
+    assert all(
+        record.request is None and record.respond is None
+        for record in gateway.records
+    )

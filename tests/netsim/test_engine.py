@@ -232,7 +232,7 @@ def test_flow_counters():
 def _fixed_op_sequence(sim):
     """Adds, a batch, a cancel, a late add; returns every id it minted."""
     first = sim.add_flow(8.0, ["a->b"])
-    batch = sim.add_flows(4.0, ["a->b", "b->c"], 3)
+    batch = sim.add_flows([(4.0, ["a->b", "b->c"], None)] * 3)
     groups = []
     if sim.macro:
         groups = [g.flow_id for g in sim._macro_solver._groups.values()]
@@ -256,7 +256,7 @@ def test_back_to_back_simulators_mint_identical_ids(macro, sharded):
 def test_simulators_share_no_path_cache():
     one, two = FlowSimulator(line_topo()), FlowSimulator(line_topo())
     path = ("a->b", "b->c")
-    flows = one.add_flows(8.0, path, 2)
+    flows = one.add_flows([(8.0, path, 0), (8.0, path, 1)])
     # One distinct-links tuple per route per simulator, handed to its flows.
     assert flows[0].links is flows[1].links is one._links_of_path[path]
     assert two._links_of_path == {}

@@ -174,11 +174,11 @@ class _Recorder(SimObserver):
         self.completed = []
         self.cancelled = []
 
-    def on_flow_added(self, flow, now):
-        self.added.append(flow.flow_id)
+    def on_flows_added(self, flows, now):
+        self.added.extend(f.flow_id for f in flows)
 
-    def on_flow_completed(self, flow, now):
-        self.completed.append(flow.flow_id)
+    def on_flows_completed(self, flows, now):
+        self.completed.extend(f.flow_id for f in flows)
 
     def on_flow_cancelled(self, flow, now):
         self.cancelled.append((flow.flow_id, now))
@@ -218,7 +218,7 @@ def test_gate_manager_forgets_cancelled_flows():
     sim = FlowSimulator(line_topo())
     gates = TrafficGateManager(sim)
     flow = sim.add_flow(1e6, ["a->b"], job_id="appA")
-    gates.register(flow)
+    gates.register([flow])
     sim.cancel_flow(flow)
     # Installing a closed-window schedule must not touch the dead flow.
     closed = WindowSchedule(period=1.0, open_intervals=((0.9, 1.0),))

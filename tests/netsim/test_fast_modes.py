@@ -104,7 +104,8 @@ def _drive(ops, macro, sharded):
             try:
                 handles.extend(
                     sim.add_flows(
-                        2e7 * size_k, path, channels, job_id=job, weight=weight
+                        [(2e7 * size_k, path, c) for c in range(channels)],
+                        job_id=job, weight=weight,
                     )
                 )
             except Exception as exc:  # path crosses a failed link
@@ -214,7 +215,7 @@ def test_sharded_rates_match_reference_on_shared_link():
 def test_macro_channel_fanout_collapses_to_one_group():
     sim = _sim(macro=True)
     path = _pod_local_path(0)
-    flows = sim.add_flows(1e9, path, 8, job_id="job0")
+    flows = sim.add_flows([(1e9, path, c) for c in range(8)], job_id="job0")
     sim.run(until=0.001)
     counters = sim.perf_counters()
     assert counters["macro_groups"] == 1
@@ -240,12 +241,76 @@ def test_macro_distinct_weights_get_distinct_groups():
 def test_add_flows_equivalent_to_repeated_add_flow():
     path = _pod_local_path(0)
     batched, loose = _sim(), _sim()
-    flows_b = batched.add_flows(3e8, path, 4, job_id="j")
+    flows_b = batched.add_flows([(3e8, path, None)] * 4, job_id="j")
     flows_l = [loose.add_flow(3e8, path, job_id="j") for _ in range(4)]
     assert len(flows_b) == 4
     batched.run()
     loose.run()
     assert [f.end_time for f in flows_b] == [f.end_time for f in flows_l]
+
+
+def _mixed_route_batch():
+    """One launch batch over every kind of route mix the solvers must get
+    right: a channel fan-out (same path object), the same route again
+    after a different one, an equal-but-not-identical path tuple, and an
+    inter-pod route that fuses sharing domains."""
+    local0, local1 = _pod_local_path(0), _pod_local_path(1)
+    base = TINY_SPEC.hosts_per_pod
+    bridge = connection_path(TINY_SPEC, 0, 0, base + 1, 1, spine=0, core=0)
+    return [
+        (3e8, local0, 0),
+        (3e8, local0, 1),
+        (5e8, local1, 0),
+        (2e8, tuple(list(local0)), 2),
+        (4e8, bridge, 0),
+        (4e8, bridge, 1),
+        (1e8, local1, 1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "macro,sharded",
+    [pytest.param(False, False, id="reference"), *FAST_MODES],
+)
+def test_mixed_route_batch_equals_per_flow_adds(macro, sharded):
+    batched, loose = _sim(macro, sharded), _sim(macro, sharded)
+    rates = []
+    for sim in (batched, loose):
+        sim.add_flow(6e8, _pod_local_path(1), job_id="other")  # bystander
+    transfers = _mixed_route_batch()
+    flows_b = batched.add_flows(transfers, job_id="j", weight=2.0)
+    flows_l = [
+        loose.add_flow(size, path, job_id="j", weight=2.0)
+        for size, path, _channel in transfers
+    ]
+    for sim, flows in ((batched, flows_b), (loose, flows_l)):
+        sim.run(until=0.001)
+        rates.append([sim.rate_of(f) for f in flows])
+        sim.run()
+    assert [f.flow_id for f in flows_b] == [f.flow_id for f in flows_l]
+    assert [f.flow_id for f in flows_b] == [f"flow{n}" for n in range(1, 8)]
+    assert [f.channel for f in flows_b] == [t[2] for t in transfers]
+    assert rates[0] == rates[1]  # bit-identical, not approx
+    assert [f.end_time for f in flows_b] == [f.end_time for f in flows_l]
+    assert batched.perf_counters() == loose.perf_counters()
+    if macro:
+        # (path, weight, tenant) groups formed in arrival order, however
+        # the batch interleaves its routes.
+        assert batched.perf_counters()["macro_peak_group_size"] == 3
+
+
+def test_batch_is_all_or_nothing_on_a_down_link():
+    from repro.netsim.errors import LinkDownError
+
+    sim = _sim(macro=True, sharded=True)
+    good, bad = _pod_local_path(0), _pod_local_path(1)
+    sim.fail_link(bad[1])
+    with pytest.raises(LinkDownError):
+        sim.add_flows([(1e8, good, 0), (1e8, bad, 0), (1e8, good, 1)])
+    assert sim.active_flow_count() == 0
+    # Nothing was numbered either: ids stay dense in injection order.
+    assert sim.add_flow(1e8, good).flow_id == "flow0"
+    assert sim.add_flows([]) == []
 
 
 # ----------------------------------------------------------------------

@@ -119,3 +119,48 @@ def test_registry_snapshot_is_json_serializable():
     assert "+Inf" in text
     assert snap["c"]["kind"] == "counter"
     assert snap["h"]["samples"][0]["count"] == 1
+
+
+# -- bound label handles --------------------------------------------------------
+def test_bound_handles_and_kwargs_hit_the_same_series():
+    reg = MetricsRegistry()
+    counter = reg.counter("c")
+    gauge = reg.gauge("g")
+    hist = reg.histogram("h", buckets=(1.0, 2.0))
+    # Two labels in either order, and a non-string value: one series.
+    c = counter.labels(kind="all_reduce", app=7)
+    c.inc()
+    counter.inc(2, app="7", kind="all_reduce")
+    c.inc(0.5)
+    assert counter.value(app=7, kind="all_reduce") == 3.5
+    assert len(counter.samples()) == 1
+    g = gauge.labels(job="A")
+    g.set(4)
+    gauge.inc(job="A")
+    assert gauge.value(job="A") == 5.0
+    g.set(3)
+    assert gauge.value(job="A") == 3.0 and len(gauge.samples()) == 1
+    h = hist.labels()
+    h.observe(0.5)
+    hist.observe(1.5)
+    h.observe(9.0)
+    assert hist.count() == 3 and hist.total() == 11.0
+    assert hist.bucket_counts() == [(1.0, 1), (2.0, 2), (math.inf, 3)]
+    with pytest.raises(ValueError):
+        c.inc(-1)
+
+
+def test_binding_registers_no_series():
+    """A series appears with its first update, in either form — handles
+    resolved at construction must not change what is exported."""
+    reg = MetricsRegistry()
+    handles = [
+        reg.counter("c").labels(job="A"),
+        reg.gauge("g").labels(),
+        reg.histogram("h").labels(job="A"),
+    ]
+    assert all(m["samples"] == [] for m in reg.snapshot().values())
+    handles[0].inc()
+    assert reg.snapshot()["c"]["samples"] == [
+        {"labels": {"job": "A"}, "value": 1.0}
+    ]

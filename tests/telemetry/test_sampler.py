@@ -120,3 +120,65 @@ def test_program_cache_gauges_published_from_provider():
     stats["hits"] = 9
     net.publish_program_cache()
     assert net.metrics.gauges()["mccs_program_cache_hits"].value() == 9
+
+
+# -- batch-first observer contract ------------------------------------------------
+def _mixed_batches():
+    """(size, path, channel) per flow for two jobs; fractional sizes, so
+    byte sums depend on the order they are accumulated in."""
+    return [
+        ("A", [(8.1, ["a->b"], 0), (8.1, ["a->b"], 1), (0.7, ["a->b", "b->c"], 0)]),
+        ("B", [(2.3, ["b->c"], 0), (8.1, ["a->b"], 0)]),
+        (None, [(1.9, ["b->c"], None)]),
+    ]
+
+
+def test_batch_delivery_equals_one_by_one():
+    """One ``on_flows_added`` / ``on_flows_completed`` call per batch must
+    leave exactly the series that per-flow delivery leaves."""
+    batched_sim, batched = make_telemetry()
+    single_sim, single = make_telemetry()
+    for job, transfers in _mixed_batches():
+        batched_sim.add_flows(transfers, job_id=job)
+        for size, path, _channel in transfers:
+            single_sim.add_flow(size, path, job_id=job)
+    victim = 3
+    for sim in (batched_sim, single_sim):
+        sim.run(until=0.1)
+        flows = sim.active_flows()
+        sim.cancel_flow(flows[victim])
+        sim.fail_flow(flows[victim + 1], RuntimeError("link down"))
+        sim.run()
+    assert batched.metrics.snapshot() == single.metrics.snapshot()
+    moved = batched.metrics.counters()["mccs_bytes_moved_total"]
+    assert moved.value(job="A") == 8.1 + 8.1 + 0.7
+    assert moved.value(job="none") == 1.9
+
+
+def test_observer_sees_one_call_per_batch():
+    from repro.netsim.engine import SimObserver
+
+    calls = []
+
+    class Spy(SimObserver):
+        def on_flows_added(self, flows, now):
+            calls.append(("added", [f.flow_id for f in flows], now))
+
+        def on_flows_completed(self, flows, now):
+            calls.append(("completed", [f.flow_id for f in flows], now))
+
+    sim = FlowSimulator(line_topo())
+    sim.add_observer(Spy())
+    sim.add_flows([(8.0, ["a->b"], 0), (8.0, ["b->c"], 1)], job_id="A")
+    sim.add_flow(4.0, ["a->b"], job_id="B")
+    sim.run()
+    assert calls == [
+        ("added", ["flow0", "flow1"], 0.0),
+        ("added", ["flow2"], 0.0),
+        # flow1 has b->c to itself, flow2 shares a->b with flow0: both
+        # finish at t=1 and arrive as one batch; flow0 follows alone.
+        ("completed", ["flow1", "flow2"], 1.0),
+        ("completed", ["flow0"], 1.5),
+    ]
+    assert not hasattr(SimObserver, "on_flow_added")
+    assert not hasattr(SimObserver, "on_flow_completed")

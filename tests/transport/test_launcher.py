@@ -155,8 +155,8 @@ def test_gate_hook_sees_every_flow(env):
     seen = []
 
     class Gate:
-        def register(self, flow):
-            seen.append(flow)
+        def register(self, flows):
+            seen.extend(flows)
 
     transport = FlowTransport(cl, ZERO_LATENCY, gate=Gate())
     transport.launch_ring(

@@ -1,17 +1,16 @@
-"""Service-gateway benchmarks: request throughput and fleet wall-clock.
+"""Service-gateway benchmark: request throughput.
 
 Results are written to ``BENCH_gateway.json`` at the repo root so CI can
 archive the trend and ``benchmarks/compare_bench.py`` can guard it:
 
 * ``gateway``: wall-clock requests/sec of the full robustness stack
   (auth -> bucket -> queue -> dispatch -> settle) draining a deep
-  backlog of real data-carrying collectives;
-* ``fleet``: wall-clock requests/sec of the multi-tenant fleet
-  scenario — registry, load generator, chaos schedule, and journal
-  included — i.e. the cost of simulating one gateway-fronted fleet.
+  backlog of real data-carrying collectives.
 
 The gateway sits on every simulated request, so a Python-level slowdown
-here multiplies across every fleet experiment.
+here multiplies across every fleet experiment.  The multi-tenant fleet
+itself is measured by the repo benchmark's ``gateway_fleet`` workload
+(``benchmarks/e2e``), not here.
 """
 
 import json
@@ -22,7 +21,6 @@ import pytest
 
 from repro.cluster.specs import testbed_cluster
 from repro.core.deployment import MccsDeployment
-from repro.experiments.fig_fleet import run_fleet
 from repro.service import (
     GatewayClient,
     GatewayPolicy,
@@ -32,7 +30,7 @@ from repro.service import (
 )
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_gateway.json"
-_RESULTS = {"gateway": {}, "fleet": {}}
+_RESULTS = {"gateway": {}}
 
 BACKLOG = 2000
 
@@ -70,21 +68,5 @@ def test_gateway_request_throughput():
     _RESULTS["gateway"]["backlog_drain"] = {
         "requests_per_sec": round(BACKLOG / elapsed),
         "requests": BACKLOG,
-        "wall_seconds": round(elapsed, 3),
-    }
-
-
-def test_fleet_scenario_throughput():
-    started = time.perf_counter()
-    report = run_fleet(num_tenants=96, seed=0, base_rate=42.0,
-                       poison=2, storms=4)
-    elapsed = time.perf_counter() - started
-    issued = sum(row.issued for row in report.classes)
-    assert report.responses_accounted
-    assert report.journal_diff == []
-    _RESULTS["fleet"]["fleet_96"] = {
-        "requests_per_sec": round(issued / elapsed),
-        "tenants": report.num_tenants,
-        "requests": issued,
         "wall_seconds": round(elapsed, 3),
     }

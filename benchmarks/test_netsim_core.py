@@ -274,15 +274,14 @@ def _traced_event_loop(num_flows: int, traced: bool) -> float:
             sim.add_flow(size, path, job_id=job)
             return
         group = i // _FLOWS_PER_TRACE
-        ctx = open_counts.get(group)
-        if ctx is None:
-            trace_ctx = tracer.mint_context(
-                tenant=job, comm_id=f"comm{group}", seq=group,
+        if group not in open_counts:
+            trace = tracer.open(
+                sim.now, tenant=job, comm_id=f"comm{group}", seq=group,
                 kind="bench", nbytes=int(size),
             )
-            tracer.begin(trace_ctx, sim.now)
             remaining = min(_FLOWS_PER_TRACE, num_flows - group * _FLOWS_PER_TRACE)
-            ctx = open_counts[group] = [trace_ctx.trace_id, remaining]
+            open_counts[group] = [trace, remaining]
+        trace_id = open_counts[group][0].ctx.trace_id
 
         def done(f, now, group=group) -> None:
             entry = open_counts[group]
@@ -291,7 +290,7 @@ def _traced_event_loop(num_flows: int, traced: bool) -> float:
                 tracer.close(entry[0], now, "completed")
 
         sim.add_flow(
-            size, path, job_id=job, tags={"trace": ctx[0]}, on_complete=done
+            size, path, job_id=job, tags={"trace": trace_id}, on_complete=done
         )
 
     for i, path in enumerate(paths):

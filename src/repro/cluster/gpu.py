@@ -232,7 +232,6 @@ class Stream:
         self._queue: Deque[StreamOp] = deque()
         self._running: Optional[StreamOp] = None
         self.ops_executed = 0
-        self.history: List[str] = []
 
     @property
     def idle(self) -> bool:
@@ -269,7 +268,6 @@ class Stream:
         def done() -> None:
             self._running = None
             self.ops_executed += 1
-            self.history.append(op.name)
             self._pump()
 
         op.start(self, done)

@@ -33,18 +33,19 @@ from ..collectives.types import Collective, ReduceOp, validate_world
 from ..netsim.errors import FaultError, NoPathError, ReconfigurationError
 from ..netsim.flows import Flow
 from ..netsim.routing import RouteIdSelector, RouteMap
-from ..telemetry.causal import TraceContext
-from ..telemetry.hub import TelemetryHub
-from ..telemetry.spans import (
-    EVENT_LAST_FLOW_END,
+from ..telemetry.causal import (
+    EVENT_FIRST_FLOW_START,
+    EVENT_RANK_FAILED,
     EVENT_RANK_LAUNCH,
-    Span,
-    SpanRecorder,
+    TRACE_ABORTED,
+    TRACE_COMPLETED,
+    CausalTrace,
 )
+from ..telemetry.hub import TelemetryHub
 from ..transport.connections import ConnectionTable, connection_key
 from .algorithms import AlgorithmContext, get_algorithm
 from .strategy import CollectiveStrategy
-from .tracing import CommTrace
+from .tracing import CommTrace, TraceRecord
 
 _comm_counter = itertools.count()
 
@@ -164,14 +165,10 @@ class CollectiveInstance:
     start_time: Optional[float] = None
     end_time: Optional[float] = None
     rank_versions: Dict[int, int] = field(default_factory=dict)
-    #: Root lifecycle span (attached by the deployment's frontend path).
-    span: Optional[Span] = None
-    #: Causal-trace identity minted by the frontend; threaded into every
-    #: flow tag, retry, journal record, and lifecycle event downstream.
-    trace_ctx: Optional[TraceContext] = None
-    _phase_queued: Optional[Span] = None
-    _phase_launch: Optional[Span] = None
-    _phase_network: Optional[Span] = None
+    #: The collective's one trace record, opened by the frontend and owned
+    #: here: every layer annotates it through :meth:`annotate`, its id tags
+    #: every flow, and it closes with the instance.  None without a hub.
+    trace: Optional[CausalTrace] = None
     _launched: Set[int] = field(default_factory=set)
     _injected_ranks: Set[int] = field(default_factory=set)
     # failure state
@@ -219,71 +216,10 @@ class CollectiveInstance:
             raise ValueError(f"collective seq={self.seq} still in flight")
         return self.end_time - self.issue_time
 
-    # ------------------------------------------------------------------
-    # causal tracing
-    # ------------------------------------------------------------------
-    def _causal_annotate(self, kind: str, **attrs: object) -> None:
-        hub = self.comm.telemetry
-        if self.trace_ctx is not None and hub is not None and hub.causal is not None:
-            hub.causal.annotate(
-                self.trace_ctx.trace_id, self.comm.sim.now, kind, **attrs
-            )
-
-    def _causal_close(self, status: str) -> None:
-        hub = self.comm.telemetry
-        if self.trace_ctx is not None and hub is not None and hub.causal is not None:
-            hub.causal.close(
-                self.trace_ctx.trace_id, self.comm.sim.now, status
-            )
-
-    # ------------------------------------------------------------------
-    # telemetry spans
-    # ------------------------------------------------------------------
-    def _span_recorder(self) -> Optional[SpanRecorder]:
-        if self.span is not None and self.comm.telemetry is not None:
-            return self.comm.telemetry.spans
-        return None
-
-    def _phase_attrs(self) -> Dict[str, object]:
-        return {"app": self.comm.app_id, "comm": f"comm{self.comm.comm_id}"}
-
-    def attach_span(self, span: Span) -> None:
-        """Adopt ``span`` as this collective's root lifecycle span and open
-        the ``queued`` phase child (issue to first proxy launch)."""
-        self.span = span
-        recorder = self._span_recorder()
-        if recorder is not None:
-            self._phase_queued = recorder.begin(
-                "queued", span.start, category="phase", parent=span,
-                **self._phase_attrs(),
-            )
-
-    def _enter_launch_phase(self, now: float) -> None:
-        recorder = self._span_recorder()
-        if recorder is None:
-            return
-        if self._phase_queued is not None and not self._phase_queued.finished:
-            self._phase_queued.finish(now)
-            self._phase_launch = recorder.begin(
-                "launch", now, category="phase", parent=self.span,
-                **self._phase_attrs(),
-            )
-
-    def _enter_network_phase(self, now: float) -> None:
-        recorder = self._span_recorder()
-        if recorder is None:
-            return
-        if self._phase_launch is not None and not self._phase_launch.finished:
-            self._phase_launch.finish(now)
-        self._phase_network = recorder.begin(
-            "network", now, category="phase", parent=self.span,
-            **self._phase_attrs(),
-        )
-
-    def _close_phases(self, now: float) -> None:
-        for phase in (self._phase_queued, self._phase_launch, self._phase_network):
-            if phase is not None and not phase.finished:
-                phase.finish(now)
+    def annotate(self, kind: str, **attrs: object) -> None:
+        """Record one lifecycle fact, now, on the collective's trace."""
+        if self.trace is not None:
+            self.trace.annotate(self.comm.sim.now, kind, **attrs)
 
     # ------------------------------------------------------------------
     def _context(self, strategy: CollectiveStrategy, rank: int) -> AlgorithmContext:
@@ -311,12 +247,7 @@ class CollectiveInstance:
         self._awaiting_relaunch = False
         self.rank_versions[rank] = strategy.version
         comm = self.comm
-        if self.span is not None:
-            self.span.mark(
-                EVENT_RANK_LAUNCH, comm.sim.now,
-                rank=rank, version=strategy.version,
-            )
-        self._enter_launch_phase(comm.sim.now)
+        self.annotate(EVENT_RANK_LAUNCH, rank=rank, version=strategy.version)
         comm.datapath.acquire(strategy.version)
         algorithm = get_algorithm(strategy.algorithm)
         fixed = comm.latency.collective_latency(
@@ -346,11 +277,7 @@ class CollectiveInstance:
         comm = self.comm
         if self.start_time is None:
             self.start_time = comm.sim.now
-            self._enter_network_phase(comm.sim.now)
-            if comm.trace_record:
-                rec = comm.trace.record_for(self.seq)
-                if rec is not None:
-                    rec.start_time = comm.sim.now
+            self.annotate(EVENT_FIRST_FLOW_START)
         table, selector = comm.datapath.table_for(strategy, comm.gpus)
         algorithm = get_algorithm(strategy.algorithm)
         program_key = (strategy, self.kind, self.out_bytes, self.root, rank)
@@ -381,8 +308,8 @@ class CollectiveInstance:
                 "kind": self.kind.value,
                 "rank": rank,
             }
-            if self.trace_ctx is not None:
-                tags["trace"] = self.trace_ctx.trace_id
+            if self.trace is not None:
+                tags["trace"] = self.trace.ctx.trace_id
             flows = comm.sim.add_flows(
                 batch,
                 job_id=comm.app_id,
@@ -435,11 +362,7 @@ class CollectiveInstance:
         self._failed_ranks[rank] = error
         if self.error is None:
             self.error = error
-        if self.span is not None:
-            self.span.mark(
-                "rank_failed", self.comm.sim.now, rank=rank, error=str(error)
-            )
-        self._causal_annotate("rank_failed", rank=rank, error=str(error))
+        self.annotate(EVENT_RANK_FAILED, rank=rank, error=str(error))
         self.comm.on_instance_failure(self, rank, error)
 
     def abort(self, error: BaseException) -> None:
@@ -461,21 +384,16 @@ class CollectiveInstance:
         for flow in list(self._live_flows):
             comm.sim.cancel_flow(flow)
         self._live_flows.clear()
-        self._close_phases(self.end_time)
-        if comm.trace_record:
-            rec = comm.trace.record_for(self.seq)
-            if rec is not None:
-                rec.end_time = self.end_time
-        if self.span is not None and not self.span.finished:
-            self.span.mark("aborted", self.end_time, error=str(self.error))
-            self.span.finish(self.end_time)
         if comm.telemetry is not None:
             comm.telemetry.metrics.counter(
                 "mccs_collectives_aborted_total",
                 "Collectives terminated by failure handling, by app.",
             ).inc(app=comm.app_id, kind=self.kind.value)
             comm.telemetry.slo.record_abort(comm.app_id)
-        self._causal_close("aborted")
+        if self.trace is not None:
+            comm.telemetry.causal.close(
+                self.trace, self.end_time, TRACE_ABORTED, error=str(self.error)
+            )
         self._retire()
 
     def reset_for_retry(self) -> None:
@@ -491,11 +409,10 @@ class CollectiveInstance:
                 f"cannot retry finished collective seq={self.seq}"
             )
         self.attempts += 1
-        hub = self.comm.telemetry
-        if self.trace_ctx is not None and hub is not None and hub.causal is not None:
-            hub.causal.new_attempt(self.trace_ctx.trace_id, self.comm.sim.now)
-        if hub is not None:
-            hub.slo.record_retry(self.comm.app_id)
+        if self.trace is not None:
+            self.trace.new_attempt(self.comm.sim.now)
+        if self.comm.telemetry is not None:
+            self.comm.telemetry.slo.record_retry(self.comm.app_id)
         for flow in list(self._live_flows):
             self.comm.sim.cancel_flow(flow)
         self._live_flows.clear()
@@ -528,15 +445,6 @@ class CollectiveInstance:
                 self.reduce_op,
                 out=self.recv_views,
             )
-        self._close_phases(self.end_time)
-        if comm.trace_record:
-            rec = comm.trace.record_for(self.seq)
-            if rec is not None:
-                rec.end_time = self.end_time
-        if self.span is not None and not self.span.finished:
-            # Record already evicted (or tracing off): finish the span here.
-            self.span.mark(EVENT_LAST_FLOW_END, self.end_time)
-            self.span.finish(self.end_time)
         if comm.telemetry is not None:
             comm.completed_series[self.kind].inc()
             comm.duration_series.observe(self.end_time - self.issue_time)
@@ -546,7 +454,8 @@ class CollectiveInstance:
                 self.out_bytes,
                 self.end_time,
             )
-        self._causal_close("completed")
+        if self.trace is not None:
+            comm.telemetry.causal.close(self.trace, self.end_time, TRACE_COMPLETED)
         self._retire()
 
     def _retire(self) -> None:
@@ -555,11 +464,18 @@ class CollectiveInstance:
         needs, then wake the waiters.
 
         From here on the instance is reachable only through the tenant's
-        handle and the bounded trace rings, and holds the outcome alone —
-        no buffer views (the tenant may free those buffers next), no
-        kernel or callback closures, no open IPC export.
+        handle, and holds the outcome alone — no buffer views (the tenant
+        may free those buffers next), no kernel or callback closures, no
+        open IPC export.  Its timestamps are copied, once, into the
+        communicator's §4.3 trace.
         """
         comm = self.comm
+        comm.trace.append(
+            TraceRecord(
+                self.seq, self.kind, self.out_bytes,
+                self.issue_time, self.start_time, self.end_time,
+            )
+        )
         # Out of the in-flight map before waking anyone: completion
         # callbacks may immediately destroy the communicator.
         comm.on_instance_finished(self)
@@ -645,7 +561,6 @@ class ServiceCommunicator:
         self.inconsistent_collectives = 0
         self.strict_consistency = strict_consistency
         self.trace = trace if trace is not None else CommTrace(self.comm_id, app_id)
-        self.trace_record = True
         self.telemetry = telemetry
         if telemetry is not None:
             # Label handles of the per-collective series, bound once here.

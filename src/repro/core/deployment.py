@@ -369,7 +369,6 @@ class MccsDeployment:
                 strategy = self.strategy_factory(app_id, gpus, channels)
             else:
                 strategy = default_strategy(len(gpus), channels)
-        trace = None
         comm = ServiceCommunicator(
             self.cluster,
             app_id,
@@ -425,6 +424,7 @@ class MccsDeployment:
         comm.destroyed = True
         del self._comms[comm.comm_id]
         del self._comm_owner[comm.comm_id]
+        self.traces.drop(comm.comm_id)
 
     def handle_collective(
         self, app_id: str, request: CollectiveRequest
@@ -442,18 +442,16 @@ class MccsDeployment:
         send_views, recv_views = self._validated_views(app_id, comm, request)
         seq = comm.next_seq
         comm.next_seq += 1
-        tracer = self._telemetry.causal
-        trace_ctx = None
-        if tracer is not None:
-            trace_ctx = tracer.mint_context(
-                tenant=app_id,
-                comm_id=f"comm{comm.comm_id}",
-                seq=seq,
-                kind=request.kind.value,
-                nbytes=request.out_bytes,
-                strategy_version=comm.strategy.version,
-            )
-            tracer.begin(trace_ctx, self.sim.now)
+        # The collective's one trace record; the instance owns it from here.
+        trace = self._telemetry.causal.open(
+            self.sim.now,
+            tenant=app_id,
+            comm_id=f"comm{comm.comm_id}",
+            seq=seq,
+            kind=request.kind.value,
+            nbytes=request.out_bytes,
+            strategy_version=comm.strategy.version,
+        )
         self.journal.append(
             self.sim.now,
             "collective_issued",
@@ -462,25 +460,7 @@ class MccsDeployment:
             seq=seq,
             kind=request.kind.value,
             bytes=request.out_bytes,
-            **(
-                {"trace": trace_ctx.trace_id} if trace_ctx is not None else {}
-            ),
-        )
-        span = self._telemetry.spans.begin(
-            f"{request.kind.value} comm{comm.comm_id}.s{seq}",
-            self.sim.now,
-            category="collective",
-            app=app_id,
-            comm=f"comm{comm.comm_id}",
-            seq=seq,
-            kind=request.kind.value,
-            bytes=request.out_bytes,
-            **(
-                {"trace": trace_ctx.trace_id} if trace_ctx is not None else {}
-            ),
-        )
-        comm.trace.record_issue(
-            seq, request.kind, request.out_bytes, self.sim.now, span=span
+            trace=trace.ctx.trace_id,
         )
         comm.issued_series[request.kind].inc()
         instance = CollectiveInstance(
@@ -494,14 +474,9 @@ class MccsDeployment:
             dtype=request.dtype,
             send_views=send_views,
             recv_views=recv_views,
+            trace=trace,
         )
-        instance.trace_ctx = trace_ctx
-        if trace_ctx is not None and tracer is not None:
-            trace = tracer.get(trace_ctx.trace_id)
-            if trace is not None:
-                trace.root_span_id = span.span_id
         comm.inflight[seq] = instance
-        instance.attach_span(span)
 
         root_host = self.cluster.hosts[comm.gpus[0].host_id]
         if request.stream_event is not None:
@@ -573,11 +548,7 @@ class MccsDeployment:
                 self._telemetry.flight.trigger(
                     "deadline",
                     self.sim.now,
-                    trace_id=(
-                        instance.trace_ctx.trace_id
-                        if instance.trace_ctx is not None
-                        else None
-                    ),
+                    trace=instance.trace,
                     comm=comm.comm_id,
                     seq=instance.seq,
                     attempt=instance.attempts,
@@ -789,10 +760,8 @@ class MccsDeployment:
         return [comm.describe() for comm in self._comms.values()]
 
     def trace(self, comm_id: int) -> CommTrace:
-        trace = self.traces.get(comm_id)
-        if trace is None:
-            raise CommunicatorError(f"no trace for communicator {comm_id}")
-        return trace
+        """The §4.3 trace of a live communicator (it goes at destroy)."""
+        return self.communicator(comm_id).trace
 
     def telemetry(self) -> TelemetryHub:
         """Provider-side observability surface: metrics, spans, decision

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
 
 from ..netsim.errors import HostCrashedError, ReconfigurationError
-from ..telemetry.spans import EVENT_HELD
+from ..telemetry.causal import EVENT_HELD
 from .communicator import CollectiveInstance, ServiceCommunicator
 from .strategy import CollectiveStrategy
 
@@ -164,14 +164,7 @@ class ProxyEngine:
             if state.launched_seq >= state.catch_up_max:
                 self._apply(state, rank)
             return
-        if instance.span is not None:
-            instance.span.mark(
-                EVENT_HELD, instance.comm.sim.now, rank=rank,
-                gpu=self.gpu_global_id,
-            )
-        instance._causal_annotate(
-            "launch_held", rank=rank, gpu=self.gpu_global_id
-        )
+        instance.annotate(EVENT_HELD, rank=rank, gpu=self.gpu_global_id)
         if self.telemetry is not None:
             self.telemetry.metrics.counter(
                 "mccs_launches_held_total",

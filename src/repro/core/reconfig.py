@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
 
 from ..netsim.engine import FlowSimulator
 from ..netsim.errors import ReconfigurationError
-from ..telemetry.spans import EVENT_BARRIER_RESOLVED, EVENT_RANK_APPLIED
+from ..telemetry.causal import EVENT_BARRIER_RESOLVED, EVENT_RANK_APPLIED
 from .communicator import ServiceCommunicator
 from .strategy import CollectiveStrategy
 
@@ -222,10 +222,12 @@ class ReconfigSession:
         on it is a record in :attr:`ReconfigManager.sessions` — timings,
         ``max_seq``, the barrier's contributions, the error — and lets go
         of the machinery, so it pins neither the communicator (which the
-        tenant may destroy next) nor the proxies nor the callbacks."""
+        tenant may destroy next) nor the proxies nor the callbacks, nor its
+        spans (finished by now; the hub's ring is their only owner)."""
         self.comm = None
         self.proxies = []
         self._on_done = self._on_failed = None
+        self.span = self._barrier_span = None
 
     def _barrier_resolved(self, max_seq: int) -> None:
         if self.failed:
@@ -243,14 +245,14 @@ class ReconfigSession:
                 "mccs_barrier_stall_seconds",
                 "Reconfiguration barrier stall (issue to AllGather resolve).",
             ).observe(self.resolve_time - self.issue_time)
-            if self.telemetry.causal is not None:
-                self.telemetry.causal.annotate_comm(
-                    f"comm{self.comm.comm_id}",
-                    self.resolve_time,
-                    "barrier_resolved",
-                    max_seq=max_seq,
-                    version=self.new_strategy.version,
-                )
+        # The barrier pass stalled every collective in flight on this
+        # communicator: say so on each one's trace.
+        for instance in self.comm.inflight.values():
+            instance.annotate(
+                EVENT_BARRIER_RESOLVED,
+                max_seq=max_seq,
+                version=self.new_strategy.version,
+            )
         # All proxies learn the cut; the communicator adopts the new
         # strategy version so freshly retired connection tables know what
         # "current" means.

@@ -194,7 +194,7 @@ class RecoveryManager:
             where = f"seq={instance.seq} " if instance is not None else ""
             self._log(comm, "failure_detected", f"{where}rank={rank}: {error}")
         if instance is not None:
-            instance._causal_annotate(
+            instance.annotate(
                 "failure_detected", rank=rank, error=str(error)
             )
         rec.errors.append(error)
@@ -316,7 +316,7 @@ class RecoveryManager:
             f"backoff={backoff:g}s",
         )
         for inst in rec.retrying:
-            inst._causal_annotate(
+            inst.annotate(
                 "recovery_attempt",
                 attempt=rec.attempt,
                 fault=rec.kind,

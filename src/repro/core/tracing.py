@@ -8,119 +8,51 @@ consumer in the paper: it "invokes MCCS tracing API and requests a trace
 of a prioritized application [and] analyzes the idle cycles of the
 application when it is not issuing collectives."
 
-Since the telemetry subsystem landed, the source of truth for a
-collective's lifecycle is its :class:`~repro.telemetry.spans.Span`: the
-:class:`TraceRecord` timestamps are *views* over the span when one is
-attached (the normal service path), and plain attributes otherwise (the
-lightweight path used by directly-constructed communicators and unit
-tests).  Trace buffers are bounded ring buffers — a long-lived service
-deployment cannot keep every collective it ever carried.
+A :class:`TraceRecord` is six scalars, written **once**, when the
+collective reaches its terminal state (completed or aborted), from the
+:class:`~repro.core.communicator.CollectiveInstance`'s own timestamps —
+so it reads the same whether or not a telemetry hub is attached, and it
+pins nothing.  The rich per-collective record (flows, retries, holds,
+attribution) is the causal tree in :mod:`repro.telemetry.causal`; this
+module is only the §4.3 query surface the policies consume.  Trace
+buffers are bounded ring buffers — a long-lived service deployment cannot
+keep every collective it ever carried — and a communicator's buffer goes
+when the communicator is destroyed.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..collectives.types import Collective
 from ..telemetry.ringbuffer import RingBuffer
-from ..telemetry.spans import (
-    EVENT_FIRST_FLOW_START,
-    EVENT_LAST_FLOW_END,
-    Span,
-)
 
 #: Default per-communicator trace capacity (collectives kept).
 DEFAULT_TRACE_CAPACITY = 4096
 
 
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
-    """One collective's lifecycle timestamps.
+    """One finished collective's lifecycle timestamps."""
 
-    With a span attached, ``issue_time`` is the span start, ``start_time``
-    is the span's first-flow-start event, and ``end_time`` is the span
-    end; assignment marks/finishes the span.  Without a span, the fields
-    behave as plain attributes.
-    """
-
-    __slots__ = ("seq", "kind", "out_bytes", "span",
-                 "_issue_time", "_start_time", "_end_time")
-
-    def __init__(
-        self,
-        seq: int,
-        kind: Collective,
-        out_bytes: int,
-        issue_time: float,
-        start_time: Optional[float] = None,
-        end_time: Optional[float] = None,
-        span: Optional[Span] = None,
-    ) -> None:
-        self.seq = seq
-        self.kind = kind
-        self.out_bytes = out_bytes
-        self.span = span
-        self._issue_time = issue_time
-        self._start_time = start_time
-        self._end_time = end_time
-
-    # -- span-backed timestamp views -----------------------------------
-    @property
-    def issue_time(self) -> float:
-        if self.span is not None:
-            return self.span.start
-        return self._issue_time
-
-    @issue_time.setter
-    def issue_time(self, value: float) -> None:
-        self._issue_time = value
-        if self.span is not None:
-            self.span.start = value
-
-    @property
-    def start_time(self) -> Optional[float]:
-        """When the collective's traffic first entered the network."""
-        if self.span is not None:
-            t = self.span.event_time(EVENT_FIRST_FLOW_START)
-            if t is not None:
-                return t
-        return self._start_time
-
-    @start_time.setter
-    def start_time(self, value: Optional[float]) -> None:
-        self._start_time = value
-        if self.span is not None and value is not None:
-            self.span.mark(EVENT_FIRST_FLOW_START, value)
-
-    @property
-    def end_time(self) -> Optional[float]:
-        if self.span is not None and self.span.end is not None:
-            return self.span.end
-        return self._end_time
-
-    @end_time.setter
-    def end_time(self, value: Optional[float]) -> None:
-        self._end_time = value
-        if self.span is not None and value is not None and not self.span.finished:
-            self.span.mark(EVENT_LAST_FLOW_END, value)
-            self.span.finish(value)
-
-    # -- derived quantities --------------------------------------------
-    @property
-    def completed(self) -> bool:
-        return self.end_time is not None
-
-    def _require_end(self) -> float:
-        end = self.end_time
-        if end is None:
-            raise ValueError(f"collective seq={self.seq} still in flight")
-        return end
+    seq: int
+    kind: Collective
+    out_bytes: int
+    issue_time: float
+    #: When the collective's traffic first entered the network — of the
+    #: final attempt, for a retried collective (failed attempts and
+    #: back-off count as queueing, as in ``CriticalPathReport.queue_s``).
+    #: None when it was aborted before any flow started.
+    start_time: Optional[float]
+    end_time: float
 
     def duration(self) -> float:
         """Issue-to-completion time, including queueing in the service.
 
         Alias of :meth:`total_duration`; kept under the historical name.
         """
-        return self._require_end() - self.issue_time
+        return self.end_time - self.issue_time
 
     def total_duration(self) -> float:
         """Issue-to-completion time (shim call to last flow drained)."""
@@ -129,33 +61,23 @@ class TraceRecord:
     def network_duration(self) -> float:
         """Time the collective's traffic actually occupied the network
         (first flow start to last flow end).  Falls back to the issue
-        time when no flow-start was recorded (zero-byte collectives)."""
-        end = self._require_end()
+        time when no flow-start was recorded."""
         start = self.start_time
-        return end - (start if start is not None else self.issue_time)
+        return self.end_time - (start if start is not None else self.issue_time)
 
     def queue_delay(self) -> float:
         """Time between issue and the first traffic entering the network
         (stream queueing, proxy holds, datapath latency)."""
-        self._require_end()
-        start = self.start_time
-        if start is None:
+        if self.start_time is None:
             return 0.0
-        return start - self.issue_time
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.completed else "inflight"
-        return (
-            f"TraceRecord(seq={self.seq}, kind={self.kind.value}, "
-            f"issue={self.issue_time:.6f}, {state})"
-        )
+        return self.start_time - self.issue_time
 
 
 class CommTrace:
     """Per-communicator trace buffer with idle-cycle analysis.
 
-    The buffer keeps the most recent ``max_records`` collectives;
-    ``evicted`` counts what was dropped.
+    The buffer keeps the most recent ``max_records`` finished
+    collectives, in completion order; ``evicted`` counts what was dropped.
     """
 
     def __init__(
@@ -167,7 +89,6 @@ class CommTrace:
         self.comm_id = comm_id
         self.app_id = app_id
         self._records: RingBuffer[TraceRecord] = RingBuffer(max_records)
-        self._by_seq: Dict[int, TraceRecord] = {}
 
     @property
     def records(self) -> List[TraceRecord]:
@@ -182,30 +103,13 @@ class CommTrace:
     def max_records(self) -> int:
         return self._records.capacity
 
-    def record_issue(
-        self,
-        seq: int,
-        kind: Collective,
-        out_bytes: int,
-        now: float,
-        span: Optional[Span] = None,
-    ) -> TraceRecord:
-        rec = TraceRecord(
-            seq=seq, kind=kind, out_bytes=out_bytes, issue_time=now, span=span
-        )
-        if len(self._records) >= self._records.capacity:
-            oldest = self._records[0]
-            self._by_seq.pop(oldest.seq, None)
-        self._records.append(rec)
-        self._by_seq[rec.seq] = rec
-        return rec
-
-    def record_for(self, seq: int) -> Optional[TraceRecord]:
-        """The record for one collective, or None once evicted."""
-        return self._by_seq.get(seq)
+    def append(self, record: TraceRecord) -> None:
+        """Retain one finished collective (called at its terminal state)."""
+        self._records.append(record)
 
     def completed_records(self) -> List[TraceRecord]:
-        return [r for r in self._records if r.completed]
+        """Same as :attr:`records`: only finished collectives are recorded."""
+        return self.records
 
     def busy_intervals(self) -> List[Tuple[float, float]]:
         """Merged [start, end) intervals during which collectives ran.
@@ -216,7 +120,6 @@ class CommTrace:
         spans = sorted(
             (r.start_time if r.start_time is not None else r.issue_time, r.end_time)
             for r in self._records
-            if r.end_time is not None
         )
         merged: List[Tuple[float, float]] = []
         for start, end in spans:
@@ -272,8 +175,9 @@ class TraceStore:
             )
         return self._traces[comm_id]
 
-    def get(self, comm_id: int) -> Optional[CommTrace]:
-        return self._traces.get(comm_id)
+    def drop(self, comm_id: int) -> None:
+        """Forget a destroyed communicator's trace."""
+        self._traces.pop(comm_id, None)
 
     def traces_of_app(self, app_id: str) -> List[CommTrace]:
         return [t for t in self._traces.values() if t.app_id == app_id]

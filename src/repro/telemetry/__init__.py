@@ -7,8 +7,10 @@ telemetry plane for the reproduction:
 
 * :mod:`metrics`   — Prometheus-style counters/gauges/histograms on the
   simulated clock.
-* :mod:`spans`     — per-collective and per-reconfiguration lifecycle
-  spans (issue → enqueue → launch → flows → completion).
+* :mod:`causal`    — the one record per collective: its causal tree,
+  critical-path attribution, the flight recorder.
+* :mod:`spans`     — the timeline vocabulary: reconfiguration spans, and
+  collective spans rendered from the causal trees at export time.
 * :mod:`sampler`   — flow-lifecycle observer + periodic link-utilization
   sampling over the fluid simulator.
 * :mod:`events`    — bounded log of control-plane policy decisions.
@@ -19,6 +21,17 @@ telemetry plane for the reproduction:
   that ``MccsDeployment.telemetry()`` returns.
 """
 
+from .causal import (
+    EVENT_ABORTED,
+    EVENT_BARRIER_RESOLVED,
+    EVENT_FIRST_FLOW_START,
+    EVENT_HELD,
+    EVENT_LAST_FLOW_END,
+    EVENT_RANK_APPLIED,
+    EVENT_RANK_FAILED,
+    EVENT_RANK_LAUNCH,
+    EVENT_RETRY,
+)
 from .events import EventLog, TelemetryEvent
 from .exporters import chrome_trace, json_snapshot, prometheus_text
 from .hub import TelemetryHub
@@ -41,27 +54,21 @@ from .reporter import (
 )
 from .ringbuffer import RingBuffer
 from .sampler import NetworkTelemetry
-from .spans import (
-    EVENT_BARRIER_RESOLVED,
-    EVENT_FIRST_FLOW_START,
-    EVENT_HELD,
-    EVENT_LAST_FLOW_END,
-    EVENT_RANK_APPLIED,
-    EVENT_RANK_LAUNCH,
-    Span,
-    SpanRecorder,
-)
+from .spans import Span, SpanRecorder, collective_spans
 
 __all__ = [
     "BufferSink",
     "Counter",
     "DEFAULT_SIM_BUCKETS",
+    "EVENT_ABORTED",
     "EVENT_BARRIER_RESOLVED",
     "EVENT_FIRST_FLOW_START",
     "EVENT_HELD",
     "EVENT_LAST_FLOW_END",
     "EVENT_RANK_APPLIED",
+    "EVENT_RANK_FAILED",
     "EVENT_RANK_LAUNCH",
+    "EVENT_RETRY",
     "EventLog",
     "Gauge",
     "Histogram",
@@ -77,6 +84,7 @@ __all__ = [
     "TelemetryHub",
     "WALL_CLOCK_BUCKETS",
     "chrome_trace",
+    "collective_spans",
     "format_table",
     "get_default_reporter",
     "json_snapshot",

@@ -4,13 +4,21 @@ The paper's core observability pitch (§3, §5.3) is that the *service* can
 see what tenant libraries cannot: where a collective's time actually went.
 This module provides that substrate:
 
-* :class:`TraceContext` — the identity a collective carries through every
-  layer (shim → frontend → proxy → transport → netsim flows, and through
-  retries, barrier passes, and journal records).  The frontend mints one
-  per issued collective; every span, event, journal record, and flow tag
-  downstream references its ``trace_id``.
+* :class:`CausalTrace` — **the** record of one issued collective, and the
+  only per-collective trace product code writes.  The frontend opens one
+  (:meth:`CausalTracer.open`) and hands it to the
+  :class:`~repro.core.communicator.CollectiveInstance`, which owns it from
+  there: every layer annotates the object it already holds, each fact once,
+  under the one ``EVENT_*`` vocabulary below.  The span timeline
+  (:func:`repro.telemetry.spans.collective_spans`) is a *view* rendered
+  from these trees at export time, and the §4.3
+  :class:`~repro.core.tracing.TraceRecord` is six scalars copied off the
+  instance at its terminal state; no lifecycle fact is written twice.
+* :class:`TraceContext` — the identity a trace carries (``trace_id``,
+  tenant, communicator, seq, kind, bytes, strategy version); journal
+  records, decision events and flow tags reference its ``trace_id``.
 * :class:`CausalTracer` — a :class:`~repro.netsim.engine.SimObserver`
-  that assembles the per-collective :class:`CausalTrace` trees.  Flows
+  that keeps the live trees and a bounded ring of closed ones.  Flows
   tagged with ``trace=<trace_id>`` are adopted into the issuing trace;
   a per-flow rate recorder (installed via ``Flow._recorder``) captures
   every rate change as a closed *segment* ``(start, end, rate,
@@ -46,6 +54,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 TRACE_COMPLETED = "completed"
 TRACE_ABORTED = "aborted"
 TRACE_FAILED = "failed"
+
+#: The one vocabulary of lifecycle facts: ``CausalTrace.annotate`` kinds
+#: (the instants of the rendered collective timeline) and the point
+#: events of reconfiguration spans.
+EVENT_RANK_LAUNCH = "rank_launch"
+EVENT_FIRST_FLOW_START = "first_flow_start"
+EVENT_LAST_FLOW_END = "last_flow_end"
+EVENT_HELD = "held_by_reconfig"
+EVENT_BARRIER_RESOLVED = "barrier_resolved"
+EVENT_RANK_APPLIED = "rank_applied"
+EVENT_RANK_FAILED = "rank_failed"
+EVENT_RETRY = "retry"
+EVENT_ABORTED = "aborted"
 
 
 @dataclass(frozen=True)
@@ -177,7 +198,7 @@ class CausalTrace:
     """The causal tree of one issued collective."""
 
     __slots__ = ("ctx", "issued_at", "end_time", "status", "attempts",
-                 "events", "root_span_id")
+                 "events")
 
     def __init__(self, ctx: TraceContext, now: float) -> None:
         self.ctx = ctx
@@ -188,7 +209,6 @@ class CausalTrace:
         #: Annotations from the control plane: journal appends, barrier
         #: passes, holds, relaunches, recovery decisions...
         self.events: List[Tuple[float, str, Dict[str, object]]] = []
-        self.root_span_id: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property
@@ -200,12 +220,15 @@ class CausalTrace:
         return self.attempts[-1]
 
     def new_attempt(self, now: float) -> TraceAttempt:
+        """Open the next launch attempt (failure recovery's retry)."""
         attempt = TraceAttempt(len(self.attempts) + 1, now)
+        self.annotate(now, EVENT_RETRY, attempt=attempt.number)
         self.attempts.append(attempt)
         return attempt
 
     def annotate(self, now: float, kind: str, **attrs: object) -> None:
-        self.events.append((now, kind, dict(attrs)))
+        """Attach a control-plane event (live or closed trace alike)."""
+        self.events.append((now, kind, attrs))
 
     def all_flows(self) -> List[FlowRecord]:
         return [f for a in self.attempts for f in a.flows.values()]
@@ -375,8 +398,9 @@ class CausalTracer:
     # ------------------------------------------------------------------
     # trace lifecycle (called by the control plane)
     # ------------------------------------------------------------------
-    def mint_context(
+    def open(
         self,
+        now: float,
         *,
         tenant: str,
         comm_id: str,
@@ -384,86 +408,55 @@ class CausalTracer:
         kind: str,
         nbytes: int,
         strategy_version: int = 0,
-    ) -> TraceContext:
-        """Create the :class:`TraceContext` for one issued collective."""
+    ) -> CausalTrace:
+        """Start the trace of one issued collective; the caller owns it."""
         trace_id = f"tr{next(self._ids)}:{comm_id}.s{seq}"
-        return TraceContext(
-            trace_id=trace_id,
-            tenant=tenant,
-            comm_id=comm_id,
-            seq=seq,
-            kind=kind,
-            nbytes=nbytes,
-            strategy_version=strategy_version,
+        trace = self._live[trace_id] = CausalTrace(
+            TraceContext(
+                trace_id, tenant, comm_id, seq, kind, nbytes, strategy_version
+            ),
+            now,
         )
-
-    def begin(self, ctx: TraceContext, now: float) -> CausalTrace:
-        trace = CausalTrace(ctx, now)
-        self._live[ctx.trace_id] = trace
         self.traces_started += 1
         if self._traces_total is not None:
-            opened = self._traces_by_tenant.get(ctx.tenant)
+            opened = self._traces_by_tenant.get(tenant)
             if opened is None:
-                opened = self._traces_by_tenant[ctx.tenant] = (
-                    self._traces_total.labels(tenant=ctx.tenant)
+                opened = self._traces_by_tenant[tenant] = (
+                    self._traces_total.labels(tenant=tenant)
                 )
             opened.inc()
             self._traces_open.set(len(self._live))
         return trace
 
-    def new_attempt(self, trace_id: str, now: float) -> None:
-        trace = self._live.get(trace_id)
-        if trace is not None:
-            trace.annotate(now, "retry", attempt=len(trace.attempts) + 1)
-            trace.new_attempt(now)
-
-    def annotate(self, trace_id: str, now: float, kind: str, **attrs: object) -> None:
-        """Attach a control-plane event to a live (or closed) trace."""
-        trace = self.get(trace_id)
-        if trace is not None:
-            trace.annotate(now, kind, **attrs)
-
-    def annotate_comm(self, comm_id: str, now: float, kind: str, **attrs: object) -> None:
-        """Attach an event to every live trace of one communicator
-        (used for barrier passes and upgrades that stall a whole comm)."""
-        for trace in self._live.values():
-            if trace.ctx.comm_id == comm_id:
-                trace.annotate(now, kind, **attrs)
-
-    def close(self, trace_id: str, now: float, status: str) -> Optional[CausalTrace]:
-        """Terminate a trace exactly once; later calls are no-ops."""
-        trace = self._live.pop(trace_id, None)
-        if trace is None:
-            return None
+    def close(
+        self, trace: CausalTrace, now: float, status: str, **attrs: object
+    ) -> None:
+        """Terminate a trace exactly once; later calls are no-ops.
+        ``attrs`` become one final annotation named after ``status``."""
+        if self._live.pop(trace.ctx.trace_id, None) is None:
+            return
         for rec in trace.all_flows():
             if rec.status == "active":  # flow outlived by its collective
                 rec.close_segment(now)
                 rec.t_end = rec.t_end if rec.t_end is not None else now
                 rec.status = "cancelled"
+        if attrs:
+            trace.annotate(now, status, **attrs)
         trace.end_time = now
         trace.status = status
         self._closed.append(trace)
         self.traces_closed += 1
         if self._traces_open is not None:
             self._traces_open.set(len(self._live))
-        return trace
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def get(self, trace_id: str) -> Optional[CausalTrace]:
-        trace = self._live.get(trace_id)
-        if trace is not None:
-            return trace
-        for closed in self._closed:
-            if closed.ctx.trace_id == trace_id:
-                return closed
-        return None
-
     def live_traces(self) -> List[CausalTrace]:
         return list(self._live.values())
 
     def closed_traces(self) -> List[CausalTrace]:
+        """The retained closed trees, oldest first (a ``max_closed`` ring)."""
         return self._closed.to_list()
 
     def recent(self, n: int = 8) -> List[CausalTrace]:
@@ -616,15 +609,17 @@ class FlightRecorder:
         reason: str,
         now: float,
         *,
-        trace_id: Optional[str] = None,
+        trace: Optional[CausalTrace] = None,
         **detail: object,
     ) -> Dict[str, object]:
-        """Snapshot the recent causal trees; returns the dump."""
+        """Snapshot the recent causal trees (``trace``, the collective the
+        trigger is about, always among them); returns the dump."""
         traces = self.tracer.recent(self.snapshot_traces)
-        if trace_id is not None:
-            focus = self.tracer.get(trace_id)
-            if focus is not None and focus not in traces:
-                traces = [focus] + traces[: self.snapshot_traces - 1]
+        trace_id = None
+        if trace is not None:
+            trace_id = trace.ctx.trace_id
+            if trace not in traces:
+                traces = [trace] + traces[: self.snapshot_traces - 1]
         dump = {
             "reason": reason,
             "time": now,

@@ -13,18 +13,20 @@ Three views over the same hub state:
   and communicator, point events become instants, and the Figure 4
   reconfiguration barrier shows up as its own span on the control track.
 
-All exporters are deterministic: spans carry recorder-assigned ids and
+The spans both span exports show are ``hub.exported_spans()``: the stored
+reconfiguration spans plus the collective spans rendered from the causal
+trees.  All exporters are deterministic: span ids follow begin order and
 output is sorted, so goldens can be compared byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from .events import EventLog
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .spans import Span, SpanRecorder
+from .spans import Span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .hub import TelemetryHub
@@ -95,7 +97,7 @@ def json_snapshot(hub: "TelemetryHub") -> Dict[str, object]:
         "metrics": hub.metrics.snapshot(),
         "spans": {
             "evicted": hub.spans.evicted,
-            "records": [span.to_dict() for span in hub.spans.spans()],
+            "records": [span.to_dict() for span in hub.exported_spans()],
         },
         "events": {
             "evicted": hub.events.evicted,
@@ -169,9 +171,11 @@ def _span_tracks(span: Span) -> Tuple[str, str]:
 
 
 def chrome_trace(
-    spans: SpanRecorder, events: Optional[EventLog] = None
+    spans: Iterable[Span], events: Optional[EventLog] = None
 ) -> Dict[str, object]:
-    """Render spans (and decision events) as a Chrome trace-event dict.
+    """Render spans — a :class:`~repro.telemetry.spans.SpanRecorder` or any
+    sequence, e.g. ``hub.exported_spans()`` — and decision events as a
+    Chrome trace-event dict.
 
     Finished spans become complete ("X") events; their point events and
     any control-plane decision events become instants ("i").  Unfinished
@@ -186,7 +190,7 @@ def chrome_trace(
     anchors: Dict[str, Tuple[int, int, float]] = {}
     flow_points: List[Tuple[str, int, int, float]] = []
 
-    for span in spans.spans():
+    for span in spans:
         process, track = _span_tracks(span)
         pid = tracks.pid(process)
         tid = tracks.tid(pid, track)

@@ -10,7 +10,7 @@ counter increment, span, and decision event lands in the same place.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from .causal import CausalTracer, FlightRecorder
 from .events import EventLog
@@ -18,7 +18,7 @@ from .exporters import chrome_trace, json_snapshot, prometheus_text
 from .metrics import MetricsRegistry
 from .sampler import NetworkTelemetry
 from .slo import SloPolicy, SloTracker
-from .spans import SpanRecorder
+from .spans import Span, SpanRecorder, collective_spans
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..netsim.engine import FlowSimulator
@@ -28,7 +28,9 @@ class TelemetryHub:
     """Aggregates metrics, spans, events, and network samples.
 
     Args:
-        max_spans: Span ring-buffer capacity.
+        max_spans: Capacity of the stored-span ring (``hub.spans``:
+            reconfiguration spans — collectives are rendered from the
+            causal tracer's trees, see :meth:`exported_spans`).
         max_events: Decision event-log capacity.
         sample_interval: Simulated seconds between link-utilization
             samples once a network is attached.
@@ -114,7 +116,20 @@ class TelemetryHub:
 
     def to_chrome_trace(self) -> Dict[str, object]:
         """Chrome trace-event rendering of spans and decision events."""
-        return chrome_trace(self.spans, self.events)
+        return chrome_trace(self.exported_spans(), self.events)
+
+    def exported_spans(self) -> List[Span]:
+        """Every span an export shows, by start time: the stored
+        reconfiguration spans, and the collective spans rendered from the
+        causal trees the tracer still retains (closed ring + live)."""
+        spans = self.spans.spans()
+        if self.causal is not None:
+            spans += collective_spans(
+                self.causal.closed_traces() + self.causal.live_traces(),
+                self.spans.next_id,
+            )
+        spans.sort(key=lambda span: span.start)
+        return spans
 
     # ------------------------------------------------------------------
     def summary_lines(self) -> list:

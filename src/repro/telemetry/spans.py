@@ -1,36 +1,43 @@
-"""Span-based tracing of collective and reconfiguration lifecycles.
+"""Spans: the export vocabulary of lifecycle timelines.
 
 A :class:`Span` is one named interval on the simulation clock, optionally
 nested under a parent span and carrying point events ("rank_launch",
-"first_flow_start", ...).  The service opens one root span per collective
-as the request crosses the shim->frontend boundary and phase children as
-it moves through the proxy and transport layers:
+"first_flow_start", ...).  Two producers, one shape:
 
-    allreduce c0.s3                    [issue ............. last flow end]
-      queued                           [issue .. first proxy launch]
-      launch                                    [launch .. first flow]
-      network                                            [flows draining]
+* **Collectives are not stored as spans.**  The one record of a
+  collective is its causal tree (:mod:`repro.telemetry.causal`);
+  :func:`collective_spans` *renders* the timeline below from the retained
+  trees when an exporter (or a test) asks:
 
-Reconfigurations get their own root span with a ``barrier`` child, so the
-Figure 4 stall is directly visible in a Chrome trace.  The per-collective
-:class:`~repro.core.tracing.TraceRecord` timestamps are *views* over these
-spans — the spans are the source of truth.
+      allreduce c0.s3                    [issue ............. last flow end]
+        queued                           [issue .. first proxy launch]
+        launch                                    [launch .. first flow]
+        network                                            [flows draining]
+
+  The phases tile the root.  A retried collective re-enters ``queued`` at
+  each retry, so every attempt shows its own closed ``network`` child.
+  Every annotation of the tree is an instant on the root.
+* **Reconfigurations are begun explicitly** on the hub's
+  :class:`SpanRecorder` — a root span with a ``barrier`` child, so the
+  Figure 4 stall is directly visible in a Chrome trace.  They are the only
+  spans the recorder stores.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from .causal import (
+    EVENT_FIRST_FLOW_START,
+    EVENT_LAST_FLOW_END,
+    EVENT_RANK_LAUNCH,
+    EVENT_RETRY,
+    TRACE_COMPLETED,
+)
 from .ringbuffer import RingBuffer
 
-#: Canonical point-event names stamped on collective spans.
-EVENT_RANK_LAUNCH = "rank_launch"
-EVENT_FIRST_FLOW_START = "first_flow_start"
-EVENT_LAST_FLOW_END = "last_flow_end"
-EVENT_BARRIER_RESOLVED = "barrier_resolved"
-EVENT_RANK_APPLIED = "rank_applied"
-EVENT_HELD = "held_by_reconfig"
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .causal import CausalTrace
 
 
 class Span:
@@ -121,7 +128,11 @@ class SpanRecorder:
 
     def __init__(self, max_spans: int = 8192) -> None:
         self._spans: RingBuffer[Span] = RingBuffer(max_spans)
-        self._ids = itertools.count(1)
+
+    @property
+    def next_id(self) -> int:
+        """Id of the next span begun (ids run 1, 2, ... in begin order)."""
+        return len(self._spans) + self._spans.evicted + 1
 
     def begin(
         self,
@@ -133,7 +144,7 @@ class SpanRecorder:
         **attrs: object,
     ) -> Span:
         span = Span(
-            next(self._ids),
+            self.next_id,
             name,
             t,
             category=category,
@@ -166,3 +177,53 @@ class SpanRecorder:
 
     def __len__(self) -> int:
         return len(self._spans)
+
+    def __iter__(self) -> Iterator[Span]:
+        return iter(self._spans)
+
+
+def collective_spans(
+    traces: Iterable["CausalTrace"], first_id: int = 1
+) -> List[Span]:
+    """Render causal trees as span trees (ids from ``first_id`` up).
+
+    Per trace, in order: the root (issue to terminal state, unfinished
+    while the trace is live) carrying every annotation as a point event,
+    then its phase children.  This is the only place collective spans are
+    built; nothing keeps the result.
+    """
+    out: List[Span] = []
+    for trace in traces:
+        ctx = trace.ctx
+        tracks = {"app": ctx.tenant, "comm": ctx.comm_id}
+        root = Span(
+            first_id + len(out),
+            f"{ctx.kind} {ctx.comm_id}.s{ctx.seq}",
+            trace.issued_at,
+            category="collective",
+            attrs=dict(tracks, seq=ctx.seq, kind=ctx.kind, bytes=ctx.nbytes,
+                       trace=ctx.trace_id),
+        )
+        root.events = [(kind, t, attrs) for t, kind, attrs in trace.events]
+        if trace.status == TRACE_COMPLETED:
+            root.mark(EVENT_LAST_FLOW_END, trace.end_time)
+        root.end = trace.end_time
+        out.append(root)
+
+        # Phase boundaries, walked off the annotations: (name, start).
+        phases = [("queued", trace.issued_at)]
+        for t, kind, _ in trace.events:
+            current = phases[-1][0]
+            if kind == EVENT_RANK_LAUNCH and current == "queued":
+                phases.append(("launch", t))
+            elif kind == EVENT_FIRST_FLOW_START:
+                phases.append(("network", t))
+            elif kind == EVENT_RETRY and current != "queued":
+                phases.append(("queued", t))
+        ends = [t for _, t in phases[1:]] + [trace.end_time]
+        for (name, start), end in zip(phases, ends):
+            phase = Span(first_id + len(out), name, start, category="phase",
+                         parent_id=root.span_id, attrs=tracks)
+            phase.end = end
+            out.append(phase)
+    return out

@@ -50,10 +50,9 @@ def assert_traces_closed(result: dict) -> None:
     ops = [op for op in result["victim_ops"] if op.instance is not None]
     ops.append(result["healthy_op"])
     for op in ops:
-        ctx = op.instance.trace_ctx
-        assert ctx is not None, f"collective seq={op.seq} issued untraced"
-        trace = closed.get(ctx.trace_id)
-        assert trace is not None, (
+        trace = op.instance.trace
+        assert trace is not None, f"collective seq={op.seq} issued untraced"
+        assert closed.get(trace.ctx.trace_id) is trace, (
             f"collective seq={op.seq} has no closed trace "
             f"under plan [{plan_text}]"
         )
@@ -76,6 +75,18 @@ def assert_traces_closed(result: dict) -> None:
             )
             for seg in rec.segments:
                 assert seg.end is not None
+
+    # The rendered timeline is closed too: after quiescence no collective
+    # or phase span is left unfinished — a retried collective's failed
+    # attempts included.
+    records = hub.to_json()["spans"]["records"]
+    unfinished = [
+        (r["name"], r["attrs"].get("comm"))
+        for r in records
+        if r["category"] in ("collective", "phase") and r["end"] is None
+    ]
+    assert unfinished == [], f"open spans under plan [{plan_text}]: {unfinished}"
+    assert sum(r["category"] == "collective" for r in records) == len(closed)
 
     # The metrics agree with the tracer's own books.
     total = hub.metrics.get("mccs_traces_total")

@@ -101,13 +101,18 @@ def test_allocation_lookup(gpu):
 # -- streams ------------------------------------------------------------------
 def test_compute_ops_run_in_order(sim, gpu):
     stream = gpu.create_stream()
-    stream.compute(1.0, name="k1")
-    stream.compute(2.0, name="k2")
     marks = []
-    stream.add_callback(lambda: marks.append(sim.now))
+    stream.compute(1.0, name="k1")
+    stream.add_callback(lambda: marks.append(("after k1", sim.now)))
+    stream.compute(2.0, name="k2")
+    stream.add_callback(lambda: marks.append(("after k2", sim.now)))
     sim.run()
-    assert marks == [pytest.approx(3.0)]
-    assert stream.history[:2] == ["k1", "k2"]
+    # The callback queued between the kernels saw k1 done and k2 not begun.
+    assert marks == [
+        ("after k1", pytest.approx(1.0)),
+        ("after k2", pytest.approx(3.0)),
+    ]
+    assert stream.ops_executed == 4
 
 
 def test_zero_duration_compute(sim, gpu):

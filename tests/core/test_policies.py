@@ -18,7 +18,7 @@ from repro.core.policies.ring_order import (
     random_host_major_order,
 )
 from repro.core.policies.ts import analyze_trace, compute_traffic_schedule
-from repro.core.tracing import CommTrace
+from repro.core.tracing import CommTrace, TraceRecord
 from repro.collectives.types import Collective
 from repro.netsim.errors import PolicyError
 
@@ -187,9 +187,7 @@ def periodic_trace(busy=1.0, idle=2.0, cycles=5):
     trace = CommTrace(comm_id=1, app_id="B")
     t = 0.0
     for i in range(cycles):
-        rec = trace.record_issue(i, Collective.ALL_REDUCE, 100, t)
-        rec.start_time = t
-        rec.end_time = t + busy
+        trace.append(TraceRecord(i, Collective.ALL_REDUCE, 100, t, t, t + busy))
         t += busy + idle
     return trace
 

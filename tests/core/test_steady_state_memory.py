@@ -8,9 +8,12 @@ is full, counts the live objects of the per-collective types with
 must be zero.  These are counts, not timings, so the test is exact.
 
 What is *allowed* to grow, and is therefore not in ``PER_COLLECTIVE``:
-one journal record and three stream-history names per collective, one
-gateway ledger record per request, one ``CommTrace`` per communicator
-ever created (see the retention table in ``docs/observability.md``).
+one journal record per collective, one gateway ledger record per request,
+one finished session per reconfiguration (see the retention table in
+``docs/observability.md``).  Trace objects are *not* allowed to: a
+``CausalTrace`` lives in the tracer's ring, a ``TraceRecord`` in its
+communicator's ring until the communicator is destroyed, and the only
+stored ``Span``s are the reconfiguration ones.
 """
 
 import gc
@@ -36,6 +39,9 @@ PER_COLLECTIVE = (
     "FlowRecord",
     "_BoundRecorder",
     "RateSegment",
+    "CausalTrace",
+    "TraceRecord",
+    "Span",
     "CollectiveInstance",
     "ClientCollective",
     "AsyncOp",
@@ -62,7 +68,8 @@ def census():
 
 def make_deployment():
     cluster = testbed_cluster()
-    hub = TelemetryHub(max_spans=256, max_events=64)
+    # Two stored spans per reconfiguration: the tenant cycles fill this.
+    hub = TelemetryHub(max_spans=64, max_events=64)
     return cluster, MccsDeployment(cluster, telemetry=hub, trace_capacity=32)
 
 
@@ -135,6 +142,9 @@ def test_tenant_cycles_leave_nothing_behind():
     assert sum(len(host.ipc._events) for host in cluster.hosts) == 0
     assert sum(len(host.ipc._memory) for host in cluster.hosts) == 0
     assert dep.verify_journal() == []
+    # A destroyed communicator takes its trace with it.
+    assert len(dep.traces.all()) == len(dep.communicators()) == 0
+    assert len(dep.telemetry().spans) == 64
 
 
 def test_gateway_requests_leave_nothing_behind():

@@ -9,7 +9,7 @@ from repro.collectives.types import Collective
 from repro.core.messages import CommandQueue, AllocateRequest
 from repro.core.strategy import CollectiveStrategy, default_strategy
 from repro.core.sync import bridge_wait, export_snapshot, snapshot_event
-from repro.core.tracing import CommTrace, TraceStore
+from repro.core.tracing import CommTrace, TraceRecord, TraceStore
 from repro.netsim.engine import FlowSimulator
 from repro.netsim.topology import Topology
 
@@ -19,9 +19,7 @@ def make_trace(spans):
     """spans: list of (issue, start, end)."""
     trace = CommTrace(comm_id=1, app_id="a")
     for i, (issue, start, end) in enumerate(spans):
-        rec = trace.record_issue(i, Collective.ALL_REDUCE, 100, issue)
-        rec.start_time = start
-        rec.end_time = end
+        trace.append(TraceRecord(i, Collective.ALL_REDUCE, 100, issue, start, end))
     return trace
 
 
@@ -52,22 +50,18 @@ def test_communication_period_needs_signal():
     assert trace.communication_period() is None
 
 
-def test_duration_requires_completion():
-    trace = CommTrace(comm_id=1, app_id="a")
-    rec = trace.record_issue(0, Collective.ALL_REDUCE, 10, 0.0)
-    with pytest.raises(ValueError):
-        rec.duration()
-
-
 def test_trace_store_per_app():
     store = TraceStore()
     store.trace_for(1, "a")
     store.trace_for(2, "a")
     store.trace_for(3, "b")
     assert len(store.traces_of_app("a")) == 2
-    assert store.get(3).app_id == "b"
-    assert store.get(99) is None
+    assert [t.comm_id for t in store.traces_of_app("b")] == [3]
+    assert store.traces_of_app("ghost") == []
     assert len(store.all()) == 3
+    store.drop(2)  # what destroy_communicator does
+    assert [t.comm_id for t in store.traces_of_app("a")] == [1]
+    assert [t.comm_id for t in store.all()] == [1, 3]
 
 
 # -- strategy -------------------------------------------------------------------

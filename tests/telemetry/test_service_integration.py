@@ -3,7 +3,9 @@
 These tests drive real deployments (shim -> frontend -> proxy ->
 transport -> netsim) and assert on what lands in the hub — including the
 acceptance scenario: the Figure 4 reconfiguration barrier visible as a
-span with intact parent/child links.
+span with intact parent/child links.  Collective spans are read off
+``hub.exported_spans()``, the view rendered from the causal trees;
+``hub.spans`` stores reconfiguration spans only.
 """
 
 import pytest
@@ -31,6 +33,14 @@ def make_env(world=3, **kwargs):
     return cluster, deployment, comm, client, handle
 
 
+def collective_roots(hub):
+    return [s for s in hub.exported_spans() if s.category == "collective"]
+
+
+def children_of(hub, span):
+    return [s for s in hub.exported_spans() if s.parent_id == span.span_id]
+
+
 def test_collective_span_tree():
     """One collective = one root span + queued/launch/network children."""
     cluster, deployment, comm, client, handle = make_env()
@@ -38,15 +48,17 @@ def test_collective_span_tree():
     deployment.run()
     hub = deployment.telemetry()
 
-    roots = hub.spans.spans("collective")
+    assert len(hub.spans) == 0  # rendered on demand, not stored
+    roots = collective_roots(hub)
     assert len(roots) == 1
     root = roots[0]
     assert root.finished
     assert root.attrs["app"] == "app"
     assert root.attrs["seq"] == 0
     assert root.end == pytest.approx(op.instance.end_time)
+    assert root.attrs["trace"] == op.instance.trace.ctx.trace_id
 
-    children = hub.spans.children_of(root)
+    children = children_of(hub, root)
     assert [c.name for c in children] == ["queued", "launch", "network"]
     assert all(c.finished for c in children)
     # Phases tile the root span: queued ends where launch begins, etc.
@@ -112,10 +124,14 @@ def test_reconfig_barrier_span_integrity():
     assert root.start <= barrier.start <= barrier.end <= root.end
     assert len(root.event_times(EVENT_RANK_APPLIED)) == 3
 
-    # The queued second collective recorded the proxy hold.
-    second = next(s for s in hub.spans.spans("collective") if s.attrs["seq"] == 1)
+    # The queued second collective recorded the proxy hold — once, under
+    # the one name — and the barrier pass that released it.
+    second = next(s for s in collective_roots(hub) if s.attrs["seq"] == 1)
     held = second.event_times(EVENT_HELD)
     assert len(held) == 2  # ranks 1 and 2 were holding
+    assert second.event_times(EVENT_BARRIER_RESOLVED) == [resolved]
+    assert second.event_times("launch_held") == []
+    assert {s.span_id for s in hub.spans} == {root.span_id, barrier.span_id}
 
     metrics = hub.metrics
     stall = metrics.histograms()["mccs_barrier_stall_seconds"]
@@ -128,14 +144,18 @@ def test_reconfig_barrier_span_integrity():
 
 
 def test_trace_record_duration_split():
-    """total = queue delay + network time, re-derived from the span."""
+    """total = queue delay + network time, and the record agrees with the
+    rendered span of the same collective."""
     cluster, deployment, comm, client, handle = make_env()
     client.all_reduce(handle, 8 * MB)
     op = client.all_reduce(handle, 8 * MB)  # queues behind the first
+    assert comm.trace.records == []  # written at the terminal state
     deployment.run()
-    rec = comm.trace.record_for(op.instance.seq)
-    assert rec.span is not None
-    assert rec.completed
+    rec = comm.trace.records[op.instance.seq]
+    assert rec.seq == op.instance.seq
+    root = collective_roots(deployment.telemetry())[op.instance.seq]
+    assert (rec.issue_time, rec.end_time) == (root.start, root.end)
+    assert rec.start_time == root.event_time(EVENT_FIRST_FLOW_START)
     assert rec.total_duration() == pytest.approx(rec.duration())
     assert rec.network_duration() > 0
     assert rec.queue_delay() > 0  # it waited for the first collective
@@ -154,8 +174,7 @@ def test_comm_trace_is_bounded():
     assert len(trace.records) == 4
     assert trace.evicted == 3
     assert [r.seq for r in trace.records] == [3, 4, 5, 6]
-    assert trace.record_for(0) is None
-    assert trace.record_for(6) is not None
+    assert trace.completed_records() == trace.records
 
 
 def test_deployment_accepts_external_hub():

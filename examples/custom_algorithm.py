@@ -5,12 +5,12 @@
 optimized for specific topologies ... or even proprietary strategies
 developed in-house by the provider" — without changing tenant code.
 
-This example registers a toy proprietary algorithm — a two-phase
-hierarchical AllReduce (reduce to one leader per host over NVLink, ring
-the leaders across the fabric, fan back out) — assigns it to a tenant's
-communicator at admission time, and later reconfigures the live
-communicator between algorithm families.  The tenant's code never
-changes and never learns which algorithm ran.
+This example registers a toy proprietary algorithm — a two-level
+hierarchical AllReduce (reduce-scatter inside each host over NVLink, ring
+all-reduce each shard across the hosts, all-gather inside the host) —
+assigns it to a tenant's communicator at admission time, and later
+reconfigures the live communicator between algorithm families.  The
+tenant's code never changes and never learns which algorithm ran.
 
 Run:  python examples/custom_algorithm.py
 """
@@ -20,59 +20,39 @@ from repro.collectives import compile_program, hierarchical_allreduce_program
 from repro.collectives.types import Collective
 from repro.core.algorithms import (
     CollectiveAlgorithm,
-    RankTransfer,
-    RingAlgorithm,
+    get_algorithm,
     register_algorithm,
 )
 from repro.core.strategy import CollectiveStrategy
 from repro.netsim.units import MB
 
 class HierarchicalAllReduce(CollectiveAlgorithm):
-    """Reduce intra-host first, ring host leaders, broadcast back."""
+    """Reduce-scatter intra-host, ring the hosts, all-gather back.
+
+    An algorithm is the name of a chunk program: ``plan`` is all there is
+    to write.  The service's one executor moves the bytes with it (in
+    place, into the tenant's receive buffers), and the simulator's flows
+    and fixed-latency step count are read off the same compiled plan, so
+    the two cannot disagree.
+    """
 
     name = "hierarchical"
 
     def __init__(self):
-        self._plans = {}  # world -> compiled two-level program
-
-    def _leader(self, ctx, rank):
-        # the lowest rank on each host leads; hosts are pairs (0,1), (2,3)...
-        return rank - (rank % 2)
-
-    def rank_transfers(self, ctx):
-        if ctx.kind is not Collective.ALL_REDUCE:
-            return RingAlgorithm().rank_transfers(ctx)
-        transfers = []
-        leader = self._leader(ctx, ctx.rank)
-        leaders = sorted({self._leader(ctx, r) for r in range(ctx.world)})
-        if ctx.rank != leader:
-            # phase 1 up + phase 3 down ride the intra-host channel
-            transfers.append(RankTransfer(leader, ctx.out_bytes, 0))
-        else:
-            idx = leaders.index(leader)
-            nxt = leaders[(idx + 1) % len(leaders)]
-            per_edge = 2 * (len(leaders) - 1) / len(leaders) * ctx.out_bytes
-            for channel in range(ctx.channels):
-                transfers.append(RankTransfer(nxt, per_edge / ctx.channels, channel))
-            for r in range(ctx.world):
-                if r != leader and self._leader(ctx, r) == leader:
-                    transfers.append(RankTransfer(r, ctx.out_bytes, 0))
-        return transfers
-
-    def steps(self, kind, world):
-        return 2 + world // 2  # up, leader ring, down
+        self._plans = {}  # (world, channels) -> compiled two-level program
 
     def plan(self, ctx):
-        # Name the chunk program; the service's one executor moves the
-        # bytes (in place, into the tenant's receive buffers).
         if ctx.kind is not Collective.ALL_REDUCE:
-            return RingAlgorithm().plan(ctx)
-        if ctx.world not in self._plans:
+            return get_algorithm("ring").plan(ctx)
+        key = (ctx.world, ctx.channels)
+        if key not in self._plans:
+            # hosts are rank pairs (0,1), (2,3)...; chunks alternate over
+            # the strategy's channels
             hosts = [[r, r + 1] for r in range(0, ctx.world, 2)]
-            self._plans[ctx.world] = compile_program(
-                hierarchical_allreduce_program(hosts)
+            self._plans[key] = compile_program(
+                hierarchical_allreduce_program(hosts, channels=ctx.channels)
             )
-        return self._plans[ctx.world], None
+        return self._plans[key], None  # already in rank space
 
 def main() -> None:
     register_algorithm(HierarchicalAllReduce(), replace=True)

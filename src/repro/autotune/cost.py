@@ -3,12 +3,12 @@
 The planner scores candidates with the classic alpha-beta model *plus*
 bottleneck terms derived from the actual placement: per-NIC egress/ingress
 load, per-rack spine-uplink load (where the testbed's 2:1 oversubscription
-bites), and the intra-host channel.  Traffic comes from the same per-pair
-byte models the fluid simulator is validated against
-(:func:`~repro.collectives.ring.edge_traffic`,
-:func:`~repro.collectives.tree.double_tree_allreduce_traffic`,
-:func:`~repro.collectives.halving_doubling.halving_doubling_traffic`), so
-the estimates rank candidates the way the network actually treats them.
+bites), and the intra-host channel.  Traffic and step counts are the
+candidate algorithm's own (:meth:`CollectiveAlgorithm.rank_transfers
+<repro.core.algorithms.CollectiveAlgorithm.rank_transfers>` and
+``.steps``, both views of its compiled plan) — the very flows the fluid
+simulator would launch — so the estimates rank candidates the way the
+network actually treats them.
 
 Chunking enters through the pipelined closed form
 
@@ -28,10 +28,8 @@ from typing import Dict, Sequence, Tuple
 from ..cluster.gpu import GpuDevice
 from ..cluster.specs import Cluster
 from ..collectives.cost_model import LatencyModel, MCCS_LATENCY
-from ..collectives.halving_doubling import halving_doubling_traffic, is_power_of_two
-from ..collectives.ring import edge_traffic
-from ..collectives.tree import double_binary_trees, double_tree_allreduce_traffic
 from ..collectives.types import Collective
+from ..core.algorithms import AlgorithmContext, get_algorithm
 from ..netsim.units import gBps, gbps
 
 #: Bytes per directed (src_rank, dst_rank) pair for one collective.
@@ -65,23 +63,20 @@ def topology_fingerprint(cluster: Cluster, gpus: Sequence[GpuDevice]) -> str:
     return key
 
 
-def _synth_program(algorithm: str, kind: Collective, world: int):
-    """The chunk-level program behind ``algorithm``, when it covers
-    (kind, world); ``None`` for built-ins and out-of-scope programs."""
-    from ..core.algorithms import get_algorithm
-    from ..netsim.errors import MccsError
-
-    try:
-        algo = get_algorithm(algorithm)
-    except MccsError:
-        return None
-    program = getattr(algo, "program", None)
-    if program is None:
-        return None
-    supports = getattr(algo, "supports", None)
-    if callable(supports) and not supports(kind, world):
-        return None
-    return program
+def _context(kind: Collective, order: Sequence[int], out_bytes: float):
+    """A candidate collective as its algorithm sees it: one channel wide
+    (:func:`bottleneck_seconds` spreads pairs over the channels itself),
+    rooted at the head of the ring."""
+    order = tuple(order)
+    return AlgorithmContext(
+        kind=kind,
+        out_bytes=out_bytes,
+        world=len(order),
+        rank=order[0],
+        root=order[0],
+        ring_order=order,
+        channels=1,
+    )
 
 
 def pair_traffic(
@@ -90,38 +85,13 @@ def pair_traffic(
     order: Sequence[int],
     out_bytes: float,
 ) -> PairTraffic:
-    """Per-(src_rank, dst_rank) bytes of one collective under ``algorithm``.
-
-    Mirrors the fallback rules of the registered algorithms: ``tree`` and
-    ``halving_doubling`` only specialize AllReduce (the latter only on
-    power-of-two worlds); everything else is the ring.  Synthesized
-    chunk-level programs report their own exact per-pair bytes (they
-    ignore the ring order — a program is built against a concrete
-    rank->location mapping).
-    """
-    order = list(order)
-    world = len(order)
-    program = _synth_program(algorithm, kind, world)
-    if program is not None:
-        return program.pair_traffic(out_bytes)
-    if algorithm == "tree" and kind is Collective.ALL_REDUCE:
-        return double_tree_allreduce_traffic(
-            double_binary_trees(order), out_bytes
-        )
-    if (
-        algorithm == "halving_doubling"
-        and kind is Collective.ALL_REDUCE
-        and is_power_of_two(world)
-    ):
-        return halving_doubling_traffic(order, out_bytes)
-    per_edge = edge_traffic(kind, out_bytes, world, 0)
+    """Per-(src_rank, dst_rank) bytes of one collective under ``algorithm``:
+    the sum of the transfers every rank would launch, fallbacks included."""
     traffic: PairTraffic = {}
-    for pos in range(world):
-        nbytes = per_edge[pos]
-        if nbytes <= 0:
-            continue
-        pair = (order[pos], order[(pos + 1) % world])
-        traffic[pair] = traffic.get(pair, 0.0) + nbytes
+    ctx = _context(kind, order, out_bytes)
+    for rank, transfer in get_algorithm(algorithm).transfers(ctx):
+        pair = (rank, transfer.dst_rank)
+        traffic[pair] = traffic.get(pair, 0.0) + transfer.nbytes
     return traffic
 
 
@@ -231,8 +201,9 @@ def wan_rtt_seconds(
     if not callable(region_of_host) or wan_rtt <= 0.0:
         return 0.0
     regions = [region_of_host(gpu.host_id) for gpu in gpus]
-    program = _synth_program(algorithm, kind, len(gpus))
-    if program is not None:
+    algo = get_algorithm(algorithm)
+    program = getattr(algo, "program", None)
+    if program is not None and algo.supports(kind, len(gpus)):
         return wan_rtt * program.wan_step_count(lambda rank: regions[rank])
     crossing = any(
         regions[src] != regions[dst] for (src, dst) in traffic
@@ -253,10 +224,8 @@ def estimate_seconds(
     latency: LatencyModel = MCCS_LATENCY,
 ) -> float:
     """Predicted completion time of one collective under a candidate."""
-    from ..core.algorithms import get_algorithm
-
     algo = get_algorithm(algorithm)
-    steps = algo.steps(kind, len(gpus))
+    steps = algo.steps(_context(kind, ring, out_bytes))
     traffic = pair_traffic(algorithm, kind, ring, out_bytes)
     bottleneck = bottleneck_seconds(cluster, gpus, traffic, channels)
     per_step = latency.per_step

@@ -33,10 +33,11 @@ import numpy as np
 from ..cluster.gpu import AsyncOp, GpuDevice, Stream
 from ..cluster.specs import Cluster
 from ..collectives.cost_model import LatencyModel, NCCL_LATENCY
-from ..collectives.executor import builtin_plan
+from ..collectives.programs import FlowProgramCache
 from ..collectives.ring import RingSchedule, identity_ring
 from ..collectives.tree import double_binary_trees
 from ..collectives.types import Collective, ReduceOp, validate_world
+from ..core.algorithms import AlgorithmContext, CollectiveAlgorithm, get_algorithm
 from ..netsim.errors import CommunicatorError
 from ..netsim.routing import EcmpSelector, PathSelector
 from ..transport.connections import ConnectionTable
@@ -120,6 +121,8 @@ class NcclCommunicator:
         self.job_id = job_id or f"ncclcomm{self.comm_id}"
         self.algorithm = algorithm
         self.channels = channels if channels is not None else default_channels(gpus)
+        if self.channels < 1:
+            raise CommunicatorError("channels must be >= 1")
         if ring_order is not None:
             self.schedule = RingSchedule(tuple(ring_order))
         else:
@@ -132,7 +135,9 @@ class NcclCommunicator:
         self._table = ConnectionTable(cluster, discriminator=self.job_id)
         self._establish()
         self.destroyed = False
-        self.ops: List[CollectiveOp] = []
+        # (family, kind, size, root) -> (steps, transfers): identical
+        # launches — the common traffic-loop case — reuse the compiled list.
+        self.program_cache = FlowProgramCache()
 
     # ------------------------------------------------------------------
     def _establish(self) -> None:
@@ -176,6 +181,19 @@ class NcclCommunicator:
         return select_ring_or_tree(
             out_bytes, self.world, link_bandwidth=nic_rate * self.channels
         )
+
+    def _program(self, algorithm: CollectiveAlgorithm, ctx: AlgorithmContext):
+        """Step count and every rank's transfers, as the registry
+        algorithm reads them off its plan — the library shares the
+        service's schedules, only its strategy is frozen."""
+        gpus = self.gpus
+        transfers = [
+            (gpus[rank], gpus[t.dst_rank], t.channel, t.nbytes)
+            for rank, t in algorithm.transfers(ctx)
+        ]
+        # Channel-major, the order the connections were opened in.
+        transfers.sort(key=lambda transfer: transfer[2])
+        return algorithm.steps(ctx), tuple(transfers)
 
     @property
     def connections(self) -> ConnectionTable:
@@ -277,43 +295,42 @@ class NcclCommunicator:
             if kind is Collective.ALL_REDUCE
             else "ring"
         )
+        algorithm = get_algorithm(family)
+        ctx = AlgorithmContext(
+            kind=kind,
+            out_bytes=out_bytes,
+            world=self.world,
+            rank=self.schedule.order[0],
+            root=root,
+            ring_order=self.schedule.order,
+            channels=self.channels,
+        )
         result = CollectiveOp(kind=kind, issue_time=self.cluster.sim.now)
-        self.ops.append(result)
         target_stream = stream if stream is not None else self._stream
 
         def finished(handle: LaunchHandle, now: float) -> None:
             result.end_time = now
             if data is not None:
-                plan = builtin_plan(
-                    family, kind, self.world,
-                    self.schedule.position_of(root), self.channels,
-                )
-                result.outputs = plan.run(data, op, order=self.schedule.order)
+                result.outputs = algorithm.run_data(ctx, data, op)
             kernel.complete()
             if on_complete is not None:
                 on_complete(result, now)
 
         def inject() -> None:
-            shared = dict(
+            steps, transfers = self.program_cache.get(
+                (family, kind, out_bytes, root),
+                lambda: self._program(algorithm, ctx),
+            )
+            result.handle = self._transport.launch(
+                kind=kind,
                 out_bytes=out_bytes,
-                gpus_by_rank=self.gpus,
+                transfers=transfers,
+                steps=steps,
                 table=self._table,
                 job_id=self.job_id,
                 on_complete=finished,
                 tags={"comm": self.comm_id},
             )
-            if family == "tree":
-                result.handle = self._transport.launch_double_tree(
-                    trees=self.trees, **shared
-                )
-            else:
-                result.handle = self._transport.launch_ring(
-                    kind=kind,
-                    schedule=self.schedule,
-                    channels=self.channels,
-                    root=root,
-                    **shared,
-                )
 
         name = "all_reduce_tree" if family == "tree" else kind.value
         kernel = AsyncOp(name=name, on_start=inject)

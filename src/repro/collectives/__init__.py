@@ -1,13 +1,13 @@
 """Collective algorithms: chunk programs, the executor that runs them,
-schedules, traffic models and costs.
+schedules and costs.
 
 Every algorithm family names a chunk-level program
 (:mod:`~repro.collectives.ir`, :mod:`~repro.collectives.generators`) and
 one executor (:mod:`~repro.collectives.executor`) moves the real numpy
 bytes, in place, so correctness is testable bit-for-bit against
-:mod:`~repro.collectives.reference`; the traffic models predict per-edge
-byte counts that the fluid network simulator turns into completion
-times.
+:mod:`~repro.collectives.reference`; the compiled plan also carries the
+send table and step count from which :mod:`repro.core.algorithms` derives
+the flows the fluid network simulator turns into completion times.
 """
 
 from .bandwidth import algorithm_bandwidth, bus_bandwidth, busbw_factor
@@ -36,21 +36,10 @@ from .generators import (
     hierarchical_allreduce_program,
     ring_program,
 )
-from .halving_doubling import (
-    halving_doubling_traffic,
-    hd_steps,
-    is_power_of_two,
-)
+from .halving_doubling import is_power_of_two
 from .ir import Instr, OpKind, Program, Protocol, make_program
-from .ring import RingSchedule, edge_traffic, identity_ring, steps_for
-from .tree import (
-    TreeSchedule,
-    binary_tree,
-    double_binary_trees,
-    double_tree_allreduce_traffic,
-    tree_allreduce_traffic,
-    tree_steps,
-)
+from .ring import RingSchedule, identity_ring
+from .tree import TreeSchedule, binary_tree, double_binary_trees
 from .types import Collective, ReduceOp, input_bytes, reduce_many, validate_world
 
 __all__ = [
@@ -76,13 +65,9 @@ __all__ = [
     "chunk_for_step",
     "compile_program",
     "double_binary_trees",
-    "double_tree_allreduce_traffic",
     "double_tree_program",
-    "edge_traffic",
     "effective_bandwidth",
-    "halving_doubling_traffic",
     "halving_doubling_program",
-    "hd_steps",
     "hierarchical_allreduce_program",
     "identity_ring",
     "input_bytes",
@@ -95,9 +80,6 @@ __all__ = [
     "ring_program",
     "run_program",
     "select_ring_or_tree",
-    "steps_for",
     "toposort",
-    "tree_allreduce_traffic",
-    "tree_steps",
     "validate_world",
 ]

@@ -27,9 +27,15 @@ chunk both ways in one step).  The shipped generators compile to zero
 snapshots.
 
 **Relabelling.**  Built-in plans are compiled in ring-*position* space
-(:func:`builtin_plan`, keyed on family/kind/world/root position/
-channels) and mapped onto ranks by the ``order`` argument of ``run``,
-so installing a new ring order never recompiles anything.
+(:func:`builtin_plan`, keyed on family/kind/world/root position) and
+mapped onto ranks by the ``order`` argument of ``run``, so installing a
+new ring order or channel count never recompiles anything.
+
+**The schedule's other clock.**  A plan also keeps the two
+size-independent facts simulated *time* needs — its pipeline step count
+and, per sending position, who it sends to on which IR channel
+(:attr:`ExecutionPlan.sends`) — so :mod:`repro.core.algorithms` derives
+flows and fixed latency from the very program that moves the bytes.
 """
 
 from __future__ import annotations
@@ -157,9 +163,20 @@ class ExecutionPlan:
     ``world + p`` its send buffer, ``2 * world + k`` snapshot ``k`` — and
     half-open chunk ranges.  ``target`` is the first operand of a
     reduction: the send buffer while the slot is unwritten, else ``dst``.
+
+    ``sends[p]`` is position ``p``'s *send table*: one ``(dst position,
+    IR channel, chunk ids)`` entry per distinct (dst, channel) it sends
+    to, entries and chunk ids in program order.  ``striped`` says how to
+    read the channels: False, they name the connection channels
+    themselves; True (:func:`builtin_plan`), the schedule is
+    channel-agnostic and each IR channel is a lane the flow model stripes
+    evenly over however many channels the strategy opens.
     """
 
-    __slots__ = ("name", "kind", "world", "num_chunks", "root", "ops", "temp_owner")
+    __slots__ = (
+        "name", "kind", "world", "num_chunks", "root", "ops", "temp_owner",
+        "steps", "sends", "striped",
+    )
 
     def __init__(self, program: Program, ops: tuple, temp_owner: Tuple[int, ...]) -> None:
         self.name = program.name
@@ -170,6 +187,18 @@ class ExecutionPlan:
         self.ops = ops
         #: Sending position of each snapshot the hazard rule forced.
         self.temp_owner = temp_owner
+        #: Pipeline hops, for the fixed-latency model.
+        self.steps = program.num_steps
+        table = []
+        for rank in range(program.world):
+            by_edge: Dict[Tuple[int, int], List[int]] = {}
+            for instr in program.sends_of(rank):
+                by_edge.setdefault((instr.peer, instr.channel), []).append(instr.chunk)
+            table.append(
+                tuple((dst, channel, tuple(chunks)) for (dst, channel), chunks in by_edge.items())
+            )
+        self.sends = tuple(table)
+        self.striped = False
 
     @property
     def snapshots(self) -> int:
@@ -383,31 +412,36 @@ def run_program(
 # built-in families, compiled in position space
 # ---------------------------------------------------------------------------
 @lru_cache(maxsize=512)
-def _builtin_plan(
-    family: str, kind: Collective, world: int, root_pos: int, channels: int
-) -> ExecutionPlan:
+def _builtin_plan(family: str, kind: Collective, world: int, root_pos: int) -> ExecutionPlan:
     if family == "ring":
-        program = ring_program(kind, world, channels=channels, root=root_pos)
+        program = ring_program(kind, world, root=root_pos)
     elif family == "tree":
-        program = double_tree_program(world, channels=channels)
+        # One lane per tree: the two trees share directed rank pairs,
+        # and each tree's traffic must stay a flow of its own.
+        program = double_tree_program(world, channels=2)
     elif family == "halving_doubling":
-        program = halving_doubling_program(world, channels=channels)
+        program = halving_doubling_program(world)
     else:
         raise ValueError(f"unknown built-in program family {family!r}")
     if program.kind is not kind:
         raise ValueError(f"{family} has no {kind} program")
-    return compile_program(program)
+    plan = compile_program(program)
+    plan.striped = True
+    return plan
 
 
 def builtin_plan(
-    family: str, kind: Collective, world: int, root_pos: int = 0, channels: int = 1
+    family: str, kind: Collective, world: int, root_pos: int = 0
 ) -> ExecutionPlan:
     """The compiled plan of a built-in family, in ring-position space.
 
     Position ``p`` of the plan is whichever rank the caller's ring order
     puts there (``run(..., order=ring_order)``); the cache key therefore
     never contains a ring order, and a reconfigured ring reuses the plan.
+    Nor does it contain the strategy's channel count: the executor
+    ignores channel tags and the flow model stripes a built-in schedule
+    evenly over the channels itself.
     """
     if kind not in _ROOTED:
         root_pos = 0
-    return _builtin_plan(family, kind, world, root_pos, channels)
+    return _builtin_plan(family, kind, world, root_pos)

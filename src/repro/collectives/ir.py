@@ -194,13 +194,7 @@ class Program:
 
     def chunk_nbytes(self, out_bytes: float) -> List[float]:
         """Bytes of each chunk for a collective of ``out_bytes``."""
-        total = self.total_bytes(out_bytes)
-        # chunk_bounds needs integers; scale fractional byte counts by
-        # distributing proportionally over the integer bounds.
-        total_int = max(int(round(total)), self.num_chunks)
-        bounds = chunk_spans(self.kind, total_int, self.num_chunks, self.world)
-        scale = total / total_int if total_int else 0.0
-        return [(hi - lo) * scale for lo, hi in bounds]
+        return chunk_nbytes(self.kind, self.world, self.num_chunks, out_bytes)
 
     # -- traffic views ---------------------------------------------------
     def sends_of(self, rank: int) -> List[Instr]:
@@ -209,17 +203,6 @@ class Program:
             for instr in self.rank_programs[rank]
             if instr.kind is OpKind.SEND
         ]
-
-    def rank_transfer_bytes(
-        self, rank: int, out_bytes: float
-    ) -> Dict[Tuple[int, int], float]:
-        """Aggregate outgoing bytes of ``rank`` per (dst_rank, channel)."""
-        sizes = self.chunk_nbytes(out_bytes)
-        out: Dict[Tuple[int, int], float] = {}
-        for instr in self.sends_of(rank):
-            key = (instr.peer, instr.channel)
-            out[key] = out.get(key, 0.0) + sizes[instr.chunk]
-        return out
 
     def pair_traffic(self, out_bytes: float) -> Dict[Tuple[int, int], float]:
         """Bytes per directed (src_rank, dst_rank) pair, all channels."""
@@ -305,6 +288,20 @@ def block_of_chunk(chunk: int, num_chunks: int, world: int) -> int:
     """Owning rank block of ``chunk`` when chunks partition rank blocks."""
     per_block = num_chunks // world
     return chunk // per_block
+
+
+def chunk_nbytes(
+    kind: Collective, world: int, num_chunks: int, out_bytes: float
+) -> List[float]:
+    """Bytes of each chunk of a ``kind`` collective of ``out_bytes``
+    (output-buffer convention, see :meth:`Program.total_bytes`)."""
+    total = out_bytes * world if kind is Collective.REDUCE_SCATTER else float(out_bytes)
+    # chunk_bounds needs integers; scale fractional byte counts by
+    # distributing proportionally over the integer bounds.
+    total_int = max(int(round(total)), num_chunks)
+    bounds = chunk_spans(kind, total_int, num_chunks, world)
+    scale = total / total_int if total_int else 0.0
+    return [(hi - lo) * scale for lo, hi in bounds]
 
 
 def chunk_spans(

@@ -1,13 +1,13 @@
 """Compiled flow-program cache for repeated collectives.
 
 A *flow program* is the fully-resolved, reusable part of a collective
-launch: the list of (src_rank, dst_rank, channel, nbytes) transfers an
-algorithm derives from (collective kind, sizes, schedule, channels,
+launch: the step count and the list of transfers an algorithm reads off
+its compiled plan for (collective kind, sizes, schedule, channels,
 route-ids).  Traffic-generator loops issue the same collective on the same
-strategy thousands of times; recompiling the program each launch is pure
-waste, so the launch paths (``ServiceCommunicator`` per-rank injection and
-``FlowTransport.launch_ring``) consult a :class:`FlowProgramCache` and only
-fall back to the algorithm when the key is new.
+strategy thousands of times; resolving the program each launch is pure
+waste, so the launch paths (``ServiceCommunicator`` per-rank launch and
+the baseline ``NcclCommunicator``) consult a :class:`FlowProgramCache` and
+only fall back to the algorithm when the key is new.
 
 Keys must capture *everything* the compiled program depends on — the
 callers build them from frozen/hashable strategy fields (including the
@@ -18,12 +18,9 @@ the datapath even though transfer byte counts are route-independent).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, TypeVar
 
 T = TypeVar("T")
-
-#: One rank-to-rank transfer of a compiled program.
-ProgramTransfer = Tuple[int, int, int, float]  # (src_rank, dst_rank, channel, nbytes)
 
 
 class FlowProgramCache:

@@ -1,12 +1,11 @@
-"""Ring schedules and their closed-form traffic model.
+"""Ring schedules.
 
-:class:`RingSchedule` is the ring a strategy installs;
-:func:`edge_traffic` predicts in closed form the bytes each directed ring
-edge carries, which the fluid simulator turns into flows.  The bytes
-themselves move through the one executor
-(:mod:`repro.collectives.executor`) running
-:func:`repro.collectives.generators.ring_program`; tests cross-check the
-compiled plan's per-edge bytes against this model.
+:class:`RingSchedule` is the ring a strategy installs.  The schedule
+itself is :func:`repro.collectives.generators.ring_program`: the one
+executor (:mod:`repro.collectives.executor`) moves its bytes, and the
+flows and step count of the fluid model are read off the same compiled
+plan (:mod:`repro.core.algorithms`).  The closed forms the plan's views
+are proved against live in ``tests/collectives/oracles.py``.
 
 The MCCS prototype ports NCCL's ring AllReduce and AllGather kernels (§5);
 we implement those plus ReduceScatter, Broadcast and Reduce, which the
@@ -18,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .types import Collective, validate_world
+from .types import validate_world
 
 
 @dataclass(frozen=True)
@@ -72,51 +71,3 @@ class RingSchedule:
 def identity_ring(world: int) -> RingSchedule:
     """Ring in rank order — what NCCL builds from user-specified ranks."""
     return RingSchedule(tuple(range(world)))
-
-
-# ---------------------------------------------------------------------------
-# traffic model
-# ---------------------------------------------------------------------------
-def steps_for(kind: Collective, world: int) -> int:
-    """Number of pipeline steps (latency hops) the ring algorithm takes."""
-    validate_world(world)
-    if kind is Collective.ALL_REDUCE:
-        return 2 * (world - 1)
-    return world - 1
-
-
-def edge_traffic(
-    kind: Collective,
-    out_bytes: int,
-    world: int,
-    root_position: int = 0,
-) -> List[float]:
-    """Bytes carried by each directed ring edge.
-
-    Index ``i`` is the edge from ring position ``i`` to ``i+1``.  Sizes
-    follow the output-buffer convention (see
-    :func:`repro.collectives.types.input_bytes`).
-    """
-    validate_world(world)
-    n = world
-    if kind is Collective.ALL_REDUCE:
-        per_edge = 2.0 * (n - 1) / n * out_bytes
-        return [per_edge] * n
-    if kind is Collective.ALL_GATHER:
-        per_edge = (n - 1) / n * out_bytes
-        return [per_edge] * n
-    if kind is Collective.REDUCE_SCATTER:
-        # out_bytes is the per-rank output; total vector is n*out_bytes and
-        # each edge carries (n-1)/n of it.
-        per_edge = float((n - 1) * out_bytes)
-        return [per_edge] * n
-    if kind in (Collective.BROADCAST, Collective.REDUCE):
-        # Pipelined chain of n-1 hops; the edge closing the ring is unused.
-        traffic = [float(out_bytes)] * n
-        if kind is Collective.BROADCAST:
-            unused = (root_position - 1) % n  # edge into the root
-        else:
-            unused = root_position  # edge out of the root
-        traffic[unused] = 0.0
-        return traffic
-    raise ValueError(f"unsupported collective {kind}")

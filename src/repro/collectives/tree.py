@@ -3,18 +3,18 @@
 The paper's prototype "focuses on ports of NCCL's ring AllReduce and
 AllGather kernels; however, it is straightforward to implement ... other
 algorithms (e.g., tree algorithms)" (§5).  We implement that extension:
-the tree schedules and the traffic-matrix view of the double-binary-tree
-AllReduce NCCL uses at scale, so the MCCS proxy engine can switch
-algorithm families at reconfiguration time.  The bytes move through the
-one executor running
-:func:`repro.collectives.generators.double_tree_program`.
+the tree schedules of the double-binary-tree AllReduce NCCL uses at
+scale, so the MCCS proxy engine can switch algorithm families at
+reconfiguration time.  The schedule is
+:func:`repro.collectives.generators.double_tree_program`; bytes, flows
+and step count are all views of its compiled plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .types import validate_world
 
@@ -97,37 +97,3 @@ def double_binary_trees(order: Sequence[int]) -> Tuple[TreeSchedule, TreeSchedul
     repeat on every collective launch.
     """
     return _double_binary_trees(tuple(order))
-
-
-# ---------------------------------------------------------------------------
-# traffic model
-# ---------------------------------------------------------------------------
-def tree_allreduce_traffic(
-    tree: TreeSchedule, out_bytes: int
-) -> Dict[Tuple[int, int], float]:
-    """Bytes per directed (src, dst) rank pair for reduce+broadcast.
-
-    Every tree edge carries the full vector once up (reduce) and once down
-    (broadcast).
-    """
-    traffic: Dict[Tuple[int, int], float] = {}
-    for child, parent in tree.edges():
-        traffic[(child, parent)] = traffic.get((child, parent), 0.0) + out_bytes
-        traffic[(parent, child)] = traffic.get((parent, child), 0.0) + out_bytes
-    return traffic
-
-
-def double_tree_allreduce_traffic(
-    trees: Tuple[TreeSchedule, TreeSchedule], out_bytes: int
-) -> Dict[Tuple[int, int], float]:
-    """Each of the two trees carries half of the vector."""
-    traffic: Dict[Tuple[int, int], float] = {}
-    for tree in trees:
-        for (pair, nbytes) in tree_allreduce_traffic(tree, out_bytes / 2).items():
-            traffic[pair] = traffic.get(pair, 0.0) + nbytes
-    return traffic
-
-
-def tree_steps(tree: TreeSchedule) -> int:
-    """Latency hops: up the tree then down."""
-    return 2 * tree.depth()

@@ -5,8 +5,14 @@ strategies optimized for specific topologies, such as those proposed in
 recent research [MSCCL/TACCL/...] or even proprietary strategies developed
 in-house by the provider".
 
-This module is that extension point.  An *algorithm* maps one rank's view
-of a collective onto the transfers that rank must perform; the registry
+This module is that extension point, and an *algorithm* is the name of a
+chunk program: :meth:`CollectiveAlgorithm.plan` is the only method a
+family writes.  Everything else is a view of the compiled plan — the
+bytes (:meth:`~CollectiveAlgorithm.run_data`, through the one executor in
+:mod:`repro.collectives.executor`), the flows each rank launches
+(:meth:`~CollectiveAlgorithm.rank_transfers`) and the pipeline step
+count of the fixed-latency model (:meth:`~CollectiveAlgorithm.steps`) —
+so the two clocks cannot describe different schedules.  The registry
 resolves :attr:`CollectiveStrategy.algorithm` names to implementations,
 and providers can :func:`register_algorithm` their own without touching
 the service.
@@ -20,24 +26,20 @@ Built-ins:
   AllReduce for power-of-two worlds (ring otherwise), the latency-optimal
   arm the :mod:`repro.autotune` planner can promote for small messages.
 
-An algorithm also names the chunk program that moves its bytes
-(:meth:`CollectiveAlgorithm.plan`); the one executor in
-:mod:`repro.collectives.executor` runs it through the shared
-:meth:`CollectiveAlgorithm.run_data`, so collectives keep moving real
-bytes correctly whichever strategy the provider picks.
+A family that has no program for a (kind, world, root) says so once, in
+its ``plan``, by returning the ring's; flows and steps inherit that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..collectives.executor import ExecutionPlan, builtin_plan
-from ..collectives.halving_doubling import hd_steps, is_power_of_two
-from ..collectives.ring import edge_traffic, steps_for
-from ..collectives.tree import double_binary_trees, tree_steps
+from ..collectives.halving_doubling import is_power_of_two
+from ..collectives.ir import chunk_nbytes
 from ..collectives.types import Collective, ReduceOp
 from ..netsim.errors import MccsError
 
@@ -65,17 +67,9 @@ class AlgorithmContext:
 
 
 class CollectiveAlgorithm:
-    """Interface implemented by every pluggable algorithm."""
+    """Interface implemented by every pluggable algorithm: :meth:`plan`."""
 
     name = "abstract"
-
-    def rank_transfers(self, ctx: AlgorithmContext) -> List[RankTransfer]:
-        """Outgoing transfers of ``ctx.rank`` (one flow each)."""
-        raise NotImplementedError
-
-    def steps(self, kind: Collective, world: int) -> int:
-        """Pipeline hops, for the fixed-latency model."""
-        raise NotImplementedError
 
     def plan(
         self, ctx: AlgorithmContext
@@ -85,6 +79,55 @@ class CollectiveAlgorithm:
         the plan is already in rank space)."""
         raise NotImplementedError
 
+    def steps(self, ctx: AlgorithmContext) -> int:
+        """Pipeline hops of the plan, for the fixed-latency model."""
+        return self.plan(ctx)[0].steps
+
+    def rank_transfers(self, ctx: AlgorithmContext) -> List[RankTransfer]:
+        """Outgoing transfers of ``ctx.rank`` (one flow each), read off
+        the plan's send table by one of two rules.
+
+        *As tagged* (synthesized and provider-written programs): one flow
+        per (peer, IR channel), carrying the bytes of the chunks sent.
+
+        *Striped* (the built-in plans): one flow per (peer, lane) and
+        strategy channel, each an even share — the fluid model fig06-fig11
+        are validated with.  Ring and halving-doubling have one lane, the
+        double tree one per tree: the trees share directed rank pairs,
+        and each tree's traffic stays a flow of its own.
+        """
+        plan, order = self.plan(ctx)
+        ranks = range(plan.world) if order is None else order
+        sends = plan.sends[ranks.index(ctx.rank)]
+        if plan.striped:
+            # Chunks per output buffer; a ReduceScatter's is one rank block.
+            out_chunks = plan.num_chunks
+            if plan.kind is Collective.REDUCE_SCATTER:
+                out_chunks //= plan.world
+            stripe = ctx.out_bytes / ctx.channels
+            return [
+                RankTransfer(ranks[dst], len(chunks) / out_chunks * stripe, channel)
+                for dst, _, chunks in sends
+                for channel in range(ctx.channels)
+            ]
+        sizes = chunk_nbytes(plan.kind, plan.world, plan.num_chunks, ctx.out_bytes)
+        transfers = sorted(
+            (ranks[dst], channel, sum(sizes[c] for c in chunks))
+            for dst, channel, chunks in sends
+        )
+        return [
+            RankTransfer(dst, nbytes, channel)
+            for dst, channel, nbytes in transfers
+            if nbytes > 0
+        ]
+
+    def transfers(self, ctx: AlgorithmContext) -> Iterator[Tuple[int, RankTransfer]]:
+        """``(src_rank, transfer)`` for every rank of the collective, in
+        ring-position order (``ctx.rank`` is ignored)."""
+        for rank in ctx.ring_order:
+            for transfer in self.rank_transfers(replace(ctx, rank=rank)):
+                yield rank, transfer
+
     def run_data(
         self,
         ctx: AlgorithmContext,
@@ -93,19 +136,13 @@ class CollectiveAlgorithm:
         out: Optional[Sequence[np.ndarray]] = None,
     ) -> List[np.ndarray]:
         """Execute the collective on real buffers, writing ``out`` (the
-        tenant's receive buffers) in place when given.  Shared by every
-        algorithm: the only thing a family chooses is its :meth:`plan`."""
+        tenant's receive buffers) in place when given."""
         plan, order = self.plan(ctx)
         return plan.run(inputs, op, order=order, out=out)
 
 
-def _position_plan(family: str, ctx: AlgorithmContext):
-    """A built-in family's plan: compiled once in ring-position space,
-    relabelled through the strategy's ring order when it runs."""
-    order = ctx.ring_order
-    root_pos = list(order).index(ctx.root)
-    plan = builtin_plan(family, ctx.kind, ctx.world, root_pos, ctx.channels)
-    return plan, order
+# The built-in families: plans compiled once in ring-position space
+# (:func:`builtin_plan`) and relabelled through the strategy's ring order.
 
 
 class RingAlgorithm(CollectiveAlgorithm):
@@ -113,26 +150,9 @@ class RingAlgorithm(CollectiveAlgorithm):
 
     name = "ring"
 
-    def rank_transfers(self, ctx: AlgorithmContext) -> List[RankTransfer]:
-        order = list(ctx.ring_order)
-        pos = order.index(ctx.rank)
-        root_pos = order.index(ctx.root)
-        per_channel = ctx.out_bytes / ctx.channels
-        per_edge = edge_traffic(ctx.kind, per_channel, ctx.world, root_pos)
-        nbytes = per_edge[pos]
-        if nbytes <= 0:
-            return []
-        dst = order[(pos + 1) % ctx.world]
-        return [
-            RankTransfer(dst_rank=dst, nbytes=nbytes, channel=c)
-            for c in range(ctx.channels)
-        ]
-
-    def steps(self, kind: Collective, world: int) -> int:
-        return steps_for(kind, world)
-
     def plan(self, ctx):
-        return _position_plan("ring", ctx)
+        order = ctx.ring_order
+        return builtin_plan("ring", ctx.kind, ctx.world, order.index(ctx.root)), order
 
 
 class DoubleTreeAlgorithm(CollectiveAlgorithm):
@@ -144,39 +164,10 @@ class DoubleTreeAlgorithm(CollectiveAlgorithm):
 
     name = "tree"
 
-    def __init__(self) -> None:
-        self._ring = RingAlgorithm()
-
-    def _trees(self, ctx: AlgorithmContext):
-        return double_binary_trees(list(ctx.ring_order))
-
-    def rank_transfers(self, ctx: AlgorithmContext) -> List[RankTransfer]:
-        if ctx.kind is not Collective.ALL_REDUCE:
-            return self._ring.rank_transfers(ctx)
-        transfers: List[RankTransfer] = []
-        half = ctx.out_bytes / 2.0
-        per_channel = half / ctx.channels
-        for tree in self._trees(ctx):
-            parent = tree.parent[ctx.rank]
-            peers = list(tree.children(ctx.rank))
-            if parent != -1:
-                peers.append(parent)
-            for peer in peers:
-                for channel in range(ctx.channels):
-                    transfers.append(
-                        RankTransfer(dst_rank=peer, nbytes=per_channel, channel=channel)
-                    )
-        return transfers
-
-    def steps(self, kind: Collective, world: int) -> int:
-        if kind is not Collective.ALL_REDUCE:
-            return self._ring.steps(kind, world)
-        trees = double_binary_trees(range(world))
-        return max(tree_steps(t) for t in trees)
-
     def plan(self, ctx):
         family = "tree" if ctx.kind is Collective.ALL_REDUCE else "ring"
-        return _position_plan(family, ctx)
+        order = ctx.ring_order
+        return builtin_plan(family, ctx.kind, ctx.world, order.index(ctx.root)), order
 
 
 class HalvingDoublingAlgorithm(CollectiveAlgorithm):
@@ -191,39 +182,11 @@ class HalvingDoublingAlgorithm(CollectiveAlgorithm):
 
     name = "halving_doubling"
 
-    def __init__(self) -> None:
-        self._ring = RingAlgorithm()
-
-    def _applies(self, ctx_kind: Collective, world: int) -> bool:
-        return ctx_kind is Collective.ALL_REDUCE and is_power_of_two(world)
-
-    def rank_transfers(self, ctx: AlgorithmContext) -> List[RankTransfer]:
-        if not self._applies(ctx.kind, ctx.world):
-            return self._ring.rank_transfers(ctx)
-        order = list(ctx.ring_order)
-        v = order.index(ctx.rank)
-        n = ctx.world
-        transfers: List[RankTransfer] = []
-        mask = n >> 1
-        while mask:
-            # S*m/n bytes to the mask-partner in each of the two phases.
-            nbytes = 2.0 * ctx.out_bytes * mask / n / ctx.channels
-            peer = order[v ^ mask]
-            for channel in range(ctx.channels):
-                transfers.append(
-                    RankTransfer(dst_rank=peer, nbytes=nbytes, channel=channel)
-                )
-            mask >>= 1
-        return transfers
-
-    def steps(self, kind: Collective, world: int) -> int:
-        if not self._applies(kind, world):
-            return self._ring.steps(kind, world)
-        return hd_steps(world)
-
     def plan(self, ctx):
-        family = self.name if self._applies(ctx.kind, ctx.world) else "ring"
-        return _position_plan(family, ctx)
+        applies = ctx.kind is Collective.ALL_REDUCE and is_power_of_two(ctx.world)
+        family = self.name if applies else "ring"
+        order = ctx.ring_order
+        return builtin_plan(family, ctx.kind, ctx.world, order.index(ctx.root)), order
 
 
 _REGISTRY: Dict[str, CollectiveAlgorithm] = {}

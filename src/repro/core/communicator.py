@@ -43,7 +43,7 @@ from ..telemetry.causal import (
 )
 from ..telemetry.hub import TelemetryHub
 from ..transport.connections import ConnectionTable, connection_key
-from .algorithms import AlgorithmContext, get_algorithm
+from .algorithms import AlgorithmContext, RankTransfer, get_algorithm
 from .strategy import CollectiveStrategy
 from .tracing import CommTrace, TraceRecord
 
@@ -249,10 +249,18 @@ class CollectiveInstance:
         comm = self.comm
         self.annotate(EVENT_RANK_LAUNCH, rank=rank, version=strategy.version)
         comm.datapath.acquire(strategy.version)
-        algorithm = get_algorithm(strategy.algorithm)
-        fixed = comm.latency.collective_latency(
-            algorithm.steps(self.kind, self.world)
+
+        def resolve() -> Tuple[int, Tuple[RankTransfer, ...]]:
+            algorithm = get_algorithm(strategy.algorithm)
+            ctx = self._context(strategy, rank)
+            return algorithm.steps(ctx), tuple(algorithm.rank_transfers(ctx))
+
+        # Step count and transfers are two views of the one plan the
+        # strategy's algorithm names; resolved once per key, not per launch.
+        steps, transfers = comm.program_cache.get(
+            (strategy, self.kind, self.out_bytes, self.root, rank), resolve
         )
+        fixed = comm.latency.collective_latency(steps)
         attempt = self.attempts
 
         def deferred() -> None:
@@ -262,7 +270,7 @@ class CollectiveInstance:
                 comm.datapath.release(strategy.version, comm.strategy.version)
                 return
             try:
-                self._inject_rank(rank, strategy)
+                self._inject_rank(rank, strategy, transfers)
             except (FaultError, NoPathError) as exc:
                 # Injection hit broken infrastructure (down link, dead
                 # NIC, crashed host, or a partition with no surviving
@@ -273,18 +281,14 @@ class CollectiveInstance:
 
         comm.sim.call_in(fixed, deferred)
 
-    def _inject_rank(self, rank: int, strategy: CollectiveStrategy) -> None:
+    def _inject_rank(
+        self, rank: int, strategy: CollectiveStrategy, transfers: Sequence[RankTransfer]
+    ) -> None:
         comm = self.comm
         if self.start_time is None:
             self.start_time = comm.sim.now
             self.annotate(EVENT_FIRST_FLOW_START)
         table, selector = comm.datapath.table_for(strategy, comm.gpus)
-        algorithm = get_algorithm(strategy.algorithm)
-        program_key = (strategy, self.kind, self.out_bytes, self.root, rank)
-        transfers = comm.program_cache.get(
-            program_key,
-            lambda: tuple(algorithm.rank_transfers(self._context(strategy, rank))),
-        )
         gpus = comm.gpus
         src = gpus[rank]
         # The rank's whole program enters the network as one batch: every

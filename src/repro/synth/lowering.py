@@ -5,24 +5,25 @@
 all the service needs to treat a synthesized schedule as a first-class
 strategy:
 
-* ``rank_transfers`` aggregates the program's sends per (peer, channel)
-  into one flow launch each — the same one-aggregate-flow-per-edge shape
-  the built-ins produce — so the communicator's ``FlowProgramCache`` and
-  the netsim engines (reference / macro / sharded) run synthesized
-  schedules through exactly the same path as rings and trees;
-* ``steps`` reports the program's pipeline step count to the fixed
-  latency model;
-* ``plan`` hands the shared ``run_data`` path the program compiled by
-  the one executor (:mod:`repro.collectives.executor`) — compiled on
-  first use, kept on the algorithm — so consistency checks and the
-  shared reference suite apply unmodified.
+* ``plan`` — the one method an algorithm writes — names the program
+  compiled by the one executor (:mod:`repro.collectives.executor`),
+  compiled on first use and kept on the algorithm;
+* the inherited views do the rest: ``run_data`` moves the bytes, so
+  consistency checks and the shared reference suite apply unmodified;
+  ``rank_transfers`` reads the plan's send table as tagged — one flow
+  per (peer, IR channel), the same one-aggregate-flow-per-edge shape the
+  built-ins produce — so the communicator's ``FlowProgramCache`` and the
+  netsim engines (reference / macro / sharded) run synthesized schedules
+  through exactly the same path as rings and trees; ``steps`` reports
+  the program's pipeline step count to the fixed latency model.
 
 A synthesized program targets one (kind, world) point and is built
 against a concrete rank->location mapping, so it deliberately ignores
 the strategy's ring order (synth candidates always ship the identity
-ring).  Collective kinds or world sizes the program does not cover fall
-back to the ring algorithm, mirroring how the built-in tree and
-halving-doubling algorithms degrade.
+ring).  Collective kinds, world sizes or roots the program does not
+cover fall back to the ring algorithm — stated once, in ``plan``, so
+flows and step latency fall back together — mirroring how the built-in
+tree and halving-doubling algorithms degrade.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from ..collectives.types import Collective
 from ..core.algorithms import (
     AlgorithmContext,
     CollectiveAlgorithm,
-    RankTransfer,
-    RingAlgorithm,
+    get_algorithm,
     register_algorithm,
     registered_algorithms,
     unregister_algorithm,
@@ -75,7 +75,6 @@ class SynthAlgorithm(CollectiveAlgorithm):
         self.name = program.name
         self.fingerprint = fingerprint
         self.protocol: Protocol = program.protocol
-        self._ring = RingAlgorithm()
         self._plan: Optional[ExecutionPlan] = None
 
     # -- applicability ----------------------------------------------------
@@ -90,24 +89,9 @@ class SynthAlgorithm(CollectiveAlgorithm):
         return not rooted or ctx.root == self.program.root
 
     # -- CollectiveAlgorithm ----------------------------------------------
-    def rank_transfers(self, ctx: AlgorithmContext) -> List[RankTransfer]:
-        if not self._applies(ctx):
-            return self._ring.rank_transfers(ctx)
-        by_edge = self.program.rank_transfer_bytes(ctx.rank, ctx.out_bytes)
-        return [
-            RankTransfer(dst_rank=dst, nbytes=nbytes, channel=channel)
-            for (dst, channel), nbytes in sorted(by_edge.items())
-            if nbytes > 0
-        ]
-
-    def steps(self, kind: Collective, world: int) -> int:
-        if not self.supports(kind, world):
-            return self._ring.steps(kind, world)
-        return self.program.num_steps
-
     def plan(self, ctx: AlgorithmContext):
         if not self._applies(ctx):
-            return self._ring.plan(ctx)
+            return get_algorithm("ring").plan(ctx)
         if self._plan is None:
             self._plan = compile_program(self.program)
         return self._plan, None  # already in rank space

@@ -1,7 +1,9 @@
 """Shared transport substrate: connections and flow launching.
 
-NCCL's transport agent (:mod:`repro.baselines.nccl`) and MCCS's transport
-engines (:mod:`repro.core.transport`) are both built on these pieces.
+Connection tables serve both NCCL's transport agent
+(:mod:`repro.baselines.nccl`) and MCCS's communicators; the launcher is
+the baseline's (the service injects per rank, from
+:mod:`repro.core.communicator`).
 """
 
 from .connections import Connection, ConnectionTable, EdgeId, connection_key

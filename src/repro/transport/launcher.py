@@ -1,11 +1,11 @@
 """Turning collective launches into network flows.
 
-This is the shared machinery beneath NCCL's transport agent and MCCS's
-transport engines: given a collective (kind, size), a schedule (ring or
-tree), the GPU of each rank and an established connection table, it injects
-one fluid flow per (edge, channel) into the simulator and reports
-completion when the slowest flow finishes — a collective is only done when
-every participant is done.
+This is the machinery beneath the NCCL baseline's transport agent: given
+the transfers and step count of a collective — both read off the
+algorithm's compiled plan by the caller (:mod:`repro.core.algorithms`) —
+and an established connection table, it injects one fluid flow per
+transfer into the simulator and reports completion when the slowest flow
+finishes — a collective is only done when every participant is done.
 
 Fixed overheads (kernel launch, rendezvous, and for MCCS the shim->service
 IPC hop) are modelled by delaying flow injection by the latency model's
@@ -22,13 +22,6 @@ from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 from ..cluster.gpu import GpuDevice
 from ..cluster.specs import Cluster
 from ..collectives.cost_model import LatencyModel
-from ..collectives.programs import FlowProgramCache, ProgramTransfer
-from ..collectives.ring import RingSchedule, edge_traffic, steps_for
-from ..collectives.tree import (
-    TreeSchedule,
-    double_tree_allreduce_traffic,
-    tree_steps,
-)
 from ..collectives.types import Collective
 from ..netsim.errors import CollectiveTimeoutError, FaultError
 from ..netsim.flows import Flow
@@ -89,128 +82,30 @@ class FlowTransport:
         self.sim = cluster.sim
         self.latency = latency
         self.gate = gate
-        self.launches: List[LaunchHandle] = []
-        # Rank-level transfer programs: identical (kind, size, schedule,
-        # channels, root) launches — the common traffic-loop case — reuse
-        # the compiled list and only rebind GPUs.
-        self.program_cache = FlowProgramCache()
 
-    # ------------------------------------------------------------------
-    def launch_ring(
+    def launch(
         self,
         *,
         kind: Collective,
         out_bytes: int,
-        schedule: RingSchedule,
-        gpus_by_rank: Sequence[GpuDevice],
+        transfers: Sequence[Tuple[GpuDevice, GpuDevice, int, float]],
+        steps: int,
         table: ConnectionTable,
-        channels: int,
         job_id: Optional[str] = None,
-        root: int = 0,
         on_complete: Optional[Callable[[LaunchHandle, float], None]] = None,
         tags: Optional[Dict[str, object]] = None,
         on_fail: Optional[Callable[[LaunchHandle, float, BaseException], None]] = None,
         deadline: Optional[float] = None,
     ) -> LaunchHandle:
-        """Issue a ring collective; returns immediately with a handle.
+        """Issue a collective as ``(src, dst, channel, nbytes)``
+        ``transfers`` after ``steps`` hops of fixed latency; returns
+        immediately with a handle.
 
         ``deadline`` (seconds from issue) arms a watchdog: if the launch
         has not finished by then it fails with
         :class:`CollectiveTimeoutError` and its flows are cancelled.
         ``on_fail`` fires when any flow dies or the deadline expires.
         """
-        if channels < 1:
-            raise ValueError("channels must be >= 1")
-        world = schedule.world
-        if len(gpus_by_rank) != world:
-            raise ValueError("gpus_by_rank must cover every rank")
-
-        def compile_ring() -> Tuple[ProgramTransfer, ...]:
-            root_position = schedule.position_of(root)
-            per_channel = out_bytes / channels
-            per_edge = edge_traffic(kind, per_channel, world, root_position)
-            return tuple(
-                (schedule.order[pos], schedule.order[(pos + 1) % world], channel, nbytes)
-                for channel in range(channels)
-                for pos, nbytes in enumerate(per_edge)
-                if nbytes > 0
-            )
-
-        program = self.program_cache.get(
-            ("ring", kind, out_bytes, schedule.order, channels, root),
-            compile_ring,
-        )
-        transfers = [
-            (gpus_by_rank[src_rank], gpus_by_rank[dst_rank], channel, nbytes)
-            for src_rank, dst_rank, channel, nbytes in program
-        ]
-        steps = steps_for(kind, world)
-        return self._launch(
-            kind, out_bytes, transfers, table, steps, job_id, on_complete,
-            tags, on_fail=on_fail, deadline=deadline,
-        )
-
-    def launch_double_tree(
-        self,
-        *,
-        out_bytes: int,
-        trees: Tuple[TreeSchedule, TreeSchedule],
-        gpus_by_rank: Sequence[GpuDevice],
-        table: ConnectionTable,
-        job_id: Optional[str] = None,
-        on_complete: Optional[Callable[[LaunchHandle, float], None]] = None,
-        tags: Optional[Dict[str, object]] = None,
-        on_fail: Optional[Callable[[LaunchHandle, float, BaseException], None]] = None,
-        deadline: Optional[float] = None,
-    ) -> LaunchHandle:
-        """Issue an AllReduce over a double binary tree."""
-        world = trees[0].world
-        if len(gpus_by_rank) != world:
-            raise ValueError("gpus_by_rank must cover every rank")
-
-        def compile_tree() -> Tuple[ProgramTransfer, ...]:
-            traffic = double_tree_allreduce_traffic(trees, out_bytes)
-            return tuple(
-                (src_rank, dst_rank, 0, nbytes)
-                for (src_rank, dst_rank), nbytes in sorted(traffic.items())
-                if nbytes > 0
-            )
-
-        program = self.program_cache.get(
-            ("tree", trees, out_bytes), compile_tree
-        )
-        transfers = [
-            (gpus_by_rank[src_rank], gpus_by_rank[dst_rank], channel, nbytes)
-            for src_rank, dst_rank, channel, nbytes in program
-        ]
-        steps = max(tree_steps(t) for t in trees)
-        return self._launch(
-            Collective.ALL_REDUCE,
-            out_bytes,
-            transfers,
-            table,
-            steps,
-            job_id,
-            on_complete,
-            tags,
-            on_fail=on_fail,
-            deadline=deadline,
-        )
-
-    # ------------------------------------------------------------------
-    def _launch(
-        self,
-        kind: Collective,
-        out_bytes: int,
-        transfers: List[Tuple[GpuDevice, GpuDevice, int, float]],
-        table: ConnectionTable,
-        steps: int,
-        job_id: Optional[str],
-        on_complete: Optional[Callable[[LaunchHandle, float], None]],
-        tags: Optional[Dict[str, object]],
-        on_fail: Optional[Callable[[LaunchHandle, float, BaseException], None]] = None,
-        deadline: Optional[float] = None,
-    ) -> LaunchHandle:
         handle = LaunchHandle(
             launch_id=next(_launch_counter),
             kind=kind,
@@ -219,7 +114,6 @@ class FlowTransport:
             issue_time=self.sim.now,
             tags=dict(tags or {}),
         )
-        self.launches.append(handle)
         fixed = self.latency.collective_latency(steps)
 
         def fail(error: BaseException) -> None:

@@ -13,10 +13,16 @@ from repro.autotune import (
     topology_fingerprint,
 )
 from repro.cluster.specs import testbed_cluster
+from repro.collectives.tree import double_binary_trees
 from repro.collectives.types import Collective
 from repro.experiments.setups import single_app_gpus
 from repro.netsim.units import KB, MB
 from repro.telemetry.metrics import MetricsRegistry
+from tests.collectives.oracles import (
+    double_tree_allreduce_traffic,
+    edge_traffic,
+    halving_doubling_traffic,
+)
 
 
 @pytest.fixture
@@ -46,6 +52,16 @@ def test_pair_traffic_falls_back_to_ring():
     assert pair_traffic("tree", Collective.ALL_GATHER, range(4), 100) == ring
     hd6 = pair_traffic("halving_doubling", Collective.ALL_REDUCE, range(6), 100)
     assert hd6 == pair_traffic("ring", Collective.ALL_REDUCE, range(6), 100)
+    # the fallback is the algorithm's own (its plan() names the ring's
+    # program); the cost model re-decides nothing, and the ring it gets
+    # is the closed form it used to call
+    for kind in Collective:
+        per_edge = edge_traffic(kind, 100, 4, 0)
+        assert pair_traffic("ring", kind, (2, 0, 3, 1), 100) == {
+            ((2, 0, 3, 1)[p], (2, 0, 3, 1)[(p + 1) % 4]): nbytes
+            for p, nbytes in enumerate(per_edge)
+            if nbytes
+        }
 
 
 def test_pair_traffic_specializations_differ_from_ring():
@@ -53,6 +69,9 @@ def test_pair_traffic_specializations_differ_from_ring():
     tree = pair_traffic("tree", Collective.ALL_REDUCE, range(8), 100)
     hd = pair_traffic("halving_doubling", Collective.ALL_REDUCE, range(8), 100)
     assert tree != ring and hd != ring and hd != tree
+    # each is its algorithm's flows summed per pair == the old closed form
+    assert tree == double_tree_allreduce_traffic(double_binary_trees(range(8)), 100)
+    assert hd == halving_doubling_traffic(range(8), 100)
 
 
 def test_bottleneck_spine_uplink_bites_cross_rack(cluster, gpus):

@@ -82,6 +82,12 @@ def test_builtin_pays_rtt_on_every_step_synth_only_on_crossing_steps(
     # only phase 2 (the inter-group all-reduce, 2(g-1)=2 steps) crosses
     assert synth_penalty == pytest.approx(wan_rtt * 2)
     assert synth_penalty < ring_penalty
+    # the cost model reads a registered program's traffic off the
+    # algorithm's own flows, which sum to the program's pair traffic
+    with temporarily_registered(program) as (algo,):
+        assert pair_traffic(
+            algo.name, Collective.ALL_REDUCE, range(8), 1 * MB
+        ) == program.pair_traffic(1 * MB)
 
 
 @pytest.mark.parametrize("size", [64 * KB, 64 * MB])

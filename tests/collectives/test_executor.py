@@ -128,7 +128,7 @@ def test_position_space_plan_relabelled_equals_program_built_on_the_order(
     rng = np.random.default_rng(seed)
     size = 6 * world if kind is Collective.REDUCE_SCATTER else 11
     floats = [rng.standard_normal(size).astype(np.float32) for _ in range(world)]
-    plan = builtin_plan("ring", kind, world, list(order).index(root), 2)
+    plan = builtin_plan("ring", kind, world, list(order).index(root))
     direct = run_program(ring_program(kind, world, order=order, root=root), floats)
     _assert_same(plan.run(floats, order=order), direct)
     ints = _inputs(kind, world, 5, np.int32, rng)
@@ -254,10 +254,17 @@ def test_adjacent_chunks_of_one_transfer_coalesce():
 
 
 def test_plans_hold_indices_not_payload():
-    plan = builtin_plan("ring", Collective.ALL_REDUCE, 8, 0, 2)
-    assert plan is builtin_plan("ring", Collective.ALL_REDUCE, 8, 5, 2)  # unrooted
+    plan = builtin_plan("ring", Collective.ALL_REDUCE, 8, 0)
+    assert plan is builtin_plan("ring", Collective.ALL_REDUCE, 8, 5)  # unrooted
     assert all(isinstance(x, (bool, int)) for record in plan.ops for x in record)
     assert len(plan.ops) == 2 * 8 * 7
+    # the schedule's other clock is integers too: steps and the send table
+    assert plan.steps == 2 * 7
+    assert plan.sends == tuple(
+        (((p + 1) % 8, 0, tuple((p - s) % 8 for s in range(7))
+          + tuple((p + 1 - s) % 8 for s in range(7))),)
+        for p in range(8)
+    )
 
 
 @st.composite

@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.autotune import pair_traffic
 from repro.collectives import builtin_plan
-from repro.collectives.halving_doubling import (
-    halving_doubling_traffic,
-    hd_steps,
-    is_power_of_two,
-)
+from repro.collectives.halving_doubling import is_power_of_two
 from repro.collectives.types import Collective, ReduceOp
+from repro.core.algorithms import AlgorithmContext, get_algorithm
 from repro.errors import MalformedProgramError
+
+from .oracles import halving_doubling_traffic, hd_steps, steps_for
+
+
+def view_traffic(order, out_bytes):
+    """Per-pair bytes of the flows the registry's algorithm launches."""
+    return pair_traffic("halving_doubling", Collective.ALL_REDUCE, order, out_bytes)
 
 
 def test_is_power_of_two():
@@ -23,16 +28,28 @@ def test_hd_steps_is_two_log2():
     assert hd_steps(2) == 2
     assert hd_steps(4) == 4
     assert hd_steps(8) == 6
+    for world in (2, 4, 8, 16, 32):
+        assert builtin_plan("halving_doubling", Collective.ALL_REDUCE, world).steps == (
+            hd_steps(world)
+        )
 
 
 def test_hd_steps_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         hd_steps(6)
+    # the registry algorithm falls back to the ring there, steps included
+    ctx = AlgorithmContext(Collective.ALL_REDUCE, 100, 6, 0, 0, tuple(range(6)), 1)
+    assert get_algorithm("halving_doubling").steps(ctx) == steps_for(
+        Collective.ALL_REDUCE, 6
+    )
 
 
 def test_traffic_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         halving_doubling_traffic(range(6), 100)
+    assert view_traffic(range(6), 100) == pair_traffic(
+        "ring", Collective.ALL_REDUCE, range(6), 100
+    )
 
 
 def test_traffic_total_is_bandwidth_optimal():
@@ -40,11 +57,13 @@ def test_traffic_total_is_bandwidth_optimal():
     for n in (2, 4, 8, 16):
         traffic = halving_doubling_traffic(range(n), 128.0)
         assert sum(traffic.values()) == pytest.approx(2 * 128.0 * (n - 1))
+        assert view_traffic(range(n), 128.0) == traffic
 
 
 def test_traffic_per_rank_egress_matches_ring():
     n = 8
     traffic = halving_doubling_traffic(range(n), 128.0)
+    assert view_traffic(range(n), 128.0) == traffic
     for rank in range(n):
         egress = sum(v for (s, _), v in traffic.items() if s == rank)
         assert egress == pytest.approx(2 * 128.0 * (n - 1) / n)
@@ -52,6 +71,7 @@ def test_traffic_per_rank_egress_matches_ring():
 
 def test_traffic_pairs_are_butterfly_partners():
     traffic = halving_doubling_traffic(range(4), 64.0)
+    assert view_traffic(range(4), 64.0) == traffic
     # mask 2 pairs (0,2),(1,3); mask 1 pairs (0,1),(2,3) — each both ways
     assert set(traffic) == {
         (0, 2), (2, 0), (1, 3), (3, 1), (0, 1), (1, 0), (2, 3), (3, 2),
@@ -65,6 +85,7 @@ def test_traffic_respects_position_order():
     # permuting positions permutes which *ranks* are bisection partners
     traffic = halving_doubling_traffic([3, 1, 0, 2], 64.0)
     assert (3, 0) in traffic and (1, 2) in traffic
+    assert view_traffic([3, 1, 0, 2], 64.0) == traffic
 
 
 def butterfly(world):
@@ -130,6 +151,7 @@ def test_plan_edge_bytes_match_traffic_model(order):
     predicted = halving_doubling_traffic(order or range(world), elems * itemsize)
     moved = butterfly(world).edge_bytes(elems, itemsize, order)
     assert moved == {k: int(v) for k, v in predicted.items()}
+    assert view_traffic(order or range(world), elems * itemsize) == predicted
 
 
 @pytest.mark.parametrize("elems", [13, 3])

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.collectives.programs import FlowProgramCache
-from repro.collectives.ring import RingSchedule
-from repro.collectives.types import Collective
 
 
 def test_compiles_once_per_key():
@@ -62,52 +60,24 @@ def test_rejects_nonpositive_maxsize():
         FlowProgramCache(maxsize=0)
 
 
-def test_launcher_reuses_ring_program(monkeypatch):
-    """Two identical ring launches compile the transfer program once."""
+def test_launcher_reuses_ring_program():
+    """Two identical ring launches resolve the transfer program once."""
+    from repro.baselines.nccl import NcclCommunicator
     from repro.cluster.specs import testbed_cluster
-    from repro.collectives.cost_model import LatencyModel
-    from repro.netsim.routing import EcmpSelector
-    from repro.transport.connections import ConnectionTable
-    from repro.transport.launcher import FlowTransport
 
     cluster = testbed_cluster()
     gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
-    schedule = RingSchedule(order=tuple(range(4)))
-    table = ConnectionTable(cluster, "test")
-    selector = EcmpSelector(seed=0)
-    for pos in range(4):
-        src, dst = gpus[pos], gpus[(pos + 1) % 4]
-        table.establish_edge(src, dst, 0, selector)
-    transport = FlowTransport(
-        cluster, LatencyModel(base=0.0, per_step=0.0, datapath=0.0)
-    )
+    comm = NcclCommunicator(cluster, gpus, channels=1)
 
-    def launch():
-        return transport.launch_ring(
-            kind=Collective.ALL_REDUCE,
-            out_bytes=1024,
-            schedule=schedule,
-            gpus_by_rank=gpus,
-            table=table,
-            channels=1,
-        )
-
-    launch()
+    comm.all_reduce(1024)
     cluster.sim.run()
-    assert transport.program_cache.stats()["misses"] == 1
-    launch()
+    assert comm.program_cache.stats()["misses"] == 1
+    comm.all_reduce(1024)
     cluster.sim.run()
-    stats = transport.program_cache.stats()
+    stats = comm.program_cache.stats()
     assert stats["misses"] == 1
     assert stats["hits"] == 1
     # A different size is a different program.
-    transport.launch_ring(
-        kind=Collective.ALL_REDUCE,
-        out_bytes=2048,
-        schedule=schedule,
-        gpus_by_rank=gpus,
-        table=table,
-        channels=1,
-    )
+    comm.all_reduce(2048)
     cluster.sim.run()
-    assert transport.program_cache.stats()["misses"] == 2
+    assert comm.program_cache.stats()["misses"] == 2

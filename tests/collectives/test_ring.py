@@ -1,18 +1,16 @@
 """Ring schedules, the ring programs' correctness through the executor,
-and traffic-model agreement."""
+and the ring's flow/step views against the closed-form traffic model."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collectives import builtin_plan
-from repro.collectives.ring import (
-    RingSchedule,
-    edge_traffic,
-    identity_ring,
-    steps_for,
-)
+from repro.collectives.ring import RingSchedule, identity_ring
 from repro.collectives.types import Collective, ReduceOp, reduce_many
+from repro.core.algorithms import AlgorithmContext, get_algorithm
+
+from .oracles import edge_traffic, steps_for
 
 
 # -- schedules ----------------------------------------------------------------
@@ -48,36 +46,59 @@ def test_identity_ring():
     assert identity_ring(4).order == (0, 1, 2, 3)
 
 
-# -- traffic model -------------------------------------------------------------
+# -- traffic model: the plan's views against the closed forms -------------------
+def ring_view(kind, out_bytes, world, root_position=0):
+    """(bytes per ring edge, steps) as the product derives them: the
+    registry ring's transfers and step count, identity order, one channel."""
+    ring = get_algorithm("ring")
+    per_edge = []
+    for pos in range(world):
+        ctx = AlgorithmContext(
+            kind, out_bytes, world, pos, root_position, tuple(range(world)), 1
+        )
+        transfers = ring.rank_transfers(ctx)
+        assert all(t.dst_rank == (pos + 1) % world for t in transfers)
+        per_edge.append(sum(t.nbytes for t in transfers))
+    return per_edge, ring.steps(ctx)
+
+
 def test_allreduce_edge_traffic():
     per_edge = edge_traffic(Collective.ALL_REDUCE, 1000, 4)
     assert per_edge == [1500.0] * 4  # 2*(n-1)/n * S
+    assert ring_view(Collective.ALL_REDUCE, 1000, 4)[0] == per_edge
 
 
 def test_allgather_edge_traffic():
     per_edge = edge_traffic(Collective.ALL_GATHER, 1000, 4)
     assert per_edge == [750.0] * 4
+    assert ring_view(Collective.ALL_GATHER, 1000, 4)[0] == per_edge
 
 
 def test_reduce_scatter_edge_traffic():
     per_edge = edge_traffic(Collective.REDUCE_SCATTER, 250, 4)
     assert per_edge == [750.0] * 4  # (n-1) * per-rank output
+    assert ring_view(Collective.REDUCE_SCATTER, 250, 4)[0] == per_edge
 
 
 def test_broadcast_skips_edge_into_root():
     per_edge = edge_traffic(Collective.BROADCAST, 100, 4, root_position=1)
     assert per_edge == [0.0, 100.0, 100.0, 100.0]
+    assert ring_view(Collective.BROADCAST, 100, 4, root_position=1)[0] == per_edge
 
 
 def test_reduce_skips_edge_out_of_root():
     per_edge = edge_traffic(Collective.REDUCE, 100, 4, root_position=1)
     assert per_edge == [100.0, 0.0, 100.0, 100.0]
+    assert ring_view(Collective.REDUCE, 100, 4, root_position=1)[0] == per_edge
 
 
 def test_steps():
     assert steps_for(Collective.ALL_REDUCE, 4) == 6
     assert steps_for(Collective.ALL_GATHER, 4) == 3
     assert steps_for(Collective.BROADCAST, 4) == 3
+    for kind in Collective:
+        assert ring_view(kind, 1000, 4)[1] == steps_for(kind, 4)
+        assert builtin_plan("ring", kind, 4).steps == steps_for(kind, 4)
 
 
 # -- data plane: ring programs through the one executor ------------------------
@@ -193,6 +214,12 @@ def test_plan_edge_bytes_match_traffic_model(kind, world, order_seed):
         if nbytes
     }
     assert plan.edge_bytes(elems, itemsize, order) == expected
+    # ... and so do the flows the simulator launches for it
+    ctx = AlgorithmContext(kind, out_bytes, world, 0, order[root_pos], tuple(order), 1)
+    flows = {
+        (rank, t.dst_rank): t.nbytes for rank, t in get_algorithm("ring").transfers(ctx)
+    }
+    assert flows == expected
 
 
 @pytest.mark.parametrize("elems", [13, 3])

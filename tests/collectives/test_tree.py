@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.collectives.types import Collective
 
+from repro.autotune import pair_traffic
 from repro.collectives import builtin_plan
-from repro.collectives.tree import (
-    TreeSchedule,
-    binary_tree,
-    double_binary_trees,
+from repro.collectives.tree import TreeSchedule, binary_tree, double_binary_trees
+from repro.core.algorithms import AlgorithmContext, get_algorithm
+
+from .oracles import (
     double_tree_allreduce_traffic,
     tree_allreduce_traffic,
     tree_steps,
@@ -54,6 +55,14 @@ def test_double_trees_have_different_roots():
 def test_tree_steps():
     tree = binary_tree(range(8))
     assert tree_steps(tree) == 2 * tree.depth()
+    # the product's step count is the compiled double-tree program's
+    for world in range(2, 20):
+        ctx = AlgorithmContext(
+            Collective.ALL_REDUCE, 1000, world, 0, 0, tuple(range(world)), 1
+        )
+        deepest = max(tree_steps(t) for t in double_binary_trees(range(world)))
+        assert get_algorithm("tree").steps(ctx) == deepest
+        assert builtin_plan("tree", Collective.ALL_REDUCE, world).steps == deepest
 
 
 def test_tree_allreduce_traffic_counts_up_and_down():
@@ -62,6 +71,16 @@ def test_tree_allreduce_traffic_counts_up_and_down():
     assert traffic[(1, 0)] == 100 and traffic[(0, 1)] == 100
     assert traffic[(2, 0)] == 100 and traffic[(0, 2)] == 100
     assert sum(traffic.values()) == 4 * 100
+    # lane 0 of the compiled double tree is this tree: one chunk-send up
+    # and one down every edge
+    sends = builtin_plan("tree", Collective.ALL_REDUCE, 3).sends
+    lane0 = {
+        (src, dst): len(chunks)
+        for src in range(3)
+        for dst, lane, chunks in sends[src]
+        if lane == 0
+    }
+    assert lane0 == {pair: 1 for pair in traffic}
 
 
 def test_double_tree_traffic_splits_in_half():
@@ -69,6 +88,8 @@ def test_double_tree_traffic_splits_in_half():
     traffic = double_tree_allreduce_traffic(trees, 100)
     # each tree moves S/2 per edge both ways over 3 edges
     assert sum(traffic.values()) == pytest.approx(2 * 3 * 100 / 2 * 2)
+    # the flows the registry's tree launches, summed per pair, are this
+    assert pair_traffic("tree", Collective.ALL_REDUCE, range(4), 100) == traffic
 
 
 def tree_plan(world):
@@ -117,6 +138,7 @@ def test_plan_edge_bytes_match_traffic_model(world):
     )
     moved = tree_plan(world).edge_bytes(elems, itemsize, order)
     assert moved == {pair: int(nbytes) for pair, nbytes in predicted.items()}
+    assert pair_traffic("tree", Collective.ALL_REDUCE, order, elems * itemsize) == predicted
 
 
 def test_plan_edge_bytes_uneven_size():

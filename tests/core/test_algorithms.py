@@ -1,22 +1,24 @@
 """Pluggable algorithm registry tests (the §4.2 extension point)."""
 
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro.cluster.specs import testbed_cluster
 from repro.collectives import Instr, OpKind, compile_program, make_program
-from repro.collectives.types import Collective, ReduceOp
+from repro.collectives.types import Collective
 from repro.core.algorithms import (
     AlgorithmContext,
     CollectiveAlgorithm,
     DoubleTreeAlgorithm,
-    RankTransfer,
     RingAlgorithm,
     get_algorithm,
     register_algorithm,
     registered_algorithms,
+    unregister_algorithm,
 )
-from repro.core.controller import CentralManager
 from repro.core.deployment import MccsDeployment
 from repro.core.strategy import CollectiveStrategy
 from repro.collectives.ring import RingSchedule
@@ -106,7 +108,10 @@ def test_tree_falls_back_to_ring_for_allgather():
 def test_tree_steps_logarithmic():
     tree = DoubleTreeAlgorithm()
     ring = RingAlgorithm()
-    assert tree.steps(Collective.ALL_REDUCE, 64) < ring.steps(Collective.ALL_REDUCE, 64)
+    assert tree.steps(ctx(world=32)) < ring.steps(ctx(world=32))
+    # other kinds fall back to the ring's schedule, step count included
+    gather = ctx(kind=Collective.ALL_GATHER, world=32)
+    assert tree.steps(gather) == ring.steps(gather) == 31
 
 
 def test_mccs_collective_under_tree_strategy():
@@ -147,50 +152,43 @@ def test_reconfigure_between_algorithm_families():
     assert comm.inconsistent_collectives == 0
 
 
-def test_custom_provider_algorithm_end_to_end():
-    """A proprietary provider algorithm: direct scatter to the root's
-    neighbours (toy), installed without touching service code."""
+class StarReduce(CollectiveAlgorithm):
+    """A proprietary provider algorithm: reduce to the root and fan back
+    out (toy).  Naming the chunk program is the whole job — the bytes,
+    the flows and the step latency are all views of its compiled plan."""
 
-    class StarReduce(CollectiveAlgorithm):
-        name = "star-test"
+    name = "star-test"
 
-        def rank_transfers(self, c):
-            if c.kind is not Collective.ALL_REDUCE:
-                return RingAlgorithm().rank_transfers(c)
-            if c.rank == c.root:
-                return [
-                    RankTransfer(dst_rank=r, nbytes=c.out_bytes / c.channels, channel=ch)
-                    for r in range(c.world)
-                    if r != c.root
-                    for ch in range(c.channels)
-                ]
-            return [
-                RankTransfer(dst_rank=c.root, nbytes=c.out_bytes / c.channels, channel=ch)
-                for ch in range(c.channels)
-            ]
+    def plan(self, c):
+        if c.kind is not Collective.ALL_REDUCE:
+            return get_algorithm("ring").plan(c)
+        ranks = [[] for _ in range(c.world)]
+        for r in range(c.world):
+            if r != c.root:
+                ranks[r] += [Instr(OpKind.SEND, 0, peer=c.root, step=0),
+                             Instr(OpKind.RECV, 0, peer=c.root, step=1)]
+                ranks[c.root].append(Instr(OpKind.RECV_REDUCE, 0, peer=r, step=0))
+        ranks[c.root] += [
+            Instr(OpKind.SEND, 0, peer=r, step=1)
+            for r in range(c.world) if r != c.root
+        ]
+        star = make_program("star", c.kind, ranks, num_chunks=1, root=c.root)
+        return compile_program(star), None
 
-        def steps(self, kind, world):
-            return 2
 
-        def plan(self, c):
-            # the bytes move the way the flows do: name the chunk program,
-            # the shared run_data path executes it
-            if c.kind is not Collective.ALL_REDUCE:
-                return RingAlgorithm().plan(c)
-            ranks = [[] for _ in range(c.world)]
-            for r in range(c.world):
-                if r != c.root:
-                    ranks[r] += [Instr(OpKind.SEND, 0, peer=c.root, step=0),
-                                 Instr(OpKind.RECV, 0, peer=c.root, step=1)]
-                    ranks[c.root].append(Instr(OpKind.RECV_REDUCE, 0, peer=r, step=0))
-            ranks[c.root] += [
-                Instr(OpKind.SEND, 0, peer=r, step=1)
-                for r in range(c.world) if r != c.root
-            ]
-            star = make_program("star", c.kind, ranks, num_chunks=1, root=c.root)
-            return compile_program(star), None
+@pytest.fixture
+def star():
+    algorithm = StarReduce()
+    register_algorithm(algorithm)
+    yield algorithm
+    unregister_algorithm(algorithm.name)
 
-    register_algorithm(StarReduce(), replace=True)
+
+def test_custom_provider_algorithm_end_to_end(star):
+    """Installed without touching service code, by writing ``plan``."""
+    assert star.steps(ctx()) == 2
+    assert [t.dst_rank for t in star.rank_transfers(ctx(rank=0))] == [1, 2, 3]
+    assert [t.dst_rank for t in star.rank_transfers(ctx(rank=2))] == [0]
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster)
     gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
@@ -203,7 +201,6 @@ def test_custom_provider_algorithm_end_to_end():
     op = client.all_reduce(handle, 4 * MB)
     deployment.run()
     assert op.completed
-    # star: 2*(world-1) flows total (in + out of root)
     assert sum(1 for _ in op.instance.rank_versions) == 4
     # and the program it names moves the bytes, through the shared path
     sends = [client.alloc(gpu, 64) for gpu in gpus]
@@ -214,3 +211,77 @@ def test_custom_provider_algorithm_end_to_end():
     deployment.run()
     for buf in recvs:
         assert np.array_equal(buf.view(np.float32), np.full(16, 10.0, np.float32))
+
+
+def _example_algorithm():
+    """``examples/custom_algorithm.py``'s class, loaded from the file."""
+    path = pathlib.Path(__file__).parents[2] / "examples" / "custom_algorithm.py"
+    spec = importlib.util.spec_from_file_location("custom_algorithm_example", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.HierarchicalAllReduce()
+
+
+@pytest.mark.parametrize("kind", [Collective.ALL_REDUCE, Collective.BROADCAST])
+@pytest.mark.parametrize(
+    "name", ["ring", "tree", "halving_doubling", "star-test", "hierarchical", "synth"]
+)
+def test_simulated_bytes_per_pair_are_the_plans(name, kind, star):
+    """The two clocks describe one schedule: on the testbed, the bytes the
+    simulator carries per directed rank pair equal ``plan.edge_bytes`` —
+    for every built-in, a synthesized program, and the two provider
+    algorithms that only write ``plan()`` (the example's hand-written
+    flows used to model a different schedule than its program)."""
+    from repro.synth import hierarchical_allreduce_program, temporarily_registered
+
+    cluster = testbed_cluster()
+    deployment = MccsDeployment(cluster)
+    gpus = [cluster.hosts[h].gpus[0] for h in range(4)]  # one per host
+    rank_of_nic = {
+        cluster.nic_of_channel(gpu, channel): rank
+        for rank, gpu in enumerate(gpus)
+        for channel in range(2)
+    }
+    carried = {}
+    inject = cluster.sim.add_flows
+
+    def spy(batch, **kwargs):
+        flows = inject(batch, **kwargs)
+        for flow in flows:
+            dst = rank_of_nic[cluster.topology.path_nodes(flow.path)[-1]]
+            pair = (flow.tags["rank"], dst)
+            carried[pair] = carried.get(pair, 0) + flow.size
+        return flows
+
+    cluster.sim.add_flows = spy
+    order, channels = (2, 0, 3, 1), 2
+    root = 1 if kind is Collective.BROADCAST else 0
+    elems, itemsize = 3 * 2**17, 4  # chunk-divisible for every program here
+    program = hierarchical_allreduce_program(
+        [[0, 2], [1, 3]], channels=2, name="synth:test-carried/w4"
+    )
+    with temporarily_registered(program):
+        if name == "hierarchical":
+            register_algorithm(_example_algorithm(), replace=True)
+        algorithm = get_algorithm(program.name if name == "synth" else name)
+        try:
+            strategy = CollectiveStrategy(
+                ring=RingSchedule(order), channels=channels, algorithm=algorithm.name
+            )
+            comm = deployment.create_communicator("A", gpus, strategy=strategy)
+            client = deployment.connect("A")
+            handle = client.adopt_communicator(comm.comm_id)
+            issue = getattr(client, kind.value)
+            if kind is Collective.BROADCAST:
+                op = issue(handle, elems * itemsize, root=root)
+            else:
+                op = issue(handle, elems * itemsize)
+            deployment.run()
+            assert op.completed
+            plan, plan_order = algorithm.plan(
+                AlgorithmContext(kind, elems * itemsize, 4, 0, root, order, channels)
+            )
+        finally:
+            if name == "hierarchical":
+                unregister_algorithm("hierarchical")
+    assert carried == plan.edge_bytes(elems, itemsize, plan_order)

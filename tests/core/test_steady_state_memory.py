@@ -21,7 +21,9 @@ import weakref
 from collections import Counter
 
 import numpy as np
+from repro.baselines.nccl import NcclCommunicator
 from repro.cluster.specs import testbed_cluster
+from repro.collectives.types import Collective
 from repro.core.deployment import MccsDeployment
 from repro.service import (
     GatewayClient,
@@ -48,6 +50,7 @@ PER_COLLECTIVE = (
     "Event",
     "IpcEventHandle",
     "LaunchHandle",
+    "CollectiveOp",
     "function",
     "cell",
     "method",
@@ -101,6 +104,32 @@ def test_allreduce_loop_leaves_nothing_behind():
         dep.communicator(comm.comm_id).comm_event_handle
     ) is comm.done_event
     assert all(not c.inflight for c in dep.communicators())
+
+
+def test_nccl_baseline_loop_leaves_nothing_behind():
+    """The baseline kept every ``LaunchHandle`` (pinning its flows) and
+    every ``CollectiveOp`` in append-only lists nobody read; fig11 drives
+    it for thousands of collectives."""
+    cluster = testbed_cluster()
+    comm = NcclCommunicator(cluster, list(cluster.gpus), algorithm="auto")
+    data = [np.full(NBYTES // 4, float(k), np.float32) for k in range(comm.world)]
+    kind = Collective.ALL_REDUCE
+    assert comm._algorithm_for(kind, NBYTES) == "tree"
+    assert comm._algorithm_for(kind, 64 * NBYTES) == "ring"
+
+    def serve(count):
+        for i in range(count):
+            size = NBYTES if i % 2 else 64 * NBYTES
+            op = comm.all_reduce(size, data=data if size == NBYTES else None)
+            cluster.sim.run()
+            assert op.completed
+        return op
+
+    serve(20)
+    before = census()
+    last = serve(100)
+    del last
+    assert census() == before
 
 
 def tenant_cycle(dep, client, gpus):

@@ -45,7 +45,7 @@ def test_chunk_spans_align_with_rank_blocks():
 
 
 def test_pair_traffic_matches_ring_model():
-    from repro.collectives.ring import edge_traffic
+    from tests.collectives.oracles import edge_traffic
 
     world, out = 4, 4096
     program = ring_program(Collective.ALL_REDUCE, world)
@@ -56,9 +56,19 @@ def test_pair_traffic_matches_ring_model():
 
 
 def test_rank_transfer_bytes_aggregates_per_peer_and_channel():
+    # the aggregation lives on the compiled plan now: its send table has
+    # one entry per (peer, channel), holding the chunks sent there
+    from repro.collectives import compile_program
+    from tests.collectives.oracles import rank_transfer_bytes
+
     program = ring_program(Collective.ALL_REDUCE, 4, channels=2)
-    by_edge = program.rank_transfer_bytes(0, 4096)
-    assert all(dst == 1 for (dst, _channel) in by_edge)
+    table = compile_program(program).sends[0]
+    assert [(dst, channel) for dst, channel, _ in table] == [(1, 0), (1, 1)]
+    sizes = program.chunk_nbytes(4096)
+    by_edge = {
+        (dst, channel): sum(sizes[c] for c in chunks) for dst, channel, chunks in table
+    }
+    assert by_edge == rank_transfer_bytes(program, 0, 4096)
     assert sum(by_edge.values()) == pytest.approx(2 * 3 / 4 * 4096)
 
 

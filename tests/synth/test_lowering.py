@@ -17,6 +17,7 @@ from repro.core.strategy import CollectiveStrategy
 from repro.collectives.ring import RingSchedule
 from repro.errors import MccsError
 from repro.netsim.fabric import RegionSpec
+from tests.collectives.oracles import synth_rank_transfers
 from repro.synth import (
     SynthAlgorithm,
     hierarchical_allreduce_program,
@@ -92,6 +93,8 @@ def test_rank_transfers_aggregate_per_peer_and_channel(hier_program):
         if src == 0
     )
     assert total == pytest.approx(expected)
+    # element for element what the parent's own aggregation produced
+    assert transfers == synth_rank_transfers(hier_program, ctx)
 
 
 def test_unsupported_points_fall_back_to_ring(hier_program):
@@ -100,10 +103,16 @@ def test_unsupported_points_fall_back_to_ring(hier_program):
     assert not algo.supports(Collective.ALL_REDUCE, 4)
     assert not algo.supports(Collective.ALL_GATHER, 8)
     ring = get_algorithm("ring")
-    assert algo.steps(Collective.ALL_GATHER, 8) == ring.steps(
-        Collective.ALL_GATHER, 8
-    )
-    assert algo.steps(Collective.ALL_REDUCE, 8) == hier_program.num_steps
+
+    def ctx(kind, world):
+        return AlgorithmContext(kind, 8 << 20, world, 0, 0, tuple(range(world)), 2)
+
+    # steps and flows fall back together: both are views of plan(ctx)
+    for point in (ctx(Collective.ALL_GATHER, 8), ctx(Collective.ALL_REDUCE, 4)):
+        assert algo.steps(point) == ring.steps(point)
+        assert algo.rank_transfers(point) == ring.rank_transfers(point)
+        assert algo.plan(point) == ring.plan(point)
+    assert algo.steps(ctx(Collective.ALL_REDUCE, 8)) == hier_program.num_steps
 
 
 @pytest.mark.parametrize("macro,sharded", ENGINE_MODES)

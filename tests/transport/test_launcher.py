@@ -2,16 +2,36 @@
 
 import pytest
 
+from repro.baselines.nccl import NcclCommunicator
 from repro.cluster.specs import testbed_cluster
-from repro.collectives.cost_model import LatencyModel, NCCL_LATENCY
-from repro.collectives.ring import RingSchedule, identity_ring
+from repro.collectives.cost_model import LatencyModel
+from repro.collectives.ring import identity_ring
 from repro.collectives.tree import double_binary_trees
 from repro.collectives.types import Collective
+from repro.core.algorithms import AlgorithmContext, get_algorithm
+from repro.netsim.errors import CommunicatorError
 from repro.netsim.routing import EcmpSelector
 from repro.transport.connections import ConnectionTable
 from repro.transport.launcher import FlowTransport
 
 ZERO_LATENCY = LatencyModel(base=0.0, per_step=0.0, datapath=0.0)
+
+
+def launch(transport, *, kind, out_bytes, gpus, table, channels=1, root=0,
+           algorithm="ring", **kwargs):
+    """One ``FlowTransport.launch`` of the registry ``algorithm``'s
+    transfers and step count over the identity ring."""
+    algo = get_algorithm(algorithm)
+    world = len(gpus)
+    ctx = AlgorithmContext(kind, out_bytes, world, 0, root, tuple(range(world)), channels)
+    transfers = [
+        (gpus[rank], gpus[t.dst_rank], t.channel, t.nbytes)
+        for rank, t in algo.transfers(ctx)
+    ]
+    return transport.launch(
+        kind=kind, out_bytes=out_bytes, transfers=transfers,
+        steps=algo.steps(ctx), table=table, **kwargs,
+    )
 
 
 @pytest.fixture
@@ -28,13 +48,8 @@ def env():
 def test_ring_launch_creates_one_flow_per_edge(env):
     cl, gpus, table, sched = env
     transport = FlowTransport(cl, ZERO_LATENCY)
-    handle = transport.launch_ring(
-        kind=Collective.ALL_REDUCE,
-        out_bytes=1000,
-        schedule=sched,
-        gpus_by_rank=gpus,
-        table=table,
-        channels=1,
+    handle = launch(
+        transport, kind=Collective.ALL_REDUCE, out_bytes=1000, gpus=gpus, table=table
     )
     cl.sim.run(until=0.0)
     assert len(handle.flows) == 4
@@ -46,14 +61,9 @@ def test_completion_fires_when_slowest_flow_finishes(env):
     cl, gpus, table, sched = env
     transport = FlowTransport(cl, ZERO_LATENCY)
     seen = []
-    handle = transport.launch_ring(
-        kind=Collective.ALL_GATHER,
-        out_bytes=8 * 1024**2,
-        schedule=sched,
-        gpus_by_rank=gpus,
-        table=table,
-        channels=1,
-        on_complete=lambda h, t: seen.append(t),
+    handle = launch(
+        transport, kind=Collective.ALL_GATHER, out_bytes=8 * 1024**2, gpus=gpus,
+        table=table, on_complete=lambda h, t: seen.append(t),
     )
     cl.sim.run()
     assert handle.completed
@@ -65,13 +75,8 @@ def test_fixed_latency_delays_injection(env):
     cl, gpus, table, sched = env
     latency = LatencyModel(base=1e-3, per_step=0.0, datapath=0.0)
     transport = FlowTransport(cl, latency)
-    handle = transport.launch_ring(
-        kind=Collective.ALL_REDUCE,
-        out_bytes=1000,
-        schedule=sched,
-        gpus_by_rank=gpus,
-        table=table,
-        channels=1,
+    handle = launch(
+        transport, kind=Collective.ALL_REDUCE, out_bytes=1000, gpus=gpus, table=table
     )
     cl.sim.run()
     assert handle.start_time == pytest.approx(1e-3)
@@ -81,13 +86,8 @@ def test_fixed_latency_delays_injection(env):
 def test_broadcast_skips_root_edge(env):
     cl, gpus, table, sched = env
     transport = FlowTransport(cl, ZERO_LATENCY)
-    handle = transport.launch_ring(
-        kind=Collective.BROADCAST,
-        out_bytes=1000,
-        schedule=sched,
-        gpus_by_rank=gpus,
-        table=table,
-        channels=1,
+    handle = launch(
+        transport, kind=Collective.BROADCAST, out_bytes=1000, gpus=gpus, table=table,
         root=0,
     )
     cl.sim.run()
@@ -100,13 +100,9 @@ def test_channels_split_bytes(env):
     table2 = ConnectionTable(cl, "t2")
     table2.establish(edges, channels=2, selector=EcmpSelector())
     transport = FlowTransport(cl, ZERO_LATENCY)
-    handle = transport.launch_ring(
-        kind=Collective.ALL_REDUCE,
-        out_bytes=1000,
-        schedule=sched,
-        gpus_by_rank=gpus,
-        table=table2,
-        channels=2,
+    handle = launch(
+        transport, kind=Collective.ALL_REDUCE, out_bytes=1000, gpus=gpus,
+        table=table2, channels=2,
     )
     cl.sim.run()
     assert len(handle.flows) == 8
@@ -125,29 +121,23 @@ def test_double_tree_launch(env):
             edges.append((gpus[parent], gpus[child]))
     tree_table.establish(edges, channels=1, selector=EcmpSelector())
     transport = FlowTransport(cl, ZERO_LATENCY)
-    handle = transport.launch_double_tree(
-        out_bytes=1000,
-        trees=trees,
-        gpus_by_rank=gpus,
-        table=tree_table,
+    handle = launch(
+        transport, kind=Collective.ALL_REDUCE, out_bytes=1000, gpus=gpus,
+        table=tree_table, algorithm="tree",
     )
     cl.sim.run()
     assert handle.completed
     assert sum(f.size for f in handle.flows) == pytest.approx(2 * 1000 * 3)
+    # one flow per (tree, directed edge): the trees are never merged
+    assert len(handle.flows) == 2 * 2 * 3
 
 
 def test_invalid_channels_rejected(env):
+    # the check moved with the option: the launcher takes finished
+    # transfers, the library that owns the channel count validates it
     cl, gpus, table, sched = env
-    transport = FlowTransport(cl, ZERO_LATENCY)
-    with pytest.raises(ValueError):
-        transport.launch_ring(
-            kind=Collective.ALL_REDUCE,
-            out_bytes=1,
-            schedule=sched,
-            gpus_by_rank=gpus,
-            table=table,
-            channels=0,
-        )
+    with pytest.raises(CommunicatorError, match="channels"):
+        NcclCommunicator(cl, gpus, channels=0)
 
 
 def test_gate_hook_sees_every_flow(env):
@@ -159,13 +149,6 @@ def test_gate_hook_sees_every_flow(env):
             seen.extend(flows)
 
     transport = FlowTransport(cl, ZERO_LATENCY, gate=Gate())
-    transport.launch_ring(
-        kind=Collective.ALL_REDUCE,
-        out_bytes=1000,
-        schedule=sched,
-        gpus_by_rank=gpus,
-        table=table,
-        channels=1,
-    )
+    launch(transport, kind=Collective.ALL_REDUCE, out_bytes=1000, gpus=gpus, table=table)
     cl.sim.run()
     assert len(seen) == 4

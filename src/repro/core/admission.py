@@ -19,7 +19,7 @@ than retries — and is counted in ``mccs_admission_total`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..netsim.errors import AdmissionRejectedError, PolicyError
@@ -59,18 +59,6 @@ class AdmissionPolicy:
         raise PolicyError(f"unknown QoS class {qos!r}")
 
 
-@dataclass
-class AdmissionDecision:
-    """Outcome of one admission check (kept for audits/tests)."""
-
-    time: float
-    app: str
-    qos: str
-    admitted: bool
-    reason: str = ""
-    outstanding: int = 0
-
-
 class AdmissionController:
     """Per-deployment admission control over frontend-engine requests."""
 
@@ -86,7 +74,6 @@ class AdmissionController:
             telemetry if telemetry is not None else deployment.telemetry()
         )
         self._classes: Dict[str, str] = {}
-        self.decisions: list = []
         self.admitted_total = 0
         self.shed_total = 0
 
@@ -141,29 +128,20 @@ class AdmissionController:
                     f"{self.policy.priority[0]} traffic",
                 )
         self.admitted_total += 1
-        self._record(
-            AdmissionDecision(
-                time=self.deployment.sim.now,
-                app=app_id,
-                qos=qos,
-                admitted=True,
-                outstanding=outstanding,
-            )
-        )
+        self._count(app_id, qos, "admit")
 
     def _shed(
         self, app_id: str, qos: str, outstanding: int, reason: str
     ) -> None:
         self.shed_total += 1
-        self._record(
-            AdmissionDecision(
-                time=self.deployment.sim.now,
-                app=app_id,
-                qos=qos,
-                admitted=False,
-                reason=reason,
-                outstanding=outstanding,
-            )
+        self._count(app_id, qos, "shed")
+        self.telemetry.events.log(
+            self.deployment.sim.now,
+            "admission_shed",
+            reason,
+            app=app_id,
+            qos=qos,
+            outstanding=outstanding,
         )
         self.telemetry.metrics.counter(
             "mccs_shed_total",
@@ -182,13 +160,8 @@ class AdmissionController:
             f"request from {app_id!r} shed by admission control ({reason})"
         )
 
-    def _record(self, decision: AdmissionDecision) -> None:
-        self.decisions.append(decision)
+    def _count(self, app_id: str, qos: str, decision: str) -> None:
         self.telemetry.metrics.counter(
             "mccs_admission_total",
             "Admission decisions on data-path requests, by outcome.",
-        ).inc(
-            app=decision.app,
-            qos=decision.qos,
-            decision="admit" if decision.admitted else "shed",
-        )
+        ).inc(app=app_id, qos=qos, decision=decision)

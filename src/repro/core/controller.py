@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from ..cluster.gpu import GpuDevice
 from ..netsim.background import BackgroundTrafficManager
 from ..netsim.errors import PolicyError
+from ..telemetry.ringbuffer import RingBuffer
 from .communicator import ServiceCommunicator
 from .deployment import MccsDeployment
 from .policies.ffa import fair_flow_assignment
@@ -30,6 +31,11 @@ from .policies.pfa import priority_flow_assignment
 from .policies.ring_order import locality_ring_order
 from .policies.ts import compute_traffic_schedule
 from .strategy import CollectiveStrategy
+
+
+#: Policy passes :attr:`CentralManager.reports` keeps, newest last (every
+#: pass is also a ``policy_run`` event).
+REPORTS_KEPT = 256
 
 
 @dataclass
@@ -53,10 +59,10 @@ class CentralManager:
         self.deployment = deployment
         self.cluster = deployment.cluster
         self.background = background
-        self.reports: List[PolicyReport] = []
+        self.reports: RingBuffer[PolicyReport] = RingBuffer(REPORTS_KEPT)
 
     def _record_report(self, report: PolicyReport) -> PolicyReport:
-        """File a policy pass in the reports list and the telemetry
+        """File a policy pass in the reports ring and the telemetry
         decision log (the §4.3 "policy decision" trail)."""
         self.reports.append(report)
         hub = self.deployment.telemetry()

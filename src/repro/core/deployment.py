@@ -37,8 +37,10 @@ from ..collectives.types import Collective, input_bytes
 from ..netsim.errors import (
     CollectiveTimeoutError,
     CommunicatorError,
+    FaultError,
     InvalidBufferError,
     MccsError,
+    NoPathError,
 )
 from ..telemetry.hub import TelemetryHub
 from .admission import AdmissionController, AdmissionPolicy
@@ -608,25 +610,47 @@ class MccsDeployment:
             fixed = comm.latency.collective_latency(1)
 
             def inject() -> None:
-                table, selector = comm.datapath.table_for(strategy, comm.gpus)
-                conn = table.establish_edge(
-                    comm.gpus[request.src_rank],
-                    comm.gpus[request.dst_rank],
-                    0,
-                    selector,
-                )
-                flows = self.sim.add_flows(
-                    ((request.nbytes, conn.path, 0),),
-                    job_id=comm.app_id,
-                    tags={"comm": comm.comm_id, "p2p": True},
-                    on_complete=finish,
-                )
+                try:
+                    table, selector = comm.datapath.table_for(strategy, comm.gpus)
+                    conn = table.establish_edge(
+                        comm.gpus[request.src_rank],
+                        comm.gpus[request.dst_rank],
+                        0,
+                        selector,
+                    )
+                    flows = self.sim.add_flows(
+                        ((request.nbytes, conn.path, 0),),
+                        job_id=comm.app_id,
+                        tags={"comm": comm.comm_id, "p2p": True},
+                        on_complete=finish,
+                        on_fail=failed,
+                    )
+                except (FaultError, NoPathError) as exc:
+                    # Same surface as a rank's injection: broken
+                    # infrastructure fails the transfer, not the event loop.
+                    failed(None, self.sim.now, exc)
+                    return
                 if comm.gate is not None:
                     comm.gate.register(flows)
 
             def finish(_flow, _now: float) -> None:
                 if send_view is not None and recv_view is not None:
                     np.copyto(recv_view, send_view)
+                release()
+
+            def failed(_flow, now: float, error: BaseException) -> None:
+                """No bytes arrive; the stream still drains (P2P has no
+                retry — two ranks, no barrier to relaunch under)."""
+                self._telemetry.events.log(
+                    now,
+                    "p2p_failed",
+                    f"p2p {request.src_rank} -> {request.dst_rank}: {error}",
+                    comm=comm.comm_id,
+                    app=comm.app_id,
+                )
+                release()
+
+            def release() -> None:
                 comm.datapath.release(strategy.version, comm.strategy.version)
                 # The shim opened the per-op export inside its call.
                 root_host.ipc.close_event(handle)

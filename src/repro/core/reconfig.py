@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
 from ..netsim.engine import FlowSimulator
 from ..netsim.errors import ReconfigurationError
 from ..telemetry.causal import EVENT_BARRIER_RESOLVED, EVENT_RANK_APPLIED
+from ..telemetry.ringbuffer import RingBuffer
 from .communicator import ServiceCommunicator
 from .strategy import CollectiveStrategy
 
@@ -42,6 +43,10 @@ _session_counter = itertools.count()
 #: overhead; a control round-trip in the 100 us range matches a
 #: host-crossing TCP exchange.
 DEFAULT_CONTROL_RING_LATENCY = 100e-6
+
+#: Sessions :attr:`ReconfigManager.sessions` keeps, newest last (readers
+#: audit one communicator's tuned run: a few dozen).
+SESSIONS_KEPT = 256
 
 
 class ControlBarrier:
@@ -315,7 +320,7 @@ class ReconfigManager:
         self._proxies_of = proxies_of
         self._telemetry = telemetry
         self._active: Dict[int, ReconfigSession] = {}
-        self.sessions: List[ReconfigSession] = []
+        self.sessions: RingBuffer[ReconfigSession] = RingBuffer(SESSIONS_KEPT)
 
     def reconfigure(
         self,

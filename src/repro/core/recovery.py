@@ -42,6 +42,7 @@ from ..netsim.errors import (
     ServiceCrashedError,
     ServiceUnavailableError,
 )
+from ..resilience import Backoff
 from .communicator import CollectiveInstance, ServiceCommunicator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,10 +57,9 @@ class RecoveryPolicy:
 
     #: Repair attempts per failure episode before the communicator aborts.
     max_attempts: int = 3
-    #: First-retry backoff; doubles (``backoff_factor``) up to the cap.
-    backoff_base: float = 0.005
-    backoff_factor: float = 2.0
-    backoff_cap: float = 0.1
+    #: Wait before the relaunch of repair attempt ``n``: 5 ms, doubling to
+    #: the cap.  Only base and cap are read (no rng; ``max_attempts`` bounds).
+    backoff: Backoff = Backoff(base=0.005, cap=0.1)
     #: Reconfiguration barriers abandon after this long (a dead rank never
     #: contributes; without a timeout the repair itself would hang).
     barrier_timeout: float = 0.05
@@ -136,8 +136,6 @@ class RecoveryManager:
         self._cycles: Dict[int, _CommRecovery] = {}
         #: Aborted-comm id -> successor communicator formed on survivors.
         self.reformed: Dict[int, ServiceCommunicator] = {}
-        #: Chronological audit of detection/repair decisions.
-        self.audit: List[Dict[str, object]] = []
 
     # ------------------------------------------------------------------
     def attach(self, comm: ServiceCommunicator) -> None:
@@ -162,14 +160,7 @@ class RecoveryManager:
         )
 
     def _log(self, comm: ServiceCommunicator, event: str, detail: str) -> None:
-        entry = {
-            "time": self.sim.now,
-            "comm": comm.comm_id,
-            "app": comm.app_id,
-            "event": event,
-            "detail": detail,
-        }
-        self.audit.append(entry)
+        """Every detection/repair decision is one event in the hub's log."""
         self.telemetry.events.log(
             self.sim.now, event, detail, comm=comm.comm_id, app=comm.app_id
         )
@@ -303,11 +294,7 @@ class RecoveryManager:
 
                 inst.on_complete = hook
 
-        backoff = min(
-            self.policy.backoff_base
-            * self.policy.backoff_factor ** (rec.attempt - 1),
-            self.policy.backoff_cap,
-        )
+        backoff = self.policy.backoff.delay(rec.attempt - 1)
         self._log(
             comm,
             "recovery_attempt",

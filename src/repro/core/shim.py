@@ -35,6 +35,7 @@ from ..netsim.errors import (
     MccsError,
     ServiceUnavailableError,
 )
+from ..resilience import Backoff
 from ..telemetry.metrics import BoundCounter
 from .communicator import CollectiveInstance
 from .deployment import MccsDeployment
@@ -92,34 +93,6 @@ class MccsCommunicator:
     @property
     def world(self) -> int:
         return len(self.gpus)
-
-
-@dataclass
-class ShimRetryPolicy:
-    """Client-side resilience knobs (capped exponential backoff + jitter).
-
-    A shim call that hits a down service (:class:`ServiceUnavailableError`)
-    is re-queued on the *simulated* clock — collectives are often issued
-    from completion callbacks in the middle of a run, so blocking retries
-    are impossible — and reissued against whatever frontend engine the
-    restarted service provides.  Admission sheds are provider *decisions*
-    and are never retried.
-    """
-
-    max_retries: int = 8
-    backoff_base: float = 0.002
-    backoff_factor: float = 2.0
-    backoff_cap: float = 0.05
-    #: Each delay is multiplied by ``1 + uniform(0, jitter)`` so a fleet
-    #: of retrying tenants does not stampede the restarted service.
-    jitter: float = 0.5
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        base = min(
-            self.backoff_base * self.backoff_factor**attempt,
-            self.backoff_cap,
-        )
-        return base * (1.0 + self.jitter * rng.random())
 
 
 @dataclass
@@ -191,14 +164,14 @@ class MccsClient:
         self,
         deployment: MccsDeployment,
         app_id: str,
-        retry: Optional[ShimRetryPolicy] = None,
+        retry: Optional[Backoff] = None,
     ) -> None:
         self.deployment = deployment
         self.app_id = app_id
         self.cluster = deployment.cluster
         self.buffers: Dict[int, MccsBuffer] = {}
         self.communicators: Dict[int, MccsCommunicator] = {}
-        self.retry = retry if retry is not None else ShimRetryPolicy()
+        self.retry = retry if retry is not None else Backoff()
         # Deterministic jitter: seeded from the app id (crc32, not hash()
         # — Python string hashes vary between runs).
         self._rng = random.Random(zlib.crc32(app_id.encode()))

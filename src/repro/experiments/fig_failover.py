@@ -148,14 +148,14 @@ def run_failover_case(
     recovery_s: Optional[float] = None
     attempts = 0
     resolution = "unharmed"
-    for entry in recovery.audit:
-        if entry["event"] == "failure_detected" and detection is None:
-            detection = float(entry["time"]) - fault_time
-        elif entry["event"] == "recovery_attempt":
+    for event in hub.events.events():
+        if event.kind == "failure_detected" and detection is None:
+            detection = event.time - fault_time
+        elif event.kind == "recovery_attempt":
             attempts += 1
-        elif entry["event"] == "recovery_succeeded":
+        elif event.kind == "recovery_succeeded":
             resolution = "recovered"
-        elif entry["event"] == "recovery_gave_up":
+        elif event.kind == "recovery_gave_up":
             resolution = "aborted"
     histogram = hub.metrics.histogram(
         "mccs_recovery_seconds",
@@ -165,9 +165,8 @@ def run_failover_case(
         if state.count:
             recovery_s = state.sum / state.count
     if resolution == "aborted" and detection is not None:
-        for entry in recovery.audit:
-            if entry["event"] == "recovery_gave_up":
-                recovery_s = float(entry["time"]) - fault_time - detection
+        for event in hub.events.events("recovery_gave_up"):
+            recovery_s = event.time - fault_time - detection
 
     completed = sum(1 for op in victim_ops if op.completed)
     comm_obj = deployment.communicator(vcomm.comm_id)

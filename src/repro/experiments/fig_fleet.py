@@ -52,6 +52,7 @@ from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..netsim.errors import CommunicatorError
 from ..service import (
+    Backoff,
     BreakerPolicy,
     BrownoutPolicy,
     CapacityModel,
@@ -59,7 +60,6 @@ from ..service import (
     FleetLoadGenerator,
     GatewayClient,
     GatewayPolicy,
-    GatewayRetryPolicy,
     ServiceGateway,
     fleet_specs,
 )
@@ -192,7 +192,7 @@ def run_fleet(
         queue_capacity=16,
         max_inflight=4,
         default_deadline=0.12,
-        retry=GatewayRetryPolicy(max_retries=8, backoff_base=0.002, backoff_cap=0.03),
+        retry=Backoff(base=0.002, cap=0.03, max_retries=8),
         breaker=BreakerPolicy(
             window=6, min_samples=3, failure_threshold=0.5, cooldown=0.1
         ),
@@ -345,6 +345,8 @@ def run_fleet(
         row.timed_out += app.outcomes.get(504, 0)
         row.rejected += app.rejected - app.outcomes.get(504, 0)
         row.failed += app.failed
+    # Latencies come from the ledger's ring (the last 512 accepted
+    # requests; the paper-scale run accepts 439).
     latencies: Dict[str, List[float]] = {}
     for record in gateway.records:
         if record.tenant in poisoned or record.finished_at is None:
@@ -368,9 +370,7 @@ def run_fleet(
     )
     metrics = deployment.telemetry().metrics
     rejections = metrics.get("mccs_gateway_rejections_total")
-    throttled = metrics.get("mccs_gateway_throttled_total")
-    retried = metrics.get("mccs_gateway_retries_total")
-    tripped = metrics.get("mccs_gateway_breaker_trips_total")
+    stats = gateway.stats()
 
     # Capacity planner: answer the provisioning question this run just
     # measured, using the observed mean completion latency as the service
@@ -400,16 +400,12 @@ def run_fleet(
         brownout_peak_level=max(
             [new for _, _, new in gateway.brownout.transitions] or [0]
         ),
-        brownout_transitions=len(gateway.brownout.transitions),
-        brownout_shed_low=int(
-            rejections.value(reason="brownout", qos="low") if rejections else 0
-        ),
-        brownout_shed_high=int(
-            rejections.value(reason="brownout", qos="high") if rejections else 0
-        ),
-        throttled=int(throttled.total() if throttled else 0),
-        retries=int(retried.total() if retried else 0),
-        breaker_trips=int(tripped.total() if tripped else 0),
+        brownout_transitions=stats["brownout_transitions"],
+        brownout_shed_low=int(rejections.value(reason="brownout", qos="low")),
+        brownout_shed_high=int(rejections.value(reason="brownout", qos="high")),
+        throttled=int(metrics.get("mccs_gateway_throttled_total").total()),
+        retries=int(metrics.get("mccs_gateway_retries_total").total()),
+        breaker_trips=stats["breaker_trips"],
         poison_tenants=poison_ids,
         poison_tripped=all(
             poison_trips.get(t, 0) >= 1 for t in poison_ids

@@ -22,6 +22,7 @@ front of it:
 """
 
 from .capacity import CapacityModel, CapacityPlan, CapacityPlanner, erlang_c
+from ..resilience import Backoff
 from .errors import (
     AuthenticationError,
     BackpressureError,
@@ -40,7 +41,6 @@ from .limits import (
     BrownoutController,
     BrownoutPolicy,
     CircuitBreaker,
-    GatewayRetryPolicy,
     TokenBucket,
 )
 from .loadgen import FleetLoadGenerator, TenantAppSpec, fleet_specs
@@ -50,6 +50,7 @@ from .transport import GatewayClient, InProcessTransport, PendingCall
 __all__ = [
     "ApiKey",
     "AuthenticationError",
+    "Backoff",
     "BackpressureError",
     "BreakerPolicy",
     "BreakerState",
@@ -67,7 +68,6 @@ __all__ = [
     "GatewayPolicy",
     "GatewayRequest",
     "GatewayResponse",
-    "GatewayRetryPolicy",
     "GatewayTimeoutError",
     "InProcessTransport",
     "InvalidRequestError",

@@ -6,15 +6,27 @@ Request lifecycle (data path, ``POST /v1/collectives``)::
               -> class queue -> bulkhead dispatch -> frontend engine
               -> collective instance -> completion callback -> response
 
-Every pre-dispatch stage can *reject* with a typed error (a decision,
-counted in ``mccs_gateway_rejections_total``); once a request has been
-issued to a frontend engine it is *executed* and runs to completion —
-the two sets are disjoint by construction, which the hypothesis property
-suite asserts.  Dispatch failures are split the way a real front door
-splits them: a down host service is transient (capped-exponential retry
-within the request deadline), an admission shed is a decision (surfaced,
-never retried), anything else is a 5xx that feeds the tenant's circuit
-breaker.
+A request is *refused* at the door (a typed error raised before the queue,
+which :meth:`ServiceGateway.handle` turns into the response) or *accepted*,
+and from then on its :class:`GatewayRecord` is the state machine::
+
+    state        holds                               leaves by
+    QUEUED       a place in its class queue          pump -> DISPATCHING, or settle
+    DISPATCHING  a dispatch slot (between retries)   issue -> EXECUTING, or settle
+    EXECUTING    a dispatch slot, a live collective  settle (completion only)
+    OK / REJECTED / TIMED_OUT / FAILED               terminal: holds nothing
+
+:meth:`ServiceGateway._settle` is the only way into a terminal state: it
+gives back what the current state holds, tells the tenant's breaker the
+outcome (or returns an unused half-open probe slot), books the series,
+counts the ledger and answers the tenant — once, whatever ended the
+request.  A request that reached a frontend engine is *executed* and runs
+to completion; only settles from QUEUED or DISPATCHING are rejections, so
+no request is both.  Dispatch failures are split the way a real front
+door splits them: a down host service is transient (capped-exponential
+retry within the request deadline), an admission shed is a decision
+(surfaced, never retried), anything else is a 5xx that feeds the tenant's
+circuit breaker.
 
 The gateway *composes with* :mod:`repro.core.admission` rather than
 replacing it: registering a tenant assigns its QoS class to the
@@ -28,7 +40,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, Optional, Tuple
 from collections import deque
 
 import numpy as np
@@ -41,6 +53,8 @@ from ..netsim.errors import (
     ReproError,
     ServiceUnavailableError,
 )
+from ..resilience import Backoff
+from ..telemetry.ringbuffer import RingBuffer
 from .errors import (
     AuthenticationError,
     BackpressureError,
@@ -54,10 +68,10 @@ from .errors import (
 )
 from .limits import (
     BreakerPolicy,
+    BreakerState,
     BrownoutController,
     BrownoutPolicy,
     CircuitBreaker,
-    GatewayRetryPolicy,
     TokenBucket,
 )
 from .registry import TenantAccount, TenantQuota, TenantRegistry
@@ -67,6 +81,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.deployment import MccsDeployment
 
 _KINDS = {kind.value: kind for kind in Collective}
+
+#: Records :attr:`ServiceGateway.records` keeps (newest last) — the causal
+#: tracer's closed-trace window, so the ledger's tail and the exported
+#: traces cover the same requests.
+RECORDS_KEPT = 512
 
 
 @dataclass
@@ -97,12 +116,16 @@ class GatewayResponse:
         return 200 <= self.status < 300
 
 
+#: How the gateway answers: the transport's callback for one request.
+Respond = Callable[[GatewayResponse], None]
+
+
 class RequestState(str, Enum):
     QUEUED = "queued"
     DISPATCHING = "dispatching"
     EXECUTING = "executing"
     OK = "ok"
-    #: Rejected by a pre-dispatch decision; never touched the backend.
+    #: Ended by a decision before it touched the backend.
     REJECTED = "rejected"
     #: Deadline expired while queued or between dispatch retries.
     TIMED_OUT = "timed_out"
@@ -110,57 +133,12 @@ class RequestState(str, Enum):
     FAILED = "failed"
 
 
-@dataclass
-class GatewayRecord:
-    """Ledger entry of one data-path request.
-
-    The ledger outlives the request, so a settled record keeps scalars
-    only: ``request`` (the tenant's payload) and ``respond`` are dropped
-    when it settles, and the collective instance is never stored here.
-    """
-
-    request: Optional[GatewayRequest]
-    tenant: str
-    qos: str
-    accepted_at: float
-    state: RequestState = RequestState.QUEUED
-    deadline: float = 0.0
-    finished_at: Optional[float] = None
-    error: Optional[BaseException] = None
-    retries: int = 0
-    #: Admitted as a half-open breaker probe.
-    probe: bool = False
-    respond: Optional[Callable[[GatewayResponse], None]] = None
-
-    @property
-    def done(self) -> bool:
-        return self.state in (
-            RequestState.OK,
-            RequestState.REJECTED,
-            RequestState.TIMED_OUT,
-            RequestState.FAILED,
-        )
-
-
-@dataclass(frozen=True)
-class GatewayPolicy:
-    """Deployment-wide gateway knobs.
-
-    Attributes:
-        queue_capacity: Bound of each QoS class queue.
-        max_inflight: Shared dispatch slots (the global bulkhead pool).
-        default_deadline: Request deadline when the tenant names none.
-        retry: Backoff for transient dispatch failures.
-        breaker: Per-tenant circuit-breaker policy.
-        brownout: Load watermarks for graceful shedding.
-    """
-
-    queue_capacity: int = 64
-    max_inflight: int = 64
-    default_deadline: float = 1.0
-    retry: GatewayRetryPolicy = field(default_factory=GatewayRetryPolicy)
-    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    brownout: BrownoutPolicy = field(default_factory=BrownoutPolicy)
+TERMINAL = (
+    RequestState.OK,
+    RequestState.REJECTED,
+    RequestState.TIMED_OUT,
+    RequestState.FAILED,
+)
 
 
 @dataclass
@@ -175,12 +153,62 @@ class _Session:
     inflight: int = 0
 
 
+@dataclass(eq=False)
+class GatewayRecord:
+    """One accepted data-path request (see the module docstring).
+
+    It is charged to the ``session`` that admitted it and gives back to
+    *that* object, whatever became of the tenant's entry in the session
+    table since (restart, revocation).  Settled, it keeps scalars only:
+    payload, response channel and session are dropped.
+    """
+
+    request: Optional[GatewayRequest]
+    respond: Optional[Respond]
+    session: Optional[_Session]
+    tenant: str
+    qos: str
+    accepted_at: float
+    deadline: float
+    #: Admitted as a half-open breaker probe.
+    probe: bool = False
+    state: RequestState = RequestState.QUEUED
+    finished_at: Optional[float] = None
+    retries: int = 0
+
+    @property
+    def done(self) -> bool:
+        return self.state in TERMINAL
+
+
+@dataclass(frozen=True)
+class GatewayPolicy:
+    """Deployment-wide gateway knobs.
+
+    Attributes:
+        queue_capacity: Bound of each QoS class queue.
+        max_inflight: Shared dispatch slots (the global bulkhead pool).
+        default_deadline: Request deadline when the tenant names none.
+        retry: Backoff for transient dispatch failures, always within
+            the request deadline (a retry that would land past it: 504).
+        breaker: Per-tenant circuit-breaker policy.
+        brownout: Load watermarks for graceful shedding.
+    """
+
+    queue_capacity: int = 64
+    max_inflight: int = 64
+    default_deadline: float = 1.0
+    retry: Backoff = Backoff(max_retries=6)
+    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
+    brownout: BrownoutPolicy = field(default_factory=BrownoutPolicy)
+
+
 class ServiceGateway:
     """The tenant-facing front door of one deployment."""
 
     def __init__(
         self,
-        deployment: "MccsDeployment",
+        deployment: MccsDeployment,
         policy: Optional[GatewayPolicy] = None,
         *,
         registry: Optional[TenantRegistry] = None,
@@ -203,15 +231,22 @@ class ServiceGateway:
         self._queues: Dict[str, Deque[GatewayRecord]] = {
             qos: deque() for qos in self.policy.brownout.priority
         }
+        self._queued = 0
         self._inflight = 0
+        self._capacity = (
+            self.policy.max_inflight + self.policy.queue_capacity * len(self._queues)
+        )
+        self._open_breakers = 0
         self._pump_scheduled = False
         self._rng = random.Random(0xF1EE7)
-        self._counted_trips: Dict[str, int] = {}
-        #: Full request ledger, and the disjoint outcome sets the
-        #: robustness property suite checks.
-        self.records: List[GatewayRecord] = []
-        self.rejected_ids: Set[int] = set()
-        self.executed_ids: Set[int] = set()
+        #: The ledger.  Every data-path request is counted once: *refused*
+        #: at the door, or accepted and then *settled* in one terminal state;
+        #: ``executed`` counts those that reached a frontend engine, and
+        #: ``records`` keeps the tail of the accepted ones for reports.
+        self.refused = 0
+        self.executed = 0
+        self.settled: Dict[RequestState, int] = dict.fromkeys(TERMINAL, 0)
+        self.records: RingBuffer[GatewayRecord] = RingBuffer(RECORDS_KEPT)
         self._routes: Dict[Tuple[str, str], Tuple[Callable, bool]] = {
             # (method, path) -> (handler, needs_auth)
             ("GET", "/v1/health"): (self._route_health, False),
@@ -220,7 +255,85 @@ class ServiceGateway:
             ("POST", "/v1/comms/destroy"): (self._route_destroy_comm, True),
             ("GET", "/v1/slo"): (self._route_slo, True),
         }
+        # Every series the gateway exports is declared here, once; label
+        # sets are bound on first use (:meth:`_series`).
+        metrics = self.telemetry.metrics
+        self._bound: Dict[tuple, object] = {}
+        self._m_requests = metrics.counter(
+            "mccs_gateway_requests_total",
+            "Requests answered by the gateway, by route and status code.",
+        )
+        self._m_rejections = metrics.counter(
+            "mccs_gateway_rejections_total",
+            "Typed gateway rejections (decisions, never executed), by "
+            "reason and QoS class.",
+        )
+        self._m_throttled = metrics.counter(
+            "mccs_gateway_throttled_total",
+            "Requests rejected by per-tenant token-bucket rate limiting.",
+        )
+        self._m_retries = metrics.counter(
+            "mccs_gateway_retries_total",
+            "Dispatch attempts re-queued after transient backend failures.",
+        )
+        self._m_timeouts = metrics.counter(
+            "mccs_gateway_timeouts_total",
+            "Requests whose deadline expired before execution.",
+        )
+        self._m_latency = metrics.histogram(
+            "mccs_gateway_request_seconds",
+            "End-to-end gateway latency of completed data-path requests.",
+        )
+        self._m_queue_depth = metrics.gauge(
+            "mccs_gateway_queue_depth",
+            "Requests waiting in the gateway's bounded class queues.",
+        )
+        self._m_inflight = metrics.gauge(
+            "mccs_gateway_inflight",
+            "Data-path requests occupying gateway dispatch slots.",
+        ).labels()
+        self._m_tenants = metrics.gauge(
+            "mccs_gateway_tenants",
+            "Tenant accounts currently registered with the gateway.",
+        ).labels()
+        self._m_brownout_level = metrics.gauge(
+            "mccs_gateway_brownout_level",
+            "Current brownout level (0 = none; level k sheds the k "
+            "lowest-priority QoS classes).",
+        ).labels()
+        self._m_brownout_transitions = metrics.counter(
+            "mccs_gateway_brownout_transitions_total",
+            "Brownout level changes, by direction.",
+        )
+        self._m_breaker_open = metrics.gauge(
+            "mccs_gateway_breaker_open",
+            "Tenant circuit breakers currently open.",
+        ).labels()
+        self._m_breaker_trips = metrics.counter(
+            "mccs_gateway_breaker_trips_total",
+            "Circuit-breaker trips, by QoS class.",
+        )
         deployment.gateway = self
+
+    def _series(self, metric, **labels: object):
+        """``metric``'s series for ``labels``, bound on first use."""
+        key = (metric, *labels.values())
+        series = self._bound.get(key)
+        if series is None:
+            series = self._bound[key] = metric.labels(**labels)
+        return series
+
+    def _count_request(self, request: GatewayRequest, status: int) -> None:
+        route = f"{request.method} {request.path}"
+        self._series(self._m_requests, route=route, code=status).inc()
+
+    def _count_rejection(
+        self, reason: str, qos: str, tenant: Optional[str] = None
+    ) -> None:
+        self._series(self._m_rejections, reason=reason, qos=qos).inc()
+        if reason == "brownout":
+            # An SLO event of the tenant (admission books its own sheds).
+            self.telemetry.slo.record_shed(tenant)
 
     # ------------------------------------------------------------------
     # tenant management (provider side)
@@ -232,19 +345,27 @@ class ServiceGateway:
         account = self.registry.register(tenant_id, quota)
         if self.deployment.admission is not None:
             self.deployment.admission.set_class(tenant_id, account.quota.qos_class)
-        self.telemetry.metrics.gauge(
-            "mccs_gateway_tenants",
-            "Tenant accounts currently registered with the gateway.",
-        ).set(len(self.registry))
+        self._m_tenants.set(len(self.registry))
         return account
 
     def revoke_tenant(self, tenant_id: str) -> None:
+        """Close a tenant's account.  Its queued requests are answered 401
+        now; those already holding a dispatch slot run to completion
+        against the session they were charged to."""
         self.registry.revoke(tenant_id)
-        self._sessions.pop(tenant_id, None)
-        self.telemetry.metrics.gauge(
-            "mccs_gateway_tenants",
-            "Tenant accounts currently registered with the gateway.",
-        ).set(len(self.registry))
+        self._m_tenants.set(len(self.registry))
+        session = self._sessions.pop(tenant_id, None)
+        if session is None:
+            return
+        if session.breaker.open:
+            self._open_breakers -= 1
+            self._m_breaker_open.set(self._open_breakers)
+        for queue in self._queues.values():
+            for record in [r for r in queue if r.session is session]:
+                error = AuthenticationError(f"API key of {tenant_id!r} was revoked")
+                self._settle(
+                    record, RequestState.REJECTED, 401, error=error, reason="revoked"
+                )
 
     def _session(self, account: TenantAccount) -> _Session:
         session = self._sessions.get(account.tenant_id)
@@ -267,188 +388,167 @@ class ServiceGateway:
     def breaker_of(self, tenant_id: str) -> CircuitBreaker:
         return self.session_of(tenant_id).breaker
 
+    def _breaker(self, session: _Session, step: Callable, now: float):
+        """Every ``step`` of a tenant's breaker (``CircuitBreaker.allow``,
+        ``record_success``, ...) goes through here, so whichever opens or
+        trips it moves the open gauge (live sessions) and the trip count."""
+        breaker = session.breaker
+        was_open, trips = breaker.open, breaker.trips
+        outcome = step(breaker, now)
+        tenant_id = session.account.tenant_id
+        if breaker.open != was_open and self._sessions.get(tenant_id) is session:
+            self._open_breakers += 1 if breaker.open else -1
+            self._m_breaker_open.set(self._open_breakers)
+        if breaker.trips != trips:
+            qos = session.account.quota.qos_class
+            self._series(self._m_breaker_trips, qos=qos).inc(breaker.trips - trips)
+            message = f"circuit of tenant {tenant_id!r} opened"
+            self.telemetry.events.log(now, "breaker_tripped", message, tenant=tenant_id)
+        return outcome
+
     # ------------------------------------------------------------------
     # request entry point (called by the transport)
     # ------------------------------------------------------------------
-    def handle(
-        self,
-        request: GatewayRequest,
-        respond: Callable[[GatewayResponse], None],
-    ) -> None:
+    def handle(self, request: GatewayRequest, respond: Respond) -> None:
+        """Answer ``request`` now, unless the data path accepts it (then
+        :meth:`_settle` will): the one place a raised error becomes a response."""
+        data_path = request.method == "POST" and request.path == "/v1/collectives"
+        body: Dict[str, object] = {}
+        status, error = 200, None
         try:
-            self._handle(request, respond)
+            if not self.alive:
+                raise ServiceUnavailableError("gateway is down")
+            if data_path:
+                self._accept_collective(request, respond)
+                return
+            body = self._control(request)
         except GatewayError as exc:
-            respond(
-                GatewayResponse(
-                    request_id=request.request_id,
-                    status=exc.status,
-                    error=exc,
-                )
-            )
+            status, error = exc.status, exc
+        except ServiceUnavailableError as exc:
+            # A down host or gateway answers at once; the tenant owns the retry.
+            status, error = 503, exc
+        except ReproError as exc:
+            status, error = 400, exc
+        if data_path:
+            self.refused += 1
+        self._count_request(request, status)
+        respond(GatewayResponse(request.request_id, status, body, error))
 
-    def _handle(
-        self,
-        request: GatewayRequest,
-        respond: Callable[[GatewayResponse], None],
-    ) -> None:
-        if not self.alive:
-            self._count_request(request, 503)
-            respond(
-                GatewayResponse(
-                    request_id=request.request_id,
-                    status=503,
-                    error=ServiceUnavailableError("gateway is down"),
-                )
-            )
-            return
-        if request.method == "POST" and request.path == "/v1/collectives":
-            self._accept_collective(request, respond)
-            return
+    def _control(self, request: GatewayRequest) -> Dict[str, object]:
+        """Control routes execute inline."""
         entry = self._routes.get((request.method, request.path))
         if entry is None:
-            self._count_request(request, 404)
-            raise UnknownRouteError(
-                f"no route for {request.method} {request.path}"
-            )
+            raise UnknownRouteError(f"no route for {request.method} {request.path}")
         handler, needs_auth = entry
         session = None
         if needs_auth:
-            try:
-                account = self.registry.authenticate(request.api_key)
-            except AuthenticationError:
-                self._count_request(request, 401)
-                self._count_rejection("auth", "unknown")
-                raise
-            session = self._session(account)
+            session = self._authenticate(request)
             if not session.bucket.try_take(self.sim.now):
-                self._throttle(request, session)
+                self._throttle(session)
+        return handler(session, request)
+
+    def _authenticate(self, request: GatewayRequest) -> _Session:
         try:
-            body = handler(session, request)
-        except GatewayError as exc:
-            self._count_request(request, exc.status)
+            account = self.registry.authenticate(request.api_key)
+        except AuthenticationError:
+            self._count_rejection("auth", "unknown")
             raise
-        except ServiceUnavailableError as exc:
-            # Control-plane routes answer a down host synchronously; the
-            # tenant (or its shim) owns the retry.
-            self._count_request(request, 503)
-            respond(
-                GatewayResponse(
-                    request_id=request.request_id, status=503, error=exc
-                )
-            )
-            return
-        except ReproError as exc:
-            self._count_request(request, 400)
-            respond(
-                GatewayResponse(
-                    request_id=request.request_id, status=400, error=exc
-                )
-            )
-            return
-        self._count_request(request, 200)
-        respond(
-            GatewayResponse(request_id=request.request_id, status=200, body=body)
+        return self._session(account)
+
+    def _throttle(self, session: _Session) -> None:
+        qos = session.account.quota.qos_class
+        self._count_rejection("throttle", qos)
+        self._series(self._m_throttled, qos=qos).inc()
+        raise RateLimitedError(
+            f"tenant {session.account.tenant_id!r} over its "
+            f"{session.bucket.rate:g} req/s quota",
+            retry_after=session.bucket.retry_after(self.sim.now),
         )
 
     # ------------------------------------------------------------------
     # data path: the robustness stack
     # ------------------------------------------------------------------
-    def _accept_collective(
-        self,
-        request: GatewayRequest,
-        respond: Callable[[GatewayResponse], None],
-    ) -> None:
-        try:
-            account = self.registry.authenticate(request.api_key)
-        except AuthenticationError:
-            self._count_request(request, 401)
-            self._count_rejection("auth", "unknown")
-            raise
-        session = self._session(account)
+    def _accept_collective(self, request: GatewayRequest, respond: Respond) -> None:
+        """Refuse (raise typed) or enqueue one collective request."""
+        session = self._authenticate(request)
+        account = session.account
         qos = account.quota.qos_class
         now = self.sim.now
 
         # 1. brownout: deployment-wide graceful shedding by class.
         if self.brownout.sheds(qos):
-            self._count_request(request, 503)
-            self._count_rejection("brownout", qos)
-            self._reject(request, qos)
-            self.telemetry.slo.record_shed(account.tenant_id)
-            raise BrownoutShedError(
-                f"brownout level {self.brownout.level}: shedding {qos!r} traffic"
-            )
+            self._count_rejection("brownout", qos, account.tenant_id)
+            raise self._shed_error(qos)
         # 2. per-tenant token-bucket rate limit.
         if not session.bucket.try_take(now):
-            self._reject(request, qos)
-            self._throttle(request, session)
+            self._throttle(session)
         # 3. explicit backpressure: bounded class queue + per-tenant bound.
-        queue = self._queue_for(qos)
+        name, queue = self._queue_for(qos)
         if len(queue) >= self.policy.queue_capacity:
-            self._count_request(request, 503)
             self._count_rejection("backpressure", qos)
-            self._reject(request, qos)
             raise BackpressureError(
                 f"{qos!r} queue is full ({self.policy.queue_capacity} waiting)"
             )
         if session.queued >= account.quota.max_queued:
-            self._count_request(request, 503)
             self._count_rejection("backpressure", qos)
-            self._reject(request, qos)
             raise BackpressureError(
                 f"tenant {account.tenant_id!r} already has {session.queued} "
                 "request(s) queued"
             )
         # 4. circuit breaker (checked last: a granted half-open probe slot
         # is guaranteed to be enqueued).
-        if not session.breaker.allow(now):
-            self._count_request(request, 503)
+        if not self._breaker(session, CircuitBreaker.allow, now):
             self._count_rejection("breaker", qos)
-            self._reject(request, qos)
             raise CircuitOpenError(
                 f"circuit of {account.tenant_id!r} is "
                 f"{session.breaker.state.value}"
             )
-        probe = session.breaker.state.value == "half_open"
 
         ttl = request.ttl if request.ttl is not None else self.policy.default_deadline
         record = GatewayRecord(
             request=request,
+            respond=respond,
+            session=session,
             tenant=account.tenant_id,
             qos=qos,
             accepted_at=now,
             deadline=now + ttl,
-            probe=probe,
-            respond=respond,
+            probe=session.breaker.state is BreakerState.HALF_OPEN,
         )
         self.records.append(record)
         queue.append(record)
         session.queued += 1
-        self._arm_deadline(record)
-        self._update_queue_gauges()
+        self._queued += 1
+        self._series(self._m_queue_depth, qos=name).set(len(queue))
+        # The timer holds the record, not the request: a settled record
+        # has dropped its payload, so nothing is pinned until the deadline.
+        self.sim.schedule(record.deadline, lambda: self._expire(record))
         self._update_brownout()
         self._schedule_pump()
 
-    def _queue_for(self, qos: str) -> Deque[GatewayRecord]:
-        queue = self._queues.get(qos)
-        if queue is None:
-            # Unknown class: rides the lowest-priority queue.
-            queue = self._queues[self.policy.brownout.priority[-1]]
-        return queue
+    def _queue_for(self, qos: str) -> Tuple[str, Deque[GatewayRecord]]:
+        """Name and deque of the class queue a ``qos`` request waits in
+        (an unknown class rides the lowest-priority queue)."""
+        if qos not in self._queues:
+            qos = self.policy.brownout.priority[-1]
+        return qos, self._queues[qos]
 
-    def _throttle(self, request: GatewayRequest, session: _Session) -> None:
-        retry_after = session.bucket.retry_after(self.sim.now)
-        qos = session.account.quota.qos_class
-        self._count_request(request, 429)
-        self._count_rejection("throttle", qos)
-        self.telemetry.metrics.counter(
-            "mccs_gateway_throttled_total",
-            "Requests rejected by per-tenant token-bucket rate limiting.",
-        ).inc(qos=qos)
-        raise RateLimitedError(
-            f"tenant {session.account.tenant_id!r} over its "
-            f"{session.bucket.rate:g} req/s quota",
-            retry_after=retry_after,
-        )
+    def _leave_queue(self, record: GatewayRecord) -> None:
+        name, queue = self._queue_for(record.qos)
+        queue.remove(record)
+        record.session.queued -= 1
+        self._queued -= 1
+        self._series(self._m_queue_depth, qos=name).set(len(queue))
+
+    def _expire(self, record: GatewayRecord) -> None:
+        """Deadline timer.  Only a *queued* request expires here: the retry
+        path checks the deadline itself, an executed request runs on."""
+        if record.state is RequestState.QUEUED:
+            error = GatewayTimeoutError(
+                f"request {record.request.request_id} expired after "
+                f"{record.deadline - record.accepted_at:g}s in queue"
+            )
+            self._settle(record, RequestState.TIMED_OUT, 504, error=error)
 
     # ------------------------------------------------------------------
     # dispatch pump: bulkhead-bounded, priority-ordered
@@ -467,51 +567,34 @@ class ServiceGateway:
             record = self._next_dispatchable()
             if record is None:
                 break
-            self._dispatch(record)
-        self._update_queue_gauges()
-        self._update_brownout()
+            self._leave_queue(record)
+            record.state = RequestState.DISPATCHING
+            record.session.inflight += 1
+            self._inflight += 1
+            self._m_inflight.set(self._inflight)
+            self._attempt(record, attempt=0)
 
     def _next_dispatchable(self) -> Optional[GatewayRecord]:
         """Head-most eligible request, classes in priority order.
 
         Requests of tenants at their bulkhead width are *skipped, not
-        popped*: a stuck tenant's backlog stays queued (bounded by its
+        taken*: a stuck tenant's backlog stays queued (bounded by its
         ``max_queued``) while other tenants' requests flow past it —
         per-tenant FIFO order is preserved because only that tenant's
         entries are skipped.
         """
         for qos in self.policy.brownout.priority:
-            queue = self._queues[qos]
-            for index, record in enumerate(queue):
-                session = self._sessions[record.tenant]
-                if session.inflight >= session.account.quota.max_inflight:
-                    continue
-                del queue[index]
-                return record
+            for record in self._queues[qos]:
+                session = record.session
+                if session.inflight < session.account.quota.max_inflight:
+                    return record
         return None
 
-    def _dispatch(self, record: GatewayRecord) -> None:
-        session = self._sessions[record.tenant]
-        session.queued -= 1
-        session.inflight += 1
-        self._inflight += 1
-        record.state = RequestState.DISPATCHING
-        self.telemetry.metrics.gauge(
-            "mccs_gateway_inflight",
-            "Data-path requests occupying gateway dispatch slots.",
-        ).set(self._inflight)
-        self._attempt(record, attempt=0)
-
     def _attempt(self, record: GatewayRecord, attempt: int) -> None:
-        if record.done:
-            return
-        session = self._sessions[record.tenant]
         try:
-            creq, comm = self._build_collective(session, record.request)
+            creq, comm = self._build_collective(record.session, record.request)
         except GatewayError as exc:
-            self._finish_dispatch(
-                record, RequestState.FAILED, exc.status, error=exc
-            )
+            self._settle(record, RequestState.FAILED, exc.status, error=exc)
             return
         try:
             queue = self.deployment.service_of_gpu(comm.gpus[0]).frontend_for(
@@ -524,25 +607,22 @@ class ServiceGateway:
         except AdmissionRejectedError as exc:
             # The admission backstop shed it before issuing: a decision,
             # not a failure — rejected, never executed, never retried.
-            self._count_rejection("admission", record.qos)
-            self._reject_record(record, 503, exc)
+            self._settle(
+                record, RequestState.REJECTED, 503, error=exc, reason="admission"
+            )
             return
         except ReproError as exc:
             # Hard 5xx (e.g. the communicator was aborted by recovery):
             # feeds the breaker.
-            session.breaker.record_failure(self.sim.now)
-            self._note_breaker(session)
-            self._finish_dispatch(
-                record, RequestState.FAILED, 500, error=exc
-            )
+            self._settle(record, RequestState.FAILED, 500, error=exc, ok=False)
             return
         assert isinstance(response, CollectiveResponse)
         record.state = RequestState.EXECUTING
         record.retries = attempt
-        self.executed_ids.add(record.request.request_id)
+        self.executed += 1
         MccsClient._chain_callback(
             response.instance,
-            lambda inst, now: self._completed(record, inst, now),
+            lambda inst, now: self._completed(record, inst),
         )
 
     def _retry_or_expire(
@@ -550,29 +630,22 @@ class ServiceGateway:
     ) -> None:
         """Transient dispatch failure: capped-exponential retry within the
         request deadline."""
-        now = self.sim.now
         retry = self.policy.retry
         delay = retry.delay(attempt, self._rng)
-        if attempt + 1 > retry.max_retries or now + delay > record.deadline:
-            session = self._sessions[record.tenant]
-            session.breaker.record_failure(now)
-            self._note_breaker(session)
-            self._count_timeout(record.qos)
-            self._finish_dispatch(
-                record,
-                RequestState.TIMED_OUT,
-                504,
-                error=GatewayTimeoutError(
-                    f"request {record.request.request_id} gave up after "
-                    f"{attempt + 1} attempt(s): {error}"
-                ),
+        if (
+            attempt + 1 > retry.max_retries
+            or self.sim.now + delay > record.deadline
+        ):
+            gave_up = GatewayTimeoutError(
+                f"request {record.request.request_id} gave up after "
+                f"{attempt + 1} attempt(s): {error}"
+            )
+            self._settle(
+                record, RequestState.TIMED_OUT, 504, error=gave_up, ok=False
             )
             return
         record.retries = attempt + 1
-        self.telemetry.metrics.counter(
-            "mccs_gateway_retries_total",
-            "Dispatch attempts re-queued after transient backend failures.",
-        ).inc(qos=record.qos)
+        self._series(self._m_retries, qos=record.qos).inc()
         self.telemetry.slo.record_retry(record.tenant)
         self.sim.call_in(delay, lambda: self._attempt(record, attempt + 1))
 
@@ -637,77 +710,21 @@ class ServiceGateway:
         return creq, comm
 
     # ------------------------------------------------------------------
-    # completion / terminal transitions
+    # the one exit
     # ------------------------------------------------------------------
-    def _completed(
-        self, record: GatewayRecord, instance: "CollectiveInstance", now: float
-    ) -> None:
-        if record.done:
-            return
-        session = self._sessions.get(record.tenant)
+    def _completed(self, record: GatewayRecord, instance: CollectiveInstance) -> None:
+        body: Dict[str, object] = {"seq": instance.seq}
         if instance.aborted:
-            if session is not None:
-                session.breaker.record_failure(now)
-                self._note_breaker(session)
-            self._finish_dispatch(
-                record,
-                RequestState.FAILED,
-                500,
-                error=instance.error
-                if instance.error is not None
-                else instance.comm.abort_error,
-                body={"seq": instance.seq, "aborted": True},
+            error = instance.error
+            if error is None:
+                error = instance.comm.abort_error
+            body["aborted"] = True
+            self._settle(
+                record, RequestState.FAILED, 500, error=error, body=body, ok=False
             )
-            return
-        if session is not None:
-            session.breaker.record_success(now)
-            self._note_breaker(session)
-        self.telemetry.metrics.histogram(
-            "mccs_gateway_request_seconds",
-            "End-to-end gateway latency of completed data-path requests.",
-        ).observe(now - record.accepted_at, qos=record.qos)
-        self._finish_dispatch(
-            record,
-            RequestState.OK,
-            200,
-            body={
-                "seq": instance.seq,
-                "duration_s": instance.duration(),
-                "retries": record.retries,
-            },
-        )
-
-    def _finish_dispatch(
-        self,
-        record: GatewayRecord,
-        state: RequestState,
-        status: int,
-        *,
-        error: Optional[BaseException] = None,
-        body: Optional[Dict[str, object]] = None,
-    ) -> None:
-        """Terminal transition of a record holding a dispatch slot."""
-        session = self._sessions.get(record.tenant)
-        if session is not None:
-            session.inflight = max(0, session.inflight - 1)
-        self._inflight = max(0, self._inflight - 1)
-        self._settle(record, state, status, error=error, body=body)
-        self._schedule_pump()
-
-    def _reject_record(
-        self, record: GatewayRecord, status: int, error: BaseException
-    ) -> None:
-        """Terminal rejection of a record holding a dispatch slot (the
-        admission backstop): rejected, never executed."""
-        session = self._sessions.get(record.tenant)
-        if session is not None:
-            session.inflight = max(0, session.inflight - 1)
-            if record.probe:
-                session.breaker.abandon(self.sim.now)
-        self._inflight = max(0, self._inflight - 1)
-        self.rejected_ids.add(record.request.request_id)
-        self._settle(record, RequestState.REJECTED, status, error=error)
-        self._schedule_pump()
+        else:
+            body.update(duration_s=instance.duration(), retries=record.retries)
+            self._settle(record, RequestState.OK, 200, body=body, ok=True)
 
     def _settle(
         self,
@@ -717,138 +734,98 @@ class ServiceGateway:
         *,
         error: Optional[BaseException] = None,
         body: Optional[Dict[str, object]] = None,
+        ok: Optional[bool] = None,
+        reason: Optional[str] = None,
     ) -> None:
+        """End an accepted request: the only way into a terminal state.
+
+        Args:
+            ok: The backend's verdict for the tenant's breaker (success, or
+                a 5xx/timeout failure); ``None`` when there is none (4xx,
+                decisions) — a half-open probe slot is then freed uncounted.
+            reason: ``mccs_gateway_rejections_total`` label when a decision,
+                not an outcome, ends the request.
+        """
+        if record.done:
+            return
+        now = self.sim.now
+        session = record.session
+        if record.state is RequestState.QUEUED:
+            self._leave_queue(record)
+        else:
+            session.inflight -= 1
+            self._inflight -= 1
+            self._m_inflight.set(self._inflight)
+        if ok:
+            self._breaker(session, CircuitBreaker.record_success, now)
+        elif ok is not None:
+            self._breaker(session, CircuitBreaker.record_failure, now)
+        elif record.probe:
+            self._breaker(session, CircuitBreaker.abandon, now)
+        if reason is not None:
+            self._count_rejection(reason, record.qos, record.tenant)
+        if state is RequestState.TIMED_OUT:
+            self._series(self._m_timeouts, qos=record.qos).inc()
+        elif state is RequestState.OK:
+            latency = self._series(self._m_latency, qos=record.qos)
+            latency.observe(now - record.accepted_at)
+        self.settled[state] += 1
         record.state = state
-        record.error = error
-        record.finished_at = self.sim.now
-        self._count_request(record.request, status)
-        self.telemetry.metrics.gauge(
-            "mccs_gateway_inflight",
-            "Data-path requests occupying gateway dispatch slots.",
-        ).set(self._inflight)
-        self._update_brownout()
+        record.finished_at = now
         request, respond = record.request, record.respond
-        record.request = record.respond = None
-        if respond is not None:
-            respond(
-                GatewayResponse(
-                    request_id=request.request_id,
-                    status=status,
-                    body=body or {},
-                    error=error,
-                )
-            )
+        record.request = record.respond = record.session = None
+        self._count_request(request, status)
+        self._update_brownout()
+        respond(GatewayResponse(request.request_id, status, body or {}, error))
+        if self.alive:
+            self._schedule_pump()
 
-    def _reject(self, request: GatewayRequest, qos: str) -> None:
-        """Ledger bookkeeping of a pre-queue rejection (raised by caller)."""
-        self.rejected_ids.add(request.request_id)
-
-    # ------------------------------------------------------------------
-    # deadlines
-    # ------------------------------------------------------------------
-    def _arm_deadline(self, record: GatewayRecord) -> None:
-        def expired() -> None:
-            if record.done or record.state is RequestState.EXECUTING:
-                # Executed requests run to completion; the deadline only
-                # governs the pre-execution phases.
-                return
-            session = self._sessions.get(record.tenant)
-            if record.state is RequestState.QUEUED:
-                queue = self._queue_for(record.qos)
-                try:
-                    queue.remove(record)
-                except ValueError:
-                    pass
-                if session is not None:
-                    session.queued = max(0, session.queued - 1)
-                    if record.probe:
-                        session.breaker.abandon(self.sim.now)
-                self._count_timeout(record.qos)
-                self.rejected_ids.add(record.request.request_id)
+    def _drain(
+        self,
+        reason: str,
+        error: Callable[[str], BaseException],
+        classes: Iterable[str],
+    ) -> None:
+        """Answer every queued request of ``classes`` 503 with ``error(qos)``."""
+        for qos in classes:
+            queue = self._queues[qos]
+            while queue:
+                record = queue[0]
                 self._settle(
-                    record,
-                    RequestState.TIMED_OUT,
-                    504,
-                    error=GatewayTimeoutError(
-                        f"request {record.request.request_id} expired after "
-                        f"{record.deadline - record.accepted_at:g}s in queue"
-                    ),
+                    record, RequestState.REJECTED, 503,
+                    error=error(record.qos), reason=reason,
                 )
-                self._update_queue_gauges()
-                self._schedule_pump()
-            # DISPATCHING between retries: the retry path checks the
-            # deadline itself before re-arming, so nothing to do here.
-
-        self.sim.schedule(record.deadline, expired)
-
-    def _count_timeout(self, qos: str) -> None:
-        self.telemetry.metrics.counter(
-            "mccs_gateway_timeouts_total",
-            "Requests whose deadline expired before execution.",
-        ).inc(qos=qos)
 
     # ------------------------------------------------------------------
     # brownout
     # ------------------------------------------------------------------
     def load(self) -> float:
         """Occupancy fraction of the gateway's shared capacity."""
-        queued = sum(len(q) for q in self._queues.values())
-        capacity = self.policy.max_inflight + self.policy.queue_capacity * len(
-            self._queues
+        load = self._inflight + self._queued
+        return load / self._capacity if self._capacity else 0.0
+
+    def _shed_error(self, qos: str) -> BrownoutShedError:
+        return BrownoutShedError(
+            f"brownout level {self.brownout.level}: shedding {qos!r} traffic"
         )
-        return (self._inflight + queued) / capacity if capacity else 0.0
 
     def _update_brownout(self) -> None:
+        """Re-evaluate the level after every change of :meth:`load`."""
         before = self.brownout.level
         level = self.brownout.update(self.load(), self.sim.now)
-        self.telemetry.metrics.gauge(
-            "mccs_gateway_brownout_level",
-            "Current brownout level (0 = none; level k sheds the k "
-            "lowest-priority QoS classes).",
-        ).set(level)
         if level == before:
             return
-        self.telemetry.metrics.counter(
-            "mccs_gateway_brownout_transitions_total",
-            "Brownout level changes, by direction.",
-        ).inc(direction="up" if level > before else "down")
-        self.telemetry.events.log(
-            self.sim.now,
-            "brownout",
-            f"gateway brownout level {before} -> {level} "
-            f"(load {self.load():.2f})",
-            level=level,
-        )
+        self._m_brownout_level.set(level)
+        direction = "up" if level > before else "down"
+        self._series(self._m_brownout_transitions, direction=direction).inc()
+        message = f"gateway brownout level {before} -> {level} (load {self.load():.2f})"
+        self.telemetry.events.log(self.sim.now, "brownout", message, level=level)
         if level > before:
-            self._drain_shed_classes()
-
-    def _drain_shed_classes(self) -> None:
-        """On a level raise, already-queued requests of now-shed classes
-        are answered immediately (typed 503) instead of rotting."""
-        for qos in self.policy.brownout.priority:
-            if not self.brownout.sheds(qos):
-                continue
-            queue = self._queues[qos]
-            while queue:
-                record = queue.popleft()
-                session = self._sessions.get(record.tenant)
-                if session is not None:
-                    session.queued = max(0, session.queued - 1)
-                    if record.probe:
-                        session.breaker.abandon(self.sim.now)
-                self._count_rejection("brownout", qos)
-                self.telemetry.slo.record_shed(record.tenant)
-                self.rejected_ids.add(record.request.request_id)
-                self._settle(
-                    record,
-                    RequestState.REJECTED,
-                    503,
-                    error=BrownoutShedError(
-                        f"brownout level {self.brownout.level}: shedding "
-                        f"{qos!r} traffic"
-                    ),
-                )
-        self._update_queue_gauges()
+            # Queued requests of now-shed classes are answered too — each class
+            # checked as the drain reaches it: the level can relax on the way.
+            priority = self.policy.brownout.priority
+            shed = (qos for qos in priority if self.brownout.sheds(qos))
+            self._drain("brownout", self._shed_error, shed)
 
     # ------------------------------------------------------------------
     # crash / restart (registry replay)
@@ -861,22 +838,11 @@ class ServiceGateway:
             return
         self.alive = False
         self.crashes += 1
-        for queue in self._queues.values():
-            while queue:
-                record = queue.popleft()
-                session = self._sessions.get(record.tenant)
-                if session is not None:
-                    session.queued = max(0, session.queued - 1)
-                    if record.probe:
-                        session.breaker.abandon(self.sim.now)
-                self._count_rejection("crash", record.qos)
-                self.rejected_ids.add(record.request.request_id)
-                self._settle(
-                    record,
-                    RequestState.REJECTED,
-                    503,
-                    error=ServiceUnavailableError("gateway crashed"),
-                )
+        self._drain(
+            "crash",
+            lambda qos: ServiceUnavailableError("gateway crashed"),
+            self._queues,
+        )
         self.telemetry.events.log(
             self.sim.now, "gateway_crashed", "service gateway crashed"
         )
@@ -889,7 +855,10 @@ class ServiceGateway:
         self.registry = TenantRegistry.restore(
             self.deployment, secret=self.registry.secret
         )
+        # Process state starts over; executing requests keep their session.
         self._sessions.clear()
+        self._open_breakers = 0
+        self._m_breaker_open.set(0)
         if self.deployment.admission is not None:
             for account in self.registry.accounts():
                 self.deployment.admission.set_class(
@@ -993,70 +962,19 @@ class ServiceGateway:
         return {"tenant": session.account.tenant_id, "slo": tenant_report}
 
     # ------------------------------------------------------------------
-    # metrics plumbing
-    # ------------------------------------------------------------------
-    def _count_request(self, request: GatewayRequest, status: int) -> None:
-        self.telemetry.metrics.counter(
-            "mccs_gateway_requests_total",
-            "Requests answered by the gateway, by route and status code.",
-        ).inc(route=f"{request.method} {request.path}", code=status)
-
-    def _count_rejection(self, reason: str, qos: str) -> None:
-        self.telemetry.metrics.counter(
-            "mccs_gateway_rejections_total",
-            "Typed gateway rejections (decisions, never executed), by "
-            "reason and QoS class.",
-        ).inc(reason=reason, qos=qos)
-
-    def _note_breaker(self, session: _Session) -> None:
-        breaker = session.breaker
-        open_count = sum(
-            1 for s in self._sessions.values() if s.breaker.open
-        )
-        self.telemetry.metrics.gauge(
-            "mccs_gateway_breaker_open",
-            "Tenant circuit breakers currently open.",
-        ).set(open_count)
-        tenant_id = session.account.tenant_id
-        new_trips = breaker.trips - self._counted_trips.get(tenant_id, 0)
-        if new_trips > 0:
-            self._counted_trips[tenant_id] = breaker.trips
-            self.telemetry.metrics.counter(
-                "mccs_gateway_breaker_trips_total",
-                "Circuit-breaker trips, by QoS class.",
-            ).inc(new_trips, qos=session.account.quota.qos_class)
-            self.telemetry.events.log(
-                self.sim.now,
-                "breaker_tripped",
-                f"circuit of tenant {tenant_id!r} opened",
-                tenant=tenant_id,
-            )
-
-    def _update_queue_gauges(self) -> None:
-        gauge = self.telemetry.metrics.gauge(
-            "mccs_gateway_queue_depth",
-            "Requests waiting in the gateway's bounded class queues.",
-        )
-        for qos, queue in self._queues.items():
-            gauge.set(len(queue), qos=qos)
-
-    # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """JSON-ready gateway statistics for experiments."""
-        by_state: Dict[str, int] = {}
-        for record in self.records:
-            by_state[record.state.value] = by_state.get(record.state.value, 0) + 1
+        """JSON-ready gateway statistics for experiments: the ledger."""
+        by_state = {s.value: n for s, n in self.settled.items() if n}
         return {
             "tenants": len(self.registry),
-            "requests": len(self.records),
+            "refused": self.refused,
+            "requests": sum(by_state.values()) + self._queued + self._inflight,
             "by_state": by_state,
-            "executed": len(self.executed_ids),
-            "rejected": len(self.rejected_ids),
-            "breaker_trips": sum(
-                s.breaker.trips for s in self._sessions.values()
-            ),
+            "executed": self.executed,
+            "breaker_trips": int(self._m_breaker_trips.total()),
             "brownout_level": self.brownout.level,
-            "brownout_transitions": len(self.brownout.transitions),
+            "brownout_transitions": len(self.brownout.transitions)
+            + self.brownout.transitions.evicted,
             "crashes": self.crashes,
             "restarts": self.restarts,
         }

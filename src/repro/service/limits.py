@@ -9,13 +9,17 @@ cooldown, brownout levels are re-evaluated on queue/inflight changes).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Deque, Optional, Sequence, Tuple
 from collections import deque
 
 from ..netsim.errors import PolicyError
+from ..telemetry.ringbuffer import RingBuffer
+
+#: Level changes :attr:`BrownoutController.transitions` keeps, newest last
+#: (each is also a ``brownout`` event).
+TRANSITIONS_KEPT = 256
 
 
 class TokenBucket:
@@ -52,30 +56,6 @@ class TokenBucket:
         if self.tokens >= n:
             return 0.0
         return (n - self.tokens) / self.rate
-
-
-@dataclass(frozen=True)
-class GatewayRetryPolicy:
-    """Capped-exponential backoff for *transient* dispatch failures.
-
-    Only :class:`~repro.errors.ServiceUnavailableError` (a down host
-    service that a supervisor will restart) is retried; typed decisions
-    (admission sheds) and hard errors never are.  Retries always respect
-    the request deadline: an attempt that would land past it surfaces a
-    504 instead.
-    """
-
-    max_retries: int = 6
-    backoff_base: float = 0.002
-    backoff_factor: float = 2.0
-    backoff_cap: float = 0.05
-    jitter: float = 0.5
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        base = min(
-            self.backoff_base * self.backoff_factor**attempt, self.backoff_cap
-        )
-        return base * (1.0 + self.jitter * rng.random())
 
 
 class BreakerState(str, Enum):
@@ -204,7 +184,9 @@ class BrownoutController:
     policy: BrownoutPolicy = field(default_factory=BrownoutPolicy)
     level: int = 0
     #: (time, old_level, new_level) transitions for reports.
-    transitions: list = field(default_factory=list)
+    transitions: RingBuffer = field(
+        default_factory=lambda: RingBuffer(TRANSITIONS_KEPT)
+    )
 
     def update(self, load: float, now: float) -> int:
         """Re-evaluate the level for ``load``; returns the new level."""

@@ -44,8 +44,8 @@ def test_tenant_quota_sheds_typed_and_counts(
     metrics = deployment.telemetry().metrics
     assert metrics.counter("mccs_shed_total").total() == 1
     assert metrics.counter("mccs_admission_total").total() == 3
-    shed = [d for d in admission.decisions if not d.admitted]
-    assert len(shed) == 1 and shed[0].qos == "low" and shed[0].reason
+    [shed] = deployment.telemetry().events.events("admission_shed")
+    assert shed.attrs["qos"] == "low" and "tenant quota" in shed.message
 
 
 def test_global_cap_spares_only_the_top_priority_class(

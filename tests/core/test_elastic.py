@@ -234,8 +234,8 @@ def test_membership_notifies_recovery(cluster, deployment, manager, four_gpus):
     elastic.shrink(comm.comm_id, [3])
     deployment.run()
     assert any(
-        e["event"] == "membership_changed" and "rank_leave" in e["detail"]
-        for e in recovery.audit
+        "rank_leave" in e.message
+        for e in recovery.telemetry.events.events("membership_changed")
     )
 
 

@@ -108,3 +108,55 @@ def test_utilization_respects_threshold(env):
     everything = deployment.network_utilization()
     hot_only = deployment.network_utilization(min_utilization=0.9)
     assert set(hot_only) <= set(everything)
+
+
+# -- P2P failure surface -------------------------------------------------------
+def _p2p_flow(cluster):
+    [flow] = cluster.sim.active_flows()
+    return flow
+
+
+def test_failed_p2p_drains_the_stream(env):
+    """A link dying under a send_recv fails that transfer alone: its
+    kernel completes, so the communicator's stream drains and the next
+    collective runs.  (The parent injected with no ``on_fail``: the kernel
+    stayed incomplete and every later op on the communicator hung.)"""
+    cluster, deployment, client, comm, gpus = env
+    done = client.send_recv(comm, 0, 2, 64 * MB)
+    deployment.run(until=0.002)
+    link = _p2p_flow(cluster).path[1]
+    cluster.sim.fail_link(link)
+    deployment.run(until=0.003)
+    assert done.fired  # waiters unblock; the bytes did not arrive
+    assert cluster.sim.active_flows() == []
+    [event] = deployment.telemetry().events.events("p2p_failed")
+    assert event.attrs["comm"] == comm.comm_id and link in event.message
+    cluster.sim.restore_link(link)
+    svc = deployment.communicator(comm.comm_id)
+    op = client.all_reduce(comm, 1 * MB)
+    deployment.run()
+    assert op.completed and not svc.inflight
+    # Nothing the failed transfer held is still held.
+    assert svc.datapath.live_versions() == [svc.strategy.version]
+    assert sum(len(host.ipc._events) for host in cluster.hosts) == 1
+
+
+def test_p2p_over_a_down_link_fails_typed_not_the_event_loop(env):
+    """A send_recv whose cached connection crosses a link that has since
+    gone down is a failed transfer, not a ``LinkDownError`` out of
+    ``sim.run()`` that takes every tenant's simulation with it."""
+    cluster, deployment, client, comm, gpus = env
+    client.send_recv(comm, 0, 2, 1 * MB)
+    deployment.run(until=0.0002)
+    link = _p2p_flow(cluster).path[1]
+    deployment.run()  # the connection 0 -> 2 is now cached
+    cluster.sim.fail_link(link)
+    done = client.send_recv(comm, 0, 2, 1 * MB)
+    deployment.run()
+    assert done.fired
+    [event] = deployment.telemetry().events.events("p2p_failed")
+    assert link in event.message
+    cluster.sim.restore_link(link)
+    op = client.all_reduce(comm, 1 * MB)
+    deployment.run()
+    assert op.completed

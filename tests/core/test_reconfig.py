@@ -119,7 +119,7 @@ def test_no_reconfig_means_no_barrier_work():
     for _ in range(4):
         client.all_reduce(handle, 8 * MB)
     deployment.run()
-    assert deployment.reconfig.sessions == []
+    assert len(deployment.reconfig.sessions) == 0
     assert all(p.reconfigurations == 0 for p in deployment.proxies_of(comm))
 
 

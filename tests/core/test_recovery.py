@@ -35,7 +35,8 @@ def _admit(manager, deployment, gpus, app="A"):
 
 
 def _events(recovery):
-    return [e["event"] for e in recovery.audit]
+    """Kinds of every decision event logged so far (recovery's among them)."""
+    return [e.kind for e in recovery.telemetry.events.events()]
 
 
 # ----------------------------------------------------------------------
@@ -185,8 +186,8 @@ def test_collective_deadline_detects_stall(
     op = client.all_reduce(comm, 64 * MB)
     deployment.run()
     assert op.completed
-    detected = [e for e in recovery.audit if e["event"] == "failure_detected"]
-    assert detected and "deadline" in detected[0]["detail"]
+    detected = recovery.telemetry.events.events("failure_detected")
+    assert detected and "deadline" in detected[0].message
     assert (
         deployment.telemetry().metrics.counter("mccs_collective_deadlines_total").total()
         >= 1
@@ -209,8 +210,8 @@ def test_heartbeat_monitor_detects_idle_crash(
         deployment.telemetry().metrics.counter("mccs_heartbeats_missed_total").total()
         >= 1
     )
-    detected = [e for e in recovery.audit if e["event"] == "failure_detected"]
-    assert detected and "heartbeat" in detected[0]["detail"]
+    detected = recovery.telemetry.events.events("failure_detected")
+    assert detected and "heartbeat" in detected[0].message
     with pytest.raises(CommunicatorError):
         client.all_reduce(comm, 1024)
 

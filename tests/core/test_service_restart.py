@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.recovery import RecoveryPolicy, fault_kind
-from repro.core.shim import MccsClient, ShimRetryPolicy
+from repro.core.shim import MccsClient
 from repro.errors import (
     HostCrashedError,
     InvalidBufferError,
@@ -18,6 +18,7 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.netsim.units import MB
+from repro.resilience import Backoff
 
 
 def _admit(manager, deployment, gpus, app="A"):
@@ -150,7 +151,7 @@ def test_shim_gives_up_typed_when_service_never_returns(
     client = MccsClient(
         deployment,
         "A",
-        retry=ShimRetryPolicy(max_retries=2, backoff_base=0.001),
+        retry=Backoff(base=0.001, max_retries=2),
     )
     comm = client.adopt_communicator(
         deployment.communicators()[0].comm_id

@@ -8,12 +8,13 @@ is full, counts the live objects of the per-collective types with
 must be zero.  These are counts, not timings, so the test is exact.
 
 What is *allowed* to grow, and is therefore not in ``PER_COLLECTIVE``:
-one journal record per collective, one gateway ledger record per request,
-one finished session per reconfiguration (see the retention table in
+one journal record per collective (see the retention table in
 ``docs/observability.md``).  Trace objects are *not* allowed to: a
 ``CausalTrace`` lives in the tracer's ring, a ``TraceRecord`` in its
 communicator's ring until the communicator is destroyed, and the only
-stored ``Span``s are the reconfiguration ones.
+stored ``Span``s are the reconfiguration ones.  Nor are the gateway's
+per-request objects (its ledger is counts plus a ring of settled
+records) or admission decisions (counters and events, no list).
 """
 
 import gc
@@ -24,6 +25,7 @@ import numpy as np
 from repro.baselines.nccl import NcclCommunicator
 from repro.cluster.specs import testbed_cluster
 from repro.collectives.types import Collective
+from repro.core.admission import AdmissionPolicy
 from repro.core.deployment import MccsDeployment
 from repro.service import (
     GatewayClient,
@@ -51,6 +53,10 @@ PER_COLLECTIVE = (
     "IpcEventHandle",
     "LaunchHandle",
     "CollectiveOp",
+    "GatewayRecord",
+    "GatewayRequest",
+    "GatewayResponse",
+    "AdmissionDecision",
     "function",
     "cell",
     "method",
@@ -178,6 +184,7 @@ def test_tenant_cycles_leave_nothing_behind():
 
 def test_gateway_requests_leave_nothing_behind():
     cluster, dep = make_deployment()
+    admission = dep.configure_admission(AdmissionPolicy())
     gateway = ServiceGateway(
         dep, GatewayPolicy(queue_capacity=64, max_inflight=8)
     )
@@ -204,13 +211,16 @@ def test_gateway_requests_leave_nothing_behind():
     serve(300)
     assert census() == before
     assert statuses == {200: CAUSAL_RING + 340}
-    # The ledger still counts every request, but a settled record keeps
-    # scalars only.
+    # The ledger still counts every request (so does admission), but it
+    # is counts: the ring keeps the last few settled records, and those
+    # keep scalars only.
     stats = gateway.stats()
     assert stats["requests"] == stats_before["requests"] + 300
     assert stats["by_state"] == {"ok": stats["requests"]}
-    assert not gateway.rejected_ids & gateway.executed_ids
+    assert stats["executed"] == stats["requests"] == admission.admitted_total
+    assert stats["refused"] == admission.shed_total == 0
+    assert len(gateway.records) == gateway.records.capacity < stats["requests"]
     assert all(
-        record.request is None and record.respond is None
+        record.request is record.respond is record.session is None
         for record in gateway.records
     )

@@ -170,9 +170,9 @@ def test_queued_request_deadline_504(deployment):
     deployment.run()
     assert call.response.status == 504
     assert isinstance(call.response.error, GatewayTimeoutError)
-    request_id = call.request.request_id
-    assert request_id in gateway.rejected_ids
-    assert request_id not in gateway.executed_ids
+    # Expired in the queue: settled once, as a timeout, never executed.
+    stats = gateway.stats()
+    assert stats["by_state"] == {"timed_out": 1} and stats["executed"] == 0
 
 
 # -- circuit breaker ----------------------------------------------------------
@@ -193,9 +193,11 @@ def test_breaker_trips_on_aborted_communicator(deployment):
     deployment.run()
     assert blocked.response.status == 503
     assert isinstance(blocked.response.error, CircuitOpenError)
-    # Tripped tenants reach no backend: rejected and executed stay disjoint.
-    assert blocked.request.request_id in gateway.rejected_ids
-    assert not (gateway.rejected_ids & gateway.executed_ids)
+    # Tripped tenants reach no backend: the blocked request was refused
+    # at the door, the two failures died at dispatch, nothing executed.
+    stats = gateway.stats()
+    assert stats["refused"] == 1 and stats["by_state"] == {"failed": 2}
+    assert stats["executed"] == 0 and stats["breaker_trips"] == 1
 
 
 def test_breaker_blast_radius_is_one_tenant(deployment):
@@ -286,3 +288,40 @@ def test_crash_answers_typed_and_restart_restores(gateway, transport, deployment
     deployment.run()
     assert after.ok
     assert deployment.verify_journal() == []
+
+
+# -- revocation ---------------------------------------------------------------
+def test_revoke_under_load_answers_the_queue_and_spares_the_rest(deployment):
+    """Revoking a tenant answers its *queued* requests 401 and lets the
+    executing one finish; the co-tenant never notices.  (At the parent the
+    pump indexed the dropped session: ``KeyError`` out of ``sim.run()``,
+    and nobody was answered afterwards.)"""
+    gateway = ServiceGateway(deployment, GatewayPolicy(max_inflight=8))
+    transport = InProcessTransport(gateway)
+    doomed = _client(gateway, transport, tenant="doomed", rate=1000.0,
+                     burst=100.0, max_inflight=1)
+    other = _client(gateway, transport, tenant="other", rate=1000.0, burst=100.0)
+    doomed_comm = _setup_comm(deployment, doomed)
+    other_comm = _setup_comm(deployment, other)
+    answers = []
+    calls = [
+        doomed.collective(doomed_comm, 256 << 20, ttl=10.0,
+                          on_response=answers.append)
+        for _ in range(4)
+    ]
+    deployment.run(until=deployment.sim.now + 0.001)
+    session = gateway.session_of("doomed")
+    assert (session.inflight, session.queued) == (1, 3)  # bulkhead width 1
+    gateway.revoke_tenant("doomed")
+    witness = other.collective(other_comm, 256, on_response=answers.append)
+    late = doomed.collective(doomed_comm, 256, on_response=answers.append)
+    deployment.run()
+    assert [c.response.status for c in calls] == [200, 401, 401, 401]
+    assert all(isinstance(c.response.error, AuthenticationError) for c in calls[1:])
+    assert witness.ok and late.response.status == 401
+    assert len(answers) == 6  # each call exactly once
+    assert (session.inflight, session.queued, gateway._inflight) == (0, 0, 0)
+    stats = gateway.stats()
+    assert stats["by_state"] == {"ok": 2, "rejected": 3} and stats["refused"] == 1
+    rejections = deployment.telemetry().metrics.get("mccs_gateway_rejections_total")
+    assert rejections.value(reason="revoked", qos="normal") == 3

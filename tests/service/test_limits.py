@@ -6,12 +6,12 @@ import pytest
 
 from repro.errors import PolicyError
 from repro.service import (
+    Backoff,
     BreakerPolicy,
     BreakerState,
     BrownoutController,
     BrownoutPolicy,
     CircuitBreaker,
-    GatewayRetryPolicy,
     TokenBucket,
 )
 
@@ -49,22 +49,22 @@ def test_bucket_rejects_bad_policy():
 
 # -- retry policy -------------------------------------------------------------
 def test_retry_backoff_is_capped():
-    policy = GatewayRetryPolicy(
-        backoff_base=0.01, backoff_factor=2.0, backoff_cap=0.05, jitter=0.0
-    )
+    policy = Backoff(base=0.01, cap=0.05, jitter=0.0)
     rng = random.Random(0)
     delays = [policy.delay(attempt, rng) for attempt in range(6)]
     assert delays[0] == pytest.approx(0.01)
     assert delays[1] == pytest.approx(0.02)
     assert max(delays) == pytest.approx(0.05)
     assert delays == sorted(delays)
+    # Without a generator there is no jitter and no draw (recovery's use).
+    assert [Backoff(base=0.01, cap=0.05).delay(a) for a in range(6)] == delays
 
 
 def test_retry_jitter_stays_bounded():
-    policy = GatewayRetryPolicy(backoff_base=0.01, jitter=0.5)
+    policy = Backoff(base=0.01, jitter=0.5)
     rng = random.Random(7)
     for attempt in range(4):
-        base = min(0.01 * 2.0**attempt, policy.backoff_cap)
+        base = min(0.01 * 2.0**attempt, policy.cap)
         d = policy.delay(attempt, rng)
         assert base <= d <= base * 1.5
 

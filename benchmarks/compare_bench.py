@@ -2,8 +2,8 @@
 
 Compares freshly generated bench files against their committed baselines
 (``git show HEAD:<file>`` by default) and fails if any higher-is-better
-metric shared by both files regressed more than the tolerance.  Used two
-ways:
+metric shared by both files regressed more than the tolerance, or any
+exact count differs.  Used two ways:
 
 * as the CI compare step, after a bench job rewrites the files::
 
@@ -15,8 +15,10 @@ ways:
 
 Guarded files:
 
-* ``BENCH_netsim.json`` — engine throughput (``events_per_sec``) in the
-  ``event_loop`` and ``scale_curve`` sections;
+* ``BENCH_netsim.json`` — the engine's event counts
+  (``rate_recomputations``, ``flows_completed``) in the ``event_loop``
+  and ``scale_curve`` sections, compared with ``==``: the workloads are
+  seeded, so the counts are exact on any host, which events/s is not;
 * ``BENCH_synth.json`` — synthesizer search throughput
   (``programs_per_sec``), the measured synthesized-vs-builtin
   ``speedup`` on the WAN fabric, and the executor's ``data_plane``
@@ -46,7 +48,7 @@ BENCH_PATH = REPO_ROOT / "BENCH_netsim.json"
 SYNTH_PATH = REPO_ROOT / "BENCH_synth.json"
 GATEWAY_PATH = REPO_ROOT / "BENCH_gateway.json"
 
-#: Sections of BENCH_netsim.json holding throughput points.
+#: Sections of BENCH_netsim.json holding event-loop points.
 THROUGHPUT_SECTIONS = ("event_loop", "scale_curve")
 
 #: Allowed fractional slowdown before the compare step fails.  The bench
@@ -57,15 +59,18 @@ TOLERANCE = 0.30
 
 @dataclass(frozen=True)
 class Guard:
-    """One (file, sections, metric) triple to hold the line on."""
+    """One (file, sections, metric) triple to hold the line on;
+    ``exact`` metrics are counts that must equal the baseline."""
 
     path: Path
     sections: Tuple[str, ...]
     metric: str
+    exact: bool = False
 
 
 GUARDS = (
-    Guard(BENCH_PATH, THROUGHPUT_SECTIONS, "events_per_sec"),
+    Guard(BENCH_PATH, THROUGHPUT_SECTIONS, "rate_recomputations", exact=True),
+    Guard(BENCH_PATH, THROUGHPUT_SECTIONS, "flows_completed", exact=True),
     Guard(SYNTH_PATH, ("synthesizer",), "programs_per_sec"),
     Guard(SYNTH_PATH, ("speedup",), "speedup"),
     Guard(SYNTH_PATH, ("data_plane",), "gb_per_s"),
@@ -80,6 +85,7 @@ def compare_throughput(
     *,
     sections: Sequence[str] = THROUGHPUT_SECTIONS,
     metric: str = "events_per_sec",
+    exact: bool = False,
 ) -> List[str]:
     """Return a list of human-readable regression descriptions (empty = ok)."""
     failures = []
@@ -91,7 +97,12 @@ def compare_throughput(
             new = (fresh_section[key] or {}).get(metric)
             if not old or not new:
                 continue
-            if new < old * (1.0 - tolerance):
+            if exact:
+                if new != old:
+                    failures.append(
+                        f"{section}[{key}]: {metric} {new} vs committed {old}"
+                    )
+            elif new < old * (1.0 - tolerance):
                 failures.append(
                     f"{section}[{key}]: {metric} {new:,.2f} vs committed "
                     f"{old:,.2f} ({100.0 * (new / old - 1.0):+.0f}%, "
@@ -135,6 +146,7 @@ def main(argv: List[str] | None = None) -> int:
                 args.tolerance,
                 sections=guard.sections,
                 metric=guard.metric,
+                exact=guard.exact,
             )
         )
         compared += sum(

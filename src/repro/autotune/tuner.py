@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from ..collectives.types import Collective
 from ..netsim.errors import ReconfigurationError
 from .bandit import CostBandit, make_bandit
 from .cost import topology_fingerprint

@@ -55,15 +55,10 @@ class Cluster:
         gpus_per_host: int,
         gpu_memory: int = 24 * 1024**3,
         interference_penalty: float = 0.0,
-        macro: bool = False,
-        sharded: bool = False,
     ) -> None:
         self.fabric = fabric
         self.sim = FlowSimulator(
-            fabric.topology,
-            interference_penalty=interference_penalty,
-            macro=macro,
-            sharded=sharded,
+            fabric.topology, interference_penalty=interference_penalty
         )
         self.gpus_per_host = gpus_per_host
         self.hosts: List[Host] = []
@@ -177,14 +172,12 @@ def multi_region_cluster(
     spec: Optional[RegionSpec] = None,
     *,
     gpus_per_host: int = 1,
-    **engine_kwargs,
 ) -> Cluster:
     """A geo-distributed installation: per-region Clos fabrics joined by
     high-RTT, low-bandwidth WAN links (the elastic-WAN experiments)."""
     return Cluster(
         multi_region(spec if spec is not None else RegionSpec()),
         gpus_per_host=gpus_per_host,
-        **engine_kwargs,
     )
 
 

@@ -28,7 +28,6 @@ from ..cluster.ipc import IpcEventHandle
 from ..cluster.specs import Cluster
 from ..collectives.cost_model import LatencyModel, MCCS_LATENCY
 from ..collectives.programs import FlowProgramCache
-from ..collectives.ring import RingSchedule  # noqa: F401  (re-export for tests)
 from ..collectives.types import Collective, ReduceOp, validate_world
 from ..netsim.errors import FaultError, NoPathError, ReconfigurationError
 from ..netsim.flows import Flow

@@ -39,7 +39,6 @@ from ..netsim.errors import (
     CommunicatorError,
     FaultError,
     InvalidBufferError,
-    MccsError,
     NoPathError,
 )
 from ..telemetry.hub import TelemetryHub

@@ -36,11 +36,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..cluster.specs import Cluster, multi_region_cluster
+from ..cluster.specs import multi_region_cluster
 from ..core.admission import AdmissionPolicy
 from ..core.deployment import MccsDeployment
 from ..core.recovery import RecoveryPolicy

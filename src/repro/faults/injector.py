@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..netsim.errors import HostCrashedError, NicFailedError
+from ..netsim.errors import HostCrashedError
 from .plan import FaultEvent, FaultKind, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -40,8 +40,6 @@ from .fabric import (
 )
 from .fairness import bottleneck_rate, progressive_filling
 from .flows import Flow
-from .macroflow import MacroFlowSolver
-from .sharding import ShardedFairnessSolver
 from .routing import (
     ClosEcmpSelector,
     ConnectionKey,
@@ -67,7 +65,6 @@ __all__ = [
     "Flow",
     "FlowSimulator",
     "Link",
-    "MacroFlowSolver",
     "MultiPodSpec",
     "NetSimError",
     "NoPathError",
@@ -79,7 +76,6 @@ __all__ = [
     "RingFabricSpec",
     "RouteIdSelector",
     "RouteMap",
-    "ShardedFairnessSolver",
     "SimulationError",
     "Topology",
     "UnknownLinkError",

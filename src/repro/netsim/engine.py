@@ -11,13 +11,12 @@ Everything above the network (GPU streams, the MCCS engines, the traffic
 generator) is driven by callbacks on this clock, so the whole reproduction
 shares one coherent notion of time.
 
-There is one event loop and one rate-recompute path.  A persistent
-solver (:class:`~repro.netsim.fairness.IncrementalFairnessSolver`,
-optionally wrapped by the macro/sharded fast modes — see the solver
-contract in :mod:`repro.netsim.fairness`) absorbs flow churn in O(Δ),
-completions come from a heap of ETAs under a *virtual-byte clock* (each
-flow's ``remaining`` is exact as of ``flow._synced_at`` and derived lazily
-as ``remaining - rate * (now - _synced_at)`` until its rate changes), and
+There is one event loop, one solver and one rate-recompute path.  A
+persistent :class:`~repro.netsim.fairness.IncrementalFairnessSolver`
+absorbs flow churn in O(Δ), completions come from a heap of ETAs under a
+*virtual-byte clock* (each flow's ``remaining`` is exact as of
+``flow._synced_at`` and derived lazily as
+``remaining - rate * (now - _synced_at)`` until its rate changes), and
 heap entries are invalidated by bumping ``flow._heap_epoch`` whenever a
 rate moves.  Per event the loop touches only the flows whose allocation
 actually changed.  :func:`~repro.netsim.fairness.progressive_filling` is
@@ -36,8 +35,6 @@ import numpy as np
 from .errors import LinkDownError, SimulationError
 from .fairness import IncrementalFairnessSolver
 from .flows import Flow, FlowArena
-from .macroflow import MacroFlowSolver
-from .sharding import ShardedFairnessSolver
 from .topology import Topology
 
 # Completion slack: flows within this many bytes of done are completed.
@@ -103,8 +100,6 @@ class FlowSimulator:
         topology: Topology,
         start_time: float = 0.0,
         interference_penalty: float = 0.0,
-        macro: bool = False,
-        sharded: bool = False,
     ) -> None:
         """Args:
             topology: The network graph.
@@ -117,22 +112,9 @@ class FlowSimulator:
                 carrying active flows of two or more distinct jobs has its
                 effective capacity scaled by ``1 - interference_penalty``.
                 0 (default) is the paper's §6.5 per-flow-fairness model.
-            macro: Aggregate flows sharing (path, weight, job) into one
-                solver slot (:mod:`repro.netsim.macroflow`); member rates
-                stay bit-identical to the per-flow reference.
-            sharded: Shard the fairness solve by sharing component
-                (:mod:`repro.netsim.sharding`) — datacenter-scale mode
-                for multi-pod fabrics.  Incompatible with
-                ``interference_penalty`` (a global capacity coupling).
-                Composes with ``macro``.
         """
         if not 0.0 <= interference_penalty < 1.0:
             raise ValueError("interference_penalty must be in [0, 1)")
-        if sharded and interference_penalty > 0:
-            raise ValueError(
-                "sharded mode does not support interference_penalty "
-                "(the penalty couples capacities globally)"
-            )
         self.topology = topology
         self.now = start_time
         self.interference_penalty = interference_penalty
@@ -154,20 +136,7 @@ class FlowSimulator:
         self.flows_cancelled = 0
         self.flows_failed = 0
         self.rate_recomputations = 0
-        self.macro = macro
-        self.sharded = sharded
-        # The solver stack (contract: ``repro.netsim.fairness``): the plain
-        # or sharded solver at the bottom, macro aggregation on top.
-        self._shard_solver: Optional[ShardedFairnessSolver] = None
-        self._macro_solver: Optional[MacroFlowSolver] = None
-        if sharded:
-            self._solver = self._shard_solver = ShardedFairnessSolver(
-                self._capacities
-            )
-        else:
-            self._solver = IncrementalFairnessSolver(self._capacities)
-        if macro:
-            self._solver = self._macro_solver = MacroFlowSolver(self._solver)
+        self._solver = IncrementalFairnessSolver(self._capacities)
         # Flat-array data plane: remaining/rate/synced of in-network flows
         # live in one arena so rate recomputations settle and re-anchor
         # whole batches with numpy ops.
@@ -391,13 +360,12 @@ class FlowSimulator:
     def set_link_bandwidth(self, link_id: str, capacity: float) -> None:
         """Live bandwidth change with route re-resolution (WAN drift).
 
-        Same exact capacity mutation as :meth:`set_link_capacity` —
-        flowing through the solver stack via
-        ``set_capacity`` — plus a topology routing-epoch bump so
-        consumers with pinned paths (:class:`~repro.transport.
-        connections.ConnectionTable`) re-resolve and the resized link
-        is actually reconsidered by ECMP.  In-flight flows keep their
-        paths and simply see the new fair-share rates.
+        Same exact capacity mutation as :meth:`set_link_capacity`, plus a
+        topology routing-epoch bump so consumers with pinned paths
+        (:class:`~repro.transport.connections.ConnectionTable`)
+        re-resolve and the resized link is actually reconsidered by
+        ECMP.  In-flight flows keep their paths and simply see the new
+        fair-share rates.
         """
         self.set_link_capacity(link_id, capacity)
         self.topology.bump_routing_epoch()
@@ -469,7 +437,7 @@ class FlowSimulator:
         happen (initial build plus tombstone compactions).
         """
         solver = self._solver
-        counters: Dict[str, int] = {
+        return {
             "rate_recomputations": self.rate_recomputations,
             "flows_completed": self.flows_completed,
             "flows_cancelled": self.flows_cancelled,
@@ -488,19 +456,6 @@ class FlowSimulator:
             "solver_solves_skipped": solver.solves_skipped,
             "solver_scalar_solves": solver.scalar_solves,
         }
-        if self._shard_solver is not None:
-            shard = self._shard_solver
-            counters["solver_domains"] = shard.domain_count
-            counters["solver_domain_merges"] = shard.domain_merges
-            counters["solver_domain_dissolutions"] = shard.domain_dissolutions
-            counters["solver_max_domain_flows"] = shard.max_domain_flows
-            counters["solver_solo_solves"] = shard.solo_solves
-        if self._macro_solver is not None:
-            mac = self._macro_solver
-            counters["macro_groups"] = mac.macro_groups
-            counters["macro_members"] = mac.macro_members
-            counters["macro_peak_group_size"] = mac.macro_peak_group_size
-        return counters
 
     # ------------------------------------------------------------------
     # event management
@@ -702,7 +657,7 @@ class FlowSimulator:
         delta = solver.last_delta
         if delta > 1:
             self.solver_coalesced_solves += delta - 1
-        clist = changed.tolist() if isinstance(changed, np.ndarray) else changed
+        clist = changed.tolist()
         # Indexing the solver's slot table directly replaces one
         # ``flow_at`` method call per changed slot, which adds up over
         # 100k-flow runs.

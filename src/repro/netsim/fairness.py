@@ -15,30 +15,6 @@ set.  Two implementations are provided:
 
 Both produce identical allocations (tested against each other with
 hypothesis, including under randomized churn sequences).
-
-**Solver contract.**  :class:`~repro.netsim.engine.FlowSimulator` drives
-one solver object and never asks which kind it holds;
-:class:`IncrementalFairnessSolver`,
-:class:`~repro.netsim.sharding.ShardedFairnessSolver` and
-:class:`~repro.netsim.macroflow.MacroFlowSolver` (which wraps either of
-the other two) all expose:
-
-* structural updates — ``add_flow(flow)`` / ``add_flows(flows)``,
-  ``remove_flow(flow)`` / ``remove_flows(flows)``,
-  ``set_active(flow, active)``, ``set_capacity(link_id, capacity)``, and
-  for a solver that can sit under macro aggregation
-  ``set_weight(flow, weight)``;
-* ``solve(capacities=None) -> (changed_slots, rates)`` — the slots whose
-  rate moved since the previous solve (a list or an int64 array) and a
-  ``rates[slot]`` lookup covering at least those slots;
-  ``scaled_caps(penalty)`` builds the override for the interference model;
-* ``_slots`` — the slot table, a plain list of ``Flow | None`` indexed by
-  slot and mutated in place (read-only to callers);
-* queries — ``bottleneck_of(flow_id)``, ``bottleneck_of_slot(slot)``,
-  ``level_of(flow_id)``, ``rates_by_id()``, ``link_loads()``,
-  ``link_utilization(min_utilization)``;
-* counters — ``full_rebuilds``, ``delta_updates``, ``delta_flows_total``,
-  ``last_delta``, ``solves_skipped``, ``scalar_solves``, ``solve_epoch``.
 """
 
 from __future__ import annotations
@@ -149,6 +125,10 @@ class IncrementalFairnessSolver:
     vectorized solve.  ``solve_epoch`` increments whenever the allocation
     may have moved; the derived views (:meth:`rates_by_id`,
     :meth:`link_loads`, :meth:`link_utilization`) are cached on it.
+
+    :class:`~repro.netsim.engine.FlowSimulator` indexes ``_slots`` — the
+    slot table, a plain list of ``Flow | None`` mutated in place — with
+    the slots :meth:`solve` returns; it is read-only to callers.
     """
 
     _GROW = 1.5
@@ -169,11 +149,6 @@ class IncrementalFairnessSolver:
         self._active = np.zeros(0, dtype=bool)
         self._in_use = np.zeros(0, dtype=bool)
         self._rates = np.zeros(0, dtype=float)
-        # per-slot water level of the round that froze the slot in the
-        # last solve; a slot's rate is exactly ``weight * level``.  Macro
-        # aggregation reconstructs member rates from this (see
-        # :mod:`repro.netsim.macroflow`).
-        self._levels = np.zeros(0, dtype=float)
         # per-slot index of the link that froze the slot in the last solve
         # (-1 = not frozen / unknown); the causal tracer reads this to
         # attribute a flow's current rate to its bottleneck link.
@@ -190,8 +165,8 @@ class IncrementalFairnessSolver:
         # removed or gated while carrying a nonzero rate); they are part
         # of the next solve's changed set without scanning every slot.
         self._deactivated: List[int] = []
-        # path -> precomputed link-index list (append-only link index
-        # keeps these valid across add_links()).
+        # path -> precomputed link-index list (the link index is fixed at
+        # construction, so these never go stale).
         self._path_idx: Dict[Tuple[str, ...], List[int]] = {}
         # epoch-keyed caches of the derived dict views
         self.solve_epoch = 0
@@ -210,23 +185,6 @@ class IncrementalFairnessSolver:
         self._last_override = False
 
     # -- structural updates (all O(Δ)) ---------------------------------
-    def add_links(self, capacities: Mapping[str, float]) -> None:
-        """Register additional links (append-only; existing indices keep)."""
-        fresh = [l for l in capacities if l not in self._link_index]
-        if not fresh:
-            return
-        for link in fresh:
-            self._link_index[link] = len(self._link_ids)
-            self._link_ids.append(link)
-        grown = np.empty(len(self._link_ids), dtype=float)
-        grown[: len(self._caps)] = self._caps
-        grown[len(self._caps):] = [capacities[l] for l in fresh]
-        self._caps = grown
-        loads = np.zeros(len(self._link_ids), dtype=float)
-        loads[: len(self._loads)] = self._loads
-        self._loads = loads
-        self._note_delta()
-
     def add_flow(self, flow: Flow) -> None:
         link_idx = self._path_idx.get(flow.links)
         if link_idx is None:
@@ -253,7 +211,6 @@ class IncrementalFairnessSolver:
         self._active[slot] = flow.active
         self._in_use[slot] = True
         self._rates[slot] = 0.0
-        self._levels[slot] = 0.0
         self._bneck[slot] = -1
         k = len(link_idx)
         if self._nnz + k > len(self._flat_links):
@@ -280,7 +237,6 @@ class IncrementalFairnessSolver:
             # in place, so zeroed slots must be remembered explicitly.
             self._deactivated.append(slot)
         self._rates[slot] = 0.0
-        self._levels[slot] = 0.0
         self._dead_nnz += self._spans[slot][1]
         # The slot is reusable only after compaction purges its incidence
         # entries; until then reuse would misattribute them.
@@ -297,15 +253,6 @@ class IncrementalFairnessSolver:
             if not active and self._rates[slot] != 0.0:
                 self._deactivated.append(slot)
                 self._rates[slot] = 0.0
-                self._levels[slot] = 0.0
-            self._note_delta()
-
-    def set_weight(self, flow: Flow, weight: float) -> None:
-        """Change a registered flow's weight in place (macro aggregation
-        resizes a group's weight as members join/leave/gate)."""
-        slot = self._slot_of.get(flow.flow_id)
-        if slot is not None:
-            self._weights[slot] = weight
             self._note_delta()
 
     def set_capacity(self, link_id: str, capacity: float) -> None:
@@ -318,7 +265,7 @@ class IncrementalFairnessSolver:
 
     def _grow_slots(self, need: int) -> None:
         size = max(need, int(len(self._weights) * self._GROW) + 8)
-        for name in ("_weights", "_rates", "_levels"):
+        for name in ("_weights", "_rates"):
             old = getattr(self, name)
             new = np.zeros(size, dtype=float)
             new[: len(old)] = old
@@ -468,8 +415,10 @@ class IncrementalFairnessSolver:
 
         Returns:
             ``(changed_slots, rates)``: the slots whose allocation moved
-            since the previous solve, and the full per-slot rate vector
-            (the solver's live array — treat it as read-only).
+            since the previous solve — a sorted ``int64`` array on every
+            path, skipped, scalar and vectorized alike — and the full
+            per-slot rate vector (the solver's live array — treat it as
+            read-only).
         """
         override = capacities is not None
         if (
@@ -592,7 +541,6 @@ class IncrementalFairnessSolver:
         old = self._rates[active_slots]
         changed_active = active_slots[new != old]
         self._rates[active_slots] = new
-        self._levels[active_slots] = levels
         if deact:
             changed = np.sort(
                 np.concatenate(
@@ -616,7 +564,7 @@ class IncrementalFairnessSolver:
         :data:`SCALAR_SOLVE_MAX_ENTRIES` entries this is several times
         faster than paying ~15 numpy-call overheads per round.
 
-        Updates ``_rates``/``_levels``/``_bneck`` in place and returns the
+        Updates ``_rates``/``_bneck`` in place and returns the
         (unsorted) list of slots whose rate moved.
         """
         # Order-preserving local compaction of links and slots, fused into
@@ -682,7 +630,6 @@ class IncrementalFairnessSolver:
             link_weight = new_weight
             entries = survivors
         rates = self._rates
-        lv = self._levels
         bn = self._bneck
         changed: List[int] = []
         for si in range(ns):
@@ -691,19 +638,8 @@ class IncrementalFairnessSolver:
             if rates[g] != r:
                 rates[g] = r
                 changed.append(g)
-            lv[g] = levels[si]
             bn[g] = bneck[si]
         return changed
-
-    def level_of(self, flow_id: str) -> float:
-        """Water level that froze a registered flow in the most recent
-        solve (0.0 for unknown flows).
-
-        A slot's rate is exactly ``weight * level``; macro aggregation
-        reconstructs member rates as ``member_weight * level`` (the same
-        IEEE product the per-flow reference computes)."""
-        slot = self._slot_of.get(flow_id)
-        return 0.0 if slot is None else float(self._levels[slot])
 
     def rates_by_id(self) -> Dict[str, float]:
         """Flow id -> rate from the most recent solve (for tests/debug).

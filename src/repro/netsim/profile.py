@@ -5,8 +5,8 @@ Run as a module::
     python -m repro.netsim.profile --flows 10000 --pods 4
 
 Builds a multi-pod Clos fabric, drives a channelized synthetic workload
-(the NCCL-shaped traffic the macro/sharded modes are designed for)
-through the simulator under cProfile, and prints the top-20 functions by
+(waves of byte-identical channel fan-outs per connection) through the
+simulator under cProfile, and prints the top-20 functions by
 cumulative time plus the engine's perf-counter snapshot — the starting
 point for any future hot-path work.
 
@@ -32,7 +32,7 @@ from .fabric import MultiPodSpec, multi_pod_clos
 from .routing import clos_path
 
 #: Channel fan-out of the synthetic collectives: flows per connection
-#: sharing one exact (path, weight, tenant) — the macro-group shape.
+#: sharing one exact (path, weight, tenant).
 DEFAULT_CHANNELS = 8
 
 
@@ -59,8 +59,7 @@ connection_path = clos_path
 
 #: Fraction of connections crossing the core tier.  Training jobs are
 #: placed pod-local when possible; the occasional cross-pod job is what
-#: exercises shard merges (each bridge conservatively fuses the two pod
-#: domains until it drains).
+#: couples two pods' flows through the core links.
 DEFAULT_INTER_POD = 0.02
 
 
@@ -73,8 +72,7 @@ def synthetic_connections(
     """Yield ``(path, job_id)`` connection templates.
 
     Traffic is mostly pod-local (collectives are placed within a pod when
-    possible); ``inter_pod_fraction`` of connections cross the core tier,
-    exercising shard merges.
+    possible); ``inter_pod_fraction`` of connections cross the core tier.
     """
     hosts_per_pod = spec.hosts_per_pod
     for i in range(count):
@@ -170,18 +168,15 @@ def profile_run(
     num_flows: int,
     pods: int,
     channels: int = DEFAULT_CHANNELS,
-    macro: bool = True,
-    sharded: bool = True,
     top: int = 20,
 ) -> FlowSimulator:
     spec = scale_spec(pods)
     print(
         f"fabric: {pods} pod(s), {spec.gpus} GPUs, "
-        f"{num_flows} flows x fan-out {channels} "
-        f"(macro={macro}, sharded={sharded})"
+        f"{num_flows} flows x fan-out {channels}"
     )
     fabric = multi_pod_clos(spec)
-    sim = FlowSimulator(fabric.topology, macro=macro, sharded=sharded)
+    sim = FlowSimulator(fabric.topology)
     prepare_scale_workload(sim, spec, num_flows, channels=channels)
     profiler = cProfile.Profile()
     wall = time.perf_counter()
@@ -209,23 +204,8 @@ def main(argv: List[str] | None = None) -> None:
     parser.add_argument("--pods", type=int, default=4)
     parser.add_argument("--channels", type=int, default=DEFAULT_CHANNELS)
     parser.add_argument("--top", type=int, default=20)
-    parser.add_argument(
-        "--no-macro", dest="macro", action="store_false",
-        help="disable macro-flow aggregation",
-    )
-    parser.add_argument(
-        "--no-sharded", dest="sharded", action="store_false",
-        help="disable the sharded solver",
-    )
     args = parser.parse_args(argv)
-    profile_run(
-        args.flows,
-        args.pods,
-        channels=args.channels,
-        macro=args.macro,
-        sharded=args.sharded,
-        top=args.top,
-    )
+    profile_run(args.flows, args.pods, channels=args.channels, top=args.top)
 
 
 if __name__ == "__main__":

@@ -423,15 +423,3 @@ class Topology:
             f"Topology({self.name!r}, nodes={len(self._nodes)}, "
             f"links={len(self._links)})"
         )
-
-
-def multi_pod_clos(spec=None):
-    """Build a three-tier multi-pod Clos fabric (datacenter scale).
-
-    Thin alias for :func:`repro.netsim.fabric.multi_pod_clos` so the
-    builder is reachable from the topology module too; see
-    :class:`repro.netsim.fabric.MultiPodSpec` for the knobs.
-    """
-    from .fabric import multi_pod_clos as _build
-
-    return _build(spec)

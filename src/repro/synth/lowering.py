@@ -13,8 +13,8 @@ strategy:
   ``rank_transfers`` reads the plan's send table as tagged — one flow
   per (peer, IR channel), the same one-aggregate-flow-per-edge shape the
   built-ins produce — so the communicator's ``FlowProgramCache`` and the
-  netsim engines (reference / macro / sharded) run synthesized schedules
-  through exactly the same path as rings and trees; ``steps`` reports
+  netsim engine run synthesized schedules through exactly the same path
+  as rings and trees; ``steps`` reports
   the program's pipeline step count to the fixed latency model.
 
 A synthesized program targets one (kind, world) point and is built

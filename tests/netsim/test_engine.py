@@ -233,23 +233,19 @@ def _fixed_op_sequence(sim):
     """Adds, a batch, a cancel, a late add; returns every id it minted."""
     first = sim.add_flow(8.0, ["a->b"])
     batch = sim.add_flows([(4.0, ["a->b", "b->c"], None)] * 3)
-    groups = []
-    if sim.macro:
-        groups = [g.flow_id for g in sim._macro_solver._groups.values()]
     late = []
     sim.schedule(0.25, lambda: sim.cancel_flow(batch[0]))
     sim.schedule(0.5, lambda: late.append(sim.add_flow(2.0, ["b->c"])))
     sim.run()
-    return [f.flow_id for f in [first, *batch, *late]], groups
+    return [f.flow_id for f in [first, *batch, *late]]
 
 
-@pytest.mark.parametrize("macro,sharded", [(False, False), (True, True)])
-def test_back_to_back_simulators_mint_identical_ids(macro, sharded):
-    first = FlowSimulator(line_topo(), macro=macro, sharded=sharded)
-    ids, groups = _fixed_op_sequence(first)
+def test_back_to_back_simulators_mint_identical_ids():
+    first = FlowSimulator(line_topo())
+    ids = _fixed_op_sequence(first)
     assert ids == ["flow0", "flow1", "flow2", "flow3", "flow4"]
-    second = FlowSimulator(line_topo(), macro=macro, sharded=sharded)
-    assert _fixed_op_sequence(second) == (ids, groups)
+    second = FlowSimulator(line_topo())
+    assert _fixed_op_sequence(second) == ids
     assert second.perf_counters() == first.perf_counters()
 
 

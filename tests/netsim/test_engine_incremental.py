@@ -18,11 +18,13 @@ from pathlib import Path
 import pytest
 
 import repro.baselines.nccl as nccl_mod
-import repro.cluster.specs as specs_mod
 import repro.core.communicator as comm_mod
 import repro.transport.launcher as launcher_mod
 from repro.core.transport import TrafficGateManager, WindowSchedule
 from repro.netsim.engine import FlowSimulator, SimObserver
+from repro.netsim.errors import LinkDownError
+from repro.netsim.fabric import MultiPodSpec, multi_pod_clos
+from repro.netsim.routing import clos_path
 from repro.netsim.topology import Topology
 
 GOLDEN = json.loads(
@@ -118,34 +120,6 @@ def test_fig08_grid_matches_legacy_golden(pinned_ids):
         assert new[3] == pytest.approx(old[3], rel=1e-9)
 
 
-#: The datacenter fast modes (macro aggregation, sharded solver, both);
-#: each must reproduce the per-flow result *bit-identically* — the floats
-#: below are compared with ``==``, not approx.
-FAST_MODES = [
-    pytest.param(True, False, id="macro"),
-    pytest.param(False, True, id="sharded"),
-    pytest.param(True, True, id="macro+sharded"),
-]
-
-
-@pytest.fixture
-def run_in_mode(monkeypatch):
-    """``run(macro, sharded, fn)``: replay a whole experiment with every
-    cluster's simulator built in the given mode, by wrapping the single
-    construction site (``Cluster.__init__`` -> ``FlowSimulator(...)``)."""
-
-    def run(macro, sharded, fn):
-        def build(topology, **kwargs):
-            kwargs.update(macro=macro, sharded=sharded)
-            return FlowSimulator(topology, **kwargs)
-
-        _reset_global_counters(monkeypatch)
-        monkeypatch.setattr(specs_mod, "FlowSimulator", build)
-        return fn()
-
-    return run
-
-
 def _fig11_speedup_distributions():
     from repro.experiments.fig11_simulation import run_fig11
 
@@ -155,27 +129,103 @@ def _fig11_speedup_distributions():
     return [(s, tuple(outcome.speedups(s))) for s in ("or", "or+ffa")]
 
 
-_fast_mode_reference_cache = {}
+def test_fig11_speedups_repeat_exactly_under_pinned_ids(monkeypatch):
+    _reset_global_counters(monkeypatch)
+    first = _fig11_speedup_distributions()
+    _reset_global_counters(monkeypatch)
+    assert _fig11_speedup_distributions() == first  # ``==`` on floats
 
 
-def _reference_run(run_in_mode, fn):
-    """Per-flow (no fast mode) result, computed once per scenario."""
-    if fn not in _fast_mode_reference_cache:
-        _fast_mode_reference_cache[fn] = run_in_mode(False, False, fn)
-    return _fast_mode_reference_cache[fn]
+# ----------------------------------------------------------------------
+# batched injection: one add_flows == one add_flow per transfer, in order
+# ----------------------------------------------------------------------
+#: Tiny two-pod fabric: 2 pods x 2 leaves x 2 hosts x 2 NICs (16 GPUs) —
+#: pod-local routes that share nothing plus core-crossing ones that
+#: couple the pods.
+TINY_SPEC = MultiPodSpec(
+    pods=2,
+    spines_per_pod=2,
+    leaves_per_pod=2,
+    hosts_per_leaf=2,
+    nics_per_host=2,
+    core_switches=2,
+)
 
 
-@pytest.mark.parametrize("macro,sharded", FAST_MODES)
-def test_fig08_grid_bit_identical_in_fast_modes(run_in_mode, macro, sharded):
-    reference = _reference_run(run_in_mode, _fig08_speedup_grid)
-    assert run_in_mode(macro, sharded, _fig08_speedup_grid) == reference
+def _tiny_sim():
+    return FlowSimulator(multi_pod_clos(TINY_SPEC).topology)
 
 
-@pytest.mark.parametrize("macro,sharded", FAST_MODES)
-def test_fig11_speedups_bit_identical_in_fast_modes(run_in_mode, macro, sharded):
-    reference = _reference_run(run_in_mode, _fig11_speedup_distributions)
-    fast = run_in_mode(macro, sharded, _fig11_speedup_distributions)
-    assert fast == reference
+def _pod_local_path(pod, host=0, nic=0, peer_nic=1):
+    base = pod * TINY_SPEC.hosts_per_pod
+    return clos_path(
+        TINY_SPEC, base + host, nic, base + host + 1, peer_nic, spine=0, core=0
+    )
+
+
+def test_add_flows_equivalent_to_repeated_add_flow():
+    path = _pod_local_path(0)
+    batched, loose = _tiny_sim(), _tiny_sim()
+    flows_b = batched.add_flows([(3e8, path, None)] * 4, job_id="j")
+    flows_l = [loose.add_flow(3e8, path, job_id="j") for _ in range(4)]
+    assert len(flows_b) == 4
+    batched.run()
+    loose.run()
+    assert [f.end_time for f in flows_b] == [f.end_time for f in flows_l]
+
+
+def _mixed_route_batch():
+    """One launch batch over every kind of route mix the solver must get
+    right: a channel fan-out (same path object), the same route again
+    after a different one, an equal-but-not-identical path tuple, and an
+    inter-pod route that couples both pods' flows."""
+    local0, local1 = _pod_local_path(0), _pod_local_path(1)
+    base = TINY_SPEC.hosts_per_pod
+    bridge = clos_path(TINY_SPEC, 0, 0, base + 1, 1, spine=0, core=0)
+    return [
+        (3e8, local0, 0),
+        (3e8, local0, 1),
+        (5e8, local1, 0),
+        (2e8, tuple(list(local0)), 2),
+        (4e8, bridge, 0),
+        (4e8, bridge, 1),
+        (1e8, local1, 1),
+    ]
+
+
+def test_mixed_route_batch_equals_per_flow_adds():
+    batched, loose = _tiny_sim(), _tiny_sim()
+    rates = []
+    for sim in (batched, loose):
+        sim.add_flow(6e8, _pod_local_path(1), job_id="other")  # bystander
+    transfers = _mixed_route_batch()
+    flows_b = batched.add_flows(transfers, job_id="j", weight=2.0)
+    flows_l = [
+        loose.add_flow(size, path, job_id="j", weight=2.0)
+        for size, path, _channel in transfers
+    ]
+    for sim, flows in ((batched, flows_b), (loose, flows_l)):
+        sim.run(until=0.001)
+        rates.append([sim.rate_of(f) for f in flows])
+        sim.run()
+    assert [f.flow_id for f in flows_b] == [f.flow_id for f in flows_l]
+    assert [f.flow_id for f in flows_b] == [f"flow{n}" for n in range(1, 8)]
+    assert [f.channel for f in flows_b] == [t[2] for t in transfers]
+    assert rates[0] == rates[1]  # bit-identical, not approx
+    assert [f.end_time for f in flows_b] == [f.end_time for f in flows_l]
+    assert batched.perf_counters() == loose.perf_counters()
+
+
+def test_batch_is_all_or_nothing_on_a_down_link():
+    sim = _tiny_sim()
+    good, bad = _pod_local_path(0), _pod_local_path(1)
+    sim.fail_link(bad[1])
+    with pytest.raises(LinkDownError):
+        sim.add_flows([(1e8, good, 0), (1e8, bad, 0), (1e8, good, 1)])
+    assert sim.active_flow_count() == 0
+    # Nothing was numbered either: ids stay dense in injection order.
+    assert sim.add_flow(1e8, good).flow_id == "flow0"
+    assert sim.add_flows([]) == []
 
 
 # ----------------------------------------------------------------------

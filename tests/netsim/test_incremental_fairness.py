@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.fairness import (
+    SCALAR_SOLVE_MAX_ENTRIES,
     IncrementalFairnessSolver,
     progressive_filling,
 )
@@ -184,92 +185,42 @@ def test_link_loads_and_utilization_reflect_last_solve():
     assert util["l1"] == pytest.approx(0.5)
 
 
-# ----------------------------------------------------------------------
-# fast-mode wrappers: macro aggregation / sharded solve are bit-exact
-# ----------------------------------------------------------------------
-#: Fixed path pool: overlapping paths force shared components (and macro
-#: groups when (path, weight, job) repeats); ``l3``/``l4->l5`` stay
-#: disjoint so the sharded solver sees independent domains and solo
-#: singletons.
-_PATHS = [("l0", "l1"), ("l1", "l2"), ("l3",), ("l4", "l5"), ("l2", "l3")]
-
-#: Dyadic weights/caps keep every partial sum and product exact, which is
-#: the macro aggregation's exactness condition (``k*w`` representable)
-#: and avoids manufactured near-ties between disjoint components (the
-#: sharded solver's documented 1e-9 freeze-tolerance caveat).
-_DYADIC_WEIGHTS = [0.5, 1.0, 2.0]
-_DYADIC_CAPS = [2.5, 5.0, 10.0, 20.0]
-
-_wrap_op = st.tuples(
-    st.sampled_from(["add", "batch", "remove", "gate", "ungate", "capacity"]),
-    st.integers(0, len(_PATHS) - 1),
-    st.sampled_from(_DYADIC_WEIGHTS),
-    st.sampled_from(["jobA", "jobB"]),
-    st.integers(2, 4),  # batch size
-    st.sampled_from(_DYADIC_CAPS),
-)
-
-
-def _make_wrapped_solvers(caps):
-    from repro.netsim.macroflow import MacroFlowSolver
-    from repro.netsim.sharding import ShardedFairnessSolver
-
-    return {
-        "sharded": ShardedFairnessSolver(dict(caps)),
-        "macro": MacroFlowSolver(IncrementalFairnessSolver(dict(caps))),
-        "macro+sharded": MacroFlowSolver(ShardedFairnessSolver(dict(caps))),
-    }
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(ops=st.lists(_wrap_op, min_size=1, max_size=30), data=st.data())
-def test_fast_wrappers_bit_identical_to_reference(ops, data):
-    """Macro/sharded solvers equal the per-flow reference with ``==``.
-
-    The same :class:`Flow` objects are registered with the reference
-    solver and with every wrapper (solvers never mutate flows), so any
-    rate difference — even one ulp — fails the comparison.
-    """
+def test_solve_returns_an_int64_array_on_every_path():
+    """Skipped, empty, deactivated-only, scalar and vectorized solves all
+    hand the engine the same type: a sorted ``int64`` array of slots."""
     caps = {link: 10.0 for link in LINKS}
-    reference = IncrementalFairnessSolver(dict(caps))
-    wrappers = _make_wrapped_solvers(caps)
-    live = {}
-    for kind, path_idx, weight, job, batch, capacity in ops:
-        path = _PATHS[path_idx]
-        if kind in ("add", "batch") or not live:
-            flows = [
-                Flow(size=1e9, path=path, weight=weight, job_id=job)
-                for _ in range(batch if kind == "batch" else 1)
-            ]
-            for flow in flows:
-                reference.add_flow(flow)
-                live[flow.flow_id] = flow
-            for solver in wrappers.values():
-                if len(flows) > 1:
-                    solver.add_flows(flows)
-                else:
-                    for flow in flows:
-                        solver.add_flow(flow)
-        elif kind == "remove":
-            flow = live.pop(data.draw(st.sampled_from(sorted(live))))
-            reference.remove_flow(flow)
-            for solver in wrappers.values():
-                solver.remove_flow(flow)
-        elif kind in ("gate", "ungate"):
-            flow = live[data.draw(st.sampled_from(sorted(live)))]
-            flow.gated = kind == "gate"
-            reference.set_active(flow, flow.active)
-            for solver in wrappers.values():
-                solver.set_active(flow, flow.active)
-        else:  # capacity
-            link = path[0]
-            reference.set_capacity(link, capacity)
-            for solver in wrappers.values():
-                solver.set_capacity(link, capacity)
-        reference.solve()
-        want = reference.rates_by_id()
-        for name, solver in wrappers.items():
-            solver.solve()
-            got = solver.rates_by_id()
-            for flow_id in live:
-                assert got.get(flow_id, 0.0) == want.get(flow_id, 0.0), name
+    solver = IncrementalFairnessSolver(caps)
+    seen = {}
+
+    def solve(path):
+        changed, rates = solver.solve()
+        assert isinstance(changed, np.ndarray) and changed.dtype == np.int64
+        assert changed.tolist() == sorted(changed.tolist())
+        assert rates is solver._rates
+        seen[path] = changed.size
+
+    solve("empty")
+    few = [mk_flow(LINKS[:2]) for _ in range(3)]
+    solver.add_flows(few)
+    solve("scalar")
+    assert solver.scalar_solves == 1
+    solve("skipped")
+    assert solver.solves_skipped == 1
+    many = [mk_flow(LINKS[:3]) for _ in range(SCALAR_SOLVE_MAX_ENTRIES)]
+    solver.add_flows(many)
+    solve("vectorized")
+    assert solver.scalar_solves == 1  # 3 x 96 live entries: past the cut
+    many[0].gated = True
+    solver.set_active(many[0], many[0].active)
+    solve("vectorized+deactivated")
+    solver.remove_flows(few + many)
+    solve("deactivated-only")
+    assert seen == {
+        "empty": 0,
+        "scalar": 3,
+        "skipped": 0,
+        "vectorized": 3 + SCALAR_SOLVE_MAX_ENTRIES,
+        # the gated flow drops to 0 and the other 98 split its share
+        "vectorized+deactivated": 3 + SCALAR_SOLVE_MAX_ENTRIES,
+        "deactivated-only": 2 + SCALAR_SOLVE_MAX_ENTRIES,
+    }

@@ -2,8 +2,8 @@
 
 Covers the compilation contract end to end: a validated program runs as
 a first-class strategy on a live deployment — flows through
-``repro.netsim`` on the reference, macro and sharded engines, buffers
-moved by the interpreter, consistency gates intact.
+``repro.netsim``, buffers moved by the interpreter, consistency gates
+intact.
 """
 
 import numpy as np
@@ -26,8 +26,6 @@ from repro.synth import (
     temporarily_registered,
     unregister_program,
 )
-
-ENGINE_MODES = ((False, False), (True, False), (False, True), (True, True))
 
 
 @pytest.fixture
@@ -115,14 +113,9 @@ def test_unsupported_points_fall_back_to_ring(hier_program):
     assert algo.steps(ctx(Collective.ALL_REDUCE, 8)) == hier_program.num_steps
 
 
-@pytest.mark.parametrize("macro,sharded", ENGINE_MODES)
-def test_synthesized_program_moves_real_bytes_on_every_engine(
-    hier_program, macro, sharded
-):
+def test_synthesized_program_moves_real_bytes_on_every_engine(hier_program):
     """Byte-exact buffer round trip through the flow data plane."""
-    cluster = multi_region_cluster(
-        RegionSpec(), macro=macro, sharded=sharded
-    )
+    cluster = multi_region_cluster(RegionSpec())
     gpus = [h.gpus[0] for h in cluster.hosts]
     with temporarily_registered(hier_program) as (algo,):
         deployment = MccsDeployment(cluster)

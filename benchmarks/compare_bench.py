@@ -17,8 +17,11 @@ Guarded files:
 
 * ``BENCH_netsim.json`` — the engine's event counts
   (``rate_recomputations``, ``flows_completed``) in the ``event_loop``
-  and ``scale_curve`` sections, compared with ``==``: the workloads are
-  seeded, so the counts are exact on any host, which events/s is not;
+  and ``scale_curve`` sections, and the causal tracer's per-flow work
+  (``recorder_calls_per_flow``, ``segments_per_flow``) in
+  ``telemetry_overhead``, compared with ``==``: the workloads are
+  seeded, so the counts are exact on any host, which events/s and the
+  traced/untraced wall ratio are not;
 * ``BENCH_synth.json`` — synthesizer search throughput
   (``programs_per_sec``), the measured synthesized-vs-builtin
   ``speedup`` on the WAN fabric, and the executor's ``data_plane``
@@ -71,6 +74,8 @@ class Guard:
 GUARDS = (
     Guard(BENCH_PATH, THROUGHPUT_SECTIONS, "rate_recomputations", exact=True),
     Guard(BENCH_PATH, THROUGHPUT_SECTIONS, "flows_completed", exact=True),
+    Guard(BENCH_PATH, ("telemetry_overhead",), "recorder_calls_per_flow", exact=True),
+    Guard(BENCH_PATH, ("telemetry_overhead",), "segments_per_flow", exact=True),
     Guard(SYNTH_PATH, ("synthesizer",), "programs_per_sec"),
     Guard(SYNTH_PATH, ("speedup",), "speedup"),
     Guard(SYNTH_PATH, ("data_plane",), "gb_per_s"),

@@ -20,10 +20,14 @@ archive the trend:
 * ``fig11``: the recorded pre-optimization wall clock of the Figure 11
   random-placement run and the wall clock measured now.
 
+* ``telemetry_overhead``: the causal tracer's exact per-flow work on a
+  fixed 2 000-flow run (rate-recorder calls and ``RateSegment``s per
+  flow — the gate), and the traced/untraced wall ratio (recorded only).
+
 The final test replays :mod:`benchmarks.compare_bench` in-process and
-fails if ``rate_recomputations`` or ``flows_completed`` of any point
-shared with the committed baseline differs (CI runs the same script as a
-separate step after archiving the file).
+fails if ``rate_recomputations``, ``flows_completed`` or the tracer's
+per-flow counts of any point shared with the committed baseline differ
+(CI runs the same script as a separate step after archiving the file).
 """
 
 import json
@@ -226,14 +230,16 @@ def test_scale_curve(num_flows, pods, completions, recomputations):
 _FLOWS_PER_TRACE = 16
 
 
-def _traced_event_loop(num_flows: int, traced: bool) -> float:
+def _traced_event_loop(num_flows: int, traced: bool, work: dict = None) -> float:
     """Wall clock of the event-loop workload, with/without causal tracing.
 
     The traced variant is the full always-on configuration: a
     :class:`CausalTracer` observing *every* flow (per-link tenant
     occupancy), with every flow belonging to a trace — grouped
     ``_FLOWS_PER_TRACE`` to a trace like a real collective's rank/channel
-    fan-out, each trace closed when its last flow completes.
+    fan-out, each trace closed when its last flow completes.  ``work``
+    (the untimed counting run) receives the ``RateSegment``s each closing
+    trace recorded.
     """
     from repro.telemetry.causal import CausalTracer
 
@@ -259,13 +265,17 @@ def _traced_event_loop(num_flows: int, traced: bool) -> float:
             )
             remaining = min(_FLOWS_PER_TRACE, num_flows - group * _FLOWS_PER_TRACE)
             open_counts[group] = [trace, remaining]
-        trace_id = open_counts[group][0].ctx.trace_id
+        trace_id = open_counts[group][0].trace_id
 
         def done(f, now, group=group) -> None:
             entry = open_counts[group]
             entry[1] -= 1
             if entry[1] == 0:
                 tracer.close(entry[0], now, "completed")
+                if work is not None:
+                    work["segments"] += sum(
+                        len(rec.segments) for rec in entry[0].all_flows()
+                    )
 
         sim.add_flow(
             size, path, job_id=job, tags={"trace": trace_id}, on_complete=done
@@ -292,14 +302,36 @@ def _traced_event_loop(num_flows: int, traced: bool) -> float:
     return wall
 
 
-def test_telemetry_overhead():
-    """Always-on causal tracing must cost < 10% event-loop throughput.
+def _tracer_work(num_flows: int) -> dict:
+    """What the tracer does per flow on the traced workload: rate-recorder
+    calls and ``RateSegment``s recorded.  The workload is seeded, so both
+    are exact on any host."""
+    from repro.telemetry import causal
 
-    Runs the identical workload with and without the tracer in adjacent
-    off/on pairs and takes the median of the per-pair wall ratios:
-    adjacent runs see the same machine speed, so container-level drift
-    and throttling cancel out of each ratio — single-run jitter on this
-    workload is of the same order as the overhead being measured.
+    work = {"recorder_calls": 0, "segments": 0}
+    original = causal._BoundRecorder.on_rate_change
+
+    def counted(self, flow, now, rate, bottleneck) -> None:
+        work["recorder_calls"] += 1
+        original(self, flow, now, rate, bottleneck)
+
+    causal._BoundRecorder.on_rate_change = counted
+    try:
+        _traced_event_loop(num_flows, traced=True, work=work)
+    finally:
+        causal._BoundRecorder.on_rate_change = original
+    return work
+
+
+def test_telemetry_overhead():
+    """The cost of always-on causal tracing, gated on a count.
+
+    The gate is the tracer's exact per-flow work (recorder calls and
+    segments per flow), which ``compare_bench.py`` holds ``==`` to the
+    committed file.  The wall ratio is recorded beside it but asserted
+    nowhere: it reads -3...19 % for the same code on a shared host.  It
+    comes from adjacent off/on pairs (median of per-pair ratios), so
+    container-level drift cancels out of each ratio as far as it can.
     """
     import statistics
 
@@ -316,16 +348,22 @@ def test_telemetry_overhead():
     off = statistics.median(w for w, _ in pairs)
     on = statistics.median(w for _, w in pairs)
     overhead = statistics.median(on_w / off_w for off_w, on_w in pairs) - 1.0
+    work = _tracer_work(num_flows)
+    calls = work["recorder_calls"] / num_flows
+    segments = work["segments"] / num_flows
     _RESULTS["telemetry_overhead"][str(num_flows)] = {
         "tracing_off_wall_s": off,
         "tracing_on_wall_s": on,
         "overhead_fraction": overhead,
+        "recorder_calls_per_flow": calls,
+        "segments_per_flow": segments,
     }
     print(
         f"\ntelemetry overhead @ {num_flows} flows: off {off:.3f}s, "
-        f"on {on:.3f}s ({100 * overhead:+.1f}%)"
+        f"on {on:.3f}s ({100 * overhead:+.1f}%); per flow "
+        f"{calls:.4f} recorder calls, {segments:.4f} segments"
     )
-    assert overhead < 0.10
+    assert 0 < segments <= calls
 
 
 def test_fig11_wall_clock(once, benchmark):
@@ -372,7 +410,8 @@ def test_fig11_wall_clock(once, benchmark):
 
 def test_no_throughput_regression_vs_committed_baseline():
     """The in-process twin of the CI compare step (compare_bench.py):
-    the engine's event counts equal the committed ones.
+    the engine's event counts and the tracer's per-flow work equal the
+    committed ones.
 
     Runs after every measurement above (pytest executes this file in
     definition order), so it sees the fresh numbers before they overwrite
@@ -382,14 +421,20 @@ def test_no_throughput_regression_vs_committed_baseline():
 
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     try:
-        from compare_bench import committed_baseline, compare_throughput
+        from compare_bench import (
+            BENCH_PATH, GUARDS, committed_baseline, compare_throughput,
+        )
     finally:
         sys.path.pop(0)
 
     baseline = committed_baseline()
-    failures = compare_throughput(
-        baseline, _RESULTS, metric="rate_recomputations", exact=True
-    ) + compare_throughput(
-        baseline, _RESULTS, metric="flows_completed", exact=True
-    )
+    failures = [
+        line
+        for guard in GUARDS
+        if guard.path == BENCH_PATH
+        for line in compare_throughput(
+            baseline, _RESULTS, sections=guard.sections,
+            metric=guard.metric, exact=guard.exact,
+        )
+    ]
     assert not failures, "\n".join(failures)

@@ -39,7 +39,7 @@ from .recovery import (
 from .service import FrontendEngine, MccsService
 from .shim import ClientCollective, MccsBuffer, MccsClient, MccsCommunicator
 from .strategy import CollectiveStrategy, default_strategy
-from .tracing import DEFAULT_TRACE_CAPACITY, CommTrace, TraceRecord, TraceStore
+from .tracing import DEFAULT_TRACE_CAPACITY, CommTrace, TraceRecord
 from .transport import TrafficGateManager, WindowSchedule
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "RecoveryPolicy",
     "ServiceCommunicator",
     "TraceRecord",
-    "TraceStore",
     "TrafficGateManager",
     "VersionedDataPath",
     "WindowSchedule",

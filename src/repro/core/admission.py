@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from ..netsim.errors import AdmissionRejectedError, PolicyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..telemetry.hub import TelemetryHub
     from .deployment import MccsDeployment
 
 
@@ -66,13 +65,10 @@ class AdmissionController:
         self,
         deployment: "MccsDeployment",
         policy: Optional[AdmissionPolicy] = None,
-        telemetry: Optional["TelemetryHub"] = None,
     ) -> None:
         self.deployment = deployment
         self.policy = policy if policy is not None else AdmissionPolicy()
-        self.telemetry = (
-            telemetry if telemetry is not None else deployment.telemetry()
-        )
+        self.telemetry = deployment.telemetry()
         self._classes: Dict[str, str] = {}
         self.admitted_total = 0
         self.shed_total = 0
@@ -148,14 +144,13 @@ class AdmissionController:
             "Requests shed by admission control, by app and QoS class.",
         ).inc(app=app_id, qos=qos)
         self.telemetry.slo.record_shed(app_id)
-        if self.telemetry.flight is not None:
-            self.telemetry.flight.trigger(
-                "admission_shed",
-                self.deployment.sim.now,
-                tenant=app_id,
-                qos=qos,
-                cause=reason,
-            )
+        self.telemetry.flight.trigger(
+            "admission_shed",
+            self.deployment.sim.now,
+            tenant=app_id,
+            qos=qos,
+            cause=reason,
+        )
         raise AdmissionRejectedError(
             f"request from {app_id!r} shed by admission control ({reason})"
         )

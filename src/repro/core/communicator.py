@@ -44,7 +44,7 @@ from ..telemetry.hub import TelemetryHub
 from ..transport.connections import ConnectionTable, connection_key
 from .algorithms import AlgorithmContext, RankTransfer, get_algorithm
 from .strategy import CollectiveStrategy
-from .tracing import CommTrace, TraceRecord
+from .tracing import DEFAULT_TRACE_CAPACITY, CommTrace, TraceRecord
 
 _comm_counter = itertools.count()
 
@@ -149,6 +149,10 @@ class CollectiveInstance:
     seq: int
     kind: Collective
     out_bytes: int
+    #: The collective's one trace record, opened by the frontend and owned
+    #: here: every layer annotates it through :meth:`annotate`, its id tags
+    #: every flow, and it closes with the instance.
+    trace: CausalTrace
     reduce_op: ReduceOp = ReduceOp.SUM
     root: int = 0
     issue_time: float = 0.0
@@ -164,10 +168,6 @@ class CollectiveInstance:
     start_time: Optional[float] = None
     end_time: Optional[float] = None
     rank_versions: Dict[int, int] = field(default_factory=dict)
-    #: The collective's one trace record, opened by the frontend and owned
-    #: here: every layer annotates it through :meth:`annotate`, its id tags
-    #: every flow, and it closes with the instance.  None without a hub.
-    trace: Optional[CausalTrace] = None
     _launched: Set[int] = field(default_factory=set)
     _injected_ranks: Set[int] = field(default_factory=set)
     # failure state
@@ -217,8 +217,7 @@ class CollectiveInstance:
 
     def annotate(self, kind: str, **attrs: object) -> None:
         """Record one lifecycle fact, now, on the collective's trace."""
-        if self.trace is not None:
-            self.trace.annotate(self.comm.sim.now, kind, **attrs)
+        self.trace.annotate(self.comm.sim.now, kind, **attrs)
 
     # ------------------------------------------------------------------
     def _context(self, strategy: CollectiveStrategy, rank: int) -> AlgorithmContext:
@@ -310,9 +309,8 @@ class CollectiveInstance:
                 "seq": self.seq,
                 "kind": self.kind.value,
                 "rank": rank,
+                "trace": self.trace.trace_id,
             }
-            if self.trace is not None:
-                tags["trace"] = self.trace.ctx.trace_id
             flows = comm.sim.add_flows(
                 batch,
                 job_id=comm.app_id,
@@ -387,16 +385,14 @@ class CollectiveInstance:
         for flow in list(self._live_flows):
             comm.sim.cancel_flow(flow)
         self._live_flows.clear()
-        if comm.telemetry is not None:
-            comm.telemetry.metrics.counter(
-                "mccs_collectives_aborted_total",
-                "Collectives terminated by failure handling, by app.",
-            ).inc(app=comm.app_id, kind=self.kind.value)
-            comm.telemetry.slo.record_abort(comm.app_id)
-        if self.trace is not None:
-            comm.telemetry.causal.close(
-                self.trace, self.end_time, TRACE_ABORTED, error=str(self.error)
-            )
+        comm.telemetry.metrics.counter(
+            "mccs_collectives_aborted_total",
+            "Collectives terminated by failure handling, by app.",
+        ).inc(app=comm.app_id, kind=self.kind.value)
+        comm.telemetry.slo.record_abort(comm.app_id)
+        comm.telemetry.causal.close(
+            self.trace, self.end_time, TRACE_ABORTED, error=str(self.error)
+        )
         self._retire()
 
     def reset_for_retry(self) -> None:
@@ -412,10 +408,8 @@ class CollectiveInstance:
                 f"cannot retry finished collective seq={self.seq}"
             )
         self.attempts += 1
-        if self.trace is not None:
-            self.trace.new_attempt(self.comm.sim.now)
-        if self.comm.telemetry is not None:
-            self.comm.telemetry.slo.record_retry(self.comm.app_id)
+        self.trace.new_attempt(self.comm.sim.now)
+        self.comm.telemetry.slo.record_retry(self.comm.app_id)
         for flow in list(self._live_flows):
             self.comm.sim.cancel_flow(flow)
         self._live_flows.clear()
@@ -448,17 +442,15 @@ class CollectiveInstance:
                 self.reduce_op,
                 out=self.recv_views,
             )
-        if comm.telemetry is not None:
-            comm.completed_series[self.kind].inc()
-            comm.duration_series.observe(self.end_time - self.issue_time)
-            comm.telemetry.slo.record_completion(
-                comm.app_id,
-                self.end_time - self.issue_time,
-                self.out_bytes,
-                self.end_time,
-            )
-        if self.trace is not None:
-            comm.telemetry.causal.close(self.trace, self.end_time, TRACE_COMPLETED)
+        comm.completed_series[self.kind].inc()
+        comm.duration_series.observe(self.end_time - self.issue_time)
+        comm.telemetry.slo.record_completion(
+            comm.app_id,
+            self.end_time - self.issue_time,
+            self.out_bytes,
+            self.end_time,
+        )
+        comm.telemetry.causal.close(self.trace, self.end_time, TRACE_COMPLETED)
         self._retire()
 
     def _retire(self) -> None:
@@ -506,13 +498,12 @@ class ServiceCommunicator:
         app_id: str,
         gpus: Sequence[GpuDevice],
         strategy: CollectiveStrategy,
+        telemetry: TelemetryHub,
         *,
         latency: LatencyModel = MCCS_LATENCY,
         ecmp_seed: int = 0,
         gate=None,
-        trace: Optional[CommTrace] = None,
         strict_consistency: bool = False,
-        telemetry: Optional[TelemetryHub] = None,
         datapath_tag: Optional[str] = None,
     ) -> None:
         validate_world(len(gpus))
@@ -563,31 +554,32 @@ class ServiceCommunicator:
         self.inflight: Dict[int, CollectiveInstance] = {}
         self.inconsistent_collectives = 0
         self.strict_consistency = strict_consistency
-        self.trace = trace if trace is not None else CommTrace(self.comm_id, app_id)
+        #: The §4.3 trace of this communicator's finished collectives;
+        #: owned here, so it goes when the communicator is destroyed.
+        self.trace = CommTrace(self.comm_id, app_id, DEFAULT_TRACE_CAPACITY)
         self.telemetry = telemetry
-        if telemetry is not None:
-            # Label handles of the per-collective series, bound once here.
-            metrics = telemetry.metrics
-            issued = metrics.counter(
-                "mccs_collectives_issued_total",
-                "Collectives accepted by the frontend, by app and kind.",
-            )
-            completed = metrics.counter(
-                "mccs_collectives_completed_total",
-                "Collectives fully drained, by app and kind.",
-            )
-            self.issued_series = {
-                kind: issued.labels(app=app_id, kind=kind.value)
-                for kind in Collective
-            }
-            self.completed_series = {
-                kind: completed.labels(app=app_id, kind=kind.value)
-                for kind in Collective
-            }
-            self.duration_series = metrics.histogram(
-                "mccs_collective_duration_seconds",
-                "Issue-to-completion time of collectives, by app.",
-            ).labels(app=app_id)
+        # Label handles of the per-collective series, bound once here.
+        metrics = telemetry.metrics
+        issued = metrics.counter(
+            "mccs_collectives_issued_total",
+            "Collectives accepted by the frontend, by app and kind.",
+        )
+        completed = metrics.counter(
+            "mccs_collectives_completed_total",
+            "Collectives fully drained, by app and kind.",
+        )
+        self.issued_series = {
+            kind: issued.labels(app=app_id, kind=kind.value)
+            for kind in Collective
+        }
+        self.completed_series = {
+            kind: completed.labels(app=app_id, kind=kind.value)
+            for kind in Collective
+        }
+        self.duration_series = metrics.histogram(
+            "mccs_collective_duration_seconds",
+            "Issue-to-completion time of collectives, by app.",
+        ).labels(app=app_id)
         self.destroyed = False
         #: Set once the communicator is irrecoverably failed; subsequent
         #: tenant requests are rejected with :class:`CommunicatorError`.
@@ -680,6 +672,12 @@ class ServiceCommunicator:
         """Subscribe ``listener`` to every finished collective instance."""
         self.completion_listeners.append(listener)
 
+    def remove_completion_listener(
+        self, listener: Callable[[CollectiveInstance], None]
+    ) -> None:
+        """End a subscription made with :meth:`add_completion_listener`."""
+        self.completion_listeners.remove(listener)
+
     def on_instance_finished(self, instance: CollectiveInstance) -> None:
         self.inflight.pop(instance.seq, None)
         for listener in list(self.completion_listeners):
@@ -715,14 +713,13 @@ class ServiceCommunicator:
         # ``CollectiveInstance.abort`` being a no-op the second time.
         for instance in list(self.inflight.values()):
             instance.abort(error)
-        if self.telemetry is not None:
-            self.telemetry.events.log(
-                self.sim.now,
-                "comm_aborted",
-                f"comm{self.comm_id} aborted: {error}",
-                comm=self.comm_id,
-                app=self.app_id,
-            )
+        self.telemetry.events.log(
+            self.sim.now,
+            "comm_aborted",
+            f"comm{self.comm_id} aborted: {error}",
+            comm=self.comm_id,
+            app=self.app_id,
+        )
 
     def describe(self) -> Dict[str, object]:
         """Management-API snapshot consumed by the centralized controller

@@ -1,7 +1,7 @@
 """Deployment-wide coordination of the MCCS services.
 
 One :class:`MccsDeployment` spans the cluster: it owns the per-host
-services, the traffic gate manager, the trace store, and the
+services, the telemetry hub, the traffic gate manager, and the
 reconfiguration manager, and it exposes the provider-facing management API
 that the centralized controller consumes (§4.3):
 
@@ -62,7 +62,7 @@ from .proxy import ProxyEngine
 from .reconfig import DEFAULT_CONTROL_RING_LATENCY, ReconfigManager, ReconfigSession
 from .service import MccsService
 from .strategy import CollectiveStrategy, default_strategy
-from .tracing import DEFAULT_TRACE_CAPACITY, CommTrace, TraceStore
+from .tracing import CommTrace
 from .transport import TrafficGateManager, WindowSchedule
 
 
@@ -78,8 +78,6 @@ class MccsDeployment:
         ecmp_seed: int = 0,
         control_latency: float = DEFAULT_CONTROL_RING_LATENCY,
         strict_consistency: bool = False,
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
-        telemetry: Optional[TelemetryHub] = None,
     ) -> None:
         if datapath_latency is not None:
             # §6.2 knob: override the shim->service hop without callers
@@ -93,23 +91,25 @@ class MccsDeployment:
         self.ecmp_seed = ecmp_seed
         self.control_latency = control_latency
         self.strict_consistency = strict_consistency
-        self._telemetry = telemetry if telemetry is not None else TelemetryHub()
-        network = self._telemetry.attach_network(cluster.sim)
-        network.set_program_cache_provider(self.program_cache_stats)
+        #: The service sees every collective (§4.3): the hub is built with
+        #: the simulator it observes, and every layer below is handed it.
+        self._telemetry = TelemetryHub(cluster.sim)
+        self._telemetry.network.set_program_cache_provider(
+            self.program_cache_stats
+        )
         #: Write-ahead journal of control-plane mutations.  Owned here —
         #: not by any per-host service — so it survives service crashes;
         #: MccsService.restart() replays it.
-        self.journal = StateJournal(telemetry=self._telemetry)
+        self.journal = StateJournal(self._telemetry)
         self.services: Dict[int, MccsService] = {
-            host.host_id: MccsService(cluster, host, telemetry=self._telemetry)
+            host.host_id: MccsService(cluster, host, self._telemetry)
             for host in cluster.hosts
         }
         for service in self.services.values():
             service.deployment = self
-        self.gates = TrafficGateManager(cluster.sim, telemetry=self._telemetry)
-        self.traces = TraceStore(max_records_per_comm=trace_capacity)
+        self.gates = TrafficGateManager(cluster.sim, self._telemetry)
         self.reconfig = ReconfigManager(
-            cluster.sim, self.proxies_of, telemetry=self._telemetry
+            cluster.sim, self.proxies_of, self._telemetry
         )
         self._comms: Dict[int, ServiceCommunicator] = {}
         self._comm_owner: Dict[int, str] = {}
@@ -188,9 +188,7 @@ class MccsDeployment:
         AdmissionRejectedError` back through the shim.
         """
         if self.admission is None:
-            self.admission = AdmissionController(
-                self, policy, telemetry=self._telemetry
-            )
+            self.admission = AdmissionController(self, policy)
         elif policy is not None:
             self.admission.policy = policy
         # SLO accounting resolves tenants to QoS classes through admission
@@ -375,14 +373,13 @@ class MccsDeployment:
             app_id,
             gpus,
             strategy,
+            self._telemetry,
             latency=self.latency,
             ecmp_seed=self.ecmp_seed,
             gate=self.gates.gate_for(app_id),
             strict_consistency=self.strict_consistency,
-            telemetry=self._telemetry,
             datapath_tag=datapath_tag,
         )
-        comm.trace = self.traces.trace_for(comm.comm_id, app_id)
         self.journal.append(
             self.sim.now,
             "create_communicator",
@@ -425,7 +422,6 @@ class MccsDeployment:
         comm.destroyed = True
         del self._comms[comm.comm_id]
         del self._comm_owner[comm.comm_id]
-        self.traces.drop(comm.comm_id)
 
     def handle_collective(
         self, app_id: str, request: CollectiveRequest
@@ -461,7 +457,7 @@ class MccsDeployment:
             seq=seq,
             kind=request.kind.value,
             bytes=request.out_bytes,
-            trace=trace.ctx.trace_id,
+            trace=trace.trace_id,
         )
         comm.issued_series[request.kind].inc()
         instance = CollectiveInstance(
@@ -469,13 +465,13 @@ class MccsDeployment:
             seq=seq,
             kind=request.kind,
             out_bytes=request.out_bytes,
+            trace=trace,
             reduce_op=request.reduce_op,
             root=request.root,
             issue_time=self.sim.now,
             dtype=request.dtype,
             send_views=send_views,
             recv_views=recv_views,
-            trace=trace,
         )
         comm.inflight[seq] = instance
 
@@ -545,15 +541,14 @@ class MccsDeployment:
                 "Collective deadline expiries detected by the watchdog.",
             ).inc(app=comm.app_id)
             self._telemetry.slo.record_deadline_miss(comm.app_id)
-            if self._telemetry.flight is not None:
-                self._telemetry.flight.trigger(
-                    "deadline",
-                    self.sim.now,
-                    trace=instance.trace,
-                    comm=comm.comm_id,
-                    seq=instance.seq,
-                    attempt=instance.attempts,
-                )
+            self._telemetry.flight.trigger(
+                "deadline",
+                self.sim.now,
+                trace=instance.trace,
+                comm=comm.comm_id,
+                seq=instance.seq,
+                attempt=instance.attempts,
+            )
             comm.on_instance_failure(instance, None, error)
             self.sim.call_in(deadline, expired)
 

@@ -378,15 +378,17 @@ class ElasticCoordinator:
             self._cutover(op)
             return
 
-        def on_finished(instance, op=op) -> None:
-            if op.record.finished or op.record.state != "quiesce":
-                return
-            if op.comm.aborted or op.comm.destroyed:
+        def on_finished(instance) -> None:
+            dead = comm.aborted or comm.destroyed
+            if comm.inflight and not dead:
+                return  # still quiescing
+            # One wait, one subscription: it ends with the quiesce.
+            comm.remove_completion_listener(on_finished)
+            if dead:
                 self._fail(op, MembershipChangeError(
-                    f"communicator {op.comm.comm_id} died during quiesce"
+                    f"communicator {comm.comm_id} died during quiesce"
                 ))
-                return
-            if not op.comm.inflight:
+            else:
                 self._cutover(op)
 
         comm.add_completion_listener(on_finished)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 from ..netsim.errors import JournalError
 
@@ -112,24 +112,23 @@ class StateJournal:
     service crash the way a WAL on durable storage would.
     """
 
-    def __init__(self, telemetry: Optional["TelemetryHub"] = None) -> None:
+    def __init__(self, telemetry: "TelemetryHub") -> None:
         self._records: List[JournalRecord] = []
         self._seq = itertools.count()
         self.telemetry = telemetry
         self.appends_total = 0
         self.compactions = 0
-        if telemetry is not None:
-            appends = telemetry.metrics.counter(
-                "mccs_journal_appends_total",
-                "Control-plane operations appended to the state journal.",
-            )
-            self._append_series = {
-                op: appends.labels(op=op) for op in _STATE_OPS | _INFO_OPS
-            }
-            self._records_gauge = telemetry.metrics.gauge(
-                "mccs_journal_records",
-                "Records currently retained in the state journal.",
-            ).labels()
+        appends = telemetry.metrics.counter(
+            "mccs_journal_appends_total",
+            "Control-plane operations appended to the state journal.",
+        )
+        self._append_series = {
+            op: appends.labels(op=op) for op in _STATE_OPS | _INFO_OPS
+        }
+        self._records_gauge = telemetry.metrics.gauge(
+            "mccs_journal_records",
+            "Records currently retained in the state journal.",
+        ).labels()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -150,9 +149,8 @@ class StateJournal:
             ) from None
         self._records.append(record)
         self.appends_total += 1
-        if self.telemetry is not None:
-            self._append_series[op].inc()
-            self._records_gauge.set(len(self._records))
+        self._append_series[op].inc()
+        self._records_gauge.set(len(self._records))
         return record
 
     def records(self) -> List[JournalRecord]:
@@ -165,10 +163,8 @@ class StateJournal:
         return json.dumps([record.to_dict() for record in self._records])
 
     @classmethod
-    def from_json(
-        cls, text: str, telemetry: Optional["TelemetryHub"] = None
-    ) -> "StateJournal":
-        journal = cls(telemetry=telemetry)
+    def from_json(cls, text: str, telemetry: "TelemetryHub") -> "StateJournal":
+        journal = cls(telemetry)
         records = [JournalRecord.from_dict(item) for item in json.loads(text)]
         journal._records = records
         last = records[-1].seq if records else -1
@@ -253,7 +249,7 @@ class StateJournal:
         if replay_journal(kept) != state:  # pragma: no cover - invariant
             raise JournalError("compaction changed replay state")
         self.compactions += 1
-        if removed and self.telemetry is not None:
+        if removed:
             self.telemetry.metrics.counter(
                 "mccs_journal_compacted_total",
                 "Journal records dropped by compaction.",

@@ -11,22 +11,16 @@ at 50-80 us).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 from ..cluster.ipc import IpcEventHandle, IpcMemHandle
 from ..collectives.types import Collective, ReduceOp
 
-_msg_counter = itertools.count()
-
 
 @dataclass(frozen=True)
 class Request:
     """Base class for shim->service messages."""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "msg_id", next(_msg_counter))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ class ProxyEngine:
         self,
         host_id: int,
         gpu_global_id: int,
-        telemetry: Optional["TelemetryHub"] = None,
+        telemetry: "TelemetryHub",
     ) -> None:
         self.host_id = host_id
         self.gpu_global_id = gpu_global_id
@@ -165,11 +165,10 @@ class ProxyEngine:
                 self._apply(state, rank)
             return
         instance.annotate(EVENT_HELD, rank=rank, gpu=self.gpu_global_id)
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "mccs_launches_held_total",
-                "Collective launches queued behind a reconfiguration barrier.",
-            ).inc(comm=f"comm{instance.comm.comm_id}")
+        self.telemetry.metrics.counter(
+            "mccs_launches_held_total",
+            "Collective launches queued behind a reconfiguration barrier.",
+        ).inc(comm=f"comm{instance.comm.comm_id}")
         state.pending.append(instance)
 
     def _launch(
@@ -281,7 +280,7 @@ class ProxyEngine:
         session = state.session
         if session is None:
             raise ReconfigurationError("apply without an active session")
-        if self.telemetry is not None and state.hold_since is not None:
+        if state.hold_since is not None:
             self.telemetry.metrics.histogram(
                 "mccs_proxy_hold_seconds",
                 "Per-rank time spent holding launches during reconfiguration.",

@@ -92,13 +92,13 @@ class ReconfigSession:
         comm: ServiceCommunicator,
         new_strategy: CollectiveStrategy,
         proxies: Sequence["ProxyEngine"],
+        telemetry: "TelemetryHub",
         *,
         barrier_enabled: bool = True,
         control_latency: float = DEFAULT_CONTROL_RING_LATENCY,
         barrier_timeout: Optional[float] = None,
         on_done: Optional[Callable[["ReconfigSession"], None]] = None,
         on_failed: Optional[Callable[["ReconfigSession"], None]] = None,
-        telemetry: Optional["TelemetryHub"] = None,
     ) -> None:
         if new_strategy.version <= comm.strategy.version:
             raise ReconfigurationError(
@@ -128,37 +128,35 @@ class ReconfigSession:
                 raise ReconfigurationError("barrier timeout must be positive")
             comm.sim.call_in(barrier_timeout, self._check_timeout)
         self.telemetry = telemetry
-        self.span = None
+        attrs = {"app": comm.app_id, "comm": f"comm{comm.comm_id}"}
+        self.span = telemetry.spans.begin(
+            f"reconfig comm{comm.comm_id} "
+            f"v{comm.strategy.version}->v{new_strategy.version}",
+            self.issue_time,
+            category="reconfig",
+            session=self.session_id,
+            barrier_enabled=barrier_enabled,
+            **attrs,
+        )
         self._barrier_span = None
-        if telemetry is not None:
-            attrs = {"app": comm.app_id, "comm": f"comm{comm.comm_id}"}
-            self.span = telemetry.spans.begin(
-                f"reconfig comm{comm.comm_id} "
-                f"v{comm.strategy.version}->v{new_strategy.version}",
-                self.issue_time,
-                category="reconfig",
-                session=self.session_id,
-                barrier_enabled=barrier_enabled,
-                **attrs,
+        if barrier_enabled:
+            # The Figure 4 stall: command issue to AllGather resolution.
+            self._barrier_span = telemetry.spans.begin(
+                "barrier", self.issue_time, category="reconfig",
+                parent=self.span, **attrs,
             )
-            if barrier_enabled:
-                # The Figure 4 stall: command issue to AllGather resolution.
-                self._barrier_span = telemetry.spans.begin(
-                    "barrier", self.issue_time, category="reconfig",
-                    parent=self.span, **attrs,
-                )
-            telemetry.events.log(
-                self.issue_time,
-                "reconfig_issued",
-                f"comm{comm.comm_id} -> v{new_strategy.version}",
-                comm=comm.comm_id,
-                version=new_strategy.version,
-                barrier=barrier_enabled,
-            )
-            telemetry.metrics.counter(
-                "mccs_reconfigs_total",
-                "Reconfiguration commands issued, by communicator.",
-            ).inc(comm=f"comm{comm.comm_id}")
+        telemetry.events.log(
+            self.issue_time,
+            "reconfig_issued",
+            f"comm{comm.comm_id} -> v{new_strategy.version}",
+            comm=comm.comm_id,
+            version=new_strategy.version,
+            barrier=barrier_enabled,
+        )
+        telemetry.metrics.counter(
+            "mccs_reconfigs_total",
+            "Reconfiguration commands issued, by communicator.",
+        ).inc(comm=f"comm{comm.comm_id}")
 
     # ------------------------------------------------------------------
     def deliver(self, rank: int, delay: float) -> None:
@@ -203,18 +201,16 @@ class ReconfigSession:
             proxy.abort_reconfig(rank, self)
         if self._barrier_span is not None and not self._barrier_span.finished:
             self._barrier_span.finish(now)
-        if self.span is not None and not self.span.finished:
-            self.span.mark("barrier_timeout", now, missing=missing)
-            self.span.finish(now)
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "mccs_reconfig_timeouts_total",
-                "Reconfiguration barriers abandoned on timeout.",
-            ).inc(comm=f"comm{self.comm.comm_id}")
-            self.telemetry.events.log(
-                now, "reconfig_timeout", str(self.error),
-                comm=self.comm.comm_id, missing=missing,
-            )
+        self.span.mark("barrier_timeout", now, missing=missing)
+        self.span.finish(now)
+        self.telemetry.metrics.counter(
+            "mccs_reconfig_timeouts_total",
+            "Reconfiguration barriers abandoned on timeout.",
+        ).inc(comm=f"comm{self.comm.comm_id}")
+        self.telemetry.events.log(
+            now, "reconfig_timeout", str(self.error),
+            comm=self.comm.comm_id, missing=missing,
+        )
         on_failed, error = self._on_failed, self.error
         self._release()
         if on_failed is not None:
@@ -239,17 +235,15 @@ class ReconfigSession:
             return
         self.max_seq = max_seq
         self.resolve_time = self.comm.sim.now
-        if self.span is not None:
-            self.span.mark(
-                EVENT_BARRIER_RESOLVED, self.resolve_time, max_seq=max_seq
-            )
+        self.span.mark(
+            EVENT_BARRIER_RESOLVED, self.resolve_time, max_seq=max_seq
+        )
         if self._barrier_span is not None:
             self._barrier_span.finish(self.resolve_time)
-        if self.telemetry is not None:
-            self.telemetry.metrics.histogram(
-                "mccs_barrier_stall_seconds",
-                "Reconfiguration barrier stall (issue to AllGather resolve).",
-            ).observe(self.resolve_time - self.issue_time)
+        self.telemetry.metrics.histogram(
+            "mccs_barrier_stall_seconds",
+            "Reconfiguration barrier stall (issue to AllGather resolve).",
+        ).observe(self.resolve_time - self.issue_time)
         # The barrier pass stalled every collective in flight on this
         # communicator: say so on each one's trace.
         for instance in self.comm.inflight.values():
@@ -273,25 +267,22 @@ class ReconfigSession:
             # broken-protocol mode: commit on first application so that
             # launches under the new version find the strategy registered
             self.comm.commit_strategy(self.new_strategy)
-        if self.span is not None:
-            self.span.mark(EVENT_RANK_APPLIED, self.comm.sim.now, rank=rank)
+        self.span.mark(EVENT_RANK_APPLIED, self.comm.sim.now, rank=rank)
         if len(self._applied) == self.comm.world:
             self.done_time = self.comm.sim.now
-            if self.span is not None:
-                self.span.finish(self.done_time)
-            if self.telemetry is not None:
-                self.telemetry.metrics.histogram(
-                    "mccs_reconfig_duration_seconds",
-                    "Reconfiguration issue-to-applied-everywhere time.",
-                ).observe(self.done_time - self.issue_time)
-                self.telemetry.events.log(
-                    self.done_time,
-                    "reconfig_done",
-                    f"comm{self.comm.comm_id} at v{self.new_strategy.version}",
-                    comm=self.comm.comm_id,
-                    version=self.new_strategy.version,
-                    duration=self.done_time - self.issue_time,
-                )
+            self.span.finish(self.done_time)
+            self.telemetry.metrics.histogram(
+                "mccs_reconfig_duration_seconds",
+                "Reconfiguration issue-to-applied-everywhere time.",
+            ).observe(self.done_time - self.issue_time)
+            self.telemetry.events.log(
+                self.done_time,
+                "reconfig_done",
+                f"comm{self.comm.comm_id} at v{self.new_strategy.version}",
+                comm=self.comm.comm_id,
+                version=self.new_strategy.version,
+                duration=self.done_time - self.issue_time,
+            )
             on_done = self._on_done
             self._release()
             if on_done is not None:
@@ -314,7 +305,7 @@ class ReconfigManager:
         self,
         sim: FlowSimulator,
         proxies_of: Callable[[ServiceCommunicator], List["ProxyEngine"]],
-        telemetry: Optional["TelemetryHub"] = None,
+        telemetry: "TelemetryHub",
     ) -> None:
         self._sim = sim
         self._proxies_of = proxies_of
@@ -359,6 +350,12 @@ class ReconfigManager:
         proxies = self._proxies_of(comm)
         if len(proxies) != comm.world:
             raise ReconfigurationError("need one proxy per rank")
+        if delays is None:
+            delays = [0.0] * comm.world
+        if len(delays) != comm.world:
+            # Checked before the session exists: a session that is never
+            # delivered is never done, and would block the communicator.
+            raise ReconfigurationError("need one delivery delay per rank")
 
         def finished(session: ReconfigSession) -> None:
             self._active.pop(comm.comm_id, None)
@@ -377,19 +374,15 @@ class ReconfigManager:
             comm,
             new_strategy,
             proxies,
+            self._telemetry,
             barrier_enabled=barrier_enabled,
             control_latency=control_latency,
             barrier_timeout=barrier_timeout,
             on_done=finished,
             on_failed=timed_out,
-            telemetry=self._telemetry,
         )
         self._active[comm.comm_id] = session
         self.sessions.append(session)
-        if delays is None:
-            delays = [0.0] * comm.world
-        if len(delays) != comm.world:
-            raise ReconfigurationError("need one delivery delay per rank")
         for rank, delay in enumerate(delays):
             session.deliver(rank, delay)
         return session

@@ -526,13 +526,12 @@ class HeartbeatMonitor:
                     "mccs_heartbeats_missed_total",
                     "Proxy liveness probes that went unanswered.",
                 ).inc()
-                if self.manager.telemetry.flight is not None:
-                    self.manager.telemetry.flight.trigger(
-                        "heartbeat_miss",
-                        now,
-                        gpu=proxy.gpu_global_id,
-                        host=proxy.host_id,
-                    )
+                self.manager.telemetry.flight.trigger(
+                    "heartbeat_miss",
+                    now,
+                    gpu=proxy.gpu_global_id,
+                    host=proxy.host_id,
+                )
                 self.manager.proxy_dead(proxy)
         if now + self.interval <= self.until + 1e-12:
             self.sim.call_in(self.interval, self._tick)

@@ -99,8 +99,6 @@ class FrontendEngine:
         the closest analogue of the paper's ~2.2us proxy overhead (§6.2).
         """
         self.requests_handled += 1
-        if self.telemetry is None:
-            return self._dispatch(request)
         started = time.perf_counter()
         kind = type(request).__name__
         try:
@@ -186,7 +184,7 @@ class MccsService:
         self,
         cluster: Cluster,
         host: Host,
-        telemetry: Optional["TelemetryHub"] = None,
+        telemetry: "TelemetryHub",
     ) -> None:
         self.cluster = cluster
         self.host = host
@@ -194,9 +192,7 @@ class MccsService:
         self.memory = MemoryManager()
         #: one proxy engine per GPU on this host (§4.2)
         self.proxies: Dict[int, ProxyEngine] = {
-            gpu.global_id: ProxyEngine(
-                host.host_id, gpu.global_id, telemetry=telemetry
-            )
+            gpu.global_id: ProxyEngine(host.host_id, gpu.global_id, telemetry)
             for gpu in host.gpus
         }
         self._frontends: Dict[str, FrontendEngine] = {}
@@ -321,21 +317,19 @@ class MccsService:
         self._journal(
             "service_crash", host=self.host.host_id, generation=self.generation
         )
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "mccs_service_crashes_total",
-                "MCCS service process crashes, by host.",
-            ).inc(host=f"h{self.host.host_id}")
-            self.telemetry.events.log(
-                self.cluster.sim.now,
-                "service_crashed",
-                f"MCCS service on host {self.host.host_id} crashed",
-                host=self.host.host_id,
-            )
-            if self.telemetry.flight is not None:
-                self.telemetry.flight.trigger(
-                    "crash", self.cluster.sim.now, host=self.host.host_id
-                )
+        self.telemetry.metrics.counter(
+            "mccs_service_crashes_total",
+            "MCCS service process crashes, by host.",
+        ).inc(host=f"h{self.host.host_id}")
+        self.telemetry.events.log(
+            self.cluster.sim.now,
+            "service_crashed",
+            f"MCCS service on host {self.host.host_id} crashed",
+            host=self.host.host_id,
+        )
+        self.telemetry.flight.trigger(
+            "crash", self.cluster.sim.now, host=self.host.host_id
+        )
         if self.deployment is not None and self.deployment.supervisor is not None:
             self.deployment.supervisor.notify_crash(self)
 
@@ -389,7 +383,7 @@ class MccsService:
 
         proxies = {
             gpu.global_id: ProxyEngine(
-                self.host.host_id, gpu.global_id, telemetry=self.telemetry
+                self.host.host_id, gpu.global_id, self.telemetry
             )
             for gpu in self.host.gpus
         }
@@ -414,19 +408,18 @@ class MccsService:
             generation=self.generation,
             replayed=len(records),
         )
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "mccs_service_restarts_total",
-                "MCCS service restarts reconstructed from the journal.",
-            ).inc(host=f"h{self.host.host_id}")
-            self.telemetry.events.log(
-                self.cluster.sim.now,
-                "service_restarted",
-                f"host {self.host.host_id} gen {self.generation}: replayed "
-                f"{len(records)} journal record(s), {restored} buffer(s)",
-                host=self.host.host_id,
-                generation=self.generation,
-            )
+        self.telemetry.metrics.counter(
+            "mccs_service_restarts_total",
+            "MCCS service restarts reconstructed from the journal.",
+        ).inc(host=f"h{self.host.host_id}")
+        self.telemetry.events.log(
+            self.cluster.sim.now,
+            "service_restarted",
+            f"host {self.host.host_id} gen {self.generation}: replayed "
+            f"{len(records)} journal record(s), {restored} buffer(s)",
+            host=self.host.host_id,
+            generation=self.generation,
+        )
         return len(records)
 
     # ------------------------------------------------------------------
@@ -471,14 +464,13 @@ class MccsService:
             generation_before=self.generation,
         )
         self.upgrades.append(session)
-        if self.telemetry is not None:
-            self.telemetry.events.log(
-                sim.now,
-                "upgrade_started",
-                f"host {self.host.host_id} upgrading {component}",
-                host=self.host.host_id,
-                component=component,
-            )
+        self.telemetry.events.log(
+            sim.now,
+            "upgrade_started",
+            f"host {self.host.host_id} upgrading {component}",
+            host=self.host.host_id,
+            component=component,
+        )
 
         swap_proxies = component in ("service", "proxy")
         swap_frontends = component in ("service", "frontend")
@@ -510,24 +502,23 @@ class MccsService:
                 component=component,
                 generation=self.generation,
             )
-            if self.telemetry is not None:
-                self.telemetry.metrics.counter(
-                    "mccs_upgrades_total",
-                    "Live service upgrades completed, by component.",
-                ).inc(host=f"h{self.host.host_id}", component=component)
-                self.telemetry.metrics.histogram(
-                    "mccs_upgrade_drain_seconds",
-                    "Barrier-drain time of live upgrades.",
-                ).observe(session.drain_seconds(), component=component)
-                self.telemetry.events.log(
-                    sim.now,
-                    "upgrade_done",
-                    f"host {self.host.host_id} {component} now gen "
-                    f"{self.generation} (drained {len(session.drained_comms)} "
-                    "communicator(s))",
-                    host=self.host.host_id,
-                    component=component,
-                )
+            self.telemetry.metrics.counter(
+                "mccs_upgrades_total",
+                "Live service upgrades completed, by component.",
+            ).inc(host=f"h{self.host.host_id}", component=component)
+            self.telemetry.metrics.histogram(
+                "mccs_upgrade_drain_seconds",
+                "Barrier-drain time of live upgrades.",
+            ).observe(session.drain_seconds(), component=component)
+            self.telemetry.events.log(
+                sim.now,
+                "upgrade_done",
+                f"host {self.host.host_id} {component} now gen "
+                f"{self.generation} (drained {len(session.drained_comms)} "
+                "communicator(s))",
+                host=self.host.host_id,
+                component=component,
+            )
             if on_done is not None:
                 on_done(session)
 
@@ -595,7 +586,7 @@ class MccsService:
         fresh: Dict[int, ProxyEngine] = {}
         for gpu_global_id, old in self.proxies.items():
             engine = ProxyEngine(
-                self.host.host_id, gpu_global_id, telemetry=self.telemetry
+                self.host.host_id, gpu_global_id, self.telemetry
             )
             engine._ranks = old._ranks
             fresh[gpu_global_id] = engine

@@ -10,20 +10,19 @@ application when it is not issuing collectives."
 
 A :class:`TraceRecord` is six scalars, written **once**, when the
 collective reaches its terminal state (completed or aborted), from the
-:class:`~repro.core.communicator.CollectiveInstance`'s own timestamps —
-so it reads the same whether or not a telemetry hub is attached, and it
-pins nothing.  The rich per-collective record (flows, retries, holds,
-attribution) is the causal tree in :mod:`repro.telemetry.causal`; this
+:class:`~repro.core.communicator.CollectiveInstance`'s own timestamps;
+it pins nothing.  The rich per-collective record (flows, retries,
+holds, attribution) is the causal tree in :mod:`repro.telemetry.causal`; this
 module is only the §4.3 query surface the policies consume.  Trace
 buffers are bounded ring buffers — a long-lived service deployment cannot
-keep every collective it ever carried — and a communicator's buffer goes
-when the communicator is destroyed.
+keep every collective it ever carried — and a communicator owns its
+buffer, so it goes when the communicator is destroyed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..collectives.types import Collective
 from ..telemetry.ringbuffer import RingBuffer
@@ -48,15 +47,9 @@ class TraceRecord:
     end_time: float
 
     def duration(self) -> float:
-        """Issue-to-completion time, including queueing in the service.
-
-        Alias of :meth:`total_duration`; kept under the historical name.
-        """
+        """Issue-to-completion time (shim call to last flow drained),
+        including queueing in the service."""
         return self.end_time - self.issue_time
-
-    def total_duration(self) -> float:
-        """Issue-to-completion time (shim call to last flow drained)."""
-        return self.duration()
 
     def network_duration(self) -> float:
         """Time the collective's traffic actually occupied the network
@@ -107,10 +100,6 @@ class CommTrace:
         """Retain one finished collective (called at its terminal state)."""
         self._records.append(record)
 
-    def completed_records(self) -> List[TraceRecord]:
-        """Same as :attr:`records`: only finished collectives are recorded."""
-        return self.records
-
     def busy_intervals(self) -> List[Tuple[float, float]]:
         """Merged [start, end) intervals during which collectives ran.
 
@@ -156,31 +145,3 @@ class CommTrace:
             busy_durations[len(busy_durations) // 2],
             idle_durations[len(idle_durations) // 2],
         )
-
-
-class TraceStore:
-    """All communicator traces of one deployment, queryable by the
-    management API."""
-
-    def __init__(self, max_records_per_comm: int = DEFAULT_TRACE_CAPACITY) -> None:
-        self.max_records_per_comm = max_records_per_comm
-        self._traces: Dict[int, CommTrace] = {}
-
-    def trace_for(self, comm_id: int, app_id: str) -> CommTrace:
-        if comm_id not in self._traces:
-            self._traces[comm_id] = CommTrace(
-                comm_id=comm_id,
-                app_id=app_id,
-                max_records=self.max_records_per_comm,
-            )
-        return self._traces[comm_id]
-
-    def drop(self, comm_id: int) -> None:
-        """Forget a destroyed communicator's trace."""
-        self._traces.pop(comm_id, None)
-
-    def traces_of_app(self, app_id: str) -> List[CommTrace]:
-        return [t for t in self._traces.values() if t.app_id == app_id]
-
-    def all(self) -> List[CommTrace]:
-        return list(self._traces.values())

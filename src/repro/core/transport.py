@@ -84,9 +84,7 @@ class TrafficGateManager:
     in-network flows, so a completed or cancelled flow cannot be re-gated.
     """
 
-    def __init__(
-        self, sim: FlowSimulator, telemetry: Optional["TelemetryHub"] = None
-    ) -> None:
+    def __init__(self, sim: FlowSimulator, telemetry: "TelemetryHub") -> None:
         self._sim = sim
         self._telemetry = telemetry
         self._schedules: Dict[str, WindowSchedule] = {}
@@ -96,15 +94,14 @@ class TrafficGateManager:
     # -- policy interface -------------------------------------------------
     def set_schedule(self, app_id: str, schedule: Optional[WindowSchedule]) -> None:
         """Install (or clear, with ``None``) an app's transmission windows."""
-        if self._telemetry is not None:
-            self._telemetry.events.log(
-                self._sim.now,
-                "traffic_schedule",
-                ("cleared" if schedule is None else "installed")
-                + f" for {app_id}",
-                app=app_id,
-                period=None if schedule is None else schedule.period,
-            )
+        self._telemetry.events.log(
+            self._sim.now,
+            "traffic_schedule",
+            ("cleared" if schedule is None else "installed")
+            + f" for {app_id}",
+            app=app_id,
+            period=None if schedule is None else schedule.period,
+        )
         if schedule is None:
             self._schedules.pop(app_id, None)
             for flow in self._flows_of(app_id):

@@ -46,7 +46,7 @@ class ReconfigTimeline:
     ring_after: tuple
     #: The deployment's telemetry hub — spans (including the reconfig
     #: barrier), metrics, and link-utilization series for this run.
-    telemetry: Optional[TelemetryHub] = field(default=None, repr=False)
+    telemetry: TelemetryHub = field(repr=False)
 
     def bandwidth_in(self, start: float, end: float) -> float:
         window = [p.algbw_gBps for p in self.points if start <= p.time < end]
@@ -141,17 +141,16 @@ def main(trace_out: Optional[str] = None) -> None:
     reporter.line(f"reconfig applied:       t={timeline.reconfig_done}")
     reporter.line(f"ring: {timeline.ring_before} -> {timeline.ring_after}")
     hub = timeline.telemetry
-    if hub is not None:
-        stall = hub.metrics.histograms().get("mccs_barrier_stall_seconds")
-        if stall is not None and stall.count() > 0:
-            reporter.line(
-                f"barrier stall:          {stall.mean() * 1e3:.3f} ms "
-                f"over {stall.count()} reconfiguration(s)"
-            )
-        if trace_out is None:
-            trace_out = os.environ.get("MCCS_TRACE_OUT")
-        if trace_out:
-            reporter.dump_json(hub.to_chrome_trace(), trace_out)
+    stall = hub.metrics.histograms().get("mccs_barrier_stall_seconds")
+    if stall is not None and stall.count() > 0:
+        reporter.line(
+            f"barrier stall:          {stall.mean() * 1e3:.3f} ms "
+            f"over {stall.count()} reconfiguration(s)"
+        )
+    if trace_out is None:
+        trace_out = os.environ.get("MCCS_TRACE_OUT")
+    if trace_out:
+        reporter.dump_json(hub.to_chrome_trace(), trace_out)
 
 
 if __name__ == "__main__":

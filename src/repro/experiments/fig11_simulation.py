@@ -176,7 +176,7 @@ def _run_solution(
         reassign_routes()  # rescheduling on job join
 
         def finished(gen: TrafficGenerator, now: float) -> None:
-            trace_records = deployment.trace(state.comm_id).completed_records()
+            trace_records = deployment.trace(state.comm_id).records
             comm_time[job.job_id] = sum(r.duration() for r in trace_records)
             client.destroy_communicator(comm)
             active["count"] -= 1

@@ -229,7 +229,7 @@ def run_attribution(
                 sum_ok, correct = _grade(report, flowlog)
                 result.sum_ok += int(sum_ok)
                 result.correct += int(correct)
-                row = result.ledger.setdefault(report.ctx.tenant, {})
+                row = result.ledger.setdefault(report.trace.tenant, {})
                 for other, seconds in report.interference.items():
                     row[other] = row.get(other, 0.0) + seconds
                 result.reports.append(
@@ -248,7 +248,7 @@ def export_artifacts(results: List[AttributionResult], hub=None) -> None:
                 {"results": [r.to_dict() for r in results]}, fh, indent=2
             )
     flight_path = os.environ.get("MCCS_FLIGHT_OUT")
-    if flight_path and hub is not None and hub.flight is not None:
+    if flight_path and hub is not None:
         hub.flight.trigger("manual", 0.0, source="fig_attribution")
         hub.flight.write_json(flight_path)
 

@@ -138,7 +138,7 @@ def _run(
     deployment.enable_autotuning()
     elastic = deployment.enable_elasticity()
     injector = FaultInjector(
-        cluster, deployment=deployment, telemetry=deployment.telemetry()
+        cluster, deployment.telemetry(), deployment=deployment
     )
     wan = wan_links(cluster.fabric)
 

@@ -105,7 +105,7 @@ def run_failover_case(
     hcomm = healthy.adopt_communicator(healthy_state.comm_id)
 
     injector = FaultInjector(
-        cluster, deployment=deployment, telemetry=deployment.telemetry()
+        cluster, deployment.telemetry(), deployment=deployment
     )
 
     def strike() -> None:

@@ -232,8 +232,8 @@ def run_fleet(
     # plan (absorbed by per-tenant token buckets, not by collapse).
     if storms <= 0:
         storms = max(4, num_tenants // 25)
-    injector = FaultInjector(cluster, deployment=deployment,
-                            telemetry=deployment.telemetry())
+    injector = FaultInjector(cluster, deployment.telemetry(),
+                             deployment=deployment)
     gen.bind_injector(injector)
     plan = FaultPlan()
     storm_victims = [

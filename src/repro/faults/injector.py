@@ -25,19 +25,20 @@ class FaultInjector:
 
     Args:
         cluster: The installation to break.
+        telemetry: Hub receiving ``mccs_faults_injected_total`` and
+            decision-log entries (``deployment.telemetry()``, or a
+            ``TelemetryHub(cluster.sim)`` when there is no deployment).
         deployment: Optional MCCS deployment; when given, host crashes
             also kill the host's proxy engines (otherwise only the
             network side of the crash is modelled).
-        telemetry: Optional hub receiving ``mccs_faults_injected_total``
-            and decision-log entries.
     """
 
     def __init__(
         self,
         cluster: "Cluster",
+        telemetry: "TelemetryHub",
         *,
         deployment: Optional["MccsDeployment"] = None,
-        telemetry: Optional["TelemetryHub"] = None,
     ) -> None:
         self.cluster = cluster
         self.sim = cluster.sim
@@ -91,15 +92,14 @@ class FaultInjector:
         }[event.kind]
         handler()
         self.injected.append((self.sim.now, event))
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "mccs_faults_injected_total",
-                "Infrastructure faults applied by the injector, by kind.",
-            ).inc(kind=event.kind.value)
-            self.telemetry.events.log(
-                self.sim.now, "fault_injected", event.describe(),
-                fault=event.kind.value,
-            )
+        self.telemetry.metrics.counter(
+            "mccs_faults_injected_total",
+            "Infrastructure faults applied by the injector, by kind.",
+        ).inc(kind=event.kind.value)
+        self.telemetry.events.log(
+            self.sim.now, "fault_injected", event.describe(),
+            fault=event.kind.value,
+        )
 
     # ------------------------------------------------------------------
     # link faults

@@ -14,9 +14,9 @@ This module provides that substrate:
   from these trees at export time, and the §4.3
   :class:`~repro.core.tracing.TraceRecord` is six scalars copied off the
   instance at its terminal state; no lifecycle fact is written twice.
-* :class:`TraceContext` — the identity a trace carries (``trace_id``,
-  tenant, communicator, seq, kind, bytes, strategy version); journal
-  records, decision events and flow tags reference its ``trace_id``.
+  The trace carries its own identity (``trace_id``, tenant, comm, seq,
+  kind, bytes, strategy version); journal records, decision events and
+  flow tags reference its ``trace_id``.
 * :class:`CausalTracer` — a :class:`~repro.netsim.engine.SimObserver`
   that keeps the live trees and a bounded ring of closed ones.  Flows
   tagged with ``trace=<trace_id>`` are adopted into the issuing trace;
@@ -67,30 +67,6 @@ EVENT_RANK_APPLIED = "rank_applied"
 EVENT_RANK_FAILED = "rank_failed"
 EVENT_RETRY = "retry"
 EVENT_ABORTED = "aborted"
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """Identity of one issued collective, threaded through every layer."""
-
-    trace_id: str
-    tenant: str
-    comm_id: str
-    seq: int
-    kind: str
-    nbytes: int
-    strategy_version: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "trace_id": self.trace_id,
-            "tenant": self.tenant,
-            "comm": self.comm_id,
-            "seq": self.seq,
-            "kind": self.kind,
-            "nbytes": self.nbytes,
-            "strategy_version": self.strategy_version,
-        }
 
 
 @dataclass(slots=True)
@@ -197,11 +173,28 @@ class TraceAttempt:
 class CausalTrace:
     """The causal tree of one issued collective."""
 
-    __slots__ = ("ctx", "issued_at", "end_time", "status", "attempts",
-                 "events")
+    __slots__ = ("trace_id", "tenant", "comm_id", "seq", "kind", "nbytes",
+                 "strategy_version", "issued_at", "end_time", "status",
+                 "attempts", "events")
 
-    def __init__(self, ctx: TraceContext, now: float) -> None:
-        self.ctx = ctx
+    def __init__(
+        self,
+        trace_id: str,
+        tenant: str,
+        comm_id: str,
+        seq: int,
+        kind: str,
+        nbytes: int,
+        strategy_version: int,
+        now: float,
+    ) -> None:
+        self.trace_id = trace_id
+        self.tenant = tenant
+        self.comm_id = comm_id
+        self.seq = seq
+        self.kind = kind
+        self.nbytes = nbytes
+        self.strategy_version = strategy_version
         self.issued_at = now
         self.end_time: Optional[float] = None
         self.status = "open"
@@ -240,9 +233,21 @@ class CausalTrace:
                 return rec
         return None
 
+    def identity(self) -> Dict[str, object]:
+        """Which collective this is: the leading keys of every export."""
+        return {
+            "trace_id": self.trace_id,
+            "tenant": self.tenant,
+            "comm": self.comm_id,
+            "seq": self.seq,
+            "kind": self.kind,
+            "nbytes": self.nbytes,
+            "strategy_version": self.strategy_version,
+        }
+
     def to_dict(self) -> Dict[str, object]:
         return {
-            **self.ctx.to_dict(),
+            **self.identity(),
             "issued_at": self.issued_at,
             "end": self.end_time,
             "status": self.status,
@@ -263,7 +268,7 @@ class CriticalPathReport:
     final attempt, and a collective completes at its last flow's end.
     """
 
-    ctx: TraceContext
+    trace: CausalTrace
     duration_s: float
     #: Time before the critical flow entered the network — shim/frontend
     #: queueing, proxy launch latency, reconfig holds, and (for retried
@@ -293,7 +298,7 @@ class CriticalPathReport:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            **self.ctx.to_dict(),
+            **self.trace.identity(),
             "duration_s": self.duration_s,
             "queue_s": self.queue_s,
             "serialization_s": self.serialization_s,
@@ -412,10 +417,7 @@ class CausalTracer:
         """Start the trace of one issued collective; the caller owns it."""
         trace_id = f"tr{next(self._ids)}:{comm_id}.s{seq}"
         trace = self._live[trace_id] = CausalTrace(
-            TraceContext(
-                trace_id, tenant, comm_id, seq, kind, nbytes, strategy_version
-            ),
-            now,
+            trace_id, tenant, comm_id, seq, kind, nbytes, strategy_version, now
         )
         self.traces_started += 1
         if self._traces_total is not None:
@@ -433,7 +435,7 @@ class CausalTracer:
     ) -> None:
         """Terminate a trace exactly once; later calls are no-ops.
         ``attrs`` become one final annotation named after ``status``."""
-        if self._live.pop(trace.ctx.trace_id, None) is None:
+        if self._live.pop(trace.trace_id, None) is None:
             return
         for rec in trace.all_flows():
             if rec.status == "active":  # flow outlived by its collective
@@ -556,7 +558,7 @@ class CausalTracer:
         else:
             bottleneck = min(critical.path, key=self.sim.link_capacity)
         return CriticalPathReport(
-            ctx=trace.ctx,
+            trace=trace,
             duration_s=duration,
             queue_s=queue_s,
             serialization_s=serialization_s,
@@ -617,7 +619,7 @@ class FlightRecorder:
         traces = self.tracer.recent(self.snapshot_traces)
         trace_id = None
         if trace is not None:
-            trace_id = trace.ctx.trace_id
+            trace_id = trace.trace_id
             if trace not in traces:
                 traces = [trace] + traces[: self.snapshot_traces - 1]
         dump = {

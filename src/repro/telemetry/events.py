@@ -15,6 +15,9 @@ from typing import Dict, List, Optional
 
 from .ringbuffer import RingBuffer
 
+#: Capacity of a hub's decision-event ring (``hub.events``).
+MAX_EVENTS = 2048
+
 
 @dataclass(frozen=True)
 class TelemetryEvent:
@@ -37,7 +40,7 @@ class TelemetryEvent:
 class EventLog:
     """Bounded, append-only event store."""
 
-    def __init__(self, max_events: int = 2048) -> None:
+    def __init__(self, max_events: int = MAX_EVENTS) -> None:
         self._events: RingBuffer[TelemetryEvent] = RingBuffer(max_events)
 
     def log(

@@ -103,13 +103,12 @@ def json_snapshot(hub: "TelemetryHub") -> Dict[str, object]:
             "evicted": hub.events.evicted,
             "records": [event.to_dict() for event in hub.events.events()],
         },
+        "links": hub.network.utilization_snapshot(),
     }
-    if hub.network is not None:
-        out["links"] = hub.network.utilization_snapshot()
     slo_report = hub.slo.report()
     if slo_report:
         out["slo"] = slo_report
-    if hub.flight is not None and hub.flight.dumps():
+    if hub.flight.dumps():
         out["flight"] = hub.flight.to_dict()
     return out
 

@@ -1,11 +1,11 @@
 """The telemetry hub: one object owning every observability store.
 
-A :class:`TelemetryHub` is created per :class:`~repro.core.deployment.
-MccsDeployment` and threaded through the service layers — frontend,
-proxies, reconfiguration manager, transport, controller — so every
-counter increment, span, and decision event lands in the same place.
-``MccsDeployment.telemetry()`` hands it to callers; the exporters in
-:mod:`repro.telemetry.exporters` render it.
+Every :class:`~repro.core.deployment.MccsDeployment` builds one
+:class:`TelemetryHub` on its cluster's simulator and threads it through
+the service layers — frontend, proxies, reconfiguration manager,
+transport, controller — so every counter increment, span, and decision
+event lands in the same place.  ``MccsDeployment.telemetry()`` hands it
+to callers; the exporters in :mod:`repro.telemetry.exporters` render it.
 """
 
 from __future__ import annotations
@@ -13,50 +13,40 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from .causal import CausalTracer, FlightRecorder
-from .events import EventLog
+from .events import MAX_EVENTS, EventLog
 from .exporters import chrome_trace, json_snapshot, prometheus_text
 from .metrics import MetricsRegistry
 from .sampler import NetworkTelemetry
 from .slo import SloPolicy, SloTracker
-from .spans import Span, SpanRecorder, collective_spans
+from .spans import MAX_SPANS, Span, SpanRecorder, collective_spans
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..netsim.engine import FlowSimulator
 
 
 class TelemetryHub:
-    """Aggregates metrics, spans, events, and network samples.
+    """Aggregates metrics, spans, events, network samples and causal
+    traces of one simulator.
 
-    Args:
-        max_spans: Capacity of the stored-span ring (``hub.spans``:
-            reconfiguration spans — collectives are rendered from the
-            causal tracer's trees, see :meth:`exported_spans`).
-        max_events: Decision event-log capacity.
-        sample_interval: Simulated seconds between link-utilization
-            samples once a network is attached.
-        max_samples: Per-link utilization ring-buffer capacity.
+    ``hub.spans`` stores reconfiguration spans only — collectives are
+    rendered from the causal tracer's trees, see :meth:`exported_spans`.
+    Every store is a ring sized by a constant of the module that defines
+    it (``MAX_SPANS``, ``MAX_EVENTS``, the sampler's and the tracer's).
     """
 
-    def __init__(
-        self,
-        *,
-        max_spans: int = 8192,
-        max_events: int = 2048,
-        sample_interval: float = 0.25,
-        max_samples: int = 4096,
-    ) -> None:
+    def __init__(self, sim: "FlowSimulator") -> None:
         self.metrics = MetricsRegistry()
-        self.spans = SpanRecorder(max_spans=max_spans)
-        self.events = EventLog(max_events=max_events)
-        self.network: Optional[NetworkTelemetry] = None
-        #: Causal tracer + flight recorder, created with the network
-        #: attachment (they observe the same simulator).
-        self.causal: Optional[CausalTracer] = None
-        self.flight: Optional[FlightRecorder] = None
+        self.spans = SpanRecorder(MAX_SPANS)
+        self.events = EventLog(MAX_EVENTS)
         self.slo = SloTracker(metrics=self.metrics, events=self.events)
         self.slo.on_violation = self._on_slo_violation
-        self._sample_interval = sample_interval
-        self._max_samples = max_samples
+        self.network = NetworkTelemetry(sim, self.metrics)
+        self.causal = CausalTracer(
+            sim, events=self.events, metrics=self.metrics
+        )
+        self.flight = FlightRecorder(
+            self.causal, events=self.events, metrics=self.metrics
+        )
         self._resilience_provider: Optional[
             Callable[[], Dict[str, int]]
         ] = None
@@ -68,10 +58,9 @@ class TelemetryHub:
     def _on_slo_violation(
         self, tenant: str, p99: float, target: float, now: float
     ) -> None:
-        if self.flight is not None:
-            self.flight.trigger(
-                "slo_violation", now, tenant=tenant, p99=p99, target=target
-            )
+        self.flight.trigger(
+            "slo_violation", now, tenant=tenant, p99=p99, target=target
+        )
 
     def set_resilience_provider(
         self, provider: Optional[Callable[[], Dict[str, int]]]
@@ -79,29 +68,6 @@ class TelemetryHub:
         """Install the callback publishing recovery/overload state
         (journal size, crashes, restarts, sheds) into the summary."""
         self._resilience_provider = provider
-
-    # ------------------------------------------------------------------
-    def attach_network(self, sim: "FlowSimulator") -> NetworkTelemetry:
-        """Hook the flow-level sampler into ``sim`` (idempotent).
-
-        Also arms the causal tracer and its flight recorder: causal
-        tracing is always-on for any deployment with a network attached.
-        """
-        if self.network is None:
-            self.network = NetworkTelemetry(
-                sim,
-                self.metrics,
-                sample_interval=self._sample_interval,
-                max_samples=self._max_samples,
-            )
-        if self.causal is None:
-            self.causal = CausalTracer(
-                sim, events=self.events, metrics=self.metrics
-            )
-            self.flight = FlightRecorder(
-                self.causal, events=self.events, metrics=self.metrics
-            )
-        return self.network
 
     # ------------------------------------------------------------------
     # export surface
@@ -122,12 +88,10 @@ class TelemetryHub:
         """Every span an export shows, by start time: the stored
         reconfiguration spans, and the collective spans rendered from the
         causal trees the tracer still retains (closed ring + live)."""
-        spans = self.spans.spans()
-        if self.causal is not None:
-            spans += collective_spans(
-                self.causal.closed_traces() + self.causal.live_traces(),
-                self.spans.next_id,
-            )
+        spans = self.spans.spans() + collective_spans(
+            self.causal.closed_traces() + self.causal.live_traces(),
+            self.spans.next_id,
+        )
         spans.sort(key=lambda span: span.start)
         return spans
 
@@ -152,18 +116,17 @@ class TelemetryHub:
                 )
         lines.append(f"spans recorded = {len(self.spans)} (evicted {self.spans.evicted})")
         lines.append(f"decision events = {len(self.events)} (evicted {self.events.evicted})")
-        if self.network is not None:
-            lines.append(
-                "link series = "
-                f"{len(self.network.sampled_links())} links, "
-                f"{self.network.samples_taken} sampling passes"
-            )
-            for name, value in sorted(self.network.publish_perf_counters().items()):
-                lines.append(f"netsim.{name} = {value}")
-            cache_stats = self.network.publish_program_cache()
-            if cache_stats is not None:
-                for name, value in sorted(cache_stats.items()):
-                    lines.append(f"program_cache.{name} = {value}")
+        lines.append(
+            "link series = "
+            f"{len(self.network.sampled_links())} links, "
+            f"{self.network.samples_taken} sampling passes"
+        )
+        for name, value in sorted(self.network.publish_perf_counters().items()):
+            lines.append(f"netsim.{name} = {value}")
+        cache_stats = self.network.publish_program_cache()
+        if cache_stats is not None:
+            for name, value in sorted(cache_stats.items()):
+                lines.append(f"program_cache.{name} = {value}")
         if self._resilience_provider is not None:
             for name, value in sorted(self._resilience_provider().items()):
                 lines.append(f"resilience.{name} = {value}")

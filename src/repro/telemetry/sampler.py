@@ -29,6 +29,10 @@ from .ringbuffer import RingBuffer
 #: One utilization sample: (sim_time, utilization in [0, 1]).
 LinkSample = Tuple[float, float]
 
+#: Simulated seconds between link samples, and samples kept per link.
+SAMPLE_INTERVAL = 0.25
+MAX_SAMPLES = 4096
+
 
 class _JobSeries(NamedTuple):
     """The per-job label handles, bound the first time a job is seen."""
@@ -57,8 +61,8 @@ class NetworkTelemetry(SimObserver):
         sim: FlowSimulator,
         metrics: MetricsRegistry,
         *,
-        sample_interval: float = 0.25,
-        max_samples: int = 4096,
+        sample_interval: float = SAMPLE_INTERVAL,
+        max_samples: int = MAX_SAMPLES,
     ) -> None:
         if sample_interval <= 0:
             raise ValueError("sample_interval must be positive")

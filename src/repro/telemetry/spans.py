@@ -36,6 +36,9 @@ from .causal import (
 )
 from .ringbuffer import RingBuffer
 
+#: Capacity of a hub's stored-span ring (``hub.spans``).
+MAX_SPANS = 8192
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .causal import CausalTrace
 
@@ -126,7 +129,7 @@ class SpanRecorder:
     ``max_spans`` spans; the eviction count is reported by exporters.
     """
 
-    def __init__(self, max_spans: int = 8192) -> None:
+    def __init__(self, max_spans: int = MAX_SPANS) -> None:
         self._spans: RingBuffer[Span] = RingBuffer(max_spans)
 
     @property
@@ -194,15 +197,14 @@ def collective_spans(
     """
     out: List[Span] = []
     for trace in traces:
-        ctx = trace.ctx
-        tracks = {"app": ctx.tenant, "comm": ctx.comm_id}
+        tracks = {"app": trace.tenant, "comm": trace.comm_id}
         root = Span(
             first_id + len(out),
-            f"{ctx.kind} {ctx.comm_id}.s{ctx.seq}",
+            f"{trace.kind} {trace.comm_id}.s{trace.seq}",
             trace.issued_at,
             category="collective",
-            attrs=dict(tracks, seq=ctx.seq, kind=ctx.kind, bytes=ctx.nbytes,
-                       trace=ctx.trace_id),
+            attrs=dict(tracks, seq=trace.seq, kind=trace.kind,
+                       bytes=trace.nbytes, trace=trace.trace_id),
         )
         root.events = [(kind, t, attrs) for t, kind, attrs in trace.events]
         if trace.status == TRACE_COMPLETED:

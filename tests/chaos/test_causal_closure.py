@@ -38,11 +38,11 @@ def assert_traces_closed(result: dict) -> None:
     # started must have reached a terminal state, exactly once.
     assert tracer.live_traces() == [], (
         f"open traces left after quiescence under plan [{plan_text}]: "
-        f"{[t.ctx.trace_id for t in tracer.live_traces()]}"
+        f"{[t.trace_id for t in tracer.live_traces()]}"
     )
     assert tracer.traces_closed == tracer.traces_started
 
-    closed = {t.ctx.trace_id: t for t in tracer.closed_traces()}
+    closed = {t.trace_id: t for t in tracer.closed_traces()}
     assert len(closed) == tracer.traces_closed, "duplicate trace close"
 
     # Exactly one closed tree per collective that reached the service —
@@ -52,7 +52,7 @@ def assert_traces_closed(result: dict) -> None:
     for op in ops:
         trace = op.instance.trace
         assert trace is not None, f"collective seq={op.seq} issued untraced"
-        assert closed.get(trace.ctx.trace_id) is trace, (
+        assert closed.get(trace.trace_id) is trace, (
             f"collective seq={op.seq} has no closed trace "
             f"under plan [{plan_text}]"
         )
@@ -71,7 +71,7 @@ def assert_traces_closed(result: dict) -> None:
         for rec in trace.all_flows():
             assert rec.status != "active", (
                 f"orphan flow {rec.flow_id} in closed trace "
-                f"{trace.ctx.trace_id} under plan [{plan_text}]"
+                f"{trace.trace_id} under plan [{plan_text}]"
             )
             for seg in rec.segments:
                 assert seg.end is not None

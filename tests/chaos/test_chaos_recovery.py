@@ -94,7 +94,7 @@ def run_chaos(seed: int, *, num_faults: int = 2, num_ops: int = 3) -> dict:
         host_candidates=[2, 3],  # keep hosts 0-1 (healthy tenant) safe
     )
     injector = FaultInjector(
-        cluster, deployment=deployment, telemetry=deployment.telemetry()
+        cluster, deployment.telemetry(), deployment=deployment
     )
     injector.schedule(plan)
 

@@ -44,7 +44,7 @@ def _run_interleaving(ops):
     deployment.enable_service_supervision(restart_delay=0.02)
     elastic = deployment.enable_elasticity()
     injector = FaultInjector(
-        cluster, deployment=deployment, telemetry=deployment.telemetry()
+        cluster, deployment.telemetry(), deployment=deployment
     )
     wan = wan_links(cluster.fabric)
 

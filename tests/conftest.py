@@ -5,12 +5,20 @@ import pytest
 from repro.cluster.specs import ring_cluster, testbed_cluster
 from repro.core.controller import CentralManager
 from repro.core.deployment import MccsDeployment
+from repro.telemetry import TelemetryHub
 
 
 @pytest.fixture
 def cluster():
     """A fresh Figure 5a testbed cluster."""
     return testbed_cluster()
+
+
+@pytest.fixture
+def hub(cluster):
+    """A telemetry hub on the testbed's simulator, for components built
+    without a deployment (a deployment builds its own)."""
+    return TelemetryHub(cluster.sim)
 
 
 @pytest.fixture

@@ -274,7 +274,7 @@ def test_fault_plan_membership_kinds_drive_elastic(
     deployment.enable_elasticity()
     client, comm = _admit(manager, deployment, four_gpus)
     injector = FaultInjector(
-        cluster, deployment=deployment, telemetry=deployment.telemetry()
+        cluster, deployment.telemetry(), deployment=deployment
     )
     plan = FaultPlan().rank_join(0.01).rank_leave(0.05)
     injector.schedule(plan)

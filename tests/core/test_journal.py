@@ -23,36 +23,36 @@ from repro.netsim.units import MB
 # ----------------------------------------------------------------------
 # record schema and serialization
 # ----------------------------------------------------------------------
-def test_append_rejects_unknown_op():
-    journal = StateJournal()
+def test_append_rejects_unknown_op(hub):
+    journal = StateJournal(hub)
     with pytest.raises(JournalError, match="unknown journal op"):
         journal.append(0.0, "nonsense", x=1)
 
 
-def test_append_rejects_non_serializable_payload():
-    journal = StateJournal()
+def test_append_rejects_non_serializable_payload(hub):
+    journal = StateJournal(hub)
     with pytest.raises(JournalError, match="not JSON-serializable"):
         journal.append(0.0, "alloc", buffer_id=object())
 
 
-def test_json_round_trip_preserves_records_and_seq():
-    journal = StateJournal()
+def test_json_round_trip_preserves_records_and_seq(hub):
+    journal = StateJournal(hub)
     journal.append(0.0, "alloc", app="A", host=0, gpu=0, buffer_id=1,
                    size=256, handle_id=7)
     journal.append(0.001, "free", app="A", host=0, buffer_id=1)
-    clone = StateJournal.from_json(journal.to_json())
+    clone = StateJournal.from_json(journal.to_json(), hub)
     assert clone.records() == journal.records()
     # The sequence counter continues past the restored records.
     record = clone.append(0.002, "service_crash", host=0, generation=0)
     assert record.seq == 2
 
 
-def test_replay_rejects_dangling_references():
-    journal = StateJournal()
+def test_replay_rejects_dangling_references(hub):
+    journal = StateJournal(hub)
     journal.append(0.0, "free", app="A", host=0, buffer_id=99)
     with pytest.raises(JournalError, match="unknown buffer"):
         replay_journal(journal.records())
-    journal2 = StateJournal()
+    journal2 = StateJournal(hub)
     journal2.append(0.0, "collective_issued", app="A", comm_id=5, seq=0,
                     kind="all_reduce", bytes=256)
     with pytest.raises(JournalError, match="unknown comm"):

@@ -72,8 +72,12 @@ def test_out_of_order_launch_rejected(env):
     from repro.collectives.types import Collective
 
     proxy = deployment.proxies_of(comm)[0]
+    trace = deployment.telemetry().causal.open(
+        0.0, tenant=comm.app_id, comm_id=f"comm{comm.comm_id}", seq=5,
+        kind="all_reduce", nbytes=100,
+    )
     bogus = CollectiveInstance(
-        comm=comm, seq=5, kind=Collective.ALL_REDUCE, out_bytes=100
+        comm=comm, seq=5, kind=Collective.ALL_REDUCE, out_bytes=100, trace=trace
     )
     with pytest.raises(ReconfigurationError):
         proxy.request_launch(0, bogus)

@@ -139,6 +139,32 @@ def test_double_reconfigure_rejected_while_in_flight():
         deployment.reconfigure(comm.comm_id, ring=[1, 0, 2])
 
 
+def test_rejected_reconfigure_has_no_side_effect():
+    """A wrong-length ``delays`` is refused before a session exists: the
+    communicator stays reconfigurable and nothing was logged or counted
+    (it used to leave an undeliverable session in ``_active`` for ever)."""
+    cluster, deployment, comm, client, handle = make_env()
+    hub = deployment.telemetry()
+
+    def observed():
+        return (
+            len(deployment.reconfig.sessions),
+            len(hub.spans),
+            len(hub.events.events("reconfig_issued")),
+            hub.metrics.counter("mccs_reconfigs_total").total(),
+            comm.strategy.ring.order,
+        )
+
+    before = observed()
+    with pytest.raises(ReconfigurationError, match="one delivery delay per rank"):
+        deployment.reconfigure(comm.comm_id, ring=[2, 1, 0], delays=[0.0])
+    assert observed() == before
+    session = deployment.reconfigure(comm.comm_id, ring=[2, 1, 0])
+    deployment.run()
+    assert session.done and comm.strategy.ring.order == (2, 1, 0)
+    assert hub.metrics.counter("mccs_reconfigs_total").total() == 1
+
+
 def test_sequential_reconfigurations_allowed():
     cluster, deployment, comm, client, handle = make_env()
     deployment.reconfigure(comm.comm_id, ring=[2, 1, 0])

@@ -25,7 +25,7 @@ from repro.netsim.units import MB
 
 @pytest.fixture
 def injector(cluster, deployment):
-    return FaultInjector(cluster, deployment=deployment, telemetry=deployment.telemetry())
+    return FaultInjector(cluster, deployment.telemetry(), deployment=deployment)
 
 
 def _admit(manager, deployment, gpus, app="A"):

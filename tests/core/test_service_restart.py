@@ -191,7 +191,7 @@ def test_service_crash_plan_kills_and_restarts(cluster, deployment):
     assert kinds == [FaultKind.SERVICE_CRASH, FaultKind.ENGINE_RESTART]
     assert plan.events[1].time == pytest.approx(0.005)
     injector = FaultInjector(
-        cluster, deployment=deployment, telemetry=deployment.telemetry()
+        cluster, deployment.telemetry(), deployment=deployment
     )
     injector.schedule(plan)
     cluster.sim.run(until=0.003)

@@ -2,8 +2,8 @@
 
 A long-lived service must not grow with the number of collectives it has
 served.  Each case warms a deployment up until every bounded ring
-(``max_spans``, the causal tracer's ``max_closed``, ``trace_capacity``)
-is full, counts the live objects of the per-collective types with
+(``MAX_SPANS``, ``MAX_EVENTS`` and ``DEFAULT_TRACE_CAPACITY``, patched
+small here; the causal tracer's 512-trace ring, warmed past) is full, counts the live objects of the per-collective types with
 ``gc.get_objects()``, serves some more, and counts again: the difference
 must be zero.  These are counts, not timings, so the test is exact.
 
@@ -34,7 +34,6 @@ from repro.service import (
     ServiceGateway,
     TenantQuota,
 )
-from repro.telemetry import TelemetryHub
 
 #: Types of which a finished collective must leave no instance behind
 #: (closures show up as ``function`` + ``cell``).
@@ -75,15 +74,18 @@ def census():
     return {name: counts.get(name, 0) for name in PER_COLLECTIVE}
 
 
-def make_deployment():
-    cluster = testbed_cluster()
+def make_deployment(monkeypatch):
+    # A deployment has no ring-size knobs; shrink the constants it reads.
     # Two stored spans per reconfiguration: the tenant cycles fill this.
-    hub = TelemetryHub(max_spans=64, max_events=64)
-    return cluster, MccsDeployment(cluster, telemetry=hub, trace_capacity=32)
+    monkeypatch.setattr("repro.telemetry.hub.MAX_SPANS", 64)
+    monkeypatch.setattr("repro.telemetry.hub.MAX_EVENTS", 64)
+    monkeypatch.setattr("repro.core.communicator.DEFAULT_TRACE_CAPACITY", 32)
+    cluster = testbed_cluster()
+    return cluster, MccsDeployment(cluster)
 
 
-def test_allreduce_loop_leaves_nothing_behind():
-    cluster, dep = make_deployment()
+def test_allreduce_loop_leaves_nothing_behind(monkeypatch):
+    cluster, dep = make_deployment(monkeypatch)
     client = dep.connect("app")
     gpus = list(cluster.gpus)
     comm = client.create_communicator(gpus)
@@ -162,8 +164,8 @@ def tenant_cycle(dep, client, gpus):
     return backing
 
 
-def test_tenant_cycles_leave_nothing_behind():
-    cluster, dep = make_deployment()
+def test_tenant_cycles_leave_nothing_behind(monkeypatch):
+    cluster, dep = make_deployment(monkeypatch)
     client = dep.connect("app")
     gpus = list(cluster.gpus)[:6]
     for _ in range(CAUSAL_RING // 8 + 4):
@@ -177,13 +179,51 @@ def test_tenant_cycles_leave_nothing_behind():
     assert sum(len(host.ipc._events) for host in cluster.hosts) == 0
     assert sum(len(host.ipc._memory) for host in cluster.hosts) == 0
     assert dep.verify_journal() == []
-    # A destroyed communicator takes its trace with it.
-    assert len(dep.traces.all()) == len(dep.communicators()) == 0
+    # A destroyed communicator takes its trace with it (the census above
+    # already held ``TraceRecord`` flat across ten destroyed ones).
+    assert dep.communicators() == []
     assert len(dep.telemetry().spans) == 64
 
 
-def test_gateway_requests_leave_nothing_behind():
-    cluster, dep = make_deployment()
+def test_elastic_cycles_leave_nothing_behind(monkeypatch):
+    """Grow then shrink back, each issued under traffic so the change has
+    to wait for in-flight work: the wait's completion listener (and the
+    ``_Operation``, record and callbacks it closes over) ends with it."""
+    cluster, dep = make_deployment(monkeypatch)
+    elastic = dep.enable_elasticity()
+    client = dep.connect("app")
+    gpus = list(cluster.gpus)
+    comm = dep.communicator(client.create_communicator(gpus[:4]).comm_id)
+    waits = []
+
+    def cycle():
+        for change in (
+            lambda: elastic.grow(comm.comm_id, [gpus[4]]),
+            lambda: elastic.shrink(comm.comm_id, [4]),
+        ):
+            handle = client.adopt_communicator(comm.comm_id)
+            ops = [client.all_reduce(handle, 64 * NBYTES) for _ in range(3)]
+            record = change()
+            dep.run(until=dep.sim.now + 1e-4)  # barrier resolved, ops not
+            waits.append(len(comm.completion_listeners))
+            dep.run()
+            assert record.state == "done" and all(op.completed for op in ops)
+
+    listeners = len(comm.completion_listeners)
+    for _ in range(CAUSAL_RING // 6 + 4):
+        cycle()
+    before = census()
+    for _ in range(10):
+        cycle()
+    assert census() == before
+    assert set(waits) == {listeners + 1}  # every change really waited...
+    assert len(comm.completion_listeners) == listeners  # ...and let go
+    assert elastic._inflight == {} and comm.world == 4
+    assert dep.verify_journal() == []
+
+
+def test_gateway_requests_leave_nothing_behind(monkeypatch):
+    cluster, dep = make_deployment(monkeypatch)
     admission = dep.configure_admission(AdmissionPolicy())
     gateway = ServiceGateway(
         dep, GatewayPolicy(queue_capacity=64, max_inflight=8)

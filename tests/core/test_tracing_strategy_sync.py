@@ -9,8 +9,9 @@ from repro.collectives.types import Collective
 from repro.core.messages import CommandQueue, AllocateRequest
 from repro.core.strategy import CollectiveStrategy, default_strategy
 from repro.core.sync import bridge_wait, export_snapshot, snapshot_event
-from repro.core.tracing import CommTrace, TraceRecord, TraceStore
+from repro.core.tracing import CommTrace, TraceRecord
 from repro.netsim.engine import FlowSimulator
+from repro.netsim.errors import CommunicatorError
 from repro.netsim.topology import Topology
 
 
@@ -50,18 +51,30 @@ def test_communication_period_needs_signal():
     assert trace.communication_period() is None
 
 
-def test_trace_store_per_app():
-    store = TraceStore()
-    store.trace_for(1, "a")
-    store.trace_for(2, "a")
-    store.trace_for(3, "b")
-    assert len(store.traces_of_app("a")) == 2
-    assert [t.comm_id for t in store.traces_of_app("b")] == [3]
-    assert store.traces_of_app("ghost") == []
-    assert len(store.all()) == 3
-    store.drop(2)  # what destroy_communicator does
-    assert [t.comm_id for t in store.traces_of_app("a")] == [1]
-    assert [t.comm_id for t in store.all()] == [1, 3]
+def test_comm_traces_per_app(cluster, deployment):
+    """A communicator owns its trace: per-app lookup reads the live
+    communicators, and destroy drops the trace with its owner."""
+    gpus = list(cluster.gpus)
+    client_a, client_b = deployment.connect("a"), deployment.connect("b")
+    a1 = client_a.create_communicator(gpus[0:2])
+    a2 = client_a.create_communicator(gpus[2:4])
+    b = client_b.create_communicator(gpus[4:6])
+
+    def traces_of_app(app_id):
+        return [c.trace for c in deployment.communicators() if c.app_id == app_id]
+
+    assert len(traces_of_app("a")) == 2
+    assert [t.comm_id for t in traces_of_app("b")] == [b.comm_id]
+    assert traces_of_app("ghost") == []
+    assert len(deployment.communicators()) == 3
+    assert deployment.trace(a2.comm_id) is deployment.communicator(a2.comm_id).trace
+    client_a.destroy_communicator(a2)
+    assert [t.comm_id for t in traces_of_app("a")] == [a1.comm_id]
+    assert [c.trace.comm_id for c in deployment.communicators()] == [
+        a1.comm_id, b.comm_id
+    ]
+    with pytest.raises(CommunicatorError):
+        deployment.trace(a2.comm_id)
 
 
 # -- strategy -------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.core.transport import TrafficGateManager, WindowSchedule
 from repro.netsim.engine import FlowSimulator
 from repro.netsim.topology import Topology
+from repro.telemetry import TelemetryHub
 
 
 @pytest.fixture
@@ -53,7 +54,7 @@ def closed_then_open(period=1.0, open_from=0.5):
 
 
 def test_flow_registered_while_closed_is_gated(sim):
-    gates = TrafficGateManager(sim)
+    gates = TrafficGateManager(sim, TelemetryHub(sim))
     gates.set_schedule("app", closed_then_open())
     flow = sim.add_flow(4.0, ["a->b"], job_id="app")
     gates.register([flow])
@@ -64,7 +65,7 @@ def test_flow_registered_while_closed_is_gated(sim):
 
 
 def test_flow_of_unscheduled_app_unaffected(sim):
-    gates = TrafficGateManager(sim)
+    gates = TrafficGateManager(sim, TelemetryHub(sim))
     gates.set_schedule("app", closed_then_open())
     flow = sim.add_flow(8.0, ["a->b"], job_id="other")
     gates.register([flow])
@@ -74,7 +75,7 @@ def test_flow_of_unscheduled_app_unaffected(sim):
 
 
 def test_gating_toggles_mid_flight(sim):
-    gates = TrafficGateManager(sim)
+    gates = TrafficGateManager(sim, TelemetryHub(sim))
     # open [0, 0.5), closed [0.5, 1.0)
     gates.set_schedule(
         "app", WindowSchedule(period=1.0, open_intervals=((0.0, 0.5),))
@@ -88,7 +89,7 @@ def test_gating_toggles_mid_flight(sim):
 
 
 def test_clearing_schedule_releases_flows(sim):
-    gates = TrafficGateManager(sim)
+    gates = TrafficGateManager(sim, TelemetryHub(sim))
     gates.set_schedule("app", closed_then_open(period=100.0, open_from=99.0))
     flow = sim.add_flow(8.0, ["a->b"], job_id="app")
     gates.register([flow])
@@ -101,7 +102,7 @@ def test_clearing_schedule_releases_flows(sim):
 
 def test_ticker_sleeps_when_no_live_flows(sim):
     """The simulator must drain even with a schedule installed."""
-    gates = TrafficGateManager(sim)
+    gates = TrafficGateManager(sim, TelemetryHub(sim))
     gates.set_schedule("app", closed_then_open())
     flow = sim.add_flow(4.0, ["a->b"], job_id="app")
     gates.register([flow])
@@ -111,7 +112,7 @@ def test_ticker_sleeps_when_no_live_flows(sim):
 
 
 def test_gate_for_facade(sim):
-    gates = TrafficGateManager(sim)
+    gates = TrafficGateManager(sim, TelemetryHub(sim))
     gates.set_schedule("app", closed_then_open())
     gate = gates.gate_for("app")
     flow = sim.add_flow(4.0, ["a->b"], job_id="app")
@@ -120,7 +121,7 @@ def test_gate_for_facade(sim):
 
 
 def test_schedule_of(sim):
-    gates = TrafficGateManager(sim)
+    gates = TrafficGateManager(sim, TelemetryHub(sim))
     schedule = closed_then_open()
     gates.set_schedule("app", schedule)
     assert gates.schedule_of("app") is schedule
@@ -139,7 +140,7 @@ def two_link_sim():
 
 def test_schedule_installed_after_injection_gates_exactly_the_apps_flows():
     sim = two_link_sim()
-    gates = TrafficGateManager(sim)
+    gates = TrafficGateManager(sim, TelemetryHub(sim))
     mine = sim.add_flows([(64.0, ["a->b"], 0), (64.0, ["b->c"], 1)], job_id="app")
     gates.register(mine)  # no schedule yet: nothing to do, nothing kept
     other = sim.add_flow(64.0, ["a->b"], job_id="other")
@@ -167,7 +168,7 @@ def test_schedule_installed_after_injection_gates_exactly_the_apps_flows():
 
 def test_window_toggles_skip_flows_that_left_meanwhile():
     sim = two_link_sim()
-    gates = TrafficGateManager(sim)
+    gates = TrafficGateManager(sim, TelemetryHub(sim))
     # open [0, 1), closed [1, 2), ...
     gates.set_schedule(
         "app", WindowSchedule(period=2.0, open_intervals=((0.0, 1.0),))
@@ -188,7 +189,7 @@ def test_window_toggles_skip_flows_that_left_meanwhile():
 
 def test_gate_holds_no_flows():
     sim = two_link_sim()
-    gates = TrafficGateManager(sim)
+    gates = TrafficGateManager(sim, TelemetryHub(sim))
     gates.set_schedule("app", closed_then_open())
     gates.register(sim.add_flows([(4.0, ["a->b"], c) for c in range(3)], job_id="app"))
     sim.run()

@@ -17,6 +17,7 @@ from repro.errors import (
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.netsim.engine import FlowSimulator
 from repro.netsim.topology import Topology
+from repro.telemetry import TelemetryHub
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +98,7 @@ def test_fail_link_kills_crossing_flows_with_typed_error():
         ["h0.nic0->leaf0", "leaf0->spine0", "spine0->leaf1", "leaf1->h2.nic0"],
         on_fail=lambda f, t, err: failures.append(err),
     )
-    injector = FaultInjector(cluster)
+    injector = FaultInjector(cluster, TelemetryHub(cluster.sim))
     injector.fail_link("leaf0->spine0")
     assert flow.failed and not flow.completed
     assert isinstance(failures[0], LinkDownError)
@@ -109,7 +110,7 @@ def test_fail_link_kills_crossing_flows_with_typed_error():
 
 def test_degrade_and_restore_capacity_roundtrip():
     cluster = testbed_cluster()
-    injector = FaultInjector(cluster)
+    injector = FaultInjector(cluster, TelemetryHub(cluster.sim))
     original = cluster.sim.link_capacity("leaf0->spine0")
     injector.degrade_link("leaf0->spine0", 0.25)
     assert cluster.sim.link_capacity("leaf0->spine0") == pytest.approx(original / 4)
@@ -122,7 +123,7 @@ def test_degrade_and_restore_capacity_roundtrip():
 
 def test_nic_fail_and_recover():
     cluster = testbed_cluster()
-    injector = FaultInjector(cluster)
+    injector = FaultInjector(cluster, TelemetryHub(cluster.sim))
     injector.fail_nic(1, 0)
     host = cluster.hosts[1]
     assert not host.nics[0].alive
@@ -141,7 +142,7 @@ def test_nic_fail_and_recover():
 
 def test_all_nics_dead_raises_typed_error():
     cluster = testbed_cluster()
-    injector = FaultInjector(cluster)
+    injector = FaultInjector(cluster, TelemetryHub(cluster.sim))
     injector.fail_nic(1, 0)
     injector.fail_nic(1, 1)
     with pytest.raises(NicFailedError):
@@ -150,7 +151,7 @@ def test_all_nics_dead_raises_typed_error():
 
 def test_crash_host_is_idempotent_and_total():
     cluster = testbed_cluster()
-    injector = FaultInjector(cluster)
+    injector = FaultInjector(cluster, TelemetryHub(cluster.sim))
     injector.crash_host(2)
     host = cluster.hosts[2]
     assert not host.alive
@@ -167,10 +168,8 @@ def test_crash_host_is_idempotent_and_total():
 
 def test_injector_schedule_applies_in_order_and_counts():
     cluster = testbed_cluster()
-    from repro.telemetry.hub import TelemetryHub
-
-    hub = TelemetryHub()
-    injector = FaultInjector(cluster, telemetry=hub)
+    hub = TelemetryHub(cluster.sim)
+    injector = FaultInjector(cluster, hub)
     plan = FaultPlan().link_down(0.1, "leaf0->spine0", duration=0.2).host_crash(0.4, 3)
     injector.schedule(plan)
     cluster.sim.run()
@@ -187,7 +186,7 @@ def test_injector_schedule_applies_in_order_and_counts():
 
 def test_unknown_link_raises():
     cluster = testbed_cluster()
-    injector = FaultInjector(cluster)
+    injector = FaultInjector(cluster, TelemetryHub(cluster.sim))
     with pytest.raises(UnknownLinkError):
         injector.fail_link("no->where")
 
@@ -305,7 +304,7 @@ def test_drift_injection_restores_original_capacity():
 
     link = "leaf0->spine0"
     original = cl.sim.link_capacity(link)
-    injector = FaultInjector(cl)
+    injector = FaultInjector(cl, TelemetryHub(cl.sim))
     injector.schedule(
         BandwidthDriftPlan(
             links=[link],
@@ -421,7 +420,7 @@ def test_random_plan_v1_v2_replays_unchanged_by_v3():
 
 def test_injector_routes_tenant_storm_to_callbacks():
     cluster = testbed_cluster()
-    injector = FaultInjector(cluster)
+    injector = FaultInjector(cluster, TelemetryHub(cluster.sim))
     calls = []
     injector.on_tenant_storm = lambda app, factor: calls.append(("storm", app, factor))
     injector.on_tenant_calm = lambda app: calls.append(("calm", app))
@@ -437,7 +436,7 @@ def test_injector_routes_tenant_storm_to_callbacks():
 
 def test_injector_tenant_storm_without_hooks_is_noop():
     cluster = testbed_cluster()
-    injector = FaultInjector(cluster)
+    injector = FaultInjector(cluster, TelemetryHub(cluster.sim))
     injector.apply(
         FaultEvent(0.0, FaultKind.TENANT_STORM, app_id="tenant-0", factor=2.0)
     )

@@ -26,6 +26,7 @@ from repro.netsim.errors import LinkDownError
 from repro.netsim.fabric import MultiPodSpec, multi_pod_clos
 from repro.netsim.routing import clos_path
 from repro.netsim.topology import Topology
+from repro.telemetry import TelemetryHub
 
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_legacy_engine.json").read_text()
@@ -279,7 +280,7 @@ def test_cancelled_flow_does_not_complete_or_stall():
 
 def test_gate_manager_forgets_cancelled_flows():
     sim = FlowSimulator(line_topo())
-    gates = TrafficGateManager(sim)
+    gates = TrafficGateManager(sim, TelemetryHub(sim))
     flow = sim.add_flow(1e6, ["a->b"], job_id="appA")
     gates.register([flow])
     sim.cancel_flow(flow)
@@ -406,7 +407,7 @@ def test_fault_recovery_timeline_matches_legacy_golden(pinned_ids):
     state = manager.admit("A", gpus)
     client = deployment.connect("A")
     comm = client.adopt_communicator(state.comm_id)
-    injector = FaultInjector(cluster, deployment=deployment)
+    injector = FaultInjector(cluster, deployment.telemetry(), deployment=deployment)
 
     def strike():
         links = sorted(

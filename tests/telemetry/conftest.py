@@ -17,7 +17,6 @@ import repro.baselines.nccl
 import repro.cluster.gpu
 import repro.cluster.ipc
 import repro.core.communicator
-import repro.core.messages
 import repro.core.reconfig
 import repro.core.sync
 import repro.transport.launcher
@@ -29,7 +28,6 @@ _GLOBAL_COUNTERS = [
     (repro.cluster.gpu, "_event_counter"),
     (repro.cluster.ipc, "_handle_counter"),
     (repro.core.communicator, "_comm_counter"),
-    (repro.core.messages, "_msg_counter"),
     (repro.core.reconfig, "_session_counter"),
     (repro.core.sync, "_sync_counter"),
     (repro.transport.launcher, "_launch_counter"),

@@ -7,7 +7,6 @@ from repro.telemetry import (
     EventLog,
     MetricsRegistry,
     SpanRecorder,
-    TelemetryHub,
     chrome_trace,
     prometheus_text,
 )
@@ -61,15 +60,16 @@ def test_prometheus_unsampled_counter_renders_zero():
 # ----------------------------------------------------------------------
 # JSON snapshot
 # ----------------------------------------------------------------------
-def test_json_snapshot_shape_and_serializability():
-    hub = TelemetryHub()
+def test_json_snapshot_shape_and_serializability(hub):
     hub.metrics.counter("c").inc()
     span = hub.spans.begin("op", 0.0, category="collective", app="A")
     span.finish(1.0)
     hub.events.log(0.5, "policy_run", policy="ffa")
     snap = hub.to_json()
     json.dumps(snap)  # must not raise
-    assert set(snap) == {"metrics", "spans", "events"}
+    # No SLO policy and no flight dump yet: those sections are absent.
+    assert set(snap) == {"metrics", "spans", "events", "links"}
+    assert snap["links"] == {}
     assert snap["spans"]["records"][0]["name"] == "op"
     assert snap["events"]["records"][0]["kind"] == "policy_run"
     assert snap["spans"]["evicted"] == 0

@@ -17,7 +17,6 @@ from pathlib import Path
 import repro.cluster.gpu
 import repro.cluster.ipc
 import repro.core.communicator
-import repro.core.messages
 import repro.core.reconfig
 import repro.core.sync
 from repro.cluster.specs import testbed_cluster
@@ -34,7 +33,6 @@ _COUNTERS = [
     (repro.cluster.gpu, "_event_counter"),
     (repro.cluster.ipc, "_handle_counter"),
     (repro.core.communicator, "_comm_counter"),
-    (repro.core.messages, "_msg_counter"),
     (repro.core.reconfig, "_session_counter"),
     (repro.core.sync, "_sync_counter"),
 ]

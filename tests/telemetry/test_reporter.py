@@ -9,7 +9,6 @@ from repro.telemetry import (
     BufferSink,
     Reporter,
     StreamSink,
-    TelemetryHub,
     format_table,
     get_default_reporter,
     set_default_reporter,
@@ -83,9 +82,8 @@ def test_stream_sink_writes_lines():
     assert stream.getvalue() == "hello\n\n"
 
 
-def test_metrics_summary_lines():
+def test_metrics_summary_lines(hub):
     sink = BufferSink()
-    hub = TelemetryHub()
     hub.metrics.counter("mccs_flows_total").inc(3, job="A")
     hub.metrics.histogram("d_seconds", buckets=(1.0,)).observe(0.5, app="A")
     Reporter(sink).metrics_summary(hub)
@@ -94,9 +92,8 @@ def test_metrics_summary_lines():
     assert "d_seconds{app=A}  count=1 mean=0.5s" in text
 
 
-def test_metrics_summary_with_name_selection():
+def test_metrics_summary_with_name_selection(hub):
     sink = BufferSink()
-    hub = TelemetryHub()
     hub.metrics.counter("a").inc()
     hub.metrics.counter("b").inc()
     Reporter(sink).metrics_summary(hub, names=["b", "missing"])
@@ -111,8 +108,7 @@ def test_dump_json_writes_file_and_reports(tmp_path):
     assert sink.lines == [f"wrote {path}"]
 
 
-def test_hub_summary_lines_cover_all_stores():
-    hub = TelemetryHub()
+def test_hub_summary_lines_cover_all_stores(hub):
     hub.metrics.counter("mccs_flows_total").inc(2)
     hub.spans.begin("op", 0.0).finish(1.0)
     hub.events.log(0.0, "policy_run")

@@ -19,7 +19,6 @@ from repro.telemetry import (
     EVENT_HELD,
     EVENT_RANK_APPLIED,
     EVENT_RANK_LAUNCH,
-    TelemetryHub,
 )
 
 
@@ -56,7 +55,7 @@ def test_collective_span_tree():
     assert root.attrs["app"] == "app"
     assert root.attrs["seq"] == 0
     assert root.end == pytest.approx(op.instance.end_time)
-    assert root.attrs["trace"] == op.instance.trace.ctx.trace_id
+    assert root.attrs["trace"] == op.instance.trace.trace_id
 
     children = children_of(hub, root)
     assert [c.name for c in children] == ["queued", "launch", "network"]
@@ -156,16 +155,17 @@ def test_trace_record_duration_split():
     root = collective_roots(deployment.telemetry())[op.instance.seq]
     assert (rec.issue_time, rec.end_time) == (root.start, root.end)
     assert rec.start_time == root.event_time(EVENT_FIRST_FLOW_START)
-    assert rec.total_duration() == pytest.approx(rec.duration())
+    assert rec.duration() == pytest.approx(root.duration)
     assert rec.network_duration() > 0
     assert rec.queue_delay() > 0  # it waited for the first collective
-    assert rec.total_duration() == pytest.approx(
+    assert rec.duration() == pytest.approx(
         rec.queue_delay() + rec.network_duration()
     )
 
 
-def test_comm_trace_is_bounded():
-    cluster, deployment, comm, client, handle = make_env(trace_capacity=4)
+def test_comm_trace_is_bounded(monkeypatch):
+    monkeypatch.setattr("repro.core.communicator.DEFAULT_TRACE_CAPACITY", 4)
+    cluster, deployment, comm, client, handle = make_env()
     ops = [client.all_reduce(handle, 1 * MB) for _ in range(7)]
     deployment.run()
     trace = deployment.trace(comm.comm_id)
@@ -174,15 +174,42 @@ def test_comm_trace_is_bounded():
     assert len(trace.records) == 4
     assert trace.evicted == 3
     assert [r.seq for r in trace.records] == [3, 4, 5, 6]
-    assert trace.completed_records() == trace.records
 
 
-def test_deployment_accepts_external_hub():
-    hub = TelemetryHub()
+def test_deployment_builds_its_hub_on_its_simulator():
     cluster = testbed_cluster()
-    deployment = MccsDeployment(cluster, telemetry=hub)
-    assert deployment.telemetry() is hub
-    assert hub.network is not None  # the sampler attached to cluster.sim
+    hub = MccsDeployment(cluster).telemetry()
+    # Sampler, tracer and flight recorder all watch cluster.sim from birth.
+    assert hub.network.sim is hub.causal.sim is cluster.sim
+    assert hub.flight.tracer is hub.causal
+    assert {hub.network, hub.causal} <= set(cluster.sim._observers)
+
+
+def test_two_deployments_share_nothing():
+    """Two deployments in one process: serving traffic on one moves no
+    series, trace or journal record of the other."""
+    _, quiet, *_ = make_env()
+    _, busy, _, client, handle = make_env()
+
+    def footprint(deployment):
+        hub = deployment.telemetry()
+        return (
+            hub.metrics.snapshot(),
+            len(hub.causal.closed_traces()),
+            len(hub.events),
+            len(deployment.journal),
+        )
+
+    before = footprint(quiet)
+    served = footprint(busy)
+    ops = [client.all_reduce(handle, 1 * MB) for _ in range(3)]
+    busy.run()
+    assert all(op.completed for op in ops)
+    assert footprint(quiet) == before
+    assert footprint(busy) != served
+    assert len(busy.telemetry().causal.closed_traces()) == 3
+    assert len(busy.journal) == len(quiet.journal) + 3
+    assert busy.telemetry().metrics is not quiet.telemetry().metrics
 
 
 def test_network_telemetry_sees_collective_flows():
@@ -234,3 +261,32 @@ def test_program_cache_stats_aggregate_across_comms():
     assert set(stats) == {"size", "hits", "misses", "evictions"}
     per_comm = [c.program_cache.stats() for c in deployment.communicators()]
     assert stats["size"] == sum(s["size"] for s in per_comm)
+
+
+def test_causal_export_key_sets_are_pinned():
+    """The trace carries its own identity; its exports lead with it, key
+    for key what they were when a separate context record held it."""
+    cluster, deployment, comm, client, handle = make_env()
+    op = client.all_reduce(handle, 1 * MB)
+    deployment.run()
+    hub = deployment.telemetry()
+    trace = op.instance.trace
+    identity = [
+        "trace_id", "tenant", "comm", "seq", "kind", "nbytes",
+        "strategy_version",
+    ]
+    assert list(trace.to_dict()) == identity + [
+        "issued_at", "end", "status", "attempts", "events",
+    ]
+    assert list(hub.causal.critical_path(trace).to_dict()) == identity + [
+        "duration_s", "queue_s", "serialization_s", "contention_s",
+        "attempts", "critical_flow", "critical_rank", "per_hop",
+        "bottleneck_link", "interference", "interferer",
+    ]
+    assert [trace.to_dict()[key] for key in identity] == [
+        trace.trace_id, "app", f"comm{comm.comm_id}", 0, "all_reduce", MB, 0,
+    ]
+    dump = hub.flight.trigger("manual", cluster.sim.now, trace=trace)
+    assert list(dump) == ["reason", "time", "trace_id", "detail", "traces"]
+    assert dump["trace_id"] == trace.trace_id
+    assert dump["traces"] == [trace.to_dict()]

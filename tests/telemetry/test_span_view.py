@@ -43,6 +43,7 @@ from repro.telemetry import (
     EVENT_BARRIER_RESOLVED,
     EVENT_FIRST_FLOW_START,
     EVENT_RETRY,
+    TelemetryHub,
     collective_spans,
 )
 
@@ -170,7 +171,7 @@ def test_retried_collective_renders_every_attempt(fresh_ids):
     deployment = MccsDeployment(cluster)
     manager = CentralManager(deployment)
     injector = FaultInjector(
-        cluster, deployment=deployment, telemetry=deployment.telemetry()
+        cluster, deployment.telemetry(), deployment=deployment
     )
     deployment.enable_recovery(RecoveryPolicy(), heartbeat_until=1.0)
     gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
@@ -218,16 +219,20 @@ def test_retried_collective_renders_every_attempt(fresh_ids):
     assert report.queue_s > retry - instance.issue_time
 
 
-def test_trace_record_without_a_hub_reads_the_same():
-    """A directly constructed communicator (no deployment, no hub) writes
-    the same six scalars from the instance's own timestamps."""
+def test_trace_record_without_a_deployment_reads_the_same():
+    """A directly constructed communicator (no deployment, no frontend)
+    writes the same six scalars from the instance's own timestamps."""
     cluster = testbed_cluster()
+    hub = TelemetryHub(cluster.sim)
     gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
-    comm = ServiceCommunicator(cluster, "A", gpus, default_strategy(4, 1))
-    assert comm.telemetry is None
+    comm = ServiceCommunicator(cluster, "A", gpus, default_strategy(4, 1), hub)
     instance = CollectiveInstance(
         comm=comm, seq=0, kind=Collective.ALL_REDUCE, out_bytes=8 * MB,
         issue_time=cluster.sim.now,
+        trace=hub.causal.open(
+            cluster.sim.now, tenant="A", comm_id=f"comm{comm.comm_id}", seq=0,
+            kind="all_reduce", nbytes=8 * MB,
+        ),
     )
     comm.inflight[0] = instance
     for rank in range(4):
@@ -240,14 +245,14 @@ def test_trace_record_without_a_hub_reads_the_same():
     for rank in range(4):
         instance.rank_launch(rank, comm.strategy)
     cluster.sim.run()
-    assert instance.completed and instance.trace is None
+    assert instance.completed and instance.trace.closed
     [record] = comm.trace.records
     assert record.start_time == instance.start_time > 0.003 > first_start
     assert (record.seq, record.kind, record.out_bytes) == (
         0, Collective.ALL_REDUCE, 8 * MB
     )
     assert (record.issue_time, record.end_time) == (0.0, instance.end_time)
-    assert record.total_duration() == pytest.approx(
+    assert record.duration() == pytest.approx(
         record.queue_delay() + record.network_duration()
     )
 
@@ -336,7 +341,7 @@ def test_phases_tile_and_records_match_handles(script):
             assert (record.issue_time, record.start_time, record.end_time) == (
                 inst.issue_time, inst.start_time, inst.end_time
             )
-            assert record.total_duration() == pytest.approx(
+            assert record.duration() == pytest.approx(
                 record.queue_delay() + record.network_duration()
             )
         assert trace.busy_intervals() == merged(

@@ -71,13 +71,17 @@ def test_ablation_channels(benchmark, once, capsys):
     assert result[4] == pytest.approx(result[2], rel=0.05)  # no third NIC
 
 
-def test_ablation_control_ring_latency(benchmark, once, capsys):
+def test_ablation_control_ring_latency(benchmark, once, capsys, monkeypatch):
     """Reconfiguration stall grows with the control AllGather latency,
     and the fast path (no reconfig) is unaffected."""
 
     def measure(control_latency):
+        # A constant in the product (one value in use): the sweep patches it.
+        monkeypatch.setattr(
+            "repro.core.reconfig.DEFAULT_CONTROL_RING_LATENCY", control_latency
+        )
         cluster = testbed_cluster()
-        deployment = MccsDeployment(cluster, control_latency=control_latency)
+        deployment = MccsDeployment(cluster)
         gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
         comm = deployment.create_communicator("A", gpus)
         client = deployment.connect("A")

@@ -12,17 +12,11 @@ Two halves, matching how a provider would actually run this:
   durations, run a bounded-exploration bandit per bucket, and apply every
   strategy change live through the §4.2 reconfiguration barrier.
 
-Enable with ``MccsDeployment.enable_autotuning(...)``; see
+Enable with ``MccsDeployment.enable_autotuning()``; see
 ``docs/autotuning.md`` for the full walkthrough.
 """
 
-from .bandit import (
-    ArmStats,
-    CostBandit,
-    EpsilonGreedy,
-    UcbBandit,
-    make_bandit,
-)
+from .bandit import ArmStats, UcbBandit
 from .cost import (
     bottleneck_seconds,
     estimate_seconds,
@@ -44,15 +38,12 @@ from .table import (
     TuningTable,
     size_bucket,
 )
-from .tuner import AutotuneConfig, AutoTuner
+from .tuner import AutoTuner
 
 __all__ = [
     "ArmStats",
     "AutoTuner",
-    "AutotuneConfig",
     "Candidate",
-    "CostBandit",
-    "EpsilonGreedy",
     "ScoredCandidate",
     "StrategyPlanner",
     "TABLE_FORMAT_VERSION",
@@ -63,7 +54,6 @@ __all__ = [
     "bottleneck_seconds",
     "canonical_ring",
     "estimate_seconds",
-    "make_bandit",
     "pair_traffic",
     "pipelined_seconds",
     "size_bucket",

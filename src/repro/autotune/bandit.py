@@ -1,24 +1,24 @@
-"""Bounded-exploration bandits over strategy arms.
+"""The bounded-exploration bandit over strategy arms.
 
 Arms are runtime strategy signatures; rewards are *costs* (measured
-collective durations, lower is better).  Both policies spend a bounded
-exploration budget and then turn purely greedy, so a tenant is never
-subjected to unbounded experimentation: every exploratory pull is one
-collective executed under a possibly-suboptimal (but always correct)
-strategy.
-
-* :class:`EpsilonGreedy` — explore uniformly at random with probability
-  ``epsilon`` while budget remains;
-* :class:`UcbBandit` — optimistic lower-confidence-bound selection
-  (UCB1 adapted to cost minimization), scale-free via the running mean.
+collective durations, lower is better).  :class:`UcbBandit` — optimistic
+lower-confidence-bound selection (UCB1 adapted to cost minimization,
+scale-free via the running mean) — spends a bounded exploration budget and
+then turns purely greedy, so a tenant is never subjected to unbounded
+experimentation: every exploratory pull is one collective executed under
+a possibly-suboptimal (but always correct) strategy.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence
+
+#: Confidence-width scale of the optimistic bound.
+UCB_C = 0.5
+#: Exploratory pulls per bandit; once spent, selection is purely greedy.
+EXPLORATION_BUDGET = 12
 
 
 @dataclass
@@ -37,7 +37,7 @@ class ArmStats:
 
 @dataclass
 class BanditState:
-    """Shared bookkeeping: per-arm stats + the exploration ledger."""
+    """Per-arm stats + the exploration ledger."""
 
     arms: Dict[Hashable, ArmStats] = field(default_factory=dict)
     exploration_spent: int = 0
@@ -50,16 +50,16 @@ class BanditState:
         return stats
 
 
-class CostBandit:
-    """Base class: arm registration, observation, greedy choice."""
+class UcbBandit:
+    """UCB1 for costs: pick the arm with the lowest optimistic bound.
 
-    def __init__(self, *, exploration_budget: int = 16) -> None:
-        if exploration_budget < 0:
-            raise ValueError("exploration_budget must be non-negative")
-        self.exploration_budget = exploration_budget
+    The confidence width is scaled by the arm's own mean so the policy is
+    invariant to the absolute duration scale (microseconds vs seconds).
+    """
+
+    def __init__(self) -> None:
         self.state = BanditState()
 
-    # -- shared plumbing -------------------------------------------------
     def observe(self, arm: Hashable, cost: float) -> None:
         if cost < 0:
             raise ValueError("cost must be non-negative")
@@ -81,68 +81,14 @@ class CostBandit:
 
     @property
     def exploration_exhausted(self) -> bool:
-        return self.state.exploration_spent >= self.exploration_budget
-
-    def _spend_exploration(self) -> None:
-        self.state.exploration_spent += 1
-
-    def select(self, arms: Sequence[Hashable]) -> Hashable:
-        raise NotImplementedError
-
-
-class EpsilonGreedy(CostBandit):
-    """Classic epsilon-greedy with a deterministic seed and a budget."""
-
-    def __init__(
-        self,
-        *,
-        epsilon: float = 0.2,
-        exploration_budget: int = 16,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(exploration_budget=exploration_budget)
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        self.epsilon = epsilon
-        self._rng = random.Random(seed)
+        return self.state.exploration_spent >= EXPLORATION_BUDGET
 
     def select(self, arms: Sequence[Hashable]) -> Hashable:
         if not arms:
             raise ValueError("no arms to select from")
         unpulled = self._unpulled(arms)
         if unpulled and not self.exploration_exhausted:
-            self._spend_exploration()
-            return unpulled[0]
-        if (
-            not self.exploration_exhausted
-            and self._rng.random() < self.epsilon
-        ):
-            self._spend_exploration()
-            return arms[self._rng.randrange(len(arms))]
-        return self.best_arm(arms)
-
-
-class UcbBandit(CostBandit):
-    """UCB1 for costs: pick the arm with the lowest optimistic bound.
-
-    The confidence width is scaled by the arm's own mean so the policy is
-    invariant to the absolute duration scale (microseconds vs seconds).
-    """
-
-    def __init__(
-        self, *, c: float = 0.5, exploration_budget: int = 32
-    ) -> None:
-        super().__init__(exploration_budget=exploration_budget)
-        if c < 0:
-            raise ValueError("c must be non-negative")
-        self.c = c
-
-    def select(self, arms: Sequence[Hashable]) -> Hashable:
-        if not arms:
-            raise ValueError("no arms to select from")
-        unpulled = self._unpulled(arms)
-        if unpulled and not self.exploration_exhausted:
-            self._spend_exploration()
+            self.state.exploration_spent += 1
             return unpulled[0]
         if self.exploration_exhausted:
             return self.best_arm(arms)
@@ -152,29 +98,12 @@ class UcbBandit(CostBandit):
             stats = self.state.stats(arm)
             if stats.pulls == 0:
                 return -math.inf  # optimism for never-tried arms
-            width = self.c * stats.mean * math.sqrt(
+            width = UCB_C * stats.mean * math.sqrt(
                 2.0 * math.log(total) / stats.pulls
             )
             return stats.mean - width
 
         choice = min(arms, key=lambda a: (bound(a), str(a)))
         if choice != self.best_arm(arms):
-            self._spend_exploration()
+            self.state.exploration_spent += 1
         return choice
-
-
-def make_bandit(
-    policy: str,
-    *,
-    epsilon: float = 0.2,
-    ucb_c: float = 0.5,
-    exploration_budget: int = 16,
-    seed: int = 0,
-) -> CostBandit:
-    if policy == "epsilon":
-        return EpsilonGreedy(
-            epsilon=epsilon, exploration_budget=exploration_budget, seed=seed
-        )
-    if policy == "ucb":
-        return UcbBandit(c=ucb_c, exploration_budget=exploration_budget)
-    raise ValueError(f"unknown bandit policy {policy!r}; use 'epsilon' or 'ucb'")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..netsim.errors import ReconfigurationError
-from .bandit import CostBandit, make_bandit
+from .bandit import UcbBandit
 from .cost import topology_fingerprint
 from .planner import Signature, StrategyPlanner
 from .table import TableEntry, TableKey, TuningTable, size_bucket
@@ -34,35 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken for type hints
 BucketKey = Tuple[str, int, int]
 
 
-@dataclass
-class AutotuneConfig:
-    """Knobs of the online tuner.
-
-    Attributes:
-        policy: ``"ucb"`` or ``"epsilon"`` (see :mod:`repro.autotune.bandit`).
-        epsilon: Exploration probability for the epsilon-greedy policy.
-        ucb_c: Confidence-width scale for the UCB policy.
-        exploration_budget: Maximum exploratory pulls per bucket; after
-            the budget is spent the bandit is purely greedy (bounded
-            exploration — the tenant is never experimented on forever).
-        max_arms: Planner candidates admitted as arms per bucket.
-        min_observations: Measurements a bucket needs before its first
-            retune may be issued.
-        cooldown: Completed collectives between consecutive retunes of the
-            same communicator.
-        seed: Deterministic seed for the epsilon-greedy RNG.
-        use_table: Consult (and grow) the tuning table when seeding arms.
-    """
-
-    policy: str = "ucb"
-    epsilon: float = 0.2
-    ucb_c: float = 0.5
-    exploration_budget: int = 12
-    max_arms: int = 6
-    min_observations: int = 1
-    cooldown: int = 1
-    seed: int = 0
-    use_table: bool = True
+#: Planner candidates admitted as arms per bucket.
+MAX_ARMS = 6
 
 
 @dataclass
@@ -77,9 +50,8 @@ class _ArmSpec:
 
 @dataclass
 class _BucketState:
-    bandit: CostBandit
+    bandit: UcbBandit = field(default_factory=UcbBandit)
     arms: Dict[Signature, _ArmSpec] = field(default_factory=dict)
-    observations: int = 0
     baseline: Optional[Signature] = None
 
 
@@ -89,7 +61,6 @@ class _CommState:
     fingerprint: str
     buckets: Dict[BucketKey, _BucketState] = field(default_factory=dict)
     retune_inflight: bool = False
-    since_retune: int = 0
     retunes_applied: int = 0
     #: Membership epoch awaiting its first applied retune (attribution).
     pending_epoch: Optional[int] = None
@@ -103,21 +74,14 @@ class AutoTuner:
         self,
         deployment: "MccsDeployment",
         *,
-        config: Optional[AutotuneConfig] = None,
-        planner: Optional[StrategyPlanner] = None,
         table: Optional[TuningTable] = None,
     ) -> None:
         self.deployment = deployment
-        self.config = config if config is not None else AutotuneConfig()
         self.metrics = deployment.telemetry().metrics
-        self.planner = (
-            planner
-            if planner is not None
-            else StrategyPlanner(
-                deployment.cluster,
-                latency=deployment.latency,
-                metrics=self.metrics,
-            )
+        self.planner = StrategyPlanner(
+            deployment.cluster,
+            latency=deployment.latency,
+            metrics=self.metrics,
         )
         self.table = table if table is not None else TuningTable()
         self._states: Dict[int, _CommState] = {}
@@ -209,7 +173,6 @@ class AutoTuner:
         )
         state.buckets.clear()
         state.retune_inflight = False
-        state.since_retune = self.config.cooldown
         state.pending_epoch = comm.membership_epoch
 
     # ------------------------------------------------------------------
@@ -237,24 +200,14 @@ class AutoTuner:
         bucket = state.buckets.get(key)
         if bucket is not None:
             return bucket
-        cfg = self.config
-        bucket = _BucketState(
-            bandit=make_bandit(
-                cfg.policy,
-                epsilon=cfg.epsilon,
-                ucb_c=cfg.ucb_c,
-                exploration_budget=cfg.exploration_budget,
-                seed=cfg.seed + len(state.buckets),
-            )
-        )
-        state.buckets[key] = bucket
+        bucket = state.buckets[key] = _BucketState()
 
         # Seed arms: planner ranking first, then the table's pick (if any),
         # and always the strategy currently running on the communicator.
         ranked = self.planner.plan(
             instance.kind, instance.out_bytes, state.comm.gpus
         )
-        for scored in ranked[: cfg.max_arms]:
+        for scored in ranked[:MAX_ARMS]:
             candidate = scored.candidate
             bucket.arms[candidate.signature()] = _ArmSpec(
                 algorithm=candidate.algorithm,
@@ -262,43 +215,42 @@ class AutoTuner:
                 ring=candidate.ring,
                 predicted_seconds=scored.predicted_seconds,
             )
-        if cfg.use_table:
-            entry = self.table.lookup(
-                instance.kind.value,
-                instance.world,
-                instance.out_bytes,
-                state.fingerprint,
+        entry = self.table.lookup(
+            instance.kind.value,
+            instance.world,
+            instance.out_bytes,
+            state.fingerprint,
+        )
+        if entry is not None:
+            self._table_hits.inc(comm=f"comm{state.comm.comm_id}")
+            bucket.arms.setdefault(
+                entry.signature(),
+                _ArmSpec(
+                    algorithm=entry.algorithm,
+                    channels=entry.channels,
+                    ring=entry.ring,
+                    predicted_seconds=entry.predicted_seconds,
+                ),
             )
-            if entry is not None:
-                self._table_hits.inc(comm=f"comm{state.comm.comm_id}")
-                bucket.arms.setdefault(
-                    entry.signature(),
-                    _ArmSpec(
-                        algorithm=entry.algorithm,
-                        channels=entry.channels,
-                        ring=entry.ring,
-                        predicted_seconds=entry.predicted_seconds,
-                    ),
-                )
-            else:
-                self._table_misses.inc(comm=f"comm{state.comm.comm_id}")
-                winner = ranked[0]
-                self.table.put(
-                    TableKey(
-                        kind=instance.kind.value,
-                        world=instance.world,
-                        bucket=size_bucket(instance.out_bytes),
-                        fingerprint=state.fingerprint,
-                    ),
-                    TableEntry(
-                        algorithm=winner.candidate.algorithm,
-                        channels=winner.candidate.channels,
-                        ring=winner.candidate.ring,
-                        chunk_bytes=winner.candidate.chunk_bytes,
-                        predicted_seconds=winner.predicted_seconds,
-                        candidates_evaluated=len(ranked),
-                    ),
-                )
+        else:
+            self._table_misses.inc(comm=f"comm{state.comm.comm_id}")
+            winner = ranked[0]
+            self.table.put(
+                TableKey(
+                    kind=instance.kind.value,
+                    world=instance.world,
+                    bucket=size_bucket(instance.out_bytes),
+                    fingerprint=state.fingerprint,
+                ),
+                TableEntry(
+                    algorithm=winner.candidate.algorithm,
+                    channels=winner.candidate.channels,
+                    ring=winner.candidate.ring,
+                    chunk_bytes=winner.candidate.chunk_bytes,
+                    predicted_seconds=winner.predicted_seconds,
+                    candidates_evaluated=len(ranked),
+                ),
+            )
         current = self._signature_of(state.comm.strategy)
         bucket.arms.setdefault(
             current,
@@ -335,8 +287,6 @@ class AutoTuner:
         if bucket.baseline is None:
             bucket.baseline = signature
         bucket.bandit.observe(signature, duration)
-        bucket.observations += 1
-        state.since_retune += 1
         comm_label = f"comm{state.comm.comm_id}"
         self._observations.inc(comm=comm_label)
         self._publish_estimates(state, bucket, duration, comm_label)
@@ -376,12 +326,7 @@ class AutoTuner:
         instance: "CollectiveInstance",
         bucket: _BucketState,
     ) -> None:
-        cfg = self.config
         if state.retune_inflight:
-            return
-        if bucket.observations < cfg.min_observations:
-            return
-        if state.since_retune < cfg.cooldown:
             return
         choice = bucket.bandit.select(list(bucket.arms))
         current = self._signature_of(state.comm.strategy)
@@ -403,7 +348,6 @@ class AutoTuner:
 
         def done(session) -> None:
             state.retune_inflight = False
-            state.since_retune = 0
             state.retunes_applied += 1
             self._retunes_applied.inc(
                 comm=f"comm{comm.comm_id}", algorithm=spec.algorithm

@@ -9,7 +9,7 @@ and the policies under :mod:`repro.core.policies`.
 
 from .communicator import CollectiveInstance, ServiceCommunicator, VersionedDataPath
 from .deployment import MccsDeployment
-from .elastic import ElasticCoordinator, ElasticPolicy, MembershipChange
+from .elastic import ElasticCoordinator, MembershipChange
 from .memory import ManagedAllocation, MemoryManager
 from .messages import (
     AllocateRequest,
@@ -30,12 +30,7 @@ from .reconfig import (
     ReconfigManager,
     ReconfigSession,
 )
-from .recovery import (
-    HeartbeatMonitor,
-    RecoveryManager,
-    RecoveryPolicy,
-    fault_kind,
-)
+from .recovery import HeartbeatMonitor, RecoveryManager, fault_kind
 from .service import FrontendEngine, MccsService
 from .shim import ClientCollective, MccsBuffer, MccsClient, MccsCommunicator
 from .strategy import CollectiveStrategy, default_strategy
@@ -60,7 +55,6 @@ __all__ = [
     "DEFAULT_TRACE_CAPACITY",
     "DestroyCommunicatorRequest",
     "ElasticCoordinator",
-    "ElasticPolicy",
     "FreeRequest",
     "FrontendEngine",
     "HeartbeatMonitor",
@@ -76,7 +70,6 @@ __all__ = [
     "ReconfigManager",
     "ReconfigSession",
     "RecoveryManager",
-    "RecoveryPolicy",
     "ServiceCommunicator",
     "TraceRecord",
     "TrafficGateManager",

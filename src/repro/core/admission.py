@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..netsim.errors import AdmissionRejectedError, PolicyError
+from ..resilience import QOS_LADDER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .deployment import MccsDeployment
@@ -35,10 +36,9 @@ class AdmissionPolicy:
     Attributes:
         classes: QoS class name -> max in-flight collectives per tenant
             of that class (``None`` = unlimited for that class).
-        priority: Class names from most to least important; shedding under
-            the global cap spares classes in order.
         total_inflight: Deployment-wide in-flight cap; once reached, only
-            the highest-priority class is admitted.  ``None`` disables.
+            the top class of :data:`~repro.resilience.QOS_LADDER` is
+            admitted.  ``None`` disables.
         default_class: Class of tenants never explicitly classified.
     """
 
@@ -47,7 +47,6 @@ class AdmissionPolicy:
         ("normal", 16),
         ("low", 4),
     )
-    priority: Tuple[str, ...] = ("high", "normal", "low")
     total_inflight: Optional[int] = None
     default_class: str = "normal"
 
@@ -113,7 +112,7 @@ class AdmissionController:
             total = self.total_outstanding()
             if (
                 total >= self.policy.total_inflight
-                and qos != self.policy.priority[0]
+                and qos != QOS_LADDER[0]
             ):
                 self._shed(
                     app_id,
@@ -121,7 +120,7 @@ class AdmissionController:
                     outstanding,
                     f"overload: {total} in flight deployment-wide >= "
                     f"{self.policy.total_inflight}; shedding non-"
-                    f"{self.policy.priority[0]} traffic",
+                    f"{QOS_LADDER[0]} traffic",
                 )
         self.admitted_total += 1
         self._count(app_id, qos, "admit")

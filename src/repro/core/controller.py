@@ -131,14 +131,14 @@ class CentralManager:
             lambda app_id, gpus, channels: self.initial_strategy(gpus, channels)
         )
 
-    def enable_autotuning(self, config=None, **kwargs):
+    def enable_autotuning(self):
         """Arm measurement-driven strategy autotuning cluster-wide.
 
         Delegates to :meth:`MccsDeployment.enable_autotuning` and files
         the decision in the §4.3 policy trail; returns the
         :class:`~repro.autotune.AutoTuner`.
         """
-        tuner = self.deployment.enable_autotuning(config, **kwargs)
+        tuner = self.deployment.enable_autotuning()
         self._record_report(PolicyReport(policy="autotune"))
         return tuner
 

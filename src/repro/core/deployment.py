@@ -24,9 +24,10 @@ import numpy as np
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken for type hints
-    from ..autotune import AutotuneConfig, AutoTuner, StrategyPlanner, TuningTable
-    from .elastic import ElasticCoordinator, ElasticPolicy
-    from .recovery import HeartbeatMonitor, RecoveryManager, RecoveryPolicy
+    from ..autotune import AutoTuner, TuningTable
+    from ..resilience import Backoff
+    from .elastic import ElasticCoordinator
+    from .recovery import HeartbeatMonitor, RecoveryManager
     from .supervisor import ServiceSupervisor
 
 from ..baselines.nccl import default_channels
@@ -39,6 +40,7 @@ from ..netsim.errors import (
     CommunicatorError,
     FaultError,
     InvalidBufferError,
+    MccsError,
     NoPathError,
 )
 from ..telemetry.hub import TelemetryHub
@@ -59,7 +61,7 @@ from .messages import (
     DestroyCommunicatorRequest,
 )
 from .proxy import ProxyEngine
-from .reconfig import DEFAULT_CONTROL_RING_LATENCY, ReconfigManager, ReconfigSession
+from .reconfig import ReconfigManager, ReconfigSession
 from .service import MccsService
 from .strategy import CollectiveStrategy, default_strategy
 from .tracing import CommTrace
@@ -76,7 +78,6 @@ class MccsDeployment:
         latency: LatencyModel = MCCS_LATENCY,
         datapath_latency: Optional[float] = None,
         ecmp_seed: int = 0,
-        control_latency: float = DEFAULT_CONTROL_RING_LATENCY,
         strict_consistency: bool = False,
     ) -> None:
         if datapath_latency is not None:
@@ -89,7 +90,6 @@ class MccsDeployment:
         self.sim = cluster.sim
         self.latency = latency
         self.ecmp_seed = ecmp_seed
-        self.control_latency = control_latency
         self.strict_consistency = strict_consistency
         #: The service sees every collective (§4.3): the hub is built with
         #: the simulator it observes, and every layer below is handed it.
@@ -102,11 +102,9 @@ class MccsDeployment:
         #: MccsService.restart() replays it.
         self.journal = StateJournal(self._telemetry)
         self.services: Dict[int, MccsService] = {
-            host.host_id: MccsService(cluster, host, self._telemetry)
+            host.host_id: MccsService(cluster, host, self._telemetry, self)
             for host in cluster.hosts
         }
-        for service in self.services.values():
-            service.deployment = self
         self.gates = TrafficGateManager(cluster.sim, self._telemetry)
         self.reconfig = ReconfigManager(
             cluster.sim, self.proxies_of, self._telemetry
@@ -144,14 +142,15 @@ class MccsDeployment:
     # ------------------------------------------------------------------
     def enable_recovery(
         self,
-        policy: Optional["RecoveryPolicy"] = None,
         *,
+        collective_deadline: Optional[float] = 1.0,
         heartbeat_until: Optional[float] = None,
     ) -> "RecoveryManager":
         """Arm failure recovery for every (current and future) communicator.
 
         Args:
-            policy: Recovery knobs; defaults to :class:`RecoveryPolicy`.
+            collective_deadline: Per-collective issue-to-completion
+                deadline of the watchdog; ``None`` disables it.
             heartbeat_until: Also run the proxy :class:`HeartbeatMonitor`
                 up to this simulation time (the monitor must be bounded —
                 the simulator runs to quiescence).  ``None`` relies on
@@ -160,17 +159,14 @@ class MccsDeployment:
         from .recovery import HeartbeatMonitor, RecoveryManager
 
         if self.recovery is None:
-            self.recovery = RecoveryManager(self, policy)
-        elif policy is not None:
-            self.recovery.policy = policy
+            self.recovery = RecoveryManager(self, collective_deadline)
+        else:
+            self.recovery.collective_deadline = collective_deadline
         for comm in self._comms.values():
             self.recovery.attach(comm)
         if heartbeat_until is not None:
             self.heartbeat_monitor = HeartbeatMonitor(
-                self,
-                self.recovery,
-                interval=self.recovery.policy.heartbeat_interval,
-                until=heartbeat_until,
+                self, self.recovery, until=heartbeat_until
             ).start()
         return self.recovery
 
@@ -196,12 +192,6 @@ class MccsDeployment:
         self._telemetry.slo.class_resolver = self.admission.class_of
         return self.admission
 
-    def configure_slo(self, policy) -> None:
-        """Install declarative per-QoS-class SLO targets
-        (:class:`~repro.telemetry.slo.SloPolicy`); violations emit
-        ``slo_violation`` events and flight-recorder dumps."""
-        self._telemetry.set_slo_policy(policy)
-
     def enable_service_supervision(
         self, restart_delay: float = 0.02
     ) -> "ServiceSupervisor":
@@ -217,17 +207,13 @@ class MccsDeployment:
             self.supervisor.restart_delay = restart_delay
         return self.supervisor
 
-    def enable_elasticity(
-        self, policy: Optional["ElasticPolicy"] = None
-    ) -> "ElasticCoordinator":
+    def enable_elasticity(self) -> "ElasticCoordinator":
         """Arm live membership changes (elastic grow/shrink) for every
         communicator; see :class:`~repro.core.elastic.ElasticCoordinator`."""
         from .elastic import ElasticCoordinator
 
         if self.elastic is None:
-            self.elastic = ElasticCoordinator(self, policy)
-        elif policy is not None:
-            self.elastic.policy = policy
+            self.elastic = ElasticCoordinator(self)
         return self.elastic
 
     def crash_service(self, host_id: int) -> None:
@@ -274,7 +260,8 @@ class MccsDeployment:
                 service.restarts for service in self.services.values()
             ),
             "upgrades": sum(
-                len(service.upgrades) for service in self.services.values()
+                len(service.upgrades) + service.upgrades.evicted
+                for service in self.services.values()
             ),
         }
         if self.admission is not None:
@@ -286,11 +273,7 @@ class MccsDeployment:
     # strategy autotuning
     # ------------------------------------------------------------------
     def enable_autotuning(
-        self,
-        config: Optional["AutotuneConfig"] = None,
-        *,
-        planner: Optional["StrategyPlanner"] = None,
-        table: Optional["TuningTable"] = None,
+        self, *, table: Optional["TuningTable"] = None
     ) -> "AutoTuner":
         """Arm the online autotuner for every (current and future)
         communicator.
@@ -301,21 +284,13 @@ class MccsDeployment:
         reconfiguration barrier.
 
         Args:
-            config: Bandit/exploration knobs; defaults to
-                :class:`~repro.autotune.AutotuneConfig`.
-            planner: Offline planner to seed arms from; defaults to one
-                built on this deployment's cluster and latency model.
             table: A (possibly pre-planned, possibly loaded-from-JSON)
                 tuning table; defaults to an empty one that grows online.
         """
         from ..autotune import AutoTuner
 
         if self.autotuner is None:
-            self.autotuner = AutoTuner(
-                self, config=config, planner=planner, table=table
-            )
-        elif config is not None:
-            self.autotuner.config = config
+            self.autotuner = AutoTuner(self, table=table)
         for comm in self._comms.values():
             self.autotuner.attach(comm)
         return self.autotuner
@@ -391,8 +366,7 @@ class MccsDeployment:
         comm.on_commit = self._journal_commit
         self._comms[comm.comm_id] = comm
         self._comm_owner[comm.comm_id] = app_id
-        for rank, gpu in enumerate(comm.gpus):
-            self.service_of_gpu(gpu).proxy_for(gpu.global_id).register(comm, rank)
+        self.register_ranks(comm)
         if self.recovery is not None:
             self.recovery.attach(comm)
         if self.autotuner is not None:
@@ -515,14 +489,14 @@ class MccsDeployment:
         self, comm: ServiceCommunicator, instance: CollectiveInstance
     ) -> None:
         """Watchdog: a collective that neither completes nor aborts within
-        the recovery policy's deadline surfaces a typed timeout.
+        recovery's ``collective_deadline`` surfaces a typed timeout.
 
         The watchdog re-arms after firing so a stalled retry keeps being
         reported; recovery's attempt cap (or instance completion) stops it.
         """
         if self.recovery is None:
             return
-        deadline = self.recovery.policy.collective_deadline
+        deadline = self.recovery.collective_deadline
         if deadline is None:
             return
 
@@ -793,6 +767,20 @@ class MccsDeployment:
             self.service_of_gpu(gpu).proxy_for(gpu.global_id) for gpu in comm.gpus
         ]
 
+    def register_ranks(
+        self, comm: ServiceCommunicator, host_id: Optional[int] = None
+    ) -> None:
+        """Register ``comm``'s ranks (only those on ``host_id``, when
+        given) with their proxy engines, launch cursors at the
+        communicator's :meth:`~ServiceCommunicator.launch_frontier`."""
+        frontier = comm.launch_frontier()
+        for rank, gpu in enumerate(comm.gpus):
+            if host_id is not None and gpu.host_id != host_id:
+                continue
+            proxy = self.service_of_gpu(gpu).proxy_for(gpu.global_id)
+            proxy.register(comm, rank)
+            proxy.state(comm.comm_id, rank).launched_seq = frontier
+
     def reconfigure(
         self,
         comm_id: int,
@@ -823,11 +811,59 @@ class MccsDeployment:
             new_strategy,
             delays=delays,
             barrier_enabled=barrier_enabled,
-            control_latency=self.control_latency,
             barrier_timeout=barrier_timeout,
             on_done=on_done,
             on_failed=on_failed,
         )
+
+    def drain(
+        self,
+        comm: ServiceCommunicator,
+        *,
+        retry: "Backoff",
+        barrier_timeout: Optional[float],
+        on_done: Callable[[ReconfigSession], None],
+        on_gone: Callable[[], None],
+        on_exhausted: Callable[[Optional[BaseException]], None],
+        **evolve: object,
+    ) -> None:
+        """Push a barrier session through ``comm``, waiting out a busy one.
+
+        The membership coordinator and live upgrades both need "every rank
+        past one cut" before they touch rank state.  Try ``n`` (0-based)
+        calls :meth:`reconfigure` with the ``evolve`` overrides; when the
+        barrier is busy (another session in flight) or the session times
+        out, the next try follows ``retry.delay(n)`` later.  A try that
+        finds the communicator aborted or destroyed ends the drain with
+        ``on_gone()``; the try after ``retry.max_retries`` retries ends it
+        with ``on_exhausted(last error)``.
+        """
+
+        def attempt(n: int, error: Optional[BaseException] = None) -> None:
+            if comm.aborted or comm.destroyed:
+                on_gone()
+                return
+            if n > retry.max_retries:
+                on_exhausted(error)
+                return
+
+            def again(cause: Optional[BaseException]) -> None:
+                self.sim.call_in(
+                    retry.delay(n), lambda: attempt(n + 1, cause)
+                )
+
+            try:
+                self.reconfigure(
+                    comm.comm_id,
+                    barrier_timeout=barrier_timeout,
+                    on_done=on_done,
+                    on_failed=lambda session: again(session.error),
+                    **evolve,
+                )
+            except MccsError as exc:
+                again(exc)
+
+        attempt(0)
 
     def set_traffic_schedule(
         self, app_id: str, schedule: Optional[WindowSchedule]

@@ -14,7 +14,7 @@ machine per membership operation:
     lets stragglers catch up under the old strategy — after it resolves,
     no rank will ever launch a pre-cut collective again.  A busy barrier
     (another session in flight, e.g. an autotuner retune) is retried on
-    the simulation clock.
+    the simulation clock by :meth:`MccsDeployment.drain`.
 
 ``QUIESCE``
     Wait for the in-flight collectives to finish draining their flows.
@@ -51,6 +51,8 @@ from ..netsim.errors import (
     MccsError,
     MembershipChangeError,
 )
+from ..resilience import Backoff
+from ..telemetry.ringbuffer import RingBuffer
 from .communicator import ServiceCommunicator
 from .strategy import default_strategy
 
@@ -61,25 +63,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MIN_WORLD = 2
 
 
-@dataclass(frozen=True)
-class ElasticPolicy:
-    """Knobs of the elastic coordinator.
-
-    Attributes:
-        drain_timeout: Barrier timeout handed to the drain
-            reconfiguration; a drain whose barrier times out is retried.
-        retry_delay: Simulated seconds between drain attempts when the
-            barrier is busy or timed out.
-        max_drain_attempts: Attempts before the operation fails terminally
-            with :class:`~repro.errors.MembershipChangeError`.
-        staging_bytes: Size of the per-joiner staging buffer allocated
-            during the join handshake.
-    """
-
-    drain_timeout: Optional[float] = 0.5
-    retry_delay: float = 0.01
-    max_drain_attempts: int = 25
-    staging_bytes: int = 1 << 16
+#: A busy or timed-out drain barrier is tried again 10 ms later, 25 tries
+#: in all, before the operation fails with ``MembershipChangeError``.
+DRAIN_RETRY = Backoff(base=0.01, cap=0.01, max_retries=24)
+#: Barrier timeout of one drain try.
+DRAIN_TIMEOUT = 0.5
+#: Size of the per-joiner staging buffer allocated by the join handshake.
+STAGING_BYTES = 1 << 16
+#: Finished operations :attr:`ElasticCoordinator.history` keeps, newest
+#: last (each repeats a ``membership_committed`` / ``_failed`` event).
+HISTORY_KEPT = 256
 
 
 @dataclass
@@ -102,7 +95,6 @@ class MembershipChange:
     error: Optional[BaseException] = None
     #: Internal state: ``drain`` -> ``quiesce`` -> ``done``/``failed``.
     state: str = "drain"
-    attempts: int = 0
 
     @property
     def finished(self) -> bool:
@@ -117,18 +109,13 @@ class ElasticCoordinator:
     :class:`~repro.errors.MembershipChangeError` synchronously.
     """
 
-    def __init__(
-        self,
-        deployment: "MccsDeployment",
-        policy: Optional[ElasticPolicy] = None,
-    ) -> None:
+    def __init__(self, deployment: "MccsDeployment") -> None:
         self.deployment = deployment
         self.sim = deployment.sim
-        self.policy = policy if policy is not None else ElasticPolicy()
         self.telemetry = deployment.telemetry()
         self._inflight: Dict[int, "_Operation"] = {}
-        #: Every finished operation, in commit/failure order (audits).
-        self.history: List[MembershipChange] = []
+        #: The last finished operations, in commit/failure order (audits).
+        self.history: RingBuffer[MembershipChange] = RingBuffer(HISTORY_KEPT)
         #: Staging buffers allocated for joiners, freed when they leave.
         self._staging: Dict[Tuple[int, int], int] = {}
 
@@ -179,7 +166,7 @@ class ElasticCoordinator:
             self.deployment.admission.admit(comm.app_id)
         for gpu in joiners:
             response = self.deployment.service_of_gpu(gpu).allocate(
-                comm.app_id, gpu.global_id, self.policy.staging_bytes
+                comm.app_id, gpu.global_id, STAGING_BYTES
             )
             self._staging[(comm.comm_id, gpu.global_id)] = response.buffer_id
         record = MembershipChange(
@@ -323,51 +310,31 @@ class ElasticCoordinator:
         return comm
 
     def _begin(self, op: "_Operation") -> None:
-        self._inflight[op.comm.comm_id] = op
+        comm = op.comm
+        self._inflight[comm.comm_id] = op
         self.telemetry.events.log(
             self.sim.now,
             "membership_started",
-            f"comm{op.comm.comm_id} {op.record.kind}: "
+            f"comm{comm.comm_id} {op.record.kind}: "
             f"left={op.record.left} joined={op.record.joined}",
-            comm=op.comm.comm_id,
-            app=op.comm.app_id,
+            comm=comm.comm_id,
+            app=comm.app_id,
         )
-        self._drain(op)
-
-    def _drain(self, op: "_Operation") -> None:
-        if op.record.finished:
-            return
-        comm = op.comm
-        if comm.aborted or comm.destroyed:
-            self._fail(op, MembershipChangeError(
+        # Drain: a busy barrier is a concurrent retune/recovery session.
+        self.deployment.drain(
+            comm,
+            retry=DRAIN_RETRY,
+            barrier_timeout=DRAIN_TIMEOUT,
+            on_done=lambda session: self._quiesce(op),
+            on_gone=lambda: self._fail(op, MembershipChangeError(
                 f"communicator {comm.comm_id} died during drain"
-            ))
-            return
-        op.record.attempts += 1
-        if op.record.attempts > self.policy.max_drain_attempts:
-            self._fail(op, MembershipChangeError(
+            )),
+            on_exhausted=lambda error: self._fail(op, MembershipChangeError(
                 f"drain of communicator {comm.comm_id} failed after "
-                f"{self.policy.max_drain_attempts} attempts"
-            ))
-            return
-        try:
-            self.deployment.reconfigure(
-                comm.comm_id,
-                routes={},
-                barrier_enabled=True,
-                barrier_timeout=self.policy.drain_timeout,
-                on_done=lambda session, op=op: self._quiesce(op),
-                on_failed=lambda session, op=op: self._retry(op),
-            )
-        except MccsError:
-            # Barrier busy (concurrent retune/recovery session) or the
-            # communicator went away between checks: retry on the clock.
-            self._retry(op)
-
-    def _retry(self, op: "_Operation") -> None:
-        if op.record.finished:
-            return
-        self.sim.call_in(self.policy.retry_delay, lambda: self._drain(op))
+                f"{DRAIN_RETRY.max_retries + 1} attempts"
+            )),
+            routes={},
+        )
 
     def _quiesce(self, op: "_Operation") -> None:
         if op.record.finished:
@@ -435,10 +402,7 @@ class ElasticCoordinator:
             version=comm.strategy.version + 1,
         )
         comm.apply_membership(new_gpus, new_strategy)
-        for rank, gpu in enumerate(comm.gpus):
-            proxy = deployment.service_of_gpu(gpu).proxy_for(gpu.global_id)
-            proxy.register(comm, rank)
-            proxy.state(comm.comm_id, rank).launched_seq = comm.launch_frontier()
+        deployment.register_ranks(comm)
         # Leavers hand their staging buffers back.
         for global_id in op.record.left:
             buffer_id = self._staging.pop((comm.comm_id, global_id), None)

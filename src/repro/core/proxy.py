@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from ..netsim.errors import HostCrashedError, ReconfigurationError
 from ..telemetry.causal import EVENT_HELD
@@ -117,6 +117,16 @@ class ProxyEngine:
 
     def unregister(self, comm: ServiceCommunicator, rank: int) -> None:
         self._ranks.pop((comm.comm_id, rank), None)
+
+    def ranks(self) -> List[CommRankKey]:
+        """Every (comm_id, rank) this engine serves."""
+        return list(self._ranks)
+
+    def adopt_ranks(self, other: "ProxyEngine") -> None:
+        """Take over ``other``'s per-rank state *by reference* (live
+        upgrade): a barrier session still holding the old engine mutates
+        the same :class:`_RankState` entries this engine now serves."""
+        self._ranks = other._ranks
 
     def handles(self, comm_id: int, rank: int) -> bool:
         return (comm_id, rank) in self._ranks

@@ -95,7 +95,6 @@ class ReconfigSession:
         telemetry: "TelemetryHub",
         *,
         barrier_enabled: bool = True,
-        control_latency: float = DEFAULT_CONTROL_RING_LATENCY,
         barrier_timeout: Optional[float] = None,
         on_done: Optional[Callable[["ReconfigSession"], None]] = None,
         on_failed: Optional[Callable[["ReconfigSession"], None]] = None,
@@ -117,7 +116,10 @@ class ReconfigSession:
         self._on_done = on_done
         self._on_failed = on_failed
         self.barrier = ControlBarrier(
-            comm.sim, comm.world, control_latency, self._barrier_resolved
+            comm.sim,
+            comm.world,
+            DEFAULT_CONTROL_RING_LATENCY,
+            self._barrier_resolved,
         )
         self.max_seq: Optional[int] = None
         self.barrier_timeout = barrier_timeout
@@ -320,7 +322,6 @@ class ReconfigManager:
         *,
         delays: Optional[Sequence[float]] = None,
         barrier_enabled: bool = True,
-        control_latency: float = DEFAULT_CONTROL_RING_LATENCY,
         barrier_timeout: Optional[float] = None,
         on_done: Optional[Callable[[ReconfigSession], None]] = None,
         on_failed: Optional[Callable[[ReconfigSession], None]] = None,
@@ -334,7 +335,6 @@ class ReconfigManager:
                 and processing delays"; defaults to immediate delivery.
             barrier_enabled: Disable only to demonstrate the Figure 4
                 hazard; production code always leaves this True.
-            control_latency: One AllGather round on the control ring.
             barrier_timeout: Give up on the barrier after this long and
                 fail the session with a :class:`ReconfigurationError`
                 naming the ranks that never contributed.  ``None`` waits
@@ -376,7 +376,6 @@ class ReconfigManager:
             proxies,
             self._telemetry,
             barrier_enabled=barrier_enabled,
-            control_latency=control_latency,
             barrier_timeout=barrier_timeout,
             on_done=finished,
             on_failed=timed_out,

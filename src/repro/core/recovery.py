@@ -51,32 +51,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .reconfig import ReconfigSession
 
 
-@dataclass
-class RecoveryPolicy:
-    """Knobs of the failure-recovery state machine."""
-
-    #: Repair attempts per failure episode before the communicator aborts.
-    max_attempts: int = 3
-    #: Wait before the relaunch of repair attempt ``n``: 5 ms, doubling to
-    #: the cap.  Only base and cap are read (no rng; ``max_attempts`` bounds).
-    backoff: Backoff = Backoff(base=0.005, cap=0.1)
-    #: Reconfiguration barriers abandon after this long (a dead rank never
-    #: contributes; without a timeout the repair itself would hang).
-    barrier_timeout: float = 0.05
-    #: Proxy liveness probe period for the :class:`HeartbeatMonitor`.
-    heartbeat_interval: float = 0.01
-    #: Per-collective issue-to-completion deadline armed by the
-    #: deployment; ``None`` disables the watchdog.
-    collective_deadline: Optional[float] = 1.0
-    #: After a host crash aborts a communicator, form a successor
-    #: communicator on the surviving ranks.
-    reform_on_crash: bool = True
-    #: How long a repair episode waits for a crashed *service* to be
-    #: restarted by the supervisor before giving the communicator up.
-    restart_wait: float = 1.0
-    #: Poll period while waiting on a pending service restart (the wait
-    #: consumes no repair attempts — the outage, not the repair, is slow).
-    restart_poll: float = 0.01
+#: Repair attempts per failure episode before the communicator aborts.
+MAX_ATTEMPTS = 3
+#: Wait before the relaunch of repair attempt ``n``: 5 ms, doubling to the
+#: cap.  Only base and cap are read (no rng; ``MAX_ATTEMPTS`` bounds).
+REPAIR_BACKOFF = Backoff(base=0.005, cap=0.1)
+#: Reconfiguration barriers abandon after this long (a dead rank never
+#: contributes; without a timeout the repair itself would hang).
+BARRIER_TIMEOUT = 0.05
+#: Proxy liveness probe period of the :class:`HeartbeatMonitor`.
+HEARTBEAT_INTERVAL = 0.01
+#: How long a repair episode waits for a crashed *service* to be restarted
+#: by the supervisor before giving the communicator up.
+RESTART_WAIT = 1.0
+#: Poll period while waiting on a pending service restart (the wait
+#: consumes no repair attempts — the outage, not the repair, is slow).
+RESTART_POLL = 0.01
 
 
 def fault_kind(error: BaseException) -> str:
@@ -127,11 +117,13 @@ class RecoveryManager:
     def __init__(
         self,
         deployment: "MccsDeployment",
-        policy: Optional[RecoveryPolicy] = None,
+        collective_deadline: Optional[float] = 1.0,
     ) -> None:
         self.deployment = deployment
         self.sim = deployment.sim
-        self.policy = policy if policy is not None else RecoveryPolicy()
+        #: Per-collective issue-to-completion deadline armed by the
+        #: deployment; ``None`` disables the watchdog.
+        self.collective_deadline = collective_deadline
         self.telemetry = deployment.telemetry()
         self._cycles: Dict[int, _CommRecovery] = {}
         #: Aborted-comm id -> successor communicator formed on survivors.
@@ -197,7 +189,7 @@ class RecoveryManager:
             f"proxy of GPU {proxy.gpu_global_id} on host {proxy.host_id} "
             "missed its heartbeat"
         )
-        for comm_id, rank in list(proxy._ranks.keys()):
+        for comm_id, rank in proxy.ranks():
             try:
                 comm = self.deployment.communicator(comm_id)
             except CommunicatorError:
@@ -229,19 +221,19 @@ class RecoveryManager:
             # A crashed service with a pending supervised restart is dark,
             # not dead: hold the episode (consuming no repair attempts)
             # until the service is back or the wait budget runs out.
-            if self.sim.now - rec.started_at > self.policy.restart_wait:
+            if self.sim.now - rec.started_at > RESTART_WAIT:
                 self._give_up(
                     rec,
                     CommunicatorError(
                         f"communicator {comm.comm_id} waited "
-                        f"{self.policy.restart_wait:g}s but the service on "
+                        f"{RESTART_WAIT:g}s but the service on "
                         f"host(s) {waiting} never restarted: "
                         f"{rec.errors[0] if rec.errors else 'service down'}"
                     ),
                 )
                 return
             rec.kind = "service_crash"
-            self._schedule_cycle(rec, delay=self.policy.restart_poll)
+            self._schedule_cycle(rec, delay=RESTART_POLL)
             return
         rec.attempt += 1
         dead = self._dead_ranks(comm)
@@ -258,12 +250,12 @@ class RecoveryManager:
                 ),
             )
             return
-        if rec.attempt > self.policy.max_attempts:
+        if rec.attempt > MAX_ATTEMPTS:
             self._give_up(
                 rec,
                 CommunicatorError(
                     f"communicator {comm.comm_id} recovery exhausted after "
-                    f"{self.policy.max_attempts} attempt(s): {rec.errors[-1]}"
+                    f"{MAX_ATTEMPTS} attempt(s): {rec.errors[-1]}"
                 ),
             )
             return
@@ -294,7 +286,7 @@ class RecoveryManager:
 
                 inst.on_complete = hook
 
-        backoff = self.policy.backoff.delay(rec.attempt - 1)
+        backoff = REPAIR_BACKOFF.delay(rec.attempt - 1)
         self._log(
             comm,
             "recovery_attempt",
@@ -347,7 +339,7 @@ class RecoveryManager:
             self.deployment.reconfigure(
                 comm.comm_id,
                 routes={},
-                barrier_timeout=self.policy.barrier_timeout,
+                barrier_timeout=BARRIER_TIMEOUT,
                 on_done=reconfigured,
                 on_failed=lambda session: self._reconfig_failed(rec, session),
             )
@@ -401,7 +393,7 @@ class RecoveryManager:
         ).inc(kind=rec.kind)
         comm.abort(error)
         self._log(comm, "recovery_gave_up", f"kind={rec.kind}: {error}")
-        if self.policy.reform_on_crash and rec.kind == "host_crash":
+        if rec.kind == "host_crash":
             self._reform(comm)
 
     def _reform(self, comm: ServiceCommunicator) -> None:
@@ -474,7 +466,9 @@ class HeartbeatMonitor:
     """Periodic liveness probe of every proxy engine.
 
     The proxies of a crashed host stop answering; the first missed probe
-    reports each dead proxy to the :class:`RecoveryManager` exactly once.
+    reports each dead proxy engine to the :class:`RecoveryManager` exactly
+    once (a restarted service has fresh engines, so its next crash is
+    reported too).
     The monitor is self-stopping at ``until`` — the simulator runs to
     quiescence, so an unbounded ticker would never let it terminate.
     """
@@ -484,24 +478,21 @@ class HeartbeatMonitor:
         deployment: "MccsDeployment",
         manager: RecoveryManager,
         *,
-        interval: float,
         until: float,
     ) -> None:
-        if interval <= 0:
-            raise ValueError("heartbeat interval must be positive")
         self.deployment = deployment
         self.manager = manager
-        self.interval = interval
         self.until = until
         self.sim = deployment.sim
         self.missed = 0
-        self._reported: Set[int] = set()
+        #: GPU id -> the dead engine already reported for it.
+        self._reported: Dict[int, "ProxyEngine"] = {}
         self._started = False
 
     def start(self) -> "HeartbeatMonitor":
         if not self._started:
             self._started = True
-            self.sim.call_in(self.interval, self._tick)
+            self.sim.call_in(HEARTBEAT_INTERVAL, self._tick)
         return self
 
     def _tick(self) -> None:
@@ -518,9 +509,9 @@ class HeartbeatMonitor:
             for proxy in service.proxies.values():
                 if proxy.heartbeat(now):
                     continue
-                if proxy.gpu_global_id in self._reported:
+                if self._reported.get(proxy.gpu_global_id) is proxy:
                     continue
-                self._reported.add(proxy.gpu_global_id)
+                self._reported[proxy.gpu_global_id] = proxy
                 self.missed += 1
                 self.manager.telemetry.metrics.counter(
                     "mccs_heartbeats_missed_total",
@@ -533,5 +524,5 @@ class HeartbeatMonitor:
                     host=proxy.host_id,
                 )
                 self.manager.proxy_dead(proxy)
-        if now + self.interval <= self.until + 1e-12:
-            self.sim.call_in(self.interval, self._tick)
+        if now + HEARTBEAT_INTERVAL <= self.until + 1e-12:
+            self.sim.call_in(HEARTBEAT_INTERVAL, self._tick)

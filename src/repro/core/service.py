@@ -28,13 +28,16 @@ from ..cluster.host import Host
 from ..cluster.ipc import IpcMemHandle
 from ..cluster.specs import Cluster
 from ..netsim.errors import (
+    CommunicatorError,
     JournalError,
     MccsError,
     ServiceCrashedError,
     ServiceUnavailableError,
     UpgradeError,
 )
+from ..resilience import Backoff
 from ..telemetry.metrics import WALL_CLOCK_BUCKETS
+from ..telemetry.ringbuffer import RingBuffer
 from .memory import MemoryManager
 from .messages import (
     AllocateRequest,
@@ -51,12 +54,19 @@ from .proxy import ProxyEngine
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..telemetry.hub import TelemetryHub
+    from .communicator import ServiceCommunicator
     from .deployment import MccsDeployment
-    from .reconfig import ReconfigSession
 
 #: Engine names :meth:`MccsService.upgrade` accepts; ``"service"`` swaps
 #: both the frontend and the proxy engines.
 UPGRADE_COMPONENTS = ("service", "frontend", "proxy")
+
+#: An upgrade drain that finds a communicator's barrier busy tries again
+#: 2 ms later, 21 tries in all, before the upgrade fails.
+UPGRADE_RETRY = Backoff(base=0.002, cap=0.002, max_retries=20)
+#: Sessions :attr:`MccsService.upgrades` keeps, newest last (each repeats
+#: an ``upgrade_done`` / ``upgrade_failed`` event).
+UPGRADES_KEPT = 256
 
 
 class FrontendEngine:
@@ -185,10 +195,14 @@ class MccsService:
         cluster: Cluster,
         host: Host,
         telemetry: "TelemetryHub",
+        deployment: "MccsDeployment",
     ) -> None:
         self.cluster = cluster
         self.host = host
         self.telemetry = telemetry
+        #: Owner of the journal (crash/restart replay), the communicators
+        #: and the reconfiguration barrier (upgrade drain).
+        self.deployment = deployment
         self.memory = MemoryManager()
         #: one proxy engine per GPU on this host (§4.2)
         self.proxies: Dict[int, ProxyEngine] = {
@@ -196,16 +210,13 @@ class MccsService:
             for gpu in host.gpus
         }
         self._frontends: Dict[str, FrontendEngine] = {}
-        #: Back-reference installed by the deployment; needed for crash,
-        #: restart (journal replay) and upgrade (barrier drain).
-        self.deployment: Optional["MccsDeployment"] = None
         #: Cleared while the service process is down.
         self.alive = True
         #: Bumped on every restart/upgrade; fresh engines carry it.
         self.generation = 0
         self.crashes = 0
         self.restarts = 0
-        self.upgrades: List[UpgradeSession] = []
+        self.upgrades: RingBuffer[UpgradeSession] = RingBuffer(UPGRADES_KEPT)
         self._crash_error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
@@ -275,10 +286,7 @@ class MccsService:
             )
 
     def _journal(self, op: str, **payload: object) -> None:
-        if self.deployment is not None:
-            self.deployment.journal.append(
-                self.cluster.sim.now, op, **payload
-            )
+        self.deployment.journal.append(self.cluster.sim.now, op, **payload)
 
     # ------------------------------------------------------------------
     # crash / restart (journal replay)
@@ -302,15 +310,15 @@ class MccsService:
         # Stall-fail the rank shares this host's proxies were driving: a
         # dead proxy engine stops moving chunks, which peers observe as a
         # stalled collective.  rank_failed routes into failure recovery.
-        if self.deployment is not None:
-            for proxy in self.proxies.values():
-                for (comm_id, rank) in list(proxy._ranks.keys()):
-                    comm = self.deployment._comms.get(comm_id)
-                    if comm is None:
-                        continue
-                    for instance in list(comm.inflight.values()):
-                        if instance.launch_started and not instance.completed:
-                            instance.rank_failed(rank, err)
+        for proxy in self.proxies.values():
+            for comm_id, rank in proxy.ranks():
+                try:
+                    comm = self.deployment.communicator(comm_id)
+                except CommunicatorError:
+                    continue
+                for instance in list(comm.inflight.values()):
+                    if instance.launch_started and not instance.completed:
+                        instance.rank_failed(rank, err)
         for proxy in self.proxies.values():
             proxy.fail(err)
         self._frontends.clear()
@@ -330,7 +338,7 @@ class MccsService:
         self.telemetry.flight.trigger(
             "crash", self.cluster.sim.now, host=self.host.host_id
         )
-        if self.deployment is not None and self.deployment.supervisor is not None:
+        if self.deployment.supervisor is not None:
             self.deployment.supervisor.notify_crash(self)
 
     def restart(self) -> int:
@@ -346,11 +354,6 @@ class MccsService:
         """
         if self.alive:
             return 0
-        if self.deployment is None:
-            raise MccsError(
-                f"service on host {self.host.host_id} has no deployment to "
-                "replay the journal from"
-            )
         from .journal import replay_journal
 
         journal = self.deployment.journal
@@ -381,27 +384,19 @@ class MccsService:
                 memory.mark_freed(record.payload["buffer_id"])
         self.memory = memory
 
-        proxies = {
+        self.proxies = {
             gpu.global_id: ProxyEngine(
                 self.host.host_id, gpu.global_id, self.telemetry
             )
             for gpu in self.host.gpus
         }
-        self.proxies = proxies
         self.alive = True
         self._crash_error = None
         self.generation += 1
         self.restarts += 1
         for comm in self.deployment.communicators():
-            if comm.aborted:
-                continue
-            frontier = comm.launch_frontier()
-            for rank, gpu in enumerate(comm.gpus):
-                if gpu.host_id != self.host.host_id:
-                    continue
-                proxy = proxies[gpu.global_id]
-                proxy.register(comm, rank)
-                proxy.state(comm.comm_id, rank).launched_seq = frontier
+            if not comm.aborted:
+                self.deployment.register_ranks(comm, host_id=self.host.host_id)
         self._journal(
             "service_restart",
             host=self.host.host_id,
@@ -430,9 +425,6 @@ class MccsService:
         component: str = "service",
         *,
         algorithm: Optional[str] = None,
-        barrier_timeout: Optional[float] = None,
-        max_retries: int = 20,
-        retry_delay: float = 0.002,
         on_done: Optional[Callable[[UpgradeSession], None]] = None,
     ) -> UpgradeSession:
         """Swap this host's engines live; tenants see only a latency blip.
@@ -451,10 +443,6 @@ class MccsService:
                 f"{UPGRADE_COMPONENTS}"
             )
         self.check_alive()
-        if self.deployment is None:
-            raise UpgradeError(
-                f"service on host {self.host.host_id} is not deployment-managed"
-            )
         deployment = self.deployment
         sim = self.cluster.sim
         session = UpgradeSession(
@@ -522,49 +510,39 @@ class MccsService:
             if on_done is not None:
                 on_done(session)
 
-        def drain(comm, attempt: int = 0) -> None:
+        def settled(comm: "ServiceCommunicator", drained: bool) -> None:
+            if drained:
+                session.drained_comms.append(comm.comm_id)
+            remaining.discard(comm.comm_id)
+            if not remaining:
+                finish()
+
+        def exhausted(
+            comm: "ServiceCommunicator", error: Optional[BaseException]
+        ) -> None:
             if session.failed:
                 return
-            if comm.aborted or comm.destroyed:
-                remaining.discard(comm.comm_id)
-                if not remaining:
-                    finish()
-                return
-
-            def drained(_session: "ReconfigSession") -> None:
-                session.drained_comms.append(comm.comm_id)
-                remaining.discard(comm.comm_id)
-                if not remaining:
-                    finish()
-
-            def drain_failed(reconfig_session: "ReconfigSession") -> None:
-                retry(reconfig_session.error)
-
-            def retry(error: Optional[BaseException]) -> None:
-                if attempt + 1 > max_retries:
-                    session.error = UpgradeError(
-                        f"upgrade of host {self.host.host_id} could not drain "
-                        f"comm {comm.comm_id} after {max_retries} attempt(s): "
-                        f"{error}"
-                    )
-                    if on_done is not None:
-                        on_done(session)
-                    return
-                sim.call_in(retry_delay, lambda: drain(comm, attempt + 1))
-
-            try:
-                deployment.reconfigure(
-                    comm.comm_id,
-                    routes=comm.strategy.route_map(),
-                    algorithm=algorithm,
-                    barrier_timeout=barrier_timeout,
-                    on_done=drained,
-                    on_failed=drain_failed,
-                )
-            except MccsError as exc:
-                # Another session (recovery, autotuner, the provider) is
-                # mid-flight on this communicator: wait and retry.
-                retry(exc)
+            session.error = UpgradeError(
+                f"upgrade of host {self.host.host_id} could not drain "
+                f"comm {comm.comm_id} after {UPGRADE_RETRY.max_retries} "
+                f"attempt(s): {error}"
+            )
+            self.telemetry.metrics.counter(
+                "mccs_upgrade_failures_total",
+                "Live upgrades abandoned because a communicator never "
+                "drained, by component.",
+            ).inc(host=f"h{self.host.host_id}", component=component)
+            self.telemetry.events.log(
+                sim.now,
+                "upgrade_failed",
+                f"host {self.host.host_id} {component} upgrade abandoned",
+                host=self.host.host_id,
+                component=component,
+                comm=comm.comm_id,
+                error=str(session.error),
+            )
+            if on_done is not None:
+                on_done(session)
 
         if not to_drain:
             # Nothing to drain (frontend-only upgrade, or an idle host):
@@ -572,22 +550,27 @@ class MccsService:
             sim.call_in(0.0, finish)
         else:
             for comm in to_drain:
-                drain(comm)
+                # Another session (recovery, autotuner, the provider) may
+                # be mid-flight on the communicator: the drain waits it out.
+                deployment.drain(
+                    comm,
+                    retry=UPGRADE_RETRY,
+                    barrier_timeout=None,
+                    on_done=lambda _s, comm=comm: settled(comm, True),
+                    on_gone=lambda comm=comm: settled(comm, False),
+                    on_exhausted=lambda err, comm=comm: exhausted(comm, err),
+                    algorithm=algorithm,
+                )
         return session
 
     def _swap_proxy_engines(self) -> None:
-        """Replace every proxy engine, handing over the quiesced state.
-
-        The per-rank state dicts transfer by reference: any barrier
-        session still holding the old engine object mutates the same
-        :class:`~repro.core.proxy._RankState` entries the new engine
-        serves, so the cut is seamless.
-        """
+        """Replace every proxy engine, handing over the quiesced state
+        (by reference, see :meth:`ProxyEngine.adopt_ranks`)."""
         fresh: Dict[int, ProxyEngine] = {}
         for gpu_global_id, old in self.proxies.items():
             engine = ProxyEngine(
                 self.host.host_id, gpu_global_id, self.telemetry
             )
-            engine._ranks = old._ranks
+            engine.adopt_ranks(old)
             fresh[gpu_global_id] = engine
         self.proxies = fresh

@@ -156,22 +156,19 @@ class _PendingIssue:
 
 BufferArg = Union[MccsBuffer, BufferRef]
 
+#: How every shim waits out a restarting host service before giving up.
+SHIM_RETRY = Backoff()
+
 
 class MccsClient:
     """The shim library instance of one application."""
 
-    def __init__(
-        self,
-        deployment: MccsDeployment,
-        app_id: str,
-        retry: Optional[Backoff] = None,
-    ) -> None:
+    def __init__(self, deployment: MccsDeployment, app_id: str) -> None:
         self.deployment = deployment
         self.app_id = app_id
         self.cluster = deployment.cluster
         self.buffers: Dict[int, MccsBuffer] = {}
         self.communicators: Dict[int, MccsCommunicator] = {}
-        self.retry = retry if retry is not None else Backoff()
         # Deterministic jitter: seeded from the app id (crc32, not hash()
         # — Python string hashes vary between runs).
         self._rng = random.Random(zlib.crc32(app_id.encode()))
@@ -251,7 +248,7 @@ class MccsClient:
 
     def _retry_free(self, buf: MccsBuffer, attempt: int) -> None:
         """Fire-and-forget reissue of a FreeRequest after an outage."""
-        if attempt >= self.retry.max_retries:
+        if attempt >= SHIM_RETRY.max_retries:
             self._count_giveup("free")
             return
 
@@ -269,7 +266,7 @@ class MccsClient:
                 pass
 
         self.cluster.sim.call_in(
-            self.retry.delay(attempt, self._rng), fire
+            SHIM_RETRY.delay(attempt, self._rng), fire
         )
 
     # ------------------------------------------------------------------
@@ -515,7 +512,7 @@ class MccsClient:
             return
         self._pump_scheduled.add(comm_id)
         self.cluster.sim.call_in(
-            self.retry.delay(attempt, self._rng),
+            SHIM_RETRY.delay(attempt, self._rng),
             lambda: self._pump(comm_id),
         )
 
@@ -529,7 +526,7 @@ class MccsClient:
                 self._issue(item)
             except ServiceUnavailableError as exc:
                 item.attempt += 1
-                if item.attempt > self.retry.max_retries:
+                if item.attempt > SHIM_RETRY.max_retries:
                     self._fail_issue(item, exc)
                     queue.pop(0)
                     continue

@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..autotune import AutotuneConfig, StrategyPlanner
+from ..autotune import StrategyPlanner
 from ..cluster.specs import testbed_cluster
 from ..collectives.ring import RingSchedule
 from ..collectives.types import Collective
@@ -144,13 +144,12 @@ def _measure_tuned(
     *,
     rounds: int,
     tail: int,
-    config: Optional[AutotuneConfig],
 ) -> RegimeResult:
     """Run the online tuner from the default strategy; report the tail."""
     cluster = testbed_cluster()
     gpus = single_app_gpus(cluster, setup)
     deployment = MccsDeployment(cluster)
-    tuner = deployment.enable_autotuning(config)
+    tuner = deployment.enable_autotuning()
     comm = deployment.create_communicator(
         "A", gpus, datapath_tag=_DATAPATH_TAG
     )
@@ -189,13 +188,12 @@ def run_autotune(
     static_iters: int = 4,
     tune_rounds: int = 24,
     tail: int = 4,
-    config: Optional[AutotuneConfig] = None,
 ) -> AutotuneResult:
     """Tuned-vs-static comparison over the given size regimes."""
     result = AutotuneResult(setup=setup, kind=kind)
     for size in sizes:
         regime = _measure_tuned(
-            setup, kind, size, rounds=tune_rounds, tail=tail, config=config
+            setup, kind, size, rounds=tune_rounds, tail=tail
         )
         for label, algorithm, channels, ring in _static_signatures(
             size, setup, kind

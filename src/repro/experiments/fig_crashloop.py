@@ -36,7 +36,6 @@ from ..cluster.specs import testbed_cluster
 from ..core.admission import AdmissionPolicy
 from ..core.controller import CentralManager
 from ..core.deployment import MccsDeployment
-from ..core.recovery import RecoveryPolicy
 from ..netsim.errors import MccsError
 from ..netsim.units import MB
 from .report import print_table
@@ -95,13 +94,10 @@ def _run_workload(
     """One full run; ``inject=False`` is the baseline for comparison."""
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster, ecmp_seed=seed)
-    deployment.enable_recovery(RecoveryPolicy(collective_deadline=0.25))
+    deployment.enable_recovery(collective_deadline=0.25)
     deployment.enable_service_supervision(restart_delay=0.02)
     admission = deployment.configure_admission(
-        AdmissionPolicy(
-            classes=(("high", 64), ("normal", 32), ("low", 16)),
-            priority=("high", "normal", "low"),
-        )
+        AdmissionPolicy(classes=(("high", 64), ("normal", 32), ("low", 16)))
     )
     manager = CentralManager(deployment)
     placements = multi_app_setups()["setup2"]

@@ -43,7 +43,6 @@ import numpy as np
 from ..cluster.specs import multi_region_cluster
 from ..core.admission import AdmissionPolicy
 from ..core.deployment import MccsDeployment
-from ..core.recovery import RecoveryPolicy
 from ..faults import BandwidthDriftPlan, FaultInjector
 from ..netsim.errors import MccsError
 from ..netsim.fabric import RegionSpec, wan_links
@@ -132,7 +131,7 @@ def _run(
     spec = RegionSpec()
     cluster = multi_region_cluster(spec)
     deployment = MccsDeployment(cluster, ecmp_seed=seed)
-    deployment.enable_recovery(RecoveryPolicy(collective_deadline=1.0))
+    deployment.enable_recovery(collective_deadline=1.0)
     deployment.enable_service_supervision(restart_delay=0.02)
     deployment.configure_admission(AdmissionPolicy())
     deployment.enable_autotuning()

@@ -30,7 +30,6 @@ import numpy as np
 from ..cluster.specs import testbed_cluster
 from ..core.controller import CentralManager
 from ..core.deployment import MccsDeployment
-from ..core.recovery import RecoveryPolicy
 from ..faults import FaultInjector
 from ..netsim.errors import CommunicatorError
 from ..netsim.units import MB
@@ -90,8 +89,9 @@ def run_failover_case(
         raise ValueError(f"unknown fault kind {kind!r}")
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster, ecmp_seed=seed)
-    policy = RecoveryPolicy(collective_deadline=deadline)
-    recovery = deployment.enable_recovery(policy, heartbeat_until=2.0)
+    recovery = deployment.enable_recovery(
+        collective_deadline=deadline, heartbeat_until=2.0
+    )
     manager = CentralManager(deployment)
 
     victim_gpus = [cluster.hosts[h].gpus[0] for h in range(4)]

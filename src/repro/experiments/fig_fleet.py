@@ -183,10 +183,7 @@ def run_fleet(
     deployment = MccsDeployment(cluster, ecmp_seed=seed)
     deployment.enable_service_supervision(restart_delay=0.03)
     deployment.configure_admission(
-        AdmissionPolicy(
-            classes=(("high", 64), ("normal", 64), ("low", 64)),
-            priority=("high", "normal", "low"),
-        )
+        AdmissionPolicy(classes=(("high", 64), ("normal", 64), ("low", 64)))
     )
     policy = GatewayPolicy(
         queue_capacity=16,

@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..autotune import AutotuneConfig, StrategyPlanner
+from ..autotune import StrategyPlanner
 from ..cluster.gpu import GpuDevice
 from ..cluster.specs import Cluster, multi_region_cluster, testbed_cluster
 from ..collectives.ring import RingSchedule
@@ -148,13 +148,12 @@ def _measure_tuned(
     *,
     rounds: int,
     tail: int,
-    config: Optional[AutotuneConfig],
 ) -> TunedResult:
     """Run the online tuner from the default strategy; report the tail."""
     cluster = make_cluster()
     gpus = pick_gpus(cluster)
     deployment = MccsDeployment(cluster)
-    tuner = deployment.enable_autotuning(config)
+    tuner = deployment.enable_autotuning()
     comm = deployment.create_communicator(
         "A", gpus, datapath_tag=_DATAPATH_TAG
     )
@@ -230,7 +229,6 @@ def run_synth(
     tune_rounds: int = 30,
     tail: int = 4,
     tune_size: int = 16 * MB,
-    config: Optional[AutotuneConfig] = None,
 ) -> List[FabricResult]:
     """Synthesized-vs-builtin sweep, plus the tuner adoption run."""
     results: List[FabricResult] = []
@@ -256,7 +254,6 @@ def run_synth(
                     tune_size,
                     rounds=tune_rounds,
                     tail=tail,
-                    config=config,
                 )
         finally:
             for algo in algos:

@@ -13,6 +13,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+#: The QoS classes, most to least important: admission's overload cap
+#: spares the first, gateway brownout sheds from the last.
+QOS_LADDER = ("high", "normal", "low")
+
 
 @dataclass(frozen=True)
 class Backoff:

@@ -53,7 +53,7 @@ from ..netsim.errors import (
     ReproError,
     ServiceUnavailableError,
 )
-from ..resilience import Backoff
+from ..resilience import QOS_LADDER, Backoff
 from ..telemetry.ringbuffer import RingBuffer
 from .errors import (
     AuthenticationError,
@@ -229,7 +229,7 @@ class ServiceGateway:
         self.restarts = 0
         self._sessions: Dict[str, _Session] = {}
         self._queues: Dict[str, Deque[GatewayRecord]] = {
-            qos: deque() for qos in self.policy.brownout.priority
+            qos: deque() for qos in QOS_LADDER
         }
         self._queued = 0
         self._inflight = 0
@@ -530,7 +530,7 @@ class ServiceGateway:
         """Name and deque of the class queue a ``qos`` request waits in
         (an unknown class rides the lowest-priority queue)."""
         if qos not in self._queues:
-            qos = self.policy.brownout.priority[-1]
+            qos = QOS_LADDER[-1]
         return qos, self._queues[qos]
 
     def _leave_queue(self, record: GatewayRecord) -> None:
@@ -583,7 +583,7 @@ class ServiceGateway:
         per-tenant FIFO order is preserved because only that tenant's
         entries are skipped.
         """
-        for qos in self.policy.brownout.priority:
+        for qos in QOS_LADDER:
             for record in self._queues[qos]:
                 session = record.session
                 if session.inflight < session.account.quota.max_inflight:
@@ -823,8 +823,7 @@ class ServiceGateway:
         if level > before:
             # Queued requests of now-shed classes are answered too — each class
             # checked as the drain reaches it: the level can relax on the way.
-            priority = self.policy.brownout.priority
-            shed = (qos for qos in priority if self.brownout.sheds(qos))
+            shed = (qos for qos in QOS_LADDER if self.brownout.sheds(qos))
             self._drain("brownout", self._shed_error, shed)
 
     # ------------------------------------------------------------------

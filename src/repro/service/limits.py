@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Optional, Sequence, Tuple
+from typing import Deque, Optional, Tuple
 from collections import deque
 
 from ..netsim.errors import PolicyError
+from ..resilience import QOS_LADDER
 from ..telemetry.ringbuffer import RingBuffer
 
 #: Level changes :attr:`BrownoutController.transitions` keeps, newest last
@@ -165,12 +166,11 @@ class BrownoutPolicy:
 
     watermarks: Tuple[float, ...] = (0.60, 0.85)
     hysteresis: float = 0.10
-    priority: Tuple[str, ...] = ("high", "normal", "low")
 
     def __post_init__(self) -> None:
         if list(self.watermarks) != sorted(self.watermarks):
             raise PolicyError("brownout watermarks must be ascending")
-        if len(self.watermarks) >= len(self.priority):
+        if len(self.watermarks) >= len(QOS_LADDER):
             raise PolicyError(
                 "need fewer watermarks than QoS classes (the top class "
                 "is never shed)"
@@ -212,8 +212,6 @@ class BrownoutController:
         """Is ``qos_class`` currently being shed?"""
         if self.level <= 0:
             return False
-        priority: Sequence[str] = self.policy.priority
-        if qos_class not in priority:
+        if qos_class not in QOS_LADDER:
             return True  # unknown classes rank below everything listed
-        index = priority.index(qos_class)
-        return index >= len(priority) - self.level
+        return QOS_LADDER.index(qos_class) >= len(QOS_LADDER) - self.level

@@ -17,7 +17,7 @@ from .events import MAX_EVENTS, EventLog
 from .exporters import chrome_trace, json_snapshot, prometheus_text
 from .metrics import MetricsRegistry
 from .sampler import NetworkTelemetry
-from .slo import SloPolicy, SloTracker
+from .slo import SloTracker
 from .spans import MAX_SPANS, Span, SpanRecorder, collective_spans
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,10 +50,6 @@ class TelemetryHub:
         self._resilience_provider: Optional[
             Callable[[], Dict[str, int]]
         ] = None
-
-    def set_slo_policy(self, policy: SloPolicy) -> None:
-        """Install the declarative per-QoS-class SLO targets."""
-        self.slo.policy = policy
 
     def _on_slo_violation(
         self, tenant: str, p99: float, target: float, now: float

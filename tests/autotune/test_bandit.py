@@ -1,8 +1,8 @@
-"""Bounded-exploration bandit policies over strategy arms."""
+"""The bounded-exploration bandit over strategy arms."""
 
 import pytest
 
-from repro.autotune import ArmStats, EpsilonGreedy, UcbBandit, make_bandit
+from repro.autotune import ArmStats, UcbBandit, bandit as bandit_module
 
 ARMS = ["ring", "tree", "hd"]
 
@@ -23,18 +23,16 @@ def test_arm_stats_mean():
 
 def test_observe_rejects_negative_cost():
     with pytest.raises(ValueError):
-        EpsilonGreedy().observe("ring", -1.0)
+        UcbBandit().observe("ring", -1.0)
 
 
 def test_select_requires_arms():
-    with pytest.raises(ValueError):
-        EpsilonGreedy().select([])
     with pytest.raises(ValueError):
         UcbBandit().select([])
 
 
 def test_best_arm_prefers_lowest_mean_then_name():
-    bandit = EpsilonGreedy()
+    bandit = UcbBandit()
     feed(bandit, {"ring": 3.0, "tree": 1.0, "hd": 1.0})
     # tie between tree and hd broken deterministically by name
     assert bandit.best_arm(ARMS) == "hd"
@@ -43,24 +41,20 @@ def test_best_arm_prefers_lowest_mean_then_name():
 
 
 def test_unpulled_arms_tried_first():
-    for bandit in (EpsilonGreedy(seed=1), UcbBandit()):
-        seen = set()
-        for _ in range(len(ARMS)):
-            arm = bandit.select(ARMS)
-            assert arm not in seen  # never repeats an unpulled arm...
-            seen.add(arm)
-            bandit.observe(arm, 1.0)
-        assert seen == set(ARMS)  # ...until every arm has one pull
+    bandit = UcbBandit()
+    seen = set()
+    for _ in range(len(ARMS)):
+        arm = bandit.select(ARMS)
+        assert arm not in seen  # never repeats an unpulled arm...
+        seen.add(arm)
+        bandit.observe(arm, 1.0)
+    assert seen == set(ARMS)  # ...until every arm has one pull
 
 
-@pytest.mark.parametrize(
-    "bandit",
-    [
-        EpsilonGreedy(epsilon=1.0, exploration_budget=5, seed=0),
-        UcbBandit(c=2.0, exploration_budget=5),
-    ],
-)
-def test_exploration_budget_is_a_hard_bound(bandit):
+def test_exploration_budget_is_a_hard_bound(monkeypatch):
+    monkeypatch.setattr(bandit_module, "UCB_C", 2.0)
+    monkeypatch.setattr(bandit_module, "EXPLORATION_BUDGET", 5)
+    bandit = UcbBandit()
     costs = {"ring": 3.0, "tree": 1.0, "hd": 2.0}
     for _ in range(40):
         arm = bandit.select(ARMS)
@@ -72,9 +66,8 @@ def test_exploration_budget_is_a_hard_bound(bandit):
         assert bandit.select(ARMS) == "tree"
 
 
-@pytest.mark.parametrize("policy", ["epsilon", "ucb"])
-def test_converges_to_cheapest_arm(policy):
-    bandit = make_bandit(policy, exploration_budget=10, seed=3)
+def test_converges_to_cheapest_arm():
+    bandit = UcbBandit()
     costs = {"ring": 3.0, "tree": 1.0, "hd": 2.0}
     pulls = []
     for _ in range(60):
@@ -84,9 +77,9 @@ def test_converges_to_cheapest_arm(policy):
     assert set(pulls[-10:]) == {"tree"}
 
 
-def test_epsilon_greedy_is_deterministic_per_seed():
-    def trajectory(seed):
-        bandit = EpsilonGreedy(epsilon=0.5, exploration_budget=8, seed=seed)
+def test_selection_is_deterministic():
+    def trajectory():
+        bandit = UcbBandit()
         costs = {"ring": 3.0, "tree": 1.0, "hd": 2.0}
         out = []
         for _ in range(20):
@@ -95,11 +88,13 @@ def test_epsilon_greedy_is_deterministic_per_seed():
             out.append(arm)
         return out
 
-    assert trajectory(5) == trajectory(5)
+    assert trajectory() == trajectory()
 
 
-def test_ucb_explores_undersampled_arms_before_budget_runs_out():
-    bandit = UcbBandit(c=2.0, exploration_budget=20)
+def test_ucb_explores_undersampled_arms_before_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(bandit_module, "UCB_C", 2.0)
+    monkeypatch.setattr(bandit_module, "EXPLORATION_BUDGET", 20)
+    bandit = UcbBandit()
     # tree looks best but hd has barely been sampled
     feed(bandit, {"ring": 3.0, "tree": 1.0}, rounds=5)
     bandit.observe("hd", 1.05)
@@ -112,16 +107,3 @@ def test_ucb_explores_undersampled_arms_before_budget_runs_out():
         choices.add(arm)
     assert "hd" in choices
     assert bandit.state.exploration_spent > spent
-
-
-def test_make_bandit_validation():
-    assert isinstance(make_bandit("epsilon"), EpsilonGreedy)
-    assert isinstance(make_bandit("ucb"), UcbBandit)
-    with pytest.raises(ValueError):
-        make_bandit("thompson")
-    with pytest.raises(ValueError):
-        EpsilonGreedy(epsilon=1.5)
-    with pytest.raises(ValueError):
-        UcbBandit(c=-1.0)
-    with pytest.raises(ValueError):
-        EpsilonGreedy(exploration_budget=-1)

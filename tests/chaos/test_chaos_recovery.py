@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from repro.cluster.specs import testbed_cluster
 from repro.core.controller import CentralManager
 from repro.core.deployment import MccsDeployment
-from repro.core.recovery import RecoveryPolicy
 from repro.errors import CommunicatorError, ReproError
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.netsim.units import MB
@@ -52,8 +51,9 @@ def run_chaos(seed: int, *, num_faults: int = 2, num_ops: int = 3) -> dict:
     rng = random.Random(seed)
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster, ecmp_seed=seed)
-    policy = RecoveryPolicy(collective_deadline=0.25)
-    recovery = deployment.enable_recovery(policy, heartbeat_until=3.0)
+    recovery = deployment.enable_recovery(
+        collective_deadline=0.25, heartbeat_until=3.0
+    )
     # Service crashes (now in FaultPlan.random's default kind mix) are
     # repaired by supervised journal-replay restarts.
     deployment.enable_service_supervision()

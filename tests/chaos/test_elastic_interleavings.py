@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.cluster.specs import multi_region_cluster
 from repro.core.deployment import MccsDeployment
-from repro.core.recovery import RecoveryPolicy
 from repro.errors import ReproError
 from repro.faults import FaultInjector
 from repro.netsim.fabric import RegionSpec, wan_links
@@ -39,7 +38,7 @@ def _run_interleaving(ops):
     cluster = multi_region_cluster(RegionSpec())
     deployment = MccsDeployment(cluster, ecmp_seed=0)
     deployment.enable_recovery(
-        RecoveryPolicy(collective_deadline=1.0), heartbeat_until=3.0
+        collective_deadline=1.0, heartbeat_until=3.0
     )
     deployment.enable_service_supervision(restart_delay=0.02)
     elastic = deployment.enable_elasticity()

@@ -54,7 +54,6 @@ def test_global_cap_spares_only_the_top_priority_class(
     admission = deployment.configure_admission(
         AdmissionPolicy(
             classes=(("high", 64), ("normal", 16), ("low", 4)),
-            priority=("high", "normal", "low"),
             total_inflight=1,
         )
     )

@@ -11,12 +11,13 @@ property in ``tests/chaos``.
 import numpy as np
 import pytest
 
+from repro.core import elastic as elastic_module
 from repro.core.admission import AdmissionPolicy
-from repro.core.elastic import MIN_WORLD, ElasticPolicy
-from repro.core.recovery import RecoveryPolicy
+from repro.core.elastic import MIN_WORLD
 from repro.errors import AdmissionRejectedError, MembershipChangeError
 from repro.faults import FaultInjector, FaultPlan
 from repro.netsim.units import MB
+from repro.resilience import Backoff
 
 
 def _admit(manager, deployment, gpus, app="A"):
@@ -109,8 +110,7 @@ def test_grow_validation_errors(cluster, deployment, manager, four_gpus):
 
 def test_grow_sheds_through_admission(cluster, deployment, manager, four_gpus):
     deployment.configure_admission(
-        AdmissionPolicy(classes=(("zero", 0),), priority=("zero",),
-                        default_class="zero")
+        AdmissionPolicy(classes=(("zero", 0),), default_class="zero")
     )
     elastic = deployment.enable_elasticity()
     client, comm = _admit(manager, deployment, four_gpus)
@@ -123,13 +123,16 @@ def test_grow_sheds_through_admission(cluster, deployment, manager, four_gpus):
 
 
 def test_failed_grow_releases_staging_buffers(
-    cluster, deployment, manager, four_gpus
+    cluster, deployment, manager, four_gpus, monkeypatch
 ):
     """A drain that exhausts its attempts frees the joiner's staging."""
-    elastic = deployment.enable_elasticity(
-        ElasticPolicy(max_drain_attempts=0)
+    monkeypatch.setattr(
+        elastic_module, "DRAIN_RETRY", Backoff(base=0.01, cap=0.01, max_retries=0)
     )
+    elastic = deployment.enable_elasticity()
     client, comm = _admit(manager, deployment, four_gpus)
+    # The barrier stays busy for both the one try and the give-up check.
+    deployment.reconfigure(comm.comm_id, routes={}, delays=[1.0] * 4)
     joiner = cluster.hosts[0].gpus[1]
     before = joiner.memory_used
     failed = []
@@ -201,7 +204,7 @@ def test_one_operation_in_flight_per_communicator(
 def test_membership_survives_crash_restart(
     cluster, deployment, manager, four_gpus
 ):
-    deployment.enable_recovery(RecoveryPolicy())
+    deployment.enable_recovery()
     elastic = deployment.enable_elasticity()
     client, comm = _admit(manager, deployment, four_gpus)
     elastic.grow(comm.comm_id, [cluster.hosts[0].gpus[1]])
@@ -228,7 +231,7 @@ def test_membership_survives_crash_restart(
 
 
 def test_membership_notifies_recovery(cluster, deployment, manager, four_gpus):
-    recovery = deployment.enable_recovery(RecoveryPolicy())
+    recovery = deployment.enable_recovery()
     elastic = deployment.enable_elasticity()
     client, comm = _admit(manager, deployment, four_gpus)
     elastic.shrink(comm.comm_id, [3])

@@ -8,7 +8,8 @@ covers the same machinery under randomized fault plans.
 import numpy as np
 import pytest
 
-from repro.core.recovery import HeartbeatMonitor, RecoveryPolicy, fault_kind
+from repro.core import recovery as recovery_module
+from repro.core.recovery import fault_kind
 from repro.errors import (
     CollectiveTimeoutError,
     CommunicatorError,
@@ -45,7 +46,7 @@ def _events(recovery):
 def test_link_down_recovers_and_bytes_survive(
     cluster, deployment, manager, four_gpus, injector
 ):
-    recovery = deployment.enable_recovery(RecoveryPolicy(), heartbeat_until=1.0)
+    recovery = deployment.enable_recovery(heartbeat_until=1.0)
     client, comm = _admit(manager, deployment, four_gpus)
 
     def strike():
@@ -76,7 +77,7 @@ def test_link_down_recovers_and_bytes_survive(
 def test_recovery_reroutes_around_down_link(
     cluster, deployment, manager, four_gpus, injector
 ):
-    deployment.enable_recovery(RecoveryPolicy(), heartbeat_until=1.0)
+    deployment.enable_recovery(heartbeat_until=1.0)
     client, comm = _admit(manager, deployment, four_gpus)
     struck = []
 
@@ -100,10 +101,12 @@ def test_recovery_reroutes_around_down_link(
 # give-up paths: exhaustion and dead ranks
 # ----------------------------------------------------------------------
 def test_attempt_exhaustion_aborts_with_typed_error(
-    cluster, deployment, manager, four_gpus, injector
+    cluster, deployment, manager, four_gpus, injector, monkeypatch
 ):
-    policy = RecoveryPolicy(max_attempts=2, collective_deadline=None)
-    recovery = deployment.enable_recovery(policy, heartbeat_until=1.0)
+    monkeypatch.setattr(recovery_module, "MAX_ATTEMPTS", 2)
+    recovery = deployment.enable_recovery(
+        collective_deadline=None, heartbeat_until=1.0
+    )
     client, comm = _admit(manager, deployment, four_gpus)
     # Both NICs of host 3 die: rank 3 keeps failing at connection setup,
     # but its proxy stays alive so this is not a dead-rank give-up.
@@ -126,7 +129,7 @@ def test_attempt_exhaustion_aborts_with_typed_error(
 def test_host_crash_aborts_and_reforms_on_survivors(
     cluster, deployment, manager, four_gpus, injector
 ):
-    recovery = deployment.enable_recovery(RecoveryPolicy(), heartbeat_until=1.0)
+    recovery = deployment.enable_recovery(heartbeat_until=1.0)
     client, comm = _admit(manager, deployment, four_gpus)
     injector.schedule(FaultPlan().host_crash(0.004, 3))
     op = client.all_reduce(comm, 64 * MB)
@@ -147,7 +150,7 @@ def test_host_crash_aborts_and_reforms_on_survivors(
 def test_crash_blast_radius_spares_co_tenant(
     cluster, deployment, manager, injector
 ):
-    deployment.enable_recovery(RecoveryPolicy(), heartbeat_until=1.0)
+    deployment.enable_recovery(heartbeat_until=1.0)
     victim_gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
     vclient, vcomm = _admit(manager, deployment, victim_gpus, app="victim")
     healthy_gpus = [cluster.hosts[0].gpus[1], cluster.hosts[1].gpus[1]]
@@ -165,12 +168,13 @@ def test_crash_blast_radius_spares_co_tenant(
 # detection: deadlines and heartbeats
 # ----------------------------------------------------------------------
 def test_collective_deadline_detects_stall(
-    cluster, deployment, manager, four_gpus, injector
+    cluster, deployment, manager, four_gpus, injector, monkeypatch
 ):
     # Deadline must clear a healthy 64MB AllReduce (~21ms) but trip
     # during the brownout.
+    monkeypatch.setattr(recovery_module, "MAX_ATTEMPTS", 8)
     recovery = deployment.enable_recovery(
-        RecoveryPolicy(collective_deadline=0.03, max_attempts=8), heartbeat_until=1.0
+        collective_deadline=0.03, heartbeat_until=1.0
     )
     client, comm = _admit(manager, deployment, four_gpus)
 
@@ -198,8 +202,7 @@ def test_collective_deadline_detects_stall(
 def test_heartbeat_monitor_detects_idle_crash(
     cluster, deployment, manager, four_gpus, injector
 ):
-    policy = RecoveryPolicy(heartbeat_interval=0.01)
-    recovery = deployment.enable_recovery(policy, heartbeat_until=0.5)
+    recovery = deployment.enable_recovery(heartbeat_until=0.5)
     client, comm = _admit(manager, deployment, four_gpus)
     # No collective in flight: only the heartbeat can notice this crash.
     cluster.sim.call_in(0.1, lambda: injector.crash_host(2))
@@ -222,12 +225,32 @@ def test_heartbeat_monitor_is_bounded():
 
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster)
-    deployment.enable_recovery(
-        RecoveryPolicy(heartbeat_interval=0.01), heartbeat_until=0.1
-    )
+    deployment.enable_recovery(heartbeat_until=0.1)
     end = deployment.run()
     # The monitor re-arms only inside its bound: the sim terminates.
     assert end <= 0.1 + 0.01 + 1e-9
+
+
+def test_heartbeat_monitor_reports_a_hosts_second_service_crash(
+    cluster, deployment, manager, four_gpus
+):
+    """A restarted service has fresh proxy engines; when it crashes again
+    (unsupervised, communicator idle) only the heartbeat can notice."""
+    recovery = deployment.enable_recovery(heartbeat_until=1.0)
+    _admit(manager, deployment, four_gpus)
+    cluster.sim.call_in(0.05, lambda: deployment.crash_service(1))
+    cluster.sim.call_in(0.10, lambda: deployment.restart_service(1))
+    cluster.sim.call_in(0.20, lambda: deployment.crash_service(1))
+    deployment.run()
+    per_host = len(cluster.hosts[1].gpus)
+    assert deployment.heartbeat_monitor.missed == 2 * per_host
+    misses = [
+        dump["time"]
+        for dump in deployment.telemetry().flight.dumps()
+        if dump["reason"] == "heartbeat_miss"
+    ]
+    assert sum(1 for t in misses if t > 0.15) == per_host
+    assert len(recovery.telemetry.events.events("failure_detected")) == 2
 
 
 # ----------------------------------------------------------------------
@@ -301,20 +324,12 @@ def test_fault_kind_classification(error, kind):
     assert fault_kind(error) == kind
 
 
-def test_heartbeat_monitor_rejects_bad_interval(deployment):
-    from repro.core.recovery import RecoveryManager
-
-    manager = RecoveryManager(deployment)
-    with pytest.raises(ValueError):
-        HeartbeatMonitor(deployment, manager, interval=0.0, until=1.0)
-
-
 def test_reform_skipped_when_fewer_than_two_survivors(
     cluster, deployment, manager, injector
 ):
     """<2 survivors: no successor, but a typed event and an alertable
     counter instead of a silent return."""
-    recovery = deployment.enable_recovery(RecoveryPolicy(), heartbeat_until=1.0)
+    recovery = deployment.enable_recovery(heartbeat_until=1.0)
     gpus = [cluster.hosts[0].gpus[0], cluster.hosts[3].gpus[0]]
     client, comm = _admit(manager, deployment, gpus)
     injector.schedule(FaultPlan().host_crash(0.004, 3))

@@ -8,7 +8,7 @@ the new ``service_crash``/``engine_restart`` fault-plan kinds.
 import numpy as np
 import pytest
 
-from repro.core.recovery import RecoveryPolicy, fault_kind
+from repro.core.recovery import fault_kind
 from repro.core.shim import MccsClient
 from repro.errors import (
     HostCrashedError,
@@ -18,7 +18,6 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.netsim.units import MB
-from repro.resilience import Backoff
 
 
 def _admit(manager, deployment, gpus, app="A"):
@@ -96,7 +95,7 @@ def test_free_is_idempotent_and_double_free_is_typed(
 def test_supervised_restart_completes_inflight_collective(
     cluster, deployment, manager, four_gpus
 ):
-    deployment.enable_recovery(RecoveryPolicy(collective_deadline=0.25))
+    deployment.enable_recovery(collective_deadline=0.25)
     deployment.enable_service_supervision(restart_delay=0.02)
     client, comm = _admit(manager, deployment, four_gpus)
     sends = [client.alloc(g, 256) for g in four_gpus]
@@ -125,7 +124,7 @@ def test_supervised_restart_completes_inflight_collective(
 def test_root_host_crash_reissues_in_fifo_order(
     cluster, deployment, manager, four_gpus
 ):
-    deployment.enable_recovery(RecoveryPolicy(collective_deadline=0.25))
+    deployment.enable_recovery(collective_deadline=0.25)
     deployment.enable_service_supervision(restart_delay=0.02)
     client, comm = _admit(manager, deployment, four_gpus)
     # Kill the root host's service before anything is issued: both
@@ -148,11 +147,7 @@ def test_shim_gives_up_typed_when_service_never_returns(
 ):
     # No supervisor: the outage is permanent and the shim must not hang.
     manager.admit("A", four_gpus)
-    client = MccsClient(
-        deployment,
-        "A",
-        retry=Backoff(base=0.001, max_retries=2),
-    )
+    client = MccsClient(deployment, "A")
     comm = client.adopt_communicator(
         deployment.communicators()[0].comm_id
     )

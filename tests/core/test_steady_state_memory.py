@@ -14,7 +14,8 @@ one journal record per collective (see the retention table in
 communicator's ring until the communicator is destroyed, and the only
 stored ``Span``s are the reconfiguration ones.  Nor are the gateway's
 per-request objects (its ledger is counts plus a ring of settled
-records) or admission decisions (counters and events, no list).
+records), admission decisions (counters and events, no list) or finished
+membership changes and upgrade sessions (a ring each, patched small here).
 """
 
 import gc
@@ -56,6 +57,8 @@ PER_COLLECTIVE = (
     "GatewayRequest",
     "GatewayResponse",
     "AdmissionDecision",
+    "MembershipChange",
+    "UpgradeSession",
     "function",
     "cell",
     "method",
@@ -188,15 +191,21 @@ def test_tenant_cycles_leave_nothing_behind(monkeypatch):
 def test_elastic_cycles_leave_nothing_behind(monkeypatch):
     """Grow then shrink back, each issued under traffic so the change has
     to wait for in-flight work: the wait's completion listener (and the
-    ``_Operation``, record and callbacks it closes over) ends with it."""
+    ``_Operation``, record and callbacks it closes over) ends with it.
+    A live upgrade rides every cycle; both finished-operation rings wrap."""
+    monkeypatch.setattr("repro.core.elastic.HISTORY_KEPT", 32)
+    monkeypatch.setattr("repro.core.service.UPGRADES_KEPT", 16)
     cluster, dep = make_deployment(monkeypatch)
     elastic = dep.enable_elasticity()
     client = dep.connect("app")
     gpus = list(cluster.gpus)
     comm = dep.communicator(client.create_communicator(gpus[:4]).comm_id)
+    service = dep.service_of(gpus[0].host_id)
     waits = []
+    upgrades = 0
 
     def cycle():
+        nonlocal upgrades
         for change in (
             lambda: elastic.grow(comm.comm_id, [gpus[4]]),
             lambda: elastic.shrink(comm.comm_id, [4]),
@@ -208,6 +217,12 @@ def test_elastic_cycles_leave_nothing_behind(monkeypatch):
             waits.append(len(comm.completion_listeners))
             dep.run()
             assert record.state == "done" and all(op.completed for op in ops)
+        upgrades += 1
+        session = service.upgrade("proxy")
+        dep.run()
+        assert session.done
+        # A count of upgrades ever started: it does not fall as the ring wraps.
+        assert dep.resilience_stats()["upgrades"] == upgrades
 
     listeners = len(comm.completion_listeners)
     for _ in range(CAUSAL_RING // 6 + 4):
@@ -219,6 +234,9 @@ def test_elastic_cycles_leave_nothing_behind(monkeypatch):
     assert set(waits) == {listeners + 1}  # every change really waited...
     assert len(comm.completion_listeners) == listeners  # ...and let go
     assert elastic._inflight == {} and comm.world == 4
+    # Both finished-operation rings were full at the first census.
+    assert before["MembershipChange"] == len(elastic.history) == 32
+    assert before["UpgradeSession"] == len(service.upgrades) == 16
     assert dep.verify_journal() == []
 
 

@@ -144,3 +144,30 @@ def test_upgrade_is_journaled_and_counted(deployment, manager, four_gpus):
         )
         == 1
     )
+
+
+def test_failed_upgrade_is_logged_and_counted_once(cluster, deployment, manager):
+    """Two communicators stay busy for all 21 tries: the session fails,
+    and the hub shows one terminal event and one failure count for it."""
+    gpus = [[cluster.hosts[h].gpus[i] for h in range(4)] for i in range(2)]
+    comms = [manager.admit(app, g).comm_id for app, g in zip("AB", gpus)]
+    for comm_id in comms:
+        deployment.reconfigure(comm_id, routes={}, delays=[1.0] * 4)
+    finished = []
+    session = deployment.service_of(1).upgrade(
+        "service", on_done=finished.append
+    )
+    deployment.run()
+
+    assert finished == [session] and session.failed and not session.done
+    assert isinstance(session.error, UpgradeError)
+    hub = deployment.telemetry()
+    (failed,) = hub.events.events("upgrade_failed")
+    assert failed.attrs["host"] == 1 and failed.attrs["component"] == "service"
+    assert failed.attrs["comm"] == comms[0]
+    assert failed.attrs["error"] == str(session.error)
+    assert not hub.events.events("upgrade_done")
+    failures = hub.metrics.counter("mccs_upgrade_failures_total")
+    assert failures.value(host="h1", component="service") == 1
+    assert failures.total() == 1
+    assert deployment.service_of(1).generation == 0  # nothing was swapped

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.autotune import AutotuneConfig
 from repro.collectives.types import Collective
 from repro.experiments import ALL_FIGURES
 from repro.experiments.fig_autotune import (
@@ -76,13 +75,9 @@ def test_autotune_main_writes_json(tmp_path, monkeypatch, capsys):
     assert len(payload["regimes"]) == 2
 
 
-def test_autotune_accepts_custom_config():
+def test_autotune_run_retunes_only_through_the_barrier():
     result = run_autotune(
-        sizes=(64 * KB,),
-        static_iters=1,
-        tune_rounds=10,
-        tail=3,
-        config=AutotuneConfig(policy="epsilon", epsilon=0.4, seed=2),
+        sizes=(64 * KB,), static_iters=1, tune_rounds=10, tail=3
     )
     regime = result.regimes[0]
     assert regime.barrier_only and regime.inconsistent == 0

@@ -394,13 +394,12 @@ def test_fault_recovery_timeline_matches_legacy_golden(pinned_ids):
     from repro.cluster.specs import testbed_cluster
     from repro.core.controller import CentralManager
     from repro.core.deployment import MccsDeployment
-    from repro.core.recovery import RecoveryPolicy
     from repro.faults import FaultInjector
 
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster)
     recovery = deployment.enable_recovery(
-        RecoveryPolicy(collective_deadline=0.25), heartbeat_until=1.0
+        collective_deadline=0.25, heartbeat_until=1.0
     )
     manager = CentralManager(deployment)
     gpus = [cluster.hosts[h].gpus[0] for h in range(4)]

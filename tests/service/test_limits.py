@@ -133,10 +133,9 @@ def test_brownout_policy_validation():
 
 
 def test_brownout_levels_and_shedding_order():
-    ctl = BrownoutController(policy=BrownoutPolicy(
-        watermarks=(0.5, 0.8), hysteresis=0.1,
-        priority=("high", "normal", "low"),
-    ))
+    ctl = BrownoutController(
+        policy=BrownoutPolicy(watermarks=(0.5, 0.8), hysteresis=0.1)
+    )
     assert ctl.update(0.2, now=0.0) == 0
     assert not ctl.sheds("low")
     assert ctl.update(0.55, now=1.0) == 1

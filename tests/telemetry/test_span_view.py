@@ -34,7 +34,6 @@ from repro.collectives.types import Collective
 from repro.core.communicator import CollectiveInstance, ServiceCommunicator
 from repro.core.controller import CentralManager
 from repro.core.deployment import MccsDeployment
-from repro.core.recovery import RecoveryPolicy
 from repro.core.strategy import default_strategy
 from repro.faults import FaultInjector
 from repro.netsim.errors import CommunicatorError, ReconfigurationError
@@ -173,7 +172,7 @@ def test_retried_collective_renders_every_attempt(fresh_ids):
     injector = FaultInjector(
         cluster, deployment.telemetry(), deployment=deployment
     )
-    deployment.enable_recovery(RecoveryPolicy(), heartbeat_until=1.0)
+    deployment.enable_recovery(heartbeat_until=1.0)
     gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
     state = manager.admit("A", gpus)
     client = deployment.connect("A")

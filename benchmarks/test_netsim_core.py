@@ -90,8 +90,8 @@ def test_solver_churn(num_flows):
 
     solver = IncrementalFairnessSolver(caps)
     flows = []
-    for path in paths:
-        flow = Flow(size=1e9, path=path)
+    for i, path in enumerate(paths):
+        flow = Flow(1e9, path, f"f{i}")
         solver.add_flow(flow)
         flows.append(flow)
     solver.solve()  # warm build
@@ -102,7 +102,7 @@ def test_solver_churn(num_flows):
     for i in range(churn_ops):
         victim = flows[rng.randrange(len(flows))]
         solver.remove_flow(victim)
-        fresh = Flow(size=1e9, path=spare[i])
+        fresh = Flow(1e9, spare[i], f"churn{i}")
         solver.add_flow(fresh)
         flows[flows.index(victim)] = fresh
         solver.solve()
@@ -242,10 +242,15 @@ def _traced_event_loop(num_flows: int, traced: bool, work: dict = None) -> float
     trace recorded.
     """
     from repro.telemetry.causal import CausalTracer
+    from repro.telemetry.metrics import MetricsRegistry
 
     fabric = large_cluster_fabric()
     sim = FlowSimulator(fabric.topology)
-    tracer = CausalTracer(sim, max_closed=8) if traced else None
+    tracer = (
+        CausalTracer(sim, MetricsRegistry(), max_closed=8)
+        if traced
+        else None
+    )
     rng = random.Random(99)  # same seed either way: identical workloads
     paths = _random_paths(fabric.topology, rng, num_flows)
     wave = 250

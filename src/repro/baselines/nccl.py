@@ -24,7 +24,6 @@ any traffic or timing behaviour.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -42,8 +41,6 @@ from ..netsim.errors import CommunicatorError
 from ..netsim.routing import EcmpSelector, PathSelector
 from ..transport.connections import ConnectionTable
 from ..transport.launcher import FlowTransport, LaunchHandle
-
-_comm_counter = itertools.count()
 
 
 def default_channels(gpus: Sequence[GpuDevice]) -> int:
@@ -95,7 +92,9 @@ class NcclCommunicator:
         ecmp_seed: Seed of the ECMP hash function; varying it across trials
             models different 5-tuple hash outcomes.
         latency: Fixed-overhead model; NCCL's by default.
-        job_id: Tag applied to all flows for fairness accounting.
+        job_id: Tag applied to all flows for fairness accounting; it also
+            names the connections' ECMP namespace.  Defaults to
+            ``ncclcomm<N>``, numbered by the cluster.
     """
 
     def __init__(
@@ -114,7 +113,7 @@ class NcclCommunicator:
         validate_world(len(gpus))
         if algorithm not in ("ring", "tree", "auto"):
             raise CommunicatorError(f"unknown algorithm {algorithm!r}")
-        self.comm_id = next(_comm_counter)
+        self.comm_id = next(cluster.nccl_comm_ids)
         self.cluster = cluster
         self.gpus = list(gpus)
         self.world = len(gpus)

@@ -18,33 +18,29 @@ work, so they are reproduced faithfully and covered by their own tests.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, Iterator, List, Optional
 
 import numpy as np
 
 from ..netsim.engine import FlowSimulator
 from ..netsim.errors import AllocationError
 
-_buffer_counter = itertools.count()
-_stream_counter = itertools.count()
-_event_counter = itertools.count()
-
 
 class DeviceBuffer:
     """A device memory allocation.
 
     The backing store is a numpy uint8 array; typed views are available via
-    :meth:`view`.  ``(device.global_id, buffer_id)`` is globally unique.
+    :meth:`view`.  ``buffer_id`` is issued by the device's cluster and is
+    unique within it.
     """
 
-    def __init__(self, device: "GpuDevice", size: int) -> None:
+    def __init__(self, device: "GpuDevice", size: int, buffer_id: int) -> None:
         if size <= 0:
             raise AllocationError("allocation size must be positive")
         self.device = device
         self.size = int(size)
-        self.buffer_id = next(_buffer_counter)
+        self.buffer_id = buffer_id
         self.data = np.zeros(self.size, dtype=np.uint8)
         self.freed = False
 
@@ -74,9 +70,8 @@ class DeviceBuffer:
 class Event:
     """A CUDA-event-like one-shot synchronization primitive."""
 
-    def __init__(self, name: Optional[str] = None) -> None:
-        self.event_id = next(_event_counter)
-        self.name = name or f"event{self.event_id}"
+    def __init__(self, name: str = "event") -> None:
+        self.name = name
         self._fired = False
         self._waiters: List[Callable[[], None]] = []
 
@@ -225,10 +220,9 @@ class Stream:
     share the application's streams and must bridge with events — §4.1).
     """
 
-    def __init__(self, sim: FlowSimulator, name: Optional[str] = None) -> None:
+    def __init__(self, sim: FlowSimulator, name: str) -> None:
         self.sim = sim
-        self.stream_id = next(_stream_counter)
-        self.name = name or f"stream{self.stream_id}"
+        self.name = name
         self._queue: Deque[StreamOp] = deque()
         self._running: Optional[StreamOp] = None
         self.ops_executed = 0
@@ -284,6 +278,7 @@ class GpuDevice:
         global_id: Cluster-wide GPU index.
         host_id: Host the GPU is installed in.
         local_index: Index of the GPU within its host.
+        buffer_ids: The cluster's buffer-id source, shared by its GPUs.
         memory_capacity: Total device memory in bytes.
     """
 
@@ -293,6 +288,7 @@ class GpuDevice:
         global_id: int,
         host_id: int,
         local_index: int,
+        buffer_ids: Iterator[int],
         memory_capacity: int = 24 * 1024**3,  # RTX 3090: 24 GB
         pcie_gBps: float = 12.0,  # effective PCIe 4.0 x16 host link
     ) -> None:
@@ -300,6 +296,7 @@ class GpuDevice:
         self.global_id = global_id
         self.host_id = host_id
         self.local_index = local_index
+        self._buffer_ids = buffer_ids
         self.memory_capacity = memory_capacity
         self.pcie_rate = pcie_gBps * 1e9
         self.memory_used = 0
@@ -313,7 +310,7 @@ class GpuDevice:
                 f"GPU {self.global_id} out of memory "
                 f"({self.memory_used + size} > {self.memory_capacity})"
             )
-        buf = DeviceBuffer(self, size)
+        buf = DeviceBuffer(self, size, next(self._buffer_ids))
         self._allocations[buf.buffer_id] = buf
         self.memory_used += buf.size
         return buf

@@ -28,8 +28,6 @@ from typing import Dict, Set
 from ..netsim.errors import ClusterError
 from .gpu import DeviceBuffer, Event
 
-_handle_counter = itertools.count()
-
 
 class IpcError(ClusterError):
     """Invalid IPC handle usage."""
@@ -56,11 +54,13 @@ class IpcRegistry:
 
     One registry exists per simulated host; both the applications and the
     MCCS service on that host share it (they really share the kernel
-    driver, which is what the registry stands in for).
+    driver, which is what the registry stands in for).  It issues the
+    host's handle ids; a handle is only ever opened on its own host.
     """
 
     def __init__(self, host_id: int) -> None:
         self.host_id = host_id
+        self._handle_ids = itertools.count()
         self._memory: Dict[int, DeviceBuffer] = {}
         self._events: Dict[int, Event] = {}
         self._open_memory: Set[int] = set()
@@ -69,7 +69,7 @@ class IpcRegistry:
     def export_memory(self, buf: DeviceBuffer) -> IpcMemHandle:
         if buf.freed:
             raise IpcError("cannot export a freed allocation")
-        handle = IpcMemHandle(next(_handle_counter), self.host_id)
+        handle = IpcMemHandle(next(self._handle_ids), self.host_id)
         self._memory[handle.handle_id] = buf
         return handle
 
@@ -101,7 +101,7 @@ class IpcRegistry:
 
     # -- events ----------------------------------------------------------
     def export_event(self, event: Event) -> IpcEventHandle:
-        handle = IpcEventHandle(next(_handle_counter), self.host_id)
+        handle = IpcEventHandle(next(self._handle_ids), self.host_id)
         self._events[handle.handle_id] = event
         return handle
 

@@ -9,6 +9,7 @@ builder.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -47,6 +48,8 @@ class Cluster:
         hosts: All hosts, indexed by host id.
         gpus: All GPUs, indexed by global GPU id
             (``host_id * gpus_per_host + local_index``).
+        nccl_comm_ids: Numbers the NCCL baseline's communicators built on
+            this cluster (their default job id is ``ncclcomm<N>``).
     """
 
     def __init__(
@@ -63,6 +66,10 @@ class Cluster:
         self.gpus_per_host = gpus_per_host
         self.hosts: List[Host] = []
         self.gpus: List[GpuDevice] = []
+        self.nccl_comm_ids = itertools.count()
+        # One id source for every GPU: the journal and the control-plane
+        # state key buffers by id alone.
+        buffer_ids = itertools.count()
         spec = fabric.spec
         for host_id in range(spec.num_hosts):
             host = Host(host_id=host_id, rack=spec.leaf_of_host(host_id))
@@ -74,6 +81,7 @@ class Cluster:
                     global_id=host_id * gpus_per_host + k,
                     host_id=host_id,
                     local_index=k,
+                    buffer_ids=buffer_ids,
                     memory_capacity=gpu_memory,
                 )
                 host.gpus.append(gpu)

@@ -17,7 +17,6 @@ flagged inconsistent.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -45,8 +44,7 @@ from ..transport.connections import ConnectionTable, connection_key
 from .algorithms import AlgorithmContext, RankTransfer, get_algorithm
 from .strategy import CollectiveStrategy
 from .tracing import DEFAULT_TRACE_CAPACITY, CommTrace, TraceRecord
-
-_comm_counter = itertools.count()
+from .transport import TrafficGateManager
 
 
 class VersionedDataPath:
@@ -71,7 +69,7 @@ class VersionedDataPath:
         #: With ``stable=True`` the ECMP discriminator omits the strategy
         #: version: re-established connections of the same edge re-draw the
         #: same path, so measurements are comparable across versions (and
-        #: across processes, when the job id is caller-chosen too).
+        #: across communicators, when the job id is caller-chosen too).
         self.stable = stable
         self._tables: Dict[int, ConnectionTable] = {}
         self._selectors: Dict[int, RouteIdSelector] = {}
@@ -319,8 +317,7 @@ class CollectiveInstance:
                 on_fail=self._flow_failed,
             )
             self._live_flows.update(flows)
-            if comm.gate is not None:
-                comm.gate.register(flows)
+            comm.gate.register(flows)
         self._injected_ranks.add(rank)
         comm.datapath.release(strategy.version, comm.strategy.version)
         if not batch:
@@ -490,26 +487,31 @@ class CollectiveInstance:
 
 
 class ServiceCommunicator:
-    """The MCCS service's state for one tenant communicator."""
+    """The MCCS service's state for one tenant communicator.
+
+    ``comm_id`` is issued by the owning deployment; ``gate`` is the
+    deployment's traffic gate manager, which sees every launch batch.
+    """
 
     def __init__(
         self,
         cluster: Cluster,
+        comm_id: int,
         app_id: str,
         gpus: Sequence[GpuDevice],
         strategy: CollectiveStrategy,
         telemetry: TelemetryHub,
+        gate: TrafficGateManager,
         *,
         latency: LatencyModel = MCCS_LATENCY,
         ecmp_seed: int = 0,
-        gate=None,
         strict_consistency: bool = False,
         datapath_tag: Optional[str] = None,
     ) -> None:
         validate_world(len(gpus))
         if strategy.world != len(gpus):
             raise ValueError("strategy world does not match gpu count")
-        self.comm_id = next(_comm_counter)
+        self.comm_id = comm_id
         self.cluster = cluster
         self.sim = cluster.sim
         self.app_id = app_id
@@ -521,12 +523,12 @@ class ServiceCommunicator:
         self.strategy_history: Dict[int, CollectiveStrategy] = {
             strategy.version: strategy
         }
-        # ECMP draws normally hash the (process-unique) comm id and the
-        # strategy version, modelling fresh 5-tuples per establishment.  A
-        # caller-chosen ``datapath_tag`` pins the namespace instead, giving
-        # identical draws for identical edges across communicators,
-        # versions, and processes — the autotune experiment uses this so
-        # tuned-vs-static compares strategies, not path luck.
+        # ECMP draws normally hash the comm id and the strategy version,
+        # modelling fresh 5-tuples per establishment.  A caller-chosen
+        # ``datapath_tag`` pins the namespace instead, giving identical
+        # draws for identical edges across strategy versions and across
+        # communicators — autotune and fig09 use this so tuned-vs-static
+        # and policy-vs-policy compare strategies, not path luck.
         self.datapath = VersionedDataPath(
             cluster,
             datapath_tag

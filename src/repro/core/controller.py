@@ -106,9 +106,9 @@ class CentralManager:
         """Create a communicator already carrying the optimized ring.
 
         ``datapath_tag`` pins the communicator's ECMP namespace so its
-        path draws are independent of process history (how many
-        communicators existed before) — experiments that assert on
-        routing-sensitive outcomes should pass one.
+        path draws do not depend on its id or strategy version —
+        experiments comparing policies or strategies on the same edges
+        should pass one.
         """
         from ..baselines.nccl import default_channels
 

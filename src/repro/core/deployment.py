@@ -17,6 +17,7 @@ Applications never touch this object directly; they connect through
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,9 @@ class MccsDeployment:
         self.reconfig = ReconfigManager(
             cluster.sim, self.proxies_of, self._telemetry
         )
+        #: Communicator ids are the deployment's: they feed the ECMP hash,
+        #: so a tenant's paths depend on this deployment alone.
+        self._comm_ids = itertools.count()
         self._comms: Dict[int, ServiceCommunicator] = {}
         self._comm_owner: Dict[int, str] = {}
         #: Optional provider hook deciding the initial strategy of every
@@ -345,13 +349,14 @@ class MccsDeployment:
                 strategy = default_strategy(len(gpus), channels)
         comm = ServiceCommunicator(
             self.cluster,
+            next(self._comm_ids),
             app_id,
             gpus,
             strategy,
             self._telemetry,
+            self.gates,
             latency=self.latency,
             ecmp_seed=self.ecmp_seed,
-            gate=self.gates.gate_for(app_id),
             strict_consistency=self.strict_consistency,
             datapath_tag=datapath_tag,
         )
@@ -598,8 +603,7 @@ class MccsDeployment:
                     # infrastructure fails the transfer, not the event loop.
                     failed(None, self.sim.now, exc)
                     return
-                if comm.gate is not None:
-                    comm.gate.register(flows)
+                comm.gate.register(flows)
 
             def finish(_flow, _now: float) -> None:
                 if send_view is not None and recv_view is not None:

@@ -96,7 +96,6 @@ class CollectiveRequest(Request):
     dtype: str = "float32"
     reduce_op: ReduceOp = ReduceOp.SUM
     root: int = 0
-    stream_id: int = -1
     stream_event: Optional[IpcEventHandle] = None
 
 
@@ -134,7 +133,6 @@ class P2pRequest(Request):
     send_ref: Optional[BufferRef] = None
     recv_ref: Optional[BufferRef] = None
     dtype: str = "float32"
-    stream_id: int = -1
     stream_event: Optional[IpcEventHandle] = None
 
 

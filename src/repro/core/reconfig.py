@@ -36,8 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..telemetry.hub import TelemetryHub
     from .proxy import ProxyEngine
 
-_session_counter = itertools.count()
-
 #: One AllGather round on the TCP/IP control ring.  The paper reports
 #: sub-millisecond schedule computation and "rather small" reconfiguration
 #: overhead; a control round-trip in the 100 us range matches a
@@ -85,10 +83,13 @@ class ControlBarrier:
 
 
 class ReconfigSession:
-    """One reconfiguration request's lifecycle across all rank proxies."""
+    """One reconfiguration request's lifecycle across all rank proxies.
+
+    ``session_id`` is issued by the :class:`ReconfigManager`."""
 
     def __init__(
         self,
+        session_id: int,
         comm: ServiceCommunicator,
         new_strategy: CollectiveStrategy,
         proxies: Sequence["ProxyEngine"],
@@ -104,7 +105,7 @@ class ReconfigSession:
                 "new strategy version must exceed the current one "
                 f"({new_strategy.version} <= {comm.strategy.version})"
             )
-        self.session_id = next(_session_counter)
+        self.session_id = session_id
         self.comm = comm
         self.new_strategy = new_strategy
         self.proxies = list(proxies)
@@ -313,6 +314,7 @@ class ReconfigManager:
         self._proxies_of = proxies_of
         self._telemetry = telemetry
         self._active: Dict[int, ReconfigSession] = {}
+        self._session_ids = itertools.count()
         self.sessions: RingBuffer[ReconfigSession] = RingBuffer(SESSIONS_KEPT)
 
     def reconfigure(
@@ -371,6 +373,7 @@ class ReconfigManager:
                 raise session.error
 
         session = ReconfigSession(
+            next(self._session_ids),
             comm,
             new_strategy,
             proxies,

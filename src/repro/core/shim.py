@@ -402,7 +402,6 @@ class MccsClient:
                     send_ref=self._as_ref(send) if send is not None else None,
                     recv_ref=self._as_ref(recv) if recv is not None else None,
                     dtype=dtype,
-                    stream_id=stream.stream_id if stream is not None else -1,
                     stream_event=stream_event_handle,
                 )
             )
@@ -451,7 +450,6 @@ class MccsClient:
             dtype=dtype,
             reduce_op=op,
             root=root,
-            stream_id=stream.stream_id if stream is not None else -1,
             stream_event=stream_event_handle,
         )
         collective = ClientCollective(

@@ -25,13 +25,10 @@ object CUDA captures under the hood.
 
 from __future__ import annotations
 
-import itertools
 from typing import Tuple
 
 from ..cluster.gpu import Event, Stream
 from ..cluster.ipc import IpcEventHandle, IpcRegistry
-
-_sync_counter = itertools.count()
 
 
 def snapshot_event(stream: Stream, label: str = "snapshot") -> Event:
@@ -41,7 +38,7 @@ def snapshot_event(stream: Stream, label: str = "snapshot") -> Event:
     ``stream`` has executed — the simulation analogue of
     ``cudaEventRecord(event, stream)``.
     """
-    event = Event(name=f"{label}#{next(_sync_counter)}")
+    event = Event(name=label)
     stream.record_event(event)
     return event
 

@@ -129,11 +129,6 @@ class TrafficGateManager:
                 self.gate_transitions += len(flows)
             self._ensure_ticker(app_id)
 
-    def gate_for(self, app_id: str) -> "TrafficGateManager":
-        """The registration end handed to ``app_id``'s communicators (the
-        FlowGate protocol); flows name their app themselves."""
-        return self
-
     # -- internals ---------------------------------------------------------
     def _flows_of(self, app_id: str) -> List[Flow]:
         return [

@@ -22,8 +22,7 @@ from ..core.deployment import MccsDeployment
 from ..netsim.background import BackgroundTrafficManager
 from ..netsim.units import MB
 from ..telemetry import TelemetryHub
-from ..telemetry.reporter import get_default_reporter
-from .report import print_table
+from .report import print_table, write_json
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ def main(trace_out: Optional[str] = None) -> None:
     stall as a span between the collectives.
     """
     timeline = run_fig07()
-    reporter = get_default_reporter()
     rows = []
     step = 1.0
     t = 0.0
@@ -136,21 +134,21 @@ def main(trace_out: Optional[str] = None) -> None:
         rows,
         title="Figure 7b — AllReduce bandwidth around a 75G background flow",
     )
-    reporter.line(f"background flow starts: t={timeline.bg_start}s")
-    reporter.line(f"reconfig issued:        t={timeline.reconfig_issued}s")
-    reporter.line(f"reconfig applied:       t={timeline.reconfig_done}")
-    reporter.line(f"ring: {timeline.ring_before} -> {timeline.ring_after}")
+    print(f"background flow starts: t={timeline.bg_start}s")
+    print(f"reconfig issued:        t={timeline.reconfig_issued}s")
+    print(f"reconfig applied:       t={timeline.reconfig_done}")
+    print(f"ring: {timeline.ring_before} -> {timeline.ring_after}")
     hub = timeline.telemetry
     stall = hub.metrics.histograms().get("mccs_barrier_stall_seconds")
     if stall is not None and stall.count() > 0:
-        reporter.line(
+        print(
             f"barrier stall:          {stall.mean() * 1e3:.3f} ms "
             f"over {stall.count()} reconfiguration(s)"
         )
     if trace_out is None:
         trace_out = os.environ.get("MCCS_TRACE_OUT")
     if trace_out:
-        reporter.dump_json(hub.to_chrome_trace(), trace_out)
+        write_json(hub.to_chrome_trace(), trace_out)
 
 
 if __name__ == "__main__":

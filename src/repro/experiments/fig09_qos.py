@@ -68,9 +68,8 @@ def _run_once(
     placements = qos_setup()
     generators: Dict[str, TrafficGenerator] = {}
     for placement in placements:
-        # Pinned ECMP namespace: the measured orderings must depend on the
-        # per-trial ecmp_seed, not on how many communicators this process
-        # happened to create before (the global comm-id counter).
+        # Pinned ECMP namespace: the measured orderings depend on the
+        # per-trial ecmp_seed and the tenant, not on admission order.
         state = manager.admit(
             placement.app_id,
             placement.resolve(cluster),

@@ -22,7 +22,6 @@ from ..core.deployment import MccsDeployment
 from ..core.policies.ts import compute_traffic_schedule
 from ..workloads.generator import MccsIssuer, TrafficGenerator
 from ..workloads.traces import gpt_tp_trace, vgg19_dp_trace
-from ..telemetry.reporter import get_default_reporter
 from .fig09_qos import DEFAULT_PENALTY
 from .report import print_table, sparkline
 from .setups import qos_setup
@@ -170,12 +169,11 @@ def _print(timeline: DynamicTimeline) -> None:
         rows,
         title="Figure 10 — training throughput normalized to FFA (A+B+C phase)",
     )
-    reporter = get_default_reporter()
     for app_id, generator in sorted(timeline.generators.items()):
         series = [tp for _, tp in generator.stats.throughput_timeline()]
         if series:
-            reporter.line(f"  {app_id} throughput  |{sparkline(series)}|")
-    reporter.line()
+            print(f"  {app_id} throughput  |{sparkline(series)}|")
+    print()
 
 
 if __name__ == "__main__":

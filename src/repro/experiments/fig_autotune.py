@@ -36,7 +36,7 @@ DEFAULT_SIZES = (64 * KB, 64 * MB)
 
 #: All measurement deployments share one pinned datapath namespace:
 #: connections of identical edges take identical ECMP draws in every
-#: process and every strategy version, so tuned-vs-static compares
+#: deployment and every strategy version, so tuned-vs-static compares
 #: strategies, not path luck.
 _DATAPATH_TAG = "autotune"
 

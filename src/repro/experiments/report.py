@@ -2,22 +2,16 @@
 
 Every ``figNN`` module produces plain dataclasses and renders them with
 these helpers, so benchmark output looks like the rows/series the paper
-plots (mean plus a 95% interval where the paper shades one).
-
-Text output goes through the pluggable telemetry reporter
-(:mod:`repro.telemetry.reporter`): ``print_table`` writes to the default
-reporter's sink — stdout unless a harness installed a
-:class:`~repro.telemetry.reporter.BufferSink` or stream sink via
-``set_default_reporter``.
+plots (mean plus a 95% interval where the paper shades one).  Output
+goes to stdout; a caller that wants it elsewhere redirects stdout.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from ..telemetry.reporter import format_table, get_default_reporter
 
 __all__ = [
     "Stat",
@@ -27,6 +21,7 @@ __all__ = [
     "geometric_mean",
     "print_table",
     "sparkline",
+    "write_json",
 ]
 
 
@@ -65,11 +60,39 @@ class Stat:
         return f"{self.mean:.3g} [{self.lo:.3g}, {self.hi:.3g}]"
 
 
+def format_table(
+    headers: Sequence[str], rows: Iterable[Sequence[object]], title: Optional[str] = None
+) -> str:
+    """Fixed-width text table."""
+    str_rows = [[str(c) for c in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in str_rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in str_rows:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
 def print_table(
     headers: Sequence[str], rows: Iterable[Sequence[object]], title: Optional[str] = None
 ) -> None:
-    """Render a table through the default reporter (stdout by default)."""
-    get_default_reporter().table(headers, rows, title)
+    """Print a table and a blank line after it."""
+    print(format_table(headers, rows, title))
+    print()
+
+
+def write_json(payload: Dict[str, object], path: str) -> None:
+    """Write a JSON artifact (a snapshot, a Chrome trace) and say where."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
 
 
 def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:

@@ -314,7 +314,7 @@ class FaultPlan:
         return [event.describe() for event in self.events]
 
     # ------------------------------------------------------------------
-    #: Relative draw weights for :meth:`random` at ``version=2``.  Link
+    #: Relative draw weights for :meth:`random`.  Link
     #: faults and bandwidth drift dominate (they are by far the most
     #: common events in production fabrics); host crashes are rare and
     #: permanent, so they get the lowest weight; elastic churn sits in
@@ -352,7 +352,6 @@ class FaultPlan:
         host_candidates: Optional[Sequence[int]] = None,
         tenant_candidates: Optional[Sequence[str]] = None,
         transient_fraction: float = 0.5,
-        version: int = 2,
     ) -> "FaultPlan":
         """Draw a random plan, reproducible from one ``rng``/``seed``.
 
@@ -363,21 +362,15 @@ class FaultPlan:
         horizon) with probability ``transient_fraction`` — host crashes
         are always permanent.
 
-        ``version`` selects the kind-draw scheme: ``2`` (default) weighs
-        kinds by :attr:`DEFAULT_KIND_WEIGHTS`; ``1`` reproduces the
-        historical uniform draw exactly, so chaos seeds recorded against
-        older releases replay unchanged.  ``3`` additionally draws
-        ``TENANT_STORM`` events (always transient — a paired
-        ``TENANT_CALM`` follows) when ``tenant_candidates`` names the
-        tenants that may storm; with no candidates it is draw-for-draw
-        identical to ``2``.
+        Kinds are drawn weighted by :attr:`DEFAULT_KIND_WEIGHTS`.  When
+        ``tenant_candidates`` names the tenants that may storm,
+        ``TENANT_STORM`` joins the kinds (always transient — a paired
+        ``TENANT_CALM`` follows); without candidates no draw changes.
         """
         if rng is None:
             rng = random.Random(seed)
         if num_faults < 0:
             raise ValueError("num_faults must be non-negative")
-        if version not in (1, 2, 3):
-            raise ValueError(f"unknown fault-plan version {version!r}")
         if link_candidates is None:
             link_candidates = sorted(
                 link_id
@@ -389,18 +382,11 @@ class FaultPlan:
         plan = cls()
         crashed: set = set()
         kinds_list = list(kinds)
-        if (
-            version >= 3
-            and tenant_candidates
-            and FaultKind.TENANT_STORM not in kinds_list
-        ):
+        if tenant_candidates and FaultKind.TENANT_STORM not in kinds_list:
             kinds_list = kinds_list + [FaultKind.TENANT_STORM]
         weights = [cls.DEFAULT_KIND_WEIGHTS.get(k, 1) for k in kinds_list]
         for _ in range(num_faults):
-            if version == 1:
-                kind = rng.choice(kinds_list)
-            else:
-                kind = rng.choices(kinds_list, weights=weights)[0]
+            kind = rng.choices(kinds_list, weights=weights)[0]
             time = rng.uniform(min_time, horizon)
             transient = rng.random() < transient_fraction
             duration = rng.uniform(0.1, max(horizon - time, 0.2)) if transient else None

@@ -24,33 +24,11 @@ Node naming conventions (relied upon by the cluster layer):
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import List
 
 from .topology import Topology
 from .units import gBps, gbps
-
-# First topology built per spec, kept so later builds of the *same* spec can
-# share its shortest-path cache (builds are deterministic, so topologies from
-# equal specs are structurally identical).  Experiments construct a fresh
-# cluster per solution/seed replay; without this every replay re-runs BFS
-# for thousands of NIC pairs.
-_PATH_PROTOTYPES: Dict[Tuple, Topology] = {}
-
-
-def _share_paths(spec_key: Tuple, topo: Topology) -> None:
-    proto = _PATH_PROTOTYPES.get(spec_key)
-    if proto is None:
-        _PATH_PROTOTYPES[spec_key] = topo
-        return
-    try:
-        topo.adopt_path_cache(proto)
-    except ValueError:
-        # The registered prototype was mutated after it was built (tests
-        # sometimes extend a fabric topology in place); promote this fresh
-        # build to be the new prototype.
-        _PATH_PROTOTYPES[spec_key] = topo
-
 
 def nic_node(host: int, nic: int) -> str:
     """Endpoint node id of NIC ``nic`` on host ``host``."""
@@ -142,7 +120,6 @@ def spine_leaf(spec: FabricSpec | None = None) -> Fabric:
             gBps(spec.local_gBps),
             link_id=local_link_id(host),
         )
-    _share_paths(("spine-leaf", *astuple(spec)), topo)
     return Fabric(spec=spec, topology=topo, num_fabric_paths=spec.num_spines)
 
 
@@ -294,7 +271,6 @@ def multi_pod_clos(spec: MultiPodSpec | None = None) -> Fabric:
             gBps(spec.local_gBps),
             link_id=local_link_id(host),
         )
-    _share_paths(("multi-pod-clos", *astuple(spec)), topo)
     fabric = Fabric(
         spec=spec, topology=topo, num_fabric_paths=spec.spines_per_pod
     )
@@ -447,7 +423,6 @@ def multi_region(spec: RegionSpec | None = None) -> Fabric:
             gBps(spec.local_gBps),
             link_id=local_link_id(host),
         )
-    _share_paths(("multi-region", *astuple(spec)), topo)
     return Fabric(
         spec=spec, topology=topo, num_fabric_paths=spec.spines_per_region
     )
@@ -506,7 +481,6 @@ def switch_ring(spec: RingFabricSpec | None = None) -> Fabric:
             link_id=local_link_id(host),
         )
 
-    _share_paths(("switch-ring", *astuple(spec)), topo)
     ring_spec = FabricSpec(
         num_spines=0,
         num_leaves=n,

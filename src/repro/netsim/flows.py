@@ -19,15 +19,9 @@ observe stale values either way.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-
-# Fallback ids for flows constructed outside a simulator (solver tests,
-# benchmarks); :class:`~repro.netsim.engine.FlowSimulator` numbers its own
-# flows per simulator and never draws from this counter.
-_flow_counter = itertools.count()
 
 
 class FlowArena:
@@ -71,7 +65,8 @@ class Flow:
 
     Attributes:
         flow_id: Unique id within a simulation (``flow0``, ``flow1``, ...
-            in injection order; standalone flows get ``flow#N``).
+            in injection order); a flow built outside a simulator is
+            named by its caller.
         size: Total bytes to transfer.
         path: Tuple of link ids traversed, in order.
         job_id: Owning job/tenant (used by fairness-aware policies).
@@ -130,7 +125,7 @@ class Flow:
         self,
         size: float,
         path: Sequence[str],
-        flow_id: Optional[str] = None,
+        flow_id: str,
         job_id: Optional[str] = None,
         weight: float = 1.0,
         gated: bool = False,
@@ -145,8 +140,6 @@ class Flow:
             raise ValueError("flow path must contain at least one link")
         if weight <= 0:
             raise ValueError("flow weight must be positive")
-        if flow_id is None:
-            flow_id = f"flow#{next(_flow_counter)}"
         self.flow_id = flow_id
         self.size = size
         self.path = tuple(path)

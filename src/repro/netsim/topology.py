@@ -102,9 +102,6 @@ class Topology:
         node = Node(node_id, kind, dict(attrs))
         self._nodes[node_id] = node
         self._out[node_id] = []
-        # Replace (don't clear): the caches may be shared with structurally
-        # identical topologies via adopt_path_cache, and this mutation
-        # makes us diverge from them.
         self._path_cache = {}
         self._sssp_cache = {}
         self._known_paths = set()
@@ -196,9 +193,7 @@ class Topology:
 
         Down links keep their :class:`Link` entry but are excluded from
         shortest-path enumeration, so route re-resolution naturally avoids
-        them.  Like structural mutations, a state change *replaces* the
-        shared path caches instead of clearing them (see
-        :meth:`adopt_path_cache`).
+        them.
         """
         self.link(link_id)
         currently_up = link_id not in self._down
@@ -358,40 +353,6 @@ class Topology:
         walk(dst_i, [])
         paths.sort()
         return tuple(tuple(path) for path in paths)
-
-    def adopt_path_cache(self, other: "Topology") -> None:
-        """Share the shortest-path caches of a structurally identical topology.
-
-        Experiments rebuild the same fabric for every solution/seed replay;
-        path enumeration depends only on the graph structure, so a fresh
-        build can inherit the work instead of re-running BFS per NIC pair.
-        The enumerated-path cache and the per-source BFS DAG state both
-        become *shared* (either topology keeps warming them); a later
-        structural mutation of one side detaches it from the shared dicts.
-        Node insertion order must match too, because the BFS state is keyed
-        by compact integer node indices.  Raises ``ValueError`` when the
-        graphs differ.
-        """
-        same = (
-            list(self._nodes) == list(other._nodes)
-            and list(self._links) == list(other._links)
-            and self._down == other._down
-            and all(
-                (link.src, link.dst) == (o.src, o.dst)
-                for link_id, link in self._links.items()
-                for o in (other._links[link_id],)
-            )
-        )
-        if not same:
-            raise ValueError("topologies differ structurally; cannot adopt paths")
-        other._path_cache.update(self._path_cache)
-        self._path_cache = other._path_cache
-        other._sssp_cache.update(self._sssp_cache)
-        self._sssp_cache = other._sssp_cache
-        other._known_paths.update(self._known_paths)
-        self._known_paths = other._known_paths
-        if other._compact is not None:
-            self._compact = other._compact
 
     def path_nodes(self, path: Sequence[str]) -> List[str]:
         """Expand a link-id path into the node sequence it traverses."""

@@ -90,8 +90,12 @@ RECORDS_KEPT = 512
 
 @dataclass
 class GatewayRequest:
-    """One REST-shaped request entering the gateway."""
+    """One REST-shaped request entering the gateway.
 
+    ``request_id`` is issued by the gateway (:attr:`ServiceGateway.
+    request_ids`), unique per gateway; the response echoes it."""
+
+    request_id: int
     method: str
     path: str
     api_key: Optional[str] = None
@@ -99,7 +103,6 @@ class GatewayRequest:
     #: Relative deadline (seconds from acceptance); ``None`` uses the
     #: gateway policy default.  Applies until the request is executed.
     ttl: Optional[float] = None
-    request_id: int = field(default_factory=itertools.count().__next__)
 
 
 @dataclass
@@ -227,6 +230,8 @@ class ServiceGateway:
         self.alive = True
         self.crashes = 0
         self.restarts = 0
+        #: Numbers the requests sent to this gateway (kept across crashes).
+        self.request_ids = itertools.count()
         self._sessions: Dict[str, _Session] = {}
         self._queues: Dict[str, Deque[GatewayRecord]] = {
             qos: deque() for qos in QOS_LADDER

@@ -98,6 +98,7 @@ class GatewayClient:
     ) -> PendingCall:
         return self.transport.submit(
             GatewayRequest(
+                request_id=next(self.transport.gateway.request_ids),
                 method=method,
                 path=path,
                 api_key=self.api_key,

@@ -16,7 +16,6 @@ telemetry plane for the reproduction:
 * :mod:`events`    — bounded log of control-plane policy decisions.
 * :mod:`exporters` — Prometheus text, JSON, and Chrome trace-event
   renderings.
-* :mod:`reporter`  — pluggable text output used by the experiment mains.
 * :mod:`hub`       — :class:`TelemetryHub`, the per-deployment aggregate
   that ``MccsDeployment.telemetry()`` returns.
 """
@@ -43,21 +42,11 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .reporter import (
-    BufferSink,
-    Reporter,
-    StdoutSink,
-    StreamSink,
-    format_table,
-    get_default_reporter,
-    set_default_reporter,
-)
 from .ringbuffer import RingBuffer
 from .sampler import NetworkTelemetry
 from .spans import Span, SpanRecorder, collective_spans
 
 __all__ = [
-    "BufferSink",
     "Counter",
     "DEFAULT_SIM_BUCKETS",
     "EVENT_ABORTED",
@@ -74,20 +63,14 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NetworkTelemetry",
-    "Reporter",
     "RingBuffer",
     "Span",
     "SpanRecorder",
-    "StdoutSink",
-    "StreamSink",
     "TelemetryEvent",
     "TelemetryHub",
     "WALL_CLOCK_BUCKETS",
     "chrome_trace",
     "collective_spans",
-    "format_table",
-    "get_default_reporter",
     "json_snapshot",
     "prometheus_text",
-    "set_default_reporter",
 ]

@@ -373,13 +373,11 @@ class CausalTracer:
     def __init__(
         self,
         sim: "FlowSimulator",
+        metrics: "MetricsRegistry",
         *,
         max_closed: int = 512,
-        events: Optional["EventLog"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.sim = sim
-        self.events = events
         self._live: Dict[str, CausalTrace] = {}
         self._closed: RingBuffer[CausalTrace] = RingBuffer(max_closed)
         #: link -> tenant -> active flow count (all traffic, traced or not).
@@ -387,17 +385,15 @@ class CausalTracer:
         self._ids = itertools.count(1)
         self.traces_started = 0
         self.traces_closed = 0
-        self._traces_total = self._traces_open = None
-        if metrics is not None:
-            self._traces_total = metrics.counter(
-                "mccs_traces_total",
-                "Causal traces opened, one per issued collective.",
-            )
-            self._traces_open = metrics.gauge(
-                "mccs_traces_open",
-                "Causal traces currently open (issued, not yet terminal).",
-            ).labels()
-            self._traces_by_tenant: Dict[str, "BoundCounter"] = {}
+        self._traces_total = metrics.counter(
+            "mccs_traces_total",
+            "Causal traces opened, one per issued collective.",
+        )
+        self._traces_open = metrics.gauge(
+            "mccs_traces_open",
+            "Causal traces currently open (issued, not yet terminal).",
+        ).labels()
+        self._traces_by_tenant: Dict[str, "BoundCounter"] = {}
         sim.add_observer(self)
 
     # ------------------------------------------------------------------
@@ -420,14 +416,13 @@ class CausalTracer:
             trace_id, tenant, comm_id, seq, kind, nbytes, strategy_version, now
         )
         self.traces_started += 1
-        if self._traces_total is not None:
-            opened = self._traces_by_tenant.get(tenant)
-            if opened is None:
-                opened = self._traces_by_tenant[tenant] = (
-                    self._traces_total.labels(tenant=tenant)
-                )
-            opened.inc()
-            self._traces_open.set(len(self._live))
+        opened = self._traces_by_tenant.get(tenant)
+        if opened is None:
+            opened = self._traces_by_tenant[tenant] = (
+                self._traces_total.labels(tenant=tenant)
+            )
+        opened.inc()
+        self._traces_open.set(len(self._live))
         return trace
 
     def close(
@@ -448,8 +443,7 @@ class CausalTracer:
         trace.status = status
         self._closed.append(trace)
         self.traces_closed += 1
-        if self._traces_open is not None:
-            self._traces_open.set(len(self._live))
+        self._traces_open.set(len(self._live))
 
     # ------------------------------------------------------------------
     # queries
@@ -589,22 +583,20 @@ class FlightRecorder:
     def __init__(
         self,
         tracer: CausalTracer,
+        metrics: "MetricsRegistry",
+        events: "EventLog",
         *,
         max_dumps: int = 16,
         snapshot_traces: int = 8,
-        events: Optional["EventLog"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.tracer = tracer
         self.snapshot_traces = snapshot_traces
         self.events = events
         self._dumps: RingBuffer[Dict[str, object]] = RingBuffer(max_dumps)
-        self._dumps_total = None
-        if metrics is not None:
-            self._dumps_total = metrics.counter(
-                "mccs_flight_dumps_total",
-                "Flight-recorder dumps taken, by trigger reason.",
-            )
+        self._dumps_total = metrics.counter(
+            "mccs_flight_dumps_total",
+            "Flight-recorder dumps taken, by trigger reason.",
+        )
 
     def trigger(
         self,
@@ -630,14 +622,12 @@ class FlightRecorder:
             "traces": [t.to_dict() for t in traces],
         }
         self._dumps.append(dump)
-        if self._dumps_total is not None:
-            self._dumps_total.inc(reason=reason)
-        if self.events is not None:
-            self.events.log(
-                now, "flight_dump",
-                f"flight recorder dump ({reason})",
-                reason=reason, **({"trace": trace_id} if trace_id else {}),
-            )
+        self._dumps_total.inc(reason=reason)
+        self.events.log(
+            now, "flight_dump",
+            f"flight recorder dump ({reason})",
+            reason=reason, **({"trace": trace_id} if trace_id else {}),
+        )
         return dump
 
     # ------------------------------------------------------------------

@@ -41,12 +41,8 @@ class TelemetryHub:
         self.slo = SloTracker(metrics=self.metrics, events=self.events)
         self.slo.on_violation = self._on_slo_violation
         self.network = NetworkTelemetry(sim, self.metrics)
-        self.causal = CausalTracer(
-            sim, events=self.events, metrics=self.metrics
-        )
-        self.flight = FlightRecorder(
-            self.causal, events=self.events, metrics=self.metrics
-        )
+        self.causal = CausalTracer(sim, self.metrics)
+        self.flight = FlightRecorder(self.causal, self.metrics, self.events)
         self._resilience_provider: Optional[
             Callable[[], Dict[str, int]]
         ] = None

@@ -52,24 +52,14 @@ class NetworkTelemetry(SimObserver):
     Args:
         sim: Engine to observe; the instance attaches itself.
         metrics: Registry that receives the flow/byte/preemption metrics.
-        sample_interval: Seconds of simulated time between link samples.
-        max_samples: Ring-buffer capacity per link series.
+
+    Link samples are :data:`SAMPLE_INTERVAL` apart and each link keeps the
+    last :data:`MAX_SAMPLES` (both read when used).
     """
 
-    def __init__(
-        self,
-        sim: FlowSimulator,
-        metrics: MetricsRegistry,
-        *,
-        sample_interval: float = SAMPLE_INTERVAL,
-        max_samples: int = MAX_SAMPLES,
-    ) -> None:
-        if sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
+    def __init__(self, sim: FlowSimulator, metrics: MetricsRegistry) -> None:
         self.sim = sim
         self.metrics = metrics
-        self.sample_interval = sample_interval
-        self.max_samples = max_samples
         self._series: Dict[str, RingBuffer[LinkSample]] = {}
         self._ticker_running = False
         self.samples_taken = 0
@@ -175,12 +165,12 @@ class NetworkTelemetry(SimObserver):
         if self._ticker_running:
             return
         self._ticker_running = True
-        self.sim.call_in(self.sample_interval, self._tick)
+        self.sim.call_in(SAMPLE_INTERVAL, self._tick)
 
     def _tick(self) -> None:
         self.sample_now()
         if any(f.active for f in self.sim.active_flows()):
-            self.sim.call_in(self.sample_interval, self._tick)
+            self.sim.call_in(SAMPLE_INTERVAL, self._tick)
         else:
             self._ticker_running = False
 
@@ -191,7 +181,7 @@ class NetworkTelemetry(SimObserver):
         for link_id, value in utilization.items():
             series = self._series.get(link_id)
             if series is None:
-                series = self._series[link_id] = RingBuffer(self.max_samples)
+                series = self._series[link_id] = RingBuffer(MAX_SAMPLES)
             series.append((now, value))
         self.samples_taken += 1
         return utilization

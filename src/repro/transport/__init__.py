@@ -7,13 +7,12 @@ the baseline's (the service injects per rank, from
 """
 
 from .connections import Connection, ConnectionTable, EdgeId, connection_key
-from .launcher import FlowGate, FlowTransport, LaunchHandle
+from .launcher import FlowTransport, LaunchHandle
 
 __all__ = [
     "Connection",
     "ConnectionTable",
     "EdgeId",
-    "FlowGate",
     "FlowTransport",
     "LaunchHandle",
     "connection_key",

@@ -1,5 +1,7 @@
 """Simulated GPU: memory, streams, events, async ops."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,10 @@ def sim():
 
 @pytest.fixture
 def gpu(sim):
-    return GpuDevice(sim, global_id=0, host_id=0, local_index=0, memory_capacity=1024)
+    return GpuDevice(
+        sim, global_id=0, host_id=0, local_index=0,
+        buffer_ids=itertools.count(), memory_capacity=1024,
+    )
 
 
 # -- memory -----------------------------------------------------------------

@@ -1,5 +1,7 @@
 """cudaIpc-style handle broker tests."""
 
+import itertools
+
 import pytest
 
 from repro.cluster.gpu import Event, GpuDevice
@@ -12,7 +14,7 @@ from repro.netsim.topology import Topology
 def gpu():
     topo = Topology()
     topo.add_node("x")
-    return GpuDevice(FlowSimulator(topo), 0, 0, 0)
+    return GpuDevice(FlowSimulator(topo), 0, 0, 0, itertools.count())
 
 
 @pytest.fixture

@@ -9,11 +9,10 @@ for every supported collective kind, world sizes 2–9, non-power-of-two
 sizes, every operator and several dtypes.  Any strategy the tuner
 installs is therefore *always correct*, only faster or slower.
 
-Synthesized programs are registered at import time with no topology
-fingerprint, so they are visible to the collection-time
-``registered_algorithms()`` snapshot here but can never leak into
-planner candidate sets (the planner requires an exact fingerprint
-match).
+Synthesized programs are registered by a module-scoped fixture, with no
+topology fingerprint, so collecting this module leaves the process-wide
+registry untouched and, while it runs, they can never leak into planner
+candidate sets (the planner requires an exact fingerprint match).
 """
 
 import numpy as np
@@ -46,16 +45,16 @@ _SYNTH_PROGRAMS = (
     ),
 )
 
-for _program in _SYNTH_PROGRAMS:
-    register_program(_program, replace=True)
+ALL_ALGORITHMS = registered_algorithms() + [p.name for p in _SYNTH_PROGRAMS]
 
 
-def teardown_module(module):
+@pytest.fixture(scope="module", autouse=True)
+def _synth_programs_registered():
+    for program in _SYNTH_PROGRAMS:
+        register_program(program)
+    yield
     for program in _SYNTH_PROGRAMS:
         unregister_algorithm(program.name)
-
-
-ALL_ALGORITHMS = registered_algorithms()
 
 
 def _run(name, kind, inputs, op, root=0):
@@ -90,7 +89,7 @@ def _make_inputs(kind, world, elems, dtype, rng):
 
 def test_synth_entries_visible_to_the_shared_suite():
     assert {"ring", "tree", "halving_doubling"} <= set(ALL_ALGORITHMS)
-    assert {p.name for p in _SYNTH_PROGRAMS} <= set(ALL_ALGORITHMS)
+    assert set(ALL_ALGORITHMS) <= set(registered_algorithms())
 
 
 @pytest.mark.parametrize("name", ALL_ALGORITHMS)

@@ -1,5 +1,7 @@
 """Tracing, strategy versioning, messages, and sync-bridge tests."""
 
+import itertools
+
 import pytest
 
 from repro.cluster.gpu import Event, GpuDevice
@@ -149,7 +151,7 @@ def sim_gpu():
     topo = Topology()
     topo.add_node("x")
     sim = FlowSimulator(topo)
-    return sim, GpuDevice(sim, 0, 0, 0)
+    return sim, GpuDevice(sim, 0, 0, 0, itertools.count())
 
 
 def test_snapshot_event_fires_after_queued_work(sim_gpu):

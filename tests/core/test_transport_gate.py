@@ -111,15 +111,6 @@ def test_ticker_sleeps_when_no_live_flows(sim):
     assert t < 10.0
 
 
-def test_gate_for_facade(sim):
-    gates = TrafficGateManager(sim, TelemetryHub(sim))
-    gates.set_schedule("app", closed_then_open())
-    gate = gates.gate_for("app")
-    flow = sim.add_flow(4.0, ["a->b"], job_id="app")
-    gate.register([flow])
-    assert flow.gated
-
-
 def test_schedule_of(sim):
     gates = TrafficGateManager(sim, TelemetryHub(sim))
     schedule = closed_then_open()

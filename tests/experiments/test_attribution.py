@@ -6,49 +6,13 @@ component sums exact, attribution ≥ 90% against ground truth — from
 regressing, and checks the FFA story the ledger must tell.
 """
 
-import itertools
-
 import pytest
 
-import repro.baselines.nccl
-import repro.cluster.gpu
-import repro.cluster.ipc
-import repro.core.communicator
-import repro.core.reconfig
-import repro.core.sync
-import repro.transport.launcher
 from repro.experiments.fig_attribution import run_attribution
-
-_GLOBAL_COUNTERS = [
-    (repro.baselines.nccl, "_comm_counter"),
-    (repro.cluster.gpu, "_buffer_counter"),
-    (repro.cluster.gpu, "_stream_counter"),
-    (repro.cluster.gpu, "_event_counter"),
-    (repro.cluster.ipc, "_handle_counter"),
-    (repro.core.communicator, "_comm_counter"),
-    (repro.core.reconfig, "_session_counter"),
-    (repro.core.sync, "_sync_counter"),
-    (repro.transport.launcher, "_launch_counter"),
-]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _pinned_id_counters():
-    """Object ids feed the ECMP connection hash; pin them so the noffa
-    cell draws the same spine collisions regardless of suite position
-    (same trick as ``tests/telemetry/conftest.py``)."""
-    originals = [(mod, name, getattr(mod, name)) for mod, name in _GLOBAL_COUNTERS]
-    for mod, name in _GLOBAL_COUNTERS:
-        setattr(mod, name, itertools.count(500_000))
-    try:
-        yield
-    finally:
-        for mod, name, counter in originals:
-            setattr(mod, name, counter)
 
 
 @pytest.fixture(scope="module")
-def grid(_pinned_id_counters):
+def grid():
     """setup1 (paper Fig. 8 leftmost mix) under MCCS+FFA and ECMP."""
     results = run_attribution(setups=("setup1",), rounds=3)
     return {r.system: r for r in results}

@@ -16,7 +16,13 @@ from repro.netsim.units import KB, MB
 
 
 @pytest.fixture(scope="module")
-def synth_results():
+def registry_before():
+    """The algorithm registry as the sweep found it."""
+    return registered_algorithms()
+
+
+@pytest.fixture(scope="module")
+def synth_results(registry_before):
     return run_synth(
         sizes=(64 * KB, 16 * MB),
         static_iters=2,
@@ -60,10 +66,8 @@ def test_tuner_adopts_synth_through_barrier(synth_results):
     assert tuned.tail_mean < tuned.first
 
 
-def test_run_synth_cleans_up_the_registry(synth_results):
-    assert not any(
-        name.startswith("synth:") for name in registered_algorithms()
-    )
+def test_run_synth_cleans_up_the_registry(registry_before, synth_results):
+    assert registered_algorithms() == registry_before
 
 
 def test_synth_table_and_json_rendering(synth_results):

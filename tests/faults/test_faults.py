@@ -255,7 +255,7 @@ def test_fail_link_idempotent():
 
 
 # ----------------------------------------------------------------------
-# bandwidth drift + membership kinds + plan versioning
+# bandwidth drift + membership kinds
 # ----------------------------------------------------------------------
 def test_bandwidth_drift_builder_validates_and_pairs_restore():
     with pytest.raises(ValueError, match="positive"):
@@ -322,21 +322,6 @@ def test_drift_injection_restores_original_capacity():
     assert cl.sim.link_capacity(link) == original  # exactly restored
 
 
-def test_random_plan_version_guard():
-    cluster = testbed_cluster()
-    with pytest.raises(ValueError, match="version"):
-        FaultPlan.random(cluster, seed=1, version=4)
-    # version=1 reproduces the historical uniform draw: byte-stable
-    # across calls and unaffected by the weighted default scheme.
-    v1a = FaultPlan.random(cluster, seed=11, num_faults=5, version=1)
-    v1b = FaultPlan.random(cluster, seed=11, num_faults=5, version=1)
-    assert [
-        (e.time, e.kind, e.link_id, e.host_id) for e in v1a.events
-    ] == [(e.time, e.kind, e.link_id, e.host_id) for e in v1b.events]
-    v2 = FaultPlan.random(cluster, seed=11, num_faults=5, version=2)
-    assert [e.kind for e in v2.events] != [] and v2.events != v1a.events
-
-
 def test_random_plan_draws_new_kinds_under_weights():
     cluster = testbed_cluster()
     kinds = set()
@@ -358,7 +343,7 @@ def test_random_plan_draws_new_kinds_under_weights():
 
 
 # ----------------------------------------------------------------------
-# tenant storms (version=3)
+# tenant storms
 # ----------------------------------------------------------------------
 def test_tenant_storm_event_validation():
     with pytest.raises(ValueError, match="app_id"):
@@ -388,7 +373,6 @@ def test_random_plan_v3_draws_tenant_storms():
             seed=seed,
             num_faults=4,
             tenant_candidates=tenants,
-            version=3,
         )
         seen.update(e.kind for e in plan.events)
         for event in plan.events:
@@ -404,18 +388,14 @@ def test_random_plan_v3_draws_tenant_storms():
     assert FaultKind.TENANT_STORM in seen
 
 
-def test_random_plan_v1_v2_replays_unchanged_by_v3():
-    """Adding version=3 must not disturb seeds recorded against v1/v2."""
+def test_random_plan_without_tenant_candidates_never_storms():
+    """Storms join the kinds only when tenants are named: a plan drawn
+    without candidates is unchanged by the storm kind's existence."""
     cluster = testbed_cluster()
-    for version in (1, 2):
-        a = FaultPlan.random(cluster, seed=23, num_faults=6, version=version)
-        b = FaultPlan.random(cluster, seed=23, num_faults=6, version=version)
-        assert a.describe() == b.describe()
-        assert all(e.kind is not FaultKind.TENANT_STORM for e in a.events)
-    # v3 without tenant candidates is draw-for-draw identical to v2
-    v2 = FaultPlan.random(cluster, seed=23, num_faults=6, version=2)
-    v3 = FaultPlan.random(cluster, seed=23, num_faults=6, version=3)
-    assert v2.describe() == v3.describe()
+    a = FaultPlan.random(cluster, seed=23, num_faults=6)
+    b = FaultPlan.random(cluster, seed=23, num_faults=6, tenant_candidates=[])
+    assert a.describe() == b.describe()
+    assert all(e.kind is not FaultKind.TENANT_STORM for e in a.events)
 
 
 def test_injector_routes_tenant_storm_to_callbacks():

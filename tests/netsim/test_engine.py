@@ -258,4 +258,4 @@ def test_simulators_share_no_path_cache():
     assert two._links_of_path == {}
     assert not hasattr(flows_mod, "_links_of_path")  # no process-wide cache
     # A directly constructed Flow still derives its own links.
-    assert Flow(1.0, ("a->b", "a->b", "b->c")).links == path
+    assert Flow(1.0, ("a->b", "a->b", "b->c"), "f").links == path

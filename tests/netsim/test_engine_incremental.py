@@ -11,15 +11,11 @@ churn and failover bit-identically.  The brute-force oracle for
 arbitrary scenarios lives in ``test_engine_reference.py``.
 """
 
-import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-import repro.baselines.nccl as nccl_mod
-import repro.core.communicator as comm_mod
-import repro.transport.launcher as launcher_mod
 from repro.core.transport import TrafficGateManager, WindowSchedule
 from repro.netsim.engine import FlowSimulator, SimObserver
 from repro.netsim.errors import LinkDownError
@@ -51,23 +47,6 @@ def _jsonable(value):
     return json.loads(json.dumps(value))
 
 
-def _reset_global_counters(monkeypatch):
-    """Pin every process-global id counter that feeds ECMP hashing.
-
-    Experiment runs are deterministic only relative to these counters;
-    resetting them gives each in-process run the inputs the golden
-    capture saw.  (Flow ids need no pinning: they restart per simulator.)
-    """
-    monkeypatch.setattr(comm_mod, "_comm_counter", itertools.count())
-    monkeypatch.setattr(nccl_mod, "_comm_counter", itertools.count())
-    monkeypatch.setattr(launcher_mod, "_launch_counter", itertools.count())
-
-
-@pytest.fixture
-def pinned_ids(monkeypatch):
-    _reset_global_counters(monkeypatch)
-
-
 def line_topo(cap=8.0):
     topo = Topology()
     topo.add_node("a")
@@ -79,7 +58,7 @@ def line_topo(cap=8.0):
 # ----------------------------------------------------------------------
 # the surviving core reproduces the legacy core on real scenarios
 # ----------------------------------------------------------------------
-def test_fig07_timeline_matches_legacy_golden(pinned_ids):
+def test_fig07_timeline_matches_legacy_golden():
     from repro.experiments.fig07_reconfig import run_fig07
 
     timeline = run_fig07(
@@ -112,7 +91,7 @@ def _fig08_speedup_grid():
     return [(r.setup, r.system, r.app_id, r.stat.mean) for r in results]
 
 
-def test_fig08_grid_matches_legacy_golden(pinned_ids):
+def test_fig08_grid_matches_legacy_golden():
     grid = _fig08_speedup_grid()
     golden = GOLDEN["fig08_setup1"]
     assert len(grid) == len(golden)
@@ -130,10 +109,10 @@ def _fig11_speedup_distributions():
     return [(s, tuple(outcome.speedups(s))) for s in ("or", "or+ffa")]
 
 
-def test_fig11_speedups_repeat_exactly_under_pinned_ids(monkeypatch):
-    _reset_global_counters(monkeypatch)
+def test_fig11_speedups_repeat_exactly_under_pinned_ids():
+    """Every id is its cluster's or deployment's, so two runs in one
+    process draw the same paths."""
     first = _fig11_speedup_distributions()
-    _reset_global_counters(monkeypatch)
     assert _fig11_speedup_distributions() == first  # ``==`` on floats
 
 
@@ -387,7 +366,7 @@ def test_link_churn_matches_legacy_golden():
     assert result["link_up"]
 
 
-def test_fault_recovery_timeline_matches_legacy_golden(pinned_ids):
+def test_fault_recovery_timeline_matches_legacy_golden():
     """A full deployment-level failover replays the legacy core's timeline."""
     import numpy as np
 

@@ -55,7 +55,7 @@ def reference_run(script):
                 handles.append(None)
                 log.append(("rejected", len(handles) - 1, now))
             else:
-                flow = Flow(value[0], PATHS[arg], weight=value[1])
+                flow = Flow(value[0], PATHS[arg], f"ref{len(handles)}", weight=value[1])
                 flows.append(flow)
                 handles.append(flow)
         elif kind == "cap":

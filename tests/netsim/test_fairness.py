@@ -1,5 +1,7 @@
 """Max-min fairness allocator tests, including reference/solver parity."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +13,11 @@ from repro.netsim.fairness import (
 from repro.netsim.flows import Flow
 
 
+_flow_ids = itertools.count()
+
+
 def mk_flow(path, weight=1.0, gated=False, size=1e9):
-    return Flow(size=size, path=tuple(path), weight=weight, gated=gated)
+    return Flow(size, tuple(path), f"f{next(_flow_ids)}", weight=weight, gated=gated)
 
 
 def solve_once(flows, caps):

@@ -7,6 +7,8 @@ correctness contract of the O(Δ) update path, including tombstone
 compaction and slot reuse.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +23,11 @@ from repro.netsim.flows import Flow
 LINKS = [f"l{i}" for i in range(6)]
 
 
+_flow_ids = itertools.count()
+
+
 def mk_flow(path, weight=1.0, gated=False, size=1e9):
-    return Flow(size=size, path=tuple(path), weight=weight, gated=gated)
+    return Flow(size, tuple(path), f"f{next(_flow_ids)}", weight=weight, gated=gated)
 
 
 def assert_matches_reference(solver, live, caps):

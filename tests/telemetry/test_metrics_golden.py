@@ -10,15 +10,9 @@ must come out identical: same series names, label sets and values.
 Wall-clock histograms measure the host, not the model, and are left out.
 """
 
-import itertools
 import json
 from pathlib import Path
 
-import repro.cluster.gpu
-import repro.cluster.ipc
-import repro.core.communicator
-import repro.core.reconfig
-import repro.core.sync
 from repro.cluster.specs import testbed_cluster
 from repro.core.deployment import MccsDeployment
 from repro.core.transport import WindowSchedule
@@ -27,31 +21,9 @@ from repro.telemetry import WALL_CLOCK_BUCKETS
 
 GOLDEN = Path(__file__).parent / "data" / "metrics_golden.json"
 
-_COUNTERS = [
-    (repro.cluster.gpu, "_buffer_counter"),
-    (repro.cluster.gpu, "_stream_counter"),
-    (repro.cluster.gpu, "_event_counter"),
-    (repro.cluster.ipc, "_handle_counter"),
-    (repro.core.communicator, "_comm_counter"),
-    (repro.core.reconfig, "_session_counter"),
-    (repro.core.sync, "_sync_counter"),
-]
-
-
 def run_scenario() -> MccsDeployment:
-    """The scripted scenario; ids restart at 0 so labels do not depend on
-    what ran earlier in the process."""
-    saved = [(mod, name, getattr(mod, name)) for mod, name in _COUNTERS]
-    for mod, name in _COUNTERS:
-        setattr(mod, name, itertools.count())
-    try:
-        return _scenario()
-    finally:
-        for mod, name, counter in saved:
-            setattr(mod, name, counter)
-
-
-def _scenario() -> MccsDeployment:
+    """The scripted scenario (its ids, and so its labels, are the
+    deployment's own)."""
     cluster = testbed_cluster()
     dep = MccsDeployment(cluster, ecmp_seed=7)
     sim = cluster.sim

@@ -17,16 +17,10 @@ def line_topo(cap=8.0):
     return topo
 
 
-def make_telemetry(**kwargs):
+def make_telemetry():
     sim = FlowSimulator(line_topo())
-    net = NetworkTelemetry(sim, MetricsRegistry(), **kwargs)
+    net = NetworkTelemetry(sim, MetricsRegistry())
     return sim, net
-
-
-def test_sample_interval_must_be_positive():
-    sim = FlowSimulator(line_topo())
-    with pytest.raises(ValueError):
-        NetworkTelemetry(sim, MetricsRegistry(), sample_interval=0.0)
 
 
 def test_flow_lifecycle_counters():
@@ -59,7 +53,7 @@ def test_preemptions_counted_once_per_gate_closure():
 
 
 def test_periodic_sampler_records_link_series_and_stops():
-    sim, net = make_telemetry(sample_interval=0.25)
+    sim, net = make_telemetry()  # samples every 0.25 s
     sim.add_flow(16.0, ["a->b"], job_id="A")  # drains in 2 s at 8 B/s
     end = sim.run()  # must terminate: the ticker is self-stopping
     assert end == pytest.approx(2.0)
@@ -74,7 +68,7 @@ def test_periodic_sampler_records_link_series_and_stops():
 
 
 def test_sampler_restarts_for_later_traffic():
-    sim, net = make_telemetry(sample_interval=0.25)
+    sim, net = make_telemetry()  # samples every 0.25 s
     sim.add_flow(8.0, ["a->b"])  # done at t=1
     sim.schedule(5.0, lambda: sim.add_flow(8.0, ["b->c"]))  # t=5..6
     sim.run()
@@ -82,8 +76,9 @@ def test_sampler_restarts_for_later_traffic():
     assert all(t >= 5.0 for t, _ in net.link_series("b->c"))
 
 
-def test_link_series_is_bounded():
-    sim, net = make_telemetry(sample_interval=0.25, max_samples=3)
+def test_link_series_is_bounded(monkeypatch):
+    monkeypatch.setattr("repro.telemetry.sampler.MAX_SAMPLES", 3)
+    sim, net = make_telemetry()
     sim.add_flow(32.0, ["a->b"])  # 4 s of traffic -> ~16 ticks
     sim.run()
     assert len(net.link_series("a->b")) == 3

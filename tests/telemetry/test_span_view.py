@@ -20,7 +20,6 @@ Four angles on the same claim:
 """
 
 import ast
-import itertools
 import json
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from repro.core.communicator import CollectiveInstance, ServiceCommunicator
 from repro.core.controller import CentralManager
 from repro.core.deployment import MccsDeployment
 from repro.core.strategy import default_strategy
+from repro.core.transport import TrafficGateManager
 from repro.faults import FaultInjector
 from repro.netsim.errors import CommunicatorError, ReconfigurationError
 from repro.netsim.units import MB
@@ -45,8 +45,6 @@ from repro.telemetry import (
     TelemetryHub,
     collective_spans,
 )
-
-from .conftest import _GLOBAL_COUNTERS
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reconfig_chrome_trace.json"
 CORE = Path(repro.__file__).parent / "core"
@@ -61,14 +59,6 @@ ADDED = {
     ("failure_detected", "collective"),
     ("recovery_attempt", "collective"),
 }
-
-
-@pytest.fixture
-def fresh_ids(monkeypatch):
-    """Ids restart at 0, so names, ECMP draws and therefore timestamps do
-    not depend on what ran earlier in the process."""
-    for mod, name in _GLOBAL_COUNTERS:
-        monkeypatch.setattr(mod, name, itertools.count())
 
 
 def flight_dump(deployment, op):
@@ -126,7 +116,7 @@ def canonical(trace: dict) -> list:
     return sorted(out)
 
 
-def test_view_reproduces_the_stored_spans_of_the_parent(fresh_ids):
+def test_view_reproduces_the_stored_spans_of_the_parent():
     golden = json.loads(GOLDEN.read_text())
     now = json.loads(rendered(reconfig_scenario().telemetry()))
     added = [
@@ -164,7 +154,7 @@ def spans_of(hub, seq):
     return root, [s for s in spans if s.parent_id == root.span_id]
 
 
-def test_retried_collective_renders_every_attempt(fresh_ids):
+def test_retried_collective_renders_every_attempt():
     """The link-down retry scenario of ``tests/core/test_recovery.py``."""
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster)
@@ -224,7 +214,10 @@ def test_trace_record_without_a_deployment_reads_the_same():
     cluster = testbed_cluster()
     hub = TelemetryHub(cluster.sim)
     gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
-    comm = ServiceCommunicator(cluster, "A", gpus, default_strategy(4, 1), hub)
+    comm = ServiceCommunicator(
+        cluster, 0, "A", gpus, default_strategy(4, 1), hub,
+        TrafficGateManager(cluster.sim, hub),
+    )
     instance = CollectiveInstance(
         comm=comm, seq=0, kind=Collective.ALL_REDUCE, out_bytes=8 * MB,
         issue_time=cluster.sim.now,

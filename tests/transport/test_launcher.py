@@ -9,7 +9,7 @@ from repro.collectives.ring import identity_ring
 from repro.collectives.tree import double_binary_trees
 from repro.collectives.types import Collective
 from repro.core.algorithms import AlgorithmContext, get_algorithm
-from repro.netsim.errors import CommunicatorError
+from repro.netsim.errors import CommunicatorError, LinkDownError
 from repro.netsim.routing import EcmpSelector
 from repro.transport.connections import ConnectionTable
 from repro.transport.launcher import FlowTransport
@@ -66,7 +66,7 @@ def test_completion_fires_when_slowest_flow_finishes(env):
         table=table, on_complete=lambda h, t: seen.append(t),
     )
     cl.sim.run()
-    assert handle.completed
+    assert handle.end_time is not None and handle.error is None
     assert seen == [handle.end_time]
     assert handle.end_time == max(f.end_time for f in handle.flows)
 
@@ -126,7 +126,7 @@ def test_double_tree_launch(env):
         table=tree_table, algorithm="tree",
     )
     cl.sim.run()
-    assert handle.completed
+    assert handle.end_time is not None and handle.error is None
     assert sum(f.size for f in handle.flows) == pytest.approx(2 * 1000 * 3)
     # one flow per (tree, directed edge): the trees are never merged
     assert len(handle.flows) == 2 * 2 * 3
@@ -140,15 +140,22 @@ def test_invalid_channels_rejected(env):
         NcclCommunicator(cl, gpus, channels=0)
 
 
-def test_gate_hook_sees_every_flow(env):
+
+def test_one_failed_flow_settles_the_launch(env):
+    """A flow killed by a fault fails the collective: the survivors are
+    cancelled, the handle carries the error, completion never fires."""
     cl, gpus, table, sched = env
-    seen = []
-
-    class Gate:
-        def register(self, flows):
-            seen.extend(flows)
-
-    transport = FlowTransport(cl, ZERO_LATENCY, gate=Gate())
-    launch(transport, kind=Collective.ALL_REDUCE, out_bytes=1000, gpus=gpus, table=table)
+    transport = FlowTransport(cl, ZERO_LATENCY)
+    completed = []
+    handle = launch(
+        transport, kind=Collective.ALL_GATHER, out_bytes=8 * 1024**2, gpus=gpus,
+        table=table, on_complete=lambda h, t: completed.append(t),
+    )
+    cl.sim.run(until=1e-4)
+    killed = cl.sim.fail_link(handle.flows[0].path[0])
     cl.sim.run()
-    assert len(seen) == 4
+    assert 0 < len(killed) < len(handle.flows)
+    assert isinstance(handle.error, LinkDownError)
+    assert handle.end_time == pytest.approx(1e-4)
+    assert cl.sim.flows_cancelled == len(handle.flows) - len(killed)
+    assert completed == [] and cl.sim.active_flows() == []

@@ -19,9 +19,10 @@ Guarded files:
   (``rate_recomputations``, ``flows_completed``) in the ``event_loop``
   and ``scale_curve`` sections, and the causal tracer's per-flow work
   (``recorder_calls_per_flow``, ``segments_per_flow``) in
-  ``telemetry_overhead``, compared with ``==``: the workloads are
-  seeded, so the counts are exact on any host, which events/s and the
-  traced/untraced wall ratio are not;
+  ``telemetry_overhead``, and the solver memo hits, rate recomputations,
+  heap pushes and completions of the ``steady_state`` collective loop,
+  compared with ``==``: the workloads are seeded, so the counts are exact
+  on any host, which events/s and the traced/untraced wall ratio are not;
 * ``BENCH_synth.json`` — synthesizer search throughput
   (``programs_per_sec``), the measured synthesized-vs-builtin
   ``speedup`` on the WAN fabric, and the executor's ``data_plane``
@@ -76,6 +77,13 @@ GUARDS = (
     Guard(BENCH_PATH, THROUGHPUT_SECTIONS, "flows_completed", exact=True),
     Guard(BENCH_PATH, ("telemetry_overhead",), "recorder_calls_per_flow", exact=True),
     Guard(BENCH_PATH, ("telemetry_overhead",), "segments_per_flow", exact=True),
+    *(
+        Guard(BENCH_PATH, ("steady_state",), metric, exact=True)
+        for metric in (
+            "solver_memo_hits", "rate_recomputations", "heap_pushes",
+            "flows_completed",
+        )
+    ),
     Guard(SYNTH_PATH, ("synthesizer",), "programs_per_sec"),
     Guard(SYNTH_PATH, ("speedup",), "speedup"),
     Guard(SYNTH_PATH, ("data_plane",), "gb_per_s"),
@@ -100,14 +108,15 @@ def compare_throughput(
         for key in sorted(set(base_section) & set(fresh_section)):
             old = (base_section[key] or {}).get(metric)
             new = (fresh_section[key] or {}).get(metric)
-            if not old or not new:
+            if old is None or new is None:
                 continue
             if exact:
+                # A count that fell to 0 (memo hits, say) is a regression.
                 if new != old:
                     failures.append(
                         f"{section}[{key}]: {metric} {new} vs committed {old}"
                     )
-            elif new < old * (1.0 - tolerance):
+            elif old and new < old * (1.0 - tolerance):
                 failures.append(
                     f"{section}[{key}]: {metric} {new:,.2f} vs committed "
                     f"{old:,.2f} ({100.0 * (new / old - 1.0):+.0f}%, "

@@ -23,11 +23,16 @@ archive the trend:
 * ``telemetry_overhead``: the causal tracer's exact per-flow work on a
   fixed 2 000-flow run (rate-recorder calls and ``RateSegment``s per
   flow — the gate), and the traced/untraced wall ratio (recorded only).
+* ``steady_state``: one ``small_allreduce`` collective's flows (8 ranks x
+  2 channels on the testbed fabric, as 8 rank batches) replayed on one
+  simulator and drained 200 times, with the exact solver memo hits,
+  rate recomputations, heap pushes and completions (the gate).
 
 The final test replays :mod:`benchmarks.compare_bench` in-process and
-fails if ``rate_recomputations``, ``flows_completed`` or the tracer's
-per-flow counts of any point shared with the committed baseline differ
-(CI runs the same script as a separate step after archiving the file).
+fails if ``rate_recomputations``, ``flows_completed``, the tracer's
+per-flow counts or the steady-state counts of any point shared with the
+committed baseline differ (CI runs the same script as a separate step
+after archiving the file).
 """
 
 import json
@@ -53,6 +58,7 @@ _RESULTS = {
     "event_loop": {},
     "scale_curve": {},
     "telemetry_overhead": {},
+    "steady_state": {},
 }
 
 
@@ -369,6 +375,73 @@ def test_telemetry_overhead():
         f"{calls:.4f} recorder calls, {segments:.4f} segments"
     )
     assert 0 < segments <= calls
+
+
+#: Rounds of the steady-state point.
+STEADY_ROUNDS = 200
+
+
+def _small_allreduce_batches():
+    """The launch batches of one ``small_allreduce`` collective — a 64 KiB
+    ring AllReduce over the testbed's 8 GPUs on 2 channels — as a
+    deployment injects them, and the fabric they run on."""
+    from repro import MccsDeployment, testbed_cluster
+    from repro.netsim.engine import SimObserver
+
+    class Recorder(SimObserver):
+        def __init__(self) -> None:
+            self.batches = []
+
+        def on_flows_added(self, flows, now) -> None:
+            self.batches.append([(f.size, f.path, f.channel) for f in flows])
+
+    cluster = testbed_cluster()
+    dep = MccsDeployment(cluster, ecmp_seed=0)
+    client = dep.connect("bench")
+    state = dep.create_communicator("bench", list(cluster.gpus), channels=2)
+    comm = client.adopt_communicator(state.comm_id)
+    recorder = Recorder()
+    cluster.sim.add_observer(recorder)
+    client.all_reduce(comm, 64 * 1024)
+    dep.run()
+    return cluster.sim.topology, recorder.batches
+
+
+def test_steady_state():
+    """A collective repeated on one communicator: after the first round
+    every scalar solve is answered from the solver's memo."""
+    topology, batches = _small_allreduce_batches()
+    assert [len(batch) for batch in batches] == [2] * 8
+    sim = FlowSimulator(topology)
+    t0 = time.perf_counter()
+    for _ in range(STEADY_ROUNDS):
+        for batch in batches:
+            sim.add_flows(batch, job_id="bench")
+        sim.run()
+    wall = time.perf_counter() - t0
+    counters = sim.perf_counters()
+    per_round = counters["solver_scalar_solves"] // STEADY_ROUNDS
+    _RESULTS["steady_state"]["small_allreduce"] = {
+        "rounds": STEADY_ROUNDS,
+        "wall_s": wall,
+        "rounds_per_sec": STEADY_ROUNDS / wall,
+        **{
+            name: counters[name]
+            for name in (
+                "solver_memo_hits", "solver_scalar_solves",
+                "rate_recomputations", "heap_pushes", "flows_completed",
+            )
+        },
+    }
+    print(
+        f"\nsteady state @ {STEADY_ROUNDS} rounds: "
+        f"{STEADY_ROUNDS / wall:,.0f} rounds/s, "
+        f"{counters['solver_memo_hits']} memo hits of "
+        f"{counters['solver_scalar_solves']} scalar solves"
+    )
+    assert counters["flows_completed"] == 16 * STEADY_ROUNDS
+    assert counters["solver_scalar_solves"] == per_round * STEADY_ROUNDS
+    assert counters["solver_memo_hits"] == per_round * (STEADY_ROUNDS - 1)
 
 
 def test_fig11_wall_clock(once, benchmark):

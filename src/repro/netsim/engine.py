@@ -434,7 +434,9 @@ class FlowSimulator:
         ``solver_rebuilds_avoided`` counts recomputations that reused the
         persistent incidence structure instead of rebuilding it;
         ``solver_full_rebuilds`` counts the structure (re)builds that did
-        happen (initial build plus tombstone compactions).
+        happen (initial build plus tombstone compactions);
+        ``solver_memo_hits`` counts the scalar solves answered from the
+        solver's memo of allocations it has already computed.
         """
         solver = self._solver
         return {
@@ -455,6 +457,7 @@ class FlowSimulator:
             "solver_delta_total": solver.delta_flows_total,
             "solver_solves_skipped": solver.solves_skipped,
             "solver_scalar_solves": solver.scalar_solves,
+            "solver_memo_hits": solver.memo_hits,
         }
 
     # ------------------------------------------------------------------

@@ -99,6 +99,12 @@ def progressive_filling(
 #: bit-identical either way (asserted by the hypothesis churn suite).
 SCALAR_SOLVE_MAX_ENTRIES = 96
 
+#: Signatures :meth:`IncrementalFairnessSolver.solve` remembers (oldest
+#: evicted first).  A steady-state collective poses a handful of distinct
+#: problems per iteration; an entry is two small arrays and a key that
+#: shares the solver's own per-slot tuples.
+SOLVE_MEMO_ENTRIES = 256
+
 _EMPTY_CHANGED = np.zeros(0, dtype=np.int64)
 
 
@@ -122,7 +128,11 @@ class IncrementalFairnessSolver:
     with no pending structural deltas is answered from the cached
     allocation (``solves_skipped``), and sub-:data:`SCALAR_SOLVE_MAX_ENTRIES`
     problems take a scalar fast path — both bit-identical to the full
-    vectorized solve.  ``solve_epoch`` increments whenever the allocation
+    vectorized solve.  The scalar path is a pure function of the ordered
+    ``(path id, weight)`` signature of the live slots, which the structural
+    updates keep in ``_sig``, so a problem seen before under the same
+    capacities is answered from a memo (``memo_hits``); ``set_capacity``
+    empties it.  ``solve_epoch`` increments whenever the allocation
     may have moved; the derived views (:meth:`rates_by_id`,
     :meth:`link_loads`, :meth:`link_utilization`) are cached on it.
 
@@ -165,9 +175,16 @@ class IncrementalFairnessSolver:
         # removed or gated while carrying a nonzero rate); they are part
         # of the next solve's changed set without scanning every slot.
         self._deactivated: List[int] = []
-        # path -> precomputed link-index list (the link index is fixed at
-        # construction, so these never go stale).
-        self._path_idx: Dict[Tuple[str, ...], List[int]] = {}
+        # path -> path id, and path id -> link-index list (the link index
+        # is fixed at construction, so these never go stale).
+        self._path_idx: Dict[Tuple[str, ...], int] = {}
+        self._path_links: List[List[int]] = []
+        # in-use slot -> (path id, weight), None while gated; insertion
+        # order is incidence order (runs are appended and compaction keeps
+        # their order), so the live values are the scalar core's input.
+        self._sig: Dict[int, Optional[Tuple[int, float]]] = {}
+        self._live_entries = 0  # incidence entries of the live slots
+        self._memo: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
         # epoch-keyed caches of the derived dict views
         self.solve_epoch = 0
         self._rates_by_id_cache: Tuple[int, Dict[str, float]] = (-1, {})
@@ -180,14 +197,15 @@ class IncrementalFairnessSolver:
         self.last_delta = 0
         self.solves_skipped = 0
         self.scalar_solves = 0
+        self.memo_hits = 0
         self._pending_delta = 0
         self._solved_once = False
         self._last_override = False
 
     # -- structural updates (all O(Δ)) ---------------------------------
     def add_flow(self, flow: Flow) -> None:
-        link_idx = self._path_idx.get(flow.links)
-        if link_idx is None:
+        pid = self._path_idx.get(flow.links)
+        if pid is None:
             link_idx = []
             for link in flow.links:
                 idx = self._link_index.get(link)
@@ -196,7 +214,9 @@ class IncrementalFairnessSolver:
                         f"flow {flow.flow_id} uses unknown link {link!r}"
                     )
                 link_idx.append(idx)
-            self._path_idx[flow.links] = link_idx
+            pid = self._path_idx[flow.links] = len(self._path_links)
+            self._path_links.append(link_idx)
+        link_idx = self._path_links[pid]
         if self._free_slots:
             slot = self._free_slots.pop()
             self._slots[slot] = flow
@@ -208,7 +228,7 @@ class IncrementalFairnessSolver:
                 self._grow_slots(slot + 1)
         self._slot_of[flow.flow_id] = slot
         self._weights[slot] = flow.weight
-        self._active[slot] = flow.active
+        active = self._active[slot] = flow.active
         self._in_use[slot] = True
         self._rates[slot] = 0.0
         self._bneck[slot] = -1
@@ -219,6 +239,11 @@ class IncrementalFairnessSolver:
         self._flat_slots[self._nnz : self._nnz + k] = slot
         self._spans[slot] = (self._nnz, k)
         self._nnz += k
+        if active:
+            self._sig[slot] = (pid, float(flow.weight))
+            self._live_entries += k
+        else:
+            self._sig[slot] = None
         self._note_delta()
 
     def add_flows(self, flows: Iterable[Flow]) -> None:
@@ -229,15 +254,19 @@ class IncrementalFairnessSolver:
         slot = self._slot_of.pop(flow.flow_id, None)
         if slot is None:
             return
+        k = self._spans[slot][1]
+        if self._sig.pop(slot) is not None:
+            self._live_entries -= k
         self._slots[slot] = None
         self._in_use[slot] = False
         self._active[slot] = False
+        self._bneck[slot] = -1
         if self._rates[slot] != 0.0:
             # Part of the next solve's changed set: rates are updated
             # in place, so zeroed slots must be remembered explicitly.
             self._deactivated.append(slot)
         self._rates[slot] = 0.0
-        self._dead_nnz += self._spans[slot][1]
+        self._dead_nnz += k
         # The slot is reusable only after compaction purges its incidence
         # entries; until then reuse would misattribute them.
         self._note_delta()
@@ -250,13 +279,24 @@ class IncrementalFairnessSolver:
         slot = self._slot_of.get(flow.flow_id)
         if slot is not None:
             self._active[slot] = active
-            if not active and self._rates[slot] != 0.0:
-                self._deactivated.append(slot)
-                self._rates[slot] = 0.0
+            live = self._sig[slot] is not None
+            if not active:
+                if live:
+                    self._sig[slot] = None
+                    self._live_entries -= self._spans[slot][1]
+                self._bneck[slot] = -1  # gated: no bottleneck (bottleneck_of)
+                if self._rates[slot] != 0.0:
+                    self._deactivated.append(slot)
+                    self._rates[slot] = 0.0
+            elif not live:
+                self._sig[slot] = (self._path_idx[flow.links], float(flow.weight))
+                self._live_entries += self._spans[slot][1]
             self._note_delta()
 
     def set_capacity(self, link_id: str, capacity: float) -> None:
         self._caps[self._link_index[link_id]] = capacity
+        # Every remembered allocation was solved under the old capacities.
+        self._memo.clear()
         self._note_delta()
 
     def _note_delta(self) -> None:
@@ -326,10 +366,7 @@ class IncrementalFairnessSolver:
         or zero-weight path) when the last allocation ran.
         """
         slot = self._slot_of.get(flow_id)
-        if slot is None:
-            return None
-        idx = int(self._bneck[slot])
-        return self._link_ids[idx] if idx >= 0 else None
+        return None if slot is None else self.bottleneck_of_slot(slot)
 
     def capacity(self, link_id: str) -> float:
         return float(self._caps[self._link_index[link_id]])
@@ -441,13 +478,8 @@ class IncrementalFairnessSolver:
         if self._dead_nnz > 64 and self._dead_nnz * 2 > self._nnz:
             self._compact()
         caps = self._caps if capacities is None else capacities
-        flat_l = self._flat_links[: self._nnz]
-        flat_s = self._flat_slots[: self._nnz]
-        alive = self._in_use & self._active
-        entry_live = alive[flat_s]
-        fl = flat_l[entry_live]
-        fs = flat_s[entry_live]
         self._loads_stale = True
+        sig = self._sig
         # Slots force-zeroed since the last solve (removed/gated while
         # rated) are changed even though they are no longer live; slots
         # zeroed but reactivated before this solve are covered by the
@@ -455,18 +487,35 @@ class IncrementalFairnessSolver:
         deact = self._deactivated
         if deact:
             self._deactivated = []
-            deact = [s for s in deact if not alive[s]]
-        if fl.size == 0:
+            deact = [s for s in deact if sig.get(s) is None]
+        if self._live_entries == 0:
             if not deact:
                 return _EMPTY_CHANGED, self._rates
             return np.sort(np.asarray(deact, dtype=np.int64)), self._rates
-        if fl.size <= SCALAR_SOLVE_MAX_ENTRIES:
+        if self._live_entries <= SCALAR_SOLVE_MAX_ENTRIES:
             self.scalar_solves += 1
-            changed_list = self._solve_scalar(caps, fl, fs)
-            changed_list.extend(deact)
-            if not changed_list:
-                return _EMPTY_CHANGED, self._rates
-            return np.sort(np.asarray(changed_list, dtype=np.int64)), self._rates
+            key = tuple(filter(None, sig.values()))
+            result = None if override else self._memo.get(key)
+            if result is not None:
+                self.memo_hits += 1
+            else:
+                result = self._solve_scalar(caps, key)
+                if not override:
+                    memo = self._memo
+                    if len(memo) >= SOLVE_MEMO_ENTRIES:
+                        del memo[next(iter(memo))]
+                    memo[key] = result
+            slots = np.array(
+                [s for s, item in sig.items() if item is not None],
+                dtype=np.int64,
+            )
+            self._bneck[slots] = result[1]
+            return np.sort(self._install(slots, result[0], deact)), self._rates
+        flat_s = self._flat_slots[: self._nnz]
+        alive = self._in_use & self._active
+        entry_live = alive[flat_s]
+        fl = self._flat_links[: self._nnz][entry_live]
+        fs = flat_s[entry_live]
         # Compact both dimensions to what is live *this* solve: a large
         # fabric has thousands of links and registered slots, but a
         # typical recomputation touches a few hundred of each, and the
@@ -537,23 +586,26 @@ class IncrementalFairnessSolver:
             np.subtract(residual, link_weight, out=residual)
             np.maximum(residual, 0.0, out=residual)
             link_weight = new_weight
-        new = levels * w
-        old = self._rates[active_slots]
-        changed_active = active_slots[new != old]
-        self._rates[active_slots] = new
+        # active_slots is sorted, so only the deactivated slots need a sort.
+        changed = self._install(active_slots, levels * w, deact)
+        return (np.sort(changed) if deact else changed), self._rates
+
+    def _install(
+        self, slots: np.ndarray, rates: np.ndarray, deact: List[int]
+    ) -> np.ndarray:
+        """Write ``rates`` to ``slots``; returns the slots whose rate moved
+        (in ``slots`` order), then the force-zeroed ``deact``."""
+        changed = slots[self._rates[slots] != rates]
+        self._rates[slots] = rates
         if deact:
-            changed = np.sort(
-                np.concatenate(
-                    [changed_active, np.asarray(deact, dtype=np.int64)]
-                )
+            changed = np.concatenate(
+                [changed, np.asarray(deact, dtype=np.int64)]
             )
-        else:
-            changed = changed_active
-        return changed, self._rates
+        return changed
 
     def _solve_scalar(
-        self, caps: np.ndarray, fl: np.ndarray, fs: np.ndarray
-    ) -> List[int]:
+        self, caps: np.ndarray, key: Tuple[Tuple[int, float], ...]
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Scalar progressive filling for small live sets.
 
         Performs exactly the arithmetic of the vectorized loop — per-link
@@ -564,36 +616,30 @@ class IncrementalFairnessSolver:
         :data:`SCALAR_SOLVE_MAX_ENTRIES` entries this is several times
         faster than paying ~15 numpy-call overheads per round.
 
-        Updates ``_rates``/``_bneck`` in place and returns the
-        (unsorted) list of slots whose rate moved.
+        ``key`` is the live slots' ``(path id, weight)`` in incidence
+        order and ``caps`` the capacities: the result — per-slot rates and
+        bottleneck link indices, aligned with ``key`` — depends on nothing
+        else, which is what makes it safe to remember.
         """
-        # Order-preserving local compaction of links and slots, fused into
-        # one pass that also builds the entry triples and the per-link
-        # weight sums (accumulated in entry order, like the bincount).
+        # Order-preserving local compaction of links, fused into one pass
+        # that also builds the entry triples and the per-link weight sums
+        # (accumulated in entry order, like the bincount).
         link_local: Dict[int, int] = {}
         links: List[int] = []  # local -> global link index
-        slot_local: Dict[int, int] = {}
-        slots: List[int] = []  # local -> global slot
-        weights = self._weights
-        wS: List[float] = []
+        path_links = self._path_links
         entries: List[Tuple[int, int, float]] = []
         link_weight: List[float] = []
-        for g_l, g_s in zip(fl.tolist(), fs.tolist()):
-            li = link_local.get(g_l)
-            if li is None:
-                li = link_local[g_l] = len(links)
-                links.append(g_l)
-                link_weight.append(0.0)
-            si = slot_local.get(g_s)
-            if si is None:
-                si = slot_local[g_s] = len(slots)
-                slots.append(g_s)
-                wS.append(float(weights[g_s]))
-            wgt = wS[si]
-            entries.append((li, si, wgt))
-            link_weight[li] += wgt
+        for si, (pid, wgt) in enumerate(key):
+            for g_l in path_links[pid]:
+                li = link_local.get(g_l)
+                if li is None:
+                    li = link_local[g_l] = len(links)
+                    links.append(g_l)
+                    link_weight.append(0.0)
+                entries.append((li, si, wgt))
+                link_weight[li] += wgt
         nl = len(links)
-        ns = len(slots)
+        ns = len(key)
         residual = [float(caps[g]) for g in links]
         levels = [0.0] * ns
         frozen = [False] * ns
@@ -629,17 +675,8 @@ class IncrementalFairnessSolver:
                 residual[li] = r if r > 0.0 else 0.0
             link_weight = new_weight
             entries = survivors
-        rates = self._rates
-        bn = self._bneck
-        changed: List[int] = []
-        for si in range(ns):
-            g = slots[si]
-            r = wS[si] * levels[si]
-            if rates[g] != r:
-                rates[g] = r
-                changed.append(g)
-            bn[g] = bneck[si]
-        return changed
+        rates = [wgt * level for (_, wgt), level in zip(key, levels)]
+        return np.array(rates), np.array(bneck, dtype=np.int64)
 
     def rates_by_id(self) -> Dict[str, float]:
         """Flow id -> rate from the most recent solve (for tests/debug).

@@ -289,6 +289,14 @@ def test_perf_counters():
     )
     assert counters["heap_pushes"] > 0
     assert counters["heap_invalidations"] > 0
+    assert (counters["solver_scalar_solves"], counters["solver_memo_hits"]) == (1, 0)
+    # The same batch again once the first drained: the solver has seen
+    # the problem and answers it from its memo.
+    sim.add_flows([(8.0, ["a->b"], None)] * 5)
+    sim.run()
+    counters = sim.perf_counters()
+    assert counters["flows_completed"] == 10
+    assert (counters["solver_scalar_solves"], counters["solver_memo_hits"]) == (2, 1)
 
 
 def test_rate_recomputations_count_matches_dirty_transitions():

@@ -7,7 +7,9 @@ flow's remaining bytes.  No persistent solver, no heap, no lazy clock —
 the structure the engine's deleted legacy core had, kept here as a test
 oracle.  One hypothesis property replays random add / cancel / gate /
 ``set_link_capacity`` / ``fail_link`` scripts through both and compares
-which flows complete or fail, in what order, and when.
+which flows complete or fail, in what order, and when; a second runs each
+script three times back to back on one simulator, so the solver answers
+the repeats from its memo of allocations and the reference still agrees.
 """
 
 import math
@@ -34,30 +36,33 @@ PATHS = [
 ]
 
 
-def reference_run(script):
-    """Brute-force replay of ``script`` (``[(time, op), ...]``, time-sorted).
+def reference_run(script, repeats=1):
+    """Brute-force replay of ``script`` (``[(time, op), ...]``, time-sorted),
+    ``repeats`` times, each repeat starting when the previous one is
+    quiescent and naming only its own flows.
 
-    Returns the outcome log ``[(kind, handle index, time), ...]`` with
-    kind ``"done"`` or ``"fail"``; rejected adds log ``"rejected"``.
+    Returns the outcome log ``[(kind, (repeat, handle index), time), ...]``
+    with kind ``"done"`` or ``"fail"``; rejected adds log ``"rejected"``.
     """
     caps, down, now = dict(LINKS), set(), 0.0
-    flows, handles, log = [], [], []
-    events = list(script)
+    flows, log = [], []
 
     def leave(flow, kind):
         flows.remove(flow)
-        log.append((kind, handles.index(flow), now))
+        log.append((kind, handle_of[flow], now))
 
     def apply(op):
         kind, arg, value = op
         if kind == "add":
+            index = (repeat, len(handles))
             if down.intersection(PATHS[arg]):
                 handles.append(None)
-                log.append(("rejected", len(handles) - 1, now))
+                log.append(("rejected", index, now))
             else:
-                flow = Flow(value[0], PATHS[arg], f"ref{len(handles)}", weight=value[1])
+                flow = Flow(value[0], PATHS[arg], f"ref{index}", weight=value[1])
                 flows.append(flow)
                 handles.append(flow)
+                handle_of[flow] = index
         elif kind == "cap":
             caps[LINK_IDS[arg]] = value
         elif kind == "fail":
@@ -71,44 +76,50 @@ def reference_run(script):
             else:  # gate: toggle
                 flow.gated = not flow.gated
 
-    while True:
-        rates = progressive_filling(flows, caps)
-        etas = {
-            f: now + f.remaining / rates[f.flow_id]
-            for f in flows
-            if rates[f.flow_id] > 0
-        }
-        t_done = min(etas.values(), default=math.inf)
-        t_event = events[0][0] if events else math.inf
-        t = min(t_done, t_event)
-        if math.isinf(t):
-            return log
-        for flow in flows:
-            flow.remaining = max(
-                flow.remaining - rates[flow.flow_id] * (t - now), 0.0
-            )
-        now = t
-        if t_done <= t_event + _EPS:
-            for flow in [f for f, eta in etas.items() if eta <= t_done + _EPS]:
-                leave(flow, "done")
-        while events and events[0][0] <= now + _EPS:
-            apply(events.pop(0)[1])
+    handle_of = {}
+    for repeat in range(repeats):
+        handles = []
+        events = [(now + when, op) for when, op in script]
+        while True:
+            rates = progressive_filling(flows, caps)
+            etas = {
+                f: now + f.remaining / rates[f.flow_id]
+                for f in flows
+                if rates[f.flow_id] > 0
+            }
+            t_done = min(etas.values(), default=math.inf)
+            t_event = events[0][0] if events else math.inf
+            t = min(t_done, t_event)
+            if math.isinf(t):
+                break
+            for flow in flows:
+                flow.remaining = max(
+                    flow.remaining - rates[flow.flow_id] * (t - now), 0.0
+                )
+            now = t
+            if t_done <= t_event + _EPS:
+                for flow in [f for f, eta in etas.items() if eta <= t_done + _EPS]:
+                    leave(flow, "done")
+            while events and events[0][0] <= now + _EPS:
+                apply(events.pop(0)[1])
+    return log
 
 
-def engine_run(script):
-    """The same script through :class:`FlowSimulator`; same log format."""
+def engine_run(script, repeats=1):
+    """The same script through one :class:`FlowSimulator`; same log
+    format.  Returns the log and the simulator."""
     topo = Topology()
     for node in ("a", "m1", "m2", "b"):
         topo.add_node(node)
     for link, cap in LINKS.items():
         topo.add_link(*link.split("->"), cap)
     sim = FlowSimulator(topo)
-    handles, log = [], []
+    log = []
 
-    def apply(op):
+    def apply(op, repeat, handles):
         kind, arg, value = op
         if kind == "add":
-            index = len(handles)
+            index = (repeat, len(handles))
             try:
                 handles.append(
                     sim.add_flow(
@@ -135,10 +146,14 @@ def engine_run(script):
             else:
                 sim.gate_flow(flow, not flow.gated)
 
-    for when, op in script:
-        sim.schedule(when, lambda op=op: apply(op))
-    sim.run()
-    return log
+    for repeat in range(repeats):
+        handles, start = [], sim.now
+        for when, op in script:
+            sim.schedule(
+                start + when, lambda op=op, r=repeat, h=handles: apply(op, r, h)
+            )
+        sim.run()
+    return log, sim
 
 
 _op = st.one_of(
@@ -154,15 +169,29 @@ _op = st.one_of(
 )
 
 
-@given(
-    st.lists(st.tuples(st.floats(0.0, 6.0), _op), min_size=1, max_size=30).map(
-        lambda script: sorted(script, key=lambda entry: entry[0])
-    )
+_scripts = st.lists(st.tuples(st.floats(0.0, 6.0), _op), min_size=1, max_size=30).map(
+    lambda script: sorted(script, key=lambda entry: entry[0])
 )
+
+
+@given(_scripts)
 @settings(max_examples=150, deadline=None)
 def test_engine_matches_brute_force_reference(script):
-    want = reference_run(script)
-    got = engine_run(script)
+    assert_same_outcomes(engine_run(script)[0], reference_run(script))
+
+
+@given(_scripts)
+@settings(max_examples=100, deadline=None)
+def test_repeated_script_matches_brute_force_reference(script):
+    """Three back-to-back runs of one script: the repeats pose the
+    solver problems it has solved before, answered from its memo."""
+    got, sim = engine_run(script, repeats=3)
+    assert_same_outcomes(got, reference_run(script, repeats=3))
+    counters = sim.perf_counters()
+    assert counters["solver_memo_hits"] <= counters["solver_scalar_solves"]
+
+
+def assert_same_outcomes(got, want):
     # Same flows complete / fail / are rejected, at the same times.
     assert sorted(e[:2] for e in got) == sorted(e[:2] for e in want)
     want_time = {e[:2]: e[2] for e in want}

@@ -75,6 +75,114 @@ def test_churn_matches_progressive_filling(ops, data):
         assert_matches_reference(solver, live, caps)
 
 
+_replay_op = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.lists(st.sampled_from(LINKS), min_size=1, max_size=4, unique=True),
+        st.sampled_from([0.5, 1.0, 3.0]),
+    ),
+    st.tuples(st.just("replay"), st.integers(0, 63), st.none()),
+    st.tuples(st.sampled_from(["remove", "gate"]), st.integers(0, 63), st.none()),
+    st.tuples(st.just("capacity"), st.sampled_from(LINKS), st.sampled_from([5.0, 10.0, 20.0])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(_replay_op, min_size=1, max_size=40))
+def test_remembered_allocations_equal_a_fresh_solve(ops):
+    """A long-lived solver answers replayed live sets from its memo; a
+    freshly built one (empty memo) fed the same live flows in the same
+    order is the oracle, to the bit, for rates and bottlenecks."""
+    caps = {link: 10.0 for link in LINKS}
+    solver = IncrementalFairnessSolver(caps)
+    live = []  # insertion order = the solver's incidence order
+    history = []  # every earlier live set, as (path, weight, gated)
+    for kind, arg, value in ops:
+        if kind == "add":
+            live.append(mk_flow(arg, weight=value))
+            solver.add_flow(live[-1])
+        elif kind == "capacity":
+            caps[arg] = value
+            solver.set_capacity(arg, value)
+        elif kind == "replay" and history:
+            solver.remove_flows(live)
+            live = [
+                mk_flow(path, weight=weight, gated=gated)
+                for path, weight, gated in history[arg % len(history)]
+            ]
+            solver.add_flows(live)
+        elif kind in ("remove", "gate") and live:
+            flow = live[arg % len(live)]
+            if kind == "remove":
+                live.remove(flow)
+                solver.remove_flow(flow)
+            else:
+                flow.gated = not flow.gated
+                solver.set_active(flow, flow.active)
+        solver.solve()
+        oracle = IncrementalFairnessSolver(caps)
+        oracle.add_flows(live)
+        oracle.solve()
+        assert solver.rates_by_id() == oracle.rates_by_id()
+        for flow in live:
+            assert solver.bottleneck_of(flow.flow_id) == oracle.bottleneck_of(
+                flow.flow_id
+            )
+        history.append([(f.path, f.weight, f.gated) for f in live])
+
+
+def test_replay_hits_the_memo_and_a_capacity_change_misses_it():
+    solver = IncrementalFairnessSolver({link: 10.0 for link in LINKS})
+
+    def replay():
+        flows = [mk_flow(LINKS[:2]), mk_flow(LINKS[1:3], weight=3.0)]
+        solver.add_flows(flows)
+        changed, _ = solver.solve()
+        assert changed.size == 2
+        rates = solver.rates_by_id()
+        solver.remove_flows(flows)
+        changed, _ = solver.solve()
+        assert changed.size == 2  # both dropped back to 0
+        return [rates[f.flow_id] for f in flows]
+
+    first = replay()
+    assert solver.memo_hits == 0
+    assert replay() == first
+    assert (solver.memo_hits, solver.scalar_solves) == (1, 2)
+    solver.set_capacity("l1", 5.0)
+    degraded = replay()
+    assert degraded != first
+    assert (solver.memo_hits, solver.scalar_solves) == (1, 3)
+    solver.set_capacity("l1", 10.0)
+    assert replay() == first
+    assert replay() == first
+    assert (solver.memo_hits, solver.scalar_solves) == (2, 5)
+    # A capacity override (the interference model) bypasses the memo.
+    flows = [mk_flow(LINKS[:2]), mk_flow(LINKS[1:3], weight=3.0)]
+    solver.add_flows(flows)
+    solver.solve(np.full(len(LINKS), 5.0))
+    rates = solver.rates_by_id()
+    assert [rates[f.flow_id] for f in flows] == [r / 2 for r in first]
+    assert (solver.memo_hits, solver.scalar_solves) == (2, 6)
+
+
+def test_gated_flow_has_no_bottleneck():
+    """``bottleneck_of`` is None for a flow gated when the last allocation
+    ran, not the link that froze it before it was gated."""
+    solver = IncrementalFairnessSolver({"a": 10.0, "b": 10.0})
+    f1 = mk_flow(["a"])
+    f2 = mk_flow(["a", "b"])
+    solver.add_flows([f1, f2])
+    solver.solve()
+    assert solver.bottleneck_of(f2.flow_id) == "a"
+    f2.gated = True
+    solver.set_active(f2, f2.active)
+    solver.solve()
+    assert solver.rates_by_id()[f2.flow_id] == 0.0
+    assert solver.bottleneck_of(f2.flow_id) is None
+    assert solver.bottleneck_of(f1.flow_id) == "a"
+
+
 def test_empty_solver_solves_to_nothing():
     solver = IncrementalFairnessSolver({"l0": 10.0})
     changed, rates = solver.solve()

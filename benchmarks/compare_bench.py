@@ -29,7 +29,10 @@ Guarded files:
   throughput (``gb_per_s`` per algorithm x size);
 * ``BENCH_gateway.json`` — service-gateway request throughput
   (``requests_per_sec`` in the ``gateway`` section; the fleet scenario is
-  the repo benchmark's ``gateway_fleet`` workload).
+  the repo benchmark's ``gateway_fleet`` workload);
+* ``BENCH_control.json`` — the FFA churn script's ``passes``,
+  ``demands_placed``, ``reconfigured_comms`` and ``assignment_digest``,
+  compared with ``==``: they are the policy's output, not a timing.
 
 Only keys present in *both* files are compared, so adding or renaming
 benchmark points never trips the guard; a point that got slower does.
@@ -51,6 +54,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_netsim.json"
 SYNTH_PATH = REPO_ROOT / "BENCH_synth.json"
 GATEWAY_PATH = REPO_ROOT / "BENCH_gateway.json"
+CONTROL_PATH = REPO_ROOT / "BENCH_control.json"
 
 #: Sections of BENCH_netsim.json holding event-loop points.
 THROUGHPUT_SECTIONS = ("event_loop", "scale_curve")
@@ -88,6 +92,12 @@ GUARDS = (
     Guard(SYNTH_PATH, ("speedup",), "speedup"),
     Guard(SYNTH_PATH, ("data_plane",), "gb_per_s"),
     Guard(GATEWAY_PATH, ("gateway",), "requests_per_sec"),
+    *(
+        Guard(CONTROL_PATH, ("ffa_churn",), metric, exact=True)
+        for metric in (
+            "passes", "demands_placed", "reconfigured_comms", "assignment_digest",
+        )
+    ),
 )
 
 

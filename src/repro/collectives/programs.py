@@ -2,17 +2,16 @@
 
 A *flow program* is the fully-resolved, reusable part of a collective
 launch: the step count and the list of transfers an algorithm reads off
-its compiled plan for (collective kind, sizes, schedule, channels,
-route-ids).  Traffic-generator loops issue the same collective on the same
+its compiled plan for (collective kind, sizes, schedule, channels).
+Traffic-generator loops issue the same collective on the same
 strategy thousands of times; resolving the program each launch is pure
 waste, so the launch paths (``ServiceCommunicator`` per-rank launch and
 the baseline ``NcclCommunicator``) consult a :class:`FlowProgramCache` and
 only fall back to the algorithm when the key is new.
 
-Keys must capture *everything* the compiled program depends on — the
-callers build them from frozen/hashable strategy fields (including the
-route-id assignments, whose changes must recompile because they version
-the datapath even though transfer byte counts are route-independent).
+Keys must capture *everything* the compiled program depends on, and no
+more: route ids pick paths at injection, not what is transferred, so a
+route-only reconfiguration reuses the program.
 """
 
 from __future__ import annotations

@@ -252,9 +252,11 @@ class CollectiveInstance:
             return algorithm.steps(ctx), tuple(algorithm.rank_transfers(ctx))
 
         # Step count and transfers are two views of the one plan the
-        # strategy's algorithm names; resolved once per key, not per launch.
+        # strategy's algorithm names; resolved once per key (what _context
+        # reads: a route-only change hits), not per launch.
         steps, transfers = comm.program_cache.get(
-            (strategy, self.kind, self.out_bytes, self.root, rank), resolve
+            (strategy.algorithm, strategy.ring.order, strategy.channels,
+             self.kind, self.out_bytes, self.root, rank), resolve
         )
         fixed = comm.latency.collective_latency(steps)
         attempt = self.attempts
@@ -598,8 +600,8 @@ class ServiceCommunicator:
             ]
         ] = None
         #: Compiled per-rank transfer lists, keyed by everything they
-        #: depend on (strategy incl. ring order/channels/route-ids, kind,
-        #: sizes, root, rank); traffic loops reissue identical collectives.
+        #: depend on (algorithm, ring order, channels, kind, sizes, root,
+        #: rank); traffic loops reissue identical collectives.
         self.program_cache = FlowProgramCache()
         #: Provider-side observers of finished (completed *or* aborted)
         #: collectives — e.g. the autotuner's measurement feed.  Unlike

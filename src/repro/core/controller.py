@@ -26,7 +26,7 @@ from ..netsim.errors import PolicyError
 from ..telemetry.ringbuffer import RingBuffer
 from .communicator import ServiceCommunicator
 from .deployment import MccsDeployment
-from .policies.ffa import fair_flow_assignment
+from .policies.ffa import DemandMemo, fair_flow_assignment
 from .policies.pfa import priority_flow_assignment
 from .policies.ring_order import locality_ring_order
 from .policies.ts import compute_traffic_schedule
@@ -60,6 +60,8 @@ class CentralManager:
         self.cluster = deployment.cluster
         self.background = background
         self.reports: RingBuffer[PolicyReport] = RingBuffer(REPORTS_KEPT)
+        #: Live communicators' flow demands, kept across policy passes.
+        self.demand_memo: DemandMemo = {}
 
     def _record_report(self, report: PolicyReport) -> PolicyReport:
         """File a policy pass in the reports ring and the telemetry
@@ -177,16 +179,20 @@ class CentralManager:
         """
         started = time.perf_counter()
         comms = self.deployment.communicators()
+        memo = self.demand_memo
+        for comm_id in memo.keys() - {c.comm_id for c in comms}:
+            del memo[comm_id]
         if policy == "ecmp":
             assignments = {c.comm_id: {} for c in comms}
         elif policy == "ffa":
-            assignments = fair_flow_assignment(self.cluster, comms)
+            assignments = fair_flow_assignment(self.cluster, comms, memo=memo)
         elif policy == "pfa":
             assignments = priority_flow_assignment(
                 self.cluster,
                 comms,
                 high_priority_apps=list(high_priority_apps),
                 reserved_routes=reserved_routes,
+                memo=memo,
             )
         else:
             raise PolicyError(f"unknown flow policy {policy!r}")

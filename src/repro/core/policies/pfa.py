@@ -6,6 +6,10 @@ non-reserved routes, and flows of high priority applications are assigned
 best routes from all available ones."  In the paper's running example, one
 of the two routes between rack A and rack B is dedicated to the
 prioritized application.
+
+Reservations constrain a *choice* of route: a flow with a single path (a
+rack-local hop, or a pair a spine failure left one path) takes it whatever
+its tenant's priority.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Dict, Optional, Sequence, Set
 from ...cluster.specs import Cluster
 from ...netsim.errors import PolicyError
 from ..communicator import ServiceCommunicator
-from .ffa import RouteAssignment, _LinkLoadTracker, fair_flow_assignment
+from .ffa import DemandMemo, RouteAssignment, _LinkLoadTracker, fair_flow_assignment
 
 
 def priority_flow_assignment(
@@ -24,6 +28,7 @@ def priority_flow_assignment(
     *,
     high_priority_apps: Sequence[str],
     reserved_routes: Optional[Set[int]] = None,
+    memo: Optional[DemandMemo] = None,
 ) -> Dict[int, RouteAssignment]:
     """FFA with routes reserved for prioritized tenants.
 
@@ -35,6 +40,7 @@ def priority_flow_assignment(
         reserved_routes: Route ids low-priority tenants must avoid;
             defaults to ``{0}`` (one dedicated route, as in the paper's
             rack A/B example).
+        memo: Remembered demands, as for :func:`fair_flow_assignment`.
 
     Returns:
         ``{comm_id: {(src_rank, dst_rank, channel): route_id}}``.
@@ -62,9 +68,10 @@ def priority_flow_assignment(
             low_comms,
             allowed_routes_of={c.app_id: open_routes for c in low_comms},
             tracker=tracker,
+            memo=memo,
         )
     )
     assignments.update(
-        fair_flow_assignment(cluster, high_comms, tracker=tracker)
+        fair_flow_assignment(cluster, high_comms, tracker=tracker, memo=memo)
     )
     return assignments

@@ -18,6 +18,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import NoPathError, UnknownLinkError, UnknownNodeError
 
+RouteRows = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
+"""One node pair's shortest paths as link numbers: (the links every path
+crosses, then each path's remaining links in route-id order)."""
+
 
 @dataclass(frozen=True)
 class Link:
@@ -63,9 +67,14 @@ class Topology:
         self.name = name
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[str, Link] = {}
+        # A link's number is its position in ``links`` (never removed).
+        self._link_number: Dict[str, int] = {}
         # adjacency: src -> list of links out of src
         self._out: Dict[str, List[Link]] = {}
         self._path_cache: Dict[Tuple[str, str], Tuple[Tuple[str, ...], ...]] = {}
+        self._route_rows: Dict[Tuple[str, str], RouteRows] = {}
+        # Bumped whenever the path caches are dropped (see _drop_paths).
+        self.path_generation = 0
         # Integer-indexed adjacency (node index -> [(dst index, link id)]),
         # built lazily; BFS over it avoids per-edge attribute lookups.
         self._compact: Optional[
@@ -102,10 +111,7 @@ class Topology:
         node = Node(node_id, kind, dict(attrs))
         self._nodes[node_id] = node
         self._out[node_id] = []
-        self._path_cache = {}
-        self._sssp_cache = {}
-        self._known_paths = set()
-        self._compact = None
+        self._drop_paths()
         return node
 
     def add_link(
@@ -132,12 +138,10 @@ class Topology:
         if link_id in self._links:
             raise ValueError(f"duplicate link id {link_id!r}")
         link = Link(link_id, src, dst, capacity)
+        self._link_number[link_id] = len(self._links)
         self._links[link_id] = link
         self._out[src].append(link)
-        self._path_cache = {}
-        self._sssp_cache = {}
-        self._known_paths = set()
-        self._compact = None
+        self._drop_paths()
         return link
 
     def add_duplex_link(
@@ -206,11 +210,17 @@ class Topology:
             self._routing_epoch += 1
         else:
             self._down.add(link_id)
+        self._drop_paths()
+        return True
+
+    def _drop_paths(self) -> None:
+        """Forget everything derived from the graph's usable links."""
         self._path_cache = {}
+        self._route_rows = {}
         self._sssp_cache = {}
         self._known_paths = set()
         self._compact = None
-        return True
+        self.path_generation += 1
 
     @property
     def routing_epoch(self) -> int:
@@ -273,6 +283,24 @@ class Topology:
         self._path_cache[key] = paths
         self._known_paths.update(paths)
         return paths
+
+    def route_rows(self, src: str, dst: str) -> RouteRows:
+        """:meth:`shortest_paths` as link numbers: the links every path
+        crosses (a NIC pair's up- and downlink), then each path's own."""
+        key = (src, dst)
+        rows = self._route_rows.get(key)
+        if rows is None:
+            paths = self.shortest_paths(src, dst)
+            number = self._link_number
+            shared = set(paths[0]).intersection(*paths[1:])
+            rows = self._route_rows[key] = (
+                tuple(number[link] for link in paths[0] if link in shared),
+                tuple(
+                    tuple(number[link] for link in path if link not in shared)
+                    for path in paths
+                ),
+            )
+        return rows
 
     def _compact_graph(self) -> Tuple[Dict[str, int], List[List[Tuple[int, str]]]]:
         """Integer-indexed adjacency, (re)built lazily after graph changes."""

@@ -73,6 +73,55 @@ def test_apply_flow_policy_pfa(env):
     assert all(r == 0 for r in a.strategy.route_map().values())
 
 
+def test_pfa_places_a_rack_local_low_priority_flow(env):
+    """A rack-local hop has one path (route 0): reservations cannot apply
+    to a flow with no routing choice, so PFA must not refuse the tenant."""
+    cluster, deployment, manager = env
+    a = manager.admit("A", [cluster.hosts[0].gpus[0], cluster.hosts[2].gpus[0]])
+    b = manager.admit("B", [cluster.hosts[0].gpus[1], cluster.hosts[1].gpus[0]])
+    manager.apply_flow_policy("pfa", high_priority_apps=["A"], reserved_routes={0})
+    deployment.run()
+    assert set(a.strategy.route_map().values()) == {0}
+    assert set(b.strategy.route_map().values()) == {0}
+
+
+def test_demand_memo_keeps_live_communicators_only(env):
+    cluster, deployment, manager = env
+    a = manager.admit("A", [cluster.hosts[0].gpus[0], cluster.hosts[2].gpus[0]])
+    b = manager.admit("B", [cluster.hosts[1].gpus[0], cluster.hosts[3].gpus[0]])
+    manager.apply_flow_policy("ffa")
+    deployment.run()
+    assert set(manager.demand_memo) == {a.comm_id, b.comm_id}
+    demands = manager.demand_memo[a.comm_id][1]
+    client = deployment.connect("B")
+    client.destroy_communicator(client.adopt_communicator(b.comm_id))
+    manager.apply_flow_policy("ffa")
+    assert set(manager.demand_memo) == {a.comm_id}
+    assert manager.demand_memo[a.comm_id][1] is demands
+
+
+def test_route_only_reconfiguration_reuses_flow_programs(env):
+    cluster, deployment, manager = env
+    gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
+    comm = manager.admit("A", gpus)
+    client = deployment.connect("A")
+    handle = client.adopt_communicator(comm.comm_id)
+    client.all_reduce(handle, MB)
+    deployment.run()
+    misses = comm.program_cache.stats()["misses"]
+    manager.apply_flow_policy("ffa")
+    deployment.run()
+    assert comm.strategy.route_map()
+    client.all_reduce(handle, MB)
+    deployment.run()
+    assert comm.program_cache.stats()["misses"] == misses
+    deployment.reconfigure(comm.comm_id, ring=(0, 2, 1, 3))
+    deployment.run()
+    client.all_reduce(handle, MB)
+    deployment.run()
+    assert comm.program_cache.stats()["misses"] == misses + len(gpus)
+
+
 def test_unknown_flow_policy(env):
     cluster, deployment, manager = env
     with pytest.raises(PolicyError):

@@ -113,6 +113,44 @@ def test_path_cache_invalidated_on_growth():
     assert len(topo.equal_cost_paths("a", "d")) == 3
 
 
+def nic_pair() -> Topology:
+    """s -> a -> (b | c) -> d -> t: a NIC pair's shape, two routes."""
+    topo = diamond()
+    for n in "st":
+        topo.add_node(n)
+    topo.add_link("s", "a", 1e9)
+    topo.add_link("d", "t", 1e9)
+    return topo
+
+
+def test_route_rows_split_shared_links_from_each_routes_own():
+    topo = nic_pair()
+    number = {link_id: i for i, link_id in enumerate(topo.links)}
+    shared, own = topo.route_rows("s", "t")
+    assert shared == (number["s->a"], number["d->t"])
+    assert own == tuple(
+        tuple(number[link] for link in path[1:-1])
+        for path in topo.shortest_paths("s", "t")
+    )
+    assert topo.route_rows("s", "t") is topo.route_rows("s", "t")
+    assert topo.route_rows("a", "a") == ((), ((),))
+
+
+def test_route_rows_and_generation_follow_link_state_and_growth():
+    topo = nic_pair()
+    before = topo.path_generation
+    assert len(topo.route_rows("s", "t")[1]) == 2
+    topo.set_link_state("a->b", False)
+    assert len(topo.route_rows("s", "t")[1]) == 1
+    topo.set_link_state("a->b", True)
+    assert len(topo.route_rows("s", "t")[1]) == 2
+    topo.add_node("x")
+    topo.add_link("a", "x", 1e9)
+    topo.add_link("x", "d", 1e9)
+    assert len(topo.route_rows("s", "t")[1]) == 3
+    assert topo.path_generation == before + 5
+
+
 def test_path_nodes_expansion():
     topo = diamond()
     assert topo.path_nodes(["a->b", "b->d"]) == ["a", "b", "d"]

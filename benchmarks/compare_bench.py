@@ -26,7 +26,9 @@ Guarded files:
 * ``BENCH_synth.json`` — synthesizer search throughput
   (``programs_per_sec``), the measured synthesized-vs-builtin
   ``speedup`` on the WAN fabric, and the executor's ``data_plane``
-  throughput (``gb_per_s`` per algorithm x size);
+  throughput (``gb_per_s`` per algorithm x size); the search's
+  ``candidates`` and ``front`` counts are its output and compare with
+  ``==``;
 * ``BENCH_gateway.json`` — service-gateway request throughput
   (``requests_per_sec`` in the ``gateway`` section; the fleet scenario is
   the repo benchmark's ``gateway_fleet`` workload);
@@ -89,6 +91,8 @@ GUARDS = (
         )
     ),
     Guard(SYNTH_PATH, ("synthesizer",), "programs_per_sec"),
+    Guard(SYNTH_PATH, ("synthesizer",), "candidates", exact=True),
+    Guard(SYNTH_PATH, ("synthesizer",), "front", exact=True),
     Guard(SYNTH_PATH, ("speedup",), "speedup"),
     Guard(SYNTH_PATH, ("data_plane",), "gb_per_s"),
     Guard(GATEWAY_PATH, ("gateway",), "requests_per_sec"),

@@ -210,7 +210,13 @@ def test_no_metric_regression_vs_committed_baseline():
     baseline = committed_baseline(OUT_PATH)
     failures = compare_throughput(
         baseline, _RESULTS, sections=("synthesizer",), metric="programs_per_sec"
-    ) + compare_throughput(
+    ) + [
+        failure
+        for metric in ("candidates", "front")
+        for failure in compare_throughput(
+            baseline, _RESULTS, sections=("synthesizer",), metric=metric, exact=True
+        )
+    ] + compare_throughput(
         baseline, _RESULTS, sections=("speedup",), metric="speedup"
     ) + compare_throughput(
         baseline, _RESULTS, sections=("data_plane",), metric="gb_per_s"

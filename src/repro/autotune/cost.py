@@ -8,7 +8,9 @@ candidate algorithm's own (:meth:`CollectiveAlgorithm.rank_transfers
 <repro.core.algorithms.CollectiveAlgorithm.rank_transfers>` and
 ``.steps``, both views of its compiled plan) — the very flows the fluid
 simulator would launch — so the estimates rank candidates the way the
-network actually treats them.
+network actually treats them.  :func:`estimate_seconds` is the one
+estimate: the planner scores built-ins with it and the synthesizer scores
+its programs with it, both handing over the algorithm object.
 
 Chunking enters through the pipelined closed form
 
@@ -23,17 +25,29 @@ exposes a genuine optimum: more chunks overlap the pipeline stages but pay
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.gpu import GpuDevice
 from ..cluster.specs import Cluster
 from ..collectives.cost_model import LatencyModel, MCCS_LATENCY
 from ..collectives.types import Collective
-from ..core.algorithms import AlgorithmContext, get_algorithm
+from ..core.algorithms import AlgorithmContext, CollectiveAlgorithm
+from ..netsim.fabric import RegionSpec
 from ..netsim.units import gBps, gbps
 
 #: Bytes per directed (src_rank, dst_rank) pair for one collective.
 PairTraffic = Dict[Tuple[int, int], float]
+
+
+def rank_regions(
+    cluster: Cluster, gpus: Sequence[GpuDevice]
+) -> Optional[List[int]]:
+    """Region of every rank on a multi-region fabric; ``None`` on a
+    single-region one, where no transfer crosses a WAN."""
+    spec = cluster.fabric.spec
+    if not isinstance(spec, RegionSpec):
+        return None
+    return [spec.region_of_host(gpu.host_id) for gpu in gpus]
 
 
 def topology_fingerprint(cluster: Cluster, gpus: Sequence[GpuDevice]) -> str:
@@ -54,12 +68,11 @@ def topology_fingerprint(cluster: Cluster, gpus: Sequence[GpuDevice]) -> str:
         f"/nic{spec.nic_gbps:g}g/hosts{len(per_host)}[{shape}]"
         f"/racks{len(racks)}"
     )
-    region_of_host = getattr(spec, "region_of_host", None)
-    if callable(region_of_host):
+    regions = rank_regions(cluster, gpus)
+    if regions is not None:
         # WAN-crossing placements tune completely differently from
         # single-region ones; keep their table entries apart.
-        regions = {region_of_host(h) for h in per_host}
-        key += f"/regions{len(regions)}"
+        key += f"/regions{len(set(regions))}"
     return key
 
 
@@ -80,7 +93,7 @@ def _context(kind: Collective, order: Sequence[int], out_bytes: float):
 
 
 def pair_traffic(
-    algorithm: str,
+    algorithm: CollectiveAlgorithm,
     kind: Collective,
     order: Sequence[int],
     out_bytes: float,
@@ -88,8 +101,7 @@ def pair_traffic(
     """Per-(src_rank, dst_rank) bytes of one collective under ``algorithm``:
     the sum of the transfers every rank would launch, fallbacks included."""
     traffic: PairTraffic = {}
-    ctx = _context(kind, order, out_bytes)
-    for rank, transfer in get_algorithm(algorithm).transfers(ctx):
+    for rank, transfer in algorithm.transfers(_context(kind, order, out_bytes)):
         pair = (rank, transfer.dst_rank)
         traffic[pair] = traffic.get(pair, 0.0) + transfer.nbytes
     return traffic
@@ -104,22 +116,20 @@ def bottleneck_seconds(
     """Serial transfer time of the most loaded resource on the placement.
 
     Considers per-NIC egress and ingress (bytes split over the channel->NIC
-    rotation), per-rack spine uplink/downlink aggregate (``num_spines *
-    fabric_gbps`` per leaf — the oversubscription bottleneck), the
-    intra-host channel for co-located pairs, and — on geo-distributed
-    fabrics — the directed WAN link between each region pair, whose
-    bandwidth is typically the scarcest resource of all.
+    rotation), per-rack spine uplink/downlink aggregate (one
+    ``fabric_gbps`` link to each spine the leaf reaches — the
+    oversubscription bottleneck), the intra-host channel for co-located
+    pairs, and — on geo-distributed fabrics — the directed WAN link
+    between each region pair, whose bandwidth is typically the scarcest
+    resource of all.
     """
     spec = cluster.fabric.spec
+    regions = rank_regions(cluster, gpus)
     nic_bw = gbps(spec.nic_gbps)
-    uplink_bw = spec.num_spines * gbps(spec.fabric_gbps)
+    # A leaf uplinks to its own region's spines only.
+    spines = spec.num_spines if regions is None else spec.spines_per_region
+    uplink_bw = spines * gbps(spec.fabric_gbps)
     local_bw = gBps(spec.local_gBps)
-    region_of_host = getattr(spec, "region_of_host", None)
-    wan_bw = (
-        gbps(spec.wan_gbps)
-        if callable(region_of_host) and getattr(spec, "wan_gbps", 0.0)
-        else None
-    )
 
     nic_out: Dict[str, float] = {}
     nic_in: Dict[str, float] = {}
@@ -142,21 +152,17 @@ def bottleneck_seconds(
         if src_rack != dst_rack:
             rack_out[src_rack] = rack_out.get(src_rack, 0.0) + nbytes
             rack_in[dst_rack] = rack_in.get(dst_rack, 0.0) + nbytes
-        if wan_bw is not None:
-            src_region = region_of_host(src.host_id)
-            dst_region = region_of_host(dst.host_id)
-            if src_region != dst_region:
-                pair = (src_region, dst_region)
-                wan[pair] = wan.get(pair, 0.0) + nbytes
+        if regions is not None and regions[src_rank] != regions[dst_rank]:
+            pair = (regions[src_rank], regions[dst_rank])
+            wan[pair] = wan.get(pair, 0.0) + nbytes
 
     worst = 0.0
     for load in list(nic_out.values()) + list(nic_in.values()):
         worst = max(worst, load / nic_bw)
     for load in list(rack_out.values()) + list(rack_in.values()):
         worst = max(worst, load / uplink_bw)
-    if wan_bw is not None:
-        for load in wan.values():
-            worst = max(worst, load / wan_bw)
+    for load in wan.values():
+        worst = max(worst, load / gbps(spec.wan_gbps))
     for load in local.values():
         worst = max(worst, load / local_bw)
     return worst
@@ -180,7 +186,7 @@ def wan_rtt_seconds(
     gpus: Sequence[GpuDevice],
     kind: Collective,
     *,
-    algorithm: str,
+    algorithm: CollectiveAlgorithm,
     steps: int,
     traffic: PairTraffic,
 ) -> float:
@@ -195,16 +201,13 @@ def wan_rtt_seconds(
     what makes a flat locality ring lose to a two-level hierarchical
     schedule on a ``multi_region`` fingerprint even at small sizes.
     """
-    spec = cluster.fabric.spec
-    region_of_host = getattr(spec, "region_of_host", None)
-    wan_rtt = float(getattr(spec, "wan_rtt", 0.0))
-    if not callable(region_of_host) or wan_rtt <= 0.0:
+    regions = rank_regions(cluster, gpus)
+    if regions is None:
         return 0.0
-    regions = [region_of_host(gpu.host_id) for gpu in gpus]
-    algo = get_algorithm(algorithm)
-    program = getattr(algo, "program", None)
-    if program is not None and algo.supports(kind, len(gpus)):
-        return wan_rtt * program.wan_step_count(lambda rank: regions[rank])
+    wan_rtt = cluster.fabric.spec.wan_rtt
+    program = algorithm.program
+    if program is not None and algorithm.supports(kind, len(gpus)):
+        return wan_rtt * program.wan_step_count(regions.__getitem__)
     crossing = any(
         regions[src] != regions[dst] for (src, dst) in traffic
     )
@@ -217,24 +220,24 @@ def estimate_seconds(
     kind: Collective,
     out_bytes: int,
     *,
-    algorithm: str,
+    algorithm: CollectiveAlgorithm,
     channels: int,
     ring: Sequence[int],
     chunk_bytes: int,
     latency: LatencyModel = MCCS_LATENCY,
 ) -> float:
-    """Predicted completion time of one collective under a candidate."""
-    algo = get_algorithm(algorithm)
-    steps = algo.steps(_context(kind, ring, out_bytes))
+    """Predicted completion time of one collective under a candidate:
+    a built-in family or a synthesized program alike."""
+    steps = algorithm.steps(_context(kind, ring, out_bytes))
     traffic = pair_traffic(algorithm, kind, ring, out_bytes)
-    bottleneck = bottleneck_seconds(cluster, gpus, traffic, channels)
-    per_step = latency.per_step
-    protocol = getattr(algo, "protocol", None)
-    if protocol is not None:
-        # NCCL-style protocol point: LL/LL128 trade wire efficiency
-        # (inflating the bandwidth term) for cheaper per-step syncs.
-        bottleneck /= protocol.bandwidth_efficiency
-        per_step *= protocol.latency_factor
+    # NCCL-style protocol point: LL/LL128 trade wire efficiency
+    # (inflating the bandwidth term) for cheaper per-step syncs.
+    protocol = algorithm.protocol
+    bottleneck = (
+        bottleneck_seconds(cluster, gpus, traffic, channels)
+        / protocol.bandwidth_efficiency
+    )
+    per_step = latency.per_step * protocol.latency_factor
     chunks = max(1, math.ceil(out_bytes / max(1, chunk_bytes)))
     return (
         latency.base

@@ -24,6 +24,7 @@ from ..cluster.specs import Cluster
 from ..collectives.cost_model import LatencyModel, MCCS_LATENCY
 from ..collectives.halving_doubling import is_power_of_two
 from ..collectives.types import Collective
+from ..core.algorithms import get_algorithm, registered_algorithms
 from ..core.policies.ring_order import locality_ring_order
 from ..netsim.units import KB
 from ..telemetry.metrics import MetricsRegistry
@@ -34,8 +35,9 @@ from .table import TableEntry, TableKey, TuningTable, size_bucket
 #: actually install and what a measurement can be attributed to.
 Signature = Tuple[str, int, Tuple[int, ...]]
 
-DEFAULT_CHANNEL_OPTIONS = (1, 2)
-DEFAULT_CHUNK_OPTIONS = (64 * KB, 256 * KB, 1024 * KB)
+#: Channel counts and chunk sizes (bytes, ascending) every plan sweeps.
+CHANNEL_COUNTS = (1, 2)
+CHUNK_SIZES = (64 * KB, 256 * KB, 1024 * KB)
 
 
 def canonical_ring(order: Sequence[int]) -> Tuple[int, ...]:
@@ -84,9 +86,6 @@ class StrategyPlanner:
         cluster: Fabric + placement the estimates are computed against.
         latency: Fixed-overhead model (must match the deployment's so
             predicted and measured times are on the same scale).
-        channel_options: Channel counts to consider.
-        chunk_options: Chunk sizes (bytes) to consider; collapsed per
-            runtime signature.
         metrics: Optional registry receiving
             ``mccs_autotune_plans_evaluated_total``.
     """
@@ -96,18 +95,10 @@ class StrategyPlanner:
         cluster: Cluster,
         *,
         latency: LatencyModel = MCCS_LATENCY,
-        channel_options: Sequence[int] = DEFAULT_CHANNEL_OPTIONS,
-        chunk_options: Sequence[int] = DEFAULT_CHUNK_OPTIONS,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if not channel_options or any(c < 1 for c in channel_options):
-            raise ValueError("channel_options must be positive channel counts")
-        if not chunk_options or any(c < 1 for c in chunk_options):
-            raise ValueError("chunk_options must be positive byte counts")
         self.cluster = cluster
         self.latency = latency
-        self.channel_options = tuple(channel_options)
-        self.chunk_options = tuple(sorted(chunk_options))
         self.metrics = metrics
         self.plans_evaluated = 0
 
@@ -141,8 +132,6 @@ class StrategyPlanner:
         by :meth:`synth_algorithms` only on an exactly matching topology
         fingerprint, with their own fixed channel/ring configuration.
         """
-        from ..core.algorithms import get_algorithm, registered_algorithms
-
         names = ["ring"]
         if kind is Collective.ALL_REDUCE:
             for name in registered_algorithms():
@@ -150,7 +139,7 @@ class StrategyPlanner:
                     continue
                 if name == "halving_doubling" and not is_power_of_two(world):
                     continue
-                if getattr(get_algorithm(name), "program", None) is not None:
+                if get_algorithm(name).program is not None:
                     continue
                 names.append(name)
         return names
@@ -165,15 +154,11 @@ class StrategyPlanner:
         registered for other fabrics (or with no fingerprint at all)
         never leak into the plan.
         """
-        from ..core.algorithms import get_algorithm, registered_algorithms
-
         fingerprint = topology_fingerprint(self.cluster, gpus)
         names: List[str] = []
         for name in registered_algorithms():
             algo = get_algorithm(name)
-            if getattr(algo, "program", None) is None:
-                continue
-            if getattr(algo, "fingerprint", None) != fingerprint:
+            if algo.program is None or algo.fingerprint != fingerprint:
                 continue
             if not algo.supports(kind, len(gpus)):
                 continue
@@ -183,13 +168,11 @@ class StrategyPlanner:
     def candidates(
         self, kind: Collective, gpus: Sequence[GpuDevice]
     ) -> List[Candidate]:
-        from ..core.algorithms import get_algorithm
-
         out: List[Candidate] = []
         for algorithm in self.algorithms(kind, len(gpus)):
-            for channels in self.channel_options:
+            for channels in CHANNEL_COUNTS:
                 for label, ring in sorted(self.ring_orders(gpus).items()):
-                    for chunk_bytes in self.chunk_options:
+                    for chunk_bytes in CHUNK_SIZES:
                         out.append(
                             Candidate(
                                 algorithm=algorithm,
@@ -204,7 +187,7 @@ class StrategyPlanner:
             # A program fixes its own channel assignment and ignores the
             # ring order; only the chunking dimension is swept.
             program = get_algorithm(algorithm).program
-            for chunk_bytes in self.chunk_options:
+            for chunk_bytes in CHUNK_SIZES:
                 out.append(
                     Candidate(
                         algorithm=algorithm,
@@ -232,7 +215,7 @@ class StrategyPlanner:
                 gpus,
                 kind,
                 out_bytes,
-                algorithm=candidate.algorithm,
+                algorithm=get_algorithm(candidate.algorithm),
                 channels=candidate.channels,
                 ring=candidate.ring,
                 chunk_bytes=candidate.chunk_bytes,

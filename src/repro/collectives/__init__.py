@@ -18,7 +18,6 @@ from .cost_model import (
     MCCS_LATENCY,
     NCCL_LATENCY,
     effective_bandwidth,
-    mccs_latency,
     ring_allreduce_cost,
     select_ring_or_tree,
     tree_allreduce_cost,
@@ -73,7 +72,6 @@ __all__ = [
     "input_bytes",
     "is_power_of_two",
     "make_program",
-    "mccs_latency",
     "reduce_many",
     "ring_allreduce_cost",
     "ring_neighbors",

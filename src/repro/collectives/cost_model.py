@@ -57,20 +57,6 @@ MCCS_LATENCY = LatencyModel(
 )
 
 
-def mccs_latency(datapath: float = DEFAULT_DATAPATH_LATENCY) -> LatencyModel:
-    """The MCCS latency model with a configurable shim->service hop.
-
-    Deployments and experiment setups use this instead of hard-coding the
-    65 us midpoint, so sensitivity studies can sweep the §6.2 range (or
-    model a faster IPC path) without touching call sites.
-    """
-    if datapath < 0:
-        raise ValueError("datapath latency must be non-negative")
-    return LatencyModel(
-        base=MCCS_LATENCY.base, per_step=MCCS_LATENCY.per_step, datapath=datapath
-    )
-
-
 def ring_allreduce_cost(
     size: float, world: int, alpha: float, beta: float
 ) -> float:

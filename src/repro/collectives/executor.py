@@ -330,9 +330,16 @@ def _resolve(plan: ExecutionPlan, total: int, blocks: Optional[Tuple[int, ...]])
 
 def compile_program(program: Program) -> ExecutionPlan:
     """Compile ``program`` (assumed valid) into an :class:`ExecutionPlan`."""
+    return compile_schedule(program, *schedule(program))
+
+
+def compile_schedule(
+    program: Program, order: List[NodeId], send_of: Dict[NodeId, NodeId]
+) -> ExecutionPlan:
+    """Compile ``program`` under the :func:`schedule` it already has (the
+    validator's, so a checked program is ordered once)."""
     n = program.world
     per_block = program.num_chunks // n if program.kind in blocked_kinds() else 0
-    order, send_of = schedule(program)
     # Slots whose value already sits in the working vector; every other
     # slot is read from the rank's send buffer until its first write.
     written = set()

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..collectives.executor import ExecutionPlan, builtin_plan
 from ..collectives.halving_doubling import is_power_of_two
-from ..collectives.ir import chunk_nbytes
+from ..collectives.ir import Program, Protocol, chunk_nbytes
 from ..collectives.types import Collective, ReduceOp
 from ..netsim.errors import MccsError
 
@@ -67,9 +67,18 @@ class AlgorithmContext:
 
 
 class CollectiveAlgorithm:
-    """Interface implemented by every pluggable algorithm: :meth:`plan`."""
+    """Interface implemented by every pluggable algorithm: :meth:`plan`.
+
+    ``program`` and ``fingerprint`` are set by a synthesized algorithm
+    (:class:`repro.synth.SynthAlgorithm`): the one IR program it runs and
+    the topology fingerprint it was searched for.  ``protocol`` is the
+    NCCL protocol point the cost model charges; SIMPLE's factors are 1.
+    """
 
     name = "abstract"
+    program: Optional[Program] = None
+    fingerprint: Optional[str] = None
+    protocol = Protocol.SIMPLE
 
     def plan(
         self, ctx: AlgorithmContext

@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken for type hints
 from ..baselines.nccl import default_channels
 from ..cluster.gpu import AsyncOp, Event, GpuDevice
 from ..cluster.specs import Cluster
-from ..collectives.cost_model import LatencyModel, MCCS_LATENCY
+from ..collectives.cost_model import MCCS_LATENCY
 from ..collectives.types import Collective, input_bytes
 from ..netsim.errors import (
     CollectiveTimeoutError,
@@ -76,14 +76,13 @@ class MccsDeployment:
         self,
         cluster: Cluster,
         *,
-        latency: LatencyModel = MCCS_LATENCY,
         datapath_latency: Optional[float] = None,
         ecmp_seed: int = 0,
         strict_consistency: bool = False,
     ) -> None:
+        latency = MCCS_LATENCY
         if datapath_latency is not None:
-            # §6.2 knob: override the shim->service hop without callers
-            # having to rebuild the whole latency model.
+            # §6.2 knob: override the shim->service hop.
             if datapath_latency < 0:
                 raise ValueError("datapath_latency must be non-negative")
             latency = replace(latency, datapath=datapath_latency)

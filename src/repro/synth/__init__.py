@@ -14,7 +14,7 @@ topology-aware search (:mod:`~repro.synth.search`) whose pareto front
 feeds the autotuner.  The IR's public names are re-exported below.
 
 See ``docs/synthesis.md`` for the IR grammar, validator invariants,
-lowering contract and search knobs.
+lowering contract and search constants.
 """
 
 from ..collectives.executor import run_program, toposort
@@ -31,7 +31,6 @@ from .lowering import (
 from .search import (
     ScoredProgram,
     Synthesizer,
-    estimate_program_seconds,
     placement_groups,
     synthesize_and_register,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "ScoredProgram",
     "SynthAlgorithm",
     "Synthesizer",
-    "estimate_program_seconds",
     "hierarchical_allreduce_program",
     "is_valid",
     "make_program",

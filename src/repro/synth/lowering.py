@@ -6,8 +6,8 @@ all the service needs to treat a synthesized schedule as a first-class
 strategy:
 
 * ``plan`` — the one method an algorithm writes — names the program
-  compiled by the one executor (:mod:`repro.collectives.executor`),
-  compiled on first use and kept on the algorithm;
+  compiled by the one executor (:mod:`repro.collectives.executor`)
+  when the algorithm is built, off the validator's schedule;
 * the inherited views do the rest: ``run_data`` moves the bytes, so
   consistency checks and the shared reference suite apply unmodified;
   ``rank_transfers`` reads the plan's send table as tagged — one flow
@@ -31,8 +31,8 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, List, Optional
 
-from ..collectives.executor import ExecutionPlan, compile_program
-from ..collectives.ir import Program, Protocol
+from ..collectives.executor import compile_schedule
+from ..collectives.ir import Program
 from ..collectives.types import Collective
 from ..core.algorithms import (
     AlgorithmContext,
@@ -42,7 +42,7 @@ from ..core.algorithms import (
     registered_algorithms,
     unregister_algorithm,
 )
-from .validate import validate_program
+from .validate import validated_schedule
 
 #: Registry-name prefix marking synthesized algorithms.
 SYNTH_PREFIX = "synth:"
@@ -51,6 +51,11 @@ SYNTH_PREFIX = "synth:"
 class SynthAlgorithm(CollectiveAlgorithm):
     """A validated chunk-level program as a pluggable algorithm.
 
+    Construction validates and compiles off one dependency-order pass,
+    so a program that fails validation never becomes an algorithm and
+    the object the synthesizer scores is the one it registers, plan
+    included.
+
     Attributes:
         program: The underlying IR program.
         fingerprint: Topology fingerprint the program was synthesized
@@ -58,24 +63,16 @@ class SynthAlgorithm(CollectiveAlgorithm):
             a candidate on an exactly matching fingerprint, so programs
             registered by one tenant (or one test) never leak into
             plans for other topologies.
-        protocol: NCCL-style protocol annotation; consumed by the cost
-            model (duck-typed, like ``fingerprint``).
+        protocol: The program's NCCL-style protocol, charged by the
+            cost model.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        *,
-        fingerprint: Optional[str] = None,
-        validate: bool = True,
-    ) -> None:
-        if validate:
-            validate_program(program)
+    def __init__(self, program: Program, *, fingerprint: Optional[str] = None) -> None:
+        self._plan = compile_schedule(program, *validated_schedule(program))
         self.program = program
         self.name = program.name
         self.fingerprint = fingerprint
-        self.protocol: Protocol = program.protocol
-        self._plan: Optional[ExecutionPlan] = None
+        self.protocol = program.protocol
 
     # -- applicability ----------------------------------------------------
     def supports(self, kind: Collective, world: int) -> bool:
@@ -92,8 +89,6 @@ class SynthAlgorithm(CollectiveAlgorithm):
     def plan(self, ctx: AlgorithmContext):
         if not self._applies(ctx):
             return get_algorithm("ring").plan(ctx)
-        if self._plan is None:
-            self._plan = compile_program(self.program)
         return self._plan, None  # already in rank space
 
     def __repr__(self) -> str:
@@ -106,14 +101,11 @@ class SynthAlgorithm(CollectiveAlgorithm):
 
 
 def register_program(
-    program: Program,
-    *,
-    fingerprint: Optional[str] = None,
-    replace: bool = False,
+    program: Program, *, fingerprint: Optional[str] = None
 ) -> SynthAlgorithm:
     """Validate, wrap and register ``program``; returns the algorithm."""
     algorithm = SynthAlgorithm(program, fingerprint=fingerprint)
-    register_algorithm(algorithm, replace=replace)
+    register_algorithm(algorithm)
     return algorithm
 
 

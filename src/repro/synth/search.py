@@ -4,10 +4,11 @@ The synthesizer enumerates a parametric family of candidate programs for
 a concrete placement — flat rings plus two-level hierarchical schedules
 for every grouping the topology exposes (co-hosted ranks, same-leaf
 ranks, same-region ranks), crossed with channel counts and NCCL-style
-protocol variants — validates each candidate, scores it with the same
-alpha-beta + bottleneck cost model the planner uses
-(:mod:`repro.autotune.cost`), prunes to a beam per step count, and emits
-the pareto front over (latency-probe, bandwidth-probe) cost.
+protocol variants — validates and compiles each candidate once, scores
+it with the one cost function the planner scores built-ins with
+(:func:`repro.autotune.cost.estimate_seconds`), prunes to a beam per
+step count, and emits the pareto front over (latency-probe,
+bandwidth-probe) cost.
 
 Emitted candidates are registered as first-class algorithms gated on the
 placement's topology fingerprint (:func:`synthesize_and_register`), so
@@ -19,33 +20,49 @@ reconfiguration barrier.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
+from ..autotune.cost import estimate_seconds, rank_regions, topology_fingerprint
 from ..cluster.gpu import GpuDevice
 from ..cluster.specs import Cluster
-from ..collectives.cost_model import LatencyModel, MCCS_LATENCY
-from ..collectives.types import Collective
-from ..netsim.errors import ProgramValidationError
-from ..netsim.units import KB, MB
 from ..collectives.generators import hierarchical_allreduce_program, ring_program
 from ..collectives.ir import Program, Protocol
-from .lowering import SynthAlgorithm, register_program
-from .validate import validate_program
+from ..collectives.types import Collective
+from ..core.algorithms import register_algorithm
+from ..netsim.errors import ProgramValidationError
+from ..netsim.units import KB, MB
+from .lowering import SynthAlgorithm
 
 #: Probe sizes for the pareto objectives: a latency-dominated point and a
 #: bandwidth-dominated point (the paper's §6.2 sweep spans this range).
 LATENCY_PROBE_BYTES = 64 * KB
 BANDWIDTH_PROBE_BYTES = 64 * MB
 
+#: The search space: every family is crossed with these channel counts
+#: and protocols.
+CHANNEL_COUNTS = (1, 2)
+PROTOCOLS = (Protocol.SIMPLE, Protocol.LL128, Protocol.LL)
+
+#: Candidates kept per distinct step count before the pareto cut.
+BEAM_WIDTH = 4
+
+#: Front members :func:`synthesize_and_register` registers.
+MAX_PROGRAMS = 4
+
 
 @dataclass(frozen=True)
 class ScoredProgram:
     """One validated candidate with its two probe costs."""
 
-    program: Program
+    algorithm: SynthAlgorithm
     latency_seconds: float
     bandwidth_seconds: float
+
+    @property
+    def program(self) -> Program:
+        return self.algorithm.program
 
     def dominates(self, other: "ScoredProgram") -> bool:
         return (
@@ -58,49 +75,6 @@ class ScoredProgram:
         )
 
 
-def estimate_program_seconds(
-    cluster: Cluster,
-    gpus: Sequence[GpuDevice],
-    program: Program,
-    out_bytes: float,
-    *,
-    latency: LatencyModel = MCCS_LATENCY,
-) -> float:
-    """Cost-model completion time of ``program`` on this placement.
-
-    Uses the same primitives as :func:`repro.autotune.cost.estimate_seconds`
-    (per-pair traffic -> bottleneck resource -> pipelined closed form,
-    plus the WAN RTT term), with the program's own step and chunk counts.
-    """
-    from ..autotune.cost import bottleneck_seconds, pipelined_seconds
-
-    traffic = program.pair_traffic(out_bytes)
-    bottleneck = bottleneck_seconds(cluster, gpus, traffic, program.channels)
-    protocol = program.protocol
-    bottleneck /= protocol.bandwidth_efficiency
-    per_step = latency.per_step * protocol.latency_factor
-    seconds = (
-        latency.base
-        + latency.datapath
-        + pipelined_seconds(bottleneck, program.num_steps, 1, per_step)
-    )
-    region_of_rank = _region_of_rank(cluster, gpus)
-    if region_of_rank is not None:
-        wan_rtt = float(getattr(cluster.fabric.spec, "wan_rtt", 0.0))
-        seconds += wan_rtt * program.wan_step_count(region_of_rank)
-    return seconds
-
-
-def _region_of_rank(
-    cluster: Cluster, gpus: Sequence[GpuDevice]
-) -> Optional[Callable[[int], int]]:
-    region_of_host = getattr(cluster.fabric.spec, "region_of_host", None)
-    if not callable(region_of_host):
-        return None
-    regions = [region_of_host(gpu.host_id) for gpu in gpus]
-    return lambda rank: regions[rank]
-
-
 def placement_groups(
     cluster: Cluster, gpus: Sequence[GpuDevice]
 ) -> Dict[str, List[List[int]]]:
@@ -111,20 +85,19 @@ def placement_groups(
     single rank, or a single group swallows everyone, are dropped — the
     two-level schedule would degenerate to a flat ring.
     """
-    spec = cluster.fabric.spec
-    keys: Dict[str, Callable[[GpuDevice], int]] = {
-        "host": lambda gpu: gpu.host_id,
-        "rack": lambda gpu: cluster.rack_of(gpu),
+    keys: Dict[str, List[int]] = {
+        "host": [gpu.host_id for gpu in gpus],
+        "rack": [cluster.rack_of(gpu) for gpu in gpus],
     }
-    region_of_host = getattr(spec, "region_of_host", None)
-    if callable(region_of_host):
-        keys["region"] = lambda gpu: region_of_host(gpu.host_id)
+    regions = rank_regions(cluster, gpus)
+    if regions is not None:
+        keys["region"] = regions
 
     out: Dict[str, List[List[int]]] = {}
-    for label, key in keys.items():
+    for label, key_of_rank in keys.items():
         buckets: Dict[int, List[int]] = {}
-        for rank, gpu in enumerate(gpus):
-            buckets.setdefault(key(gpu), []).append(rank)
+        for rank, key in enumerate(key_of_rank):
+            buckets.setdefault(key, []).append(rank)
         groups = [sorted(buckets[k]) for k in sorted(buckets)]
         if len(groups) < 2 or all(len(g) == 1 for g in groups):
             continue
@@ -138,35 +111,16 @@ class Synthesizer:
     Args:
         cluster: Fabric + placement the costs are computed against.
         gpus: The communicator's GPUs, in rank order.
-        latency: Fixed-overhead model (kept equal to the planner's).
-        channel_options: Channel counts candidate programs may use.
-        protocols: Protocol variants to cross every candidate with.
-        beam_width: Candidates kept per distinct step count before the
-            pareto cut.
+
+    Every candidate is named for the placement it was searched on (a
+    digest of its topology fingerprint), so the programs of two
+    placements with the same shape never share a registry name.
     """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        gpus: Sequence[GpuDevice],
-        *,
-        latency: LatencyModel = MCCS_LATENCY,
-        channel_options: Sequence[int] = (1, 2),
-        protocols: Sequence[Protocol] = (
-            Protocol.SIMPLE,
-            Protocol.LL128,
-            Protocol.LL,
-        ),
-        beam_width: int = 4,
-    ) -> None:
-        if beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
+    def __init__(self, cluster: Cluster, gpus: Sequence[GpuDevice]) -> None:
         self.cluster = cluster
         self.gpus = list(gpus)
-        self.latency = latency
-        self.channel_options = tuple(channel_options)
-        self.protocols = tuple(protocols)
-        self.beam_width = beam_width
+        self.fingerprint = topology_fingerprint(cluster, self.gpus)
         self.candidates_generated = 0
         self.candidates_rejected = 0
 
@@ -174,9 +128,10 @@ class Synthesizer:
     def _generate(self, kind: Collective) -> List[Program]:
         world = len(self.gpus)
         groupings = placement_groups(self.cluster, self.gpus)
+        placement = hashlib.sha1(self.fingerprint.encode()).hexdigest()[:8]
         programs: List[Program] = []
-        for protocol in self.protocols:
-            for channels in self.channel_options:
+        for protocol in PROTOCOLS:
+            for channels in CHANNEL_COUNTS:
                 tag = f"c{channels}.{protocol.value}"
                 programs.append(
                     ring_program(
@@ -184,7 +139,7 @@ class Synthesizer:
                         world,
                         channels=channels,
                         protocol=protocol,
-                        name=f"synth:ring.{tag}/{kind.value}/w{world}",
+                        name=f"synth:ring.{tag}/{kind.value}/w{world}@{placement}",
                     )
                 )
                 if kind is not Collective.ALL_REDUCE:
@@ -200,7 +155,7 @@ class Synthesizer:
                             protocol=protocol,
                             name=(
                                 f"synth:hier-{label}.{tag}"
-                                f"/{kind.value}/w{world}"
+                                f"/{kind.value}/w{world}@{placement}"
                             ),
                         )
                     )
@@ -213,33 +168,29 @@ class Synthesizer:
         Returns the pareto front over (latency-probe cost, bandwidth-probe
         cost), best bandwidth cost first.
         """
+        identity = tuple(range(len(self.gpus)))
         scored: List[ScoredProgram] = []
         for program in self._generate(kind):
             self.candidates_generated += 1
             try:
-                validate_program(program)
+                algorithm = SynthAlgorithm(program, fingerprint=self.fingerprint)
             except ProgramValidationError:
                 self.candidates_rejected += 1
                 continue
-            scored.append(
-                ScoredProgram(
-                    program=program,
-                    latency_seconds=estimate_program_seconds(
-                        self.cluster,
-                        self.gpus,
-                        program,
-                        LATENCY_PROBE_BYTES,
-                        latency=self.latency,
-                    ),
-                    bandwidth_seconds=estimate_program_seconds(
-                        self.cluster,
-                        self.gpus,
-                        program,
-                        BANDWIDTH_PROBE_BYTES,
-                        latency=self.latency,
-                    ),
+            latency, bandwidth = (
+                estimate_seconds(
+                    self.cluster,
+                    self.gpus,
+                    kind,
+                    probe,
+                    algorithm=algorithm,
+                    channels=program.channels,
+                    ring=identity,
+                    chunk_bytes=probe,
                 )
+                for probe in (LATENCY_PROBE_BYTES, BANDWIDTH_PROBE_BYTES)
             )
+            scored.append(ScoredProgram(algorithm, latency, bandwidth))
         beamed = self._beam(scored)
         front = [
             s
@@ -251,7 +202,7 @@ class Synthesizer:
         )
 
     def _beam(self, scored: List[ScoredProgram]) -> List[ScoredProgram]:
-        """Keep the ``beam_width`` cheapest candidates per step count."""
+        """Keep the :data:`BEAM_WIDTH` cheapest candidates per step count."""
         by_steps: Dict[int, List[ScoredProgram]] = {}
         for s in scored:
             by_steps.setdefault(s.program.num_steps, []).append(s)
@@ -261,47 +212,23 @@ class Synthesizer:
                 by_steps[steps],
                 key=lambda s: (s.bandwidth_seconds, s.latency_seconds),
             )
-            kept.extend(bucket[: self.beam_width])
+            kept.extend(bucket[:BEAM_WIDTH])
         return kept
 
 
 def synthesize_and_register(
-    cluster: Cluster,
-    gpus: Sequence[GpuDevice],
-    kind: Collective = Collective.ALL_REDUCE,
-    *,
-    latency: LatencyModel = MCCS_LATENCY,
-    channel_options: Sequence[int] = (1, 2),
-    protocols: Sequence[Protocol] = (
-        Protocol.SIMPLE,
-        Protocol.LL128,
-        Protocol.LL,
-    ),
-    beam_width: int = 4,
-    max_programs: int = 4,
-    replace: bool = True,
+    cluster: Cluster, gpus: Sequence[GpuDevice]
 ) -> List[SynthAlgorithm]:
-    """Search this placement and register the pareto front.
+    """Search this placement's AllReduce and register the pareto front.
 
-    The registered algorithms carry the placement's topology fingerprint,
-    so only plans for an identically shaped placement will see them.
-    Returns the registered algorithms, best predicted first.
+    The registered algorithms are the scored ones — plans already
+    compiled — and carry the placement's topology fingerprint, so only
+    plans for an identically shaped placement will see them.  Searching
+    the same placement again replaces its own programs.  Returns the
+    registered algorithms, best predicted first.
     """
-    from ..autotune.cost import topology_fingerprint
-
-    synthesizer = Synthesizer(
-        cluster,
-        gpus,
-        latency=latency,
-        channel_options=channel_options,
-        protocols=protocols,
-        beam_width=beam_width,
-    )
-    front = synthesizer.search(kind)[:max_programs]
-    fingerprint = topology_fingerprint(cluster, gpus)
-    return [
-        register_program(
-            scored.program, fingerprint=fingerprint, replace=replace
-        )
-        for scored in front
-    ]
+    front = Synthesizer(cluster, gpus).search(Collective.ALL_REDUCE)
+    algorithms = [scored.algorithm for scored in front[:MAX_PROGRAMS]]
+    for algorithm in algorithms:
+        register_algorithm(algorithm, replace=True)
+    return algorithms

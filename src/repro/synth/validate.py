@@ -35,7 +35,7 @@ bytes as the numpy reference.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..netsim.errors import (
     MalformedProgramError,
@@ -51,6 +51,12 @@ from ..collectives.ir import (
     initial_state,
     required_state,
 )
+
+
+def _at(program: Program, rank: int, idx: int) -> str:
+    """Where an instruction sits, for an error message.  Formatted on
+    failure only: per instruction it would cost more than the checks."""
+    return f"{program.name}: rank {rank} instr {idx} ({program.rank_programs[rank][idx].kind})"
 
 
 def _structural_check(program: Program) -> None:
@@ -85,41 +91,40 @@ def _structural_check(program: Program) -> None:
     for rank, instrs in enumerate(program.rank_programs):
         last_step = -1
         for idx, instr in enumerate(instrs):
-            where = f"{name}: rank {rank} instr {idx} ({instr.kind})"
             if not 0 <= instr.chunk < program.num_chunks:
                 raise MalformedProgramError(
-                    f"{where}: chunk {instr.chunk} out of range"
+                    f"{_at(program, rank, idx)}: chunk {instr.chunk} out of range"
                 )
             if instr.step < last_step:
                 raise MalformedProgramError(
-                    f"{where}: step {instr.step} decreases "
+                    f"{_at(program, rank, idx)}: step {instr.step} decreases "
                     f"(previous {last_step})"
                 )
             last_step = instr.step
             if instr.kind is OpKind.COPY:
                 if instr.peer != -1:
                     raise MalformedProgramError(
-                        f"{where}: copy must not name a peer"
+                        f"{_at(program, rank, idx)}: copy must not name a peer"
                     )
                 if not 0 <= instr.src_chunk < program.num_chunks:
                     raise MalformedProgramError(
-                        f"{where}: src_chunk {instr.src_chunk} out of range"
+                        f"{_at(program, rank, idx)}: src_chunk {instr.src_chunk} out of range"
                     )
             else:
                 if not 0 <= instr.peer < program.world:
                     raise MalformedProgramError(
-                        f"{where}: peer {instr.peer} out of range"
+                        f"{_at(program, rank, idx)}: peer {instr.peer} out of range"
                     )
                 if instr.peer == rank:
-                    raise MalformedProgramError(f"{where}: self-transfer")
+                    raise MalformedProgramError(f"{_at(program, rank, idx)}: self-transfer")
                 if not 0 <= instr.channel < program.channels:
                     raise MalformedProgramError(
-                        f"{where}: channel {instr.channel} out of range "
+                        f"{_at(program, rank, idx)}: channel {instr.channel} out of range "
                         f"(program has {program.channels})"
                     )
                 if instr.src_chunk != -1:
                     raise MalformedProgramError(
-                        f"{where}: src_chunk only applies to copy"
+                        f"{_at(program, rank, idx)}: src_chunk only applies to copy"
                     )
 
 
@@ -127,7 +132,6 @@ def _execute_abstract(
     program: Program, order: List[NodeId], recv_source: Dict[NodeId, NodeId]
 ) -> List[Dict[int, ChunkValue]]:
     """Run the program over the abstract chunk-provenance state."""
-    name = program.name
     state = initial_state(
         program.kind, program.world, program.num_chunks, program.root
     )
@@ -137,17 +141,16 @@ def _execute_abstract(
     for node in order:
         rank, idx = node
         instr = program.rank_programs[rank][idx]
-        where = f"{name}: rank {rank} instr {idx} ({instr.kind})"
         if instr.kind is OpKind.SEND:
             if instr.chunk not in state[rank]:
                 raise MissingChunkError(
-                    f"{where}: sends chunk {instr.chunk} it does not hold"
+                    f"{_at(program, rank, idx)}: sends chunk {instr.chunk} it does not hold"
                 )
             in_flight[node] = state[rank][instr.chunk]
         elif instr.kind is OpKind.COPY:
             if instr.src_chunk not in state[rank]:
                 raise MissingChunkError(
-                    f"{where}: copies from chunk {instr.src_chunk} "
+                    f"{_at(program, rank, idx)}: copies from chunk {instr.src_chunk} "
                     f"it does not hold"
                 )
             state[rank][instr.chunk] = state[rank][instr.src_chunk]
@@ -157,19 +160,19 @@ def _execute_abstract(
             incoming = in_flight[recv_source[node]]
             if instr.chunk not in state[rank]:
                 raise MissingChunkError(
-                    f"{where}: reduces into chunk {instr.chunk} "
+                    f"{_at(program, rank, idx)}: reduces into chunk {instr.chunk} "
                     f"it does not hold"
                 )
             local = state[rank][instr.chunk]
             if local[0] != incoming[0]:
                 raise MissingChunkError(
-                    f"{where}: reduces origin chunk {incoming[0]} into a "
+                    f"{_at(program, rank, idx)}: reduces origin chunk {incoming[0]} into a "
                     f"slot holding origin chunk {local[0]}"
                 )
             overlap = local[1] & incoming[1]
             if overlap:
                 raise MissingChunkError(
-                    f"{where}: contributions of ranks "
+                    f"{_at(program, rank, idx)}: contributions of ranks "
                     f"{sorted(overlap)} would be folded in twice"
                 )
             state[rank][instr.chunk] = (local[0], local[1] | incoming[1])
@@ -182,6 +185,15 @@ def validate_program(program: Program) -> Program:
     Raises a :class:`~repro.errors.ProgramValidationError` subclass
     naming the violated invariant otherwise.
     """
+    validated_schedule(program)
+    return program
+
+
+def validated_schedule(
+    program: Program,
+) -> Tuple[List[NodeId], Dict[NodeId, NodeId]]:
+    """Validate ``program`` and return the :func:`schedule` that proved
+    it, ready for :func:`~repro.collectives.executor.compile_schedule`."""
     _structural_check(program)
     # Matching + deadlock checks are the executor's own compile step.
     order, recv_source = schedule(program)
@@ -204,7 +216,7 @@ def validate_program(program: Program) -> Program:
                     f"{program.kind} requires "
                     f"(origin={want[0]}, contributors={sorted(want[1])})"
                 )
-    return program
+    return order, recv_source
 
 
 def is_valid(program: Program) -> bool:

@@ -11,10 +11,13 @@ from repro.autotune import (
 )
 from repro.cluster.specs import multi_region_cluster, testbed_cluster
 from repro.collectives.types import Collective
+from repro.core.algorithms import get_algorithm
 from repro.experiments.setups import single_app_gpus
 from repro.netsim.fabric import RegionSpec
-from repro.netsim.units import KB, MB
+from repro.netsim.units import KB, MB, gbps
 from repro.synth import hierarchical_allreduce_program, temporarily_registered
+
+RING = get_algorithm("ring")
 
 
 @pytest.fixture
@@ -26,7 +29,7 @@ def two_regions():
 
 def test_wan_bandwidth_enters_the_bottleneck(two_regions):
     cluster, gpus = two_regions
-    traffic = pair_traffic("ring", Collective.ALL_REDUCE, range(8), 64 * MB)
+    traffic = pair_traffic(RING, Collective.ALL_REDUCE, range(8), 64 * MB)
     with_wan = bottleneck_seconds(cluster, gpus, traffic, 1)
     # same ring entirely inside region 0 never touches the WAN
     dense = multi_region_cluster(RegionSpec(), gpus_per_host=2)
@@ -35,24 +38,38 @@ def test_wan_bandwidth_enters_the_bottleneck(two_regions):
     assert with_wan > without_wan
 
 
+def test_rack_uplink_counts_the_leafs_own_region_spines():
+    """``RegionSpec.num_spines`` counts every region's spines, but a leaf
+    uplinks only to its own region's ``spines_per_region``: four GPUs of
+    one leaf sending to four of the next saturate two uplinks, not four."""
+    spec = RegionSpec()
+    cluster = multi_region_cluster(spec, gpus_per_host=2)
+    gpus = [g for h in cluster.hosts[:4] for g in h.gpus]  # region 0, two leaves
+    assert {cluster.rack_of(g) for g in gpus} == {0, 1}
+    assert spec.num_spines == 2 * spec.spines_per_region
+    traffic = {(rank, rank + 4): 1e9 for rank in range(4)}
+    uplinks = spec.spines_per_region * gbps(spec.fabric_gbps)
+    assert bottleneck_seconds(cluster, gpus, traffic, 1) == 4e9 / uplinks
+
+
 def test_rtt_term_zero_without_regions_or_crossings(two_regions):
     cluster, gpus = two_regions
-    traffic = pair_traffic("ring", Collective.ALL_REDUCE, range(8), 1 * MB)
+    traffic = pair_traffic(RING, Collective.ALL_REDUCE, range(8), 1 * MB)
     # single-region fabric: no region_of_host, term vanishes
     flat = testbed_cluster()
     flat_gpus = single_app_gpus(flat, "8gpu")
     assert wan_rtt_seconds(
         flat, flat_gpus, Collective.ALL_REDUCE,
-        algorithm="ring", steps=14, traffic=traffic,
+        algorithm=RING, steps=14, traffic=traffic,
     ) == 0.0
     # multi-region fabric but placement confined to one region
     local = [h.gpus[0] for h in cluster.hosts[:4]]
     local_traffic = pair_traffic(
-        "ring", Collective.ALL_REDUCE, range(4), 1 * MB
+        RING, Collective.ALL_REDUCE, range(4), 1 * MB
     )
     assert wan_rtt_seconds(
         cluster, local, Collective.ALL_REDUCE,
-        algorithm="ring", steps=6, traffic=local_traffic,
+        algorithm=RING, steps=6, traffic=local_traffic,
     ) == 0.0
 
 
@@ -62,10 +79,10 @@ def test_builtin_pays_rtt_on_every_step_synth_only_on_crossing_steps(
     cluster, gpus = two_regions
     wan_rtt = cluster.fabric.spec.wan_rtt
     assert wan_rtt > 0
-    traffic = pair_traffic("ring", Collective.ALL_REDUCE, range(8), 1 * MB)
+    traffic = pair_traffic(RING, Collective.ALL_REDUCE, range(8), 1 * MB)
     ring_penalty = wan_rtt_seconds(
         cluster, gpus, Collective.ALL_REDUCE,
-        algorithm="ring", steps=14, traffic=traffic,
+        algorithm=RING, steps=14, traffic=traffic,
     )
     assert ring_penalty == pytest.approx(wan_rtt * 14)
 
@@ -75,7 +92,7 @@ def test_builtin_pays_rtt_on_every_step_synth_only_on_crossing_steps(
     with temporarily_registered(program) as (algo,):
         synth_penalty = wan_rtt_seconds(
             cluster, gpus, Collective.ALL_REDUCE,
-            algorithm=algo.name,
+            algorithm=algo,
             steps=program.num_steps,
             traffic=program.pair_traffic(1 * MB),
         )
@@ -86,7 +103,7 @@ def test_builtin_pays_rtt_on_every_step_synth_only_on_crossing_steps(
     # algorithm's own flows, which sum to the program's pair traffic
     with temporarily_registered(program) as (algo,):
         assert pair_traffic(
-            algo.name, Collective.ALL_REDUCE, range(8), 1 * MB
+            algo, Collective.ALL_REDUCE, range(8), 1 * MB
         ) == program.pair_traffic(1 * MB)
 
 
@@ -104,13 +121,13 @@ def test_hierarchical_beats_flat_ring_on_multi_region_fingerprint(
     with temporarily_registered(program) as (algo,):
         hier = estimate_seconds(
             cluster, gpus, Collective.ALL_REDUCE, size,
-            algorithm=algo.name, channels=1,
+            algorithm=algo, channels=1,
             ring=tuple(range(8)), chunk_bytes=256 * KB,
         )
         best_flat_ring = min(
             estimate_seconds(
                 cluster, gpus, Collective.ALL_REDUCE, size,
-                algorithm="ring", channels=channels,
+                algorithm=RING, channels=channels,
                 ring=ring, chunk_bytes=256 * KB,
             )
             for channels in (1, 2)

@@ -17,7 +17,7 @@ from .oracles import halving_doubling_traffic, hd_steps, steps_for
 
 def view_traffic(order, out_bytes):
     """Per-pair bytes of the flows the registry's algorithm launches."""
-    return pair_traffic("halving_doubling", Collective.ALL_REDUCE, order, out_bytes)
+    return pair_traffic(get_algorithm("halving_doubling"), Collective.ALL_REDUCE, order, out_bytes)
 
 
 def test_is_power_of_two():
@@ -48,7 +48,7 @@ def test_traffic_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         halving_doubling_traffic(range(6), 100)
     assert view_traffic(range(6), 100) == pair_traffic(
-        "ring", Collective.ALL_REDUCE, range(6), 100
+        get_algorithm("ring"), Collective.ALL_REDUCE, range(6), 100
     )
 
 

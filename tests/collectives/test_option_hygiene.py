@@ -2,12 +2,15 @@
 
 Every field of a control-plane policy dataclass (``*Policy`` / ``*Config``
 / ``*Model`` / ``*Quota`` / ``Backoff`` under ``core/``, ``autotune/``,
-``service/`` and ``resilience.py``) is an independently settable value
-that tests and benchmarks would have to cover.  This check walks every
-call in ``src/``, ``benchmarks/`` and ``examples/`` and fails when a field
-is set by no product caller — it should be a module constant — or when
-one of the policy objects and pass-through knobs deleted for that reason
-grows back.  Tests that need another value patch the constant.
+``synth/``, ``service/`` and ``resilience.py``) is an independently
+settable value that tests and benchmarks would have to cover.  This check
+walks every call in ``src/``, ``benchmarks/`` and ``examples/`` and fails
+when a field is set by no product caller — it should be a module constant
+— or when one of the policy objects and pass-through knobs deleted for
+that reason grows back.  Tests that need another value patch the
+constant.  The planner and the synthesizer also ask an algorithm or a
+fabric spec what it is through declared attributes, never by probing
+with ``getattr``.
 """
 
 import ast
@@ -17,7 +20,7 @@ import re
 from .test_data_plane_hygiene import SOURCES, TEXT, TREE, _relative
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
-SCOPE = ("core/", "autotune/", "service/", "resilience.py")
+SCOPE = ("core/", "autotune/", "synth/", "service/", "resilience.py")
 OPTION_CLASS = re.compile(r"(Policy|Config|Model|Quota)$|^Backoff$")
 
 #: Fields only tests set today.  This list may only shrink.
@@ -33,6 +36,7 @@ UNSET_BY_PRODUCT_CODE = {
 RETIRED = re.compile(
     r"RecoveryPolicy|ElasticPolicy|AutotuneConfig|EpsilonGreedy|make_bandit"
     r"|configure_slo|set_slo_policy|control_latency="
+    r"|estimate_program_seconds|beam_width|channel_options|chunk_options|mccs_latency"
 )
 
 
@@ -93,5 +97,16 @@ def test_retired_knobs_stay_retired():
         f"{_relative(path)}: {match.group(0)}"
         for path in SOURCES
         for match in RETIRED.finditer(TEXT[path])
+    ]
+    assert offenders == []
+
+
+def test_no_duck_typed_probes_in_the_cost_model():
+    offenders = [
+        f"{_relative(path)}:{node.lineno}"
+        for path in SOURCES
+        if _relative(path).startswith(("autotune/", "synth/"))
+        for node in ast.walk(TREE[path])
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
     ]
     assert offenders == []

@@ -155,7 +155,7 @@ def test_synthesized_views_equal_the_parent_aggregation():
     programs.append(hierarchical_allreduce_program([[0, 3], [2, 5], [4, 1]]))
     programs.append(ring_program(Collective.ALL_REDUCE, 33, channels=4))
     for program in programs:
-        algorithm = SynthAlgorithm(program, validate=False)
+        algorithm = SynthAlgorithm(program)
         world = program.world
         order = orders(world)[1]  # ignored: the program is in rank space
         for size in SIZES:
@@ -192,7 +192,7 @@ def tagged_programs(draw):
 def test_tagged_transfers_sum_to_pair_traffic_and_edge_bytes(program, scale):
     """At chunk-divisible sizes: sum of the base-rule transfers per directed
     pair == ``Program.pair_traffic`` == ``plan.edge_bytes``."""
-    algorithm = SynthAlgorithm(program, validate=False)
+    algorithm = SynthAlgorithm(program)
     world, itemsize = program.world, 4
     elems = program.num_chunks * scale  # of the working vector
     total = elems * itemsize

@@ -89,7 +89,7 @@ def test_double_tree_traffic_splits_in_half():
     # each tree moves S/2 per edge both ways over 3 edges
     assert sum(traffic.values()) == pytest.approx(2 * 3 * 100 / 2 * 2)
     # the flows the registry's tree launches, summed per pair, are this
-    assert pair_traffic("tree", Collective.ALL_REDUCE, range(4), 100) == traffic
+    assert pair_traffic(get_algorithm("tree"), Collective.ALL_REDUCE, range(4), 100) == traffic
 
 
 def tree_plan(world):
@@ -138,7 +138,8 @@ def test_plan_edge_bytes_match_traffic_model(world):
     )
     moved = tree_plan(world).edge_bytes(elems, itemsize, order)
     assert moved == {pair: int(nbytes) for pair, nbytes in predicted.items()}
-    assert pair_traffic("tree", Collective.ALL_REDUCE, order, elems * itemsize) == predicted
+    tree = get_algorithm("tree")
+    assert pair_traffic(tree, Collective.ALL_REDUCE, order, elems * itemsize) == predicted
 
 
 def test_plan_edge_bytes_uneven_size():

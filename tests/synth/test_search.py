@@ -1,16 +1,17 @@
 """Synthesizer search: beam, pareto front, registration, tuner adoption."""
 
-from repro.autotune import StrategyPlanner, topology_fingerprint
-from repro.cluster.specs import multi_region_cluster, testbed_cluster
+import repro.synth.search as search
+from repro.autotune import StrategyPlanner, estimate_seconds, topology_fingerprint
+from repro.cluster.specs import large_cluster, multi_region_cluster, testbed_cluster
 from repro.collectives.types import Collective
-from repro.core.algorithms import unregister_algorithm
+from repro.core.algorithms import AlgorithmContext, get_algorithm, unregister_algorithm
 from repro.netsim.fabric import RegionSpec
 from repro.netsim.units import KB, MB
 from repro.synth import (
     Protocol,
     ScoredProgram,
+    SynthAlgorithm,
     Synthesizer,
-    estimate_program_seconds,
     placement_groups,
     ring_program,
     synthesize_and_register,
@@ -21,6 +22,16 @@ def _two_region_placement():
     cluster = multi_region_cluster(RegionSpec())
     gpus = [h.gpus[0] for h in cluster.hosts]
     return cluster, gpus
+
+
+def _cost(cluster, gpus, program, size):
+    """What the search charges ``program`` at ``size``: the planner's
+    one estimate over the wrapped program, in one chunk."""
+    return estimate_seconds(
+        cluster, gpus, program.kind, size,
+        algorithm=SynthAlgorithm(program), channels=program.channels,
+        ring=tuple(range(len(gpus))), chunk_bytes=size,
+    )
 
 
 def _unregister_all(algos):
@@ -76,31 +87,24 @@ def test_front_bandwidth_winner_is_hierarchical_on_two_regions():
     assert "hier-region" in front[0].program.name
     # and the model agrees it beats the flat ring at bandwidth sizes
     flat = ring_program(Collective.ALL_REDUCE, len(gpus))
-    assert front[0].bandwidth_seconds < estimate_program_seconds(
-        cluster, gpus, flat, 64 * MB
-    )
+    assert front[0].bandwidth_seconds < _cost(cluster, gpus, flat, 64 * MB)
 
 
-def test_beam_width_bounds_candidates_per_step_count():
+def test_beam_width_bounds_candidates_per_step_count(monkeypatch):
     cluster, gpus = _two_region_placement()
-    wide = Synthesizer(cluster, gpus, beam_width=32)
-    narrow = Synthesizer(cluster, gpus, beam_width=1)
-    wide_scored = [
-        ScoredProgram(p, 0.0, 0.0)
-        for p in wide._generate(Collective.ALL_REDUCE)
+    monkeypatch.setattr(search, "BEAM_WIDTH", 1)
+    synthesizer = Synthesizer(cluster, gpus)
+    scored = [
+        ScoredProgram(
+            SynthAlgorithm(p),
+            _cost(cluster, gpus, p, 64 * KB),
+            _cost(cluster, gpus, p, 64 * MB),
+        )
+        for p in synthesizer._generate(Collective.ALL_REDUCE)
     ]
-    kept = narrow._beam(
-        [
-            ScoredProgram(
-                s.program,
-                estimate_program_seconds(cluster, gpus, s.program, 64 * KB),
-                estimate_program_seconds(cluster, gpus, s.program, 64 * MB),
-            )
-            for s in wide_scored
-        ]
-    )
+    kept = synthesizer._beam(scored)
     step_counts = [s.program.num_steps for s in kept]
-    assert len(step_counts) == len(set(step_counts))
+    assert len(step_counts) == len(set(step_counts)) < len(scored)
 
 
 def test_invalid_candidates_are_counted_not_raised(monkeypatch):
@@ -118,9 +122,10 @@ def test_invalid_candidates_are_counted_not_raised(monkeypatch):
     assert all(s.program is not broken for s in front)
 
 
-def test_synthesize_and_register_carries_topology_fingerprint():
+def test_synthesize_and_register_carries_topology_fingerprint(monkeypatch):
     cluster, gpus = _two_region_placement()
-    algos = synthesize_and_register(cluster, gpus, max_programs=3)
+    monkeypatch.setattr(search, "MAX_PROGRAMS", 3)
+    algos = synthesize_and_register(cluster, gpus)
     try:
         assert 1 <= len(algos) <= 3
         fingerprint = topology_fingerprint(cluster, gpus)
@@ -132,9 +137,10 @@ def test_synthesize_and_register_carries_topology_fingerprint():
         _unregister_all(algos)
 
 
-def test_fingerprint_mismatch_keeps_programs_out_of_other_plans():
+def test_fingerprint_mismatch_keeps_programs_out_of_other_plans(monkeypatch):
     cluster, gpus = _two_region_placement()
-    algos = synthesize_and_register(cluster, gpus, max_programs=2)
+    monkeypatch.setattr(search, "MAX_PROGRAMS", 2)
+    algos = synthesize_and_register(cluster, gpus)
     try:
         from repro.experiments.setups import single_app_gpus
 
@@ -212,9 +218,50 @@ def test_protocol_choice_shifts_probe_costs():
     simple = ring_program(Collective.ALL_REDUCE, world)
     ll = ring_program(Collective.ALL_REDUCE, world, protocol=Protocol.LL)
     # LL halves effective bandwidth but quarters per-step latency
-    assert estimate_program_seconds(
-        cluster, gpus, ll, 64 * MB
-    ) > estimate_program_seconds(cluster, gpus, simple, 64 * MB)
-    assert estimate_program_seconds(
-        cluster, gpus, ll, 1 * KB
-    ) < estimate_program_seconds(cluster, gpus, simple, 1 * KB)
+    assert _cost(cluster, gpus, ll, 64 * MB) > _cost(cluster, gpus, simple, 64 * MB)
+    assert _cost(cluster, gpus, ll, 1 * KB) < _cost(cluster, gpus, simple, 1 * KB)
+
+
+def test_registered_front_is_the_scored_algorithms(monkeypatch):
+    """The search compiles each candidate once; registration hands the
+    scored objects to the registry, so the winner's first launch reuses
+    that plan instead of compiling again."""
+    cluster, gpus = _two_region_placement()
+    algos = synthesize_and_register(cluster, gpus)
+    try:
+        compiled = []
+        monkeypatch.setattr(
+            "repro.synth.lowering.compile_schedule",
+            lambda *args: compiled.append(args),
+        )
+        winner = get_algorithm(algos[0].name)
+        assert winner is algos[0]
+        ctx = AlgorithmContext(
+            Collective.ALL_REDUCE, 16 * MB, len(gpus), 0, 0, tuple(range(len(gpus))), 1
+        )
+        assert winner.plan(ctx)[0].steps == winner.program.num_steps
+        assert compiled == []
+    finally:
+        _unregister_all(algos)
+
+
+def test_second_placement_keeps_the_first_placements_programs():
+    """Two placements of the same shape on different racks: B's search
+    used to re-register A's names (``synth:hier-host.c1.simple/...``)
+    with B's fingerprint, so A's plan lost half its programs."""
+    cluster = large_cluster()
+    a = [g for h in (0, 1, 4, 5) for g in cluster.hosts[h].gpus[:2]]
+    b = [g for h in (8, 12, 16, 20) for g in cluster.hosts[h].gpus[:2]]
+    assert topology_fingerprint(cluster, a) != topology_fingerprint(cluster, b)
+    planner = StrategyPlanner(cluster)
+    first = synthesize_and_register(cluster, a)
+    second = synthesize_and_register(cluster, b)
+    try:
+        assert len(first) == 4
+        offered = planner.synth_algorithms(Collective.ALL_REDUCE, a)
+        assert sorted(offered) == sorted(algo.name for algo in first)
+        fingerprint = topology_fingerprint(cluster, a)
+        assert all(get_algorithm(n).fingerprint == fingerprint for n in offered)
+        assert not {algo.name for algo in first} & {algo.name for algo in second}
+    finally:
+        _unregister_all(first + second)

@@ -13,12 +13,14 @@ archive the trend and ``benchmarks/compare_bench.py`` can guard it:
   change lost the paper-level win;
 * ``data_plane``: what the one executor (``repro.collectives.executor``)
   does with an 8-rank float32 AllReduce through the registry's shared
-  ``run_data`` path, writing receive buffers in place: GB/s (output
-  bytes over wall time) and tracemalloc peak at 64 KiB / 1.5 MiB /
-  16 MiB for ring, tree, halving-doubling and the hierarchical
-  synthesized program, plus each family's cold generate-and-compile
-  time.  ``benchmarks/e2e`` referees the end-to-end effect; this is the
-  leaf number behind its ``collectives`` layer.
+  ``run_data`` path, writing receive buffers in place and taking scratch
+  from one warm ``Staging``: GB/s (output bytes over wall time) and
+  tracemalloc peak at 64 KiB / 1.5 MiB / 16 MiB for ring, tree,
+  halving-doubling and the hierarchical synthesized program, plus each
+  family's cold generate-and-compile time; and three more ring rows:
+  ReduceScatter and Reduce at 1.5 MiB (the kinds that need scratch) and
+  AllReduce at 64 MiB.  ``benchmarks/e2e`` referees the end-to-end
+  effect; this is the leaf number behind its ``collectives`` layer.
 """
 
 import json
@@ -31,12 +33,14 @@ import pytest
 
 from repro.cluster.specs import multi_region_cluster, testbed_cluster
 from repro.collectives import (
+    Staging,
     compile_program,
     double_tree_program,
     halving_doubling_program,
     ring_program,
 )
-from repro.collectives.types import Collective, ReduceOp
+from repro.collectives.reference import reference_outputs
+from repro.collectives.types import Collective, ReduceOp, input_bytes, reduce_many
 from repro.core.algorithms import AlgorithmContext, get_algorithm
 from repro.experiments.fig_synth import run_synth
 from repro.experiments.setups import single_app_gpus
@@ -143,6 +147,53 @@ _DATA_PLANE = {
 }
 
 
+def _measure_data_plane(key, algorithm, kind, nbytes):
+    """Time ``kind`` with ``nbytes`` of output per rank through the shared
+    ``run_data``, receive buffers written in place and scratch taken from
+    one warm ``Staging``, into ``_RESULTS["data_plane"][key]``."""
+    rng = np.random.default_rng(0)
+    sends = [
+        rng.integers(-8, 8, input_bytes(kind, nbytes, _WORLD) // 4, dtype=np.int8)
+        .astype(np.float32)
+        for _ in range(_WORLD)
+    ]
+    recvs = [np.zeros(nbytes // 4, np.float32) for _ in range(_WORLD)]
+    ctx = AlgorithmContext(
+        kind=kind, out_bytes=nbytes, world=_WORLD, rank=0,
+        root=0, ring_order=tuple(range(_WORLD)), channels=2,
+    )
+    staging = Staging()
+
+    def once():
+        algorithm.run_data(ctx, sends, ReduceOp.SUM, out=recvs, staging=staging)
+
+    once()  # warm: plan compiled, spans resolved, pages and staging touched
+    # small ints: exact in any order; one reduced vector, not one per rank
+    if kind is Collective.ALL_REDUCE:
+        expected = [reduce_many(ReduceOp.SUM, sends)] * _WORLD
+    else:
+        expected = reference_outputs(kind, sends)
+    assert all(np.array_equal(view, want) for view, want in zip(recvs, expected))
+    times = []
+    while len(times) < 5 or (sum(times) < 0.3 and len(times) < 200):
+        started = time.perf_counter()
+        once()
+        times.append(time.perf_counter() - started)
+    tracemalloc.start()
+    base, _ = tracemalloc.get_traced_memory()
+    once()
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    seconds = float(np.median(times))
+    _RESULTS["data_plane"][key] = {
+        "gb_per_s": round(nbytes / seconds / 1e9, 3),
+        "ms": round(seconds * 1e3, 4),
+        "peak_alloc_mb": round((peak - base) / 1e6, 3),
+    }
+    # in place, scratch staged: a warm run allocates nothing payload-sized
+    assert peak - base < nbytes / 4 + 64 * KB
+
+
 @pytest.mark.parametrize("name", list(_DATA_PLANE))
 def test_data_plane_throughput(name):
     generate = _DATA_PLANE[name]
@@ -158,43 +209,28 @@ def test_data_plane_throughput(name):
         algorithm = SynthAlgorithm(generate())
     else:
         algorithm = get_algorithm(name)
-    rng = np.random.default_rng(0)
     for nbytes in (64 * KB, 3 * MB // 2, 16 * MB):
-        elems = nbytes // 4
-        sends = [
-            rng.integers(-8, 8, elems, dtype=np.int8).astype(np.float32)
-            for _ in range(_WORLD)
-        ]
-        recvs = [np.zeros(elems, np.float32) for _ in range(_WORLD)]
-        ctx = AlgorithmContext(
-            kind=Collective.ALL_REDUCE, out_bytes=nbytes, world=_WORLD, rank=0,
-            root=0, ring_order=tuple(range(_WORLD)), channels=2,
+        _measure_data_plane(
+            f"{name}/{format_size(nbytes)}", algorithm, Collective.ALL_REDUCE, nbytes
         )
 
-        def once():
-            algorithm.run_data(ctx, sends, ReduceOp.SUM, out=recvs)
 
-        once()  # warm: plan compiled, spans resolved, pages touched
-        expected = np.sum(sends, axis=0)  # small ints: exact in any order
-        assert all(np.array_equal(view, expected) for view in recvs)
-        times = []
-        while len(times) < 5 or (sum(times) < 0.3 and len(times) < 200):
-            started = time.perf_counter()
-            once()
-            times.append(time.perf_counter() - started)
-        tracemalloc.start()
-        base, _ = tracemalloc.get_traced_memory()
-        once()
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        seconds = float(np.median(times))
-        _RESULTS["data_plane"][f"{name}/{format_size(nbytes)}"] = {
-            "gb_per_s": round(nbytes / seconds / 1e9, 3),
-            "ms": round(seconds * 1e3, 4),
-            "peak_alloc_mb": round((peak - base) / 1e6, 3),
-        }
-        # in place: nothing payload-sized is allocated for an all-reduce
-        assert peak - base < nbytes / 4 + 64 * KB
+@pytest.mark.parametrize(
+    "kind, nbytes",
+    [
+        # the two kinds whose working vectors are scratch, not the output
+        (Collective.REDUCE_SCATTER, 3 * MB // 2),
+        (Collective.REDUCE, 3 * MB // 2),
+        # four times past the largest all-reduce point above
+        (Collective.ALL_REDUCE, 64 * MB),
+    ],
+    ids=lambda value: getattr(value, "value", None) or format_size(value),
+)
+def test_data_plane_ring_rows(kind, nbytes):
+    prefix = "ring" if kind is Collective.ALL_REDUCE else f"ring/{kind.value}"
+    _measure_data_plane(
+        f"{prefix}/{format_size(nbytes)}", get_algorithm("ring"), kind, nbytes
+    )
 
 
 def test_no_metric_regression_vs_committed_baseline():

@@ -24,6 +24,7 @@ from .cost_model import (
 )
 from .executor import (
     ExecutionPlan,
+    Staging,
     builtin_plan,
     compile_program,
     run_program,
@@ -54,6 +55,7 @@ __all__ = [
     "Protocol",
     "ReduceOp",
     "RingSchedule",
+    "Staging",
     "TreeSchedule",
     "algorithm_bandwidth",
     "binary_tree",

@@ -16,7 +16,8 @@ stages:
   reading straight from the sender's slot and writing straight into the
   caller's receive buffers, which double as the working vectors.  A
   slot that has not been written yet is read from the rank's *send*
-  buffer, so no input is ever copied up front.
+  buffer, so no input is ever copied up front.  What scratch remains
+  comes from a :class:`Staging` buffer the caller owns.
 
 **Hazard rule.**  IR semantics are "a send ships the slot's value at the
 send".  Reading the sender's slot at the *receive* is the same thing
@@ -155,6 +156,47 @@ def toposort(program: Program) -> List[NodeId]:
     return schedule(program)[0]
 
 
+class Staging:
+    """The executor's scratch: one byte buffer, grown to the largest
+    request and never shrunk.
+
+    Reduce-scatter's per-rank working vectors, reduce's non-root partial
+    sums and the hazard rule's snapshots are views of it, so a caller
+    that keeps one (an :class:`~repro.core.deployment.MccsDeployment`
+    does, for all its communicators) faults its pages in once instead of
+    on every collective.  A caller with nothing to keep passes none and
+    :meth:`ExecutionPlan.run` takes a fresh one.
+
+    Invariants that make the reuse safe:
+
+    * a view of the buffer never leaves :meth:`ExecutionPlan.run`: what
+      it returns is the caller's receive buffers or freshly allocated
+      outputs, and results are copied out of scratch before it returns;
+    * ``run`` makes no callbacks and is not re-entrant, so one run's
+      views are dead before the next run asks for its own;
+    * the buffer is allocated here and never aliases tenant memory.
+    """
+
+    __slots__ = ("_buffer",)
+
+    def __init__(self) -> None:
+        self._buffer = np.empty(0, np.uint8)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the largest working set requested so far."""
+        return self._buffer.nbytes
+
+    def arrays(self, count: int, elems: int, dtype: np.dtype) -> List[np.ndarray]:
+        """``count`` disjoint ``elems``-element vectors of ``dtype``,
+        contents undefined."""
+        need = count * elems * dtype.itemsize
+        if need > self._buffer.nbytes:
+            self._buffer = np.empty(need, np.uint8)
+        flat = self._buffer[:need].view(dtype)
+        return [flat[i * elems : (i + 1) * elems] for i in range(count)]
+
+
 class ExecutionPlan:
     """A compiled program: indices only, reusable for any buffer size.
 
@@ -233,6 +275,7 @@ class ExecutionPlan:
         *,
         order: Optional[Sequence[int]] = None,
         out: Optional[Sequence[np.ndarray]] = None,
+        staging: Optional[Staging] = None,
     ) -> List[np.ndarray]:
         """Execute on real buffers; returns the per-rank outputs.
 
@@ -240,8 +283,9 @@ class ExecutionPlan:
         *is* the receive buffer).  ``out[r]``, when given, is rank ``r``'s
         contiguous receive buffer and is written in place; otherwise
         outputs are allocated.  ``order[p]`` is the rank at position ``p``
-        for plans compiled in position space.  Conventions are those of
-        :mod:`repro.collectives.reference`.
+        for plans compiled in position space.  Scratch comes from
+        ``staging`` (a fresh :class:`Staging` when omitted).  Conventions
+        are those of :mod:`repro.collectives.reference`.
         """
         n, kind = self.world, self.kind
         if len(inputs) != n:
@@ -271,22 +315,26 @@ class ExecutionPlan:
         ranks = range(n) if order is None else order
         send = [inputs[r].reshape(-1) for r in ranks]
         recv = [out[r].reshape(-1) for r in ranks]
+        # Working vectors that cannot be the output: reduce-scatter's
+        # (the only kind whose working vector outgrows its output) and
+        # reduce's non-roots' (they keep their input; partial sums go to
+        # scratch).  Snapshots follow them in the same request.
+        spare = {Collective.REDUCE_SCATTER: n, Collective.REDUCE: n - 1}.get(kind, 0)
+        if staging is None:
+            staging = Staging()
+        scratch = staging.arrays(spare + self.snapshots, total, first.dtype)
         work = recv
         if kind is Collective.REDUCE_SCATTER:
-            # The only kind whose working vector outgrows its output.
-            work = [np.empty(total, first.dtype) for _ in ranks]
+            work = scratch[:n]
         elif kind is Collective.REDUCE:
-            # Non-roots keep their input: partial sums go to scratch.
-            work = [
-                w if p == self.root else np.empty(total, first.dtype)
-                for p, w in enumerate(recv)
-            ]
+            work = scratch[: n - 1]
+            work.insert(self.root, recv[self.root])
         elif kind is Collective.ALL_GATHER:
             for r, w, s in zip(ranks, recv, send):
                 w[r * size : (r + 1) * size] = s
         elif kind is Collective.BROADCAST:
             np.copyto(recv[self.root], send[self.root])
-        arrays = work + send + [np.empty(total, first.dtype) for _ in self.temp_owner]
+        arrays = work + send + scratch[spare:]
         ufunc = op.ufunc
         for reduce, dst, target, src, dspan, sspan in _resolve(
             self, total, self._blocks(order)

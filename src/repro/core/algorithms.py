@@ -37,7 +37,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..collectives.executor import ExecutionPlan, builtin_plan
+from ..collectives.executor import ExecutionPlan, Staging, builtin_plan
 from ..collectives.halving_doubling import is_power_of_two
 from ..collectives.ir import Program, Protocol, chunk_nbytes
 from ..collectives.types import Collective, ReduceOp
@@ -143,11 +143,13 @@ class CollectiveAlgorithm:
         inputs: Sequence[np.ndarray],
         op: ReduceOp,
         out: Optional[Sequence[np.ndarray]] = None,
+        staging: Optional[Staging] = None,
     ) -> List[np.ndarray]:
         """Execute the collective on real buffers, writing ``out`` (the
-        tenant's receive buffers) in place when given."""
+        tenant's receive buffers) in place when given and taking scratch
+        from ``staging`` (the deployment's, on the service path)."""
         plan, order = self.plan(ctx)
-        return plan.run(inputs, op, order=order, out=out)
+        return plan.run(inputs, op, order=order, out=out, staging=staging)
 
 
 # The built-in families: plans compiled once in ring-position space

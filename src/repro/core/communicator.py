@@ -26,6 +26,7 @@ from ..cluster.gpu import AsyncOp, Event, GpuDevice, Stream
 from ..cluster.ipc import IpcEventHandle
 from ..cluster.specs import Cluster
 from ..collectives.cost_model import LatencyModel, MCCS_LATENCY
+from ..collectives.executor import Staging
 from ..collectives.programs import FlowProgramCache
 from ..collectives.types import Collective, ReduceOp, validate_world
 from ..netsim.errors import FaultError, NoPathError, ReconfigurationError
@@ -440,6 +441,7 @@ class CollectiveInstance:
                 self.send_views,
                 self.reduce_op,
                 out=self.recv_views,
+                staging=comm.staging,
             )
         comm.completed_series[self.kind].inc()
         comm.duration_series.observe(self.end_time - self.issue_time)
@@ -492,7 +494,9 @@ class ServiceCommunicator:
     """The MCCS service's state for one tenant communicator.
 
     ``comm_id`` is issued by the owning deployment; ``gate`` is the
-    deployment's traffic gate manager, which sees every launch batch.
+    deployment's traffic gate manager, which sees every launch batch;
+    ``staging`` is the deployment's executor scratch, which every
+    collective with receive buffers runs in.
     """
 
     def __init__(
@@ -504,6 +508,7 @@ class ServiceCommunicator:
         strategy: CollectiveStrategy,
         telemetry: TelemetryHub,
         gate: TrafficGateManager,
+        staging: Staging,
         *,
         latency: LatencyModel = MCCS_LATENCY,
         ecmp_seed: int = 0,
@@ -521,6 +526,7 @@ class ServiceCommunicator:
         self.world = len(gpus)
         self.latency = latency
         self.gate = gate
+        self.staging = staging
         self.strategy = strategy
         self.strategy_history: Dict[int, CollectiveStrategy] = {
             strategy.version: strategy

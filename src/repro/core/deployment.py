@@ -1,9 +1,10 @@
 """Deployment-wide coordination of the MCCS services.
 
 One :class:`MccsDeployment` spans the cluster: it owns the per-host
-services, the telemetry hub, the traffic gate manager, and the
-reconfiguration manager, and it exposes the provider-facing management API
-that the centralized controller consumes (§4.3):
+services, the telemetry hub, the traffic gate manager, the data plane's
+staging buffer and the reconfiguration manager, and it exposes the
+provider-facing management API that the centralized controller consumes
+(§4.3):
 
 * :meth:`describe` — active communicators, their GPU/host sets and current
   strategy/network configuration;
@@ -35,6 +36,7 @@ from ..baselines.nccl import default_channels
 from ..cluster.gpu import AsyncOp, Event, GpuDevice
 from ..cluster.specs import Cluster
 from ..collectives.cost_model import MCCS_LATENCY
+from ..collectives.executor import Staging
 from ..collectives.types import Collective, input_bytes
 from ..netsim.errors import (
     CollectiveTimeoutError,
@@ -106,6 +108,10 @@ class MccsDeployment:
             for host in cluster.hosts
         }
         self.gates = TrafficGateManager(cluster.sim, self._telemetry)
+        #: The data plane's scratch, like tenant memory owned by the
+        #: service: one buffer for every communicator, sized by the
+        #: largest working set one collective has needed.
+        self.staging = Staging()
         self.reconfig = ReconfigManager(
             cluster.sim, self.proxies_of, self._telemetry
         )
@@ -354,6 +360,7 @@ class MccsDeployment:
             strategy,
             self._telemetry,
             self.gates,
+            self.staging,
             latency=self.latency,
             ecmp_seed=self.ecmp_seed,
             strict_consistency=self.strict_consistency,

@@ -6,7 +6,8 @@ hand-written copies of a schedule's traffic with views of the compiled
 plan.  These checks walk the source tree and the live registry and fail
 if a second one grows back: a ``*DataPlane`` class, a ``run_data`` /
 ``rank_transfers`` / ``steps`` override that bypasses the shared path,
-reduction code outside the executor and the numpy oracle, or a closed
+reduction code outside the executor and the numpy oracle, executor
+scratch allocated anywhere but its staging buffer, or a closed
 form that turns (kind, world) into bytes or steps outside the three
 modules that own the schedule.
 """
@@ -87,6 +88,44 @@ def test_registered_algorithms_and_subclasses_share_run_data():
         assert cls.steps is CollectiveAlgorithm.steps, cls
         # every family *states* its schedule, and only that
         assert cls.plan is not CollectiveAlgorithm.plan, cls
+
+
+#: numpy calls that allocate an array.
+ALLOCATORS = {"empty", "zeros", "empty_like", "zeros_like"}
+
+
+def test_the_executor_allocates_scratch_in_one_place():
+    """Scratch comes from ``Staging``; the only other allocation is the
+    outputs of a run handed no receive buffers (``out is None``).  A
+    per-call ``np.empty`` for working vectors faults fresh pages in on
+    every collective."""
+    def allocations(*roots):
+        return {
+            node
+            for root in roots
+            for node in ast.walk(root)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+            and node.func.attr in ALLOCATORS
+        }
+
+    tree = TREE[SRC / "collectives/executor.py"]
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    (run,) = [
+        item for item in classes["ExecutionPlan"].body
+        if isinstance(item, ast.FunctionDef) and item.name == "run"
+    ]
+    (fresh_outputs,) = [
+        node for node in ast.walk(run)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "out is None"
+    ]
+    staging = allocations(classes["Staging"])
+    outputs = allocations(*fresh_outputs.body)
+    assert staging and outputs  # both places do allocate
+    stray = allocations(tree) - staging - outputs
+    assert sorted(node.lineno for node in stray) == []
 
 
 def test_only_the_executor_and_the_oracle_reduce_payload():

@@ -4,7 +4,8 @@ Every program family is held byte-exact against the numpy oracle, the
 compiled plan's per-edge bytes against the closed-form traffic models,
 and the executor's read-at-the-receive shortcut against a naive
 snapshot-every-send interpreter kept here as the executable IR
-semantics.
+semantics — with its scratch in one reused staging buffer that is
+poisoned before every run.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.collectives import (
     Instr,
     OpKind,
+    Staging,
     builtin_plan,
     compile_program,
     double_tree_program,
@@ -85,6 +87,35 @@ def _assert_same(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(np.ravel(a), np.ravel(b))
+
+
+#: Elements a poisoned staging buffer holds at least: more than any run
+#: in this file asks for, so no run grows it past the poison.
+_POISONED_ELEMS = 1 << 12
+
+
+@pytest.fixture(scope="module")
+def staging():
+    """One staging buffer reused by every run of a test, as a deployment
+    reuses its own: a read of scratch before its first write sees the
+    previous run's (here: poisoned) bytes instead of fresh zero pages."""
+    return Staging()
+
+
+def _poisoned_run(staging, plan, inputs, op=ReduceOp.SUM, **kwargs):
+    """``plan.run`` on ``staging`` after filling it with a value no correct
+    run reads (NaN; the dtype's max for ints), checking that nothing the
+    run returns or was handed shares memory with it."""
+    dtype = inputs[0].dtype
+    staging.arrays(1, _POISONED_ELEMS, dtype)
+    (buffer,) = staging.arrays(1, staging.nbytes // dtype.itemsize, dtype)
+    buffer.fill(np.nan if dtype.kind == "f" else np.iinfo(dtype).max)
+    held = staging.nbytes
+    got = plan.run(inputs, op, staging=staging, **kwargs)
+    assert staging.nbytes == held  # the run used the poisoned bytes
+    for array in [*got, *inputs, *(kwargs.get("out") or ())]:
+        assert not np.shares_memory(array, buffer)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +343,16 @@ def random_programs(draw):
 )
 @settings(max_examples=120, deadline=None)
 def test_executor_matches_naive_snapshot_every_send_interpreter(
-    program, op, elems, in_place, seed
+    staging, program, op, elems, in_place, seed
 ):
     validate_program(program)
     rng = np.random.default_rng(seed)
     inputs = [rng.standard_normal(elems).astype(np.float32) for _ in range(program.world)]
     expected = naive_run(program, inputs, op)
     out = [a.copy() for a in inputs] if in_place else None
-    got = compile_program(program).run(out if in_place else inputs, op, out=out)
+    got = _poisoned_run(
+        staging, compile_program(program), out if in_place else inputs, op, out=out
+    )
     _assert_same(got, expected)  # bit-identical: same operand order
 
 
@@ -337,12 +370,12 @@ def test_naive_interpreter_agrees_on_every_ring_kind(kind):
 # receive buffers as working vectors
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("kind", list(Collective))
-def test_out_buffers_are_written_in_place_and_returned(kind):
+def test_out_buffers_are_written_in_place_and_returned(staging, kind):
     world, rng = 4, np.random.default_rng(1)
     inputs = _inputs(kind, world, 6, np.float32, rng)
     expected = reference_outputs(kind, inputs, root=2)
     out = [np.zeros(e.size, np.float32) for e in expected]
-    got = builtin_plan("ring", kind, world, 2).run(inputs, out=out)
+    got = _poisoned_run(staging, builtin_plan("ring", kind, world, 2), inputs, out=out)
     assert all(g is o for g, o in zip(got, out))
     _assert_same(out, expected)
 

@@ -3,8 +3,13 @@
 The executor writes a collective's result straight into the tenant's
 receive buffers, so the frontend has to (a) move nothing when there is
 nowhere to put a result and (b) classify aliasing between the ranges a
-request names before anything is journaled.
+request names before anything is journaled; and (c) what scratch the
+executor still needs comes from the deployment, not from a fresh
+allocation per collective.
 """
+
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from repro.cluster.specs import testbed_cluster
 from repro.collectives.executor import ExecutionPlan
 from repro.collectives.reference import reference_outputs
 from repro.collectives.ring import RingSchedule
-from repro.collectives.types import Collective, ReduceOp
+from repro.collectives.types import Collective, ReduceOp, input_bytes
 from repro.core.deployment import MccsDeployment
 from repro.core.strategy import CollectiveStrategy
 from repro.errors import InvalidBufferError
@@ -138,3 +143,43 @@ def test_partial_overlap_is_refused_before_anything_is_journaled(algorithm):
     )
     deployment.run()
     assert done.completed
+
+
+def test_a_steady_state_collective_allocates_nothing_payload_sized():
+    """Reduce-scatter's working vectors and reduce's partial sums live in
+    the deployment's staging buffer: once a kind has run, issuing it
+    again allocates less than one output buffer."""
+    out, world = 256 * 1024, 8
+    cluster = testbed_cluster()
+    deployment = MccsDeployment(cluster)
+    gpus = list(cluster.gpus)[:world]
+    strategy = CollectiveStrategy(
+        ring=RingSchedule(tuple(range(world))), channels=2, algorithm="ring"
+    )
+    client = deployment.connect("app")
+    comm = client.adopt_communicator(
+        deployment.create_communicator("app", gpus, strategy=strategy).comm_id
+    )
+    sends = _filled(client, gpus, out * world, seed=2)
+    recvs = [client.alloc(gpu, out) for gpu in gpus]
+    for kind in Collective:
+        nbytes = input_bytes(kind, out, world)
+        inputs = [buf.view(np.int32)[: nbytes // 4] for buf in sends]
+        expected = reference_outputs(kind, inputs)
+        issue = partial(
+            getattr(client, kind.value), comm, out,
+            send=[buf.ref(0, nbytes) for buf in sends], recv=recvs, dtype="int32",
+        )
+        issue()
+        deployment.run()
+        tracemalloc.start()
+        try:
+            handle = issue()
+            deployment.run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert handle.completed
+        assert peak < out, f"{kind.value} allocated {peak} bytes"
+        for buf, want in zip(recvs, expected):
+            np.testing.assert_array_equal(buf.view(np.int32), want)

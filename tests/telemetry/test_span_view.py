@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.cluster.specs import testbed_cluster
+from repro.collectives.executor import Staging
 from repro.collectives.types import Collective
 from repro.core.communicator import CollectiveInstance, ServiceCommunicator
 from repro.core.controller import CentralManager
@@ -216,7 +217,7 @@ def test_trace_record_without_a_deployment_reads_the_same():
     gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
     comm = ServiceCommunicator(
         cluster, 0, "A", gpus, default_strategy(4, 1), hub,
-        TrafficGateManager(cluster.sim, hub),
+        TrafficGateManager(cluster.sim, hub), Staging(),
     )
     instance = CollectiveInstance(
         comm=comm, seq=0, kind=Collective.ALL_REDUCE, out_bytes=8 * MB,

@@ -42,7 +42,6 @@ from .collectives import (
     ReduceOp,
     RingSchedule,
     algorithm_bandwidth,
-    bus_bandwidth,
     identity_ring,
 )
 from .core import (
@@ -69,7 +68,6 @@ from .workloads import (
     TrafficGenerator,
     gpt_tp_trace,
     poisson_arrivals,
-    resnet50_dp_trace,
     vgg19_dp_trace,
 )
 
@@ -101,14 +99,12 @@ __all__ = [
     "TrafficGenerator",
     "WindowSchedule",
     "algorithm_bandwidth",
-    "bus_bandwidth",
     "custom_cluster",
     "errors",
     "gpt_tp_trace",
     "identity_ring",
     "large_cluster",
     "poisson_arrivals",
-    "resnet50_dp_trace",
     "ring_cluster",
     "testbed_cluster",
     "testbed_fabric",

@@ -6,15 +6,14 @@ and record the winning candidate plus its predicted cost.  Buckets are
 power-of-two exponents (sizes in ``(2^(k-1), 2^k]`` share bucket ``k``),
 matching the Figure 6 sweep axis.
 
-The table round-trips through JSON (:meth:`TuningTable.save` /
-:meth:`TuningTable.load`) so a provider can plan once per fabric and ship
-the result; lookups count hits and misses for the ``mccs_autotune_table_*``
-metrics.
+The table round-trips through JSON (:meth:`TuningTable.to_json` /
+:meth:`TuningTable.from_json`) so a provider can plan once per fabric and
+ship the result; lookups count hits and misses for the
+``mccs_autotune_table_*`` metrics.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -144,12 +143,3 @@ class TuningTable:
                 ),
             )
         return table
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path: str) -> "TuningTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))

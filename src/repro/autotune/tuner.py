@@ -141,9 +141,6 @@ class AutoTuner:
             lambda instance, state=state: self._observe(state, instance)
         )
 
-    def attached_comms(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._states))
-
     def retunes_applied(self, comm_id: Optional[int] = None) -> int:
         if comm_id is not None:
             state = self._states.get(comm_id)

@@ -31,14 +31,14 @@ import numpy as np
 
 from ..cluster.gpu import AsyncOp, GpuDevice, Stream
 from ..cluster.specs import Cluster
-from ..collectives.cost_model import LatencyModel, NCCL_LATENCY
+from ..collectives.cost_model import NCCL_LATENCY
 from ..collectives.programs import FlowProgramCache
 from ..collectives.ring import RingSchedule, identity_ring
 from ..collectives.tree import double_binary_trees
 from ..collectives.types import Collective, ReduceOp, validate_world
 from ..core.algorithms import AlgorithmContext, CollectiveAlgorithm, get_algorithm
 from ..netsim.errors import CommunicatorError
-from ..netsim.routing import EcmpSelector, PathSelector
+from ..netsim.routing import EcmpSelector
 from ..transport.connections import ConnectionTable
 from ..transport.launcher import FlowTransport, LaunchHandle
 
@@ -91,7 +91,6 @@ class NcclCommunicator:
         algorithm: ``"ring"`` or ``"tree"`` (double binary tree AllReduce).
         ecmp_seed: Seed of the ECMP hash function; varying it across trials
             models different 5-tuple hash outcomes.
-        latency: Fixed-overhead model; NCCL's by default.
         job_id: Tag applied to all flows for fairness accounting; it also
             names the connections' ECMP namespace.  Defaults to
             ``ncclcomm<N>``, numbered by the cluster.
@@ -106,9 +105,7 @@ class NcclCommunicator:
         ring_order: Optional[Sequence[int]] = None,
         algorithm: str = "ring",
         ecmp_seed: int = 0,
-        latency: LatencyModel = NCCL_LATENCY,
         job_id: Optional[str] = None,
-        selector: Optional[PathSelector] = None,
     ) -> None:
         validate_world(len(gpus))
         if algorithm not in ("ring", "tree", "auto"):
@@ -127,9 +124,8 @@ class NcclCommunicator:
         else:
             self.schedule = identity_ring(self.world)
         self.trees = double_binary_trees(self.schedule.order)
-        self._latency = latency
-        self._selector = selector or EcmpSelector(seed=ecmp_seed)
-        self._transport = FlowTransport(cluster, latency)
+        self._selector = EcmpSelector(seed=ecmp_seed)
+        self._transport = FlowTransport(cluster, NCCL_LATENCY)
         self._stream = Stream(cluster.sim, name=f"{self.job_id}.comm")
         self._table = ConnectionTable(cluster, discriminator=self.job_id)
         self._establish()

@@ -19,10 +19,9 @@ from .gpu import (
 )
 from .host import Host, Nic
 from .ipc import IpcError, IpcEventHandle, IpcMemHandle, IpcRegistry
-from .placement import ClusterAllocator, hosts_spanned, racks_spanned
+from .placement import ClusterAllocator
 from .specs import (
     Cluster,
-    ClusterSpec,
     custom_cluster,
     large_cluster,
     ring_cluster,
@@ -34,7 +33,6 @@ __all__ = [
     "CallbackOp",
     "Cluster",
     "ClusterAllocator",
-    "ClusterSpec",
     "ComputeOp",
     "DeviceBuffer",
     "Event",
@@ -50,9 +48,7 @@ __all__ = [
     "StreamOp",
     "WaitEventOp",
     "custom_cluster",
-    "hosts_spanned",
     "large_cluster",
-    "racks_spanned",
     "ring_cluster",
     "testbed_cluster",
 ]

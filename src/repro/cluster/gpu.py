@@ -26,6 +26,12 @@ import numpy as np
 from ..netsim.engine import FlowSimulator
 from ..netsim.errors import AllocationError
 
+#: Device memory of every GPU, in bytes (RTX 3090: 24 GB).
+GPU_MEMORY = 24 * 1024**3
+
+#: Effective host link of every GPU (PCIe 4.0 x16), in GB/s.
+PCIE_GBPS = 12.0
+
 
 class DeviceBuffer:
     """A device memory allocation.
@@ -72,26 +78,18 @@ class Event:
 
     def __init__(self, name: str = "event") -> None:
         self.name = name
-        self._fired = False
+        self.fired = False
         self._waiters: List[Callable[[], None]] = []
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
 
     def record(self) -> None:
         """Mark the event as reached; release all waiters."""
-        self._fired = True
+        self.fired = True
         waiters, self._waiters = self._waiters, []
         for waiter in waiters:
             waiter()
 
-    def reset(self) -> None:
-        """Re-arm the event (CUDA events are reusable after re-record)."""
-        self._fired = False
-
     def on_fire(self, callback: Callable[[], None]) -> None:
-        if self._fired:
+        if self.fired:
             callback()
         else:
             self._waiters.append(callback)
@@ -289,16 +287,14 @@ class GpuDevice:
         host_id: int,
         local_index: int,
         buffer_ids: Iterator[int],
-        memory_capacity: int = 24 * 1024**3,  # RTX 3090: 24 GB
-        pcie_gBps: float = 12.0,  # effective PCIe 4.0 x16 host link
     ) -> None:
         self.sim = sim
         self.global_id = global_id
         self.host_id = host_id
         self.local_index = local_index
         self._buffer_ids = buffer_ids
-        self.memory_capacity = memory_capacity
-        self.pcie_rate = pcie_gBps * 1e9
+        self.memory_capacity = GPU_MEMORY
+        self.pcie_rate = PCIE_GBPS * 1e9
         self.memory_used = 0
         self._allocations: Dict[int, DeviceBuffer] = {}
 

@@ -72,12 +72,6 @@ class Host:
     def gpu(self, local_index: int) -> GpuDevice:
         return self.gpus[local_index]
 
-    def nic_for_gpu(self, gpu: GpuDevice) -> Nic:
-        """GPU->NIC affinity: GPU k uses NIC k (mod NIC count)."""
-        if gpu.host_id != self.host_id:
-            raise ValueError(f"GPU {gpu.global_id} is not on host {self.host_id}")
-        return self.nics[gpu.local_index % len(self.nics)]
-
     def alive_nics(self) -> List[Nic]:
         """The host's NICs that have not failed, in index order."""
         return [nic for nic in self.nics if nic.alive]

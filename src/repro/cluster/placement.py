@@ -29,9 +29,6 @@ class ClusterAllocator:
     def free_count(self) -> int:
         return len(self._free)
 
-    def gpus_of_job(self, job_id: str) -> List[GpuDevice]:
-        return [self.cluster.gpu(i) for i in self._jobs.get(job_id, [])]
-
     def release(self, job_id: str) -> None:
         """Return a job's GPUs to the free pool."""
         for gpu_id in self._jobs.pop(job_id, []):
@@ -90,12 +87,3 @@ class ClusterAllocator:
             self._free.discard(gpu_id)
         self._jobs[job_id] = list(gpu_ids)
 
-
-def racks_spanned(cluster: Cluster, gpus: Sequence[GpuDevice]) -> int:
-    """Number of distinct racks a GPU set touches."""
-    return len({cluster.rack_of(g) for g in gpus})
-
-
-def hosts_spanned(cluster: Cluster, gpus: Sequence[GpuDevice]) -> int:
-    """Number of distinct hosts a GPU set touches."""
-    return len({g.host_id for g in gpus})

@@ -10,7 +10,6 @@ builder.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..netsim.engine import FlowSimulator
@@ -30,15 +29,6 @@ from .gpu import GpuDevice
 from .host import Host, Nic
 
 
-@dataclass
-class ClusterSpec:
-    """How many GPUs per host and their memory, layered on a fabric spec."""
-
-    fabric: FabricSpec = field(default_factory=FabricSpec)
-    gpus_per_host: int = 2
-    gpu_memory: int = 24 * 1024**3
-
-
 class Cluster:
     """The complete simulated installation.
 
@@ -56,7 +46,6 @@ class Cluster:
         self,
         fabric: Fabric,
         gpus_per_host: int,
-        gpu_memory: int = 24 * 1024**3,
         interference_penalty: float = 0.0,
     ) -> None:
         self.fabric = fabric
@@ -82,7 +71,6 @@ class Cluster:
                     host_id=host_id,
                     local_index=k,
                     buffer_ids=buffer_ids,
-                    memory_capacity=gpu_memory,
                 )
                 host.gpus.append(gpu)
                 self.gpus.append(gpu)
@@ -100,12 +88,6 @@ class Cluster:
     @property
     def num_gpus(self) -> int:
         return len(self.gpus)
-
-    def host_of(self, gpu: GpuDevice) -> Host:
-        return self.hosts[gpu.host_id]
-
-    def nic_of(self, gpu: GpuDevice) -> Nic:
-        return self.host_of(gpu).nic_for_gpu(gpu)
 
     def nic_of_channel(self, gpu: GpuDevice, channel: int) -> str:
         """Fabric endpoint used by ``gpu`` for connections of ``channel``.
@@ -135,9 +117,6 @@ class Cluster:
 
     def gpu(self, global_id: int) -> GpuDevice:
         return self.gpus[global_id]
-
-    def gpus_of_host(self, host_id: int) -> List[GpuDevice]:
-        return list(self.hosts[host_id].gpus)
 
     def links_of_nic(self, host_id: int, nic_index: int) -> List[str]:
         """Fabric link ids adjacent to one NIC endpoint (both directions)."""

@@ -10,14 +10,13 @@ send table and step count from which :mod:`repro.core.algorithms` derives
 the flows the fluid network simulator turns into completion times.
 """
 
-from .bandwidth import algorithm_bandwidth, bus_bandwidth, busbw_factor
-from .chunking import chunk_bounds, chunk_for_step, ring_neighbors
+from .bandwidth import algorithm_bandwidth, busbw_factor
+from .chunking import chunk_bounds
 from .cost_model import (
     DEFAULT_DATAPATH_LATENCY,
     LatencyModel,
     MCCS_LATENCY,
     NCCL_LATENCY,
-    effective_bandwidth,
     ring_allreduce_cost,
     select_ring_or_tree,
     tree_allreduce_cost,
@@ -27,8 +26,6 @@ from .executor import (
     Staging,
     builtin_plan,
     compile_program,
-    run_program,
-    toposort,
 )
 from .generators import (
     double_tree_program,
@@ -60,14 +57,11 @@ __all__ = [
     "algorithm_bandwidth",
     "binary_tree",
     "builtin_plan",
-    "bus_bandwidth",
     "busbw_factor",
     "chunk_bounds",
-    "chunk_for_step",
     "compile_program",
     "double_binary_trees",
     "double_tree_program",
-    "effective_bandwidth",
     "halving_doubling_program",
     "hierarchical_allreduce_program",
     "identity_ring",
@@ -76,10 +70,7 @@ __all__ = [
     "make_program",
     "reduce_many",
     "ring_allreduce_cost",
-    "ring_neighbors",
     "ring_program",
-    "run_program",
     "select_ring_or_tree",
-    "toposort",
     "validate_world",
 ]

@@ -35,9 +35,3 @@ def algorithm_bandwidth(out_bytes: float, seconds: float) -> float:
         raise ValueError("duration must be positive")
     return out_bytes / seconds
 
-
-def bus_bandwidth(
-    kind: Collective, out_bytes: float, seconds: float, world: int
-) -> float:
-    """Bus bandwidth in bytes/s."""
-    return algorithm_bandwidth(out_bytes, seconds) * busbw_factor(kind, world)

@@ -1,8 +1,7 @@
-"""Chunk partitioning helpers shared by the ring algorithms.
+"""Chunk partitioning shared by the collective schedules.
 
-Ring algorithms divide each buffer into ``world`` contiguous chunks; these
-helpers compute the (possibly uneven) chunk boundaries and the standard
-ring step indexing ``chunk = (rank - step) mod world``.
+Schedules divide each buffer into ``world`` contiguous chunks; this
+computes the (possibly uneven) chunk boundaries.
 """
 
 from __future__ import annotations
@@ -38,14 +37,3 @@ def chunk_bounds(total: int, parts: int) -> List[Tuple[int, int]]:
     """
     return list(_chunk_bounds(total, parts))
 
-
-def chunk_for_step(rank_pos: int, step: int, world: int) -> int:
-    """Index of the chunk rank at ring position ``rank_pos`` handles at
-    reduce-scatter step ``step`` (0-based), following the classic
-    ring-AllReduce schedule."""
-    return (rank_pos - step) % world
-
-
-def ring_neighbors(position: int, world: int) -> Tuple[int, int]:
-    """(previous, next) ring positions of ``position``."""
-    return (position - 1) % world, (position + 1) % world

@@ -99,14 +99,3 @@ def select_ring_or_tree(
     tree = tree_allreduce_cost(size, world, alpha, beta)
     return "ring" if ring <= tree else "tree"
 
-
-def effective_bandwidth(
-    size: float, steps: int, peak: float, model: LatencyModel
-) -> float:
-    """Achievable bandwidth once fixed overheads are accounted for.
-
-    Used by tests to sanity-check the crossover behaviour: bandwidth
-    approaches ``peak`` as ``size`` grows and collapses for tiny sizes.
-    """
-    transfer = size / peak
-    return size / (transfer + model.collective_latency(steps))

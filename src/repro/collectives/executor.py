@@ -151,11 +151,6 @@ def schedule(program: Program) -> Tuple[List[NodeId], Dict[NodeId, NodeId]]:
     return order, send_of
 
 
-def toposort(program: Program) -> List[NodeId]:
-    """The dependency order :func:`schedule` fixes (public shorthand)."""
-    return schedule(program)[0]
-
-
 class Staging:
     """The executor's scratch: one byte buffer, grown to the largest
     request and never shrunk.
@@ -449,18 +444,6 @@ def compile_schedule(
         else:
             merged.append(record)
     return ExecutionPlan(program, tuple(merged), tuple(temp_owner))
-
-
-def run_program(
-    program: Program,
-    inputs: Sequence[np.ndarray],
-    op: ReduceOp = ReduceOp.SUM,
-    *,
-    out: Optional[Sequence[np.ndarray]] = None,
-) -> List[np.ndarray]:
-    """Compile and run in one go (exploration and tests; services keep
-    the plan)."""
-    return compile_program(program).run(inputs, op, out=out)
 
 
 # ---------------------------------------------------------------------------

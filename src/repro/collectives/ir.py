@@ -180,18 +180,6 @@ class Program:
         ]
         return max(steps) + 1 if steps else 0
 
-    def total_bytes(self, out_bytes: float) -> float:
-        """Size of the working vector given the *output-buffer* size.
-
-        The working vector of a ``REDUCE_SCATTER`` is the full per-rank
-        input (``world * out_bytes``); every other kind works in a vector
-        of exactly ``out_bytes`` (the output-buffer convention of
-        :func:`repro.collectives.types.input_bytes`).
-        """
-        if self.kind is Collective.REDUCE_SCATTER:
-            return out_bytes * self.world
-        return float(out_bytes)
-
     def chunk_nbytes(self, out_bytes: float) -> List[float]:
         """Bytes of each chunk for a collective of ``out_bytes``."""
         return chunk_nbytes(self.kind, self.world, self.num_chunks, out_bytes)
@@ -293,8 +281,12 @@ def block_of_chunk(chunk: int, num_chunks: int, world: int) -> int:
 def chunk_nbytes(
     kind: Collective, world: int, num_chunks: int, out_bytes: float
 ) -> List[float]:
-    """Bytes of each chunk of a ``kind`` collective of ``out_bytes``
-    (output-buffer convention, see :meth:`Program.total_bytes`)."""
+    """Bytes of each chunk of a ``kind`` collective of ``out_bytes``.
+
+    The working vector of a ``REDUCE_SCATTER`` is the full per-rank input
+    (``world * out_bytes``); every other kind works in a vector of exactly
+    ``out_bytes`` (the output-buffer convention of
+    :func:`repro.collectives.types.input_bytes`)."""
     total = out_bytes * world if kind is Collective.REDUCE_SCATTER else float(out_bytes)
     # chunk_bounds needs integers; scale fractional byte counts by
     # distributing proportionally over the integer bounds.

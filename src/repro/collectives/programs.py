@@ -21,6 +21,9 @@ from typing import Callable, Dict, Hashable, TypeVar
 
 T = TypeVar("T")
 
+#: Compiled programs one cache keeps (least recently used are evicted).
+PROGRAM_CACHE_SIZE = 256
+
 
 class FlowProgramCache:
     """A small LRU cache mapping program keys to compiled programs.
@@ -29,10 +32,7 @@ class FlowProgramCache:
     the same object is handed back on every hit.
     """
 
-    def __init__(self, maxsize: int = 256) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
+    def __init__(self) -> None:
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -48,7 +48,7 @@ class FlowProgramCache:
         value = compile()
         self._entries[key] = value
         self.misses += 1
-        if len(self._entries) > self.maxsize:
+        if len(self._entries) > PROGRAM_CACHE_SIZE:
             self._entries.popitem(last=False)
             self.evictions += 1
         return value

@@ -35,21 +35,10 @@ class RingSchedule:
         validate_world(world)
         if sorted(self.order) != list(range(world)):
             raise ValueError(f"order must be a permutation of 0..{world - 1}")
-        # rank -> position lookup; not a dataclass field so eq/hash/repr
-        # stay defined by ``order`` alone.
-        object.__setattr__(
-            self, "_pos", {rank: i for i, rank in enumerate(self.order)}
-        )
 
     @property
     def world(self) -> int:
         return len(self.order)
-
-    def position_of(self, rank: int) -> int:
-        try:
-            return self._pos[rank]
-        except KeyError:
-            raise ValueError(f"rank {rank} is not in the ring") from None
 
     def edges(self) -> List[Tuple[int, int]]:
         """Directed (src_rank, dst_rank) pairs, one per ring edge."""

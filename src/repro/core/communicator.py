@@ -201,10 +201,6 @@ class CollectiveInstance:
         )
 
     @property
-    def failed_ranks(self) -> Dict[int, BaseException]:
-        return dict(self._failed_ranks)
-
-    @property
     def consistent(self) -> bool:
         """True when every rank launched with the same strategy version."""
         return len(set(self.rank_versions.values())) <= 1
@@ -426,11 +422,6 @@ class CollectiveInstance:
         self.end_time = comm.sim.now
         if not self.consistent:
             comm.inconsistent_collectives += 1
-            if comm.strict_consistency:
-                raise ReconfigurationError(
-                    f"collective seq={self.seq} launched with mixed strategy "
-                    f"versions {sorted(set(self.rank_versions.values()))}"
-                )
         if self.recv_views is not None and self.consistent:
             # The executor writes the tenant's receive buffers in place;
             # with nowhere to put a result, no byte moves.
@@ -446,10 +437,7 @@ class CollectiveInstance:
         comm.completed_series[self.kind].inc()
         comm.duration_series.observe(self.end_time - self.issue_time)
         comm.telemetry.slo.record_completion(
-            comm.app_id,
-            self.end_time - self.issue_time,
-            self.out_bytes,
-            self.end_time,
+            comm.app_id, self.end_time - self.issue_time, self.out_bytes
         )
         comm.telemetry.causal.close(self.trace, self.end_time, TRACE_COMPLETED)
         self._retire()
@@ -512,7 +500,6 @@ class ServiceCommunicator:
         *,
         latency: LatencyModel = MCCS_LATENCY,
         ecmp_seed: int = 0,
-        strict_consistency: bool = False,
         datapath_tag: Optional[str] = None,
     ) -> None:
         validate_world(len(gpus))
@@ -563,7 +550,6 @@ class ServiceCommunicator:
         #: belongs to the tenant's handle, not to the service.
         self.inflight: Dict[int, CollectiveInstance] = {}
         self.inconsistent_collectives = 0
-        self.strict_consistency = strict_consistency
         #: The §4.3 trace of this communicator's finished collectives;
         #: owned here, so it goes when the communicator is destroyed.
         self.trace = CommTrace(self.comm_id, app_id, DEFAULT_TRACE_CAPACITY)
@@ -669,12 +655,6 @@ class ServiceCommunicator:
             if not instance.launch_started:
                 return instance.seq - 1
         return self.next_seq - 1
-
-    def ranks_by_host(self) -> Dict[int, List[int]]:
-        by_host: Dict[int, List[int]] = {}
-        for rank, gpu in enumerate(self.gpus):
-            by_host.setdefault(gpu.host_id, []).append(rank)
-        return by_host
 
     def add_completion_listener(
         self, listener: Callable[[CollectiveInstance], None]

@@ -80,7 +80,6 @@ class MccsDeployment:
         *,
         datapath_latency: Optional[float] = None,
         ecmp_seed: int = 0,
-        strict_consistency: bool = False,
     ) -> None:
         latency = MCCS_LATENCY
         if datapath_latency is not None:
@@ -92,7 +91,6 @@ class MccsDeployment:
         self.sim = cluster.sim
         self.latency = latency
         self.ecmp_seed = ecmp_seed
-        self.strict_consistency = strict_consistency
         #: The service sees every collective (§4.3): the hub is built with
         #: the simulator it observes, and every layer below is handed it.
         self._telemetry = TelemetryHub(cluster.sim)
@@ -363,7 +361,6 @@ class MccsDeployment:
             self.staging,
             latency=self.latency,
             ecmp_seed=self.ecmp_seed,
-            strict_consistency=self.strict_consistency,
             datapath_tag=datapath_tag,
         )
         self.journal.append(

@@ -141,13 +141,3 @@ class MemoryManager:
 
     def allocations(self) -> Dict[int, ManagedAllocation]:
         return dict(self._allocations)
-
-    def allocations_of(self, app_id: str) -> Dict[int, ManagedAllocation]:
-        return {
-            bid: alloc
-            for bid, alloc in self._allocations.items()
-            if alloc.app_id == app_id
-        }
-
-    def live_bytes(self) -> int:
-        return self.bytes_allocated - self.bytes_freed

@@ -17,7 +17,6 @@ from .ring_order import (
     locality_ring_order,
     optimal_cross_rack_flows,
     random_host_major_order,
-    ring_edges_between_hosts,
 )
 from .ts import (
     TrafficAnalysis,
@@ -41,6 +40,5 @@ __all__ = [
     "optimal_cross_rack_flows",
     "priority_flow_assignment",
     "random_host_major_order",
-    "ring_edges_between_hosts",
     "schedule_for_others",
 ]

@@ -13,7 +13,7 @@ normalized by the optimal ring's.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ...cluster.gpu import GpuDevice
 from ...cluster.specs import Cluster
@@ -35,20 +35,6 @@ def locality_ring_order(cluster: Cluster, gpus: Sequence[GpuDevice]) -> List[int
     for host in hosts:
         order.extend(sorted(by_host[host]))
     return order
-
-
-def ring_edges_between_hosts(
-    gpus: Sequence[GpuDevice], order: Sequence[int]
-) -> List[Tuple[int, int]]:
-    """(src host, dst host) for every inter-host ring edge."""
-    n = len(order)
-    edges = []
-    for i in range(n):
-        src = gpus[order[i]].host_id
-        dst = gpus[order[(i + 1) % n]].host_id
-        if src != dst:
-            edges.append((src, dst))
-    return edges
 
 
 def cross_rack_flows(

@@ -143,9 +143,6 @@ class ProxyEngine:
     def launched_seq(self, comm_id: int, rank: int) -> int:
         return self.state(comm_id, rank).launched_seq
 
-    def current_strategy(self, comm_id: int, rank: int) -> CollectiveStrategy:
-        return self.state(comm_id, rank).strategy
-
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------

@@ -133,9 +133,6 @@ class RecoveryManager:
     def attach(self, comm: ServiceCommunicator) -> None:
         comm.failure_handler = self.handle_failure
 
-    def recovering(self, comm_id: int) -> bool:
-        return comm_id in self._cycles
-
     def membership_changed(self, comm: ServiceCommunicator, kind: str) -> None:
         """Elastic-coordinator notification: ``comm`` grew or shrank.
 

@@ -10,7 +10,7 @@ interrupting the application.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..collectives.ring import RingSchedule, identity_ring
@@ -83,18 +83,6 @@ class CollectiveStrategy:
     def route_map(self) -> Dict[Tuple[int, int, int], int]:
         """Route assignments as a dict keyed by (src, dst, channel) ranks."""
         return dict(self.route_ids)
-
-    def with_ring(self, ring: RingSchedule) -> "CollectiveStrategy":
-        return replace(self, ring=ring, version=self.version + 1)
-
-    def with_routes(
-        self, routes: Dict[Tuple[int, int, int], int]
-    ) -> "CollectiveStrategy":
-        return replace(
-            self,
-            route_ids=tuple(sorted(routes.items())),
-            version=self.version + 1,
-        )
 
     def evolve(
         self,

@@ -49,10 +49,3 @@ def export_snapshot(
     """Record a snapshot event and export it for the peer process."""
     event = snapshot_event(stream, label)
     return event, ipc.export_event(event)
-
-
-def bridge_wait(stream: Stream, ipc: IpcRegistry, handle: IpcEventHandle) -> Event:
-    """Open a peer's event handle and make ``stream`` wait on it."""
-    event = ipc.open_event(handle)
-    stream.wait_event(event)
-    return event

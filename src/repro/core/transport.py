@@ -111,9 +111,6 @@ class TrafficGateManager:
         self._apply(app_id)
         self._ensure_ticker(app_id)
 
-    def schedule_of(self, app_id: str) -> Optional[WindowSchedule]:
-        return self._schedules.get(app_id)
-
     # -- transport interface ------------------------------------------------
     def register(self, flows: Sequence[Flow]) -> None:
         """See one freshly injected launch batch (the flows of one app);

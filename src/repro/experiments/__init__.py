@@ -22,7 +22,7 @@ from . import (
     fig_fleet,
     fig_synth,
 )
-from .report import Stat, cdf_points, format_table, geometric_mean, print_table
+from .report import Stat, cdf_points, format_table, print_table
 from .setups import (
     TenantPlacement,
     multi_app_setups,
@@ -70,7 +70,6 @@ __all__ = [
     "fig_fleet",
     "fig_synth",
     "format_table",
-    "geometric_mean",
     "multi_app_setups",
     "naive_tenant_order",
     "print_table",

@@ -24,11 +24,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.nccl import NcclCommunicator
 from ..cluster.specs import testbed_cluster
+from ..collectives.bandwidth import algorithm_bandwidth
 from ..collectives.types import Collective
 from ..core.controller import CentralManager
 from ..core.deployment import MccsDeployment
 from ..core.policies.ring_order import locality_ring_order
-from ..netsim.units import KB, MB, format_size
+from ..netsim.units import KB, MB, format_size, to_gBps
 from .report import Stat, print_table
 from .setups import naive_tenant_order, single_app_gpus
 
@@ -143,7 +144,9 @@ def run_fig06(
                             durations: List[float] = []
                             issue(kind, size, durations.append)
                             run()
-                            samples[size].append(size / durations[0] / 1e9)
+                            samples[size].append(
+                                to_gBps(algorithm_bandwidth(size, durations[0]))
+                            )
                 for size in sizes:
                     results.append(
                         SingleAppResult(

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..cluster.specs import ring_cluster
+from ..collectives.bandwidth import algorithm_bandwidth
 from ..core.controller import CentralManager
 from ..core.deployment import MccsDeployment
 from ..netsim.background import BackgroundTrafficManager
-from ..netsim.units import MB
+from ..netsim.units import MB, to_gBps
 from ..telemetry import TelemetryHub
 from .report import print_table, write_json
 
@@ -80,7 +81,8 @@ def run_fig07(
         client.all_reduce(comm, op_bytes, on_complete=completed)
 
     def completed(instance, now: float) -> None:
-        points.append(TimelinePoint(now, op_bytes / instance.duration() / 1e9))
+        algbw = algorithm_bandwidth(op_bytes, instance.duration())
+        points.append(TimelinePoint(now, to_gBps(algbw)))
         if now < duration:
             issue_next()
 

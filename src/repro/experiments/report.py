@@ -18,7 +18,6 @@ __all__ = [
     "ascii_cdf",
     "cdf_points",
     "format_table",
-    "geometric_mean",
     "print_table",
     "sparkline",
     "write_json",
@@ -100,12 +99,6 @@ def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
     ordered = sorted(samples)
     n = len(ordered)
     return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
-
-
-def geometric_mean(samples: Sequence[float]) -> float:
-    if not samples:
-        raise ValueError("no samples")
-    return math.exp(sum(math.log(s) for s in samples) / len(samples))
 
 
 def ascii_cdf(

@@ -24,28 +24,23 @@ from .fabric import (
     MultiPodSpec,
     RegionSpec,
     RingFabricSpec,
-    fabric_paths,
-    intra_host_path,
     large_cluster_fabric,
     local_link_id,
     multi_pod_clos,
     multi_region,
     nic_node,
     spine_leaf,
-    spine_links,
     switch_ring,
     testbed_fabric,
     wan_link_id,
     wan_links,
 )
-from .fairness import bottleneck_rate, progressive_filling
+from .fairness import progressive_filling
 from .flows import Flow
 from .routing import (
-    ClosEcmpSelector,
     ConnectionKey,
     EcmpSelector,
     PathSelector,
-    RandomSelector,
     RouteIdSelector,
     RouteMap,
     clos_path,
@@ -57,7 +52,6 @@ from . import units
 __all__ = [
     "BackgroundFlow",
     "BackgroundTrafficManager",
-    "ClosEcmpSelector",
     "ConnectionKey",
     "EcmpSelector",
     "Fabric",
@@ -70,7 +64,6 @@ __all__ = [
     "NoPathError",
     "Node",
     "PathSelector",
-    "RandomSelector",
     "ReproError",
     "RegionSpec",
     "RingFabricSpec",
@@ -80,11 +73,8 @@ __all__ = [
     "Topology",
     "UnknownLinkError",
     "UnknownNodeError",
-    "bottleneck_rate",
     "clos_path",
     "ecmp_hash",
-    "fabric_paths",
-    "intra_host_path",
     "large_cluster_fabric",
     "local_link_id",
     "multi_pod_clos",
@@ -92,7 +82,6 @@ __all__ = [
     "nic_node",
     "progressive_filling",
     "spine_leaf",
-    "spine_links",
     "switch_ring",
     "testbed_fabric",
     "units",

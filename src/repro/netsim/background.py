@@ -92,11 +92,6 @@ class BackgroundTrafficManager:
             self._sim.cancel_flow(bg.flow)
             bg.flow = None
 
-    def stop_all(self) -> None:
-        for bg in list(self._flows):
-            self.stop(bg)
-        self._flows.clear()
-
     # ------------------------------------------------------------------
     # capacity-occupation mode (constant-bit-rate background traffic)
     # ------------------------------------------------------------------
@@ -107,7 +102,7 @@ class BackgroundTrafficManager:
         inter-switch link and "the available capacity for the AllReduce job
         drops to 25 Gbps" — i.e. the background traffic takes its offered
         rate off the top rather than sharing fairly.  Implemented by
-        reducing the link's capacity; :meth:`vacate` restores it.
+        reducing the link's capacity.
         """
         if gbps <= 0:
             raise ValueError("gbps must be positive")
@@ -120,16 +115,6 @@ class BackgroundTrafficManager:
         self._occupied.setdefault(link_id, 0.0)
         self._occupied[link_id] += gbps
         self._sim.set_link_capacity(link_id, current - taken)
-
-    def vacate(self, link_id: str, gbps: Optional[float] = None) -> None:
-        """Remove (all of, or ``gbps`` worth of) an occupied load."""
-        held = self._occupied.get(link_id, 0.0)
-        if held <= 0:
-            raise ValueError(f"no background load held on {link_id!r}")
-        release = held if gbps is None else min(gbps, held)
-        self._occupied[link_id] = held - release
-        current = self._sim.link_capacity(link_id)
-        self._sim.set_link_capacity(link_id, current + release * 1e9 / 8.0)
 
     # ------------------------------------------------------------------
     # the "switch agent" view used by the centralized manager

@@ -15,8 +15,8 @@ There is one event loop, one solver and one rate-recompute path.  A
 persistent :class:`~repro.netsim.fairness.IncrementalFairnessSolver`
 absorbs flow churn in O(Δ), completions come from a heap of ETAs under a
 *virtual-byte clock* (each flow's ``remaining`` is exact as of
-``flow._synced_at`` and derived lazily as
-``remaining - rate * (now - _synced_at)`` until its rate changes), and
+``flow._synced`` and derived lazily as
+``remaining - rate * (now - _synced)`` until its rate changes), and
 heap entries are invalidated by bumping ``flow._heap_epoch`` whenever a
 rate moves.  Per event the loop touches only the flows whose allocation
 actually changed.  :func:`~repro.netsim.fairness.progressive_filling` is
@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,18 +92,11 @@ class FlowSimulator:
 
     Args:
         topology: The network graph; link capacities come from here.
-        start_time: Initial clock value (seconds).
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        start_time: float = 0.0,
-        interference_penalty: float = 0.0,
-    ) -> None:
+    def __init__(self, topology: Topology, interference_penalty: float = 0.0) -> None:
         """Args:
             topology: The network graph.
-            start_time: Initial clock value.
             interference_penalty: Optional burst-interference model.  Pure
                 fluid max-min fairness misses the switch-buffer/PFC-level
                 degradation that bursty tenants inflict on each other when
@@ -116,7 +109,7 @@ class FlowSimulator:
         if not 0.0 <= interference_penalty < 1.0:
             raise ValueError("interference_penalty must be in [0, 1)")
         self.topology = topology
-        self.now = start_time
+        self.now = 0.0
         self.interference_penalty = interference_penalty
         self._capacities: Dict[str, float] = {
             link_id: link.capacity for link_id, link in topology.links.items()
@@ -158,9 +151,6 @@ class FlowSimulator:
     def add_observer(self, observer: SimObserver) -> None:
         """Attach a telemetry observer (see :class:`SimObserver`)."""
         self._observers.append(observer)
-
-    def remove_observer(self, observer: SimObserver) -> None:
-        self._observers.remove(observer)
 
     # ------------------------------------------------------------------
     # flow management
@@ -259,8 +249,7 @@ class FlowSimulator:
         if links is None:
             self.topology.validate_path(path_t)
             links = self._links_of_path[path_t] = tuple(dict.fromkeys(path_t))
-        # ``topology.has_down_links`` reads the same set behind a property;
-        # probe the set directly on this per-route path.
+        # Probe the topology's down-link set directly on this per-route path.
         if self.topology._down:
             for link_id in links:
                 if not self.topology.link_is_up(link_id):
@@ -315,10 +304,6 @@ class FlowSimulator:
         del self._active[flow.flow_id]
         self._dirty = True
 
-    def has_flow(self, flow: Flow) -> bool:
-        """True while ``flow`` is still in the network (not done/cancelled)."""
-        return flow.flow_id in self._active
-
     def gate_flow(self, flow: Flow, gated: bool) -> None:
         """Pause (``gated=True``) or resume a flow.
 
@@ -341,11 +326,6 @@ class FlowSimulator:
     def active_flow_count(self) -> int:
         """Number of flows in the network, without materializing the list."""
         return len(self._active)
-
-    def rate_of(self, flow: Flow) -> float:
-        """Current allocated rate of ``flow`` in bytes/s."""
-        self._ensure_rates()
-        return flow.rate
 
     def set_link_capacity(self, link_id: str, capacity: float) -> None:
         """Change a link's capacity at the current time (rate limiting)."""
@@ -372,20 +352,6 @@ class FlowSimulator:
 
     def link_capacity(self, link_id: str) -> float:
         return self._capacities[link_id]
-
-    def bottleneck_link_of(self, flow: Flow) -> Optional[str]:
-        """Link currently limiting ``flow``'s rate.
-
-        Reads the solver's per-slot attribution from the last allocation;
-        flows the solver has no freezing link for (not rated yet, or no
-        longer registered) fall back to the minimum-capacity link of the
-        path — the best static guess when per-round attribution is
-        unavailable.
-        """
-        link = self._solver.bottleneck_of(flow.flow_id)
-        if link is not None:
-            return link
-        return min(flow.links, key=lambda l: self._capacities[l])
 
     # ------------------------------------------------------------------
     # fault injection
@@ -473,36 +439,6 @@ class FlowSimulator:
         if delay < 0:
             raise ValueError("delay must be non-negative")
         self.schedule(self.now + delay, callback)
-
-    def when_all(
-        self, flows: Iterable[Flow], callback: Callable[[float], None]
-    ) -> None:
-        """Fire ``callback(now)`` once every flow in ``flows`` completed.
-
-        Completion callbacks already attached to the flows keep working;
-        this wraps them.  Used to detect collective completion (a
-        collective finishes when its slowest flow finishes).
-        """
-        pending = [f for f in flows if not f.completed]
-        if not pending:
-            self.schedule(self.now, lambda: callback(self.now))
-            return
-        remaining = {"count": len(pending)}
-
-        def make_hook(flow: Flow) -> Callable[[Flow, float], None]:
-            previous = flow.on_complete
-
-            def hook(f: Flow, t: float) -> None:
-                if previous is not None:
-                    previous(f, t)
-                remaining["count"] -= 1
-                if remaining["count"] == 0:
-                    callback(t)
-
-            return hook
-
-        for flow in pending:
-            flow.on_complete = make_hook(flow)
 
     # ------------------------------------------------------------------
     # main loop

@@ -75,10 +75,6 @@ class PlacementError(ClusterError):
     """A job could not be placed onto the cluster."""
 
 
-class CollectiveError(ReproError):
-    """Base class for collective-algorithm errors."""
-
-
 class CommunicatorError(ReproError):
     """Misuse of a communicator (rank mismatch, wrong world size...)."""
 

@@ -67,11 +67,6 @@ class FabricSpec:
             raise ValueError(f"host {host} out of range")
         return host // self.hosts_per_leaf
 
-    def hosts_of_leaf(self, leaf: int) -> List[int]:
-        return list(
-            range(leaf * self.hosts_per_leaf, (leaf + 1) * self.hosts_per_leaf)
-        )
-
 
 @dataclass
 class Fabric:
@@ -85,9 +80,6 @@ class Fabric:
 
     def rack_of(self, host: int) -> int:
         return self.spec.leaf_of_host(host)
-
-    def same_rack(self, host_a: int, host_b: int) -> bool:
-        return self.rack_of(host_a) == self.rack_of(host_b)
 
 
 def spine_leaf(spec: FabricSpec | None = None) -> Fabric:
@@ -220,11 +212,6 @@ class MultiPodSpec:
             raise ValueError(f"host {host} out of range")
         return host // self.hosts_per_leaf
 
-    def hosts_of_leaf(self, leaf: int) -> List[int]:
-        return list(
-            range(leaf * self.hosts_per_leaf, (leaf + 1) * self.hosts_per_leaf)
-        )
-
 
 def multi_pod_clos(spec: MultiPodSpec | None = None) -> Fabric:
     """Build a three-tier multi-pod Clos fabric from ``spec``.
@@ -338,21 +325,6 @@ class RegionSpec:
         if not 0 <= host < self.num_hosts:
             raise ValueError(f"host {host} out of range")
         return host // self.hosts_per_leaf
-
-    def hosts_of_leaf(self, leaf: int) -> List[int]:
-        return list(
-            range(leaf * self.hosts_per_leaf, (leaf + 1) * self.hosts_per_leaf)
-        )
-
-    def hosts_of_region(self, region: int) -> List[int]:
-        if not 0 <= region < self.regions:
-            raise ValueError(f"region {region} out of range")
-        return list(
-            range(
-                region * self.hosts_per_region,
-                (region + 1) * self.hosts_per_region,
-            )
-        )
 
 
 def wan_link_id(src_region: int, dst_region: int) -> str:
@@ -493,21 +465,3 @@ def switch_ring(spec: RingFabricSpec | None = None) -> Fabric:
     )
     return Fabric(spec=ring_spec, topology=topo, num_fabric_paths=1)
 
-
-def intra_host_path(fabric: Fabric, host: int) -> List[str]:
-    """Path used by flows between two GPUs of the same host."""
-    return [local_link_id(host)]
-
-
-def fabric_paths(fabric: Fabric, src_nic: str, dst_nic: str) -> List[List[str]]:
-    """All equal-cost paths between two NIC endpoints."""
-    return fabric.topology.equal_cost_paths(src_nic, dst_nic)
-
-
-def spine_links(fabric: Fabric) -> List[str]:
-    """All leaf->spine and spine->leaf link ids (the oversubscribed tier)."""
-    result = []
-    for link in fabric.topology.links.values():
-        if link.src.startswith("spine") or link.dst.startswith("spine"):
-            result.append(link.link_id)
-    return sorted(result)

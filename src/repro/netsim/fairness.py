@@ -133,8 +133,8 @@ class IncrementalFairnessSolver:
     updates keep in ``_sig``, so a problem seen before under the same
     capacities is answered from a memo (``memo_hits``); ``set_capacity``
     empties it.  ``solve_epoch`` increments whenever the allocation
-    may have moved; the derived views (:meth:`rates_by_id`,
-    :meth:`link_loads`, :meth:`link_utilization`) are cached on it.
+    may have moved; the derived view :meth:`link_utilization` is cached
+    on it.
 
     :class:`~repro.netsim.engine.FlowSimulator` indexes ``_slots`` — the
     slot table, a plain list of ``Flow | None`` mutated in place — with
@@ -187,8 +187,6 @@ class IncrementalFairnessSolver:
         self._memo: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
         # epoch-keyed caches of the derived dict views
         self.solve_epoch = 0
-        self._rates_by_id_cache: Tuple[int, Dict[str, float]] = (-1, {})
-        self._loads_cache: Tuple[int, Dict[str, float]] = (-1, {})
         self._util_cache: Tuple[int, float, Dict[str, float]] = (-1, 0.0, {})
         # counters (read by the engine's perf_counters())
         self.full_rebuilds = 1  # the initial build
@@ -284,7 +282,7 @@ class IncrementalFairnessSolver:
                 if live:
                     self._sig[slot] = None
                     self._live_entries -= self._spans[slot][1]
-                self._bneck[slot] = -1  # gated: no bottleneck (bottleneck_of)
+                self._bneck[slot] = -1  # gated: no bottleneck (bottleneck_of_slot)
                 if self._rates[slot] != 0.0:
                     self._deactivated.append(slot)
                     self._rates[slot] = 0.0
@@ -359,15 +357,6 @@ class IncrementalFairnessSolver:
         idx = int(self._bneck[slot])
         return self._link_ids[idx] if idx >= 0 else None
 
-    def bottleneck_of(self, flow_id: str) -> Optional[str]:
-        """Link that froze this flow's rate in the most recent solve.
-
-        ``None`` for unknown flows and for flows that were inactive (gated
-        or zero-weight path) when the last allocation ran.
-        """
-        slot = self._slot_of.get(flow_id)
-        return None if slot is None else self.bottleneck_of_slot(slot)
-
     def capacity(self, link_id: str) -> float:
         return float(self._caps[self._link_index[link_id]])
 
@@ -387,24 +376,6 @@ class IncrementalFairnessSolver:
             )
             self._loads_stale = False
         return self._loads
-
-    def link_loads(self) -> Dict[str, float]:
-        """Allocated rate per link from the most recent :meth:`solve`.
-
-        Cached on ``solve_epoch`` — the telemetry sampler reads this every
-        tick and most ticks land between solves.  Treat the returned dict
-        as read-only.
-        """
-        epoch, cached = self._loads_cache
-        if epoch == self.solve_epoch:
-            return cached
-        loads = self._refresh_loads()
-        loaded = np.flatnonzero(loads > 0.0)
-        result = {
-            self._link_ids[int(i)]: float(loads[int(i)]) for i in loaded
-        }
-        self._loads_cache = (self.solve_epoch, result)
-        return result
 
     def link_utilization(self, min_utilization: float = 0.0) -> Dict[str, float]:
         """load/capacity per link from the most recent :meth:`solve`.
@@ -677,27 +648,3 @@ class IncrementalFairnessSolver:
             entries = survivors
         rates = [wgt * level for (_, wgt), level in zip(key, levels)]
         return np.array(rates), np.array(bneck, dtype=np.int64)
-
-    def rates_by_id(self) -> Dict[str, float]:
-        """Flow id -> rate from the most recent solve (for tests/debug).
-
-        Cached on ``solve_epoch``; treat the returned dict as read-only.
-        """
-        epoch, cached = self._rates_by_id_cache
-        if epoch == self.solve_epoch and self._pending_delta == 0:
-            return cached
-        result = {
-            flow.flow_id: float(self._rates[slot])
-            for slot, flow in enumerate(self._slots)
-            if flow is not None
-        }
-        if self._pending_delta == 0:
-            self._rates_by_id_cache = (self.solve_epoch, result)
-        return result
-
-
-def bottleneck_rate(
-    path: Iterable[str], capacities: Mapping[str, float]
-) -> float:
-    """Best-case rate of a flow that has each link of ``path`` to itself."""
-    return min(capacities[l] for l in path)

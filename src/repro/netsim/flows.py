@@ -24,6 +24,10 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 
+#: Slots a fresh arena holds before its first growth.
+ARENA_SLOTS = 64
+
+
 class FlowArena:
     """Flat-array storage for the per-flow data plane.
 
@@ -35,10 +39,10 @@ class FlowArena:
 
     __slots__ = ("remaining", "rate", "synced", "_free", "_top")
 
-    def __init__(self, initial: int = 64) -> None:
-        self.remaining = np.zeros(initial, dtype=float)
-        self.rate = np.zeros(initial, dtype=float)
-        self.synced = np.zeros(initial, dtype=float)
+    def __init__(self) -> None:
+        self.remaining = np.zeros(ARENA_SLOTS, dtype=float)
+        self.rate = np.zeros(ARENA_SLOTS, dtype=float)
+        self.synced = np.zeros(ARENA_SLOTS, dtype=float)
         self._free: list = []
         self._top = 0
 
@@ -161,7 +165,7 @@ class Flow:
         self._rate = 0.0
         #: Engine-managed anchor of the lazy progress clock: ``remaining``
         #: is exact as of this simulation time; between rate changes the
-        #: engine derives progress as ``remaining - rate*(now - _synced_at)``.
+        #: engine derives progress as ``remaining - rate*(now - _synced)``.
         self._synced = 0.0
         #: Engine-managed heap-entry generation; bumping it invalidates
         #: any completion-time heap entry pushed for this flow.
@@ -228,21 +232,6 @@ class Flow:
         else:
             arena.rate[self._slot] = value
 
-    @property
-    def _synced_at(self) -> float:
-        arena = self._arena
-        if arena is None:
-            return self._synced
-        return float(arena.synced[self._slot])
-
-    @_synced_at.setter
-    def _synced_at(self, value: float) -> None:
-        arena = self._arena
-        if arena is None:
-            self._synced = value
-        else:
-            arena.synced[self._slot] = value
-
     # -- lifecycle queries ---------------------------------------------
     @property
     def completed(self) -> bool:
@@ -252,10 +241,6 @@ class Flow:
     def active(self) -> bool:
         """True when the flow competes for bandwidth right now."""
         return self.end_time is None and not self.gated
-
-    def progress(self) -> float:
-        """Fraction of bytes delivered so far, in [0, 1]."""
-        return 1.0 - self.remaining / self.size
 
     def fct(self) -> float:
         """Flow completion time; raises if the flow has not finished."""

@@ -11,7 +11,7 @@ cumulative time plus the engine's perf-counter snapshot — the starting
 point for any future hot-path work.
 
 The workload generator (:func:`synthetic_connections`,
-:func:`run_scale_workload`) is shared with the scale-curve benchmark in
+:func:`prepare_scale_workload`) is shared with the scale-curve benchmark in
 ``benchmarks/test_netsim_core.py`` so profiles and recorded numbers
 describe the same traffic.  Paths are synthesized by node-name arithmetic
 (no BFS), so building a 100k-flow workload on a 16-pod fabric costs
@@ -52,11 +52,6 @@ def scale_spec(pods: int) -> MultiPodSpec:
     )
 
 
-#: O(1) name-arithmetic path synthesis (moved to :mod:`.routing`, kept
-#: here under its historical name for the benchmark/test callers).
-connection_path = clos_path
-
-
 #: Fraction of connections crossing the core tier.  Training jobs are
 #: placed pod-local when possible; the occasional cross-pod job is what
 #: couples two pods' flows through the core links.
@@ -87,7 +82,7 @@ def synthetic_connections(
             dst_host = src_pod * hosts_per_pod + (
                 (src_host + 1 - src_pod * hosts_per_pod) % hosts_per_pod
             )
-        path = connection_path(
+        path = clos_path(
             spec,
             src_host,
             rng.randrange(spec.nics_per_host),
@@ -149,19 +144,6 @@ def prepare_scale_workload(
         sim.schedule(at, inject)
         injected += len(wave) * channels
     return injected
-
-
-def run_scale_workload(
-    sim: FlowSimulator,
-    spec: MultiPodSpec,
-    num_flows: int,
-    **kwargs,
-) -> int:
-    """Prepare the scale workload and run it to completion; returns the
-    number of completions.  See :func:`prepare_scale_workload`."""
-    prepare_scale_workload(sim, spec, num_flows, **kwargs)
-    sim.run()
-    return sim.flows_completed
 
 
 def profile_run(

@@ -16,7 +16,6 @@ The paper contrasts two regimes:
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -81,18 +80,6 @@ class RouteMap:
     def route_id(self, key: ConnectionKey) -> Optional[int]:
         return self.assignments.get(key)
 
-    def merge(self, other: "RouteMap") -> None:
-        """Overlay ``other``'s assignments on top of this map."""
-        self.assignments.update(other.assignments)
-
-    def clear_job(self, job_prefix: str) -> None:
-        """Drop every assignment whose discriminator starts with a prefix."""
-        stale = [
-            key for key in self.assignments if key[2].startswith(job_prefix)
-        ]
-        for key in stale:
-            del self.assignments[key]
-
     def __len__(self) -> int:
         return len(self.assignments)
 
@@ -121,17 +108,6 @@ class RouteIdSelector(PathSelector):
                 f"({len(paths)} paths)"
             )
         return list(paths[route_id])
-
-
-class RandomSelector(PathSelector):
-    """Uniform random path choice (useful for stress tests)."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
-
-    def select(self, topology: Topology, key: ConnectionKey) -> List[str]:
-        paths = topology.shortest_paths(key[0], key[1])
-        return list(self._rng.choice(paths))
 
 
 # ----------------------------------------------------------------------
@@ -189,34 +165,3 @@ def clos_path(
         f"{dst_leaf}->{dst}",
     )
 
-
-class ClosEcmpSelector(PathSelector):
-    """ECMP on a multi-pod Clos without enumerating shortest paths.
-
-    :class:`EcmpSelector` hashes over ``topology.shortest_paths`` — a
-    BFS per (src, dst) pair that dominates connection setup on fleet
-    fabrics.  This selector instead hashes the connection key onto the
-    (spine, core) ECMP choice and synthesizes the path by name
-    arithmetic (:func:`clos_path`), making selection O(path length)
-    regardless of fabric size.  Endpoints must be NIC node ids of the
-    fabric's naming scheme (``h{host}.nic{n}``).
-    """
-
-    def __init__(self, spec, seed: int = 0) -> None:
-        self.spec = spec
-        self.seed = seed
-
-    @staticmethod
-    def _parse_nic(endpoint: str) -> Tuple[int, int]:
-        host_part, nic_part = endpoint.split(".nic")
-        return int(host_part[1:]), int(nic_part)
-
-    def select(self, topology: Topology, key: ConnectionKey) -> List[str]:
-        spec = self.spec
-        src_host, src_nic = self._parse_nic(key[0])
-        dst_host, dst_nic = self._parse_nic(key[1])
-        spine = ecmp_hash(key, spec.spines_per_pod, self.seed)
-        core = ecmp_hash(key, spec.core_switches, self.seed + 1)
-        return list(
-            clos_path(spec, src_host, src_nic, dst_host, dst_nic, spine, core)
-        )

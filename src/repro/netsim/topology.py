@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import NoPathError, UnknownLinkError, UnknownNodeError
 
@@ -173,10 +173,6 @@ class Topology:
         except KeyError:
             raise UnknownLinkError(f"unknown link {link_id!r}") from None
 
-    def out_links(self, node_id: str) -> Sequence[Link]:
-        self.node(node_id)
-        return tuple(self._out[node_id])
-
     def capacity_of(self, link_id: str) -> float:
         return self.link(link_id).capacity
 
@@ -241,15 +237,6 @@ class Topology:
     def link_is_up(self, link_id: str) -> bool:
         self.link(link_id)
         return link_id not in self._down
-
-    @property
-    def has_down_links(self) -> bool:
-        """Cheap guard for hot paths: any link currently down?"""
-        return bool(self._down)
-
-    def down_links(self) -> FrozenSet[str]:
-        """Ids of links currently administratively down."""
-        return frozenset(self._down)
 
     # ------------------------------------------------------------------
     # path enumeration

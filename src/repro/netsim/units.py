@@ -43,28 +43,6 @@ def to_gBps(bytes_per_second: float) -> float:
     return bytes_per_second / 1e9
 
 
-def bytes_to_gb(num_bytes: float) -> float:
-    """Convert a byte count into decimal gigabytes."""
-    return num_bytes / 1e9
-
-
-def parse_size(text: str) -> int:
-    """Parse a human size string such as ``"32KB"``, ``"8MB"`` or ``"512MB"``.
-
-    Sizes follow the binary convention used on the Figure 6 x-axis.
-
-    >>> parse_size("32KB")
-    32768
-    >>> parse_size("1GB") == 1024 ** 3
-    True
-    """
-    text = text.strip().upper()
-    for suffix, factor in (("GB", GIB), ("MB", MIB), ("KB", KIB), ("B", 1)):
-        if text.endswith(suffix):
-            return int(float(text[: -len(suffix)]) * factor)
-    return int(text)
-
-
 def format_size(num_bytes: int) -> str:
     """Format a byte count the way the paper labels its x axis.
 

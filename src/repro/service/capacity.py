@@ -80,18 +80,6 @@ class CapacityPlan:
     p99_s: float
     feasible: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "hosts": self.hosts,
-            "servers": self.servers,
-            "arrival_rate": self.arrival_rate,
-            "offered_load": self.offered_load,
-            "utilization": self.utilization,
-            "queue_probability": self.queue_probability,
-            "p99_s": self.p99_s,
-            "feasible": self.feasible,
-        }
-
 
 class CapacityPlanner:
     """Sizes a deployment for a tenant population and a p99 target."""

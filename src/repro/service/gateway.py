@@ -214,17 +214,12 @@ class ServiceGateway:
         deployment: MccsDeployment,
         policy: Optional[GatewayPolicy] = None,
         *,
-        registry: Optional[TenantRegistry] = None,
         secret: str = "mccs",
     ) -> None:
         self.deployment = deployment
         self.sim = deployment.sim
         self.policy = policy or GatewayPolicy()
-        self.registry = (
-            registry
-            if registry is not None
-            else TenantRegistry(deployment, secret=secret)
-        )
+        self.registry = TenantRegistry(deployment, secret=secret)
         self.telemetry = deployment.telemetry()
         self.brownout = BrownoutController(policy=self.policy.brownout)
         self.alive = True
@@ -663,6 +658,23 @@ class ServiceGateway:
             buf = session.client.adopt_buffer(buffer_id)
         return buf
 
+    def _owned_comm(self, session: _Session, comm_id: int):
+        """The session's handle of ``comm_id``.  Session shims are volatile
+        gateway state (rebuilt after a restart); ownership is durable, so a
+        live communicator the account owns is re-adopted."""
+        comm = session.client.communicators.get(comm_id)
+        if comm is None and comm_id in session.account.comm_ids:
+            try:
+                comm = session.client.adopt_communicator(comm_id)
+            except ReproError:
+                comm = None
+        if comm is None:
+            raise InvalidRequestError(
+                f"tenant {session.account.tenant_id!r} holds no communicator "
+                f"{comm_id}"
+            )
+        return comm
+
     def _build_collective(
         self, session: _Session, request: GatewayRequest
     ) -> Tuple[CollectiveRequest, object]:
@@ -673,19 +685,7 @@ class ServiceGateway:
             nbytes = int(body["nbytes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidRequestError(f"bad collective body: {exc}") from None
-        comm = session.client.communicators.get(comm_id)
-        if comm is None and comm_id in session.account.comm_ids:
-            # Session shims are volatile gateway state (rebuilt after a
-            # restart); ownership is durable, so re-adopt the live comm.
-            try:
-                comm = session.client.adopt_communicator(comm_id)
-            except ReproError:
-                comm = None
-        if comm is None:
-            raise InvalidRequestError(
-                f"tenant {session.account.tenant_id!r} holds no communicator "
-                f"{comm_id}"
-            )
+        comm = self._owned_comm(session, comm_id)
         send_refs: Tuple = ()
         recv_refs: Tuple = ()
         send_ids = body.get("send_buffers")
@@ -925,11 +925,8 @@ class ServiceGateway:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidRequestError(f"bad communicator body: {exc}") from None
         account = session.account
-        live = [
-            comm_id
-            for comm_id in account.comm_ids
-            if comm_id in session.client.communicators
-        ]
+        alive = {c.comm_id for c in self.deployment.communicators()}
+        live = [comm_id for comm_id in account.comm_ids if comm_id in alive]
         if len(live) >= account.quota.max_communicators:
             raise InvalidRequestError(
                 f"tenant {account.tenant_id!r} is at its "
@@ -947,12 +944,7 @@ class ServiceGateway:
             comm_id = int(request.body["comm"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidRequestError(f"bad destroy body: {exc}") from None
-        comm = session.client.communicators.get(comm_id)
-        if comm is None:
-            raise InvalidRequestError(
-                f"tenant {session.account.tenant_id!r} holds no communicator "
-                f"{comm_id}"
-            )
+        comm = self._owned_comm(session, comm_id)
         session.client.destroy_communicator(comm)
         if comm_id in session.account.comm_ids:
             session.account.comm_ids.remove(comm_id)

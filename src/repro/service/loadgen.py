@@ -30,6 +30,9 @@ from .transport import GatewayClient, InProcessTransport
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .gateway import GatewayResponse, ServiceGateway
 
+#: QoS class -> share of the tenant population.
+QOS_WEIGHTS = {"high": 0.2, "normal": 0.6, "low": 0.2}
+
 
 @dataclass(frozen=True)
 class TenantAppSpec:
@@ -51,21 +54,19 @@ def fleet_specs(
     seed: int = 0,
     base_rate: float = 20.0,
     nbytes_choices: Sequence[int] = (1 << 16, 1 << 18, 1 << 20),
-    class_weights: Optional[Dict[str, float]] = None,
 ) -> List[TenantAppSpec]:
     """Draw a deterministic tenant population from production archetypes.
 
     Each tenant picks a product group; the group's communication share
     scales its request rate (comm-heavy groups are chattier).  QoS
-    classes default to a 20/60/20 high/normal/low split.
+    classes follow :data:`QOS_WEIGHTS`.
     """
     if num_tenants <= 0:
         raise ValueError("need a positive tenant count")
     rng = random.Random(seed)
     groups = product_group_breakdowns(seed=2024)
-    weights = class_weights or {"high": 0.2, "normal": 0.6, "low": 0.2}
-    classes = list(weights)
-    class_w = [weights[c] for c in classes]
+    classes = list(QOS_WEIGHTS)
+    class_w = [QOS_WEIGHTS[c] for c in classes]
     specs: List[TenantAppSpec] = []
     for i in range(num_tenants):
         group = groups[rng.randrange(len(groups))]
@@ -93,6 +94,8 @@ class _TenantApp:
     comm_id: int
     rng: random.Random
     storm_factor: float = 1.0
+    #: Bumped on every (re-)arm; a pending fire of an older arm is stale.
+    armed: int = 0
     issued: int = 0
     ok: int = 0
     rejected: int = 0
@@ -118,18 +121,13 @@ class FleetLoadGenerator:
         *,
         seed: int = 0,
         profile: Optional[DiurnalProfile] = None,
-        transport: Optional[InProcessTransport] = None,
-        gpus_per_comm: int = 2,
-        ttl: Optional[float] = None,
     ) -> None:
         self.gateway = gateway
         self.sim = gateway.sim
         self.specs = list(specs)
         self.seed = seed
         self.profile = profile or DiurnalProfile()
-        self.transport = transport or InProcessTransport(gateway)
-        self.gpus_per_comm = gpus_per_comm
-        self.ttl = ttl
+        self.transport = InProcessTransport(gateway)
         self.horizon = 0.0
         self._apps: Dict[str, _TenantApp] = {}
         self._started = False
@@ -189,13 +187,15 @@ class FleetLoadGenerator:
         )
         gap = app.rng.expovariate(rate) if rate > 0 else float("inf")
         when = now + gap
+        app.armed += 1
         if when > self.horizon:
             return
-        self.sim.call_in(gap, lambda: self._fire(app))
+        armed = app.armed
+        self.sim.call_in(gap, lambda: self._fire(app, armed))
 
-    def _fire(self, app: _TenantApp) -> None:
-        if self.sim.now > self.horizon:
-            return
+    def _fire(self, app: _TenantApp, armed: int) -> None:
+        if armed != app.armed or self.sim.now > self.horizon:
+            return  # a later arm replaced this arrival, or the run is over
         app.issued += 1
 
         def consume(response: "GatewayResponse") -> None:
@@ -209,12 +209,7 @@ class FleetLoadGenerator:
             else:
                 app.failed += 1
 
-        app.client.collective(
-            app.comm_id,
-            app.spec.nbytes,
-            ttl=self.ttl,
-            on_response=consume,
-        )
+        app.client.collective(app.comm_id, app.spec.nbytes, on_response=consume)
         self._arm(app)
 
     # ------------------------------------------------------------------
@@ -228,7 +223,7 @@ class FleetLoadGenerator:
         app.storm_factor = factor
         if self._started and self.sim.now <= self.horizon:
             # Re-arm so the spike takes effect immediately, not after the
-            # previously sampled (long) gap.
+            # previously sampled (long) gap; the re-arm retires that gap.
             self._arm(app)
 
     def calm(self, tenant_id: str) -> None:

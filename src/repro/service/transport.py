@@ -19,6 +19,9 @@ from .gateway import GatewayRequest, GatewayResponse
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .gateway import ServiceGateway
 
+#: One-way latency of each hop, request in and response out (seconds).
+TRANSPORT_LATENCY = 50e-6
+
 
 @dataclass
 class PendingCall:
@@ -45,10 +48,9 @@ class PendingCall:
 class InProcessTransport:
     """Simulated-latency duplex channel to one gateway."""
 
-    def __init__(self, gateway: "ServiceGateway", *, latency: float = 50e-6) -> None:
+    def __init__(self, gateway: "ServiceGateway") -> None:
         self.gateway = gateway
         self.sim = gateway.sim
-        self.latency = latency
         self.submitted = 0
         self.delivered = 0
 
@@ -66,10 +68,10 @@ class InProcessTransport:
                 self.delivered += 1
                 pending._deliver(response)
 
-            self.sim.call_in(self.latency, arrive)
+            self.sim.call_in(TRANSPORT_LATENCY, arrive)
 
         self.sim.call_in(
-            self.latency, lambda: self.gateway.handle(request, respond)
+            TRANSPORT_LATENCY, lambda: self.gateway.handle(request, respond)
         )
         return pending
 

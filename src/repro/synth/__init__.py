@@ -17,16 +17,11 @@ See ``docs/synthesis.md`` for the IR grammar, validator invariants,
 lowering contract and search constants.
 """
 
-from ..collectives.executor import run_program, toposort
 from ..collectives.generators import hierarchical_allreduce_program, ring_program
 from ..collectives.ir import Instr, OpKind, Program, Protocol, make_program
 from .lowering import (
     SYNTH_PREFIX,
     SynthAlgorithm,
-    register_program,
-    registered_synth_algorithms,
-    temporarily_registered,
-    unregister_program,
 )
 from .search import (
     ScoredProgram,
@@ -34,7 +29,7 @@ from .search import (
     placement_groups,
     synthesize_and_register,
 )
-from .validate import is_valid, validate_program
+from .validate import validate_program
 
 __all__ = [
     "SYNTH_PREFIX",
@@ -46,16 +41,9 @@ __all__ = [
     "SynthAlgorithm",
     "Synthesizer",
     "hierarchical_allreduce_program",
-    "is_valid",
     "make_program",
     "placement_groups",
-    "register_program",
-    "registered_synth_algorithms",
     "ring_program",
-    "run_program",
     "synthesize_and_register",
-    "temporarily_registered",
-    "toposort",
-    "unregister_program",
     "validate_program",
 ]

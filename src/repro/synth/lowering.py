@@ -28,20 +28,12 @@ tree and halving-doubling algorithms degrade.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator, List, Optional
+from typing import Optional
 
 from ..collectives.executor import compile_schedule
 from ..collectives.ir import Program
 from ..collectives.types import Collective
-from ..core.algorithms import (
-    AlgorithmContext,
-    CollectiveAlgorithm,
-    get_algorithm,
-    register_algorithm,
-    registered_algorithms,
-    unregister_algorithm,
-)
+from ..core.algorithms import AlgorithmContext, CollectiveAlgorithm, get_algorithm
 from .validate import validated_schedule
 
 #: Registry-name prefix marking synthesized algorithms.
@@ -99,47 +91,3 @@ class SynthAlgorithm(CollectiveAlgorithm):
             f"protocol={p.protocol.value}, fingerprint={self.fingerprint!r})"
         )
 
-
-def register_program(
-    program: Program, *, fingerprint: Optional[str] = None
-) -> SynthAlgorithm:
-    """Validate, wrap and register ``program``; returns the algorithm."""
-    algorithm = SynthAlgorithm(program, fingerprint=fingerprint)
-    register_algorithm(algorithm)
-    return algorithm
-
-
-def unregister_program(name: str) -> None:
-    """Remove a previously registered synthesized program."""
-    unregister_algorithm(name)
-
-
-def registered_synth_algorithms() -> List[str]:
-    """Names of currently registered synthesized programs."""
-    return [n for n in registered_algorithms() if n.startswith(SYNTH_PREFIX)]
-
-
-@contextlib.contextmanager
-def temporarily_registered(
-    *programs: Program,
-    fingerprint: Optional[str] = None,
-) -> Iterator[List[SynthAlgorithm]]:
-    """Register programs for the duration of a ``with`` block.
-
-    Guarantees the global registry is restored on exit, which keeps
-    test-suite and notebook experimentation from leaking synthesized
-    candidates into unrelated planner runs.
-    """
-    registered: List[SynthAlgorithm] = []
-    try:
-        for program in programs:
-            registered.append(
-                register_program(program, fingerprint=fingerprint)
-            )
-        yield registered
-    finally:
-        for algorithm in registered:
-            try:
-                unregister_algorithm(algorithm.name)
-            except Exception:
-                pass

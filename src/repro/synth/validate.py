@@ -217,14 +217,3 @@ def validated_schedule(
                     f"(origin={want[0]}, contributors={sorted(want[1])})"
                 )
     return order, recv_source
-
-
-def is_valid(program: Program) -> bool:
-    """Predicate form of :func:`validate_program` for search filters."""
-    from ..netsim.errors import ProgramValidationError
-
-    try:
-        validate_program(program)
-    except ProgramValidationError:
-        return False
-    return True

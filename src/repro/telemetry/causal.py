@@ -31,8 +31,8 @@ This module provides that substrate:
   quantifies who interfered for how long.
 * :class:`FlightRecorder` — an always-on bounded ring of recent causal
   trees that snapshots itself on trigger events (deadline, heartbeat
-  miss, crash, admission shed, SLO violation) so every chaos failure
-  ships its own evidence.
+  miss, crash, admission shed) so every chaos failure ships its own
+  evidence.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..netsim.flows import Flow
     from .events import EventLog
     from .metrics import BoundCounter, MetricsRegistry
+
+#: Flight-recorder dumps kept (a ring; older dumps are evicted).
+MAX_DUMPS = 16
+
+#: Recent causal trees snapshotted into each flight-recorder dump.
+SNAPSHOT_TRACES = 8
 
 #: Terminal trace states.
 TRACE_COMPLETED = "completed"
@@ -225,13 +231,6 @@ class CausalTrace:
 
     def all_flows(self) -> List[FlowRecord]:
         return [f for a in self.attempts for f in a.flows.values()]
-
-    def find_flow(self, flow_id: str) -> Optional[FlowRecord]:
-        for attempt in reversed(self.attempts):
-            rec = attempt.flows.get(flow_id)
-            if rec is not None:
-                return rec
-        return None
 
     def identity(self) -> Dict[str, object]:
         """Which collective this is: the leading keys of every export."""
@@ -571,28 +570,17 @@ class FlightRecorder:
 
     The recorder itself costs nothing at steady state: the tracer already
     keeps the ring of recent traces.  On a trigger (deadline, heartbeat
-    miss, crash, admission shed, SLO violation) it snapshots the recent
-    trees into a JSON-ready dump and keeps the most recent ``max_dumps``.
+    miss, crash, admission shed, or a manual one) it snapshots the
+    :data:`SNAPSHOT_TRACES` most recent trees into a JSON-ready dump and
+    keeps the most recent :data:`MAX_DUMPS`.
     """
 
-    TRIGGERS = (
-        "deadline", "heartbeat_miss", "crash", "admission_shed",
-        "slo_violation", "manual",
-    )
-
     def __init__(
-        self,
-        tracer: CausalTracer,
-        metrics: "MetricsRegistry",
-        events: "EventLog",
-        *,
-        max_dumps: int = 16,
-        snapshot_traces: int = 8,
+        self, tracer: CausalTracer, metrics: "MetricsRegistry", events: "EventLog"
     ) -> None:
         self.tracer = tracer
-        self.snapshot_traces = snapshot_traces
         self.events = events
-        self._dumps: RingBuffer[Dict[str, object]] = RingBuffer(max_dumps)
+        self._dumps: RingBuffer[Dict[str, object]] = RingBuffer(MAX_DUMPS)
         self._dumps_total = metrics.counter(
             "mccs_flight_dumps_total",
             "Flight-recorder dumps taken, by trigger reason.",
@@ -608,12 +596,12 @@ class FlightRecorder:
     ) -> Dict[str, object]:
         """Snapshot the recent causal trees (``trace``, the collective the
         trigger is about, always among them); returns the dump."""
-        traces = self.tracer.recent(self.snapshot_traces)
+        traces = self.tracer.recent(SNAPSHOT_TRACES)
         trace_id = None
         if trace is not None:
             trace_id = trace.trace_id
             if trace not in traces:
-                traces = [trace] + traces[: self.snapshot_traces - 1]
+                traces = [trace] + traces[: SNAPSHOT_TRACES - 1]
         dump = {
             "reason": reason,
             "time": now,

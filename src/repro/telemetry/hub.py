@@ -38,21 +38,13 @@ class TelemetryHub:
         self.metrics = MetricsRegistry()
         self.spans = SpanRecorder(MAX_SPANS)
         self.events = EventLog(MAX_EVENTS)
-        self.slo = SloTracker(metrics=self.metrics, events=self.events)
-        self.slo.on_violation = self._on_slo_violation
+        self.slo = SloTracker(self.metrics)
         self.network = NetworkTelemetry(sim, self.metrics)
         self.causal = CausalTracer(sim, self.metrics)
         self.flight = FlightRecorder(self.causal, self.metrics, self.events)
         self._resilience_provider: Optional[
             Callable[[], Dict[str, int]]
         ] = None
-
-    def _on_slo_violation(
-        self, tenant: str, p99: float, target: float, now: float
-    ) -> None:
-        self.flight.trigger(
-            "slo_violation", now, tenant=tenant, p99=p99, target=target
-        )
 
     def set_resilience_provider(
         self, provider: Optional[Callable[[], Dict[str, int]]]

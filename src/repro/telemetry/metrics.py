@@ -58,7 +58,7 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
         self._values: Dict[LabelKey, float] = {}
@@ -87,7 +87,7 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
         self._values: Dict[LabelKey, float] = {}
@@ -98,9 +98,6 @@ class Gauge:
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
 
     def labels(self, **labels: object) -> "BoundGauge":
         return BoundGauge(self, _label_key(labels))
@@ -126,12 +123,7 @@ class Histogram:
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Sequence[float] = DEFAULT_SIM_BUCKETS,
-    ) -> None:
+    def __init__(self, name: str, help: str, buckets: Sequence[float]) -> None:
         bounds = tuple(float(b) for b in buckets)
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
@@ -241,10 +233,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
-    def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Metric:
+    def _get_or_create(self, cls, name: str, *args) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = self._metrics[name] = cls(name, help, **kwargs)
+            metric = self._metrics[name] = cls(name, *args)
         elif not isinstance(metric, cls):
             raise TypeError(
                 f"metric {name!r} already registered as {metric.kind}, "
@@ -261,8 +253,9 @@ class MetricsRegistry:
     def histogram(
         self, name: str, help: str = "", buckets: Optional[Sequence[float]] = None
     ) -> Histogram:
-        kwargs = {"buckets": buckets} if buckets is not None else {}
-        return self._get_or_create(Histogram, name, help, **kwargs)
+        if buckets is None:
+            buckets = DEFAULT_SIM_BUCKETS
+        return self._get_or_create(Histogram, name, help, buckets)
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
@@ -273,9 +266,6 @@ class MetricsRegistry:
 
     def counters(self) -> Dict[str, Counter]:
         return {m.name: m for m in self._metrics.values() if isinstance(m, Counter)}
-
-    def gauges(self) -> Dict[str, Gauge]:
-        return {m.name: m for m in self._metrics.values() if isinstance(m, Gauge)}
 
     def histograms(self) -> Dict[str, Histogram]:
         return {m.name: m for m in self._metrics.values() if isinstance(m, Histogram)}

@@ -236,19 +236,8 @@ class NetworkTelemetry(SimObserver):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def link_series(self, link_id: str) -> List[LinkSample]:
-        """(time, utilization) samples recorded for one link."""
-        series = self._series.get(link_id)
-        return series.to_list() if series is not None else []
-
     def sampled_links(self) -> List[str]:
         return sorted(self._series)
-
-    def evicted_samples(self, link_id: Optional[str] = None) -> int:
-        if link_id is not None:
-            series = self._series.get(link_id)
-            return series.evicted if series is not None else 0
-        return sum(series.evicted for series in self._series.values())
 
     def utilization_snapshot(self) -> Dict[str, object]:
         """JSON-ready dump of every link series."""

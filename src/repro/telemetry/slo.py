@@ -1,30 +1,25 @@
-"""Per-tenant SLO accounting: rolling latency windows and QoS targets.
+"""Per-tenant SLO accounting: rolling latency windows.
 
 The paper's managed-service framing (§4.3, §6.4) makes the provider — not
-the tenant — responsible for per-tenant performance targets.  This module
-keeps the books:
-
-* :class:`SloTracker` aggregates, per tenant, rolling p50/p95/p99
-  collective latency, goodput, and deadline-miss / retry / shed / abort
-  counts.  The registry's histograms are bucketed, so the tracker keeps
-  its own bounded raw windows to compute true percentiles.
-* :class:`SloPolicy` declares a target p99 per QoS class.  The tracker
-  resolves each tenant's class through the admission controller's
-  ``class_of`` (when admission control is armed) and emits one
-  ``slo_violation`` event per excursion — edge-triggered, so a tenant
-  sitting above target does not spam the event log.
+the tenant — responsible for per-tenant performance.  :class:`SloTracker`
+keeps the books: per tenant, rolling p50/p95/p99 collective latency,
+goodput, and deadline-miss / retry / shed / abort counts.  The registry's
+histograms are bucketed, so the tracker keeps its own bounded raw windows
+(:data:`SLO_WINDOW` samples per tenant) to compute true percentiles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 from .ringbuffer import RingBuffer
 
-if False:  # pragma: no cover - typing only
-    from .events import EventLog
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from .metrics import MetricsRegistry
+
+#: Rolling-window capacity (latency samples) per tenant.
+SLO_WINDOW = 256
 
 
 def _percentile(ordered: List[float], q: float) -> float:
@@ -33,26 +28,6 @@ def _percentile(ordered: List[float], q: float) -> float:
         return 0.0
     rank = max(int(round(q * len(ordered) + 0.5)) - 1, 0)
     return ordered[min(rank, len(ordered) - 1)]
-
-
-@dataclass(frozen=True)
-class SloPolicy:
-    """Declarative per-QoS-class latency targets.
-
-    Args:
-        p99_targets: QoS class -> target p99 collective latency (seconds).
-            Classes absent from the map carry no target.
-        window: Rolling-window capacity (samples) per tenant.
-        min_samples: Violations are only evaluated once a tenant's window
-            holds at least this many samples.
-    """
-
-    p99_targets: Dict[str, float] = field(default_factory=dict)
-    window: int = 256
-    min_samples: int = 20
-
-    def target_for(self, qos_class: str) -> Optional[float]:
-        return self.p99_targets.get(qos_class)
 
 
 @dataclass
@@ -67,71 +42,45 @@ class _TenantBook:
     retries: int = 0
     sheds: int = 0
     aborts: int = 0
-    violations: int = 0
-    violating: bool = False
 
 
 class SloTracker:
-    """Rolling per-tenant SLO accounts with optional violation policy."""
+    """Rolling per-tenant SLO accounts."""
 
-    def __init__(
-        self,
-        *,
-        policy: Optional[SloPolicy] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-        events: Optional["EventLog"] = None,
-    ) -> None:
-        self.policy = policy or SloPolicy()
-        self.events = events
+    def __init__(self, metrics: "MetricsRegistry") -> None:
         self._books: Dict[str, _TenantBook] = {}
         #: Resolves a tenant to its QoS class; the deployment installs the
         #: admission controller's ``class_of`` when admission is armed.
         self.class_resolver: Callable[[str], str] = lambda tenant: "normal"
-        #: Fired on each p99-excursion with (tenant, p99, target, now);
-        #: the deployment points this at the flight recorder.
-        self.on_violation: Optional[
-            Callable[[str, float, float, float], None]
-        ] = None
-        self._p50 = self._p99 = self._goodput = self._violations = None
-        if metrics is not None:
-            self._p50 = metrics.gauge(
-                "mccs_slo_latency_p50_seconds",
-                "Rolling-window median collective latency, by tenant.",
-            )
-            self._p99 = metrics.gauge(
-                "mccs_slo_latency_p99_seconds",
-                "Rolling-window p99 collective latency, by tenant.",
-            )
-            self._goodput = metrics.gauge(
-                "mccs_slo_goodput_bytes_per_second",
-                "Completed collective payload over busy time, by tenant.",
-            )
-            self._violations = metrics.counter(
-                "mccs_slo_violations_total",
-                "p99 excursions above the tenant's QoS-class target.",
-            )
+        self._p50 = metrics.gauge(
+            "mccs_slo_latency_p50_seconds",
+            "Rolling-window median collective latency, by tenant.",
+        )
+        self._p99 = metrics.gauge(
+            "mccs_slo_latency_p99_seconds",
+            "Rolling-window p99 collective latency, by tenant.",
+        )
+        self._goodput = metrics.gauge(
+            "mccs_slo_goodput_bytes_per_second",
+            "Completed collective payload over busy time, by tenant.",
+        )
 
     # ------------------------------------------------------------------
     def _book(self, tenant: str) -> _TenantBook:
         book = self._books.get(tenant)
         if book is None:
-            book = self._books[tenant] = _TenantBook(
-                latencies=RingBuffer(self.policy.window)
-            )
+            book = self._books[tenant] = _TenantBook(latencies=RingBuffer(SLO_WINDOW))
         return book
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def record_completion(
-        self, tenant: str, duration_s: float, nbytes: int, now: float
-    ) -> None:
+    def record_completion(self, tenant: str, duration_s: float, nbytes: int) -> None:
         book = self._book(tenant)
         book.latencies.append(duration_s)
         book.completed += 1
         book.bytes_moved += nbytes
         book.busy_seconds += duration_s
-        self._check_violation(tenant, book, now)
 
     def record_deadline_miss(self, tenant: str) -> None:
         self._book(tenant).deadline_misses += 1
@@ -144,37 +93,6 @@ class SloTracker:
 
     def record_abort(self, tenant: str) -> None:
         self._book(tenant).aborts += 1
-
-    # ------------------------------------------------------------------
-    # violation policy (edge-triggered)
-    # ------------------------------------------------------------------
-    def _check_violation(self, tenant: str, book: _TenantBook, now: float) -> None:
-        if len(book.latencies) < self.policy.min_samples:
-            return
-        qos_class = self.class_resolver(tenant)
-        target = self.policy.target_for(qos_class)
-        if target is None:
-            return
-        ordered = sorted(book.latencies)
-        p99 = _percentile(ordered, 0.99)
-        if p99 > target:
-            if not book.violating:
-                book.violating = True
-                book.violations += 1
-                if self._violations is not None:
-                    self._violations.inc(tenant=tenant)
-                if self.events is not None:
-                    self.events.log(
-                        now, "slo_violation",
-                        f"tenant {tenant} p99 {p99:.4f}s exceeds "
-                        f"{qos_class} target {target:.4f}s",
-                        tenant=tenant, qos_class=qos_class,
-                        p99=p99, target=target,
-                    )
-                if self.on_violation is not None:
-                    self.on_violation(tenant, p99, target, now)
-        else:
-            book.violating = False
 
     # ------------------------------------------------------------------
     # export
@@ -195,8 +113,6 @@ class SloTracker:
 
     def publish(self) -> None:
         """Refresh the Prometheus gauges from the rolling windows."""
-        if self._p50 is None:
-            return
         for tenant in self.tenants():
             book = self._books[tenant]
             pct = self.percentiles(tenant)
@@ -231,7 +147,5 @@ class SloTracker:
                 "retries": book.retries,
                 "sheds": book.sheds,
                 "aborts": book.aborts,
-                "violations": book.violations,
-                "violating": book.violating,
             }
         return out

@@ -51,10 +51,6 @@ class Connection:
     key: ConnectionKey
     intra_host: bool
 
-    @property
-    def edge_id(self) -> EdgeId:
-        return (self.src.global_id, self.dst.global_id, self.channel)
-
 
 def connection_key(
     cluster: Cluster,
@@ -160,9 +156,6 @@ class ConnectionTable:
 
     def connections(self) -> List[Connection]:
         return list(self._connections.values())
-
-    def inter_host_connections(self) -> List[Connection]:
-        return [c for c in self._connections.values() if not c.intra_host]
 
     def teardown(self) -> None:
         """Close every connection (idempotent)."""

@@ -1,6 +1,6 @@
 """Workload synthesis: model profiles, traces, generators, arrivals."""
 
-from .arrivals import DiurnalProfile, JobSpec, diurnal_arrivals, poisson_arrivals
+from .arrivals import DiurnalProfile, JobSpec, poisson_arrivals
 from .generator import (
     CollectiveIssuer,
     GeneratorStats,
@@ -21,7 +21,6 @@ from .traces import (
     data_parallel_trace,
     geo_distributed_trace,
     gpt_tp_trace,
-    resnet50_dp_trace,
     tensor_parallel_trace,
     vgg19_dp_trace,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "TrainingBreakdown",
     "TrainingTrace",
     "data_parallel_trace",
-    "diurnal_arrivals",
     "geo_distributed_trace",
     "empirical_cross_rack_curve",
     "gpt_2_7b",
@@ -48,7 +46,6 @@ __all__ = [
     "poisson_arrivals",
     "product_group_breakdowns",
     "resnet50",
-    "resnet50_dp_trace",
     "simulated_cross_rack_curve",
     "tensor_parallel_trace",
     "vgg19",

@@ -5,11 +5,9 @@
 sizes are "either 16 or 32 GPUs with equal probability", 50 jobs per
 experiment.
 
-The fleet experiments additionally modulate the Poisson process with a
+The fleet experiments modulate each tenant's request rate with a
 :class:`DiurnalProfile` — a sinusoidal daily cycle plus Gaussian burst
-envelopes — via :func:`diurnal_arrivals`, an exact Lewis-Shedler
-thinning sampler: deterministic per seed, which the property tests in
-``tests/workloads/test_arrivals.py`` pin down.
+envelopes (see :class:`~repro.service.loadgen.FleetLoadGenerator`).
 """
 
 from __future__ import annotations
@@ -76,7 +74,7 @@ class DiurnalProfile:
 
     so a base Poisson rate ``lambda`` becomes the inhomogeneous rate
     ``lambda * factor(t)``.  ``peak_factor`` bounds the factor from
-    above, which both the thinning sampler and the capacity planner use.
+    above, which the capacity planner uses.
 
     Attributes:
         period: Length of one cycle in seconds (a scaled "day").
@@ -128,46 +126,3 @@ class DiurnalProfile:
             1.0 + self.amplitude + sum(boost for _, _, boost in self.bursts),
         )
 
-
-def diurnal_arrivals(
-    num_jobs: int,
-    *,
-    mean_interarrival: float = 0.200,
-    profile: Optional[DiurnalProfile] = None,
-    sizes: Sequence[int] = (16, 32),
-    size_weights: Optional[Sequence[float]] = None,
-    seed: int = 0,
-    rng: Optional[random.Random] = None,
-    prefix: str = "job",
-) -> List[JobSpec]:
-    """Poisson arrivals modulated by a :class:`DiurnalProfile`.
-
-    Uses Lewis-Shedler thinning: candidates are drawn from a homogeneous
-    Poisson process at the profile's peak rate and accepted with
-    probability ``rate_factor(t) / peak_factor`` — an *exact* sampler
-    for the inhomogeneous process, fully determined by the seed (the
-    property tests assert both determinism and that a flat profile
-    degenerates to :func:`poisson_arrivals` statistics).
-    """
-    if num_jobs <= 0:
-        raise ValueError("num_jobs must be positive")
-    if rng is None:
-        rng = random.Random(seed)
-    if profile is None:
-        profile = DiurnalProfile()
-    base_rate = 1.0 / mean_interarrival
-    peak = profile.peak_factor
-    now = 0.0
-    jobs: List[JobSpec] = []
-    while len(jobs) < num_jobs:
-        now += rng.expovariate(base_rate * peak)
-        if rng.random() * peak <= profile.rate_factor(now):
-            size = rng.choices(list(sizes), weights=size_weights)[0]
-            jobs.append(
-                JobSpec(
-                    job_id=f"{prefix}{len(jobs)}",
-                    num_gpus=size,
-                    arrival_time=now,
-                )
-            )
-    return jobs

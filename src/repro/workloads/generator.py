@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Protocol
 
 from ..baselines.nccl import NcclCommunicator
-from ..cluster.gpu import Stream
+from ..cluster.gpu import PCIE_GBPS, Stream
 from ..collectives.types import Collective
 from ..core.shim import MccsClient, MccsCommunicator
 from ..netsim.engine import FlowSimulator
@@ -131,14 +131,13 @@ class TrafficGenerator:
         stream: Stream,
         *,
         name: Optional[str] = None,
-        pcie_gBps: float = 12.0,
     ) -> None:
         self.sim = sim
         self.issuer = issuer
         self.trace = trace
         self.stream = stream
         self.name = name or trace.name
-        self.pcie_rate = pcie_gBps * 1e9
+        self.pcie_rate = PCIE_GBPS * 1e9
         self.stats = GeneratorStats()
         self._step = 0
         self._on_finish: Optional[Callable[["TrafficGenerator", float], None]] = None

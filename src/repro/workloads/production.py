@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..core.policies.ring_order import expected_random_cross_rack_ratio
 
@@ -42,9 +42,6 @@ class TrainingBreakdown:
         total = self.idle + self.memcpy + self.compute + self.comm
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"breakdown of {self.group} sums to {total}")
-
-    def as_row(self) -> Tuple[str, float, float, float, float]:
-        return (self.group, self.idle, self.memcpy, self.compute, self.comm)
 
 
 def product_group_breakdowns(seed: int = 2024) -> List[TrainingBreakdown]:

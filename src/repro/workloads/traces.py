@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..collectives.types import Collective
-from .models import ModelProfile, gradient_buckets, gpt_2_7b, resnet50, vgg19
+from .models import ModelProfile, gradient_buckets, gpt_2_7b, vgg19
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,6 @@ class TrainingTrace:
     steps: List[TraceStep]
     iterations: int
     steps_per_iteration: int
-
-    def total_collective_bytes(self) -> int:
-        return sum(s.out_bytes for s in self.steps if s.collective is not None)
-
-    def total_compute_seconds(self) -> float:
-        return sum(s.compute_seconds for s in self.steps)
-
-    def collective_count(self) -> int:
-        return sum(1 for s in self.steps if s.collective is not None)
-
-    def total_memcpy_bytes(self) -> int:
-        return sum(s.memcpy_bytes for s in self.steps)
 
 
 def _jittered(value: float, jitter: float, rng: Optional[random.Random]) -> float:
@@ -154,11 +142,6 @@ def vgg19_dp_trace(iterations: int, **kw) -> TrainingTrace:
 def gpt_tp_trace(iterations: int, **kw) -> TrainingTrace:
     """Tenants B/C of §6.4: 2.7B GPT fine-tuning, tensor parallel."""
     return tensor_parallel_trace(gpt_2_7b(), iterations, **kw)
-
-
-def resnet50_dp_trace(iterations: int, **kw) -> TrainingTrace:
-    """The §6.5 simulation workload: ResNet-50 DDP, 100 MB of gradients."""
-    return data_parallel_trace(resnet50(), iterations, **kw)
 
 
 def geo_distributed_trace(

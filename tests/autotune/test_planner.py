@@ -1,5 +1,7 @@
 """Offline planner: cost model, candidate space, ranking, table building."""
 
+import json
+
 import pytest
 
 from repro.autotune import (
@@ -230,7 +232,7 @@ def test_plan_publishes_metrics(cluster, gpus):
     assert counter.value(kind="all_reduce") == planner.plans_evaluated
 
 
-def test_build_table_round_trips_through_json(cluster, gpus, tmp_path):
+def test_build_table_round_trips_through_json(cluster, gpus):
     planner = StrategyPlanner(cluster)
     sizes = (48 * KB, 64 * KB, 64 * MB)  # first two share bucket 16
     table = planner.build_table(
@@ -238,9 +240,7 @@ def test_build_table_round_trips_through_json(cluster, gpus, tmp_path):
     )
     buckets = {size_bucket(s) for s in sizes}
     assert len(table) == 2 * len(buckets)
-    path = str(tmp_path / "table.json")
-    table.save(path)
-    restored = TuningTable.load(path)
+    restored = TuningTable.from_json(json.loads(json.dumps(table.to_json())))
     assert restored.to_json() == table.to_json()
     fp = topology_fingerprint(cluster, gpus)
     hit = restored.lookup("all_reduce", len(gpus), 48 * KB, fp)

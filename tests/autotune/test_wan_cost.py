@@ -15,7 +15,7 @@ from repro.core.algorithms import get_algorithm
 from repro.experiments.setups import single_app_gpus
 from repro.netsim.fabric import RegionSpec
 from repro.netsim.units import KB, MB, gbps
-from repro.synth import hierarchical_allreduce_program, temporarily_registered
+from repro.synth import hierarchical_allreduce_program
 
 RING = get_algorithm("ring")
 
@@ -74,7 +74,7 @@ def test_rtt_term_zero_without_regions_or_crossings(two_regions):
 
 
 def test_builtin_pays_rtt_on_every_step_synth_only_on_crossing_steps(
-    two_regions,
+    two_regions, temporarily_registered
 ):
     cluster, gpus = two_regions
     wan_rtt = cluster.fabric.spec.wan_rtt
@@ -109,7 +109,7 @@ def test_builtin_pays_rtt_on_every_step_synth_only_on_crossing_steps(
 
 @pytest.mark.parametrize("size", [64 * KB, 64 * MB])
 def test_hierarchical_beats_flat_ring_on_multi_region_fingerprint(
-    two_regions, size
+    two_regions, size, temporarily_registered
 ):
     """Satellite acceptance: on the ``multi_region`` fingerprint the
     two-level schedule out-predicts the flat locality ring at both a

@@ -3,9 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.placement import ClusterAllocator, hosts_spanned, racks_spanned
+from repro.cluster.placement import ClusterAllocator
 from repro.cluster.specs import custom_cluster, large_cluster
 from repro.netsim.errors import PlacementError
+
+
+def racks_spanned(cluster, gpus):
+    return len({cluster.rack_of(g) for g in gpus})
+
+
+def hosts_spanned(gpus):
+    return len({g.host_id for g in gpus})
 
 
 @pytest.fixture
@@ -28,7 +36,7 @@ def test_compact_placement_minimizes_racks(cluster):
     alloc = ClusterAllocator(cluster, seed=1)
     gpus = alloc.place_compact("j1", 8)
     assert racks_spanned(cluster, gpus) == 1
-    assert hosts_spanned(cluster, gpus) == 2
+    assert hosts_spanned(gpus) == 2
 
 
 def test_compact_spills_to_second_rack(cluster):
@@ -50,7 +58,7 @@ def test_release_returns_gpus(cluster):
     alloc.place_random("j1", 8)
     alloc.release("j1")
     assert alloc.free_count == 32
-    assert alloc.gpus_of_job("j1") == []
+    assert len(alloc.place_random("j1", 32)) == 32  # the id is free again
 
 
 def test_over_allocation_rejected(cluster):
@@ -96,5 +104,5 @@ def test_compact_on_large_cluster_packs_16_gpu_job():
     cluster = large_cluster()
     alloc = ClusterAllocator(cluster, seed=0)
     gpus = alloc.place_compact("j", 16)
-    assert hosts_spanned(cluster, gpus) == 2
+    assert hosts_spanned(gpus) == 2
     assert racks_spanned(cluster, gpus) == 1

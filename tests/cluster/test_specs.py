@@ -1,7 +1,5 @@
 """Cluster assembly and GPU/NIC affinity tests."""
 
-import pytest
-
 from repro.cluster.specs import (
     custom_cluster,
     large_cluster,
@@ -32,10 +30,10 @@ def test_rack_mapping():
 
 
 def test_nic_affinity():
+    # GPU k sends channel 0 through its affine NIC k.
     cl = testbed_cluster()
-    gpu = cl.hosts[1].gpus[1]
-    assert cl.nic_of(gpu).index == 1
-    assert cl.nic_of(gpu).node_id == "h1.nic1"
+    assert cl.nic_of_channel(cl.hosts[1].gpus[1], 0) == "h1.nic1"
+    assert cl.nic_of_channel(cl.hosts[1].gpus[0], 0) == "h1.nic0"
 
 
 def test_nic_of_channel_rotates():
@@ -79,13 +77,6 @@ def test_interference_penalty_threads_through():
     assert cl.sim.interference_penalty == 0.25
 
 
-def test_host_nic_for_foreign_gpu_rejected():
-    cl = testbed_cluster()
-    with pytest.raises(ValueError):
-        cl.hosts[0].nic_for_gpu(cl.hosts[1].gpus[0])
-
-
 def test_gpus_of_host():
     cl = testbed_cluster()
-    gpus = cl.gpus_of_host(2)
-    assert [g.global_id for g in gpus] == [4, 5]
+    assert [g.global_id for g in cl.hosts[2].gpus] == [4, 5]

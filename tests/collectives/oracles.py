@@ -268,7 +268,7 @@ def compile_ring(
 ) -> Tuple[Tuple[int, int, int, float], ...]:
     """(src_rank, dst_rank, channel, nbytes) per flow, channel-major."""
     world = schedule.world
-    root_position = schedule.position_of(root)
+    root_position = schedule.order.index(root)
     per_channel = out_bytes / channels
     per_edge = edge_traffic(kind, per_channel, world, root_position)
     return tuple(

@@ -24,14 +24,11 @@ from repro.collectives.types import Collective, ReduceOp
 from repro.core.algorithms import (
     AlgorithmContext,
     get_algorithm,
+    register_algorithm,
     registered_algorithms,
     unregister_algorithm,
 )
-from repro.synth import (
-    hierarchical_allreduce_program,
-    register_program,
-    ring_program,
-)
+from repro.synth import SynthAlgorithm, hierarchical_allreduce_program, ring_program
 
 # Synthesized entries exercised by the shared suite: a two-level
 # hierarchical all-reduce (its native world is 4; every other world
@@ -51,7 +48,7 @@ ALL_ALGORITHMS = registered_algorithms() + [p.name for p in _SYNTH_PROGRAMS]
 @pytest.fixture(scope="module", autouse=True)
 def _synth_programs_registered():
     for program in _SYNTH_PROGRAMS:
-        register_program(program)
+        register_algorithm(SynthAlgorithm(program))
     yield
     for program in _SYNTH_PROGRAMS:
         unregister_algorithm(program.name)

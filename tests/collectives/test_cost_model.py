@@ -6,7 +6,6 @@ from repro.collectives.cost_model import (
     LatencyModel,
     MCCS_LATENCY,
     NCCL_LATENCY,
-    effective_bandwidth,
     ring_allreduce_cost,
     select_ring_or_tree,
     tree_allreduce_cost,
@@ -53,21 +52,3 @@ def test_selection_validates_world():
     with pytest.raises(ValueError):
         select_ring_or_tree(1024, 1)
 
-
-def test_effective_bandwidth_monotone_in_size():
-    small = effective_bandwidth(32 * 1024, 6, 6.25e9, MCCS_LATENCY)
-    large = effective_bandwidth(512 * 1024**2, 6, 6.25e9, MCCS_LATENCY)
-    assert small < large < 6.25e9
-    assert large > 0.99 * 6.25e9
-
-
-def test_effective_bandwidth_penalizes_mccs_at_small_sizes():
-    """The Figure 6 small-message story in closed form."""
-    size = 512 * 1024
-    nccl = effective_bandwidth(size, 6, 6.25e9, NCCL_LATENCY)
-    mccs = effective_bandwidth(size, 6, 6.25e9, MCCS_LATENCY)
-    assert mccs < nccl
-    size = 512 * 1024**2
-    nccl = effective_bandwidth(size, 6, 6.25e9, NCCL_LATENCY)
-    mccs = effective_bandwidth(size, 6, 6.25e9, MCCS_LATENCY)
-    assert mccs == pytest.approx(nccl, rel=0.01)

@@ -23,9 +23,8 @@ from repro.collectives import (
     hierarchical_allreduce_program,
     make_program,
     ring_program,
-    run_program,
-    toposort,
 )
+from repro.collectives.executor import schedule
 from repro.collectives.ir import chunk_spans
 from repro.collectives.reference import reference_outputs
 from repro.collectives.types import Collective, ReduceOp
@@ -51,7 +50,7 @@ def naive_run(program, inputs, op):
     spans = chunk_spans(program.kind, work[0].size, program.num_chunks, world)
     view = lambda rank, chunk: work[rank][slice(*spans[chunk])]
     in_flight = {}
-    for rank, idx in toposort(program):
+    for rank, idx in schedule(program)[0]:
         instr = program.rank_programs[rank][idx]
         if instr.kind is OpKind.SEND:
             key = (rank, instr.peer, instr.chunk, instr.channel, instr.step)
@@ -134,7 +133,7 @@ def test_ring_program_matches_reference(kind, world, elems, op, seed):
     root = world - 1
     inputs = _inputs(kind, world, elems, np.int64, rng)
     kept = [a.copy() for a in inputs]
-    outputs = run_program(ring_program(kind, world, root=root), inputs, op)
+    outputs = compile_program(ring_program(kind, world, root=root)).run(inputs, op)
     _assert_same(outputs, reference_outputs(kind, kept, op=op, root=root))
     _assert_same(inputs, kept)  # send buffers are never written
 
@@ -160,7 +159,7 @@ def test_position_space_plan_relabelled_equals_program_built_on_the_order(
     size = 6 * world if kind is Collective.REDUCE_SCATTER else 11
     floats = [rng.standard_normal(size).astype(np.float32) for _ in range(world)]
     plan = builtin_plan("ring", kind, world, list(order).index(root))
-    direct = run_program(ring_program(kind, world, order=order, root=root), floats)
+    direct = compile_program(ring_program(kind, world, order=order, root=root)).run(floats)
     _assert_same(plan.run(floats, order=order), direct)
     ints = _inputs(kind, world, 5, np.int32, rng)
     _assert_same(
@@ -187,7 +186,7 @@ def test_tree_and_butterfly_programs_match_reference(world, size, op, dtype, see
         programs.append(halving_doubling_program(world, order=order))
     for program in programs:
         validate_program(program)
-        outputs = run_program(program, inputs, op)
+        outputs = compile_program(program).run(inputs, op)
         assert all(out.dtype == dtype for out in outputs)
         _assert_same(outputs, expected)
 
@@ -207,7 +206,7 @@ def test_hierarchical_allreduce_matches_reference(g, m, elems, op, seed):
     rng = np.random.default_rng(seed)
     groups = [list(range(j * m, (j + 1) * m)) for j in range(g)]
     inputs = _inputs(Collective.ALL_REDUCE, world, elems, np.int64, rng)
-    outputs = run_program(hierarchical_allreduce_program(groups), inputs, op)
+    outputs = compile_program(hierarchical_allreduce_program(groups)).run(inputs, op)
     _assert_same(outputs, reference_outputs(Collective.ALL_REDUCE, inputs, op=op))
 
 
@@ -363,7 +362,7 @@ def test_naive_interpreter_agrees_on_every_ring_kind(kind):
         rng.standard_normal(15).astype(np.float32) for _ in range(5)
     ]
     program = ring_program(kind, 5, root=3)
-    _assert_same(run_program(program, inputs), naive_run(program, inputs, ReduceOp.SUM))
+    _assert_same(compile_program(program).run(inputs), naive_run(program, inputs, ReduceOp.SUM))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +417,7 @@ def test_copy_between_unequal_chunks_is_rejected_at_resolve_time():
         num_chunks=2,
     )
     with pytest.raises(MalformedProgramError, match="copies chunk 0"):
-        run_program(program, [np.zeros(3), np.zeros(3)])
+        compile_program(program).run([np.zeros(3), np.zeros(3)])
 
 
 # ---------------------------------------------------------------------------

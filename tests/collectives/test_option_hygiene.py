@@ -1,16 +1,16 @@
 """A value nobody sets is a constant, and it stays one.
 
-Every field of a control-plane policy dataclass (``*Policy`` / ``*Config``
-/ ``*Model`` / ``*Quota`` / ``Backoff`` under ``core/``, ``autotune/``,
-``synth/``, ``service/`` and ``resilience.py``) is an independently
-settable value that tests and benchmarks would have to cover.  This check
-walks every call in ``src/``, ``benchmarks/`` and ``examples/`` and fails
-when a field is set by no product caller — it should be a module constant
-— or when one of the policy objects and pass-through knobs deleted for
-that reason grows back.  Tests that need another value patch the
-constant.  The planner and the synthesizer also ask an algorithm or a
-fabric spec what it is through declared attributes, never by probing
-with ``getattr``.
+Every field of a policy dataclass (``*Policy`` / ``*Config`` / ``*Model``
+/ ``*Quota`` / ``Backoff``) and every keyword default of an ``__init__``
+under ``src/repro`` — ``experiments/`` aside, whose ``run_*`` parameters
+are sweep sizes the tests shrink — is an independently settable value
+that tests and benchmarks would have to cover.  These checks walk every
+call in ``src/``, ``benchmarks/`` and ``examples/`` and fail when such a
+value is set by no product caller — it should be a module constant that
+tests patch — or when one of the knobs and helpers deleted for that
+reason grows back.  The planner and the synthesizer also ask an
+algorithm or a fabric spec what it is through declared attributes, never
+by probing with ``getattr``.
 """
 
 import ast
@@ -20,10 +20,19 @@ import re
 from .test_data_plane_hygiene import SOURCES, TEXT, TREE, _relative
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
-SCOPE = ("core/", "autotune/", "synth/", "service/", "resilience.py")
 OPTION_CLASS = re.compile(r"(Policy|Config|Model|Quota)$|^Backoff$")
 
-#: Fields only tests set today.  This list may only shrink.
+#: Every product tree: the package, the benchmarks and the examples.
+PRODUCT = {
+    **TREE,
+    **{
+        path: ast.parse(path.read_text())
+        for folder in ("benchmarks", "examples")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    },
+}
+
+#: Dataclass fields only tests set today.  This list may only shrink.
 UNSET_BY_PRODUCT_CODE = {
     "AdmissionPolicy.total_inflight",
     "AdmissionPolicy.default_class",
@@ -33,11 +42,46 @@ UNSET_BY_PRODUCT_CODE = {
     "Backoff.jitter",
 }
 
+#: ``__init__`` keyword defaults no product caller sets, kept on purpose.
+#: This list may only shrink.
+KEPT_INIT_DEFAULTS = {
+    # a credential is never a constant in source
+    "ServiceGateway.secret",
+    # NCCL's own tuning knobs on the baseline (Demystifying NCCL)
+    "NcclCommunicator.algorithm",
+    "NcclCommunicator.channels",
+}
+
 RETIRED = re.compile(
     r"RecoveryPolicy|ElasticPolicy|AutotuneConfig|EpsilonGreedy|make_bandit"
     r"|configure_slo|set_slo_policy|control_latency="
     r"|estimate_program_seconds|beam_width|channel_options|chunk_options|mccs_latency"
+    # knobs and behaviours with no product caller
+    r"|SloPolicy|slo_violation|on_violation|p99_targets|strict_consistency"
+    r"|max_dumps|snapshot_traces|gpus_per_comm|class_weights|pcie_gBps|gpu_memory"
+    # helpers only tests reached
+    r"|ClusterSpec|RandomSelector|ClosEcmpSelector|diurnal_arrivals"
+    r"|bytes_to_gb|parse_size|chunk_for_step|ring_neighbors|bus_bandwidth"
+    r"|effective_bandwidth|geometric_mean|bottleneck_rate|run_scale_workload"
+    r"|temporarily_registered|register_program|registered_synth_algorithms"
+    r"|\bis_valid\b|\btoposort\b|\brun_program\b|\bwith_ring\b|\bwith_routes\b"
+    r"|\bwhen_all\b|\brate_of\b|\bhas_flow\b|\bvacate\b|\bstop_all\b|\blink_loads\b"
+    r"|\brates_by_id\b|\bbottleneck_of\b|\bbottleneck_link_of\b|\bremove_observer\b"
+    r"|\bhosts_of_leaf\b|\bhosts_of_region\b|\bsame_rack\b|\bintra_host_path\b"
+    r"|\bfabric_paths\b|\bspine_links\b|\bout_links\b|\bdown_links\b|\bfind_flow\b"
+    r"|\bnic_for_gpu\b|\bgpus_of_host\b|\bgpus_of_job\b|\bracks_spanned\b"
+    r"|\bhosts_spanned\b|\branks_by_host\b|\ballocations_of\b|\blive_bytes\b"
+    r"|\bschedule_of\b|\bbridge_wait\b|\bposition_of\b|\bconnection_path\b"
+    r"|\binter_host_connections\b|\blink_series\b|\bevicted_samples\b"
+    r"|\battached_comms\b|\bcurrent_strategy\b|\bring_edges_between_hosts\b"
+    r"|\bedge_id\b|\bas_row\b|\bas_dict\b|\bfailed_ranks\b|\bCollectiveError\b"
+    r"|resnet50_dp_trace|total_collective_bytes|total_compute_seconds"
+    r"|total_memcpy_bytes|\bcollective_count\b|\.progress\(|def dec\(|\.gauges\(\)"
 )
+
+
+def _in_scope(path):
+    return not _relative(path).startswith("experiments/")
 
 
 def _is_dataclass(cls):
@@ -57,7 +101,7 @@ def _option_classes():
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
         ]
         for path in SOURCES
-        if _relative(path).startswith(SCOPE)
+        if _in_scope(path)
         for node in ast.walk(TREE[path])
         if isinstance(node, ast.ClassDef)
         and OPTION_CLASS.search(node.name)
@@ -65,31 +109,64 @@ def _option_classes():
     }
 
 
-def _product_trees():
-    yield from TREE.values()
-    for folder in ("benchmarks", "examples"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            yield ast.parse(path.read_text())
+def _init_signatures():
+    """Class name -> (positional parameters, parameters with a default)
+    of every ``__init__`` in scope."""
+    signatures = {}
+    for path in SOURCES:
+        if not _in_scope(path):
+            continue
+        for cls in ast.walk(TREE[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    args = item.args
+                    positional = [a.arg for a in args.posonlyargs + args.args][1:]
+                    defaulted = positional[len(positional) - len(args.defaults):]
+                    defaulted += [
+                        a.arg
+                        for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                        if default is not None
+                    ]
+                    signatures[cls.name] = (positional, defaulted)
+    return signatures
 
 
-def test_every_option_field_is_set_by_a_product_caller():
-    classes = _option_classes()
-    assert {"AdmissionPolicy", "GatewayPolicy", "Backoff"} <= set(classes)
+def _set_by_product(parameters):
+    """``Class.parameter`` for every value a product call passes, given
+    each callee's parameters in positional order."""
     passed = set()
-    for tree in _product_trees():
+    for tree in PRODUCT.values():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            fields = classes.get(name)
-            if fields is None:
+            names = parameters.get(name)
+            if names is None:
                 continue
-            passed.update(f"{name}.{field}" for field in fields[: len(node.args)])
+            passed.update(f"{name}.{p}" for p in names[: len(node.args)])
             passed.update(f"{name}.{kw.arg}" for kw in node.keywords)
+    return passed
+
+
+def test_every_option_field_is_set_by_a_product_caller():
+    classes = _option_classes()
+    assert {"AdmissionPolicy", "Backoff", "LatencyModel"} <= set(classes)
     declared = {
         f"{name}.{field}" for name, fields in classes.items() for field in fields
     }
-    assert declared - passed == UNSET_BY_PRODUCT_CODE
+    assert declared - _set_by_product(classes) == UNSET_BY_PRODUCT_CODE
+
+
+def test_every_init_default_is_set_by_a_product_caller():
+    signatures = _init_signatures()
+    assert {"FlowSimulator", "ServiceGateway", "NcclCommunicator"} <= set(signatures)
+    defaulted = {
+        f"{name}.{p}" for name, (_, params) in signatures.items() for p in params
+    }
+    passed = _set_by_product({name: pos for name, (pos, _) in signatures.items()})
+    assert defaulted - passed == KEPT_INIT_DEFAULTS
 
 
 def test_retired_knobs_stay_retired():

@@ -1,7 +1,5 @@
 """Flow-program cache: LRU behavior and launch-path reuse."""
 
-import pytest
-
 from repro.collectives.programs import FlowProgramCache
 
 
@@ -28,8 +26,9 @@ def test_distinct_keys_compile_separately():
     assert cache.misses == 2
 
 
-def test_lru_eviction_drops_oldest():
-    cache = FlowProgramCache(maxsize=2)
+def test_lru_eviction_drops_oldest(monkeypatch):
+    monkeypatch.setattr("repro.collectives.programs.PROGRAM_CACHE_SIZE", 2)
+    cache = FlowProgramCache()
     cache.get("a", lambda: 1)
     cache.get("b", lambda: 2)
     cache.get("a", lambda: 1)  # refresh a; b is now oldest
@@ -53,11 +52,6 @@ def test_clear_resets_entries_but_not_counters():
     cache.clear()
     assert len(cache) == 0
     assert cache.misses == 1
-
-
-def test_rejects_nonpositive_maxsize():
-    with pytest.raises(ValueError):
-        FlowProgramCache(maxsize=0)
 
 
 def test_launcher_reuses_ring_program():

@@ -31,12 +31,6 @@ def test_edges_wrap_around():
     assert sched.edges() == [(2, 0), (0, 1), (1, 2)]
 
 
-def test_position_of():
-    sched = RingSchedule((2, 0, 1))
-    assert sched.position_of(0) == 1
-    assert sched.position_of(2) == 0
-
-
 def test_reversed_schedule():
     sched = RingSchedule((0, 1, 2, 3))
     assert sched.reversed().order == (3, 2, 1, 0)

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.collectives.bandwidth import (
-    algorithm_bandwidth,
-    bus_bandwidth,
-    busbw_factor,
-)
-from repro.collectives.chunking import chunk_bounds, chunk_for_step, ring_neighbors
+from repro.collectives.bandwidth import algorithm_bandwidth, busbw_factor
+from repro.collectives.chunking import chunk_bounds
 from repro.collectives.types import (
     Collective,
     ReduceOp,
@@ -73,16 +69,6 @@ def test_chunk_bounds_validation():
         chunk_bounds(-1, 2)
 
 
-def test_chunk_for_step_wraps():
-    assert chunk_for_step(0, 1, 4) == 3
-    assert chunk_for_step(2, 1, 4) == 1
-
-
-def test_ring_neighbors():
-    assert ring_neighbors(0, 4) == (3, 1)
-    assert ring_neighbors(3, 4) == (2, 0)
-
-
 # -- bandwidth accounting ----------------------------------------------------------
 def test_busbw_factors():
     assert busbw_factor(Collective.ALL_REDUCE, 4) == pytest.approx(1.5)
@@ -98,7 +84,9 @@ def test_algorithm_bandwidth():
 
 
 def test_bus_bandwidth_composes():
-    assert bus_bandwidth(Collective.ALL_REDUCE, 1e9, 1.0, 2) == pytest.approx(1e9)
+    # nccl-tests busbw = algbw * factor; at two ranks AllReduce's is 1.
+    busbw = algorithm_bandwidth(1e9, 1.0) * busbw_factor(Collective.ALL_REDUCE, 2)
+    assert busbw == pytest.approx(1e9)
 
 
 @given(st.integers(2, 64))

@@ -1,10 +1,14 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
+
 import pytest
 
 from repro.cluster.specs import ring_cluster, testbed_cluster
+from repro.core.algorithms import register_algorithm, unregister_algorithm
 from repro.core.controller import CentralManager
 from repro.core.deployment import MccsDeployment
+from repro.synth import SynthAlgorithm
 from repro.telemetry import TelemetryHub
 
 
@@ -37,6 +41,28 @@ def manager(deployment):
 def four_gpus(cluster):
     """One GPU per host (the 4-GPU single-app setup)."""
     return [cluster.hosts[h].gpus[0] for h in range(4)]
+
+
+@pytest.fixture
+def temporarily_registered():
+    """``with temporarily_registered(*programs) as algorithms:`` registers
+    synthesized programs for the block and removes them after it, so no
+    test leaks a candidate into another's planner runs."""
+
+    @contextlib.contextmanager
+    def registered(*programs, fingerprint=None):
+        algorithms = []
+        try:
+            for program in programs:
+                algorithm = SynthAlgorithm(program, fingerprint=fingerprint)
+                register_algorithm(algorithm)
+                algorithms.append(algorithm)
+            yield algorithms
+        finally:
+            for algorithm in algorithms:
+                unregister_algorithm(algorithm.name)
+
+    return registered
 
 
 @pytest.fixture

@@ -226,13 +226,13 @@ def _example_algorithm():
 @pytest.mark.parametrize(
     "name", ["ring", "tree", "halving_doubling", "star-test", "hierarchical", "synth"]
 )
-def test_simulated_bytes_per_pair_are_the_plans(name, kind, star):
+def test_simulated_bytes_per_pair_are_the_plans(name, kind, star, temporarily_registered):
     """The two clocks describe one schedule: on the testbed, the bytes the
     simulator carries per directed rank pair equal ``plan.edge_bytes`` —
     for every built-in, a synthesized program, and the two provider
     algorithms that only write ``plan()`` (the example's hand-written
     flows used to model a different schedule than its program)."""
-    from repro.synth import hierarchical_allreduce_program, temporarily_registered
+    from repro.synth import hierarchical_allreduce_program
 
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster)

@@ -82,12 +82,6 @@ def test_strategy_world_must_match():
         deployment.create_communicator("app", gpus, strategy=default_strategy(3))
 
 
-def test_ranks_by_host(env):
-    cluster, deployment, comm, client, handle = env
-    by_host = comm.ranks_by_host()
-    assert by_host == {0: [0], 1: [1], 2: [2], 3: [3]}
-
-
 def test_data_plane_respects_reduce_op(env):
     cluster, deployment, comm, client, handle = env
     gpus = comm.gpus

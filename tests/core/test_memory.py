@@ -21,7 +21,7 @@ def test_allocate_exports_handle(env):
     alloc = mm.allocate("app", gpu, 256, host.ipc)
     assert alloc.buffer.size == 256
     assert host.ipc.open_memory(alloc.handle) is alloc.buffer
-    assert mm.live_bytes() == 256
+    assert mm.bytes_allocated - mm.bytes_freed == 256
 
 
 def test_validate_accepts_in_range(env):
@@ -73,7 +73,7 @@ def test_free_requires_closed_handle(env):
         mm.free("app", alloc.buffer_id, host.ipc)
     host.ipc.close_memory(alloc.handle)
     mm.free("app", alloc.buffer_id, host.ipc)
-    assert mm.live_bytes() == 0
+    assert mm.bytes_allocated - mm.bytes_freed == 0
 
 
 def test_free_checks_ownership(env):
@@ -92,6 +92,6 @@ def test_free_unknown_buffer(env):
 def test_allocations_of_app(env):
     cl, host, gpu, mm = env
     a = mm.allocate("appA", gpu, 64, host.ipc)
-    mm.allocate("appB", gpu, 64, host.ipc)
-    mine = mm.allocations_of("appA")
-    assert list(mine) == [a.buffer_id]
+    b = mm.allocate("appB", gpu, 64, host.ipc)
+    owners = {bid: alloc.app_id for bid, alloc in mm.allocations().items()}
+    assert owners == {a.buffer_id: "appA", b.buffer_id: "appB"}

@@ -25,8 +25,8 @@ def test_alloc_opens_ipc_handle(env):
     assert buf.size == 1024
     assert cluster.hosts[0].ipc.is_open(buf.handle)
     # The device memory is the service's allocation, shared by handle.
-    service_alloc = deployment.service_of(0).memory.allocations_of("app")
-    assert buf.buffer_id in service_alloc
+    service_alloc = deployment.service_of(0).memory.allocations()
+    assert service_alloc[buf.buffer_id].app_id == "app"
 
 
 def test_free_closes_handle_then_forwards(env):
@@ -35,7 +35,8 @@ def test_free_closes_handle_then_forwards(env):
     buf = client.alloc(gpu, 1024)
     client.free(buf)
     assert not cluster.hosts[0].ipc.is_open(buf.handle)
-    assert deployment.service_of(0).memory.live_bytes() == 0
+    memory = deployment.service_of(0).memory
+    assert memory.bytes_allocated - memory.bytes_freed == 0
     with pytest.raises(MccsError):
         client.free(buf)
 
@@ -44,8 +45,8 @@ def test_alloc_routes_to_owning_host(env):
     cluster, deployment, client = env
     gpu = cluster.hosts[2].gpus[1]
     client.alloc(gpu, 512)
-    assert deployment.service_of(2).memory.live_bytes() == 512
-    assert deployment.service_of(0).memory.live_bytes() == 0
+    assert deployment.service_of(2).memory.bytes_allocated == 512
+    assert deployment.service_of(0).memory.bytes_allocated == 0
 
 
 def test_misrouted_allocation_rejected(env):

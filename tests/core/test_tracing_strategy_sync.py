@@ -10,7 +10,7 @@ from repro.collectives.ring import RingSchedule
 from repro.collectives.types import Collective
 from repro.core.messages import CommandQueue, AllocateRequest
 from repro.core.strategy import CollectiveStrategy, default_strategy
-from repro.core.sync import bridge_wait, export_snapshot, snapshot_event
+from repro.core.sync import export_snapshot, snapshot_event
 from repro.core.tracing import CommTrace, TraceRecord
 from repro.netsim.engine import FlowSimulator
 from repro.netsim.errors import CommunicatorError
@@ -123,12 +123,6 @@ def test_evolve_bumps_version():
     assert s3.ring.order == (2, 1, 0)  # carried forward
 
 
-def test_with_helpers():
-    s = default_strategy(3)
-    assert s.with_ring(RingSchedule((1, 0, 2))).version == 1
-    assert s.with_routes({(1, 2, 0): 0}).route_map() == {(1, 2, 0): 0}
-
-
 # -- command queue -----------------------------------------------------------------
 def test_queue_requires_binding():
     q = CommandQueue()
@@ -171,7 +165,7 @@ def test_export_and_bridge(sim_gpu):
     consumer = gpu.create_stream()
     producer.compute(1.0)
     _, handle = export_snapshot(producer, ipc)
-    bridge_wait(consumer, ipc, handle)
+    consumer.wait_event(ipc.open_event(handle))
     marks = []
     consumer.add_callback(lambda: marks.append(sim.now))
     sim.run()

@@ -100,6 +100,15 @@ def test_clearing_schedule_releases_flows(sim):
     assert flow.end_time == pytest.approx(1.0)
 
 
+def test_schedule_of(sim):
+    gates = TrafficGateManager(sim, TelemetryHub(sim))
+    schedule = closed_then_open()
+    gates.set_schedule("app", schedule)
+    assert gates._schedules == {"app": schedule}
+    gates.set_schedule("app", None)  # clearing forgets the app
+    assert gates._schedules == {}
+
+
 def test_ticker_sleeps_when_no_live_flows(sim):
     """The simulator must drain even with a schedule installed."""
     gates = TrafficGateManager(sim, TelemetryHub(sim))
@@ -109,14 +118,6 @@ def test_ticker_sleeps_when_no_live_flows(sim):
     t = sim.run()  # must terminate (ticker stops once the flow is done)
     assert flow.completed
     assert t < 10.0
-
-
-def test_schedule_of(sim):
-    gates = TrafficGateManager(sim, TelemetryHub(sim))
-    schedule = closed_then_open()
-    gates.set_schedule("app", schedule)
-    assert gates.schedule_of("app") is schedule
-    assert gates.schedule_of("ghost") is None
 
 
 # -- no per-flow state: the engine is asked who is in the network -----------------
@@ -181,7 +182,8 @@ def test_window_toggles_skip_flows_that_left_meanwhile():
 def test_gate_holds_no_flows():
     sim = two_link_sim()
     gates = TrafficGateManager(sim, TelemetryHub(sim))
-    gates.set_schedule("app", closed_then_open())
+    schedule = closed_then_open()
+    gates.set_schedule("app", schedule)
     gates.register(sim.add_flows([(4.0, ["a->b"], c) for c in range(3)], job_id="app"))
     sim.run()
     held = [
@@ -189,7 +191,7 @@ def test_gate_holds_no_flows():
         for value in vars(gates).values()
         if isinstance(value, (dict, set, list)) and value
     ]
-    assert held == [{"app": gates.schedule_of("app")}]
+    assert held == [{"app": schedule}]
 
 
 def test_p2p_flows_are_gated():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.specs import testbed_cluster
-from repro.experiments.report import Stat, cdf_points, format_table, geometric_mean
+from repro.experiments.report import Stat, cdf_points, format_table
 from repro.experiments.setups import (
     multi_app_setups,
     naive_tenant_order,
@@ -95,12 +95,6 @@ def test_format_table_alignment():
 def test_cdf_points():
     pts = cdf_points([3.0, 1.0, 2.0])
     assert pts == [(1.0, pytest.approx(1 / 3)), (2.0, pytest.approx(2 / 3)), (3.0, 1.0)]
-
-
-def test_geometric_mean():
-    assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        geometric_mean([])
 
 
 def test_ascii_cdf_renders_quantiles():

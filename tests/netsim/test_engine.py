@@ -133,35 +133,6 @@ def test_capacity_must_stay_positive():
         sim.set_link_capacity("ghost", 1.0)
 
 
-def test_when_all_fires_after_last():
-    sim = FlowSimulator(line_topo())
-    f1 = sim.add_flow(8.0, ["a->b"])
-    f2 = sim.add_flow(4.0, ["b->c"])
-    times = []
-    sim.when_all([f1, f2], times.append)
-    sim.run()
-    assert times == [pytest.approx(1.0)]
-
-
-def test_when_all_with_no_pending_fires_immediately():
-    sim = FlowSimulator(line_topo())
-    f = sim.add_flow(8.0, ["a->b"])
-    sim.run()
-    times = []
-    sim.when_all([f], times.append)
-    sim.run()
-    assert times == [pytest.approx(1.0)]
-
-
-def test_when_all_preserves_existing_callbacks():
-    sim = FlowSimulator(line_topo())
-    order = []
-    f = sim.add_flow(8.0, ["a->b"], on_complete=lambda fl, t: order.append("own"))
-    sim.when_all([f], lambda t: order.append("all"))
-    sim.run()
-    assert order == ["own", "all"]
-
-
 def test_call_in_negative_delay_rejected():
     sim = FlowSimulator(line_topo())
     with pytest.raises(ValueError):

@@ -186,7 +186,8 @@ def test_mixed_route_batch_equals_per_flow_adds():
     ]
     for sim, flows in ((batched, flows_b), (loose, flows_l)):
         sim.run(until=0.001)
-        rates.append([sim.rate_of(f) for f in flows])
+        sim._ensure_rates()
+        rates.append([f.rate for f in flows])
         sim.run()
     assert [f.flow_id for f in flows_b] == [f.flow_id for f in flows_l]
     assert [f.flow_id for f in flows_b] == [f"flow{n}" for n in range(1, 8)]
@@ -233,9 +234,9 @@ def test_cancel_flow_notifies_observers():
     sim.add_observer(recorder)
     flow = sim.add_flow(100.0, ["a->b"])
     sim.run(until=1.0)
-    assert sim.has_flow(flow)
+    assert flow.flow_id in sim._active
     sim.cancel_flow(flow)
-    assert not sim.has_flow(flow)
+    assert flow.flow_id not in sim._active
     assert recorder.cancelled == [(flow.flow_id, 1.0)]
     assert recorder.completed == []
     # Cancelling twice is a no-op, not a double notification.

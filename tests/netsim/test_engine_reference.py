@@ -139,7 +139,7 @@ def engine_run(script, repeats=1):
             sim.fail_link(LINK_IDS[arg])
         elif handles and handles[arg % len(handles)] is not None:
             flow = handles[arg % len(handles)]
-            if not sim.has_flow(flow):
+            if flow.flow_id not in sim._active:
                 return
             if kind == "cancel":
                 sim.cancel_flow(flow)

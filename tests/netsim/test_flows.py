@@ -1,7 +1,6 @@
 """Flow object invariants."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.netsim.engine import FlowSimulator
 from repro.netsim.flows import Flow
@@ -41,7 +40,6 @@ def test_initial_state():
     assert f.remaining == 10.0
     assert not f.completed
     assert f.active
-    assert f.progress() == 0.0
 
 
 def test_gated_flow_is_not_active():
@@ -56,14 +54,6 @@ def test_fct_requires_completion():
     f.start_time = 1.0
     f.end_time = 3.5
     assert f.fct() == pytest.approx(2.5)
-
-
-@given(st.floats(1.0, 1e9), st.floats(0.0, 1.0))
-def test_progress_bounds(size, frac):
-    f = Flow(size=size, path=("l",), flow_id="f")
-    f.remaining = size * (1 - frac)
-    assert 0.0 <= f.progress() <= 1.0 + 1e-9
-    assert f.progress() == pytest.approx(frac, abs=1e-6)
 
 
 def test_path_normalized_to_tuple():

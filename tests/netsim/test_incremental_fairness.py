@@ -30,9 +30,24 @@ def mk_flow(path, weight=1.0, gated=False, size=1e9):
     return Flow(size, tuple(path), f"f{next(_flow_ids)}", weight=weight, gated=gated)
 
 
+def bottleneck_of(solver, flow_id):
+    """Link that froze the flow's rate in the last solve, or None."""
+    slot = solver._slot_of.get(flow_id)
+    return None if slot is None else solver.bottleneck_of_slot(slot)
+
+
+def rates_by_id(solver):
+    """Flow id -> rate from the solver's most recent solve."""
+    return {
+        flow.flow_id: float(solver._rates[slot])
+        for slot, flow in enumerate(solver._slots)
+        if flow is not None
+    }
+
+
 def assert_matches_reference(solver, live, caps):
     solver.solve()
-    got = solver.rates_by_id()
+    got = rates_by_id(solver)
     want = progressive_filling(list(live.values()), caps)
     assert set(got) == set(want)
     for flow_id, rate in want.items():
@@ -123,10 +138,10 @@ def test_remembered_allocations_equal_a_fresh_solve(ops):
         oracle = IncrementalFairnessSolver(caps)
         oracle.add_flows(live)
         oracle.solve()
-        assert solver.rates_by_id() == oracle.rates_by_id()
+        assert rates_by_id(solver) == rates_by_id(oracle)
         for flow in live:
-            assert solver.bottleneck_of(flow.flow_id) == oracle.bottleneck_of(
-                flow.flow_id
+            assert bottleneck_of(solver, flow.flow_id) == bottleneck_of(
+                oracle, flow.flow_id
             )
         history.append([(f.path, f.weight, f.gated) for f in live])
 
@@ -139,7 +154,7 @@ def test_replay_hits_the_memo_and_a_capacity_change_misses_it():
         solver.add_flows(flows)
         changed, _ = solver.solve()
         assert changed.size == 2
-        rates = solver.rates_by_id()
+        rates = rates_by_id(solver)
         solver.remove_flows(flows)
         changed, _ = solver.solve()
         assert changed.size == 2  # both dropped back to 0
@@ -161,7 +176,7 @@ def test_replay_hits_the_memo_and_a_capacity_change_misses_it():
     flows = [mk_flow(LINKS[:2]), mk_flow(LINKS[1:3], weight=3.0)]
     solver.add_flows(flows)
     solver.solve(np.full(len(LINKS), 5.0))
-    rates = solver.rates_by_id()
+    rates = rates_by_id(solver)
     assert [rates[f.flow_id] for f in flows] == [r / 2 for r in first]
     assert (solver.memo_hits, solver.scalar_solves) == (2, 6)
 
@@ -174,21 +189,21 @@ def test_gated_flow_has_no_bottleneck():
     f2 = mk_flow(["a", "b"])
     solver.add_flows([f1, f2])
     solver.solve()
-    assert solver.bottleneck_of(f2.flow_id) == "a"
+    assert bottleneck_of(solver, f2.flow_id) == "a"
     f2.gated = True
     solver.set_active(f2, f2.active)
     solver.solve()
-    assert solver.rates_by_id()[f2.flow_id] == 0.0
-    assert solver.bottleneck_of(f2.flow_id) is None
-    assert solver.bottleneck_of(f1.flow_id) == "a"
+    assert rates_by_id(solver)[f2.flow_id] == 0.0
+    assert bottleneck_of(solver, f2.flow_id) is None
+    assert bottleneck_of(solver, f1.flow_id) == "a"
 
 
 def test_empty_solver_solves_to_nothing():
     solver = IncrementalFairnessSolver({"l0": 10.0})
     changed, rates = solver.solve()
     assert changed.size == 0
-    assert solver.rates_by_id() == {}
-    assert solver.link_loads() == {}
+    assert rates_by_id(solver) == {}
+    assert solver.link_utilization() == {}
 
 
 def test_changed_slots_are_only_the_moved_rates():
@@ -206,8 +221,8 @@ def test_changed_slots_are_only_the_moved_rates():
     changed, rates = solver.solve()
     moved = {solver._slots[int(s)].flow_id for s in changed}
     assert moved == {f1.flow_id, f2.flow_id}
-    assert solver.rates_by_id()[f0.flow_id] == pytest.approx(10.0)
-    assert solver.rates_by_id()[f1.flow_id] == pytest.approx(5.0)
+    assert rates_by_id(solver)[f0.flow_id] == pytest.approx(10.0)
+    assert rates_by_id(solver)[f1.flow_id] == pytest.approx(5.0)
 
 
 def test_gated_flow_gets_zero_and_share_returns():
@@ -217,11 +232,11 @@ def test_gated_flow_gets_zero_and_share_returns():
     for f in flows:
         solver.add_flow(f)
     solver.solve()
-    assert solver.rates_by_id()[flows[0].flow_id] == pytest.approx(3.0)
+    assert rates_by_id(solver)[flows[0].flow_id] == pytest.approx(3.0)
     flows[0].gated = True
     solver.set_active(flows[0], flows[0].active)
     solver.solve()
-    rates = solver.rates_by_id()
+    rates = rates_by_id(solver)
     assert rates[flows[0].flow_id] == 0.0
     assert rates[flows[1].flow_id] == pytest.approx(4.5)
 
@@ -233,7 +248,7 @@ def test_capacity_change_applies_immediately():
     solver.solve()
     solver.set_capacity("l0", 4.0)
     solver.solve()
-    assert solver.rates_by_id()[flow.flow_id] == pytest.approx(4.0)
+    assert rates_by_id(solver)[flow.flow_id] == pytest.approx(4.0)
     assert solver.capacity("l0") == pytest.approx(4.0)
 
 
@@ -254,12 +269,12 @@ def test_compaction_reclaims_tombstones_and_slots():
     assert solver.full_rebuilds == rebuilds_before + 1
     assert solver._dead_nnz == 0
     assert solver._nnz == 1
-    assert solver.rates_by_id() == {keeper.flow_id: pytest.approx(10.0)}
+    assert rates_by_id(solver) == {keeper.flow_id: pytest.approx(10.0)}
     # Freed slots are reusable after compaction.
     fresh = mk_flow(["l1"])
     solver.add_flow(fresh)
     solver.solve()
-    assert solver.rates_by_id()[fresh.flow_id] == pytest.approx(10.0)
+    assert rates_by_id(solver)[fresh.flow_id] == pytest.approx(10.0)
 
 
 def test_delta_counters_track_updates():
@@ -289,10 +304,6 @@ def test_link_loads_and_utilization_reflect_last_solve():
     solver = IncrementalFairnessSolver({"l0": 10.0, "l1": 20.0})
     solver.add_flow(mk_flow(["l0", "l1"]))
     solver.solve()
-    assert solver.link_loads() == {
-        "l0": pytest.approx(10.0),
-        "l1": pytest.approx(10.0),
-    }
     util = solver.link_utilization()
     assert util["l0"] == pytest.approx(1.0)
     assert util["l1"] == pytest.approx(0.5)

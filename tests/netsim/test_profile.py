@@ -13,7 +13,6 @@ from repro.netsim.fabric import MultiPodSpec, multi_pod_clos
 from repro.netsim.profile import (
     main,
     prepare_scale_workload,
-    run_scale_workload,
     scale_spec,
     synthetic_connections,
 )
@@ -57,7 +56,9 @@ def test_prepare_scale_workload_runs_to_completion():
 
 def test_run_scale_workload_counts_completions():
     sim = FlowSimulator(multi_pod_clos(TINY_SPEC).topology)
-    assert run_scale_workload(sim, TINY_SPEC, 32, channels=4) >= 32
+    prepare_scale_workload(sim, TINY_SPEC, 32, channels=4)
+    sim.run()
+    assert sim.flows_completed >= 32
 
 
 def test_profile_main_smoke(capsys):

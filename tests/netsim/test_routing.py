@@ -6,7 +6,6 @@ from repro.netsim.errors import NoPathError
 from repro.netsim.fabric import nic_node, testbed_fabric as build_testbed
 from repro.netsim.routing import (
     EcmpSelector,
-    RandomSelector,
     RouteIdSelector,
     RouteMap,
     ecmp_hash,
@@ -66,17 +65,6 @@ def test_route_map_rejects_negative():
         RouteMap().assign(key(), -1)
 
 
-def test_route_map_merge_and_clear():
-    a, b = RouteMap(), RouteMap()
-    a.assign(key(0), 0)
-    b.assign(key(1), 1)
-    a.merge(b)
-    assert len(a) == 2
-    a.clear_job("conn0")
-    assert a.route_id(key(0)) is None
-    assert a.route_id(key(1)) == 1
-
-
 def test_route_id_selector_honours_map(fab):
     rm = RouteMap()
     rm.assign(key(), 1)
@@ -98,49 +86,9 @@ def test_route_id_out_of_range_raises(fab):
         RouteIdSelector(rm).select(fab.topology, key())
 
 
-def test_random_selector_seeded(fab):
-    a = RandomSelector(seed=1)
-    b = RandomSelector(seed=1)
-    for i in range(10):
-        assert a.select(fab.topology, key(i)) == b.select(fab.topology, key(i))
-
-
 # ----------------------------------------------------------------------
 # Clos-scale selection: path synthesis without BFS
 # ----------------------------------------------------------------------
-def test_clos_ecmp_selector_paths_are_valid_and_deterministic():
-    from repro.netsim.fabric import MultiPodSpec, multi_pod_clos
-    from repro.netsim.routing import ClosEcmpSelector, clos_path
-
-    spec = MultiPodSpec(
-        pods=2,
-        spines_per_pod=2,
-        leaves_per_pod=2,
-        hosts_per_leaf=2,
-        nics_per_host=2,
-        core_switches=2,
-    )
-    fabric = multi_pod_clos(spec)
-    selector = ClosEcmpSelector(spec, seed=3)
-    hosts_per_pod = spec.hosts_per_pod
-    seen = set()
-    for i in range(24):
-        src = i % (2 * hosts_per_pod)
-        dst = (i * 5 + 3) % (2 * hosts_per_pod)
-        if dst == src:
-            dst = (dst + 1) % (2 * hosts_per_pod)
-        k = (nic_node(src, i % 2), nic_node(dst, (i + 1) % 2), f"c{i}")
-        path = selector.select(fabric.topology, k)
-        fabric.topology.validate_path(path)  # raises on any bad link
-        assert path == selector.select(fabric.topology, k)
-        seen.add(tuple(path))
-    assert len(seen) > 1  # the hash actually spreads choices
-    # The synthesized path equals the explicit-index synthesis.
-    assert clos_path(spec, 0, 0, 1, 1, spine=0, core=0) == tuple(
-        clos_path(spec, 0, 0, 1, 1, spine=0, core=0)
-    )
-
-
 def test_clos_path_tier_shapes():
     from repro.netsim.routing import clos_path
     from repro.netsim.fabric import MultiPodSpec

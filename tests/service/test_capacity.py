@@ -1,5 +1,6 @@
 """Capacity planner: Erlang-C math and fleet-sizing behavior."""
 
+import dataclasses
 import math
 
 import pytest
@@ -81,7 +82,7 @@ def test_hosts_for_rejects_bad_inputs():
 
 def test_plan_as_dict_round_trips_fields():
     plan = CapacityPlanner().hosts_for(100, 1.0, 0.1)
-    d = plan.as_dict()
+    d = dataclasses.asdict(plan)
     assert d["hosts"] == plan.hosts
     assert d["feasible"] is True
     assert set(d) == {

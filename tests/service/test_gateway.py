@@ -290,6 +290,28 @@ def test_crash_answers_typed_and_restart_restores(gateway, transport, deployment
     assert deployment.verify_journal() == []
 
 
+def test_restart_keeps_communicator_ownership(gateway, transport, deployment):
+    """After a restart the session shim holds no handles, yet the account
+    still owns its communicator: the quota counts it and destroy finds it.
+    (At the parent a second create was answered 200 and the destroy 400.)"""
+    client = _client(gateway, transport, rate=1000.0, burst=100.0,
+                     max_communicators=1)
+    comm_id = _setup_comm(deployment, client)
+    gateway.crash()
+    gateway.restart()
+    second = client.create_comm(_gpu_ids(deployment))
+    deployment.run()
+    assert second.response.status == 400
+    assert "quota" in str(second.response.error)
+    destroy = client.destroy_comm(comm_id)
+    deployment.run()
+    assert destroy.ok, destroy.response.error
+    assert comm_id not in {c.comm_id for c in deployment.communicators()}
+    third = client.create_comm(_gpu_ids(deployment))
+    deployment.run()
+    assert third.ok  # the destroyed communicator no longer counts
+
+
 # -- revocation ---------------------------------------------------------------
 def test_revoke_under_load_answers_the_queue_and_spares_the_rest(deployment):
     """Revoking a tenant answers its *queued* requests 401 and lets the

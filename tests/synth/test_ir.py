@@ -26,8 +26,8 @@ def test_num_steps_and_channel_inference():
 def test_total_bytes_follows_output_buffer_convention():
     ar = ring_program(Collective.ALL_REDUCE, 4)
     rs = ring_program(Collective.REDUCE_SCATTER, 4)
-    assert ar.total_bytes(1000) == 1000
-    assert rs.total_bytes(1000) == 4000  # per-rank input is world * out
+    assert sum(ar.chunk_nbytes(1000)) == 1000
+    assert sum(rs.chunk_nbytes(1000)) == 4000  # per-rank input is world * out
 
 
 def test_chunk_spans_align_with_rank_blocks():

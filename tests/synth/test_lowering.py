@@ -11,21 +11,20 @@ import pytest
 
 from repro.cluster.specs import multi_region_cluster, testbed_cluster
 from repro.collectives.types import Collective, ReduceOp
-from repro.core.algorithms import AlgorithmContext, get_algorithm
+from repro.core.algorithms import (
+    AlgorithmContext,
+    get_algorithm,
+    register_algorithm,
+    registered_algorithms,
+    unregister_algorithm,
+)
 from repro.core.deployment import MccsDeployment
 from repro.core.strategy import CollectiveStrategy
 from repro.collectives.ring import RingSchedule
 from repro.errors import MccsError
 from repro.netsim.fabric import RegionSpec
 from tests.collectives.oracles import synth_rank_transfers
-from repro.synth import (
-    SynthAlgorithm,
-    hierarchical_allreduce_program,
-    register_program,
-    registered_synth_algorithms,
-    temporarily_registered,
-    unregister_program,
-)
+from repro.synth import SynthAlgorithm, hierarchical_allreduce_program
 
 
 @pytest.fixture
@@ -36,14 +35,15 @@ def hier_program():
 
 
 def test_register_validates_and_unregister_cleans_up(hier_program):
-    algo = register_program(hier_program, fingerprint="fp-test")
+    algo = SynthAlgorithm(hier_program, fingerprint="fp-test")
+    register_algorithm(algo)
     try:
-        assert algo.name in registered_synth_algorithms()
+        assert algo.name in registered_algorithms()
         assert get_algorithm(algo.name) is algo
         assert algo.fingerprint == "fp-test"
     finally:
-        unregister_program(algo.name)
-    assert algo.name not in registered_synth_algorithms()
+        unregister_algorithm(algo.name)
+    assert algo.name not in registered_algorithms()
     with pytest.raises(MccsError):
         get_algorithm(algo.name)
 
@@ -58,15 +58,8 @@ def test_register_rejects_invalid_program():
         num_chunks=1,
     )
     with pytest.raises(PostconditionError):
-        register_program(bad)
-    assert "synth:test-bad" not in registered_synth_algorithms()
-
-
-def test_temporarily_registered_restores_registry(hier_program):
-    before = registered_synth_algorithms()
-    with temporarily_registered(hier_program) as algos:
-        assert algos[0].name in registered_synth_algorithms()
-    assert registered_synth_algorithms() == before
+        register_algorithm(SynthAlgorithm(bad))
+    assert "synth:test-bad" not in registered_algorithms()
 
 
 def test_rank_transfers_aggregate_per_peer_and_channel(hier_program):
@@ -95,6 +88,13 @@ def test_rank_transfers_aggregate_per_peer_and_channel(hier_program):
     assert transfers == synth_rank_transfers(hier_program, ctx)
 
 
+def test_temporarily_registered_restores_registry(hier_program, temporarily_registered):
+    before = registered_algorithms()
+    with temporarily_registered(hier_program) as algos:
+        assert algos[0].name in registered_algorithms()
+    assert registered_algorithms() == before
+
+
 def test_unsupported_points_fall_back_to_ring(hier_program):
     algo = SynthAlgorithm(hier_program)
     assert algo.supports(Collective.ALL_REDUCE, 8)
@@ -113,7 +113,9 @@ def test_unsupported_points_fall_back_to_ring(hier_program):
     assert algo.steps(ctx(Collective.ALL_REDUCE, 8)) == hier_program.num_steps
 
 
-def test_synthesized_program_moves_real_bytes_on_every_engine(hier_program):
+def test_synthesized_program_moves_real_bytes_on_every_engine(
+    hier_program, temporarily_registered
+):
     """Byte-exact buffer round trip through the flow data plane."""
     cluster = multi_region_cluster(RegionSpec())
     gpus = [h.gpus[0] for h in cluster.hosts]
@@ -145,7 +147,7 @@ def test_synthesized_program_moves_real_bytes_on_every_engine(hier_program):
 
 
 def test_synthesized_completion_time_beats_builtins_on_two_regions(
-    hier_program,
+    hier_program, temporarily_registered
 ):
     """The acceptance-criteria win: strictly faster simulated completion."""
 
@@ -178,7 +180,7 @@ def test_synthesized_completion_time_beats_builtins_on_two_regions(
     assert synth_t < min(ring_t, tree_t, hd_t)
 
 
-def test_fallback_path_still_correct_on_testbed():
+def test_fallback_path_still_correct_on_testbed(temporarily_registered):
     """A program registered for one world serves other worlds via ring."""
     program = hierarchical_allreduce_program(
         [[0, 1], [2, 3]], name="synth:test-fallback/w4"

@@ -67,7 +67,7 @@ def test_json_snapshot_shape_and_serializability(hub):
     hub.events.log(0.5, "policy_run", policy="ffa")
     snap = hub.to_json()
     json.dumps(snap)  # must not raise
-    # No SLO policy and no flight dump yet: those sections are absent.
+    # No SLO account and no flight dump yet: those sections are absent.
     assert set(snap) == {"metrics", "spans", "events", "links"}
     assert snap["links"] == {}
     assert snap["spans"]["records"][0]["name"] == "op"

@@ -50,7 +50,7 @@ def test_fig07_chrome_trace_loads_and_shows_barrier(timeline, tmp_path):
 def test_fig07_link_series_show_background_contention(timeline):
     network = timeline.telemetry.network
     assert network is not None
-    series = network.link_series("sw1->sw2")
+    series = network.utilization_snapshot().get("sw1->sw2", {}).get("samples")
     assert series, "the loaded link must have been sampled"
     times = [t for t, _ in series]
     assert times == sorted(times)

@@ -15,7 +15,7 @@ from repro.telemetry import (
 
 
 def test_counter_accumulates_per_label_set():
-    c = Counter("requests_total")
+    c = Counter("requests_total", "")
     c.inc(app="A")
     c.inc(2.0, app="A")
     c.inc(app="B")
@@ -26,28 +26,28 @@ def test_counter_accumulates_per_label_set():
 
 
 def test_counter_rejects_decrease():
-    c = Counter("requests_total")
+    c = Counter("requests_total", "")
     with pytest.raises(ValueError):
         c.inc(-1.0)
 
 
 def test_counter_label_order_is_irrelevant():
-    c = Counter("x")
+    c = Counter("x", "")
     c.inc(a="1", b="2")
     assert c.value(b="2", a="1") == 1.0
 
 
 def test_gauge_moves_both_ways():
-    g = Gauge("active")
+    g = Gauge("active", "")
     g.set(5)
     g.inc()
-    g.dec(2.0)
+    g.inc(-2.0)
     assert g.value() == 4.0
 
 
 def test_histogram_bucket_math_le_inclusive():
     """Prometheus ``le`` semantics: a value equal to a bound lands in it."""
-    h = Histogram("d", buckets=(1.0, 2.0, 4.0))
+    h = Histogram("d", "", buckets=(1.0, 2.0, 4.0))
     for v in (0.5, 1.0, 1.5, 2.0, 3.0, 10.0):
         h.observe(v)
     counts = dict(h.bucket_counts())
@@ -61,7 +61,7 @@ def test_histogram_bucket_math_le_inclusive():
 
 
 def test_histogram_cumulative_counts_are_monotone():
-    h = Histogram("d", buckets=DEFAULT_SIM_BUCKETS)
+    h = Histogram("d", "", buckets=DEFAULT_SIM_BUCKETS)
     for v in (1e-5, 3e-4, 0.02, 0.3, 7.0, 100.0):
         h.observe(v)
     counts = [n for _, n in h.bucket_counts()]
@@ -70,7 +70,7 @@ def test_histogram_cumulative_counts_are_monotone():
 
 
 def test_histogram_per_label_streams_are_independent():
-    h = Histogram("d", buckets=(1.0,))
+    h = Histogram("d", "", buckets=(1.0,))
     h.observe(0.5, app="A")
     h.observe(2.0, app="B")
     assert h.count(app="A") == 1
@@ -82,13 +82,13 @@ def test_histogram_per_label_streams_are_independent():
 
 def test_histogram_validates_bounds():
     with pytest.raises(ValueError):
-        Histogram("d", buckets=())
+        Histogram("d", "", buckets=())
     with pytest.raises(ValueError):
-        Histogram("d", buckets=(1.0, 1.0))
+        Histogram("d", "", buckets=(1.0, 1.0))
     with pytest.raises(ValueError):
-        Histogram("d", buckets=(2.0, 1.0))
+        Histogram("d", "", buckets=(2.0, 1.0))
     with pytest.raises(ValueError):
-        Histogram("d", buckets=(1.0, math.inf))
+        Histogram("d", "", buckets=(1.0, math.inf))
 
 
 def test_registry_get_or_create_returns_same_object():

@@ -87,7 +87,7 @@ def test_sources_register_metrics():
         "mccs_recovery_seconds",
         "mccs_autotune_observations_total",
         "mccs_traces_total",
-        "mccs_slo_violations_total",
+        "mccs_slo_latency_p99_seconds",
     ):
         assert expected in names, f"scan no longer finds {expected}"
     assert len(names) > 40

@@ -23,6 +23,11 @@ def make_telemetry():
     return sim, net
 
 
+def link_series(net, link_id):
+    """(time, utilization) samples recorded for one link."""
+    return net.utilization_snapshot().get(link_id, {"samples": []})["samples"]
+
+
 def test_flow_lifecycle_counters():
     sim, net = make_telemetry()
     sim.add_flow(8.0, ["a->b"], job_id="A")
@@ -33,7 +38,7 @@ def test_flow_lifecycle_counters():
     assert counters["mccs_flows_completed_total"].value(job="A") == 1
     assert counters["mccs_bytes_moved_total"].value(job="A") == 8.0
     assert counters["mccs_bytes_moved_total"].value(job="B") == 16.0
-    assert net.metrics.gauges()["mccs_active_flows"].value() == 0
+    assert net.metrics.get("mccs_active_flows").value() == 0
     hist = net.metrics.histograms()["mccs_flow_duration_seconds"]
     assert hist.count(job="A") == 1
     assert hist.count(job="B") == 1
@@ -58,13 +63,13 @@ def test_periodic_sampler_records_link_series_and_stops():
     end = sim.run()  # must terminate: the ticker is self-stopping
     assert end == pytest.approx(2.0)
     assert "a->b" in net.sampled_links()
-    series = net.link_series("a->b")
+    series = link_series(net, "a->b")
     assert len(series) >= 4
     times = [t for t, _ in series]
     assert times == sorted(times)
     # The single flow saturates the link while it is active.
     assert all(u == pytest.approx(1.0) for _, u in series)
-    assert net.link_series("missing") == []
+    assert link_series(net, "missing") == []
 
 
 def test_sampler_restarts_for_later_traffic():
@@ -73,7 +78,7 @@ def test_sampler_restarts_for_later_traffic():
     sim.schedule(5.0, lambda: sim.add_flow(8.0, ["b->c"]))  # t=5..6
     sim.run()
     assert "b->c" in net.sampled_links()
-    assert all(t >= 5.0 for t, _ in net.link_series("b->c"))
+    assert all(t >= 5.0 for t, _ in link_series(net, "b->c"))
 
 
 def test_link_series_is_bounded(monkeypatch):
@@ -81,10 +86,9 @@ def test_link_series_is_bounded(monkeypatch):
     sim, net = make_telemetry()
     sim.add_flow(32.0, ["a->b"])  # 4 s of traffic -> ~16 ticks
     sim.run()
-    assert len(net.link_series("a->b")) == 3
-    assert net.evicted_samples("a->b") > 0
-    assert net.evicted_samples() >= net.evicted_samples("a->b")
-    assert net.evicted_samples("missing") == 0
+    snapshot = net.utilization_snapshot()
+    assert len(snapshot["a->b"]["samples"]) == 3
+    assert snapshot["a->b"]["evicted"] > 0
 
 
 def test_sample_now_and_snapshot():
@@ -100,7 +104,7 @@ def test_sample_now_and_snapshot():
 def test_program_cache_gauges_need_a_provider():
     _, net = make_telemetry()
     assert net.publish_program_cache() is None
-    assert "mccs_program_cache_hits" not in net.metrics.gauges()
+    assert net.metrics.get("mccs_program_cache_hits") is None
 
 
 def test_program_cache_gauges_published_from_provider():
@@ -108,13 +112,12 @@ def test_program_cache_gauges_published_from_provider():
     stats = {"size": 3, "hits": 7, "misses": 2, "evictions": 1}
     net.set_program_cache_provider(lambda: dict(stats))
     assert net.publish_program_cache() == stats
-    gauges = net.metrics.gauges()
     for name, value in stats.items():
-        assert gauges[f"mccs_program_cache_{name}"].value() == value
+        assert net.metrics.get(f"mccs_program_cache_{name}").value() == value
     # provider is re-read on every publish
     stats["hits"] = 9
     net.publish_program_cache()
-    assert net.metrics.gauges()["mccs_program_cache_hits"].value() == 9
+    assert net.metrics.get("mccs_program_cache_hits").value() == 9
 
 
 # -- batch-first observer contract ------------------------------------------------

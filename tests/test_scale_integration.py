@@ -16,11 +16,12 @@ def test_job_churn_with_policies_on_large_cluster():
     depart; the controller reschedules on every join/exit; nothing leaks
     and all collectives complete consistently."""
     cluster = large_cluster()
-    deployment = MccsDeployment(cluster, strict_consistency=True)
+    deployment = MccsDeployment(cluster)
     manager = CentralManager(deployment)
     allocator = ClusterAllocator(cluster, seed=5)
     jobs = poisson_arrivals(12, seed=5, sizes=(16, 32))
     finished = []
+    consistent = []
 
     def launch(spec):
         gpus = allocator.place_compact(spec.job_id, spec.num_gpus)
@@ -31,6 +32,8 @@ def test_job_churn_with_policies_on_large_cluster():
         remaining = {"n": 3}
 
         def next_op(inst=None, now=None):
+            if inst is not None:
+                consistent.append(inst.consistent)
             if remaining["n"] == 0:
                 client.destroy_communicator(handle)
                 allocator.release(spec.job_id)
@@ -46,6 +49,7 @@ def test_job_churn_with_policies_on_large_cluster():
         cluster.sim.schedule(spec.arrival_time, lambda spec=spec: launch(spec))
     deployment.run()
     assert sorted(finished) == sorted(j.job_id for j in jobs)
+    assert len(consistent) == 3 * len(jobs) and all(consistent)
     assert deployment.communicators() == []
     assert allocator.free_count == cluster.num_gpus
     # every FFA pass stayed in the paper's ~1 ms planning regime
@@ -57,9 +61,9 @@ def test_job_churn_with_policies_on_large_cluster():
 @pytest.mark.slow
 def test_mid_churn_reconfigurations_stay_consistent():
     """Ring reconfigurations issued while many tenants are active never
-    mix strategy versions (strict mode enforces it)."""
+    mix strategy versions."""
     cluster = large_cluster()
-    deployment = MccsDeployment(cluster, strict_consistency=True)
+    deployment = MccsDeployment(cluster)
     manager = CentralManager(deployment)
     allocator = ClusterAllocator(cluster, seed=9)
     handles = []

@@ -55,7 +55,7 @@ def test_establish_many(cl):
     ]
     table.establish(edges, channels=2, selector=EcmpSelector())
     assert len(table) == 4
-    assert len(table.inter_host_connections()) == 4
+    assert not any(c.intra_host for c in table.connections())
 
 
 def test_lookup_missing_connection_raises(cl):

@@ -1,16 +1,11 @@
-"""Property tests for the diurnal arrival sampler (Lewis-Shedler thinning)."""
+"""Property tests for the diurnal rate profile."""
 
-import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workloads.arrivals import (
-    DiurnalProfile,
-    diurnal_arrivals,
-    poisson_arrivals,
-)
+from repro.workloads.arrivals import DiurnalProfile
 
 _profiles = st.builds(
     DiurnalProfile,
@@ -19,24 +14,6 @@ _profiles = st.builds(
     phase=st.floats(min_value=-100.0, max_value=100.0),
     floor=st.floats(min_value=0.0, max_value=0.5),
 )
-
-
-@settings(max_examples=50, deadline=None)
-@given(profile=_profiles, seed=st.integers(0, 2**32 - 1))
-def test_same_seed_same_arrivals(profile, seed):
-    a = diurnal_arrivals(20, profile=profile, seed=seed)
-    b = diurnal_arrivals(20, profile=profile, seed=seed)
-    assert a == b
-
-
-@settings(max_examples=30, deadline=None)
-@given(profile=_profiles, seed=st.integers(0, 2**32 - 1))
-def test_arrivals_are_strictly_ordered_and_sized(profile, seed):
-    jobs = diurnal_arrivals(30, profile=profile, seed=seed, sizes=(16, 32))
-    times = [j.arrival_time for j in jobs]
-    assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
-    assert all(j.num_gpus in (16, 32) for j in jobs)
-    assert [j.job_id for j in jobs] == [f"job{i}" for i in range(30)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -49,58 +26,6 @@ def test_rate_factor_respects_floor_and_peak(profile, seed):
         assert profile.floor <= factor <= profile.peak_factor + 1e-12
 
 
-def test_shared_rng_stream_is_deterministic():
-    # The documented chaos idiom: one generator shared by workload and
-    # fault plan reproduces the whole scenario from a single seed.
-    rng1, rng2 = random.Random(7), random.Random(7)
-    a = diurnal_arrivals(15, rng=rng1)
-    b = diurnal_arrivals(15, rng=rng2)
-    assert a == b
-    assert rng1.random() == rng2.random()  # streams advanced identically
-
-
-def test_flat_profile_degenerates_to_poisson_statistics():
-    # amplitude=0 and no bursts: thinning accepts everything, so the
-    # sampler IS a homogeneous Poisson process with the base rate.
-    flat = DiurnalProfile(amplitude=0.0, floor=0.0)
-    assert flat.peak_factor == 1.0
-    jobs = diurnal_arrivals(4000, mean_interarrival=0.2, profile=flat, seed=3)
-    gaps = [
-        b.arrival_time - a.arrival_time for a, b in zip(jobs, jobs[1:])
-    ]
-    mean = sum(gaps) / len(gaps)
-    # Exponential(0.2): mean 0.2, CV 1; 4000 samples pin both within ~5%.
-    assert mean == pytest.approx(0.2, rel=0.08)
-    var = sum((g - mean) ** 2 for g in gaps) / (len(gaps) - 1)
-    assert math.sqrt(var) / mean == pytest.approx(1.0, rel=0.10)
-    # And it matches the plain sampler's gap distribution seed-for-seed
-    # in aggregate (same mean within noise).
-    plain = poisson_arrivals(4000, mean_interarrival=0.2, seed=3)
-    plain_mean = plain[-1].arrival_time / len(plain)
-    assert mean == pytest.approx(plain_mean, rel=0.1)
-
-
-def test_diurnal_modulation_shapes_the_histogram():
-    # Crest at period/4 with phase=0: more arrivals land in the crest
-    # half-cycle than in the trough half-cycle.
-    profile = DiurnalProfile(period=10.0, amplitude=0.9, phase=0.0, floor=0.0)
-    jobs = diurnal_arrivals(3000, mean_interarrival=0.05, profile=profile, seed=11)
-    crest = sum(1 for j in jobs if (j.arrival_time % 10.0) < 5.0)
-    trough = len(jobs) - crest
-    assert crest > 2 * trough
-
-
-def test_burst_envelope_concentrates_arrivals():
-    profile = DiurnalProfile(
-        period=100.0, amplitude=0.0, bursts=((5.0, 0.5, 8.0),), floor=0.0
-    )
-    jobs = diurnal_arrivals(2000, mean_interarrival=0.05, profile=profile, seed=5)
-    horizon = jobs[-1].arrival_time
-    in_burst = sum(1 for j in jobs if 3.5 <= j.arrival_time <= 6.5)
-    # The 3s burst window holds far more than its share of uniform mass.
-    assert in_burst / len(jobs) > 3.0 * (3.0 / horizon)
-
-
 def test_profile_validation():
     with pytest.raises(ValueError):
         DiurnalProfile(period=0.0)
@@ -110,5 +35,3 @@ def test_profile_validation():
         DiurnalProfile(floor=-0.1)
     with pytest.raises(ValueError):
         DiurnalProfile(bursts=((1.0, 0.0, 2.0),))
-    with pytest.raises(ValueError):
-        diurnal_arrivals(0)

@@ -19,10 +19,17 @@ from repro.workloads.production import (
 from repro.workloads.traces import (
     data_parallel_trace,
     gpt_tp_trace,
-    resnet50_dp_trace,
     tensor_parallel_trace,
     vgg19_dp_trace,
 )
+
+
+def collective_bytes(trace):
+    return sum(s.out_bytes for s in trace.steps if s.collective is not None)
+
+
+def memcpy_bytes(trace):
+    return sum(s.memcpy_bytes for s in trace.steps)
 
 
 # -- models -----------------------------------------------------------------
@@ -57,12 +64,12 @@ def test_dp_trace_structure():
     buckets = len(gradient_buckets(vgg19()))
     assert trace.steps_per_iteration == 1 + buckets
     assert len(trace.steps) == 3 * (1 + buckets)
-    assert trace.collective_count() == 3 * buckets
+    assert sum(s.collective is not None for s in trace.steps) == 3 * buckets
 
 
 def test_dp_trace_moves_all_gradients():
     trace = vgg19_dp_trace(2)
-    assert trace.total_collective_bytes() == 2 * vgg19().param_bytes
+    assert collective_bytes(trace) == 2 * vgg19().param_bytes
     assert all(
         s.collective in (None, Collective.ALL_REDUCE) for s in trace.steps
     )
@@ -70,7 +77,7 @@ def test_dp_trace_moves_all_gradients():
 
 def test_dp_trace_compute_budget():
     trace = vgg19_dp_trace(2)
-    assert trace.total_compute_seconds() == pytest.approx(
+    assert sum(s.compute_seconds for s in trace.steps) == pytest.approx(
         2 * vgg19().compute_per_iteration
     )
 
@@ -80,7 +87,7 @@ def test_tp_trace_structure():
     profile = gpt_2_7b()
     assert len(trace.steps) == 2 * profile.tp_syncs_per_iteration
     assert all(s.collective is Collective.ALL_REDUCE for s in trace.steps)
-    assert trace.total_collective_bytes() == (
+    assert collective_bytes(trace) == (
         2 * profile.tp_syncs_per_iteration * profile.tp_allreduce_bytes
     )
 
@@ -98,12 +105,12 @@ def test_traces_require_positive_iterations():
 
 
 def test_jitter_is_reproducible():
-    t1 = resnet50_dp_trace(2, jitter=0.2, seed=5)
-    t2 = resnet50_dp_trace(2, jitter=0.2, seed=5)
+    t1 = data_parallel_trace(resnet50(), 2, jitter=0.2, seed=5)
+    t2 = data_parallel_trace(resnet50(), 2, jitter=0.2, seed=5)
     assert [s.compute_seconds for s in t1.steps] == [
         s.compute_seconds for s in t2.steps
     ]
-    t3 = resnet50_dp_trace(2, jitter=0.2, seed=6)
+    t3 = data_parallel_trace(resnet50(), 2, jitter=0.2, seed=6)
     assert [s.compute_seconds for s in t1.steps] != [
         s.compute_seconds for s in t3.steps
     ]
@@ -112,7 +119,7 @@ def test_jitter_is_reproducible():
 @given(st.floats(0.0, 0.4), st.integers(0, 100))
 @settings(max_examples=25, deadline=None)
 def test_jitter_never_negative(jitter, seed):
-    trace = resnet50_dp_trace(1, jitter=jitter, seed=seed)
+    trace = data_parallel_trace(resnet50(), 1, jitter=jitter, seed=seed)
     assert all(s.compute_seconds >= 0 for s in trace.steps)
 
 
@@ -175,10 +182,10 @@ def test_curves_reject_ragged_jobs():
 
 def test_dp_trace_stages_minibatch():
     trace = vgg19_dp_trace(3)
-    assert trace.total_memcpy_bytes() == 3 * vgg19().input_bytes_per_iteration
+    assert memcpy_bytes(trace) == 3 * vgg19().input_bytes_per_iteration
     first = trace.steps[0]
     assert first.memcpy_bytes > 0 and first.collective is None
 
 
 def test_tp_trace_has_no_memcpy():
-    assert gpt_tp_trace(2).total_memcpy_bytes() == 0
+    assert memcpy_bytes(gpt_tp_trace(2)) == 0

@@ -7,9 +7,8 @@ timing measures the cost of regenerating the figure, and the printed
 tables are the scientific output.
 
 Scale knobs: the benchmarks default to configurations that finish in
-seconds to a couple of minutes.  Full paper-scale sweeps are available
-through each experiment module's ``main()``
-(e.g. ``python -m repro.experiments.fig11_simulation``).
+seconds to a couple of minutes.  Full paper-scale sweeps run through the
+experiment entry point (e.g. ``python -m repro.experiments fig11``).
 """
 
 import pytest

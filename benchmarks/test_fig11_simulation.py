@@ -2,7 +2,7 @@
 
 Scaled for benchmark runtime: 25 jobs, 4 channels, one repetition per
 placement.  Paper scale (50 jobs, 8 channels, 5 repetitions) runs via
-``python -m repro.experiments.fig11_simulation``.
+``python -m repro.experiments fig11``.
 """
 
 import statistics

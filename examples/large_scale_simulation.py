@@ -9,7 +9,7 @@ compact placement.
 
 Run:  python examples/large_scale_simulation.py
 (Full paper scale: see benchmarks/test_fig11_simulation.py and
-repro.experiments.fig11_simulation.main.)
+python -m repro.experiments fig11.)
 """
 
 import statistics

@@ -1,8 +1,9 @@
 """Experiment harness: one module per results figure of the paper.
 
-Each ``figNN_*`` module exposes a parameterized ``run_*`` API (used by the
-benchmarks and tests) and a ``main()`` that prints the paper's rows at
-full scale.  ``python -m repro.experiments`` runs every figure in order.
+Each module exposes a parameterized ``run_*`` API (used by the benchmarks
+and tests) and a ``main()`` that prints the paper's rows at full scale and
+returns its JSON artifacts by name.  ``python -m repro.experiments`` is the
+one entry point: it runs the named experiments and writes their artifacts.
 """
 
 from . import (
@@ -21,14 +22,6 @@ from . import (
     fig_failover,
     fig_fleet,
     fig_synth,
-)
-from .report import Stat, cdf_points, format_table, print_table
-from .setups import (
-    TenantPlacement,
-    multi_app_setups,
-    naive_tenant_order,
-    qos_setup,
-    single_app_gpus,
 )
 
 ALL_FIGURES = {
@@ -49,30 +42,4 @@ ALL_FIGURES = {
     "fleet": fig_fleet,
 }
 
-__all__ = [
-    "ALL_FIGURES",
-    "Stat",
-    "TenantPlacement",
-    "cdf_points",
-    "fig02_breakdown",
-    "fig03_crossrack",
-    "fig06_single_app",
-    "fig07_reconfig",
-    "fig08_multi_app",
-    "fig09_qos",
-    "fig10_dynamic",
-    "fig11_simulation",
-    "fig_attribution",
-    "fig_autotune",
-    "fig_crashloop",
-    "fig_elastic",
-    "fig_failover",
-    "fig_fleet",
-    "fig_synth",
-    "format_table",
-    "multi_app_setups",
-    "naive_tenant_order",
-    "print_table",
-    "qos_setup",
-    "single_app_gpus",
-]
+__all__ = ["ALL_FIGURES"]

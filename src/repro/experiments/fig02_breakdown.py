@@ -17,16 +17,18 @@ MCCS tracing API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from ..cluster.specs import testbed_cluster
 from ..core.controller import CentralManager
 from ..core.deployment import MccsDeployment
-from ..workloads.generator import MccsIssuer, TrafficGenerator
 from ..workloads.production import TrainingBreakdown, product_group_breakdowns
 from ..workloads.traces import vgg19_dp_trace
 from .report import print_table
-from .setups import single_app_gpus
+from .setups import admit_tenant, single_app_gpus, trace_generator
+
+#: Seed of the synthetic product-group breakdown.
+SEED = 2024
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class MeasuredBreakdown:
     comm_fraction: float
 
 
-def run_breakdowns(seed: int = 2024) -> List[TrainingBreakdown]:
+def run_breakdowns(seed: int = SEED) -> List[TrainingBreakdown]:
     """The synthetic four-group breakdown standing in for Figure 2."""
     return product_group_breakdowns(seed=seed)
 
@@ -56,16 +58,10 @@ def measure_vgg_breakdown(iterations: int = 4) -> MeasuredBreakdown:
     """
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster)
-    manager = CentralManager(deployment)
-    gpus = single_app_gpus(cluster, "8gpu")
-    comm_state = manager.admit("vgg", gpus)
-    client = deployment.connect("vgg")
-    comm = client.adopt_communicator(comm_state.comm_id)
-    trace = vgg19_dp_trace(iterations)
-    stream = client.create_stream(gpus[0])
-    generator = TrafficGenerator(
-        cluster.sim, MccsIssuer(client, comm), trace, stream, name="vgg"
+    comm_state, client, comm = admit_tenant(
+        CentralManager(deployment), "vgg", single_app_gpus(cluster, "8gpu")
     )
+    generator = trace_generator(client, comm, vgg19_dp_trace(iterations), "vgg")
     generator.start()
     deployment.run()
     jct = generator.stats.jct()
@@ -83,10 +79,10 @@ def measure_vgg_breakdown(iterations: int = 4) -> MeasuredBreakdown:
     )
 
 
-def main(seed: int = 2024) -> None:
+def main() -> Dict[str, object]:
     rows = [
         (b.group, f"{b.idle:.0%}", f"{b.memcpy:.0%}", f"{b.compute:.0%}", f"{b.comm:.0%}")
-        for b in run_breakdowns(seed)
+        for b in run_breakdowns(SEED)
     ]
     print_table(
         ["Group", "Idle", "Memcpy", "Compute", "Comm"],
@@ -107,7 +103,4 @@ def main(seed: int = 2024) -> None:
         ],
         title="Validation — measured on the simulated testbed",
     )
-
-
-if __name__ == "__main__":
-    main()
+    return {}

@@ -96,7 +96,7 @@ def validate_on_cluster(
     return {"measured": measured, "closed_form": expected, "optimal": optimal}
 
 
-def main() -> None:
+def main() -> Dict[str, object]:
     points = run_curves()
     print_table(
         ["Job size (GPUs)", "(a) 2 hosts/rack", "(b) 4 hosts/rack"],
@@ -118,7 +118,4 @@ def main() -> None:
         ],
         title="Validation — 128-GPU job on a simulated 4-hosts/rack cluster",
     )
-
-
-if __name__ == "__main__":
-    main()
+    return {}

@@ -20,18 +20,14 @@ NCCL by ~1.5-1.8x at 512 MB; MCCS beats everything at large sizes (up to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..baselines.nccl import NcclCommunicator
 from ..cluster.specs import testbed_cluster
 from ..collectives.bandwidth import algorithm_bandwidth
 from ..collectives.types import Collective
-from ..core.controller import CentralManager
-from ..core.deployment import MccsDeployment
-from ..core.policies.ring_order import locality_ring_order
 from ..netsim.units import KB, MB, format_size, to_gBps
 from .report import Stat, print_table
-from .setups import naive_tenant_order, single_app_gpus
+from .setups import single_app_gpus, system_issuers
 
 SYSTEMS = ("nccl", "nccl_or", "mccs_nofa", "mccs")
 SYSTEM_LABELS = {
@@ -50,6 +46,9 @@ PAPER_SIZES = (
     128 * MB,
     512 * MB,
 )
+#: Full-scale sweep: fresh deployments per cell, collectives per size.
+TRIALS = 5
+ITERS = 3
 
 
 @dataclass
@@ -61,64 +60,6 @@ class SingleAppResult:
     system: str
     size: int
     stat: Stat
-
-
-def _issue_fn(
-    system: str,
-    setup: str,
-    trial: int,
-    datapath_latency: Optional[float] = None,
-) -> Tuple[Callable[[Collective, int, Callable], None], Callable[[], float]]:
-    """Build one system instance; returns (issue, run_sim).
-
-    ``datapath_latency`` overrides the MCCS shim->service hop (§6.2's
-    50-80 us range) for the MCCS systems; NCCL runs in-process and is
-    unaffected.
-    """
-    cluster = testbed_cluster()
-    gpus = single_app_gpus(cluster, setup)
-    seed = trial * 1009 + 17
-    if system in ("nccl", "nccl_or"):
-        order = (
-            naive_tenant_order(cluster, gpus)
-            if system == "nccl"
-            else locality_ring_order(cluster, gpus)
-        )
-        comm = NcclCommunicator(cluster, gpus, ring_order=order, ecmp_seed=seed)
-
-        def issue(kind: Collective, out_bytes: int, on_complete) -> None:
-            method = {
-                Collective.ALL_REDUCE: comm.all_reduce,
-                Collective.ALL_GATHER: comm.all_gather,
-            }[kind]
-            method(out_bytes, on_complete=lambda op, now: on_complete(op.duration()))
-
-        return issue, lambda: cluster.sim.run()
-    if system in ("mccs_nofa", "mccs"):
-        deployment = MccsDeployment(
-            cluster, ecmp_seed=seed, datapath_latency=datapath_latency
-        )
-        manager = CentralManager(deployment)
-        state = manager.admit("A", gpus)
-        if system == "mccs":
-            manager.apply_flow_policy("ffa")
-            deployment.run()
-        client = deployment.connect("A")
-        comm = client.adopt_communicator(state.comm_id)
-
-        def issue(kind: Collective, out_bytes: int, on_complete) -> None:
-            method = {
-                Collective.ALL_REDUCE: client.all_reduce,
-                Collective.ALL_GATHER: client.all_gather,
-            }[kind]
-            method(
-                comm,
-                out_bytes,
-                on_complete=lambda inst, now: on_complete(inst.duration()),
-            )
-
-        return issue, lambda: deployment.run()
-    raise ValueError(f"unknown system {system!r}")
 
 
 def run_fig06(
@@ -138,12 +79,20 @@ def run_fig06(
             for system in systems:
                 samples: Dict[int, List[float]] = {size: [] for size in sizes}
                 for trial in range(trials):
-                    issue, run = _issue_fn(system, setup, trial, datapath_latency)
+                    cluster = testbed_cluster()
+                    issue = system_issuers(
+                        system,
+                        cluster,
+                        {"A": single_app_gpus(cluster, setup)},
+                        ecmp_seed=trial * 1009 + 17,
+                        tag_nccl=False,
+                        datapath_latency=datapath_latency,
+                    )["A"]
                     for size in sizes:
                         for _ in range(iters):
                             durations: List[float] = []
                             issue(kind, size, durations.append)
-                            run()
+                            cluster.sim.run()
                             samples[size].append(
                                 to_gBps(algorithm_bandwidth(size, durations[0]))
                             )
@@ -179,8 +128,8 @@ def as_tables(results: Sequence[SingleAppResult]) -> Dict[Tuple[str, Collective]
     return tables
 
 
-def main(trials: int = 5, iters: int = 3) -> None:
-    results = run_fig06(trials=trials, iters=iters)
+def main() -> Dict[str, object]:
+    results = run_fig06(trials=TRIALS, iters=ITERS)
     for (setup, kind), table in sorted(
         as_tables(results).items(), key=lambda kv: (kv[0][0], kv[0][1].value)
     ):
@@ -189,7 +138,4 @@ def main(trials: int = 5, iters: int = 3) -> None:
             table[1:],
             title=f"Figure 6 — {kind} algorithm bandwidth (GB/s), {setup} setup",
         )
-
-
-if __name__ == "__main__":
-    main()
+    return {}

@@ -12,9 +12,8 @@ bandwidth recovers immediately, with the application never interrupted.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..cluster.specs import ring_cluster
 from ..collectives.bandwidth import algorithm_bandwidth
@@ -23,7 +22,8 @@ from ..core.deployment import MccsDeployment
 from ..netsim.background import BackgroundTrafficManager
 from ..netsim.units import MB, to_gBps
 from ..telemetry import TelemetryHub
-from .report import print_table, write_json
+from .report import print_table
+from .setups import admit_tenant
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,8 @@ def run_fig07(
     manager = CentralManager(deployment, background=background)
 
     gpus = [g for host in cluster.hosts for g in host.gpus]
-    state = manager.admit("tenant", gpus)
+    state, client, comm = admit_tenant(manager, "tenant", gpus)
     ring_before = state.strategy.ring.order
-    client = deployment.connect("tenant")
-    comm = client.adopt_communicator(state.comm_id)
 
     points: List[TimelinePoint] = []
 
@@ -112,13 +110,12 @@ def run_fig07(
     )
 
 
-def main(trace_out: Optional[str] = None) -> None:
+def main() -> Dict[str, object]:
     """Run the Figure 7 scenario and report it.
 
-    ``trace_out`` (or the ``MCCS_TRACE_OUT`` environment variable) names a
-    file to receive the run's Chrome trace-event JSON — load it in
-    ``chrome://tracing`` or Perfetto to see the reconfiguration barrier
-    stall as a span between the collectives.
+    The ``fig07_trace`` artifact is the run's Chrome trace-event JSON —
+    load it in ``chrome://tracing`` or Perfetto to see the
+    reconfiguration barrier stall as a span between the collectives.
     """
     timeline = run_fig07()
     rows = []
@@ -147,11 +144,4 @@ def main(trace_out: Optional[str] = None) -> None:
             f"barrier stall:          {stall.mean() * 1e3:.3f} ms "
             f"over {stall.count()} reconfiguration(s)"
         )
-    if trace_out is None:
-        trace_out = os.environ.get("MCCS_TRACE_OUT")
-    if trace_out:
-        write_json(hub.to_chrome_trace(), trace_out)
-
-
-if __name__ == "__main__":
-    main()
+    return {"fig07_trace": hub.to_chrome_trace()}

@@ -16,18 +16,14 @@ and lose aggregate bandwidth to flow collisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
-from ..baselines.nccl import NcclCommunicator
 from ..cluster.specs import testbed_cluster
 from ..collectives.bandwidth import busbw_factor
 from ..collectives.types import Collective
-from ..core.controller import CentralManager
-from ..core.deployment import MccsDeployment
-from ..core.policies.ring_order import locality_ring_order
 from ..netsim.units import MB
 from .report import Stat, print_table
-from .setups import TenantPlacement, multi_app_setups, naive_tenant_order
+from .setups import TenantPlacement, multi_app_setups, system_issuers
 
 SYSTEMS = ("nccl", "nccl_or", "mccs_noffa", "mccs")
 SYSTEM_LABELS = {
@@ -36,6 +32,8 @@ SYSTEM_LABELS = {
     "mccs_noffa": "MCCS(-FFA)",
     "mccs": "MCCS",
 }
+#: Full-scale sweep: fresh deployments per (setup, system) cell.
+TRIALS = 5
 
 
 @dataclass
@@ -61,45 +59,13 @@ def _run_once(
     """One trial: all tenants loop concurrently; mean busbw per tenant."""
     cluster = testbed_cluster()
     samples: Dict[str, List[float]] = {p.app_id: [] for p in placements}
-    issuers: List[Tuple[str, int, Callable[[Callable[[float], None]], None]]] = []
-
-    if system in ("nccl", "nccl_or"):
-        for idx, placement in enumerate(placements):
-            gpus = placement.resolve(cluster)
-            order = (
-                naive_tenant_order(cluster, gpus)
-                if system == "nccl"
-                else locality_ring_order(cluster, gpus)
-            )
-            comm = NcclCommunicator(
-                cluster,
-                gpus,
-                ring_order=order,
-                ecmp_seed=seed * 131 + idx,
-                job_id=placement.app_id,
-            )
-
-            def issue(cb, comm=comm):
-                comm.all_reduce(op_bytes, on_complete=lambda op, now: cb(op.duration()))
-
-            issuers.append((placement.app_id, len(gpus), issue))
-    else:
-        deployment = MccsDeployment(cluster, ecmp_seed=seed * 131)
-        manager = CentralManager(deployment)
-        for placement in placements:
-            state = manager.admit(placement.app_id, placement.resolve(cluster))
-            client = deployment.connect(placement.app_id)
-            comm = client.adopt_communicator(state.comm_id)
-
-            def issue(cb, client=client, comm=comm):
-                client.all_reduce(
-                    comm, op_bytes, on_complete=lambda inst, now: cb(inst.duration())
-                )
-
-            issuers.append((placement.app_id, len(placement.gpus), issue))
-        if system == "mccs":
-            manager.apply_flow_policy("ffa")
-            cluster.sim.run()
+    issuers = system_issuers(
+        system,
+        cluster,
+        {p.app_id: p.resolve(cluster) for p in placements},
+        ecmp_seed=seed * 131,
+        tag_nccl=True,
+    )
 
     def make_chain(app_id: str, world: int, issue) -> Callable[[float], None]:
         factor = busbw_factor(Collective.ALL_REDUCE, world)
@@ -109,12 +75,14 @@ def _run_once(
             if now >= warmup:
                 samples[app_id].append(factor * op_bytes / duration_s / 1e9)
             if now < duration:
-                issue(chain)
+                issue(Collective.ALL_REDUCE, op_bytes, chain)
 
         return chain
 
-    for app_id, world, issue in issuers:
-        issue(make_chain(app_id, world, issue))
+    for placement in placements:
+        issue = issuers[placement.app_id]
+        chain = make_chain(placement.app_id, len(placement.gpus), issue)
+        issue(Collective.ALL_REDUCE, op_bytes, chain)
     cluster.sim.run(until=duration + 2.0)
     return {
         app_id: sum(vals) / len(vals) for app_id, vals in samples.items() if vals
@@ -161,8 +129,8 @@ def run_fig08(
     return results
 
 
-def main(trials: int = 5) -> None:
-    results = run_fig08(trials=trials)
+def main() -> Dict[str, object]:
+    results = run_fig08(trials=TRIALS)
     by_setup: Dict[str, Dict[str, Dict[str, Stat]]] = {}
     for r in results:
         by_setup.setdefault(r.setup, {}).setdefault(r.system, {})[r.app_id] = r.stat
@@ -184,7 +152,4 @@ def main(trials: int = 5) -> None:
             rows,
             title=f"Figure 8 — 128MB AllReduce bus bandwidth (GB/s), {setup_name}",
         )
-
-
-if __name__ == "__main__":
-    main()
+    return {}

@@ -31,10 +31,9 @@ from ..core.controller import CentralManager
 from ..core.deployment import MccsDeployment
 from ..core.policies.ts import compute_traffic_schedule
 from ..core.transport import WindowSchedule
-from ..workloads.generator import MccsIssuer, TrafficGenerator
-from ..workloads.traces import gpt_tp_trace, vgg19_dp_trace
+from ..workloads.generator import TrafficGenerator
 from .report import Stat, print_table
-from .setups import qos_setup
+from .setups import admit_tenant, qos_setup, qos_trace, trace_generator
 
 SOLUTIONS = ("ecmp", "ffa", "pfa", "pfa+ts")
 
@@ -42,6 +41,8 @@ SOLUTIONS = ("ecmp", "ffa", "pfa", "pfa+ts")
 #: horizons (A trains from scratch; B and C fine-tune).
 DEFAULT_ITERATIONS = {"A": 16, "B": 12, "C": 12}
 DEFAULT_PENALTY = 0.30
+#: Full-scale sweep: trials per solution.
+TRIALS = 4
 
 
 @dataclass
@@ -70,29 +71,15 @@ def _run_once(
     for placement in placements:
         # Pinned ECMP namespace: the measured orderings depend on the
         # per-trial ecmp_seed and the tenant, not on admission order.
-        state = manager.admit(
-            placement.app_id,
-            placement.resolve(cluster),
-            datapath_tag=f"fig09/{placement.app_id}",
+        app_id = placement.app_id
+        _, client, comm = admit_tenant(
+            manager, app_id, placement.resolve(cluster), datapath_tag=f"fig09/{app_id}"
         )
-        client = deployment.connect(placement.app_id)
-        comm = client.adopt_communicator(state.comm_id)
-        if placement.app_id == "A":
-            trace = vgg19_dp_trace(iterations["A"])
-        else:
-            trace = gpt_tp_trace(iterations[placement.app_id])
-        stream = client.create_stream(placement.resolve(cluster)[0])
-        generators[placement.app_id] = TrafficGenerator(
-            cluster.sim,
-            MccsIssuer(client, comm),
-            trace,
-            stream,
-            name=placement.app_id,
+        generators[app_id] = trace_generator(
+            client, comm, qos_trace(app_id, iterations[app_id]), app_id
         )
-    if solution == "ecmp":
-        manager.apply_flow_policy("ecmp")
-    elif solution == "ffa":
-        manager.apply_flow_policy("ffa")
+    if solution in ("ecmp", "ffa"):
+        manager.apply_flow_policy(solution)
     elif solution in ("pfa", "pfa+ts"):
         manager.apply_flow_policy(
             "pfa", high_priority_apps=["A"], reserved_routes={0}
@@ -131,32 +118,18 @@ def profile_ts_schedule(
     deployment = MccsDeployment(cluster, ecmp_seed=seed * 7919)
     manager = CentralManager(deployment)
     placements = [p for p in qos_setup() if p.app_id in ("A", "B")]
-    state_b = None
+    states = {}
     for placement in placements:
-        state = manager.admit(
-            placement.app_id,
-            placement.resolve(cluster),
-            datapath_tag=f"fig09/{placement.app_id}",
+        app_id = placement.app_id
+        states[app_id], client, comm = admit_tenant(
+            manager, app_id, placement.resolve(cluster), datapath_tag=f"fig09/{app_id}"
         )
-        if placement.app_id == "B":
-            state_b = state
-        client = deployment.connect(placement.app_id)
-        comm = client.adopt_communicator(state.comm_id)
-        trace = (
-            vgg19_dp_trace(max(iterations["A"] // 4, 2))
-            if placement.app_id == "A"
-            else gpt_tp_trace(max(iterations[placement.app_id] // 4, 2))
-        )
-        stream = client.create_stream(placement.resolve(cluster)[0])
-        TrafficGenerator(
-            cluster.sim, MccsIssuer(client, comm), trace, stream,
-            name=placement.app_id,
-        ).start()
+        trace = qos_trace(app_id, max(iterations[app_id] // 4, 2))
+        trace_generator(client, comm, trace, app_id).start()
     manager.apply_flow_policy("pfa", high_priority_apps=["A"], reserved_routes={0})
     deployment.run()
-    assert state_b is not None
     _, schedule = compute_traffic_schedule(
-        deployment.trace(state_b.comm_id), guard=guard
+        deployment.trace(states["B"].comm_id), guard=guard
     )
     return schedule
 
@@ -196,8 +169,8 @@ def run_fig09(
     return results, ffa_means
 
 
-def main(trials: int = 4) -> None:
-    results, ffa_means = run_fig09(trials=trials)
+def main() -> Dict[str, object]:
+    results, ffa_means = run_fig09(trials=TRIALS)
     by_solution: Dict[str, Dict[str, Stat]] = {}
     for r in results:
         by_solution.setdefault(r.solution, {})[r.app_id] = r.stat
@@ -216,7 +189,4 @@ def main(trials: int = 4) -> None:
         rows,
         title="Figure 9 — normalized JCT (lower is better; FFA = 1.0)",
     )
-
-
-if __name__ == "__main__":
-    main()
+    return {}

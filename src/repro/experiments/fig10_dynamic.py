@@ -20,11 +20,10 @@ from ..cluster.specs import testbed_cluster
 from ..core.controller import CentralManager
 from ..core.deployment import MccsDeployment
 from ..core.policies.ts import compute_traffic_schedule
-from ..workloads.generator import MccsIssuer, TrafficGenerator
-from ..workloads.traces import gpt_tp_trace, vgg19_dp_trace
+from ..workloads.generator import TrafficGenerator
 from .fig09_qos import DEFAULT_PENALTY
 from .report import print_table, sparkline
-from .setups import qos_setup
+from .setups import admit_tenant, qos_setup, qos_trace, trace_generator
 
 
 @dataclass
@@ -73,20 +72,10 @@ def run_fig10(
     states: Dict[str, object] = {}
 
     def launch(app_id: str, iterations: int) -> None:
-        placement = placements[app_id]
-        state = manager.admit(app_id, placement.resolve(cluster))
-        states[app_id] = state
-        client = deployment.connect(app_id)
-        comm = client.adopt_communicator(state.comm_id)
-        trace = (
-            vgg19_dp_trace(iterations)
-            if app_id == "A"
-            else gpt_tp_trace(iterations)
+        states[app_id], client, comm = admit_tenant(
+            manager, app_id, placements[app_id].resolve(cluster)
         )
-        stream = client.create_stream(placement.resolve(cluster)[0])
-        generator = TrafficGenerator(
-            cluster.sim, MccsIssuer(client, comm), trace, stream, name=app_id
-        )
+        generator = trace_generator(client, comm, qos_trace(app_id, iterations), app_id)
         generators[app_id] = generator
         manager.apply_flow_policy("ffa")  # reschedule on every join
         generator.start(at=cluster.sim.now)
@@ -128,28 +117,21 @@ def run_fig10(
                 throughput.append(
                     PhaseThroughput(app_id, phase, sum(window) / len(window))
                 )
-    # Normalize to each tenant's throughput under three-way FFA sharing.
-    ffa_baseline: Dict[str, float] = {}
-    for app_id in generators:
-        window = [
-            tp
-            for t, tp in generators[app_id].stats.throughput_timeline()
-            if t2 <= t < t3
-        ]
-        if window:
-            ffa_baseline[app_id] = sum(window) / len(window)
     return DynamicTimeline(
         events=events,
         phases=phases,
         throughput=throughput,
-        ffa_baseline=ffa_baseline,
+        # Normalize to each tenant's throughput under three-way FFA sharing.
+        ffa_baseline={
+            p.app_id: p.throughput for p in throughput if p.phase == "A+B+C (FFA)"
+        },
         generators=generators,
     )
 
 
-def main() -> None:
-    timeline = run_fig10()
-    _print(timeline)
+def main() -> Dict[str, object]:
+    _print(run_fig10())
+    return {}
 
 
 def _print(timeline: DynamicTimeline) -> None:
@@ -174,7 +156,3 @@ def _print(timeline: DynamicTimeline) -> None:
         if series:
             print(f"  {app_id} throughput  |{sparkline(series)}|")
     print()
-
-
-if __name__ == "__main__":
-    main()

@@ -36,12 +36,19 @@ from ..core.deployment import MccsDeployment
 from ..core.strategy import CollectiveStrategy
 from ..collectives.ring import RingSchedule
 from ..workloads.arrivals import poisson_arrivals
-from ..workloads.generator import MccsIssuer, TrafficGenerator
+from ..workloads.generator import TrafficGenerator
 from ..workloads.models import resnet50
 from ..workloads.traces import data_parallel_trace
 from .report import Stat, ascii_cdf, cdf_points, print_table
+from .setups import trace_generator
 
 SOLUTIONS = ("random", "or", "or+ffa")
+
+#: Full-scale sweep (the paper's protocol is 5 repetitions).
+REPETITIONS = 2
+NUM_JOBS = 50
+ITERATIONS = 200
+CHANNELS = 8
 
 
 @dataclass(frozen=True)
@@ -167,10 +174,8 @@ def _run_solution(
             state = manager.admit(job.job_id, gpus, channels=channels)
         client = deployment.connect(job.job_id)
         comm = client.adopt_communicator(state.comm_id)
-        trace = data_parallel_trace(profile, segments)
-        stream = client.create_stream(gpus[0])
-        generator = TrafficGenerator(
-            cluster.sim, MccsIssuer(client, comm), trace, stream, name=job.job_id
+        generator = trace_generator(
+            client, comm, data_parallel_trace(profile, segments), job.job_id
         )
         active["count"] += 1
         reassign_routes()  # rescheduling on job join
@@ -249,14 +254,12 @@ def run_fig11_repeated(
     return pooled
 
 
-def main(
-    repetitions: int = 2, num_jobs: int = 50, iterations: int = 200, channels: int = 8
-) -> None:
+def main() -> Dict[str, object]:
     pooled = run_fig11_repeated(
-        repetitions=repetitions,
-        num_jobs=num_jobs,
-        iterations=iterations,
-        channels=channels,
+        repetitions=REPETITIONS,
+        num_jobs=NUM_JOBS,
+        iterations=ITERATIONS,
+        channels=CHANNELS,
     )
     for placement, by_solution in pooled.items():
         rows = []
@@ -284,7 +287,4 @@ def main(
         )
         print(ascii_cdf({s.upper(): by_solution[s] for s in ("or", "or+ffa")}))
         print()
-
-
-if __name__ == "__main__":
-    main()
+    return {}

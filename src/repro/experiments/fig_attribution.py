@@ -22,33 +22,36 @@ A collective is counted as **correctly attributed** when
 
 The headline number is the fraction of collectives passing all three; the
 who-interfered-with-whom ledger (tenant -> tenant -> seconds of shared
-bottleneck time) is printed per setup and exported as JSON when
-``MCCS_ATTRIBUTION_OUT`` is set.  ``MCCS_FLIGHT_OUT`` additionally dumps
-the flight recorder's final snapshot for artifact upload.
+bottleneck time) is printed per setup.  The ``attribution`` artifact holds
+every graded report, and ``flight`` the flight recorder's snapshot of the
+setup-1 ECMP cell, where the tenants do contend.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.controller import CentralManager
 from ..core.deployment import MccsDeployment
 from ..cluster.specs import testbed_cluster
+from ..netsim.engine import SimObserver
 from ..netsim.units import MB
+from ..telemetry import TelemetryHub
 from .report import print_table
-from .setups import multi_app_setups
+from .setups import admit_tenant, multi_app_setups
 
 SYSTEMS = ("mccs", "mccs_noffa")
+
+#: Full-scale sweep: AllReduces every tenant chains per cell.
+ROUNDS = 6
 
 #: Sum-criterion tolerance: components must add up to the measured
 #: duration within this fraction.
 SUM_TOLERANCE = 0.01
 
 
-class _FlowLog:
+class _FlowLog(SimObserver):
     """Ground-truth recorder: every flow's tenant, path, and lifetime.
 
     Deliberately independent of :class:`~repro.telemetry.causal.
@@ -83,12 +86,6 @@ class _FlowLog:
     def on_flow_failed(self, flow, now: float) -> None:
         self._ended(flow, now)
 
-    def on_flow_gated(self, flow, gated: bool, now: float) -> None:
-        pass
-
-    def on_rates_recomputed(self, now: float) -> None:
-        pass
-
     # ------------------------------------------------------------------
     def truth_for(self, flow_id: str) -> Tuple[Set[str], Set[str], Set[str]]:
         """(path links, true interferer tenants, truly contended links)
@@ -120,6 +117,8 @@ class AttributionResult:
 
     setup: str
     system: str
+    #: The cell's deployment hub (the flight snapshot is taken from it).
+    telemetry: TelemetryHub = field(repr=False)
     collectives: int = 0
     sum_ok: int = 0
     correct: int = 0
@@ -200,11 +199,9 @@ def run_attribution(
 
             starters = []
             for placement in placements:
-                state = manager.admit(
-                    placement.app_id, placement.resolve(cluster)
+                _, client, comm = admit_tenant(
+                    manager, placement.app_id, placement.resolve(cluster)
                 )
-                client = deployment.connect(placement.app_id)
-                comm = client.adopt_communicator(state.comm_id)
                 starters.append((client, comm, placement.app_id))
             if system == "mccs":
                 manager.apply_flow_policy("ffa")
@@ -218,7 +215,9 @@ def run_attribution(
 
             hub = deployment.telemetry()
             tracer = hub.causal
-            result = AttributionResult(setup=setup_name, system=system)
+            result = AttributionResult(
+                setup=setup_name, system=system, telemetry=hub
+            )
             for trace in tracer.closed_traces():
                 if trace.status != "completed":
                     continue
@@ -239,22 +238,8 @@ def run_attribution(
     return results
 
 
-def export_artifacts(results: List[AttributionResult], hub=None) -> None:
-    """Write the JSON artifacts named by the ``MCCS_*_OUT`` env vars."""
-    out_path = os.environ.get("MCCS_ATTRIBUTION_OUT")
-    if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(
-                {"results": [r.to_dict() for r in results]}, fh, indent=2
-            )
-    flight_path = os.environ.get("MCCS_FLIGHT_OUT")
-    if flight_path and hub is not None:
-        hub.flight.trigger("manual", 0.0, source="fig_attribution")
-        hub.flight.write_json(flight_path)
-
-
-def main(rounds: int = 6) -> None:
-    results = run_attribution(rounds=rounds)
+def main() -> Dict[str, object]:
+    results = run_attribution(rounds=ROUNDS)
     rows = []
     for r in results:
         pairs = sorted(
@@ -281,24 +266,12 @@ def main(rounds: int = 6) -> None:
         rows,
         title="Causal attribution vs ground truth (fig08 multi-tenant mix)",
     )
-    # Re-run one contended cell to hand its hub to the artifact writer:
-    # the flight dump should come from a deployment that actually saw
-    # interference, not an empty one.
-    hub = None
-    if os.environ.get("MCCS_FLIGHT_OUT"):
-        cluster = testbed_cluster()
-        deployment = MccsDeployment(cluster, ecmp_seed=0)
-        manager = CentralManager(deployment)
-        placements = multi_app_setups()["setup1"]
-        for placement in placements:
-            state = manager.admit(placement.app_id, placement.resolve(cluster))
-            client = deployment.connect(placement.app_id)
-            comm = client.adopt_communicator(state.comm_id)
-            client.all_reduce(comm, 32 * MB)
-        cluster.sim.run()
-        hub = deployment.telemetry()
-    export_artifacts(results, hub)
-
-
-if __name__ == "__main__":
-    main()
+    contended = next(
+        r for r in results if (r.setup, r.system) == ("setup1", "mccs_noffa")
+    )
+    flight = contended.telemetry.flight
+    flight.trigger("manual", 0.0, source="fig_attribution")
+    return {
+        "attribution": {"results": [r.to_dict() for r in results]},
+        "flight": flight.to_dict(),
+    }

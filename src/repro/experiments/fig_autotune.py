@@ -17,20 +17,16 @@ collectives.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 from ..autotune import StrategyPlanner
 from ..cluster.specs import testbed_cluster
-from ..collectives.ring import RingSchedule
 from ..collectives.types import Collective
-from ..core.deployment import MccsDeployment
-from ..core.strategy import CollectiveStrategy
 from ..netsim.units import KB, MB, format_size
 from .report import print_table
-from .setups import single_app_gpus
+from .setups import measure_static, measure_tuned, single_app_gpus
 
 DEFAULT_SIZES = (64 * KB, 64 * MB)
 
@@ -40,8 +36,10 @@ DEFAULT_SIZES = (64 * KB, 64 * MB)
 #: strategies, not path luck.
 _DATAPATH_TAG = "autotune"
 
-#: Environment variable naming a JSON file to dump the results into.
-OUT_ENV = "MCCS_AUTOTUNE_OUT"
+#: Full-scale run: tuned collectives per regime, collectives per static
+#: candidate.
+TUNE_ROUNDS = 24
+STATIC_ITERS = 4
 
 
 @dataclass
@@ -75,111 +73,6 @@ class AutotuneResult:
     regimes: List[RegimeResult] = field(default_factory=list)
 
 
-def _signature_label(algorithm: str, channels: int, ring_label: str) -> str:
-    return f"{algorithm}/ch{channels}/{ring_label}"
-
-
-def _static_signatures(
-    size: int, setup: str, kind: Collective
-) -> List[Tuple[str, str, int, Tuple[int, ...]]]:
-    """(label, algorithm, channels, ring) for every planner candidate."""
-    cluster = testbed_cluster()
-    gpus = single_app_gpus(cluster, setup)
-    planner = StrategyPlanner(cluster)
-    out = []
-    for scored in planner.plan(kind, size, gpus):
-        c = scored.candidate
-        out.append(
-            (
-                _signature_label(c.algorithm, c.channels, c.ring_label),
-                c.algorithm,
-                c.channels,
-                c.ring,
-            )
-        )
-    return out
-
-
-def _measure_static(
-    setup: str,
-    kind: Collective,
-    size: int,
-    *,
-    algorithm: str,
-    channels: int,
-    ring: Tuple[int, ...],
-    iters: int,
-) -> float:
-    """Mean duration of ``iters`` collectives under one fixed strategy."""
-    cluster = testbed_cluster()
-    gpus = single_app_gpus(cluster, setup)
-    deployment = MccsDeployment(cluster)
-    strategy = CollectiveStrategy(
-        ring=RingSchedule(tuple(ring)), channels=channels, algorithm=algorithm
-    )
-    comm = deployment.create_communicator(
-        "A", gpus, strategy=strategy, datapath_tag=_DATAPATH_TAG
-    )
-    client = deployment.connect("A")
-    shim_comm = client.adopt_communicator(comm.comm_id)
-    durations: List[float] = []
-    issue = {
-        Collective.ALL_REDUCE: client.all_reduce,
-        Collective.ALL_GATHER: client.all_gather,
-    }[kind]
-    for _ in range(iters):
-        issue(
-            shim_comm,
-            size,
-            on_complete=lambda inst, now: durations.append(inst.duration()),
-        )
-        deployment.run()
-    return sum(durations) / len(durations)
-
-
-def _measure_tuned(
-    setup: str,
-    kind: Collective,
-    size: int,
-    *,
-    rounds: int,
-    tail: int,
-) -> RegimeResult:
-    """Run the online tuner from the default strategy; report the tail."""
-    cluster = testbed_cluster()
-    gpus = single_app_gpus(cluster, setup)
-    deployment = MccsDeployment(cluster)
-    tuner = deployment.enable_autotuning()
-    comm = deployment.create_communicator(
-        "A", gpus, datapath_tag=_DATAPATH_TAG
-    )
-    client = deployment.connect("A")
-    shim_comm = client.adopt_communicator(comm.comm_id)
-    durations: List[float] = []
-    issue = {
-        Collective.ALL_REDUCE: client.all_reduce,
-        Collective.ALL_GATHER: client.all_gather,
-    }[kind]
-    for _ in range(rounds):
-        issue(
-            shim_comm,
-            size,
-            on_complete=lambda inst, now: durations.append(inst.duration()),
-        )
-        deployment.run()
-    sessions = deployment.reconfig.sessions
-    return RegimeResult(
-        size=size,
-        static_means={},  # filled by the caller
-        tuned_tail_mean=sum(durations[-tail:]) / tail,
-        tuned_first=durations[0],
-        retunes=tuner.retunes_applied(comm.comm_id),
-        barrier_only=bool(sessions)
-        and all(s.barrier_enabled for s in sessions),
-        inconsistent=comm.inconsistent_collectives,
-    )
-
-
 def run_autotune(
     *,
     setup: str = "8gpu",
@@ -191,21 +84,34 @@ def run_autotune(
 ) -> AutotuneResult:
     """Tuned-vs-static comparison over the given size regimes."""
     result = AutotuneResult(setup=setup, kind=kind)
+    fabric = (testbed_cluster, partial(single_app_gpus, setup=setup))
     for size in sizes:
-        regime = _measure_tuned(
-            setup, kind, size, rounds=tune_rounds, tail=tail
+        tuned = measure_tuned(
+            *fabric, kind, size, rounds=tune_rounds, tail=tail, tag=_DATAPATH_TAG
         )
-        for label, algorithm, channels, ring in _static_signatures(
-            size, setup, kind
-        ):
-            regime.static_means[label] = _measure_static(
-                setup,
+        regime = RegimeResult(
+            size=size,
+            static_means={},
+            tuned_tail_mean=tuned.tail_mean,
+            tuned_first=tuned.first,
+            retunes=tuned.retunes,
+            barrier_only=tuned.barrier_only,
+            inconsistent=tuned.inconsistent,
+        )
+        cluster = testbed_cluster()
+        gpus = single_app_gpus(cluster, setup)
+        for scored in StrategyPlanner(cluster).plan(kind, size, gpus):
+            c = scored.candidate
+            label = f"{c.algorithm}/ch{c.channels}/{c.ring_label}"
+            regime.static_means[label] = measure_static(
+                *fabric,
                 kind,
                 size,
-                algorithm=algorithm,
-                channels=channels,
-                ring=ring,
+                algorithm=c.algorithm,
+                channels=c.channels,
+                ring=c.ring,
                 iters=static_iters,
+                tag=_DATAPATH_TAG,
             )
         result.regimes.append(regime)
     return result
@@ -238,24 +144,14 @@ def as_json(result: AutotuneResult) -> Dict[str, object]:
         "setup": result.setup,
         "kind": result.kind.value,
         "regimes": [
-            {
-                "size": r.size,
-                "static_means": r.static_means,
-                "best_static": list(r.best_static),
-                "tuned_tail_mean": r.tuned_tail_mean,
-                "tuned_first": r.tuned_first,
-                "retunes": r.retunes,
-                "barrier_only": r.barrier_only,
-                "inconsistent": r.inconsistent,
-                "converged": r.converged,
-            }
+            dict(asdict(r), best_static=list(r.best_static), converged=r.converged)
             for r in result.regimes
         ],
     }
 
 
-def main(tune_rounds: int = 24, static_iters: int = 4) -> None:
-    result = run_autotune(tune_rounds=tune_rounds, static_iters=static_iters)
+def main() -> Dict[str, object]:
+    result = run_autotune(tune_rounds=TUNE_ROUNDS, static_iters=STATIC_ITERS)
     table = as_table(result)
     print_table(
         table[0],
@@ -265,12 +161,4 @@ def main(tune_rounds: int = 24, static_iters: int = 4) -> None:
             f"({result.setup}, {result.kind})"
         ),
     )
-    out_path = os.environ.get(OUT_ENV)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(as_json(result), fh, indent=2, sort_keys=True)
-        print(f"wrote {out_path}")
-
-
-if __name__ == "__main__":
-    main()
+    return {"autotune": as_json(result)}

@@ -18,19 +18,14 @@ size and replay-vs-live consistency, and admission sheds.  Tenant B
 shares no host with the victims, so its run must be indistinguishable
 from the baseline — the blast-radius-zero witness.  The final collective
 of every surviving tenant carries real data and is checked byte-exactly.
-
-``MCCS_CRASHLOOP_OUT=/path.json`` writes the rows as a JSON artifact
-(consumed by the chaos CI job).
+The ``crashloop`` artifact holds every report (the chaos CI job uploads
+it).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Dict, List, Optional
 
 from ..cluster.specs import testbed_cluster
 from ..core.admission import AdmissionPolicy
@@ -39,12 +34,14 @@ from ..core.deployment import MccsDeployment
 from ..netsim.errors import MccsError
 from ..netsim.units import MB
 from .report import print_table
-from .setups import multi_app_setups
+from .setups import admit_tenant, filled_all_reduce, multi_app_setups
 
 #: Hosts whose service processes are kill/restart cycled (rack 1).
 VICTIM_HOSTS = (2, 3)
 #: QoS class per tenant (A is the high-priority training job).
 QOS_CLASSES = {"A": "high", "B": "normal", "C": "low"}
+#: Seeds of the full-scale run, one crashloop (and baseline) each.
+SEEDS = (0, 1)
 
 
 @dataclass
@@ -106,12 +103,12 @@ def _run_workload(
     comms = {}
     ops: Dict[str, List] = {}
     for placement in placements:
-        admission.set_class(placement.app_id, QOS_CLASSES[placement.app_id])
-        state = manager.admit(placement.app_id, placement.resolve(cluster))
-        client = deployment.connect(placement.app_id)
-        clients[placement.app_id] = client
-        comms[placement.app_id] = client.adopt_communicator(state.comm_id)
-        ops[placement.app_id] = []
+        app_id = placement.app_id
+        admission.set_class(app_id, QOS_CLASSES[app_id])
+        _, clients[app_id], comms[app_id] = admit_tenant(
+            manager, app_id, placement.resolve(cluster)
+        )
+        ops[app_id] = []
 
     def make_chain(app_id: str) -> Callable[[object, float], None]:
         def chain(_instance: object, _now: float) -> None:
@@ -159,24 +156,12 @@ def _run_workload(
     byte_correct: Dict[str, Optional[bool]] = {}
     for placement in placements:
         app_id = placement.app_id
-        comm_obj = deployment.communicator(comms[app_id].comm_id)
-        if comm_obj.aborted:
+        if deployment.communicator(comms[app_id].comm_id).aborted:
             byte_correct[app_id] = None
             continue
-        gpus = placement.resolve(cluster)
-        sends = [clients[app_id].alloc(g, 256) for g in gpus]
-        recvs = [clients[app_id].alloc(g, 256) for g in gpus]
-        for buf in sends:
-            buf.view(np.float32)[:] = 3.0
-        final = clients[app_id].all_reduce(
-            comms[app_id], 256,
-            send=[b.ref() for b in sends],
-            recv=[b.ref() for b in recvs],
-        )
+        _, exact = filled_all_reduce(clients[app_id], comms[app_id], 3.0)
         deployment.run()
-        byte_correct[app_id] = final.completed and all(
-            np.allclose(r.view(np.float32), 3.0 * len(gpus)) for r in recvs
-        )
+        byte_correct[app_id] = exact(free=False)
 
     compacted = deployment.journal.compact()
     return {
@@ -255,8 +240,8 @@ def run_crashloop(
     )
 
 
-def main(seeds: Sequence[int] = (0, 1)) -> None:
-    reports = [run_crashloop(seed=seed) for seed in seeds]
+def main() -> Dict[str, object]:
+    reports = [run_crashloop(seed=seed) for seed in SEEDS]
     rows = []
     for report in reports:
         for row in report.tenants:
@@ -299,16 +284,9 @@ def main(seeds: Sequence[int] = (0, 1)) -> None:
         assert report.service_restarts >= report.service_crashes - 1
         for row in report.tenants:
             assert row.byte_correct is not False, f"{row.app_id} data corrupt"
-    out = os.environ.get("MCCS_CRASHLOOP_OUT")
-    if out:
-        payload = {
+    return {
+        "crashloop": {
             "experiment": "crashloop",
             "reports": [asdict(report) for report in reports],
         }
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"[crashloop JSON written to {out}]")
-
-
-if __name__ == "__main__":
-    main()
+    }

@@ -27,18 +27,14 @@ Asserted bars: every cycle's finals are byte-exact, the journal replays
 to the live control plane (``verify_journal() == []``), the witness
 completes exactly its baseline count with zero failures (blast radius
 zero), and at least one autotuner retune is attributed to a membership
-epoch.  ``MCCS_ELASTIC_OUT=/path.json`` writes the report as a JSON
-artifact (consumed by the chaos CI job).
+epoch.  The ``elastic`` artifact holds the reports (the chaos CI job
+uploads it).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import Dict, List
 
 from ..cluster.specs import multi_region_cluster
 from ..core.admission import AdmissionPolicy
@@ -48,6 +44,7 @@ from ..netsim.errors import MccsError
 from ..netsim.fabric import RegionSpec, wan_links
 from ..workloads.traces import geo_distributed_trace
 from .report import print_table
+from .setups import filled_all_reduce
 
 #: Region-1 GPU admitted into (and later removed from) the geo tenant.
 JOINER_GPU = 4
@@ -55,6 +52,9 @@ JOINER_GPU = 4
 VICTIM_HOST = 1
 #: AllReduces per tenant per burst phase.
 BURST_OPS = 3
+#: Full-scale run: seeds, and grow/drift/shrink/crash cycles per seed.
+SEEDS = (0,)
+CYCLES = 3
 
 
 @dataclass
@@ -104,22 +104,10 @@ def _burst(
 
 
 def _byte_final(deployment: MccsDeployment, client, comm) -> bool:
-    """One data-carrying AllReduce, checked exactly against the world."""
-    svc = deployment.communicator(comm.comm_id)
-    gpus = list(svc.gpus)
-    sends = [client.alloc(g, 256) for g in gpus]
-    recvs = [client.alloc(g, 256) for g in gpus]
-    for buf in sends:
-        buf.view(np.float32)[:] = 2.0
-    op = client.all_reduce(
-        comm, 256, send=[b.ref() for b in sends], recv=[b.ref() for b in recvs]
-    )
+    """One data-carrying AllReduce, checked exactly and then freed."""
+    _, exact = filled_all_reduce(client, comm, 2.0)
     deployment.run()
-    ok = op.completed and all(
-        np.allclose(r.view(np.float32), 2.0 * len(gpus)) for r in recvs
-    )
-    for buf in sends + recvs:
-        client.free(buf)
+    ok = exact(free=True)
     deployment.run()
     return ok
 
@@ -184,10 +172,12 @@ def _run(
             plan = drift.to_fault_plan()
             drift_events = len(plan)
             injector.schedule(plan)
-            _burst(geo_client, geo_comm, BURST_OPS, burst_bytes, geo_ops)
-            _burst(local_client, local_comm, BURST_OPS, op_bytes, witness_ops)
-            deployment.run()
+        # The baseline issues the same witness work with no disturbance.
+        _burst(geo_client, geo_comm, BURST_OPS, burst_bytes, geo_ops)
+        _burst(local_client, local_comm, BURST_OPS, op_bytes, witness_ops)
+        deployment.run()
 
+        if disturb:
             # Shrink back out of region 1 (graceful leave of the joiner).
             svc = deployment.communicator(geo_comm.comm_id)
             record = elastic.shrink(
@@ -201,11 +191,6 @@ def _run(
 
             # Kill one region-0 service; the supervisor replays the journal.
             deployment.crash_service(VICTIM_HOST)
-            deployment.run()
-        else:
-            # Baseline issues the same witness work with no disturbance.
-            _burst(geo_client, geo_comm, BURST_OPS, burst_bytes, geo_ops)
-            _burst(local_client, local_comm, BURST_OPS, op_bytes, witness_ops)
             deployment.run()
 
         svc = deployment.communicator(geo_comm.comm_id)
@@ -273,8 +258,8 @@ def run_elastic(
     )
 
 
-def main(seeds: Sequence[int] = (0,), cycles: int = 3) -> None:
-    reports = [run_elastic(seed=seed, cycles=cycles) for seed in seeds]
+def main() -> Dict[str, object]:
+    reports = [run_elastic(seed=seed, cycles=CYCLES) for seed in SEEDS]
     rows = []
     for report in reports:
         for cyc in report.cycles:
@@ -319,16 +304,9 @@ def main(seeds: Sequence[int] = (0,), cycles: int = 3) -> None:
             c.grow_state == "done" and c.shrink_state == "done"
             for c in report.cycles
         ), "a membership change did not commit"
-    out = os.environ.get("MCCS_ELASTIC_OUT")
-    if out:
-        payload = {
+    return {
+        "elastic": {
             "experiment": "elastic",
             "reports": [asdict(report) for report in reports],
         }
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"[elastic JSON written to {out}]")
-
-
-if __name__ == "__main__":
-    main()
+    }

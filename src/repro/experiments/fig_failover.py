@@ -14,18 +14,13 @@ and a co-located healthy tenant, and reports:
 * collective retries and communicator aborts from telemetry,
 * whether the healthy tenant was disturbed (it must not be).
 
-``MCCS_FAILOVER_OUT=/path.json`` additionally writes the rows as a JSON
-artifact (consumed by the chaos CI job).
+The ``failover`` artifact holds the rows (the chaos CI job uploads it).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from ..cluster.specs import testbed_cluster
 from ..core.controller import CentralManager
@@ -34,6 +29,7 @@ from ..faults import FaultInjector
 from ..netsim.errors import CommunicatorError
 from ..netsim.units import MB
 from .report import print_table
+from .setups import admit_tenant, filled_all_reduce
 
 #: Fault kinds exercised, in report order.
 FAULT_KINDS = ("link_down", "link_degrade", "nic_fail", "host_crash")
@@ -95,14 +91,9 @@ def run_failover_case(
     manager = CentralManager(deployment)
 
     victim_gpus = [cluster.hosts[h].gpus[0] for h in range(4)]
-    victim_state = manager.admit("victim", victim_gpus)
+    _, victim, vcomm = admit_tenant(manager, "victim", victim_gpus)
     healthy_gpus = [cluster.hosts[0].gpus[1], cluster.hosts[1].gpus[1]]
-    healthy_state = manager.admit("healthy", healthy_gpus)
-
-    victim = deployment.connect("victim")
-    healthy = deployment.connect("healthy")
-    vcomm = victim.adopt_communicator(victim_state.comm_id)
-    hcomm = healthy.adopt_communicator(healthy_state.comm_id)
+    _, healthy, hcomm = admit_tenant(manager, "healthy", healthy_gpus)
 
     injector = FaultInjector(
         cluster, deployment.telemetry(), deployment=deployment
@@ -126,19 +117,17 @@ def run_failover_case(
     cluster.sim.call_in(fault_time, strike)
 
     # Victim workload: the final op carries data so the recovered path is
-    # checked bit-for-bit, not just for completion.
-    sends = [victim.alloc(g, 256) for g in victim_gpus]
-    recvs = [victim.alloc(g, 256) for g in victim_gpus]
-    for buf in sends:
-        buf.view(np.float32)[:] = 2.0
+    # checked bit-for-bit, not just for completion.  ``exact`` stays None
+    # when the communicator aborts before the final op is issued.
     victim_ops = []
-    aborted_midway = False
+    exact = None
     try:
         for _ in range(num_ops - 1):
             victim_ops.append(victim.all_reduce(vcomm, op_bytes))
-        victim_ops.append(victim.all_reduce(vcomm, 256, send=sends, recv=recvs))
+        final, exact = filled_all_reduce(victim, vcomm, 2.0)
+        victim_ops.append(final)
     except CommunicatorError:
-        aborted_midway = True
+        pass
     healthy_op = healthy.all_reduce(hcomm, 16 * MB)
 
     deployment.run()
@@ -169,13 +158,9 @@ def run_failover_case(
             recovery_s = event.time - fault_time - detection
 
     completed = sum(1 for op in victim_ops if op.completed)
-    comm_obj = deployment.communicator(vcomm.comm_id)
     byte_correct: Optional[bool] = None
-    if not comm_obj.aborted and not aborted_midway and victim_ops:
-        byte_correct = all(
-            np.allclose(r.view(np.float32), 2.0 * len(victim_gpus))
-            for r in recvs
-        )
+    if exact is not None and not deployment.communicator(vcomm.comm_id).aborted:
+        byte_correct = exact(free=False)
     return FailoverRow(
         kind=kind,
         fault_time=fault_time,
@@ -202,7 +187,7 @@ def run_failover(*, seed: int = 0, op_bytes: int = 64 * MB) -> List[FailoverRow]
     return [run_failover_case(kind, seed=seed, op_bytes=op_bytes) for kind in FAULT_KINDS]
 
 
-def main() -> None:
+def main() -> Dict[str, object]:
     rows = run_failover()
     table = [
         (
@@ -228,16 +213,6 @@ def main() -> None:
     )
     for row in rows:
         assert row.healthy_ok, f"healthy tenant disturbed by {row.kind}"
-    out = os.environ.get("MCCS_FAILOVER_OUT")
-    if out:
-        payload: Dict[str, object] = {
-            "experiment": "failover",
-            "rows": [asdict(row) for row in rows],
-        }
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"[failover JSON written to {out}]")
-
-
-if __name__ == "__main__":
-    main()
+    return {
+        "failover": {"experiment": "failover", "rows": [asdict(row) for row in rows]}
+    }

@@ -30,15 +30,11 @@ zero-unhandled-exceptions ledger), and the journal replays to the live
 state after all of it.  The report closes with the capacity planner's
 answer to the provisioning question the experiment just measured: how
 many gateway hosts does this tenant count need at the high-class p99?
-
-``MCCS_FLEET_OUT=/path.json`` writes the rows as a JSON artifact
-(consumed by the chaos CI job).
+The ``fleet`` artifact holds the report (the chaos CI job uploads it).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass
 from math import ceil
 from typing import Dict, List, Optional, Sequence
@@ -422,7 +418,7 @@ def run_fleet(
     )
 
 
-def main() -> None:
+def main() -> Dict[str, object]:
     report = run_fleet()
     rows = []
     for row in report.classes:
@@ -480,14 +476,4 @@ def main() -> None:
     assert report.witness_byte_exact, "witness collective was not byte-exact"
     assert report.throttled > 0, "tenant storms never hit the rate limiter"
     assert report.retries > 0, "service crashes never exercised the retry path"
-
-    out = os.environ.get("MCCS_FLEET_OUT")
-    if out:
-        payload = {"experiment": "fleet", "report": asdict(report)}
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"[fleet JSON written to {out}]")
-
-
-if __name__ == "__main__":
-    main()
+    return {"fleet": {"experiment": "fleet", "report": asdict(report)}}

@@ -20,24 +20,19 @@ built-ins — the planner never regresses by offering them.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..autotune import StrategyPlanner
 from ..cluster.gpu import GpuDevice
 from ..cluster.specs import Cluster, multi_region_cluster, testbed_cluster
-from ..collectives.ring import RingSchedule
 from ..collectives.types import Collective
 from ..core.algorithms import unregister_algorithm
-from ..core.deployment import MccsDeployment
-from ..core.strategy import CollectiveStrategy
 from ..netsim.fabric import RegionSpec
 from ..netsim.units import KB, MB, format_size
 from ..synth import synthesize_and_register
 from .report import print_table
-from .setups import single_app_gpus
+from .setups import TunedResult, measure_static, measure_tuned, single_app_gpus
 
 DEFAULT_SIZES = (64 * KB, 1 * MB, 16 * MB, 64 * MB)
 
@@ -45,8 +40,10 @@ DEFAULT_SIZES = (64 * KB, 1 * MB, 16 * MB, 64 * MB)
 #: ECMP paths: the sweep compares schedules, not path luck.
 _DATAPATH_TAG = "synth"
 
-#: Environment variable naming a JSON file to dump the results into.
-OUT_ENV = "MCCS_SYNTH_OUT"
+#: Full-scale run: tuned collectives on the two-region fabric,
+#: collectives per raced strategy.
+TUNE_ROUNDS = 30
+STATIC_ITERS = 2
 
 FabricFactory = Tuple[
     Callable[[], Cluster], Callable[[Cluster], List[GpuDevice]]
@@ -84,99 +81,12 @@ class SizePoint:
 
 
 @dataclass
-class TunedResult:
-    """Outcome of the live tuner run on one fabric."""
-
-    algorithm: str
-    retunes: int
-    barrier_only: bool
-    inconsistent: int
-    first: float
-    tail_mean: float
-
-    @property
-    def adopted_synth(self) -> bool:
-        return self.algorithm.startswith("synth:")
-
-
-@dataclass
 class FabricResult:
     fabric: str
     world: int
     synthesized: List[str] = field(default_factory=list)
     points: List[SizePoint] = field(default_factory=list)
     tuned: Optional[TunedResult] = None
-
-
-def _measure(
-    make_cluster: Callable[[], Cluster],
-    pick_gpus: Callable[[Cluster], List[GpuDevice]],
-    size: int,
-    *,
-    algorithm: str,
-    channels: int,
-    ring: Tuple[int, ...],
-    iters: int,
-) -> float:
-    """Mean AllReduce duration under one fixed strategy."""
-    cluster = make_cluster()
-    gpus = pick_gpus(cluster)
-    deployment = MccsDeployment(cluster)
-    strategy = CollectiveStrategy(
-        ring=RingSchedule(tuple(ring)), channels=channels, algorithm=algorithm
-    )
-    comm = deployment.create_communicator(
-        "A", gpus, strategy=strategy, datapath_tag=_DATAPATH_TAG
-    )
-    client = deployment.connect("A")
-    shim_comm = client.adopt_communicator(comm.comm_id)
-    durations: List[float] = []
-    for _ in range(iters):
-        client.all_reduce(
-            shim_comm,
-            size,
-            on_complete=lambda inst, now: durations.append(inst.duration()),
-        )
-        deployment.run()
-    return sum(durations) / len(durations)
-
-
-def _measure_tuned(
-    make_cluster: Callable[[], Cluster],
-    pick_gpus: Callable[[Cluster], List[GpuDevice]],
-    size: int,
-    *,
-    rounds: int,
-    tail: int,
-) -> TunedResult:
-    """Run the online tuner from the default strategy; report the tail."""
-    cluster = make_cluster()
-    gpus = pick_gpus(cluster)
-    deployment = MccsDeployment(cluster)
-    tuner = deployment.enable_autotuning()
-    comm = deployment.create_communicator(
-        "A", gpus, datapath_tag=_DATAPATH_TAG
-    )
-    client = deployment.connect("A")
-    shim_comm = client.adopt_communicator(comm.comm_id)
-    durations: List[float] = []
-    for _ in range(rounds):
-        client.all_reduce(
-            shim_comm,
-            size,
-            on_complete=lambda inst, now: durations.append(inst.duration()),
-        )
-        deployment.run()
-    sessions = deployment.reconfig.sessions
-    return TunedResult(
-        algorithm=comm.strategy.algorithm,
-        retunes=tuner.retunes_applied(comm.comm_id),
-        barrier_only=bool(sessions)
-        and all(s.barrier_enabled for s in sessions),
-        inconsistent=comm.inconsistent_collectives,
-        first=durations[0],
-        tail_mean=sum(durations[-tail:]) / tail,
-    )
 
 
 def _race(
@@ -201,15 +111,13 @@ def _race(
     synth = best(synth=True)
     if synth is None:
         raise RuntimeError("no synthesized candidate in the plan")
-    builtin_seconds = _measure(
-        make_cluster, pick_gpus, size,
-        algorithm=builtin.algorithm, channels=builtin.channels,
-        ring=builtin.ring, iters=iters,
-    )
-    synth_seconds = _measure(
-        make_cluster, pick_gpus, size,
-        algorithm=synth.algorithm, channels=synth.channels,
-        ring=synth.ring, iters=iters,
+    builtin_seconds, synth_seconds = (
+        measure_static(
+            make_cluster, pick_gpus, Collective.ALL_REDUCE, size,
+            algorithm=c.algorithm, channels=c.channels, ring=c.ring,
+            iters=iters, tag=_DATAPATH_TAG,
+        )
+        for c in (builtin, synth)
     )
     return SizePoint(
         size=size,
@@ -248,12 +156,14 @@ def run_synth(
                     _race(make_cluster, pick_gpus, size, iters=static_iters)
                 )
             if fabric == "two_region":
-                result.tuned = _measure_tuned(
+                result.tuned = measure_tuned(
                     make_cluster,
                     pick_gpus,
+                    Collective.ALL_REDUCE,
                     tune_size,
                     rounds=tune_rounds,
                     tail=tail,
+                    tag=_DATAPATH_TAG,
                 )
         finally:
             for algo in algos:
@@ -287,41 +197,23 @@ def as_table(results: List[FabricResult]) -> List[List[str]]:
 def as_json(results: List[FabricResult]) -> Dict[str, object]:
     return {
         "fabrics": [
-            {
-                "fabric": r.fabric,
-                "world": r.world,
-                "synthesized": r.synthesized,
-                "points": [
-                    {
-                        "size": p.size,
-                        "builtin_label": p.builtin_label,
-                        "builtin_seconds": p.builtin_seconds,
-                        "synth_label": p.synth_label,
-                        "synth_seconds": p.synth_seconds,
-                        "speedup": p.speedup,
-                        "synth_wins": p.synth_wins,
-                    }
+            dict(
+                asdict(r),
+                points=[
+                    dict(asdict(p), speedup=p.speedup, synth_wins=p.synth_wins)
                     for p in r.points
                 ],
-                "tuned": None
+                tuned=None
                 if r.tuned is None
-                else {
-                    "algorithm": r.tuned.algorithm,
-                    "adopted_synth": r.tuned.adopted_synth,
-                    "retunes": r.tuned.retunes,
-                    "barrier_only": r.tuned.barrier_only,
-                    "inconsistent": r.tuned.inconsistent,
-                    "first": r.tuned.first,
-                    "tail_mean": r.tuned.tail_mean,
-                },
-            }
+                else dict(asdict(r.tuned), adopted_synth=r.tuned.adopted_synth),
+            )
             for r in results
         ],
     }
 
 
-def main(tune_rounds: int = 30, static_iters: int = 2) -> None:
-    results = run_synth(tune_rounds=tune_rounds, static_iters=static_iters)
+def main() -> Dict[str, object]:
+    results = run_synth(tune_rounds=TUNE_ROUNDS, static_iters=STATIC_ITERS)
     table = as_table(results)
     print_table(
         table[0],
@@ -340,12 +232,4 @@ def main(tune_rounds: int = 30, static_iters: int = 2) -> None:
             f"first={tuned.first * 1e6:.1f}us, "
             f"tail={tuned.tail_mean * 1e6:.1f}us)"
         )
-    out_path = os.environ.get(OUT_ENV)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(as_json(results), fh, indent=2, sort_keys=True)
-        print(f"wrote {out_path}")
-
-
-if __name__ == "__main__":
-    main()
+    return {"synth": as_json(results)}

@@ -38,7 +38,6 @@ This module provides that substrate:
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -624,7 +623,3 @@ class FlightRecorder:
 
     def to_dict(self) -> Dict[str, object]:
         return {"dumps": self.dumps(), "evicted": self._dumps.evicted}
-
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)

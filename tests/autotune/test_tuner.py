@@ -1,6 +1,7 @@
 """Online tuner integration: live retuning through the §4.2 barrier."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from repro.autotune import StrategyPlanner, TuningTable
 from repro.cluster.specs import testbed_cluster
 from repro.collectives.types import Collective
 from repro.core.deployment import MccsDeployment
-from repro.experiments.setups import single_app_gpus
+from repro.experiments.setups import measure_static, single_app_gpus
 from repro.netsim.units import KB, MB
 
 
@@ -25,7 +26,7 @@ def tuned_run(
     """Default-strategy communicator + autotuner, driven for ``rounds``.
 
     The communicator pins the experiment's datapath tag so durations (and
-    comparisons against ``_measure_static``, which pins the same tag) are
+    comparisons against ``measure_static`` under the same tag) are
     independent of how many communicators earlier tests created.
     """
     cluster = testbed_cluster()
@@ -90,17 +91,17 @@ def test_tuner_converges_to_best_static_choice(size):
     deployment, tuner, comm, durations = tuned_run(size, rounds=24)
     tail = sum(durations[-4:]) / 4
     # measure the best candidate statically on a fresh deployment
-    from repro.experiments.fig_autotune import _measure_static
-
     best_static = min(
-        _measure_static(
-            "8gpu",
+        measure_static(
+            testbed_cluster,
+            partial(single_app_gpus, setup="8gpu"),
             Collective.ALL_REDUCE,
             size,
             algorithm=s.candidate.algorithm,
             channels=s.candidate.channels,
             ring=s.candidate.ring,
             iters=2,
+            tag="autotune",
         )
         for s in predictions
     )

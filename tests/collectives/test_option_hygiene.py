@@ -2,20 +2,25 @@
 
 Every field of a policy dataclass (``*Policy`` / ``*Config`` / ``*Model``
 / ``*Quota`` / ``Backoff``) and every keyword default of an ``__init__``
-under ``src/repro`` — ``experiments/`` aside, whose ``run_*`` parameters
-are sweep sizes the tests shrink — is an independently settable value
-that tests and benchmarks would have to cover.  These checks walk every
-call in ``src/``, ``benchmarks/`` and ``examples/`` and fail when such a
-value is set by no product caller — it should be a module constant that
-tests patch — or when one of the knobs and helpers deleted for that
-reason grows back.  The planner and the synthesizer also ask an
-algorithm or a fabric spec what it is through declared attributes, never
-by probing with ``getattr``.
+under ``src/repro`` is an independently settable value that tests and
+benchmarks would have to cover.  These checks walk every call in
+``src/``, ``benchmarks/`` and ``examples/`` and fail when such a value is
+set by no product caller — it should be a module constant that tests
+patch — or when one of the knobs and helpers deleted for that reason
+grows back.  The planner and the synthesizer also ask an algorithm or a
+fabric spec what it is through declared attributes, never by probing
+with ``getattr``.  The experiments have one entry point, ``python -m
+repro.experiments``: their ``main()`` takes no parameters (sweep sizes
+are module constants) and returns its artifacts, which only
+``report.write_json`` writes.
 """
 
 import ast
+import inspect
 import pathlib
 import re
+
+from repro.experiments import ALL_FIGURES
 
 from .test_data_plane_hygiene import SOURCES, TEXT, TREE, _relative
 
@@ -77,11 +82,13 @@ RETIRED = re.compile(
     r"|\bedge_id\b|\bas_row\b|\bas_dict\b|\bfailed_ranks\b|\bCollectiveError\b"
     r"|resnet50_dp_trace|total_collective_bytes|total_compute_seconds"
     r"|total_memcpy_bytes|\bcollective_count\b|\.progress\(|def dec\(|\.gauges\(\)"
+    # per-experiment artifact writers, replaced by ``--out``
+    r"|MCCS_[A-Z]+_OUT|OUT_ENV|export_artifacts|trace_out"
 )
 
-
-def _in_scope(path):
-    return not _relative(path).startswith("experiments/")
+#: What only the one artifact writer may do under ``experiments/``.
+ARTIFACT_IO = re.compile(r"os\.environ|\bopen\(|json\.dump")
+MAIN_GUARD = re.compile(r"__name__\s*==\s*[\"']__main__[\"']")
 
 
 def _is_dataclass(cls):
@@ -101,7 +108,6 @@ def _option_classes():
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
         ]
         for path in SOURCES
-        if _in_scope(path)
         for node in ast.walk(TREE[path])
         if isinstance(node, ast.ClassDef)
         and OPTION_CLASS.search(node.name)
@@ -114,8 +120,6 @@ def _init_signatures():
     of every ``__init__`` in scope."""
     signatures = {}
     for path in SOURCES:
-        if not _in_scope(path):
-            continue
         for cls in ast.walk(TREE[path]):
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -185,5 +189,35 @@ def test_no_duck_typed_probes_in_the_cost_model():
         if _relative(path).startswith(("autotune/", "synth/"))
         for node in ast.walk(TREE[path])
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+    ]
+    assert offenders == []
+
+
+def test_experiments_have_one_entry_point_and_one_writer():
+    writer = next(
+        node
+        for path in SOURCES
+        if _relative(path) == "experiments/report.py"
+        for node in TREE[path].body
+        if isinstance(node, ast.FunctionDef) and node.name == "write_json"
+    )
+    offenders = []
+    for path in SOURCES:
+        module = _relative(path)
+        if not module.startswith("experiments/"):
+            continue
+        for lineno, line in enumerate(TEXT[path].splitlines(), 1):
+            if module == "experiments/report.py" and (
+                writer.lineno <= lineno <= writer.end_lineno
+            ):
+                continue
+            if ARTIFACT_IO.search(line) or (
+                MAIN_GUARD.search(line) and module != "experiments/__main__.py"
+            ):
+                offenders.append(f"{module}:{lineno}: {line.strip()}")
+    offenders += [
+        f"{name}.main{inspect.signature(module.main)}"
+        for name, module in ALL_FIGURES.items()
+        if inspect.signature(module.main).parameters
     ]
     assert offenders == []

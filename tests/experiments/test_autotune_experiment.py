@@ -1,17 +1,16 @@
 """Autotune experiment mode + the configurable §6.2 datapath latency."""
 
 import json
+from functools import partial
 
 import pytest
 
+from repro.cluster.specs import testbed_cluster
 from repro.collectives.types import Collective
-from repro.experiments import ALL_FIGURES
-from repro.experiments.fig_autotune import (
-    OUT_ENV,
-    as_json,
-    as_table,
-    run_autotune,
-)
+from repro.experiments import ALL_FIGURES, fig_autotune
+from repro.experiments.__main__ import main as cli_main
+from repro.experiments.fig_autotune import as_json, as_table, run_autotune
+from repro.experiments.setups import measure_static, single_app_gpus, system_issuers
 from repro.netsim.units import KB, MB
 
 
@@ -67,11 +66,11 @@ def test_autotune_table_and_json_rendering(autotune_result):
 
 
 def test_autotune_main_writes_json(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "autotune.json"
-    monkeypatch.setenv(OUT_ENV, str(out))
-    ALL_FIGURES["autotune"].main(tune_rounds=8, static_iters=1)
+    monkeypatch.setattr(fig_autotune, "TUNE_ROUNDS", 8)
+    monkeypatch.setattr(fig_autotune, "STATIC_ITERS", 1)
+    assert cli_main(["autotune", "--out", str(tmp_path)]) == 0
     assert "Autotune" in capsys.readouterr().out
-    payload = json.loads(out.read_text())
+    payload = json.loads((tmp_path / "autotune.json").read_text())
     assert len(payload["regimes"]) == 2
 
 
@@ -87,23 +86,22 @@ def test_pinned_datapath_tag_makes_measurements_history_free():
     """The experiment's measurements must not depend on how many
     communicators the process created before (the ECMP discriminator
     normally embeds a process-global comm id): same tag, same duration."""
-    from repro.experiments.fig_autotune import _measure_static
-    from repro.experiments.setups import single_app_gpus
 
     def measure():
-        return _measure_static(
-            "8gpu",
+        return measure_static(
+            testbed_cluster,
+            partial(single_app_gpus, setup="8gpu"),
             Collective.ALL_REDUCE,
             64 * MB,
             algorithm="ring",
             channels=2,
             ring=tuple(range(8)),
             iters=1,
+            tag="autotune",
         )
 
     first = measure()
     # advance the process-global comm counter, as an unrelated test would
-    from repro.cluster.specs import testbed_cluster
     from repro.core.deployment import MccsDeployment
 
     burn = MccsDeployment(testbed_cluster())
@@ -117,12 +115,18 @@ def test_pinned_datapath_tag_makes_measurements_history_free():
 # -- fig06 datapath threading (§6.2) -------------------------------------------
 def mccs_duration(size, datapath_latency):
     """One MCCS (FFA route-pinned, so ECMP-noise-free) collective."""
-    from repro.experiments.fig06_single_app import _issue_fn
-
-    issue, run = _issue_fn("mccs", "8gpu", 0, datapath_latency)
+    cluster = testbed_cluster()
+    issue = system_issuers(
+        "mccs",
+        cluster,
+        {"A": single_app_gpus(cluster, "8gpu")},
+        ecmp_seed=17,
+        tag_nccl=False,
+        datapath_latency=datapath_latency,
+    )["A"]
     durations = []
     issue(Collective.ALL_REDUCE, size, durations.append)
-    run()
+    cluster.sim.run()
     return durations[0]
 
 
@@ -134,7 +138,6 @@ def test_fig06_datapath_latency_is_configurable():
     slow = mccs_duration(512 * KB, 200e-6)
     assert default - free == pytest.approx(65e-6, rel=1e-6)
     assert slow - free == pytest.approx(200e-6, rel=1e-6)
-    from repro.cluster.specs import testbed_cluster
     from repro.core.deployment import MccsDeployment
 
     with pytest.raises(ValueError):

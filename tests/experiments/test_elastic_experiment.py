@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.experiments.__main__ import main as cli_main
 from repro.experiments.fig_elastic import run_elastic
 
 
@@ -57,16 +58,10 @@ def test_epoch_attributed_retune_happened(report):
     assert report.epoch_retunes >= 1
 
 
-def test_main_asserts_bars_and_writes_artifact(
-    tmp_path, monkeypatch, capsys
-):
-    out = tmp_path / "elastic.json"
-    monkeypatch.setenv("MCCS_ELASTIC_OUT", str(out))
-    from repro.experiments import fig_elastic
-
-    fig_elastic.main(seeds=(0,), cycles=3)
+def test_main_asserts_bars_and_writes_artifact(tmp_path, capsys):
+    assert cli_main(["elastic", "--out", str(tmp_path)]) == 0
     printed = capsys.readouterr().out
     assert "membership_changes=6" in printed
-    payload = json.loads(out.read_text())
+    payload = json.loads((tmp_path / "elastic.json").read_text())
     assert payload["experiment"] == "elastic"
     assert payload["reports"][0]["blast_radius_zero"] is True

@@ -5,13 +5,9 @@ import json
 import pytest
 
 from repro.core.algorithms import registered_algorithms
-from repro.experiments import ALL_FIGURES
-from repro.experiments.fig_synth import (
-    OUT_ENV,
-    as_json,
-    as_table,
-    run_synth,
-)
+from repro.experiments import ALL_FIGURES, fig_synth
+from repro.experiments.__main__ import main as cli_main
+from repro.experiments.fig_synth import as_json, as_table, run_synth
 from repro.netsim.units import KB, MB
 
 
@@ -82,11 +78,11 @@ def test_synth_table_and_json_rendering(synth_results):
 
 
 def test_synth_main_writes_json(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "synth.json"
-    monkeypatch.setenv(OUT_ENV, str(out))
-    ALL_FIGURES["synth"].main(tune_rounds=10, static_iters=1)
+    monkeypatch.setattr(fig_synth, "TUNE_ROUNDS", 10)
+    monkeypatch.setattr(fig_synth, "STATIC_ITERS", 1)
+    assert cli_main(["synth", "--out", str(tmp_path)]) == 0
     stdout = capsys.readouterr().out
     assert "Synthesis" in stdout
     assert "adopted_synth" in stdout
-    payload = json.loads(out.read_text())
+    payload = json.loads((tmp_path / "synth.json").read_text())
     assert len(payload["fabrics"]) == 2

@@ -276,7 +276,7 @@ def _traced_event_loop(num_flows: int, traced: bool, work: dict = None) -> float
             )
             remaining = min(_FLOWS_PER_TRACE, num_flows - group * _FLOWS_PER_TRACE)
             open_counts[group] = [trace, remaining]
-        trace_id = open_counts[group][0].trace_id
+        trace = open_counts[group][0]
 
         def done(f, now, group=group) -> None:
             entry = open_counts[group]
@@ -289,7 +289,7 @@ def _traced_event_loop(num_flows: int, traced: bool, work: dict = None) -> float
                     )
 
         sim.add_flow(
-            size, path, job_id=job, tags={"trace": trace_id}, on_complete=done
+            size, path, job_id=job, tags={"trace": trace}, on_complete=done
         )
 
     for i, path in enumerate(paths):

@@ -324,7 +324,6 @@ class NcclCommunicator:
                 table=self._table,
                 job_id=self.job_id,
                 on_complete=finished,
-                tags={"comm": self.comm_id},
             )
 
         name = "all_reduce_tree" if family == "tree" else kind.value

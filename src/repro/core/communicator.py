@@ -44,7 +44,7 @@ from ..telemetry.hub import TelemetryHub
 from ..transport.connections import ConnectionTable, connection_key
 from .algorithms import AlgorithmContext, RankTransfer, get_algorithm
 from .strategy import CollectiveStrategy
-from .tracing import DEFAULT_TRACE_CAPACITY, CommTrace, TraceRecord
+from .tracing import CommTrace, TraceRecord
 from .transport import TrafficGateManager
 
 
@@ -301,17 +301,10 @@ class CollectiveInstance:
             if t.nbytes > 0
         ]
         if batch:
-            tags = {
-                "comm": comm.comm_id,
-                "seq": self.seq,
-                "kind": self.kind.value,
-                "rank": rank,
-                "trace": self.trace.trace_id,
-            }
             flows = comm.sim.add_flows(
                 batch,
                 job_id=comm.app_id,
-                tags=tags,
+                tags={"rank": rank, "trace": self.trace},
                 on_complete=self._flow_done,
                 on_fail=self._flow_failed,
             )
@@ -552,7 +545,7 @@ class ServiceCommunicator:
         self.inconsistent_collectives = 0
         #: The §4.3 trace of this communicator's finished collectives;
         #: owned here, so it goes when the communicator is destroyed.
-        self.trace = CommTrace(self.comm_id, app_id, DEFAULT_TRACE_CAPACITY)
+        self.trace = CommTrace(self.comm_id)
         self.telemetry = telemetry
         # Label handles of the per-collective series, bound once here.
         metrics = telemetry.metrics

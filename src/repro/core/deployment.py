@@ -597,7 +597,7 @@ class MccsDeployment:
                     flows = self.sim.add_flows(
                         ((request.nbytes, conn.path, 0),),
                         job_id=comm.app_id,
-                        tags={"comm": comm.comm_id, "p2p": True},
+                        tags={"p2p": True},
                         on_complete=finish,
                         on_fail=failed,
                     )

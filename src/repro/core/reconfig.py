@@ -16,19 +16,21 @@ sequence via an AllGather on the per-communicator control ring:
    the old configuration, applies the update (tearing down and
    re-establishing peer connections), and resumes with the new one.
 
-:class:`ReconfigSession` owns one such request's lifecycle;
-:class:`ControlBarrier` is the AllGather.
+:class:`ReconfigSession` owns one such request's lifecycle and is its one
+record: the hub's session ring keeps it after it ends, and the
+reconfiguration span timeline is rendered from it at export time
+(:func:`repro.telemetry.spans.reconfig_spans`).  :class:`ControlBarrier`
+is the AllGather.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..netsim.engine import FlowSimulator
 from ..netsim.errors import ReconfigurationError
-from ..telemetry.causal import EVENT_BARRIER_RESOLVED, EVENT_RANK_APPLIED
-from ..telemetry.ringbuffer import RingBuffer
+from ..telemetry.causal import EVENT_BARRIER_RESOLVED
 from .communicator import ServiceCommunicator
 from .strategy import CollectiveStrategy
 
@@ -41,10 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: overhead; a control round-trip in the 100 us range matches a
 #: host-crossing TCP exchange.
 DEFAULT_CONTROL_RING_LATENCY = 100e-6
-
-#: Sessions :attr:`ReconfigManager.sessions` keeps, newest last (readers
-#: audit one communicator's tuned run: a few dozen).
-SESSIONS_KEPT = 256
 
 
 class ControlBarrier:
@@ -107,13 +105,21 @@ class ReconfigSession:
             )
         self.session_id = session_id
         self.comm = comm
+        # Identity, kept past _release for the rendered span.
+        self.comm_id = comm.comm_id
+        self.app_id = comm.app_id
+        self.from_version = comm.strategy.version
+        self.to_version = new_strategy.version
         self.new_strategy = new_strategy
         self.proxies = list(proxies)
         self.barrier_enabled = barrier_enabled
         self.issue_time = comm.sim.now
         self.resolve_time: Optional[float] = None
         self.done_time: Optional[float] = None
-        self._applied: Set[int] = set()
+        #: rank -> when it applied the update, in apply order.
+        self.applied: Dict[int, float] = {}
+        self.timeout_time: Optional[float] = None
+        self.missing: List[int] = []
         self._on_done = on_done
         self._on_failed = on_failed
         self.barrier = ControlBarrier(
@@ -131,23 +137,6 @@ class ReconfigSession:
                 raise ReconfigurationError("barrier timeout must be positive")
             comm.sim.call_in(barrier_timeout, self._check_timeout)
         self.telemetry = telemetry
-        attrs = {"app": comm.app_id, "comm": f"comm{comm.comm_id}"}
-        self.span = telemetry.spans.begin(
-            f"reconfig comm{comm.comm_id} "
-            f"v{comm.strategy.version}->v{new_strategy.version}",
-            self.issue_time,
-            category="reconfig",
-            session=self.session_id,
-            barrier_enabled=barrier_enabled,
-            **attrs,
-        )
-        self._barrier_span = None
-        if barrier_enabled:
-            # The Figure 4 stall: command issue to AllGather resolution.
-            self._barrier_span = telemetry.spans.begin(
-                "barrier", self.issue_time, category="reconfig",
-                parent=self.span, **attrs,
-            )
         telemetry.events.log(
             self.issue_time,
             "reconfig_issued",
@@ -189,7 +178,7 @@ class ReconfigSession:
         """
         if self.failed or self.done or self.barrier.resolved:
             return
-        missing = sorted(
+        missing = self.missing = sorted(
             rank for rank in range(self.comm.world)
             if rank not in self.barrier.contributions
         )
@@ -199,13 +188,9 @@ class ReconfigSession:
             f"after {self.barrier_timeout:g}s waiting for rank(s) "
             f"{missing or '(AllGather latency)'}"
         )
-        now = self.comm.sim.now
+        now = self.timeout_time = self.comm.sim.now
         for rank, proxy in enumerate(self.proxies):
             proxy.abort_reconfig(rank, self)
-        if self._barrier_span is not None and not self._barrier_span.finished:
-            self._barrier_span.finish(now)
-        self.span.mark("barrier_timeout", now, missing=missing)
-        self.span.finish(now)
         self.telemetry.metrics.counter(
             "mccs_reconfig_timeouts_total",
             "Reconfiguration barriers abandoned on timeout.",
@@ -223,26 +208,19 @@ class ReconfigSession:
 
     def _release(self) -> None:
         """The session ended (applied everywhere, or timed out): from here
-        on it is a record in :attr:`ReconfigManager.sessions` — timings,
+        on it is a record in the hub's session ring — identity, timings,
         ``max_seq``, the barrier's contributions, the error — and lets go
         of the machinery, so it pins neither the communicator (which the
-        tenant may destroy next) nor the proxies nor the callbacks, nor its
-        spans (finished by now; the hub's ring is their only owner)."""
+        tenant may destroy next) nor the proxies nor the callbacks."""
         self.comm = None
         self.proxies = []
         self._on_done = self._on_failed = None
-        self.span = self._barrier_span = None
 
     def _barrier_resolved(self, max_seq: int) -> None:
         if self.failed:
             return
         self.max_seq = max_seq
         self.resolve_time = self.comm.sim.now
-        self.span.mark(
-            EVENT_BARRIER_RESOLVED, self.resolve_time, max_seq=max_seq
-        )
-        if self._barrier_span is not None:
-            self._barrier_span.finish(self.resolve_time)
         self.telemetry.metrics.histogram(
             "mccs_barrier_stall_seconds",
             "Reconfiguration barrier stall (issue to AllGather resolve).",
@@ -263,17 +241,15 @@ class ReconfigSession:
             proxy.barrier_resolved(rank, self, max_seq)
 
     def mark_applied(self, rank: int) -> None:
-        if rank in self._applied:
+        if rank in self.applied:
             raise ReconfigurationError(f"rank {rank} applied update twice")
-        self._applied.add(rank)
+        self.applied[rank] = self.comm.sim.now
         if not self.barrier_enabled:
             # broken-protocol mode: commit on first application so that
             # launches under the new version find the strategy registered
             self.comm.commit_strategy(self.new_strategy)
-        self.span.mark(EVENT_RANK_APPLIED, self.comm.sim.now, rank=rank)
-        if len(self._applied) == self.comm.world:
+        if len(self.applied) == self.comm.world:
             self.done_time = self.comm.sim.now
-            self.span.finish(self.done_time)
             self.telemetry.metrics.histogram(
                 "mccs_reconfig_duration_seconds",
                 "Reconfiguration issue-to-applied-everywhere time.",
@@ -315,7 +291,6 @@ class ReconfigManager:
         self._telemetry = telemetry
         self._active: Dict[int, ReconfigSession] = {}
         self._session_ids = itertools.count()
-        self.sessions: RingBuffer[ReconfigSession] = RingBuffer(SESSIONS_KEPT)
 
     def reconfigure(
         self,
@@ -384,7 +359,7 @@ class ReconfigManager:
             on_failed=timed_out,
         )
         self._active[comm.comm_id] = session
-        self.sessions.append(session)
+        self._telemetry.sessions.append(session)
         for rank, delay in enumerate(delays):
             session.deliver(rank, delay)
         return session

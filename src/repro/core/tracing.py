@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 from ..collectives.types import Collective
 from ..telemetry.ringbuffer import RingBuffer
 
-#: Default per-communicator trace capacity (collectives kept).
+#: Per-communicator trace capacity (collectives kept).
 DEFAULT_TRACE_CAPACITY = 4096
 
 
@@ -69,32 +69,20 @@ class TraceRecord:
 class CommTrace:
     """Per-communicator trace buffer with idle-cycle analysis.
 
-    The buffer keeps the most recent ``max_records`` finished
-    collectives, in completion order; ``evicted`` counts what was dropped.
+    The buffer keeps the most recent :data:`DEFAULT_TRACE_CAPACITY`
+    finished collectives, in completion order.
     """
 
-    def __init__(
-        self,
-        comm_id: int,
-        app_id: str,
-        max_records: int = DEFAULT_TRACE_CAPACITY,
-    ) -> None:
+    def __init__(self, comm_id: int) -> None:
         self.comm_id = comm_id
-        self.app_id = app_id
-        self._records: RingBuffer[TraceRecord] = RingBuffer(max_records)
+        self._records: RingBuffer[TraceRecord] = RingBuffer(
+            DEFAULT_TRACE_CAPACITY
+        )
 
     @property
     def records(self) -> List[TraceRecord]:
         """Retained records, oldest first."""
         return self._records.to_list()
-
-    @property
-    def evicted(self) -> int:
-        return self._records.evicted
-
-    @property
-    def max_records(self) -> int:
-        return self._records.capacity
 
     def append(self, record: TraceRecord) -> None:
         """Retain one finished collective (called at its terminal state)."""

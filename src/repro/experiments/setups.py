@@ -323,7 +323,7 @@ def measure_tuned(
         "A", pick_gpus(cluster), datapath_tag=tag
     )
     durations = _durations(deployment, comm.comm_id, kind, size, rounds)
-    sessions = deployment.reconfig.sessions
+    sessions = deployment.telemetry().sessions
     return TunedResult(
         algorithm=comm.strategy.algorithm,
         retunes=tuner.retunes_applied(comm.comm_id),

@@ -9,8 +9,9 @@ telemetry plane for the reproduction:
   simulated clock.
 * :mod:`causal`    — the one record per collective: its causal tree,
   critical-path attribution, the flight recorder.
-* :mod:`spans`     — the timeline vocabulary: reconfiguration spans, and
-  collective spans rendered from the causal trees at export time.
+* :mod:`spans`     — the timeline vocabulary, rendered at export time:
+  reconfiguration spans from the session records, collective spans from
+  the causal trees.
 * :mod:`sampler`   — flow-lifecycle observer + periodic link-utilization
   sampling over the fluid simulator.
 * :mod:`events`    — bounded log of control-plane policy decisions.
@@ -44,7 +45,7 @@ from .metrics import (
 )
 from .ringbuffer import RingBuffer
 from .sampler import NetworkTelemetry
-from .spans import Span, SpanRecorder, collective_spans
+from .spans import Span, collective_spans
 
 __all__ = [
     "Counter",
@@ -65,7 +66,6 @@ __all__ = [
     "NetworkTelemetry",
     "RingBuffer",
     "Span",
-    "SpanRecorder",
     "TelemetryEvent",
     "TelemetryHub",
     "WALL_CLOCK_BUCKETS",

@@ -15,11 +15,13 @@ This module provides that substrate:
   :class:`~repro.core.tracing.TraceRecord` is six scalars copied off the
   instance at its terminal state; no lifecycle fact is written twice.
   The trace carries its own identity (``trace_id``, tenant, comm, seq,
-  kind, bytes, strategy version); journal records, decision events and
-  flow tags reference its ``trace_id``.
+  kind, bytes, strategy version); journal records and decision events
+  reference its ``trace_id``, and a launch batch's flow tags carry the
+  trace itself.
 * :class:`CausalTracer` — a :class:`~repro.netsim.engine.SimObserver`
   that keeps the live trees and a bounded ring of closed ones.  Flows
-  tagged with ``trace=<trace_id>`` are adopted into the issuing trace;
+  tagged with ``trace=<CausalTrace>`` are adopted into that trace while
+  it is open;
   a per-flow rate recorder (installed via ``Flow._recorder``) captures
   every rate change as a closed *segment* ``(start, end, rate,
   bottleneck_link, co_tenants)``, so attribution costs O(changed flows)
@@ -364,7 +366,7 @@ class CausalTracer:
 
     The tracer observes *every* flow to maintain per-link tenant
     occupancy (the co-tenant sets are computed from it) but only flows
-    tagged ``trace=<trace_id>`` get full segment recording — untraced
+    tagged ``trace=<CausalTrace>`` get full segment recording — untraced
     traffic costs two O(path) dictionary passes per flow lifetime.
     """
 
@@ -453,6 +455,11 @@ class CausalTracer:
         """The retained closed trees, oldest first (a ``max_closed`` ring)."""
         return self._closed.to_list()
 
+    @property
+    def evicted(self) -> int:
+        """Closed trees the ring has dropped."""
+        return self._closed.evicted
+
     def recent(self, n: int = 8) -> List[CausalTrace]:
         """Most recent traces, live first then newest-closed."""
         closed = self._closed.to_list()
@@ -474,8 +481,8 @@ class CausalTracer:
                     per_job = link_jobs[link] = {}
                 per_job[job] = per_job.get(job, 0) + 1
         tags = first.tags
-        trace = self._live.get(tags.get("trace"))
-        if trace is None:
+        trace = tags.get("trace")
+        if trace is None or trace.closed:
             return
         rank = tags.get("rank")
         records = trace.current_attempt.flows

@@ -13,10 +13,10 @@ Three views over the same hub state:
   and communicator, point events become instants, and the Figure 4
   reconfiguration barrier shows up as its own span on the control track.
 
-The spans both span exports show are ``hub.exported_spans()``: the stored
-reconfiguration spans plus the collective spans rendered from the causal
-trees.  All exporters are deterministic: span ids follow begin order and
-output is sorted, so goldens can be compared byte for byte.
+The spans both span exports show are ``hub.spans``: reconfiguration spans
+rendered from the session ring and collective spans rendered from the
+causal trees.  All exporters are deterministic: span ids follow issue
+order and output is sorted, so goldens can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def json_snapshot(hub: "TelemetryHub") -> Dict[str, object]:
         "metrics": hub.metrics.snapshot(),
         "spans": {
             "evicted": hub.spans.evicted,
-            "records": [span.to_dict() for span in hub.exported_spans()],
+            "records": [span.to_dict() for span in hub.spans],
         },
         "events": {
             "evicted": hub.events.evicted,
@@ -172,9 +172,9 @@ def _span_tracks(span: Span) -> Tuple[str, str]:
 def chrome_trace(
     spans: Iterable[Span], events: Optional[EventLog] = None
 ) -> Dict[str, object]:
-    """Render spans — a :class:`~repro.telemetry.spans.SpanRecorder` or any
-    sequence, e.g. ``hub.exported_spans()`` — and decision events as a
-    Chrome trace-event dict.
+    """Render spans — ``hub.spans`` or any sequence of
+    :class:`~repro.telemetry.spans.Span` — and decision events as a Chrome
+    trace-event dict.
 
     Finished spans become complete ("X") events; their point events and
     any control-plane decision events become instants ("i").  Unfinished
@@ -196,7 +196,7 @@ def chrome_trace(
         trace_ref = span.attrs.get("trace")
         if trace_ref is not None and str(trace_ref) not in anchors:
             anchors[str(trace_ref)] = (pid, tid, _us(span.start))
-        if span.finished:
+        if span.end is not None:
             args: Dict[str, object] = {"span_id": span.span_id}
             if span.parent_id is not None:
                 args["parent_id"] = span.parent_id

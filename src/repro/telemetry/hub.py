@@ -3,44 +3,55 @@
 Every :class:`~repro.core.deployment.MccsDeployment` builds one
 :class:`TelemetryHub` on its cluster's simulator and threads it through
 the service layers — frontend, proxies, reconfiguration manager,
-transport, controller — so every counter increment, span, and decision
-event lands in the same place.  ``MccsDeployment.telemetry()`` hands it
-to callers; the exporters in :mod:`repro.telemetry.exporters` render it.
+transport, controller — so every counter increment, causal tree,
+reconfiguration session and decision event lands in the same place.
+``MccsDeployment.telemetry()`` hands it to callers; the exporters in
+:mod:`repro.telemetry.exporters` render it.  Spans are one of those
+renderings, never a store: ``hub.spans`` draws them from the causal ring
+and the session ring on every read.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from .causal import CausalTracer, FlightRecorder
 from .events import MAX_EVENTS, EventLog
 from .exporters import chrome_trace, json_snapshot, prometheus_text
 from .metrics import MetricsRegistry
+from .ringbuffer import RingBuffer
 from .sampler import NetworkTelemetry
 from .slo import SloTracker
-from .spans import MAX_SPANS, Span, SpanRecorder, collective_spans
+from .spans import SpanWindow
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..netsim.engine import FlowSimulator
 
+#: Reconfiguration sessions ``hub.sessions`` keeps, newest last — also the
+#: export window for reconfiguration spans (readers audit one
+#: communicator's tuned run: a few dozen).
+SESSIONS_KEPT = 256
+
 
 class TelemetryHub:
-    """Aggregates metrics, spans, events, network samples and causal
-    traces of one simulator.
+    """Aggregates metrics, causal traces, reconfiguration sessions, events
+    and network samples of one simulator.
 
-    ``hub.spans`` stores reconfiguration spans only — collectives are
-    rendered from the causal tracer's trees, see :meth:`exported_spans`.
+    ``hub.sessions`` is the ring of reconfiguration session records the
+    :class:`~repro.core.reconfig.ReconfigManager` appends to; ``hub.spans``
+    is the export window rendered from it and the causal tracer's trees.
     Every store is a ring sized by a constant of the module that defines
-    it (``MAX_SPANS``, ``MAX_EVENTS``, the sampler's and the tracer's).
+    it (``SESSIONS_KEPT``, ``MAX_EVENTS``, the sampler's and the tracer's).
     """
 
     def __init__(self, sim: "FlowSimulator") -> None:
         self.metrics = MetricsRegistry()
-        self.spans = SpanRecorder(MAX_SPANS)
+        self.sessions = RingBuffer(SESSIONS_KEPT)
         self.events = EventLog(MAX_EVENTS)
         self.slo = SloTracker(self.metrics)
         self.network = NetworkTelemetry(sim, self.metrics)
         self.causal = CausalTracer(sim, self.metrics)
+        self.spans = SpanWindow(self.sessions, self.causal)
         self.flight = FlightRecorder(self.causal, self.metrics, self.events)
         self._resilience_provider: Optional[
             Callable[[], Dict[str, int]]
@@ -66,18 +77,7 @@ class TelemetryHub:
 
     def to_chrome_trace(self) -> Dict[str, object]:
         """Chrome trace-event rendering of spans and decision events."""
-        return chrome_trace(self.exported_spans(), self.events)
-
-    def exported_spans(self) -> List[Span]:
-        """Every span an export shows, by start time: the stored
-        reconfiguration spans, and the collective spans rendered from the
-        causal trees the tracer still retains (closed ring + live)."""
-        spans = self.spans.spans() + collective_spans(
-            self.causal.closed_traces() + self.causal.live_traces(),
-            self.spans.next_id,
-        )
-        spans.sort(key=lambda span: span.start)
-        return spans
+        return chrome_trace(self.spans, self.events)
 
     # ------------------------------------------------------------------
     def summary_lines(self) -> list:
@@ -98,7 +98,7 @@ class TelemetryHub:
                 lines.append(
                     f"{name}{label_text}  count={state.count} mean={mean:.6g}s"
                 )
-        lines.append(f"spans recorded = {len(self.spans)} (evicted {self.spans.evicted})")
+        lines.append(f"spans exported = {len(list(self.spans))} (evicted {self.spans.evicted})")
         lines.append(f"decision events = {len(self.events)} (evicted {self.events.evicted})")
         lines.append(
             "link series = "

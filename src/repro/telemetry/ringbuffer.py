@@ -2,9 +2,10 @@
 
 Every unbounded list in a long-running service is a memory leak waiting
 to happen; the telemetry layer stores all of its series — link-utilization
-samples, spans, decision events — in fixed-capacity buffers with
-oldest-first eviction, and keeps count of what it dropped so exporters
-can say "truncated" instead of silently lying about coverage.
+samples, causal trees, reconfiguration sessions, decision events — in
+fixed-capacity buffers with oldest-first eviction, and keeps count of what
+it dropped so exporters can say "truncated" instead of silently lying
+about coverage.
 """
 
 from __future__ import annotations
@@ -30,14 +31,6 @@ class RingBuffer(Generic[T]):
         while len(self._items) > self.capacity:
             self._items.popleft()
             self.evicted += 1
-
-    def extend(self, items) -> None:
-        for item in items:
-            self.append(item)
-
-    def clear(self) -> None:
-        self._items.clear()
-        self.evicted = 0
 
     def to_list(self) -> List[T]:
         return list(self._items)

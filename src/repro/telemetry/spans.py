@@ -2,12 +2,12 @@
 
 A :class:`Span` is one named interval on the simulation clock, optionally
 nested under a parent span and carrying point events ("rank_launch",
-"first_flow_start", ...).  Two producers, one shape:
+"first_flow_start", ...).  No span is stored: each is *rendered*, when an
+exporter (or a test) iterates the hub's :class:`SpanWindow`, from the one
+record the service already keeps of the thing it shows.
 
-* **Collectives are not stored as spans.**  The one record of a
-  collective is its causal tree (:mod:`repro.telemetry.causal`);
-  :func:`collective_spans` *renders* the timeline below from the retained
-  trees when an exporter (or a test) asks:
+* **Collectives** render from their causal trees
+  (:mod:`repro.telemetry.causal`) — :func:`collective_spans`:
 
       allreduce c0.s3                    [issue ............. last flow end]
         queued                           [issue .. first proxy launch]
@@ -17,10 +17,11 @@ nested under a parent span and carrying point events ("rank_launch",
   The phases tile the root.  A retried collective re-enters ``queued`` at
   each retry, so every attempt shows its own closed ``network`` child.
   Every annotation of the tree is an instant on the root.
-* **Reconfigurations are begun explicitly** on the hub's
-  :class:`SpanRecorder` — a root span with a ``barrier`` child, so the
-  Figure 4 stall is directly visible in a Chrome trace.  They are the only
-  spans the recorder stores.
+* **Reconfigurations** render from their session records
+  (:class:`~repro.core.reconfig.ReconfigSession`) — :func:`reconfig_spans`:
+  a root span from issue to applied-everywhere (or timeout) with a
+  ``barrier`` child from issue to AllGather resolution, so the Figure 4
+  stall is directly visible in a Chrome trace.
 """
 
 from __future__ import annotations
@@ -28,23 +29,23 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .causal import (
+    EVENT_BARRIER_RESOLVED,
     EVENT_FIRST_FLOW_START,
     EVENT_LAST_FLOW_END,
+    EVENT_RANK_APPLIED,
     EVENT_RANK_LAUNCH,
     EVENT_RETRY,
     TRACE_COMPLETED,
 )
 from .ringbuffer import RingBuffer
 
-#: Capacity of a hub's stored-span ring (``hub.spans``).
-MAX_SPANS = 8192
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .causal import CausalTrace
+    from .causal import CausalTrace, CausalTracer
 
 
 class Span:
-    """One interval on the simulated clock."""
+    """One interval on the simulated clock, as an export shows it
+    (``end`` is None while the thing it shows is still running)."""
 
     __slots__ = ("span_id", "name", "category", "start", "end", "parent_id",
                  "attrs", "events")
@@ -55,51 +56,20 @@ class Span:
         name: str,
         start: float,
         *,
+        end: Optional[float] = None,
         category: str = "span",
         parent_id: Optional[int] = None,
         attrs: Optional[Dict[str, object]] = None,
+        events: Optional[List[Tuple[str, float, Dict[str, object]]]] = None,
     ) -> None:
         self.span_id = span_id
         self.name = name
         self.category = category
         self.start = start
-        self.end: Optional[float] = None
+        self.end = end
         self.parent_id = parent_id
         self.attrs: Dict[str, object] = dict(attrs or {})
-        self.events: List[Tuple[str, float, Dict[str, object]]] = []
-
-    # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
-
-    @property
-    def duration(self) -> Optional[float]:
-        if self.end is None:
-            return None
-        return self.end - self.start
-
-    def finish(self, t: float) -> "Span":
-        if self.end is not None:
-            raise ValueError(f"span {self.name!r} finished twice")
-        if t < self.start:
-            raise ValueError(f"span {self.name!r} cannot end before it starts")
-        self.end = t
-        return self
-
-    def mark(self, name: str, t: float, **attrs: object) -> None:
-        """Stamp a point event on the span."""
-        self.events.append((name, t, dict(attrs)))
-
-    def event_time(self, name: str) -> Optional[float]:
-        """Time of the first event called ``name``, or None."""
-        for event_name, t, _ in self.events:
-            if event_name == name:
-                return t
-        return None
-
-    def event_times(self, name: str) -> List[float]:
-        return [t for event_name, t, _ in self.events if event_name == name]
+        self.events = events if events is not None else []
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -121,68 +91,71 @@ class Span:
         return f"Span({self.name!r}, [{self.start:.6f}, {end}], id={self.span_id})"
 
 
-class SpanRecorder:
-    """Bounded store of every span recorded by one telemetry hub.
+class SpanWindow:
+    """What a span export shows (``hub.spans``), rendered on every read.
 
-    Span ids are assigned from a per-recorder counter, so exports are
-    deterministic run to run.  The buffer keeps the most recent
-    ``max_spans`` spans; the eviction count is reported by exporters.
+    Iterating yields the reconfiguration spans of the retained sessions
+    (ids from 1, in issue order), then the collective spans of the causal
+    trees the tracer retains (closed ring, then live), stably sorted by
+    start time.  ``evicted`` counts the sessions and closed collectives
+    the two rings have dropped: what the window no longer shows.
     """
 
-    def __init__(self, max_spans: int = MAX_SPANS) -> None:
-        self._spans: RingBuffer[Span] = RingBuffer(max_spans)
-
-    @property
-    def next_id(self) -> int:
-        """Id of the next span begun (ids run 1, 2, ... in begin order)."""
-        return len(self._spans) + self._spans.evicted + 1
-
-    def begin(
-        self,
-        name: str,
-        t: float,
-        *,
-        category: str = "span",
-        parent: Optional[Span] = None,
-        **attrs: object,
-    ) -> Span:
-        span = Span(
-            self.next_id,
-            name,
-            t,
-            category=category,
-            parent_id=parent.span_id if parent is not None else None,
-            attrs=attrs,
-        )
-        self._spans.append(span)
-        return span
-
-    # ------------------------------------------------------------------
-    def spans(self, category: Optional[str] = None) -> List[Span]:
-        if category is None:
-            return self._spans.to_list()
-        return [s for s in self._spans if s.category == category]
-
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self._spans if s.parent_id == span.span_id]
-
-    def find(self, **attrs: object) -> List[Span]:
-        """Spans whose attrs contain every given key/value pair."""
-        return [
-            s
-            for s in self._spans
-            if all(s.attrs.get(k) == v for k, v in attrs.items())
-        ]
+    def __init__(self, sessions: RingBuffer, tracer: "CausalTracer") -> None:
+        self._sessions = sessions
+        self._tracer = tracer
 
     @property
     def evicted(self) -> int:
-        return self._spans.evicted
-
-    def __len__(self) -> int:
-        return len(self._spans)
+        return self._sessions.evicted + self._tracer.evicted
 
     def __iter__(self) -> Iterator[Span]:
-        return iter(self._spans)
+        spans = reconfig_spans(self._sessions)
+        traces = self._tracer.closed_traces() + self._tracer.live_traces()
+        spans += collective_spans(traces, len(spans) + 1)
+        return iter(sorted(spans, key=lambda span: span.start))
+
+
+def reconfig_spans(sessions: Iterable) -> List[Span]:
+    """Render reconfiguration session records as span trees (ids from 1).
+
+    A record (a ``ReconfigSession``; ``telemetry`` does not import
+    ``core``) is read for its identity — ``session_id``, ``comm_id``,
+    ``app_id``, ``from_version``, ``to_version``, ``barrier_enabled`` —
+    and its instants: ``issue_time``, ``resolve_time`` (with ``max_seq``),
+    ``applied`` (rank -> time), ``done_time``, ``timeout_time`` (with
+    ``missing``).  Per session: the root, issue to applied-everywhere or
+    timeout (unfinished while in flight), carrying those instants; then,
+    with the barrier enabled, the ``barrier`` child, issue to AllGather
+    resolution or timeout.
+    """
+    out: List[Span] = []
+    for s in sessions:
+        tracks = {"app": s.app_id, "comm": f"comm{s.comm_id}"}
+        events = []
+        if s.resolve_time is not None:  # ranks apply only after it
+            events.append((EVENT_BARRIER_RESOLVED, s.resolve_time, {"max_seq": s.max_seq}))
+        events += [(EVENT_RANK_APPLIED, t, {"rank": rank}) for rank, t in s.applied.items()]
+        if s.timeout_time is not None:
+            events.append(("barrier_timeout", s.timeout_time, {"missing": s.missing}))
+        root = Span(
+            len(out) + 1,
+            f"reconfig comm{s.comm_id} v{s.from_version}->v{s.to_version}",
+            s.issue_time,
+            end=s.timeout_time if s.done_time is None else s.done_time,
+            category="reconfig",
+            attrs=dict(session=s.session_id, barrier_enabled=s.barrier_enabled, **tracks),
+            events=events,
+        )
+        out.append(root)
+        if s.barrier_enabled:
+            # The Figure 4 stall: command issue to AllGather resolution.
+            out.append(Span(
+                len(out) + 1, "barrier", s.issue_time,
+                end=s.timeout_time if s.resolve_time is None else s.resolve_time,
+                category="reconfig", parent_id=root.span_id, attrs=tracks,
+            ))
+    return out
 
 
 def collective_spans(
@@ -198,18 +171,19 @@ def collective_spans(
     out: List[Span] = []
     for trace in traces:
         tracks = {"app": trace.tenant, "comm": trace.comm_id}
+        events = [(kind, t, attrs) for t, kind, attrs in trace.events]
+        if trace.status == TRACE_COMPLETED:
+            events.append((EVENT_LAST_FLOW_END, trace.end_time, {}))
         root = Span(
             first_id + len(out),
             f"{trace.kind} {trace.comm_id}.s{trace.seq}",
             trace.issued_at,
+            end=trace.end_time,
             category="collective",
             attrs=dict(tracks, seq=trace.seq, kind=trace.kind,
                        bytes=trace.nbytes, trace=trace.trace_id),
+            events=events,
         )
-        root.events = [(kind, t, attrs) for t, kind, attrs in trace.events]
-        if trace.status == TRACE_COMPLETED:
-            root.mark(EVENT_LAST_FLOW_END, trace.end_time)
-        root.end = trace.end_time
         out.append(root)
 
         # Phase boundaries, walked off the annotations: (name, start).
@@ -224,8 +198,6 @@ def collective_spans(
                 phases.append(("queued", t))
         ends = [t for _, t in phases[1:]] + [trace.end_time]
         for (name, start), end in zip(phases, ends):
-            phase = Span(first_id + len(out), name, start, category="phase",
-                         parent_id=root.span_id, attrs=tracks)
-            phase.end = end
-            out.append(phase)
+            out.append(Span(first_id + len(out), name, start, end=end, category="phase",
+                            parent_id=root.span_id, attrs=tracks))
     return out

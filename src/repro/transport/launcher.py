@@ -16,7 +16,7 @@ Figure 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..cluster.gpu import GpuDevice
 from ..cluster.specs import Cluster
@@ -38,7 +38,6 @@ class LaunchHandle:
     flows: List[Flow] = field(default_factory=list)
     start_time: Optional[float] = None
     end_time: Optional[float] = None
-    tags: Dict[str, object] = field(default_factory=dict)
     #: First failure that killed this launch; the remaining flows were
     #: cancelled when it was set.
     error: Optional[BaseException] = None
@@ -68,7 +67,6 @@ class FlowTransport:
         table: ConnectionTable,
         job_id: Optional[str] = None,
         on_complete: Optional[Callable[[LaunchHandle, float], None]] = None,
-        tags: Optional[Dict[str, object]] = None,
     ) -> LaunchHandle:
         """Issue a collective as ``(src, dst, channel, nbytes)``
         ``transfers`` after ``steps`` hops of fixed latency; returns
@@ -79,7 +77,6 @@ class FlowTransport:
             out_bytes=out_bytes,
             job_id=job_id,
             issue_time=self.sim.now,
-            tags=dict(tags or {}),
         )
         fixed = self.latency.collective_latency(steps)
 
@@ -115,7 +112,6 @@ class FlowTransport:
                 handle.flows = self.sim.add_flows(
                     batch,
                     job_id=job_id,
-                    tags={"kind": kind.value, **handle.tags},
                     on_complete=flow_done,
                     on_fail=lambda _f, _t, err: fail(err),
                 )

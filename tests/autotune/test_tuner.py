@@ -66,7 +66,7 @@ def test_enable_autotuning_is_idempotent_and_attaches_existing_comms():
 
 def test_retunes_applied_exclusively_through_the_barrier():
     deployment, tuner, comm, _ = tuned_run(64 * KB)
-    sessions = deployment.reconfig.sessions
+    sessions = deployment.telemetry().sessions
     assert tuner.retunes_applied(comm.comm_id) > 0
     assert sessions, "the tuner never issued a reconfiguration"
     assert all(s.barrier_enabled for s in sessions)

@@ -43,10 +43,6 @@ ALLOWED = {
     "TelemetryHub.to_prometheus": "provider API: §4.3 management, metrics scrape",
     "TraceRecord.network_duration": "provider API: §4.3 tracing, network time of a collective",
     "TraceRecord.queue_delay": "provider API: §4.3 tracing, queueing before the network",
-    "Span.event_time": "provider API: §4.3 tracing, span point-event lookup",
-    "Span.event_times": "provider API: §4.3 tracing, span point-event lookup",
-    "SpanRecorder.children_of": "provider API: §4.3 tracing, span tree walk",
-    "SpanRecorder.find": "provider API: §4.3 tracing, span search by attribute",
     "ServiceGateway.revoke_tenant": "provider API: gateway tenant admin, close an account",
     "TenantRegistry.rotate_key": "provider API: gateway tenant admin, rotate an API key",
     "progressive_filling": "reference oracle: the max-min allocation the solver is held to",

@@ -77,4 +77,4 @@ def test_n_busy_tries_reach_on_exhausted_once(deployment, four_gpus):
     assert entry[:2] == ("exhausted", pytest.approx(5 * DELAY, abs=1e-12))
     assert isinstance(entry[2], ReconfigurationError)  # the last busy error
     # Five tries, none of which pushed a session: only the holder's did.
-    assert len(deployment.reconfig.sessions) == 1
+    assert len(deployment.telemetry().sessions) == 1

@@ -184,7 +184,7 @@ def test_pfa_cannot_reserve_everything():
 
 # -- Example #4: TS ---------------------------------------------------------------
 def periodic_trace(busy=1.0, idle=2.0, cycles=5):
-    trace = CommTrace(comm_id=1, app_id="B")
+    trace = CommTrace(comm_id=1)
     t = 0.0
     for i in range(cycles):
         trace.append(TraceRecord(i, Collective.ALL_REDUCE, 100, t, t, t + busy))

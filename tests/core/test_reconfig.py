@@ -106,7 +106,7 @@ def test_no_reconfig_means_no_barrier_work():
     for _ in range(4):
         client.all_reduce(handle, 8 * MB)
     deployment.run()
-    assert len(deployment.reconfig.sessions) == 0
+    assert len(deployment.telemetry().sessions) == 0
     assert all(p.reconfigurations == 0 for p in deployment.proxies_of(comm))
 
 
@@ -135,8 +135,8 @@ def test_rejected_reconfigure_has_no_side_effect():
 
     def observed():
         return (
-            len(deployment.reconfig.sessions),
-            len(hub.spans),
+            len(hub.sessions),
+            len(list(hub.spans)),
             len(hub.events.events("reconfig_issued")),
             hub.metrics.counter("mccs_reconfigs_total").total(),
             comm.strategy.ring.order,

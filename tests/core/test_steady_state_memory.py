@@ -2,7 +2,7 @@
 
 A long-lived service must not grow with the number of collectives it has
 served.  Each case warms a deployment up until every bounded ring
-(``MAX_SPANS``, ``MAX_EVENTS`` and ``DEFAULT_TRACE_CAPACITY``, patched
+(``SESSIONS_KEPT``, ``MAX_EVENTS`` and ``DEFAULT_TRACE_CAPACITY``, patched
 small here; the causal tracer's 512-trace ring, warmed past) is full, counts the live objects of the per-collective types with
 ``gc.get_objects()``, serves some more, and counts again: the difference
 must be zero.  These are counts, not timings, so the test is exact.
@@ -11,8 +11,9 @@ What is *allowed* to grow, and is therefore not in ``PER_COLLECTIVE``:
 one journal record per collective (see the retention table in
 ``docs/observability.md``).  Trace objects are *not* allowed to: a
 ``CausalTrace`` lives in the tracer's ring, a ``TraceRecord`` in its
-communicator's ring until the communicator is destroyed, and the only
-stored ``Span``s are the reconfiguration ones.  Nor are the gateway's
+communicator's ring until the communicator is destroyed, a
+``ReconfigSession`` in the hub's session ring, and no ``Span`` is stored
+at all (exports render them).  Nor are the gateway's
 per-request objects (its ledger is counts plus a ring of settled
 records), admission decisions (counters and events, no list) or finished
 membership changes and upgrade sessions (a ring each, patched small here).
@@ -46,6 +47,7 @@ PER_COLLECTIVE = (
     "CausalTrace",
     "TraceRecord",
     "Span",
+    "ReconfigSession",
     "CollectiveInstance",
     "ClientCollective",
     "AsyncOp",
@@ -79,10 +81,10 @@ def census():
 
 def make_deployment(monkeypatch):
     # A deployment has no ring-size knobs; shrink the constants it reads.
-    # Two stored spans per reconfiguration: the tenant cycles fill this.
-    monkeypatch.setattr("repro.telemetry.hub.MAX_SPANS", 64)
+    # One session per reconfiguration: the tenant cycles fill this.
+    monkeypatch.setattr("repro.telemetry.hub.SESSIONS_KEPT", 32)
     monkeypatch.setattr("repro.telemetry.hub.MAX_EVENTS", 64)
-    monkeypatch.setattr("repro.core.communicator.DEFAULT_TRACE_CAPACITY", 32)
+    monkeypatch.setattr("repro.core.tracing.DEFAULT_TRACE_CAPACITY", 32)
     cluster = testbed_cluster()
     return cluster, MccsDeployment(cluster)
 
@@ -185,7 +187,7 @@ def test_tenant_cycles_leave_nothing_behind(monkeypatch):
     # A destroyed communicator takes its trace with it (the census above
     # already held ``TraceRecord`` flat across ten destroyed ones).
     assert dep.communicators() == []
-    assert len(dep.telemetry().spans) == 64
+    assert len(dep.telemetry().sessions) == 32
 
 
 def test_elastic_cycles_leave_nothing_behind(monkeypatch):

@@ -20,7 +20,7 @@ from repro.netsim.topology import Topology
 # -- tracing ------------------------------------------------------------------
 def make_trace(spans):
     """spans: list of (issue, start, end)."""
-    trace = CommTrace(comm_id=1, app_id="a")
+    trace = CommTrace(comm_id=1)
     for i, (issue, start, end) in enumerate(spans):
         trace.append(TraceRecord(i, Collective.ALL_REDUCE, 100, issue, start, end))
     return trace

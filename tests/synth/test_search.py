@@ -204,7 +204,7 @@ def test_autotuner_adopts_synthesized_schedule_through_barrier():
             deployment.run()
         assert comm.strategy.algorithm.startswith("synth:")
         assert tuner.retunes_applied(comm.comm_id) > 0
-        sessions = deployment.reconfig.sessions
+        sessions = deployment.telemetry().sessions
         assert sessions and all(s.barrier_enabled for s in sessions)
         assert comm.inconsistent_collectives == 0
         assert min(durations[-4:]) < durations[0]

@@ -6,7 +6,7 @@ import pathlib
 from repro.telemetry import (
     EventLog,
     MetricsRegistry,
-    SpanRecorder,
+    Span,
     chrome_trace,
     prometheus_text,
 )
@@ -62,15 +62,17 @@ def test_prometheus_unsampled_counter_renders_zero():
 # ----------------------------------------------------------------------
 def test_json_snapshot_shape_and_serializability(hub):
     hub.metrics.counter("c").inc()
-    span = hub.spans.begin("op", 0.0, category="collective", app="A")
-    span.finish(1.0)
+    trace = hub.causal.open(
+        0.0, tenant="A", comm_id="comm0", seq=0, kind="op", nbytes=8
+    )
+    hub.causal.close(trace, 1.0, "completed")
     hub.events.log(0.5, "policy_run", policy="ffa")
     snap = hub.to_json()
     json.dumps(snap)  # must not raise
     # No SLO account and no flight dump yet: those sections are absent.
     assert set(snap) == {"metrics", "spans", "events", "links"}
     assert snap["links"] == {}
-    assert snap["spans"]["records"][0]["name"] == "op"
+    assert snap["spans"]["records"][0]["name"] == "op comm0.s0"
     assert snap["events"]["records"][0]["kind"] == "policy_run"
     assert snap["spans"]["evicted"] == 0
 
@@ -78,49 +80,33 @@ def test_json_snapshot_shape_and_serializability(hub):
 # ----------------------------------------------------------------------
 # Chrome trace-event format
 # ----------------------------------------------------------------------
+def span(span_id, name, start, end, category, *, parent=None, events=None, **attrs):
+    """One export record, as the hub's window would render it."""
+    return Span(span_id, name, start, end=end, category=category,
+                parent_id=parent, attrs=attrs, events=events)
+
+
 def build_trace_fixture():
     """A deterministic two-collective + reconfig span tree."""
-    spans = SpanRecorder()
+    tracks = {"app": "tenantA", "comm": "comm0"}
+    spans = [
+        span(1, "allreduce comm0.s0", 0.0, 0.005, "collective", events=[
+            ("rank_launch", 0.001, {"rank": 0, "version": 0}),
+            ("first_flow_start", 0.001, {}),
+            ("last_flow_end", 0.005, {}),
+        ], **tracks, seq=0),
+        span(2, "queued", 0.0, 0.001, "phase", parent=1, **tracks),
+        span(3, "network", 0.001, 0.005, "phase", parent=1, **tracks),
+        span(4, "reconfig comm0 v0->v1", 0.006, 0.0062, "reconfig", events=[
+            ("barrier_resolved", 0.0061, {"max_seq": 0}),
+            ("rank_applied", 0.0062, {"rank": 0}),
+        ], **tracks),
+        span(5, "barrier", 0.006, 0.0061, "reconfig", parent=4, **tracks),
+        span(6, "allreduce comm0.s1", 0.007, None, "collective", events=[
+            ("rank_launch", 0.0071, {"rank": 0, "version": 1}),
+        ], **tracks, seq=1),
+    ]
     events = EventLog()
-
-    ar0 = spans.begin(
-        "allreduce comm0.s0", 0.0, category="collective",
-        app="tenantA", comm="comm0", seq=0,
-    )
-    queued = spans.begin(
-        "queued", 0.0, category="phase", parent=ar0,
-        app="tenantA", comm="comm0",
-    )
-    queued.finish(0.001)
-    network = spans.begin(
-        "network", 0.001, category="phase", parent=ar0,
-        app="tenantA", comm="comm0",
-    )
-    ar0.mark("rank_launch", 0.001, rank=0, version=0)
-    ar0.mark("first_flow_start", 0.001)
-    ar0.mark("last_flow_end", 0.005)
-    network.finish(0.005)
-    ar0.finish(0.005)
-
-    reconfig = spans.begin(
-        "reconfig comm0 v0->v1", 0.006, category="reconfig",
-        app="tenantA", comm="comm0",
-    )
-    barrier = spans.begin(
-        "barrier", 0.006, category="reconfig", parent=reconfig,
-        app="tenantA", comm="comm0",
-    )
-    reconfig.mark("barrier_resolved", 0.0061, max_seq=0)
-    barrier.finish(0.0061)
-    reconfig.mark("rank_applied", 0.0062, rank=0)
-    reconfig.finish(0.0062)
-
-    unfinished = spans.begin(
-        "allreduce comm0.s1", 0.007, category="collective",
-        app="tenantA", comm="comm0", seq=1,
-    )
-    unfinished.mark("rank_launch", 0.0071, rank=0, version=1)
-
     events.log(0.006, "reconfig_issued", "ring reversed", comm=0)
     return spans, events
 

@@ -18,10 +18,14 @@ def test_fig07_returns_its_telemetry(timeline):
     assert timeline.reconfig_done is not None
     hub = timeline.telemetry
     assert hub.metrics.histograms()["mccs_barrier_stall_seconds"].count() == 1
-    # Collectives are rendered from the causal trees; the recorder holds
-    # the one reconfiguration (root + barrier).
-    assert any(s.category == "collective" for s in hub.exported_spans())
-    assert [s.category for s in hub.spans] == ["reconfig", "reconfig"]
+    # Collectives render from the causal trees, the one reconfiguration
+    # (root + barrier) from its session record.
+    spans = list(hub.spans)
+    assert any(s.category == "collective" for s in spans)
+    assert [s.name for s in spans if s.category == "reconfig"] == [
+        "reconfig comm0 v0->v1", "barrier"
+    ]
+    assert len(hub.sessions) == 1
 
 
 def test_fig07_chrome_trace_loads_and_shows_barrier(timeline, tmp_path):

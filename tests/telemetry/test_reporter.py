@@ -54,9 +54,13 @@ def test_dump_json_writes_file_and_reports(tmp_path, capsys):
 
 def test_hub_summary_lines_cover_all_stores(hub):
     hub.metrics.counter("mccs_flows_total").inc(2)
-    hub.spans.begin("op", 0.0).finish(1.0)
+    trace = hub.causal.open(
+        0.0, tenant="A", comm_id="comm0", seq=0, kind="op", nbytes=8
+    )
+    hub.causal.close(trace, 1.0, "aborted")
     hub.events.log(0.0, "policy_run")
     lines = hub.summary_lines()
     assert "mccs_flows_total = 2" in lines
-    assert "spans recorded = 1 (evicted 0)" in lines
+    # One aborted-before-launch collective: its root and one queued phase.
+    assert "spans exported = 2 (evicted 0)" in lines
     assert "decision events = 1 (evicted 0)" in lines

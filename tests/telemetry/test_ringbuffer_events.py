@@ -14,7 +14,8 @@ def test_capacity_must_be_positive():
 
 def test_append_under_capacity_keeps_everything():
     buf = RingBuffer(3)
-    buf.extend([1, 2])
+    for item in (1, 2):
+        buf.append(item)
     assert buf.to_list() == [1, 2]
     assert len(buf) == 2
     assert buf.evicted == 0
@@ -22,20 +23,13 @@ def test_append_under_capacity_keeps_everything():
 
 def test_eviction_drops_oldest_first_and_counts():
     buf = RingBuffer(3)
-    buf.extend([1, 2, 3, 4, 5])
+    for item in range(1, 6):
+        buf.append(item)
     assert buf.to_list() == [3, 4, 5]
     assert buf.evicted == 2
     assert buf[0] == 3
     assert buf[-1] == 5
     assert list(buf) == [3, 4, 5]
-
-
-def test_clear_resets_contents_and_eviction_count():
-    buf = RingBuffer(2)
-    buf.extend([1, 2, 3])
-    buf.clear()
-    assert len(buf) == 0
-    assert buf.evicted == 0
 
 
 def test_event_log_records_and_filters():

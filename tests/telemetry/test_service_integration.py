@@ -3,9 +3,8 @@
 These tests drive real deployments (shim -> frontend -> proxy ->
 transport -> netsim) and assert on what lands in the hub — including the
 acceptance scenario: the Figure 4 reconfiguration barrier visible as a
-span with intact parent/child links.  Collective spans are read off
-``hub.exported_spans()``, the view rendered from the causal trees;
-``hub.spans`` stores reconfiguration spans only.
+span with intact parent/child links.  Spans are read off ``hub.spans``,
+the window rendered from the causal trees and the session records.
 """
 
 import pytest
@@ -33,11 +32,15 @@ def make_env(world=3, **kwargs):
 
 
 def collective_roots(hub):
-    return [s for s in hub.exported_spans() if s.category == "collective"]
+    return [s for s in hub.spans if s.category == "collective"]
 
 
 def children_of(hub, span):
-    return [s for s in hub.exported_spans() if s.parent_id == span.span_id]
+    return [s for s in hub.spans if s.parent_id == span.span_id]
+
+
+def event_times(span, name):
+    return [t for event, t, _ in span.events if event == name]
 
 
 def test_collective_span_tree():
@@ -47,11 +50,10 @@ def test_collective_span_tree():
     deployment.run()
     hub = deployment.telemetry()
 
-    assert len(hub.spans) == 0  # rendered on demand, not stored
     roots = collective_roots(hub)
     assert len(roots) == 1
     root = roots[0]
-    assert root.finished
+    assert root.end is not None
     assert root.attrs["app"] == "app"
     assert root.attrs["seq"] == 0
     assert root.end == pytest.approx(op.instance.end_time)
@@ -59,16 +61,15 @@ def test_collective_span_tree():
 
     children = children_of(hub, root)
     assert [c.name for c in children] == ["queued", "launch", "network"]
-    assert all(c.finished for c in children)
+    assert all(c.end is not None for c in children)
     # Phases tile the root span: queued ends where launch begins, etc.
     assert children[0].end == pytest.approx(children[1].start)
     assert children[1].end == pytest.approx(children[2].start)
     assert children[2].end == pytest.approx(root.end)
 
     # Point events: every rank launched, flows started and drained.
-    assert len(root.event_times(EVENT_RANK_LAUNCH)) == 3
-    first_flow = root.event_time(EVENT_FIRST_FLOW_START)
-    assert first_flow is not None
+    assert len(event_times(root, EVENT_RANK_LAUNCH)) == 3
+    [first_flow] = event_times(root, EVENT_FIRST_FLOW_START)
     assert first_flow == pytest.approx(children[2].start)
 
 
@@ -108,29 +109,33 @@ def test_reconfig_barrier_span_integrity():
     deployment.run()
     hub = deployment.telemetry()
 
-    reconfigs = [s for s in hub.spans.spans("reconfig") if s.parent_id is None]
+    reconfigs = [
+        s for s in hub.spans if s.category == "reconfig" and s.parent_id is None
+    ]
     assert len(reconfigs) == 1
     root = reconfigs[0]
-    assert root.finished
-    children = hub.spans.children_of(root)
+    assert root.end is not None
+    children = children_of(hub, root)
     assert [c.name for c in children] == ["barrier"]
     barrier = children[0]
-    assert barrier.finished
+    assert barrier.end is not None
     # The barrier resolves when the AllGather completes, strictly inside
     # the reconfiguration span.
-    resolved = root.event_time(EVENT_BARRIER_RESOLVED)
+    [resolved] = event_times(root, EVENT_BARRIER_RESOLVED)
     assert resolved == pytest.approx(barrier.end)
     assert root.start <= barrier.start <= barrier.end <= root.end
-    assert len(root.event_times(EVENT_RANK_APPLIED)) == 3
+    assert len(event_times(root, EVENT_RANK_APPLIED)) == 3
 
     # The queued second collective recorded the proxy hold — once, under
     # the one name — and the barrier pass that released it.
     second = next(s for s in collective_roots(hub) if s.attrs["seq"] == 1)
-    held = second.event_times(EVENT_HELD)
+    held = event_times(second, EVENT_HELD)
     assert len(held) == 2  # ranks 1 and 2 were holding
-    assert second.event_times(EVENT_BARRIER_RESOLVED) == [resolved]
-    assert second.event_times("launch_held") == []
-    assert {s.span_id for s in hub.spans} == {root.span_id, barrier.span_id}
+    assert event_times(second, EVENT_BARRIER_RESOLVED) == [resolved]
+    assert event_times(second, "launch_held") == []
+    assert [s.span_id for s in hub.spans if s.category == "reconfig"] == [
+        root.span_id, barrier.span_id
+    ]
 
     metrics = hub.metrics
     stall = metrics.histograms()["mccs_barrier_stall_seconds"]
@@ -154,8 +159,8 @@ def test_trace_record_duration_split():
     assert rec.seq == op.instance.seq
     root = collective_roots(deployment.telemetry())[op.instance.seq]
     assert (rec.issue_time, rec.end_time) == (root.start, root.end)
-    assert rec.start_time == root.event_time(EVENT_FIRST_FLOW_START)
-    assert rec.duration() == pytest.approx(root.duration)
+    assert [rec.start_time] == event_times(root, EVENT_FIRST_FLOW_START)
+    assert rec.duration() == pytest.approx(root.end - root.start)
     assert rec.network_duration() > 0
     assert rec.queue_delay() > 0  # it waited for the first collective
     assert rec.duration() == pytest.approx(
@@ -164,15 +169,12 @@ def test_trace_record_duration_split():
 
 
 def test_comm_trace_is_bounded(monkeypatch):
-    monkeypatch.setattr("repro.core.communicator.DEFAULT_TRACE_CAPACITY", 4)
+    monkeypatch.setattr("repro.core.tracing.DEFAULT_TRACE_CAPACITY", 4)
     cluster, deployment, comm, client, handle = make_env()
     ops = [client.all_reduce(handle, 1 * MB) for _ in range(7)]
     deployment.run()
     trace = deployment.trace(comm.comm_id)
     assert all(op.completed for op in ops)
-    assert trace.max_records == 4
-    assert len(trace.records) == 4
-    assert trace.evicted == 3
     assert [r.seq for r in trace.records] == [3, 4, 5, 6]
 
 

@@ -146,9 +146,13 @@ def test_golden_is_worth_its_name():
 # ----------------------------------------------------------------------
 # retried collectives
 # ----------------------------------------------------------------------
+def event_times(span, name):
+    return [t for event, t, _ in span.events if event == name]
+
+
 def spans_of(hub, seq):
     """(root, children) of the collective ``seq`` in the rendered view."""
-    spans = hub.exported_spans()
+    spans = list(hub.spans)
     root = next(
         s for s in spans if s.category == "collective" and s.attrs["seq"] == seq
     )
@@ -188,8 +192,8 @@ def test_retried_collective_renders_every_attempt():
     ]
     # One closed network child per attempt; the failed one ends at the retry.
     first, final = (c for c in children if c.name == "network")
-    retry = root.event_time(EVENT_RETRY)
-    assert first.start == root.event_times(EVENT_FIRST_FLOW_START)[0]
+    [retry] = event_times(root, EVENT_RETRY)
+    assert first.start == event_times(root, EVENT_FIRST_FLOW_START)[0]
     assert first.end == retry == instance.trace.attempts[1].t_start
     assert final.start == instance.start_time and final.end == root.end
     # Phases tile the root even across the retry.
@@ -352,12 +356,10 @@ def test_phases_tile_and_records_match_handles(script):
 # hygiene
 # ----------------------------------------------------------------------
 def test_core_does_not_name_spans():
-    """Only the reconfiguration session begins spans; the rest of the
-    service core writes the causal tree and nothing else."""
+    """The service core writes its records — causal trees, session
+    records — and nothing else; spans are rendered from them."""
     offenders = []
     for path in sorted(CORE.rglob("*.py")):
-        if path.name == "reconfig.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             named = (
                 node.id if isinstance(node, ast.Name)
@@ -365,7 +367,7 @@ def test_core_does_not_name_spans():
                 else node.name if isinstance(node, ast.alias)
                 else None
             )
-            if named in ("Span", "SpanRecorder") or (
+            if named in ("Span", "SpanRecorder", "SpanWindow") or (
                 named == "spans" and isinstance(node, ast.Attribute)
             ):
                 offenders.append(f"{path.name}:{node.lineno} {named}")
@@ -385,6 +387,7 @@ def test_collectives_store_no_spans():
         client.all_reduce(comm, 64 * 1024)
     deployment.run()
     hub = deployment.telemetry()
-    assert len(hub.spans) == 0 and hub.spans.evicted == 0
-    # ... and the view still has all fifty, four spans each.
-    assert len(hub.exported_spans()) == 200
+    assert not hasattr(hub.spans, "append") and hub.spans.evicted == 0
+    # ... and the view has all fifty, four spans each, drawn afresh.
+    assert len(list(hub.spans)) == 200
+    assert next(iter(hub.spans)) is not next(iter(hub.spans))

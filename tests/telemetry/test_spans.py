@@ -1,84 +1,62 @@
-"""Span lifecycle and the bounded span recorder."""
+"""Spans are export records; the hub's window renders them."""
 
-import pytest
-
-from repro.telemetry import Span, SpanRecorder
-
-
-def test_span_finish_and_duration():
-    span = Span(1, "op", 1.0)
-    assert not span.finished
-    assert span.duration is None
-    span.finish(3.5)
-    assert span.finished
-    assert span.duration == pytest.approx(2.5)
-
-
-def test_span_cannot_finish_twice_or_end_before_start():
-    span = Span(1, "op", 1.0)
-    with pytest.raises(ValueError):
-        span.finish(0.5)
-    span.finish(2.0)
-    with pytest.raises(ValueError):
-        span.finish(3.0)
-
-
-def test_span_point_events():
-    span = Span(1, "op", 0.0)
-    span.mark("rank_launch", 0.1, rank=0)
-    span.mark("rank_launch", 0.2, rank=1)
-    span.mark("first_flow_start", 0.3)
-    assert span.event_time("rank_launch") == pytest.approx(0.1)
-    assert span.event_times("rank_launch") == [pytest.approx(0.1), pytest.approx(0.2)]
-    assert span.event_time("missing") is None
+from repro.cluster.specs import testbed_cluster
+from repro.core.deployment import MccsDeployment
+from repro.telemetry import Span
 
 
 def test_span_to_dict_shape():
-    span = Span(7, "op", 0.0, category="collective", parent_id=3, attrs={"app": "A"})
-    span.mark("e", 0.5, rank=1)
-    span.finish(1.0)
+    span = Span(7, "op", 0.0, end=1.0, category="collective", parent_id=3,
+                attrs={"app": "A"}, events=[("e", 0.5, {"rank": 1})])
     d = span.to_dict()
     assert d["span_id"] == 7
     assert d["parent_id"] == 3
     assert d["category"] == "collective"
     assert d["attrs"] == {"app": "A"}
+    assert d["end"] == 1.0 and Span(1, "op", 0.0).to_dict()["end"] is None
     assert d["events"] == [{"name": "e", "time": 0.5, "attrs": {"rank": 1}}]
 
 
-def test_recorder_assigns_deterministic_ids():
-    rec = SpanRecorder()
-    a = rec.begin("a", 0.0)
-    b = rec.begin("b", 0.0)
-    assert (a.span_id, b.span_id) == (1, 2)
-    # A fresh recorder starts over — exports are reproducible run to run.
-    rec2 = SpanRecorder()
-    assert rec2.begin("a", 0.0).span_id == 1
+def reconfigured(*rings):
+    """The hub of a deployment that moved one 3-rank communicator through
+    ``rings``, one finished reconfiguration each."""
+    cluster = testbed_cluster()
+    deployment = MccsDeployment(cluster)
+    gpus = [cluster.hosts[h].gpus[0] for h in range(3)]
+    comm = deployment.create_communicator("app", gpus, datapath_tag="app")
+    for ring in rings:
+        deployment.reconfigure(comm.comm_id, ring=ring)
+        deployment.run()
+    return deployment.telemetry()
 
 
-def test_recorder_parent_child_links():
-    rec = SpanRecorder()
-    root = rec.begin("root", 0.0, category="collective")
-    child1 = rec.begin("queued", 0.0, category="phase", parent=root)
-    child2 = rec.begin("launch", 0.1, category="phase", parent=root)
-    assert child1.parent_id == root.span_id
-    assert rec.children_of(root) == [child1, child2]
-    assert rec.spans("phase") == [child1, child2]
-    assert rec.spans("collective") == [root]
+def test_window_assigns_deterministic_ids():
+    hub = reconfigured([2, 1, 0], [0, 2, 1])
+    assert [s.span_id for s in hub.spans] == [1, 2, 3, 4]
+    # A fresh hub starts over — exports are reproducible run to run.
+    assert [s.span_id for s in reconfigured([2, 1, 0]).spans] == [1, 2]
+    # A rendering, not a store: every read builds fresh records.
+    assert next(iter(hub.spans)) is not next(iter(hub.spans))
 
 
-def test_recorder_find_matches_attrs():
-    rec = SpanRecorder()
-    rec.begin("a", 0.0, app="A", comm="comm0")
-    rec.begin("b", 0.0, app="B", comm="comm0")
-    assert [s.name for s in rec.find(comm="comm0")] == ["a", "b"]
-    assert [s.name for s in rec.find(app="B", comm="comm0")] == ["b"]
-    assert rec.find(app="C") == []
+def test_window_links_children_to_their_root():
+    root, barrier = reconfigured([2, 1, 0]).spans
+    assert root.parent_id is None and barrier.parent_id == root.span_id
+    assert (root.category, barrier.category, barrier.name) == (
+        "reconfig", "reconfig", "barrier"
+    )
+    assert root.start == barrier.start <= barrier.end <= root.end
 
 
-def test_recorder_is_bounded():
-    rec = SpanRecorder(max_spans=3)
-    for i in range(5):
-        rec.begin(f"s{i}", float(i))
-    assert len(rec) == 3
-    assert rec.evicted == 2
-    assert [s.name for s in rec.spans()] == ["s2", "s3", "s4"]
+def test_window_is_bounded(monkeypatch):
+    """Three reconfigurations through a two-session ring: the window shows
+    the last two (ids from 1 again) and counts the third."""
+    monkeypatch.setattr("repro.telemetry.hub.SESSIONS_KEPT", 2)
+    hub = reconfigured([2, 1, 0], [0, 2, 1], [1, 0, 2])
+    assert [(s.span_id, s.parent_id, s.name) for s in hub.spans] == [
+        (1, None, "reconfig comm0 v1->v2"),
+        (2, 1, "barrier"),
+        (3, None, "reconfig comm0 v2->v3"),
+        (4, 3, "barrier"),
+    ]
+    assert len(hub.sessions) == 2 and hub.spans.evicted == 1

@@ -615,12 +615,13 @@ class ServiceCommunicator:
     def apply_membership(
         self, gpus: Sequence[GpuDevice], strategy: CollectiveStrategy
     ) -> None:
-        """Install a new rank set at a membership cutover (grow/shrink).
+        """Install a new rank set at a membership cutover.
 
-        Callers (:class:`~repro.core.elastic.ElasticCoordinator`) must
-        have drained the communicator first: rank renumbering invalidates
-        every in-flight instance's rank→GPU mapping, so cutting over with
-        collectives active would corrupt their flows.
+        :meth:`~repro.core.deployment.MccsDeployment.change_membership`
+        callers empty the communicator first (elastic drains, recovery
+        aborts): renumbering invalidates every in-flight instance's
+        rank→GPU mapping, so cutting over with collectives active would
+        corrupt their flows.
         """
         validate_world(len(gpus))
         if strategy.world != len(gpus):

@@ -45,6 +45,7 @@ from ..netsim.errors import (
     InvalidBufferError,
     MccsError,
     NoPathError,
+    ReconfigurationError,
 )
 from ..telemetry.hub import TelemetryHub
 from .admission import AdmissionController, AdmissionPolicy
@@ -267,8 +268,7 @@ class MccsDeployment:
                 service.restarts for service in self.services.values()
             ),
             "upgrades": sum(
-                len(service.upgrades) + service.upgrades.evicted
-                for service in self.services.values()
+                service.upgrades_started for service in self.services.values()
             ),
         }
         if self.admission is not None:
@@ -463,7 +463,9 @@ class MccsDeployment:
             comm.stream.wait_event(app_event)
 
         def fan_out() -> None:
-            if comm.aborted and not instance.aborted:
+            if instance.aborted:
+                return  # aborted while queued: no (old) rank to launch on
+            if comm.aborted:
                 # The communicator died while this kernel sat queued on
                 # the stream: terminate the instance (completing the
                 # kernel) so the stream keeps draining for waiters.
@@ -779,14 +781,68 @@ class MccsDeployment:
     ) -> None:
         """Register ``comm``'s ranks (only those on ``host_id``, when
         given) with their proxy engines, launch cursors at the
-        communicator's :meth:`~ServiceCommunicator.launch_frontier`."""
+        communicator's :meth:`~ServiceCommunicator.launch_frontier`.
+        Fresh rank states know no session: one in flight fails here."""
         frontier = comm.launch_frontier()
-        for rank, gpu in enumerate(comm.gpus):
-            if host_id is not None and gpu.host_id != host_id:
-                continue
+        fresh = [
+            (rank, gpu) for rank, gpu in enumerate(comm.gpus)
+            if host_id is None or gpu.host_id == host_id
+        ]
+        for rank, gpu in fresh:
             proxy = self.service_of_gpu(gpu).proxy_for(gpu.global_id)
             proxy.register(comm, rank)
             proxy.state(comm.comm_id, rank).launched_seq = frontier
+        if fresh:
+            self.reconfig.abandon(comm)
+
+    def change_membership(
+        self, comm: ServiceCommunicator, gpus: Sequence[GpuDevice], kind: str,
+        *, left: Sequence[int] = (), joined: Sequence[int] = (),
+    ) -> None:
+        """The one membership cutover: ``comm`` moves to the rank set
+        ``gpus`` under a fresh default strategy, for the reason ``kind``
+        (elastic ``"rank_join"`` / ``"rank_leave"`` after a drain and a
+        quiesce, recovery's ``"rank_lost"`` after aborting the in-flight
+        window).  ``left`` / ``joined`` are global GPU ids."""
+        # Write-ahead: the membership record lands before any live-state
+        # mutation, so a crash mid-cutover replays to the new rank set.
+        self.journal.append(
+            self.sim.now,
+            "membership_change",
+            app=comm.app_id,
+            comm_id=comm.comm_id,
+            epoch=comm.membership_epoch + 1,
+            kind=kind,
+            gpus=[gpu.global_id for gpu in gpus],
+            left=list(left),
+            joined=list(joined),
+        )
+        world_before = comm.world
+        # Dead engines too: one that kept (comm, old rank) would report it
+        # again on its heartbeat miss.
+        for rank, proxy in enumerate(self.proxies_of(comm)):
+            proxy.unregister(comm, rank)
+        comm.apply_membership(gpus, replace(
+            default_strategy(len(gpus), comm.strategy.channels),
+            version=comm.strategy.version + 1,
+        ))
+        self.register_ranks(comm)
+        if self.recovery is not None:
+            self.recovery.membership_changed(comm, kind)
+        if self.autotuner is not None:
+            self.autotuner.membership_changed(comm)
+        self._telemetry.metrics.counter(
+            "mccs_membership_changes_total",
+            "Committed membership changes, by app and kind.",
+        ).inc(app=comm.app_id, kind=kind)
+        self._telemetry.events.log(
+            self.sim.now,
+            "membership_committed",
+            f"comm{comm.comm_id} {kind} committed: world {world_before}"
+            f"->{comm.world} epoch={comm.membership_epoch}",
+            comm=comm.comm_id,
+            app=comm.app_id,
+        )
 
     def reconfigure(
         self,
@@ -831,19 +887,20 @@ class MccsDeployment:
         barrier_timeout: Optional[float],
         on_done: Callable[[ReconfigSession], None],
         on_gone: Callable[[], None],
-        on_exhausted: Callable[[Optional[BaseException]], None],
+        on_exhausted: Callable[[ReconfigurationError], None],
         **evolve: object,
     ) -> None:
         """Push a barrier session through ``comm``, waiting out a busy one.
 
-        The membership coordinator and live upgrades both need "every rank
-        past one cut" before they touch rank state.  Try ``n`` (0-based)
-        calls :meth:`reconfigure` with the ``evolve`` overrides; when the
-        barrier is busy (another session in flight) or the session times
-        out, the next try follows ``retry.delay(n)`` later.  A try that
-        finds the communicator aborted or destroyed ends the drain with
+        The one way to "every rank past one cut" (elastic membership,
+        live upgrades, recovery's reroute).  Try ``n`` (0-based) calls
+        :meth:`reconfigure` with the ``evolve`` overrides; when the
+        barrier is busy (another session in flight) or the session fails,
+        the next try follows ``retry.delay(n)`` later.  A try that finds
+        the communicator aborted or destroyed ends the drain with
         ``on_gone()``; the try after ``retry.max_retries`` retries ends it
-        with ``on_exhausted(last error)``.
+        with ``on_exhausted(error)``, which names the tries and the last
+        cause.
         """
 
         def attempt(n: int, error: Optional[BaseException] = None) -> None:
@@ -851,7 +908,10 @@ class MccsDeployment:
                 on_gone()
                 return
             if n > retry.max_retries:
-                on_exhausted(error)
+                on_exhausted(ReconfigurationError(
+                    f"drain of communicator {comm.comm_id} failed after "
+                    f"{n} {'try' if n == 1 else 'tries'}: {error}"
+                ))
                 return
 
             def again(cause: Optional[BaseException]) -> None:

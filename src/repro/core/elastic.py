@@ -24,14 +24,13 @@ machine per membership operation:
     is empty.
 
 ``CUTOVER``
-    Journal a write-ahead ``membership_change`` record, unregister every
-    old rank's proxy engine, install the new rank set and a fresh
-    strategy for the new world size
-    (:meth:`~repro.core.communicator.ServiceCommunicator.apply_membership`
-    bumps the membership epoch), re-register the surviving and joining
-    proxies with their launch cursors at the communicator's frontier, and
-    notify failure recovery and the autotuner.  Survivors keep their
-    relative rank order; joiners are appended.
+    :meth:`~repro.core.deployment.MccsDeployment.change_membership` — the
+    one cutover, shared with failure recovery's ``rank_lost`` shrink —
+    journals the write-ahead ``membership_change`` record and installs
+    the new rank set under a fresh strategy; the coordinator then frees
+    the leavers' staging buffers.  Survivors keep their relative rank
+    order; joiners are appended.  A lost rank fails the operation
+    (:meth:`ElasticCoordinator.rank_lost`).
 
 Joiners go through a handshake first: admission control vets the
 tenant (:class:`~repro.core.admission.AdmissionController`), and a
@@ -42,7 +41,7 @@ reconstructs them.  The buffers are freed if the rank later leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.gpu import GpuDevice
@@ -52,9 +51,7 @@ from ..netsim.errors import (
     MembershipChangeError,
 )
 from ..resilience import Backoff
-from ..telemetry.ringbuffer import RingBuffer
 from .communicator import ServiceCommunicator
-from .strategy import default_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .deployment import MccsDeployment
@@ -70,9 +67,6 @@ DRAIN_RETRY = Backoff(base=0.01, cap=0.01, max_retries=24)
 DRAIN_TIMEOUT = 0.5
 #: Size of the per-joiner staging buffer allocated by the join handshake.
 STAGING_BYTES = 1 << 16
-#: Finished operations :attr:`ElasticCoordinator.history` keeps, newest
-#: last (each repeats a ``membership_committed`` / ``_failed`` event).
-HISTORY_KEPT = 256
 
 
 @dataclass
@@ -95,6 +89,13 @@ class MembershipChange:
     error: Optional[BaseException] = None
     #: Internal state: ``drain`` -> ``quiesce`` -> ``done``/``failed``.
     state: str = "drain"
+    #: The requester's callbacks (not part of the record's value).
+    on_done: Optional[Callable[["MembershipChange"], None]] = field(
+        default=None, repr=False, compare=False
+    )
+    on_failed: Optional[Callable[["MembershipChange"], None]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def finished(self) -> bool:
@@ -113,9 +114,7 @@ class ElasticCoordinator:
         self.deployment = deployment
         self.sim = deployment.sim
         self.telemetry = deployment.telemetry()
-        self._inflight: Dict[int, "_Operation"] = {}
-        #: The last finished operations, in commit/failure order (audits).
-        self.history: RingBuffer[MembershipChange] = RingBuffer(HISTORY_KEPT)
+        self._inflight: Dict[int, MembershipChange] = {}
         #: Staging buffers allocated for joiners, freed when they leave.
         self._staging: Dict[Tuple[int, int], int] = {}
 
@@ -164,23 +163,29 @@ class ElasticCoordinator:
         # gets a staging buffer through the journaled alloc path.
         if self.deployment.admission is not None:
             self.deployment.admission.admit(comm.app_id)
-        for gpu in joiners:
-            response = self.deployment.service_of_gpu(gpu).allocate(
-                comm.app_id, gpu.global_id, STAGING_BYTES
-            )
-            self._staging[(comm.comm_id, gpu.global_id)] = response.buffer_id
-        record = MembershipChange(
+        joined = [gpu.global_id for gpu in joiners]
+        try:
+            for gpu in joiners:
+                response = self.deployment.service_of_gpu(gpu).allocate(
+                    comm.app_id, gpu.global_id, STAGING_BYTES
+                )
+                self._staging[(comm.comm_id, gpu.global_id)] = response.buffer_id
+        except Exception:
+            # All or nothing: hand back what the handshake already took.
+            self._free_staging(comm.comm_id, comm.app_id, joined)
+            raise
+        op = MembershipChange(
             comm_id=comm.comm_id,
             app_id=comm.app_id,
             kind="rank_join",
             started=self.sim.now,
             world_before=comm.world,
-            joined=[gpu.global_id for gpu in joiners],
+            joined=joined,
+            on_done=on_done,
+            on_failed=on_failed,
         )
-        op = _Operation(record, comm, joiners=joiners,
-                        on_done=on_done, on_failed=on_failed)
-        self._begin(op)
-        return record
+        self._begin(op, comm)
+        return op
 
     def shrink(
         self,
@@ -209,22 +214,31 @@ class ElasticCoordinator:
                 f"shrinking communicator {comm_id} by {len(leaving)} rank(s) "
                 f"would leave {comm.world - len(leaving)} < {MIN_WORLD}"
             )
-        record = MembershipChange(
+        op = MembershipChange(
             comm_id=comm.comm_id,
             app_id=comm.app_id,
             kind="rank_leave",
             started=self.sim.now,
             world_before=comm.world,
             left=[comm.gpus[rank].global_id for rank in sorted(leaving)],
+            on_done=on_done,
+            on_failed=on_failed,
         )
-        op = _Operation(record, comm, leaving_ranks=leaving,
-                        on_done=on_done, on_failed=on_failed)
-        self._begin(op)
-        return record
+        self._begin(op, comm)
+        return op
 
     def inflight(self, comm_id: int) -> Optional[MembershipChange]:
+        return self._inflight.get(comm_id)
+
+    def rank_lost(self, comm_id: int) -> None:
+        """Failure-recovery notification: ``comm_id`` is about to shrink
+        its lost ranks out, so an operation in flight on it — planned
+        against the old rank set — fails."""
         op = self._inflight.get(comm_id)
-        return op.record if op is not None else None
+        if op is not None:
+            self._fail(op, MembershipChangeError(
+                f"communicator {comm_id} lost a rank during its {op.kind}"
+            ))
 
     # ------------------------------------------------------------------
     # chaos entry points (fault injector)
@@ -305,18 +319,17 @@ class ElasticCoordinator:
         if comm_id in self._inflight:
             raise MembershipChangeError(
                 f"communicator {comm_id} already has a "
-                f"{self._inflight[comm_id].record.kind} in flight"
+                f"{self._inflight[comm_id].kind} in flight"
             )
         return comm
 
-    def _begin(self, op: "_Operation") -> None:
-        comm = op.comm
+    def _begin(self, op: MembershipChange, comm: ServiceCommunicator) -> None:
         self._inflight[comm.comm_id] = op
         self.telemetry.events.log(
             self.sim.now,
             "membership_started",
-            f"comm{comm.comm_id} {op.record.kind}: "
-            f"left={op.record.left} joined={op.record.joined}",
+            f"comm{comm.comm_id} {op.kind}: "
+            f"left={op.left} joined={op.joined}",
             comm=comm.comm_id,
             app=comm.app_id,
         )
@@ -325,24 +338,22 @@ class ElasticCoordinator:
             comm,
             retry=DRAIN_RETRY,
             barrier_timeout=DRAIN_TIMEOUT,
-            on_done=lambda session: self._quiesce(op),
+            on_done=lambda session: self._quiesce(op, comm),
             on_gone=lambda: self._fail(op, MembershipChangeError(
                 f"communicator {comm.comm_id} died during drain"
             )),
-            on_exhausted=lambda error: self._fail(op, MembershipChangeError(
-                f"drain of communicator {comm.comm_id} failed after "
-                f"{DRAIN_RETRY.max_retries + 1} attempts"
-            )),
+            on_exhausted=lambda error: self._fail(
+                op, MembershipChangeError(str(error))
+            ),
             routes={},
         )
 
-    def _quiesce(self, op: "_Operation") -> None:
-        if op.record.finished:
+    def _quiesce(self, op: MembershipChange, comm: ServiceCommunicator) -> None:
+        if op.finished:
             return
-        op.record.state = "quiesce"
-        comm = op.comm
+        op.state = "quiesce"
         if not comm.inflight:
-            self._cutover(op)
+            self._cutover(op, comm)
             return
 
         def on_finished(instance) -> None:
@@ -356,141 +367,70 @@ class ElasticCoordinator:
                     f"communicator {comm.comm_id} died during quiesce"
                 ))
             else:
-                self._cutover(op)
+                self._cutover(op, comm)
 
         comm.add_completion_listener(on_finished)
 
-    def _cutover(self, op: "_Operation") -> None:
-        comm = op.comm
-        deployment = self.deployment
+    def _cutover(self, op: MembershipChange, comm: ServiceCommunicator) -> None:
+        if op.finished:
+            return  # failed while quiescing (a rank was lost)
         if comm.aborted or comm.destroyed:
             self._fail(op, MembershipChangeError(
                 f"communicator {comm.comm_id} died before cutover"
             ))
             return
-        old_gpus = list(comm.gpus)
-        if op.record.kind == "rank_join":
-            new_gpus = old_gpus + list(op.joiners)
+        if op.kind == "rank_join":
+            new_gpus = comm.gpus + [self.deployment.cluster.gpu(i) for i in op.joined]
         else:
-            new_gpus = [
-                gpu for rank, gpu in enumerate(old_gpus)
-                if rank not in op.leaving_ranks
-            ]
-        # Write-ahead: the membership record lands before any live-state
-        # mutation, so a crash mid-cutover replays to the new rank set.
-        deployment.journal.append(
-            self.sim.now,
-            "membership_change",
-            app=comm.app_id,
-            comm_id=comm.comm_id,
-            epoch=comm.membership_epoch + 1,
-            kind=op.record.kind,
-            gpus=[gpu.global_id for gpu in new_gpus],
-            left=list(op.record.left),
-            joined=list(op.record.joined),
+            new_gpus = [gpu for gpu in comm.gpus if gpu.global_id not in op.left]
+        self.deployment.change_membership(
+            comm, new_gpus, op.kind, left=op.left, joined=op.joined
         )
-        for rank, gpu in enumerate(old_gpus):
-            service = deployment.service_of_gpu(gpu)
-            if not service.alive:
-                continue
-            try:
-                service.proxy_for(gpu.global_id).unregister(comm, rank)
-            except MccsError:
-                pass  # proxy already gone (service restarted mid-drain)
-        new_strategy = replace(
-            default_strategy(len(new_gpus), comm.strategy.channels),
-            version=comm.strategy.version + 1,
-        )
-        comm.apply_membership(new_gpus, new_strategy)
-        deployment.register_ranks(comm)
         # Leavers hand their staging buffers back.
-        for global_id in op.record.left:
-            buffer_id = self._staging.pop((comm.comm_id, global_id), None)
-            if buffer_id is not None:
-                gpu = deployment.cluster.gpu(global_id)
-                service = deployment.service_of_gpu(gpu)
-                if service.alive:
-                    service.free(comm.app_id, buffer_id)
-        op.record.state = "done"
-        op.record.committed = self.sim.now
-        op.record.world_after = comm.world
-        op.record.epoch = comm.membership_epoch
+        self._free_staging(comm.comm_id, comm.app_id, op.left)
+        op.state = "done"
+        op.committed = self.sim.now
+        op.world_after = comm.world
+        op.epoch = comm.membership_epoch
         self._inflight.pop(comm.comm_id, None)
-        self.history.append(op.record)
-        if deployment.recovery is not None:
-            deployment.recovery.membership_changed(comm, op.record.kind)
-        if deployment.autotuner is not None:
-            deployment.autotuner.membership_changed(comm)
-        self.telemetry.metrics.counter(
-            "mccs_membership_changes_total",
-            "Committed elastic membership changes, by app and kind.",
-        ).inc(app=comm.app_id, kind=op.record.kind)
         self.telemetry.metrics.histogram(
             "mccs_membership_drain_seconds",
             "Drain-to-commit latency of membership changes, by kind.",
-        ).observe(op.record.committed - op.record.started, kind=op.record.kind)
-        self.telemetry.events.log(
-            self.sim.now,
-            "membership_committed",
-            f"comm{comm.comm_id} {op.record.kind} committed: "
-            f"world {op.record.world_before}->{op.record.world_after} "
-            f"epoch={comm.membership_epoch}",
-            comm=comm.comm_id,
-            app=comm.app_id,
-        )
+        ).observe(op.committed - op.started, kind=op.kind)
         if op.on_done is not None:
-            op.on_done(op.record)
+            op.on_done(op)
 
-    def _fail(self, op: "_Operation", error: BaseException) -> None:
-        if op.record.finished:
+    def _fail(self, op: MembershipChange, error: BaseException) -> None:
+        if op.finished:
             return
-        op.record.state = "failed"
-        op.record.error = error
-        self._inflight.pop(op.comm.comm_id, None)
-        self.history.append(op.record)
+        op.state = "failed"
+        op.error = error
+        self._inflight.pop(op.comm_id, None)
         # A failed grow never reached the cutover: release the joiners'
         # staging buffers so the handshake leaves no residue.
-        for global_id in op.record.joined:
-            buffer_id = self._staging.pop((op.comm.comm_id, global_id), None)
-            if buffer_id is not None:
-                gpu = self.deployment.cluster.gpu(global_id)
-                service = self.deployment.service_of_gpu(gpu)
-                if service.alive:
-                    service.free(op.comm.app_id, buffer_id)
+        self._free_staging(op.comm_id, op.app_id, op.joined)
         self.telemetry.metrics.counter(
             "mccs_membership_failures_total",
             "Elastic membership changes that failed terminally, by kind.",
-        ).inc(app=op.comm.app_id, kind=op.record.kind)
+        ).inc(app=op.app_id, kind=op.kind)
         self.telemetry.events.log(
             self.sim.now,
             "membership_failed",
-            f"comm{op.comm.comm_id} {op.record.kind} failed: {error}",
-            comm=op.comm.comm_id,
-            app=op.comm.app_id,
+            f"comm{op.comm_id} {op.kind} failed: {error}",
+            comm=op.comm_id,
+            app=op.app_id,
         )
         if op.on_failed is not None:
-            op.on_failed(op.record)
+            op.on_failed(op)
 
-
-class _Operation:
-    """Mutable driver state of one in-flight membership change."""
-
-    __slots__ = ("record", "comm", "joiners", "leaving_ranks",
-                 "on_done", "on_failed")
-
-    def __init__(
-        self,
-        record: MembershipChange,
-        comm: ServiceCommunicator,
-        *,
-        joiners: Optional[List[GpuDevice]] = None,
-        leaving_ranks: Optional[set] = None,
-        on_done: Optional[Callable[[MembershipChange], None]] = None,
-        on_failed: Optional[Callable[[MembershipChange], None]] = None,
+    def _free_staging(
+        self, comm_id: int, app_id: str, global_ids: Sequence[int]
     ) -> None:
-        self.record = record
-        self.comm = comm
-        self.joiners = joiners if joiners is not None else []
-        self.leaving_ranks = leaving_ranks if leaving_ranks is not None else set()
-        self.on_done = on_done
-        self.on_failed = on_failed
+        for global_id in global_ids:
+            buffer_id = self._staging.pop((comm_id, global_id), None)
+            if buffer_id is not None:
+                service = self.deployment.service_of_gpu(
+                    self.deployment.cluster.gpu(global_id)
+                )
+                if service.alive:
+                    service.free(app_id, buffer_id)

@@ -182,24 +182,30 @@ class ReconfigSession:
             rank for rank in range(self.comm.world)
             if rank not in self.barrier.contributions
         )
-        self.failed = True
-        self.error = ReconfigurationError(
+        error = ReconfigurationError(
             f"reconfiguration barrier for comm {self.comm.comm_id} timed out "
             f"after {self.barrier_timeout:g}s waiting for rank(s) "
             f"{missing or '(AllGather latency)'}"
         )
-        now = self.timeout_time = self.comm.sim.now
-        for rank, proxy in enumerate(self.proxies):
-            proxy.abort_reconfig(rank, self)
         self.telemetry.metrics.counter(
             "mccs_reconfig_timeouts_total",
             "Reconfiguration barriers abandoned on timeout.",
         ).inc(comm=f"comm{self.comm.comm_id}")
         self.telemetry.events.log(
-            now, "reconfig_timeout", str(self.error),
+            self.comm.sim.now, "reconfig_timeout", str(error),
             comm=self.comm.comm_id, missing=missing,
         )
-        on_failed, error = self._on_failed, self.error
+        self.fail(error)
+
+    def fail(self, error: ReconfigurationError) -> None:
+        """End the session unapplied: holding proxies keep their old
+        strategy; ``on_failed`` hears of it, or ``error`` is raised."""
+        self.failed = True
+        self.error = error
+        self.timeout_time = self.comm.sim.now
+        for rank, proxy in enumerate(self.proxies):
+            proxy.abort_reconfig(rank, self)
+        on_failed = self._on_failed
         self._release()
         if on_failed is not None:
             on_failed(self)
@@ -363,3 +369,14 @@ class ReconfigManager:
         for rank, delay in enumerate(delays):
             session.deliver(rank, delay)
         return session
+
+    def abandon(self, comm: ServiceCommunicator) -> None:
+        """Fail ``comm``'s in-flight session, whose rank states were just
+        replaced (:meth:`MccsDeployment.register_ranks`): it can never
+        resolve.  A drain waiting on it retries on the new ones."""
+        session = self._active.get(comm.comm_id)
+        if session is not None:
+            session.fail(ReconfigurationError(
+                f"reconfiguration of comm {comm.comm_id} abandoned: its "
+                "ranks were registered anew"
+            ))

@@ -11,14 +11,15 @@ repair the communicator:
 1. **Quiesce** — the failed attempt's in-flight window is reset
    (surviving flows cancelled) so nothing races the repair.
 2. **Reroute** — a new strategy version with an empty route map is pushed
-   through the §4.2 barrier; connection tables rebuild and ECMP
-   re-selects paths, which now exclude down links.
+   through the §4.2 barrier by :meth:`MccsDeployment.drain`; connection
+   tables rebuild and ECMP re-selects paths, which now exclude down links.
 3. **Relaunch** — after a capped exponential backoff, every reset
    collective is relaunched in sequence order through the proxies.
-4. **Degrade** — ranks on crashed hosts cannot be repaired: the
-   communicator aborts with a typed :class:`CommunicatorError` (waiters
-   unblock; co-located tenants are untouched) and, optionally, a
-   successor communicator is formed on the surviving ranks.
+4. **Shrink** — a lost rank (crashed host, unsupervised dead service)
+   cannot be repaired: the in-flight collectives abort typed (waiters
+   unblock; co-located tenants are untouched) and
+   :meth:`MccsDeployment.change_membership` cuts the same communicator
+   over to its survivors.  Fewer than ``MIN_WORLD`` survivors abort it.
 
 Detection that does not ride on the data path lives here too: the
 :class:`HeartbeatMonitor` probes every proxy engine on the simulation
@@ -44,6 +45,7 @@ from ..netsim.errors import (
 )
 from ..resilience import Backoff
 from .communicator import CollectiveInstance, ServiceCommunicator
+from .elastic import MIN_WORLD
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .deployment import MccsDeployment
@@ -53,8 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Repair attempts per failure episode before the communicator aborts.
 MAX_ATTEMPTS = 3
-#: Wait before the relaunch of repair attempt ``n``: 5 ms, doubling to the
-#: cap.  Only base and cap are read (no rng; ``MAX_ATTEMPTS`` bounds).
+#: Wait before the relaunch of repair attempt ``n`` (or attempt ``n + 1``
+#: if its reroute barrier was busy or failed): 5 ms, doubling to the cap.
+#: Only base and cap are read (no rng; ``MAX_ATTEMPTS`` bounds).
 REPAIR_BACKOFF = Backoff(base=0.005, cap=0.1)
 #: Reconfiguration barriers abandon after this long (a dead rank never
 #: contributes; without a timeout the repair itself would hang).
@@ -126,20 +129,19 @@ class RecoveryManager:
         self.collective_deadline = collective_deadline
         self.telemetry = deployment.telemetry()
         self._cycles: Dict[int, _CommRecovery] = {}
-        #: Aborted-comm id -> successor communicator formed on survivors.
-        self.reformed: Dict[int, ServiceCommunicator] = {}
 
     # ------------------------------------------------------------------
     def attach(self, comm: ServiceCommunicator) -> None:
         comm.failure_handler = self.handle_failure
 
     def membership_changed(self, comm: ServiceCommunicator, kind: str) -> None:
-        """Elastic-coordinator notification: ``comm`` grew or shrank.
+        """Cutover notification: ``comm`` grew or shrank.
 
         Any in-flight repair episode is obsolete — its quiesced window and
         rank bookkeeping referred to the old rank numbering — so the
         episode is dropped; fresh failures on the new membership open a
-        fresh one.  ``kind`` is ``"rank_join"`` or ``"rank_leave"``.
+        fresh one.  ``kind`` is ``"rank_join"``, ``"rank_leave"`` or
+        ``"rank_lost"``.
         """
         self._cycles.pop(comm.comm_id, None)
         self._log(
@@ -239,13 +241,14 @@ class RecoveryManager:
             # episode by its true cause even if a link error arrived first.
             if rec.kind != "service_crash":
                 rec.kind = "host_crash"
-            self._give_up(
-                rec,
-                CommunicatorError(
-                    f"communicator {comm.comm_id} lost rank(s) {dead}: "
-                    f"{rec.errors[0] if rec.errors else 'heartbeat missed'}"
-                ),
+            error = CommunicatorError(
+                f"communicator {comm.comm_id} lost rank(s) {dead}: "
+                f"{rec.errors[0] if rec.errors else 'heartbeat missed'}"
             )
+            if comm.world - len(dead) < MIN_WORLD:
+                self._give_up(rec, error)
+            else:
+                self._shrink(rec, dead, error)
             return
         if rec.attempt > MAX_ATTEMPTS:
             self._give_up(
@@ -329,29 +332,24 @@ class RecoveryManager:
                 # Nothing was in flight: rerouting alone was the repair.
                 self._succeed(rec)
 
+        def retry(error: ReconfigurationError) -> None:
+            rec.errors.append(error)
+            self._schedule_cycle(rec)
+
         # 2. Reroute: bump the strategy version with an empty route map.
         #    Connection tables rebuild for the new version and ECMP
-        #    re-selects paths, which exclude links that are down.
-        try:
-            self.deployment.reconfigure(
-                comm.comm_id,
-                routes={},
-                barrier_timeout=BARRIER_TIMEOUT,
-                on_done=reconfigured,
-                on_failed=lambda session: self._reconfig_failed(rec, session),
-            )
-        except ReconfigurationError as exc:
-            # A session is already in flight (provider-driven or a
-            # previous cycle's): let it settle and try again.
-            rec.errors.append(exc)
-            self._schedule_cycle(rec, delay=backoff)
-
-    def _reconfig_failed(
-        self, rec: _CommRecovery, session: "ReconfigSession"
-    ) -> None:
-        if session.error is not None:
-            rec.errors.append(session.error)
-        self._schedule_cycle(rec)
+        #    re-selects paths, which exclude links that are down.  One try
+        #    per attempt: a busy barrier (another session in flight) or a
+        #    failed one is the next attempt, this attempt's backoff later.
+        self.deployment.drain(
+            comm,
+            retry=Backoff(base=backoff, cap=backoff, max_retries=0),
+            barrier_timeout=BARRIER_TIMEOUT,
+            on_done=reconfigured,
+            on_gone=lambda: None,  # aborted or destroyed: nothing to repair
+            on_exhausted=retry,
+            routes={},
+        )
 
     def _retried_completed(
         self, rec: _CommRecovery, _instance: CollectiveInstance
@@ -369,16 +367,50 @@ class RecoveryManager:
         comm = rec.comm
         if self._cycles.get(comm.comm_id) is not rec or rec.cycle_scheduled:
             return  # a newer failure already restarted the episode
-        del self._cycles[comm.comm_id]
+        self._close(rec, "recovery_succeeded")
+
+    def _shrink(
+        self, rec: _CommRecovery, dead: List[int], error: CommunicatorError
+    ) -> None:
+        """A lost rank is a shrink: the in-flight window aborts typed and
+        the communicator, id and all, cuts over to its survivors."""
+        comm = rec.comm
+        deployment = self.deployment
+        # An elastic change in flight was planned against the old rank
+        # set.  It fails first, so the aborts below cannot finish its
+        # quiesce and cut it over.
+        if deployment.elastic is not None:
+            deployment.elastic.rank_lost(comm.comm_id)
+        survivors = [gpu for rank, gpu in enumerate(comm.gpus) if rank not in dead]
+        # Closed first: the aborts must not read as the retries finishing.
+        self._close(
+            rec, "recovery_shrunk",
+            f" lost rank(s) {dead}: world {comm.world}->{len(survivors)}",
+        )
+        # Newest first: a queued kernel the stream starts mid-loop finds
+        # its instance already aborted and fans out on no old rank.
+        for instance in reversed(list(comm.inflight.values())):
+            instance.abort(error)
+        # No drain: dead ranks cannot contribute to a barrier.
+        deployment.change_membership(
+            comm, survivors, "rank_lost",
+            left=[comm.gpus[rank].global_id for rank in dead],
+        )
+
+    def _close(self, rec: _CommRecovery, event: str, detail: str = "") -> None:
+        """Verdict that keeps the communicator: the episode ends and its
+        first-failure-to-verdict time is observed."""
+        del self._cycles[rec.comm.comm_id]
         duration = self.sim.now - rec.started_at
         self.telemetry.metrics.histogram(
             "mccs_recovery_seconds",
             "First-failure-to-recovered time of repair episodes, by fault kind.",
         ).observe(duration, kind=rec.kind)
         self._log(
-            comm,
-            "recovery_succeeded",
-            f"kind={rec.kind} attempts={rec.attempt} duration={duration:g}s",
+            rec.comm,
+            event,
+            f"kind={rec.kind} attempts={rec.attempt} "
+            f"duration={duration:g}s{detail}",
         )
 
     def _give_up(self, rec: _CommRecovery, error: CommunicatorError) -> None:
@@ -390,59 +422,18 @@ class RecoveryManager:
         ).inc(kind=rec.kind)
         comm.abort(error)
         self._log(comm, "recovery_gave_up", f"kind={rec.kind}: {error}")
-        if rec.kind == "host_crash":
-            self._reform(comm)
-
-    def _reform(self, comm: ServiceCommunicator) -> None:
-        """Form a successor communicator on the surviving ranks."""
-        cluster = self.deployment.cluster
-        survivors = [g for g in comm.gpus if cluster.hosts[g.host_id].alive]
-        if len(survivors) < 2:
-            # Terminal, not silent: a communicator that cannot be re-formed
-            # is an operator-visible verdict (the tenant has nothing left
-            # to fail over to), so emit a typed event and a counter to
-            # alert on instead of burying it in the audit trail.
-            self._log(
-                comm,
-                "reform_skipped_unrecoverable",
-                f"comm{comm.comm_id} not re-formed: only {len(survivors)} "
-                f"surviving rank(s), need 2",
-            )
-            self.telemetry.metrics.counter(
-                "mccs_reform_skipped_total",
-                "Survivor re-formations skipped because fewer than two "
-                "ranks survived (the communicator is unrecoverable).",
-            ).inc(app=comm.app_id)
-            return
-        successor = self.deployment.create_communicator(comm.app_id, survivors)
-        self.reformed[comm.comm_id] = successor
-        self._log(
-            comm,
-            "comm_reformed",
-            f"comm{comm.comm_id} -> comm{successor.comm_id} on "
-            f"{len(survivors)} surviving rank(s)",
-        )
 
     # ------------------------------------------------------------------
     def _dead_ranks(self, comm: ServiceCommunicator) -> List[int]:
-        dead = []
-        for rank, proxy in enumerate(self.deployment.proxies_of(comm)):
-            host = self.deployment.cluster.hosts[comm.gpus[rank].host_id]
-            if not host.alive:
-                dead.append(rank)
-                continue
-            if proxy.alive:
-                continue
-            # Dead proxy on a live host: a service crash.  The rank is
-            # only lost if nothing will bring the service back.
-            supervisor = self.deployment.supervisor
-            if supervisor is not None and supervisor.restart_pending(
-                host.host_id
-            ):
-                continue
-            if not self.deployment.service_of(host.host_id).alive:
-                dead.append(rank)
-        return dead
+        """Ranks on a crashed host or behind a dead service.  A service
+        with a supervised restart pending is dark, not dead, but the
+        cycle has already waited those out (:meth:`_restarting_hosts`)."""
+        return [
+            rank
+            for rank, gpu in enumerate(comm.gpus)
+            if not self.deployment.cluster.hosts[gpu.host_id].alive
+            or not self.deployment.service_of(gpu.host_id).alive
+        ]
 
     def _restarting_hosts(self, comm: ServiceCommunicator) -> List[int]:
         """Hosts of this communicator whose service is down but has a

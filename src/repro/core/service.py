@@ -31,13 +31,13 @@ from ..netsim.errors import (
     CommunicatorError,
     JournalError,
     MccsError,
+    ReconfigurationError,
     ServiceCrashedError,
     ServiceUnavailableError,
     UpgradeError,
 )
 from ..resilience import Backoff
 from ..telemetry.metrics import WALL_CLOCK_BUCKETS
-from ..telemetry.ringbuffer import RingBuffer
 from .memory import MemoryManager
 from .messages import (
     AllocateRequest,
@@ -64,9 +64,6 @@ UPGRADE_COMPONENTS = ("service", "frontend", "proxy")
 #: An upgrade drain that finds a communicator's barrier busy tries again
 #: 2 ms later, 21 tries in all, before the upgrade fails.
 UPGRADE_RETRY = Backoff(base=0.002, cap=0.002, max_retries=20)
-#: Sessions :attr:`MccsService.upgrades` keeps, newest last (each repeats
-#: an ``upgrade_done`` / ``upgrade_failed`` event).
-UPGRADES_KEPT = 256
 
 
 class FrontendEngine:
@@ -216,7 +213,7 @@ class MccsService:
         self.generation = 0
         self.crashes = 0
         self.restarts = 0
-        self.upgrades: RingBuffer[UpgradeSession] = RingBuffer(UPGRADES_KEPT)
+        self.upgrades_started = 0
         self._crash_error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
@@ -451,7 +448,7 @@ class MccsService:
             started_at=sim.now,
             generation_before=self.generation,
         )
-        self.upgrades.append(session)
+        self.upgrades_started += 1
         self.telemetry.events.log(
             sim.now,
             "upgrade_started",
@@ -518,14 +515,12 @@ class MccsService:
                 finish()
 
         def exhausted(
-            comm: "ServiceCommunicator", error: Optional[BaseException]
+            comm: "ServiceCommunicator", error: ReconfigurationError
         ) -> None:
             if session.failed:
                 return
             session.error = UpgradeError(
-                f"upgrade of host {self.host.host_id} could not drain "
-                f"comm {comm.comm_id} after {UPGRADE_RETRY.max_retries} "
-                f"attempt(s): {error}"
+                f"upgrade of host {self.host.host_id} abandoned: {error}"
             )
             self.telemetry.metrics.counter(
                 "mccs_upgrade_failures_total",

@@ -8,7 +8,8 @@ of each kind into a testbed-cluster deployment running a victim tenant
 and a co-located healthy tenant, and reports:
 
 * detection latency (fault strike to first typed failure signal),
-* resolution (recovered transparently vs. degraded to a typed abort),
+* resolution (recovered transparently, shrunk to the survivors, or
+  degraded to a typed abort),
 * recovery time (first failure to verdict, the ``mccs_recovery_seconds``
   histogram),
 * collective retries and communicator aborts from telemetry,
@@ -20,7 +21,7 @@ The ``failover`` artifact holds the rows (the chaos CI job uploads it).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster.specs import testbed_cluster
 from ..core.controller import CentralManager
@@ -42,14 +43,14 @@ class FailoverRow:
     kind: str
     fault_time: float
     detection_s: Optional[float]
-    resolution: str  # "recovered" | "aborted" | "unharmed"
+    resolution: str  # "recovered" | "shrunk" | "aborted" | "unharmed"
     recovery_s: Optional[float]
     attempts: int
     retries: int
     victim_completed: int
     victim_issued: int
     healthy_ok: bool
-    reformed: bool
+    world: Tuple[int, int]  # victim world size before, after
     byte_correct: Optional[bool]
 
 
@@ -77,15 +78,16 @@ def run_failover_case(
 ) -> FailoverRow:
     """Run one fault kind against a victim tenant and report the outcome.
 
-    The victim runs ``num_ops`` back-to-back AllReduces (the last one
-    carries real data so byte-correctness is checked end to end); the
-    healthy tenant runs one AllReduce that shares no failed component.
+    The victim runs ``num_ops`` back-to-back AllReduces (the last one —
+    or, once shrunk, one more on the survivors — carries real data so
+    byte-correctness is checked end to end); the healthy tenant runs one
+    AllReduce that shares no failed component.
     """
     if kind not in FAULT_KINDS:
         raise ValueError(f"unknown fault kind {kind!r}")
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster, ecmp_seed=seed)
-    recovery = deployment.enable_recovery(
+    deployment.enable_recovery(
         collective_deadline=deadline, heartbeat_until=2.0
     )
     manager = CentralManager(deployment)
@@ -144,6 +146,8 @@ def run_failover_case(
             attempts += 1
         elif event.kind == "recovery_succeeded":
             resolution = "recovered"
+        elif event.kind == "recovery_shrunk":
+            resolution = "shrunk"
         elif event.kind == "recovery_gave_up":
             resolution = "aborted"
     histogram = hub.metrics.histogram(
@@ -158,8 +162,14 @@ def run_failover_case(
             recovery_s = event.time - fault_time - detection
 
     completed = sum(1 for op in victim_ops if op.completed)
+    survivor = deployment.communicator(vcomm.comm_id)
     byte_correct: Optional[bool] = None
-    if exact is not None and not deployment.communicator(vcomm.comm_id).aborted:
+    if survivor.world != len(victim_gpus):
+        _, exact = filled_all_reduce(
+            victim, victim.adopt_communicator(vcomm.comm_id), 2.0
+        )
+        deployment.run()
+    if exact is not None and not survivor.aborted:
         byte_correct = exact(free=False)
     return FailoverRow(
         kind=kind,
@@ -177,7 +187,7 @@ def run_failover_case(
         victim_completed=completed,
         victim_issued=len(victim_ops),
         healthy_ok=healthy_op.completed,
-        reformed=vcomm.comm_id in recovery.reformed,
+        world=(len(victim_gpus), survivor.world),
         byte_correct=byte_correct,
     )
 
@@ -199,7 +209,7 @@ def main() -> Dict[str, object]:
             str(row.retries),
             f"{row.victim_completed}/{row.victim_issued}",
             "yes" if row.healthy_ok else "NO",
-            "yes" if row.reformed else "-",
+            "-" if row.world[0] == row.world[1] else "{}→{}".format(*row.world),
             {True: "yes", False: "NO", None: "-"}[row.byte_correct],
         )
         for row in rows
@@ -207,7 +217,7 @@ def main() -> Dict[str, object]:
     print_table(
         (
             "fault", "detect", "resolution", "recovery", "attempts",
-            "retries", "victim ops", "healthy ok", "reformed", "bytes ok",
+            "retries", "victim ops", "healthy ok", "world", "bytes ok",
         ),
         table,
     )

@@ -1,10 +1,12 @@
 """Elastic WAN interleavings: grow/shrink/drift/crash in any order.
 
-The ISSUE acceptance property: on a two-region WAN fabric, *any*
+The acceptance property: on a two-region WAN fabric, *any*
 interleaving of rank joins, graceful leaves, WAN bandwidth drift,
-service crashes and live collectives must leave the communicator able
-to run a byte-exact collective on its final membership, with the
-journal replay-consistent.
+service crashes, a host crash and live collectives must leave the
+communicator able to run a byte-exact collective on its final
+membership, with the journal replay-consistent.  A host crash loses
+ranks, and a lost rank is a shrink: the communicator never aborts while
+``MIN_WORLD`` ranks survive.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.specs import multi_region_cluster
 from repro.core.deployment import MccsDeployment
+from repro.core.elastic import MIN_WORLD
 from repro.errors import ReproError
 from repro.faults import FaultInjector
 from repro.netsim.fabric import RegionSpec, wan_links
@@ -28,6 +31,7 @@ _op = st.one_of(
     st.just(("shrink",)),
     st.tuples(st.just("drift"), st.integers(0, 1), st.sampled_from([0.25, 0.5, 2.0])),
     st.tuples(st.just("crash"), st.integers(0, 7)),
+    st.tuples(st.just("host_crash"), st.integers(0, 7)),
     st.just(("collective",)),
     st.tuples(st.just("advance"), st.sampled_from([0.01, 0.05])),
 )
@@ -49,6 +53,7 @@ def _run_interleaving(ops):
 
     client = deployment.connect("geo")
     comm = client.create_communicator([cluster.gpu(i) for i in range(4)])
+    host_crashed = False
 
     for op in ops:
         kind = op[0]
@@ -60,6 +65,14 @@ def _run_interleaving(ops):
             injector.drift_bandwidth(wan[op[1]], op[2])
         elif kind == "crash":
             deployment.crash_service(op[1])
+        elif kind == "host_crash":
+            # At most one per script, and only where the survivors can
+            # still form a communicator.
+            svc = deployment.communicator(comm.comm_id)
+            lost = sum(1 for gpu in svc.gpus if gpu.host_id == op[1])
+            if not host_crashed and svc.world - lost >= MIN_WORLD:
+                host_crashed = True
+                injector.crash_host(op[1])
         elif kind == "collective":
             try:
                 client.all_reduce(comm, 4 * MB)

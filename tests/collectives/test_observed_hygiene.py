@@ -45,11 +45,15 @@ def test_nothing_asks_whether_it_is_observed():
     assert offenders == []
 
 
-#: The optional hub and what existed only to serve it, and the span store
-#: (spans are rendered from the causal trees and the session records).
+#: The optional hub and what existed only to serve it, the span store
+#: (spans are rendered from the causal trees and the session records),
+#: successor communicators (a lost rank is a shrink) and the write-only
+#: membership stores.
 RETIRED = re.compile(
     r"Optional\[\s*\"?TelemetryHub|attach_network|TraceContext|TraceStore"
     r"|trace_capacity|SpanRecorder|MAX_SPANS|exported_spans"
+    r"|\breformed\b|_reform\b|comm_reformed|reform_skipped|HISTORY_KEPT"
+    r"|UPGRADES_KEPT|_Operation\b"
 )
 
 
@@ -62,3 +66,38 @@ def test_retired_names_stay_retired():
         if RETIRED.search(line)
     ]
     assert mentions == []
+
+
+def _calls(path, attribute):
+    return [
+        node for node in ast.walk(TREE[path])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attribute
+    ]
+
+
+def test_one_membership_cutover_and_one_barrier_loop():
+    """Membership changes only through ``MccsDeployment.change_membership``
+    (the one ``apply_membership`` caller and ``membership_change``
+    journal writer), and recovery reaches the barrier only through
+    ``drain``."""
+    cutovers = [
+        f"{_relative(path)}:{node.lineno}"
+        for path in SOURCES
+        for node in _calls(path, "apply_membership")
+    ]
+    journaled = [
+        f"{_relative(path)}:{node.lineno}"
+        for path in SOURCES
+        for node in _calls(path, "append")
+        if any(
+            isinstance(arg, ast.Constant) and arg.value == "membership_change"
+            for arg in node.args
+        )
+    ]
+    assert len(cutovers) == len(journaled) == 1
+    assert cutovers[0].startswith("core/deployment.py:")
+    assert journaled[0].startswith("core/deployment.py:")
+    assert _calls(SRC / "core/recovery.py", "reconfigure") == []
+    assert len(_calls(SRC / "core/recovery.py", "drain")) == 1

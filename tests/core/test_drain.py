@@ -75,6 +75,11 @@ def test_n_busy_tries_reach_on_exhausted_once(deployment, four_gpus):
     deployment.run()
     (entry,) = log
     assert entry[:2] == ("exhausted", pytest.approx(5 * DELAY, abs=1e-12))
-    assert isinstance(entry[2], ReconfigurationError)  # the last busy error
+    # One error names the communicator, every try and the last cause.
+    assert isinstance(entry[2], ReconfigurationError)
+    assert str(entry[2]) == (
+        f"drain of communicator {comm.comm_id} failed after 5 tries: "
+        f"communicator {comm.comm_id} already reconfiguring"
+    )
     # Five tries, none of which pushed a session: only the holder's did.
     assert len(deployment.telemetry().sessions) == 1

@@ -14,7 +14,11 @@ import pytest
 from repro.core import elastic as elastic_module
 from repro.core.admission import AdmissionPolicy
 from repro.core.elastic import MIN_WORLD
-from repro.errors import AdmissionRejectedError, MembershipChangeError
+from repro.errors import (
+    AdmissionRejectedError,
+    AllocationError,
+    MembershipChangeError,
+)
 from repro.faults import FaultInjector, FaultPlan
 from repro.netsim.units import MB
 from repro.resilience import Backoff
@@ -120,6 +124,24 @@ def test_grow_sheds_through_admission(cluster, deployment, manager, four_gpus):
     # Rejected before the handshake allocated anything.
     assert cluster.hosts[0].gpus[1].memory_used == before
     assert deployment.communicator(comm.comm_id).world == 4
+
+
+def test_failed_grow_handshake_releases_earlier_staging(
+    cluster, deployment, manager, four_gpus
+):
+    """The second joiner's staging allocation fails: the first joiner's
+    buffer, already allocated, is handed back before the error surfaces."""
+    elastic = deployment.enable_elasticity()
+    client, comm = _admit(manager, deployment, four_gpus)
+    first, full = cluster.hosts[0].gpus[1], cluster.hosts[1].gpus[1]
+    full.memory_capacity = full.memory_used + elastic_module.STAGING_BYTES - 1
+    before = first.memory_used
+    with pytest.raises(AllocationError):
+        elastic.grow(comm.comm_id, [first, full])
+    assert first.memory_used == before
+    assert elastic._staging == {}
+    assert elastic.inflight(comm.comm_id) is None
+    assert deployment.verify_journal() == []
 
 
 def test_failed_grow_releases_staging_buffers(

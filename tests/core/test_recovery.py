@@ -1,4 +1,4 @@
-"""Failure detection and recovery: retries, aborts, reform, heartbeats.
+"""Failure detection and recovery: retries, aborts, shrinks, heartbeats.
 
 Targeted unit coverage for :mod:`repro.core.recovery` and the barrier
 timeout of :mod:`repro.core.reconfig`; the chaos suite (``tests/chaos``)
@@ -19,6 +19,7 @@ from repro.errors import (
     NicFailedError,
     NoPathError,
     ReconfigurationError,
+    ReproError,
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.netsim.units import MB
@@ -120,31 +121,134 @@ def test_attempt_exhaustion_aborts_with_typed_error(
     assert isinstance(comm_obj.abort_error, CommunicatorError)
     assert op.instance.aborted and not op.completed
     assert "recovery_gave_up" in _events(recovery)
-    # NIC loss is not a crash: the communicator is not reformed.
-    assert comm.comm_id not in recovery.reformed
+    # NIC loss is not a lost rank: the communicator is not shrunk.
+    assert comm_obj.world == 4 and comm_obj.membership_epoch == 0
     with pytest.raises(CommunicatorError, match="aborted"):
         client.all_reduce(comm, 1024)
 
 
-def test_host_crash_aborts_and_reforms_on_survivors(
+def test_host_crash_shrinks_in_place(
     cluster, deployment, manager, four_gpus, injector
 ):
+    """A lost rank is a shrink: the in-flight op aborts typed, the same
+    communicator id lives on with the survivors, journaled ``rank_lost``."""
     recovery = deployment.enable_recovery(heartbeat_until=1.0)
     client, comm = _admit(manager, deployment, four_gpus)
     injector.schedule(FaultPlan().host_crash(0.004, 3))
     op = client.all_reduce(comm, 64 * MB)
     deployment.run()
 
+    assert op.instance.aborted and not op.completed
+    # Typed: the root cause the data path reported first.
+    assert isinstance(op.instance.error, ReproError)
+    assert "host 3 crashed" in str(op.instance.error)
     comm_obj = deployment.communicator(comm.comm_id)
-    assert comm_obj.aborted and op.instance.aborted
-    assert isinstance(comm_obj.abort_error, CommunicatorError)
-    assert "lost rank" in str(comm_obj.abort_error)
-    successor = recovery.reformed[comm.comm_id]
-    assert len(successor.gpus) == 3  # survivors only
-    succ_client_comm = client.adopt_communicator(successor.comm_id)
-    op2 = client.all_reduce(succ_client_comm, 1 * MB)
+    assert not comm_obj.aborted
+    assert comm_obj.world == 3 and comm_obj.membership_epoch == 1
+    assert comm_obj.gpus == four_gpus[:3]  # survivors keep their order
+    (record,) = [
+        r for r in deployment.journal.records() if r.op == "membership_change"
+    ]
+    assert record.payload["kind"] == "rank_lost"
+    assert record.payload["left"] == [four_gpus[3].global_id]
+    assert deployment.verify_journal() == []
+    assert "recovery_shrunk" in _events(recovery)
+    assert "recovery_gave_up" not in _events(recovery)
+    metrics = deployment.telemetry().metrics
+    assert metrics.histogram("mccs_recovery_seconds").count(kind="host_crash") == 1
+    assert metrics.counter("mccs_membership_changes_total").value(
+        app="A", kind="rank_lost"
+    ) == 1
+    assert metrics.counter("mccs_comms_aborted_total").total() == 0
+    # The tenant re-adopts the same id and runs a byte-exact AllReduce.
+    comm = client.adopt_communicator(comm.comm_id)
+    sends = [client.alloc(g, 256) for g in comm_obj.gpus]
+    recvs = [client.alloc(g, 256) for g in comm_obj.gpus]
+    for buf in sends:
+        buf.view(np.float32)[:] = 2.0
+    op2 = client.all_reduce(comm, 256, send=sends, recv=recvs)
     deployment.run()
     assert op2.completed
+    assert all(np.allclose(r.view(np.float32), 6.0) for r in recvs)
+
+
+def test_queued_collectives_never_fan_out_on_the_old_membership(
+    cluster, deployment, manager, four_gpus, injector, monkeypatch
+):
+    """The shrink aborts the running op and the queued ones behind it;
+    the stream still starts each queued kernel, and none of them may
+    reach a proxy of the membership being replaced."""
+    from repro.core.proxy import ProxyEngine
+
+    deployment.enable_recovery(heartbeat_until=1.0)
+    client, comm = _admit(manager, deployment, four_gpus)
+    launches = []
+    original = ProxyEngine.request_launch
+
+    def spy(self, rank, instance):
+        launches.append((instance.seq, instance.comm.membership_epoch))
+        original(self, rank, instance)
+
+    monkeypatch.setattr(ProxyEngine, "request_launch", spy)
+    injector.schedule(FaultPlan().host_crash(0.004, 3))
+    ops = [client.all_reduce(comm, 64 * MB) for _ in range(3)]
+    deployment.run()
+
+    assert all(op.instance.aborted for op in ops)
+    # Only the running op ever fanned out: once, to the four old ranks.
+    assert launches == [(ops[0].instance.seq, 0)] * 4
+    assert deployment.communicator(comm.comm_id).world == 3
+
+
+def test_shrink_leaves_no_old_rank_on_any_proxy(
+    cluster, deployment, manager, four_gpus
+):
+    """After the cutover no engine, dead or alive, lists the communicator
+    under an old rank, so a later heartbeat miss opens no episode."""
+    recovery = deployment.enable_recovery(heartbeat_until=0.5)
+    client, comm = _admit(manager, deployment, four_gpus)
+    # Unsupervised service crash mid-collective: the data path reports it
+    # and the shrink lands before the next heartbeat tick (0.01 s) finds
+    # the dead engines.
+    cluster.sim.call_in(0.004, lambda: deployment.crash_service(2))
+    op = client.all_reduce(comm, 64 * MB)
+    deployment.run()
+
+    assert op.instance.aborted
+    comm_obj = deployment.communicator(comm.comm_id)
+    assert not comm_obj.aborted and comm_obj.world == 3
+    assert deployment.heartbeat_monitor.missed == len(cluster.hosts[2].gpus)
+    for service in deployment.services.values():
+        for proxy in service.proxies.values():
+            for _, rank in proxy.ranks():
+                assert comm_obj.gpus[rank].global_id == proxy.gpu_global_id
+    events = recovery.telemetry.events
+    (detected,) = events.events("failure_detected")
+    assert detected.time == pytest.approx(0.004) and "heartbeat" not in detected.message
+    assert len(events.events("recovery_shrunk")) == 1
+    assert recovery._cycles == {}
+
+
+def test_rank_lost_fails_an_elastic_change_in_flight(
+    cluster, deployment, manager, four_gpus, injector
+):
+    deployment.enable_recovery(heartbeat_until=1.0)
+    elastic = deployment.enable_elasticity()
+    client, comm = _admit(manager, deployment, four_gpus)
+    ops = [client.all_reduce(comm, 64 * MB) for _ in range(2)]
+    joiner = cluster.hosts[0].gpus[1]
+    before = joiner.memory_used
+    record = elastic.grow(comm.comm_id, [joiner])
+    injector.schedule(FaultPlan().host_crash(0.004, 3))
+    deployment.run()
+
+    assert record.state == "failed" and "lost a rank" in str(record.error)
+    assert joiner.memory_used == before  # the joiner's staging came back
+    assert all(op.instance.aborted for op in ops)
+    comm_obj = deployment.communicator(comm.comm_id)
+    assert comm_obj.world == 3 and not comm_obj.aborted
+    assert elastic.inflight(comm.comm_id) is None
+    assert deployment.verify_journal() == []
 
 
 def test_crash_blast_radius_spares_co_tenant(
@@ -208,15 +312,17 @@ def test_heartbeat_monitor_detects_idle_crash(
     cluster.sim.call_in(0.1, lambda: injector.crash_host(2))
     deployment.run()
     comm_obj = deployment.communicator(comm.comm_id)
-    assert comm_obj.aborted
+    assert not comm_obj.aborted and comm_obj.world == 3
+    assert four_gpus[2] not in comm_obj.gpus
     assert (
         deployment.telemetry().metrics.counter("mccs_heartbeats_missed_total").total()
         >= 1
     )
     detected = recovery.telemetry.events.events("failure_detected")
     assert detected and "heartbeat" in detected[0].message
-    with pytest.raises(CommunicatorError):
-        client.all_reduce(comm, 1024)
+    op = client.all_reduce(client.adopt_communicator(comm.comm_id), 1024)
+    deployment.run()
+    assert op.completed
 
 
 def test_heartbeat_monitor_is_bounded():
@@ -240,6 +346,10 @@ def test_heartbeat_monitor_reports_a_hosts_second_service_crash(
     _admit(manager, deployment, four_gpus)
     cluster.sim.call_in(0.05, lambda: deployment.crash_service(1))
     cluster.sim.call_in(0.10, lambda: deployment.restart_service(1))
+    # The first crash shrank host 1 out of comm A: a second tenant gives
+    # the restarted engines a rank to lose.
+    second = [cluster.hosts[h].gpus[1] for h in (1, 2, 3)]
+    cluster.sim.call_in(0.15, lambda: manager.admit("B", second))
     cluster.sim.call_in(0.20, lambda: deployment.crash_service(1))
     deployment.run()
     per_host = len(cluster.hosts[1].gpus)
@@ -324,11 +434,11 @@ def test_fault_kind_classification(error, kind):
     assert fault_kind(error) == kind
 
 
-def test_reform_skipped_when_fewer_than_two_survivors(
+def test_host_crash_below_min_world_aborts(
     cluster, deployment, manager, injector
 ):
-    """<2 survivors: no successor, but a typed event and an alertable
-    counter instead of a silent return."""
+    """Fewer than ``MIN_WORLD`` survivors: no shrink, the communicator
+    aborts typed and alertably (``mccs_comms_aborted_total``)."""
     recovery = deployment.enable_recovery(heartbeat_until=1.0)
     gpus = [cluster.hosts[0].gpus[0], cluster.hosts[3].gpus[0]]
     client, comm = _admit(manager, deployment, gpus)
@@ -338,7 +448,11 @@ def test_reform_skipped_when_fewer_than_two_survivors(
 
     comm_obj = deployment.communicator(comm.comm_id)
     assert comm_obj.aborted and op.instance.aborted
-    assert comm.comm_id not in recovery.reformed
-    assert "reform_skipped_unrecoverable" in _events(recovery)
+    assert isinstance(comm_obj.abort_error, CommunicatorError)
+    assert comm_obj.world == 2 and comm_obj.membership_epoch == 0
+    assert "recovery_gave_up" in _events(recovery)
+    assert "recovery_shrunk" not in _events(recovery)
     metrics = deployment.telemetry().metrics
-    assert metrics.counter("mccs_reform_skipped_total").value(app="A") == 1
+    assert metrics.counter("mccs_comms_aborted_total").value(kind="host_crash") == 1
+    with pytest.raises(CommunicatorError, match="aborted"):
+        client.all_reduce(comm, 1024)

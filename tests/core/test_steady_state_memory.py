@@ -193,10 +193,8 @@ def test_tenant_cycles_leave_nothing_behind(monkeypatch):
 def test_elastic_cycles_leave_nothing_behind(monkeypatch):
     """Grow then shrink back, each issued under traffic so the change has
     to wait for in-flight work: the wait's completion listener (and the
-    ``_Operation``, record and callbacks it closes over) ends with it.
-    A live upgrade rides every cycle; both finished-operation rings wrap."""
-    monkeypatch.setattr("repro.core.elastic.HISTORY_KEPT", 32)
-    monkeypatch.setattr("repro.core.service.UPGRADES_KEPT", 16)
+    record and callbacks it closes over) ends with it.  A live upgrade
+    rides every cycle; nothing keeps a finished operation."""
     cluster, dep = make_deployment(monkeypatch)
     elastic = dep.enable_elasticity()
     client = dep.connect("app")
@@ -223,7 +221,7 @@ def test_elastic_cycles_leave_nothing_behind(monkeypatch):
         session = service.upgrade("proxy")
         dep.run()
         assert session.done
-        # A count of upgrades ever started: it does not fall as the ring wraps.
+        # A count of upgrades ever started, kept without the sessions.
         assert dep.resilience_stats()["upgrades"] == upgrades
 
     listeners = len(comm.completion_listeners)
@@ -236,9 +234,8 @@ def test_elastic_cycles_leave_nothing_behind(monkeypatch):
     assert set(waits) == {listeners + 1}  # every change really waited...
     assert len(comm.completion_listeners) == listeners  # ...and let go
     assert elastic._inflight == {} and comm.world == 4
-    # Both finished-operation rings were full at the first census.
-    assert before["MembershipChange"] == len(elastic.history) == 32
-    assert before["UpgradeSession"] == len(service.upgrades) == 16
+    # No MembershipChange / UpgradeSession outlives its operation.
+    assert before["MembershipChange"] == before["UpgradeSession"] == 0
     assert dep.verify_journal() == []
 
 

@@ -35,10 +35,9 @@ RECOVERY_EVENTS = (
     "failure_detected",
     "recovery_attempt",
     "recovery_succeeded",
+    "recovery_shrunk",
     "recovery_gave_up",
     "membership_changed",
-    "comm_reformed",
-    "reform_skipped_unrecoverable",
 )
 
 

@@ -14,8 +14,9 @@ archive the trend and ``benchmarks/compare_bench.py`` can guard it:
 * ``data_plane``: what the one executor (``repro.collectives.executor``)
   does with an 8-rank float32 AllReduce through the registry's shared
   ``run_data`` path, writing receive buffers in place and taking scratch
-  from one warm ``Staging``: GB/s (output bytes over wall time) and
-  tracemalloc peak at 64 KiB / 1.5 MiB / 16 MiB for ring, tree,
+  from one warm ``Staging``: GB/s (output bytes over wall time),
+  tracemalloc peak and the staging buffer's size (``staging_mb``, MiB
+  held after the warm run) at 64 KiB / 1.5 MiB / 16 MiB for ring, tree,
   halving-doubling and the hierarchical synthesized program, plus each
   family's cold generate-and-compile time; and three more ring rows:
   ReduceScatter and Reduce at 1.5 MiB (the kinds that need scratch) and
@@ -189,6 +190,7 @@ def _measure_data_plane(key, algorithm, kind, nbytes):
         "gb_per_s": round(nbytes / seconds / 1e9, 3),
         "ms": round(seconds * 1e3, 4),
         "peak_alloc_mb": round((peak - base) / 1e6, 3),
+        "staging_mb": round(staging.nbytes / MB, 3),
     }
     # in place, scratch staged: a warm run allocates nothing payload-sized
     assert peak - base < nbytes / 4 + 64 * KB
@@ -256,5 +258,7 @@ def test_no_metric_regression_vs_committed_baseline():
         baseline, _RESULTS, sections=("speedup",), metric="speedup"
     ) + compare_throughput(
         baseline, _RESULTS, sections=("data_plane",), metric="gb_per_s"
+    ) + compare_throughput(
+        baseline, _RESULTS, sections=("data_plane",), metric="staging_mb", exact=True
     )
     assert not failures, "\n".join(failures)

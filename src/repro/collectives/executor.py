@@ -6,18 +6,36 @@ is the only code that moves collective payload bytes.  It works in two
 stages:
 
 * :func:`compile_program` (once per program) matches sends to receives,
-  fixes a dependency order, applies the hazard rule and coalesces
-  adjacent chunks, leaving an :class:`ExecutionPlan`: a flat tuple of
-  ``(reduce?, dst, target, src, chunk range)`` index records.  A plan
-  holds no payload-sized array.
-* :meth:`ExecutionPlan.run` (every collective) resolves chunk ranges to
-  element slices through a small cache and issues one numpy call per
-  record — ``ufunc(target, src, out=dst)`` or a slice assignment —
-  reading straight from the sender's slot and writing straight into the
-  caller's receive buffers, which double as the working vectors.  A
-  slot that has not been written yet is read from the rank's *send*
-  buffer, so no input is ever copied up front.  What scratch remains
-  comes from a :class:`Staging` buffer the caller owns.
+  fixes a dependency order, applies the hazard rule, gives scratch
+  values their pool slots and coalesces adjacent chunks, leaving an
+  :class:`ExecutionPlan`: a flat tuple of ``(reduce?, dst, target, src,
+  chunk range)`` index records and a slot count.  A plan holds no
+  payload-sized array.
+* :meth:`ExecutionPlan.run` (every collective) resolves chunk ranges and
+  pool slots to element slices through a small cache and issues one numpy
+  call per record — ``ufunc(target, src, out=dst)`` or a slice
+  assignment — in one loop for every kind, reading straight from the
+  sender's slot.  A slot that has not been written yet is read from the
+  rank's *send* buffer, so no input is ever copied up front.
+
+**Scratch.**  A chunk that is part of a rank's output is written straight
+into its receive buffer: every chunk of all-reduce, all-gather and
+broadcast, a reduce-scatter rank's own block, the reduce root's vector.
+Everything else — reduce-scatter's partial sums of other ranks' blocks,
+reduce's non-root partial sums and the hazard rule's snapshots — is a
+*value* that lives in a chunk-sized slot of one pool, which is a view of
+a :class:`Staging` buffer the caller owns (``pool × largest chunk``
+elements).  A compile-time liveness pass allocates the slots, and three
+invariants hold:
+
+* a value holds its pool slot from its first write to its last reader,
+  and the slot is free again as soon as that reader has run (the reader's
+  own write may take it);
+* a reduction into a value updates it in its slot, so no record reads
+  and writes two different places for one rank's chunk;
+* records merge only where both the logical chunks and the pool slots
+  are contiguous; where a short chunk would leave a gap in a merged run
+  of slots, the run resolves chunk by chunk.
 
 **Hazard rule.**  IR semantics are "a send ships the slot's value at the
 send".  Reading the sender's slot at the *receive* is the same thing
@@ -42,6 +60,7 @@ flows and fixed latency from the very program that moves the bytes.
 from __future__ import annotations
 
 import heapq
+import itertools
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,7 +86,7 @@ _ROOTED = (Collective.BROADCAST, Collective.REDUCE)
 
 
 # ---------------------------------------------------------------------------
-# compile: matching, dependency order, hazards, coalescing
+# compile: matching, dependency order, hazards, slots, coalescing
 # ---------------------------------------------------------------------------
 def schedule(program: Program) -> Tuple[List[NodeId], Dict[NodeId, NodeId]]:
     """Dependency-order the instructions; pair receives with their sends.
@@ -155,18 +174,20 @@ class Staging:
     """The executor's scratch: one byte buffer, grown to the largest
     request and never shrunk.
 
-    Reduce-scatter's per-rank working vectors, reduce's non-root partial
-    sums and the hazard rule's snapshots are views of it, so a caller
-    that keeps one (an :class:`~repro.core.deployment.MccsDeployment`
-    does, for all its communicators) faults its pages in once instead of
-    on every collective.  A caller with nothing to keep passes none and
+    A plan's slot pool — the partial sums of chunks a rank does not
+    output (reduce-scatter's other blocks, reduce's non-roots) and the
+    hazard rule's snapshots, one chunk-sized slot each — is a view of
+    it, so a caller that keeps one (an
+    :class:`~repro.core.deployment.MccsDeployment` does, for all its
+    communicators) faults its pages in once instead of on every
+    collective.  A caller with nothing to keep passes none and
     :meth:`ExecutionPlan.run` takes a fresh one.
 
     Invariants that make the reuse safe:
 
-    * a view of the buffer never leaves :meth:`ExecutionPlan.run`: what
-      it returns is the caller's receive buffers or freshly allocated
-      outputs, and results are copied out of scratch before it returns;
+    * a view of the buffer never leaves :meth:`ExecutionPlan.run`: every
+      output chunk is written straight into the caller's receive buffer
+      (or a freshly allocated output), never staged and copied out;
     * ``run`` makes no callbacks and is not re-entrant, so one run's
       views are dead before the next run asks for its own;
     * the buffer is allocated here and never aliases tenant memory.
@@ -182,24 +203,27 @@ class Staging:
         """Bytes held: the largest working set requested so far."""
         return self._buffer.nbytes
 
-    def arrays(self, count: int, elems: int, dtype: np.dtype) -> List[np.ndarray]:
-        """``count`` disjoint ``elems``-element vectors of ``dtype``,
-        contents undefined."""
+    def arrays(self, count: int, elems: int, dtype: np.dtype) -> np.ndarray:
+        """A ``(count, elems)`` array of ``dtype``: ``count`` disjoint
+        ``elems``-element rows, contents undefined."""
         need = count * elems * dtype.itemsize
         if need > self._buffer.nbytes:
             self._buffer = np.empty(need, np.uint8)
-        flat = self._buffer[:need].view(dtype)
-        return [flat[i * elems : (i + 1) * elems] for i in range(count)]
+        return self._buffer[:need].view(dtype).reshape(count, elems)
 
 
 class ExecutionPlan:
     """A compiled program: indices only, reusable for any buffer size.
 
     ``ops`` records are ``(reduce, dst, target, src, dlo, dhi, slo, shi)``
-    over *array ids* — ``p`` is position ``p``'s working vector,
-    ``world + p`` its send buffer, ``2 * world + k`` snapshot ``k`` — and
-    half-open chunk ranges.  ``target`` is the first operand of a
-    reduction: the send buffer while the slot is unwritten, else ``dst``.
+    over *operand ids* and half-open chunk ranges: ``p`` is position
+    ``p``'s receive buffer, ``world + p`` its send buffer and
+    ``2 * world + k`` the slot pool from slot ``k`` on (chunk ``dlo`` in
+    slot ``k``, ``dlo + 1`` in slot ``k + 1``, …).  ``target`` is the
+    first operand of a reduction: the send buffer while the rank's chunk
+    is unwritten, else ``dst``.  ``hops[i]`` is the (sending, receiving)
+    position of record ``i`` — one position twice for a local copy or a
+    snapshot — and ``pool`` the number of slots the records use.
 
     ``sends[p]`` is position ``p``'s *send table*: one ``(dst position,
     IR channel, chunk ids)`` entry per distinct (dst, channel) it sends
@@ -211,19 +235,23 @@ class ExecutionPlan:
     """
 
     __slots__ = (
-        "name", "kind", "world", "num_chunks", "root", "ops", "temp_owner",
-        "steps", "sends", "striped",
+        "name", "kind", "world", "num_chunks", "root", "ops", "hops", "pool",
+        "snapshots", "steps", "sends", "striped",
     )
 
-    def __init__(self, program: Program, ops: tuple, temp_owner: Tuple[int, ...]) -> None:
+    def __init__(
+        self, program: Program, ops: tuple, hops: tuple, pool: int, snapshots: int
+    ) -> None:
         self.name = program.name
         self.kind = program.kind
         self.world = program.world
         self.num_chunks = program.num_chunks
         self.root = program.root
         self.ops = ops
-        #: Sending position of each snapshot the hazard rule forced.
-        self.temp_owner = temp_owner
+        self.hops = hops
+        self.pool = pool
+        #: Slot copies the hazard rule forced.
+        self.snapshots = snapshots
         #: Pipeline hops, for the fixed-latency model.
         self.steps = program.num_steps
         table = []
@@ -237,10 +265,6 @@ class ExecutionPlan:
         self.sends = tuple(table)
         self.striped = False
 
-    @property
-    def snapshots(self) -> int:
-        return len(self.temp_owner)
-
     def _blocks(self, order: Optional[Sequence[int]]) -> Optional[Tuple[int, ...]]:
         """Rank-block relabelling, needed only by the blocked kinds."""
         if order is None or self.kind not in blocked_kinds():
@@ -252,15 +276,13 @@ class ExecutionPlan:
     ) -> Dict[Tuple[int, int], int]:
         """Bytes per directed (src_rank, dst_rank) pair that one run over
         a working vector of ``elems`` elements moves between ranks."""
-        n = self.world
+        spans = _spans(self, elems, self._blocks(order))
         traffic: Dict[Tuple[int, int], int] = {}
-        for _, dst, _, src, span, _ in _resolve(self, elems, self._blocks(order)):
-            if dst >= 2 * n:
-                continue  # a snapshot stays on the sending rank
-            a = self.temp_owner[src - 2 * n] if src >= 2 * n else src % n
-            if a != dst:
-                pair = (a, dst) if order is None else (order[a], order[dst])
-                traffic[pair] = traffic.get(pair, 0) + (span.stop - span.start) * itemsize
+        for (_, _, _, _, lo, hi, _, _), (a, b) in zip(self.ops, self.hops):
+            nbytes = (spans[hi - 1][1] - spans[lo][0]) * itemsize
+            if a != b and nbytes:
+                pair = (a, b) if order is None else (order[a], order[b])
+                traffic[pair] = traffic.get(pair, 0) + nbytes
         return traffic
 
     def run(
@@ -278,7 +300,7 @@ class ExecutionPlan:
         *is* the receive buffer).  ``out[r]``, when given, is rank ``r``'s
         contiguous receive buffer and is written in place; otherwise
         outputs are allocated.  ``order[p]`` is the rank at position ``p``
-        for plans compiled in position space.  Scratch comes from
+        for plans compiled in position space.  The slot pool comes from
         ``staging`` (a fresh :class:`Staging` when omitted).  Conventions
         are those of :mod:`repro.collectives.reference`.
         """
@@ -310,65 +332,95 @@ class ExecutionPlan:
         ranks = range(n) if order is None else order
         send = [inputs[r].reshape(-1) for r in ranks]
         recv = [out[r].reshape(-1) for r in ranks]
-        # Working vectors that cannot be the output: reduce-scatter's
-        # (the only kind whose working vector outgrows its output) and
-        # reduce's non-roots' (they keep their input; partial sums go to
-        # scratch).  Snapshots follow them in the same request.
-        spare = {Collective.REDUCE_SCATTER: n, Collective.REDUCE: n - 1}.get(kind, 0)
-        if staging is None:
-            staging = Staging()
-        scratch = staging.arrays(spare + self.snapshots, total, first.dtype)
-        work = recv
-        if kind is Collective.REDUCE_SCATTER:
-            work = scratch[:n]
-        elif kind is Collective.REDUCE:
-            work = scratch[: n - 1]
-            work.insert(self.root, recv[self.root])
-        elif kind is Collective.ALL_GATHER:
+        if kind is Collective.ALL_GATHER:
             for r, w, s in zip(ranks, recv, send):
                 w[r * size : (r + 1) * size] = s
         elif kind is Collective.BROADCAST:
             np.copyto(recv[self.root], send[self.root])
-        arrays = work + send + scratch[spare:]
+        records, slot = _resolve(self, total, self._blocks(order))
+        if staging is None:
+            staging = Staging()
+        arrays = recv + send + [staging.arrays(self.pool, slot, first.dtype).reshape(-1)]
         ufunc = op.ufunc
-        for reduce, dst, target, src, dspan, sspan in _resolve(
-            self, total, self._blocks(order)
-        ):
+        for reduce, dst, dspan, target, tspan, src, sspan in records:
             if reduce:
-                ufunc(arrays[target][dspan], arrays[src][sspan], out=arrays[dst][dspan])
+                ufunc(arrays[target][tspan], arrays[src][sspan], out=arrays[dst][dspan])
             else:
                 arrays[dst][dspan] = arrays[src][sspan]
-        if kind is Collective.REDUCE_SCATTER:
-            for r, o, w in zip(ranks, recv, work):
-                o[:] = w[r * out_size : (r + 1) * out_size]
-        elif kind is Collective.REDUCE:
+        if kind is Collective.REDUCE:
             for p, (o, s) in enumerate(zip(recv, send)):
                 if p != self.root:
                     o[:] = s
         return list(out)
 
 
-@lru_cache(maxsize=256)
-def _resolve(plan: ExecutionPlan, total: int, blocks: Optional[Tuple[int, ...]]) -> tuple:
-    """``plan.ops`` with chunk ranges turned into element slices of a
-    ``total``-element working vector; empty transfers dropped."""
+def _spans(
+    plan: ExecutionPlan, total: int, blocks: Optional[Tuple[int, ...]]
+) -> List[Tuple[int, int]]:
+    """(lo, hi) element extent of each chunk in a ``total``-element working
+    vector, rank blocks relabelled through ``blocks``."""
     spans = chunk_spans(plan.kind, total, plan.num_chunks, plan.world)
     if blocks is not None:
         # Position-space block b is the block of the rank sitting at b.
         per = plan.num_chunks // plan.world
         spans = [spans[blocks[c // per] * per + c % per] for c in range(len(spans))]
+    return spans
+
+
+@lru_cache(maxsize=256)
+def _resolve(
+    plan: ExecutionPlan, total: int, blocks: Optional[Tuple[int, ...]]
+) -> Tuple[tuple, int]:
+    """``plan.ops`` as ``(reduce, dst, dspan, target, tspan, src, sspan)``
+    records over a run's arrays — receive buffers, send buffers, then the
+    flat pool as array ``2 * world`` — for a ``total``-element working
+    vector, empty transfers dropped; and the elements of one pool slot
+    (the largest chunk)."""
+    n = plan.world
+    spans = _spans(plan, total, blocks)
+    slot = max((hi - lo for lo, hi in spans), default=0)
+    # A reduce-scatter receive buffer is one block: its chunks are placed
+    # relative to the start of the position's own block.
+    base = [0] * n
+    if plan.kind is Collective.REDUCE_SCATTER:
+        per = plan.num_chunks // n
+        base = [spans[p * per][0] for p in range(n)]
+
+    slices: Dict[Tuple[int, int], slice] = {}  # one object per extent
+
+    def place(operand: int, lo: int, hi: int) -> Tuple[int, slice]:
+        start, stop = spans[lo][0], spans[hi - 1][1]
+        if operand >= 2 * n:  # each chunk at the start of its own slot
+            start, stop = (operand - 2 * n) * slot, (operand - 2 * n) * slot + stop - start
+            operand = 2 * n
+        elif operand < n:
+            start, stop = start - base[operand], stop - base[operand]
+        return operand, slices.setdefault((start, stop), slice(start, stop))
+
+    def advance(operand: int, by: int) -> int:
+        return operand + by if operand >= 2 * n else operand
+
     resolved = []
     for reduce, dst, target, src, dlo, dhi, slo, shi in plan.ops:
-        dspan = slice(spans[dlo][0], spans[dhi - 1][1])
-        sspan = slice(spans[slo][0], spans[shi - 1][1])
-        if dspan.stop - dspan.start != sspan.stop - sspan.start:
+        width = spans[dhi - 1][1] - spans[dlo][0]
+        if width != spans[shi - 1][1] - spans[slo][0]:
             raise MalformedProgramError(
-                f"{plan.name}: copies chunk {slo} ({sspan.stop - sspan.start} "
-                f"elems) into chunk {dlo} ({dspan.stop - dspan.start} elems)"
+                f"{plan.name}: copies chunk {slo} ({spans[shi - 1][1] - spans[slo][0]} "
+                f"elems) into chunk {dlo} ({width} elems)"
             )
-        if dspan.stop > dspan.start:
-            resolved.append((reduce, dst, target, src, dspan, sspan))
-    return tuple(resolved)
+        pieces = [(0, dhi - dlo)]
+        if max(dst, target, src) >= 2 * n and any(
+            spans[c][1] - spans[c][0] < slot for c in range(dlo, dhi - 1)
+        ):  # a short chunk leaves a gap in its slot: one piece per chunk
+            pieces = [(i, i + 1) for i in range(dhi - dlo)]
+        for a, b in pieces:
+            if spans[dlo + b - 1][1] > spans[dlo + a][0]:
+                resolved.append(
+                    (reduce, *place(advance(dst, a), dlo + a, dlo + b),
+                     *place(advance(target, a), dlo + a, dlo + b),
+                     *place(advance(src, a), slo + a, slo + b))
+                )
+    return tuple(resolved), slot
 
 
 def compile_program(program: Program) -> ExecutionPlan:
@@ -381,69 +433,143 @@ def compile_schedule(
 ) -> ExecutionPlan:
     """Compile ``program`` under the :func:`schedule` it already has (the
     validator's, so a checked program is ordered once)."""
-    n = program.world
-    per_block = program.num_chunks // n if program.kind in blocked_kinds() else 0
-    # Slots whose value already sits in the working vector; every other
-    # slot is read from the rank's send buffer until its first write.
-    written = set()
-    if program.kind is Collective.ALL_GATHER:
-        written = {(c // per_block, c) for c in range(program.num_chunks)}
-    elif program.kind is Collective.BROADCAST:
-        written = {(program.root, c) for c in range(program.num_chunks)}
+    n, kind = program.world, program.kind
+    per_block = program.num_chunks // n if kind in blocked_kinds() else 0
+
+    def output(rank: int, chunk: int) -> bool:
+        """Whether ``chunk`` is part of ``rank``'s output, so its writes
+        land straight in the receive buffer."""
+        if kind is Collective.REDUCE_SCATTER:
+            return chunk // per_block == rank
+        return kind is not Collective.REDUCE or rank == program.root
+
+    # Operand holding the value of each written (rank, chunk); any other
+    # chunk is read from the rank's send buffer until its first write.
+    where: Dict[Tuple[int, int], int] = {}
+    if kind is Collective.ALL_GATHER:
+        where = {(c // per_block, c): c // per_block for c in range(program.num_chunks)}
+    elif kind is Collective.BROADCAST:
+        where = {(program.root, c): program.root for c in range(program.num_chunks)}
+    # Pool values are numbered from 2 * n here and given slots below.
+    values = itertools.count(2 * n)
     ops: List[Optional[tuple]] = []
-    #: un-received send -> (its placeholder in ops, array holding the value)
+    hops: List[Optional[Tuple[int, int]]] = []
+    pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}  # one tuple per hop
+    #: un-received send -> (its placeholder in ops, operand holding the value)
     pending: Dict[NodeId, Tuple[int, int]] = {}
     outstanding: Dict[Tuple[int, int], List[NodeId]] = {}
-    temp_owner: List[int] = []
-
-    def holder(rank: int, chunk: int) -> int:
-        return rank if (rank, chunk) in written else n + rank
+    snapshots = 0
 
     for node in order:
         rank, idx = node
         instr = program.rank_programs[rank][idx]
         chunk = instr.chunk
+        holder = where.get((rank, chunk), n + rank)
         if instr.kind is OpKind.SEND:
-            pending[node] = (len(ops), holder(rank, chunk))
+            pending[node] = (len(ops), holder)
             outstanding.setdefault((rank, chunk), []).append(node)
             ops.append(None)
+            hops.append(None)
             continue
         if instr.kind is OpKind.COPY:
-            src_chunk, src = instr.src_chunk, holder(rank, instr.src_chunk)
+            sender, src_chunk = rank, instr.src_chunk
+            src = where.get((rank, src_chunk), n + rank)
         else:
             send = send_of[node]
-            src_chunk, src = chunk, pending.pop(send)[1]
-            if src < 2 * n:
-                outstanding[(instr.peer, chunk)].remove(send)
+            sender, src_chunk = instr.peer, chunk
+            src = pending.pop(send)[1]
+            waiting = outstanding.get((sender, chunk), ())
+            if send in waiting:  # not snapshotted
+                waiting.remove(send)
         # Hazard rule: this write lands under un-received sends of the
-        # same slot, so each of them ships a snapshot taken at the send.
+        # same (rank, chunk), so each of them ships a snapshot taken at
+        # the send.
         for send in outstanding.pop((rank, chunk), ()):
-            at, arr = pending[send]
-            temp = 2 * n + len(temp_owner)
-            temp_owner.append(rank)
-            ops[at] = (False, temp, temp, arr, chunk, chunk + 1, chunk, chunk + 1)
+            at, value = pending[send]
+            temp = next(values)
+            ops[at] = (False, temp, temp, value, chunk, chunk + 1, chunk, chunk + 1)
+            hops[at] = pairs.setdefault((rank, rank), (rank, rank))
             pending[send] = (at, temp)
-        ops.append(
-            (instr.kind is OpKind.RECV_REDUCE, rank, holder(rank, chunk), src,
-             chunk, chunk + 1, src_chunk, src_chunk + 1)
-        )
-        written.add((rank, chunk))
+            snapshots += 1
+        reduce = instr.kind is OpKind.RECV_REDUCE
+        dst = target = holder
+        if output(rank, chunk):
+            dst = rank
+        elif not (reduce and holder >= 2 * n):  # else: reduce into its own slot
+            dst = next(values)
+            target = holder if reduce else dst
+        ops.append((reduce, dst, target, src, chunk, chunk + 1, src_chunk, src_chunk + 1))
+        hops.append(pairs.setdefault((sender, rank), (sender, rank)))
+        where[(rank, chunk)] = dst
 
+    records, pool = _allocate([op for op in ops if op is not None], n)
+    merged, merged_hops = _merge(records, [hop for hop in hops if hop is not None], n, per_block)
+    return ExecutionPlan(program, tuple(merged), tuple(merged_hops), pool, snapshots)
+
+
+def _allocate(records: List[tuple], n: int) -> Tuple[List[tuple], int]:
+    """Liveness pass: give each pool value (operand ``>= 2 * n``) a slot
+    from its first write to its last reader, lowest free slot first.  A
+    slot is free again once its value's last reader has run — for that
+    reader's own write, even (``out=`` the input it just consumed).
+    Returns the records over slot ids and the number of slots."""
+    last: Dict[int, int] = {}
+    for i, record in enumerate(records):
+        for operand in record[1:4]:
+            if operand >= 2 * n:
+                last[operand] = i
+    if not last:
+        return records, 0
+    slot_of: Dict[int, int] = {}
+    free: List[int] = []
+    pool = 0
+    placed = []
+    for i, record in enumerate(records):
+        dst, target, src = record[1:4]
+        for operand in {target, src} - {dst}:
+            if operand >= 2 * n and last[operand] == i:
+                heapq.heappush(free, slot_of[operand])
+        if dst >= 2 * n and dst not in slot_of:
+            if free:
+                slot_of[dst] = heapq.heappop(free)
+            else:
+                slot_of[dst], pool = pool, pool + 1
+        placed.append(
+            record[:1]
+            + tuple(x if x < 2 * n else 2 * n + slot_of[x] for x in record[1:4])
+            + record[4:]
+        )
+        if dst >= 2 * n and last[dst] == i:
+            heapq.heappush(free, slot_of[dst])
+    return placed, pool
+
+
+def _merge(
+    records: List[tuple], hops: List[Tuple[int, int]], n: int, per_block: int
+) -> Tuple[List[tuple], List[Tuple[int, int]]]:
+    """Coalesce adjacent chunks of one transfer into one record, where
+    both the logical chunks and the pool slots are contiguous."""
     merged: List[tuple] = []
-    for record in filter(None, ops):
+    merged_hops: List[Tuple[int, int]] = []
+    for record, hop in zip(records, hops):
         _, _, _, _, dlo, dhi, slo, shi = record
         last = merged[-1] if merged else None
         if (
             last is not None
-            and last[:4] == record[:4]  # the same transfer ...
+            and (last[0], merged_hops[-1]) == (record[0], hop)  # the same transfer ...
             and last[4:6] == last[6:8]  # ... of one chunk range, not a local copy ...
             and last[5] == dlo == slo  # ... continued by the next chunk ...
             and (not per_block or last[4] // per_block == dlo // per_block)
-        ):  # ... of the same rank block: one numpy call moves both
+            and all(  # ... of the same rank block, between the same buffers
+                now == then + (last[5] - last[4] if then >= 2 * n else 0)
+                for then, now in zip(last[1:4], record[1:4])
+            )  # and pool slots: one numpy call moves both
+        ):
             merged[-1] = last[:5] + (dhi, last[6], shi)
         else:
             merged.append(record)
-    return ExecutionPlan(program, tuple(merged), tuple(temp_owner))
+            merged_hops.append(hop)
+    return merged, merged_hops
 
 
 # ---------------------------------------------------------------------------

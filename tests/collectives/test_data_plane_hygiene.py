@@ -7,7 +7,8 @@ plan.  These checks walk the source tree and the live registry and fail
 if a second one grows back: a ``*DataPlane`` class, a ``run_data`` /
 ``rank_transfers`` / ``steps`` override that bypasses the shared path,
 reduction code outside the executor and the numpy oracle, executor
-scratch allocated anywhere but its staging buffer, or a closed
+scratch allocated anywhere but its staging buffer, a second record
+loop or staging request in the executor's ``run``, or a closed
 form that turns (kind, world) into bytes or steps outside the three
 modules that own the schedule.
 """
@@ -90,6 +91,19 @@ def test_registered_algorithms_and_subclasses_share_run_data():
         assert cls.plan is not CollectiveAlgorithm.plan, cls
 
 
+def _run_method():
+    tree = TREE[SRC / "collectives/executor.py"]
+    (plan,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ExecutionPlan"
+    ]
+    (run,) = [
+        item for item in plan.body
+        if isinstance(item, ast.FunctionDef) and item.name == "run"
+    ]
+    return run
+
+
 #: numpy calls that allocate an array.
 ALLOCATORS = {"empty", "zeros", "empty_like", "zeros_like"}
 
@@ -113,10 +127,7 @@ def test_the_executor_allocates_scratch_in_one_place():
 
     tree = TREE[SRC / "collectives/executor.py"]
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    (run,) = [
-        item for item in classes["ExecutionPlan"].body
-        if isinstance(item, ast.FunctionDef) and item.name == "run"
-    ]
+    run = _run_method()
     (fresh_outputs,) = [
         node for node in ast.walk(run)
         if isinstance(node, ast.If) and ast.unparse(node.test) == "out is None"
@@ -126,6 +137,34 @@ def test_the_executor_allocates_scratch_in_one_place():
     assert staging and outputs  # both places do allocate
     stray = allocations(tree) - staging - outputs
     assert sorted(node.lineno for node in stray) == []
+
+
+def _calls_named(root, name):
+    return [
+        node for node in ast.walk(root)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == name
+    ]
+
+
+def test_run_applies_records_in_one_loop_over_one_staging_request():
+    """Every kind runs the same record loop over the same arrays: one
+    loop in ``ExecutionPlan.run`` applies plan records (it is the one
+    that reduces), and scratch is asked for once — the slot pool.  A
+    per-kind working-vector path would be a second of either."""
+    run = _run_method()
+    loops = [node for node in ast.walk(run) if isinstance(node, (ast.For, ast.While))]
+    appliers = [loop for loop in loops if _calls_named(loop, "ufunc")]
+    assert [loop.lineno for loop in appliers][1:] == []
+    (applier,) = appliers
+    (resolve,) = _calls_named(run, "_resolve")
+    (assign,) = [
+        node for node in ast.walk(run)
+        if isinstance(node, ast.Assign) and node.value is resolve
+    ]
+    bound = {node.id for node in ast.walk(assign.targets[0]) if isinstance(node, ast.Name)}
+    assert ast.unparse(applier.iter) in bound  # it walks the resolved records
+    assert len(_calls_named(run, "arrays")) == 1
 
 
 def test_only_the_executor_and_the_oracle_reduce_payload():

@@ -8,6 +8,9 @@ semantics — with its scratch in one reused staging buffer that is
 poisoned before every run.
 """
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,40 +300,145 @@ def test_plans_hold_indices_not_payload():
     )
 
 
+@pytest.mark.parametrize("world", range(2, 10))
+def test_scratch_is_a_few_chunk_slots_not_working_vectors(world):
+    """``Staging.nbytes`` after one warm ring run: reduce-scatter holds at
+    most ``world + 1`` blocks (full-width working vectors took
+    ``world²``), reduce at most two outputs (they took ``world - 1``)."""
+    rng = np.random.default_rng(world)
+    out = 1000 + world  # elements of one output
+    for kind, outputs in ((Collective.REDUCE_SCATTER, world + 1), (Collective.REDUCE, 2)):
+        staging = Staging()
+        inputs = _inputs(kind, world, out, np.float32, rng)
+        plan = builtin_plan("ring", kind, world, world // 2)
+        _assert_same(
+            plan.run(inputs, staging=staging),
+            reference_outputs(kind, inputs, root=world // 2),
+        )
+        assert staging.nbytes <= outputs * out * 4, (kind, staging.nbytes)
+
+
+#: ``plan.ops`` of every built-in all-reduce, all-gather and broadcast
+#: plan at worlds 4 and 8, as compiled before scratch became a slot pool.
+GOLDEN_OPS = pathlib.Path(__file__).parent / "data" / "golden_plan_ops.json"
+
+
+def test_kinds_whose_working_vector_is_the_output_keep_their_records():
+    golden = json.loads(GOLDEN_OPS.read_text())
+    assert len(golden) == 20
+    for key, records in golden.items():
+        family, kind, world, root = key.split()
+        plan = builtin_plan(family, Collective(kind), int(world[1:]), int(root[4:]))
+        assert plan.pool == 0, key
+        assert plan.ops == tuple(map(tuple, records)), key
+
+
 @st.composite
 def random_programs(draw):
-    """A random valid-by-construction all-reduce: chunks reduced along
-    random rank chains, then broadcast along random trees, with random
-    step packing, channels and the odd local COPY."""
+    """A random valid-by-construction all-reduce, reduce-scatter or
+    reduce: chunks reduced along random rank chains — ending at the block
+    owner, at the root, or (all-reduce) anywhere and then broadcast along
+    random trees — with random step packing and channels.  Chunk groups
+    of one or two (``per_block``) may travel together, so adjacent
+    chunks merge; a chain may open with a swap (both ranks reduce the
+    chunk from each other in one step), which forces a snapshot; and a
+    rank may COPY a chunk onto itself after receiving it."""
+    kind = draw(st.sampled_from(
+        [Collective.ALL_REDUCE, Collective.REDUCE_SCATTER, Collective.REDUCE]
+    ))
     world = draw(st.integers(2, 5))
-    num_chunks = draw(st.integers(1, 4))
+    per_block = draw(st.integers(1, 2))
+    if kind is Collective.REDUCE_SCATTER:
+        num_chunks = world * per_block
+    else:
+        num_chunks = draw(st.integers(1, 4))
     channels = draw(st.integers(1, 2))
+    root = draw(st.integers(0, world - 1))
     programs = [[] for _ in range(world)]
     step = 0
-    for chunk in range(num_chunks):
-        chain = draw(st.permutations(range(world)))
-        for a, b in zip(chain, chain[1:]):
-            channel = draw(st.integers(0, channels - 1))
-            programs[a].append(Instr(OpKind.SEND, chunk, peer=b, channel=channel, step=step))
-            programs[b].append(Instr(OpKind.RECV_REDUCE, chunk, peer=a, channel=channel, step=step))
-            step += draw(st.integers(0, 1))
-        step += 1
-        holders = [chain[-1]]
-        for rank in draw(st.permutations(chain[:-1])):
-            src = draw(st.sampled_from(holders))
-            step += draw(st.integers(0, 1))
-            programs[src].append(Instr(OpKind.SEND, chunk, peer=rank, step=step))
-            programs[rank].append(Instr(OpKind.RECV, chunk, peer=src, step=step))
-            holders.append(rank)
-        if draw(st.booleans()):
-            programs[chain[-1]].append(
-                Instr(OpKind.COPY, chunk, step=step, src_chunk=chunk)
-            )
-        step += 1
+
+    def transfer(pairs, chunks, recv, channel):
+        """Every ``(a, b)`` pair ships ``chunks`` a -> b; all sends first."""
+        for a, b in pairs:
+            for chunk in chunks:
+                programs[a].append(Instr(OpKind.SEND, chunk, peer=b, channel=channel, step=step))
+        for a, b in pairs:
+            for chunk in chunks:
+                programs[b].append(Instr(recv, chunk, peer=a, channel=channel, step=step))
+
+    for first in range(0, num_chunks, per_block):
+        block = list(range(first, min(first + per_block, num_chunks)))
+        groups = [block] if draw(st.booleans()) else [[chunk] for chunk in block]
+        for group in groups:
+            if kind is Collective.ALL_REDUCE:
+                chain = draw(st.permutations(range(world)))
+            else:
+                end = first // per_block if kind is Collective.REDUCE_SCATTER else root
+                others = [rank for rank in range(world) if rank != end]
+                chain = draw(st.permutations(others)) + [end]
+            swap = draw(st.integers(0, 3)) == 0
+            copy_at = draw(st.sampled_from([None, *chain[1:]]))
+            for a, b in zip(chain, chain[1:]):
+                channel = draw(st.integers(0, channels - 1))
+                # a reversed hop splits what the previous hop merged
+                chunks = group[::-1] if draw(st.booleans()) else group
+                pairs = [(a, b), (b, a)] if swap else [(a, b)]
+                transfer(pairs, chunks, OpKind.RECV_REDUCE, channel)
+                swap = False
+                if b == copy_at:
+                    programs[b] += [
+                        Instr(OpKind.COPY, chunk, step=step, src_chunk=chunk) for chunk in chunks
+                    ]
+                step += draw(st.integers(0, 1))
+            step += 1
+            if kind is not Collective.ALL_REDUCE:
+                continue
+            holders = [chain[-1]]
+            for rank in draw(st.permutations(chain[:-1])):
+                src = draw(st.sampled_from(holders))
+                step += draw(st.integers(0, 1))
+                transfer([(src, rank)], group, OpKind.RECV, 0)
+                holders.append(rank)
+            step += 1
     return make_program(
-        "test:random", Collective.ALL_REDUCE, programs,
-        num_chunks=num_chunks, channels=channels,
+        f"test:random/{kind.value}", kind, programs,
+        num_chunks=num_chunks, channels=channels, root=root,
     )
+
+
+def test_merged_slots_of_short_chunks_are_placed_chunk_by_chunk(staging):
+    """A reduce over four chunks of 6 elements (2, 2, 1, 1): rank 1
+    reduces all four in one record into four adjacent 2-element slots,
+    then forwards them to the root one at a time, chunk 3 first.  Each
+    chunk must sit at the start of its own slot, where the single reads
+    look, not packed behind the short chunk 2."""
+    send = lambda a, b, chunk: Instr(OpKind.SEND, chunk, peer=b, step=a)
+    recv = lambda a, b, chunk: Instr(OpKind.RECV_REDUCE, chunk, peer=a, step=a)
+    hop2 = (3, 2, 1, 0)
+    program = validate_program(make_program(
+        "test:short-chunks", Collective.REDUCE,
+        [
+            [send(0, 1, c) for c in range(4)],
+            [recv(0, 1, c) for c in range(4)] + [send(1, 2, c) for c in hop2],
+            [recv(1, 2, c) for c in hop2],
+        ],
+        num_chunks=4, root=2,
+    ))
+    plan = compile_program(program)
+    assert (plan.pool, plan.ops[0][4:6]) == (4, (0, 4))  # one record, four slots
+    inputs = [np.arange(6, dtype=np.float32) * (r + 1) for r in range(3)]
+    _assert_same(_poisoned_run(staging, plan, inputs), naive_run(program, inputs, ReduceOp.SUM))
+
+
+def _in_place_buffers(kind, inputs):
+    """Send and receive buffers of an in-place run: a reduce-scatter rank
+    receives into its own block of its send buffer (NCCL's in-place
+    convention), every other kind into the send buffer itself."""
+    sends = [a.copy() for a in inputs]
+    if kind is not Collective.REDUCE_SCATTER:
+        return sends, sends
+    block = sends[0].size // len(sends)
+    return sends, [a[r * block : (r + 1) * block] for r, a in enumerate(sends)]
 
 
 @given(
@@ -340,18 +448,20 @@ def random_programs(draw):
     in_place=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_executor_matches_naive_snapshot_every_send_interpreter(
     staging, program, op, elems, in_place, seed
 ):
     validate_program(program)
     rng = np.random.default_rng(seed)
-    inputs = [rng.standard_normal(elems).astype(np.float32) for _ in range(program.world)]
+    size = elems * program.world if program.kind is Collective.REDUCE_SCATTER else elems
+    inputs = [rng.standard_normal(size).astype(np.float32) for _ in range(program.world)]
     expected = naive_run(program, inputs, op)
-    out = [a.copy() for a in inputs] if in_place else None
-    got = _poisoned_run(
-        staging, compile_program(program), out if in_place else inputs, op, out=out
-    )
+    if in_place:
+        inputs, out = _in_place_buffers(program.kind, inputs)
+    else:
+        out = None
+    got = _poisoned_run(staging, compile_program(program), inputs, op, out=out)
     _assert_same(got, expected)  # bit-identical: same operand order
 
 

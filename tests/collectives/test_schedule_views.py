@@ -269,7 +269,7 @@ def test_builtin_plan_is_shared_across_channel_counts(family):
             else:
                 program = halving_doubling_program(world, channels=channels)
             compiled = compile_program(program)
-            assert (compiled.ops, compiled.temp_owner) == (plan.ops, plan.temp_owner)
+            assert (compiled.ops, compiled.hops, compiled.pool) == (plan.ops, plan.hops, plan.pool)
             assert not compiled.striped
 
 

@@ -31,6 +31,12 @@ Record schema (``op`` -> payload keys):
 
 Strategy payloads use :func:`strategy_descriptor`: ``{algorithm, ring,
 channels, version, routes: [[src, dst, channel, route_id], ...]}``.
+
+The log is checkpointed: :func:`checkpoint` is the inverse of
+:func:`replay_journal`, and :meth:`StateJournal.compact` replaces the log
+by the checkpoint of the state it replays to.  Checkpoint records carry
+only the keys replay reads (no ``kind``, ``bytes``, ``trace``, ``left`` or
+``joined``), and informational records replay to nothing, so they go.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..netsim.errors import JournalError
 
@@ -61,6 +67,11 @@ _STATE_OPS = {
     "tenant_revoke",
 }
 _INFO_OPS = {"service_crash", "service_restart", "service_upgrade"}
+
+#: The log checkpoints itself when it reaches ``max(CHECKPOINT_FLOOR,
+#: 2 x its size after the last checkpoint)`` records: amortised O(1) per
+#: append, and never more than twice what the live state needs.
+CHECKPOINT_FLOOR = 1024
 
 
 def strategy_descriptor(strategy: "CollectiveStrategy") -> Dict[str, object]:
@@ -109,15 +120,17 @@ class StateJournal:
 
     The journal is owned by the :class:`~repro.core.deployment.
     MccsDeployment` — not by any per-host service — so it survives a
-    service crash the way a WAL on durable storage would.
+    service crash the way a WAL on durable storage would.  It compacts
+    itself (see :data:`CHECKPOINT_FLOOR`), so it stays bounded by the
+    live state, not by the number of operations ever served.
     """
 
     def __init__(self, telemetry: "TelemetryHub") -> None:
         self._records: List[JournalRecord] = []
         self._seq = itertools.count()
+        self._checkpoint_size = 0
         self.telemetry = telemetry
         self.appends_total = 0
-        self.compactions = 0
         appends = telemetry.metrics.counter(
             "mccs_journal_appends_total",
             "Control-plane operations appended to the state journal.",
@@ -150,6 +163,8 @@ class StateJournal:
         self._records.append(record)
         self.appends_total += 1
         self._append_series[op].inc()
+        if len(self._records) >= max(CHECKPOINT_FLOOR, 2 * self._checkpoint_size):
+            self.compact()
         self._records_gauge.set(len(self._records))
         return record
 
@@ -173,88 +188,24 @@ class StateJournal:
 
     # ------------------------------------------------------------------
     def compact(self) -> int:
-        """Drop records whose effects are fully superseded.
+        """Replace the log by the checkpoint of the state it replays to.
 
-        Alloc/free pairs of freed buffers and the full history of
-        destroyed communicators replay to nothing; dropping them keeps the
-        journal bounded over a long-lived deployment.  Returns the number
-        of records removed.  Replay of the compacted journal equals replay
-        of the original.
+        Replay of the compacted journal equals replay of the original.
+        Returns the number of records removed.
         """
         state = replay_journal(self._records)
-        freed = {
-            rec.payload["buffer_id"]
-            for rec in self._records
-            if rec.op == "free"
-        }
-        destroyed = {
-            rec.payload["comm_id"]
-            for rec in self._records
-            if rec.op == "destroy_communicator"
-        }
-        # Keep the issue frontier of live communicators intact: only the
-        # latest collective_issued per live comm matters for next_seq.
-        latest_issue: Dict[object, int] = {}
-        for rec in self._records:
-            if rec.op == "collective_issued":
-                latest_issue[rec.payload["comm_id"]] = rec.seq
-        # Tenant records: a tenant may be revoked and later re-registered,
-        # so only the records after its last revoke matter — and of those,
-        # only the register plus the latest full-state update.
-        last_revoke: Dict[object, int] = {}
-        for rec in self._records:
-            if rec.op == "tenant_revoke":
-                last_revoke[rec.payload["tenant"]] = rec.seq
-        latest_tenant_update: Dict[object, int] = {}
-        for rec in self._records:
-            if rec.op == "tenant_update" and rec.seq > last_revoke.get(
-                rec.payload["tenant"], -1
-            ):
-                latest_tenant_update[rec.payload["tenant"]] = rec.seq
-        live_tenants = set(state.tenants)
-
-        def keep(rec: JournalRecord) -> bool:
-            if rec.op in ("alloc", "free"):
-                return rec.payload["buffer_id"] not in freed
-            if rec.op in (
-                "create_communicator",
-                "install_strategy",
-                "membership_change",
-                "destroy_communicator",
-            ):
-                return rec.payload["comm_id"] not in destroyed
-            if rec.op == "collective_issued":
-                comm_id = rec.payload["comm_id"]
-                if comm_id in destroyed:
-                    return False
-                return latest_issue.get(comm_id) == rec.seq
-            if rec.op == "tenant_register":
-                tenant = rec.payload["tenant"]
-                return tenant in live_tenants and rec.seq > last_revoke.get(
-                    tenant, -1
-                )
-            if rec.op == "tenant_update":
-                tenant = rec.payload["tenant"]
-                return (
-                    tenant in live_tenants
-                    and latest_tenant_update.get(tenant) == rec.seq
-                )
-            if rec.op == "tenant_revoke":
-                return False
-            return rec.op in _INFO_OPS
-
-        kept = [rec for rec in self._records if keep(rec)]
-        removed = len(self._records) - len(kept)
-        self._records = kept
+        kept = checkpoint(state)
         if replay_journal(kept) != state:  # pragma: no cover - invariant
             raise JournalError("compaction changed replay state")
-        self.compactions += 1
+        removed = len(self._records) - len(kept)
+        self._records = kept
+        self._checkpoint_size = len(kept)
         if removed:
             self.telemetry.metrics.counter(
                 "mccs_journal_compacted_total",
                 "Journal records dropped by compaction.",
-            ).inc(records=removed)
-            self._records_gauge.set(len(self._records))
+            ).inc(removed)
+            self._records_gauge.set(len(kept))
         return removed
 
 
@@ -277,27 +228,17 @@ class ControlPlaneState:
     def diff(self, other: "ControlPlaneState") -> List[str]:
         """Human-readable mismatches (empty when states are equal)."""
         lines: List[str] = []
-        if self.buffers != other.buffers:
-            mine, theirs = set(self.buffers), set(other.buffers)
-            lines.append(
-                f"buffer tables differ: only-left={sorted(mine - theirs)} "
-                f"only-right={sorted(theirs - mine)} "
-                f"changed={[b for b in mine & theirs if self.buffers[b] != other.buffers[b]]}"
-            )
-        if self.communicators != other.communicators:
-            mine, theirs = set(self.communicators), set(other.communicators)
-            lines.append(
-                f"communicators differ: only-left={sorted(mine - theirs)} "
-                f"only-right={sorted(theirs - mine)} "
-                f"changed={[c for c in mine & theirs if self.communicators[c] != other.communicators[c]]}"
-            )
-        if self.tenants != other.tenants:
-            mine, theirs = set(self.tenants), set(other.tenants)
-            lines.append(
-                f"tenant tables differ: only-left={sorted(mine - theirs)} "
-                f"only-right={sorted(theirs - mine)} "
-                f"changed={[t for t in mine & theirs if self.tenants[t] != other.tenants[t]]}"
-            )
+        for what, left, right in (
+            ("buffer tables", self.buffers, other.buffers),
+            ("communicators", self.communicators, other.communicators),
+            ("tenant tables", self.tenants, other.tenants),
+        ):
+            if left != right:
+                lines.append(
+                    f"{what} differ: only-left={sorted(left.keys() - right)} "
+                    f"only-right={sorted(right.keys() - left)} "
+                    f"changed={[k for k in left.keys() & right if left[k] != right[k]]}"
+                )
         return lines
 
 
@@ -396,6 +337,55 @@ def replay_journal(records: List[JournalRecord]) -> ControlPlaneState:
     return state
 
 
+def checkpoint(state: ControlPlaneState) -> List[JournalRecord]:
+    """The inverse of :func:`replay_journal`: records, numbered from 0,
+    that replay to ``state`` — one per live tenant and buffer, and per
+    live communicator its creation, one install per later strategy
+    version (ending with the current one, so ``epoch`` comes out right),
+    its membership epoch and its issue frontier."""
+    ops: List[Tuple[str, Dict[str, object]]] = [
+        ("tenant_register", {
+            "tenant": tenant, "key_hash": account["key_hash"],
+            "quota": account["quota"],
+        })
+        for tenant, account in state.tenants.items()
+    ]
+    ops += [
+        ("alloc", {
+            "app": info["app"], "host": info["host"], "gpu": info["gpu"],
+            "buffer_id": buffer_id, "size": info["size"],
+            "handle_id": info["handle"],
+        })
+        for buffer_id, info in state.buffers.items()
+    ]
+    for comm_id, comm in state.communicators.items():
+        strategies = comm["strategies"]
+        first, current = next(iter(strategies)), comm["version"]
+        ops.append(("create_communicator", {
+            "app": comm["app"], "comm_id": comm_id, "gpus": comm["gpus"],
+            "strategy": strategies[first],
+        }))
+        installs = [v for v in strategies if v not in (first, current)]
+        installs += [current] * (comm["epoch"] - len(installs))
+        ops += [
+            ("install_strategy", {"comm_id": comm_id, "strategy": strategies[v]})
+            for v in installs
+        ]
+        if comm["membership_epoch"]:
+            ops.append(("membership_change", {
+                "comm_id": comm_id, "epoch": comm["membership_epoch"],
+                "gpus": comm["gpus"],
+            }))
+        if comm["next_seq"]:
+            ops.append(("collective_issued", {
+                "comm_id": comm_id, "seq": comm["next_seq"] - 1,
+            }))
+    return [
+        JournalRecord(seq=seq, time=0.0, op=op, payload=payload)
+        for seq, (op, payload) in enumerate(ops)
+    ]
+
+
 def snapshot_deployment(deployment: "MccsDeployment") -> ControlPlaneState:
     """Snapshot the live object graph in journal-comparable form."""
     state = ControlPlaneState()
@@ -421,11 +411,10 @@ def snapshot_deployment(deployment: "MccsDeployment") -> ControlPlaneState:
                 for version, strategy in comm.strategy_history.items()
             },
         }
-    gateway = getattr(deployment, "gateway", None)
     registry = (
-        gateway.registry
-        if gateway is not None
-        else getattr(deployment, "tenant_registry", None)
+        deployment.gateway.registry
+        if deployment.gateway is not None
+        else deployment.tenant_registry
     )
     if registry is not None:
         state.tenants = registry.snapshot()

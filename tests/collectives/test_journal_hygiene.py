@@ -1,0 +1,81 @@
+"""Every journal op has replay support, and checkpoints speak replay's words.
+
+``repro.core.journal`` keeps one definition of what a record means: the
+branch of ``replay_journal`` that handles its op.  Compaction is
+``checkpoint(replay_journal(log))``, so a state op replay ignores would
+silently vanish from the log at the next checkpoint, and a checkpoint
+record that names an op or a payload key replay does not read would be
+dead weight (or, worse, a second meaning).  These checks walk the module
+and fail if either drifts: the ops replay handles are exactly
+``_STATE_OPS``, and ``checkpoint`` emits only those ops, each with
+exactly the payload keys replay reads for it.
+"""
+
+import ast
+
+from repro.core.journal import _STATE_OPS
+
+from .test_data_plane_hygiene import SRC, TREE
+
+JOURNAL = TREE[SRC / "core/journal.py"]
+
+
+def _function(name):
+    return next(
+        node for node in JOURNAL.body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def _replayed_keys():
+    """op -> payload keys its ``replay_journal`` branch reads."""
+    keys = {}
+    for node in ast.walk(_function("replay_journal")):
+        if not isinstance(node, ast.If):
+            continue
+        test = node.test
+        if not (
+            isinstance(test, ast.Compare)
+            and isinstance(test.left, ast.Attribute)
+            and test.left.attr == "op"
+            and isinstance(test.comparators[0], ast.Constant)
+        ):
+            continue
+        keys[test.comparators[0].value] = {
+            sub.slice.value
+            for stmt in node.body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Subscript)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "p"
+            and isinstance(sub.slice, ast.Constant)
+        }
+    return keys
+
+
+def _checkpoint_records():
+    """``(op, payload keys)`` of every record ``checkpoint`` builds."""
+    return [
+        (node.elts[0].value, {key.value for key in node.elts[1].keys})
+        for node in ast.walk(_function("checkpoint"))
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) == 2
+        and isinstance(node.elts[0], ast.Constant)
+        and isinstance(node.elts[1], ast.Dict)
+    ]
+
+
+def test_replay_handles_exactly_the_state_ops():
+    assert set(_replayed_keys()) == _STATE_OPS
+
+
+def test_checkpoint_records_carry_only_what_replay_reads():
+    replayed = _replayed_keys()
+    records = _checkpoint_records()
+    assert {op for op, _ in records} == {
+        "tenant_register", "alloc", "create_communicator",
+        "install_strategy", "membership_change", "collective_issued",
+    }
+    for op, keys in records:
+        assert op in replayed, op
+        assert keys == replayed[op], op

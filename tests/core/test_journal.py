@@ -1,4 +1,4 @@
-"""Write-ahead state journal: schema, round-trip, compaction, replay.
+"""Write-ahead state journal: schema, round-trip, checkpoints, replay.
 
 The property test at the bottom is the crash-consistency contract of the
 robustness tentpole: executing any prefix of a control-op program, then
@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from repro.cluster.specs import testbed_cluster
 from repro.core.controller import CentralManager
 from repro.core.deployment import MccsDeployment
-from repro.core.journal import StateJournal, replay_journal
+from repro.core.journal import StateJournal, checkpoint, replay_journal
 from repro.errors import JournalError
 from repro.netsim.units import MB
+from repro.service import TenantQuota, TenantRegistry
 
 
 # ----------------------------------------------------------------------
@@ -133,6 +134,180 @@ def test_destroyed_communicator_history_is_compacted(
         if record.payload.get("comm_id") == state.comm_id
     ]
     assert comm_ops == []
+    assert deployment.verify_journal() == []
+
+
+def test_compaction_counts_removed_records_on_one_series(
+    deployment, manager, four_gpus
+):
+    state = manager.admit("A", four_gpus)
+    client = deployment.connect("A")
+    comm = client.adopt_communicator(state.comm_id)
+    for _ in range(5):
+        client.all_reduce(comm, 256)
+        deployment.run()
+    removed = deployment.journal.compact()
+    counter = deployment.telemetry().metrics.counter(
+        "mccs_journal_compacted_total"
+    )
+    assert removed == 4
+    assert counter.samples() == [({}, removed)]
+    removed += deployment.journal.compact() + deployment.journal.compact()
+    assert counter.total() == removed == 4
+
+
+# ----------------------------------------------------------------------
+# checkpoints: the inverse of replay, taken by the journal itself
+# ----------------------------------------------------------------------
+_CONTROL_OPS = (
+    "alloc", "free", "collective", "reconfig", "destroy", "grow", "shrink",
+    "register", "update", "revoke",
+)
+
+
+def _replayed_states(ops):
+    """Run a control-op program; yield the journal's replayed state after
+    every step."""
+    cluster = testbed_cluster()
+    deployment = MccsDeployment(cluster)
+    elastic = deployment.enable_elasticity()
+    registry = TenantRegistry(deployment, secret="test-secret")
+    client = deployment.connect("A")
+    gpus = list(cluster.gpus)
+    comm_id = client.create_communicator(gpus[:2]).comm_id
+    buffers, names = [], ("t0", "t1", "t2")
+    for step, op in enumerate(ops):
+        world = deployment.communicator(comm_id).world
+        tenants = [a.tenant_id for a in registry.accounts()]
+        if op == "alloc":
+            buffers.append(client.alloc(gpus[step % len(gpus)], 256))
+        elif op == "free" and buffers:
+            client.free(buffers.pop(0))
+        elif op == "collective":
+            client.all_reduce(client.adopt_communicator(comm_id), 1 * MB)
+        elif op == "reconfig":
+            order = list(range(world))
+            deployment.reconfigure(comm_id, ring=order[1:] + order[:1])
+        elif op == "destroy":
+            client.destroy_communicator(client.adopt_communicator(comm_id))
+            comm_id = client.create_communicator(gpus[:2]).comm_id
+        elif op == "grow" and world < len(gpus):
+            elastic.grow(comm_id, [gpus[world]])
+        elif op == "shrink" and world > 2:
+            elastic.shrink(comm_id, [world - 1])
+        elif op == "register" and len(tenants) < len(names):
+            registry.register(next(n for n in names if n not in tenants))
+        elif op == "update" and tenants:
+            if step % 2:
+                registry.rotate_key(tenants[0])
+            else:
+                registry.set_quota(tenants[0], TenantQuota(rate=float(step)))
+        elif op == "revoke" and tenants:
+            registry.revoke(tenants[0])
+        deployment.run()
+        yield replay_journal(deployment.journal.records())
+
+
+@given(ops=st.lists(st.sampled_from(_CONTROL_OPS), min_size=1, max_size=12))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_checkpoint_is_the_inverse_of_replay(ops):
+    for state in _replayed_states(ops):
+        records = checkpoint(state)
+        assert replay_journal(records) == state
+        assert [record.seq for record in records] == list(range(len(records)))
+
+
+def test_single_communicator_loop_keeps_the_journal_bounded(monkeypatch):
+    monkeypatch.setattr("repro.core.journal.CHECKPOINT_FLOOR", 16)
+    cluster = testbed_cluster()
+    deployment = MccsDeployment(cluster)
+    client = deployment.connect("A")
+    comm = client.create_communicator(list(cluster.gpus))
+    for gpu in cluster.gpus:
+        client.alloc(gpu, 256)
+    lengths = []
+    for _ in range(300):
+        client.all_reduce(comm, 256)
+        deployment.run()
+        lengths.append(len(deployment.journal))
+    size = len(checkpoint(replay_journal(deployment.journal.records())))
+    assert size == len(cluster.gpus) + 2  # allocs, create, issue frontier
+    assert max(lengths) < 2 * max(16, size)
+    # Checkpoints rewrite the log, never the append count.
+    assert deployment.journal.appends_total == 300 + len(cluster.gpus) + 1
+    assert deployment.verify_journal() == []
+
+
+def _checkpointed_run(crash):
+    """Traffic that checkpoints the journal, then (optionally) a crash
+    and restart of host 0's service, then more traffic."""
+    cluster = testbed_cluster()
+    deployment = MccsDeployment(cluster)
+    client = deployment.connect("A")
+    gpus = [cluster.hosts[h].gpus[0] for h in range(2)]
+    comm = client.create_communicator(gpus)
+    keep = client.alloc(gpus[0], 512)
+    client.free(client.alloc(gpus[0], 256))
+    for _ in range(6):
+        client.all_reduce(comm, 1 * MB)
+        deployment.run()
+    compacted = deployment.telemetry().metrics.counter(
+        "mccs_journal_compacted_total"
+    )
+    assert compacted.total() > 0
+    if crash:
+        deployment.crash_service(0)
+        assert deployment.restart_service(0) > 0
+    for _ in range(3):
+        client.all_reduce(comm, 1 * MB)
+        deployment.run()
+    client.free(keep)
+    assert deployment.verify_journal() == []
+    return deployment.control_state()
+
+
+def test_restart_after_a_checkpoint_equals_never_crashed(monkeypatch):
+    monkeypatch.setattr("repro.core.journal.CHECKPOINT_FLOOR", 4)
+    assert _canonical(_checkpointed_run(crash=True)) == _canonical(
+        _checkpointed_run(crash=False)
+    )
+
+
+def test_free_retried_across_a_checkpointed_restart_gives_up_nothing(
+    monkeypatch,
+):
+    monkeypatch.setattr("repro.core.journal.CHECKPOINT_FLOOR", 4)
+    cluster = testbed_cluster()
+    deployment = MccsDeployment(cluster)
+    deployment.enable_service_supervision(restart_delay=0.01)
+    client = deployment.connect("A")
+    witness = deployment.connect("B")
+    comm = witness.create_communicator(
+        [cluster.hosts[h].gpus[0] for h in (1, 2)]
+    )
+    gpu = cluster.hosts[0].gpus[0]
+    earlier = client.alloc(gpu, 256)
+    client.free(earlier)
+    buf = client.alloc(gpu, 256)
+    deployment.crash_service(0)
+    client.free(buf)  # lands in the background retry path
+    # Host 0 is down; traffic elsewhere checkpoints the journal, which
+    # drops the alloc/free pair of ``earlier``.
+    for _ in range(4):
+        witness.all_reduce(comm, 256)
+    deployment.run()
+    assert deployment.service_of(0).alive
+    assert earlier.buffer_id not in {
+        record.payload.get("buffer_id")
+        for record in deployment.journal.records()
+    }
+    # A duplicate of the free that landed before the outage: the restarted
+    # service no longer knows the buffer, and the shim takes that as done.
+    client._retry_free(earlier, attempt=0)
+    deployment.run()
+    assert client.retries_total >= 1
+    assert client.giveups_total == 0
+    assert buf.buffer_id not in deployment.control_state().buffers
     assert deployment.verify_journal() == []
 
 

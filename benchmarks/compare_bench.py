@@ -28,8 +28,10 @@ Guarded files:
   ``speedup`` on the WAN fabric, and the executor's ``data_plane``
   throughput (``gb_per_s`` per algorithm x size); the search's
   ``candidates`` and ``front`` counts are its output and compare with
-  ``==``, and so does each ``data_plane`` row's ``staging_mb`` (the
-  executor's scratch footprint, fixed by the compiled plan);
+  ``==``, and so do each ``data_plane`` row's ``staging_mb`` (the
+  executor's scratch footprint, fixed by the compiled plan) and
+  ``records`` (numpy calls per run, fixed by the plan, the size and the
+  executor's tile);
 * ``BENCH_gateway.json`` — service-gateway request throughput
   (``requests_per_sec`` in the ``gateway`` section; the fleet scenario is
   the repo benchmark's ``gateway_fleet`` workload);
@@ -97,6 +99,7 @@ GUARDS = (
     Guard(SYNTH_PATH, ("speedup",), "speedup"),
     Guard(SYNTH_PATH, ("data_plane",), "gb_per_s"),
     Guard(SYNTH_PATH, ("data_plane",), "staging_mb", exact=True),
+    Guard(SYNTH_PATH, ("data_plane",), "records", exact=True),
     Guard(GATEWAY_PATH, ("gateway",), "requests_per_sec"),
     *(
         Guard(CONTROL_PATH, ("ffa_churn",), metric, exact=True)

@@ -15,10 +15,12 @@ archive the trend and ``benchmarks/compare_bench.py`` can guard it:
   does with an 8-rank float32 AllReduce through the registry's shared
   ``run_data`` path, writing receive buffers in place and taking scratch
   from one warm ``Staging``: GB/s (output bytes over wall time),
-  tracemalloc peak and the staging buffer's size (``staging_mb``, MiB
-  held after the warm run) at 64 KiB / 1.5 MiB / 16 MiB for ring, tree,
-  halving-doubling and the hierarchical synthesized program, plus each
-  family's cold generate-and-compile time; and three more ring rows:
+  tracemalloc peak, the staging buffer's size (``staging_mb``, MiB
+  held after the warm run) and the numpy calls one run makes
+  (``records``, its resolved cache-blocked records) at 64 KiB / 1.5 MiB
+  / 16 MiB for ring, tree, halving-doubling and the hierarchical
+  synthesized program, plus each family's cold generate-and-compile
+  time; and three more ring rows:
   ReduceScatter and Reduce at 1.5 MiB (the kinds that need scratch) and
   AllReduce at 64 MiB.  ``benchmarks/e2e`` referees the end-to-end
   effect; this is the leaf number behind its ``collectives`` layer.
@@ -164,6 +166,7 @@ def _measure_data_plane(key, algorithm, kind, nbytes):
         root=0, ring_order=tuple(range(_WORLD)), channels=2,
     )
     staging = Staging()
+    plan, order = algorithm.plan(ctx)
 
     def once():
         algorithm.run_data(ctx, sends, ReduceOp.SUM, out=recvs, staging=staging)
@@ -191,6 +194,8 @@ def _measure_data_plane(key, algorithm, kind, nbytes):
         "ms": round(seconds * 1e3, 4),
         "peak_alloc_mb": round((peak - base) / 1e6, 3),
         "staging_mb": round(staging.nbytes / MB, 3),
+        # numpy calls per run; the working vector is the input here
+        "records": len(plan.records(sends[0].size, 4, order)),
     }
     # in place, scratch staged: a warm run allocates nothing payload-sized
     assert peak - base < nbytes / 4 + 64 * KB
@@ -258,7 +263,11 @@ def test_no_metric_regression_vs_committed_baseline():
         baseline, _RESULTS, sections=("speedup",), metric="speedup"
     ) + compare_throughput(
         baseline, _RESULTS, sections=("data_plane",), metric="gb_per_s"
-    ) + compare_throughput(
-        baseline, _RESULTS, sections=("data_plane",), metric="staging_mb", exact=True
-    )
+    ) + [
+        failure
+        for metric in ("staging_mb", "records")
+        for failure in compare_throughput(
+            baseline, _RESULTS, sections=("data_plane",), metric=metric, exact=True
+        )
+    ]
     assert not failures, "\n".join(failures)

@@ -17,16 +17,24 @@ Three groups:
   ``core/algorithms.py`` and ``synth/lowering.py`` (methods turned into
   functions, ``self._ring.x`` into the ring oracle, otherwise untouched);
 * ``compile_ring`` from ``FlowTransport.launch_ring``.
+
+Plus one oracle for the executor's resolve step: :func:`plan_order_run`
+applies ``plan.ops`` one chunk at a time in plan order, the order
+``ExecutionPlan.run`` used before its cache-blocked resolution
+(``test_executor.py`` holds the two byte-equal).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.collectives.halving_doubling import is_power_of_two
+from repro.collectives.ir import blocked_kinds, chunk_spans
 from repro.collectives.ring import RingSchedule
 from repro.collectives.tree import TreeSchedule, double_binary_trees
-from repro.collectives.types import Collective, validate_world
+from repro.collectives.types import Collective, ReduceOp, validate_world
 from repro.core.algorithms import AlgorithmContext, RankTransfer
 
 
@@ -277,3 +285,68 @@ def compile_ring(
         for pos, nbytes in enumerate(per_edge)
         if nbytes > 0
     )
+
+
+# ---------------------------------------------------------------------------
+# collectives/executor.py: plan records in plan order, one chunk at a time
+# ---------------------------------------------------------------------------
+def plan_order_run(
+    plan,
+    inputs: Sequence[np.ndarray],
+    op: ReduceOp = ReduceOp.SUM,
+    *,
+    order: Optional[Sequence[int]] = None,
+    out: Optional[Sequence[np.ndarray]] = None,
+) -> List[np.ndarray]:
+    """``plan.run`` with no resolve step: every ``plan.ops`` record is
+    applied chunk by chunk, records in plan order, each pool slot its own
+    array.  Buffer conventions are ``ExecutionPlan.run``'s (``out`` is
+    written in place and may alias ``inputs``)."""
+    n, kind = plan.world, plan.kind
+    size = out_size = total = inputs[0].size
+    if kind is Collective.ALL_GATHER:
+        out_size = total = size * n
+    elif kind is Collective.REDUCE_SCATTER:
+        out_size = size // n
+    if out is None:
+        out = [np.empty(out_size, inputs[0].dtype) for _ in range(n)]
+    ranks = list(range(n)) if order is None else list(order)
+    spans = chunk_spans(kind, total, plan.num_chunks, n)
+    per = plan.num_chunks // n
+    if order is not None and kind in blocked_kinds():
+        spans = [spans[ranks[c // per] * per + c % per] for c in range(len(spans))]
+    width = max((hi - lo for lo, hi in spans), default=0)
+    pool = [np.empty(width, inputs[0].dtype) for _ in range(plan.pool)]
+    send = [inputs[r].reshape(-1) for r in ranks]
+    recv = [out[r].reshape(-1) for r in ranks]
+
+    def view(operand: int, chunk: int) -> np.ndarray:
+        lo, hi = spans[chunk]
+        if operand >= 2 * n:
+            return pool[operand - 2 * n][: hi - lo]
+        if operand >= n:
+            return send[operand - n][lo:hi]
+        if kind is Collective.REDUCE_SCATTER:  # the position's own block
+            lo, hi = lo - spans[operand * per][0], hi - spans[operand * per][0]
+        return recv[operand][lo:hi]
+
+    if kind is Collective.ALL_GATHER:
+        for p, r in enumerate(ranks):
+            recv[p][r * size : (r + 1) * size] = send[p]
+    elif kind is Collective.BROADCAST:
+        recv[plan.root][:] = send[plan.root]
+    for reduce, dst, target, src, dlo, dhi, slo, _ in plan.ops:
+        for i in range(dhi - dlo):
+            step = lambda operand: operand + i if operand >= 2 * n else operand
+            if reduce:
+                op.ufunc(
+                    view(step(target), dlo + i), view(step(src), slo + i),
+                    out=view(step(dst), dlo + i),
+                )
+            else:
+                view(step(dst), dlo + i)[:] = view(step(src), slo + i)
+    if kind is Collective.REDUCE:
+        for p in range(n):
+            if p != plan.root:
+                recv[p][:] = send[p]
+    return list(out)

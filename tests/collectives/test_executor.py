@@ -27,12 +27,15 @@ from repro.collectives import (
     make_program,
     ring_program,
 )
-from repro.collectives.executor import schedule
+from repro.collectives import executor
+from repro.collectives.executor import ExecutionPlan, schedule
 from repro.collectives.ir import chunk_spans
 from repro.collectives.reference import reference_outputs
 from repro.collectives.types import Collective, ReduceOp
 from repro.errors import MalformedProgramError
 from repro.synth import validate_program
+
+from .oracles import plan_order_run
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +531,182 @@ def test_copy_between_unequal_chunks_is_rejected_at_resolve_time():
     )
     with pytest.raises(MalformedProgramError, match="copies chunk 0"):
         compile_program(program).run([np.zeros(3), np.zeros(3)])
+
+
+# ---------------------------------------------------------------------------
+# cache-blocked resolution: chains, alignment, tile-major order
+# ---------------------------------------------------------------------------
+#: float32 elements of one tile.
+TILE = executor.TILE_BYTES // 4
+
+_FAMILIES = ("ring", "tree", "halving_doubling")
+
+
+def _widest(plan, elems, order=None):
+    return max(dspan.stop - dspan.start for _, _, dspan, *_ in plan.records(elems, 4, order))
+
+
+def _working_elems(kind, out, world):
+    return out * world if kind in (Collective.ALL_GATHER, Collective.REDUCE_SCATTER) else out
+
+
+def _matches_plan_order(staging, plan, inputs, op=ReduceOp.SUM, order=None, in_place=False):
+    """The cache-blocked run on the reused poisoned ``staging`` against
+    :func:`plan_order_run`, bit for bit (float32: any reordered reduction
+    shows), out of place or in place."""
+    def buffers():
+        if in_place:
+            return _in_place_buffers(plan.kind, inputs)
+        return [a.copy() for a in inputs], None
+
+    sends, out = buffers()
+    want = plan_order_run(plan, sends, op, order=order, out=out)
+    sends, out = buffers()
+    _assert_same(_poisoned_run(staging, plan, sends, op, order=order, out=out), want)
+
+
+@pytest.mark.parametrize(
+    "family, kind",
+    [("ring", kind) for kind in Collective]
+    + [(family, Collective.ALL_REDUCE) for family in _FAMILIES[1:]],
+)
+def test_every_builtin_plan_runs_tiled_as_in_plan_order(staging, monkeypatch, family, kind):
+    """Every family x kind x world 2-8 x root, on a shuffled ring order
+    (blocked kinds relabel their rank blocks), out of place and in place,
+    with 16-element tiles: each chunk of ~50 uneven elements spans four."""
+    monkeypatch.setattr(executor, "TILE_BYTES", 64)
+    rng = np.random.default_rng(7)
+    for world in range(2, 9):
+        if family == "halving_doubling" and world & (world - 1):
+            continue
+        roots = range(world) if kind in (Collective.BROADCAST, Collective.REDUCE) else [0]
+        for root in roots:
+            plan = builtin_plan(family, kind, world, root)
+            order = rng.permutation(world).tolist()
+            elems = 48 * world + world // 2 + 1
+            assert _widest(plan, _working_elems(kind, elems, world), order) <= 16
+            size = elems * world if kind is Collective.REDUCE_SCATTER else elems
+            inputs = [rng.standard_normal(size).astype(np.float32) for _ in range(world)]
+            for in_place in ((False, True) if kind is not Collective.ALL_GATHER else (False,)):
+                _matches_plan_order(staging, plan, inputs, order=order, in_place=in_place)
+
+
+@pytest.mark.parametrize(
+    "elems",
+    [4 * (TILE - 1), 4 * TILE, 4 * (TILE + 1), 4 * (3 * TILE + 5) - 3],
+    ids=["below", "one", "one+1", "uneven"],
+)
+def test_real_tile_around_one_tile(elems):
+    """A ring all-reduce of four chunks at the shipped tile: chunks of at
+    most one tile resolve to the plan's own records, one element more
+    splits every chain in two, and chunks differing by one element stay
+    exact."""
+    world, rng = 4, np.random.default_rng(elems)
+    plan = builtin_plan("ring", Collective.ALL_REDUCE, world)
+    records = plan.records(elems, 4)
+    if elems <= world * TILE:
+        assert len(records) == len(plan.ops)
+    else:
+        assert len(records) > len(plan.ops) and _widest(plan, elems) <= TILE
+    inputs = [rng.standard_normal(elems).astype(np.float32) for _ in range(world)]
+    _assert_same(plan.run(inputs), plan_order_run(plan, inputs))
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_16_mib_allreduce_is_tiled_and_exact(family):
+    world, rng = 8, np.random.default_rng(16)
+    elems = (16 << 20) // 4
+    plan = builtin_plan(family, Collective.ALL_REDUCE, world)
+    order = rng.permutation(world).tolist()
+    assert _widest(plan, elems, order) <= TILE
+    inputs = [rng.standard_normal(elems).astype(np.float32) for _ in range(world)]
+    out = [np.empty(elems, np.float32) for _ in range(world)]
+    got = plan.run(inputs, order=order, out=out)
+    _assert_same(got, plan_order_run(plan, inputs, order=order))
+
+
+_HIERARCHICAL = hierarchical_allreduce_program([[0, 1, 2, 3], [4, 5, 6, 7]])
+
+
+@given(
+    program=st.one_of(random_programs(), st.just(_swap_program()), st.just(_HIERARCHICAL)),
+    tile_bytes=st.sampled_from([4, 8, 12, 20]),
+    op=st.sampled_from(list(ReduceOp)),
+    elems=st.integers(1, 40),
+    in_place=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_synthesized_and_random_programs_run_tiled_as_in_plan_order(
+    staging, program, tile_bytes, op, elems, in_place, seed
+):
+    validate_program(program)
+    rng = np.random.default_rng(seed)
+    size = elems * program.world if program.kind is Collective.REDUCE_SCATTER else elems
+    inputs = [rng.standard_normal(size).astype(np.float32) for _ in range(program.world)]
+    plan = compile_program(program)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor, "TILE_BYTES", tile_bytes)
+        _matches_plan_order(staging, plan, inputs, op, in_place=in_place)
+
+
+def test_in_place_send_and_receive_buffers_are_one_memory(staging, monkeypatch):
+    """Rank 0's send buffer is read (step 1) between two records of
+    another chain, the second of which copies into rank 0's receive
+    buffer (step 2).  A copy never reads its ``target``, so with the
+    copy's target pointed at its destination nothing but the alias rule
+    ties the read to the write; run in place, the read must stay ahead."""
+    monkeypatch.setattr(executor, "TILE_BYTES", 8)
+    send = lambda peer, step: Instr(OpKind.SEND, 0, peer=peer, step=step)
+    recv = lambda kind, peer, step: Instr(kind, 0, peer=peer, step=step)
+    program = make_program(
+        "test:alias", Collective.ALL_REDUCE,
+        [
+            [send(1, 1), recv(OpKind.RECV, 3, 2)],
+            [recv(OpKind.RECV_REDUCE, 0, 1)],
+            [send(3, 0)],
+            [recv(OpKind.RECV_REDUCE, 2, 0), send(0, 2)],
+        ],
+        num_chunks=1,
+    )
+    compiled = compile_program(program)
+    ops = tuple(op if op[0] else op[:2] + op[1:2] + op[3:] for op in compiled.ops)
+    assert ops[2] == (False, 0, 0, 3, 0, 1, 0, 1)
+    plan = ExecutionPlan(program, ops, compiled.hops, compiled.pool, 0)
+    inputs = [np.arange(5, dtype=np.float32) + 10 * r for r in range(4)]
+    _matches_plan_order(staging, plan, inputs, in_place=True)
+
+
+def test_small_ring_allreduce_keeps_its_112_records():
+    """64 KiB at world 8 is 8 KiB chunks, far below a tile: one numpy
+    call per plan record, as before tiling (``plan.ops`` itself is held
+    to ``golden_plan_ops.json`` above)."""
+    plan = builtin_plan("ring", Collective.ALL_REDUCE, 8)
+    assert len(plan.ops) == 112
+    assert len(plan.records((64 << 10) // 4, 4)) == 112
+
+
+def test_every_mixed_kinds_plan_resolves_tiled_at_16_mib():
+    """Each built-in plan the ``mixed_kinds`` benchmark runs, and the
+    two-level synthesized program, issues no numpy call wider than one
+    tile at 16 MiB — trees at world 6 and 8 and the butterflies
+    included, whose coalesced records overlap at different starts until
+    aligned."""
+    out = (16 << 20) // 4
+    rng = np.random.default_rng(0)
+    plans = [
+        (builtin_plan(family, kind, world, world // 2), kind, world)
+        for world in (4, 6, 8)
+        for family in _FAMILIES
+        for kind in Collective
+        if family == "ring" or (kind is Collective.ALL_REDUCE and world & (world - 1) == 0)
+        or (family == "tree" and kind is Collective.ALL_REDUCE)
+    ]
+    plans.append((compile_program(_HIERARCHICAL), Collective.ALL_REDUCE, 8))
+    assert len(plans) == 5 * 3 + 3 + 2 + 1
+    for plan, kind, world in plans:
+        order = rng.permutation(world).tolist()
+        assert _widest(plan, _working_elems(kind, out, world), order) <= TILE, plan.name
 
 
 # ---------------------------------------------------------------------------

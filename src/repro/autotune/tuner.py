@@ -2,17 +2,23 @@
 
 The tuner subscribes to every finished collective (via
 :meth:`ServiceCommunicator.add_completion_listener`), attributes the
-measured duration to the strategy signature that executed it (through
-``instance.rank_versions`` and the communicator's ``strategy_history``),
-and feeds a bounded-exploration bandit per ``(kind, world, size-bucket)``.
-When the bandit's choice differs from the communicator's current strategy,
-the tuner applies the change **live through the §4.2 reconfiguration
-barrier** — ``barrier_enabled=True``, always — so the tenant is never
-interrupted and co-tenants see zero blast radius.
+measured duration to the strategy signature that executed it (the
+instance's ``launch_strategy``, which every rank launched under — an
+inconsistent instance is not measured), and feeds a bounded-exploration
+bandit per ``(kind, world, size-bucket)``.  When the bandit's choice
+differs from the communicator's current strategy, the tuner applies the
+change **live through the §4.2 reconfiguration barrier** —
+``barrier_enabled=True``, always — so the tenant is never interrupted and
+co-tenants see zero blast radius.
 
 Arms are seeded from the offline planner's ranked candidates and, when
 available, the persisted tuning table (hits/misses are surfaced as
 ``mccs_autotune_table_{hits,misses}_total``).
+
+The tuner keeps one state per *live* communicator: destroying one drops
+its state (:meth:`AutoTuner.detach`), so the per-comm counts
+(``retunes_applied()``, ``epoch_retunes()``) sum over live communicators,
+and the metric series keep the history.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ MAX_ARMS = 6
 
 @dataclass
 class _ArmSpec:
-    """What a reconfiguration must install to run one arm."""
+    """What a reconfiguration must install to run one arm (its fields
+    start with the arm's :data:`Signature`, in order)."""
 
     algorithm: str
     channels: int
@@ -141,6 +148,11 @@ class AutoTuner:
             lambda instance, state=state: self._observe(state, instance)
         )
 
+    def detach(self, comm: "ServiceCommunicator") -> None:
+        """Stop tuning ``comm``, which was destroyed: its state, and the
+        communicator that state holds, go with it."""
+        self._states.pop(comm.comm_id, None)
+
     def retunes_applied(self, comm_id: Optional[int] = None) -> int:
         if comm_id is not None:
             state = self._states.get(comm_id)
@@ -205,12 +217,9 @@ class AutoTuner:
             instance.kind, instance.out_bytes, state.comm.gpus
         )
         for scored in ranked[:MAX_ARMS]:
-            candidate = scored.candidate
-            bucket.arms[candidate.signature()] = _ArmSpec(
-                algorithm=candidate.algorithm,
-                channels=candidate.channels,
-                ring=candidate.ring,
-                predicted_seconds=scored.predicted_seconds,
+            signature = scored.candidate.signature()
+            bucket.arms[signature] = _ArmSpec(
+                *signature, scored.predicted_seconds
             )
         entry = self.table.lookup(
             instance.kind.value,
@@ -220,14 +229,9 @@ class AutoTuner:
         )
         if entry is not None:
             self._table_hits.inc(comm=f"comm{state.comm.comm_id}")
+            signature = entry.signature()
             bucket.arms.setdefault(
-                entry.signature(),
-                _ArmSpec(
-                    algorithm=entry.algorithm,
-                    channels=entry.channels,
-                    ring=entry.ring,
-                    predicted_seconds=entry.predicted_seconds,
-                ),
+                signature, _ArmSpec(*signature, entry.predicted_seconds)
             )
         else:
             self._table_misses.inc(comm=f"comm{state.comm.comm_id}")
@@ -249,14 +253,7 @@ class AutoTuner:
                 ),
             )
         current = self._signature_of(state.comm.strategy)
-        bucket.arms.setdefault(
-            current,
-            _ArmSpec(
-                algorithm=state.comm.strategy.algorithm,
-                channels=state.comm.strategy.channels,
-                ring=tuple(state.comm.strategy.ring.order),
-            ),
-        )
+        bucket.arms.setdefault(current, _ArmSpec(*current))
         return bucket
 
     def _observe(
@@ -266,21 +263,10 @@ class AutoTuner:
             return
         if not instance.consistent or not instance.rank_versions:
             return
-        version = next(iter(instance.rank_versions.values()))
-        strategy = state.comm.strategy_history.get(version)
-        if strategy is None:
-            return
         duration = instance.duration()
         bucket = self._ensure_bucket(state, instance)
-        signature = self._signature_of(strategy)
-        bucket.arms.setdefault(
-            signature,
-            _ArmSpec(
-                algorithm=strategy.algorithm,
-                channels=strategy.channels,
-                ring=tuple(strategy.ring.order),
-            ),
-        )
+        signature = self._signature_of(instance.launch_strategy)
+        bucket.arms.setdefault(signature, _ArmSpec(*signature))
         if bucket.baseline is None:
             bucket.baseline = signature
         bucket.bandit.observe(signature, duration)

@@ -167,6 +167,8 @@ class CollectiveInstance:
     start_time: Optional[float] = None
     end_time: Optional[float] = None
     rank_versions: Dict[int, int] = field(default_factory=dict)
+    #: The strategy the ranks launched under (the one, when consistent).
+    launch_strategy: Optional[CollectiveStrategy] = None
     _launched: Set[int] = field(default_factory=set)
     _injected_ranks: Set[int] = field(default_factory=set)
     # failure state
@@ -239,6 +241,7 @@ class CollectiveInstance:
         self._launched.add(rank)
         self._awaiting_relaunch = False
         self.rank_versions[rank] = strategy.version
+        self.launch_strategy = strategy
         comm = self.comm
         self.annotate(EVENT_RANK_LAUNCH, rank=rank, version=strategy.version)
         comm.datapath.acquire(strategy.version)
@@ -405,6 +408,7 @@ class CollectiveInstance:
         self._launched.clear()
         self._injected_ranks.clear()
         self.rank_versions.clear()
+        self.launch_strategy = None
         self._failed_ranks.clear()
         self.error = None
         self.start_time = None
@@ -418,8 +422,7 @@ class CollectiveInstance:
         if self.recv_views is not None and self.consistent:
             # The executor writes the tenant's receive buffers in place;
             # with nowhere to put a result, no byte moves.
-            version = next(iter(self.rank_versions.values()))
-            strategy = comm.strategy_history[version]
+            strategy = self.launch_strategy
             get_algorithm(strategy.algorithm).run_data(
                 self._context(strategy, rank=0),
                 self.send_views,
@@ -508,9 +511,8 @@ class ServiceCommunicator:
         self.gate = gate
         self.staging = staging
         self.strategy = strategy
-        self.strategy_history: Dict[int, CollectiveStrategy] = {
-            strategy.version: strategy
-        }
+        #: Fresh commits since creation; the journal's ``epoch``.
+        self.strategy_epoch = 0
         # ECMP draws normally hash the comm id and the strategy version,
         # modelling fresh 5-tuples per establishment.  A caller-chosen
         # ``datapath_tag`` pins the namespace instead, giving identical
@@ -595,8 +597,8 @@ class ServiceCommunicator:
         self.completion_listeners: List[
             Callable[[CollectiveInstance], None]
         ] = []
-        #: Deployment hook journaling each *first* commit of a version
-        #: (write-ahead ``install_strategy`` records).
+        #: Deployment hook journaling each fresh commit (write-ahead
+        #: ``install_strategy`` records).
         self.on_commit: Optional[
             Callable[["ServiceCommunicator", CollectiveStrategy], None]
         ] = None
@@ -604,13 +606,16 @@ class ServiceCommunicator:
     # ------------------------------------------------------------------
     def commit_strategy(self, strategy: CollectiveStrategy) -> None:
         """Record a new strategy version (called once a reconfiguration's
-        barrier has resolved; proxies switch independently)."""
-        fresh = strategy.version not in self.strategy_history
+        barrier has resolved; proxies switch independently).  Versions
+        only grow, so a commit is fresh when it is newer than the current
+        one; a repeat of the current version is not."""
+        fresh = strategy.version > self.strategy.version
         self.strategy = strategy
-        self.strategy_history[strategy.version] = strategy
         self.datapath.retire_stale(strategy.version)
-        if fresh and self.on_commit is not None:
-            self.on_commit(self, strategy)
+        if fresh:
+            self.strategy_epoch += 1
+            if self.on_commit is not None:
+                self.on_commit(self, strategy)
 
     def apply_membership(
         self, gpus: Sequence[GpuDevice], strategy: CollectiveStrategy

@@ -370,6 +370,9 @@ class MccsDeployment:
             comm_id=comm.comm_id,
             gpus=[gpu.global_id for gpu in gpus],
             strategy=strategy_descriptor(comm.strategy),
+            epoch=0,
+            membership_epoch=0,
+            next_seq=0,
         )
         comm.on_commit = self._journal_commit
         self._comms[comm.comm_id] = comm
@@ -401,6 +404,10 @@ class MccsDeployment:
             host = self.cluster.hosts[comm.comm_event_handle.host_id]
             host.ipc.close_event(comm.comm_event_handle)
             comm.comm_event_handle = None
+        if self.elastic is not None:
+            self.elastic.communicator_destroyed(comm)
+        if self.autotuner is not None:
+            self.autotuner.detach(comm)
         comm.destroyed = True
         del self._comms[comm.comm_id]
         del self._comm_owner[comm.comm_id]

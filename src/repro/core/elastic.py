@@ -36,7 +36,8 @@ Joiners go through a handshake first: admission control vets the
 tenant (:class:`~repro.core.admission.AdmissionController`), and a
 staging buffer is allocated on each joiner's service — the same
 write-ahead ``alloc`` path tenant buffers use, so crash/restart replay
-reconstructs them.  The buffers are freed if the rank later leaves.
+reconstructs them.  The buffers are freed if the rank later leaves or
+the communicator is destroyed.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class ElasticCoordinator:
         self.sim = deployment.sim
         self.telemetry = deployment.telemetry()
         self._inflight: Dict[int, MembershipChange] = {}
-        #: Staging buffers allocated for joiners, freed when they leave.
+        #: Staging buffers allocated for joiners, freed when they leave
+        #: or their communicator is destroyed.
         self._staging: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
@@ -422,6 +424,11 @@ class ElasticCoordinator:
         )
         if op.on_failed is not None:
             op.on_failed(op)
+
+    def communicator_destroyed(self, comm: ServiceCommunicator) -> None:
+        """``comm`` is gone: its joiners hand their staging buffers back."""
+        joined = [gid for cid, gid in self._staging if cid == comm.comm_id]
+        self._free_staging(comm.comm_id, comm.app_id, joined)
 
     def _free_staging(
         self, comm_id: int, app_id: str, global_ids: Sequence[int]

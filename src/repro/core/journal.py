@@ -16,8 +16,9 @@ Record schema (``op`` -> payload keys):
 ======================  ====================================================
 ``alloc``               app, host, gpu, buffer_id, size, handle_id
 ``free``                app, host, buffer_id
-``create_communicator`` app, comm_id, gpus, strategy
-``install_strategy``    comm_id, strategy  (one per committed version)
+``create_communicator`` app, comm_id, gpus, strategy, epoch,
+                        membership_epoch, next_seq  (0, 0, 0 when live)
+``install_strategy``    comm_id, strategy  (one per fresh commit)
 ``collective_issued``   app, comm_id, seq, kind, bytes [, trace]
 ``membership_change``   app, comm_id, epoch, kind, gpus, left, joined
 ``destroy_communicator`` app, comm_id
@@ -34,9 +35,12 @@ channels, version, routes: [[src, dst, channel, route_id], ...]}``.
 
 The log is checkpointed: :func:`checkpoint` is the inverse of
 :func:`replay_journal`, and :meth:`StateJournal.compact` replaces the log
-by the checkpoint of the state it replays to.  Checkpoint records carry
-only the keys replay reads (no ``kind``, ``bytes``, ``trace``, ``left`` or
-``joined``), and informational records replay to nothing, so they go.
+by the checkpoint of the state it replays to.  A checkpoint is one record
+per live object: a ``tenant_register`` per tenant, an ``alloc`` per
+buffer, and a ``create_communicator`` per communicator that carries its
+current GPUs, current strategy, strategy and membership epochs and issue
+frontier.  Checkpoint records carry only the keys replay reads, and
+informational records replay to nothing, so they go.
 """
 
 from __future__ import annotations
@@ -220,7 +224,7 @@ class ControlPlaneState:
 
     #: buffer_id -> {app, host, gpu, size, handle}
     buffers: Dict[int, Dict[str, object]] = field(default_factory=dict)
-    #: comm_id -> {app, gpus, version, epoch, next_seq, strategies}
+    #: comm_id -> {app, gpus, strategy, epoch, membership_epoch, next_seq}
     communicators: Dict[int, Dict[str, object]] = field(default_factory=dict)
     #: tenant_id -> {key_hash, quota} (live gateway accounts)
     tenants: Dict[str, Dict[str, object]] = field(default_factory=dict)
@@ -262,15 +266,13 @@ def replay_journal(records: List[JournalRecord]) -> ControlPlaneState:
                 )
             del state.buffers[p["buffer_id"]]
         elif rec.op == "create_communicator":
-            strategy = dict(p["strategy"])
             state.communicators[p["comm_id"]] = {
                 "app": p["app"],
                 "gpus": list(p["gpus"]),
-                "version": strategy["version"],
-                "epoch": 0,
-                "membership_epoch": 0,
-                "next_seq": 0,
-                "strategies": {strategy["version"]: strategy},
+                "strategy": dict(p["strategy"]),
+                "epoch": p["epoch"],
+                "membership_epoch": p["membership_epoch"],
+                "next_seq": p["next_seq"],
             }
         elif rec.op == "install_strategy":
             comm = state.communicators.get(p["comm_id"])
@@ -278,10 +280,8 @@ def replay_journal(records: List[JournalRecord]) -> ControlPlaneState:
                 raise JournalError(
                     f"journal installs strategy on unknown comm {p['comm_id']}"
                 )
-            strategy = dict(p["strategy"])
-            comm["version"] = strategy["version"]
+            comm["strategy"] = dict(p["strategy"])
             comm["epoch"] += 1
-            comm["strategies"][strategy["version"]] = strategy
         elif rec.op == "collective_issued":
             comm = state.communicators.get(p["comm_id"])
             if comm is None:
@@ -339,10 +339,8 @@ def replay_journal(records: List[JournalRecord]) -> ControlPlaneState:
 
 def checkpoint(state: ControlPlaneState) -> List[JournalRecord]:
     """The inverse of :func:`replay_journal`: records, numbered from 0,
-    that replay to ``state`` — one per live tenant and buffer, and per
-    live communicator its creation, one install per later strategy
-    version (ending with the current one, so ``epoch`` comes out right),
-    its membership epoch and its issue frontier."""
+    that replay to ``state`` — one per live tenant, buffer and
+    communicator."""
     ops: List[Tuple[str, Dict[str, object]]] = [
         ("tenant_register", {
             "tenant": tenant, "key_hash": account["key_hash"],
@@ -358,28 +356,15 @@ def checkpoint(state: ControlPlaneState) -> List[JournalRecord]:
         })
         for buffer_id, info in state.buffers.items()
     ]
-    for comm_id, comm in state.communicators.items():
-        strategies = comm["strategies"]
-        first, current = next(iter(strategies)), comm["version"]
-        ops.append(("create_communicator", {
+    ops += [
+        ("create_communicator", {
             "app": comm["app"], "comm_id": comm_id, "gpus": comm["gpus"],
-            "strategy": strategies[first],
-        }))
-        installs = [v for v in strategies if v not in (first, current)]
-        installs += [current] * (comm["epoch"] - len(installs))
-        ops += [
-            ("install_strategy", {"comm_id": comm_id, "strategy": strategies[v]})
-            for v in installs
-        ]
-        if comm["membership_epoch"]:
-            ops.append(("membership_change", {
-                "comm_id": comm_id, "epoch": comm["membership_epoch"],
-                "gpus": comm["gpus"],
-            }))
-        if comm["next_seq"]:
-            ops.append(("collective_issued", {
-                "comm_id": comm_id, "seq": comm["next_seq"] - 1,
-            }))
+            "strategy": comm["strategy"], "epoch": comm["epoch"],
+            "membership_epoch": comm["membership_epoch"],
+            "next_seq": comm["next_seq"],
+        })
+        for comm_id, comm in state.communicators.items()
+    ]
     return [
         JournalRecord(seq=seq, time=0.0, op=op, payload=payload)
         for seq, (op, payload) in enumerate(ops)
@@ -402,14 +387,10 @@ def snapshot_deployment(deployment: "MccsDeployment") -> ControlPlaneState:
         state.communicators[comm.comm_id] = {
             "app": comm.app_id,
             "gpus": [gpu.global_id for gpu in comm.gpus],
-            "version": comm.strategy.version,
-            "epoch": len(comm.strategy_history) - 1,
+            "strategy": strategy_descriptor(comm.strategy),
+            "epoch": comm.strategy_epoch,
             "membership_epoch": comm.membership_epoch,
             "next_seq": comm.next_seq,
-            "strategies": {
-                version: strategy_descriptor(strategy)
-                for version, strategy in comm.strategy_history.items()
-            },
         }
     registry = (
         deployment.gateway.registry

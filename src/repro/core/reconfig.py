@@ -110,7 +110,7 @@ class ReconfigSession:
         self.app_id = comm.app_id
         self.from_version = comm.strategy.version
         self.to_version = new_strategy.version
-        self.new_strategy = new_strategy
+        self.new_strategy: Optional[CollectiveStrategy] = new_strategy
         self.proxies = list(proxies)
         self.barrier_enabled = barrier_enabled
         self.issue_time = comm.sim.now
@@ -217,8 +217,9 @@ class ReconfigSession:
         on it is a record in the hub's session ring — identity, timings,
         ``max_seq``, the barrier's contributions, the error — and lets go
         of the machinery, so it pins neither the communicator (which the
-        tenant may destroy next) nor the proxies nor the callbacks."""
-        self.comm = None
+        tenant may destroy next) nor the proxies nor the callbacks, nor a
+        strategy the communicator may since have replaced."""
+        self.comm = self.new_strategy = None
         self.proxies = []
         self._on_done = self._on_failed = None
 

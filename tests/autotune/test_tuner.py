@@ -1,6 +1,8 @@
 """Online tuner integration: live retuning through the §4.2 barrier."""
 
+import gc
 import json
+import weakref
 from functools import partial
 
 import numpy as np
@@ -64,6 +66,31 @@ def test_enable_autotuning_is_idempotent_and_attaches_existing_comms():
     assert list(tuner._states) == [comm.comm_id]
 
 
+def test_destroy_releases_the_tuned_communicator():
+    """The tuner's per-comm state holds the whole communicator (trace
+    ring, connection tables, program cache): destroy drops it, and the
+    no-id counts sum over the live communicators."""
+    cluster = testbed_cluster()
+    deployment = MccsDeployment(cluster)
+    tuner = deployment.enable_autotuning()
+    client = deployment.connect("A")
+    gpus = single_app_gpus(cluster, "4gpu")
+    live = client.create_communicator(gpus)
+    destroyed = []
+    for _ in range(5):
+        comm = client.create_communicator(gpus)
+        for handle in (comm, live):
+            client.all_reduce(handle, 64 * KB)
+            deployment.run()
+        destroyed.append(weakref.ref(deployment.communicator(comm.comm_id)))
+        client.destroy_communicator(comm)
+    gc.collect()
+    assert list(tuner._states) == [live.comm_id]
+    assert [ref() for ref in destroyed] == [None] * 5
+    assert tuner.retunes_applied() == tuner.retunes_applied(live.comm_id)
+    assert tuner.epoch_retunes() == tuner.epoch_retunes(live.comm_id)
+
+
 def test_retunes_applied_exclusively_through_the_barrier():
     deployment, tuner, comm, _ = tuned_run(64 * KB)
     sessions = deployment.telemetry().sessions
@@ -74,10 +101,15 @@ def test_retunes_applied_exclusively_through_the_barrier():
 
 
 def test_strategy_versions_are_monotonic():
-    _, tuner, comm, _ = tuned_run(64 * KB)
-    versions = sorted(comm.strategy_history)
+    deployment, tuner, comm, _ = tuned_run(64 * KB)
+    versions = [
+        record.payload["strategy"]["version"]
+        for record in deployment.journal.records()
+        if record.op in ("create_communicator", "install_strategy")
+    ]
     assert versions == list(range(versions[0], versions[-1] + 1))
     assert comm.strategy.version == versions[-1]
+    assert comm.strategy_epoch == len(versions) - 1
     assert comm.strategy.version >= tuner.retunes_applied(comm.comm_id)
 
 
@@ -193,7 +225,7 @@ def test_midrun_retunes_preserve_byte_correctness(seed):
             send=sends,
             recv=recvs,
             on_complete=lambda inst, now: executed.append(
-                next(iter(inst.rank_versions.values()))
+                inst.launch_strategy
             ),
         )
         deployment.run()
@@ -201,8 +233,7 @@ def test_midrun_retunes_preserve_byte_correctness(seed):
         for buf in recvs:
             assert np.allclose(buf.view(np.float32), expected, atol=1e-4)
     assert len(executed) == 10
-    assert executed == sorted(executed)  # versions only move forward
-    algorithms = {
-        comm.strategy_history[v].algorithm for v in executed
-    }
+    versions = [strategy.version for strategy in executed]
+    assert versions == sorted(versions)  # versions only move forward
+    algorithms = {strategy.algorithm for strategy in executed}
     assert algorithms <= {"ring", "tree", "halving_doubling"}

@@ -74,7 +74,6 @@ def test_checkpoint_records_carry_only_what_replay_reads():
     records = _checkpoint_records()
     assert {op for op, _ in records} == {
         "tenant_register", "alloc", "create_communicator",
-        "install_strategy", "membership_change", "collective_issued",
     }
     for op, keys in records:
         assert op in replayed, op

@@ -173,6 +173,25 @@ def test_failed_grow_releases_staging_buffers(
     )
 
 
+def test_destroy_releases_joiner_staging(cluster, deployment):
+    """A destroyed communicator hands its joiners' staging buffers back
+    through the journaled free path."""
+    elastic = deployment.enable_elasticity()
+    client = deployment.connect("A")
+    gpus = list(cluster.gpus)
+    comm = client.create_communicator(gpus[:4])
+    elastic.grow(comm.comm_id, [gpus[4]])
+    deployment.run()
+    (buffer_id,) = elastic._staging.values()
+    joiner_service = deployment.service_of_gpu(gpus[4])
+    assert buffer_id in joiner_service.memory.allocations()
+    client.destroy_communicator(comm)
+    assert elastic._staging == {}
+    assert buffer_id not in joiner_service.memory.allocations()
+    assert buffer_id not in deployment.control_state().buffers
+    assert deployment.verify_journal() == []
+
+
 # ----------------------------------------------------------------------
 # shrink
 # ----------------------------------------------------------------------

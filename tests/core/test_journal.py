@@ -150,10 +150,11 @@ def test_compaction_counts_removed_records_on_one_series(
     counter = deployment.telemetry().metrics.counter(
         "mccs_journal_compacted_total"
     )
-    assert removed == 4
+    # Six records (create + five issues) checkpoint to one create.
+    assert removed == 5
     assert counter.samples() == [({}, removed)]
     removed += deployment.journal.compact() + deployment.journal.compact()
-    assert counter.total() == removed == 4
+    assert counter.total() == removed == 5
 
 
 # ----------------------------------------------------------------------
@@ -231,11 +232,72 @@ def test_single_communicator_loop_keeps_the_journal_bounded(monkeypatch):
         deployment.run()
         lengths.append(len(deployment.journal))
     size = len(checkpoint(replay_journal(deployment.journal.records())))
-    assert size == len(cluster.gpus) + 2  # allocs, create, issue frontier
+    assert size == len(cluster.gpus) + 1  # allocs, create
     assert max(lengths) < 2 * max(16, size)
     # Checkpoints rewrite the log, never the append count.
     assert deployment.journal.appends_total == 300 + len(cluster.gpus) + 1
     assert deployment.verify_journal() == []
+
+
+def test_checkpoint_is_one_record_per_live_object():
+    """Fifty reconfigurations and ten grow + shrink cycles later, a
+    communicator checkpoints to its one create record: no strategy
+    version it has retired survives, in the live graph or the log."""
+    cluster = testbed_cluster()
+    deployment = MccsDeployment(cluster)
+    elastic = deployment.enable_elasticity()
+    registry = TenantRegistry(deployment, secret="test-secret")
+    registry.register("t0")
+    client = deployment.connect("A")
+    gpus = list(cluster.gpus)
+    comm = deployment.communicator(client.create_communicator(gpus[:4]).comm_id)
+    other = client.create_communicator(gpus[4:6])
+    client.alloc(gpus[0], 256)
+    for step in range(50):
+        shift = step % 3 + 1
+        order = list(range(comm.world))
+        deployment.reconfigure(comm.comm_id, ring=order[shift:] + order[:shift])
+        deployment.run()
+    for _ in range(10):
+        elastic.grow(comm.comm_id, [gpus[6]])
+        deployment.run()
+        elastic.shrink(comm.comm_id, [4])
+        deployment.run()
+    client.all_reduce(other, 1 * MB)
+    deployment.run()
+    state = replay_journal(deployment.journal.records())
+    records = checkpoint(state)
+    assert [record.op for record in records] == [
+        "tenant_register", "alloc", "create_communicator",
+        "create_communicator",
+    ]
+    assert len(records) == (
+        len(state.tenants) + len(state.buffers) + len(state.communicators)
+    )
+    # 50 reconfigurations, and per grow or shrink a drain and a cutover.
+    assert records[2].payload["epoch"] == comm.strategy_epoch == 90
+    assert records[2].payload["membership_epoch"] == 20
+    assert records[3].payload["next_seq"] == 1
+    assert deployment.verify_journal() == []
+
+
+def test_a_lost_install_still_shows(deployment, manager, four_gpus):
+    """The strategy epoch counts installs, so a log that lost one names
+    the communicator even when the current strategy replays right."""
+    state = manager.admit("A", four_gpus)
+    for _ in range(3):
+        deployment.reconfigure(
+            state.comm_id,
+            routes=deployment.communicator(state.comm_id).strategy.route_map(),
+        )
+        deployment.run()
+    records = deployment.journal.records()
+    first = next(i for i, r in enumerate(records) if r.op == "install_strategy")
+    lost = records[:first] + records[first + 1:]
+    assert replay_journal(records).diff(deployment.control_state()) == []
+    (line,) = replay_journal(lost).diff(deployment.control_state())
+    assert line.startswith("communicators differ")
+    assert f"changed=[{state.comm_id}]" in line
 
 
 def _checkpointed_run(crash):

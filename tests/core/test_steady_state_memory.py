@@ -11,17 +11,19 @@ Nothing per collective is allowed to grow.  The state journal
 checkpoints itself (``CHECKPOINT_FLOOR``, patched small here), so its
 length cycles under a steady load instead of rising: each census is
 taken with the journal at the same length (``back_to``), and a
-``JournalRecord`` that outlives its checkpoint shows up as growth.  The
-one exception is live state: a communicator keeps every committed
-strategy version, and the checkpoint carries each (the elastic case).
-Trace objects are not allowed to grow either: a
-``CausalTrace`` lives in the tracer's ring, a ``TraceRecord`` in its
-communicator's ring until the communicator is destroyed, a
-``ReconfigSession`` in the hub's session ring, and no ``Span`` is stored
-at all (exports render them).  Nor are the gateway's
+``JournalRecord`` that outlives its checkpoint shows up as growth.  Live
+state is bounded too: a communicator keeps its current strategy only, so
+reconfigurations, membership changes and upgrades leave the
+``CollectiveStrategy`` count and the checkpoint flat (the elastic case),
+and a destroyed communicator takes its tuner state and its joiners'
+staging buffers with it (the churn case).  Trace objects are not allowed
+to grow either: a ``CausalTrace`` lives in the tracer's ring, a
+``TraceRecord`` in its communicator's ring until the communicator is
+destroyed, a ``ReconfigSession`` in the hub's session ring, and no
+``Span`` is stored at all (exports render them).  Nor are the gateway's
 per-request objects (its ledger is counts plus a ring of settled
 records), admission decisions (counters and events, no list) or finished
-membership changes and upgrade sessions (a ring each, patched small here).
+membership changes and upgrade sessions (their callers own them).
 """
 
 import gc
@@ -68,6 +70,7 @@ PER_COLLECTIVE = (
     "MembershipChange",
     "UpgradeSession",
     "JournalRecord",
+    "CollectiveStrategy",
     "function",
     "cell",
     "method",
@@ -80,10 +83,10 @@ CAUSAL_RING = 512
 NBYTES = 16 * 1024
 
 
-def census():
+def census(names=PER_COLLECTIVE):
     gc.collect()
     counts = Counter(type(obj).__name__ for obj in gc.get_objects())
-    return {name: counts.get(name, 0) for name in PER_COLLECTIVE}
+    return {name: counts.get(name, 0) for name in names}
 
 
 def make_deployment(monkeypatch):
@@ -250,17 +253,14 @@ def test_elastic_cycles_leave_nothing_behind(monkeypatch):
     listeners = len(comm.completion_listeners)
     for _ in range(CAUSAL_RING // 6 + 4):
         cycle()
-    before = census()
+    before, length = census(), len(dep.journal)
     for _ in range(10):
         cycle()
-    after = census()
-    # Live state, not history: each cycle commits five strategy versions
-    # the communicator keeps, and the journal's checkpoint carries each,
-    # so here the journal holds only to its checkpoint bound.
-    after.pop("JournalRecord"), before.pop("JournalRecord")
-    assert after == before
-    size = len(checkpoint(replay_journal(dep.journal.records())))
-    assert len(dep.journal) < 2 * max(64, size)
+    back_to(dep.journal, length, cycle)
+    # Each cycle commits five strategy versions; the communicator keeps
+    # the current one, and the checkpoint is its one create record.
+    assert census() == before
+    assert len(checkpoint(replay_journal(dep.journal.records()))) == 1
     assert set(waits) == {listeners + 1}  # every change really waited...
     assert len(comm.completion_listeners) == listeners  # ...and let go
     assert elastic._inflight == {} and comm.world == 4
@@ -312,3 +312,42 @@ def test_gateway_requests_leave_nothing_behind(monkeypatch):
         record.request is record.respond is record.session is None
         for record in gateway.records
     )
+
+
+def test_tuned_elastic_churn_leaves_nothing_behind(monkeypatch):
+    """create -> all-reduce -> grow by one GPU -> destroy, with the
+    autotuner and the elastic coordinator armed: a destroyed communicator
+    takes its tuner state (which holds the whole communicator) and its
+    joiner's staging buffer with it."""
+    cluster, dep = make_deployment(monkeypatch)
+    dep.enable_autotuning()
+    elastic = dep.enable_elasticity()
+    client = dep.connect("app")
+    gpus = list(cluster.gpus)
+
+    def cycle():
+        comm = client.create_communicator(gpus[:4])
+        op = client.all_reduce(comm, NBYTES)
+        dep.run()
+        record = elastic.grow(comm.comm_id, [gpus[4]])
+        dep.run()
+        assert op.completed and record.state == "done"
+        client.destroy_communicator(comm)
+
+    def live():
+        counts = census((
+            "ServiceCommunicator", "CollectiveStrategy", "TraceRecord",
+            "JournalRecord",
+        ))
+        counts["buffers"] = len(dep.control_state().buffers)
+        return counts
+
+    for _ in range(40):
+        cycle()
+    before, length = live(), len(dep.journal)
+    for _ in range(10):
+        cycle()
+    back_to(dep.journal, length, cycle)
+    assert live() == before
+    assert before["ServiceCommunicator"] == before["buffers"] == 0
+    assert dep.verify_journal() == []

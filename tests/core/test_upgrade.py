@@ -36,7 +36,7 @@ def test_upgrade_swaps_engines_and_stays_byte_exact(
     assert old_proxies.isdisjoint(new_proxies)  # real objects swapped
     # The drained communicator gained exactly one strategy epoch.
     comm_obj = deployment.communicator(comm.comm_id)
-    assert len(comm_obj.strategy_history) == 2
+    assert comm_obj.strategy_epoch == 1
     assert not comm_obj.aborted
 
     # Tenant-visible behaviour after the cut: identical, byte-exact.
@@ -110,7 +110,7 @@ def test_frontend_only_upgrade_skips_the_drain(
     assert session.done
     assert session.drained_comms == []  # no barrier needed
     assert {id(proxy) for proxy in service.proxies.values()} == old_proxies
-    assert len(deployment.communicator(comm.comm_id).strategy_history) == 1
+    assert deployment.communicator(comm.comm_id).strategy_epoch == 0
     assert service.frontend_for("A", deployment).generation == 1
 
 

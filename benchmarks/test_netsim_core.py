@@ -248,15 +248,10 @@ def _traced_event_loop(num_flows: int, traced: bool, work: dict = None) -> float
     trace recorded.
     """
     from repro.telemetry.causal import CausalTracer
-    from repro.telemetry.metrics import MetricsRegistry
 
     fabric = large_cluster_fabric()
     sim = FlowSimulator(fabric.topology)
-    tracer = (
-        CausalTracer(sim, MetricsRegistry(), max_closed=8)
-        if traced
-        else None
-    )
+    tracer = CausalTracer(sim, max_closed=8) if traced else None
     rng = random.Random(99)  # same seed either way: identical workloads
     paths = _random_paths(fabric.topology, rng, num_flows)
     wave = 250

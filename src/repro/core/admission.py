@@ -13,8 +13,8 @@ checked against
 
 A shed request raises the typed :class:`AdmissionRejectedError` back
 through the command queue — a *decision*, which the shim surfaces rather
-than retries — and is counted in ``mccs_admission_total`` /
-``mccs_shed_total``.
+than retries — and is counted once, in
+``mccs_admission_total{decision="shed"}``.
 """
 
 from __future__ import annotations
@@ -138,11 +138,6 @@ class AdmissionController:
             qos=qos,
             outstanding=outstanding,
         )
-        self.telemetry.metrics.counter(
-            "mccs_shed_total",
-            "Requests shed by admission control, by app and QoS class.",
-        ).inc(app=app_id, qos=qos)
-        self.telemetry.slo.record_shed(app_id)
         self.telemetry.flight.trigger(
             "admission_shed",
             self.deployment.sim.now,

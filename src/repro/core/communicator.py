@@ -381,7 +381,6 @@ class CollectiveInstance:
             "mccs_collectives_aborted_total",
             "Collectives terminated by failure handling, by app.",
         ).inc(app=comm.app_id, kind=self.kind.value)
-        comm.telemetry.slo.record_abort(comm.app_id)
         comm.telemetry.causal.close(
             self.trace, self.end_time, TRACE_ABORTED, error=str(self.error)
         )
@@ -401,7 +400,6 @@ class CollectiveInstance:
             )
         self.attempts += 1
         self.trace.new_attempt(self.comm.sim.now)
-        self.comm.telemetry.slo.record_retry(self.comm.app_id)
         for flow in list(self._live_flows):
             self.comm.sim.cancel_flow(flow)
         self._live_flows.clear()
@@ -432,9 +430,7 @@ class CollectiveInstance:
             )
         comm.completed_series[self.kind].inc()
         comm.duration_series.observe(self.end_time - self.issue_time)
-        comm.telemetry.slo.record_completion(
-            comm.app_id, self.end_time - self.issue_time, self.out_bytes
-        )
+        comm.bytes_series.inc(self.out_bytes)
         comm.telemetry.causal.close(self.trace, self.end_time, TRACE_COMPLETED)
         self._retire()
 
@@ -570,6 +566,10 @@ class ServiceCommunicator:
         self.duration_series = metrics.histogram(
             "mccs_collective_duration_seconds",
             "Issue-to-completion time of collectives, by app.",
+        ).labels(app=app_id)
+        self.bytes_series = metrics.counter(
+            "mccs_collective_bytes_total",
+            "Output bytes of completed collectives, by app.",
         ).labels(app=app_id)
         self.destroyed = False
         #: Set once the communicator is irrecoverably failed; subsequent

@@ -195,9 +195,6 @@ class MccsDeployment:
             self.admission = AdmissionController(self, policy)
         elif policy is not None:
             self.admission.policy = policy
-        # SLO accounting resolves tenants to QoS classes through admission
-        # control once it is armed.
-        self._telemetry.slo.class_resolver = self.admission.class_of
         return self.admission
 
     def enable_service_supervision(
@@ -531,7 +528,6 @@ class MccsDeployment:
                 "mccs_collective_deadlines_total",
                 "Collective deadline expiries detected by the watchdog.",
             ).inc(app=comm.app_id)
-            self._telemetry.slo.record_deadline_miss(comm.app_id)
             self._telemetry.flight.trigger(
                 "deadline",
                 self.sim.now,

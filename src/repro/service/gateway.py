@@ -327,13 +327,8 @@ class ServiceGateway:
         route = f"{request.method} {request.path}"
         self._series(self._m_requests, route=route, code=status).inc()
 
-    def _count_rejection(
-        self, reason: str, qos: str, tenant: Optional[str] = None
-    ) -> None:
+    def _count_rejection(self, reason: str, qos: str) -> None:
         self._series(self._m_rejections, reason=reason, qos=qos).inc()
-        if reason == "brownout":
-            # An SLO event of the tenant (admission books its own sheds).
-            self.telemetry.slo.record_shed(tenant)
 
     # ------------------------------------------------------------------
     # tenant management (provider side)
@@ -477,7 +472,7 @@ class ServiceGateway:
 
         # 1. brownout: deployment-wide graceful shedding by class.
         if self.brownout.sheds(qos):
-            self._count_rejection("brownout", qos, account.tenant_id)
+            self._count_rejection("brownout", qos)
             raise self._shed_error(qos)
         # 2. per-tenant token-bucket rate limit.
         if not session.bucket.try_take(now):
@@ -646,7 +641,6 @@ class ServiceGateway:
             return
         record.retries = attempt + 1
         self._series(self._m_retries, qos=record.qos).inc()
-        self.telemetry.slo.record_retry(record.tenant)
         self.sim.call_in(delay, lambda: self._attempt(record, attempt + 1))
 
     def _buffer(self, session: _Session, buffer_id: int):
@@ -768,7 +762,7 @@ class ServiceGateway:
         elif record.probe:
             self._breaker(session, CircuitBreaker.abandon, now)
         if reason is not None:
-            self._count_rejection(reason, record.qos, record.tenant)
+            self._count_rejection(reason, record.qos)
         if state is RequestState.TIMED_OUT:
             self._series(self._m_timeouts, qos=record.qos).inc()
         elif state is RequestState.OK:
@@ -953,9 +947,37 @@ class ServiceGateway:
     def _route_slo(
         self, session: _Session, request: GatewayRequest
     ) -> Dict[str, object]:
-        report = self.telemetry.slo.report()
-        tenant_report = report.get(session.account.tenant_id, {})
-        return {"tenant": session.account.tenant_id, "slo": tenant_report}
+        """The tenant's SLO account: a query over the series the service
+        already keeps, each key read from one of them."""
+        account = session.account
+        tenant = account.tenant_id
+        metrics = self.telemetry.metrics
+
+        def summed(name: str, **labels: object) -> int:
+            counter = metrics.get(name)
+            return int(counter.total(app=tenant, **labels)) if counter else 0
+
+        # Absent until the deployment's first communicator exists.
+        durations = metrics.get("mccs_collective_duration_seconds")
+        busy = durations.total(app=tenant) if durations else 0.0
+        moved = summed("mccs_collective_bytes_total")
+        return {
+            "tenant": tenant,
+            "slo": {
+                "qos_class": account.quota.qos_class,
+                "completed": durations.count(app=tenant) if durations else 0,
+                "bytes_moved": moved,
+                "goodput_bytes_per_s": moved / busy if busy > 0 else 0.0,
+                "latency_s": {
+                    key: durations.quantile(q, app=tenant) if durations else 0.0
+                    for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
+                },
+                "deadline_misses": summed("mccs_collective_deadlines_total"),
+                "retries": summed("mccs_collectives_retried_total"),
+                "sheds": summed("mccs_admission_total", decision="shed"),
+                "aborts": summed("mccs_collectives_aborted_total"),
+            },
+        }
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:

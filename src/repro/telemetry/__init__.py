@@ -6,7 +6,9 @@ traffic, reconfiguration cost.  This package is that provider-side
 telemetry plane for the reproduction:
 
 * :mod:`metrics`   — Prometheus-style counters/gauges/histograms on the
-  simulated clock.
+  simulated clock; every latency and shed is counted once, here, and a
+  tenant's SLO account is a query over these series (bucket quantiles
+  included), not a store of its own.
 * :mod:`causal`    — the one record per collective: its causal tree,
   critical-path attribution, the flight recorder.
 * :mod:`spans`     — the timeline vocabulary, rendered at export time:

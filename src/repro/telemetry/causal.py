@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..netsim.engine import FlowSimulator
     from ..netsim.flows import Flow
     from .events import EventLog
-    from .metrics import BoundCounter, MetricsRegistry
+    from .metrics import MetricsRegistry
 
 #: Flight-recorder dumps kept (a ring; older dumps are evicted).
 MAX_DUMPS = 16
@@ -373,7 +373,6 @@ class CausalTracer:
     def __init__(
         self,
         sim: "FlowSimulator",
-        metrics: "MetricsRegistry",
         *,
         max_closed: int = 512,
     ) -> None:
@@ -385,15 +384,6 @@ class CausalTracer:
         self._ids = itertools.count(1)
         self.traces_started = 0
         self.traces_closed = 0
-        self._traces_total = metrics.counter(
-            "mccs_traces_total",
-            "Causal traces opened, one per issued collective.",
-        )
-        self._traces_open = metrics.gauge(
-            "mccs_traces_open",
-            "Causal traces currently open (issued, not yet terminal).",
-        ).labels()
-        self._traces_by_tenant: Dict[str, "BoundCounter"] = {}
         sim.add_observer(self)
 
     # ------------------------------------------------------------------
@@ -416,13 +406,6 @@ class CausalTracer:
             trace_id, tenant, comm_id, seq, kind, nbytes, strategy_version, now
         )
         self.traces_started += 1
-        opened = self._traces_by_tenant.get(tenant)
-        if opened is None:
-            opened = self._traces_by_tenant[tenant] = (
-                self._traces_total.labels(tenant=tenant)
-            )
-        opened.inc()
-        self._traces_open.set(len(self._live))
         return trace
 
     def close(
@@ -443,7 +426,6 @@ class CausalTracer:
         trace.status = status
         self._closed.append(trace)
         self.traces_closed += 1
-        self._traces_open.set(len(self._live))
 
     # ------------------------------------------------------------------
     # queries

@@ -105,9 +105,6 @@ def json_snapshot(hub: "TelemetryHub") -> Dict[str, object]:
         },
         "links": hub.network.utilization_snapshot(),
     }
-    slo_report = hub.slo.report()
-    if slo_report:
-        out["slo"] = slo_report
     if hub.flight.dumps():
         out["flight"] = hub.flight.to_dict()
     return out

@@ -8,7 +8,8 @@ reconfiguration session and decision event lands in the same place.
 ``MccsDeployment.telemetry()`` hands it to callers; the exporters in
 :mod:`repro.telemetry.exporters` render it.  Spans are one of those
 renderings, never a store: ``hub.spans`` draws them from the causal ring
-and the session ring on every read.
+and the session ring on every read.  A tenant's SLO account is another:
+the gateway's ``GET /v1/slo`` reads it from the registry's series.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .exporters import chrome_trace, json_snapshot, prometheus_text
 from .metrics import MetricsRegistry
 from .ringbuffer import RingBuffer
 from .sampler import NetworkTelemetry
-from .slo import SloTracker
 from .spans import SpanWindow
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -48,9 +48,8 @@ class TelemetryHub:
         self.metrics = MetricsRegistry()
         self.sessions = RingBuffer(SESSIONS_KEPT)
         self.events = EventLog(MAX_EVENTS)
-        self.slo = SloTracker(self.metrics)
         self.network = NetworkTelemetry(sim, self.metrics)
-        self.causal = CausalTracer(sim, self.metrics)
+        self.causal = CausalTracer(sim)
         self.spans = SpanWindow(self.sessions, self.causal)
         self.flight = FlightRecorder(self.causal, self.metrics, self.events)
         self._resilience_provider: Optional[

@@ -75,8 +75,11 @@ class Counter:
     def value(self, **labels: object) -> float:
         return self._values.get(_label_key(labels), 0.0)
 
-    def total(self) -> float:
-        return sum(self._values.values())
+    def total(self, **labels: object) -> float:
+        """Sum of every series, or of those whose label sets include
+        ``labels`` (``total(app="a")`` adds up app ``a``'s series)."""
+        wanted = set(_label_key(labels))
+        return sum(v for key, v in self._values.items() if wanted.issubset(key))
 
     def samples(self) -> List[Tuple[Dict[str, str], float]]:
         return [(dict(key), value) for key, value in sorted(self._values.items())]
@@ -165,6 +168,23 @@ class Histogram:
         if state is None or state.count == 0:
             return None
         return state.sum / state.count
+
+    def quantile(self, q: float, **labels: object) -> float:
+        """Estimate of the ``q``-quantile of one series, as Prometheus
+        ``histogram_quantile`` computes it: linear interpolation within the
+        bucket holding rank ``q * count`` (the first bucket starts at 0),
+        the last finite bound when that rank falls in +Inf, and 0.0 for an
+        empty series."""
+        state = self._states.get(_label_key(labels))
+        if state is None or state.count == 0:
+            return 0.0
+        rank = q * state.count
+        below, lower = 0, 0.0
+        for upper, n in zip(self.buckets, state.bucket_counts):
+            if below + n >= rank:
+                return lower + (upper - lower) * (rank - below) / n if n else lower
+            below, lower = below + n, upper
+        return self.buckets[-1]
 
     def bucket_counts(self, **labels: object) -> List[Tuple[float, int]]:
         """Cumulative (upper_bound, count) pairs, ending with +Inf."""

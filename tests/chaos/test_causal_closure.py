@@ -88,13 +88,18 @@ def assert_traces_closed(result: dict) -> None:
     assert unfinished == [], f"open spans under plan [{plan_text}]: {unfinished}"
     assert sum(r["category"] == "collective" for r in records) == len(closed)
 
-    # The metrics agree with the tracer's own books.
-    total = hub.metrics.get("mccs_traces_total")
-    open_gauge = hub.metrics.get("mccs_traces_open")
-    if total is not None:
-        assert total.total() == tracer.traces_started
-    if open_gauge is not None:
-        assert open_gauge.value() == 0
+    # The metrics agree with the tracer's own books: one trace per issued
+    # collective, and at quiescence every issued one completed or aborted.
+    def total(name):
+        counter = hub.metrics.get(name)
+        return counter.total() if counter is not None else 0.0
+
+    issued = total("mccs_collectives_issued_total")
+    assert issued == tracer.traces_started
+    finished = total("mccs_collectives_completed_total") + total(
+        "mccs_collectives_aborted_total"
+    )
+    assert issued - finished == 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)

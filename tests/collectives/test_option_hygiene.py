@@ -84,6 +84,11 @@ RETIRED = re.compile(
     r"|total_memcpy_bytes|\bcollective_count\b|\.progress\(|def dec\(|\.gauges\(\)"
     # per-experiment artifact writers, replaced by ``--out``
     r"|MCCS_[A-Z]+_OUT|OUT_ENV|export_artifacts|trace_out"
+    # the SLO store and the series that repeated others; the account is a
+    # registry query
+    r"|SloTracker|SLO_WINDOW|class_resolver|record_completion|record_shed"
+    r"|record_deadline_miss|mccs_traces_total|mccs_traces_open|mccs_shed_total"
+    r"|mccs_slo_"
 )
 
 #: What only the one artifact writer may do under ``experiments/``.

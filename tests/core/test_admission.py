@@ -42,8 +42,10 @@ def test_tenant_quota_sheds_typed_and_counts(
     deployment.run()
     assert second.completed
     metrics = deployment.telemetry().metrics
-    assert metrics.counter("mccs_shed_total").total() == 1
-    assert metrics.counter("mccs_admission_total").total() == 3
+    admissions = metrics.counter("mccs_admission_total")
+    assert admissions.total(decision="shed") == 1
+    assert admissions.total(app="A", qos="low", decision="shed") == 1
+    assert admissions.total() == 3
     [shed] = deployment.telemetry().events.events("admission_shed")
     assert shed.attrs["qos"] == "low" and "tenant quota" in shed.message
 

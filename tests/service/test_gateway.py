@@ -253,6 +253,97 @@ def test_brownout_sheds_low_not_high(deployment):
     assert kept.response is None  # queued, not shed (high survives)
 
 
+# -- the SLO account ----------------------------------------------------------
+def _slo(deployment, client):
+    call = client.slo()
+    deployment.run()
+    assert call.ok
+    return call.response.body["slo"]
+
+
+def _run_collectives(deployment, client, comm_id, sizes):
+    for nbytes in sizes:
+        call = client.collective(comm_id, nbytes)
+        deployment.run()
+        assert call.ok
+
+
+def test_slo_reports_the_tenants_own_class_without_admission(
+    gateway, transport, deployment
+):
+    assert deployment.admission is None
+    high = _client(gateway, transport, tenant="hi", qos_class="high")
+    low = _client(gateway, transport, tenant="lo", qos_class="low")
+    for client in (high, low):
+        _run_collectives(deployment, client, _setup_comm(deployment, client), [256])
+    assert _slo(deployment, high)["qos_class"] == "high"
+    assert _slo(deployment, low)["qos_class"] == "low"
+
+
+def test_slo_median_of_two_lies_in_the_smaller_samples_bucket(
+    gateway, transport, deployment
+):
+    client = _client(gateway, transport)
+    comm_id = _setup_comm(deployment, client)
+    _run_collectives(deployment, client, comm_id, [256, 64 << 20])
+    small, large = sorted(r.duration() for r in deployment.trace(comm_id).records)
+    buckets = deployment.telemetry().metrics.get(
+        "mccs_collective_duration_seconds"
+    ).buckets
+    lower, upper = next(
+        (lo, hi) for lo, hi in zip((0.0,) + buckets, buckets) if small <= hi
+    )
+    assert large > upper  # the two completions land in different buckets
+    assert lower < _slo(deployment, client)["latency_s"]["p50"] <= upper
+
+
+def test_slo_account_reads_each_key_from_one_series(gateway, transport, deployment):
+    acme = _client(gateway, transport, qos_class="low")
+    other = _client(gateway, transport, tenant="other")
+    assert _slo(deployment, acme)["completed"] == 0  # no series yet: zeros
+    comm_id = _setup_comm(deployment, acme)
+    _run_collectives(deployment, acme, comm_id, [256, 1 << 20])
+    _run_collectives(deployment, other, _setup_comm(deployment, other), [4096])
+    # The rare paths, booked where failure handling and admission book
+    # them, over several kinds and classes and for another tenant too.
+    metrics = deployment.telemetry().metrics
+    for name, labels, n in (
+        ("mccs_collectives_aborted_total", {"kind": "all_reduce"}, 2),
+        ("mccs_collectives_aborted_total", {"kind": "all_gather"}, 1),
+        ("mccs_collective_deadlines_total", {}, 3),
+        ("mccs_collectives_retried_total", {"kind": "all_reduce"}, 4),
+        ("mccs_collectives_retried_total", {"kind": "broadcast"}, 1),
+        ("mccs_admission_total", {"qos": "low", "decision": "shed"}, 5),
+        ("mccs_admission_total", {"qos": "high", "decision": "shed"}, 1),
+        ("mccs_admission_total", {"qos": "low", "decision": "admit"}, 7),
+    ):
+        metrics.counter(name).inc(n, app="acme", **labels)
+        metrics.counter(name).inc(100, app="other", **labels)
+
+    account = _slo(deployment, acme)
+    records = deployment.trace(comm_id).records
+    busy = sum(r.duration() for r in records)
+    moved = sum(r.out_bytes for r in records)
+    durations = metrics.get("mccs_collective_duration_seconds")
+    assert account == {
+        "qos_class": "low",
+        "completed": durations.count(app="acme"),
+        "bytes_moved": moved,
+        "goodput_bytes_per_s": pytest.approx(moved / busy),
+        "latency_s": {
+            key: durations.quantile(q, app="acme")
+            for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
+        },
+        "deadline_misses": 3,
+        "retries": 5,
+        "sheds": 6,
+        "aborts": 3,
+    }
+    assert durations.count(app="acme") == len(records) == 2
+    assert durations.total(app="acme") == pytest.approx(busy)
+    assert metrics.get("mccs_collective_bytes_total").total(app="acme") == moved
+
+
 # -- bulkhead isolation -------------------------------------------------------
 def test_bulkhead_zero_width_tenant_cannot_starve_others(gateway, transport, deployment):
     stuck = _client(gateway, transport, tenant="stuck", rate=100.0, burst=50.0,

@@ -80,6 +80,83 @@ def test_histogram_per_label_streams_are_independent():
     assert h.mean() is None
 
 
+def test_counter_total_selects_by_label_subset():
+    c = Counter("aborted_total", "")
+    c.inc(app="A", kind="all_reduce")
+    c.inc(2.0, app="A", kind="all_gather")
+    c.inc(app="AB", kind="all_reduce")
+    assert c.total(app="A") == 3.0  # both kinds, not the "AB" series
+    assert c.total(app="A", kind="all_gather") == 2.0
+    assert c.total(kind="all_reduce") == 2.0
+    assert c.total(app="missing") == 0.0
+    assert c.total() == 4.0
+
+
+# -- Histogram.quantile: Prometheus histogram_quantile ------------------------
+def test_quantile_of_an_empty_histogram_is_zero():
+    h = Histogram("d", "", buckets=(1.0, 2.0))
+    assert h.quantile(0.5) == 0.0
+    assert h.quantile(0.99, app="never-observed") == 0.0
+
+
+def test_quantile_interpolates_within_one_bucket():
+    """Four samples in (1, 2]: rank q * 4 is spread linearly over it."""
+    h = Histogram("d", "", buckets=(1.0, 2.0, 4.0))
+    for v in (1.1, 1.2, 1.3, 1.9):
+        h.observe(v)
+    assert h.quantile(0.5) == pytest.approx(1.5)
+    assert h.quantile(0.25) == pytest.approx(1.25)
+    assert h.quantile(1.0) == pytest.approx(2.0)
+
+
+def test_quantile_first_bucket_starts_at_zero():
+    h = Histogram("d", "", buckets=(1.0, 2.0))
+    h.observe(0.9)
+    h.observe(0.1)
+    assert h.quantile(0.5) == pytest.approx(0.5)
+
+
+def test_quantile_interpolates_across_a_bucket_boundary():
+    """Ranks past the first bucket's count land in the next bucket."""
+    h = Histogram("d", "", buckets=(1.0, 2.0, 4.0))
+    h.observe(0.5)  # (0, 1]
+    h.observe(3.0)  # (2, 4]
+    h.observe(3.5)
+    h.observe(4.0)  # le: the bound itself lands in (2, 4]
+    # rank 0.5 * 4 = 2: one past the first bucket's 1, of 3 in (2, 4].
+    assert h.quantile(0.5) == pytest.approx(2.0 + 2.0 * 1 / 3)
+    # rank 0.25 * 4 = 1 is exactly the first bucket's count: its bound.
+    assert h.quantile(0.25) == pytest.approx(1.0)
+    # Two samples in different buckets: the median is in the smaller's.
+    two = Histogram("d", "", buckets=(1.0, 2.0, 4.0))
+    two.observe(0.002)
+    two.observe(3.0)
+    assert 0.0 < two.quantile(0.5) <= 1.0
+
+
+def test_quantile_in_the_inf_bucket_is_the_last_finite_bound():
+    h = Histogram("d", "", buckets=(1.0, 2.0))
+    h.observe(0.5)
+    h.observe(50.0)
+    h.observe(60.0)
+    assert h.quantile(0.99) == 2.0
+    assert h.quantile(0.5) == 2.0  # rank 1.5 is past the finite buckets
+    assert h.quantile(0.2) == pytest.approx(0.6)
+
+
+def test_quantile_selects_one_label_set():
+    h = Histogram("d", "", buckets=(1.0, 2.0, 4.0))
+    h.observe(0.5, app="A")
+    h.observe(3.0, app="B")
+    h.observe(3.0, app="B")
+    assert h.quantile(0.5, app="A") == pytest.approx(0.5)
+    assert h.quantile(0.5, app="B") == pytest.approx(3.0)
+    assert h.quantile(0.5) == 0.0  # the unlabelled series is empty
+    bound = h.labels(app="B")
+    bound.observe(0.5)
+    assert h.quantile(1 / 3, app="B") == pytest.approx(1.0)
+
+
 def test_histogram_validates_bounds():
     with pytest.raises(ValueError):
         Histogram("d", "", buckets=())

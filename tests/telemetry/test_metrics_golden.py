@@ -2,7 +2,8 @@
 
 ``data/metrics_golden.json`` was captured at the commit *before* observers
 became batch-first and metric updates moved to pre-bound label handles
-(``python tests/telemetry/test_metrics_golden.py`` rewrites it).  One
+(``python tests/telemetry/test_metrics_golden.py`` rewrites it); a
+rewrite that deletes or adds series leaves every other series equal.  One
 scripted scenario touches every per-flow and per-collective update site —
 collectives with payload, a mid-stream reconfiguration, a p2p transfer, a
 gated flow, a cancelled flow, a failed flow — and the registry snapshot
@@ -89,7 +90,6 @@ def run_scenario() -> MccsDeployment:
     hub = dep.telemetry()
     hub.network.publish_perf_counters()
     hub.network.publish_program_cache()
-    hub.slo.publish()
     return dep
 
 

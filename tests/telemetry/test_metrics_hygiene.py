@@ -80,14 +80,15 @@ def test_sources_register_metrics():
     """The scan itself must see the fleet — guards against ast drift."""
     names = {s["name"] for s in _registrations()}
     # Spot-check one metric per PR era: seed, reconfig, faults, autotune,
-    # causal tracing.  If any disappears the scan (or the metric) broke.
+    # causal tracing, SLO accounting.  If any disappears the scan (or the
+    # metric) broke.
     for expected in (
         "mccs_shim_calls_total",
         "mccs_barrier_stall_seconds",
         "mccs_recovery_seconds",
         "mccs_autotune_observations_total",
-        "mccs_traces_total",
-        "mccs_slo_latency_p99_seconds",
+        "mccs_flight_dumps_total",
+        "mccs_collective_bytes_total",
     ):
         assert expected in names, f"scan no longer finds {expected}"
     assert len(names) > 40

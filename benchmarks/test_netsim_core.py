@@ -21,12 +21,14 @@ archive the trend:
   random-placement run and the wall clock measured now.
 
 * ``telemetry_overhead``: the causal tracer's exact per-flow work on a
-  fixed 2 000-flow run (rate-recorder calls and ``RateSegment``s per
-  flow — the gate), and the traced/untraced wall ratio (recorded only).
+  fixed 2 000-flow run (rate hand-offs from the engine — one per
+  recomputation that moved a traced flow — and ``RateSegment``s per flow:
+  the gate; ``recorder_calls_per_flow`` names the hand-offs), and the
+  traced/untraced wall ratio (recorded only).
 * ``steady_state``: one ``small_allreduce`` collective's flows (8 ranks x
-  2 channels on the testbed fabric, as 8 rank batches) replayed on one
-  simulator and drained 200 times, with the exact solver memo hits,
-  rate recomputations, heap pushes and completions (the gate).
+  2 channels on the testbed fabric, the one batch a deployment injects)
+  replayed on one simulator and drained 200 times, with the exact solver
+  memo hits, rate recomputations, heap pushes and completions (the gate).
 
 The final test replays :mod:`benchmarks.compare_bench` in-process and
 fails if ``rate_recomputations``, ``flows_completed``, the tracer's
@@ -309,30 +311,31 @@ def _traced_event_loop(num_flows: int, traced: bool, work: dict = None) -> float
 
 
 def _tracer_work(num_flows: int) -> dict:
-    """What the tracer does per flow on the traced workload: rate-recorder
-    calls and ``RateSegment``s recorded.  The workload is seeded, so both
-    are exact on any host."""
+    """What the tracer does per flow on the traced workload: rate hand-offs
+    from the engine (one per recomputation that moved a traced flow) and
+    ``RateSegment``s recorded.  The workload is seeded, so both are exact
+    on any host."""
     from repro.telemetry import causal
 
     work = {"recorder_calls": 0, "segments": 0}
-    original = causal._BoundRecorder.on_rate_change
+    original = causal.CausalTracer.on_rates_changed
 
-    def counted(self, flow, now, rate, bottleneck) -> None:
+    def counted(self, flows, rates, bottleneck_link_idx, now) -> None:
         work["recorder_calls"] += 1
-        original(self, flow, now, rate, bottleneck)
+        original(self, flows, rates, bottleneck_link_idx, now)
 
-    causal._BoundRecorder.on_rate_change = counted
+    causal.CausalTracer.on_rates_changed = counted
     try:
         _traced_event_loop(num_flows, traced=True, work=work)
     finally:
-        causal._BoundRecorder.on_rate_change = original
+        causal.CausalTracer.on_rates_changed = original
     return work
 
 
 def test_telemetry_overhead():
     """The cost of always-on causal tracing, gated on a count.
 
-    The gate is the tracer's exact per-flow work (recorder calls and
+    The gate is the tracer's exact per-flow work (rate hand-offs and
     segments per flow), which ``compare_bench.py`` holds ``==`` to the
     committed file.  The wall ratio is recorded beside it but asserted
     nowhere: it reads -3...19 % for the same code on a shared host.  It
@@ -367,9 +370,9 @@ def test_telemetry_overhead():
     print(
         f"\ntelemetry overhead @ {num_flows} flows: off {off:.3f}s, "
         f"on {on:.3f}s ({100 * overhead:+.1f}%); per flow "
-        f"{calls:.4f} recorder calls, {segments:.4f} segments"
+        f"{calls:.4f} rate hand-offs, {segments:.4f} segments"
     )
-    assert 0 < segments <= calls
+    assert 0 < calls <= segments
 
 
 #: Rounds of the steady-state point.
@@ -378,8 +381,8 @@ STEADY_ROUNDS = 200
 
 def _small_allreduce_batches():
     """The launch batches of one ``small_allreduce`` collective — a 64 KiB
-    ring AllReduce over the testbed's 8 GPUs on 2 channels — as a
-    deployment injects them, and the fabric they run on."""
+    ring AllReduce over the testbed's 8 GPUs on 2 channels, one batch —
+    as a deployment injects them, and the fabric they run on."""
     from repro import MccsDeployment, testbed_cluster
     from repro.netsim.engine import SimObserver
 
@@ -388,7 +391,9 @@ def _small_allreduce_batches():
             self.batches = []
 
         def on_flows_added(self, flows, now) -> None:
-            self.batches.append([(f.size, f.path, f.channel) for f in flows])
+            self.batches.append(
+                [(f.size, f.path, f.channel, f.rank) for f in flows]
+            )
 
     cluster = testbed_cluster()
     dep = MccsDeployment(cluster, ecmp_seed=0)
@@ -406,7 +411,7 @@ def test_steady_state():
     """A collective repeated on one communicator: after the first round
     every scalar solve is answered from the solver's memo."""
     topology, batches = _small_allreduce_batches()
-    assert [len(batch) for batch in batches] == [2] * 8
+    assert [len(batch) for batch in batches] == [16]
     sim = FlowSimulator(topology)
     t0 = time.perf_counter()
     for _ in range(STEADY_ROUNDS):

@@ -7,8 +7,10 @@ stream that serializes the communicator's collectives (§4.1), and the
 per-strategy-version connection tables.
 
 A :class:`CollectiveInstance` is one issued collective.  Crucially, its
-traffic is injected **per rank**: each rank's proxy engine launches its
+traffic is launched **per rank**: each rank's proxy engine launches its
 own share of the flows using *that proxy's* current strategy version.
+Ranks that launch at one instant share one launch event and enter the
+network as one batch, exactly as if each had its own.
 This is what makes the Figure 4 synchronization hazard expressible — with
 the barrier disabled, rank 0 can launch collective ``seq=1`` on the old
 ring while ranks 1 and 2 launch it on the new one, and the instance is
@@ -170,6 +172,10 @@ class CollectiveInstance:
     #: The strategy the ranks launched under (the one, when consistent).
     launch_strategy: Optional[CollectiveStrategy] = None
     _launched: Set[int] = field(default_factory=set)
+    #: This collective's launch event while ranks may still join it:
+    #: (event sequence number, (due time, attempt), [(rank, strategy,
+    #: transfers), ...]); None once it fired.
+    _launch_group: Optional[tuple] = None
     _injected_ranks: Set[int] = field(default_factory=set)
     # failure state
     #: True once the collective was terminated without completing.
@@ -230,8 +236,8 @@ class CollectiveInstance:
 
     def rank_launch(self, rank: int, strategy: CollectiveStrategy) -> None:
         """Called by rank ``rank``'s proxy engine when it launches this
-        collective under ``strategy``.  Injects that rank's flows after
-        the fixed datapath latency."""
+        collective under ``strategy``.  Injects that rank's flows after the
+        fixed datapath latency, in one event with the other ranks due then."""
         if self.aborted:
             return
         if rank in self._launched:
@@ -259,63 +265,98 @@ class CollectiveInstance:
              self.kind, self.out_bytes, self.root, rank), resolve
         )
         fixed = comm.latency.collective_latency(steps)
-        attempt = self.attempts
+        sim, member = comm.sim, (rank, strategy, transfers)
+        due = (sim.now + fixed, self.attempts)
+        group = self._launch_group
+        if group is not None and group[0] == sim.last_event_seq and group[1] == due:
+            # This collective's last launch event is due at the same
+            # instant and nothing was scheduled after it: the two launches
+            # would fire back to back, so this rank joins that event.
+            group[2].append(member)
+            return
+        attempt, members = self.attempts, [member]
+        seq = sim.call_in(fixed, lambda: self._launch(attempt, members))
+        self._launch_group = (seq, due, members)
 
-        def deferred() -> None:
+    def _launch(self, attempt: int, members: List[tuple]) -> None:
+        """One launch event: inject the ``(rank, strategy, transfers)``
+        launched at one instant, in order, as one batch (rank by rank while
+        a link is down), with the outcome of one event per rank: a rank whose
+        path is broken fails after the ranks before it entered the network."""
+        if self._launch_group is not None and self._launch_group[2] is members:
+            self._launch_group = None
+        comm = self.comm
+        ready: List[tuple] = []
+        for rank, strategy, transfers in members:
             if self.aborted or self.attempts != attempt:
                 # Aborted (or reset for retry) while the launch was in
                 # flight: drop it, but balance the datapath refcount.
                 comm.datapath.release(strategy.version, comm.strategy.version)
-                return
+                continue
+            if self.start_time is None:
+                self.start_time = comm.sim.now
+                self.annotate(EVENT_FIRST_FLOW_START)
+            # Every edge is established first, so a broken path fails the
+            # rank before any of its flows exists.
             try:
-                self._inject_rank(rank, strategy, transfers)
+                gpus = comm.gpus
+                table, selector = comm.datapath.table_for(strategy, gpus)
+                src = gpus[rank]
+                batch = [
+                    (t.nbytes, table.establish_edge(
+                        src, gpus[t.dst_rank], t.channel, selector
+                    ).path, t.channel, rank)
+                    for t in transfers
+                    if t.nbytes > 0
+                ]
             except (FaultError, NoPathError) as exc:
-                # Injection hit broken infrastructure (down link, dead
-                # NIC, crashed host, or a partition with no surviving
-                # path): balance the refcount and surface the failure
-                # instead of crashing the event loop.
-                comm.datapath.release(strategy.version, comm.strategy.version)
-                self.rank_failed(rank, exc)
+                self._inject(ready)
+                ready = []
+                self._launch_failed(rank, strategy, exc)
+                continue
+            ready.append((rank, strategy, batch))
+            if comm.sim.topology.any_link_down:
+                # A cached connection may cross it and fail ``add_flows``;
+                # alone, that rank's failure touches no later rank's edges.
+                self._inject(ready)
+                ready = []
+        self._inject(ready)
 
-        comm.sim.call_in(fixed, deferred)
-
-    def _inject_rank(
-        self, rank: int, strategy: CollectiveStrategy, transfers: Sequence[RankTransfer]
+    def _launch_failed(
+        self, rank: int, strategy: CollectiveStrategy, error: BaseException
     ) -> None:
+        """Broken infrastructure (down link, dead NIC, crashed host, or a
+        partition with no surviving path) fails the rank instead of
+        crashing the event loop."""
+        self.comm.datapath.release(strategy.version, self.comm.strategy.version)
+        self.rank_failed(rank, error)
+
+    def _inject(self, ready: List[tuple]) -> None:
+        """Put ``ready``'s ``(rank, strategy, batch)`` through one ``add_flows``."""
+        if not ready:
+            return
         comm = self.comm
-        if self.start_time is None:
-            self.start_time = comm.sim.now
-            self.annotate(EVENT_FIRST_FLOW_START)
-        table, selector = comm.datapath.table_for(strategy, comm.gpus)
-        gpus = comm.gpus
-        src = gpus[rank]
-        # The rank's whole program enters the network as one batch: every
-        # edge is established first, so a broken path fails the rank
-        # before any of its flows exists.
-        batch = [
-            (
-                t.nbytes,
-                table.establish_edge(
-                    src, gpus[t.dst_rank], t.channel, selector
-                ).path,
-                t.channel,
-            )
-            for t in transfers
-            if t.nbytes > 0
-        ]
-        if batch:
+        try:
             flows = comm.sim.add_flows(
-                batch,
+                [transfer for _, _, batch in ready for transfer in batch],
                 job_id=comm.app_id,
-                tags={"rank": rank, "trace": self.trace},
+                tags={"trace": self.trace},
                 on_complete=self._flow_done,
                 on_fail=self._flow_failed,
             )
+        except (FaultError, NoPathError) as exc:
+            # A cached connection crosses a down link; ``ready`` is then one
+            # rank, and ``add_flows`` is all-or-nothing.
+            rank, strategy, _ = ready[0]
+            self._launch_failed(rank, strategy, exc)
+            return
+        if flows:
             self._live_flows.update(flows)
             comm.gate.register(flows)
-        self._injected_ranks.add(rank)
-        comm.datapath.release(strategy.version, comm.strategy.version)
-        if not batch:
+        for rank, strategy, _ in ready:
+            self._injected_ranks.add(rank)
+            comm.datapath.release(strategy.version, comm.strategy.version)
+        if not flows:
             self._maybe_complete()
 
     def _flow_done(self, flow: Flow, now: float) -> None:
@@ -327,7 +368,7 @@ class CollectiveInstance:
     def _flow_failed(self, flow: Flow, now: float, error: BaseException) -> None:
         """Failure target shared by every flow of this collective."""
         self._live_flows.discard(flow)
-        self.rank_failed(flow.tags["rank"], error)
+        self.rank_failed(flow.rank, error)
 
     def _maybe_complete(self) -> None:
         if (

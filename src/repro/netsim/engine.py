@@ -13,10 +13,11 @@ shares one coherent notion of time.
 
 There is one event loop, one solver and one rate-recompute path.  A
 persistent :class:`~repro.netsim.fairness.IncrementalFairnessSolver`
-absorbs flow churn in O(Δ), completions come from a heap of ETAs under a
-*virtual-byte clock* (each flow's ``remaining`` is exact as of
-``flow._synced`` and derived lazily as
-``remaining - rate * (now - _synced)`` until its rate changes), and
+absorbs flow churn in O(Δ) and holds each in-network flow's data plane in
+the flow's one solver slot, completions come from a heap of ETAs under a
+*virtual-byte clock* (each flow's ``remaining`` is exact as of its slot's
+``synced`` time and derived lazily as
+``remaining - rate * (now - synced)`` until its rate changes), and
 heap entries are invalidated by bumping ``flow._heap_epoch`` whenever a
 rate moves.  Per event the loop touches only the flows whose allocation
 actually changed.  :func:`~repro.netsim.fairness.progressive_filling` is
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import LinkDownError, SimulationError
 from .fairness import IncrementalFairnessSolver
-from .flows import Flow, FlowArena
+from .flows import Flow
 from .topology import Topology
 
 # Completion slack: flows within this many bytes of done are completed.
@@ -49,21 +50,22 @@ class SimObserver:
     """No-op base class for :class:`FlowSimulator` observers.
 
     Observers are the engine's telemetry hook: they see every flow enter
-    and leave the network, every gate transition, and every rate
-    recomputation, without being able to perturb the simulation.  The
-    telemetry layer's link-utilization sampler
-    (:class:`repro.telemetry.sampler.NetworkTelemetry`) is the main
-    implementation; subclass and override what you need.
+    and leave the network, every gate transition, and every traced flow's
+    rate change, without being able to perturb the simulation.
 
     The contract is batch-first.  Flows enter and complete in batches and
     the engine makes one call per batch per observer:
 
     * ``on_flows_added(flows, now)`` — one :meth:`FlowSimulator.add_flows`
-      launch batch (never empty); its flows share ``job_id`` and the
-      ``tags`` dict and are already in the network.
+      launch batch (never empty), e.g. a collective's same-instant rank
+      launches; its flows share ``job_id`` and ``tags`` and are already
+      in the network.
     * ``on_flows_completed(flows, now)`` — every flow that finished at the
       instant ``now``, in completion order; already out of the network,
       their ``on_complete`` callbacks not yet fired.
+    * ``on_rates_changed(flows, rates, bottleneck_link_idx, now)`` — the
+      traced flows (``_recorder`` set) a recomputation moved, in slot
+      order, their new rates and bottleneck link indices (``-1``: none).
 
     The rare transitions (cancel, fail, gate) stay per flow.
     """
@@ -83,7 +85,9 @@ class SimObserver:
     def on_flow_gated(self, flow: Flow, gated: bool, now: float) -> None:  # pragma: no cover
         pass
 
-    def on_rates_recomputed(self, now: float) -> None:  # pragma: no cover
+    def on_rates_changed(self, flows: Sequence[Flow], rates: Sequence[float],
+                         bottleneck_link_idx: Sequence[int],
+                         now: float) -> None:  # pragma: no cover
         pass
 
 
@@ -123,17 +127,18 @@ class FlowSimulator:
         self._links_of_path: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._events: List[Tuple[float, int, EventCallback]] = []
         self._event_seq = itertools.count()
+        #: Sequence number of the last event :meth:`schedule` issued.
+        self.last_event_seq = -1
         self._dirty = True
         self._observers: List[SimObserver] = []
         self.flows_completed = 0
         self.flows_cancelled = 0
         self.flows_failed = 0
         self.rate_recomputations = 0
+        # The solver's slot of a flow is its only slot: the solver's
+        # columns also hold remaining/rate/synced, so rate recomputations
+        # settle and re-anchor whole batches with numpy ops.
         self._solver = IncrementalFairnessSolver(self._capacities)
-        # Flat-array data plane: remaining/rate/synced of in-network flows
-        # live in one arena so rate recomputations settle and re-anchor
-        # whole batches with numpy ops.
-        self._arena = FlowArena()
         # Structural deltas absorbed beyond the first per recomputation:
         # k churn ops inside one sim timestep cost one solve, not k.
         self.solver_coalesced_solves = 0
@@ -177,7 +182,7 @@ class FlowSimulator:
 
     def add_flows(
         self,
-        transfers: Sequence[Tuple[float, Sequence[str], Optional[int]]],
+        transfers: Sequence[tuple],
         *,
         job_id: Optional[str] = None,
         weight: float = 1.0,
@@ -188,45 +193,47 @@ class FlowSimulator:
     ) -> List[Flow]:
         """Inject one launch batch at the current time.
 
-        ``transfers`` holds ``(size, path, channel)`` per flow — a rank's
-        compiled program, a connection's channel fan-out — and everything
-        else is common to the batch: the flows share ``job_id``,
-        ``weight``, the completion/failure targets and the ``tags`` dict
-        itself (not copied; read-only from here on).  Equivalent to one
-        :meth:`add_flow` per transfer, in order (same ids, rates and
-        completion times), at one route check per distinct path, one
-        structural delta in the solver and one observer call.
+        ``transfers`` holds ``(size, path, channel[, rank])`` per flow — a
+        collective's same-instant rank programs, a connection's channel
+        fan-out — and everything else is common to the batch: the flows
+        share ``job_id``, ``weight``, the completion/failure targets and
+        the ``tags`` dict itself (not copied; read-only from here on).
+        Equivalent to one :meth:`add_flow` per transfer, in order (same
+        ids, rates and completion times), at one route check per distinct
+        path, one structural delta in the solver and one observer call.
 
         All-or-nothing: raises :class:`LinkDownError` when any path
         crosses a link that is currently down (a stale connection caching
         a pre-fault route) before a single flow entered the network.
         """
-        routes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        # With a link down, each distinct path of the batch is checked once.
+        checked = {} if self.topology._down else self._links_of_path
         flows: List[Flow] = []
         number = self._flows_injected
-        for size, path, channel in transfers:
+        now = self.now
+        for transfer in transfers:
+            size, path, channel = transfer[0], transfer[1], transfer[2]
             path_t = tuple(path)
-            links = routes.get(path_t)
+            links = checked.get(path_t)
             if links is None:
-                links = routes[path_t] = self._checked_route(path_t)
+                links = checked[path_t] = self._checked_route(path_t)
             flow = Flow(
                 size, path_t, f"flow{number}", job_id, weight, gated,
                 on_complete, on_fail, tags, links,
             )
             flow.channel = channel
+            if len(transfer) > 3:
+                flow.rank = transfer[3]
+            flow.start_time = now
+            flow._synced = now
             flows.append(flow)
             number += 1
         if not flows:
             return flows
         # Numbered only now that the whole batch is good: ids stay dense.
         self._flows_injected = number
-        now = self.now
-        arena = self._arena
         active = self._active
         for flow in flows:
-            flow.start_time = now
-            flow._synced = now
-            flow._attach(arena)
             active[flow.flow_id] = flow
         self._solver.add_flows(flows)
         self._dirty = True
@@ -297,10 +304,9 @@ class FlowSimulator:
     def _remove_flow(self, flow: Flow) -> None:
         """Shared teardown of cancel/fail: settle, unplumb, mark dirty."""
         self._settle(flow)
-        self._solver.remove_flow(flow)
+        self._solver.remove_flows((flow,))
         flow._heap_epoch += 1
         self.heap_invalidations += 1
-        flow._detach()
         del self._active[flow.flow_id]
         self._dirty = True
 
@@ -429,16 +435,25 @@ class FlowSimulator:
     # ------------------------------------------------------------------
     # event management
     # ------------------------------------------------------------------
-    def schedule(self, when: float, callback: EventCallback) -> None:
-        """Run ``callback`` at absolute time ``when`` (clamped to now)."""
-        when = max(when, self.now)
-        heapq.heappush(self._events, (when, next(self._event_seq), callback))
+    def schedule(self, when: float, callback: EventCallback) -> int:
+        """Run ``callback`` at absolute time ``when`` (clamped to now).
 
-    def call_in(self, delay: float, callback: EventCallback) -> None:
-        """Run ``callback`` after ``delay`` seconds."""
+        Returns the event's sequence number, which is also
+        :attr:`last_event_seq` until the next event is scheduled.  Events
+        due at one instant fire in sequence order, so two events with
+        adjacent numbers and one due time fire back to back.
+        """
+        when = max(when, self.now)
+        seq = self.last_event_seq = next(self._event_seq)
+        heapq.heappush(self._events, (when, seq, callback))
+        return seq
+
+    def call_in(self, delay: float, callback: EventCallback) -> int:
+        """Run ``callback`` after ``delay`` seconds; returns the event's
+        sequence number (see :meth:`schedule`)."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        self.schedule(self.now + delay, callback)
+        return self.schedule(self.now + delay, callback)
 
     # ------------------------------------------------------------------
     # main loop
@@ -489,32 +504,24 @@ class FlowSimulator:
         self._recompute()
         self._dirty = False
         self.rate_recomputations += 1
-        for observer in self._observers:
-            observer.on_rates_recomputed(self.now)
 
     def _complete_flows(self, finishing: List[Flow]) -> None:
         completed: List[Flow] = []
         now = self.now
         active = self._active
-        arena = self._arena
         for flow in finishing:
             if flow.flow_id not in active:
                 continue
             flow.end_time = now
             del active[flow.flow_id]
             flow._heap_epoch += 1
-            # Inlined detach: the final data plane is known (all bytes
-            # delivered, anchored at now), so skip the settle-through-
-            # arena round trip and write the plain attributes directly.
-            flow._rate = float(arena.rate[flow._slot])
-            arena.release(flow._slot)
-            flow._arena = None
-            flow._slot = -1
-            flow._remaining = 0.0
-            flow._synced = now
             completed.append(flow)
         if completed:
             self._solver.remove_flows(completed)
+            for flow in completed:
+                # All bytes delivered, anchored at now.
+                flow._remaining = 0.0
+                flow._synced = now
             self.flows_completed += len(completed)
             self._dirty = True
             for observer in self._observers:
@@ -544,47 +551,47 @@ class FlowSimulator:
 
     def _settle(self, flow: Flow) -> None:
         """Materialize ``flow.remaining`` at the current clock value."""
-        arena = flow._arena
-        if arena is None:
+        solver = flow._arena
+        if solver is None:
             return  # already left the network: no further progress
         slot = flow._slot
-        synced = arena.synced[slot]
+        synced = solver.synced[slot]
         if synced < self.now:
             # ``flow.active`` inlined: this and the other hot-loop sites
             # below account for hundreds of thousands of property calls
             # per large run.
             if flow.end_time is None and not flow.gated:
-                rate = arena.rate[slot]
+                rate = solver.rate[slot]
                 if rate > 0:
-                    rem = arena.remaining[slot] - rate * (self.now - synced)
-                    arena.remaining[slot] = rem if rem > 0.0 else 0.0
-            arena.synced[slot] = self.now
+                    rem = solver.remaining[slot] - rate * (self.now - synced)
+                    solver.remaining[slot] = rem if rem > 0.0 else 0.0
+            solver.synced[slot] = self.now
 
     def _settle_all(self) -> None:
-        arena = self._arena
-        if len(self._active) < 8:
-            for flow in self._active.values():
-                self._settle(flow)
+        if not self._active:
             return
-        # Vectorized: one debit pass over the arena slots of every
-        # in-network flow (same IEEE expression as the scalar settle).
-        slots: List[int] = []
-        eligible: List[bool] = []
-        for flow in self._active.values():
-            slots.append(flow._slot)
-            eligible.append(flow.end_time is None and not flow.gated)
-        idx = np.asarray(slots, dtype=np.int64)
+        solver = self._solver
+        # One debit pass over every in-network slot (same IEEE expression
+        # as the scalar settle); a slot is in use exactly while its flow
+        # is in the network, and active exactly while that flow is ungated.
+        idx = np.flatnonzero(solver._in_use)
+        self._debit(solver, idx, solver._active[idx])
+
+    def _debit(self, solver, idx: np.ndarray, eligible: np.ndarray) -> np.ndarray:
+        """Settle slots ``idx`` (debited where ``eligible``) at now and
+        return their remaining bytes."""
         now = self.now
-        syn = arena.synced[idx]
-        rate = arena.rate[idx]
-        rem = arena.remaining[idx]
-        mask = np.asarray(eligible, dtype=bool) & (syn < now) & (rate > 0.0)
-        debited = np.maximum(rem - rate * (now - syn), 0.0)
-        arena.remaining[idx] = np.where(mask, debited, rem)
-        arena.synced[idx] = now
+        syn = solver.synced[idx]
+        rate = solver.rate[idx]
+        rem = solver.remaining[idx]
+        mask = eligible & (syn < now) & (rate > 0.0)
+        rem = np.where(mask, np.maximum(rem - rate * (now - syn), 0.0), rem)
+        solver.remaining[idx] = rem
+        solver.synced[idx] = now
+        return rem
 
     #: Changed-set size at which rate installation switches from the
-    #: per-flow loop to the vectorized arena batch.
+    #: per-flow loop to the vectorized batch.
     _BATCH_MIN = 16
 
     def _recompute(self) -> None:
@@ -596,14 +603,28 @@ class FlowSimulator:
         delta = solver.last_delta
         if delta > 1:
             self.solver_coalesced_solves += delta - 1
-        clist = changed.tolist()
-        # Indexing the solver's slot table directly replaces one
-        # ``flow_at`` method call per changed slot, which adds up over
-        # 100k-flow runs.
+        traced: List[Flow] = []
+        if len(changed) >= self._BATCH_MIN:
+            self._install_rates_batch(solver, changed, rates, traced)
+        else:
+            self._install_rates(solver, changed.tolist(), rates, traced)
+        if traced:
+            # One hand-off per recomputation: the traced flows whose
+            # allocation moved, their rates and bottleneck link indices.
+            idx = [flow._slot for flow in traced]
+            new_rates = rates[idx].tolist()
+            bneck = solver._bneck[idx].tolist()
+            now = self.now
+            for observer in self._observers:
+                observer.on_rates_changed(traced, new_rates, bneck, now)
+
+    def _install_rates(
+        self, solver, clist: List[int], rates, traced: List[Flow]
+    ) -> None:
+        """Per-flow settle + rate install + ETA re-anchor; appends the
+        traced flows among those installed to ``traced``."""
         table = solver._slots
-        if len(clist) >= self._BATCH_MIN:
-            self._install_rates_batch(solver, table, rates, clist)
-            return
+        now = self.now
         for slot in clist:
             flow = table[slot]
             if flow is None:
@@ -611,18 +632,14 @@ class FlowSimulator:
             # Settle under the *old* rate before installing the new one,
             # then re-anchor the ETA; the stale heap entry dies via epoch.
             self._settle(flow)
-            flow.rate = float(rates[slot])
+            rate = float(rates[slot])
+            solver.rate[slot] = rate
             if flow._recorder is not None:
-                flow._recorder.on_rate_change(
-                    flow,
-                    self.now,
-                    flow.rate,
-                    solver.bottleneck_of_slot(slot),
-                )
+                traced.append(flow)
             flow._heap_epoch += 1
             self.heap_invalidations += 1
-            if flow.end_time is None and not flow.gated and flow.rate > 0:
-                eta = self.now + flow.remaining / flow.rate
+            if flow.end_time is None and not flow.gated and rate > 0:
+                eta = now + float(solver.remaining[slot]) / rate
                 heapq.heappush(
                     self._heap,
                     (eta, next(self._heap_seq), flow._heap_epoch, flow),
@@ -630,62 +647,43 @@ class FlowSimulator:
                 self.heap_pushes += 1
 
     def _install_rates_batch(
-        self, solver, table: List[Optional[Flow]], rates, clist: List[int]
+        self, solver, changed: np.ndarray, rates, traced: List[Flow]
     ) -> None:
         """Vectorized settle + rate install + ETA re-anchor for a batch.
 
         Same arithmetic as the per-flow loop above — settle under the old
         rate (``remaining - rate * dt`` elementwise), install the new
-        rates, derive ETAs in one division — so the allocation and every
-        completion timestamp stay bit-identical; only the bookkeeping
-        (epoch bumps, heap pushes, rate-recorder hooks) remains per flow.
+        rates, derive ETAs in one division — over the changed slots
+        themselves, so the allocation and every completion timestamp stay
+        bit-identical; only the epoch bumps and heap pushes remain per
+        flow.
         """
-        arena = self._arena
-        now = self.now
-        flows: List[Flow] = []
-        slots: List[int] = []
-        aslots: List[int] = []
-        new_rates: List[float] = []
-        gated: List[bool] = []
-        for slot in clist:
-            flow = table[slot]
-            if flow is None:
-                continue
-            flows.append(flow)
-            slots.append(slot)
-            aslots.append(flow._slot)
-            new_rates.append(float(rates[slot]))
-            gated.append(flow.gated)
-        if not flows:
+        slots = changed[solver._in_use[changed]]  # removed flows are gone
+        if not slots.size:
             return
-        idx = np.asarray(aslots, dtype=np.int64)
-        nr = np.asarray(new_rates, dtype=float)
-        syn = arena.synced[idx]
-        old_rate = arena.rate[idx]
-        rem = arena.remaining[idx]
-        mask = ~np.asarray(gated, dtype=bool) & (old_rate > 0.0) & (syn < now)
-        debited = np.maximum(rem - old_rate * (now - syn), 0.0)
-        rem = np.where(mask, debited, rem)
-        arena.remaining[idx] = rem
-        arena.synced[idx] = now
-        arena.rate[idx] = nr
-        with np.errstate(divide="ignore", invalid="ignore"):
-            etas = (now + rem / nr).tolist()
+        eligible = solver._active[slots]
+        rem = self._debit(solver, slots, eligible)
+        nr = rates[slots]
+        solver.rate[slots] = nr
+        positive = nr > 0.0
+        # An unrated slot pushes nothing, so its divisor may be anything.
+        etas = (self.now + rem / np.where(positive, nr, 1.0)).tolist()
+        push = (eligible & positive).tolist()
+        table = solver._slots
         heap = self._heap
         heap_seq = self._heap_seq
         pushes = 0
-        for i, flow in enumerate(flows):
+        for i, slot in enumerate(slots.tolist()):
+            flow = table[slot]
             if flow._recorder is not None:
-                flow._recorder.on_rate_change(
-                    flow, now, new_rates[i], solver.bottleneck_of_slot(slots[i])
-                )
+                traced.append(flow)
             flow._heap_epoch += 1
-            if not gated[i] and flow.end_time is None and new_rates[i] > 0:
+            if push[i]:
                 heapq.heappush(
                     heap, (etas[i], next(heap_seq), flow._heap_epoch, flow)
                 )
                 pushes += 1
-        self.heap_invalidations += len(flows)
+        self.heap_invalidations += len(etas)
         self.heap_pushes += pushes
 
     def _peek_completion(self) -> float:

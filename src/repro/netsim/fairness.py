@@ -20,7 +20,8 @@ hypothesis, including under randomized churn sequences).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import compress, filterfalse
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,9 +137,12 @@ class IncrementalFairnessSolver:
     may have moved; the derived view :meth:`link_utilization` is cached
     on it.
 
-    :class:`~repro.netsim.engine.FlowSimulator` indexes ``_slots`` — the
-    slot table, a plain list of ``Flow | None`` mutated in place — with
-    the slots :meth:`solve` returns; it is read-only to callers.
+    A registered flow's slot (``flow._slot``; ``flow._arena`` is the
+    solver) is its only slot: the ``remaining`` / ``rate`` / ``synced``
+    columns hold its data plane, copied in at registration and back out
+    at removal.  :class:`~repro.netsim.engine.FlowSimulator` settles those
+    columns, and reads ``_slots`` (the slot table, read-only to callers),
+    at the slots :meth:`solve` returns.
     """
 
     _GROW = 1.5
@@ -153,15 +157,20 @@ class IncrementalFairnessSolver:
         )
         # per-slot state (a slot is a stable integer id for one flow)
         self._slots: List[Optional[Flow]] = []
-        self._slot_of: Dict[str, int] = {}
         self._free_slots: List[int] = []
         self._weights = np.zeros(0, dtype=float)
         self._active = np.zeros(0, dtype=bool)
         self._in_use = np.zeros(0, dtype=bool)
         self._rates = np.zeros(0, dtype=float)
-        # per-slot index of the link that froze the slot in the last solve
-        # (-1 = not frozen / unknown); the causal tracer reads this to
-        # attribute a flow's current rate to its bottleneck link.
+        # the data plane: bytes left as of ``synced``, draining at the
+        # installed ``rate`` (which trails ``_rates`` until the engine has
+        # settled the slot under the old one)
+        self.remaining = np.zeros(0, dtype=float)
+        self.rate = np.zeros(0, dtype=float)
+        self.synced = np.zeros(0, dtype=float)
+        # per-slot index (into ``_link_ids``) of the link that froze the
+        # slot in the last solve (-1 = not frozen / unknown); the causal
+        # tracer attributes a flow's current rate to it.
         self._bneck = np.full(0, -1, dtype=np.int64)
         # per-slot contiguous incidence span: slot -> (start, length)
         self._spans: List[Tuple[int, int]] = []
@@ -202,80 +211,108 @@ class IncrementalFairnessSolver:
 
     # -- structural updates (all O(Δ)) ---------------------------------
     def add_flow(self, flow: Flow) -> None:
-        pid = self._path_idx.get(flow.links)
-        if pid is None:
-            link_idx = []
-            for link in flow.links:
-                idx = self._link_index.get(link)
-                if idx is None:
-                    raise KeyError(
-                        f"flow {flow.flow_id} uses unknown link {link!r}"
-                    )
-                link_idx.append(idx)
-            pid = self._path_idx[flow.links] = len(self._path_links)
-            self._path_links.append(link_idx)
-        link_idx = self._path_links[pid]
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._slots[slot] = flow
-        else:
-            slot = len(self._slots)
-            self._slots.append(flow)
-            self._spans.append((0, 0))
-            if slot >= len(self._weights):
-                self._grow_slots(slot + 1)
-        self._slot_of[flow.flow_id] = slot
-        self._weights[slot] = flow.weight
-        active = self._active[slot] = flow.active
-        self._in_use[slot] = True
-        self._rates[slot] = 0.0
-        self._bneck[slot] = -1
-        k = len(link_idx)
-        if self._nnz + k > len(self._flat_links):
-            self._grow_flat(self._nnz + k)
-        self._flat_links[self._nnz : self._nnz + k] = link_idx
-        self._flat_slots[self._nnz : self._nnz + k] = slot
-        self._spans[slot] = (self._nnz, k)
-        self._nnz += k
-        if active:
-            self._sig[slot] = (pid, float(flow.weight))
-            self._live_entries += k
-        else:
-            self._sig[slot] = None
-        self._note_delta()
+        self.add_flows((flow,))
 
-    def add_flows(self, flows: Iterable[Flow]) -> None:
+    def add_flows(self, flows: Sequence[Flow]) -> None:
+        """Register one batch, in order: each flow takes a slot — its one
+        slot, data plane included — and appends its incidence run."""
+        table, free, spans, sig = self._slots, self._free_slots, self._spans, self._sig
+        need = len(table) + len(flows) - len(free)
+        if need > len(self._weights):
+            self._grow_slots(need)
+        path_idx, path_links = self._path_idx, self._path_links
+        weights, active, in_use = self._weights, self._active, self._in_use
+        remaining, rate, synced = self.remaining, self.rate, self.synced
+        start = nnz = self._nnz
+        entry_links: List[int] = []
+        entry_slots: List[int] = []
         for flow in flows:
-            self.add_flow(flow)
+            pid = path_idx.get(flow.links)
+            if pid is None:
+                link_idx = []
+                for link in flow.links:
+                    idx = self._link_index.get(link)
+                    if idx is None:
+                        raise KeyError(
+                            f"flow {flow.flow_id} uses unknown link {link!r}"
+                        )
+                    link_idx.append(idx)
+                pid = path_idx[flow.links] = len(path_links)
+                path_links.append(link_idx)
+            link_idx = path_links[pid]
+            if free:
+                slot = free.pop()
+                table[slot] = flow
+            else:
+                slot = len(table)
+                table.append(flow)
+                spans.append((0, 0))
+            k = len(link_idx)
+            spans[slot] = (nnz, k)
+            nnz += k
+            entry_links += link_idx
+            entry_slots += [slot] * k
+            live = flow.end_time is None and not flow.gated
+            if live:
+                sig[slot] = (pid, float(flow.weight))
+                self._live_entries += k
+            else:
+                sig[slot] = None
+            # A free slot has rate 0 and no bottleneck (removal and growth
+            # leave it so), so neither is written here.
+            weights[slot] = flow.weight
+            active[slot] = live
+            in_use[slot] = True
+            remaining[slot] = flow._remaining
+            rate[slot] = flow._rate
+            synced[slot] = flow._synced
+            flow._arena = self
+            flow._slot = slot
+        if nnz > len(self._flat_links):
+            self._grow_flat(nnz)
+        self._flat_links[start:nnz] = entry_links
+        self._flat_slots[start:nnz] = entry_slots
+        self._nnz = nnz
+        self._note_delta(len(flows))
 
     def remove_flow(self, flow: Flow) -> None:
-        slot = self._slot_of.pop(flow.flow_id, None)
-        if slot is None:
-            return
-        k = self._spans[slot][1]
-        if self._sig.pop(slot) is not None:
-            self._live_entries -= k
-        self._slots[slot] = None
-        self._in_use[slot] = False
-        self._active[slot] = False
-        self._bneck[slot] = -1
-        if self._rates[slot] != 0.0:
-            # Part of the next solve's changed set: rates are updated
-            # in place, so zeroed slots must be remembered explicitly.
-            self._deactivated.append(slot)
-        self._rates[slot] = 0.0
-        self._dead_nnz += k
-        # The slot is reusable only after compaction purges its incidence
-        # entries; until then reuse would misattribute them.
-        self._note_delta()
+        self.remove_flows((flow,))
 
-    def remove_flows(self, flows: Iterable[Flow]) -> None:
+    def remove_flows(self, flows: Sequence[Flow]) -> None:
+        """Unregister a batch: each flow's data plane is copied back to
+        its plain attributes and its slot tombstoned.  Flows not in this
+        solver are ignored."""
+        table, spans, sig, rates = self._slots, self._spans, self._sig, self._rates
+        removed = 0
         for flow in flows:
-            self.remove_flow(flow)
+            slot = flow._slot
+            if flow._arena is not self or table[slot] is not flow:
+                continue
+            table[slot] = None
+            k = spans[slot][1]
+            # The slot is reusable only after compaction purges its
+            # incidence entries; until then reuse would misattribute them.
+            self._dead_nnz += k
+            if sig.pop(slot) is not None:
+                self._live_entries -= k
+            if rates[slot] != 0.0:
+                # Part of the next solve's changed set: rates are updated
+                # in place, so zeroed slots must be remembered explicitly.
+                self._deactivated.append(slot)
+                rates[slot] = 0.0
+            self._bneck[slot] = -1
+            self._in_use[slot] = self._active[slot] = False
+            flow._remaining = float(self.remaining[slot])
+            flow._rate = float(self.rate[slot])
+            flow._synced = float(self.synced[slot])
+            flow._arena = None
+            flow._slot = -1
+            removed += 1
+        self._note_delta(removed)
 
     def set_active(self, flow: Flow, active: bool) -> None:
-        slot = self._slot_of.get(flow.flow_id)
-        if slot is not None:
+        if flow._arena is self:
+            slot = flow._slot
             self._active[slot] = active
             live = self._sig[slot] is not None
             if not active:
@@ -289,21 +326,21 @@ class IncrementalFairnessSolver:
             elif not live:
                 self._sig[slot] = (self._path_idx[flow.links], float(flow.weight))
                 self._live_entries += self._spans[slot][1]
-            self._note_delta()
+            self._note_delta(1)
 
     def set_capacity(self, link_id: str, capacity: float) -> None:
         self._caps[self._link_index[link_id]] = capacity
         # Every remembered allocation was solved under the old capacities.
         self._memo.clear()
-        self._note_delta()
+        self._note_delta(1)
 
-    def _note_delta(self) -> None:
-        self._pending_delta += 1
-        self.delta_updates += 1
+    def _note_delta(self, n: int) -> None:
+        self._pending_delta += n
+        self.delta_updates += n
 
     def _grow_slots(self, need: int) -> None:
         size = max(need, int(len(self._weights) * self._GROW) + 8)
-        for name in ("_weights", "_rates"):
+        for name in ("_weights", "_rates", "remaining", "rate", "synced"):
             old = getattr(self, name)
             new = np.zeros(size, dtype=float)
             new[: len(old)] = old
@@ -352,11 +389,6 @@ class IncrementalFairnessSolver:
         self.full_rebuilds += 1
 
     # -- queries --------------------------------------------------------
-    def bottleneck_of_slot(self, slot: int) -> Optional[str]:
-        """O(1) bottleneck lookup when the caller already holds the slot."""
-        idx = int(self._bneck[slot])
-        return self._link_ids[idx] if idx >= 0 else None
-
     def capacity(self, link_id: str) -> float:
         return float(self._caps[self._link_index[link_id]])
 
@@ -386,10 +418,12 @@ class IncrementalFairnessSolver:
         epoch, cached_min, cached = self._util_cache
         if epoch == self.solve_epoch and cached_min == min_utilization:
             return cached
-        with np.errstate(invalid="ignore"):
-            util = self._refresh_loads() / self._caps
-        hot = np.flatnonzero(util >= max(min_utilization, 1e-300))
-        result = {self._link_ids[int(i)]: float(util[int(i)]) for i in hot}
+        result: Dict[str, float] = {}
+        if self._live_entries:  # else every rate, and so every load, is 0
+            with np.errstate(invalid="ignore"):
+                util = self._refresh_loads() / self._caps
+            hot = np.flatnonzero(util >= max(min_utilization, 1e-300))
+            result = {self._link_ids[int(i)]: float(util[int(i)]) for i in hot}
         self._util_cache = (self.solve_epoch, min_utilization, result)
         return result
 
@@ -458,7 +492,7 @@ class IncrementalFairnessSolver:
         deact = self._deactivated
         if deact:
             self._deactivated = []
-            deact = [s for s in deact if sig.get(s) is None]
+            deact = list(filterfalse(sig.get, deact))  # no signature: not live
         if self._live_entries == 0:
             if not deact:
                 return _EMPTY_CHANGED, self._rates
@@ -476,10 +510,8 @@ class IncrementalFairnessSolver:
                     if len(memo) >= SOLVE_MEMO_ENTRIES:
                         del memo[next(iter(memo))]
                     memo[key] = result
-            slots = np.array(
-                [s for s, item in sig.items() if item is not None],
-                dtype=np.int64,
-            )
+            # The live slots: those with a signature, in ``key`` order.
+            slots = np.fromiter(compress(sig, sig.values()), dtype=np.int64)
             self._bneck[slots] = result[1]
             return np.sort(self._install(slots, result[0], deact)), self._rates
         flat_s = self._flat_slots[: self._nnz]

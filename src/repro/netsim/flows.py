@@ -6,62 +6,18 @@ of active flows changes.  Flows carry bookkeeping tags (job id, communicator
 id, channel) so policies such as FFA can round-robin between jobs and the
 traffic-scheduling (TS) policy can gate the flows of a specific tenant.
 
-The engine keeps the per-flow *data plane* — remaining bytes, allocated
-rate, and the lazy-progress anchor — in flat numpy arrays
-(:class:`FlowArena`) so a rate recomputation can settle and re-anchor a
-whole batch of flows with a handful of numpy ops instead of N Python
-attribute walks.  The :class:`Flow` object remains the public handle:
-``flow.remaining`` / ``flow.rate`` read through to the arena while the
-flow is in the network and fall back to plain attributes once it leaves
-(and for a standalone ``Flow`` no engine ever attached).  Readers never
-observe stale values either way.
+A flow in the network owns one slot of the engine's solver, and that slot
+holds its data plane too — remaining bytes, installed rate and the
+lazy-progress anchor — so a rate recomputation settles and re-anchors a
+whole batch with a handful of numpy ops indexed by the slots it changed.
+``flow.remaining`` / ``flow.rate`` read through to the solver's columns
+while the flow is in the network and fall back to plain attributes once
+it leaves (or for a ``Flow`` no solver registered).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence, Tuple
-
-import numpy as np
-
-
-#: Slots a fresh arena holds before its first growth.
-ARENA_SLOTS = 64
-
-
-class FlowArena:
-    """Flat-array storage for the per-flow data plane.
-
-    One arena per engine; each attached flow owns one slot in the
-    ``remaining`` / ``rate`` / ``synced`` arrays.  Slots are recycled
-    through a free list when flows detach, so array length tracks the
-    peak concurrent population, not the total flow count.
-    """
-
-    __slots__ = ("remaining", "rate", "synced", "_free", "_top")
-
-    def __init__(self) -> None:
-        self.remaining = np.zeros(ARENA_SLOTS, dtype=float)
-        self.rate = np.zeros(ARENA_SLOTS, dtype=float)
-        self.synced = np.zeros(ARENA_SLOTS, dtype=float)
-        self._free: list = []
-        self._top = 0
-
-    def alloc(self) -> int:
-        if self._free:
-            return self._free.pop()
-        slot = self._top
-        self._top += 1
-        if slot >= len(self.remaining):
-            size = int(len(self.remaining) * 1.5) + 8
-            for name in ("remaining", "rate", "synced"):
-                old = getattr(self, name)
-                grown = np.zeros(size, dtype=float)
-                grown[: len(old)] = old
-                setattr(self, name, grown)
-        return slot
-
-    def release(self, slot: int) -> None:
-        self._free.append(slot)
 
 
 class Flow:
@@ -88,12 +44,13 @@ class Flow:
         on_complete: Callback ``fn(flow, now)`` fired at completion.
         on_fail: Callback ``fn(flow, now, error)`` fired when a fault
             kills the flow (never fired for plain cancellation).
-        tags: Free-form metadata (communicator id, sequence number, ...).
+        tags: Free-form metadata (a collective's causal trace, ...).
             The flows of one :meth:`FlowSimulator.add_flows` batch share
             one dict; treat it as read-only.
         channel: Index of the flow within its connection's channel
-            fan-out (the one tag that differs inside a launch batch; set
-            by :meth:`FlowSimulator.add_flows`), or None.
+            fan-out, or None.
+        rank: The collective rank whose program sent the flow, or None.
+            Rank and channel are what differs inside a launch batch.
         links: The distinct links of ``path`` (order-stable); computed
             once — by the simulator once per distinct route — so the
             fairness allocator and utilization aggregation never rebuild
@@ -115,6 +72,7 @@ class Flow:
         "on_fail",
         "tags",
         "channel",
+        "rank",
         "links",
         "_remaining",
         "_rate",
@@ -158,6 +116,7 @@ class Flow:
         self.on_fail = on_fail
         self.tags: Dict[str, object] = {} if tags is None else tags
         self.channel: Optional[int] = None
+        self.rank: Optional[int] = None
         if links is None:
             links = tuple(dict.fromkeys(self.path))
         self.links: Tuple[str, ...] = links
@@ -170,37 +129,14 @@ class Flow:
         #: Engine-managed heap-entry generation; bumping it invalidates
         #: any completion-time heap entry pushed for this flow.
         self._heap_epoch = 0
-        #: Optional per-flow rate recorder installed by the causal tracer;
-        #: the engine calls ``_recorder.on_rate_change(flow, now, rate,
-        #: bottleneck_link)`` whenever this flow's allocation moves,
-        #: keeping the hook O(changed flows) per recomputation.
+        #: The causal tracer's ``FlowRecord`` of this flow, or None for
+        #: untraced traffic; the engine hands the tracer the flows whose
+        #: allocation moved that carry one.
         self._recorder: Optional[object] = None
-        self._arena: Optional[FlowArena] = None
+        #: While in the network: the solver holding the data plane, and
+        #: the flow's slot in it.
+        self._arena: Optional[object] = None
         self._slot = -1
-
-    # -- flat-array data plane -----------------------------------------
-    def _attach(self, arena: FlowArena) -> int:
-        """Move the data plane into ``arena``; returns the slot."""
-        slot = arena.alloc()
-        arena.remaining[slot] = self._remaining
-        arena.rate[slot] = self._rate
-        arena.synced[slot] = self._synced
-        self._arena = arena
-        self._slot = slot
-        return slot
-
-    def _detach(self) -> None:
-        """Copy the data plane back to plain attributes and free the slot."""
-        arena = self._arena
-        if arena is None:
-            return
-        slot = self._slot
-        self._remaining = float(arena.remaining[slot])
-        self._rate = float(arena.rate[slot])
-        self._synced = float(arena.synced[slot])
-        self._arena = None
-        self._slot = -1
-        arena.release(slot)
 
     @property
     def remaining(self) -> float:
@@ -223,14 +159,6 @@ class Flow:
         if arena is None:
             return self._rate
         return float(arena.rate[self._slot])
-
-    @rate.setter
-    def rate(self, value: float) -> None:
-        arena = self._arena
-        if arena is None:
-            self._rate = value
-        else:
-            arena.rate[self._slot] = value
 
     # -- lifecycle queries ---------------------------------------------
     @property

@@ -238,6 +238,11 @@ class Topology:
         self.link(link_id)
         return link_id not in self._down
 
+    @property
+    def any_link_down(self) -> bool:
+        """True while a fault holds some link down."""
+        return bool(self._down)
+
     # ------------------------------------------------------------------
     # path enumeration
     # ------------------------------------------------------------------

@@ -21,11 +21,12 @@ This module provides that substrate:
 * :class:`CausalTracer` — a :class:`~repro.netsim.engine.SimObserver`
   that keeps the live trees and a bounded ring of closed ones.  Flows
   tagged with ``trace=<CausalTrace>`` are adopted into that trace while
-  it is open;
-  a per-flow rate recorder (installed via ``Flow._recorder``) captures
-  every rate change as a closed *segment* ``(start, end, rate,
-  bottleneck_link, co_tenants)``, so attribution costs O(changed flows)
-  per recomputation — the same complexity as the engine itself.
+  it is open, each getting a :class:`FlowRecord` (``Flow._recorder``).
+  One hand-off per rate recomputation carries the traced flows whose
+  allocation moved; each move closes the flow's current *segment*
+  ``(start, end, rate, bottleneck_link, co_tenants)`` and opens the next,
+  so attribution costs O(changed flows) per recomputation — the same
+  complexity as the engine itself.
 * :class:`CriticalPathReport` — the exact-sum decomposition of one
   finished collective: ``queue + serialization + contention`` equals the
   measured duration by construction, per-hop time is grouped by the
@@ -43,11 +44,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from ..netsim.engine import FlowSimulator, SimObserver
+from ..netsim.flows import Flow
 from .ringbuffer import RingBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..netsim.engine import FlowSimulator
-    from ..netsim.flows import Flow
     from .events import EventLog
     from .metrics import MetricsRegistry
 
@@ -119,10 +120,6 @@ class FlowRecord:
     t_end: Optional[float] = None
     status: str = "active"  # active | completed | cancelled | failed
     segments: List[RateSegment] = field(default_factory=list)
-
-    def close_segment(self, now: float) -> None:
-        if self.segments and self.segments[-1].end is None:
-            self.segments[-1].end = now
 
     def bottlenecked_seconds(self) -> Dict[str, float]:
         """Seconds spent bottlenecked on each link, from the segments."""
@@ -313,66 +310,19 @@ class CriticalPathReport:
         }
 
 
-class _BoundRecorder:
-    """Per-flow rate recorder with trace state resolved at adoption.
-
-    Installed as ``Flow._recorder`` so the engine's per-rate-change hook
-    reaches the right :class:`FlowRecord` without any dictionary lookups
-    — the binding is the tracer's hot path.
-    """
-
-    __slots__ = ("tracer", "rec", "job")
-
-    def __init__(self, tracer: "CausalTracer", rec: FlowRecord, job: str) -> None:
-        self.tracer = tracer
-        self.rec = rec
-        self.job = job
-
-    def on_rate_change(
-        self,
-        flow: "Flow",
-        now: float,
-        rate: float,
-        bottleneck: Optional[str],
-    ) -> None:
-        """Engine hook: ``flow``'s allocation moved (O(changed flows))."""
-        rec = self.rec
-        if rec.status != "active":  # trace closed while the flow lived on
-            return
-        segments = rec.segments
-        if segments and segments[-1].end is None:
-            segments[-1].end = now
-        if bottleneck is None and flow.links:
-            # The solver has no per-round attribution for a flow it has
-            # not rated yet (e.g. injected gated); fall back to the
-            # static minimum-capacity link of the path.
-            bottleneck = min(flow.links, key=self.tracer.sim.link_capacity)
-        co: Tuple[str, ...] = ()
-        if bottleneck is not None:
-            per_job = self.tracer._link_jobs.get(bottleneck)
-            # Fast path: the flow's own tenant is alone on the link.
-            if per_job and not (len(per_job) == 1 and self.job in per_job):
-                co = tuple(sorted(
-                    t for t, n in per_job.items() if n > 0 and t != self.job
-                ))
-        segments.append(
-            RateSegment(start=now, end=None, rate=rate, bottleneck=bottleneck,
-                        co_tenants=co)
-        )
-
-
-class CausalTracer:
+class CausalTracer(SimObserver):
     """Assembles causal traces from control-plane calls and flow events.
 
     The tracer observes *every* flow to maintain per-link tenant
     occupancy (the co-tenant sets are computed from it) but only flows
     tagged ``trace=<CausalTrace>`` get full segment recording — untraced
-    traffic costs two O(path) dictionary passes per flow lifetime.
+    traffic costs two O(path) dictionary passes per launch batch and
+    completion burst.
     """
 
     def __init__(
         self,
-        sim: "FlowSimulator",
+        sim: FlowSimulator,
         *,
         max_closed: int = 512,
     ) -> None:
@@ -381,6 +331,8 @@ class CausalTracer:
         self._closed: RingBuffer[CausalTrace] = RingBuffer(max_closed)
         #: link -> tenant -> active flow count (all traffic, traced or not).
         self._link_jobs: Dict[str, Dict[str, int]] = {}
+        #: The engine's bottleneck link indices name these links.
+        self._link_ids = sim._solver._link_ids
         self._ids = itertools.count(1)
         self.traces_started = 0
         self.traces_closed = 0
@@ -417,7 +369,8 @@ class CausalTracer:
             return
         for rec in trace.all_flows():
             if rec.status == "active":  # flow outlived by its collective
-                rec.close_segment(now)
+                if rec.segments and rec.segments[-1].end is None:
+                    rec.segments[-1].end = now
                 rec.t_end = rec.t_end if rec.t_end is not None else now
                 rec.status = "cancelled"
         if attrs:
@@ -449,71 +402,102 @@ class CausalTracer:
         return out[:n]
 
     # ------------------------------------------------------------------
-    # SimObserver interface + rate recorder
+    # SimObserver interface
     # ------------------------------------------------------------------
-    def on_flows_added(self, flows: Sequence["Flow"], now: float) -> None:
+    def on_flows_added(self, flows: Sequence[Flow], now: float) -> None:
         """Adopt one launch batch (shared ``job_id`` and ``tags``)."""
         first = flows[0]
         job = first.job_id or "none"
-        link_jobs = self._link_jobs
+        routes: Dict[Tuple[str, ...], int] = {}
         for flow in flows:
-            for link in flow.links:
+            routes[flow.links] = routes.get(flow.links, 0) + 1
+        link_jobs = self._link_jobs
+        for links, n in routes.items():
+            for link in links:
                 per_job = link_jobs.get(link)
                 if per_job is None:
                     per_job = link_jobs[link] = {}
-                per_job[job] = per_job.get(job, 0) + 1
-        tags = first.tags
-        trace = tags.get("trace")
+                per_job[job] = per_job.get(job, 0) + n
+        trace = first.tags.get("trace")
         if trace is None or trace.closed:
             return
-        rank = tags.get("rank")
         records = trace.current_attempt.flows
-        capacity = self.sim.link_capacity
+        caps = self.sim._capacities
+        # The path's narrowest link, once per distinct route.
+        floors = {links: min(map(caps.__getitem__, links)) for links in routes}
         for flow in flows:
             rec = records[flow.flow_id] = FlowRecord(
-                flow.flow_id, rank, flow.channel, flow.size, flow.path,
-                flow.size / min(map(capacity, flow.links)), now,
+                flow.flow_id, flow.rank, flow.channel, flow.size, flow.path,
+                flow.size / floors[flow.links], now,
             )
-            flow._recorder = _BoundRecorder(self, rec, job)
+            flow._recorder = rec
 
-    def _flow_left(self, flow: "Flow", now: float, status: str) -> None:
-        job = flow.job_id or "none"
+    def on_rates_changed(self, flows: Sequence[Flow], rates: Sequence[float],
+                         bottleneck_link_idx: Sequence[int], now: float) -> None:
+        """One recomputation's moves: close each traced flow's segment and
+        open one at its new rate."""
+        link_ids = self._link_ids
         link_jobs = self._link_jobs
-        for link in flow.links:
-            per_job = link_jobs.get(link)
-            if per_job is not None:
-                count = per_job.get(job, 0) - 1
-                if count > 0:
-                    per_job[job] = count
-                else:
-                    per_job.pop(job, None)
-                    if not per_job:
-                        del link_jobs[link]
-        binding = flow._recorder
-        if binding is None:
-            return
-        rec = binding.rec
-        if rec.status != "active":  # the trace already closed it
-            return
-        rec.close_segment(now)
-        rec.t_end = now
-        rec.status = status
+        for flow, rate, b in zip(flows, rates, bottleneck_link_idx):
+            rec = flow._recorder
+            if rec.status != "active":  # trace closed while the flow lived on
+                continue
+            segments = rec.segments
+            if segments and segments[-1].end is None:
+                segments[-1].end = now
+            if b >= 0:
+                bottleneck = link_ids[b]
+            else:
+                # The solver has no per-round attribution for a flow it
+                # has not rated yet (e.g. injected gated); fall back to the
+                # static minimum-capacity link of the path.
+                bottleneck = min(flow.links, key=self.sim._capacities.__getitem__)
+            co: Tuple[str, ...] = ()
+            per_job = link_jobs.get(bottleneck)
+            job = flow.job_id or "none"
+            # Fast path: the flow's own tenant is alone on the link.
+            if per_job and not (len(per_job) == 1 and job in per_job):
+                co = tuple(sorted(
+                    t for t, n in per_job.items() if n > 0 and t != job
+                ))
+            segments.append(RateSegment(now, None, rate, bottleneck, co))
 
-    def on_flows_completed(self, flows: Sequence["Flow"], now: float) -> None:
+    def _flows_left(self, flows: Sequence[Flow], now: float, status: str) -> None:
+        """Close the records of ``flows`` and take them off the per-link
+        tenant occupancy, one update per (tenant, route)."""
+        counts: Dict[Tuple[Optional[str], Tuple[str, ...]], int] = {}
         for flow in flows:
-            self._flow_left(flow, now, "completed")
+            key = (flow.job_id, flow.links)
+            counts[key] = counts.get(key, 0) + 1
+            rec = flow._recorder
+            if rec is not None and rec.status == "active":
+                segments = rec.segments
+                if segments and segments[-1].end is None:
+                    segments[-1].end = now
+                rec.t_end = now
+                rec.status = status
+        link_jobs = self._link_jobs
+        for (job_id, links), n in counts.items():
+            job = job_id or "none"
+            for link in links:
+                per_job = link_jobs.get(link)
+                if per_job is not None:
+                    count = per_job.get(job, 0) - n
+                    if count > 0:
+                        per_job[job] = count
+                    else:
+                        per_job.pop(job, None)
+                        if not per_job:
+                            del link_jobs[link]
 
-    def on_flow_cancelled(self, flow: "Flow", now: float) -> None:
-        self._flow_left(flow, now, "cancelled")
+    def on_flows_completed(self, flows: Sequence[Flow], now: float) -> None:
+        self._flows_left(flows, now, "completed")
 
-    def on_flow_failed(self, flow: "Flow", now: float) -> None:
-        self._flow_left(flow, now, "failed")
+    def on_flow_cancelled(self, flow: Flow, now: float) -> None:
+        self._flows_left((flow,), now, "cancelled")
 
-    def on_flow_gated(self, flow: "Flow", gated: bool, now: float) -> None:
-        pass
-
-    def on_rates_recomputed(self, now: float) -> None:
-        pass
+    def on_flow_failed(self, flow: Flow, now: float) -> None:
+        self._flows_left((flow,), now, "failed")
 
     # ------------------------------------------------------------------
     # critical-path attribution

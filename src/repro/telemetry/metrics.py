@@ -139,18 +139,20 @@ class Histogram:
         self.buckets = bounds
         self._states: Dict[LabelKey, _HistogramState] = {}
 
-    def _observe(self, key: LabelKey, value: float) -> None:
+    def _observe(self, key: LabelKey, value: float, n: int) -> None:
+        """``n`` observations of ``value``, with one bucket search."""
         state = self._states.get(key)
         if state is None:
             state = self._states[key] = _HistogramState(len(self.buckets))
         # First bucket whose upper bound is >= value (le semantics).
         index = bisect.bisect_left(self.buckets, value)
-        state.bucket_counts[index] += 1
-        state.sum += value
-        state.count += 1
+        state.bucket_counts[index] += n
+        state.count += n
+        for _ in range(n):  # one addition each: the sum stays bit-equal
+            state.sum += value
 
     def observe(self, value: float, **labels: object) -> None:
-        self._observe(_label_key(labels), value)
+        self._observe(_label_key(labels), value, 1)
 
     def labels(self, **labels: object) -> "BoundHistogram":
         return BoundHistogram(self, _label_key(labels))
@@ -241,7 +243,11 @@ class BoundHistogram:
         self._key = key
 
     def observe(self, value: float) -> None:
-        self._metric._observe(self._key, value)
+        self._metric._observe(self._key, value, 1)
+
+    def observe_run(self, value: float, n: int) -> None:
+        """``n`` observations of one value."""
+        self._metric._observe(self._key, value, n)
 
 
 Metric = Union[Counter, Gauge, Histogram]

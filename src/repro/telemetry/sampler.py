@@ -19,7 +19,9 @@ whenever a flow enters the network or a gated flow is released.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..netsim.engine import FlowSimulator, SimObserver
 from ..netsim.flows import Flow
@@ -99,6 +101,8 @@ class NetworkTelemetry(SimObserver):
         )
 
         self._by_job: Dict[Optional[str], _JobSeries] = {}
+        #: Jobs that completed a flow of non-integer size.
+        self._fractional_jobs: Set[Optional[str]] = set()
         sim.add_observer(self)
 
     def _series_of(self, job_id: Optional[str]) -> _JobSeries:
@@ -125,21 +129,23 @@ class NetworkTelemetry(SimObserver):
         self._start_ticker()
 
     def on_flows_completed(self, flows: Sequence[Flow], now: float) -> None:
-        job_id = flows[0].job_id
-        series = self._series_of(job_id)
-        run = 0
-        for flow in flows:
-            if flow.job_id != job_id:
-                series.completed.inc(run)
-                run = 0
-                job_id = flow.job_id
-                series = self._series_of(job_id)
-            run += 1
-            # Float sums take one update per flow, in completion order, so
-            # they come out exactly as if the flows were delivered singly.
-            series.bytes_moved.inc(flow.size)
-            series.duration.observe(now - flow.start_time)
-        series.completed.inc(run)
+        # One update per run of one job and start time (so one duration,
+        # one bucket search), exactly as if delivered singly: integer byte
+        # sums are exact in any grouping, so only a job that ever moved a
+        # non-integer size adds it per flow.
+        for (job_id, start), run in groupby(flows, attrgetter("job_id", "start_time")):
+            series = self._series_of(job_id)
+            sizes = [flow.size for flow in run]
+            series.completed.inc(len(sizes))
+            series.duration.observe_run(now - start, len(sizes))
+            if job_id not in self._fractional_jobs and all(
+                type(size) is int for size in sizes
+            ):
+                series.bytes_moved.inc(sum(sizes))
+            else:
+                self._fractional_jobs.add(job_id)
+                for size in sizes:
+                    series.bytes_moved.inc(size)
         self._active_flows.set(self.sim.active_flow_count())
 
     def on_flow_cancelled(self, flow: Flow, now: float) -> None:

@@ -89,6 +89,10 @@ RETIRED = re.compile(
     r"|SloTracker|SLO_WINDOW|class_resolver|record_completion|record_shed"
     r"|record_deadline_miss|mccs_traces_total|mccs_traces_open|mccs_shed_total"
     r"|mccs_slo_"
+    # the per-flow data-plane arena, rate recorder and slot map; a flow's
+    # solver slot is its only slot and the tracer takes one rate hand-off
+    # per recomputation
+    r"|FlowArena|_BoundRecorder|_slot_of|on_rate_change|_attach"
 )
 
 #: What only the one artifact writer may do under ``experiments/``.

@@ -249,7 +249,7 @@ def test_simulated_bytes_per_pair_are_the_plans(name, kind, star, temporarily_re
         flows = inject(batch, **kwargs)
         for flow in flows:
             dst = rank_of_nic[cluster.topology.path_nodes(flow.path)[-1]]
-            pair = (flow.tags["rank"], dst)
+            pair = (flow.rank, dst)
             carried[pair] = carried.get(pair, 0) + flow.size
         return flows
 

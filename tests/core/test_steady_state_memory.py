@@ -50,7 +50,6 @@ from repro.service import (
 PER_COLLECTIVE = (
     "Flow",
     "FlowRecord",
-    "_BoundRecorder",
     "RateSegment",
     "CausalTrace",
     "TraceRecord",

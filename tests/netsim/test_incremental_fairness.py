@@ -30,10 +30,12 @@ def mk_flow(path, weight=1.0, gated=False, size=1e9):
     return Flow(size, tuple(path), f"f{next(_flow_ids)}", weight=weight, gated=gated)
 
 
-def bottleneck_of(solver, flow_id):
+def bottleneck_of(solver, flow):
     """Link that froze the flow's rate in the last solve, or None."""
-    slot = solver._slot_of.get(flow_id)
-    return None if slot is None else solver.bottleneck_of_slot(slot)
+    if flow._arena is not solver:
+        return None
+    idx = int(solver._bneck[flow._slot])
+    return solver._link_ids[idx] if idx >= 0 else None
 
 
 def rates_by_id(solver):
@@ -135,14 +137,17 @@ def test_remembered_allocations_equal_a_fresh_solve(ops):
                 flow.gated = not flow.gated
                 solver.set_active(flow, flow.active)
         solver.solve()
+        # A flow is registered with one solver, so the oracle gets twins.
+        twins = [
+            Flow(f.size, f.path, f.flow_id, weight=f.weight, gated=f.gated)
+            for f in live
+        ]
         oracle = IncrementalFairnessSolver(caps)
-        oracle.add_flows(live)
+        oracle.add_flows(twins)
         oracle.solve()
         assert rates_by_id(solver) == rates_by_id(oracle)
-        for flow in live:
-            assert bottleneck_of(solver, flow.flow_id) == bottleneck_of(
-                oracle, flow.flow_id
-            )
+        for flow, twin in zip(live, twins):
+            assert bottleneck_of(solver, flow) == bottleneck_of(oracle, twin)
         history.append([(f.path, f.weight, f.gated) for f in live])
 
 
@@ -189,13 +194,13 @@ def test_gated_flow_has_no_bottleneck():
     f2 = mk_flow(["a", "b"])
     solver.add_flows([f1, f2])
     solver.solve()
-    assert bottleneck_of(solver, f2.flow_id) == "a"
+    assert bottleneck_of(solver, f2) == "a"
     f2.gated = True
     solver.set_active(f2, f2.active)
     solver.solve()
     assert rates_by_id(solver)[f2.flow_id] == 0.0
-    assert bottleneck_of(solver, f2.flow_id) is None
-    assert bottleneck_of(solver, f1.flow_id) == "a"
+    assert bottleneck_of(solver, f2) is None
+    assert bottleneck_of(solver, f1) == "a"
 
 
 def test_empty_solver_solves_to_nothing():

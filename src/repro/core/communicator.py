@@ -15,6 +15,12 @@ This is what makes the Figure 4 synchronization hazard expressible — with
 the barrier disabled, rank 0 can launch collective ``seq=1`` on the old
 ring while ranks 1 and 2 launch it on the new one, and the instance is
 flagged inconsistent.
+
+A communicator's state — rank set, strategy, epochs, issue frontier —
+has one home: these objects, owned by the
+:class:`~repro.core.deployment.MccsDeployment`, which outlives a service
+crash.  The state journal does not copy it; a restarted service
+re-registers its proxies from the live communicators.
 """
 
 from __future__ import annotations
@@ -548,7 +554,7 @@ class ServiceCommunicator:
         self.gate = gate
         self.staging = staging
         self.strategy = strategy
-        #: Fresh commits since creation; the journal's ``epoch``.
+        #: Fresh strategy commits since creation.
         self.strategy_epoch = 0
         # ECMP draws normally hash the comm id and the strategy version,
         # modelling fresh 5-tuples per establishment.  A caller-chosen
@@ -574,8 +580,7 @@ class ServiceCommunicator:
         #: the shim (closed when the communicator is destroyed).
         self.comm_event_handle: Optional[IpcEventHandle] = None
         self.next_seq = 0
-        #: Bumped once per committed membership change (grow or shrink);
-        #: the journal's ``membership_change`` records carry this value.
+        #: Bumped once per committed membership change (grow or shrink).
         self.membership_epoch = 0
         #: seq -> instance of every collective in flight (issued, not yet
         #: completed or aborted), in issue order.  A finished instance
@@ -638,11 +643,6 @@ class ServiceCommunicator:
         self.completion_listeners: List[
             Callable[[CollectiveInstance], None]
         ] = []
-        #: Deployment hook journaling each fresh commit (write-ahead
-        #: ``install_strategy`` records).
-        self.on_commit: Optional[
-            Callable[["ServiceCommunicator", CollectiveStrategy], None]
-        ] = None
 
     # ------------------------------------------------------------------
     def commit_strategy(self, strategy: CollectiveStrategy) -> None:
@@ -650,13 +650,10 @@ class ServiceCommunicator:
         barrier has resolved; proxies switch independently).  Versions
         only grow, so a commit is fresh when it is newer than the current
         one; a repeat of the current version is not."""
-        fresh = strategy.version > self.strategy.version
+        if strategy.version > self.strategy.version:
+            self.strategy_epoch += 1
         self.strategy = strategy
         self.datapath.retire_stale(strategy.version)
-        if fresh:
-            self.strategy_epoch += 1
-            if self.on_commit is not None:
-                self.on_commit(self, strategy)
 
     def apply_membership(
         self, gpus: Sequence[GpuDevice], strategy: CollectiveStrategy

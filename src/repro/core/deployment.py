@@ -50,12 +50,7 @@ from ..netsim.errors import (
 from ..telemetry.hub import TelemetryHub
 from .admission import AdmissionController, AdmissionPolicy
 from .communicator import CollectiveInstance, ServiceCommunicator
-from .journal import (
-    ControlPlaneState,
-    StateJournal,
-    snapshot_deployment,
-    strategy_descriptor,
-)
+from .journal import ControlPlaneState, StateJournal, snapshot_deployment
 from .messages import (
     BufferRef,
     CollectiveRequest,
@@ -98,9 +93,10 @@ class MccsDeployment:
         self._telemetry.network.set_program_cache_provider(
             self.program_cache_stats
         )
-        #: Write-ahead journal of control-plane mutations.  Owned here —
-        #: not by any per-host service — so it survives service crashes;
-        #: MccsService.restart() replays it.
+        #: Write-ahead journal of the buffer and tenant tables.  Owned
+        #: here — not by any per-host service — so it survives service
+        #: crashes; MccsService.restart() replays it.  Communicator state
+        #: needs no journal: this object is its one home.
         self.journal = StateJournal(self._telemetry)
         self.services: Dict[int, MccsService] = {
             host.host_id: MccsService(cluster, host, self._telemetry, self)
@@ -230,15 +226,6 @@ class MccsDeployment:
         number of records replayed (0 when already alive)."""
         return self.service_of(host_id).restart()
 
-    def _journal_commit(self, comm: ServiceCommunicator, strategy) -> None:
-        """on_commit hook: journal every freshly committed strategy."""
-        self.journal.append(
-            self.sim.now,
-            "install_strategy",
-            comm_id=comm.comm_id,
-            strategy=strategy_descriptor(strategy),
-        )
-
     def control_state(self) -> ControlPlaneState:
         """Snapshot of the live control plane in journal-comparable form."""
         return snapshot_deployment(self)
@@ -360,18 +347,6 @@ class MccsDeployment:
             ecmp_seed=self.ecmp_seed,
             datapath_tag=datapath_tag,
         )
-        self.journal.append(
-            self.sim.now,
-            "create_communicator",
-            app=app_id,
-            comm_id=comm.comm_id,
-            gpus=[gpu.global_id for gpu in gpus],
-            strategy=strategy_descriptor(comm.strategy),
-            epoch=0,
-            membership_epoch=0,
-            next_seq=0,
-        )
-        comm.on_commit = self._journal_commit
         self._comms[comm.comm_id] = comm
         self._comm_owner[comm.comm_id] = app_id
         self.register_ranks(comm)
@@ -390,9 +365,6 @@ class MccsDeployment:
                 f"communicator {comm.comm_id} still has "
                 f"{len(comm.inflight)} collective(s) in flight"
             )
-        self.journal.append(
-            self.sim.now, "destroy_communicator", app=app_id, comm_id=comm.comm_id
-        )
         for rank, gpu in enumerate(comm.gpus):
             self.service_of_gpu(gpu).proxy_for(gpu.global_id).unregister(comm, rank)
         for version in comm.datapath.live_versions():
@@ -434,16 +406,6 @@ class MccsDeployment:
             kind=request.kind.value,
             nbytes=request.out_bytes,
             strategy_version=comm.strategy.version,
-        )
-        self.journal.append(
-            self.sim.now,
-            "collective_issued",
-            app=app_id,
-            comm_id=comm.comm_id,
-            seq=seq,
-            kind=request.kind.value,
-            bytes=request.out_bytes,
-            trace=trace.trace_id,
         )
         comm.issued_series[request.kind].inc()
         instance = CollectiveInstance(
@@ -700,7 +662,7 @@ class MccsDeployment:
         send buffers, so the one legal alias is a rank's receive range
         being *exactly* its own send range, for the kinds whose input and
         output coincide; anything partial would silently corrupt the
-        result and is refused before the collective is journaled.  Send
+        result and is refused before the collective is sequenced.  Send
         ranges may share bytes with each other (they are only read).
         """
         by_buffer: Dict[int, List[Tuple[str, int, BufferRef]]] = {}
@@ -799,27 +761,13 @@ class MccsDeployment:
             self.reconfig.abandon(comm)
 
     def change_membership(
-        self, comm: ServiceCommunicator, gpus: Sequence[GpuDevice], kind: str,
-        *, left: Sequence[int] = (), joined: Sequence[int] = (),
+        self, comm: ServiceCommunicator, gpus: Sequence[GpuDevice], kind: str
     ) -> None:
         """The one membership cutover: ``comm`` moves to the rank set
         ``gpus`` under a fresh default strategy, for the reason ``kind``
         (elastic ``"rank_join"`` / ``"rank_leave"`` after a drain and a
         quiesce, recovery's ``"rank_lost"`` after aborting the in-flight
-        window).  ``left`` / ``joined`` are global GPU ids."""
-        # Write-ahead: the membership record lands before any live-state
-        # mutation, so a crash mid-cutover replays to the new rank set.
-        self.journal.append(
-            self.sim.now,
-            "membership_change",
-            app=comm.app_id,
-            comm_id=comm.comm_id,
-            epoch=comm.membership_epoch + 1,
-            kind=kind,
-            gpus=[gpu.global_id for gpu in gpus],
-            left=list(left),
-            joined=list(joined),
-        )
+        window)."""
         world_before = comm.world
         # Dead engines too: one that kept (comm, old rank) would report it
         # again on its heartbeat miss.

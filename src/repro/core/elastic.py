@@ -26,8 +26,8 @@ machine per membership operation:
 ``CUTOVER``
     :meth:`~repro.core.deployment.MccsDeployment.change_membership` — the
     one cutover, shared with failure recovery's ``rank_lost`` shrink —
-    journals the write-ahead ``membership_change`` record and installs
-    the new rank set under a fresh strategy; the coordinator then frees
+    installs the new rank set under a fresh strategy and logs
+    ``membership_committed``; the coordinator then frees
     the leavers' staging buffers.  Survivors keep their relative rank
     order; joiners are appended.  A lost rank fails the operation
     (:meth:`ElasticCoordinator.rank_lost`).
@@ -385,9 +385,7 @@ class ElasticCoordinator:
             new_gpus = comm.gpus + [self.deployment.cluster.gpu(i) for i in op.joined]
         else:
             new_gpus = [gpu for gpu in comm.gpus if gpu.global_id not in op.left]
-        self.deployment.change_membership(
-            comm, new_gpus, op.kind, left=op.left, joined=op.joined
-        )
+        self.deployment.change_membership(comm, new_gpus, op.kind)
         # Leavers hand their staging buffers back.
         self._free_staging(comm.comm_id, comm.app_id, op.left)
         op.state = "done"

@@ -1,46 +1,40 @@
 """Write-ahead state journal for the MCCS control plane.
 
-The control plane (services, frontend engines, proxy engines) is an
-in-memory object graph; a service crash would strand every tenant whose
-buffers and communicators it tracked.  The journal fixes that the way
-databases do: every state-mutating control operation — allocate/free,
-communicator create/destroy, strategy install, collective issue — appends
-one typed, JSON-serializable :class:`JournalRecord` *before* the mutation
-is applied.  A crashed engine is then reconstructed by deterministic
-replay (:func:`replay_journal`), and the reconstruction is validated
-against the live object graph by comparing :class:`ControlPlaneState`
-snapshots.
+A service crash loses the process's in-memory state; the journal keeps
+the part a restart cannot read back from anywhere else.  Two tables are
+journaled, each the way databases do it: every mutation appends one
+typed, JSON-serializable :class:`JournalRecord` *before* it is applied.
+
+* A host's buffer table.  Device memory and IPC exports survive a
+  service crash (they are host state), but which app owns which buffer
+  under which handle lives only in the service; :meth:`~repro.core.
+  service.MccsService.restart` rebuilds its memory manager from
+  :func:`replay_journal`'s ``buffers``.
+* The gateway's tenant table.  :meth:`~repro.service.registry.
+  TenantRegistry.restore` rebuilds it from ``tenants``.
+
+Communicator state is not journaled: the live
+:class:`~repro.core.deployment.MccsDeployment` owns it and survives a
+service crash, so a restart re-registers proxies from its communicators
+(and the gateway re-attaches ownership from them).  A record nothing
+reads back would only be a second copy of that one home.
 
 Record schema (``op`` -> payload keys):
 
-======================  ====================================================
-``alloc``               app, host, gpu, buffer_id, size, handle_id
-``free``                app, host, buffer_id
-``create_communicator`` app, comm_id, gpus, strategy, epoch,
-                        membership_epoch, next_seq  (0, 0, 0 when live)
-``install_strategy``    comm_id, strategy  (one per fresh commit)
-``collective_issued``   app, comm_id, seq, kind, bytes [, trace]
-``membership_change``   app, comm_id, epoch, kind, gpus, left, joined
-``destroy_communicator`` app, comm_id
-``tenant_register``     tenant, key_hash, quota
-``tenant_update``       tenant, key_hash, quota  (full-state replacement)
-``tenant_revoke``       tenant
-``service_crash``       host, generation   (informational)
-``service_restart``     host, generation, replayed  (informational)
-``service_upgrade``     host, component, generation  (informational)
-======================  ====================================================
-
-Strategy payloads use :func:`strategy_descriptor`: ``{algorithm, ring,
-channels, version, routes: [[src, dst, channel, route_id], ...]}``.
+===================  ====================================================
+``alloc``            app, host, gpu, buffer_id, size, handle_id
+``free``             app, host, buffer_id
+``tenant_register``  tenant, key_hash, quota
+``tenant_update``    tenant, key_hash, quota  (full-state replacement)
+``tenant_revoke``    tenant
+===================  ====================================================
 
 The log is checkpointed: :func:`checkpoint` is the inverse of
 :func:`replay_journal`, and :meth:`StateJournal.compact` replaces the log
-by the checkpoint of the state it replays to.  A checkpoint is one record
-per live object: a ``tenant_register`` per tenant, an ``alloc`` per
-buffer, and a ``create_communicator`` per communicator that carries its
-current GPUs, current strategy, strategy and membership epochs and issue
-frontier.  Checkpoint records carry only the keys replay reads, and
-informational records replay to nothing, so they go.
+by the checkpoint of the state it replays to — a ``tenant_register`` per
+tenant and an ``alloc`` per buffer, each carrying only the keys replay
+reads.  :meth:`~repro.core.deployment.MccsDeployment.verify_journal`
+diffs the replayed tables against the live ones.
 """
 
 from __future__ import annotations
@@ -55,41 +49,14 @@ from ..netsim.errors import JournalError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.hub import TelemetryHub
     from .deployment import MccsDeployment  # noqa: F401
-    from .strategy import CollectiveStrategy
 
-#: Ops that mutate replayable state (anything else is informational).
-_STATE_OPS = {
-    "alloc",
-    "free",
-    "create_communicator",
-    "install_strategy",
-    "collective_issued",
-    "membership_change",
-    "destroy_communicator",
-    "tenant_register",
-    "tenant_update",
-    "tenant_revoke",
-}
-_INFO_OPS = {"service_crash", "service_restart", "service_upgrade"}
+#: Every op the journal accepts; each replays to a table a restart reads.
+_STATE_OPS = {"alloc", "free", "tenant_register", "tenant_update", "tenant_revoke"}
 
 #: The log checkpoints itself when it reaches ``max(CHECKPOINT_FLOOR,
 #: 2 x its size after the last checkpoint)`` records: amortised O(1) per
 #: append, and never more than twice what the live state needs.
 CHECKPOINT_FLOOR = 1024
-
-
-def strategy_descriptor(strategy: "CollectiveStrategy") -> Dict[str, object]:
-    """JSON-serializable description of a strategy (journal payload form)."""
-    return {
-        "algorithm": strategy.algorithm,
-        "ring": list(strategy.ring.order),
-        "channels": strategy.channels,
-        "version": strategy.version,
-        "routes": sorted(
-            [src, dst, channel, route_id]
-            for (src, dst, channel), route_id in strategy.route_map().items()
-        ),
-    }
 
 
 @dataclass(frozen=True)
@@ -100,23 +67,6 @@ class JournalRecord:
     time: float
     op: str
     payload: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seq": self.seq,
-            "time": self.time,
-            "op": self.op,
-            "payload": dict(self.payload),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "JournalRecord":
-        return cls(
-            seq=int(data["seq"]),
-            time=float(data["time"]),
-            op=str(data["op"]),
-            payload=dict(data.get("payload", {})),
-        )
 
 
 class StateJournal:
@@ -139,9 +89,7 @@ class StateJournal:
             "mccs_journal_appends_total",
             "Control-plane operations appended to the state journal.",
         )
-        self._append_series = {
-            op: appends.labels(op=op) for op in _STATE_OPS | _INFO_OPS
-        }
+        self._append_series = {op: appends.labels(op=op) for op in _STATE_OPS}
         self._records_gauge = telemetry.metrics.gauge(
             "mccs_journal_records",
             "Records currently retained in the state journal.",
@@ -151,7 +99,7 @@ class StateJournal:
         return len(self._records)
 
     def append(self, time: float, op: str, **payload: object) -> JournalRecord:
-        if op not in _STATE_OPS and op not in _INFO_OPS:
+        if op not in _STATE_OPS:
             raise JournalError(f"unknown journal op {op!r}")
         record = JournalRecord(
             seq=next(self._seq), time=time, op=op, payload=payload
@@ -175,22 +123,6 @@ class StateJournal:
     def records(self) -> List[JournalRecord]:
         return list(self._records)
 
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps([record.to_dict() for record in self._records])
-
-    @classmethod
-    def from_json(cls, text: str, telemetry: "TelemetryHub") -> "StateJournal":
-        journal = cls(telemetry)
-        records = [JournalRecord.from_dict(item) for item in json.loads(text)]
-        journal._records = records
-        last = records[-1].seq if records else -1
-        journal._seq = itertools.count(last + 1)
-        return journal
-
-    # ------------------------------------------------------------------
     def compact(self) -> int:
         """Replace the log by the checkpoint of the state it replays to.
 
@@ -215,7 +147,7 @@ class StateJournal:
 
 @dataclass
 class ControlPlaneState:
-    """Comparable snapshot of the deployment's control-plane state.
+    """Comparable snapshot of the journaled control-plane tables.
 
     Two sources produce it — :func:`snapshot_deployment` from the live
     object graph and :func:`replay_journal` purely from the journal — and
@@ -224,8 +156,6 @@ class ControlPlaneState:
 
     #: buffer_id -> {app, host, gpu, size, handle}
     buffers: Dict[int, Dict[str, object]] = field(default_factory=dict)
-    #: comm_id -> {app, gpus, strategy, epoch, membership_epoch, next_seq}
-    communicators: Dict[int, Dict[str, object]] = field(default_factory=dict)
     #: tenant_id -> {key_hash, quota} (live gateway accounts)
     tenants: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
@@ -234,20 +164,19 @@ class ControlPlaneState:
         lines: List[str] = []
         for what, left, right in (
             ("buffer tables", self.buffers, other.buffers),
-            ("communicators", self.communicators, other.communicators),
             ("tenant tables", self.tenants, other.tenants),
         ):
             if left != right:
                 lines.append(
                     f"{what} differ: only-left={sorted(left.keys() - right)} "
                     f"only-right={sorted(right.keys() - left)} "
-                    f"changed={[k for k in left.keys() & right if left[k] != right[k]]}"
+                    f"changed={sorted(k for k in left.keys() & right if left[k] != right[k])}"
                 )
         return lines
 
 
 def replay_journal(records: List[JournalRecord]) -> ControlPlaneState:
-    """Reconstruct control-plane state purely from journal records."""
+    """Reconstruct the journaled tables purely from journal records."""
     state = ControlPlaneState()
     for rec in records:
         p = rec.payload
@@ -265,47 +194,6 @@ def replay_journal(records: List[JournalRecord]) -> ControlPlaneState:
                     f"journal frees unknown buffer {p['buffer_id']}"
                 )
             del state.buffers[p["buffer_id"]]
-        elif rec.op == "create_communicator":
-            state.communicators[p["comm_id"]] = {
-                "app": p["app"],
-                "gpus": list(p["gpus"]),
-                "strategy": dict(p["strategy"]),
-                "epoch": p["epoch"],
-                "membership_epoch": p["membership_epoch"],
-                "next_seq": p["next_seq"],
-            }
-        elif rec.op == "install_strategy":
-            comm = state.communicators.get(p["comm_id"])
-            if comm is None:
-                raise JournalError(
-                    f"journal installs strategy on unknown comm {p['comm_id']}"
-                )
-            comm["strategy"] = dict(p["strategy"])
-            comm["epoch"] += 1
-        elif rec.op == "collective_issued":
-            comm = state.communicators.get(p["comm_id"])
-            if comm is None:
-                raise JournalError(
-                    f"journal issues collective on unknown comm {p['comm_id']}"
-                )
-            comm["next_seq"] = max(comm["next_seq"], p["seq"] + 1)
-        elif rec.op == "membership_change":
-            # The rank-set cutover; the strategy for the new world arrives
-            # in the subsequent install_strategy record (which bumps the
-            # strategy epoch as usual — membership does not double-bump).
-            comm = state.communicators.get(p["comm_id"])
-            if comm is None:
-                raise JournalError(
-                    f"journal changes membership of unknown comm {p['comm_id']}"
-                )
-            comm["gpus"] = list(p["gpus"])
-            comm["membership_epoch"] = p["epoch"]
-        elif rec.op == "destroy_communicator":
-            if p["comm_id"] not in state.communicators:
-                raise JournalError(
-                    f"journal destroys unknown comm {p['comm_id']}"
-                )
-            del state.communicators[p["comm_id"]]
         elif rec.op == "tenant_register":
             tenant = str(p["tenant"])
             if tenant in state.tenants:
@@ -333,14 +221,12 @@ def replay_journal(records: List[JournalRecord]) -> ControlPlaneState:
                     f"journal revokes unknown tenant {tenant!r}"
                 )
             del state.tenants[tenant]
-        # informational ops replay to nothing
     return state
 
 
 def checkpoint(state: ControlPlaneState) -> List[JournalRecord]:
     """The inverse of :func:`replay_journal`: records, numbered from 0,
-    that replay to ``state`` — one per live tenant, buffer and
-    communicator."""
+    that replay to ``state`` — one per live tenant and buffer."""
     ops: List[Tuple[str, Dict[str, object]]] = [
         ("tenant_register", {
             "tenant": tenant, "key_hash": account["key_hash"],
@@ -356,15 +242,6 @@ def checkpoint(state: ControlPlaneState) -> List[JournalRecord]:
         })
         for buffer_id, info in state.buffers.items()
     ]
-    ops += [
-        ("create_communicator", {
-            "app": comm["app"], "comm_id": comm_id, "gpus": comm["gpus"],
-            "strategy": comm["strategy"], "epoch": comm["epoch"],
-            "membership_epoch": comm["membership_epoch"],
-            "next_seq": comm["next_seq"],
-        })
-        for comm_id, comm in state.communicators.items()
-    ]
     return [
         JournalRecord(seq=seq, time=0.0, op=op, payload=payload)
         for seq, (op, payload) in enumerate(ops)
@@ -372,7 +249,7 @@ def checkpoint(state: ControlPlaneState) -> List[JournalRecord]:
 
 
 def snapshot_deployment(deployment: "MccsDeployment") -> ControlPlaneState:
-    """Snapshot the live object graph in journal-comparable form."""
+    """Snapshot the live tables in journal-comparable form."""
     state = ControlPlaneState()
     for service in deployment.services.values():
         for buffer_id, alloc in service.memory.allocations().items():
@@ -383,15 +260,6 @@ def snapshot_deployment(deployment: "MccsDeployment") -> ControlPlaneState:
                 "size": alloc.buffer.size,
                 "handle": alloc.handle.handle_id,
             }
-    for comm in deployment.communicators():
-        state.communicators[comm.comm_id] = {
-            "app": comm.app_id,
-            "gpus": [gpu.global_id for gpu in comm.gpus],
-            "strategy": strategy_descriptor(comm.strategy),
-            "epoch": comm.strategy_epoch,
-            "membership_epoch": comm.membership_epoch,
-            "next_seq": comm.next_seq,
-        }
     registry = (
         deployment.gateway.registry
         if deployment.gateway is not None

@@ -392,10 +392,7 @@ class RecoveryManager:
         for instance in reversed(list(comm.inflight.values())):
             instance.abort(error)
         # No drain: dead ranks cannot contribute to a barrier.
-        deployment.change_membership(
-            comm, survivors, "rank_lost",
-            left=[comm.gpus[rank].global_id for rank in dead],
-        )
+        deployment.change_membership(comm, survivors, "rank_lost")
 
     def _close(self, rec: _CommRecovery, event: str, detail: str = "") -> None:
         """Verdict that keeps the communicator: the episode ends and its

@@ -12,9 +12,10 @@ fan-out, reconfiguration) are coordinated by
 Being a process, the service can *die* without its host dying.
 :meth:`MccsService.crash` models exactly that: proxies stop driving
 collectives, frontends stop answering, but GPU memory and the host's IPC
-exports survive.  :meth:`MccsService.restart` rebuilds the lost state by
+exports survive.  :meth:`MccsService.restart` rebuilds the buffer table by
 replaying the deployment's write-ahead journal
-(:mod:`repro.core.journal`), and :meth:`MccsService.upgrade` swaps the
+(:mod:`repro.core.journal`) and re-registers its proxy engines from the
+deployment's live communicators, and :meth:`MccsService.upgrade` swaps the
 engines live by draining through the §4.2 reconfiguration barrier first.
 """
 
@@ -319,9 +320,6 @@ class MccsService:
         for proxy in self.proxies.values():
             proxy.fail(err)
         self._frontends.clear()
-        self._journal(
-            "service_crash", host=self.host.host_id, generation=self.generation
-        )
         self.telemetry.metrics.counter(
             "mccs_service_crashes_total",
             "MCCS service process crashes, by host.",
@@ -394,12 +392,6 @@ class MccsService:
         for comm in self.deployment.communicators():
             if not comm.aborted:
                 self.deployment.register_ranks(comm, host_id=self.host.host_id)
-        self._journal(
-            "service_restart",
-            host=self.host.host_id,
-            generation=self.generation,
-            replayed=len(records),
-        )
         self.telemetry.metrics.counter(
             "mccs_service_restarts_total",
             "MCCS service restarts reconstructed from the journal.",
@@ -481,12 +473,6 @@ class MccsService:
                 self._frontends.clear()
             session.done_time = sim.now
             session.generation_after = self.generation
-            self._journal(
-                "service_upgrade",
-                host=self.host.host_id,
-                component=component,
-                generation=self.generation,
-            )
             self.telemetry.metrics.counter(
                 "mccs_upgrades_total",
                 "Live service upgrades completed, by component.",

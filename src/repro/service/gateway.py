@@ -862,8 +862,8 @@ class ServiceGateway:
                 self.deployment.admission.set_class(
                     account.tenant_id, account.quota.qos_class
                 )
-        # Re-attach live communicators to their owning accounts (their
-        # ownership is journaled control-plane state, not gateway state).
+        # Re-attach live communicators to their owning accounts: the
+        # deployment owns communicator state and outlives the gateway.
         accounts = {a.tenant_id: a for a in self.registry.accounts()}
         for comm in self.deployment.communicators():
             account = accounts.get(comm.app_id)

@@ -15,9 +15,8 @@ This module provides that substrate:
   :class:`~repro.core.tracing.TraceRecord` is six scalars copied off the
   instance at its terminal state; no lifecycle fact is written twice.
   The trace carries its own identity (``trace_id``, tenant, comm, seq,
-  kind, bytes, strategy version); journal records and decision events
-  reference its ``trace_id``, and a launch batch's flow tags carry the
-  trace itself.
+  kind, bytes, strategy version); decision events reference its
+  ``trace_id``, and a launch batch's flow tags carry the trace itself.
 * :class:`CausalTracer` — a :class:`~repro.netsim.engine.SimObserver`
   that keeps the live trees and a bounded ring of closed ones.  Flows
   tagged with ``trace=<CausalTrace>`` are adopted into that trace while
@@ -203,8 +202,8 @@ class CausalTrace:
         self.end_time: Optional[float] = None
         self.status = "open"
         self.attempts: List[TraceAttempt] = [TraceAttempt(1, now)]
-        #: Annotations from the control plane: journal appends, barrier
-        #: passes, holds, relaunches, recovery decisions...
+        #: Annotations from the control plane: barrier passes, holds,
+        #: relaunches, recovery decisions...
         self.events: List[Tuple[float, str, Dict[str, object]]] = []
 
     # ------------------------------------------------------------------

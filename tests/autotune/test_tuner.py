@@ -102,11 +102,14 @@ def test_retunes_applied_exclusively_through_the_barrier():
 
 def test_strategy_versions_are_monotonic():
     deployment, tuner, comm, _ = tuned_run(64 * KB)
-    versions = [
-        record.payload["strategy"]["version"]
-        for record in deployment.journal.records()
-        if record.op in ("create_communicator", "install_strategy")
+    committed = [
+        (session.from_version, session.to_version)
+        for session in deployment.telemetry().sessions
+        if session.done_time is not None and not session.failed
     ]
+    assert committed, "the tuner never committed a strategy"
+    versions = [committed[0][0]] + [to for _, to in committed]
+    assert all(to == frm + 1 for frm, to in committed)
     assert versions == list(range(versions[0], versions[-1] + 1))
     assert comm.strategy.version == versions[-1]
     assert comm.strategy_epoch == len(versions) - 1

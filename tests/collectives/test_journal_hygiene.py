@@ -1,4 +1,5 @@
-"""Every journal op has replay support, and checkpoints speak replay's words.
+"""Every journal op has replay support, checkpoints speak replay's words,
+and every replayed table has a restart that reads it.
 
 ``repro.core.journal`` keeps one definition of what a record means: the
 branch of ``replay_journal`` that handles its op.  Compaction is
@@ -9,13 +10,19 @@ dead weight (or, worse, a second meaning).  These checks walk the module
 and fail if either drifts: the ops replay handles are exactly
 ``_STATE_OPS``, and ``checkpoint`` emits only those ops, each with
 exactly the payload keys replay reads for it.
+
+The journal exists for restarts: a table of ``ControlPlaneState`` that
+no code outside the journal reads off a ``replay_journal(...)`` result
+is a second copy of live state that only ``verify_journal()`` looks at,
+and every control operation would pay an append for it.
 """
 
 import ast
+import dataclasses
 
-from repro.core.journal import _STATE_OPS
+from repro.core.journal import _STATE_OPS, ControlPlaneState
 
-from .test_data_plane_hygiene import SRC, TREE
+from .test_data_plane_hygiene import SOURCES, SRC, TREE
 
 JOURNAL = TREE[SRC / "core/journal.py"]
 
@@ -72,9 +79,50 @@ def test_replay_handles_exactly_the_state_ops():
 def test_checkpoint_records_carry_only_what_replay_reads():
     replayed = _replayed_keys()
     records = _checkpoint_records()
-    assert {op for op, _ in records} == {
-        "tenant_register", "alloc", "create_communicator",
-    }
+    assert {op for op, _ in records} == {"tenant_register", "alloc"}
     for op, keys in records:
         assert op in replayed, op
         assert keys == replayed[op], op
+
+
+def _is_replay(node):
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "replay_journal"
+        or getattr(node.func, "attr", None) == "replay_journal"
+    )
+
+
+def _replayed_tables_read():
+    """``{field: [file, ...]}`` of the ``replay_journal(...)`` result
+    attributes read outside ``core/journal.py``, directly or through a
+    name the result was assigned to."""
+    reads = {}
+    for path in SOURCES:
+        if path == SRC / "core/journal.py":
+            continue
+        tree = TREE[path]
+        bound = {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and _is_replay(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (
+                _is_replay(node.value)
+                or (isinstance(node.value, ast.Name) and node.value.id in bound)
+            ):
+                reads.setdefault(node.attr, []).append(
+                    str(path.relative_to(SRC))
+                )
+    return reads
+
+
+def test_every_replayed_table_has_a_restart_reader():
+    reads = _replayed_tables_read()
+    tables = {f.name for f in dataclasses.fields(ControlPlaneState)}
+    assert {table: sorted(set(reads.get(table, []))) for table in tables} == {
+        "buffers": ["core/service.py"],
+        "tenants": ["service/registry.py"],
+    }

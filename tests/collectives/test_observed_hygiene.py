@@ -79,25 +79,14 @@ def _calls(path, attribute):
 
 def test_one_membership_cutover_and_one_barrier_loop():
     """Membership changes only through ``MccsDeployment.change_membership``
-    (the one ``apply_membership`` caller and ``membership_change``
-    journal writer), and recovery reaches the barrier only through
-    ``drain``."""
+    (the one ``apply_membership`` caller), and recovery reaches the
+    barrier only through ``drain``."""
     cutovers = [
         f"{_relative(path)}:{node.lineno}"
         for path in SOURCES
         for node in _calls(path, "apply_membership")
     ]
-    journaled = [
-        f"{_relative(path)}:{node.lineno}"
-        for path in SOURCES
-        for node in _calls(path, "append")
-        if any(
-            isinstance(arg, ast.Constant) and arg.value == "membership_change"
-            for arg in node.args
-        )
-    ]
-    assert len(cutovers) == len(journaled) == 1
+    assert len(cutovers) == 1
     assert cutovers[0].startswith("core/deployment.py:")
-    assert journaled[0].startswith("core/deployment.py:")
     assert _calls(SRC / "core/recovery.py", "reconfigure") == []
     assert len(_calls(SRC / "core/recovery.py", "drain")) == 1

@@ -93,6 +93,11 @@ RETIRED = re.compile(
     # solver slot is its only slot and the tracer takes one rate hand-off
     # per recomputation
     r"|FlowArena|_BoundRecorder|_slot_of|on_rate_change|_attach"
+    # journal ops and hooks no restart read back; the live deployment is
+    # the one home of communicator state
+    r"|strategy_descriptor|on_commit|_journal_commit|install_strategy"
+    r"|collective_issued|\bmembership_change\b|\bservice_restart\b"
+    r"|service_upgrade|_INFO_OPS"
 )
 
 #: What only the one artifact writer may do under ``experiments/``.

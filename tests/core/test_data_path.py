@@ -3,7 +3,7 @@
 The executor writes a collective's result straight into the tenant's
 receive buffers, so the frontend has to (a) move nothing when there is
 nowhere to put a result and (b) classify aliasing between the ranges a
-request names before anything is journaled; and (c) what scratch the
+request names before the collective is sequenced; and (c) what scratch the
 executor still needs comes from the deployment, not from a fresh
 allocation per collective.
 """
@@ -52,10 +52,10 @@ def test_send_without_recv_moves_no_bytes(monkeypatch):
     sends = _filled(client, gpus, NBYTES, seed=0)
     before = [buf.view(np.int32).copy() for buf in sends]
 
-    start = len(deployment.journal)
+    issued = deployment.telemetry().metrics.counter("mccs_collectives_issued_total")
+    start = issued.total()
     timing_only = client.all_reduce(comm, NBYTES)
     deployment.run()
-    per_op = len(deployment.journal) - start
 
     def no_bytes(*args, **kwargs):
         raise AssertionError("the data plane ran with nowhere to put the result")
@@ -68,7 +68,7 @@ def test_send_without_recv_moves_no_bytes(monkeypatch):
     assert send_only.completed
     # (issued at a later instant: equal up to the float subtraction)
     assert send_only.duration() == pytest.approx(timing_only.duration(), rel=1e-9)
-    assert len(deployment.journal) - start == 2 * per_op  # journaled alike
+    assert issued.total() - start == 2  # issued alike
     for buf, kept in zip(sends, before):
         np.testing.assert_array_equal(buf.view(np.int32), kept)
     # same simulated time again once there is a place for the result
@@ -107,6 +107,7 @@ def test_partial_overlap_is_refused_before_anything_is_journaled(algorithm):
     deployment, client, comm, gpus = _setup(algorithm)
     big = [client.alloc(gpu, 2 * NBYTES) for gpu in gpus]
     records = len(deployment.journal)
+    next_seq = deployment.communicator(comm.comm_id).next_seq
     half = NBYTES // 2
 
     def issue(kind, out_bytes, send, recv):
@@ -135,6 +136,7 @@ def test_partial_overlap_is_refused_before_anything_is_journaled(algorithm):
         [b.ref(0, NBYTES) for b in big], [b.ref(NBYTES - 4, NBYTES // 4) for b in big],
     )
     assert len(deployment.journal) == records
+    assert deployment.communicator(comm.comm_id).next_seq == next_seq
     assert comm.comm_id in {c.comm_id for c in deployment.communicators()}
     # disjoint windows of one allocation stay legal
     done = client.all_reduce(

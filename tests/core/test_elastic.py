@@ -2,7 +2,7 @@
 
 Unit coverage for :mod:`repro.core.elastic` — the drain/quiesce/cutover
 state machine, the joiner handshake (admission + staging buffers), the
-deterministic survivor renumbering, the journal record, and the chaos
+deterministic survivor renumbering, the committed-change event, and the chaos
 entry points the fault injector drives.  The experiment-level bars live
 in ``tests/experiments/test_elastic.py`` and the WAN interleaving
 property in ``tests/chaos``.
@@ -252,14 +252,14 @@ def test_membership_survives_crash_restart(
     deployment.run()
     elastic.shrink(comm.comm_id, [0])
     deployment.run()
-    changes = [
-        rec for rec in deployment.journal.records()
-        if rec.op == "membership_change"
+    hub = deployment.telemetry()
+    assert [e.message for e in hub.events.events("membership_committed")] == [
+        f"comm{comm.comm_id} rank_join committed: world 4->5 epoch=1",
+        f"comm{comm.comm_id} rank_leave committed: world 5->4 epoch=2",
     ]
-    assert [rec.payload["kind"] for rec in changes] == [
-        "rank_join",
-        "rank_leave",
-    ]
+    changes = hub.metrics.counter("mccs_membership_changes_total")
+    assert changes.value(app="A", kind="rank_join") == 1
+    assert changes.value(app="A", kind="rank_leave") == 1
     assert deployment.verify_journal() == []
 
     deployment.crash_service(1)

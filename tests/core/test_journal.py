@@ -1,11 +1,12 @@
-"""Write-ahead state journal: schema, round-trip, checkpoints, replay.
+"""Write-ahead state journal: schema, checkpoints, replay.
 
-The property test at the bottom is the crash-consistency contract of the
-robustness tentpole: executing any prefix of a control-op program, then
-crashing and journal-restarting a service, then finishing the program,
-must leave the control plane byte-for-byte equal (buffer tables,
-communicator epochs, strategy versions, issue frontiers) to a run that
-never crashed.
+The journal holds the two tables a restart reads back — buffers and
+tenants.  The property test at the bottom is the crash-consistency
+contract: executing any prefix of a control-op program, then crashing
+and journal-restarting a service, then finishing the program, must leave
+the control plane byte-for-byte equal (buffer tables, and the live
+communicators' epochs, strategy versions and issue frontiers) to a run
+that never crashed.
 """
 
 import pytest
@@ -15,14 +16,19 @@ from hypothesis import strategies as st
 from repro.cluster.specs import testbed_cluster
 from repro.core.controller import CentralManager
 from repro.core.deployment import MccsDeployment
-from repro.core.journal import StateJournal, checkpoint, replay_journal
+from repro.core.journal import (
+    ControlPlaneState,
+    StateJournal,
+    checkpoint,
+    replay_journal,
+)
 from repro.errors import JournalError
 from repro.netsim.units import MB
 from repro.service import TenantQuota, TenantRegistry
 
 
 # ----------------------------------------------------------------------
-# record schema and serialization
+# record schema
 # ----------------------------------------------------------------------
 def test_append_rejects_unknown_op(hub):
     journal = StateJournal(hub)
@@ -36,32 +42,34 @@ def test_append_rejects_non_serializable_payload(hub):
         journal.append(0.0, "alloc", buffer_id=object())
 
 
-def test_json_round_trip_preserves_records_and_seq(hub):
-    journal = StateJournal(hub)
-    journal.append(0.0, "alloc", app="A", host=0, gpu=0, buffer_id=1,
-                   size=256, handle_id=7)
-    journal.append(0.001, "free", app="A", host=0, buffer_id=1)
-    clone = StateJournal.from_json(journal.to_json(), hub)
-    assert clone.records() == journal.records()
-    # The sequence counter continues past the restored records.
-    record = clone.append(0.002, "service_crash", host=0, generation=0)
-    assert record.seq == 2
-
-
 def test_replay_rejects_dangling_references(hub):
     journal = StateJournal(hub)
     journal.append(0.0, "free", app="A", host=0, buffer_id=99)
     with pytest.raises(JournalError, match="unknown buffer"):
         replay_journal(journal.records())
     journal2 = StateJournal(hub)
-    journal2.append(0.0, "collective_issued", app="A", comm_id=5, seq=0,
-                    kind="all_reduce", bytes=256)
-    with pytest.raises(JournalError, match="unknown comm"):
+    journal2.append(0.0, "tenant_update", tenant="t0", key_hash="h", quota={})
+    with pytest.raises(JournalError, match="unknown tenant"):
         replay_journal(journal2.records())
 
 
+def test_changed_keys_are_listed_in_sorted_order():
+    """The mismatch text names changed keys sorted, like the only-left and
+    only-right lists, so it reads the same in every process."""
+    left, right = ControlPlaneState(), ControlPlaneState()
+    names = [f"t{i}" for i in range(8)]
+    for name in reversed(names):
+        left.tenants[name] = {"key_hash": "a", "quota": {}}
+        right.tenants[name] = {"key_hash": "b", "quota": {}}
+    (line,) = left.diff(right)
+    assert line == (
+        "tenant tables differ: only-left=[] only-right=[] "
+        f"changed={names}"
+    )
+
+
 # ----------------------------------------------------------------------
-# every control op is journaled, and replay matches the live graph
+# buffer ops are journaled, and replay matches the live graph
 # ----------------------------------------------------------------------
 def test_control_ops_are_journaled_and_replay_consistent(
     deployment, manager, four_gpus
@@ -80,14 +88,10 @@ def test_control_ops_are_journaled_and_replay_consistent(
     deployment.run()
     client.free(buf)
 
-    ops = {record.op for record in deployment.journal.records()}
-    assert {
-        "create_communicator",
-        "install_strategy",
-        "alloc",
-        "free",
-        "collective_issued",
-    } <= ops
+    # Communicator creation, the collective and the reconfiguration add
+    # nothing: the live deployment is their one home.
+    ops = [record.op for record in deployment.journal.records()]
+    assert ops == ["alloc", "alloc", "free"]
     assert deployment.verify_journal() == []
     live = deployment.control_state()
     assert keep.buffer_id in live.buffers
@@ -98,7 +102,7 @@ def test_compaction_drops_superseded_history(deployment, manager, four_gpus):
     state = manager.admit("A", four_gpus)
     client = deployment.connect("A")
     comm = client.adopt_communicator(state.comm_id)
-    # Garbage: alloc/free pairs and several superseded issue records.
+    # Garbage: alloc/free pairs; the collectives add no records.
     for _ in range(3):
         client.free(client.alloc(four_gpus[0], 256))
     for _ in range(4):
@@ -118,43 +122,23 @@ def test_compaction_drops_superseded_history(deployment, manager, four_gpus):
     assert survivor.buffer_id in deployment.control_state().buffers
 
 
-def test_destroyed_communicator_history_is_compacted(
-    deployment, manager, four_gpus
-):
-    state = manager.admit("A", four_gpus)
-    client = deployment.connect("A")
-    comm = client.adopt_communicator(state.comm_id)
-    client.all_reduce(comm, 256)
-    deployment.run()
-    client.destroy_communicator(comm)
-    deployment.journal.compact()
-    comm_ops = [
-        record.op
-        for record in deployment.journal.records()
-        if record.payload.get("comm_id") == state.comm_id
-    ]
-    assert comm_ops == []
-    assert deployment.verify_journal() == []
-
-
 def test_compaction_counts_removed_records_on_one_series(
-    deployment, manager, four_gpus
+    deployment, four_gpus
 ):
-    state = manager.admit("A", four_gpus)
     client = deployment.connect("A")
-    comm = client.adopt_communicator(state.comm_id)
+    keep = client.alloc(four_gpus[1], 256)
     for _ in range(5):
-        client.all_reduce(comm, 256)
-        deployment.run()
+        client.free(client.alloc(four_gpus[0], 256))
     removed = deployment.journal.compact()
     counter = deployment.telemetry().metrics.counter(
         "mccs_journal_compacted_total"
     )
-    # Six records (create + five issues) checkpoint to one create.
-    assert removed == 5
+    # Eleven records (keep + five alloc/free pairs) checkpoint to one alloc.
+    assert removed == 10
     assert counter.samples() == [({}, removed)]
     removed += deployment.journal.compact() + deployment.journal.compact()
-    assert counter.total() == removed == 5
+    assert counter.total() == removed == 10
+    assert keep.buffer_id in deployment.control_state().buffers
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +203,9 @@ def test_checkpoint_is_the_inverse_of_replay(ops):
 
 
 def test_single_communicator_loop_keeps_the_journal_bounded(monkeypatch):
+    """A serving loop that takes and returns a scratch buffer per
+    collective: its alloc/free pairs checkpoint away, and the collectives
+    append nothing."""
     monkeypatch.setattr("repro.core.journal.CHECKPOINT_FLOOR", 16)
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster)
@@ -227,32 +214,44 @@ def test_single_communicator_loop_keeps_the_journal_bounded(monkeypatch):
     for gpu in cluster.gpus:
         client.alloc(gpu, 256)
     lengths = []
-    for _ in range(300):
+    for step in range(300):
+        scratch = client.alloc(cluster.gpus[step % len(cluster.gpus)], 256)
         client.all_reduce(comm, 256)
         deployment.run()
+        client.free(scratch)
         lengths.append(len(deployment.journal))
     size = len(checkpoint(replay_journal(deployment.journal.records())))
-    assert size == len(cluster.gpus) + 1  # allocs, create
+    assert size == len(cluster.gpus)  # one alloc per kept buffer
     assert max(lengths) < 2 * max(16, size)
     # Checkpoints rewrite the log, never the append count.
-    assert deployment.journal.appends_total == 300 + len(cluster.gpus) + 1
+    assert deployment.journal.appends_total == 600 + len(cluster.gpus)
     assert deployment.verify_journal() == []
 
 
 def test_checkpoint_is_one_record_per_live_object():
-    """Fifty reconfigurations and ten grow + shrink cycles later, a
-    communicator checkpoints to its one create record: no strategy
-    version it has retired survives, in the live graph or the log."""
+    """Fifty quota and key updates, a revoked tenant and twenty buffer
+    cycles later, the log checkpoints to one record per live tenant and
+    buffer; fifty reconfigurations and ten grow + shrink cycles append
+    nothing to it."""
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster)
     elastic = deployment.enable_elasticity()
     registry = TenantRegistry(deployment, secret="test-secret")
     registry.register("t0")
+    registry.register("t1")
+    for step in range(50):
+        if step % 2:
+            registry.rotate_key("t0")
+        else:
+            registry.set_quota("t0", TenantQuota(rate=float(step)))
+    registry.revoke("t1")
     client = deployment.connect("A")
     gpus = list(cluster.gpus)
+    keep = client.alloc(gpus[0], 256)
+    for step in range(20):
+        client.free(client.alloc(gpus[step % len(gpus)], 512))
+    length = len(deployment.journal)
     comm = deployment.communicator(client.create_communicator(gpus[:4]).comm_id)
-    other = client.create_communicator(gpus[4:6])
-    client.alloc(gpus[0], 256)
     for step in range(50):
         shift = step % 3 + 1
         order = list(range(comm.world))
@@ -263,54 +262,57 @@ def test_checkpoint_is_one_record_per_live_object():
         deployment.run()
         elastic.shrink(comm.comm_id, [4])
         deployment.run()
-    client.all_reduce(other, 1 * MB)
-    deployment.run()
+    # Each grow journals the joiner's staging alloc, each shrink its free.
+    assert len(deployment.journal) == length + 20
     state = replay_journal(deployment.journal.records())
     records = checkpoint(state)
-    assert [record.op for record in records] == [
-        "tenant_register", "alloc", "create_communicator",
-        "create_communicator",
-    ]
-    assert len(records) == (
-        len(state.tenants) + len(state.buffers) + len(state.communicators)
-    )
+    assert [record.op for record in records] == ["tenant_register", "alloc"]
+    assert len(records) == len(state.tenants) + len(state.buffers)
+    assert records[0].payload == {"tenant": "t0", **registry.snapshot()["t0"]}
+    assert records[1].payload["buffer_id"] == keep.buffer_id
     # 50 reconfigurations, and per grow or shrink a drain and a cutover.
-    assert records[2].payload["epoch"] == comm.strategy_epoch == 90
-    assert records[2].payload["membership_epoch"] == 20
-    assert records[3].payload["next_seq"] == 1
+    assert comm.strategy_epoch == 90 and comm.membership_epoch == 20
     assert deployment.verify_journal() == []
 
 
-def test_a_lost_install_still_shows(deployment, manager, four_gpus):
-    """The strategy epoch counts installs, so a log that lost one names
-    the communicator even when the current strategy replays right."""
-    state = manager.admit("A", four_gpus)
-    for _ in range(3):
-        deployment.reconfigure(
-            state.comm_id,
-            routes=deployment.communicator(state.comm_id).strategy.route_map(),
-        )
-        deployment.run()
+def test_a_lost_free_still_shows(deployment, four_gpus):
+    """A log that lost a record names what it got wrong: a lost ``free``
+    leaves its buffer only on the replayed side, a lost ``tenant_update``
+    leaves the tenant changed."""
+    registry = TenantRegistry(deployment, secret="test-secret")
+    registry.register("t0")
+    registry.set_quota("t0", TenantQuota(rate=5.0))
+    client = deployment.connect("A")
+    kept = client.alloc(four_gpus[0], 256)
+    freed = client.alloc(four_gpus[1], 256)
+    client.free(freed)
     records = deployment.journal.records()
-    first = next(i for i, r in enumerate(records) if r.op == "install_strategy")
-    lost = records[:first] + records[first + 1:]
     assert replay_journal(records).diff(deployment.control_state()) == []
-    (line,) = replay_journal(lost).diff(deployment.control_state())
-    assert line.startswith("communicators differ")
-    assert f"changed=[{state.comm_id}]" in line
+    ops = [record.op for record in records]
+    for op, expected in (
+        ("free", f"buffer tables differ: only-left=[{freed.buffer_id}] "
+                 "only-right=[] changed=[]"),
+        ("tenant_update", "tenant tables differ: only-left=[] only-right=[] "
+                          "changed=['t0']"),
+    ):
+        index = ops.index(op)
+        lost = records[:index] + records[index + 1:]
+        assert replay_journal(lost).diff(deployment.control_state()) == [expected]
+    assert kept.buffer_id in deployment.control_state().buffers
 
 
 def _checkpointed_run(crash):
-    """Traffic that checkpoints the journal, then (optionally) a crash
-    and restart of host 0's service, then more traffic."""
+    """Traffic and buffer churn that checkpoint the journal, then
+    (optionally) a crash and restart of host 0's service, then more
+    traffic."""
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster)
     client = deployment.connect("A")
     gpus = [cluster.hosts[h].gpus[0] for h in range(2)]
     comm = client.create_communicator(gpus)
     keep = client.alloc(gpus[0], 512)
-    client.free(client.alloc(gpus[0], 256))
-    for _ in range(6):
+    for step in range(6):
+        client.free(client.alloc(gpus[step % 2], 256))
         client.all_reduce(comm, 1 * MB)
         deployment.run()
     compacted = deployment.telemetry().metrics.counter(
@@ -325,7 +327,7 @@ def _checkpointed_run(crash):
         deployment.run()
     client.free(keep)
     assert deployment.verify_journal() == []
-    return deployment.control_state()
+    return deployment
 
 
 def test_restart_after_a_checkpoint_equals_never_crashed(monkeypatch):
@@ -344,19 +346,15 @@ def test_free_retried_across_a_checkpointed_restart_gives_up_nothing(
     deployment.enable_service_supervision(restart_delay=0.01)
     client = deployment.connect("A")
     witness = deployment.connect("B")
-    comm = witness.create_communicator(
-        [cluster.hosts[h].gpus[0] for h in (1, 2)]
-    )
     gpu = cluster.hosts[0].gpus[0]
     earlier = client.alloc(gpu, 256)
     client.free(earlier)
     buf = client.alloc(gpu, 256)
     deployment.crash_service(0)
     client.free(buf)  # lands in the background retry path
-    # Host 0 is down; traffic elsewhere checkpoints the journal, which
+    # Host 0 is down; an alloc elsewhere checkpoints the journal, which
     # drops the alloc/free pair of ``earlier``.
-    for _ in range(4):
-        witness.all_reduce(comm, 256)
+    witness.alloc(cluster.hosts[1].gpus[0], 256)
     deployment.run()
     assert deployment.service_of(0).alive
     assert earlier.buffer_id not in {
@@ -382,8 +380,8 @@ _OPS = ("alloc", "free", "collective", "reconfig")
 def _run_program(ops, crash_at=None, crash_host=None):
     """Execute a control-op program; optionally crash+restart mid-way.
 
-    Returns the final :class:`ControlPlaneState` of the live graph, after
-    asserting it matches a pure journal replay.
+    Returns the deployment, after asserting its live tables match a pure
+    journal replay.
     """
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster)
@@ -396,8 +394,8 @@ def _run_program(ops, crash_at=None, crash_host=None):
     for step in range(len(ops) + 1):
         if crash_at is not None and step == crash_at:
             deployment.crash_service(crash_host)
-            replayed = deployment.restart_service(crash_host)
-            assert replayed > 0  # at minimum create_communicator
+            before = len(deployment.journal)
+            assert deployment.restart_service(crash_host) == before
         if step == len(ops):
             break
         op = ops[step]
@@ -420,13 +418,15 @@ def _run_program(ops, crash_at=None, crash_host=None):
             deployment.run()
     deployment.run()
     assert deployment.verify_journal() == []
-    return deployment.control_state()
+    return deployment
 
 
-def _canonical(state):
-    """Replace process-global ids (buffer, comm, IPC handle) by their
-    allocation order, so two independent runs become comparable.  Route
-    ids and strategy versions are per-run deterministic already."""
+def _canonical(deployment):
+    """The live buffer table and communicators, with buffer and IPC
+    handle ids replaced by their allocation order so two independent
+    runs become comparable.  Comm ids, route ids and strategy versions
+    are per-deployment deterministic already."""
+    state = deployment.control_state()
     buffers = {}
     handle_ids = {h: i for i, h in enumerate(
         sorted(info["handle"] for info in state.buffers.values())
@@ -436,8 +436,14 @@ def _canonical(state):
         info["handle"] = handle_ids[info["handle"]]
         buffers[index] = info
     communicators = {
-        index: state.communicators[comm_id]
-        for index, comm_id in enumerate(sorted(state.communicators))
+        comm.comm_id: (
+            comm.app_id, [gpu.global_id for gpu in comm.gpus],
+            comm.strategy.algorithm, comm.strategy.ring.order,
+            comm.strategy.channels, comm.strategy.version,
+            sorted(comm.strategy.route_map().items()),
+            comm.strategy_epoch, comm.membership_epoch, comm.next_seq,
+        )
+        for comm in deployment.communicators()
     }
     return buffers, communicators
 

@@ -131,7 +131,7 @@ def test_host_crash_shrinks_in_place(
     cluster, deployment, manager, four_gpus, injector
 ):
     """A lost rank is a shrink: the in-flight op aborts typed, the same
-    communicator id lives on with the survivors, journaled ``rank_lost``."""
+    communicator id lives on with the survivors, committed ``rank_lost``."""
     recovery = deployment.enable_recovery(heartbeat_until=1.0)
     client, comm = _admit(manager, deployment, four_gpus)
     injector.schedule(FaultPlan().host_crash(0.004, 3))
@@ -146,11 +146,10 @@ def test_host_crash_shrinks_in_place(
     assert not comm_obj.aborted
     assert comm_obj.world == 3 and comm_obj.membership_epoch == 1
     assert comm_obj.gpus == four_gpus[:3]  # survivors keep their order
-    (record,) = [
-        r for r in deployment.journal.records() if r.op == "membership_change"
-    ]
-    assert record.payload["kind"] == "rank_lost"
-    assert record.payload["left"] == [four_gpus[3].global_id]
+    (event,) = deployment.telemetry().events.events("membership_committed")
+    assert event.message == (
+        f"comm{comm.comm_id} rank_lost committed: world 4->3 epoch=1"
+    )
     assert deployment.verify_journal() == []
     assert "recovery_shrunk" in _events(recovery)
     assert "recovery_gave_up" not in _events(recovery)

@@ -124,18 +124,13 @@ def test_upgrade_validates_component_and_liveness(deployment, manager, four_gpus
         service.upgrade(component="service")
 
 
-def test_upgrade_is_journaled_and_counted(deployment, manager, four_gpus):
+def test_upgrade_is_logged_and_counted(deployment, manager, four_gpus):
     _admit(manager, deployment, four_gpus)
     deployment.service_of(3).upgrade(component="proxy")
     deployment.run()
-    records = [
-        record
-        for record in deployment.journal.records()
-        if record.op == "service_upgrade"
-    ]
-    assert len(records) == 1
-    assert records[0].payload["component"] == "proxy"
-    assert records[0].payload["host"] == 3
+    (event,) = deployment.telemetry().events.events("upgrade_done")
+    assert event.attrs == {"host": 3, "component": "proxy"}
+    assert len(deployment.journal) == 0
     metrics = deployment.telemetry().metrics
     assert metrics.counter("mccs_upgrades_total").total() == 1
     assert (

@@ -210,7 +210,8 @@ def test_two_deployments_share_nothing():
     assert footprint(quiet) == before
     assert footprint(busy) != served
     assert len(busy.telemetry().causal.closed_traces()) == 3
-    assert len(busy.journal) == len(quiet.journal) + 3
+    # Collectives change no journaled table.
+    assert len(busy.journal) == len(quiet.journal)
     assert busy.telemetry().metrics is not quiet.telemetry().metrics
 
 

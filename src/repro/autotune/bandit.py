@@ -17,6 +17,10 @@ from typing import Dict, Hashable, List, Optional, Sequence
 
 #: Confidence-width scale of the optimistic bound.
 UCB_C = 0.5
+#: Relative gap below which two pulled arms' means are a tie: what
+#: separates them is rounding in the measured durations, and switching
+#: between them buys a reconfiguration barrier and nothing else.
+TIE_TOLERANCE = 1e-9
 #: Exploratory pulls per bandit; once spent, selection is purely greedy.
 EXPLORATION_BUDGET = 12
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..netsim.errors import ReconfigurationError
-from .bandit import UcbBandit
+from .bandit import TIE_TOLERANCE, UcbBandit
 from .cost import topology_fingerprint
 from .planner import Signature, StrategyPlanner
 from .table import TableEntry, TableKey, TuningTable, size_bucket
@@ -311,10 +311,18 @@ class AutoTuner:
     ) -> None:
         if state.retune_inflight:
             return
-        choice = bucket.bandit.select(list(bucket.arms))
+        bandit = bucket.bandit
+        choice = bandit.select(list(bucket.arms))
         current = self._signature_of(state.comm.strategy)
         if choice == current:
             return
+        running, chosen = bandit.mean(current), bandit.mean(choice)
+        if (
+            running is not None
+            and chosen is not None
+            and abs(running - chosen) <= TIE_TOLERANCE * chosen
+        ):
+            return  # a tie: the barrier would gain nothing
         self._retune(state, bucket.arms[choice])
 
     def _retune(self, state: _CommState, spec: _ArmSpec) -> None:

@@ -221,9 +221,10 @@ class MccsDeployment:
         """Kill one host's service process (the host itself survives)."""
         self.service_of(host_id).crash()
 
-    def restart_service(self, host_id: int) -> int:
+    def restart_service(self, host_id: int) -> Optional[int]:
         """Restart one host's service by journal replay; returns the
-        number of records replayed (0 when already alive)."""
+        number of records replayed, or ``None`` when the service was
+        alive (see :meth:`MccsService.restart`)."""
         return self.service_of(host_id).restart()
 
     def control_state(self) -> ControlPlaneState:

@@ -336,7 +336,7 @@ class MccsService:
         if self.deployment.supervisor is not None:
             self.deployment.supervisor.notify_crash(self)
 
-    def restart(self) -> int:
+    def restart(self) -> Optional[int]:
         """Restart the service, reconstructing state by journal replay.
 
         The memory manager is rebuilt by re-adopting the device buffers
@@ -345,10 +345,11 @@ class MccsService:
         deployment's live communicators with their launch cursors set to
         each communicator's :meth:`~repro.core.communicator.
         ServiceCommunicator.launch_frontier`.  Returns the number of
-        journal records replayed.
+        journal records replayed (0 when the journal is empty), or
+        ``None`` when the service is alive and nothing was restarted.
         """
         if self.alive:
-            return 0
+            return None
         from .journal import replay_journal
 
         journal = self.deployment.journal

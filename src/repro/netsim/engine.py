@@ -304,7 +304,10 @@ class FlowSimulator:
     def _remove_flow(self, flow: Flow) -> None:
         """Shared teardown of cancel/fail: settle, unplumb, mark dirty."""
         self._settle(flow)
-        self._solver.remove_flows((flow,))
+        solver = self._solver
+        # The slot's size column now holds what the flow delivered.
+        solver.size[flow._slot] -= solver.remaining[flow._slot]
+        solver.remove_flows((flow,))
         flow._heap_epoch += 1
         self.heap_invalidations += 1
         del self._active[flow.flow_id]
@@ -399,6 +402,19 @@ class FlowSimulator:
         """
         self._ensure_rates()
         return self._solver.link_utilization(min_utilization)
+
+    def link_bytes(self) -> Dict[str, float]:
+        """Bytes each link carried since time 0 (links that carried any):
+        the sizes of the completed flows crossing it plus ``size -
+        remaining`` at now of the cancelled, failed and in-network ones.
+
+        Rates are piecewise constant, so this is the exact integral of the
+        link's rate; a windowed rate is the difference of two readings.
+        Reading settles nothing and schedules nothing.
+        """
+        solver = self._solver
+        totals = solver.link_bytes(self.now)
+        return {solver._link_ids[i]: float(totals[i]) for i in np.flatnonzero(totals)}
 
     def perf_counters(self) -> Dict[str, int]:
         """Engine-core performance counters for telemetry and benchmarks.

@@ -133,9 +133,7 @@ class IncrementalFairnessSolver:
     ``(path id, weight)`` signature of the live slots, which the structural
     updates keep in ``_sig``, so a problem seen before under the same
     capacities is answered from a memo (``memo_hits``); ``set_capacity``
-    empties it.  ``solve_epoch`` increments whenever the allocation
-    may have moved; the derived view :meth:`link_utilization` is cached
-    on it.
+    empties it.
 
     A registered flow's slot (``flow._slot``; ``flow._arena`` is the
     solver) is its only slot: the ``remaining`` / ``rate`` / ``synced``
@@ -143,6 +141,11 @@ class IncrementalFairnessSolver:
     at removal.  :class:`~repro.netsim.engine.FlowSimulator` settles those
     columns, and reads ``_slots`` (the slot table, read-only to callers),
     at the slots :meth:`solve` returns.
+
+    The ``size`` column and the per-link ``_carried`` totals make the
+    bytes each link carried a query (:meth:`link_bytes`): rates are
+    piecewise constant, so a flow's delivered bytes, ``size`` less its
+    remaining bytes at any instant, are the exact integral of its rate.
     """
 
     _GROW = 1.5
@@ -168,6 +171,10 @@ class IncrementalFairnessSolver:
         self.remaining = np.zeros(0, dtype=float)
         self.rate = np.zeros(0, dtype=float)
         self.synced = np.zeros(0, dtype=float)
+        # a flow's size while it is in the network; once it has left, the
+        # bytes it delivered (the engine debits a cancelled or failed
+        # flow's undelivered bytes; a completed flow delivered its size)
+        self.size = np.zeros(0, dtype=float)
         # per-slot index (into ``_link_ids``) of the link that froze the
         # slot in the last solve (-1 = not frozen / unknown); the causal
         # tracer attributes a flow's current rate to it.
@@ -178,8 +185,8 @@ class IncrementalFairnessSolver:
         self._flat_slots = np.zeros(64, dtype=np.int64)
         self._nnz = 0
         self._dead_nnz = 0
-        self._loads = np.zeros(len(self._caps), dtype=float)
-        self._loads_stale = False
+        # per-link bytes delivered by the slots compaction purged
+        self._carried = np.zeros(len(self._caps), dtype=float)
         # slots whose rate was force-zeroed since the last solve (flow
         # removed or gated while carrying a nonzero rate); they are part
         # of the next solve's changed set without scanning every slot.
@@ -194,9 +201,6 @@ class IncrementalFairnessSolver:
         self._sig: Dict[int, Optional[Tuple[int, float]]] = {}
         self._live_entries = 0  # incidence entries of the live slots
         self._memo: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        # epoch-keyed caches of the derived dict views
-        self.solve_epoch = 0
-        self._util_cache: Tuple[int, float, Dict[str, float]] = (-1, 0.0, {})
         # counters (read by the engine's perf_counters())
         self.full_rebuilds = 1  # the initial build
         self.delta_updates = 0
@@ -222,7 +226,9 @@ class IncrementalFairnessSolver:
             self._grow_slots(need)
         path_idx, path_links = self._path_idx, self._path_links
         weights, active, in_use = self._weights, self._active, self._in_use
-        remaining, rate, synced = self.remaining, self.rate, self.synced
+        remaining, rate, synced, size = (
+            self.remaining, self.rate, self.synced, self.size
+        )
         start = nnz = self._nnz
         entry_links: List[int] = []
         entry_slots: List[int] = []
@@ -264,6 +270,7 @@ class IncrementalFairnessSolver:
             active[slot] = live
             in_use[slot] = True
             remaining[slot] = flow._remaining
+            size[slot] = flow.size
             rate[slot] = flow._rate
             synced[slot] = flow._synced
             flow._arena = self
@@ -340,7 +347,7 @@ class IncrementalFairnessSolver:
 
     def _grow_slots(self, need: int) -> None:
         size = max(need, int(len(self._weights) * self._GROW) + 8)
-        for name in ("_weights", "_rates", "remaining", "rate", "synced"):
+        for name in ("_weights", "_rates", "remaining", "rate", "synced", "size"):
             old = getattr(self, name)
             new = np.zeros(size, dtype=float)
             new[: len(old)] = old
@@ -364,8 +371,15 @@ class IncrementalFairnessSolver:
             setattr(self, name, new)
 
     def _compact(self) -> None:
-        """Purge tombstoned incidence entries and reclaim free slots."""
+        """Purge tombstoned incidence entries and reclaim free slots; the
+        dead slots' delivered bytes are folded into ``_carried`` first."""
         keep = self._in_use[self._flat_slots[: self._nnz]]
+        dead = ~keep
+        self._carried += np.bincount(
+            self._flat_links[: self._nnz][dead],
+            weights=self.size[self._flat_slots[: self._nnz][dead]],
+            minlength=len(self._caps),
+        )
         self._flat_links[: int(keep.sum())] = self._flat_links[: self._nnz][keep]
         self._flat_slots[: int(keep.sum())] = self._flat_slots[: self._nnz][keep]
         self._nnz = int(keep.sum())
@@ -392,40 +406,39 @@ class IncrementalFairnessSolver:
     def capacity(self, link_id: str) -> float:
         return float(self._caps[self._link_index[link_id]])
 
-    def _refresh_loads(self) -> np.ndarray:
-        """Per-link allocated rate, recomputed lazily after a solve.
-
-        Most solves are never followed by a utilization query before the
-        next solve, so the aggregation is deferred to first read.  Removed
-        flows have their rate zeroed and tombstoned entries therefore
-        contribute exactly 0.0 to the sums.
-        """
-        if self._loads_stale:
-            self._loads = np.bincount(
-                self._flat_links[: self._nnz],
-                weights=self._rates[self._flat_slots[: self._nnz]],
-                minlength=len(self._caps),
-            )
-            self._loads_stale = False
-        return self._loads
+    def link_bytes(self, now: float) -> np.ndarray:
+        """Per-link bytes delivered up to ``now`` (capacity order).  A live
+        slot's remaining bytes are derived at ``now`` with the engine's
+        settle expression and not written back: reading changes nothing."""
+        n = len(self._slots)
+        syn, rate, rem = self.synced[:n], self.rate[:n], self.remaining[:n]
+        moving = self._active[:n] & (syn < now) & (rate > 0.0)
+        rem = np.where(moving, np.maximum(rem - rate * (now - syn), 0.0), rem)
+        delivered = self.size[:n] - np.where(self._in_use[:n], rem, 0.0)
+        nnz = self._nnz
+        return self._carried + np.bincount(
+            self._flat_links[:nnz],
+            weights=delivered[self._flat_slots[:nnz]],
+            minlength=len(self._caps),
+        )
 
     def link_utilization(self, min_utilization: float = 0.0) -> Dict[str, float]:
         """load/capacity per link from the most recent :meth:`solve`.
 
-        Cached on ``(solve_epoch, min_utilization)``; treat the returned
-        dict as read-only.
+        Removed flows have their rate zeroed, so tombstoned incidence
+        entries add exactly 0.0 to the loads.
         """
-        epoch, cached_min, cached = self._util_cache
-        if epoch == self.solve_epoch and cached_min == min_utilization:
-            return cached
-        result: Dict[str, float] = {}
-        if self._live_entries:  # else every rate, and so every load, is 0
-            with np.errstate(invalid="ignore"):
-                util = self._refresh_loads() / self._caps
-            hot = np.flatnonzero(util >= max(min_utilization, 1e-300))
-            result = {self._link_ids[int(i)]: float(util[int(i)]) for i in hot}
-        self._util_cache = (self.solve_epoch, min_utilization, result)
-        return result
+        if not self._live_entries:  # every rate, and so every load, is 0
+            return {}
+        loads = np.bincount(
+            self._flat_links[: self._nnz],
+            weights=self._rates[self._flat_slots[: self._nnz]],
+            minlength=len(self._caps),
+        )
+        with np.errstate(invalid="ignore"):
+            util = loads / self._caps
+        hot = np.flatnonzero(util >= max(min_utilization, 1e-300))
+        return {self._link_ids[int(i)]: float(util[int(i)]) for i in hot}
 
     def scaled_caps(self, penalty: float) -> np.ndarray:
         """Capacities with the burst-interference model applied: links
@@ -479,11 +492,9 @@ class IncrementalFairnessSolver:
         self._pending_delta = 0
         self._last_override = override
         self._solved_once = True
-        self.solve_epoch += 1
         if self._dead_nnz > 64 and self._dead_nnz * 2 > self._nnz:
             self._compact()
         caps = self._caps if capacities is None else capacities
-        self._loads_stale = True
         sig = self._sig
         # Slots force-zeroed since the last solve (removed/gated while
         # rated) are changed even though they are no longer live; slots

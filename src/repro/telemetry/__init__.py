@@ -14,8 +14,9 @@ telemetry plane for the reproduction:
 * :mod:`spans`     — the timeline vocabulary, rendered at export time:
   reconfiguration spans from the session records, collective spans from
   the causal trees.
-* :mod:`sampler`   — flow-lifecycle observer + periodic link-utilization
-  sampling over the fluid simulator.
+* :mod:`sampler`   — flow-lifecycle observer over the fluid simulator;
+  it schedules nothing.  A link's load is a query of the simulator
+  (``FlowSimulator.link_bytes()``), rendered by the JSON export.
 * :mod:`events`    — bounded log of control-plane policy decisions.
 * :mod:`exporters` — Prometheus text, JSON, and Chrome trace-event
   renderings.

@@ -5,9 +5,9 @@ Three views over the same hub state:
 * :func:`prometheus_text` — the standard ``# HELP``/``# TYPE`` exposition
   format, so a scrape of the reproduction looks like a scrape of a real
   MCCS service deployment.
-* :func:`json_snapshot` — everything (metrics, spans, events, link
-  series) as one JSON-ready dict; what ``experiments/report.py`` writes
-  when asked for machine-readable output.
+* :func:`json_snapshot` — everything (metrics, spans, events, the bytes
+  each link carried) as one JSON-ready dict; what
+  ``experiments/report.py`` writes when asked for machine-readable output.
 * :func:`chrome_trace` — the ``chrome://tracing`` / Perfetto trace-event
   format.  Collective spans become complete ("X") events grouped per app
   and communicator, point events become instants, and the Figure 4
@@ -29,6 +29,7 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .spans import Span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..netsim.engine import FlowSimulator
     from .hub import TelemetryHub
 
 
@@ -103,11 +104,21 @@ def json_snapshot(hub: "TelemetryHub") -> Dict[str, object]:
             "evicted": hub.events.evicted,
             "records": [event.to_dict() for event in hub.events.events()],
         },
-        "links": hub.network.utilization_snapshot(),
+        "links": _link_load(hub.sim),
     }
     if hub.flight.dumps():
         out["flight"] = hub.flight.to_dict()
     return out
+
+
+def _link_load(sim: "FlowSimulator") -> Dict[str, Dict[str, float]]:
+    """Per link that carried bytes: the bytes, and their mean share of the
+    link's nominal capacity over ``[0, now]``."""
+    links, now = sim.topology.links, sim.now
+    return {
+        link: {"bytes": moved, "utilization": moved / (links[link].capacity * now)}
+        for link, moved in sorted(sim.link_bytes().items())
+    }
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,9 @@ reconfiguration session and decision event lands in the same place.
 :mod:`repro.telemetry.exporters` render it.  Spans are one of those
 renderings, never a store: ``hub.spans`` draws them from the causal ring
 and the session ring on every read.  A tenant's SLO account is another:
-the gateway's ``GET /v1/slo`` reads it from the registry's series.
+the gateway's ``GET /v1/slo`` reads it from the registry's series.  The
+link view is a third: the exporters read the bytes each link carried from
+the simulator (``hub.sim.link_bytes()``) when asked.
 """
 
 from __future__ import annotations
@@ -34,17 +36,18 @@ SESSIONS_KEPT = 256
 
 
 class TelemetryHub:
-    """Aggregates metrics, causal traces, reconfiguration sessions, events
-    and network samples of one simulator.
+    """Aggregates metrics, causal traces, reconfiguration sessions and
+    events of one simulator.
 
     ``hub.sessions`` is the ring of reconfiguration session records the
     :class:`~repro.core.reconfig.ReconfigManager` appends to; ``hub.spans``
     is the export window rendered from it and the causal tracer's trees.
     Every store is a ring sized by a constant of the module that defines
-    it (``SESSIONS_KEPT``, ``MAX_EVENTS``, the sampler's and the tracer's).
+    it (``SESSIONS_KEPT``, ``MAX_EVENTS``, the tracer's).
     """
 
     def __init__(self, sim: "FlowSimulator") -> None:
+        self.sim = sim
         self.metrics = MetricsRegistry()
         self.sessions = RingBuffer(SESSIONS_KEPT)
         self.events = EventLog(MAX_EVENTS)
@@ -71,7 +74,7 @@ class TelemetryHub:
         return prometheus_text(self.metrics)
 
     def to_json(self) -> Dict[str, object]:
-        """JSON-ready snapshot of metrics, spans, events, link series."""
+        """JSON-ready snapshot of metrics, spans, events, link bytes."""
         return json_snapshot(self)
 
     def to_chrome_trace(self) -> Dict[str, object]:
@@ -99,11 +102,7 @@ class TelemetryHub:
                 )
         lines.append(f"spans exported = {len(list(self.spans))} (evicted {self.spans.evicted})")
         lines.append(f"decision events = {len(self.events)} (evicted {self.events.evicted})")
-        lines.append(
-            "link series = "
-            f"{len(self.network.sampled_links())} links, "
-            f"{self.network.samples_taken} sampling passes"
-        )
+        lines.append(f"links that carried bytes = {len(self.sim.link_bytes())}")
         for name, value in sorted(self.network.publish_perf_counters().items()):
             lines.append(f"netsim.{name} = {value}")
         cache_stats = self.network.publish_program_cache()

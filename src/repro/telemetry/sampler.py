@@ -1,4 +1,4 @@
-"""Network-layer telemetry: flow lifecycle metrics + link-utilization series.
+"""Network-layer telemetry: flow lifecycle metrics.
 
 :class:`NetworkTelemetry` is a :class:`~repro.netsim.engine.SimObserver`
 that turns the engine's raw notifications into metrics:
@@ -6,34 +6,24 @@ that turns the engine's raw notifications into metrics:
 * flow add/complete counters and byte counters, labelled by job,
 * a flow-duration histogram (the fluid FCT distribution),
 * a preemption counter fed by gate transitions (the TS policy's
-  time-window scheduling shows up here),
-* periodic samples of ``link_utilization()`` into bounded ring buffers,
-  one series per link — the confidential provider-side signal the paper's
-  §4.3 policies consume.
+  time-window scheduling shows up here).
 
-The periodic sampler is *self-stopping*: its tick only reschedules while
-at least one flow is active, so a simulation run to quiescence
-(``sim.run()`` with no deadline) still terminates.  The ticker restarts
-whenever a flow enters the network or a gated flow is released.
+It schedules nothing on the simulator.  The provider's link view — the
+confidential signal the paper's §4.3 policies consume — is a query, not
+a series kept here: :meth:`~repro.netsim.engine.FlowSimulator.link_bytes`
+returns the exact bytes each link has carried, and the JSON export
+renders it.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
 from operator import attrgetter
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Set
 
 from ..netsim.engine import FlowSimulator, SimObserver
 from ..netsim.flows import Flow
 from .metrics import BoundCounter, BoundHistogram, MetricsRegistry
-from .ringbuffer import RingBuffer
-
-#: One utilization sample: (sim_time, utilization in [0, 1]).
-LinkSample = Tuple[float, float]
-
-#: Simulated seconds between link samples, and samples kept per link.
-SAMPLE_INTERVAL = 0.25
-MAX_SAMPLES = 4096
 
 
 class _JobSeries(NamedTuple):
@@ -49,22 +39,16 @@ class _JobSeries(NamedTuple):
 
 
 class NetworkTelemetry(SimObserver):
-    """Samples the fluid simulator into a metrics registry.
+    """Counts the fluid simulator's flow lifecycle into a metrics registry.
 
     Args:
         sim: Engine to observe; the instance attaches itself.
         metrics: Registry that receives the flow/byte/preemption metrics.
-
-    Link samples are :data:`SAMPLE_INTERVAL` apart and each link keeps the
-    last :data:`MAX_SAMPLES` (both read when used).
     """
 
     def __init__(self, sim: FlowSimulator, metrics: MetricsRegistry) -> None:
         self.sim = sim
         self.metrics = metrics
-        self._series: Dict[str, RingBuffer[LinkSample]] = {}
-        self._ticker_running = False
-        self.samples_taken = 0
         #: Installed by the deployment: returns aggregated
         #: :meth:`FlowProgramCache.stats` over its communicators.
         self._program_cache_provider: Optional[
@@ -126,7 +110,6 @@ class NetworkTelemetry(SimObserver):
     def on_flows_added(self, flows: Sequence[Flow], now: float) -> None:
         self._series_of(flows[0].job_id).added.inc(len(flows))
         self._active_flows.set(self.sim.active_flow_count())
-        self._start_ticker()
 
     def on_flows_completed(self, flows: Sequence[Flow], now: float) -> None:
         # One update per run of one job and start time (so one duration,
@@ -159,38 +142,6 @@ class NetworkTelemetry(SimObserver):
     def on_flow_gated(self, flow: Flow, gated: bool, now: float) -> None:
         if gated:
             self._series_of(flow.job_id).preemptions.inc()
-        else:
-            # A released flow may be the only traffic; make sure the
-            # sampler sees it drain.
-            self._start_ticker()
-
-    # ------------------------------------------------------------------
-    # periodic link sampling
-    # ------------------------------------------------------------------
-    def _start_ticker(self) -> None:
-        if self._ticker_running:
-            return
-        self._ticker_running = True
-        self.sim.call_in(SAMPLE_INTERVAL, self._tick)
-
-    def _tick(self) -> None:
-        self.sample_now()
-        if any(f.active for f in self.sim.active_flows()):
-            self.sim.call_in(SAMPLE_INTERVAL, self._tick)
-        else:
-            self._ticker_running = False
-
-    def sample_now(self) -> Dict[str, float]:
-        """Record one utilization sample per loaded link, immediately."""
-        utilization = self.sim.link_utilization()
-        now = self.sim.now
-        for link_id, value in utilization.items():
-            series = self._series.get(link_id)
-            if series is None:
-                series = self._series[link_id] = RingBuffer(MAX_SAMPLES)
-            series.append((now, value))
-        self.samples_taken += 1
-        return utilization
 
     # ------------------------------------------------------------------
     # engine-core performance counters
@@ -198,8 +149,8 @@ class NetworkTelemetry(SimObserver):
     def publish_perf_counters(self) -> Dict[str, int]:
         """Copy the engine's :meth:`FlowSimulator.perf_counters` into gauges.
 
-        Called on demand (summary/export time) rather than per sample so the
-        hot sampling path stays cheap.  Gauge names are the counter names
+        Called on demand (summary/export time), never from the engine's
+        hot path.  Gauge names are the counter names
         under the ``mccs_netsim_`` prefix, e.g.
         ``mccs_netsim_solver_rebuilds_avoided``.
         """
@@ -238,19 +189,3 @@ class NetworkTelemetry(SimObserver):
                 "communicators.",
             ).set(value)
         return stats
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def sampled_links(self) -> List[str]:
-        return sorted(self._series)
-
-    def utilization_snapshot(self) -> Dict[str, object]:
-        """JSON-ready dump of every link series."""
-        return {
-            link_id: {
-                "samples": [[t, u] for t, u in series],
-                "evicted": series.evicted,
-            }
-            for link_id, series in sorted(self._series.items())
-        }

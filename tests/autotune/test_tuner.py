@@ -195,6 +195,51 @@ def test_tuned_run_never_ends_worse_than_it_started():
     assert min(durations[-3:]) <= min(durations[:3]) * (1 + 1e-6)
 
 
+def test_tuner_does_not_flap_between_tied_arms():
+    """Where a run sits on the clock moves only the last-ulp rounding of
+    its measured durations.  Two strategies the model times alike (ring
+    with one and with two channels at 64 MB) then differ by that rounding
+    alone: the tuner adopts the same strategies from t=0 as from t=1000,
+    and once exploration is spent it never retunes between two arms
+    whose means tie, since each such retune is a barrier that gains
+    nothing."""
+
+    def adopted(start):
+        cluster = testbed_cluster()
+        deployment = MccsDeployment(cluster)
+        tuner = deployment.enable_autotuning()
+        comm = deployment.create_communicator(
+            "A", single_app_gpus(cluster, "8gpu"), datapath_tag="autotune"
+        )
+        cluster.sim.run(until=start)
+        client = deployment.connect("A")
+        shim = client.adopt_communicator(comm.comm_id)
+        rounds = []
+        for _ in range(24):
+            client.all_reduce(shim, 64 * MB)
+            deployment.run()
+            (bucket,) = tuner._states[comm.comm_id].buckets.values()
+            strategy = comm.strategy
+            rounds.append(
+                (
+                    (strategy.algorithm, strategy.channels, tuple(strategy.ring.order)),
+                    bucket.bandit.exploration_exhausted,
+                )
+            )
+        return rounds, bucket.bandit
+
+    rounds, bandit = adopted(0.0)
+    later, _ = adopted(1000.0)
+    assert [arm for arm, _ in rounds] == [arm for arm, _ in later]
+    tied_retunes = [
+        (before, after)
+        for (before, _), (after, exhausted) in zip(rounds, rounds[1:])
+        if exhausted and before != after
+        and bandit.mean(before) == pytest.approx(bandit.mean(after), rel=1e-9)
+    ]
+    assert tied_retunes == []
+
+
 @given(seed=st.integers(0, 2**16))
 @settings(max_examples=5, deadline=None)
 def test_midrun_retunes_preserve_byte_correctness(seed):

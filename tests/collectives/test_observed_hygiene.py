@@ -90,3 +90,16 @@ def test_one_membership_cutover_and_one_barrier_loop():
     assert cutovers[0].startswith("core/deployment.py:")
     assert _calls(SRC / "core/recovery.py", "reconfigure") == []
     assert len(_calls(SRC / "core/recovery.py", "drain")) == 1
+
+
+def test_telemetry_schedules_nothing():
+    """Observation never moves the clock: no simulator event is scheduled
+    from under ``telemetry/``, so a run ends when its traffic does."""
+    scheduled = [
+        f"{_relative(path)}:{node.lineno}"
+        for path in SOURCES
+        if _relative(path).startswith("telemetry/")
+        for attribute in ("call_in", "schedule", "call_at")
+        for node in _calls(path, attribute)
+    ]
+    assert scheduled == []

@@ -98,6 +98,10 @@ RETIRED = re.compile(
     r"|strategy_descriptor|on_commit|_journal_commit|install_strategy"
     r"|collective_issued|\bmembership_change\b|\bservice_restart\b"
     r"|service_upgrade|_INFO_OPS"
+    # the network sampler's ticker and per-link sample rings; a link's load
+    # is the simulator's exact byte count, read on query
+    r"|_start_ticker|sample_now|sampled_links|samples_taken|SAMPLE_INTERVAL"
+    r"|MAX_SAMPLES|utilization_snapshot"
 )
 
 #: What only the one artifact writer may do under ``experiments/``.

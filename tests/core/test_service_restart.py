@@ -48,8 +48,9 @@ def test_crash_is_logged_and_journals_nothing(deployment, four_gpus):
     assert event.attrs == {"host": 1}
     # A crash changes no table a restart reads back.
     assert len(deployment.journal) == 0
+    # A real restart with nothing to replay reads 0; a live host, None.
     assert deployment.restart_service(1) == 0
-    assert deployment.service_of(1).restarts == 1
+    assert deployment.restart_service(1) is None
     assert deployment.verify_journal() == []
 
 

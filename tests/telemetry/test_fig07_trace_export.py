@@ -52,9 +52,14 @@ def test_fig07_chrome_trace_loads_and_shows_barrier(timeline, tmp_path):
 
 
 def test_fig07_link_series_show_background_contention(timeline):
-    network = timeline.telemetry.network
-    assert network is not None
-    series = network.utilization_snapshot().get("sw1->sw2", {}).get("samples")
-    assert series, "the loaded link must have been sampled"
-    times = [t for t, _ in series]
-    assert times == sorted(times)
+    """The loaded clockwise link carried the ring's bytes until the ring
+    reversed, at a lower mean rate than the reversed ring's link after."""
+    hub = timeline.telemetry
+    links = hub.to_json()["links"]
+    loaded, reverse = links["sw1->sw2"], links["sw2->sw1"]
+    # Every clockwise ring edge carried the same collective bytes.
+    assert loaded["bytes"] == links["sw0->sw1"]["bytes"] > 0
+    assert reverse["bytes"] > 0
+    before = loaded["bytes"] / timeline.reconfig_done
+    after = reverse["bytes"] / (hub.sim.now - timeline.reconfig_done)
+    assert before < 0.8 * after

@@ -3,7 +3,10 @@
 ``data/metrics_golden.json`` was captured at the commit *before* observers
 became batch-first and metric updates moved to pre-bound label handles
 (``python tests/telemetry/test_metrics_golden.py`` rewrites it); a
-rewrite that deletes or adds series leaves every other series equal.  One
+rewrite that deletes or adds series leaves every other series equal.  It
+was rewritten once more when telemetry stopped scheduling a link-sampling
+tick: the scenario's phases start earlier on the clock, and only four
+duration ``sum`` fields moved, in their last digits.  One
 scripted scenario touches every per-flow and per-collective update site —
 collectives with payload, a mid-stream reconfiguration, a p2p transfer, a
 gated flow, a cancelled flow, a failed flow — and the registry snapshot

@@ -7,6 +7,9 @@ from causal trees.  The goldens under ``data/golden_render_*.json`` were
 captured while the session still wrote its spans into a span store; each
 holds ``to_chrome_trace()`` and the ``"spans"`` section of ``to_json()``
 of one scenario, and the rendering must reproduce both byte for byte.
+They were recaptured once when telemetry stopped scheduling a
+link-sampling tick, which had held ``run()`` open 0.25 s past each
+collective: only times moved (and events of one timestamp re-sorted).
 """
 
 import json

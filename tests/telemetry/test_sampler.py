@@ -1,6 +1,5 @@
-"""NetworkTelemetry: flow-lifecycle metrics and link-utilization series."""
-
-import pytest
+"""NetworkTelemetry's flow-lifecycle metrics, and the bytes per link the
+simulator reports on query (``FlowSimulator.link_bytes``)."""
 
 from repro.netsim.engine import FlowSimulator
 from repro.netsim.topology import Topology
@@ -21,11 +20,6 @@ def make_telemetry():
     sim = FlowSimulator(line_topo())
     net = NetworkTelemetry(sim, MetricsRegistry())
     return sim, net
-
-
-def link_series(net, link_id):
-    """(time, utilization) samples recorded for one link."""
-    return net.utilization_snapshot().get(link_id, {"samples": []})["samples"]
 
 
 def test_flow_lifecycle_counters():
@@ -57,48 +51,23 @@ def test_preemptions_counted_once_per_gate_closure():
     assert preemptions.value(job="A") == 2
 
 
-def test_periodic_sampler_records_link_series_and_stops():
-    sim, net = make_telemetry()  # samples every 0.25 s
+def test_link_bytes_count_a_flow_and_run_stops_at_its_end():
+    sim, _ = make_telemetry()
     sim.add_flow(16.0, ["a->b"], job_id="A")  # drains in 2 s at 8 B/s
-    end = sim.run()  # must terminate: the ticker is self-stopping
-    assert end == pytest.approx(2.0)
-    assert "a->b" in net.sampled_links()
-    series = link_series(net, "a->b")
-    assert len(series) >= 4
-    times = [t for t, _ in series]
-    assert times == sorted(times)
-    # The single flow saturates the link while it is active.
-    assert all(u == pytest.approx(1.0) for _, u in series)
-    assert link_series(net, "missing") == []
+    sim.run(until=0.5)
+    assert sim.link_bytes() == {"a->b": 4.0}
+    # Nothing keeps the clock alive past the last flow.
+    assert sim.run() == 2.0
+    assert sim.link_bytes() == {"a->b": 16.0}
+    assert not sim._events
 
 
-def test_sampler_restarts_for_later_traffic():
-    sim, net = make_telemetry()  # samples every 0.25 s
+def test_link_bytes_count_later_traffic():
+    sim, _ = make_telemetry()
     sim.add_flow(8.0, ["a->b"])  # done at t=1
-    sim.schedule(5.0, lambda: sim.add_flow(8.0, ["b->c"]))  # t=5..6
-    sim.run()
-    assert "b->c" in net.sampled_links()
-    assert all(t >= 5.0 for t, _ in link_series(net, "b->c"))
-
-
-def test_link_series_is_bounded(monkeypatch):
-    monkeypatch.setattr("repro.telemetry.sampler.MAX_SAMPLES", 3)
-    sim, net = make_telemetry()
-    sim.add_flow(32.0, ["a->b"])  # 4 s of traffic -> ~16 ticks
-    sim.run()
-    snapshot = net.utilization_snapshot()
-    assert len(snapshot["a->b"]["samples"]) == 3
-    assert snapshot["a->b"]["evicted"] > 0
-
-
-def test_sample_now_and_snapshot():
-    sim, net = make_telemetry()
-    sim.add_flow(8.0, ["a->b"], job_id="A")
-    utilization = net.sample_now()
-    assert utilization["a->b"] == pytest.approx(1.0)
-    snap = net.utilization_snapshot()
-    assert snap["a->b"]["samples"] == [[0.0, 1.0]]
-    assert snap["a->b"]["evicted"] == 0
+    sim.schedule(5.0, lambda: sim.add_flow(8.0, ["a->b", "b->c"]))  # t=5..6
+    assert sim.run() == 6.0
+    assert sim.link_bytes() == {"a->b": 16.0, "b->c": 8.0}
 
 
 def test_program_cache_gauges_need_a_provider():

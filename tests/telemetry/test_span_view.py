@@ -11,7 +11,9 @@ Four angles on the same claim:
   instants, causal flow arrows — modulo ``span_id``/``parent_id`` numbering,
   with the parent/child links intact.  Only the instants in ``ADDED`` may be
   new: annotations the causal tree always had and the stored spans never
-  showed.
+  showed.  The golden's times were recaptured once, with ``ADDED`` left
+  out, when telemetry stopped scheduling a link-sampling tick that held
+  ``run()`` open 0.25 s past each collective; nothing else in it moved.
 * **Structure**: what a retried collective renders to.
 * **A property** over random issue/queue/reconfigure/abort scripts: phases
   tile their root, and the §4.3 ``TraceRecord``s agree with the tenant's

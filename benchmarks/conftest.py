@@ -1,14 +1,11 @@
 """Benchmark harness configuration.
 
-Every benchmark regenerates one of the paper's figures and prints the
-rows/series the paper plots.  Simulations are deterministic, so each
-benchmark runs a single round (``benchmark.pedantic(rounds=1)``) — the
-timing measures the cost of regenerating the figure, and the printed
-tables are the scientific output.
-
-Scale knobs: the benchmarks default to configurations that finish in
-seconds to a couple of minutes.  Full paper-scale sweeps run through the
-experiment entry point (e.g. ``python -m repro.experiments fig11``).
+The leaf benchmarks here time the simulator core, the control plane,
+the synthesizer, the gateway and the ablation sweeps.  Simulations are
+deterministic, so a benchmark that runs one regeneration does a single
+round (``benchmark.pedantic(rounds=1)``).  The paper figures are not
+benchmarks: ``python -m repro.experiments NAME`` prints each one at full
+scale and raises when it breaks a claim its module's ``check`` states.
 """
 
 import pytest

@@ -8,7 +8,7 @@ rings (OR) and OR + fair flow assignment (MCCS), under both random and
 compact placement.
 
 Run:  python examples/large_scale_simulation.py
-(Full paper scale: see benchmarks/test_fig11_simulation.py and
+(Full paper scale, with the figure's claims checked:
 python -m repro.experiments fig11.)
 """
 

@@ -8,8 +8,8 @@ bandwidth for:
 * NCCL(OR) — NCCL fed the optimal ring by an oracle;
 * MCCS — locality ring + fair flow assignment, no tenant involvement.
 
-This is a miniature of Figure 6; the full sweep lives in
-benchmarks/test_fig06_single_app.py.
+This is a miniature of Figure 6; the full sweep, with the figure's
+claims checked, is ``python -m repro.experiments fig06``.
 
 Run:  python examples/nccl_vs_mccs.py
 """

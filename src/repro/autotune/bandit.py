@@ -3,7 +3,7 @@
 Arms are runtime strategy signatures; rewards are *costs* (measured
 collective durations, lower is better).  :class:`UcbBandit` — optimistic
 lower-confidence-bound selection (UCB1 adapted to cost minimization,
-scale-free via the running mean) — spends a bounded exploration budget and
+scale-free via the smallest pulled mean) — spends a bounded exploration budget and
 then turns purely greedy, so a tenant is never subjected to unbounded
 experimentation: every exploratory pull is one collective executed under
 a possibly-suboptimal (but always correct) strategy.
@@ -57,8 +57,11 @@ class BanditState:
 class UcbBandit:
     """UCB1 for costs: pick the arm with the lowest optimistic bound.
 
-    The confidence width is scaled by the arm's own mean so the policy is
-    invariant to the absolute duration scale (microseconds vs seconds).
+    The confidence width is scaled by the smallest pulled mean, so the
+    policy is invariant to the absolute duration scale (microseconds vs
+    seconds).  The scale is one reference shared by every arm: scaling
+    each width by the arm's own mean would turn a wide bound negative in
+    proportion to that mean and make the slowest arm look best.
     """
 
     def __init__(self) -> None:
@@ -97,12 +100,13 @@ class UcbBandit:
         if self.exploration_exhausted:
             return self.best_arm(arms)
         total = max(1, self.state.total_pulls)
+        scale = min(self.state.stats(a).mean for a in arms)
 
         def bound(arm: Hashable) -> float:
             stats = self.state.stats(arm)
             if stats.pulls == 0:
                 return -math.inf  # optimism for never-tried arms
-            width = UCB_C * stats.mean * math.sqrt(
+            width = UCB_C * scale * math.sqrt(
                 2.0 * math.log(total) / stats.pulls
             )
             return stats.mean - width

@@ -93,7 +93,7 @@ class MccsDeployment:
         self._telemetry.network.set_program_cache_provider(
             self.program_cache_stats
         )
-        #: Write-ahead journal of the buffer and tenant tables.  Owned
+        #: State journal of the buffer and tenant tables.  Owned
         #: here — not by any per-host service — so it survives service
         #: crashes; MccsService.restart() replays it.  Communicator state
         #: needs no journal: this object is its one home.

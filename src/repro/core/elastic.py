@@ -35,7 +35,7 @@ machine per membership operation:
 Joiners go through a handshake first: admission control vets the
 tenant (:class:`~repro.core.admission.AdmissionController`), and a
 staging buffer is allocated on each joiner's service — the same
-write-ahead ``alloc`` path tenant buffers use, so crash/restart replay
+journaled ``alloc`` path tenant buffers use, so crash/restart replay
 reconstructs them.  The buffers are freed if the rank later leaves or
 the communicator is destroyed.
 """

@@ -1,9 +1,23 @@
-"""Write-ahead state journal for the MCCS control plane.
+"""State journal for the MCCS control plane.
 
 A service crash loses the process's in-memory state; the journal keeps
 the part a restart cannot read back from anywhere else.  Two tables are
-journaled, each the way databases do it: every mutation appends one
-typed, JSON-serializable :class:`JournalRecord` *before* it is applied.
+journaled: every mutation appends one typed, JSON-serializable
+:class:`JournalRecord`, in one of two orders.
+
+* The tenant table appends *before* it applies (validation, append,
+  mutation), as a write-ahead log does.
+* A host's buffer table appends *after*: :meth:`~repro.core.service.
+  MccsService.allocate` and ``free`` mutate the memory manager first,
+  because the ``alloc`` record carries the buffer and IPC handle ids the
+  allocation issues.
+
+Replay is the same under either order.  The simulator runs one event at
+a time, so no crash falls between a mutation and its append, and a
+mutation that raises (out of memory, an unknown buffer, a live tenant)
+appends nothing.  At every event boundary — the only points a restart
+or :meth:`~repro.core.deployment.MccsDeployment.verify_journal` sees —
+the log replays to the live tables.
 
 * A host's buffer table.  Device memory and IPC exports survive a
   service crash (they are host state), but which app owns which buffer
@@ -70,7 +84,7 @@ class JournalRecord:
 
 
 class StateJournal:
-    """Append-only write-ahead log of control-plane mutations.
+    """Append-only log of control-plane mutations.
 
     The journal is owned by the :class:`~repro.core.deployment.
     MccsDeployment` — not by any per-host service — so it survives a
@@ -105,7 +119,7 @@ class StateJournal:
             seq=next(self._seq), time=time, op=op, payload=payload
         )
         # Round-trip through JSON so a non-serializable payload fails at
-        # append time (write-ahead means the record must be durable-form).
+        # append time (the record must be durable-form).
         try:
             json.dumps(record.payload)
         except TypeError as exc:

@@ -13,7 +13,7 @@ Being a process, the service can *die* without its host dying.
 :meth:`MccsService.crash` models exactly that: proxies stop driving
 collectives, frontends stop answering, but GPU memory and the host's IPC
 exports survive.  :meth:`MccsService.restart` rebuilds the buffer table by
-replaying the deployment's write-ahead journal
+replaying the deployment's state journal
 (:mod:`repro.core.journal`) and re-registers its proxy engines from the
 deployment's live communicators, and :meth:`MccsService.upgrade` swaps the
 engines live by draining through the §4.2 reconfiguration barrier first.

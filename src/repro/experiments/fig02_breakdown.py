@@ -17,14 +17,14 @@ MCCS tracing API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..cluster.specs import testbed_cluster
 from ..core.controller import CentralManager
 from ..core.deployment import MccsDeployment
 from ..workloads.production import TrainingBreakdown, product_group_breakdowns
 from ..workloads.traces import vgg19_dp_trace
-from .report import print_table
+from .report import broken, print_table, require
 from .setups import admit_tenant, single_app_gpus, trace_generator
 
 #: Seed of the synthetic product-group breakdown.
@@ -79,10 +79,25 @@ def measure_vgg_breakdown(iterations: int = 4) -> MeasuredBreakdown:
     )
 
 
+def check(result: Tuple[List[TrainingBreakdown], MeasuredBreakdown]) -> List[str]:
+    """Figure 2's claims that ``(breakdowns, measured)`` breaks."""
+    breakdowns, m = result
+    shares = m.idle_fraction + m.memcpy_fraction + m.compute_fraction + m.comm_fraction
+    return broken({
+        "every group communicates >= 10% of its time": all(b.comm >= 0.10 for b in breakdowns),
+        f"measured comm share {m.comm_fraction:.3f} in [0.05, 0.95]": (
+            0.05 <= m.comm_fraction <= 0.95
+        ),
+        "measured memcpy share > 0": m.memcpy_fraction > 0,
+        f"measured shares sum to {shares:.9f} == 1": abs(shares - 1.0) <= 1e-6,
+    })
+
+
 def main() -> Dict[str, object]:
+    breakdowns = run_breakdowns(SEED)
     rows = [
         (b.group, f"{b.idle:.0%}", f"{b.memcpy:.0%}", f"{b.compute:.0%}", f"{b.comm:.0%}")
-        for b in run_breakdowns(SEED)
+        for b in breakdowns
     ]
     print_table(
         ["Group", "Idle", "Memcpy", "Compute", "Comm"],
@@ -103,4 +118,5 @@ def main() -> Dict[str, object]:
         ],
         title="Validation — measured on the simulated testbed",
     )
+    require(check((breakdowns, measured)))
     return {}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..cluster.placement import ClusterAllocator
 from ..cluster.specs import custom_cluster
@@ -35,7 +35,7 @@ from ..workloads.production import (
     empirical_cross_rack_curve,
     simulated_cross_rack_curve,
 )
-from .report import print_table
+from .report import broken, print_table, require
 
 DEFAULT_JOB_SIZES = (16, 32, 64, 128, 256, 512, 1024)
 
@@ -96,6 +96,22 @@ def validate_on_cluster(
     return {"measured": measured, "closed_form": expected, "optimal": optimal}
 
 
+def check(result: Tuple[List[CrossRackPoint], Dict[str, float]]) -> List[str]:
+    """Figure 3's claims that ``(points, validation)`` breaks."""
+    points, v = result
+    a, b = [p.ratio_2hosts for p in points], [p.ratio_4hosts for p in points]
+    return broken({
+        "both panels grow with job size": a == sorted(a) and b == sorted(b),
+        f"largest job's ratios {a[-1]:.3f} in [1.8, 2], {b[-1]:.3f} in [3.5, 4]": (
+            1.8 <= a[-1] <= 2.0 and 3.5 <= b[-1] <= 4.0
+        ),
+        f"cluster Monte Carlo {v['measured']:.3f} within 10% of {v['closed_form']:.3f}": (
+            abs(v["measured"] - v["closed_form"]) <= 0.10 * v["closed_form"]
+        ),
+        "the locality ring is optimal": v["optimal"] == 1.0,
+    })
+
+
 def main() -> Dict[str, object]:
     points = run_curves()
     print_table(
@@ -106,16 +122,17 @@ def main() -> Dict[str, object]:
         ],
         title="Figure 3 — expected cross-rack ratio of a random ring",
     )
-    check = validate_on_cluster()
+    validation = validate_on_cluster()
     print_table(
         ["Measured (cluster MC)", "Closed form", "Optimal ring"],
         [
             (
-                f"{check['measured']:.2f}x",
-                f"{check['closed_form']:.2f}x",
-                f"{check['optimal']:.2f}x",
+                f"{validation['measured']:.2f}x",
+                f"{validation['closed_form']:.2f}x",
+                f"{validation['optimal']:.2f}x",
             )
         ],
         title="Validation — 128-GPU job on a simulated 4-hosts/rack cluster",
     )
+    require(check((points, validation)))
     return {}

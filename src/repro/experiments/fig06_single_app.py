@@ -26,7 +26,7 @@ from ..cluster.specs import testbed_cluster
 from ..collectives.bandwidth import algorithm_bandwidth
 from ..collectives.types import Collective
 from ..netsim.units import KB, MB, format_size, to_gBps
-from .report import Stat, print_table
+from .report import Stat, broken, print_table, require
 from .setups import single_app_gpus, system_issuers
 
 SYSTEMS = ("nccl", "nccl_or", "mccs_nofa", "mccs")
@@ -128,6 +128,30 @@ def as_tables(results: Sequence[SingleAppResult]) -> Dict[Tuple[str, Collective]
     return tables
 
 
+def check(results: Sequence[SingleAppResult]) -> List[str]:
+    """Figure 6's claims that ``results``' AllReduce panels break.  FFA
+    has no ECMP collision to remove on 4 GPUs, one per host."""
+    panels: Dict[str, Dict[int, Dict[str, float]]] = {}
+    for r in results:
+        if r.kind is Collective.ALL_REDUCE:
+            panels.setdefault(r.setup, {}).setdefault(r.size, {})[r.system] = r.stat.mean
+    claims = {}
+    for setup, by_size in panels.items():
+        small, big, size = by_size[512 * KB], by_size[max(by_size)], format_size(max(by_size))
+        claims[f"{setup}: MCCS(-FA) < NCCL(OR) at 512KB"] = small["mccs_nofa"] < small["nccl_or"]
+        if setup == "4gpu":
+            claims[f"4gpu: MCCS(-FA) >= 95% of NCCL(OR) at {size}"] = (
+                big["mccs_nofa"] >= 0.95 * big["nccl_or"]
+            )
+        else:
+            claims[f"{setup}: MCCS > MCCS(-FA), NCCL(OR) > NCCL at {size}"] = (
+                big["mccs"] > big["mccs_nofa"] and big["mccs"] > big["nccl_or"] > big["nccl"]
+            )
+            ratio = big["mccs"] / big["nccl"]
+            claims[f"{setup}: MCCS {ratio:.2f}x NCCL at {size}, > 2x"] = ratio > 2.0
+    return broken(claims)
+
+
 def main() -> Dict[str, object]:
     results = run_fig06(trials=TRIALS, iters=ITERS)
     for (setup, kind), table in sorted(
@@ -138,4 +162,5 @@ def main() -> Dict[str, object]:
             table[1:],
             title=f"Figure 6 — {kind} algorithm bandwidth (GB/s), {setup} setup",
         )
+    require(check(results))
     return {}

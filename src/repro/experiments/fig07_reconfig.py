@@ -22,7 +22,7 @@ from ..core.deployment import MccsDeployment
 from ..netsim.background import BackgroundTrafficManager
 from ..netsim.units import MB, to_gBps
 from ..telemetry import TelemetryHub
-from .report import print_table
+from .report import broken, print_table, require
 from .setups import admit_tenant
 
 
@@ -110,6 +110,22 @@ def run_fig07(
     )
 
 
+def check(timeline: ReconfigTimeline) -> List[str]:
+    """Figure 7's claims that ``timeline`` breaks, on windows read off the
+    run: before the flow, then 1 s after it and after the reconfiguration."""
+    bg_start, issued, done = timeline.bg_start, timeline.reconfig_issued, timeline.reconfig_done
+    before = timeline.bandwidth_in(0.0, bg_start)
+    during = timeline.bandwidth_in(bg_start + 1.0, issued)
+    after = timeline.bandwidth_in(issued + 1.0, float("inf"))
+    ring_after = timeline.ring_after
+    return broken({
+        f"the flow cuts {before:.2f} to {during:.2f} GB/s, < 35%": during < 0.35 * before,
+        f"reconfiguring restores {after:.2f} GB/s, within 5%": abs(after - before) <= 0.05 * before,
+        "reconfiguring reverses the ring": ring_after == tuple(reversed(timeline.ring_before)),
+        f"reconfiguring takes < 100 ms (done at {done})": done is not None and done - issued < 0.1,
+    })
+
+
 def main() -> Dict[str, object]:
     """Run the Figure 7 scenario and report it.
 
@@ -144,4 +160,5 @@ def main() -> Dict[str, object]:
             f"barrier stall:          {stall.mean() * 1e3:.3f} ms "
             f"over {stall.count()} reconfiguration(s)"
         )
+    require(check(timeline))
     return {"fig07_trace": hub.to_chrome_trace()}

@@ -22,7 +22,7 @@ from ..cluster.specs import testbed_cluster
 from ..collectives.bandwidth import busbw_factor
 from ..collectives.types import Collective
 from ..netsim.units import MB
-from .report import Stat, print_table
+from .report import Stat, broken, print_table, require
 from .setups import TenantPlacement, multi_app_setups, system_issuers
 
 SYSTEMS = ("nccl", "nccl_or", "mccs_noffa", "mccs")
@@ -129,6 +129,27 @@ def run_fig08(
     return results
 
 
+def check(results: Sequence[MultiAppResult]) -> List[str]:
+    """Figure 8's claims that ``results`` breaks (NCCL(OR) ties MCCS's
+    aggregate in NIC-bound setups, less MCCS's datapath latency)."""
+    means: Dict[str, Dict[str, Dict[str, float]]] = {}
+    for r in results:
+        means.setdefault(r.setup, {}).setdefault(r.system, {})[r.app_id] = r.stat.mean
+    claims = {}
+    for setup, by_system in means.items():
+        total = {system: sum(apps.values()) for system, apps in by_system.items()}
+        claims[f"{setup}: MCCS aggregate {total['mccs']:.2f} above NCCL, within 1% of the best"] = (
+            total["mccs"] >= 0.99 * max(total.values()) and total["mccs"] > total["nccl"]
+        )
+    a, b = means["setup1"]["mccs"]["A"], means["setup1"]["mccs"]["B"]
+    claims[f"setup1: MCCS splits A {a:.2f} / B {b:.2f} within 5%"] = abs(a - b) <= 0.05 * b
+    a, b, c = (means["setup3"]["mccs"][app] for app in "ABC")
+    claims[f"setup3: MCCS splits A:B:C {a:.2f}:{b:.2f}:{c:.2f} as 2:1:1"] = (
+        1.8 <= a / b <= 2.2 and abs(b - c) <= 0.05 * c
+    )
+    return broken(claims)
+
+
 def main() -> Dict[str, object]:
     results = run_fig08(trials=TRIALS)
     by_setup: Dict[str, Dict[str, Dict[str, Stat]]] = {}
@@ -152,4 +173,5 @@ def main() -> Dict[str, object]:
             rows,
             title=f"Figure 8 — 128MB AllReduce bus bandwidth (GB/s), {setup_name}",
         )
+    require(check(results))
     return {}

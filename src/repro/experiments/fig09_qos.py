@@ -32,7 +32,7 @@ from ..core.deployment import MccsDeployment
 from ..core.policies.ts import compute_traffic_schedule
 from ..core.transport import WindowSchedule
 from ..workloads.generator import TrafficGenerator
-from .report import Stat, print_table
+from .report import Stat, broken, print_table, require
 from .setups import admit_tenant, qos_setup, qos_trace, trace_generator
 
 SOLUTIONS = ("ecmp", "ffa", "pfa", "pfa+ts")
@@ -169,6 +169,24 @@ def run_fig09(
     return results, ffa_means
 
 
+def check(result: Tuple[List[QosResult], Dict[str, float]]) -> List[str]:
+    """Figure 9's claims that ``(results, ffa_means)`` breaks (JCT normalized to FFA)."""
+    results, ffa_means = result
+    jct = {(r.solution, r.app_id): r.stat.mean / ffa_means[r.app_id] for r in results}
+    ecmp, pfa, ts = (
+        {app: jct[(solution, app)] for app in "ABC"} for solution in ("ecmp", "pfa", "pfa+ts")
+    )
+    return broken({
+        "ECMP slows A, B and C by over 5%": min(ecmp.values()) > 1.05,
+        f"PFA speeds A to {pfa['A']:.3f} <= 1.02, below ECMP": (
+            pfa["A"] <= 1.02 and pfa["A"] < ecmp["A"]
+        ),
+        f"PFA slows B ({pfa['B']:.3f})": pfa["B"] > 1.0,
+        "PFA+TS speeds B and slows C over PFA": ts["B"] < pfa["B"] and ts["C"] > pfa["C"],
+        "PFA+TS leaves A within 2%": abs(ts["A"] - pfa["A"]) <= 0.02 * pfa["A"],
+    })
+
+
 def main() -> Dict[str, object]:
     results, ffa_means = run_fig09(trials=TRIALS)
     by_solution: Dict[str, Dict[str, Stat]] = {}
@@ -189,4 +207,5 @@ def main() -> Dict[str, object]:
         rows,
         title="Figure 9 — normalized JCT (lower is better; FFA = 1.0)",
     )
+    require(check((results, ffa_means)))
     return {}

@@ -22,7 +22,7 @@ from ..core.deployment import MccsDeployment
 from ..core.policies.ts import compute_traffic_schedule
 from ..workloads.generator import TrafficGenerator
 from .fig09_qos import DEFAULT_PENALTY
-from .report import print_table, sparkline
+from .report import broken, print_table, require, sparkline
 from .setups import admit_tenant, qos_setup, qos_trace, trace_generator
 
 
@@ -129,8 +129,24 @@ def run_fig10(
     )
 
 
+def check(timeline: DynamicTimeline) -> List[str]:
+    """Figure 10's claims that ``timeline`` breaks.  In a short window C
+    may complete no iteration under TS, the extreme form of a squeeze."""
+    n = timeline.normalized()
+    c_ts = n.get(("C", "PFA+TS(B)"))
+    return broken({
+        "B's arrival slows A": n[("A", "A alone")] > n[("A", "A+B (FFA)")],
+        "C's arrival slows A, within 2%": n[("A", "A+B (FFA)")] >= 0.98 * n[("A", "A+B+C (FFA)")],
+        "PFA lifts A": n[("A", "PFA(A)")] > n[("A", "A+B+C (FFA)")],
+        "TS lifts B": n[("B", "PFA+TS(B)")] > n[("B", "PFA(A)")],
+        "TS squeezes C": c_ts is None or c_ts < n[("C", "PFA(A)")],
+    })
+
+
 def main() -> Dict[str, object]:
-    _print(run_fig10())
+    timeline = run_fig10()
+    _print(timeline)
+    require(check(timeline))
     return {}
 
 

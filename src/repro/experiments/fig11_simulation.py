@@ -39,7 +39,7 @@ from ..workloads.arrivals import poisson_arrivals
 from ..workloads.generator import TrafficGenerator
 from ..workloads.models import resnet50
 from ..workloads.traces import data_parallel_trace
-from .report import Stat, ascii_cdf, cdf_points, print_table
+from .report import Stat, ascii_cdf, broken, cdf_points, print_table, require
 from .setups import trace_generator
 
 SOLUTIONS = ("random", "or", "or+ffa")
@@ -254,6 +254,24 @@ def run_fig11_repeated(
     return pooled
 
 
+def check(pooled: Dict[str, Dict[str, List[float]]]) -> List[str]:
+    """Figure 11's claims that the pooled per-job speedups over random
+    rings break (paper means: OR 2.63x, OR+FFA 3.27x under random
+    placement; 3.28x, 3.43x under compact)."""
+    mean = {(p, s): Stat.of(v).mean for p, by in pooled.items() for s, v in by.items()}
+    random_or, random_ffa = mean[("random", "or")], mean[("random", "or+ffa")]
+    compact_or, compact_ffa = mean[("compact", "or")], mean[("compact", "or+ffa")]
+    return broken({
+        f"random: OR {random_or:.2f}x > 1.1x": random_or > 1.1,
+        f"random: OR+FFA {random_ffa:.2f}x > 1.15 x OR": random_ffa > 1.15 * random_or,
+        f"compact: OR {compact_or:.2f}x > 2x": compact_or > 2.0,
+        "compact: OR speeds every job > 1.5x": min(pooled["compact"]["or"]) > 1.5,
+        f"compact: OR+FFA {compact_ffa:.2f}x within 15% of OR": (
+            abs(compact_ffa - compact_or) < 0.15 * compact_or
+        ),
+    })
+
+
 def main() -> Dict[str, object]:
     pooled = run_fig11_repeated(
         repetitions=REPETITIONS,
@@ -287,4 +305,5 @@ def main() -> Dict[str, object]:
         )
         print(ascii_cdf({s.upper(): by_solution[s] for s in ("or", "or+ffa")}))
         print()
+    require(check(pooled))
     return {}

@@ -38,7 +38,7 @@ from ..cluster.specs import testbed_cluster
 from ..netsim.engine import SimObserver
 from ..netsim.units import MB
 from ..telemetry import TelemetryHub
-from .report import print_table
+from .report import broken, print_table, require
 from .setups import admit_tenant, multi_app_setups
 
 SYSTEMS = ("mccs", "mccs_noffa")
@@ -238,6 +238,27 @@ def run_attribution(
     return results
 
 
+def check(results: List[AttributionResult]) -> List[str]:
+    """The attribution claims that ``results`` break.  Setup 1's
+    contention is ECMP's alone, so FFA empties its ledger."""
+    claims = {}
+    for r in results:
+        cell = f"{r.setup}/{r.system}"
+        claims[f"{cell}: components sum within 1% ({r.sum_ok}/{r.collectives})"] = (
+            r.collectives > 0 and r.sum_ok_fraction == 1.0
+        )
+        claims[f"{cell}: attribution {r.accuracy:.0%} >= 90%"] = r.accuracy >= 0.9
+    seconds = {
+        r.system: sum(s for row in r.ledger.values() for s in row.values())
+        for r in results
+        if r.setup == "setup1"
+    }
+    claims[f"setup1: only ECMP interferes {seconds}"] = (
+        seconds["mccs"] == 0.0 and seconds["mccs_noffa"] > 0.0
+    )
+    return broken(claims)
+
+
 def main() -> Dict[str, object]:
     results = run_attribution(rounds=ROUNDS)
     rows = []
@@ -266,6 +287,7 @@ def main() -> Dict[str, object]:
         rows,
         title="Causal attribution vs ground truth (fig08 multi-tenant mix)",
     )
+    require(check(results))
     contended = next(
         r for r in results if (r.setup, r.system) == ("setup1", "mccs_noffa")
     )

@@ -25,7 +25,7 @@ from ..autotune import StrategyPlanner
 from ..cluster.specs import testbed_cluster
 from ..collectives.types import Collective
 from ..netsim.units import KB, MB, format_size
-from .report import print_table
+from .report import broken, print_table, require
 from .setups import measure_static, measure_tuned, single_app_gpus
 
 DEFAULT_SIZES = (64 * KB, 64 * MB)
@@ -150,6 +150,25 @@ def as_json(result: AutotuneResult) -> Dict[str, object]:
     }
 
 
+def check(result: AutotuneResult) -> List[str]:
+    """The autotune claims that ``result`` breaks."""
+    small, large = result.regimes[0].best_static[0], result.regimes[-1].best_static[0]
+    claims = {
+        f"smallest and largest sizes have different static winners ({small}, {large})": (
+            len(result.regimes) >= 2 and small != large
+        ),
+        f"a ring wins the largest size ({large})": large.startswith("ring"),
+    }
+    for r in result.regimes:
+        size = format_size(r.size)
+        claims[f"{size}: tuned tail {r.tuned_tail_mean * 1e6:.1f}us within 5% of the best "
+               f"static after {r.retunes} > 0 retunes"] = r.converged and r.retunes > 0
+        claims[f"{size}: barrier-only retunes, {r.inconsistent} inconsistent"] = (
+            r.barrier_only and r.inconsistent == 0
+        )
+    return broken(claims)
+
+
 def main() -> Dict[str, object]:
     result = run_autotune(tune_rounds=TUNE_ROUNDS, static_iters=STATIC_ITERS)
     table = as_table(result)
@@ -161,4 +180,5 @@ def main() -> Dict[str, object]:
             f"({result.setup}, {result.kind})"
         ),
     )
+    require(check(result))
     return {"autotune": as_json(result)}

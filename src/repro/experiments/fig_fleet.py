@@ -23,7 +23,7 @@ through its REST-shaped transport while the run layers on, in order:
 * a **host service crash** healed by the supervisor (transient 503s at
   dispatch, absorbed by capped-exponential retries);
 * a **gateway crash/restart** that rebuilds the tenant registry purely
-  from the write-ahead journal.
+  from the state journal.
 
 Every issued request is answered exactly once with a typed outcome (the
 zero-unhandled-exceptions ledger), and the journal replays to the live
@@ -60,7 +60,7 @@ from ..service import (
     fleet_specs,
 )
 from ..workloads.arrivals import DiurnalProfile
-from .report import print_table
+from .report import broken, print_table, require
 
 #: GPUs per communicator (intra-host pairs keep 1000+ tenants tractable).
 COMM_WORLD = 2
@@ -418,6 +418,35 @@ def run_fleet(
     )
 
 
+def check(r: FleetReport) -> List[str]:
+    """The fleet claims that report ``r`` breaks."""
+    high, low = (next(row for row in r.classes if row.qos == q) for q in ("high", "low"))
+    return broken({
+        f"fleet holds >= 1000 tenants ({r.num_tenants})": r.num_tenants >= 1000,
+        "every request gets exactly one typed answer": r.responses_accounted,
+        f"journal replays clean {r.journal_diff}": not r.journal_diff,
+        f"one gateway crash restores all {r.restored_tenants} tenants": (
+            r.gateway_crashes == r.gateway_restarts == 1 and r.restored_tenants == r.num_tenants
+        ),
+        f"every one of {r.service_crashes} > 0 service crashes restarts": (
+            0 < r.service_crashes == r.service_restarts
+        ),
+        f"brownout reaches level {r.brownout_peak_level} >= 1": r.brownout_peak_level >= 1,
+        "brownout sheds low, never high": r.brownout_shed_low > 0 and r.brownout_shed_high == 0,
+        "high and low classes both issue": high.issued > 0 and low.issued > 0,
+        f"high-class attainment {high.attainment} >= 0.99": (high.attainment or 0) >= 0.99,
+        "every poison tenant's breaker trips": r.poison_tripped and r.breaker_trips > 0,
+        "a witness beside every poison tenant": len(r.witness_tenants) == len(r.poison_tenants),
+        "no witness sees a 5xx": r.witness_unharmed,
+        "every witness's final collective is byte-exact": r.witness_byte_exact,
+        f"tenant storms hit the rate limiter ({r.throttled})": r.throttled > 0,
+        f"service crashes exercise the retry path ({r.retries})": r.retries > 0,
+        f"planner sizes the fleet to {r.planner_hosts} in 1..{r.hosts} hosts": (
+            1 <= r.planner_hosts <= r.hosts
+        ),
+    })
+
+
 def main() -> Dict[str, object]:
     report = run_fleet()
     rows = []
@@ -457,23 +486,5 @@ def main() -> Dict[str, object]:
         f"journal={report.journal_records} records "
         f"planner: {report.planner_hosts} host(s) for the fleet"
     )
-
-    assert report.num_tenants >= 1000, "fleet must sustain >= 1000 tenants"
-    assert report.responses_accounted, "a request went unanswered"
-    assert not report.journal_diff, report.journal_diff
-    assert report.restored_tenants == report.num_tenants, (
-        "gateway restart must restore every tenant from the journal"
-    )
-    assert report.brownout_peak_level >= 1, "diurnal crest never browned out"
-    assert report.brownout_shed_low > 0, "brownout shed no low-class traffic"
-    assert report.brownout_shed_high == 0, "brownout must never shed high"
-    high = next(r for r in report.classes if r.qos == "high")
-    assert high.attainment is not None and high.attainment >= 0.99, (
-        f"high-class attainment {high.attainment} below 0.99"
-    )
-    assert report.poison_tripped, "a poison tenant's breaker never tripped"
-    assert report.witness_unharmed, "poison blast radius reached a witness"
-    assert report.witness_byte_exact, "witness collective was not byte-exact"
-    assert report.throttled > 0, "tenant storms never hit the rate limiter"
-    assert report.retries > 0, "service crashes never exercised the retry path"
+    require(check(report))
     return {"fleet": {"experiment": "fleet", "report": asdict(report)}}

@@ -31,7 +31,7 @@ from ..core.algorithms import unregister_algorithm
 from ..netsim.fabric import RegionSpec
 from ..netsim.units import KB, MB, format_size
 from ..synth import synthesize_and_register
-from .report import print_table
+from .report import broken, print_table, require
 from .setups import TunedResult, measure_static, measure_tuned, single_app_gpus
 
 DEFAULT_SIZES = (64 * KB, 1 * MB, 16 * MB, 64 * MB)
@@ -212,6 +212,25 @@ def as_json(results: List[FabricResult]) -> Dict[str, object]:
     }
 
 
+def check(results: List[FabricResult]) -> List[str]:
+    """The synthesis claims that ``results`` break, on the two-region fabric."""
+    two_region = next(r for r in results if r.fabric == "two_region")
+    point, tuned = two_region.points[-1], two_region.tuned
+    return broken({
+        f"{format_size(point.size)}: {point.synth_label} {point.speedup:.2f}x > 1.5x over "
+        f"{point.builtin_label}": (
+            point.synth_label.startswith("synth:") and point.synth_wins and point.speedup > 1.5
+        ),
+        f"the tuner adopts a synthesized schedule ({tuned.algorithm})": (
+            tuned.adopted_synth and tuned.retunes > 0
+        ),
+        f"barrier-only retunes, {tuned.inconsistent} inconsistent": (
+            tuned.barrier_only and tuned.inconsistent == 0
+        ),
+        "the tuned tail beats the first collective": tuned.tail_mean < tuned.first,
+    })
+
+
 def main() -> Dict[str, object]:
     results = run_synth(tune_rounds=TUNE_ROUNDS, static_iters=STATIC_ITERS)
     table = as_table(results)
@@ -232,4 +251,5 @@ def main() -> Dict[str, object]:
             f"first={tuned.first * 1e6:.1f}us, "
             f"tail={tuned.tail_mean * 1e6:.1f}us)"
         )
+    require(check(results))
     return {"synth": as_json(results)}

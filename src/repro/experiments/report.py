@@ -1,9 +1,10 @@
-"""Shared result containers and text rendering for the experiment harness.
+"""Shared result containers, text rendering and claim checks for the
+experiment harness.
 
 Every ``figNN`` module produces plain dataclasses and renders them with
-these helpers, so benchmark output looks like the rows/series the paper
-plots (mean plus a 95% interval where the paper shades one).  Output
-goes to stdout; a caller that wants it elsewhere redirects stdout.
+these helpers, so its output looks like the rows/series the paper plots
+(mean plus a 95% interval where the paper shades one).  Output goes to
+stdout; a caller that wants it elsewhere redirects stdout.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 __all__ = [
     "Stat",
     "ascii_cdf",
+    "broken",
     "cdf_points",
     "format_table",
     "print_table",
+    "require",
     "sparkline",
     "write_json",
 ]
@@ -92,6 +95,18 @@ def write_json(payload: Dict[str, object], path: str) -> None:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     print(f"wrote {path}")
+
+
+def broken(claims: Dict[str, bool]) -> List[str]:
+    """The claims of ``{claim: holds}`` that do not hold."""
+    return [claim for claim, holds in claims.items() if not holds]
+
+
+def require(broken_claims: Sequence[str]) -> None:
+    """Fail a figure whose ``check`` named broken claims.  An explicit
+    raise, not ``assert``, so ``python -O`` cannot strip the check."""
+    if broken_claims:
+        raise AssertionError("claims broken:\n  " + "\n  ".join(broken_claims))
 
 
 def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:

@@ -59,7 +59,7 @@ class ServiceCrashedError(FaultError):
 
     Unlike :class:`HostCrashedError`, the infrastructure is intact: the
     service can be restarted and its control-plane state reconstructed by
-    replaying the write-ahead journal (``repro.core.journal``).
+    replaying the state journal (``repro.core.journal``).
     """
 
 
@@ -130,7 +130,7 @@ class UpgradeError(MccsError):
 
 
 class JournalError(MccsError):
-    """The write-ahead state journal was used or replayed inconsistently."""
+    """The state journal was used or replayed inconsistently."""
 
 
 class MembershipChangeError(MccsError):

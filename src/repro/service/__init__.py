@@ -7,7 +7,7 @@ front of it:
 
 * :mod:`~repro.service.registry` — persistent tenant accounts with API
   keys, quotas and QoS classes, journaled through the deployment's
-  write-ahead :class:`~repro.core.journal.StateJournal`;
+  state :class:`~repro.core.journal.StateJournal`;
 * :mod:`~repro.service.gateway` — a REST-shaped request API with the
   full robustness stack: per-tenant token-bucket rate limiting, bounded
   per-class queues with explicit backpressure, request deadlines with

@@ -1,7 +1,7 @@
 """Persistent tenant registry: accounts, API keys, quotas, QoS classes.
 
 Tenants are first-class control-plane state.  Every mutation — register,
-quota/key update, revoke — is appended to the deployment's write-ahead
+quota/key update, revoke — is appended to the deployment's
 :class:`~repro.core.journal.StateJournal` *before* it is applied, so the
 account table survives a gateway crash exactly the way buffers and
 communicators survive a service crash: by deterministic replay

@@ -84,8 +84,8 @@ class RateSegment:
     end: Optional[float]
     rate: float
     bottleneck: Optional[str]
-    #: Tenants (other than the flow's own) with active flows on the
-    #: bottleneck link when the segment opened.  Rate recomputations
+    #: Tenants (other than the flow's own) with active, ungated flows on
+    #: the bottleneck link when the segment opened.  Rate recomputations
     #: bracket membership changes on the flow's links, so the set is
     #: constant over the segment.
     co_tenants: Tuple[str, ...] = ()
@@ -313,7 +313,8 @@ class CausalTracer(SimObserver):
     """Assembles causal traces from control-plane calls and flow events.
 
     The tracer observes *every* flow to maintain per-link tenant
-    occupancy (the co-tenant sets are computed from it) but only flows
+    occupancy (the co-tenant sets are computed from it; a gated flow
+    sends nothing and is off it while gated) but only flows
     tagged ``trace=<CausalTrace>`` get full segment recording — untraced
     traffic costs two O(path) dictionary passes per launch batch and
     completion burst.
@@ -328,7 +329,8 @@ class CausalTracer(SimObserver):
         self.sim = sim
         self._live: Dict[str, CausalTrace] = {}
         self._closed: RingBuffer[CausalTrace] = RingBuffer(max_closed)
-        #: link -> tenant -> active flow count (all traffic, traced or not).
+        #: link -> tenant -> active ungated flow count (all traffic, traced
+        #: or not).
         self._link_jobs: Dict[str, Dict[str, int]] = {}
         #: The engine's bottleneck link indices name these links.
         self._link_ids = sim._solver._link_ids
@@ -406,17 +408,11 @@ class CausalTracer(SimObserver):
     def on_flows_added(self, flows: Sequence[Flow], now: float) -> None:
         """Adopt one launch batch (shared ``job_id`` and ``tags``)."""
         first = flows[0]
-        job = first.job_id or "none"
         routes: Dict[Tuple[str, ...], int] = {}
         for flow in flows:
             routes[flow.links] = routes.get(flow.links, 0) + 1
-        link_jobs = self._link_jobs
-        for links, n in routes.items():
-            for link in links:
-                per_job = link_jobs.get(link)
-                if per_job is None:
-                    per_job = link_jobs[link] = {}
-                per_job[job] = per_job.get(job, 0) + n
+        if not first.gated:  # the batch shares ``gated``
+            self._occupy(first.job_id, routes)
         trace = first.tags.get("trace")
         if trace is None or trace.closed:
             return
@@ -461,20 +457,21 @@ class CausalTracer(SimObserver):
                 ))
             segments.append(RateSegment(now, None, rate, bottleneck, co))
 
-    def _flows_left(self, flows: Sequence[Flow], now: float, status: str) -> None:
-        """Close the records of ``flows`` and take them off the per-link
-        tenant occupancy, one update per (tenant, route)."""
-        counts: Dict[Tuple[Optional[str], Tuple[str, ...]], int] = {}
-        for flow in flows:
-            key = (flow.job_id, flow.links)
-            counts[key] = counts.get(key, 0) + 1
-            rec = flow._recorder
-            if rec is not None and rec.status == "active":
-                segments = rec.segments
-                if segments and segments[-1].end is None:
-                    segments[-1].end = now
-                rec.t_end = now
-                rec.status = status
+    def _occupy(self, job_id: Optional[str], routes: Dict[Tuple[str, ...], int]) -> None:
+        """Put ``routes``' flow counts of one tenant on the per-link
+        tenant occupancy."""
+        job = job_id or "none"
+        link_jobs = self._link_jobs
+        for links, n in routes.items():
+            for link in links:
+                per_job = link_jobs.get(link)
+                if per_job is None:
+                    per_job = link_jobs[link] = {}
+                per_job[job] = per_job.get(job, 0) + n
+
+    def _unoccupy(self, counts: Dict[Tuple[Optional[str], Tuple[str, ...]], int]) -> None:
+        """Take flow counts per (tenant, route) off the per-link tenant
+        occupancy."""
         link_jobs = self._link_jobs
         for (job_id, links), n in counts.items():
             job = job_id or "none"
@@ -488,6 +485,31 @@ class CausalTracer(SimObserver):
                         per_job.pop(job, None)
                         if not per_job:
                             del link_jobs[link]
+
+    def _flows_left(self, flows: Sequence[Flow], now: float, status: str) -> None:
+        """Close the records of ``flows`` and take the ungated ones off the
+        per-link tenant occupancy, one update per (tenant, route)."""
+        counts: Dict[Tuple[Optional[str], Tuple[str, ...]], int] = {}
+        for flow in flows:
+            if not flow.gated:  # a gated flow left the occupancy when gated
+                key = (flow.job_id, flow.links)
+                counts[key] = counts.get(key, 0) + 1
+            rec = flow._recorder
+            if rec is not None and rec.status == "active":
+                segments = rec.segments
+                if segments and segments[-1].end is None:
+                    segments[-1].end = now
+                rec.t_end = now
+                rec.status = status
+        self._unoccupy(counts)
+
+    def on_flow_gated(self, flow: Flow, gated: bool, now: float) -> None:
+        """A gated flow sends nothing, so it is no co-tenant: it leaves the
+        per-link tenant occupancy while gated."""
+        if gated:
+            self._unoccupy({(flow.job_id, flow.links): 1})
+        else:
+            self._occupy(flow.job_id, {flow.links: 1})
 
     def on_flows_completed(self, flows: Sequence[Flow], now: float) -> None:
         self._flows_left(flows, now, "completed")

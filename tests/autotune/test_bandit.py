@@ -77,6 +77,16 @@ def test_converges_to_cheapest_arm():
     assert set(pulls[-10:]) == {"tree"}
 
 
+def test_wide_bounds_never_favour_the_slowest_arm():
+    # After 8 pulls an arm pulled once has a width factor of
+    # 0.5 * sqrt(2 ln 8) > 1: a width scaled by each arm's own mean would
+    # put the 3.0 arm's bound lowest of all.
+    bandit = UcbBandit()
+    feed(bandit, {"fast": 1.0}, rounds=6)
+    feed(bandit, {"slow": 1.7, "slowest": 3.0})
+    assert bandit.select(["fast", "slow", "slowest"]) == "fast"
+
+
 def test_selection_is_deterministic():
     def trajectory():
         bandit = UcbBandit()

@@ -12,7 +12,9 @@ fabric spec what it is through declared attributes, never by probing
 with ``getattr``.  The experiments have one entry point, ``python -m
 repro.experiments``: their ``main()`` takes no parameters (sweep sizes
 are module constants) and returns its artifacts, which only
-``report.write_json`` writes.
+``report.write_json`` writes.  Each states its claims once, in a
+``check(result)`` that ``main`` and tier-1 both call, never as an
+``assert`` (which ``python -O`` strips).
 """
 
 import ast
@@ -237,5 +239,27 @@ def test_experiments_have_one_entry_point_and_one_writer():
         f"{name}.main{inspect.signature(module.main)}"
         for name, module in ALL_FIGURES.items()
         if inspect.signature(module.main).parameters
+    ]
+    assert offenders == []
+
+
+def test_experiments_state_their_claims_in_check():
+    offenders = [
+        f"{_relative(path)}:{node.lineno}: assert"
+        for path in SOURCES
+        if _relative(path).startswith("experiments/")
+        for node in ast.walk(TREE[path])
+        if isinstance(node, ast.Assert)
+    ]
+    defined = {
+        _relative(path): {
+            node.name for node in TREE[path].body if isinstance(node, ast.FunctionDef)
+        }
+        for path in SOURCES
+    }
+    offenders += [
+        f"{name}: no check"
+        for name, module in ALL_FIGURES.items()
+        if "check" not in defined[f"experiments/{module.__name__.rsplit('.', 1)[1]}.py"]
     ]
     assert offenders == []

@@ -1,4 +1,4 @@
-"""Write-ahead state journal: schema, checkpoints, replay.
+"""State journal: schema, checkpoints, replay.
 
 The journal holds the two tables a restart reads back — buffers and
 tenants.  The property test at the bottom is the crash-consistency
@@ -22,7 +22,7 @@ from repro.core.journal import (
     checkpoint,
     replay_journal,
 )
-from repro.errors import JournalError
+from repro.errors import AllocationError, InvalidBufferError, JournalError, PolicyError
 from repro.netsim.units import MB
 from repro.service import TenantQuota, TenantRegistry
 
@@ -272,6 +272,25 @@ def test_checkpoint_is_one_record_per_live_object():
     assert records[1].payload["buffer_id"] == keep.buffer_id
     # 50 reconfigurations, and per grow or shrink a drain and a cutover.
     assert comm.strategy_epoch == 90 and comm.membership_epoch == 20
+    assert deployment.verify_journal() == []
+
+
+def test_a_refused_mutation_appends_nothing(deployment, four_gpus):
+    """The tenant table appends before it applies and a buffer table after
+    (an ``alloc`` record carries the ids the allocation issues); under
+    either order a mutation that raises leaves no record behind."""
+    registry = TenantRegistry(deployment, secret="test-secret")
+    registry.register("t0")
+    gpu = four_gpus[0]
+    service = deployment.services[gpu.host_id]
+    before = deployment.journal.records()
+    with pytest.raises(AllocationError):
+        service.allocate("A", gpu.global_id, gpu.memory_capacity + 1)
+    with pytest.raises(InvalidBufferError):
+        service.free("A", 12345)
+    with pytest.raises(PolicyError):
+        registry.register("t0")
+    assert deployment.journal.records() == before
     assert deployment.verify_journal() == []
 
 

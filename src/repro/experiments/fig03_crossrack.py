@@ -65,7 +65,6 @@ def run_curves(
 def validate_on_cluster(
     job_size: int = 128,
     *,
-    hosts_per_rack: int = 4,
     trials: int = 200,
     seed: int = 3,
 ) -> Dict[str, float]:
@@ -75,7 +74,7 @@ def validate_on_cluster(
     host-major rings, and compares the measured mean ratio (via the
     policy module's `cross_rack_ratio`) with the closed-form expectation.
     """
-    gpus_per_host = 8
+    gpus_per_host, hosts_per_rack = 8, 4
     hosts_needed = job_size // gpus_per_host
     cluster = custom_cluster(
         num_spines=2,

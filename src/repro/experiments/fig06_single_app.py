@@ -20,7 +20,7 @@ NCCL by ~1.5-1.8x at 512 MB; MCCS beats everything at large sizes (up to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..cluster.specs import testbed_cluster
 from ..collectives.bandwidth import algorithm_bandwidth
@@ -70,7 +70,6 @@ def run_fig06(
     systems: Sequence[str] = SYSTEMS,
     trials: int = 5,
     iters: int = 3,
-    datapath_latency: Optional[float] = None,
 ) -> List[SingleAppResult]:
     """Sweep the Figure 6 grid; returns one result row per cell."""
     results: List[SingleAppResult] = []
@@ -86,7 +85,6 @@ def run_fig06(
                         {"A": single_app_gpus(cluster, setup)},
                         ecmp_seed=trial * 1009 + 17,
                         tag_nccl=False,
-                        datapath_latency=datapath_latency,
                     )["A"]
                     for size in sizes:
                         for _ in range(iters):

@@ -25,6 +25,9 @@ from ..telemetry import TelemetryHub
 from .report import broken, print_table, require
 from .setups import admit_tenant
 
+#: Gbps the background flow takes off one clockwise inter-switch link.
+BG_GBPS = 75.0
+
 
 @dataclass(frozen=True)
 class TimelinePoint:
@@ -61,7 +64,6 @@ def run_fig07(
     duration: float = 20.0,
     bg_start: float = 7.5,
     reconfig_at: float = 12.0,
-    bg_gbps: float = 75.0,
 ) -> ReconfigTimeline:
     """Replay the Figure 7 scenario; returns the bandwidth timeline."""
     cluster = ring_cluster()
@@ -88,7 +90,7 @@ def run_fig07(
     # The background flow is outside MCCS's management: a switch agent
     # reports it, the manager reacts at reconfig_at.
     loaded_link = "sw1->sw2"  # a link on the clockwise ring
-    cluster.sim.schedule(bg_start, lambda: background.occupy(loaded_link, bg_gbps))
+    cluster.sim.schedule(bg_start, lambda: background.occupy(loaded_link, BG_GBPS))
     reconfig_done = {"time": None}
 
     def done(sess) -> None:

@@ -92,7 +92,6 @@ def _run_once(
 def run_fig08(
     *,
     setups: Sequence[str] = ("setup1", "setup2", "setup3", "setup4"),
-    systems: Sequence[str] = SYSTEMS,
     trials: int = 5,
     op_bytes: int = 128 * MB,
     duration: float = 2.0,
@@ -103,7 +102,7 @@ def run_fig08(
     results: List[MultiAppResult] = []
     for setup_name in setups:
         placements = all_setups[setup_name]
-        for system in systems:
+        for system in SYSTEMS:
             per_app: Dict[str, List[float]] = {p.app_id: [] for p in placements}
             for trial in range(trials):
                 means = _run_once(

@@ -41,6 +41,8 @@ SOLUTIONS = ("ecmp", "ffa", "pfa", "pfa+ts")
 #: horizons (A trains from scratch; B and C fine-tune).
 DEFAULT_ITERATIONS = {"A": 16, "B": 12, "C": 12}
 DEFAULT_PENALTY = 0.30
+#: Seconds TS leaves free on either side of B's profiled busy windows.
+TS_GUARD = 0.0002
 #: Full-scale sweep: trials per solution.
 TRIALS = 4
 
@@ -103,7 +105,6 @@ def profile_ts_schedule(
     *,
     iterations: Dict[str, int],
     penalty: float,
-    guard: float = 0.0002,
 ) -> WindowSchedule:
     """Offline profiling pass for TS.
 
@@ -129,7 +130,7 @@ def profile_ts_schedule(
     manager.apply_flow_policy("pfa", high_priority_apps=["A"], reserved_routes={0})
     deployment.run()
     _, schedule = compute_traffic_schedule(
-        deployment.trace(states["B"].comm_id), guard=guard
+        deployment.trace(states["B"].comm_id), guard=TS_GUARD
     )
     return schedule
 
@@ -138,7 +139,6 @@ def run_fig09(
     *,
     trials: int = 4,
     iterations: Optional[Dict[str, int]] = None,
-    penalty: float = DEFAULT_PENALTY,
 ) -> Tuple[List[QosResult], Dict[str, float]]:
     """Sweep the four solutions.
 
@@ -147,14 +147,14 @@ def run_fig09(
     """
     iterations = dict(iterations or DEFAULT_ITERATIONS)
     samples: Dict[Tuple[str, str], List[float]] = {}
-    ts_schedule = profile_ts_schedule(0, iterations=iterations, penalty=penalty)
+    ts_schedule = profile_ts_schedule(0, iterations=iterations, penalty=DEFAULT_PENALTY)
     for solution in SOLUTIONS:
         for trial in range(trials):
             jcts = _run_once(
                 solution,
                 trial,
                 iterations=iterations,
-                penalty=penalty,
+                penalty=DEFAULT_PENALTY,
                 ts_schedule=ts_schedule if solution == "pfa+ts" else None,
             )
             for app_id, jct in jcts.items():

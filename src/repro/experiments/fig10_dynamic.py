@@ -25,6 +25,9 @@ from .fig09_qos import DEFAULT_PENALTY
 from .report import broken, print_table, require, sparkline
 from .setups import admit_tenant, qos_setup, qos_trace, trace_generator
 
+#: ECMP seed of the replay's deployment.
+ECMP_SEED = 337
+
 
 @dataclass
 class PhaseThroughput:
@@ -60,12 +63,10 @@ def run_fig10(
     t3: float = 12.0,
     t4: float = 16.0,
     end: float = 20.0,
-    penalty: float = DEFAULT_PENALTY,
-    seed: int = 1,
 ) -> DynamicTimeline:
     """Replay the Figure 10 timeline once."""
-    cluster = testbed_cluster(interference_penalty=penalty)
-    deployment = MccsDeployment(cluster, ecmp_seed=seed * 337)
+    cluster = testbed_cluster(interference_penalty=DEFAULT_PENALTY)
+    deployment = MccsDeployment(cluster, ecmp_seed=ECMP_SEED)
     manager = CentralManager(deployment)
     placements = {p.app_id: p for p in qos_setup()}
     generators: Dict[str, TrafficGenerator] = {}

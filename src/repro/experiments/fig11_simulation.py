@@ -43,6 +43,9 @@ from .report import Stat, ascii_cdf, broken, cdf_points, print_table, require
 from .setups import trace_generator
 
 SOLUTIONS = ("random", "or", "or+ffa")
+PLACEMENTS = ("random", "compact")
+#: Back-to-back AllReduces a job's gradient traffic is replayed as.
+SEGMENTS = 5
 
 #: Full-scale sweep (the paper's protocol is 5 repetitions).
 REPETITIONS = 2
@@ -129,7 +132,6 @@ def _run_solution(
     iterations: int,
     channels: int,
     seed: int,
-    segments: int = 5,
 ) -> Dict[str, float]:
     """Replay all jobs under one solution; per-job AllReduce time."""
     cluster = large_cluster()
@@ -138,10 +140,10 @@ def _run_solution(
     rng = random.Random(seed * 31 + 7)
     # The paper's simulator measures AllReduce completion under per-flow
     # fairness with jobs communicating continuously.  We replay each job's
-    # `iterations` x 100 MB of gradient traffic as `segments` back-to-back
+    # `iterations` x 100 MB of gradient traffic as `SEGMENTS` back-to-back
     # AllReduces (fluid-equivalent, but with far fewer simulator events),
     # with no exposed compute (DDP overlaps it with the backward pass).
-    per_segment = max(iterations // segments, 1)
+    per_segment = max(iterations // SEGMENTS, 1)
     profile = replace(
         resnet50(),
         bucket_bytes=0,
@@ -175,7 +177,7 @@ def _run_solution(
         client = deployment.connect(job.job_id)
         comm = client.adopt_communicator(state.comm_id)
         generator = trace_generator(
-            client, comm, data_parallel_trace(profile, segments), job.job_id
+            client, comm, data_parallel_trace(profile, SEGMENTS), job.job_id
         )
         active["count"] += 1
         reassign_routes()  # rescheduling on job join
@@ -205,7 +207,6 @@ def run_fig11(
     iterations: int = 200,
     channels: int = 8,
     seed: int = 0,
-    segments: int = 5,
 ) -> SimulationOutcome:
     """One full experiment at one placement policy."""
     jobs = precompute_placements(
@@ -218,7 +219,6 @@ def run_fig11(
             iterations=iterations,
             channels=channels,
             seed=seed,
-            segments=segments,
         )
         for solution in SOLUTIONS
     }
@@ -227,7 +227,6 @@ def run_fig11(
 
 def run_fig11_repeated(
     *,
-    placements: Sequence[str] = ("random", "compact"),
     repetitions: int = 5,
     num_jobs: int = 50,
     iterations: int = 200,
@@ -238,9 +237,9 @@ def run_fig11_repeated(
     Returns ``{placement: {solution: [per-job speedups pooled over reps]}}``.
     """
     pooled: Dict[str, Dict[str, List[float]]] = {
-        p: {s: [] for s in ("or", "or+ffa")} for p in placements
+        p: {s: [] for s in ("or", "or+ffa")} for p in PLACEMENTS
     }
-    for placement in placements:
+    for placement in PLACEMENTS:
         for rep in range(repetitions):
             outcome = run_fig11(
                 placement=placement,

@@ -45,6 +45,8 @@ SYSTEMS = ("mccs", "mccs_noffa")
 
 #: Full-scale sweep: AllReduces every tenant chains per cell.
 ROUNDS = 6
+#: Bytes of each chained AllReduce.
+OP_BYTES = 32 * MB
 
 #: Sum-criterion tolerance: components must add up to the measured
 #: duration within this fraction.
@@ -172,19 +174,16 @@ def _grade(report, flowlog: _FlowLog) -> Tuple[bool, bool]:
 def run_attribution(
     *,
     setups: Sequence[str] = ("setup1", "setup2", "setup3", "setup4"),
-    systems: Sequence[str] = SYSTEMS,
     rounds: int = 6,
-    op_bytes: int = 32 * MB,
-    seed: int = 0,
 ) -> List[AttributionResult]:
     """Sweep the attribution grid; every tenant chains ``rounds`` AllReduces."""
     all_setups = multi_app_setups()
     results: List[AttributionResult] = []
     for setup_name in setups:
         placements = all_setups[setup_name]
-        for system in systems:
+        for system in SYSTEMS:
             cluster = testbed_cluster()
-            deployment = MccsDeployment(cluster, ecmp_seed=seed * 131)
+            deployment = MccsDeployment(cluster, ecmp_seed=0)
             manager = CentralManager(deployment)
             flowlog = _FlowLog(cluster.sim)
             remaining = {p.app_id: rounds for p in placements}
@@ -193,7 +192,7 @@ def run_attribution(
                 def chain(_inst, _now) -> None:
                     remaining[app_id] -= 1
                     if remaining[app_id] > 0:
-                        client.all_reduce(comm, op_bytes, on_complete=chain)
+                        client.all_reduce(comm, OP_BYTES, on_complete=chain)
 
                 return chain
 
@@ -208,7 +207,7 @@ def run_attribution(
                 cluster.sim.run()
             for client, comm, app_id in starters:
                 client.all_reduce(
-                    comm, op_bytes,
+                    comm, OP_BYTES,
                     on_complete=make_chain(client, comm, app_id),
                 )
             cluster.sim.run()

@@ -29,6 +29,9 @@ from .report import broken, print_table, require
 from .setups import measure_static, measure_tuned, single_app_gpus
 
 DEFAULT_SIZES = (64 * KB, 64 * MB)
+#: The tuned tenant: one AllReduce communicator over the testbed's 8 GPUs.
+SETUP = "8gpu"
+KIND = Collective.ALL_REDUCE
 
 #: All measurement deployments share one pinned datapath namespace:
 #: connections of identical edges take identical ECMP draws in every
@@ -75,19 +78,17 @@ class AutotuneResult:
 
 def run_autotune(
     *,
-    setup: str = "8gpu",
-    kind: Collective = Collective.ALL_REDUCE,
     sizes: Sequence[int] = DEFAULT_SIZES,
     static_iters: int = 4,
     tune_rounds: int = 24,
     tail: int = 4,
 ) -> AutotuneResult:
     """Tuned-vs-static comparison over the given size regimes."""
-    result = AutotuneResult(setup=setup, kind=kind)
-    fabric = (testbed_cluster, partial(single_app_gpus, setup=setup))
+    result = AutotuneResult(setup=SETUP, kind=KIND)
+    fabric = (testbed_cluster, partial(single_app_gpus, setup=SETUP))
     for size in sizes:
         tuned = measure_tuned(
-            *fabric, kind, size, rounds=tune_rounds, tail=tail, tag=_DATAPATH_TAG
+            *fabric, KIND, size, rounds=tune_rounds, tail=tail, tag=_DATAPATH_TAG
         )
         regime = RegimeResult(
             size=size,
@@ -99,13 +100,13 @@ def run_autotune(
             inconsistent=tuned.inconsistent,
         )
         cluster = testbed_cluster()
-        gpus = single_app_gpus(cluster, setup)
-        for scored in StrategyPlanner(cluster).plan(kind, size, gpus):
+        gpus = single_app_gpus(cluster, SETUP)
+        for scored in StrategyPlanner(cluster).plan(KIND, size, gpus):
             c = scored.candidate
             label = f"{c.algorithm}/ch{c.channels}/{c.ring_label}"
             regime.static_means[label] = measure_static(
                 *fabric,
-                kind,
+                KIND,
                 size,
                 algorithm=c.algorithm,
                 channels=c.channels,

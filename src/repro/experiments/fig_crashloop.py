@@ -42,6 +42,11 @@ VICTIM_HOSTS = (2, 3)
 QOS_CLASSES = {"A": "high", "B": "normal", "C": "low"}
 #: Seeds of the full-scale run, one crashloop (and baseline) each.
 SEEDS = (0, 1)
+#: Bytes of each chained AllReduce; simulated seconds tenants keep issuing.
+OP_BYTES = 16 * MB
+DURATION = 0.5
+#: Service kill/restart cycles of a crashloop run.
+CYCLES = 2
 
 
 @dataclass
@@ -80,14 +85,7 @@ class CrashloopReport:
     blast_radius_zero: bool
 
 
-def _run_workload(
-    *,
-    seed: int,
-    op_bytes: int,
-    duration: float,
-    cycles: int,
-    inject: bool,
-) -> Dict[str, object]:
+def _run_workload(*, seed: int, inject: bool) -> Dict[str, object]:
     """One full run; ``inject=False`` is the baseline for comparison."""
     cluster = testbed_cluster()
     deployment = MccsDeployment(cluster, ecmp_seed=seed)
@@ -112,7 +110,7 @@ def _run_workload(
 
     def make_chain(app_id: str) -> Callable[[object, float], None]:
         def chain(_instance: object, _now: float) -> None:
-            if cluster.sim.now < duration:
+            if cluster.sim.now < DURATION:
                 issue(app_id)
 
         return chain
@@ -120,7 +118,7 @@ def _run_workload(
     def issue(app_id: str) -> None:
         try:
             op = clients[app_id].all_reduce(
-                comms[app_id], op_bytes, on_complete=make_chain(app_id)
+                comms[app_id], OP_BYTES, on_complete=make_chain(app_id)
             )
         except MccsError:
             # Typed rejection (admission shed, aborted communicator, dead
@@ -135,9 +133,9 @@ def _run_workload(
     if inject:
         # Kill/restart cycles: alternate victims, spaced through the run;
         # the supervisor performs every restart from the journal.
-        for i in range(cycles):
+        for i in range(CYCLES):
             host_id = VICTIM_HOSTS[i % len(VICTIM_HOSTS)]
-            when = duration * (0.15 + 0.55 * i / max(cycles - 1, 1))
+            when = DURATION * (0.15 + 0.55 * i / max(CYCLES - 1, 1))
             cluster.sim.call_in(
                 when,
                 lambda host_id=host_id: deployment.crash_service(host_id),
@@ -148,7 +146,7 @@ def _run_workload(
             if service.alive:
                 upgrade_sessions.append(service.upgrade(component="service"))
 
-        cluster.sim.call_in(duration * 0.85, start_upgrade)
+        cluster.sim.call_in(DURATION * 0.85, start_upgrade)
 
     deployment.run()
 
@@ -174,20 +172,10 @@ def _run_workload(
     }
 
 
-def run_crashloop(
-    *,
-    seed: int = 0,
-    op_bytes: int = 16 * MB,
-    duration: float = 0.5,
-    cycles: int = 2,
-) -> CrashloopReport:
+def run_crashloop(*, seed: int = 0) -> CrashloopReport:
     """Run the crashloop and its no-fault baseline; compare and report."""
-    baseline = _run_workload(
-        seed=seed, op_bytes=op_bytes, duration=duration, cycles=0, inject=False
-    )
-    run = _run_workload(
-        seed=seed, op_bytes=op_bytes, duration=duration, cycles=cycles, inject=True
-    )
+    baseline = _run_workload(seed=seed, inject=False)
+    run = _run_workload(seed=seed, inject=True)
 
     deployment: MccsDeployment = run["deployment"]
     tenants: List[TenantRow] = []
@@ -219,7 +207,7 @@ def run_crashloop(
     upgrades = run["upgrades"]
     return CrashloopReport(
         seed=seed,
-        cycles=cycles,
+        cycles=CYCLES,
         tenants=tenants,
         service_crashes=sum(s.crashes for s in services),
         service_restarts=sum(s.restarts for s in services),

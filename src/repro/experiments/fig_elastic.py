@@ -50,8 +50,9 @@ from .setups import filled_all_reduce
 JOINER_GPU = 4
 #: Region-0 host whose MCCS service is kill/restarted every cycle.
 VICTIM_HOST = 1
-#: AllReduces per tenant per burst phase.
+#: AllReduces per tenant per burst phase, and the witness's bytes per op.
 BURST_OPS = 3
+OP_BYTES = 4 * 1024**2
 #: Full-scale run: seeds, and grow/drift/shrink/crash cycles per seed.
 SEEDS = (0,)
 CYCLES = 3
@@ -112,9 +113,7 @@ def _byte_final(deployment: MccsDeployment, client, comm) -> bool:
     return ok
 
 
-def _run(
-    *, seed: int, cycles: int, op_bytes: int, disturb: bool
-) -> Dict[str, object]:
+def _run(*, seed: int, cycles: int, disturb: bool) -> Dict[str, object]:
     """One full run; ``disturb=False`` is the witness baseline."""
     spec = RegionSpec()
     cluster = multi_region_cluster(spec)
@@ -141,11 +140,11 @@ def _run(
     rows: List[CycleRow] = []
     membership: List = []
     trace = geo_distributed_trace(1, wan_rtt=spec.wan_rtt)
-    burst_bytes = max(op_bytes, trace.steps[0].out_bytes)
+    burst_bytes = max(OP_BYTES, trace.steps[0].out_bytes)
 
     for cycle in range(cycles):
         _burst(geo_client, geo_comm, BURST_OPS, burst_bytes, geo_ops)
-        _burst(local_client, local_comm, BURST_OPS, op_bytes, witness_ops)
+        _burst(local_client, local_comm, BURST_OPS, OP_BYTES, witness_ops)
         deployment.run()
 
         grow_state = shrink_state = "skipped"
@@ -174,7 +173,7 @@ def _run(
             injector.schedule(plan)
         # The baseline issues the same witness work with no disturbance.
         _burst(geo_client, geo_comm, BURST_OPS, burst_bytes, geo_ops)
-        _burst(local_client, local_comm, BURST_OPS, op_bytes, witness_ops)
+        _burst(local_client, local_comm, BURST_OPS, OP_BYTES, witness_ops)
         deployment.run()
 
         if disturb:
@@ -218,12 +217,10 @@ def _run(
     }
 
 
-def run_elastic(
-    *, seed: int = 0, cycles: int = 3, op_bytes: int = 4 * 1024**2
-) -> ElasticReport:
+def run_elastic(*, seed: int = 0, cycles: int = 3) -> ElasticReport:
     """Run the elastic churn experiment plus its no-disturbance baseline."""
-    baseline = _run(seed=seed, cycles=cycles, op_bytes=op_bytes, disturb=False)
-    run = _run(seed=seed, cycles=cycles, op_bytes=op_bytes, disturb=True)
+    baseline = _run(seed=seed, cycles=cycles, disturb=False)
+    run = _run(seed=seed, cycles=cycles, disturb=True)
 
     deployment: MccsDeployment = run["deployment"]
     witness_completed = sum(1 for op in run["witness_ops"] if op.completed)

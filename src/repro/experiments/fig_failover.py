@@ -34,6 +34,12 @@ from .setups import admit_tenant, filled_all_reduce
 
 #: Fault kinds exercised, in report order.
 FAULT_KINDS = ("link_down", "link_degrade", "nic_fail", "host_crash")
+#: The victim's back-to-back AllReduces and their bytes.
+NUM_OPS = 3
+OP_BYTES = 64 * MB
+#: Simulated seconds: when the fault strikes, and the collective deadline.
+FAULT_TIME = 0.004
+DEADLINE = 0.05
 
 
 @dataclass
@@ -67,18 +73,10 @@ def _live_spine_link(cluster) -> Optional[str]:
     return links[0] if links else None
 
 
-def run_failover_case(
-    kind: str,
-    *,
-    seed: int = 0,
-    op_bytes: int = 64 * MB,
-    num_ops: int = 3,
-    fault_time: float = 0.004,
-    deadline: float = 0.05,
-) -> FailoverRow:
+def run_failover_case(kind: str) -> FailoverRow:
     """Run one fault kind against a victim tenant and report the outcome.
 
-    The victim runs ``num_ops`` back-to-back AllReduces (the last one —
+    The victim runs ``NUM_OPS`` back-to-back AllReduces (the last one —
     or, once shrunk, one more on the survivors — carries real data so
     byte-correctness is checked end to end); the healthy tenant runs one
     AllReduce that shares no failed component.
@@ -86,9 +84,9 @@ def run_failover_case(
     if kind not in FAULT_KINDS:
         raise ValueError(f"unknown fault kind {kind!r}")
     cluster = testbed_cluster()
-    deployment = MccsDeployment(cluster, ecmp_seed=seed)
+    deployment = MccsDeployment(cluster, ecmp_seed=0)
     deployment.enable_recovery(
-        collective_deadline=deadline, heartbeat_until=2.0
+        collective_deadline=DEADLINE, heartbeat_until=2.0
     )
     manager = CentralManager(deployment)
 
@@ -116,7 +114,7 @@ def run_failover_case(
         elif kind == "host_crash":
             injector.crash_host(3)
 
-    cluster.sim.call_in(fault_time, strike)
+    cluster.sim.call_in(FAULT_TIME, strike)
 
     # Victim workload: the final op carries data so the recovered path is
     # checked bit-for-bit, not just for completion.  ``exact`` stays None
@@ -124,8 +122,8 @@ def run_failover_case(
     victim_ops = []
     exact = None
     try:
-        for _ in range(num_ops - 1):
-            victim_ops.append(victim.all_reduce(vcomm, op_bytes))
+        for _ in range(NUM_OPS - 1):
+            victim_ops.append(victim.all_reduce(vcomm, OP_BYTES))
         final, exact = filled_all_reduce(victim, vcomm, 2.0)
         victim_ops.append(final)
     except CommunicatorError:
@@ -141,7 +139,7 @@ def run_failover_case(
     resolution = "unharmed"
     for event in hub.events.events():
         if event.kind == "failure_detected" and detection is None:
-            detection = event.time - fault_time
+            detection = event.time - FAULT_TIME
         elif event.kind == "recovery_attempt":
             attempts += 1
         elif event.kind == "recovery_succeeded":
@@ -159,7 +157,7 @@ def run_failover_case(
             recovery_s = state.sum / state.count
     if resolution == "aborted" and detection is not None:
         for event in hub.events.events("recovery_gave_up"):
-            recovery_s = event.time - fault_time - detection
+            recovery_s = event.time - FAULT_TIME - detection
 
     completed = sum(1 for op in victim_ops if op.completed)
     survivor = deployment.communicator(vcomm.comm_id)
@@ -173,7 +171,7 @@ def run_failover_case(
         byte_correct = exact(free=False)
     return FailoverRow(
         kind=kind,
-        fault_time=fault_time,
+        fault_time=FAULT_TIME,
         detection_s=detection,
         resolution=resolution,
         recovery_s=recovery_s,
@@ -192,9 +190,9 @@ def run_failover_case(
     )
 
 
-def run_failover(*, seed: int = 0, op_bytes: int = 64 * MB) -> List[FailoverRow]:
+def run_failover() -> List[FailoverRow]:
     """Run every fault kind; one isolated deployment per kind."""
-    return [run_failover_case(kind, seed=seed, op_bytes=op_bytes) for kind in FAULT_KINDS]
+    return [run_failover_case(kind) for kind in FAULT_KINDS]
 
 
 def check(rows: List[FailoverRow]) -> List[str]:

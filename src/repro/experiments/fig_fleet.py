@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from math import ceil
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -66,6 +66,10 @@ from .report import broken, print_table, require
 COMM_WORLD = 2
 #: 2-GPU communicator slots per 8-GPU host.
 PAIRS_PER_HOST = 4
+#: Collective sizes a tenant draws from.
+NBYTES_CHOICES = (4 << 20, 8 << 20, 16 << 20)
+#: The high class's p99 latency target (seconds) the capacity plan sizes for.
+HIGH_P99_TARGET = 0.05
 
 
 @dataclass
@@ -158,12 +162,8 @@ def run_fleet(
     seed: int = 0,
     horizon: float = 0.4,
     base_rate: float = 2.0,
-    nbytes_choices: Sequence[int] = (4 << 20, 8 << 20, 16 << 20),
     poison: int = 4,
     storms: int = 0,
-    gateway_crash: bool = True,
-    service_crash: bool = True,
-    high_p99_target: float = 0.05,
 ) -> FleetReport:
     """Run the fleet scenario and collect every acceptance witness.
 
@@ -194,7 +194,7 @@ def run_fleet(
     gateway = ServiceGateway(deployment, policy)
 
     specs = fleet_specs(
-        num_tenants, seed=seed, base_rate=base_rate, nbytes_choices=nbytes_choices
+        num_tenants, seed=seed, base_rate=base_rate, nbytes_choices=NBYTES_CHOICES
     )
     # One diurnal cycle over the run; crest at horizon/2.
     profile = DiurnalProfile(
@@ -243,21 +243,18 @@ def run_fleet(
     # witness, nor high-class, timed at the diurnal crest so live
     # dispatches hit the dead services (the supervisor heals them;
     # affected tenants ride the gateway's transient-retry path).
-    service_crashes = 0
-    if service_crash:
-        victims: List[int] = []
-        for host in range(poison, num_tenants // PAIRS_PER_HOST):
-            residents = specs[host * PAIRS_PER_HOST:(host + 1) * PAIRS_PER_HOST]
-            if all(s.qos_class != "high" for s in residents):
-                victims.append(host)
-            if len(victims) >= 8:
-                break
-        service_crashes = len(victims)
-        for host in victims:
-            cluster.sim.call_in(
-                0.50 * horizon,
-                lambda host=host: deployment.crash_service(host),
-            )
+    victims: List[int] = []
+    for host in range(poison, num_tenants // PAIRS_PER_HOST):
+        residents = specs[host * PAIRS_PER_HOST:(host + 1) * PAIRS_PER_HOST]
+        if all(s.qos_class != "high" for s in residents):
+            victims.append(host)
+        if len(victims) >= 8:
+            break
+    for host in victims:
+        cluster.sim.call_in(
+            0.50 * horizon,
+            lambda host=host: deployment.crash_service(host),
+        )
 
     # Per-tenant breaker state is volatile gateway-process state (only
     # the registry is durable), so snapshot poison trips before the crash.
@@ -270,13 +267,12 @@ def run_fleet(
     cluster.sim.call_in(0.68 * horizon, snapshot_trips)
 
     restored = [0]
-    if gateway_crash:
-        cluster.sim.call_in(0.70 * horizon, gateway.crash)
+    cluster.sim.call_in(0.70 * horizon, gateway.crash)
 
-        def restart() -> None:
-            restored[0] = gateway.restart()
+    def restart() -> None:
+        restored[0] = gateway.restart()
 
-        cluster.sim.call_in(0.74 * horizon, restart)
+    cluster.sim.call_in(0.74 * horizon, restart)
 
     gen.start(horizon)
     deployment.run()
@@ -378,7 +374,7 @@ def run_fleet(
     planner = CapacityPlanner(model)
     mean_rate = sum(s.rate for s in specs) / len(specs)
     planner_hosts = planner.hosts_for(
-        num_tenants, mean_rate, high_p99_target, peak_factor=profile.peak_factor
+        num_tenants, mean_rate, HIGH_P99_TARGET, peak_factor=profile.peak_factor
     ).hosts
 
     order = {"high": 0, "normal": 1, "low": 2}

@@ -35,6 +35,8 @@ from .report import broken, print_table, require
 from .setups import TunedResult, measure_static, measure_tuned, single_app_gpus
 
 DEFAULT_SIZES = (64 * KB, 1 * MB, 16 * MB, 64 * MB)
+#: Size of the two-region tuner adoption run's AllReduce.
+TUNE_SIZE = 16 * MB
 
 #: One pinned datapath namespace so every deployment draws identical
 #: ECMP paths: the sweep compares schedules, not path luck.
@@ -136,7 +138,6 @@ def run_synth(
     static_iters: int = 2,
     tune_rounds: int = 30,
     tail: int = 4,
-    tune_size: int = 16 * MB,
 ) -> List[FabricResult]:
     """Synthesized-vs-builtin sweep, plus the tuner adoption run."""
     results: List[FabricResult] = []
@@ -160,7 +161,7 @@ def run_synth(
                     make_cluster,
                     pick_gpus,
                     Collective.ALL_REDUCE,
-                    tune_size,
+                    TUNE_SIZE,
                     rounds=tune_rounds,
                     tail=tail,
                     tag=_DATAPATH_TAG,

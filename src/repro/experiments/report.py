@@ -116,14 +116,12 @@ def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
     return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
 
 
-def ascii_cdf(
-    series: Dict[str, Sequence[float]],
-    *,
-    width: int = 50,
-    quantiles: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
-    unit: str = "x",
-) -> str:
-    """Text rendering of one or more CDFs, in the style of Figure 11.
+#: The quantiles :func:`ascii_cdf` draws a bar for.
+CDF_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+
+
+def ascii_cdf(series: Dict[str, Sequence[float]], *, width: int = 50) -> str:
+    """Text rendering of one or more speedup CDFs, in the style of Figure 11.
 
     Each series gets one bar row per quantile: the bar length encodes the
     value at that quantile relative to the global maximum.
@@ -136,11 +134,11 @@ def ascii_cdf(
         ordered = sorted(values)
         n = len(ordered)
         lines.append(f"{name}:")
-        for q in quantiles:
+        for q in CDF_QUANTILES:
             idx = min(int(math.ceil(q * n)) - 1, n - 1) if n else 0
             value = ordered[max(idx, 0)]
             bar = "#" * max(int(round(value / peak * width)), 1)
-            lines.append(f"  p{int(q * 100):>3} {value:6.2f}{unit} {bar}")
+            lines.append(f"  p{int(q * 100):>3} {value:6.2f}x {bar}")
     return "\n".join(lines)
 
 

@@ -13,6 +13,7 @@ assembled by :mod:`repro.netsim.fabric`.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -21,6 +22,10 @@ from .errors import NoPathError, UnknownLinkError, UnknownNodeError
 RouteRows = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
 """One node pair's shortest paths as link numbers: (the links every path
 crosses, then each path's remaining links in route-id order)."""
+
+CompactGraph = Tuple[Dict[str, int], List[List[int]], List[List[Tuple[int, str]]]]
+"""(node id -> index, successor indices per node, (pred index, link id)
+per node's in-links)."""
 
 
 @dataclass(frozen=True)
@@ -75,15 +80,13 @@ class Topology:
         self._route_rows: Dict[Tuple[str, str], RouteRows] = {}
         # Bumped whenever the path caches are dropped (see _drop_paths).
         self.path_generation = 0
-        # Integer-indexed adjacency (node index -> [(dst index, link id)]),
-        # built lazily; BFS over it avoids per-edge attribute lookups.
-        self._compact: Optional[
-            Tuple[Dict[str, int], List[List[Tuple[int, str]]]]
-        ] = None
-        # per-source shortest-path DAG state, resumable level by level:
-        # src index -> {"dist": [...], "preds": [[(pred index, link id)]],
-        # "frontier": [...]} — one (partial) BFS serves every destination.
-        self._sssp_cache: Dict[int, Dict[str, list]] = {}
+        # Integer-indexed graph over the up links, built lazily: node index
+        # -> successor indices (the BFS) and node index -> [(pred index,
+        # link id)] (the path walk).
+        self._compact: Optional[CompactGraph] = None
+        # src index -> BFS distance row (-1 = not reached yet), complete up
+        # to its deepest level: one (partial) BFS serves every destination.
+        self._sssp_cache: Dict[int, array] = {}
         # Administratively-down links (fault injection): excluded from path
         # enumeration while the Link objects stay registered, so restoring
         # a link is cheap and flow validation still recognizes its id.
@@ -294,66 +297,62 @@ class Topology:
             )
         return rows
 
-    def _compact_graph(self) -> Tuple[Dict[str, int], List[List[Tuple[int, str]]]]:
+    def _compact_graph(self) -> CompactGraph:
         """Integer-indexed adjacency, (re)built lazily after graph changes."""
         if self._compact is None:
             index = {node_id: i for i, node_id in enumerate(self._nodes)}
-            adj: List[List[Tuple[int, str]]] = [[] for _ in index]
+            succ: List[List[int]] = [[] for _ in index]
+            rev: List[List[Tuple[int, str]]] = [[] for _ in index]
             for src, links in self._out.items():
-                adj[index[src]] = [
-                    (index[link.dst], link.link_id)
-                    for link in links
-                    if link.link_id not in self._down
-                ]
-            self._compact = (index, adj)
+                src_i = index[src]
+                for link in links:
+                    if link.link_id not in self._down:
+                        dst_i = index[link.dst]
+                        succ[src_i].append(dst_i)
+                        rev[dst_i].append((src_i, link.link_id))
+            self._compact = (index, succ, rev)
         return self._compact
 
-    def _sssp(self, src_i: int, dst_i: int, adj: List[List[Tuple[int, str]]]) -> Dict[str, list]:
-        """Resumable BFS shortest-path DAG from node index ``src_i``.
+    def _sssp(self, src_i: int, dst_i: int, succ: List[List[int]]) -> array:
+        """Resumable BFS distance row from node index ``src_i``.
 
-        The BFS expands level by level only until ``dst_i`` is reached;
-        the frontier is saved so a later, more distant destination resumes
-        where this one stopped.  One (partial) BFS per source is amortized
-        over all destinations asked about — a Clos fabric asks about many
-        NIC pairs per source — replacing the former per-(src, dst) BFS.
+        The BFS expands whole levels only until ``dst_i`` is reached, so a
+        later, more distant destination resumes from the row's deepest
+        level.  One (partial) BFS per source is amortized over all
+        destinations asked about — a Clos fabric asks about many NIC pairs
+        per source.  The row is all that is kept: the path walk re-derives
+        a node's predecessors from the reverse adjacency.  Hop counts are
+        signed shorts; a path over 32767 hops raises ``OverflowError``.
         """
-        state = self._sssp_cache.get(src_i)
-        if state is None:
-            dist = [-1] * len(adj)
-            dist[src_i] = 0
-            # preds is a dict populated only for reached nodes — allocating
-            # a list per node up front dominated the profile on the 1000+
-            # node Clos fabric.
-            state = {"dist": dist, "preds": {}, "frontier": [src_i]}
-            self._sssp_cache[src_i] = state
-        dist = state["dist"]
-        preds = state["preds"]
-        frontier = state["frontier"]
-        while frontier and dist[dst_i] == -1:
+        row = self._sssp_cache.get(src_i)
+        if row is None:
+            row = array("h", [-1]) * len(succ)
+            row[src_i] = 0
+            self._sssp_cache[src_i] = row
+        if row[dst_i] != -1:
+            return row
+        level = max(row)
+        frontier = [node for node, d in enumerate(row) if d == level]
+        while frontier and row[dst_i] == -1:
+            level += 1
             nxt: List[int] = []
             for node in frontier:
-                d = dist[node] + 1
-                for nbr, link_id in adj[node]:
-                    seen = dist[nbr]
-                    if seen == -1:
-                        dist[nbr] = d
-                        preds[nbr] = [(node, link_id)]
+                for nbr in succ[node]:
+                    if row[nbr] == -1:
+                        row[nbr] = level
                         nxt.append(nbr)
-                    elif seen == d:
-                        preds[nbr].append((node, link_id))
             frontier = nxt
-        state["frontier"] = frontier
-        return state
+        return row
 
     def _enumerate_shortest(self, src: str, dst: str) -> Tuple[Tuple[str, ...], ...]:
-        """Every minimum-hop link sequence, via the shortest-path DAG."""
+        """Every minimum-hop link sequence, walked back from ``dst``: a
+        node's predecessors on a shortest path are its in-links whose tail
+        sits one level closer to ``src``."""
         if src == dst:
             return ((),)
-        index, adj = self._compact_graph()
+        index, succ, rev = self._compact_graph()
         src_i, dst_i = index[src], index[dst]
-        state = self._sssp(src_i, dst_i, adj)
-        dist = state["dist"]
-        preds = state["preds"]
+        dist = self._sssp(src_i, dst_i, succ)
         if dist[dst_i] == -1:
             return ()
 
@@ -364,7 +363,7 @@ class Topology:
                 paths.append(list(reversed(suffix)))
                 return
             target = dist[node] - 1
-            for pred, link_id in preds.get(node, ()):
+            for pred, link_id in rev[node]:
                 if dist[pred] == target:
                     suffix.append(link_id)
                     walk(pred, suffix)

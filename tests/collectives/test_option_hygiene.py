@@ -14,7 +14,9 @@ repro.experiments``: their ``main()`` takes no parameters (sweep sizes
 are module constants) and returns its artifacts, which only
 ``report.write_json`` writes.  Each states its claims once, in a
 ``check(result)`` that ``main`` and tier-1 both call, never as an
-``assert`` (which ``python -O`` strips).
+``assert`` (which ``python -O`` strips).  A keyword parameter of a
+public experiment function is passed by some caller (tier-1 counts: it
+runs the figures at reduced scale through them), or it is a constant.
 """
 
 import ast
@@ -106,6 +108,12 @@ RETIRED = re.compile(
     r"|MAX_SAMPLES|utilization_snapshot"
 )
 
+#: Every caller an experiment parameter may have: the product and tier-1.
+CALLERS = {
+    **PRODUCT,
+    **{path: ast.parse(path.read_text()) for path in sorted((ROOT / "tests").rglob("*.py"))},
+}
+
 #: What only the one artifact writer may do under ``experiments/``.
 ARTIFACT_IO = re.compile(r"os\.environ|\bopen\(|json\.dump")
 MAIN_GUARD = re.compile(r"__name__\s*==\s*[\"']__main__[\"']")
@@ -135,33 +143,50 @@ def _option_classes():
     }
 
 
+def _parameters(function, skip=0):
+    """(positional parameters past the first ``skip``, parameters with a
+    default) of a ``def``."""
+    args = function.args
+    positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [
+        a.arg
+        for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return positional, defaulted
+
+
 def _init_signatures():
     """Class name -> (positional parameters, parameters with a default)
     of every ``__init__`` in scope."""
-    signatures = {}
-    for path in SOURCES:
-        for cls in ast.walk(TREE[path]):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for item in cls.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                    args = item.args
-                    positional = [a.arg for a in args.posonlyargs + args.args][1:]
-                    defaulted = positional[len(positional) - len(args.defaults):]
-                    defaulted += [
-                        a.arg
-                        for a, default in zip(args.kwonlyargs, args.kw_defaults)
-                        if default is not None
-                    ]
-                    signatures[cls.name] = (positional, defaulted)
-    return signatures
+    return {
+        cls.name: _parameters(item, skip=1)
+        for path in SOURCES
+        for cls in ast.walk(TREE[path])
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+    }
 
 
-def _set_by_product(parameters):
-    """``Class.parameter`` for every value a product call passes, given
-    each callee's parameters in positional order."""
+def _experiment_keywords():
+    """Function name -> (positional parameters, parameters with a default)
+    of every public module-level function under ``experiments/``."""
+    return {
+        node.name: _parameters(node)
+        for path in SOURCES
+        if _relative(path).startswith("experiments/")
+        for node in TREE[path].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def _set_by_product(parameters, trees=PRODUCT):
+    """``Class.parameter`` for every value a call in ``trees`` passes,
+    given each callee's parameters in positional order."""
     passed = set()
-    for tree in PRODUCT.values():
+    for tree in trees.values():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -191,6 +216,18 @@ def test_every_init_default_is_set_by_a_product_caller():
     }
     passed = _set_by_product({name: pos for name, (pos, _) in signatures.items()})
     assert defaulted - passed == KEPT_INIT_DEFAULTS
+
+
+def test_every_experiment_keyword_is_passed_by_a_caller():
+    signatures = _experiment_keywords()
+    assert {"run_fig11", "run_fleet", "ascii_cdf"} <= set(signatures)
+    defaulted = {
+        f"{name}.{p}" for name, (_, params) in signatures.items() for p in params
+    }
+    passed = _set_by_product(
+        {name: pos for name, (pos, _) in signatures.items()}, CALLERS
+    )
+    assert sorted(defaulted - passed) == []
 
 
 def test_retired_knobs_stay_retired():

@@ -1,8 +1,15 @@
 """Topology graph and equal-cost path enumeration tests."""
 
+import itertools
+import random
+import tracemalloc
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netsim.errors import NoPathError, UnknownLinkError, UnknownNodeError
+from repro.netsim.fabric import large_cluster_fabric
 from repro.netsim.topology import Link, Topology
 
 
@@ -172,3 +179,96 @@ def test_out_links():
     topo = diamond()
     outs = {l.dst for l in topo.links_of_node("a") if l.src == "a"}
     assert outs == {"b", "c"}
+
+
+# -- networkx oracle -----------------------------------------------------------
+@st.composite
+def multigraphs(draw):
+    """A random directed multigraph: self-loops and parallel links allowed."""
+    size = draw(st.integers(1, 8))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=30)
+    )
+    topo = Topology("random")
+    for i in range(size):
+        topo.add_node(f"n{i}")
+    for a, b in edges:
+        topo.add_link(f"n{a}", f"n{b}", 1e9)
+    return topo
+
+
+def oracle_paths(topo, src, dst):
+    """``networkx.all_shortest_paths`` over the up links, expanded to every
+    parallel-link choice and sorted; ``None`` when ``dst`` is unreachable."""
+    graph = nx.MultiDiGraph()
+    graph.add_nodes_from(topo.nodes)
+    for link in topo.links.values():
+        if topo.link_is_up(link.link_id):
+            graph.add_edge(link.src, link.dst, key=link.link_id)
+    try:
+        node_paths = list(nx.all_shortest_paths(graph, src, dst))
+    except nx.NetworkXNoPath:
+        return None
+    return tuple(sorted(
+        links
+        for nodes in node_paths
+        for links in itertools.product(
+            *(sorted(graph[a][b]) for a, b in zip(nodes, nodes[1:]))
+        )
+    ))
+
+
+def assert_matches_oracle(topo, src, dst):
+    expected = oracle_paths(topo, src, dst)
+    if expected is None:
+        with pytest.raises(NoPathError):
+            topo.shortest_paths(src, dst)
+    else:
+        assert topo.shortest_paths(src, dst) == expected
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_shortest_paths_match_networkx_across_link_state(topo, data):
+    nodes = list(topo.nodes)
+    links = list(topo.links)
+    for _ in range(data.draw(st.integers(1, 12))):
+        if links and data.draw(st.booleans()):
+            topo.set_link_state(data.draw(st.sampled_from(links)), data.draw(st.booleans()))
+        else:
+            src, dst = data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))
+            assert_matches_oracle(topo, src, dst)
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_resumed_search_matches_networkx(topo, data):
+    """Near and far destinations of one source in any order: each farther
+    one resumes the source's partial search."""
+    nodes = list(topo.nodes)
+    src = data.draw(st.sampled_from(nodes))
+    for dst in data.draw(st.permutations(nodes)):
+        assert_matches_oracle(topo, src, dst)
+
+
+def test_path_tables_stay_small_on_the_768_gpu_fabric():
+    """Seeded 736 NIC sources x 2 destinations on the §6.5 fabric: the path
+    search keeps a distance row per source, not a predecessor list per
+    node (which took ~124 MiB here)."""
+    topo = large_cluster_fabric().topology
+    nics = [node_id for node_id, node in topo.nodes.items() if node.kind == "nic"]
+    rng = random.Random(0)
+    pairs = [
+        (src, dst)
+        for src in rng.sample(nics, 736)
+        for dst in rng.sample([n for n in nics if n != src], 2)
+    ]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        paths = sum(len(topo.shortest_paths(src, dst)) for src, dst in pairs)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert paths >= len(pairs)
+    assert grown <= 12 * 2**20, f"{grown / 2**20:.1f} MiB"

@@ -8,6 +8,8 @@ benchmarks: ``python -m repro.experiments NAME`` prints each one at full
 scale and raises when it breaks a claim its module's ``check`` states.
 """
 
+import json
+
 import pytest
 
 
@@ -19,3 +21,20 @@ def run_once(benchmark, fn, *args, **kwargs):
 @pytest.fixture
 def once():
     return run_once
+
+
+def write_results(path, results):
+    """Write a module's ``results`` sections into the JSON file ``path``.
+
+    A section this run filled replaces the one on disk; every other
+    section is kept as it is, so a ``-k`` run that measured one section
+    leaves the rest of the committed file byte-identical.
+    """
+    merged = json.loads(path.read_text()) if path.exists() else {}
+    merged.update((name, section) for name, section in results.items() if section)
+    path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.fixture(scope="session")
+def bench_writer():
+    return write_results

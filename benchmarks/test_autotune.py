@@ -13,7 +13,6 @@ git-ignored ``BENCH_autotune.json`` at the repo root:
   lands to the oracle (1.0 = converged).
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -33,9 +32,9 @@ PLAN_SIZES = tuple(32 * KB * 4**i for i in range(8))  # the Figure 6 axis
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _write_results():
+def _write_results(bench_writer):
     yield
-    OUT_PATH.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
+    bench_writer(OUT_PATH, _RESULTS)
     print(f"\nwrote {OUT_PATH}")
 
 

@@ -16,7 +16,6 @@ archive the trend and ``benchmarks/compare_bench.py`` can guard it:
 """
 
 import hashlib
-import json
 import random
 import time
 from pathlib import Path
@@ -38,9 +37,9 @@ SEED = 2024
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _write_results():
+def _write_results(bench_writer):
     yield
-    OUT_PATH.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
+    bench_writer(OUT_PATH, _RESULTS)
     print(f"\nwrote {OUT_PATH}")
 
 

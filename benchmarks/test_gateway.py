@@ -13,7 +13,6 @@ itself is measured by the repo benchmark's ``gateway_fleet`` workload
 (``benchmarks/e2e``), not here.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -36,9 +35,9 @@ BACKLOG = 2000
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _write_results():
+def _write_results(bench_writer):
     yield
-    OUT_PATH.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
+    bench_writer(OUT_PATH, _RESULTS)
     print(f"\nwrote {OUT_PATH}")
 
 

@@ -42,7 +42,6 @@ committed baseline differ (CI runs the same script as a separate step
 after archiving the file).
 """
 
-import json
 import random
 import time
 from pathlib import Path
@@ -71,9 +70,9 @@ _RESULTS = {
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _write_results():
+def _write_results(bench_writer):
     yield
-    OUT_PATH.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
+    bench_writer(OUT_PATH, _RESULTS)
     print(f"\nwrote {OUT_PATH}")
 
 

@@ -26,7 +26,6 @@ archive the trend and ``benchmarks/compare_bench.py`` can guard it:
   effect; this is the leaf number behind its ``collectives`` layer.
 """
 
-import json
 import time
 import tracemalloc
 from pathlib import Path
@@ -61,9 +60,9 @@ _RESULTS = {"synthesizer": {}, "validator": {}, "speedup": {}, "data_plane": {}}
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _write_results():
+def _write_results(bench_writer):
     yield
-    OUT_PATH.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
+    bench_writer(OUT_PATH, _RESULTS)
     print(f"\nwrote {OUT_PATH}")
 
 

@@ -5,9 +5,9 @@ Two halves, matching how a provider would actually run this:
 * **Offline planner** (:class:`StrategyPlanner`) — enumerate candidate
   strategies (algorithm family including ``halving_doubling``, channel
   count, ring order, chunk size), score them with the alpha-beta model
-  plus topology-aware bottleneck estimates, and persist the winners in a
-  JSON :class:`TuningTable` keyed by (kind, world, size bucket, topology
-  fingerprint).
+  plus topology-aware bottleneck estimates, and keep the winners in an
+  in-memory :class:`TuningTable` keyed by (kind, world, size bucket,
+  topology fingerprint).
 * **Online tuner** (:class:`AutoTuner`) — consume measured per-collective
   durations, run a bounded-exploration bandit per bucket, and apply every
   strategy change live through the §4.2 reconfiguration barrier.
@@ -32,7 +32,6 @@ from .planner import (
     canonical_ring,
 )
 from .table import (
-    TABLE_FORMAT_VERSION,
     TableEntry,
     TableKey,
     TuningTable,
@@ -46,7 +45,6 @@ __all__ = [
     "Candidate",
     "ScoredCandidate",
     "StrategyPlanner",
-    "TABLE_FORMAT_VERSION",
     "TableEntry",
     "TableKey",
     "TuningTable",

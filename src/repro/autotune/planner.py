@@ -5,8 +5,8 @@ configurations — algorithm family (every registry entry, including
 ``halving_doubling``), channel count, ring order, chunk size — and scores
 each with :func:`repro.autotune.cost.estimate_seconds`.  The output is
 either a ranked candidate list (seeding the online bandit's arms) or a
-persistable :class:`~repro.autotune.table.TuningTable` covering a sweep of
-(kind, size) cells.
+:class:`~repro.autotune.table.TuningTable` covering a sweep of (kind,
+size) cells.
 
 Chunk size is a *planning* dimension: the fluid simulator's runtime cost
 does not depend on it, so candidates sharing a runtime signature
@@ -252,15 +252,13 @@ class StrategyPlanner:
         *,
         kinds: Sequence[Collective],
         sizes: Sequence[int],
-        table: Optional[TuningTable] = None,
     ) -> TuningTable:
-        """Plan a (kind, size) sweep into a persistable tuning table.
+        """Plan a (kind, size) sweep into a tuning table.
 
         Sizes landing in the same power-of-two bucket are planned once at
         the largest representative.
         """
-        if table is None:
-            table = TuningTable()
+        table = TuningTable()
         fingerprint = topology_fingerprint(self.cluster, gpus)
         world = len(gpus)
         for kind in kinds:

@@ -1,4 +1,4 @@
-"""The persistent tuning table produced by the offline planner.
+"""The tuning table the offline planner fills and the online tuner reads.
 
 Entries are keyed by ``(collective kind, world size, message-size bucket,
 topology fingerprint)`` — everything the best static choice depends on —
@@ -6,18 +6,15 @@ and record the winning candidate plus its predicted cost.  Buckets are
 power-of-two exponents (sizes in ``(2^(k-1), 2^k]`` share bucket ``k``),
 matching the Figure 6 sweep axis.
 
-The table round-trips through JSON (:meth:`TuningTable.to_json` /
-:meth:`TuningTable.from_json`) so a provider can plan once per fabric and
-ship the result; lookups count hits and misses for the
-``mccs_autotune_table_*`` metrics.
+The table lives in memory for the deployment's lifetime, so every
+communicator with the same key reuses one planning result; lookups count
+hits and misses for the ``mccs_autotune_table_*`` metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
-
-TABLE_FORMAT_VERSION = 1
 
 
 def size_bucket(nbytes: int) -> int:
@@ -38,14 +35,6 @@ class TableKey:
 
     def encode(self) -> str:
         return f"{self.kind}|{self.world}|{self.bucket}|{self.fingerprint}"
-
-    @classmethod
-    def decode(cls, text: str) -> "TableKey":
-        kind, world, bucket, fingerprint = text.split("|", 3)
-        return cls(
-            kind=kind, world=int(world), bucket=int(bucket),
-            fingerprint=fingerprint,
-        )
 
 
 @dataclass(frozen=True)
@@ -101,45 +90,3 @@ class TuningTable:
 
     def stats(self) -> Dict[str, int]:
         return {"size": len(self._entries), "hits": self.hits, "misses": self.misses}
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "format_version": TABLE_FORMAT_VERSION,
-            "entries": {
-                key.encode(): {
-                    "algorithm": entry.algorithm,
-                    "channels": entry.channels,
-                    "ring": list(entry.ring),
-                    "chunk_bytes": entry.chunk_bytes,
-                    "predicted_seconds": entry.predicted_seconds,
-                    "candidates_evaluated": entry.candidates_evaluated,
-                }
-                for key, entry in self._entries.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "TuningTable":
-        version = data.get("format_version")
-        if version != TABLE_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported tuning-table format {version!r}; "
-                f"expected {TABLE_FORMAT_VERSION}"
-            )
-        table = cls()
-        for encoded, raw in data.get("entries", {}).items():
-            table.put(
-                TableKey.decode(encoded),
-                TableEntry(
-                    algorithm=str(raw["algorithm"]),
-                    channels=int(raw["channels"]),
-                    ring=tuple(int(r) for r in raw["ring"]),
-                    chunk_bytes=int(raw["chunk_bytes"]),
-                    predicted_seconds=float(raw["predicted_seconds"]),
-                    candidates_evaluated=int(raw.get("candidates_evaluated", 0)),
-                ),
-            )
-        return table

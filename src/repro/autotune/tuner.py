@@ -12,8 +12,8 @@ change **live through the §4.2 reconfiguration barrier** —
 co-tenants see zero blast radius.
 
 Arms are seeded from the offline planner's ranked candidates and, when
-available, the persisted tuning table (hits/misses are surfaced as
-``mccs_autotune_table_{hits,misses}_total``).
+an earlier communicator already planned the same key, the tuning table
+(hits/misses are surfaced as ``mccs_autotune_table_{hits,misses}_total``).
 
 The tuner keeps one state per *live* communicator: destroying one drops
 its state (:meth:`AutoTuner.detach`), so the per-comm counts
@@ -77,12 +77,7 @@ class _CommState:
 class AutoTuner:
     """Per-deployment online tuner; attach communicators to start tuning."""
 
-    def __init__(
-        self,
-        deployment: "MccsDeployment",
-        *,
-        table: Optional[TuningTable] = None,
-    ) -> None:
+    def __init__(self, deployment: "MccsDeployment") -> None:
         self.deployment = deployment
         self.metrics = deployment.telemetry().metrics
         self.planner = StrategyPlanner(
@@ -90,7 +85,7 @@ class AutoTuner:
             latency=deployment.latency,
             metrics=self.metrics,
         )
-        self.table = table if table is not None else TuningTable()
+        self.table = TuningTable()
         self._states: Dict[int, _CommState] = {}
 
         self._observations = self.metrics.counter(

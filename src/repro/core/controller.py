@@ -248,10 +248,6 @@ class CentralManager:
         report.compute_seconds = time.perf_counter() - started
         return self._record_report(report)
 
-    def clear_traffic_schedules(self) -> None:
-        for comm in self.deployment.communicators():
-            self.deployment.set_traffic_schedule(comm.app_id, None)
-
     # ------------------------------------------------------------------
     # background-flow adaptation (the Figure 7 showcase)
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken for type hints
-    from ..autotune import AutoTuner, TuningTable
+    from ..autotune import AutoTuner
     from ..resilience import Backoff
     from .elastic import ElasticCoordinator
     from .recovery import HeartbeatMonitor, RecoveryManager
@@ -264,9 +264,7 @@ class MccsDeployment:
     # ------------------------------------------------------------------
     # strategy autotuning
     # ------------------------------------------------------------------
-    def enable_autotuning(
-        self, *, table: Optional["TuningTable"] = None
-    ) -> "AutoTuner":
+    def enable_autotuning(self) -> "AutoTuner":
         """Arm the online autotuner for every (current and future)
         communicator.
 
@@ -274,15 +272,11 @@ class MccsDeployment:
         bounded-exploration bandit per (kind, world, size-bucket) and
         applies strategy changes exclusively through the §4.2
         reconfiguration barrier.
-
-        Args:
-            table: A (possibly pre-planned, possibly loaded-from-JSON)
-                tuning table; defaults to an empty one that grows online.
         """
         from ..autotune import AutoTuner
 
         if self.autotuner is None:
-            self.autotuner = AutoTuner(self, table=table)
+            self.autotuner = AutoTuner(self)
         for comm in self._comms.values():
             self.autotuner.attach(comm)
         return self.autotuner

@@ -46,11 +46,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.gpu import GpuDevice
-from ..netsim.errors import (
-    CommunicatorError,
-    MccsError,
-    MembershipChangeError,
-)
+from ..netsim.errors import MembershipChangeError
 from ..resilience import Backoff
 from .communicator import ServiceCommunicator
 
@@ -243,73 +239,6 @@ class ElasticCoordinator:
             ))
 
     # ------------------------------------------------------------------
-    # chaos entry points (fault injector)
-    # ------------------------------------------------------------------
-    def chaos_shrink(self, comm_id: Optional[int] = None) -> bool:
-        """Deterministic chaos helper: the lowest-id shrinkable
-        communicator (or ``comm_id``) loses its highest rank.  Returns
-        whether a shrink was started; never raises."""
-        comm = self._chaos_pick(comm_id, lambda c: c.world > MIN_WORLD)
-        if comm is None:
-            return False
-        try:
-            self.shrink(comm.comm_id, [comm.world - 1])
-        except MccsError:
-            return False
-        return True
-
-    def chaos_grow(self, comm_id: Optional[int] = None) -> bool:
-        """Deterministic chaos helper: the lowest-id growable communicator
-        (or ``comm_id``) admits the lowest-id spare alive GPU.  Returns
-        whether a grow was started; never raises."""
-        comm = self._chaos_pick(comm_id, lambda c: True)
-        if comm is None:
-            return False
-        used = {
-            gpu.global_id
-            for other in self.deployment.communicators()
-            for gpu in other.gpus
-        }
-        spare = None
-        for gpu in self.deployment.cluster.gpus:
-            if gpu.global_id in used:
-                continue
-            host = self.deployment.cluster.hosts[gpu.host_id]
-            if not host.alive or not self.deployment.service_of_gpu(gpu).alive:
-                continue
-            spare = gpu
-            break
-        if spare is None:
-            return False
-        try:
-            self.grow(comm.comm_id, [spare])
-        except MccsError:
-            return False
-        return True
-
-    def _chaos_pick(
-        self, comm_id: Optional[int], eligible: Callable[[ServiceCommunicator], bool]
-    ) -> Optional[ServiceCommunicator]:
-        if comm_id is not None:
-            try:
-                comm = self.deployment.communicator(comm_id)
-            except CommunicatorError:
-                return None
-            candidates = [comm]
-        else:
-            candidates = sorted(
-                self.deployment.communicators(), key=lambda c: c.comm_id
-            )
-        for comm in candidates:
-            if comm.aborted or comm.destroyed:
-                continue
-            if comm.comm_id in self._inflight:
-                continue
-            if eligible(comm):
-                return comm
-        return None
-
-    # ------------------------------------------------------------------
     # state machine
     # ------------------------------------------------------------------
     def _checked_comm(self, comm_id: int) -> ServiceCommunicator:
@@ -382,7 +311,19 @@ class ElasticCoordinator:
             ))
             return
         if op.kind == "rank_join":
-            new_gpus = comm.gpus + [self.deployment.cluster.gpu(i) for i in op.joined]
+            joiners = [self.deployment.cluster.gpu(i) for i in op.joined]
+            hosts = self.deployment.cluster.hosts
+            lost = [gpu.global_id for gpu in joiners if not hosts[gpu.host_id].alive]
+            if lost:
+                # A joiner whose host crashed mid-drain would join as a
+                # dead rank recovery may never hear of: the heartbeat
+                # monitor reports a dead proxy once, and this one's miss
+                # came while it held no rank.
+                self._fail(op, MembershipChangeError(
+                    f"joiner GPU(s) {lost} lost before cutover"
+                ))
+                return
+            new_gpus = comm.gpus + joiners
         else:
             new_gpus = [gpu for gpu in comm.gpus if gpu.global_id not in op.left]
         self.deployment.change_membership(comm, new_gpus, op.kind)

@@ -372,12 +372,13 @@ class ReconfigManager:
         return session
 
     def abandon(self, comm: ServiceCommunicator) -> None:
-        """Fail ``comm``'s in-flight session, whose rank states were just
-        replaced (:meth:`MccsDeployment.register_ranks`): it can never
-        resolve.  A drain waiting on it retries on the new ones."""
+        """Fail ``comm``'s in-flight session, which can never resolve: its
+        rank states were just replaced (:meth:`MccsDeployment.
+        register_ranks`), or the communicator aborted.  A drain waiting
+        on it retries on the new rank states, or ends on the abort."""
         session = self._active.get(comm.comm_id)
         if session is not None:
             session.fail(ReconfigurationError(
-                f"reconfiguration of comm {comm.comm_id} abandoned: its "
-                "ranks were registered anew"
+                f"reconfiguration of comm {comm.comm_id} abandoned: "
+                + ("it aborted" if comm.aborted else "its ranks were registered anew")
             ))

@@ -333,6 +333,8 @@ class RecoveryManager:
                 self._succeed(rec)
 
         def retry(error: ReconfigurationError) -> None:
+            if self._cycles.get(comm.comm_id) is not rec or rec.attempt != attempt:
+                return  # a newer attempt superseded this drain
             rec.errors.append(error)
             self._schedule_cycle(rec)
 
@@ -418,6 +420,10 @@ class RecoveryManager:
             "Communicators degraded to aborted after unrecoverable faults.",
         ).inc(kind=rec.kind)
         comm.abort(error)
+        # A session in flight waits on ranks that will never contribute:
+        # without this, a drain waiting on it (a live upgrade has no
+        # barrier timeout) never ends.
+        self.deployment.reconfig.abandon(comm)
         self._log(comm, "recovery_gave_up", f"kind={rec.kind}: {error}")
 
     # ------------------------------------------------------------------

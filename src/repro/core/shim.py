@@ -30,9 +30,9 @@ from ..cluster.gpu import DeviceBuffer, Event, GpuDevice, Stream
 from ..cluster.ipc import IpcEventHandle, IpcMemHandle
 from ..collectives.types import Collective, ReduceOp
 from ..netsim.errors import (
-    AdmissionRejectedError,
     InvalidBufferError,
     MccsError,
+    ReproError,
     ServiceUnavailableError,
 )
 from ..resilience import Backoff
@@ -531,8 +531,11 @@ class MccsClient:
                 self._count_retry()
                 self._schedule_pump(comm_id, item.attempt)
                 return
-            except (AdmissionRejectedError, MccsError) as exc:
-                # Typed decision or hard error: surface it, never retry.
+            except ReproError as exc:
+                # Typed decision or hard error (an admission shed, the
+                # communicator aborted during the outage): surface it on
+                # the collective, never retry, never raise out of the
+                # simulation loop.
                 self._fail_issue(item, exc)
                 queue.pop(0)
                 continue

@@ -44,8 +44,6 @@ class FaultInjector:
         self.sim = cluster.sim
         self.deployment = deployment
         self.telemetry = telemetry
-        #: (time, event) pairs in application order, for experiment reports.
-        self.injected: List[Tuple[float, FaultEvent]] = []
         # Pre-degradation capacities, so LINK_RESTORE can undo a cut.
         self._saved_caps: Dict[str, float] = {}
         # Links a NIC failure took down, so NIC_RECOVER restores exactly those.
@@ -83,15 +81,12 @@ class FaultInjector:
             FaultKind.BANDWIDTH_DRIFT: lambda: self.drift_bandwidth(
                 event.link_id, event.factor
             ),
-            FaultKind.RANK_LEAVE: lambda: self.rank_leave(event.comm_id),
-            FaultKind.RANK_JOIN: lambda: self.rank_join(event.comm_id),
             FaultKind.TENANT_STORM: lambda: self.tenant_storm(
                 event.app_id, event.factor
             ),
             FaultKind.TENANT_CALM: lambda: self.tenant_calm(event.app_id),
         }[event.kind]
         handler()
-        self.injected.append((self.sim.now, event))
         self.telemetry.metrics.counter(
             "mccs_faults_injected_total",
             "Infrastructure faults applied by the injector, by kind.",
@@ -203,28 +198,6 @@ class FaultInjector:
         if not self.cluster.hosts[host_id].alive:
             return
         self.deployment.restart_service(host_id)
-
-    # ------------------------------------------------------------------
-    # elastic membership churn
-    # ------------------------------------------------------------------
-    def rank_leave(self, comm_id: Optional[int] = None) -> None:
-        """One rank leaves a communicator gracefully (elastic shrink).
-
-        Delegates to the deployment's elastic coordinator; a documented
-        no-op when elasticity is not armed or no communicator can shrink.
-        """
-        elastic = getattr(self.deployment, "elastic", None)
-        if elastic is None:
-            return
-        elastic.chaos_shrink(comm_id)
-
-    def rank_join(self, comm_id: Optional[int] = None) -> None:
-        """A spare GPU joins a communicator (elastic grow).  No-op when
-        elasticity is not armed or no spare GPU is available."""
-        elastic = getattr(self.deployment, "elastic", None)
-        if elastic is None:
-            return
-        elastic.chaos_grow(comm_id)
 
     # ------------------------------------------------------------------
     # tenant storms

@@ -1,9 +1,11 @@
 """Fault plans: seedable, deterministic schedules of infrastructure faults.
 
-A :class:`FaultPlan` is an ordered list of :class:`FaultEvent` entries.
-Plans are built either explicitly (experiments injecting one well-placed
-fault) or randomly from a single ``random.Random`` (chaos tests); both are
-fully deterministic, so a failing chaos seed replays exactly.
+A :class:`FaultPlan` is an ordered list of :class:`FaultEvent` entries,
+built explicitly through its builders (experiments injecting one
+well-placed fault, the fleet's tenant storms) or from the seeded walk of
+a :class:`BandwidthDriftPlan`.  Randomized chaos is not drawn here: the
+test suite's state machine picks each fault and hands it to
+:meth:`~repro.faults.FaultInjector.apply`.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
-
-if False:  # pragma: no cover - typing only
-    from ..cluster.specs import Cluster
 
 
 class FaultKind(str, Enum):
@@ -36,10 +35,6 @@ class FaultKind(str, Enum):
     #: re-resolved, modelling a provider-side capacity change rather
     #: than a fault on the device.
     BANDWIDTH_DRIFT = "bandwidth_drift"
-    #: One rank leaves a communicator gracefully (elastic shrink).
-    RANK_LEAVE = "rank_leave"
-    #: A new rank joins a communicator (elastic grow).
-    RANK_JOIN = "rank_join"
     #: One tenant's request rate spikes by ``factor`` (a runaway app
     #: hammering the service gateway).
     TENANT_STORM = "tenant_storm"
@@ -59,8 +54,6 @@ _LINK_KINDS = {
 _NIC_KINDS = {FaultKind.NIC_FAIL, FaultKind.NIC_RECOVER}
 #: Kinds that target a host's service process.
 _SERVICE_KINDS = {FaultKind.SERVICE_CRASH, FaultKind.ENGINE_RESTART}
-#: Kinds that target a communicator's membership (elastic churn).
-_MEMBERSHIP_KINDS = {FaultKind.RANK_LEAVE, FaultKind.RANK_JOIN}
 #: Kinds that target one tenant application's traffic.
 _TENANT_KINDS = {FaultKind.TENANT_STORM, FaultKind.TENANT_CALM}
 
@@ -78,9 +71,6 @@ class FaultEvent:
         factor: Remaining capacity fraction for ``LINK_DEGRADE``
             (0.25 = the link keeps a quarter of its capacity), or the
             resize multiplier for ``BANDWIDTH_DRIFT`` (may exceed 1).
-        comm_id: Target communicator for the membership kinds
-            (``RANK_LEAVE`` / ``RANK_JOIN``); ``None`` lets the injector
-            pick one deterministically at fire time.
         app_id: Target tenant for the tenant kinds (``TENANT_STORM`` /
             ``TENANT_CALM``); ``factor`` is the storm's rate multiplier.
     """
@@ -91,7 +81,6 @@ class FaultEvent:
     host_id: Optional[int] = None
     nic_index: Optional[int] = None
     factor: float = 1.0
-    comm_id: Optional[int] = None
     app_id: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -121,8 +110,6 @@ class FaultEvent:
             target = self.link_id
         elif self.kind in _NIC_KINDS:
             target = f"h{self.host_id}.nic{self.nic_index}"
-        elif self.kind in _MEMBERSHIP_KINDS:
-            target = "comm*" if self.comm_id is None else f"comm{self.comm_id}"
         elif self.kind in _TENANT_KINDS:
             target = str(self.app_id)
         else:
@@ -269,22 +256,6 @@ class FaultPlan:
             )
         return self
 
-    def rank_leave(
-        self, time: float, comm_id: Optional[int] = None
-    ) -> "FaultPlan":
-        """One rank leaves a communicator gracefully at ``time``."""
-        return self.add(
-            FaultEvent(time, FaultKind.RANK_LEAVE, comm_id=comm_id)
-        )
-
-    def rank_join(
-        self, time: float, comm_id: Optional[int] = None
-    ) -> "FaultPlan":
-        """A spare GPU joins a communicator at ``time``."""
-        return self.add(
-            FaultEvent(time, FaultKind.RANK_JOIN, comm_id=comm_id)
-        )
-
     def tenant_storm(
         self,
         time: float,
@@ -312,139 +283,6 @@ class FaultPlan:
 
     def describe(self) -> List[str]:
         return [event.describe() for event in self.events]
-
-    # ------------------------------------------------------------------
-    #: Relative draw weights for :meth:`random`.  Link
-    #: faults and bandwidth drift dominate (they are by far the most
-    #: common events in production fabrics); host crashes are rare and
-    #: permanent, so they get the lowest weight; elastic churn sits in
-    #: between.  Kinds absent from the table draw with weight 1.
-    DEFAULT_KIND_WEIGHTS = {
-        FaultKind.LINK_DOWN: 3,
-        FaultKind.LINK_DEGRADE: 3,
-        FaultKind.BANDWIDTH_DRIFT: 3,
-        FaultKind.NIC_FAIL: 2,
-        FaultKind.SERVICE_CRASH: 2,
-        FaultKind.HOST_CRASH: 1,
-        FaultKind.RANK_LEAVE: 1,
-        FaultKind.RANK_JOIN: 1,
-        FaultKind.TENANT_STORM: 2,
-    }
-
-    @classmethod
-    def random(
-        cls,
-        cluster: "Cluster",
-        *,
-        rng: Optional[random.Random] = None,
-        seed: int = 0,
-        horizon: float = 2.0,
-        num_faults: int = 2,
-        min_time: float = 0.1,
-        kinds: Sequence[FaultKind] = (
-            FaultKind.LINK_DOWN,
-            FaultKind.LINK_DEGRADE,
-            FaultKind.NIC_FAIL,
-            FaultKind.HOST_CRASH,
-            FaultKind.SERVICE_CRASH,
-        ),
-        link_candidates: Optional[Sequence[str]] = None,
-        host_candidates: Optional[Sequence[int]] = None,
-        tenant_candidates: Optional[Sequence[str]] = None,
-        transient_fraction: float = 0.5,
-    ) -> "FaultPlan":
-        """Draw a random plan, reproducible from one ``rng``/``seed``.
-
-        Link faults pick from ``link_candidates`` (default: every fabric
-        link except the intra-host channels); NIC and host faults pick
-        from ``host_candidates`` (default: every host).  A fault is made
-        transient (auto-recovery after a random fraction of the remaining
-        horizon) with probability ``transient_fraction`` — host crashes
-        are always permanent.
-
-        Kinds are drawn weighted by :attr:`DEFAULT_KIND_WEIGHTS`.  When
-        ``tenant_candidates`` names the tenants that may storm,
-        ``TENANT_STORM`` joins the kinds (always transient — a paired
-        ``TENANT_CALM`` follows); without candidates no draw changes.
-        """
-        if rng is None:
-            rng = random.Random(seed)
-        if num_faults < 0:
-            raise ValueError("num_faults must be non-negative")
-        if link_candidates is None:
-            link_candidates = sorted(
-                link_id
-                for link_id in cluster.topology.links
-                if ".local" not in link_id
-            )
-        if host_candidates is None:
-            host_candidates = list(range(cluster.num_hosts))
-        plan = cls()
-        crashed: set = set()
-        kinds_list = list(kinds)
-        if tenant_candidates and FaultKind.TENANT_STORM not in kinds_list:
-            kinds_list = kinds_list + [FaultKind.TENANT_STORM]
-        weights = [cls.DEFAULT_KIND_WEIGHTS.get(k, 1) for k in kinds_list]
-        for _ in range(num_faults):
-            kind = rng.choices(kinds_list, weights=weights)[0]
-            time = rng.uniform(min_time, horizon)
-            transient = rng.random() < transient_fraction
-            duration = rng.uniform(0.1, max(horizon - time, 0.2)) if transient else None
-            if kind is FaultKind.LINK_DOWN and link_candidates:
-                plan.link_down(time, rng.choice(list(link_candidates)), duration=duration)
-            elif kind is FaultKind.LINK_DEGRADE and link_candidates:
-                plan.link_degrade(
-                    time,
-                    rng.choice(list(link_candidates)),
-                    rng.uniform(0.05, 0.5),
-                    duration=duration,
-                )
-            elif kind is FaultKind.NIC_FAIL and host_candidates:
-                host_id = rng.choice(list(host_candidates))
-                nic_index = rng.randrange(len(cluster.hosts[host_id].nics))
-                plan.nic_fail(time, host_id, nic_index, duration=duration)
-            elif kind is FaultKind.HOST_CRASH and host_candidates:
-                remaining = [h for h in host_candidates if h not in crashed]
-                if not remaining:
-                    continue
-                host_id = rng.choice(remaining)
-                crashed.add(host_id)
-                plan.host_crash(time, host_id)
-            elif kind is FaultKind.SERVICE_CRASH and host_candidates:
-                remaining = [h for h in host_candidates if h not in crashed]
-                if not remaining:
-                    continue
-                host_id = rng.choice(remaining)
-                # Transient service crashes pair an explicit restart; the
-                # rest rely on the deployment's supervisor (if armed).
-                plan.service_crash(time, host_id, duration=duration)
-            elif kind is FaultKind.BANDWIDTH_DRIFT and link_candidates:
-                plan.bandwidth_drift(
-                    time,
-                    rng.choice(list(link_candidates)),
-                    rng.uniform(0.2, 0.9),
-                    duration=duration,
-                )
-            elif kind is FaultKind.RANK_LEAVE:
-                plan.rank_leave(time)
-            elif kind is FaultKind.RANK_JOIN:
-                plan.rank_join(time)
-            elif kind is FaultKind.TENANT_STORM and tenant_candidates:
-                # Storms are always transient; ``duration`` doubles as the
-                # storm length when the transient coin came up, else a
-                # fresh bounded draw keeps the calm inside the horizon.
-                storm_for = (
-                    duration
-                    if duration is not None
-                    else rng.uniform(0.1, max(horizon - time, 0.2))
-                )
-                plan.tenant_storm(
-                    time,
-                    rng.choice(list(tenant_candidates)),
-                    factor=50.0,
-                    duration=storm_for,
-                )
-        return plan
 
 
 @dataclass

@@ -34,7 +34,6 @@ def poisson_arrivals(
     sizes: Sequence[int] = (16, 32),
     size_weights: Optional[Sequence[float]] = None,
     seed: int = 0,
-    rng: Optional[random.Random] = None,
     prefix: str = "job",
 ) -> List[JobSpec]:
     """Draw a Poisson arrival sequence of jobs.
@@ -45,15 +44,11 @@ def poisson_arrivals(
         sizes: Candidate GPU counts (16 or 32).
         size_weights: Optional selection weights (uniform by default).
         seed: RNG seed; vary across the paper's 5 repetitions.
-        rng: Share one generator across workload *and* fault plans (see
-            :meth:`repro.faults.FaultPlan.random`) so a single ``--seed``
-            reproduces an entire chaos scenario; overrides ``seed``.
         prefix: Job id prefix.
     """
     if num_jobs <= 0:
         raise ValueError("num_jobs must be positive")
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
     now = 0.0
     jobs: List[JobSpec] = []
     for i in range(num_jobs):

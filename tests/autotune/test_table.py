@@ -1,17 +1,9 @@
-"""Tuning-table keying, bucketing, and JSON persistence."""
-
-import json
+"""Tuning-table keying, bucketing, and hit/miss accounting."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.autotune import (
-    TABLE_FORMAT_VERSION,
-    TableEntry,
-    TableKey,
-    TuningTable,
-    size_bucket,
-)
+from repro.autotune import TableEntry, TableKey, TuningTable, size_bucket
 
 FP = "spine-leaf/spines2@50g/nic50g/hosts4[2x2x2x2]/racks2"
 
@@ -47,19 +39,6 @@ def test_size_bucket_bounds(nbytes):
     assert 2 ** (k - 1) < nbytes <= 2**k if k else nbytes == 1
 
 
-def test_key_encode_decode_round_trip():
-    k = key()
-    assert TableKey.decode(k.encode()) == k
-
-
-def test_key_decode_keeps_fingerprint_intact():
-    # fingerprints contain '/' and '[' freely; only '|' is structural
-    k = TableKey(kind="all_gather", world=8, bucket=26, fingerprint=FP)
-    decoded = TableKey.decode(k.encode())
-    assert decoded.fingerprint == FP
-    assert decoded.world == 8 and decoded.bucket == 26
-
-
 def test_get_counts_hits_and_misses():
     table = TuningTable()
     table.put(key(), entry())
@@ -79,34 +58,6 @@ def test_lookup_buckets_the_size():
 
 def test_entry_signature_is_the_runtime_part():
     assert entry().signature() == ("ring", 2, (0, 1, 2, 3))
-
-
-def test_json_round_trip():
-    table = TuningTable()
-    table.put(key(bucket=16), entry("ring"))
-    table.put(key(bucket=26), entry("halving_doubling", channels=1))
-    table.put(key(bucket=16, kind="all_gather"), entry("tree"))
-    restored = TuningTable.from_json(table.to_json())
-    assert len(restored) == 3
-    assert list(restored) == list(table)
-    assert restored.to_json() == table.to_json()
-    # hit/miss counters are runtime state, not persisted
-    assert restored.stats()["hits"] == 0
-
-
-def test_save_load_round_trip():
-    # The persisted form is JSON text: every key and value survives it.
-    table = TuningTable()
-    table.put(key(), entry())
-    restored = TuningTable.from_json(json.loads(json.dumps(table.to_json())))
-    assert restored.get(key()) == entry()
-
-
-def test_from_json_rejects_unknown_format_version():
-    with pytest.raises(ValueError):
-        TuningTable.from_json({"format_version": TABLE_FORMAT_VERSION + 1})
-    with pytest.raises(ValueError):
-        TuningTable.from_json({"entries": {}})
 
 
 def test_iteration_is_sorted_by_encoded_key():

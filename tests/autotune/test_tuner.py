@@ -1,7 +1,6 @@
 """Online tuner integration: live retuning through the §4.2 barrier."""
 
 import gc
-import json
 import weakref
 from functools import partial
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.autotune import StrategyPlanner, TuningTable
+from repro.autotune import StrategyPlanner
 from repro.cluster.specs import testbed_cluster
 from repro.collectives.types import Collective
 from repro.core.deployment import MccsDeployment
@@ -21,7 +20,6 @@ def tuned_run(
     size,
     *,
     rounds=12,
-    table=None,
     setup="8gpu",
     on_complete=None,
 ):
@@ -34,7 +32,7 @@ def tuned_run(
     cluster = testbed_cluster()
     gpus = single_app_gpus(cluster, setup)
     deployment = MccsDeployment(cluster)
-    tuner = deployment.enable_autotuning(table=table)
+    tuner = deployment.enable_autotuning()
     comm = deployment.create_communicator(
         "A", gpus, datapath_tag="autotune"
     )
@@ -158,21 +156,19 @@ def test_observation_and_retune_metrics_published():
     assert gain is not None and gain.kind == "gauge"
 
 
-def test_table_miss_grows_table_then_hit_on_reload():
-    deployment, tuner, _, _ = tuned_run(64 * KB, rounds=4)
+def test_table_miss_grows_table_then_later_comm_hits():
+    deployment, tuner, comm, _ = tuned_run(64 * KB, rounds=4)
     counters = deployment.telemetry().metrics.counters()
     assert counters["mccs_autotune_table_misses_total"].total() == 1
     assert len(tuner.table) == 1  # planner's winner cached on the miss
-    persisted = json.dumps(tuner.table.to_json())
 
-    # a fresh deployment seeded with the persisted table hits immediately
-    deployment2, tuner2, _, _ = tuned_run(
-        64 * KB, rounds=4, table=TuningTable.from_json(json.loads(persisted))
-    )
-    counters2 = deployment2.telemetry().metrics.counters()
-    assert counters2["mccs_autotune_table_hits_total"].total() == 1
-    assert counters2["mccs_autotune_table_misses_total"].total() == 0
-
+    # a later communicator with the same key starts from the cached plan
+    later = deployment.create_communicator("B", comm.gpus, datapath_tag="autotune")
+    client = deployment.connect("B")
+    client.all_reduce(client.adopt_communicator(later.comm_id), 64 * KB)
+    deployment.run()
+    assert counters["mccs_autotune_table_hits_total"].total() == 1
+    assert counters["mccs_autotune_table_misses_total"].total() == 1
 
 def test_buckets_are_tuned_independently():
     deployment, tuner, comm, _ = tuned_run(64 * KB, rounds=6)

@@ -106,6 +106,14 @@ RETIRED = re.compile(
     # is the simulator's exact byte count, read on query
     r"|_start_ticker|sample_now|sampled_links|samples_taken|SAMPLE_INTERVAL"
     r"|MAX_SAMPLES|utilization_snapshot"
+    # chaos generators only tests drove (the chaos state machine picks
+    # faults and calls the public API); churn is ``change_membership``,
+    # not a fault kind (lowercase ``rank_join``/``rank_leave`` stay
+    # membership-change labels); the tuning table lives in memory
+    r"|def random\(|DEFAULT_KIND_WEIGHTS|RANK_LEAVE|RANK_JOIN|\bchaos_\w+|_chaos_pick"
+    r"|\.injected\b|link_candidates|host_candidates|tenant_candidates"
+    r"|transient_fraction|clear_traffic_schedules|TABLE_FORMAT_VERSION"
+    r"|TableKey\.decode|TuningTable\.from_json"
 )
 
 #: Every caller an experiment parameter may have: the product and tier-1.

@@ -37,7 +37,6 @@ ALLOWED = {
     "GatewayClient.destroy_comm": "tenant API: the gateway's POST /v1/comms/destroy route",
     "CentralManager.apply_ring_policy": "provider API: the locality-ring controller policy",
     "CentralManager.prioritize_with_ts": "provider API: the time-slot (TS) controller policy",
-    "CentralManager.clear_traffic_schedules": "provider API: lifts the TS policy's windows",
     "CentralManager.watch_background": "provider API: the Figure 7 background-flow policy loop",
     "MccsDeployment.network_utilization": "provider API: §4.3 management, link utilization",
     "TelemetryHub.to_prometheus": "provider API: §4.3 management, metrics scrape",

@@ -3,6 +3,7 @@
 import contextlib
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster.specs import ring_cluster, testbed_cluster
 from repro.core.algorithms import register_algorithm, unregister_algorithm
@@ -10,6 +11,11 @@ from repro.core.controller import CentralManager
 from repro.core.deployment import MccsDeployment
 from repro.synth import SynthAlgorithm
 from repro.telemetry import TelemetryHub
+
+#: The CI chaos job's exploration profile (``--hypothesis-profile chaos``
+#: with a ``--hypothesis-seed`` matrix): fresh examples per seed, many of
+#: them.  Tier-1 keeps the chaos machine's derandomized default set.
+settings.register_profile("chaos", derandomize=False, max_examples=200, deadline=None)
 
 
 @pytest.fixture

@@ -149,7 +149,7 @@ def test_prioritize_with_ts_gates_selected_apps(env):
     deployment.run()
     manager.prioritize_with_ts("A", affected_apps=["C"])
     assert set(deployment.gates._schedules) == {"C"}
-    manager.clear_traffic_schedules()
+    deployment.set_traffic_schedule("C", None)
     assert not deployment.gates._schedules
 
 

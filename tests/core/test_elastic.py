@@ -2,10 +2,10 @@
 
 Unit coverage for :mod:`repro.core.elastic` — the drain/quiesce/cutover
 state machine, the joiner handshake (admission + staging buffers), the
-deterministic survivor renumbering, the committed-change event, and the chaos
-entry points the fault injector drives.  The experiment-level bars live
-in ``tests/experiments/test_elastic.py`` and the WAN interleaving
-property in ``tests/chaos``.
+deterministic survivor renumbering and the committed-change event.  The
+experiment-level bars live in ``tests/experiments/test_elastic_experiment.py``
+and grow/shrink interleaved with faults in the ``tests/chaos`` state
+machine.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from repro.errors import (
     AllocationError,
     MembershipChangeError,
 )
-from repro.faults import FaultInjector, FaultPlan
 from repro.netsim.units import MB
 from repro.resilience import Backoff
 
@@ -281,50 +280,3 @@ def test_membership_notifies_recovery(cluster, deployment, manager, four_gpus):
         "rank_leave" in e.message
         for e in recovery.telemetry.events.events("membership_changed")
     )
-
-
-# ----------------------------------------------------------------------
-# chaos entry points
-# ----------------------------------------------------------------------
-def test_chaos_helpers_pick_deterministically(
-    cluster, deployment, manager, four_gpus
-):
-    elastic = deployment.enable_elasticity()
-    client, comm = _admit(manager, deployment, four_gpus)
-    assert elastic.chaos_grow()  # lowest spare alive GPU joins
-    deployment.run()
-    svc = deployment.communicator(comm.comm_id)
-    spare = min(
-        g.global_id for g in cluster.gpus
-        if g.global_id not in {x.global_id for x in four_gpus}
-    )
-    assert svc.gpus[-1].global_id == spare
-    assert elastic.chaos_shrink()  # highest rank leaves
-    deployment.run()
-    assert deployment.communicator(comm.comm_id).world == 4
-
-
-def test_chaos_helpers_never_raise_without_targets(cluster, deployment):
-    elastic = deployment.enable_elasticity()
-    assert not elastic.chaos_shrink()  # no communicators at all
-    assert not elastic.chaos_grow()
-    assert not elastic.chaos_shrink(comm_id=999)
-
-
-def test_fault_plan_membership_kinds_drive_elastic(
-    cluster, deployment, manager, four_gpus
-):
-    """rank_join / rank_leave fault events reach the coordinator."""
-    deployment.enable_elasticity()
-    client, comm = _admit(manager, deployment, four_gpus)
-    injector = FaultInjector(
-        cluster, deployment.telemetry(), deployment=deployment
-    )
-    plan = FaultPlan().rank_join(0.01).rank_leave(0.05)
-    injector.schedule(plan)
-    client.all_reduce(comm, 4 * MB)
-    deployment.run()
-    svc = deployment.communicator(comm.comm_id)
-    assert svc.membership_epoch == 2  # one join + one leave committed
-    assert svc.world == 4
-    assert deployment.verify_journal() == []

@@ -200,14 +200,6 @@ def test_service_crash_plan_kills_and_restarts(cluster, deployment):
     assert service.alive and service.restarts == 1
 
 
-def test_random_plans_draw_service_crashes(cluster):
-    kinds = set()
-    for seed in range(30):
-        plan = FaultPlan.random(cluster, seed=seed, num_faults=4)
-        kinds.update(event.kind for event in plan.events)
-    assert FaultKind.SERVICE_CRASH in kinds
-
-
 def test_fault_kind_classifies_service_errors():
     assert fault_kind(ServiceCrashedError("x")) == "service_crash"
     assert fault_kind(ServiceUnavailableError("x")) == "service_crash"

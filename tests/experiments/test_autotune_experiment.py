@@ -29,15 +29,7 @@ def test_autotune_registered_as_experiment_mode():
     assert hasattr(ALL_FIGURES["autotune"], "main")
 
 
-def test_tuned_matches_best_static_on_both_regimes(autotune_result):
-    assert fig_autotune.check(autotune_result) == []
-
-
-def test_regimes_have_different_static_winners(autotune_result):
-    assert fig_autotune.check(autotune_result) == []
-
-
-def test_all_retunes_went_through_the_barrier(autotune_result):
+def test_autotune_reproduces(autotune_result):
     assert fig_autotune.check(autotune_result) == []
 
 

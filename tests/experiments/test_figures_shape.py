@@ -26,11 +26,7 @@ def fig02_small():
     )
 
 
-def test_fig02_comm_is_significant(fig02_small):
-    assert fig02_breakdown.check(fig02_small) == []
-
-
-def test_fig02_measured_vgg_breakdown(fig02_small):
+def test_fig02_reproduces(fig02_small):
     assert fig02_breakdown.check(fig02_small) == []
 
 
@@ -43,11 +39,7 @@ def fig03_small():
     )
 
 
-def test_fig03_ratios_grow_with_job_size(fig03_small):
-    assert fig03_crossrack.check(fig03_small) == []
-
-
-def test_fig03_cluster_validation_matches_closed_form(fig03_small):
+def test_fig03_reproduces(fig03_small):
     assert fig03_crossrack.check(fig03_small) == []
 
 
@@ -63,11 +55,7 @@ def fig06_small():
     )
 
 
-def test_fig06_mccs_wins_at_large_sizes(fig06_small):
-    assert fig06_single_app.check(fig06_small) == []
-
-
-def test_fig06_mccs_pays_latency_at_small_sizes(fig06_small):
+def test_fig06_reproduces(fig06_small):
     assert fig06_single_app.check(fig06_small) == []
 
 
@@ -88,13 +76,5 @@ def fig08_small():
     )
 
 
-def test_fig08_mccs_has_best_aggregate(fig08_small):
-    assert fig08_multi_app.check(fig08_small) == []
-
-
-def test_fig08_mccs_fair_in_setup1(fig08_small):
-    assert fig08_multi_app.check(fig08_small) == []
-
-
-def test_fig08_setup3_two_to_one_split(fig08_small):
+def test_fig08_reproduces(fig08_small):
     assert fig08_multi_app.check(fig08_small) == []

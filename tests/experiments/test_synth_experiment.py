@@ -40,11 +40,7 @@ def test_sweep_covers_both_fabrics(synth_results):
         assert len(result.points) == 2
 
 
-def test_synthesized_schedule_wins_on_the_wan_fabric(synth_results):
-    assert fig_synth.check(synth_results) == []
-
-
-def test_tuner_adopts_synth_through_barrier(synth_results):
+def test_synth_reproduces(synth_results):
     assert fig_synth.check(synth_results) == []
 
 

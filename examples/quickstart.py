@@ -67,6 +67,11 @@ def main() -> None:
     print("telemetry summary")
     for line in deployment.telemetry().summary_lines():
         print(f"  {line}")
+    # The same view as one JSON-ready document, the provider's export.
+    snapshot = deployment.telemetry().to_json()
+    print(f"  json export: {len(snapshot['spans']['records'])} span(s), "
+          f"{len(snapshot['events']['records'])} event(s), "
+          f"{len(snapshot['links'])} link(s)")
 
 if __name__ == "__main__":
     main()

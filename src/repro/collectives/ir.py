@@ -30,17 +30,12 @@ trading per-step latency against effective link bandwidth, consumed by
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .chunking import chunk_bounds
 from .types import Collective
 from ..netsim.errors import MalformedProgramError
-
-#: Schema version stamped into every serialized program.
-PROGRAM_FORMAT_VERSION = 1
-
 
 class Protocol(enum.Enum):
     """NCCL transfer protocol, as a latency-bandwidth cost annotation.
@@ -111,27 +106,6 @@ class Instr:
     @property
     def is_transfer(self) -> bool:
         return self.kind is not OpKind.COPY
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "op": self.kind.value,
-            "chunk": self.chunk,
-            "peer": self.peer,
-            "channel": self.channel,
-            "step": self.step,
-            "src_chunk": self.src_chunk,
-        }
-
-    @staticmethod
-    def from_json(data: Dict[str, object]) -> "Instr":
-        return Instr(
-            kind=OpKind(data["op"]),
-            chunk=int(data["chunk"]),
-            peer=int(data.get("peer", -1)),
-            channel=int(data.get("channel", 0)),
-            step=int(data.get("step", 0)),
-            src_chunk=int(data.get("src_chunk", -1)),
-        )
 
 
 #: What one rank knows about one chunk slot: which original chunk's data
@@ -219,54 +193,6 @@ class Program:
                 ):
                     wan_steps.add(instr.step)
         return len(wan_steps)
-
-    # -- serialization ---------------------------------------------------
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "format_version": PROGRAM_FORMAT_VERSION,
-            "name": self.name,
-            "kind": self.kind.value,
-            "world": self.world,
-            "num_chunks": self.num_chunks,
-            "channels": self.channels,
-            "protocol": self.protocol.value,
-            "root": self.root,
-            "num_steps": self.num_steps,
-            "meta": dict(self.meta),
-            "rank_programs": [
-                [instr.to_json() for instr in program]
-                for program in self.rank_programs
-            ],
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(data: Dict[str, object]) -> "Program":
-        version = data.get("format_version")
-        if version != PROGRAM_FORMAT_VERSION:
-            raise MalformedProgramError(
-                f"unsupported program format version {version!r}"
-            )
-        return Program(
-            name=str(data["name"]),
-            kind=Collective(data["kind"]),
-            world=int(data["world"]),
-            num_chunks=int(data["num_chunks"]),
-            channels=int(data["channels"]),
-            protocol=Protocol(data.get("protocol", "simple")),
-            root=int(data.get("root", 0)),
-            meta=tuple(sorted(dict(data.get("meta", {})).items())),
-            rank_programs=tuple(
-                tuple(Instr.from_json(i) for i in program)
-                for program in data["rank_programs"]
-            ),
-        )
-
-    @staticmethod
-    def loads(text: str) -> "Program":
-        return Program.from_json(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken for type hints
     from ..autotune import AutoTuner
     from ..resilience import Backoff
-    from .elastic import ElasticCoordinator
     from .recovery import HeartbeatMonitor, RecoveryManager
     from .supervisor import ServiceSupervisor
 
@@ -50,6 +49,7 @@ from ..netsim.errors import (
 from ..telemetry.hub import TelemetryHub
 from .admission import AdmissionController, AdmissionPolicy
 from .communicator import CollectiveInstance, ServiceCommunicator
+from .elastic import ElasticCoordinator
 from .journal import ControlPlaneState, StateJournal, snapshot_deployment
 from .messages import (
     BufferRef,
@@ -130,9 +130,9 @@ class MccsDeployment:
         self.admission: Optional[AdmissionController] = None
         #: Crash supervisor, armed via :meth:`enable_service_supervision`.
         self.supervisor: Optional["ServiceSupervisor"] = None
-        #: Elastic membership coordinator, armed via
-        #: :meth:`enable_elasticity`.
-        self.elastic: Optional["ElasticCoordinator"] = None
+        #: Live membership changes (elastic grow/shrink) of every
+        #: communicator.
+        self.elastic = ElasticCoordinator(self)
         #: Tenant-facing service gateway; installed by
         #: ``repro.service.gateway.ServiceGateway(deployment, ...)``.
         self.gateway = None
@@ -164,10 +164,10 @@ class MccsDeployment:
 
         if self.recovery is None:
             self.recovery = RecoveryManager(self, collective_deadline)
+            for comm in self._comms.values():
+                self.recovery.attach(comm)
         else:
             self.recovery.collective_deadline = collective_deadline
-        for comm in self._comms.values():
-            self.recovery.attach(comm)
         if heartbeat_until is not None:
             self.heartbeat_monitor = HeartbeatMonitor(
                 self, self.recovery, until=heartbeat_until
@@ -207,15 +207,6 @@ class MccsDeployment:
         else:
             self.supervisor.restart_delay = restart_delay
         return self.supervisor
-
-    def enable_elasticity(self) -> "ElasticCoordinator":
-        """Arm live membership changes (elastic grow/shrink) for every
-        communicator; see :class:`~repro.core.elastic.ElasticCoordinator`."""
-        from .elastic import ElasticCoordinator
-
-        if self.elastic is None:
-            self.elastic = ElasticCoordinator(self)
-        return self.elastic
 
     def crash_service(self, host_id: int) -> None:
         """Kill one host's service process (the host itself survives)."""
@@ -368,13 +359,14 @@ class MccsDeployment:
             host = self.cluster.hosts[comm.comm_event_handle.host_id]
             host.ipc.close_event(comm.comm_event_handle)
             comm.comm_event_handle = None
-        if self.elastic is not None:
-            self.elastic.communicator_destroyed(comm)
         if self.autotuner is not None:
             self.autotuner.detach(comm)
         comm.destroyed = True
         del self._comms[comm.comm_id]
         del self._comm_owner[comm.comm_id]
+        # A session in flight would reach ranks that are gone: it fails
+        # now, and a drain waiting on it ends on the destroy.
+        self.reconfig.abandon(comm)
 
     def handle_collective(
         self, app_id: str, request: CollectiveRequest
@@ -774,7 +766,7 @@ class MccsDeployment:
         ))
         self.register_ranks(comm)
         if self.recovery is not None:
-            self.recovery.membership_changed(comm, kind)
+            self.recovery.membership_changed(comm)
         if self.autotuner is not None:
             self.autotuner.membership_changed(comm)
         self._telemetry.metrics.counter(

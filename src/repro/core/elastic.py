@@ -27,23 +27,20 @@ machine per membership operation:
     :meth:`~repro.core.deployment.MccsDeployment.change_membership` — the
     one cutover, shared with failure recovery's ``rank_lost`` shrink —
     installs the new rank set under a fresh strategy and logs
-    ``membership_committed``; the coordinator then frees
-    the leavers' staging buffers.  Survivors keep their relative rank
-    order; joiners are appended.  A lost rank fails the operation
-    (:meth:`ElasticCoordinator.rank_lost`).
+    ``membership_committed``.  Survivors keep their relative rank order;
+    joiners are appended.  The cutover refuses a change planned against
+    a rank set that has since moved (the membership epoch advanced, e.g.
+    recovery shrank a lost rank out) or one whose new set holds a rank on
+    a crashed host or behind a stopped service.
 
-Joiners go through a handshake first: admission control vets the
-tenant (:class:`~repro.core.admission.AdmissionController`), and a
-staging buffer is allocated on each joiner's service — the same
-journaled ``alloc`` path tenant buffers use, so crash/restart replay
-reconstructs them.  The buffers are freed if the rank later leaves or
-the communicator is destroyed.
+Admission control vets a joiner's tenant before anything starts
+(:class:`~repro.core.admission.AdmissionController`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..cluster.gpu import GpuDevice
 from ..netsim.errors import MembershipChangeError
@@ -62,8 +59,6 @@ MIN_WORLD = 2
 DRAIN_RETRY = Backoff(base=0.01, cap=0.01, max_retries=24)
 #: Barrier timeout of one drain try.
 DRAIN_TIMEOUT = 0.5
-#: Size of the per-joiner staging buffer allocated by the join handshake.
-STAGING_BYTES = 1 << 16
 
 
 @dataclass
@@ -76,6 +71,8 @@ class MembershipChange:
     kind: str
     started: float
     world_before: int
+    #: The membership epoch the change was planned against.
+    epoch_before: int
     #: Global GPU ids leaving (shrink) / joining (grow).
     left: List[int] = field(default_factory=list)
     joined: List[int] = field(default_factory=list)
@@ -84,19 +81,8 @@ class MembershipChange:
     world_after: Optional[int] = None
     epoch: Optional[int] = None
     error: Optional[BaseException] = None
-    #: Internal state: ``drain`` -> ``quiesce`` -> ``done``/``failed``.
+    #: ``drain`` -> ``quiesce`` -> ``done``/``failed``.
     state: str = "drain"
-    #: The requester's callbacks (not part of the record's value).
-    on_done: Optional[Callable[["MembershipChange"], None]] = field(
-        default=None, repr=False, compare=False
-    )
-    on_failed: Optional[Callable[["MembershipChange"], None]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def finished(self) -> bool:
-        return self.state in ("done", "failed")
 
 
 class ElasticCoordinator:
@@ -112,27 +98,19 @@ class ElasticCoordinator:
         self.sim = deployment.sim
         self.telemetry = deployment.telemetry()
         self._inflight: Dict[int, MembershipChange] = {}
-        #: Staging buffers allocated for joiners, freed when they leave
-        #: or their communicator is destroyed.
-        self._staging: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
     def grow(
-        self,
-        comm_id: int,
-        joiners: Sequence[GpuDevice],
-        *,
-        on_done: Optional[Callable[[MembershipChange], None]] = None,
-        on_failed: Optional[Callable[[MembershipChange], None]] = None,
+        self, comm_id: int, joiners: Sequence[GpuDevice]
     ) -> MembershipChange:
         """Admit ``joiners`` into the communicator (elastic grow).
 
-        The joiner handshake — admission check and staging-buffer
-        allocation — happens synchronously; the drain/quiesce/cutover
-        sequence then runs on the simulation clock and reports through
-        ``on_done``/``on_failed``.
+        Validation and the admission check happen synchronously; the
+        drain/quiesce/cutover sequence then runs on the simulation clock
+        and leaves its outcome on the returned record (``state`` ends
+        ``"done"`` or ``"failed"``).
         """
         comm = self._checked_comm(comm_id)
         joiners = list(joiners)
@@ -157,42 +135,21 @@ class ElasticCoordinator:
                     f"joiner GPU {gpu.global_id} is on crashed host {gpu.host_id}"
                 )
             self.deployment.service_of_gpu(gpu).check_alive()
-        # Joiner handshake: admission vets the tenant, then each joiner
-        # gets a staging buffer through the journaled alloc path.
         if self.deployment.admission is not None:
             self.deployment.admission.admit(comm.app_id)
-        joined = [gpu.global_id for gpu in joiners]
-        try:
-            for gpu in joiners:
-                response = self.deployment.service_of_gpu(gpu).allocate(
-                    comm.app_id, gpu.global_id, STAGING_BYTES
-                )
-                self._staging[(comm.comm_id, gpu.global_id)] = response.buffer_id
-        except Exception:
-            # All or nothing: hand back what the handshake already took.
-            self._free_staging(comm.comm_id, comm.app_id, joined)
-            raise
         op = MembershipChange(
             comm_id=comm.comm_id,
             app_id=comm.app_id,
             kind="rank_join",
             started=self.sim.now,
             world_before=comm.world,
-            joined=joined,
-            on_done=on_done,
-            on_failed=on_failed,
+            epoch_before=comm.membership_epoch,
+            joined=[gpu.global_id for gpu in joiners],
         )
         self._begin(op, comm)
         return op
 
-    def shrink(
-        self,
-        comm_id: int,
-        ranks: Sequence[int],
-        *,
-        on_done: Optional[Callable[[MembershipChange], None]] = None,
-        on_failed: Optional[Callable[[MembershipChange], None]] = None,
-    ) -> MembershipChange:
+    def shrink(self, comm_id: int, ranks: Sequence[int]) -> MembershipChange:
         """Gracefully remove ``ranks`` from the communicator.
 
         Survivors are renumbered deterministically: they keep their
@@ -218,25 +175,14 @@ class ElasticCoordinator:
             kind="rank_leave",
             started=self.sim.now,
             world_before=comm.world,
+            epoch_before=comm.membership_epoch,
             left=[comm.gpus[rank].global_id for rank in sorted(leaving)],
-            on_done=on_done,
-            on_failed=on_failed,
         )
         self._begin(op, comm)
         return op
 
     def inflight(self, comm_id: int) -> Optional[MembershipChange]:
         return self._inflight.get(comm_id)
-
-    def rank_lost(self, comm_id: int) -> None:
-        """Failure-recovery notification: ``comm_id`` is about to shrink
-        its lost ranks out, so an operation in flight on it — planned
-        against the old rank set — fails."""
-        op = self._inflight.get(comm_id)
-        if op is not None:
-            self._fail(op, MembershipChangeError(
-                f"communicator {comm_id} lost a rank during its {op.kind}"
-            ))
 
     # ------------------------------------------------------------------
     # state machine
@@ -280,8 +226,6 @@ class ElasticCoordinator:
         )
 
     def _quiesce(self, op: MembershipChange, comm: ServiceCommunicator) -> None:
-        if op.finished:
-            return
         op.state = "quiesce"
         if not comm.inflight:
             self._cutover(op, comm)
@@ -303,32 +247,39 @@ class ElasticCoordinator:
         comm.add_completion_listener(on_finished)
 
     def _cutover(self, op: MembershipChange, comm: ServiceCommunicator) -> None:
-        if op.finished:
-            return  # failed while quiescing (a rank was lost)
         if comm.aborted or comm.destroyed:
             self._fail(op, MembershipChangeError(
                 f"communicator {comm.comm_id} died before cutover"
             ))
             return
+        if comm.membership_epoch != op.epoch_before:
+            # Planned against a rank set that is gone: recovery shrank a
+            # lost rank out while this change drained or quiesced.
+            self._fail(op, MembershipChangeError(
+                f"communicator {comm.comm_id} changed membership during "
+                f"its {op.kind}"
+            ))
+            return
+        deployment = self.deployment
         if op.kind == "rank_join":
-            joiners = [self.deployment.cluster.gpu(i) for i in op.joined]
-            hosts = self.deployment.cluster.hosts
-            lost = [gpu.global_id for gpu in joiners if not hosts[gpu.host_id].alive]
-            if lost:
-                # A joiner whose host crashed mid-drain would join as a
-                # dead rank recovery may never hear of: the heartbeat
-                # monitor reports a dead proxy once, and this one's miss
-                # came while it held no rank.
-                self._fail(op, MembershipChangeError(
-                    f"joiner GPU(s) {lost} lost before cutover"
-                ))
-                return
-            new_gpus = comm.gpus + joiners
+            new_gpus = comm.gpus + [deployment.cluster.gpu(i) for i in op.joined]
         else:
             new_gpus = [gpu for gpu in comm.gpus if gpu.global_id not in op.left]
-        self.deployment.change_membership(comm, new_gpus, op.kind)
-        # Leavers hand their staging buffers back.
-        self._free_staging(comm.comm_id, comm.app_id, op.left)
+        lost = [
+            gpu.global_id
+            for gpu in new_gpus
+            if not deployment.cluster.hosts[gpu.host_id].alive
+            or not deployment.service_of_gpu(gpu).alive
+        ]
+        if lost:
+            # Recovery shrinks such ranks out (its aborts may be what
+            # ended this quiesce), and the heartbeat monitor reports a
+            # dead proxy once: a joiner's miss came while it held no rank.
+            self._fail(op, MembershipChangeError(
+                f"GPU(s) {lost} lost before cutover"
+            ))
+            return
+        deployment.change_membership(comm, new_gpus, op.kind)
         op.state = "done"
         op.committed = self.sim.now
         op.world_after = comm.world
@@ -338,18 +289,11 @@ class ElasticCoordinator:
             "mccs_membership_drain_seconds",
             "Drain-to-commit latency of membership changes, by kind.",
         ).observe(op.committed - op.started, kind=op.kind)
-        if op.on_done is not None:
-            op.on_done(op)
 
     def _fail(self, op: MembershipChange, error: BaseException) -> None:
-        if op.finished:
-            return
         op.state = "failed"
         op.error = error
         self._inflight.pop(op.comm_id, None)
-        # A failed grow never reached the cutover: release the joiners'
-        # staging buffers so the handshake leaves no residue.
-        self._free_staging(op.comm_id, op.app_id, op.joined)
         self.telemetry.metrics.counter(
             "mccs_membership_failures_total",
             "Elastic membership changes that failed terminally, by kind.",
@@ -361,22 +305,3 @@ class ElasticCoordinator:
             comm=op.comm_id,
             app=op.app_id,
         )
-        if op.on_failed is not None:
-            op.on_failed(op)
-
-    def communicator_destroyed(self, comm: ServiceCommunicator) -> None:
-        """``comm`` is gone: its joiners hand their staging buffers back."""
-        joined = [gid for cid, gid in self._staging if cid == comm.comm_id]
-        self._free_staging(comm.comm_id, comm.app_id, joined)
-
-    def _free_staging(
-        self, comm_id: int, app_id: str, global_ids: Sequence[int]
-    ) -> None:
-        for global_id in global_ids:
-            buffer_id = self._staging.pop((comm_id, global_id), None)
-            if buffer_id is not None:
-                service = self.deployment.service_of_gpu(
-                    self.deployment.cluster.gpu(global_id)
-                )
-                if service.alive:
-                    service.free(app_id, buffer_id)

@@ -374,11 +374,14 @@ class ReconfigManager:
     def abandon(self, comm: ServiceCommunicator) -> None:
         """Fail ``comm``'s in-flight session, which can never resolve: its
         rank states were just replaced (:meth:`MccsDeployment.
-        register_ranks`), or the communicator aborted.  A drain waiting
-        on it retries on the new rank states, or ends on the abort."""
+        register_ranks`), or the communicator aborted or was destroyed.
+        A drain waiting on it retries on the new rank states, or ends on
+        the abort or the destroy."""
         session = self._active.get(comm.comm_id)
         if session is not None:
             session.fail(ReconfigurationError(
                 f"reconfiguration of comm {comm.comm_id} abandoned: "
-                + ("it aborted" if comm.aborted else "its ranks were registered anew")
+                + ("it aborted" if comm.aborted
+                   else "it was destroyed" if comm.destroyed
+                   else "its ranks were registered anew")
             ))

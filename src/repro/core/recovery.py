@@ -29,7 +29,7 @@ clock so a crashed host is noticed even while its communicators are idle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..netsim.errors import (
     CollectiveTimeoutError,
@@ -103,7 +103,6 @@ class _CommRecovery:
     errors: List[BaseException] = field(default_factory=list)
     cycle_scheduled: bool = False
     retrying: List[CollectiveInstance] = field(default_factory=list)
-    hooked: Set[int] = field(default_factory=set)
     kind: str = "other"
 
 
@@ -133,22 +132,17 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     def attach(self, comm: ServiceCommunicator) -> None:
         comm.failure_handler = self.handle_failure
+        comm.add_completion_listener(self._finished)
 
-    def membership_changed(self, comm: ServiceCommunicator, kind: str) -> None:
+    def membership_changed(self, comm: ServiceCommunicator) -> None:
         """Cutover notification: ``comm`` grew or shrank.
 
         Any in-flight repair episode is obsolete — its quiesced window and
         rank bookkeeping referred to the old rank numbering — so the
         episode is dropped; fresh failures on the new membership open a
-        fresh one.  ``kind`` is ``"rank_join"``, ``"rank_leave"`` or
-        ``"rank_lost"``.
+        fresh one.
         """
         self._cycles.pop(comm.comm_id, None)
-        self._log(
-            comm,
-            "membership_changed",
-            f"kind={kind} epoch={comm.membership_epoch} world={comm.world}",
-        )
 
     def _log(self, comm: ServiceCommunicator, event: str, detail: str) -> None:
         """Every detection/repair decision is one event in the hub's log."""
@@ -271,20 +265,6 @@ class RecoveryManager:
         ]
         for inst in rec.retrying:
             inst.reset_for_retry()
-            if inst.seq not in rec.hooked:
-                rec.hooked.add(inst.seq)
-                previous = inst.on_complete
-
-                def hook(
-                    instance: CollectiveInstance,
-                    now: float,
-                    previous=previous,
-                ) -> None:
-                    if previous is not None:
-                        previous(instance, now)
-                    self._retried_completed(rec, instance)
-
-                inst.on_complete = hook
 
         backoff = REPAIR_BACKOFF.delay(rec.attempt - 1)
         self._log(
@@ -353,13 +333,16 @@ class RecoveryManager:
             routes={},
         )
 
-    def _retried_completed(
-        self, rec: _CommRecovery, _instance: CollectiveInstance
-    ) -> None:
-        comm = rec.comm
-        if comm.aborted or self._cycles.get(comm.comm_id) is not rec:
-            return
-        if all(inst.completed or inst.aborted for inst in rec.retrying):
+    def _finished(self, instance: CollectiveInstance) -> None:
+        """Completion listener: an episode whose relaunched collectives
+        have all finished succeeded."""
+        rec = self._cycles.get(instance.comm.comm_id)
+        if (
+            rec is not None
+            and not rec.comm.aborted
+            and any(inst is instance for inst in rec.retrying)
+            and all(inst.completed or inst.aborted for inst in rec.retrying)
+        ):
             self._succeed(rec)
 
     # ------------------------------------------------------------------
@@ -377,12 +360,6 @@ class RecoveryManager:
         """A lost rank is a shrink: the in-flight window aborts typed and
         the communicator, id and all, cuts over to its survivors."""
         comm = rec.comm
-        deployment = self.deployment
-        # An elastic change in flight was planned against the old rank
-        # set.  It fails first, so the aborts below cannot finish its
-        # quiesce and cut it over.
-        if deployment.elastic is not None:
-            deployment.elastic.rank_lost(comm.comm_id)
         survivors = [gpu for rank, gpu in enumerate(comm.gpus) if rank not in dead]
         # Closed first: the aborts must not read as the retries finishing.
         self._close(
@@ -393,8 +370,10 @@ class RecoveryManager:
         # its instance already aborted and fans out on no old rank.
         for instance in reversed(list(comm.inflight.values())):
             instance.abort(error)
-        # No drain: dead ranks cannot contribute to a barrier.
-        deployment.change_membership(comm, survivors, "rank_lost")
+        # No drain: dead ranks cannot contribute to a barrier.  An elastic
+        # change in flight, planned against the old rank set, is refused
+        # at its own cutover.
+        self.deployment.change_membership(comm, survivors, "rank_lost")
 
     def _close(self, rec: _CommRecovery, event: str, detail: str = "") -> None:
         """Verdict that keeps the communicator: the episode ends and its

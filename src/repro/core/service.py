@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..cluster.host import Host
 from ..cluster.ipc import IpcMemHandle
@@ -57,10 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..telemetry.hub import TelemetryHub
     from .communicator import ServiceCommunicator
     from .deployment import MccsDeployment
-
-#: Engine names :meth:`MccsService.upgrade` accepts; ``"service"`` swaps
-#: both the frontend and the proxy engines.
-UPGRADE_COMPONENTS = ("service", "frontend", "proxy")
 
 #: An upgrade drain that finds a communicator's barrier busy tries again
 #: 2 ms later, 21 tries in all, before the upgrade fails.
@@ -162,7 +158,6 @@ class UpgradeSession:
     """One live upgrade of a host's service engines (Figure 4 drain)."""
 
     host_id: int
-    component: str
     started_at: float
     generation_before: int
     #: Communicators drained through the reconfiguration barrier.
@@ -410,89 +405,59 @@ class MccsService:
     # ------------------------------------------------------------------
     # live upgrade (Figure 4 drain, then engine swap)
     # ------------------------------------------------------------------
-    def upgrade(
-        self,
-        component: str = "service",
-        *,
-        algorithm: Optional[str] = None,
-        on_done: Optional[Callable[[UpgradeSession], None]] = None,
-    ) -> UpgradeSession:
+    def upgrade(self) -> UpgradeSession:
         """Swap this host's engines live; tenants see only a latency blip.
 
         Every communicator with a rank on this host is drained through
-        the §4.2 reconfiguration barrier (``algorithm`` optionally moves
-        them to a different algorithm registry entry at the same cut);
-        once all barriers resolve, the named engines are replaced by
-        fresh objects of the next generation carrying over the quiesced
-        per-rank state.  Asynchronous — returns the session immediately;
-        drive the simulator to complete it.
+        the §4.2 reconfiguration barrier; once all barriers resolve, the
+        frontend and proxy engines are replaced by fresh objects of the
+        next generation, the proxies taking over the quiesced per-rank
+        state (by reference, see :meth:`ProxyEngine.adopt_ranks`).
+        Asynchronous — returns the session immediately; drive the
+        simulator to complete it.
         """
-        if component not in UPGRADE_COMPONENTS:
-            raise UpgradeError(
-                f"unknown component {component!r}; expected one of "
-                f"{UPGRADE_COMPONENTS}"
-            )
         self.check_alive()
-        deployment = self.deployment
         sim = self.cluster.sim
+        host_id = self.host.host_id
         session = UpgradeSession(
-            host_id=self.host.host_id,
-            component=component,
-            started_at=sim.now,
-            generation_before=self.generation,
+            host_id=host_id, started_at=sim.now, generation_before=self.generation
         )
         self.upgrades_started += 1
         self.telemetry.events.log(
-            sim.now,
-            "upgrade_started",
-            f"host {self.host.host_id} upgrading {component}",
-            host=self.host.host_id,
-            component=component,
+            sim.now, "upgrade_started", f"host {host_id} upgrading", host=host_id
         )
-
-        swap_proxies = component in ("service", "proxy")
-        swap_frontends = component in ("service", "frontend")
-        to_drain = (
-            [
-                comm
-                for comm in deployment.communicators()
-                if not comm.aborted
-                and any(g.host_id == self.host.host_id for g in comm.gpus)
-            ]
-            if swap_proxies
-            else []
-        )
+        to_drain = [
+            comm
+            for comm in self.deployment.communicators()
+            if not comm.aborted and any(g.host_id == host_id for g in comm.gpus)
+        ]
         remaining = {comm.comm_id for comm in to_drain}
 
         def finish() -> None:
             if session.failed:
                 return
             self.generation += 1
-            if swap_proxies:
-                self._swap_proxy_engines()
-            if swap_frontends:
-                self._frontends.clear()
+            for gpu_global_id, old in list(self.proxies.items()):
+                engine = ProxyEngine(host_id, gpu_global_id, self.telemetry)
+                engine.adopt_ranks(old)
+                self.proxies[gpu_global_id] = engine
+            self._frontends.clear()
             session.done_time = sim.now
             session.generation_after = self.generation
             self.telemetry.metrics.counter(
-                "mccs_upgrades_total",
-                "Live service upgrades completed, by component.",
-            ).inc(host=f"h{self.host.host_id}", component=component)
+                "mccs_upgrades_total", "Live service upgrades completed."
+            ).inc(host=f"h{host_id}")
             self.telemetry.metrics.histogram(
                 "mccs_upgrade_drain_seconds",
                 "Barrier-drain time of live upgrades.",
-            ).observe(session.drain_seconds(), component=component)
+            ).observe(session.drain_seconds())
             self.telemetry.events.log(
                 sim.now,
                 "upgrade_done",
-                f"host {self.host.host_id} {component} now gen "
-                f"{self.generation} (drained {len(session.drained_comms)} "
-                "communicator(s))",
-                host=self.host.host_id,
-                component=component,
+                f"host {host_id} now gen {self.generation} (drained "
+                f"{len(session.drained_comms)} communicator(s))",
+                host=host_id,
             )
-            if on_done is not None:
-                on_done(session)
 
         def settled(comm: "ServiceCommunicator", drained: bool) -> None:
             if drained:
@@ -507,52 +472,35 @@ class MccsService:
             if session.failed:
                 return
             session.error = UpgradeError(
-                f"upgrade of host {self.host.host_id} abandoned: {error}"
+                f"upgrade of host {host_id} abandoned: {error}"
             )
             self.telemetry.metrics.counter(
                 "mccs_upgrade_failures_total",
                 "Live upgrades abandoned because a communicator never "
-                "drained, by component.",
-            ).inc(host=f"h{self.host.host_id}", component=component)
+                "drained.",
+            ).inc(host=f"h{host_id}")
             self.telemetry.events.log(
                 sim.now,
                 "upgrade_failed",
-                f"host {self.host.host_id} {component} upgrade abandoned",
-                host=self.host.host_id,
-                component=component,
+                f"host {host_id} upgrade abandoned",
+                host=host_id,
                 comm=comm.comm_id,
                 error=str(session.error),
             )
-            if on_done is not None:
-                on_done(session)
 
         if not to_drain:
-            # Nothing to drain (frontend-only upgrade, or an idle host):
-            # swap at the next scheduler tick so the API stays async.
+            # An idle host: swap at the next scheduler tick so the API
+            # stays async.
             sim.call_in(0.0, finish)
-        else:
-            for comm in to_drain:
-                # Another session (recovery, autotuner, the provider) may
-                # be mid-flight on the communicator: the drain waits it out.
-                deployment.drain(
-                    comm,
-                    retry=UPGRADE_RETRY,
-                    barrier_timeout=None,
-                    on_done=lambda _s, comm=comm: settled(comm, True),
-                    on_gone=lambda comm=comm: settled(comm, False),
-                    on_exhausted=lambda err, comm=comm: exhausted(comm, err),
-                    algorithm=algorithm,
-                )
-        return session
-
-    def _swap_proxy_engines(self) -> None:
-        """Replace every proxy engine, handing over the quiesced state
-        (by reference, see :meth:`ProxyEngine.adopt_ranks`)."""
-        fresh: Dict[int, ProxyEngine] = {}
-        for gpu_global_id, old in self.proxies.items():
-            engine = ProxyEngine(
-                self.host.host_id, gpu_global_id, self.telemetry
+        for comm in to_drain:
+            # Another session (recovery, autotuner, the provider) may be
+            # mid-flight on the communicator: the drain waits it out.
+            self.deployment.drain(
+                comm,
+                retry=UPGRADE_RETRY,
+                barrier_timeout=None,
+                on_done=lambda _s, comm=comm: settled(comm, True),
+                on_gone=lambda comm=comm: settled(comm, False),
+                on_exhausted=lambda err, comm=comm: exhausted(comm, err),
             )
-            engine.adopt_ranks(old)
-            fresh[gpu_global_id] = engine
-        self.proxies = fresh
+        return session

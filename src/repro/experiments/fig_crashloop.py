@@ -144,7 +144,7 @@ def _run_workload(*, seed: int, inject: bool) -> Dict[str, object]:
         def start_upgrade() -> None:
             service = deployment.service_of(VICTIM_HOSTS[0])
             if service.alive:
-                upgrade_sessions.append(service.upgrade(component="service"))
+                upgrade_sessions.append(service.upgrade())
 
         cluster.sim.call_in(DURATION * 0.85, start_upgrade)
 

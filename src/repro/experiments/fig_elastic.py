@@ -122,7 +122,6 @@ def _run(*, seed: int, cycles: int, disturb: bool) -> Dict[str, object]:
     deployment.enable_service_supervision(restart_delay=0.02)
     deployment.configure_admission(AdmissionPolicy())
     deployment.enable_autotuning()
-    elastic = deployment.enable_elasticity()
     injector = FaultInjector(
         cluster, deployment.telemetry(), deployment=deployment
     )
@@ -151,13 +150,13 @@ def _run(*, seed: int, cycles: int, disturb: bool) -> Dict[str, object]:
         drift_events = 0
         if disturb:
             # Grow into region 1: the communicator now crosses the WAN.
-            record = elastic.grow(
-                geo_comm.comm_id,
-                [cluster.gpu(JOINER_GPU)],
-                on_done=membership.append,
+            record = deployment.elastic.grow(
+                geo_comm.comm_id, [cluster.gpu(JOINER_GPU)]
             )
             deployment.run()
             grow_state = record.state
+            if record.state == "done":
+                membership.append(record)
             geo_comm = geo_client.adopt_communicator(geo_comm.comm_id)
 
             # WAN bandwidth drift while the grown communicator trains.
@@ -179,13 +178,11 @@ def _run(*, seed: int, cycles: int, disturb: bool) -> Dict[str, object]:
         if disturb:
             # Shrink back out of region 1 (graceful leave of the joiner).
             svc = deployment.communicator(geo_comm.comm_id)
-            record = elastic.shrink(
-                geo_comm.comm_id,
-                [svc.world - 1],
-                on_done=membership.append,
-            )
+            record = deployment.elastic.shrink(geo_comm.comm_id, [svc.world - 1])
             deployment.run()
             shrink_state = record.state
+            if record.state == "done":
+                membership.append(record)
             geo_comm = geo_client.adopt_communicator(geo_comm.comm_id)
 
             # Kill one region-0 service; the supervisor replays the journal.

@@ -368,12 +368,6 @@ class CausalTracer(SimObserver):
         ``attrs`` become one final annotation named after ``status``."""
         if self._live.pop(trace.trace_id, None) is None:
             return
-        for rec in trace.all_flows():
-            if rec.status == "active":  # flow outlived by its collective
-                if rec.segments and rec.segments[-1].end is None:
-                    rec.segments[-1].end = now
-                rec.t_end = rec.t_end if rec.t_end is not None else now
-                rec.status = "cancelled"
         if attrs:
             trace.annotate(now, status, **attrs)
         trace.end_time = now

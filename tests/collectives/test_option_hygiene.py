@@ -114,6 +114,10 @@ RETIRED = re.compile(
     r"|\.injected\b|link_candidates|host_candidates|tenant_candidates"
     r"|transient_fraction|clear_traffic_schedules|TABLE_FORMAT_VERSION"
     r"|TableKey\.decode|TuningTable\.from_json"
+    # second ways through the resilience steps: one live upgrade (no
+    # component choice), elasticity always armed, no joiner staging
+    # buffers, no cross-notification of lost ranks; no program JSON
+    r"|UPGRADE_COMPONENTS|STAGING_BYTES|enable_elasticity|\.rank_lost\(|PROGRAM_FORMAT_VERSION"
 )
 
 #: Every caller an experiment parameter may have: the product and tier-1.

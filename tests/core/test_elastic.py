@@ -1,8 +1,8 @@
 """Elastic membership: live grow/shrink of communicators.
 
 Unit coverage for :mod:`repro.core.elastic` — the drain/quiesce/cutover
-state machine, the joiner handshake (admission + staging buffers), the
-deterministic survivor renumbering and the committed-change event.  The
+state machine, the joiner's admission check, the deterministic survivor
+renumbering, the committed-change event and a destroy mid-change.  The
 experiment-level bars live in ``tests/experiments/test_elastic_experiment.py``
 and grow/shrink interleaved with faults in the ``tests/chaos`` state
 machine.
@@ -16,7 +16,6 @@ from repro.core.admission import AdmissionPolicy
 from repro.core.elastic import MIN_WORLD
 from repro.errors import (
     AdmissionRejectedError,
-    AllocationError,
     MembershipChangeError,
 )
 from repro.netsim.units import MB
@@ -51,14 +50,12 @@ def _byte_exact(deployment, client, comm):
 # grow
 # ----------------------------------------------------------------------
 def test_grow_commits_and_bumps_epoch(cluster, deployment, manager, four_gpus):
-    elastic = deployment.enable_elasticity()
+    elastic = deployment.elastic
     client, comm = _admit(manager, deployment, four_gpus)
     joiner = cluster.hosts[0].gpus[1]
-    done = []
-    record = elastic.grow(comm.comm_id, [joiner], on_done=done.append)
+    record = elastic.grow(comm.comm_id, [joiner])
     deployment.run()
 
-    assert done == [record]
     assert record.state == "done" and record.kind == "rank_join"
     assert record.world_before == 4 and record.world_after == 5
     assert record.joined == [joiner.global_id]
@@ -84,11 +81,11 @@ def test_grow_mid_traffic_drains_then_cuts_over(
     cluster, deployment, manager, four_gpus
 ):
     """A grow issued while collectives are in flight quiesces first."""
-    elastic = deployment.enable_elasticity()
+    elastic = deployment.elastic
     client, comm = _admit(manager, deployment, four_gpus)
     ops = [client.all_reduce(comm, 16 * MB) for _ in range(3)]
     record = elastic.grow(comm.comm_id, [cluster.hosts[0].gpus[1]])
-    assert not record.finished  # barrier + quiesce run on the clock
+    assert record.state == "drain"  # barrier + quiesce run on the clock
     deployment.run()
     assert record.state == "done"
     assert all(op.completed for op in ops)  # drained, never aborted
@@ -96,7 +93,7 @@ def test_grow_mid_traffic_drains_then_cuts_over(
 
 
 def test_grow_validation_errors(cluster, deployment, manager, four_gpus):
-    elastic = deployment.enable_elasticity()
+    elastic = deployment.elastic
     client, comm = _admit(manager, deployment, four_gpus)
     spare = cluster.hosts[0].gpus[1]
     with pytest.raises(MembershipChangeError, match="at least one"):
@@ -115,53 +112,32 @@ def test_grow_sheds_through_admission(cluster, deployment, manager, four_gpus):
     deployment.configure_admission(
         AdmissionPolicy(classes=(("zero", 0),), default_class="zero")
     )
-    elastic = deployment.enable_elasticity()
+    elastic = deployment.elastic
     client, comm = _admit(manager, deployment, four_gpus)
-    before = cluster.hosts[0].gpus[1].memory_used
     with pytest.raises(AdmissionRejectedError):
         elastic.grow(comm.comm_id, [cluster.hosts[0].gpus[1]])
-    # Rejected before the handshake allocated anything.
-    assert cluster.hosts[0].gpus[1].memory_used == before
+    # Rejected before anything started.
+    assert elastic.inflight(comm.comm_id) is None
     assert deployment.communicator(comm.comm_id).world == 4
 
 
-def test_failed_grow_handshake_releases_earlier_staging(
-    cluster, deployment, manager, four_gpus
-):
-    """The second joiner's staging allocation fails: the first joiner's
-    buffer, already allocated, is handed back before the error surfaces."""
-    elastic = deployment.enable_elasticity()
-    client, comm = _admit(manager, deployment, four_gpus)
-    first, full = cluster.hosts[0].gpus[1], cluster.hosts[1].gpus[1]
-    full.memory_capacity = full.memory_used + elastic_module.STAGING_BYTES - 1
-    before = first.memory_used
-    with pytest.raises(AllocationError):
-        elastic.grow(comm.comm_id, [first, full])
-    assert first.memory_used == before
-    assert elastic._staging == {}
-    assert elastic.inflight(comm.comm_id) is None
-    assert deployment.verify_journal() == []
-
-
-def test_failed_grow_releases_staging_buffers(
+def test_exhausted_drain_fails_the_grow(
     cluster, deployment, manager, four_gpus, monkeypatch
 ):
-    """A drain that exhausts its attempts frees the joiner's staging."""
+    """A drain that exhausts its attempts fails the grow, typed and
+    counted, and leaves the membership alone."""
     monkeypatch.setattr(
         elastic_module, "DRAIN_RETRY", Backoff(base=0.01, cap=0.01, max_retries=0)
     )
-    elastic = deployment.enable_elasticity()
+    elastic = deployment.elastic
     client, comm = _admit(manager, deployment, four_gpus)
     # The barrier stays busy for both the one try and the give-up check.
     deployment.reconfigure(comm.comm_id, routes={}, delays=[1.0] * 4)
-    joiner = cluster.hosts[0].gpus[1]
-    before = joiner.memory_used
-    failed = []
-    record = elastic.grow(comm.comm_id, [joiner], on_failed=failed.append)
+    record = elastic.grow(comm.comm_id, [cluster.hosts[0].gpus[1]])
     deployment.run()
-    assert failed == [record] and record.state == "failed"
+    assert record.state == "failed"
     assert isinstance(record.error, MembershipChangeError)
-    assert joiner.memory_used == before  # staging handed back
+    assert elastic.inflight(comm.comm_id) is None
     assert deployment.communicator(comm.comm_id).world == 4
     metrics = deployment.telemetry().metrics
     assert (
@@ -172,22 +148,26 @@ def test_failed_grow_releases_staging_buffers(
     )
 
 
-def test_destroy_releases_joiner_staging(cluster, deployment):
-    """A destroyed communicator hands its joiners' staging buffers back
-    through the journaled free path."""
-    elastic = deployment.enable_elasticity()
+def test_destroy_mid_drain_fails_the_change(cluster, deployment):
+    """A tenant destroy while a grow and a live upgrade drain the
+    communicator: the barrier session is abandoned, the grow fails typed,
+    the upgrade completes without it, and nothing is left behind."""
+    elastic = deployment.elastic
     client = deployment.connect("A")
     gpus = list(cluster.gpus)
-    comm = client.create_communicator(gpus[:4])
-    elastic.grow(comm.comm_id, [gpus[4]])
-    deployment.run()
-    (buffer_id,) = elastic._staging.values()
-    joiner_service = deployment.service_of_gpu(gpus[4])
-    assert buffer_id in joiner_service.memory.allocations()
+    comm = client.create_communicator([gpus[0], gpus[2], gpus[4]])
+    record = elastic.grow(comm.comm_id, [gpus[6]])
     client.destroy_communicator(comm)
-    assert elastic._staging == {}
-    assert buffer_id not in joiner_service.memory.allocations()
-    assert buffer_id not in deployment.control_state().buffers
+    deployment.run()
+    assert record.state == "failed" and "died during drain" in str(record.error)
+    assert elastic.inflight(comm.comm_id) is None
+
+    comm = client.create_communicator([gpus[0], gpus[2], gpus[4]])
+    session = deployment.service_of(gpus[0].host_id).upgrade()
+    client.destroy_communicator(comm)
+    deployment.run()
+    assert session.done and session.drained_comms == []
+    assert deployment.reconfig._active == {}
     assert deployment.verify_journal() == []
 
 
@@ -197,7 +177,7 @@ def test_destroy_releases_joiner_staging(cluster, deployment):
 def test_shrink_renumbers_survivors_deterministically(
     cluster, deployment, manager, four_gpus
 ):
-    elastic = deployment.enable_elasticity()
+    elastic = deployment.elastic
     client, comm = _admit(manager, deployment, four_gpus)
     record = elastic.shrink(comm.comm_id, [1])
     deployment.run()
@@ -215,7 +195,7 @@ def test_shrink_renumbers_survivors_deterministically(
 
 
 def test_shrink_validation_errors(cluster, deployment, manager, four_gpus):
-    elastic = deployment.enable_elasticity()
+    elastic = deployment.elastic
     client, comm = _admit(manager, deployment, four_gpus)
     with pytest.raises(MembershipChangeError, match="at least one"):
         elastic.shrink(comm.comm_id, [])
@@ -228,7 +208,7 @@ def test_shrink_validation_errors(cluster, deployment, manager, four_gpus):
 def test_one_operation_in_flight_per_communicator(
     cluster, deployment, manager, four_gpus
 ):
-    elastic = deployment.enable_elasticity()
+    elastic = deployment.elastic
     client, comm = _admit(manager, deployment, four_gpus)
     elastic.shrink(comm.comm_id, [3])
     assert elastic.inflight(comm.comm_id) is not None
@@ -245,7 +225,7 @@ def test_membership_survives_crash_restart(
     cluster, deployment, manager, four_gpus
 ):
     deployment.enable_recovery()
-    elastic = deployment.enable_elasticity()
+    elastic = deployment.elastic
     client, comm = _admit(manager, deployment, four_gpus)
     elastic.grow(comm.comm_id, [cluster.hosts[0].gpus[1]])
     deployment.run()
@@ -268,15 +248,3 @@ def test_membership_survives_crash_restart(
     svc = deployment.communicator(comm.comm_id)
     assert svc.world == 4 and svc.membership_epoch == 2
     _byte_exact(deployment, client, client.adopt_communicator(comm.comm_id))
-
-
-def test_membership_notifies_recovery(cluster, deployment, manager, four_gpus):
-    recovery = deployment.enable_recovery()
-    elastic = deployment.enable_elasticity()
-    client, comm = _admit(manager, deployment, four_gpus)
-    elastic.shrink(comm.comm_id, [3])
-    deployment.run()
-    assert any(
-        "rank_leave" in e.message
-        for e in recovery.telemetry.events.events("membership_changed")
-    )

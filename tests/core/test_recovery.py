@@ -231,18 +231,18 @@ def test_shrink_leaves_no_old_rank_on_any_proxy(
 def test_rank_lost_fails_an_elastic_change_in_flight(
     cluster, deployment, manager, four_gpus, injector
 ):
+    """The grow quiesces behind two collectives when host 3 crashes:
+    recovery's aborts end the quiesce, and the cutover refuses the rank
+    set that still holds the dead rank."""
     deployment.enable_recovery(heartbeat_until=1.0)
-    elastic = deployment.enable_elasticity()
+    elastic = deployment.elastic
     client, comm = _admit(manager, deployment, four_gpus)
     ops = [client.all_reduce(comm, 64 * MB) for _ in range(2)]
-    joiner = cluster.hosts[0].gpus[1]
-    before = joiner.memory_used
-    record = elastic.grow(comm.comm_id, [joiner])
+    record = elastic.grow(comm.comm_id, [cluster.hosts[0].gpus[1]])
     injector.schedule(FaultPlan().host_crash(0.004, 3))
     deployment.run()
 
-    assert record.state == "failed" and "lost a rank" in str(record.error)
-    assert joiner.memory_used == before  # the joiner's staging came back
+    assert record.state == "failed" and "lost before cutover" in str(record.error)
     assert all(op.instance.aborted for op in ops)
     comm_obj = deployment.communicator(comm.comm_id)
     assert comm_obj.world == 3 and not comm_obj.aborted
@@ -455,3 +455,21 @@ def test_host_crash_below_min_world_aborts(
     assert metrics.counter("mccs_comms_aborted_total").value(kind="host_crash") == 1
     with pytest.raises(CommunicatorError, match="aborted"):
         client.all_reduce(comm, 1024)
+
+
+def test_a_change_planned_before_a_lost_rank_is_refused(
+    cluster, deployment, manager, four_gpus, injector
+):
+    """A shrink drains while host 3 crashes: recovery cuts the dead rank
+    out first, and the shrink, planned against the old rank set, fails at
+    its cutover instead of committing on top of the new one."""
+    deployment.enable_recovery(heartbeat_until=1.0)
+    client, comm = _admit(manager, deployment, four_gpus)
+    record = deployment.elastic.shrink(comm.comm_id, [0])
+    injector.schedule(FaultPlan().host_crash(0.0, 3))
+    deployment.run()
+
+    assert record.state == "failed" and "changed membership" in str(record.error)
+    comm_obj = deployment.communicator(comm.comm_id)
+    assert comm_obj.gpus == four_gpus[:3] and comm_obj.membership_epoch == 1
+    assert deployment.verify_journal() == []

@@ -221,7 +221,7 @@ def test_elastic_cycles_leave_nothing_behind(monkeypatch):
     record and callbacks it closes over) ends with it.  A live upgrade
     rides every cycle; nothing keeps a finished operation."""
     cluster, dep = make_deployment(monkeypatch)
-    elastic = dep.enable_elasticity()
+    elastic = dep.elastic
     client = dep.connect("app")
     gpus = list(cluster.gpus)
     comm = dep.communicator(client.create_communicator(gpus[:4]).comm_id)
@@ -243,7 +243,7 @@ def test_elastic_cycles_leave_nothing_behind(monkeypatch):
             dep.run()
             assert record.state == "done" and all(op.completed for op in ops)
         upgrades += 1
-        session = service.upgrade("proxy")
+        session = service.upgrade()
         dep.run()
         assert session.done
         # A count of upgrades ever started, kept without the sessions.
@@ -257,8 +257,8 @@ def test_elastic_cycles_leave_nothing_behind(monkeypatch):
         cycle()
     back_to(dep.journal, length, cycle)
     # Each cycle commits five strategy versions; the communicator keeps
-    # the current one.  The journal holds no communicator state, and the
-    # joiner's staging buffer leaves with it, so the checkpoint is empty.
+    # the current one.  The journal holds no communicator state, so the
+    # checkpoint is empty.
     assert census() == before
     assert checkpoint(replay_journal(dep.journal.records())) == []
     assert set(waits) == {listeners + 1}  # every change really waited...
@@ -316,12 +316,11 @@ def test_gateway_requests_leave_nothing_behind(monkeypatch):
 
 def test_tuned_elastic_churn_leaves_nothing_behind(monkeypatch):
     """create -> all-reduce -> grow by one GPU -> destroy, with the
-    autotuner and the elastic coordinator armed: a destroyed communicator
-    takes its tuner state (which holds the whole communicator) and its
-    joiner's staging buffer with it."""
+    autotuner armed: a destroyed communicator takes its tuner state
+    (which holds the whole communicator) with it."""
     cluster, dep = make_deployment(monkeypatch)
     dep.enable_autotuning()
-    elastic = dep.enable_elasticity()
+    elastic = dep.elastic
     client = dep.connect("app")
     gpus = list(cluster.gpus)
 

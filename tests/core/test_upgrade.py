@@ -23,7 +23,7 @@ def test_upgrade_swaps_engines_and_stays_byte_exact(
     old_proxies = {id(proxy) for proxy in service.proxies.values()}
     old_frontend = service.frontend_for("A", deployment)
 
-    session = service.upgrade(component="service")
+    session = service.upgrade()
     with pytest.raises(UpgradeError, match="still draining"):
         session.drain_seconds()
     deployment.run()
@@ -70,7 +70,7 @@ def test_upgrade_under_live_traffic_is_only_a_blip(
     cluster.sim.call_in(
         0.002,
         lambda: sessions.append(
-            deployment.service_of(1).upgrade(component="service")
+            deployment.service_of(1).upgrade()
         ),
     )
     deployment.run()
@@ -81,64 +81,25 @@ def test_upgrade_under_live_traffic_is_only_a_blip(
     assert deployment.service_of(1).generation == 1
 
 
-def test_upgrade_can_switch_algorithm_at_the_cut(
-    deployment, manager, four_gpus
-):
-    client, comm = _admit(manager, deployment, four_gpus)
-    assert deployment.communicator(comm.comm_id).strategy.algorithm == "ring"
-    session = deployment.service_of(2).upgrade(
-        component="service", algorithm="tree"
-    )
-    deployment.run()
-    assert session.done
-    comm_obj = deployment.communicator(comm.comm_id)
-    assert comm_obj.strategy.algorithm == "tree"
-    op = client.all_reduce(comm, 1 * MB)
-    deployment.run()
-    assert op.completed
-    assert deployment.verify_journal() == []
-
-
-def test_frontend_only_upgrade_skips_the_drain(
-    deployment, manager, four_gpus
-):
-    _client, comm = _admit(manager, deployment, four_gpus)
-    service = deployment.service_of(0)
-    old_proxies = {id(proxy) for proxy in service.proxies.values()}
-    session = service.upgrade(component="frontend")
-    deployment.run()
-    assert session.done
-    assert session.drained_comms == []  # no barrier needed
-    assert {id(proxy) for proxy in service.proxies.values()} == old_proxies
-    assert deployment.communicator(comm.comm_id).strategy_epoch == 0
-    assert service.frontend_for("A", deployment).generation == 1
-
-
-def test_upgrade_validates_component_and_liveness(deployment, manager, four_gpus):
+def test_upgrade_of_a_stopped_service_raises(deployment, manager, four_gpus):
     _admit(manager, deployment, four_gpus)
     service = deployment.service_of(0)
-    with pytest.raises(UpgradeError, match="unknown component"):
-        service.upgrade(component="kernel")
     deployment.crash_service(0)
     with pytest.raises(ServiceUnavailableError):
-        service.upgrade(component="service")
+        service.upgrade()
+    assert service.upgrades_started == 0
 
 
 def test_upgrade_is_logged_and_counted(deployment, manager, four_gpus):
     _admit(manager, deployment, four_gpus)
-    deployment.service_of(3).upgrade(component="proxy")
+    deployment.service_of(3).upgrade()
     deployment.run()
     (event,) = deployment.telemetry().events.events("upgrade_done")
-    assert event.attrs == {"host": 3, "component": "proxy"}
+    assert event.attrs == {"host": 3}
     assert len(deployment.journal) == 0
     metrics = deployment.telemetry().metrics
     assert metrics.counter("mccs_upgrades_total").total() == 1
-    assert (
-        metrics.histogram("mccs_upgrade_drain_seconds").count(
-            component="proxy"
-        )
-        == 1
-    )
+    assert metrics.histogram("mccs_upgrade_drain_seconds").count() == 1
 
 
 def test_failed_upgrade_is_logged_and_counted_once(cluster, deployment, manager):
@@ -148,21 +109,18 @@ def test_failed_upgrade_is_logged_and_counted_once(cluster, deployment, manager)
     comms = [manager.admit(app, g).comm_id for app, g in zip("AB", gpus)]
     for comm_id in comms:
         deployment.reconfigure(comm_id, routes={}, delays=[1.0] * 4)
-    finished = []
-    session = deployment.service_of(1).upgrade(
-        "service", on_done=finished.append
-    )
+    session = deployment.service_of(1).upgrade()
     deployment.run()
 
-    assert finished == [session] and session.failed and not session.done
+    assert session.failed and not session.done
     assert isinstance(session.error, UpgradeError)
     hub = deployment.telemetry()
     (failed,) = hub.events.events("upgrade_failed")
-    assert failed.attrs["host"] == 1 and failed.attrs["component"] == "service"
+    assert failed.attrs["host"] == 1
     assert failed.attrs["comm"] == comms[0]
     assert failed.attrs["error"] == str(session.error)
     assert not hub.events.events("upgrade_done")
     failures = hub.metrics.counter("mccs_upgrade_failures_total")
-    assert failures.value(host="h1", component="service") == 1
+    assert failures.value(host="h1") == 1
     assert failures.total() == 1
     assert deployment.service_of(1).generation == 0  # nothing was swapped

@@ -37,7 +37,6 @@ RECOVERY_EVENTS = (
     "recovery_succeeded",
     "recovery_shrunk",
     "recovery_gave_up",
-    "membership_changed",
 )
 
 

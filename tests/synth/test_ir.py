@@ -1,12 +1,9 @@
-"""IR data model: shapes, serialization, traffic views, protocols."""
-
-import json
+"""IR data model: shapes, traffic views, protocols."""
 
 import pytest
 
 from repro.collectives.types import Collective
-from repro.errors import MalformedProgramError
-from repro.synth import Instr, OpKind, Program, Protocol, make_program, ring_program
+from repro.synth import Instr, OpKind, Protocol, make_program, ring_program
 from repro.collectives.ir import chunk_spans
 
 
@@ -86,22 +83,3 @@ def test_protocol_factors_are_the_published_shape():
     assert Protocol.LL.bandwidth_efficiency == 0.5
     assert Protocol.LL128.bandwidth_efficiency == pytest.approx(120 / 128)
     assert Protocol.LL.latency_factor < Protocol.LL128.latency_factor < 1.0
-
-
-def test_json_round_trip_preserves_program():
-    program = ring_program(
-        Collective.REDUCE_SCATTER, 5, channels=2, protocol=Protocol.LL128
-    )
-    text = program.dumps()
-    data = json.loads(text)
-    assert data["format_version"] == 1
-    assert data["kind"] == "reduce_scatter"
-    assert data["protocol"] == "ll128"
-    assert Program.loads(text) == program
-
-
-def test_from_json_rejects_unknown_format_version():
-    data = ring_program(Collective.ALL_REDUCE, 2).to_json()
-    data["format_version"] = 99
-    with pytest.raises(MalformedProgramError):
-        Program.from_json(data)

@@ -2,8 +2,9 @@
 
 Compares freshly generated bench files against their committed baselines
 (``git show HEAD:<file>`` by default) and fails if any higher-is-better
-metric shared by both files regressed more than the tolerance, or any
-exact count differs.  Used two ways:
+metric shared by both files regressed more than the tolerance, any
+lower-is-better footprint grew more than its guard allows, or any exact
+count differs.  Used two ways:
 
 * as the CI compare step, after a bench job rewrites the files::
 
@@ -24,6 +25,8 @@ Guarded files:
   and the ``paths`` the route tables of ``path_tables`` hold, all
   compared with ``==``: the workloads are seeded, so the counts are exact
   on any host, which events/s and the traced/untraced wall ratio are not;
+  and the tracer's retained ring (``closed_ring_kib``), which may grow by
+  at most 10 %, so per-flow objects cannot come back into closed traces;
 * ``BENCH_synth.json`` — synthesizer search throughput
   (``programs_per_sec``), the measured synthesized-vs-builtin
   ``speedup`` on the WAN fabric, and the executor's ``data_plane``
@@ -54,7 +57,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_netsim.json"
@@ -74,12 +77,15 @@ TOLERANCE = 0.30
 @dataclass(frozen=True)
 class Guard:
     """One (file, sections, metric) triple to hold the line on;
-    ``exact`` metrics are counts that must equal the baseline."""
+    ``exact`` metrics are counts that must equal the baseline, and a
+    ``growth`` metric is a lower-is-better footprint that may exceed the
+    baseline by at most that fraction."""
 
     path: Path
     sections: Tuple[str, ...]
     metric: str
     exact: bool = False
+    growth: Optional[float] = None
 
 
 GUARDS = (
@@ -87,6 +93,7 @@ GUARDS = (
     Guard(BENCH_PATH, THROUGHPUT_SECTIONS, "flows_completed", exact=True),
     Guard(BENCH_PATH, ("telemetry_overhead",), "recorder_calls_per_flow", exact=True),
     Guard(BENCH_PATH, ("telemetry_overhead",), "segments_per_flow", exact=True),
+    Guard(BENCH_PATH, ("telemetry_overhead",), "closed_ring_kib", growth=0.10),
     *(
         Guard(BENCH_PATH, ("steady_state",), metric, exact=True)
         for metric in (
@@ -120,6 +127,7 @@ def compare_throughput(
     sections: Sequence[str] = THROUGHPUT_SECTIONS,
     metric: str = "events_per_sec",
     exact: bool = False,
+    growth: Optional[float] = None,
 ) -> List[str]:
     """Return a list of human-readable regression descriptions (empty = ok)."""
     failures = []
@@ -136,6 +144,12 @@ def compare_throughput(
                 if new != old:
                     failures.append(
                         f"{section}[{key}]: {metric} {new} vs committed {old}"
+                    )
+            elif growth is not None:
+                if new > old * (1.0 + growth):
+                    failures.append(
+                        f"{section}[{key}]: {metric} {new:,.2f} vs committed "
+                        f"{old:,.2f} (allowed +{100.0 * growth:.0f}%)"
                     )
             elif old and new < old * (1.0 - tolerance):
                 failures.append(
@@ -182,6 +196,7 @@ def main(argv: List[str] | None = None) -> int:
                 sections=guard.sections,
                 metric=guard.metric,
                 exact=guard.exact,
+                growth=guard.growth,
             )
         )
         compared += sum(

@@ -22,9 +22,12 @@ archive the trend:
 
 * ``telemetry_overhead``: the causal tracer's exact per-flow work on a
   fixed 2 000-flow run (rate hand-offs from the engine — one per
-  recomputation that moved a traced flow — and ``RateSegment``s per flow:
-  the gate; ``recorder_calls_per_flow`` names the hand-offs), and the
-  traced/untraced wall ratio (recorded only).
+  recomputation that moved a flow, every flow here traced — and rate
+  segments per flow: the gate; ``recorder_calls_per_flow`` names the
+  hand-offs), ``closed_ring_kib``, the tracemalloc size of what the
+  tracer retains of the run (its ring of closed traces, allocated by
+  ``telemetry/causal.py``; gated at +10 %), and the traced/untraced wall
+  ratio (recorded only).
 * ``steady_state``: one ``small_allreduce`` collective's flows (8 ranks x
   2 channels on the testbed fabric, the one batch a deployment injects)
   replayed on one simulator and drained 200 times, with the exact solver
@@ -38,7 +41,7 @@ archive the trend:
 The final test replays :mod:`benchmarks.compare_bench` in-process and
 fails if ``rate_recomputations``, ``flows_completed``, the tracer's
 per-flow counts or the steady-state counts of any point shared with the
-committed baseline differ (CI runs the same script as a separate step
+committed baseline differ, or the tracer's retained ring grew (CI runs the same script as a separate step
 after archiving the file).
 """
 
@@ -247,23 +250,30 @@ def _traced_event_loop(num_flows: int, traced: bool, work: dict = None) -> float
     """Wall clock of the event-loop workload, with/without causal tracing.
 
     The traced variant is the full always-on configuration: a
-    :class:`CausalTracer` observing *every* flow (per-link tenant
-    occupancy), with every flow belonging to a trace — grouped
-    ``_FLOWS_PER_TRACE`` to a trace like a real collective's rank/channel
-    fan-out, each trace closed when its last flow completes.  ``work``
-    (the untimed counting run) receives the ``RateSegment``s each closing
-    trace recorded.
+    :class:`CausalTracer` with a deployment's ring, observing *every* flow,
+    with every flow belonging to a trace — grouped ``_FLOWS_PER_TRACE`` to
+    a trace like a real collective's rank/channel fan-out, each trace
+    closed when its last flow completes, after which only the tracer holds
+    it.  ``work`` (the untimed counting run) receives the rate segments
+    each closing trace recorded, and ``closed_ring_kib``: the memory
+    still allocated by the tracer's code at the end of the run, which is
+    its ring of closed traces.
     """
-    from repro.telemetry.causal import CausalTracer
+    import tracemalloc
 
+    from repro.telemetry import causal
+
+    if work is not None:
+        tracemalloc.start(4)
     fabric = large_cluster_fabric()
     sim = FlowSimulator(fabric.topology)
-    tracer = CausalTracer(sim, max_closed=8) if traced else None
+    tracer = causal.CausalTracer(sim) if traced else None
     rng = random.Random(99)  # same seed either way: identical workloads
     paths = _random_paths(fabric.topology, rng, num_flows)
     wave = 250
     scale = 1e9 * (1_000 / num_flows)
     open_counts: dict = {}
+    closed = []
 
     def launch(size: float, path, i: int) -> None:
         job = f"t{i % 8}"
@@ -284,6 +294,8 @@ def _traced_event_loop(num_flows: int, traced: bool, work: dict = None) -> float
             entry = open_counts[group]
             entry[1] -= 1
             if entry[1] == 0:
+                del open_counts[group]
+                closed.append(group)
                 tracer.close(entry[0], now, "completed")
                 if work is not None:
                     work["segments"] += sum(
@@ -310,24 +322,30 @@ def _traced_event_loop(num_flows: int, traced: bool, work: dict = None) -> float
         gc.enable()
     assert sim.flows_completed == num_flows
     if tracer is not None:
-        assert tracer.traces_closed == len(open_counts)
-        assert not tracer.live_traces()
+        assert tracer.traces_closed == len(closed) == -(-num_flows // _FLOWS_PER_TRACE)
+        assert not tracer.live_traces() and not open_counts
+    if work is not None:
+        gc.collect()
+        mine = tracemalloc.Filter(True, causal.__file__, all_frames=True)
+        held = tracemalloc.take_snapshot().filter_traces([mine]).traces
+        work["closed_ring_kib"] = sum(trace.size for trace in held) / 1024
+        tracemalloc.stop()
     return wall
 
 
 def _tracer_work(num_flows: int) -> dict:
     """What the tracer does per flow on the traced workload: rate hand-offs
-    from the engine (one per recomputation that moved a traced flow) and
-    ``RateSegment``s recorded.  The workload is seeded, so both are exact
-    on any host."""
+    from the engine (one per recomputation that moved a flow) and rate
+    segments recorded, and what it keeps of the run (``closed_ring_kib``).
+    The workload is seeded, so the counts are exact on any host."""
     from repro.telemetry import causal
 
     work = {"recorder_calls": 0, "segments": 0}
     original = causal.CausalTracer.on_rates_changed
 
-    def counted(self, flows, rates, bottleneck_link_idx, now) -> None:
+    def counted(self, *handoff) -> None:
         work["recorder_calls"] += 1
-        original(self, flows, rates, bottleneck_link_idx, now)
+        original(self, *handoff)
 
     causal.CausalTracer.on_rates_changed = counted
     try:
@@ -371,11 +389,13 @@ def test_telemetry_overhead():
         "overhead_fraction": overhead,
         "recorder_calls_per_flow": calls,
         "segments_per_flow": segments,
+        "closed_ring_kib": work["closed_ring_kib"],
     }
     print(
         f"\ntelemetry overhead @ {num_flows} flows: off {off:.3f}s, "
         f"on {on:.3f}s ({100 * overhead:+.1f}%); per flow "
-        f"{calls:.4f} rate hand-offs, {segments:.4f} segments"
+        f"{calls:.4f} rate hand-offs, {segments:.4f} segments; "
+        f"closed ring {work['closed_ring_kib']:.0f} KiB"
     )
     assert 0 < calls <= segments
 
@@ -563,7 +583,7 @@ def test_no_throughput_regression_vs_committed_baseline():
         if guard.path == BENCH_PATH
         for line in compare_throughput(
             baseline, _RESULTS, sections=guard.sections,
-            metric=guard.metric, exact=guard.exact,
+            metric=guard.metric, exact=guard.exact, growth=guard.growth,
         )
     ]
     assert not failures, "\n".join(failures)

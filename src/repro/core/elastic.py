@@ -181,9 +181,6 @@ class ElasticCoordinator:
         self._begin(op, comm)
         return op
 
-    def inflight(self, comm_id: int) -> Optional[MembershipChange]:
-        return self._inflight.get(comm_id)
-
     # ------------------------------------------------------------------
     # state machine
     # ------------------------------------------------------------------

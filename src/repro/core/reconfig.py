@@ -199,7 +199,7 @@ class ReconfigSession:
 
     def fail(self, error: ReconfigurationError) -> None:
         """End the session unapplied: holding proxies keep their old
-        strategy; ``on_failed`` hears of it, or ``error`` is raised."""
+        strategy, and ``on_failed`` hears of it."""
         self.failed = True
         self.error = error
         self.timeout_time = self.comm.sim.now
@@ -209,8 +209,6 @@ class ReconfigSession:
         self._release()
         if on_failed is not None:
             on_failed(self)
-        else:
-            raise error
 
     def _release(self) -> None:
         """The session ended (applied everywhere, or timed out): from here
@@ -324,8 +322,9 @@ class ReconfigManager:
                 naming the ranks that never contributed.  ``None`` waits
                 forever (the pre-fault-tolerance behaviour).
             on_done: Callback once every rank applied the update.
-            on_failed: Callback on barrier timeout; without one the
-                timeout error is raised out of the simulation loop.
+            on_failed: Callback on barrier timeout or abandonment
+                (:meth:`abandon`); without one a timeout error is raised
+                out of the simulation loop.
         """
         if comm.comm_id in self._active and not self._active[comm.comm_id].done:
             raise ReconfigurationError(
@@ -346,12 +345,13 @@ class ReconfigManager:
             if on_done is not None:
                 on_done(session)
 
-        def timed_out(session: ReconfigSession) -> None:
-            self._active.pop(comm.comm_id, None)
+        def failed(session: ReconfigSession) -> None:
+            # ``abandon`` unregisters its session before failing it, so a
+            # session still registered here timed out on its barrier.
+            timed_out = self._active.pop(comm.comm_id, None) is session
             if on_failed is not None:
                 on_failed(session)
-            else:
-                assert session.error is not None
+            elif timed_out:
                 raise session.error
 
         session = ReconfigSession(
@@ -363,7 +363,7 @@ class ReconfigManager:
             barrier_enabled=barrier_enabled,
             barrier_timeout=barrier_timeout,
             on_done=finished,
-            on_failed=timed_out,
+            on_failed=failed,
         )
         self._active[comm.comm_id] = session
         self._telemetry.sessions.append(session)
@@ -376,8 +376,10 @@ class ReconfigManager:
         rank states were just replaced (:meth:`MccsDeployment.
         register_ranks`), or the communicator aborted or was destroyed.
         A drain waiting on it retries on the new rank states, or ends on
-        the abort or the destroy."""
-        session = self._active.get(comm.comm_id)
+        the abort or the destroy.  The session is recorded failed, its
+        error kept in the hub's session ring; ``on_failed`` hears of it,
+        but without one nothing is raised into the caller."""
+        session = self._active.pop(comm.comm_id, None)
         if session is not None:
             session.fail(ReconfigurationError(
                 f"reconfiguration of comm {comm.comm_id} abandoned: "

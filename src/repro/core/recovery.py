@@ -454,7 +454,6 @@ class HeartbeatMonitor:
         self.manager = manager
         self.until = until
         self.sim = deployment.sim
-        self.missed = 0
         #: GPU id -> the dead engine already reported for it.
         self._reported: Dict[int, "ProxyEngine"] = {}
         self._started = False
@@ -482,7 +481,6 @@ class HeartbeatMonitor:
                 if self._reported.get(proxy.gpu_global_id) is proxy:
                     continue
                 self._reported[proxy.gpu_global_id] = proxy
-                self.missed += 1
                 self.manager.telemetry.metrics.counter(
                     "mccs_heartbeats_missed_total",
                     "Proxy liveness probes that went unanswered.",

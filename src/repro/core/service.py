@@ -159,12 +159,10 @@ class UpgradeSession:
 
     host_id: int
     started_at: float
-    generation_before: int
     #: Communicators drained through the reconfiguration barrier.
     drained_comms: List[int] = field(default_factory=list)
     done_time: Optional[float] = None
     error: Optional[BaseException] = None
-    generation_after: Optional[int] = None
 
     @property
     def done(self) -> bool:
@@ -419,9 +417,7 @@ class MccsService:
         self.check_alive()
         sim = self.cluster.sim
         host_id = self.host.host_id
-        session = UpgradeSession(
-            host_id=host_id, started_at=sim.now, generation_before=self.generation
-        )
+        session = UpgradeSession(host_id=host_id, started_at=sim.now)
         self.upgrades_started += 1
         self.telemetry.events.log(
             sim.now, "upgrade_started", f"host {host_id} upgrading", host=host_id
@@ -443,7 +439,6 @@ class MccsService:
                 self.proxies[gpu_global_id] = engine
             self._frontends.clear()
             session.done_time = sim.now
-            session.generation_after = self.generation
             self.telemetry.metrics.counter(
                 "mccs_upgrades_total", "Live service upgrades completed."
             ).inc(host=f"h{host_id}")

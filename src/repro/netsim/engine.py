@@ -63,9 +63,15 @@ class SimObserver:
     * ``on_flows_completed(flows, now)`` — every flow that finished at the
       instant ``now``, in completion order; already out of the network,
       their ``on_complete`` callbacks not yet fired.
-    * ``on_rates_changed(flows, rates, bottleneck_link_idx, now)`` — the
-      traced flows (``_recorder`` set) a recomputation moved, in slot
-      order, their new rates and bottleneck link indices (``-1``: none).
+    * ``on_rates_changed(slots, rates, bottleneck_link_idx, now)`` — one
+      per recomputation that moved a flow in the network: the moved flows'
+      solver slots (a sorted ``int64`` array, never empty; the flow in a
+      slot is ``sim._solver._slots[slot]``), their new rates and their
+      bottleneck link indices in the solver's link order (``-1``: none),
+      as arrays aligned with ``slots``.  They are the solver's columns at
+      the hand-off, when its incidence and ``_active`` column hold the
+      membership the rates were solved for; an observer keeps what it
+      needs, since the next recomputation overwrites them.
 
     The rare transitions (cancel, fail, gate) stay per flow.
     """
@@ -85,8 +91,8 @@ class SimObserver:
     def on_flow_gated(self, flow: Flow, gated: bool, now: float) -> None:  # pragma: no cover
         pass
 
-    def on_rates_changed(self, flows: Sequence[Flow], rates: Sequence[float],
-                         bottleneck_link_idx: Sequence[int],
+    def on_rates_changed(self, slots: np.ndarray, rates: np.ndarray,
+                         bottleneck_link_idx: np.ndarray,
                          now: float) -> None:  # pragma: no cover
         pass
 
@@ -619,26 +625,25 @@ class FlowSimulator:
         delta = solver.last_delta
         if delta > 1:
             self.solver_coalesced_solves += delta - 1
-        traced: List[Flow] = []
+        if not changed.size:
+            return
         if len(changed) >= self._BATCH_MIN:
-            self._install_rates_batch(solver, changed, rates, traced)
+            self._install_rates_batch(solver, changed, rates)
         else:
-            self._install_rates(solver, changed.tolist(), rates, traced)
-        if traced:
-            # One hand-off per recomputation: the traced flows whose
-            # allocation moved, their rates and bottleneck link indices.
-            idx = [flow._slot for flow in traced]
-            new_rates = rates[idx].tolist()
-            bneck = solver._bneck[idx].tolist()
-            now = self.now
-            for observer in self._observers:
-                observer.on_rates_changed(traced, new_rates, bneck, now)
+            self._install_rates(solver, changed.tolist(), rates)
+        if self._observers:
+            # One hand-off per recomputation: the moved slots still in the
+            # network, their rates and bottleneck link indices.
+            moved = changed[solver._in_use[changed]]
+            if moved.size:
+                new_rates = rates[moved]
+                bneck = solver._bneck[moved]
+                now = self.now
+                for observer in self._observers:
+                    observer.on_rates_changed(moved, new_rates, bneck, now)
 
-    def _install_rates(
-        self, solver, clist: List[int], rates, traced: List[Flow]
-    ) -> None:
-        """Per-flow settle + rate install + ETA re-anchor; appends the
-        traced flows among those installed to ``traced``."""
+    def _install_rates(self, solver, clist: List[int], rates) -> None:
+        """Per-flow settle + rate install + ETA re-anchor."""
         table = solver._slots
         now = self.now
         for slot in clist:
@@ -650,8 +655,6 @@ class FlowSimulator:
             self._settle(flow)
             rate = float(rates[slot])
             solver.rate[slot] = rate
-            if flow._recorder is not None:
-                traced.append(flow)
             flow._heap_epoch += 1
             self.heap_invalidations += 1
             if flow.end_time is None and not flow.gated and rate > 0:
@@ -662,9 +665,7 @@ class FlowSimulator:
                 )
                 self.heap_pushes += 1
 
-    def _install_rates_batch(
-        self, solver, changed: np.ndarray, rates, traced: List[Flow]
-    ) -> None:
+    def _install_rates_batch(self, solver, changed: np.ndarray, rates) -> None:
         """Vectorized settle + rate install + ETA re-anchor for a batch.
 
         Same arithmetic as the per-flow loop above — settle under the old
@@ -691,8 +692,6 @@ class FlowSimulator:
         pushes = 0
         for i, slot in enumerate(slots.tolist()):
             flow = table[slot]
-            if flow._recorder is not None:
-                traced.append(flow)
             flow._heap_epoch += 1
             if push[i]:
                 heapq.heappush(

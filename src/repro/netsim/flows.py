@@ -78,7 +78,6 @@ class Flow:
         "_rate",
         "_synced",
         "_heap_epoch",
-        "_recorder",
         "_arena",
         "_slot",
     )
@@ -129,10 +128,6 @@ class Flow:
         #: Engine-managed heap-entry generation; bumping it invalidates
         #: any completion-time heap entry pushed for this flow.
         self._heap_epoch = 0
-        #: The causal tracer's ``FlowRecord`` of this flow, or None for
-        #: untraced traffic; the engine hands the tracer the flows whose
-        #: allocation moved that carry one.
-        self._recorder: Optional[object] = None
         #: While in the network: the solver holding the data plane, and
         #: the flow's slot in it.
         self._arena: Optional[object] = None

@@ -19,13 +19,13 @@ This module provides that substrate:
   ``trace_id``, and a launch batch's flow tags carry the trace itself.
 * :class:`CausalTracer` — a :class:`~repro.netsim.engine.SimObserver`
   that keeps the live trees and a bounded ring of closed ones.  Flows
-  tagged with ``trace=<CausalTrace>`` are adopted into that trace while
-  it is open, each getting a :class:`FlowRecord` (``Flow._recorder``).
-  One hand-off per rate recomputation carries the traced flows whose
-  allocation moved; each move closes the flow's current *segment*
-  ``(start, end, rate, bottleneck_link, co_tenants)`` and opens the next,
-  so attribution costs O(changed flows) per recomputation — the same
-  complexity as the engine itself.
+  tagged with ``trace=<CausalTrace>`` are adopted into that trace while it
+  is open.  The record is columns: per attempt, one entry per flow; per
+  rate recomputation, one row per moved traced flow — the start of its
+  next *segment* ``(start, end, rate, bottleneck_link, co_tenants)``,
+  co-tenants read from the solver's incidence.  :class:`FlowRecord` and
+  :class:`RateSegment` are views, built only on query (``to_dict``,
+  :meth:`CausalTracer.critical_path`, flight dumps).
 * :class:`CriticalPathReport` — the exact-sum decomposition of one
   finished collective: ``queue + serialization + contention`` equals the
   measured duration by construction, per-hop time is grouped by the
@@ -40,8 +40,12 @@ This module provides that substrate:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter, truediv
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..netsim.engine import FlowSimulator, SimObserver
 from ..netsim.flows import Flow
@@ -56,6 +60,12 @@ MAX_DUMPS = 16
 
 #: Recent causal trees snapshotted into each flight-recorder dump.
 SNAPSHOT_TRACES = 8
+
+#: Closed causal trees the tracer keeps (a ring; older ones are evicted).
+MAX_CLOSED = 512
+
+#: Closes between two compactions of the closed attempts into arrays.
+COMPACT_EVERY = 32
 
 #: Terminal trace states.
 TRACE_COMPLETED = "completed"
@@ -76,9 +86,22 @@ EVENT_RETRY = "retry"
 EVENT_ABORTED = "aborted"
 
 
+#: A traced flow's states, stored as the index into this tuple.
+FLOW_STATES = ("active", "completed", "cancelled", "failed")
+_ACTIVE, _COMPLETED, _CANCELLED, _FAILED = range(len(FLOW_STATES))
+
+#: Launch batches at least this big take their paths' narrowest links from
+#: the solver's incidence in one numpy reduction; smaller ones per path.
+_BATCH_MIN = 16
+
+#: A co-tenant scan packs (link, tenant code) pairs into one int64.
+_CODE_BITS = 31
+_CODE_MASK = (1 << _CODE_BITS) - 1
+
+
 @dataclass(slots=True)
 class RateSegment:
-    """One constant-rate interval of a traced flow."""
+    """One constant-rate interval of a traced flow (a view, built on query)."""
 
     start: float
     end: Optional[float]
@@ -89,9 +112,6 @@ class RateSegment:
     #: bracket membership changes on the flow's links, so the set is
     #: constant over the segment.
     co_tenants: Tuple[str, ...] = ()
-
-    def duration(self) -> float:
-        return (self.end - self.start) if self.end is not None else 0.0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -105,7 +125,8 @@ class RateSegment:
 
 @dataclass(slots=True)
 class FlowRecord:
-    """One netsim flow's life inside a causal trace."""
+    """One netsim flow's life inside a causal trace (a view, built on
+    query from its attempt's columns)."""
 
     flow_id: str
     rank: Optional[int]
@@ -117,7 +138,7 @@ class FlowRecord:
     ideal_s: float
     t_start: float
     t_end: Optional[float] = None
-    status: str = "active"  # active | completed | cancelled | failed
+    status: str = "active"  # one of FLOW_STATES
     segments: List[RateSegment] = field(default_factory=list)
 
     def bottlenecked_seconds(self) -> Dict[str, float]:
@@ -127,7 +148,7 @@ class FlowRecord:
             if seg.bottleneck is None or seg.end is None:
                 continue
             per_link[seg.bottleneck] = (
-                per_link.get(seg.bottleneck, 0.0) + seg.duration()
+                per_link.get(seg.bottleneck, 0.0) + (seg.end - seg.start)
             )
         return per_link
 
@@ -137,7 +158,7 @@ class FlowRecord:
         for seg in self.segments:
             if seg.end is None:
                 continue
-            dt = seg.duration()
+            dt = seg.end - seg.start
             for tenant in seg.co_tenants:
                 ledger[tenant] = ledger.get(tenant, 0.0) + dt
         return ledger
@@ -157,13 +178,37 @@ class FlowRecord:
         }
 
 
-@dataclass
-class TraceAttempt:
-    """One launch attempt of a collective (retries open new attempts)."""
+#: An attempt's per-flow numbers: ``flow<n>``'s ``n``, start, rank and
+#: channel (NaN: none), ideal time, end time and state.  While the trace
+#: is live each is a list a launch batch extends, like ``sizes`` and
+#: ``paths``; once compacted they are rows of one float array.
+#: An attempt's numeric per-flow columns: ``flow<n>``'s ``n``, start,
+#: rank and channel (NaN: none), ideal time, end time and state; one float
+#: array's rows once compacted (``sizes`` and ``paths`` ride beside them).
+_FLOW_COLUMNS = ("numbers", "t_start", "ranks", "channels", "ideal", "t_end", "status")
 
-    number: int
-    t_start: float
-    flows: Dict[str, FlowRecord] = field(default_factory=dict)
+
+class TraceAttempt:
+    """One launch attempt of a collective (retries open new attempts).
+
+    Its flows are columns: lists by name while live, then a slice of a
+    store of arrays (:meth:`CausalTracer._columnar`) that also holds the
+    attempt's rate history.  :attr:`flows` renders them.
+    """
+
+    __slots__ = ("number", "t_start", "tracer", "columns")
+
+    def __init__(self, number: int, t_start: float, tracer: "CausalTracer") -> None:
+        self.number = number
+        self.t_start = t_start
+        self.tracer = tracer
+        self.columns: object = {"numbers": [], "t_start": [], "ranks": [], "channels": [],
+                                "ideal": [], "t_end": [], "status": [], "sizes": [], "paths": []}
+
+    @property
+    def flows(self) -> Dict[str, FlowRecord]:
+        """The attempt's flows by id, in adoption order (views)."""
+        return {rec.flow_id: rec for rec in self.tracer._records(self)}
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -182,6 +227,7 @@ class CausalTrace:
 
     def __init__(
         self,
+        tracer: "CausalTracer",
         trace_id: str,
         tenant: str,
         comm_id: str,
@@ -201,7 +247,7 @@ class CausalTrace:
         self.issued_at = now
         self.end_time: Optional[float] = None
         self.status = "open"
-        self.attempts: List[TraceAttempt] = [TraceAttempt(1, now)]
+        self.attempts: List[TraceAttempt] = [TraceAttempt(1, now, tracer)]
         #: Annotations from the control plane: barrier passes, holds,
         #: relaunches, recovery decisions...
         self.events: List[Tuple[float, str, Dict[str, object]]] = []
@@ -211,13 +257,9 @@ class CausalTrace:
     def closed(self) -> bool:
         return self.status != "open"
 
-    @property
-    def current_attempt(self) -> TraceAttempt:
-        return self.attempts[-1]
-
     def new_attempt(self, now: float) -> TraceAttempt:
         """Open the next launch attempt (failure recovery's retry)."""
-        attempt = TraceAttempt(len(self.attempts) + 1, now)
+        attempt = TraceAttempt(len(self.attempts) + 1, now, self.attempts[0].tracer)
         self.annotate(now, EVENT_RETRY, attempt=attempt.number)
         self.attempts.append(attempt)
         return attempt
@@ -312,28 +354,41 @@ class CriticalPathReport:
 class CausalTracer(SimObserver):
     """Assembles causal traces from control-plane calls and flow events.
 
-    The tracer observes *every* flow to maintain per-link tenant
-    occupancy (the co-tenant sets are computed from it; a gated flow
-    sends nothing and is off it while gated) but only flows
-    tagged ``trace=<CausalTrace>`` get full segment recording — untraced
-    traffic costs two O(path) dictionary passes per launch batch and
-    completion burst.
+    Flows tagged ``trace=<CausalTrace>`` are adopted into the trace while
+    it is open: a launch batch extends its attempt's columns once, and two
+    columns indexed by the solver's slots name each slot's tenant and
+    traced flow.  A rate hand-off is one chunk appended to the log:
+    ``(now, flow numbers, rates, bottleneck link indices, co-tenant set
+    ids)``, a flow's co-tenants being the other tenants of the active
+    (ungated) slots on its bottleneck link in the solver's incidence.  A
+    trace's close takes its rows out of the log.  Tenants and co-tenant
+    sets are interned: they grow with the distinct ones seen, not with
+    the collectives served.  A flow still in the network when its trace
+    closes stays ``active`` in it, recorded up to the close.
     """
 
-    def __init__(
-        self,
-        sim: FlowSimulator,
-        *,
-        max_closed: int = 512,
-    ) -> None:
+    def __init__(self, sim: FlowSimulator) -> None:
         self.sim = sim
+        self._solver = sim._solver
         self._live: Dict[str, CausalTrace] = {}
-        self._closed: RingBuffer[CausalTrace] = RingBuffer(max_closed)
-        #: link -> tenant -> active ungated flow count (all traffic, traced
-        #: or not).
-        self._link_jobs: Dict[str, Dict[str, int]] = {}
+        self._closed: RingBuffer[CausalTrace] = RingBuffer(MAX_CLOSED)
         #: The engine's bottleneck link indices name these links.
-        self._link_ids = sim._solver._link_ids
+        self._link_ids = self._solver._link_ids
+        # Per solver slot: its traced flow's number (-1: none) and tenant.
+        self._slot_flow = np.full(len(self._solver._slots), -1)
+        self._slot_tenant = np.zeros(len(self._solver._slots), np.int32)
+        self._on_link = np.zeros(len(self._link_ids), bool)  # scan scratch
+        #: The live traces' rate rows — (flow number, start, rate,
+        #: bottleneck, co-tenant set id) — as hand-off chunks, then folded.
+        self._pending: List[tuple] = []
+        self._log = np.zeros((5, 0))
+        #: Attempts closed since the last :meth:`_compact`.
+        self._closing: List[TraceAttempt] = []
+        self._tenant_codes: Dict[str, int] = {}
+        #: Co-tenant sets by id (0: none), and ids by (tenant codes on the
+        #: bottleneck link, the flow's own code).
+        self._co_sets: List[Tuple[str, ...]] = [()]
+        self._co_set_ids: Dict[Tuple[Tuple[int, ...], int], int] = {}
         self._ids = itertools.count(1)
         self.traces_started = 0
         self.traces_closed = 0
@@ -356,7 +411,7 @@ class CausalTracer(SimObserver):
         """Start the trace of one issued collective; the caller owns it."""
         trace_id = f"tr{next(self._ids)}:{comm_id}.s{seq}"
         trace = self._live[trace_id] = CausalTrace(
-            trace_id, tenant, comm_id, seq, kind, nbytes, strategy_version, now
+            self, trace_id, tenant, comm_id, seq, kind, nbytes, strategy_version, now
         )
         self.traces_started += 1
         return trace
@@ -365,15 +420,101 @@ class CausalTracer(SimObserver):
         self, trace: CausalTrace, now: float, status: str, **attrs: object
     ) -> None:
         """Terminate a trace exactly once; later calls are no-ops.
-        ``attrs`` become one final annotation named after ``status``."""
+        ``attrs`` become one final annotation named after ``status``.
+        The trace's flows still in the network go unrecorded; every
+        :data:`COMPACT_EVERY` closes, the closed attempts' columns become
+        arrays in one pass (:meth:`_compact`)."""
         if self._live.pop(trace.trace_id, None) is None:
             return
         if attrs:
             trace.annotate(now, status, **attrs)
         trace.end_time = now
         trace.status = status
+        for attempt in trace.attempts:
+            columns = attempt.columns
+            if _ACTIVE in columns["status"]:  # flows still in the network
+                self._slot_flow[np.isin(self._slot_flow, columns["numbers"])] = -1
+            self._closing.append(attempt)
         self._closed.append(trace)
         self.traces_closed += 1
+        if len(self._closing) >= COMPACT_EVERY:
+            self._compact()
+
+    def _compact(self) -> None:
+        """The closed attempts' columns as arrays, their rows out of the log."""
+        for attempt, columns in zip(self._closing, self._columnar(self._closing, take=True)):
+            attempt.columns = columns
+        self._closing = []
+
+    def _columnar(self, attempts: List[TraceAttempt], take: bool) -> List[tuple]:
+        """Live-form ``attempts`` as columns, converted in one pass into
+        one store: ``flows`` (:data:`_FLOW_COLUMNS` as rows), ``sizes``,
+        ``paths`` and ``rows`` — (flow place in the store, start, rate,
+        bottleneck, co-tenant set id), sorted by flow.  Each attempt gets
+        ``(store, first flow, end flow, first row, end row, int sizes)``.
+        When ``take`` their rows leave the log."""
+        if self._pending:
+            nows, numbers, rates, bottlenecks, co_ids = zip(*self._pending)
+            self._pending = []
+            numbers = np.concatenate(numbers)
+            starts = np.repeat(nows, [len(chunk) for chunk in rates])
+            chunks = (numbers, starts, *map(np.concatenate, (rates, bottlenecks, co_ids)))
+            self._log = np.concatenate((self._log, np.array(chunks, float)), axis=1)
+        flows, sizes, paths = [[] for _ in _FLOW_COLUMNS], [], []
+        for attempt in attempts:
+            for column, name in zip(flows, _FLOW_COLUMNS):
+                column += attempt.columns[name]
+            sizes.append(attempt.columns["sizes"])
+            paths += attempt.columns["paths"]
+        flows = np.array(flows, float)
+        # The log's rows of these flows, each tagged with its flow's place.
+        order = flows[0].argsort()
+        numbers, log = flows[0][order], self._log
+        place = numbers.searchsorted(log[0]).clip(max=max(numbers.size - 1, 0))
+        mine = numbers[place] == log[0] if numbers.size else np.zeros(log.shape[1], bool)
+        rows = log[:, mine]
+        rows[0] = order[place[mine]]
+        rows = rows[:, rows[0].argsort(kind="stable")]  # the log is in time order
+        if take:
+            self._log = log[:, ~mine]
+        store = (flows, np.array([size for own in sizes for size in own], float), paths, rows)
+        bounds = np.cumsum([0] + [len(own) for own in sizes])
+        row_bounds = rows[0].searchsorted(bounds).tolist()
+        return [
+            (store, bounds[i], bounds[i + 1], row_bounds[i], row_bounds[i + 1],
+             set(map(type, own)) == {int})
+            for i, own in enumerate(sizes)
+        ]
+
+    def _records(self, attempt: TraceAttempt) -> List[FlowRecord]:
+        """An attempt's flows as :class:`FlowRecord` views."""
+        if self._closing:
+            self._compact()
+        columns = attempt.columns
+        if isinstance(columns, dict):  # live
+            columns = self._columnar([attempt], take=False)[0]
+        (flows, sizes, paths, rows), lo, hi, row_lo, row_hi, int_sizes = columns
+        rows = rows[:, row_lo:row_hi]
+        _, starts, rates, bottlenecks, co_ids = rows.tolist()
+        bounds = rows[0].searchsorted(np.arange(lo, hi + 1)).tolist()
+        out = []
+        for i, (number, t_start, rank, channel, ideal, t_end, status, size, path) in enumerate(
+            zip(*flows[:, lo:hi].tolist(), sizes[lo:hi].tolist(), paths[lo:hi])
+        ):
+            end = None if status == _ACTIVE else t_end
+            segments = [
+                RateSegment(starts[j], starts[j + 1] if j + 1 < bounds[i + 1] else end,
+                            rates[j], self._link_ids[int(bottlenecks[j])],
+                            self._co_sets[int(co_ids[j])])
+                for j in range(bounds[i], bounds[i + 1])
+            ]
+            out.append(FlowRecord(
+                f"flow{int(number)}", None if rank != rank else int(rank),
+                None if channel != channel else int(channel),
+                int(size) if int_sizes else size, path, ideal, t_start, end,
+                FLOW_STATES[int(status)], segments,
+            ))
+        return out
 
     # ------------------------------------------------------------------
     # queries
@@ -382,7 +523,7 @@ class CausalTracer(SimObserver):
         return list(self._live.values())
 
     def closed_traces(self) -> List[CausalTrace]:
-        """The retained closed trees, oldest first (a ``max_closed`` ring)."""
+        """The retained closed trees, oldest first (a :data:`MAX_CLOSED` ring)."""
         return self._closed.to_list()
 
     @property
@@ -401,118 +542,150 @@ class CausalTracer(SimObserver):
     # ------------------------------------------------------------------
     def on_flows_added(self, flows: Sequence[Flow], now: float) -> None:
         """Adopt one launch batch (shared ``job_id`` and ``tags``)."""
-        first = flows[0]
-        routes: Dict[Tuple[str, ...], int] = {}
-        for flow in flows:
-            routes[flow.links] = routes.get(flow.links, 0) + 1
-        if not first.gated:  # the batch shares ``gated``
-            self._occupy(first.job_id, routes)
+        first, n = flows[0], len(flows)
+        solver = self._solver
+        slots = np.fromiter(map(attrgetter("_slot"), flows), np.int64, n)
+        grow = len(solver._slots) - len(self._slot_flow)
+        if grow > 0:
+            grow += len(self._slot_flow)  # doubling
+            self._slot_flow = np.concatenate((self._slot_flow, np.full(grow, -1)))
+            self._slot_tenant = np.concatenate((self._slot_tenant, np.zeros(grow, np.int32)))
+        code = self._tenant_codes.setdefault(first.job_id or "none", len(self._tenant_codes))
+        self._slot_tenant[slots] = code
         trace = first.tags.get("trace")
-        if trace is None or trace.closed:
+        if trace is None or trace.status != "open":
+            self._slot_flow[slots] = -1
             return
-        records = trace.current_attempt.flows
-        caps = self.sim._capacities
-        # The path's narrowest link, once per distinct route.
-        floors = {links: min(map(caps.__getitem__, links)) for links in routes}
-        for flow in flows:
-            rec = records[flow.flow_id] = FlowRecord(
-                flow.flow_id, flow.rank, flow.channel, flow.size, flow.path,
-                flow.size / floors[flow.links], now,
-            )
-            flow._recorder = rec
-
-    def on_rates_changed(self, flows: Sequence[Flow], rates: Sequence[float],
-                         bottleneck_link_idx: Sequence[int], now: float) -> None:
-        """One recomputation's moves: close each traced flow's segment and
-        open one at its new rate."""
-        link_ids = self._link_ids
-        link_jobs = self._link_jobs
-        for flow, rate, b in zip(flows, rates, bottleneck_link_idx):
-            rec = flow._recorder
-            if rec.status != "active":  # trace closed while the flow lived on
-                continue
-            segments = rec.segments
-            if segments and segments[-1].end is None:
-                segments[-1].end = now
-            if b >= 0:
-                bottleneck = link_ids[b]
-            else:
-                # The solver has no per-round attribution for a flow it
-                # has not rated yet (e.g. injected gated); fall back to the
-                # static minimum-capacity link of the path.
-                bottleneck = min(flow.links, key=self.sim._capacities.__getitem__)
-            co: Tuple[str, ...] = ()
-            per_job = link_jobs.get(bottleneck)
-            job = flow.job_id or "none"
-            # Fast path: the flow's own tenant is alone on the link.
-            if per_job and not (len(per_job) == 1 and job in per_job):
-                co = tuple(sorted(
-                    t for t, n in per_job.items() if n > 0 and t != job
-                ))
-            segments.append(RateSegment(now, None, rate, bottleneck, co))
-
-    def _occupy(self, job_id: Optional[str], routes: Dict[Tuple[str, ...], int]) -> None:
-        """Put ``routes``' flow counts of one tenant on the per-link
-        tenant occupancy."""
-        job = job_id or "none"
-        link_jobs = self._link_jobs
-        for links, n in routes.items():
-            for link in links:
-                per_job = link_jobs.get(link)
-                if per_job is None:
-                    per_job = link_jobs[link] = {}
-                per_job[job] = per_job.get(job, 0) + n
-
-    def _unoccupy(self, counts: Dict[Tuple[Optional[str], Tuple[str, ...]], int]) -> None:
-        """Take flow counts per (tenant, route) off the per-link tenant
-        occupancy."""
-        link_jobs = self._link_jobs
-        for (job_id, links), n in counts.items():
-            job = job_id or "none"
-            for link in links:
-                per_job = link_jobs.get(link)
-                if per_job is not None:
-                    count = per_job.get(job, 0) - n
-                    if count > 0:
-                        per_job[job] = count
-                    else:
-                        per_job.pop(job, None)
-                        if not per_job:
-                            del link_jobs[link]
-
-    def _flows_left(self, flows: Sequence[Flow], now: float, status: str) -> None:
-        """Close the records of ``flows`` and take the ungated ones off the
-        per-link tenant occupancy, one update per (tenant, route)."""
-        counts: Dict[Tuple[Optional[str], Tuple[str, ...]], int] = {}
-        for flow in flows:
-            if not flow.gated:  # a gated flow left the occupancy when gated
-                key = (flow.job_id, flow.links)
-                counts[key] = counts.get(key, 0) + 1
-            rec = flow._recorder
-            if rec is not None and rec.status == "active":
-                segments = rec.segments
-                if segments and segments[-1].end is None:
-                    segments[-1].end = now
-                rec.t_end = now
-                rec.status = status
-        self._unoccupy(counts)
-
-    def on_flow_gated(self, flow: Flow, gated: bool, now: float) -> None:
-        """A gated flow sends nothing, so it is no co-tenant: it leaves the
-        per-link tenant occupancy while gated."""
-        if gated:
-            self._unoccupy({(flow.job_id, flow.links): 1})
+        number = int(first.flow_id[4:])  # a batch's numbers are dense
+        self._slot_flow[slots] = np.arange(number, number + n)
+        sizes = list(map(attrgetter("size"), flows))
+        paths = list(map(attrgetter("path"), flows))
+        # Each path's narrowest link now; a big batch takes it from its
+        # incidence runs (one per flow, in order, the last ones the solver
+        # appended) in one reduction.
+        if n < _BATCH_MIN:
+            caps = self.sim._capacities
+            floors = [min(map(caps.__getitem__, path)) for path in paths]
         else:
-            self._occupy(flow.job_id, {flow.links: 1})
+            start, end = solver._spans[slots[0]][0], solver._nnz
+            runs = solver._flat_slots[start:end]
+            heads = np.concatenate(([0], (runs[1:] != runs[:-1]).nonzero()[0] + 1))
+            floors = np.minimum.reduceat(solver._caps[solver._flat_links[start:end]], heads)
+        columns = trace.attempts[-1].columns
+        columns["numbers"] += range(number, number + n)
+        columns["t_start"] += [now] * n
+        columns["ranks"] += map(attrgetter("rank"), flows)
+        columns["channels"] += map(attrgetter("channel"), flows)
+        columns["ideal"] += map(truediv, sizes, floors)
+        columns["t_end"] += [0.0] * n
+        columns["status"] += bytes(n)
+        columns["sizes"] += sizes
+        columns["paths"] += paths
+
+    def on_rates_changed(self, slots: np.ndarray, rates: np.ndarray,
+                         bottleneck_link_idx: np.ndarray, now: float) -> None:
+        """One recomputation's moves: one chunk of rows in the log."""
+        numbers = self._slot_flow[slots]
+        if numbers.min() < 0:  # untraced flows moved too
+            traced = numbers >= 0
+            if not traced.any():
+                return
+            slots, rates, numbers = slots[traced], rates[traced], numbers[traced]
+            bottleneck_link_idx = bottleneck_link_idx[traced]
+        if bottleneck_link_idx.min() < 0:
+            # The solver has not attributed a flow it has not rated (e.g.
+            # gated): it falls back to its path's narrowest link.
+            bottleneck_link_idx = bottleneck_link_idx.copy()
+            caps = self.sim._capacities
+            for j in (bottleneck_link_idx < 0).nonzero()[0].tolist():
+                links = self._solver._slots[slots[j]].links
+                bottleneck_link_idx[j] = self._solver._link_index[
+                    min(links, key=caps.__getitem__)
+                ]
+        if len(self._tenant_codes) == 1:  # one tenant has had every flow
+            co_ids = np.zeros(slots.size, np.int32)
+        else:
+            co_ids = self._co_set_ids_of(slots, bottleneck_link_idx)
+        self._pending.append((now, numbers, rates, bottleneck_link_idx, co_ids))
+
+    def _co_set_ids_of(self, slots: np.ndarray, bottlenecks: np.ndarray) -> np.ndarray:
+        """Each moved flow's co-tenant set id: the tenants, other than its
+        own, of the active slots on its bottleneck link."""
+        solver, tenant = self._solver, self._slot_tenant
+        owners = tenant[slots]
+        in_use = solver._in_use[: len(solver._slots)]
+        if (tenant[: in_use.size][in_use] == owners[0]).all():
+            # One tenant has every flow in the network: nothing to scan.
+            return np.zeros(slots.size, np.int32)
+        flat_links = solver._flat_links[: solver._nnz]
+        on_link = self._on_link
+        on_link[bottlenecks] = True
+        hit = on_link[flat_links].nonzero()[0]
+        on_link[bottlenecks] = False
+        hit_slots = solver._flat_slots[hit]
+        live = solver._active[hit_slots]
+        # (link, tenant) of each active slot on those links, sorted: a
+        # link's tenants are one ascending run.
+        pairs = (flat_links[hit[live]] << _CODE_BITS) | tenant[hit_slots[live]]
+        pairs.sort()
+        base = bottlenecks << _CODE_BITS
+        starts = pairs.searchsorted(base).tolist()
+        ends = pairs.searchsorted(base + (1 << _CODE_BITS)).tolist()
+        codes = (pairs & _CODE_MASK).tolist()
+        known, seen = self._co_set_ids, {}
+        ids = [0] * slots.size
+        for i, (a, z, own) in enumerate(zip(starts, ends, owners.tolist())):
+            if a == z or codes[a] == codes[z - 1] == own:
+                continue  # alone on its link, or with its own tenant only
+            co_id = seen.get((a, own))
+            if co_id is None:
+                key = (tuple(dict.fromkeys(codes[a:z])), own)
+                co_id = known.get(key)
+                if co_id is None:
+                    co_id = known[key] = len(self._co_sets)
+                    names = list(self._tenant_codes)
+                    self._co_sets.append(tuple(sorted(names[t] for t in key[0] if t != own)))
+                seen[(a, own)] = co_id
+            ids[i] = co_id
+        return np.array(ids, np.int32)
+
+    def _flows_left(self, flows: Sequence[Flow], now: float, status: int) -> None:
+        """Record the end of every traced flow in ``flows``.  A burst is
+        mostly one launch batch's flows (one ``tags`` dict): they sit in
+        their attempt's columns in number order, so one search per batch
+        places them all."""
+        tags = numbers = None
+        for flow in flows:
+            number = int(flow.flow_id[4:])
+            if flow.tags is not tags:
+                tags, numbers = flow.tags, None
+                trace = tags.get("trace")
+                if trace is not None and trace.status == "open":
+                    for attempt in reversed(trace.attempts):
+                        columns = attempt.columns
+                        if columns["numbers"] and columns["numbers"][0] <= number:
+                            numbers = columns["numbers"]  # its attempt
+                            offset = bisect_left(numbers, number) - number
+                            break
+            if numbers is None:
+                continue
+            i = number + offset
+            if not (0 <= i < len(numbers) and numbers[i] == number):
+                offset = bisect_left(numbers, number) - number
+                i = number + offset
+                if not (i < len(numbers) and numbers[i] == number):
+                    continue  # injected before this tracer observed
+            columns["t_end"][i] = now
+            columns["status"][i] = status
 
     def on_flows_completed(self, flows: Sequence[Flow], now: float) -> None:
-        self._flows_left(flows, now, "completed")
+        self._flows_left(flows, now, _COMPLETED)
 
     def on_flow_cancelled(self, flow: Flow, now: float) -> None:
-        self._flows_left((flow,), now, "cancelled")
+        self._flows_left((flow,), now, _CANCELLED)
 
     def on_flow_failed(self, flow: Flow, now: float) -> None:
-        self._flows_left((flow,), now, "failed")
+        self._flows_left((flow,), now, _FAILED)
 
     # ------------------------------------------------------------------
     # critical-path attribution

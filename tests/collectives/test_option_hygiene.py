@@ -118,6 +118,12 @@ RETIRED = re.compile(
     # component choice), elasticity always armed, no joiner staging
     # buffers, no cross-notification of lost ranks; no program JSON
     r"|UPGRADE_COMPONENTS|STAGING_BYTES|enable_elasticity|\.rank_lost\(|PROGRAM_FORMAT_VERSION"
+    # state only tests read: the in-flight change is what grow/shrink
+    # returned, the generation is the service's, misses are a counter
+    r"|def inflight\(|generation_before|generation_after|\.missed\b"
+    # the causal tracer's second copy of the solver's link membership and
+    # its per-flow record slot; co-tenants are read from the solver
+    r"|\b_link_jobs\b|\b_occupy\b|\b_unoccupy\b|\b_recorder\b"
 )
 
 #: Every caller an experiment parameter may have: the product and tier-1.

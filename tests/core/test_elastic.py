@@ -116,8 +116,9 @@ def test_grow_sheds_through_admission(cluster, deployment, manager, four_gpus):
     client, comm = _admit(manager, deployment, four_gpus)
     with pytest.raises(AdmissionRejectedError):
         elastic.grow(comm.comm_id, [cluster.hosts[0].gpus[1]])
-    # Rejected before anything started.
-    assert elastic.inflight(comm.comm_id) is None
+    # Rejected before anything started: a shrink (which admission does
+    # not gate) is not refused as a second change in flight.
+    assert elastic.shrink(comm.comm_id, [3]).state == "drain"
     assert deployment.communicator(comm.comm_id).world == 4
 
 
@@ -137,7 +138,7 @@ def test_exhausted_drain_fails_the_grow(
     deployment.run()
     assert record.state == "failed"
     assert isinstance(record.error, MembershipChangeError)
-    assert elastic.inflight(comm.comm_id) is None
+    assert elastic._inflight == {}
     assert deployment.communicator(comm.comm_id).world == 4
     metrics = deployment.telemetry().metrics
     assert (
@@ -160,7 +161,7 @@ def test_destroy_mid_drain_fails_the_change(cluster, deployment):
     client.destroy_communicator(comm)
     deployment.run()
     assert record.state == "failed" and "died during drain" in str(record.error)
-    assert elastic.inflight(comm.comm_id) is None
+    assert elastic._inflight == {}
 
     comm = client.create_communicator([gpus[0], gpus[2], gpus[4]])
     session = deployment.service_of(gpus[0].host_id).upgrade()
@@ -210,12 +211,13 @@ def test_one_operation_in_flight_per_communicator(
 ):
     elastic = deployment.elastic
     client, comm = _admit(manager, deployment, four_gpus)
-    elastic.shrink(comm.comm_id, [3])
-    assert elastic.inflight(comm.comm_id) is not None
+    change = elastic.shrink(comm.comm_id, [3])
+    assert change.state == "drain"
     with pytest.raises(MembershipChangeError, match="in flight"):
         elastic.shrink(comm.comm_id, [2])
     deployment.run()
-    assert elastic.inflight(comm.comm_id) is None
+    assert change.state == "done"
+    assert elastic.shrink(comm.comm_id, [2]).state == "drain"
 
 
 # ----------------------------------------------------------------------

@@ -210,3 +210,27 @@ def test_contribute_twice_rejected():
     session.contribute(0, -1)
     with pytest.raises(ReconfigurationError):
         session.contribute(0, -1)
+
+
+def test_abandoned_session_is_recorded_failed_not_raised():
+    """A provider reconfiguration without ``on_failed`` that the tenant's
+    destroy abandons: the destroy returns, the session is recorded failed
+    with its error in the hub's session ring, and nothing is raised."""
+    cluster, deployment, comm, client, handle = make_env()
+    session = deployment.reconfigure(comm.comm_id, routes={}, delays=[1.0] * 3)
+    client.destroy_communicator(handle)
+    deployment.run()
+    assert session.failed and not session.done
+    assert "abandoned: it was destroyed" in str(session.error)
+    assert session in list(deployment.telemetry().sessions)
+    assert deployment.reconfig._active == {}
+
+
+def test_unhandled_barrier_timeout_still_raises():
+    cluster, deployment, comm, client, handle = make_env()
+    session = deployment.reconfigure(
+        comm.comm_id, ring=[2, 1, 0], delays=[0.0, 0.0, 5.0], barrier_timeout=1.0
+    )
+    with pytest.raises(ReconfigurationError, match="timed out"):
+        deployment.run()
+    assert session.failed and deployment.reconfig._active == {}

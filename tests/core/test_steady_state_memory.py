@@ -17,10 +17,12 @@ reconfigurations, membership changes and upgrades leave the
 ``CollectiveStrategy`` count and the checkpoint flat (the elastic case),
 and a destroyed communicator takes its tuner state and its joiners'
 staging buffers with it (the churn case).  Trace objects are not allowed
-to grow either: a ``CausalTrace`` lives in the tracer's ring, a
-``TraceRecord`` in its communicator's ring until the communicator is
-destroyed, a ``ReconfigSession`` in the hub's session ring, and no
-``Span`` is stored at all (exports render them).  Nor are the gateway's
+to grow either: a ``CausalTrace`` lives in the tracer's ring, its flows
+and rate history as columns, a ``TraceRecord`` in its
+communicator's ring until the communicator is destroyed, a
+``ReconfigSession`` in the hub's session ring, and no ``Span``,
+``FlowRecord`` or ``RateSegment`` is stored at all (exports and queries
+render them; a closed trace retains none).  Nor are the gateway's
 per-request objects (its ledger is counts plus a ring of settled
 records), admission decisions (counters and events, no list) or finished
 membership changes and upgrade sessions (their callers own them).
@@ -75,7 +77,7 @@ PER_COLLECTIVE = (
     "method",
 )
 
-#: ``CausalTracer``'s default ``max_closed``: warm-ups serve more
+#: ``repro.telemetry.causal.MAX_CLOSED``: warm-ups serve more
 #: collectives than this, so the closed-trace ring is full before the
 #: first census.
 CAUSAL_RING = 512
@@ -133,6 +135,8 @@ def test_allreduce_loop_leaves_nothing_behind(monkeypatch):
     serve(300)
     back_to(dep.journal, length, lambda: serve(1))
     assert census() == before
+    # A full ring of closed traces: columns only, no per-flow objects.
+    assert before["FlowRecord"] == before["RateSegment"] == 0
     assert recvs[0].view(np.float32)[0] == sum(range(len(gpus)))
     # The per-host IPC registries hold live exports only: the two buffers
     # per GPU and the communicator-level event.

@@ -92,7 +92,7 @@ def test_a_collective_is_one_batch(monkeypatch):
     recomputations = sim.rate_recomputations - before
     assert 1 <= len(moved.calls) <= recomputations
     # Every traced flow's record names its rank and channel.
-    records = op.instance.trace.current_attempt.flows
+    records = op.instance.trace.attempts[-1].flows
     assert [(r.flow_id, r.rank, r.channel) for r in records.values()] == [
         (f"flow{i}", i // 2, i % 2) for i in range(16)
     ]

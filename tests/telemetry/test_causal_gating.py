@@ -21,7 +21,7 @@ def traced_link():
 
 
 def segments(trace):
-    (record,) = trace.current_attempt.flows.values()
+    (record,) = trace.attempts[-1].flows.values()
     return [(seg.rate, seg.co_tenants) for seg in record.segments]
 
 

@@ -41,8 +41,9 @@ archive the trend:
 The final test replays :mod:`benchmarks.compare_bench` in-process and
 fails if ``rate_recomputations``, ``flows_completed``, the tracer's
 per-flow counts or the steady-state counts of any point shared with the
-committed baseline differ, or the tracer's retained ring grew (CI runs the same script as a separate step
-after archiving the file).
+committed baseline differ, or the tracer's retained ring grew more than
+10 % (CI runs the same script as a separate step after archiving the
+file).
 """
 
 import random

@@ -68,10 +68,9 @@ class SimObserver:
       solver slots (a sorted ``int64`` array, never empty; the flow in a
       slot is ``sim._solver._slots[slot]``), their new rates and their
       bottleneck link indices in the solver's link order (``-1``: none),
-      as arrays aligned with ``slots``.  They are the solver's columns at
-      the hand-off, when its incidence and ``_active`` column hold the
-      membership the rates were solved for; an observer keeps what it
-      needs, since the next recomputation overwrites them.
+      as arrays aligned with ``slots``.  During the call the solver's
+      incidence and ``_active`` column hold the membership the rates were
+      solved for; an observer reads there what it needs of it.
 
     The rare transitions (cancel, fail, gate) stay per flow.
     """

@@ -20,9 +20,9 @@ This module provides that substrate:
 * :class:`CausalTracer` — a :class:`~repro.netsim.engine.SimObserver`
   that keeps the live trees and a bounded ring of closed ones.  Flows
   tagged with ``trace=<CausalTrace>`` are adopted into that trace while it
-  is open.  The record is columns: per attempt, one entry per flow; per
-  rate recomputation, one row per moved traced flow — the start of its
-  next *segment* ``(start, end, rate, bottleneck_link, co_tenants)``,
+  is open.  The record is columns: per attempt, one row per flow and,
+  per rate recomputation, one row per moved traced flow — the start of
+  its next *segment* ``(start, end, rate, bottleneck_link, co_tenants)``,
   co-tenants read from the solver's incidence.  :class:`FlowRecord` and
   :class:`RateSegment` are views, built only on query (``to_dict``,
   :meth:`CausalTracer.critical_path`, flight dumps).
@@ -40,10 +40,10 @@ This module provides that substrate:
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass, field
-from operator import attrgetter, truediv
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -63,9 +63,6 @@ SNAPSHOT_TRACES = 8
 
 #: Closed causal trees the tracer keeps (a ring; older ones are evicted).
 MAX_CLOSED = 512
-
-#: Closes between two compactions of the closed attempts into arrays.
-COMPACT_EVERY = 32
 
 #: Terminal trace states.
 TRACE_COMPLETED = "completed"
@@ -90,13 +87,13 @@ EVENT_ABORTED = "aborted"
 FLOW_STATES = ("active", "completed", "cancelled", "failed")
 _ACTIVE, _COMPLETED, _CANCELLED, _FAILED = range(len(FLOW_STATES))
 
-#: Launch batches at least this big take their paths' narrowest links from
-#: the solver's incidence in one numpy reduction; smaller ones per path.
-_BATCH_MIN = 16
-
-#: A co-tenant scan packs (link, tenant code) pairs into one int64.
-_CODE_BITS = 31
-_CODE_MASK = (1 << _CODE_BITS) - 1
+#: An attempt's row per flow: ``flow<n>``'s ``n``, start, rank and
+#: channel (NaN: none), size, ideal time, end time and state.
+_FLOW_ROW = 8
+#: Its row per rate segment: the flow's place in the attempt, start, rate,
+#: bottleneck link index and co-tenant set id.
+_SEGMENT_ROW = 5
+_NAN = float("nan")
 
 
 @dataclass(slots=True)
@@ -178,37 +175,51 @@ class FlowRecord:
         }
 
 
-#: An attempt's per-flow numbers: ``flow<n>``'s ``n``, start, rank and
-#: channel (NaN: none), ideal time, end time and state.  While the trace
-#: is live each is a list a launch batch extends, like ``sizes`` and
-#: ``paths``; once compacted they are rows of one float array.
-#: An attempt's numeric per-flow columns: ``flow<n>``'s ``n``, start,
-#: rank and channel (NaN: none), ideal time, end time and state; one float
-#: array's rows once compacted (``sizes`` and ``paths`` ride beside them).
-_FLOW_COLUMNS = ("numbers", "t_start", "ranks", "channels", "ideal", "t_end", "status")
-
-
+@dataclass(slots=True, eq=False)
 class TraceAttempt:
     """One launch attempt of a collective (retries open new attempts).
 
-    Its flows are columns: lists by name while live, then a slice of a
-    store of arrays (:meth:`CausalTracer._columnar`) that also holds the
-    attempt's rate history.  :attr:`flows` renders them.
+    Its record is append-only columns the tracer extends: a float row
+    per flow (:data:`_FLOW_ROW` wide) beside the flows' paths, and a
+    float row per rate segment (:data:`_SEGMENT_ROW` wide), whose
+    co-tenant set id indexes ``co_sets``.
     """
 
-    __slots__ = ("number", "t_start", "tracer", "columns")
-
-    def __init__(self, number: int, t_start: float, tracer: "CausalTracer") -> None:
-        self.number = number
-        self.t_start = t_start
-        self.tracer = tracer
-        self.columns: object = {"numbers": [], "t_start": [], "ranks": [], "channels": [],
-                                "ideal": [], "t_end": [], "status": [], "sizes": [], "paths": []}
+    number: int
+    t_start: float
+    tracer: "CausalTracer"
+    flow_rows: array = field(default_factory=lambda: array("d"))
+    paths: List[Tuple[str, ...]] = field(default_factory=list)
+    segment_rows: array = field(default_factory=lambda: array("d"))
+    co_sets: List[Tuple[str, ...]] = field(default_factory=lambda: [()])
 
     @property
     def flows(self) -> Dict[str, FlowRecord]:
         """The attempt's flows by id, in adoption order (views)."""
-        return {rec.flow_id: rec for rec in self.tracer._records(self)}
+        flow_rows = self.flow_rows
+        segments: List[List[RateSegment]] = [[] for _ in self.paths]
+        link_ids, rows, co_sets = self.tracer._link_ids, self.segment_rows, self.co_sets
+        for k in range(0, len(rows), _SEGMENT_ROW):  # in time order
+            i, start, rate, link, co_id = rows[k:k + _SEGMENT_ROW]
+            own = segments[int(i)]
+            if own:
+                own[-1].end = start
+            own.append(RateSegment(start, None, rate, link_ids[int(link)], co_sets[int(co_id)]))
+        out = {}
+        for i, (path, own) in enumerate(zip(self.paths, segments)):
+            number, t_start, rank, channel, size, ideal, t_end, state = (
+                flow_rows[i * _FLOW_ROW:(i + 1) * _FLOW_ROW]
+            )
+            end = None if state == _ACTIVE else t_end
+            if own:
+                own[-1].end = end
+            flow_id = f"flow{int(number)}"
+            out[flow_id] = FlowRecord(
+                flow_id, None if rank != rank else int(rank),
+                None if channel != channel else int(channel), size, path, ideal,
+                t_start, end, FLOW_STATES[int(state)], own,
+            )
+        return out
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -355,16 +366,14 @@ class CausalTracer(SimObserver):
     """Assembles causal traces from control-plane calls and flow events.
 
     Flows tagged ``trace=<CausalTrace>`` are adopted into the trace while
-    it is open: a launch batch extends its attempt's columns once, and two
-    columns indexed by the solver's slots name each slot's tenant and
-    traced flow.  A rate hand-off is one chunk appended to the log:
-    ``(now, flow numbers, rates, bottleneck link indices, co-tenant set
-    ids)``, a flow's co-tenants being the other tenants of the active
-    (ungated) slots on its bottleneck link in the solver's incidence.  A
-    trace's close takes its rows out of the log.  Tenants and co-tenant
-    sets are interned: they grow with the distinct ones seen, not with
-    the collectives served.  A flow still in the network when its trace
-    closes stays ``active`` in it, recorded up to the close.
+    it is open: a launch batch appends its rows to its attempt's columns,
+    and each adopted flow maps to its attempt and row until it leaves the
+    network.  A rate hand-off appends one segment row per moved traced
+    flow, its co-tenants being the other tenants of the active (ungated)
+    slots on its bottleneck link in the solver's incidence; the scan is
+    skipped while one tenant has every flow in the network.  Each attempt
+    keeps its distinct co-tenant sets once, so what a closed trace holds
+    leaves with it.
     """
 
     def __init__(self, sim: FlowSimulator) -> None:
@@ -374,21 +383,11 @@ class CausalTracer(SimObserver):
         self._closed: RingBuffer[CausalTrace] = RingBuffer(MAX_CLOSED)
         #: The engine's bottleneck link indices name these links.
         self._link_ids = self._solver._link_ids
-        # Per solver slot: its traced flow's number (-1: none) and tenant.
-        self._slot_flow = np.full(len(self._solver._slots), -1)
-        self._slot_tenant = np.zeros(len(self._solver._slots), np.int32)
         self._on_link = np.zeros(len(self._link_ids), bool)  # scan scratch
-        #: The live traces' rate rows — (flow number, start, rate,
-        #: bottleneck, co-tenant set id) — as hand-off chunks, then folded.
-        self._pending: List[tuple] = []
-        self._log = np.zeros((5, 0))
-        #: Attempts closed since the last :meth:`_compact`.
-        self._closing: List[TraceAttempt] = []
-        self._tenant_codes: Dict[str, int] = {}
-        #: Co-tenant sets by id (0: none), and ids by (tenant codes on the
-        #: bottleneck link, the flow's own code).
-        self._co_sets: List[Tuple[str, ...]] = [()]
-        self._co_set_ids: Dict[Tuple[Tuple[int, ...], int], int] = {}
+        #: Each adopted flow still in the network -> (its attempt, its row).
+        self._owners: Dict[Flow, Tuple[TraceAttempt, int]] = {}
+        #: Tenant -> flows in the network (all traffic, traced or not).
+        self._tenant_flows: Dict[str, int] = {}
         self._ids = itertools.count(1)
         self.traces_started = 0
         self.traces_closed = 0
@@ -420,101 +419,15 @@ class CausalTracer(SimObserver):
         self, trace: CausalTrace, now: float, status: str, **attrs: object
     ) -> None:
         """Terminate a trace exactly once; later calls are no-ops.
-        ``attrs`` become one final annotation named after ``status``.
-        The trace's flows still in the network go unrecorded; every
-        :data:`COMPACT_EVERY` closes, the closed attempts' columns become
-        arrays in one pass (:meth:`_compact`)."""
+        ``attrs`` become one final annotation named after ``status``."""
         if self._live.pop(trace.trace_id, None) is None:
             return
         if attrs:
             trace.annotate(now, status, **attrs)
         trace.end_time = now
         trace.status = status
-        for attempt in trace.attempts:
-            columns = attempt.columns
-            if _ACTIVE in columns["status"]:  # flows still in the network
-                self._slot_flow[np.isin(self._slot_flow, columns["numbers"])] = -1
-            self._closing.append(attempt)
         self._closed.append(trace)
         self.traces_closed += 1
-        if len(self._closing) >= COMPACT_EVERY:
-            self._compact()
-
-    def _compact(self) -> None:
-        """The closed attempts' columns as arrays, their rows out of the log."""
-        for attempt, columns in zip(self._closing, self._columnar(self._closing, take=True)):
-            attempt.columns = columns
-        self._closing = []
-
-    def _columnar(self, attempts: List[TraceAttempt], take: bool) -> List[tuple]:
-        """Live-form ``attempts`` as columns, converted in one pass into
-        one store: ``flows`` (:data:`_FLOW_COLUMNS` as rows), ``sizes``,
-        ``paths`` and ``rows`` — (flow place in the store, start, rate,
-        bottleneck, co-tenant set id), sorted by flow.  Each attempt gets
-        ``(store, first flow, end flow, first row, end row, int sizes)``.
-        When ``take`` their rows leave the log."""
-        if self._pending:
-            nows, numbers, rates, bottlenecks, co_ids = zip(*self._pending)
-            self._pending = []
-            numbers = np.concatenate(numbers)
-            starts = np.repeat(nows, [len(chunk) for chunk in rates])
-            chunks = (numbers, starts, *map(np.concatenate, (rates, bottlenecks, co_ids)))
-            self._log = np.concatenate((self._log, np.array(chunks, float)), axis=1)
-        flows, sizes, paths = [[] for _ in _FLOW_COLUMNS], [], []
-        for attempt in attempts:
-            for column, name in zip(flows, _FLOW_COLUMNS):
-                column += attempt.columns[name]
-            sizes.append(attempt.columns["sizes"])
-            paths += attempt.columns["paths"]
-        flows = np.array(flows, float)
-        # The log's rows of these flows, each tagged with its flow's place.
-        order = flows[0].argsort()
-        numbers, log = flows[0][order], self._log
-        place = numbers.searchsorted(log[0]).clip(max=max(numbers.size - 1, 0))
-        mine = numbers[place] == log[0] if numbers.size else np.zeros(log.shape[1], bool)
-        rows = log[:, mine]
-        rows[0] = order[place[mine]]
-        rows = rows[:, rows[0].argsort(kind="stable")]  # the log is in time order
-        if take:
-            self._log = log[:, ~mine]
-        store = (flows, np.array([size for own in sizes for size in own], float), paths, rows)
-        bounds = np.cumsum([0] + [len(own) for own in sizes])
-        row_bounds = rows[0].searchsorted(bounds).tolist()
-        return [
-            (store, bounds[i], bounds[i + 1], row_bounds[i], row_bounds[i + 1],
-             set(map(type, own)) == {int})
-            for i, own in enumerate(sizes)
-        ]
-
-    def _records(self, attempt: TraceAttempt) -> List[FlowRecord]:
-        """An attempt's flows as :class:`FlowRecord` views."""
-        if self._closing:
-            self._compact()
-        columns = attempt.columns
-        if isinstance(columns, dict):  # live
-            columns = self._columnar([attempt], take=False)[0]
-        (flows, sizes, paths, rows), lo, hi, row_lo, row_hi, int_sizes = columns
-        rows = rows[:, row_lo:row_hi]
-        _, starts, rates, bottlenecks, co_ids = rows.tolist()
-        bounds = rows[0].searchsorted(np.arange(lo, hi + 1)).tolist()
-        out = []
-        for i, (number, t_start, rank, channel, ideal, t_end, status, size, path) in enumerate(
-            zip(*flows[:, lo:hi].tolist(), sizes[lo:hi].tolist(), paths[lo:hi])
-        ):
-            end = None if status == _ACTIVE else t_end
-            segments = [
-                RateSegment(starts[j], starts[j + 1] if j + 1 < bounds[i + 1] else end,
-                            rates[j], self._link_ids[int(bottlenecks[j])],
-                            self._co_sets[int(co_ids[j])])
-                for j in range(bounds[i], bounds[i + 1])
-            ]
-            out.append(FlowRecord(
-                f"flow{int(number)}", None if rank != rank else int(rank),
-                None if channel != channel else int(channel),
-                int(size) if int_sizes else size, path, ideal, t_start, end,
-                FLOW_STATES[int(status)], segments,
-            ))
-        return out
 
     # ------------------------------------------------------------------
     # queries
@@ -542,141 +455,108 @@ class CausalTracer(SimObserver):
     # ------------------------------------------------------------------
     def on_flows_added(self, flows: Sequence[Flow], now: float) -> None:
         """Adopt one launch batch (shared ``job_id`` and ``tags``)."""
-        first, n = flows[0], len(flows)
-        solver = self._solver
-        slots = np.fromiter(map(attrgetter("_slot"), flows), np.int64, n)
-        grow = len(solver._slots) - len(self._slot_flow)
-        if grow > 0:
-            grow += len(self._slot_flow)  # doubling
-            self._slot_flow = np.concatenate((self._slot_flow, np.full(grow, -1)))
-            self._slot_tenant = np.concatenate((self._slot_tenant, np.zeros(grow, np.int32)))
-        code = self._tenant_codes.setdefault(first.job_id or "none", len(self._tenant_codes))
-        self._slot_tenant[slots] = code
+        first = flows[0]
+        job = first.job_id or "none"
+        self._tenant_flows[job] = self._tenant_flows.get(job, 0) + len(flows)
         trace = first.tags.get("trace")
-        if trace is None or trace.status != "open":
-            self._slot_flow[slots] = -1
+        if trace is None or trace.closed:
             return
-        number = int(first.flow_id[4:])  # a batch's numbers are dense
-        self._slot_flow[slots] = np.arange(number, number + n)
-        sizes = list(map(attrgetter("size"), flows))
-        paths = list(map(attrgetter("path"), flows))
-        # Each path's narrowest link now; a big batch takes it from its
-        # incidence runs (one per flow, in order, the last ones the solver
-        # appended) in one reduction.
-        if n < _BATCH_MIN:
-            caps = self.sim._capacities
-            floors = [min(map(caps.__getitem__, path)) for path in paths]
-        else:
-            start, end = solver._spans[slots[0]][0], solver._nnz
-            runs = solver._flat_slots[start:end]
-            heads = np.concatenate(([0], (runs[1:] != runs[:-1]).nonzero()[0] + 1))
-            floors = np.minimum.reduceat(solver._caps[solver._flat_links[start:end]], heads)
-        columns = trace.attempts[-1].columns
-        columns["numbers"] += range(number, number + n)
-        columns["t_start"] += [now] * n
-        columns["ranks"] += map(attrgetter("rank"), flows)
-        columns["channels"] += map(attrgetter("channel"), flows)
-        columns["ideal"] += map(truediv, sizes, floors)
-        columns["t_end"] += [0.0] * n
-        columns["status"] += bytes(n)
-        columns["sizes"] += sizes
-        columns["paths"] += paths
+        attempt = trace.attempts[-1]
+        owners, caps = self._owners, self.sim._capacities
+        number = int(first.flow_id[4:])  # a batch's flows are numbered densely
+        i = len(attempt.paths)
+        # The path's narrowest link, once per distinct route.
+        floors: Dict[Tuple[str, ...], float] = {}
+        rows: List[float] = []
+        for flow in flows:
+            floor = floors.get(flow.links)
+            if floor is None:
+                floor = floors[flow.links] = min(map(caps.__getitem__, flow.links))
+            rank, channel, size = flow.rank, flow.channel, flow.size
+            rows += (number, now, _NAN if rank is None else rank,
+                     _NAN if channel is None else channel, size, size / floor, 0.0, _ACTIVE)
+            owners[flow] = (attempt, i)
+            number += 1
+            i += 1
+        attempt.flow_rows.fromlist(rows)
+        attempt.paths += map(attrgetter("path"), flows)
 
     def on_rates_changed(self, slots: np.ndarray, rates: np.ndarray,
                          bottleneck_link_idx: np.ndarray, now: float) -> None:
-        """One recomputation's moves: one chunk of rows in the log."""
-        numbers = self._slot_flow[slots]
-        if numbers.min() < 0:  # untraced flows moved too
-            traced = numbers >= 0
-            if not traced.any():
-                return
-            slots, rates, numbers = slots[traced], rates[traced], numbers[traced]
-            bottleneck_link_idx = bottleneck_link_idx[traced]
-        if bottleneck_link_idx.min() < 0:
+        """One recomputation's moves: a segment row per moved traced flow,
+        a run of one attempt's rows appended at once."""
+        owners = self._owners
+        if not owners:  # no traced flow in the network
+            return
+        solver, table = self._solver, self._solver._slots
+        slots, links = slots.tolist(), bottleneck_link_idx.tolist()
+        if -1 in links:
             # The solver has not attributed a flow it has not rated (e.g.
-            # gated): it falls back to its path's narrowest link.
-            bottleneck_link_idx = bottleneck_link_idx.copy()
+            # gated): its path's narrowest link stands in.
             caps = self.sim._capacities
-            for j in (bottleneck_link_idx < 0).nonzero()[0].tolist():
-                links = self._solver._slots[slots[j]].links
-                bottleneck_link_idx[j] = self._solver._link_index[
-                    min(links, key=caps.__getitem__)
-                ]
-        if len(self._tenant_codes) == 1:  # one tenant has had every flow
-            co_ids = np.zeros(slots.size, np.int32)
-        else:
-            co_ids = self._co_set_ids_of(slots, bottleneck_link_idx)
-        self._pending.append((now, numbers, rates, bottleneck_link_idx, co_ids))
-
-    def _co_set_ids_of(self, slots: np.ndarray, bottlenecks: np.ndarray) -> np.ndarray:
-        """Each moved flow's co-tenant set id: the tenants, other than its
-        own, of the active slots on its bottleneck link."""
-        solver, tenant = self._solver, self._slot_tenant
-        owners = tenant[slots]
-        in_use = solver._in_use[: len(solver._slots)]
-        if (tenant[: in_use.size][in_use] == owners[0]).all():
-            # One tenant has every flow in the network: nothing to scan.
-            return np.zeros(slots.size, np.int32)
-        flat_links = solver._flat_links[: solver._nnz]
-        on_link = self._on_link
-        on_link[bottlenecks] = True
-        hit = on_link[flat_links].nonzero()[0]
-        on_link[bottlenecks] = False
-        hit_slots = solver._flat_slots[hit]
-        live = solver._active[hit_slots]
-        # (link, tenant) of each active slot on those links, sorted: a
-        # link's tenants are one ascending run.
-        pairs = (flat_links[hit[live]] << _CODE_BITS) | tenant[hit_slots[live]]
-        pairs.sort()
-        base = bottlenecks << _CODE_BITS
-        starts = pairs.searchsorted(base).tolist()
-        ends = pairs.searchsorted(base + (1 << _CODE_BITS)).tolist()
-        codes = (pairs & _CODE_MASK).tolist()
-        known, seen = self._co_set_ids, {}
-        ids = [0] * slots.size
-        for i, (a, z, own) in enumerate(zip(starts, ends, owners.tolist())):
-            if a == z or codes[a] == codes[z - 1] == own:
-                continue  # alone on its link, or with its own tenant only
-            co_id = seen.get((a, own))
-            if co_id is None:
-                key = (tuple(dict.fromkeys(codes[a:z])), own)
-                co_id = known.get(key)
-                if co_id is None:
-                    co_id = known[key] = len(self._co_sets)
-                    names = list(self._tenant_codes)
-                    self._co_sets.append(tuple(sorted(names[t] for t in key[0] if t != own)))
-                seen[(a, own)] = co_id
-            ids[i] = co_id
-        return np.array(ids, np.int32)
-
-    def _flows_left(self, flows: Sequence[Flow], now: float, status: int) -> None:
-        """Record the end of every traced flow in ``flows``.  A burst is
-        mostly one launch batch's flows (one ``tags`` dict): they sit in
-        their attempt's columns in number order, so one search per batch
-        places them all."""
-        tags = numbers = None
-        for flow in flows:
-            number = int(flow.flow_id[4:])
-            if flow.tags is not tags:
-                tags, numbers = flow.tags, None
-                trace = tags.get("trace")
-                if trace is not None and trace.status == "open":
-                    for attempt in reversed(trace.attempts):
-                        columns = attempt.columns
-                        if columns["numbers"] and columns["numbers"][0] <= number:
-                            numbers = columns["numbers"]  # its attempt
-                            offset = bisect_left(numbers, number) - number
-                            break
-            if numbers is None:
+            links = [solver._link_index[min(table[slot].links, key=caps.__getitem__)]
+                     if link < 0 else link for slot, link in zip(slots, links)]
+        # Tenants on the bottleneck links, unless one tenant has every flow.
+        tenants = self._tenants_on(set(links)) if len(self._tenant_flows) > 1 else None
+        co_sets: Dict[Tuple[int, str], Tuple[str, ...]] = {}
+        run: Optional[TraceAttempt] = None
+        rows: List[float] = []
+        for slot, rate, link in zip(slots, rates.tolist(), links):
+            flow = table[slot]
+            owner = owners.get(flow)
+            if owner is None:
                 continue
-            i = number + offset
-            if not (0 <= i < len(numbers) and numbers[i] == number):
-                offset = bisect_left(numbers, number) - number
-                i = number + offset
-                if not (i < len(numbers) and numbers[i] == number):
-                    continue  # injected before this tracer observed
-            columns["t_end"][i] = now
-            columns["status"][i] = status
+            attempt, i = owner
+            co_id = 0
+            if tenants is not None:
+                own = flow.job_id or "none"
+                co = co_sets.get((link, own))
+                if co is None:
+                    co = co_sets[link, own] = tuple(sorted(tenants[link] - {own}))
+                if co not in attempt.co_sets:
+                    attempt.co_sets.append(co)
+                co_id = attempt.co_sets.index(co)
+            if attempt is not run:
+                if run is not None:
+                    run.segment_rows.fromlist(rows)
+                run, rows = attempt, []
+            rows += (i, now, rate, link, co_id)
+        if run is not None:
+            run.segment_rows.fromlist(rows)
+
+    def _tenants_on(self, links: Set[int]) -> Dict[int, Set[str]]:
+        """The tenants of the active slots on each of ``links``: one scan of
+        the solver's incidence."""
+        solver, on_link = self._solver, self._on_link
+        flat_links = solver._flat_links[: solver._nnz]
+        keys = list(links)
+        on_link[keys] = True
+        hit = on_link[flat_links]
+        on_link[keys] = False
+        hit_slots = solver._flat_slots[: solver._nnz][hit]
+        live = solver._active[hit_slots]
+        table = solver._slots
+        tenants: Dict[int, Set[str]] = {link: set() for link in keys}
+        for link, slot in zip(flat_links[hit][live].tolist(), hit_slots[live].tolist()):
+            tenants[link].add(table[slot].job_id or "none")
+        return tenants
+
+    def _flows_left(self, flows: Sequence[Flow], now: float, state: int) -> None:
+        """Record the end of every traced flow in ``flows`` and take them
+        all off the per-tenant flow counts."""
+        owners, counts = self._owners, self._tenant_flows
+        for flow in flows:
+            job = flow.job_id or "none"
+            left = counts.get(job, 0) - 1
+            if left > 0:
+                counts[job] = left
+            else:
+                counts.pop(job, None)
+            owner = owners.pop(flow, None)
+            if owner is not None:
+                attempt, i = owner
+                attempt.flow_rows[i * _FLOW_ROW + 6] = now
+                attempt.flow_rows[i * _FLOW_ROW + 7] = state
 
     def on_flows_completed(self, flows: Sequence[Flow], now: float) -> None:
         self._flows_left(flows, now, _COMPLETED)

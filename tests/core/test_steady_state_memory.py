@@ -137,6 +137,9 @@ def test_allreduce_loop_leaves_nothing_behind(monkeypatch):
     assert census() == before
     # A full ring of closed traces: columns only, no per-flow objects.
     assert before["FlowRecord"] == before["RateSegment"] == 0
+    # Its per-flow and per-tenant maps hold flows in the network only.
+    tracer = dep.telemetry().causal
+    assert not tracer._owners and not tracer._tenant_flows
     assert recvs[0].view(np.float32)[0] == sum(range(len(gpus)))
     # The per-host IPC registries hold live exports only: the two buffers
     # per GPU and the communicator-level event.

@@ -26,12 +26,16 @@ def once():
 def write_results(path, results):
     """Write a module's ``results`` sections into the JSON file ``path``.
 
-    A section this run filled replaces the one on disk; every other
-    section is kept as it is, so a ``-k`` run that measured one section
-    leaves the rest of the committed file byte-identical.
+    Each row this run measured (a top-level key of a section) replaces
+    the one on disk; every other row and section is kept as it is, so a
+    ``-k`` run that measured one row leaves the rest of the committed
+    file byte-identical, and ``compare_bench.py`` still guards every
+    row.  A row the code no longer measures is deleted by hand.
     """
     merged = json.loads(path.read_text()) if path.exists() else {}
-    merged.update((name, section) for name, section in results.items() if section)
+    for name, section in results.items():
+        if section:
+            merged.setdefault(name, {}).update(section)
     path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from ..cluster.gpu import AsyncOp, GpuDevice, Stream
 from ..cluster.specs import Cluster
 from ..collectives.cost_model import NCCL_LATENCY
+from ..collectives.executor import Staging
 from ..collectives.programs import FlowProgramCache
 from ..collectives.ring import RingSchedule, identity_ring
 from ..collectives.tree import double_binary_trees
@@ -133,6 +134,9 @@ class NcclCommunicator:
         # (family, kind, size, root) -> (steps, transfers): identical
         # launches — the common traffic-loop case — reuse the compiled list.
         self.program_cache = FlowProgramCache()
+        #: The executor's scratch and lane thread, kept for the
+        #: communicator's life as a deployment keeps its own.
+        self._staging = Staging()
 
     # ------------------------------------------------------------------
     def _establish(self) -> None:
@@ -306,7 +310,7 @@ class NcclCommunicator:
         def finished(handle: LaunchHandle, now: float) -> None:
             result.end_time = now
             if data is not None:
-                result.outputs = algorithm.run_data(ctx, data, op)
+                result.outputs = algorithm.run_data(ctx, data, op, staging=self._staging)
             kernel.complete()
             if on_complete is not None:
                 on_complete(result, now)

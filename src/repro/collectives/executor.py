@@ -55,6 +55,20 @@ ones, without changing what any element sees:
   than in plan order at any tile from 64 to 256 KiB, and slower at
   16-32 KiB (per-call overhead) and 512 KiB and up (past L2).
 
+**Lanes.**  The blocker's output is a list of *blocks* — a chain no wider
+than a tile, or one tile of an aligned chain — that touch disjoint
+memory, so any order of blocks gives the same bytes.  Where there is more
+than one (some record is wider than a tile), resolution also cuts the
+blocks, in order, into two *lanes* of about equal bytes touched, and
+``run`` applies the second lane on a helper thread (its
+:class:`Staging`'s) while the calling thread applies the first; numpy
+releases the GIL inside each call, so the two cores stream at once.
+Every element still sees the same operations in the same order, so the
+results are bit-identical to one lane's.  Two lanes run only when the
+process's CPU affinity mask holds at least two CPUs; otherwise, and for
+any size with no record wider than a tile (every small collective), the
+calling thread applies the records alone, in the same order as before.
+
 **Scratch.**  A chunk that is part of a rank's output is written straight
 into its receive buffer: every chunk of all-reduce, all-gather and
 broadcast, a reduce-scatter rank's own block, the reduce root's vector.
@@ -98,9 +112,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,6 +131,9 @@ from .generators import (
 )
 from .ir import OpKind, Program, blocked_kinds, chunk_spans
 from .types import Collective, ReduceOp
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 #: Identity of one instruction inside a program: (rank, index-in-program).
 NodeId = Tuple[int, int]
@@ -232,13 +250,20 @@ class Staging:
       (or a freshly allocated output), never staged and copied out;
     * ``run`` makes no callbacks and is not re-entrant, so one run's
       views are dead before the next run asks for its own;
-    * the buffer is allocated here and never aliases tenant memory.
+    * the buffer is allocated here and never aliases tenant memory;
+    * the thread that applies a run's second lane (see "Lanes" in
+      :mod:`repro.collectives.executor`) is this object's own: it starts
+      on the first run with two lanes and exits once this object is
+      collected;
+    * ``run`` returns, or raises, only after every lane has stopped, so no
+      lane still holds a view when it does.
     """
 
-    __slots__ = ("_buffer",)
+    __slots__ = ("_buffer", "_helper")
 
     def __init__(self) -> None:
         self._buffer = np.empty(0, np.uint8)
+        self._helper: Optional[ThreadPoolExecutor] = None
 
     @property
     def nbytes(self) -> int:
@@ -252,6 +277,17 @@ class Staging:
         if need > self._buffer.nbytes:
             self._buffer = np.empty(need, np.uint8)
         return self._buffer[:need].view(dtype).reshape(count, elems)
+
+    def helper(self) -> ThreadPoolExecutor:
+        """The one worker thread that applies second lanes, started on
+        first use."""
+        if self._helper is None:
+            # Imported here: concurrent.futures loads logging, which a
+            # process that never runs two lanes should not pay for.
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._helper = ThreadPoolExecutor(1, thread_name_prefix="executor-lane")
+        return self._helper
 
 
 class ExecutionPlan:
@@ -351,8 +387,9 @@ class ExecutionPlan:
         contiguous receive buffer and is written in place; otherwise
         outputs are allocated.  ``order[p]`` is the rank at position ``p``
         for plans compiled in position space.  The slot pool comes from
-        ``staging`` (a fresh :class:`Staging` when omitted).  Conventions
-        are those of :mod:`repro.collectives.reference`.
+        ``staging`` (a fresh :class:`Staging` when omitted), and so does
+        the thread that applies a second lane.  Conventions are those of
+        :mod:`repro.collectives.reference`.
         """
         n, kind = self.world, self.kind
         if len(inputs) != n:
@@ -387,23 +424,39 @@ class ExecutionPlan:
                 w[r * size : (r + 1) * size] = s
         elif kind is Collective.BROADCAST:
             np.copyto(recv[self.root], send[self.root])
-        records, slot = _resolve(
+        records, slot, lanes = _resolve(
             self, total, self._blocks(order), TILE_BYTES // first.itemsize
         )
         if staging is None:
             staging = Staging()
         arrays = recv + send + [staging.arrays(self.pool, slot, first.dtype).reshape(-1)]
         ufunc = op.ufunc
-        for reduce, dst, dspan, target, tspan, src, sspan in records:
-            if reduce:
-                ufunc(arrays[target][tspan], arrays[src][sspan], out=arrays[dst][dspan])
-            else:
-                arrays[dst][dspan] = arrays[src][sspan]
+
+        def apply(records: tuple) -> None:
+            for reduce, dst, dspan, target, tspan, src, sspan in records:
+                if reduce:
+                    ufunc(arrays[target][tspan], arrays[src][sspan], out=arrays[dst][dspan])
+                else:
+                    arrays[dst][dspan] = arrays[src][sspan]
+
+        if lanes is None or not _two_cpus():
+            apply(records)
+        else:
+            second = staging.helper().submit(apply, lanes[1])
+            try:
+                apply(lanes[0])
+            finally:
+                second.result()  # waits for the lane, and raises its error
         if kind is Collective.REDUCE:
             for p, (o, s) in enumerate(zip(recv, send)):
                 if p != self.root:
                     o[:] = s
         return list(out)
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on two CPUs at once."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
 def _spans(
@@ -422,13 +475,14 @@ def _spans(
 @lru_cache(maxsize=256)
 def _resolve(
     plan: ExecutionPlan, total: int, blocks: Optional[Tuple[int, ...]], tile: int
-) -> Tuple[tuple, int]:
+) -> Tuple[tuple, int, Optional[Tuple[tuple, tuple]]]:
     """``plan.ops`` as ``(reduce, dst, dspan, target, tspan, src, sspan)``
     records over a run's arrays — receive buffers, send buffers, then the
     flat pool as array ``2 * world`` — for a ``total``-element working
     vector, empty transfers dropped and chains wider than ``tile``
-    elements emitted tile by tile (:func:`_cache_blocked`); and the
-    elements of one pool slot (the largest chunk)."""
+    elements emitted tile by tile (:func:`_cache_blocked`); the elements
+    of one pool slot (the largest chunk); and the records cut into two
+    lanes (:func:`_lanes`), or None where the blocker split nothing."""
     n = plan.world
     spans = _spans(plan, total, blocks)
     slot = max((hi - lo for lo, hi in spans), default=0)
@@ -473,19 +527,40 @@ def _resolve(
                      *place(advance(target, a), dlo + a, dlo + b),
                      *place(advance(src, a), slo + a, slo + b))
                 )
-    return tuple(_cache_blocked(resolved, n, base, tile)), slot
+    blocked = _cache_blocked(resolved, n, base, tile)
+    return tuple(itertools.chain.from_iterable(blocked)), slot, _lanes(blocked)
 
 
 def _width(record: tuple) -> int:
     return record[2].stop - record[2].start
 
 
-def _cache_blocked(records: List[tuple], n: int, base: List[int], tile: int) -> List[tuple]:
-    """``records`` reordered (and, past one tile, split) so that each
-    chain's working set streams through cache once: every chain wider
-    than ``tile`` elements is aligned and emitted tile-major."""
+def _lanes(blocks: List[List[tuple]]) -> Optional[Tuple[tuple, tuple]]:
+    """``blocks`` cut, in order, into two lanes of about equal bytes
+    touched (a reduction touches three accesses, a copy two); None for a
+    single block."""
+    if len(blocks) < 2:
+        return None
+    ends = list(itertools.accumulate(
+        sum(_width(record) * (2 + record[0]) for record in block) for block in blocks
+    ))
+    cut = min(range(1, len(blocks)), key=lambda i: abs(2 * ends[i - 1] - ends[-1]))
+    return (
+        tuple(itertools.chain.from_iterable(blocks[:cut])),
+        tuple(itertools.chain.from_iterable(blocks[cut:])),
+    )
+
+
+def _cache_blocked(
+    records: List[tuple], n: int, base: List[int], tile: int
+) -> List[List[tuple]]:
+    """``records`` as blocks that touch disjoint memory, reordered (and,
+    past one tile, split) so that each chain's working set streams through
+    cache once: every chain wider than ``tile`` elements is aligned and
+    emitted tile-major, one block per tile; a narrower chain is one block,
+    and so is the whole list when no record is wider than a tile."""
     if all(_width(record) <= tile for record in records):
-        return records
+        return [records]
     slices: Dict[Tuple[int, int], slice] = {}
 
     def locate(record: tuple) -> List[Tuple[int, int]]:
@@ -562,19 +637,18 @@ def _cache_blocked(records: List[tuple], n: int, base: List[int], tile: int) -> 
             for a, b in itertools.pairwise(sorted(cut))
         ]
 
-    blocked: List[tuple] = []
+    blocks: List[List[tuple]] = []
     for chain in chains(records):
         if all(_width(record) <= tile for record in chain):
-            blocked += chain
+            blocks.append(chain)
             continue
         for aligned in chains(align(chain)):
             width = _width(aligned[0])
-            blocked += [
-                piece(record, lo, min(lo + tile, width))
+            blocks += [
+                [piece(record, lo, min(lo + tile, width)) for record in aligned]
                 for lo in range(0, width, tile)
-                for record in aligned
             ]
-    return blocked
+    return blocks
 
 
 def compile_program(program: Program) -> ExecutionPlan:

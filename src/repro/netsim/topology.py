@@ -347,7 +347,8 @@ class Topology:
     def _enumerate_shortest(self, src: str, dst: str) -> Tuple[Tuple[str, ...], ...]:
         """Every minimum-hop link sequence, walked back from ``dst``: a
         node's predecessors on a shortest path are its in-links whose tail
-        sits one level closer to ``src``."""
+        sits one level closer to ``src``, filtered once per node however
+        many paths pass through it."""
         if src == dst:
             return ((),)
         index, succ, rev = self._compact_graph()
@@ -357,17 +358,20 @@ class Topology:
             return ()
 
         paths: List[List[str]] = []
+        preds: Dict[int, List[Tuple[int, str]]] = {}
 
         def walk(node: int, suffix: List[str]) -> None:
             if node == src_i:
                 paths.append(list(reversed(suffix)))
                 return
-            target = dist[node] - 1
-            for pred, link_id in rev[node]:
-                if dist[pred] == target:
-                    suffix.append(link_id)
-                    walk(pred, suffix)
-                    suffix.pop()
+            ways = preds.get(node)
+            if ways is None:
+                target = dist[node] - 1
+                ways = preds[node] = [way for way in rev[node] if dist[way[0]] == target]
+            for pred, link_id in ways:
+                suffix.append(link_id)
+                walk(pred, suffix)
+                suffix.pop()
 
         walk(dst_i, [])
         paths.sort()

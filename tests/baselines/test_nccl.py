@@ -84,6 +84,29 @@ def test_data_plane_round_trip(cl, four):
     assert all(np.allclose(o, 10.0) for o in op.outputs)
 
 
+def test_wide_collectives_share_one_staging_buffer(cl, four, monkeypatch):
+    """Collectives wide enough to run in two lanes take the scratch and
+    the lane thread the communicator keeps, not a fresh pair each."""
+    import os
+
+    from repro.collectives.executor import TILE_BYTES, Staging
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    helper, used = Staging.helper, []
+
+    def recorded(staging):
+        used.append(staging)
+        return helper(staging)
+
+    monkeypatch.setattr(Staging, "helper", recorded)
+    comm = NcclCommunicator(cl, four)
+    data = [np.full(TILE_BYTES, float(i + 1)) for i in range(4)]  # 2-tile chunks
+    ops = [comm.all_reduce(data[0].nbytes, data=data) for _ in range(3)]
+    cl.sim.run()
+    assert all(np.array_equal(o, np.full_like(o, 10.0)) for op in ops for o in op.outputs)
+    assert len(used) == 3 and len({id(staging) for staging in used}) == 1
+
+
 def test_all_gather_data(cl, four):
     comm = NcclCommunicator(cl, four)
     data = [np.full(4, float(i)) for i in range(4)]

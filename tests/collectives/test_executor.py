@@ -9,7 +9,11 @@ poisoned before every run.
 """
 
 import json
+import os
 import pathlib
+import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -550,10 +554,66 @@ def _working_elems(kind, out, world):
     return out * world if kind in (Collective.ALL_GATHER, Collective.REDUCE_SCATTER) else out
 
 
+class _InlineHelper:
+    """A lane helper that applies the second lane at once, on the calling
+    thread, before ``run`` applies the first: the lanes run sequentially
+    in reverse lane order."""
+
+    def __init__(self):
+        self.lanes = 0
+
+    def submit(self, fn, *args):
+        self.lanes += 1
+        future = Future()
+        fn(*args)
+        future.set_result(None)
+        return future
+
+
+def _lanes(plan, inputs, order=None):
+    """The two lanes ``run`` would apply (None: one block, no lanes)."""
+    total = inputs[0].size * (plan.world if plan.kind is Collective.ALL_GATHER else 1)
+    tile = executor.TILE_BYTES // inputs[0].itemsize
+    return executor._resolve(plan, total, plan._blocks(order), tile)[2]
+
+
+def _assert_lanes_disjoint(plan, lanes, sends, out, order):
+    """No byte any access of one lane touches is touched by the other
+    lane, on the run's real arrays (an in-place receive buffer is its
+    send buffer's memory)."""
+    n, kind = plan.world, plan.kind
+    if out is None:
+        out_size = sends[0].size // n if kind is Collective.REDUCE_SCATTER else (
+            sends[0].size * n if kind is Collective.ALL_GATHER else sends[0].size
+        )
+        out = [np.empty(out_size, sends[0].dtype) for _ in range(n)]
+    accesses = [
+        (lane, operand, span)
+        for lane, records in enumerate(lanes)
+        for record in records
+        for operand, span in (record[1:3], record[3:5], record[5:7])
+    ]
+    pool = np.empty(max(span.stop for _, _, span in accesses), sends[0].dtype)
+    ranks = range(n) if order is None else order
+    arrays = [out[r].reshape(-1) for r in ranks] + [sends[r].reshape(-1) for r in ranks] + [pool]
+
+    def extent(view):  # a contiguous 1-D slice
+        return view.ctypes.data, view.ctypes.data + view.nbytes
+
+    extents = sorted((*extent(arrays[operand][span]), lane) for lane, operand, span in accesses)
+    reach = [0, 0]
+    for lo, hi, lane in extents:
+        assert lo >= reach[1 - lane], "the two lanes touch one byte"
+        reach[lane] = max(reach[lane], hi)
+
+
 def _matches_plan_order(staging, plan, inputs, op=ReduceOp.SUM, order=None, in_place=False):
     """The cache-blocked run on the reused poisoned ``staging`` against
     :func:`plan_order_run`, bit for bit (float32: any reordered reduction
-    shows), out of place or in place."""
+    shows), out of place or in place; where resolution cut the blocks into
+    two lanes, the lanes touch disjoint memory and running them
+    sequentially, second lane first, gives the same bytes.  Returns the
+    lanes."""
     def buffers():
         if in_place:
             return _in_place_buffers(plan.kind, inputs)
@@ -563,6 +623,17 @@ def _matches_plan_order(staging, plan, inputs, op=ReduceOp.SUM, order=None, in_p
     want = plan_order_run(plan, sends, op, order=order, out=out)
     sends, out = buffers()
     _assert_same(_poisoned_run(staging, plan, sends, op, order=order, out=out), want)
+    lanes = _lanes(plan, inputs, order)
+    if lanes is not None:
+        sends, out = buffers()
+        _assert_lanes_disjoint(plan, lanes, sends, out, order)
+        helper = _InlineHelper()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            patch.setattr(Staging, "helper", lambda self: helper)
+            _assert_same(_poisoned_run(staging, plan, sends, op, order=order, out=out), want)
+        assert helper.lanes == 1
+    return lanes
 
 
 @pytest.mark.parametrize(
@@ -588,7 +659,8 @@ def test_every_builtin_plan_runs_tiled_as_in_plan_order(staging, monkeypatch, fa
             size = elems * world if kind is Collective.REDUCE_SCATTER else elems
             inputs = [rng.standard_normal(size).astype(np.float32) for _ in range(world)]
             for in_place in ((False, True) if kind is not Collective.ALL_GATHER else (False,)):
-                _matches_plan_order(staging, plan, inputs, order=order, in_place=in_place)
+                lanes = _matches_plan_order(staging, plan, inputs, order=order, in_place=in_place)
+                assert lanes is not None and all(lanes)
 
 
 @pytest.mark.parametrize(
@@ -675,6 +747,110 @@ def test_in_place_send_and_receive_buffers_are_one_memory(staging, monkeypatch):
     plan = ExecutionPlan(program, ops, compiled.hops, compiled.pool, 0)
     inputs = [np.arange(5, dtype=np.float32) + 10 * r for r in range(4)]
     _matches_plan_order(staging, plan, inputs, in_place=True)
+
+
+def _wide_ring_allreduce():
+    """A world-8 ring all-reduce whose chunks span two tiles each, and
+    its float32 inputs."""
+    world, elems = 8, 8 * 2 * TILE
+    rng = np.random.default_rng(3)
+    plan = builtin_plan("ring", Collective.ALL_REDUCE, world)
+    return plan, [rng.standard_normal(elems).astype(np.float32) for _ in range(world)]
+
+
+def test_the_lanes_split_the_bytes_evenly():
+    plan, inputs = _wide_ring_allreduce()
+    lanes = _lanes(plan, inputs)
+    assert lanes is not None
+    assert sum(map(len, lanes)) == len(plan.records(inputs[0].size, 4))
+    assert len(lanes[0]) == len(lanes[1])  # 16 equal blocks: 8 chains x 2 tiles
+
+
+def test_one_cpu_runs_one_lane_and_starts_no_thread(monkeypatch):
+    """Where the affinity mask holds one CPU, a run that two CPUs would
+    split applies every record on the calling thread; its records are the
+    same either way.  Two CPUs start the staging buffer's one thread."""
+    plan, inputs = _wide_ring_allreduce()
+    assert _lanes(plan, inputs) is not None  # two CPUs would use lanes
+    elems = inputs[0].size
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    before = set(threading.enumerate())
+    staging = Staging()
+    one = plan.run(inputs, staging=staging)
+    records = plan.records(elems, 4)
+    assert set(threading.enumerate()) <= before
+    _assert_same(one, plan_order_run(plan, inputs))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert plan.records(elems, 4) == records
+    _assert_same(plan.run(inputs, staging=staging), one)
+    started = set(threading.enumerate()) - before
+    assert [thread.name.split("_")[0] for thread in started] == ["executor-lane"]
+
+
+def test_a_failing_run_raises_only_after_its_second_lane_stopped(monkeypatch):
+    """A run into read-only receive buffers fails in both lanes; ``run``
+    raises only once the helper's lane (slowed down here) is done, so no
+    lane still holds a staging view when the caller sees the error."""
+    plan, inputs = _wide_ring_allreduce()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    futures = []
+    helper = Staging.helper
+
+    class Slow:
+        def __init__(self, staging):
+            self.pool = helper(staging)
+
+        def submit(self, fn, *args):
+            def late():
+                time.sleep(0.05)
+                fn(*args)
+
+            futures.append(self.pool.submit(late))
+            return futures[-1]
+
+    monkeypatch.setattr(Staging, "helper", lambda staging: Slow(staging))
+    out = [np.empty_like(a) for a in inputs]
+    for o in out:
+        o.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        plan.run(inputs, out=out, staging=Staging())
+    assert len(futures) == 1 and futures[0].done()
+
+
+def test_concurrent_runs_on_their_own_staging_stay_exact(monkeypatch):
+    """Three callers, each with its own staging buffer and so its own lane
+    thread (six threads on fewer cores), switching every few
+    microseconds: every run is byte-equal to plan order."""
+    import sys
+
+    monkeypatch.setattr(executor, "TILE_BYTES", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    plan = builtin_plan("tree", Collective.ALL_REDUCE, 8)
+    rng = np.random.default_rng(11)
+    inputs = [rng.standard_normal(8 * 40 + 3).astype(np.float32) for _ in range(8)]
+    want = plan_order_run(plan, inputs)
+    assert _lanes(plan, inputs) is not None
+    wrong = []
+
+    def caller():
+        staging = Staging()
+        for _ in range(20):
+            got = plan.run(inputs, staging=staging)
+            if not all(np.array_equal(a, b) for a, b in zip(got, want)):
+                wrong.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(3)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert wrong == []
 
 
 def test_small_ring_allreduce_keeps_its_112_records():

@@ -25,8 +25,9 @@ Guarded files:
   and the ``paths`` the route tables of ``path_tables`` hold, all
   compared with ``==``: the workloads are seeded, so the counts are exact
   on any host, which events/s and the traced/untraced wall ratio are not;
-  and the tracer's retained ring (``closed_ring_kib``), which may grow by
-  at most 10 %, so per-flow objects cannot come back into closed traces;
+  and what the tracer's closed ring retains (``closed_ring_kib``, whoever
+  allocated it), which may grow by at most 10 %, so per-flow objects
+  cannot come back into closed traces;
 * ``BENCH_synth.json`` — synthesizer search throughput
   (``programs_per_sec``), the measured synthesized-vs-builtin
   ``speedup`` on the WAN fabric, and the executor's ``data_plane``

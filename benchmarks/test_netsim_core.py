@@ -25,9 +25,9 @@ archive the trend:
   recomputation that moved a flow, every flow here traced — and rate
   segments per flow: the gate; ``recorder_calls_per_flow`` names the
   hand-offs), ``closed_ring_kib``, the tracemalloc size of what the
-  tracer retains of the run (its ring of closed traces, allocated by
-  ``telemetry/causal.py``; gated at +10 %), and the traced/untraced wall
-  ratio (recorded only).
+  tracer's ring of closed traces retains of the run, whichever module
+  allocated it (traced bytes before minus after emptying the ring; gated
+  at +10 %), and the traced/untraced wall ratio (recorded only).
 * ``steady_state``: one ``small_allreduce`` collective's flows (8 ranks x
   2 channels on the testbed fabric, the one batch a deployment injects)
   replayed on one simulator and drained 200 times, with the exact solver
@@ -256,13 +256,15 @@ def _traced_event_loop(num_flows: int, traced: bool, work: dict = None) -> float
     a trace like a real collective's rank/channel fan-out, each trace
     closed when its last flow completes, after which only the tracer holds
     it.  ``work`` (the untimed counting run) receives the rate segments
-    each closing trace recorded, and ``closed_ring_kib``: the memory
-    still allocated by the tracer's code at the end of the run, which is
-    its ring of closed traces.
+    each closing trace recorded, and ``closed_ring_kib``: the memory the
+    tracer's ring of closed traces holds at the end of the run, whoever
+    allocated it (a path or value the ring shares with live state is not
+    counted; a copy it keeps is).
     """
     import tracemalloc
 
     from repro.telemetry import causal
+    from repro.telemetry.ringbuffer import RingBuffer
 
     if work is not None:
         tracemalloc.start(4)
@@ -326,10 +328,13 @@ def _traced_event_loop(num_flows: int, traced: bool, work: dict = None) -> float
         assert tracer.traces_closed == len(closed) == -(-num_flows // _FLOWS_PER_TRACE)
         assert not tracer.live_traces() and not open_counts
     if work is not None:
+        # What the closed ring retains, whoever allocated it: traced bytes
+        # with the ring full, minus the same once the ring is emptied.
         gc.collect()
-        mine = tracemalloc.Filter(True, causal.__file__, all_frames=True)
-        held = tracemalloc.take_snapshot().filter_traces([mine]).traces
-        work["closed_ring_kib"] = sum(trace.size for trace in held) / 1024
+        held = tracemalloc.get_traced_memory()[0]
+        tracer._closed = RingBuffer(causal.MAX_CLOSED)
+        gc.collect()
+        work["closed_ring_kib"] = (held - tracemalloc.get_traced_memory()[0]) / 1024
         tracemalloc.stop()
     return wall
 

@@ -11,7 +11,7 @@ is equivalent at the fluid level).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 from ..netsim.fabric import local_link_id, nic_node
 from .gpu import GpuDevice
@@ -31,10 +31,11 @@ class Nic:
     index: int
     gbps: float
     alive: bool = True
+    #: Fabric endpoint id (``host_id`` and ``index`` never change).
+    node_id: str = field(init=False)
 
-    @property
-    def node_id(self) -> str:
-        return nic_node(self.host_id, self.index)
+    def __post_init__(self) -> None:
+        self.node_id = nic_node(self.host_id, self.index)
 
 
 @dataclass
@@ -60,14 +61,17 @@ class Host:
     sysfs_visible: bool = False
     alive: bool = True
     ipc: IpcRegistry = field(init=False)
+    #: The path of every intra-host connection: one tuple per host.
+    local_path: Tuple[str] = field(init=False)
 
     def __post_init__(self) -> None:
         self.ipc = IpcRegistry(self.host_id)
+        self.local_path = (local_link_id(self.host_id),)
 
     @property
     def local_link(self) -> str:
         """Link id of the intra-host (NVLink/shm) channel."""
-        return local_link_id(self.host_id)
+        return self.local_path[0]
 
     def gpu(self, local_index: int) -> GpuDevice:
         return self.gpus[local_index]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import NoPathError
 from .topology import Topology
@@ -46,7 +46,10 @@ class PathSelector:
 
     def select(
         self, topology: Topology, key: ConnectionKey
-    ) -> List[str]:  # pragma: no cover - interface
+    ) -> Tuple[str, ...]:  # pragma: no cover - interface
+        """One of ``topology.shortest_paths(*key[:2])``: the topology's
+        shared, cached tuple itself, never a copy, so every connection,
+        flow and trace of a route holds one path object."""
         raise NotImplementedError
 
 
@@ -56,9 +59,9 @@ class EcmpSelector(PathSelector):
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
-    def select(self, topology: Topology, key: ConnectionKey) -> List[str]:
+    def select(self, topology: Topology, key: ConnectionKey) -> Tuple[str, ...]:
         paths = topology.shortest_paths(key[0], key[1])
-        return list(paths[ecmp_hash(key, len(paths), self.seed)])
+        return paths[ecmp_hash(key, len(paths), self.seed)]
 
 
 @dataclass
@@ -95,7 +98,7 @@ class RouteIdSelector(PathSelector):
         self.route_map = route_map
         self._fallback = EcmpSelector(fallback_seed)
 
-    def select(self, topology: Topology, key: ConnectionKey) -> List[str]:
+    def select(self, topology: Topology, key: ConnectionKey) -> Tuple[str, ...]:
         paths = topology.shortest_paths(key[0], key[1])
         route_id = self.route_map.route_id(key)
         if route_id is None:
@@ -107,7 +110,7 @@ class RouteIdSelector(PathSelector):
                 f"route id {route_id} out of range for {key[0]}->{key[1]} "
                 f"({len(paths)} paths)"
             )
-        return list(paths[route_id])
+        return paths[route_id]
 
 
 # ----------------------------------------------------------------------

@@ -234,7 +234,7 @@ class CausalTrace:
 
     __slots__ = ("trace_id", "tenant", "comm_id", "seq", "kind", "nbytes",
                  "strategy_version", "issued_at", "end_time", "status",
-                 "attempts", "events")
+                 "attempts", "_events")
 
     def __init__(
         self,
@@ -259,9 +259,9 @@ class CausalTrace:
         self.end_time: Optional[float] = None
         self.status = "open"
         self.attempts: List[TraceAttempt] = [TraceAttempt(1, now, tracer)]
-        #: Annotations from the control plane: barrier passes, holds,
-        #: relaunches, recovery decisions...
-        self.events: List[Tuple[float, str, Dict[str, object]]] = []
+        # One ``(now, kind, keys, *values)`` tuple per annotation; the
+        # tracer shares each distinct ``keys`` tuple among its traces.
+        self._events: List[tuple] = []
 
     # ------------------------------------------------------------------
     @property
@@ -277,7 +277,17 @@ class CausalTrace:
 
     def annotate(self, now: float, kind: str, **attrs: object) -> None:
         """Attach a control-plane event (live or closed trace alike)."""
-        self.events.append((now, kind, attrs))
+        keys = tuple(attrs)
+        keys = self.attempts[0].tracer._event_keys.setdefault(keys, keys)
+        self._events.append((now, kind, keys, *attrs.values()))
+
+    @property
+    def events(self) -> List[Tuple[float, str, Dict[str, object]]]:
+        """Annotations from the control plane — barrier passes, holds,
+        relaunches, recovery decisions... — as ``(now, kind, attrs)``,
+        in order (a view: the dicts are built on each read)."""
+        return [(event[0], event[1], dict(zip(event[2], event[3:])))
+                for event in self._events]
 
     def all_flows(self) -> List[FlowRecord]:
         return [f for a in self.attempts for f in a.flows.values()]
@@ -389,6 +399,8 @@ class CausalTracer(SimObserver):
         #: Tenant -> flows in the network (all traffic, traced or not).
         self._tenant_flows: Dict[str, int] = {}
         self._ids = itertools.count(1)
+        #: The distinct attribute-name tuples of trace annotations.
+        self._event_keys: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self.traces_started = 0
         self.traces_closed = 0
         sim.add_observer(self)

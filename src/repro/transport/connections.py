@@ -24,7 +24,6 @@ from typing import Dict, Iterable, List, Tuple
 
 from ..cluster.gpu import GpuDevice
 from ..cluster.specs import Cluster
-from ..netsim.fabric import local_link_id
 from ..netsim.routing import ConnectionKey, PathSelector
 
 EdgeId = Tuple[int, int, int]
@@ -38,7 +37,10 @@ class Connection:
     Attributes:
         src, dst: The endpoint GPUs.
         channel: Channel index; selects which NIC pair is used.
-        path: Concrete link-id path the connection is pinned to.
+        path: Concrete link-id path the connection is pinned to: the
+            selector's answer (the topology's cached tuple) or the host's
+            ``local_path``, shared, not copied, with every other
+            connection and flow of the route.
         key: The (src endpoint, dst endpoint, discriminator) triple shown
             to the path selector; policies address connections by it.
         intra_host: Whether the connection rides the intra-host channel.
@@ -47,7 +49,7 @@ class Connection:
     src: GpuDevice
     dst: GpuDevice
     channel: int
-    path: List[str]
+    path: Tuple[str, ...]
     key: ConnectionKey
     intra_host: bool
 
@@ -128,18 +130,17 @@ class ConnectionTable:
                 src=src,
                 dst=dst,
                 channel=channel,
-                path=[local_link_id(src.host_id)],
+                path=self.cluster.hosts[src.host_id].local_path,
                 key=("", "", f"{self.discriminator}/local"),
                 intra_host=True,
             )
         else:
             key = connection_key(self.cluster, src, dst, channel, self.discriminator)
-            path = selector.select(self.cluster.topology, key)
             conn = Connection(
                 src=src,
                 dst=dst,
                 channel=channel,
-                path=list(path),
+                path=selector.select(self.cluster.topology, key),
                 key=key,
                 intra_host=False,
             )

@@ -18,7 +18,7 @@ reconfigurations, membership changes and upgrades leave the
 and a destroyed communicator takes its tuner state and its joiners'
 staging buffers with it (the churn case).  Trace objects are not allowed
 to grow either: a ``CausalTrace`` lives in the tracer's ring, its flows
-and rate history as columns, a ``TraceRecord`` in its
+and rate history as columns (paths shared, one object per route), a ``TraceRecord`` in its
 communicator's ring until the communicator is destroyed, a
 ``ReconfigSession`` in the hub's session ring, and no ``Span``,
 ``FlowRecord`` or ``RateSegment`` is stored at all (exports and queries
@@ -140,6 +140,9 @@ def test_allreduce_loop_leaves_nothing_behind(monkeypatch):
     # Its per-flow and per-tenant maps hold flows in the network only.
     tracer = dep.telemetry().causal
     assert not tracer._owners and not tracer._tenant_flows
+    # And it holds one path object per route, not a copy per flow.
+    paths = [p for t in tracer.closed_traces() for a in t.attempts for p in a.paths]
+    assert len(paths) > len(set(paths)) == len({id(p) for p in paths})
     assert recvs[0].view(np.float32)[0] == sum(range(len(gpus)))
     # The per-host IPC registries hold live exports only: the two buffers
     # per GPU and the communicator-level event.

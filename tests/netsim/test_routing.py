@@ -49,7 +49,7 @@ def test_ecmp_hash_rejects_zero_paths():
 def test_ecmp_selector_returns_valid_path(fab):
     selector = EcmpSelector(seed=3)
     path = selector.select(fab.topology, key())
-    assert path in fab.topology.equal_cost_paths(*key()[:2])
+    assert path in fab.topology.shortest_paths(*key()[:2])
 
 
 def test_route_map_assignment_and_lookup():
@@ -69,8 +69,8 @@ def test_route_id_selector_honours_map(fab):
     rm = RouteMap()
     rm.assign(key(), 1)
     selector = RouteIdSelector(rm)
-    paths = fab.topology.equal_cost_paths(*key()[:2])
-    assert selector.select(fab.topology, key()) == paths[1]
+    paths = fab.topology.shortest_paths(*key()[:2])
+    assert selector.select(fab.topology, key()) is paths[1]  # shared, not copied
 
 
 def test_route_id_selector_falls_back_to_ecmp(fab):

@@ -60,3 +60,46 @@ def test_window_is_bounded(monkeypatch):
         (4, 3, "barrier"),
     ]
     assert len(hub.sessions) == 2 and hub.spans.evicted == 1
+
+
+def test_closed_trace_keeps_annotation_values_not_dicts():
+    """A trace stores its annotations as value tuples; ``events``,
+    ``to_dict`` and the span rendering read exactly what the stored
+    ``(now, kind, attrs)`` dicts used to give."""
+    from repro.netsim.engine import FlowSimulator
+    from repro.netsim.topology import Topology
+    from repro.telemetry import collective_spans
+    from repro.telemetry.causal import CausalTracer
+
+    tracer = CausalTracer(FlowSimulator(Topology("empty")))
+    traces = []
+    for seq in range(2):
+        trace = tracer.open(0.0, tenant="A", comm_id="c0", seq=seq,
+                            kind="allreduce", nbytes=64)
+        trace.annotate(0.1, "held_by_reconfig", rank=1, gpu=3)
+        trace.annotate(0.2, "rank_launch", rank=0, version=2)
+        trace.annotate(0.2, "rank_launch", rank=1, version=2)
+        trace.annotate(0.3, "first_flow_start")
+        trace.new_attempt(0.4)
+        trace.annotate(0.5, "rank_failed", rank=1, error="boom")
+        tracer.close(trace, 0.6, "completed", reason="done")
+        traces.append(trace)
+    attrs = [{"rank": 1, "gpu": 3}, {"rank": 0, "version": 2}, {"rank": 1, "version": 2},
+             {}, {"attempt": 2}, {"rank": 1, "error": "boom"}, {"reason": "done"}]
+    times = [0.1, 0.2, 0.2, 0.3, 0.4, 0.5, 0.6]
+    kinds = ["held_by_reconfig", "rank_launch", "rank_launch", "first_flow_start",
+             "retry", "rank_failed", "completed"]
+    first, second = traces
+    assert not any(isinstance(v, dict) for event in first._events for v in event)
+    # One key tuple per distinct attribute set, shared across traces.
+    assert first._events[1][2] is first._events[2][2] is second._events[1][2]
+    assert first.events == list(zip(times, kinds, attrs))
+    assert first.to_dict()["events"] == [
+        {"time": t, "kind": k, "attrs": a} for t, k, a in zip(times, kinds, attrs)
+    ]
+    root, *phases = collective_spans([first])
+    assert root.events == list(zip(kinds, times, attrs)) + [("last_flow_end", 0.6, {})]
+    assert [(s.name, s.start, s.end) for s in phases] == [
+        ("queued", 0.0, 0.2), ("launch", 0.2, 0.3), ("network", 0.3, 0.4),
+        ("queued", 0.4, 0.6),
+    ]

@@ -18,7 +18,12 @@ def test_intra_host_connection_uses_local_link(cl):
         cl.hosts[0].gpus[0], cl.hosts[0].gpus[1], 0, EcmpSelector()
     )
     assert conn.intra_host
-    assert conn.path == ["h0.local"]
+    assert conn.path == ("h0.local",)
+    # One local path per host, shared by all of its intra-host connections.
+    other = table.establish_edge(
+        cl.hosts[0].gpus[1], cl.hosts[0].gpus[0], 1, EcmpSelector()
+    )
+    assert other.path is conn.path is cl.hosts[0].local_path
 
 
 def test_inter_host_connection_has_fabric_path(cl):
@@ -88,6 +93,30 @@ def test_route_map_controls_connection_path(cl):
         cl.hosts[0].gpus[0], cl.hosts[2].gpus[0], 0, RouteIdSelector(rm)
     )
     assert "spine1" in " ".join(conn.path)
+
+
+def test_route_is_one_path_object_from_topology_to_trace(cl):
+    """The topology's cached path is the connection's, its flows' and
+    what a closed trace keeps of them: no per-flow copy anywhere."""
+    from repro.telemetry.causal import CausalTracer
+
+    rm = RouteMap()
+    key = connection_key(cl, cl.hosts[0].gpus[0], cl.hosts[2].gpus[0], 0, "j")
+    rm.assign(key, 1)
+    conn = ConnectionTable(cl, "j").establish_edge(
+        cl.hosts[0].gpus[0], cl.hosts[2].gpus[0], 0, RouteIdSelector(rm)
+    )
+    tracer = CausalTracer(cl.sim)
+    trace = tracer.open(cl.sim.now, tenant="j", comm_id="c", seq=0, kind="k", nbytes=8)
+    flows = cl.sim.add_flows(
+        [(1e6, conn.path, 0), (1e6, conn.path, 1)], job_id="j", tags={"trace": trace}
+    )
+    cl.sim.run()
+    tracer.close(trace, cl.sim.now, "completed")
+    (kept,) = tracer.closed_traces()
+    route = cl.topology.shortest_paths(key[0], key[1])[1]
+    assert route is conn.path is flows[0].path is flows[1].path
+    assert all(path is route for path in kept.attempts[0].paths)
 
 
 # ----------------------------------------------------------------------

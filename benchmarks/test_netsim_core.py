@@ -26,8 +26,9 @@ archive the trend:
   segments per flow: the gate; ``recorder_calls_per_flow`` names the
   hand-offs), ``closed_ring_kib``, the tracemalloc size of what the
   tracer's ring of closed traces retains of the run, whichever module
-  allocated it (traced bytes before minus after emptying the ring; gated
-  at +10 %), and the traced/untraced wall ratio (recorded only).
+  allocated it (traced bytes before minus after emptying the ring, in a
+  fresh interpreter so the figure does not depend on what ran before it;
+  gated at +10 %), and the traced/untraced wall ratio (recorded only).
 * ``steady_state``: one ``small_allreduce`` collective's flows (8 ranks x
   2 channels on the testbed fabric, the one batch a deployment injects)
   replayed on one simulator and drained 200 times, with the exact solver
@@ -361,6 +362,30 @@ def _tracer_work(num_flows: int) -> dict:
     return work
 
 
+def _tracer_work_fresh(num_flows: int) -> dict:
+    """:func:`_tracer_work` in a new interpreter.  The counts are the same
+    in any process, but ``closed_ring_kib`` is not: what ran earlier in a
+    process (warm-ups, the timed pairs) leaves objects the run then shares
+    instead of allocating, so only a fresh process reads a figure that
+    every invocation reproduces."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    here = str(Path(__file__).resolve().parent)
+    code = (
+        "import json\nfrom test_netsim_core import _tracer_work\n"
+        f"print(json.dumps(_tracer_work({num_flows})))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([here, *sys.path]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=here,
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def test_telemetry_overhead():
     """The cost of always-on causal tracing, gated on a count.
 
@@ -386,7 +411,7 @@ def test_telemetry_overhead():
     off = statistics.median(w for w, _ in pairs)
     on = statistics.median(w for _, w in pairs)
     overhead = statistics.median(on_w / off_w for off_w, on_w in pairs) - 1.0
-    work = _tracer_work(num_flows)
+    work = _tracer_work_fresh(num_flows)
     calls = work["recorder_calls"] / num_flows
     segments = work["segments"] / num_flows
     _RESULTS["telemetry_overhead"][str(num_flows)] = {

@@ -31,11 +31,10 @@ class Nic:
     index: int
     gbps: float
     alive: bool = True
-    #: Fabric endpoint id (``host_id`` and ``index`` never change).
-    node_id: str = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.node_id = nic_node(self.host_id, self.index)
+    @property
+    def node_id(self) -> str:
+        return nic_node(self.host_id, self.index)
 
 
 @dataclass

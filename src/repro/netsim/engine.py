@@ -127,11 +127,9 @@ class FlowSimulator:
         # Flow ids restart at 0 per simulator, so a run's ids do not depend
         # on what else the process simulated before it.
         self._flows_injected = 0
-        # path -> (its canonical tuple, its distinct links), for every path
-        # validated so far (see ``_checked_route``).
-        self._links_of_path: Dict[
-            Tuple[str, ...], Tuple[Tuple[str, ...], Tuple[str, ...]]
-        ] = {}
+        # path -> distinct links, for every path validated so far (see
+        # ``_checked_route``).
+        self._links_of_path: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._events: List[Tuple[float, int, EventCallback]] = []
         self._event_seq = itertools.count()
         #: Sequence number of the last event :meth:`schedule` issued.
@@ -208,8 +206,8 @@ class FlowSimulator:
         Equivalent to one :meth:`add_flow` per transfer, in order (same
         ids, rates and completion times), at one route check per distinct
         path, one structural delta in the solver and one observer call.
-        Every flow of a route holds one path tuple, the first the
-        simulator validated for it: a tuple is kept, not copied.
+        A path given as a tuple is kept, not copied, so every flow of a
+        route shares the tuple its connection holds.
 
         All-or-nothing: raises :class:`LinkDownError` when any path
         crosses a link that is currently down (a stale connection caching
@@ -222,13 +220,12 @@ class FlowSimulator:
         now = self.now
         for transfer in transfers:
             size, path, channel = transfer[0], transfer[1], transfer[2]
-            path = tuple(path)
-            route = checked.get(path)
-            if route is None:
-                route = checked[path] = self._checked_route(path)
-            path, links = route
+            path_t = tuple(path)
+            links = checked.get(path_t)
+            if links is None:
+                links = checked[path_t] = self._checked_route(path_t)
             flow = Flow(
-                size, path, f"flow{number}", job_id, weight, gated,
+                size, path_t, f"flow{number}", job_id, weight, gated,
                 on_complete, on_fail, tags, links,
             )
             flow.channel = channel
@@ -251,11 +248,8 @@ class FlowSimulator:
             observer.on_flows_added(flows, now)
         return flows
 
-    def _checked_route(
-        self, path_t: Tuple[str, ...]
-    ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-        """Prologue of every injection: the canonical tuple of ``path_t``
-        (the first equal one validated) and its distinct links.
+    def _checked_route(self, path_t: Tuple[str, ...]) -> Tuple[str, ...]:
+        """Prologue of every injection: the distinct links of ``path_t``.
 
         Raises if the path is not contiguous in the topology or crosses a
         link that is currently down.
@@ -264,19 +258,19 @@ class FlowSimulator:
         # down), so a path validated once stays structurally valid; the
         # cache turns the channelized-workload case (thousands of flows
         # over a few distinct routes) into one dict probe per injection
-        # and hands every flow of a route the same path and links tuples.
-        route = self._links_of_path.get(path_t)
-        if route is None:
+        # and hands every flow of a route the same distinct-links tuple.
+        links = self._links_of_path.get(path_t)
+        if links is None:
             self.topology.validate_path(path_t)
-            route = self._links_of_path[path_t] = (path_t, tuple(dict.fromkeys(path_t)))
+            links = self._links_of_path[path_t] = tuple(dict.fromkeys(path_t))
         # Probe the topology's down-link set directly on this per-route path.
         if self.topology._down:
-            for link_id in route[1]:
+            for link_id in links:
                 if not self.topology.link_is_up(link_id):
                     raise LinkDownError(
                         f"flow path crosses down link {link_id!r}"
                     )
-        return route
+        return links
 
     def cancel_flow(self, flow: Flow) -> None:
         """Remove an in-flight flow without firing its completion callback.

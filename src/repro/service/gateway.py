@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, Optional, Tuple
@@ -232,8 +233,6 @@ class ServiceGateway:
             qos: deque() for qos in QOS_LADDER
         }
         self._queued = 0
-        #: Queued records by request id: what a deadline timer looks up.
-        self._waiting: Dict[int, GatewayRecord] = {}
         self._inflight = 0
         self._capacity = (
             self.policy.max_inflight + self.policy.queue_capacity * len(self._queues)
@@ -514,14 +513,14 @@ class ServiceGateway:
         )
         self.records.append(record)
         queue.append(record)
-        key = request.request_id
-        self._waiting[key] = record
         session.queued += 1
         self._queued += 1
         self._series(self._m_queue_depth, qos=name).set(len(queue))
-        # The timer holds the request id, not the record: a record that
+        # The timer holds a weak reference, not the record: a record that
         # left its queue is pinned by nothing until the deadline.
-        self.sim.schedule(record.deadline, lambda: self._expire(key))
+        self.sim.schedule(
+            record.deadline, lambda ref=weakref.ref(record): self._expire(ref())
+        )
         self._update_brownout()
         self._schedule_pump()
 
@@ -535,16 +534,14 @@ class ServiceGateway:
     def _leave_queue(self, record: GatewayRecord) -> None:
         name, queue = self._queue_for(record.qos)
         queue.remove(record)
-        del self._waiting[record.request.request_id]
         record.session.queued -= 1
         self._queued -= 1
         self._series(self._m_queue_depth, qos=name).set(len(queue))
 
-    def _expire(self, key: int) -> None:
+    def _expire(self, record: Optional[GatewayRecord]) -> None:
         """Deadline timer.  Only a *queued* request expires here: the retry
         path checks the deadline itself, an executed request runs on."""
-        record = self._waiting.get(key)
-        if record is not None:
+        if record is not None and record.state is RequestState.QUEUED:
             error = GatewayTimeoutError(
                 f"request {record.request.request_id} expired after "
                 f"{record.deadline - record.accepted_at:g}s in queue"

@@ -188,7 +188,7 @@ def collective_spans(
 
         # Phase boundaries, walked off the annotations: (name, start).
         phases = [("queued", trace.issued_at)]
-        for t, kind, _ in trace.events:
+        for kind, t, _ in events:
             current = phases[-1][0]
             if kind == EVENT_RANK_LAUNCH and current == "queued":
                 phases.append(("launch", t))

@@ -4,10 +4,9 @@ Two halves, matching how a provider would actually run this:
 
 * **Offline planner** (:class:`StrategyPlanner`) — enumerate candidate
   strategies (algorithm family including ``halving_doubling``, channel
-  count, ring order, chunk size), score them with the alpha-beta model
-  plus topology-aware bottleneck estimates, and keep the winners in an
-  in-memory :class:`TuningTable` keyed by (kind, world, size bucket,
-  topology fingerprint).
+  count, ring order) and score each with what a launch is charged in
+  simulation: the fixed latency of its steps plus the busiest resource's
+  serial time on the placement.
 * **Online tuner** (:class:`AutoTuner`) — consume measured per-collective
   durations, run a bounded-exploration bandit per bucket, and apply every
   strategy change live through the §4.2 reconfiguration barrier.
@@ -21,9 +20,7 @@ from .cost import (
     bottleneck_seconds,
     estimate_seconds,
     pair_traffic,
-    pipelined_seconds,
     topology_fingerprint,
-    wan_rtt_seconds,
 )
 from .planner import (
     Candidate,
@@ -31,13 +28,7 @@ from .planner import (
     StrategyPlanner,
     canonical_ring,
 )
-from .table import (
-    TableEntry,
-    TableKey,
-    TuningTable,
-    size_bucket,
-)
-from .tuner import AutoTuner
+from .tuner import AutoTuner, size_bucket
 
 __all__ = [
     "ArmStats",
@@ -45,16 +36,11 @@ __all__ = [
     "Candidate",
     "ScoredCandidate",
     "StrategyPlanner",
-    "TableEntry",
-    "TableKey",
-    "TuningTable",
     "UcbBandit",
     "bottleneck_seconds",
     "canonical_ring",
     "estimate_seconds",
     "pair_traffic",
-    "pipelined_seconds",
     "size_bucket",
     "topology_fingerprint",
-    "wan_rtt_seconds",
 ]

@@ -1,30 +1,29 @@
 """Topology-aware cost estimation for candidate collective strategies.
 
-The planner scores candidates with the classic alpha-beta model *plus*
-bottleneck terms derived from the actual placement: per-NIC egress/ingress
-load, per-rack spine-uplink load (where the testbed's 2:1 oversubscription
-bites), and the intra-host channel.  Traffic and step counts are the
-candidate algorithm's own (:meth:`CollectiveAlgorithm.rank_transfers
+The planner scores a candidate with exactly the two terms a launch is
+charged in simulation: the fixed latency of its plan's step count
+(:meth:`LatencyModel.collective_latency
+<repro.collectives.cost_model.LatencyModel.collective_latency>`, what
+``transport/launcher.py`` and the communicator wait before injecting
+flows) plus the serial transfer time of the busiest resource the
+placement exposes (per-NIC egress/ingress, per-rack spine uplinks where
+the testbed's 2:1 oversubscription bites, the intra-host channel, the
+directed WAN links).  The second term is SCCL's bandwidth lower bound
+(arXiv 2008.08708), so the estimate never exceeds the simulated
+duration; it equals it whenever the busiest resource is saturated for
+the whole collective, as for a one-channel ring in rank order.
+
+Traffic and step counts are the candidate algorithm's own
+(:meth:`CollectiveAlgorithm.rank_transfers
 <repro.core.algorithms.CollectiveAlgorithm.rank_transfers>` and
 ``.steps``, both views of its compiled plan) — the very flows the fluid
-simulator would launch — so the estimates rank candidates the way the
-network actually treats them.  :func:`estimate_seconds` is the one
-estimate: the planner scores built-ins with it and the synthesizer scores
-its programs with it, both handing over the algorithm object.
-
-Chunking enters through the pipelined closed form
-
-    ``T_net = (steps + chunks - 1) * (T_bottleneck / (steps * chunks)
-              + per_step)``
-
-which reduces to ``T_bottleneck + steps * per_step`` for one chunk and
-exposes a genuine optimum: more chunks overlap the pipeline stages but pay
-``per_step`` each.
+simulator would launch.  :func:`estimate_seconds` is the one estimate:
+the planner scores built-ins with it and the synthesizer scores its
+programs with it, both handing over the algorithm object.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.gpu import GpuDevice
@@ -54,8 +53,8 @@ def topology_fingerprint(cluster: Cluster, gpus: Sequence[GpuDevice]) -> str:
     """Stable key describing fabric + placement *shape* (not identity).
 
     Two placements with the same per-host GPU counts on the same fabric
-    share tuning-table entries; moving a job to differently-shaped hosts
-    (or another fabric) invalidates them.
+    share synthesized programs; moving a job to differently-shaped hosts
+    (or another fabric) leaves them behind.
     """
     spec = cluster.fabric.spec
     per_host: Dict[int, int] = {}
@@ -71,7 +70,7 @@ def topology_fingerprint(cluster: Cluster, gpus: Sequence[GpuDevice]) -> str:
     regions = rank_regions(cluster, gpus)
     if regions is not None:
         # WAN-crossing placements tune completely differently from
-        # single-region ones; keep their table entries apart.
+        # single-region ones; keep their programs apart.
         key += f"/regions{len(set(regions))}"
     return key
 
@@ -168,52 +167,6 @@ def bottleneck_seconds(
     return worst
 
 
-def pipelined_seconds(
-    bottleneck: float, steps: int, chunks: int, per_step: float
-) -> float:
-    """The pipelined closed form (see module docstring)."""
-    if steps <= 0:
-        return 0.0
-    if chunks < 1:
-        raise ValueError("chunks must be >= 1")
-    return (steps + chunks - 1) * (
-        bottleneck / (steps * chunks) + per_step
-    )
-
-
-def wan_rtt_seconds(
-    cluster: Cluster,
-    gpus: Sequence[GpuDevice],
-    kind: Collective,
-    *,
-    algorithm: CollectiveAlgorithm,
-    steps: int,
-    traffic: PairTraffic,
-) -> float:
-    """RTT-weighted penalty for WAN-crossing pipeline steps.
-
-    The fluid flow model carries capacities, not propagation delays, so
-    the planner accounts for WAN RTT here: each pipeline step containing
-    at least one inter-region transfer pays one ``wan_rtt``.  Chunk-level
-    programs report their exact WAN-crossing step count; for the
-    built-ins (rings, trees, butterflies) every step of a region-crossing
-    schedule synchronizes through the WAN, so all ``steps`` pay.  This is
-    what makes a flat locality ring lose to a two-level hierarchical
-    schedule on a ``multi_region`` fingerprint even at small sizes.
-    """
-    regions = rank_regions(cluster, gpus)
-    if regions is None:
-        return 0.0
-    wan_rtt = cluster.fabric.spec.wan_rtt
-    program = algorithm.program
-    if program is not None and algorithm.supports(kind, len(gpus)):
-        return wan_rtt * program.wan_step_count(regions.__getitem__)
-    crossing = any(
-        regions[src] != regions[dst] for (src, dst) in traffic
-    )
-    return wan_rtt * steps if crossing else 0.0
-
-
 def estimate_seconds(
     cluster: Cluster,
     gpus: Sequence[GpuDevice],
@@ -223,32 +176,13 @@ def estimate_seconds(
     algorithm: CollectiveAlgorithm,
     channels: int,
     ring: Sequence[int],
-    chunk_bytes: int,
     latency: LatencyModel = MCCS_LATENCY,
 ) -> float:
-    """Predicted completion time of one collective under a candidate:
-    a built-in family or a synthesized program alike."""
+    """Predicted completion time of one collective under a candidate —
+    a built-in family or a synthesized program alike: the launch's fixed
+    latency plus the busiest resource's serial time."""
     steps = algorithm.steps(_context(kind, ring, out_bytes))
     traffic = pair_traffic(algorithm, kind, ring, out_bytes)
-    # NCCL-style protocol point: LL/LL128 trade wire efficiency
-    # (inflating the bandwidth term) for cheaper per-step syncs.
-    protocol = algorithm.protocol
-    bottleneck = (
-        bottleneck_seconds(cluster, gpus, traffic, channels)
-        / protocol.bandwidth_efficiency
-    )
-    per_step = latency.per_step * protocol.latency_factor
-    chunks = max(1, math.ceil(out_bytes / max(1, chunk_bytes)))
-    return (
-        latency.base
-        + latency.datapath
-        + pipelined_seconds(bottleneck, steps, chunks, per_step)
-        + wan_rtt_seconds(
-            cluster,
-            gpus,
-            kind,
-            algorithm=algorithm,
-            steps=steps,
-            traffic=traffic,
-        )
+    return latency.collective_latency(steps) + bottleneck_seconds(
+        cluster, gpus, traffic, channels
     )

@@ -2,16 +2,10 @@
 
 Enumerates candidate :class:`~repro.core.strategy.CollectiveStrategy`
 configurations — algorithm family (every registry entry, including
-``halving_doubling``), channel count, ring order, chunk size — and scores
-each with :func:`repro.autotune.cost.estimate_seconds`.  The output is
-either a ranked candidate list (seeding the online bandit's arms) or a
-:class:`~repro.autotune.table.TuningTable` covering a sweep of (kind,
-size) cells.
-
-Chunk size is a *planning* dimension: the fluid simulator's runtime cost
-does not depend on it, so candidates sharing a runtime signature
-``(algorithm, channels, ring)`` are collapsed to their cheapest chunking
-before ranking.
+``halving_doubling``, plus the synthesized programs searched for this
+placement), channel count and ring order — and scores each with
+:func:`repro.autotune.cost.estimate_seconds`.  The ranked list seeds the
+online bandit's arms.
 """
 
 from __future__ import annotations
@@ -26,18 +20,15 @@ from ..collectives.halving_doubling import is_power_of_two
 from ..collectives.types import Collective
 from ..core.algorithms import get_algorithm, registered_algorithms
 from ..core.policies.ring_order import locality_ring_order
-from ..netsim.units import KB
 from ..telemetry.metrics import MetricsRegistry
 from .cost import estimate_seconds, topology_fingerprint
-from .table import TableEntry, TableKey, TuningTable, size_bucket
 
 #: Runtime-distinguishable part of a candidate: what a reconfiguration can
 #: actually install and what a measurement can be attributed to.
 Signature = Tuple[str, int, Tuple[int, ...]]
 
-#: Channel counts and chunk sizes (bytes, ascending) every plan sweeps.
+#: Channel counts every plan, and every synthesizer search, sweeps.
 CHANNEL_COUNTS = (1, 2)
-CHUNK_SIZES = (64 * KB, 256 * KB, 1024 * KB)
 
 
 def canonical_ring(order: Sequence[int]) -> Tuple[int, ...]:
@@ -67,7 +58,6 @@ class Candidate:
     channels: int
     ring: Tuple[int, ...]
     ring_label: str
-    chunk_bytes: int
 
     def signature(self) -> Signature:
         return (self.algorithm, self.channels, self.ring)
@@ -168,35 +158,22 @@ class StrategyPlanner:
     def candidates(
         self, kind: Collective, gpus: Sequence[GpuDevice]
     ) -> List[Candidate]:
-        out: List[Candidate] = []
-        for algorithm in self.algorithms(kind, len(gpus)):
-            for channels in CHANNEL_COUNTS:
-                for label, ring in sorted(self.ring_orders(gpus).items()):
-                    for chunk_bytes in CHUNK_SIZES:
-                        out.append(
-                            Candidate(
-                                algorithm=algorithm,
-                                channels=channels,
-                                ring=ring,
-                                ring_label=label,
-                                chunk_bytes=chunk_bytes,
-                            )
-                        )
+        out = [
+            Candidate(algorithm, channels, ring, label)
+            for algorithm in self.algorithms(kind, len(gpus))
+            for channels in CHANNEL_COUNTS
+            for label, ring in sorted(self.ring_orders(gpus).items())
+        ]
+        # A program fixes its own channel assignment and ignores the
+        # ring order.
         identity = tuple(range(len(gpus)))
-        for algorithm in self.synth_algorithms(kind, gpus):
-            # A program fixes its own channel assignment and ignores the
-            # ring order; only the chunking dimension is swept.
-            program = get_algorithm(algorithm).program
-            for chunk_bytes in CHUNK_SIZES:
-                out.append(
-                    Candidate(
-                        algorithm=algorithm,
-                        channels=program.channels,
-                        ring=identity,
-                        ring_label="synth",
-                        chunk_bytes=chunk_bytes,
-                    )
-                )
+        out.extend(
+            Candidate(
+                algorithm, get_algorithm(algorithm).program.channels,
+                identity, "synth",
+            )
+            for algorithm in self.synth_algorithms(kind, gpus)
+        )
         return out
 
     # ------------------------------------------------------------------
@@ -205,86 +182,32 @@ class StrategyPlanner:
     def plan(
         self, kind: Collective, out_bytes: int, gpus: Sequence[GpuDevice]
     ) -> List[ScoredCandidate]:
-        """Score every candidate, collapse chunking per runtime signature,
-        and return the survivors cheapest-first."""
-        best_by_signature: Dict[Signature, ScoredCandidate] = {}
-        evaluated = 0
-        for candidate in self.candidates(kind, gpus):
-            predicted = estimate_seconds(
-                self.cluster,
-                gpus,
-                kind,
-                out_bytes,
-                algorithm=get_algorithm(candidate.algorithm),
-                channels=candidate.channels,
-                ring=candidate.ring,
-                chunk_bytes=candidate.chunk_bytes,
-                latency=self.latency,
+        """Score every candidate and return them cheapest-first."""
+        scored = [
+            ScoredCandidate(
+                candidate,
+                estimate_seconds(
+                    self.cluster,
+                    gpus,
+                    kind,
+                    out_bytes,
+                    algorithm=get_algorithm(candidate.algorithm),
+                    channels=candidate.channels,
+                    ring=candidate.ring,
+                    latency=self.latency,
+                ),
             )
-            evaluated += 1
-            signature = candidate.signature()
-            current = best_by_signature.get(signature)
-            if current is None or predicted < current.predicted_seconds:
-                best_by_signature[signature] = ScoredCandidate(
-                    candidate=candidate, predicted_seconds=predicted
-                )
-        self.plans_evaluated += evaluated
+            for candidate in self.candidates(kind, gpus)
+        ]
+        self.plans_evaluated += len(scored)
         if self.metrics is not None:
             self.metrics.counter(
                 "mccs_autotune_plans_evaluated_total",
                 "Candidate strategies scored by the autotune planner.",
-            ).inc(evaluated, kind=kind.value)
-        return sorted(
-            best_by_signature.values(), key=lambda s: s.predicted_seconds
-        )
+            ).inc(len(scored), kind=kind.value)
+        return sorted(scored, key=lambda s: s.predicted_seconds)
 
     def best(
         self, kind: Collective, out_bytes: int, gpus: Sequence[GpuDevice]
     ) -> ScoredCandidate:
         return self.plan(kind, out_bytes, gpus)[0]
-
-    # ------------------------------------------------------------------
-    # offline table construction
-    # ------------------------------------------------------------------
-    def build_table(
-        self,
-        gpus: Sequence[GpuDevice],
-        *,
-        kinds: Sequence[Collective],
-        sizes: Sequence[int],
-    ) -> TuningTable:
-        """Plan a (kind, size) sweep into a tuning table.
-
-        Sizes landing in the same power-of-two bucket are planned once at
-        the largest representative.
-        """
-        table = TuningTable()
-        fingerprint = topology_fingerprint(self.cluster, gpus)
-        world = len(gpus)
-        for kind in kinds:
-            representatives: Dict[int, int] = {}
-            for size in sizes:
-                bucket = size_bucket(size)
-                representatives[bucket] = max(
-                    representatives.get(bucket, 0), size
-                )
-            for bucket, size in sorted(representatives.items()):
-                ranked = self.plan(kind, size, gpus)
-                winner = ranked[0]
-                table.put(
-                    TableKey(
-                        kind=kind.value,
-                        world=world,
-                        bucket=bucket,
-                        fingerprint=fingerprint,
-                    ),
-                    TableEntry(
-                        algorithm=winner.candidate.algorithm,
-                        channels=winner.candidate.channels,
-                        ring=winner.candidate.ring,
-                        chunk_bytes=winner.candidate.chunk_bytes,
-                        predicted_seconds=winner.predicted_seconds,
-                        candidates_evaluated=len(ranked),
-                    ),
-                )
-        return table

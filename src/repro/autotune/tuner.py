@@ -11,9 +11,8 @@ change **live through the §4.2 reconfiguration barrier** —
 ``barrier_enabled=True``, always — so the tenant is never interrupted and
 co-tenants see zero blast radius.
 
-Arms are seeded from the offline planner's ranked candidates and, when
-an earlier communicator already planned the same key, the tuning table
-(hits/misses are surfaced as ``mccs_autotune_table_{hits,misses}_total``).
+Arms are seeded from the offline planner's ranked candidates, plus the
+strategy the communicator is running.
 
 The tuner keeps one state per *live* communicator: destroying one drops
 its state (:meth:`AutoTuner.detach`), so the per-comm counts
@@ -28,9 +27,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..netsim.errors import ReconfigurationError
 from .bandit import TIE_TOLERANCE, UcbBandit
-from .cost import topology_fingerprint
 from .planner import Signature, StrategyPlanner
-from .table import TableEntry, TableKey, TuningTable, size_bucket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken for type hints
     from ..core.communicator import CollectiveInstance, ServiceCommunicator
@@ -38,6 +35,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken for type hints
 
 #: One bandit instance per (collective kind, world size, size bucket).
 BucketKey = Tuple[str, int, int]
+
+
+def size_bucket(nbytes: int) -> int:
+    """Power-of-two bucket index: sizes in ``(2^(k-1), 2^k]`` map to ``k``
+    (the Figure 6 sweep axis)."""
+    if nbytes <= 0:
+        raise ValueError("size must be positive")
+    return int(nbytes - 1).bit_length()
 
 
 #: Planner candidates admitted as arms per bucket.
@@ -65,7 +70,6 @@ class _BucketState:
 @dataclass
 class _CommState:
     comm: "ServiceCommunicator"
-    fingerprint: str
     buckets: Dict[BucketKey, _BucketState] = field(default_factory=dict)
     retune_inflight: bool = False
     retunes_applied: int = 0
@@ -85,7 +89,6 @@ class AutoTuner:
             latency=deployment.latency,
             metrics=self.metrics,
         )
-        self.table = TuningTable()
         self._states: Dict[int, _CommState] = {}
 
         self._observations = self.metrics.counter(
@@ -100,14 +103,6 @@ class AutoTuner:
         self._retunes_failed = self.metrics.counter(
             "mccs_autotune_retunes_failed_total",
             "Autotuner reconfigurations that failed or were rejected.",
-        )
-        self._table_hits = self.metrics.counter(
-            "mccs_autotune_table_hits_total",
-            "Tuning-table lookups that found a planned entry.",
-        )
-        self._table_misses = self.metrics.counter(
-            "mccs_autotune_table_misses_total",
-            "Tuning-table lookups that fell back to online planning.",
         )
         self._gain = self.metrics.gauge(
             "mccs_autotune_gain_seconds",
@@ -132,12 +127,7 @@ class AutoTuner:
         """Start tuning ``comm`` (idempotent)."""
         if comm.comm_id in self._states:
             return
-        state = _CommState(
-            comm=comm,
-            fingerprint=topology_fingerprint(
-                self.deployment.cluster, comm.gpus
-            ),
-        )
+        state = _CommState(comm=comm)
         self._states[comm.comm_id] = state
         comm.add_completion_listener(
             lambda instance, state=state: self._observe(state, instance)
@@ -164,17 +154,13 @@ class AutoTuner:
     def membership_changed(self, comm: "ServiceCommunicator") -> None:
         """Elastic-coordinator notification: ``comm``'s rank set changed.
 
-        The old buckets keyed on the previous world size and the old
-        placement fingerprint are useless (WAN-crossing placements tune
-        completely differently), so drop them, recompute the fingerprint,
-        and attribute the next applied retune to the new epoch.
+        The old buckets were planned and measured on the previous placement
+        (WAN-crossing placements tune completely differently), so drop
+        them and attribute the next applied retune to the new epoch.
         """
         state = self._states.get(comm.comm_id)
         if state is None:
             return
-        state.fingerprint = topology_fingerprint(
-            self.deployment.cluster, comm.gpus
-        )
         state.buckets.clear()
         state.retune_inflight = False
         state.pending_epoch = comm.membership_epoch
@@ -206,8 +192,8 @@ class AutoTuner:
             return bucket
         bucket = state.buckets[key] = _BucketState()
 
-        # Seed arms: planner ranking first, then the table's pick (if any),
-        # and always the strategy currently running on the communicator.
+        # Seed arms: the planner's ranking, and always the strategy
+        # currently running on the communicator.
         ranked = self.planner.plan(
             instance.kind, instance.out_bytes, state.comm.gpus
         )
@@ -215,37 +201,6 @@ class AutoTuner:
             signature = scored.candidate.signature()
             bucket.arms[signature] = _ArmSpec(
                 *signature, scored.predicted_seconds
-            )
-        entry = self.table.lookup(
-            instance.kind.value,
-            instance.world,
-            instance.out_bytes,
-            state.fingerprint,
-        )
-        if entry is not None:
-            self._table_hits.inc(comm=f"comm{state.comm.comm_id}")
-            signature = entry.signature()
-            bucket.arms.setdefault(
-                signature, _ArmSpec(*signature, entry.predicted_seconds)
-            )
-        else:
-            self._table_misses.inc(comm=f"comm{state.comm.comm_id}")
-            winner = ranked[0]
-            self.table.put(
-                TableKey(
-                    kind=instance.kind.value,
-                    world=instance.world,
-                    bucket=size_bucket(instance.out_bytes),
-                    fingerprint=state.fingerprint,
-                ),
-                TableEntry(
-                    algorithm=winner.candidate.algorithm,
-                    channels=winner.candidate.channels,
-                    ring=winner.candidate.ring,
-                    chunk_bytes=winner.candidate.chunk_bytes,
-                    predicted_seconds=winner.predicted_seconds,
-                    candidates_evaluated=len(ranked),
-                ),
             )
         current = self._signature_of(state.comm.strategy)
         bucket.arms.setdefault(current, _ArmSpec(*current))

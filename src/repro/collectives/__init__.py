@@ -34,7 +34,7 @@ from .generators import (
     ring_program,
 )
 from .halving_doubling import is_power_of_two
-from .ir import Instr, OpKind, Program, Protocol, make_program
+from .ir import Instr, OpKind, Program, make_program
 from .ring import RingSchedule, identity_ring
 from .tree import TreeSchedule, binary_tree, double_binary_trees
 from .types import Collective, ReduceOp, input_bytes, reduce_many, validate_world
@@ -49,7 +49,6 @@ __all__ = [
     "NCCL_LATENCY",
     "OpKind",
     "Program",
-    "Protocol",
     "ReduceOp",
     "RingSchedule",
     "Staging",

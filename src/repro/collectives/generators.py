@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence
 
 from ..netsim.errors import MalformedProgramError
 from .halving_doubling import is_power_of_two
-from .ir import Instr, OpKind, Program, Protocol, make_program
+from .ir import Instr, OpKind, Program, make_program
 from .tree import double_binary_trees
 from .types import Collective, validate_world
 
@@ -96,7 +96,6 @@ def ring_program(
     *,
     order: Optional[Sequence[int]] = None,
     channels: int = 1,
-    protocol: Protocol = Protocol.SIMPLE,
     root: int = 0,
     name: Optional[str] = None,
 ) -> Program:
@@ -203,7 +202,6 @@ def ring_program(
         _sort_rank_programs(programs),
         num_chunks=num_chunks,
         channels=channels,
-        protocol=protocol,
         root=root,
         meta={"family": "ring", "order": tuple(ring)},
     )
@@ -217,7 +215,6 @@ def double_tree_program(
     *,
     order: Optional[Sequence[int]] = None,
     channels: int = 1,
-    protocol: Protocol = Protocol.SIMPLE,
     name: Optional[str] = None,
 ) -> Program:
     """Double-binary-tree all-reduce over two chunks (vector halves).
@@ -249,7 +246,6 @@ def double_tree_program(
         _sort_rank_programs(programs),
         num_chunks=2,
         channels=channels,
-        protocol=protocol,
         meta={"family": "tree", "order": tuple(ring)},
     )
 
@@ -259,7 +255,6 @@ def halving_doubling_program(
     *,
     order: Optional[Sequence[int]] = None,
     channels: int = 1,
-    protocol: Protocol = Protocol.SIMPLE,
     name: Optional[str] = None,
 ) -> Program:
     """Recursive halving-doubling (butterfly) all-reduce, ``world`` chunks.
@@ -310,7 +305,6 @@ def halving_doubling_program(
         _sort_rank_programs(programs),
         num_chunks=n,
         channels=channels,
-        protocol=protocol,
         meta={"family": "halving_doubling", "order": tuple(ring)},
     )
 
@@ -322,7 +316,6 @@ def hierarchical_allreduce_program(
     groups: Sequence[Sequence[int]],
     *,
     channels: int = 1,
-    protocol: Protocol = Protocol.SIMPLE,
     name: Optional[str] = None,
 ) -> Program:
     """Two-level all-reduce over equally sized rank groups.
@@ -434,7 +427,6 @@ def hierarchical_allreduce_program(
         _sort_rank_programs(programs),
         num_chunks=num_chunks,
         channels=channels,
-        protocol=protocol,
         meta={
             "family": "hierarchical",
             "groups": tuple(tuple(grp) for grp in groups),

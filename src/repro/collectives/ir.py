@@ -20,52 +20,17 @@ graph sense: program order within a rank, plus one edge from every send
 to its matching receive.  The validator (:mod:`repro.synth.validate`)
 checks the graph is acyclic and that chunk dataflow is correct for the
 program's :class:`~repro.collectives.types.Collective` kind.
-
-Programs also carry a NCCL-style :class:`Protocol` attribute (LL /
-LL128 / Simple from "Demystifying NCCL"): a pure cost-model annotation
-trading per-step latency against effective link bandwidth, consumed by
-:func:`repro.autotune.cost.estimate_seconds`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .chunking import chunk_bounds
 from .types import Collective
 from ..netsim.errors import MalformedProgramError
-
-class Protocol(enum.Enum):
-    """NCCL transfer protocol, as a latency-bandwidth cost annotation.
-
-    The factors follow the published shape of the tradeoff ("Demystifying
-    NCCL"): LL ships 4 B of data per 8 B line (50% wire efficiency) but
-    skips the heavyweight synchronization, LL128 moves 120 of every
-    128 B (93.75%) at a moderate latency discount, and Simple pays the
-    full synchronization latency for full bandwidth.
-    """
-
-    LL = "ll"
-    LL128 = "ll128"
-    SIMPLE = "simple"
-
-    @property
-    def bandwidth_efficiency(self) -> float:
-        return _PROTOCOL_FACTORS[self][0]
-
-    @property
-    def latency_factor(self) -> float:
-        """Multiplier on the per-step fixed latency."""
-        return _PROTOCOL_FACTORS[self][1]
-
-
-_PROTOCOL_FACTORS: Dict[Protocol, Tuple[float, float]] = {
-    Protocol.LL: (0.5, 0.25),
-    Protocol.LL128: (120.0 / 128.0, 0.5),
-    Protocol.SIMPLE: (1.0, 1.0),
-}
 
 
 class OpKind(enum.Enum):
@@ -126,7 +91,6 @@ class Program:
             must be a multiple of ``world`` so per-rank blocks are
             chunk-aligned.
         channels: Channels the program's transfers use (max channel + 1).
-        protocol: NCCL-style protocol annotation for the cost model.
         rank_programs: ``rank_programs[r]`` is rank ``r``'s instruction
             tuple, executed in order.
         root: Root rank for rooted kinds (broadcast / reduce).
@@ -138,7 +102,6 @@ class Program:
     num_chunks: int
     channels: int
     rank_programs: Tuple[Tuple[Instr, ...], ...]
-    protocol: Protocol = Protocol.SIMPLE
     root: int = 0
     #: Free-form generator parameters, for provenance and reports.
     meta: Tuple[Tuple[str, object], ...] = field(default=(), compare=False)
@@ -176,23 +139,6 @@ class Program:
                     pair = (rank, instr.peer)
                     traffic[pair] = traffic.get(pair, 0.0) + sizes[instr.chunk]
         return traffic
-
-    def wan_step_count(self, region_of_rank: Callable[[int], int]) -> int:
-        """Steps containing at least one region-crossing send.
-
-        This is the exact count the RTT-weighted cost term wants: only
-        steps that actually traverse a WAN link pay the inter-region
-        round-trip, whereas a flat ring pays it on (nearly) every hop.
-        """
-        wan_steps = set()
-        for rank, program in enumerate(self.rank_programs):
-            for instr in program:
-                if (
-                    instr.kind is OpKind.SEND
-                    and region_of_rank(rank) != region_of_rank(instr.peer)
-                ):
-                    wan_steps.add(instr.step)
-        return len(wan_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +282,6 @@ def make_program(
     *,
     num_chunks: int,
     channels: Optional[int] = None,
-    protocol: Protocol = Protocol.SIMPLE,
     root: int = 0,
     meta: Optional[Dict[str, object]] = None,
 ) -> Program:
@@ -356,7 +301,6 @@ def make_program(
         world=len(programs),
         num_chunks=num_chunks,
         channels=channels,
-        protocol=protocol,
         rank_programs=programs,
         root=root,
         meta=tuple(sorted((meta or {}).items())),

@@ -18,7 +18,7 @@ lowering contract and search constants.
 """
 
 from ..collectives.generators import hierarchical_allreduce_program, ring_program
-from ..collectives.ir import Instr, OpKind, Program, Protocol, make_program
+from ..collectives.ir import Instr, OpKind, Program, make_program
 from .lowering import (
     SYNTH_PREFIX,
     SynthAlgorithm,
@@ -36,7 +36,6 @@ __all__ = [
     "Instr",
     "OpKind",
     "Program",
-    "Protocol",
     "ScoredProgram",
     "SynthAlgorithm",
     "Synthesizer",

@@ -55,8 +55,6 @@ class SynthAlgorithm(CollectiveAlgorithm):
             a candidate on an exactly matching fingerprint, so programs
             registered by one tenant (or one test) never leak into
             plans for other topologies.
-        protocol: The program's NCCL-style protocol, charged by the
-            cost model.
     """
 
     def __init__(self, program: Program, *, fingerprint: Optional[str] = None) -> None:
@@ -64,7 +62,6 @@ class SynthAlgorithm(CollectiveAlgorithm):
         self.program = program
         self.name = program.name
         self.fingerprint = fingerprint
-        self.protocol = program.protocol
 
     # -- applicability ----------------------------------------------------
     def supports(self, kind: Collective, world: int) -> bool:
@@ -88,6 +85,6 @@ class SynthAlgorithm(CollectiveAlgorithm):
         return (
             f"SynthAlgorithm({p.name!r}, kind={p.kind}, world={p.world}, "
             f"chunks={p.num_chunks}, steps={p.num_steps}, "
-            f"protocol={p.protocol.value}, fingerprint={self.fingerprint!r})"
+            f"fingerprint={self.fingerprint!r})"
         )
 

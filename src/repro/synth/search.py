@@ -3,9 +3,9 @@
 The synthesizer enumerates a parametric family of candidate programs for
 a concrete placement — flat rings plus two-level hierarchical schedules
 for every grouping the topology exposes (co-hosted ranks, same-leaf
-ranks, same-region ranks), crossed with channel counts and NCCL-style
-protocol variants — validates and compiles each candidate once, scores
-it with the one cost function the planner scores built-ins with
+ranks, same-region ranks), crossed with the planner's channel counts —
+validates and compiles each candidate once, scores it with the one cost
+function the planner scores built-ins with
 (:func:`repro.autotune.cost.estimate_seconds`), prunes to a beam per
 step count, and emits the pareto front over (latency-probe,
 bandwidth-probe) cost.
@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..autotune.cost import estimate_seconds, rank_regions, topology_fingerprint
+from ..autotune.planner import CHANNEL_COUNTS
 from ..cluster.gpu import GpuDevice
 from ..cluster.specs import Cluster
 from ..collectives.generators import hierarchical_allreduce_program, ring_program
-from ..collectives.ir import Program, Protocol
+from ..collectives.ir import Program
 from ..collectives.types import Collective
 from ..core.algorithms import register_algorithm
 from ..netsim.errors import ProgramValidationError
@@ -39,11 +40,6 @@ from .lowering import SynthAlgorithm
 #: bandwidth-dominated point (the paper's §6.2 sweep spans this range).
 LATENCY_PROBE_BYTES = 64 * KB
 BANDWIDTH_PROBE_BYTES = 64 * MB
-
-#: The search space: every family is crossed with these channel counts
-#: and protocols.
-CHANNEL_COUNTS = (1, 2)
-PROTOCOLS = (Protocol.SIMPLE, Protocol.LL128, Protocol.LL)
 
 #: Candidates kept per distinct step count before the pareto cut.
 BEAM_WIDTH = 4
@@ -130,35 +126,31 @@ class Synthesizer:
         groupings = placement_groups(self.cluster, self.gpus)
         placement = hashlib.sha1(self.fingerprint.encode()).hexdigest()[:8]
         programs: List[Program] = []
-        for protocol in PROTOCOLS:
-            for channels in CHANNEL_COUNTS:
-                tag = f"c{channels}.{protocol.value}"
+        for channels in CHANNEL_COUNTS:
+            programs.append(
+                ring_program(
+                    kind,
+                    world,
+                    channels=channels,
+                    name=f"synth:ring.c{channels}/{kind.value}/w{world}@{placement}",
+                )
+            )
+            if kind is not Collective.ALL_REDUCE:
+                continue
+            for label, groups in sorted(groupings.items()):
+                sizes = {len(g) for g in groups}
+                if len(sizes) != 1:
+                    continue  # two-level schedule needs equal groups
                 programs.append(
-                    ring_program(
-                        kind,
-                        world,
+                    hierarchical_allreduce_program(
+                        groups,
                         channels=channels,
-                        protocol=protocol,
-                        name=f"synth:ring.{tag}/{kind.value}/w{world}@{placement}",
+                        name=(
+                            f"synth:hier-{label}.c{channels}"
+                            f"/{kind.value}/w{world}@{placement}"
+                        ),
                     )
                 )
-                if kind is not Collective.ALL_REDUCE:
-                    continue
-                for label, groups in sorted(groupings.items()):
-                    sizes = {len(g) for g in groups}
-                    if len(sizes) != 1:
-                        continue  # two-level schedule needs equal groups
-                    programs.append(
-                        hierarchical_allreduce_program(
-                            groups,
-                            channels=channels,
-                            protocol=protocol,
-                            name=(
-                                f"synth:hier-{label}.{tag}"
-                                f"/{kind.value}/w{world}@{placement}"
-                            ),
-                        )
-                    )
         return programs
 
     # -- search ----------------------------------------------------------
@@ -186,7 +178,6 @@ class Synthesizer:
                     algorithm=algorithm,
                     channels=program.channels,
                     ring=identity,
-                    chunk_bytes=probe,
                 )
                 for probe in (LATENCY_PROBE_BYTES, BANDWIDTH_PROBE_BYTES)
             )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.autotune import StrategyPlanner
+from repro.autotune import StrategyPlanner, size_bucket
 from repro.cluster.specs import testbed_cluster
 from repro.collectives.types import Collective
 from repro.core.deployment import MccsDeployment
@@ -156,19 +156,21 @@ def test_observation_and_retune_metrics_published():
     assert gain is not None and gain.kind == "gauge"
 
 
-def test_table_miss_grows_table_then_later_comm_hits():
-    deployment, tuner, comm, _ = tuned_run(64 * KB, rounds=4)
-    counters = deployment.telemetry().metrics.counters()
-    assert counters["mccs_autotune_table_misses_total"].total() == 1
-    assert len(tuner.table) == 1  # planner's winner cached on the miss
+def test_size_bucket_covers_half_open_power_of_two_ranges():
+    assert size_bucket(1) == 0
+    assert size_bucket(2) == 1
+    assert size_bucket(1024) == 10
+    assert size_bucket(1025) == 11
+    with pytest.raises(ValueError):
+        size_bucket(0)
 
-    # a later communicator with the same key starts from the cached plan
-    later = deployment.create_communicator("B", comm.gpus, datapath_tag="autotune")
-    client = deployment.connect("B")
-    client.all_reduce(client.adopt_communicator(later.comm_id), 64 * KB)
-    deployment.run()
-    assert counters["mccs_autotune_table_hits_total"].total() == 1
-    assert counters["mccs_autotune_table_misses_total"].total() == 1
+
+@given(st.integers(1, 2**40))
+@settings(max_examples=100, deadline=None)
+def test_size_bucket_bounds(nbytes):
+    k = size_bucket(nbytes)
+    assert 2 ** (k - 1) < nbytes <= 2**k if k else nbytes == 1
+
 
 def test_buckets_are_tuned_independently():
     deployment, tuner, comm, _ = tuned_run(64 * KB, rounds=6)

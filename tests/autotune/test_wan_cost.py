@@ -1,4 +1,5 @@
-"""WAN terms in the cost model: bandwidth loads and the RTT step penalty."""
+"""WAN terms in the cost model: the directed WAN links are resources the
+busiest-resource term charges, like NICs and rack uplinks."""
 
 import pytest
 
@@ -7,12 +8,10 @@ from repro.autotune import (
     bottleneck_seconds,
     estimate_seconds,
     pair_traffic,
-    wan_rtt_seconds,
 )
-from repro.cluster.specs import multi_region_cluster, testbed_cluster
+from repro.cluster.specs import multi_region_cluster
 from repro.collectives.types import Collective
 from repro.core.algorithms import get_algorithm
-from repro.experiments.setups import single_app_gpus
 from repro.netsim.fabric import RegionSpec
 from repro.netsim.units import KB, MB, gbps
 from repro.synth import hierarchical_allreduce_program
@@ -52,55 +51,14 @@ def test_rack_uplink_counts_the_leafs_own_region_spines():
     assert bottleneck_seconds(cluster, gpus, traffic, 1) == 4e9 / uplinks
 
 
-def test_rtt_term_zero_without_regions_or_crossings(two_regions):
-    cluster, gpus = two_regions
-    traffic = pair_traffic(RING, Collective.ALL_REDUCE, range(8), 1 * MB)
-    # single-region fabric: no region_of_host, term vanishes
-    flat = testbed_cluster()
-    flat_gpus = single_app_gpus(flat, "8gpu")
-    assert wan_rtt_seconds(
-        flat, flat_gpus, Collective.ALL_REDUCE,
-        algorithm=RING, steps=14, traffic=traffic,
-    ) == 0.0
-    # multi-region fabric but placement confined to one region
-    local = [h.gpus[0] for h in cluster.hosts[:4]]
-    local_traffic = pair_traffic(
-        RING, Collective.ALL_REDUCE, range(4), 1 * MB
-    )
-    assert wan_rtt_seconds(
-        cluster, local, Collective.ALL_REDUCE,
-        algorithm=RING, steps=6, traffic=local_traffic,
-    ) == 0.0
-
-
-def test_builtin_pays_rtt_on_every_step_synth_only_on_crossing_steps(
+def test_traffic_of_a_registered_program_is_its_pair_traffic(
     two_regions, temporarily_registered
 ):
-    cluster, gpus = two_regions
-    wan_rtt = cluster.fabric.spec.wan_rtt
-    assert wan_rtt > 0
-    traffic = pair_traffic(RING, Collective.ALL_REDUCE, range(8), 1 * MB)
-    ring_penalty = wan_rtt_seconds(
-        cluster, gpus, Collective.ALL_REDUCE,
-        algorithm=RING, steps=14, traffic=traffic,
-    )
-    assert ring_penalty == pytest.approx(wan_rtt * 14)
-
+    """The cost model reads a registered program's traffic off the
+    algorithm's own flows, which sum to the program's pair traffic."""
     program = hierarchical_allreduce_program(
         [[0, 1, 2, 3], [4, 5, 6, 7]], name="synth:test-wan-hier/w8"
     )
-    with temporarily_registered(program) as (algo,):
-        synth_penalty = wan_rtt_seconds(
-            cluster, gpus, Collective.ALL_REDUCE,
-            algorithm=algo,
-            steps=program.num_steps,
-            traffic=program.pair_traffic(1 * MB),
-        )
-    # only phase 2 (the inter-group all-reduce, 2(g-1)=2 steps) crosses
-    assert synth_penalty == pytest.approx(wan_rtt * 2)
-    assert synth_penalty < ring_penalty
-    # the cost model reads a registered program's traffic off the
-    # algorithm's own flows, which sum to the program's pair traffic
     with temporarily_registered(program) as (algo,):
         assert pair_traffic(
             algo, Collective.ALL_REDUCE, range(8), 1 * MB
@@ -122,13 +80,13 @@ def test_hierarchical_beats_flat_ring_on_multi_region_fingerprint(
         hier = estimate_seconds(
             cluster, gpus, Collective.ALL_REDUCE, size,
             algorithm=algo, channels=1,
-            ring=tuple(range(8)), chunk_bytes=256 * KB,
+            ring=tuple(range(8)),
         )
         best_flat_ring = min(
             estimate_seconds(
                 cluster, gpus, Collective.ALL_REDUCE, size,
                 algorithm=RING, channels=channels,
-                ring=ring, chunk_bytes=256 * KB,
+                ring=ring,
             )
             for channels in (1, 2)
             for ring in (tuple(range(8)), tuple(reversed(range(8))))

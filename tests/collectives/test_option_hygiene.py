@@ -109,11 +109,17 @@ RETIRED = re.compile(
     # chaos generators only tests drove (the chaos state machine picks
     # faults and calls the public API); churn is ``change_membership``,
     # not a fault kind (lowercase ``rank_join``/``rank_leave`` stay
-    # membership-change labels); the tuning table lives in memory
+    # membership-change labels)
     r"|def random\(|DEFAULT_KIND_WEIGHTS|RANK_LEAVE|RANK_JOIN|\bchaos_\w+|_chaos_pick"
     r"|\.injected\b|link_candidates|host_candidates|tenant_candidates"
     r"|transient_fraction|clear_traffic_schedules|TABLE_FORMAT_VERSION"
-    r"|TableKey\.decode|TuningTable\.from_json"
+    r"|TableKey\.decode"
+    # cost terms the simulator never charges (chunk pipelining, NCCL
+    # protocol factors, a per-step WAN RTT) and the tuning table the tuner
+    # consulted only after planning: the planner's estimate is what a
+    # launch is charged
+    r"|CHUNK_SIZES|pipelined_seconds|wan_rtt_seconds|wan_step_count"
+    r"|bandwidth_efficiency|latency_factor|TuningTable"
     # second ways through the resilience steps: one live upgrade (no
     # component choice), elasticity always armed, no joiner staging
     # buffers, no cross-notification of lost ranks; no program JSON

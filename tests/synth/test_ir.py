@@ -3,7 +3,7 @@
 import pytest
 
 from repro.collectives.types import Collective
-from repro.synth import Instr, OpKind, Protocol, make_program, ring_program
+from repro.synth import Instr, OpKind, make_program, ring_program
 from repro.collectives.ir import chunk_spans
 
 
@@ -67,19 +67,3 @@ def test_rank_transfer_bytes_aggregates_per_peer_and_channel():
     }
     assert by_edge == rank_transfer_bytes(program, 0, 4096)
     assert sum(by_edge.values()) == pytest.approx(2 * 3 / 4 * 4096)
-
-
-def test_wan_step_count_is_exact():
-    program = ring_program(Collective.ALL_REDUCE, 4)
-    # ranks 0,1 in region 0; 2,3 in region 1: the flat ring crosses the
-    # boundary somewhere in every one of its 6 steps
-    assert program.wan_step_count(lambda r: r // 2) == program.num_steps
-    assert program.wan_step_count(lambda r: 0) == 0
-
-
-def test_protocol_factors_are_the_published_shape():
-    assert Protocol.SIMPLE.bandwidth_efficiency == 1.0
-    assert Protocol.SIMPLE.latency_factor == 1.0
-    assert Protocol.LL.bandwidth_efficiency == 0.5
-    assert Protocol.LL128.bandwidth_efficiency == pytest.approx(120 / 128)
-    assert Protocol.LL.latency_factor < Protocol.LL128.latency_factor < 1.0

@@ -12,6 +12,15 @@ only fall back to the algorithm when the key is new.
 Keys must capture *everything* the compiled program depends on, and no
 more: route ids pick paths at injection, not what is transferred, so a
 route-only reconfiguration reuses the program.
+
+The cache holds what is transferred, never where it goes.  Paths belong
+to the strategy version's
+:class:`~repro.transport.connections.ConnectionTable`: its connections
+(one per edge and channel, pinned at establishment) and, per rank, the
+routed launch batch (``(nbytes, path, channel, rank)`` per transfer)
+of the last program that rank launched.  The table empties both when
+the routing epoch moves and at teardown, so a hit here plus a
+remembered batch there is a launch that resolves nothing.
 """
 
 from __future__ import annotations

@@ -293,6 +293,7 @@ class CollectiveInstance:
             self._launch_group = None
         comm = self.comm
         ready: List[tuple] = []
+        table = routed = None
         for rank, strategy, transfers in members:
             if self.aborted or self.attempts != attempt:
                 # Aborted (or reset for retry) while the launch was in
@@ -302,30 +303,28 @@ class CollectiveInstance:
             if self.start_time is None:
                 self.start_time = comm.sim.now
                 self.annotate(EVENT_FIRST_FLOW_START)
-            # Every edge is established first, so a broken path fails the
-            # rank before any of its flows exists.
+            # The table routed this rank's transfers before unless they or
+            # the routing epoch changed; otherwise every edge is established
+            # first, so a broken path fails the rank before any flow exists.
             try:
-                gpus = comm.gpus
-                table, selector = comm.datapath.table_for(strategy, gpus)
-                src = gpus[rank]
-                batch = [
-                    (t.nbytes, table.establish_edge(
-                        src, gpus[t.dst_rank], t.channel, selector
-                    ).path, t.channel, rank)
-                    for t in transfers
-                    if t.nbytes > 0
-                ]
+                rank_table, selector = comm.datapath.table_for(strategy, comm.gpus)
+                if rank_table is not table:
+                    table, routed = rank_table, rank_table.routed()
+                entry = routed.get(rank)
+                batch = (entry[1] if entry is not None and entry[0] == transfers
+                         else table.route(comm.gpus, rank, transfers, selector))
             except (FaultError, NoPathError) as exc:
                 self._inject(ready)
-                ready = []
+                ready, table = [], None
                 self._launch_failed(rank, strategy, exc)
                 continue
             ready.append((rank, strategy, batch))
             if comm.sim.topology.any_link_down:
                 # A cached connection may cross it and fail ``add_flows``;
-                # alone, that rank's failure touches no later rank's edges.
+                # alone, that rank's failure touches no later rank's edges
+                # (its handlers may move the epoch: the next rank re-reads).
                 self._inject(ready)
-                ready = []
+                ready, table = [], None
         self._inject(ready)
 
     def _launch_failed(
@@ -636,6 +635,8 @@ class ServiceCommunicator:
         #: depend on (algorithm, ring order, channels, kind, sizes, root,
         #: rank); traffic loops reissue identical collectives.
         self.program_cache = FlowProgramCache()
+        #: ``(key, views)`` of the last buffer check that passed.
+        self.views_record: Optional[tuple] = None
         #: Provider-side observers of finished (completed *or* aborted)
         #: collectives — e.g. the autotuner's measurement feed.  Unlike
         #: :attr:`CollectiveInstance.on_complete` (owned by the tenant

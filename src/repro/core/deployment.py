@@ -355,6 +355,7 @@ class MccsDeployment:
             self.service_of_gpu(gpu).proxy_for(gpu.global_id).unregister(comm, rank)
         for version in comm.datapath.live_versions():
             comm.datapath.retire(version)
+        comm.views_record = None
         if comm.comm_event_handle is not None:
             host = self.cluster.hosts[comm.comm_event_handle.host_id]
             host.ipc.close_event(comm.comm_event_handle)
@@ -381,7 +382,7 @@ class MccsDeployment:
         self._check_not_aborted(comm)
         if request.out_bytes <= 0:
             raise CommunicatorError("collective size must be positive")
-        send_views, recv_views = self._validated_views(app_id, comm, request)
+        send_views, recv_views = self._views(app_id, comm, request)
         seq = comm.next_seq
         comm.next_seq += 1
         # The collective's one trace record; the instance owns it from here.
@@ -606,12 +607,26 @@ class MccsDeployment:
         to tenants — the confidentiality point of §2.2)."""
         return self.sim.link_utilization(min_utilization)
 
-    def _validated_views(
+    def _views(
         self, app_id: str, comm: ServiceCommunicator, request: CollectiveRequest
     ) -> Tuple[Optional[List], Optional[List]]:
-        """Bounds-check buffer references and materialize numpy views."""
+        """The request's checked views, from the communicator's record while
+        the tenant, request, rank set and its services' generations hold."""
         if not request.send_refs:
             return None, None
+        key = [app_id, request.send_refs, request.recv_refs, request.dtype,
+               request.kind, request.out_bytes, comm.membership_epoch]
+        for gpu in comm.gpus:
+            service = self.services[gpu.host_id]
+            key += service.generation, service.memory.generation
+        if comm.views_record is None or comm.views_record[0] != key:
+            comm.views_record = (key, self._validated_views(app_id, comm, request))
+        return comm.views_record[1]
+
+    def _validated_views(
+        self, app_id: str, comm: ServiceCommunicator, request: CollectiveRequest
+    ) -> Tuple[List, Optional[List]]:
+        """Bounds-check buffer references and materialize numpy views."""
         if len(request.send_refs) != comm.world:
             raise InvalidBufferError("need one send buffer per rank")
         dtype = np.dtype(request.dtype)

@@ -45,6 +45,7 @@ class MemoryManager:
         self._freed: Set[int] = set()
         self.bytes_allocated = 0
         self.bytes_freed = 0
+        self.generation = 0  # bumped by allocate, free and adopt
 
     def allocate(
         self, app_id: str, gpu: GpuDevice, size: int, ipc: IpcRegistry
@@ -55,6 +56,7 @@ class MemoryManager:
         alloc = ManagedAllocation(app_id=app_id, buffer=buffer, handle=handle)
         self._allocations[buffer.buffer_id] = alloc
         self.bytes_allocated += size
+        self.generation += 1
         return alloc
 
     def free(self, app_id: str, buffer_id: int, ipc: IpcRegistry) -> bool:
@@ -84,6 +86,7 @@ class MemoryManager:
         self.bytes_freed += alloc.buffer.size
         del self._allocations[buffer_id]
         self._freed.add(buffer_id)
+        self.generation += 1
         return True
 
     # ------------------------------------------------------------------
@@ -101,6 +104,7 @@ class MemoryManager:
         alloc = ManagedAllocation(app_id=app_id, buffer=buffer, handle=handle)
         self._allocations[buffer.buffer_id] = alloc
         self.bytes_allocated += buffer.size
+        self.generation += 1
         return alloc
 
     def mark_freed(self, buffer_id: int) -> None:

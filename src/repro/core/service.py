@@ -272,6 +272,9 @@ class MccsService:
         self.check_alive()
         applied = self.memory.free(app_id, buffer_id, self.host.ipc)
         if applied:
+            for comm in self.deployment.communicators():
+                if comm.app_id == app_id:  # no views record keeps it alive
+                    comm.views_record = None
             self._journal(
                 "free", app=app_id, host=self.host.host_id, buffer_id=buffer_id
             )

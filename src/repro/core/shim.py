@@ -70,12 +70,18 @@ class MccsBuffer:
     device_buffer: DeviceBuffer
     freed: bool = False
 
+    def __post_init__(self) -> None:
+        #: What ``ref()`` returns: one frozen whole-buffer ref per buffer.
+        self._whole = BufferRef(buffer_id=self.buffer_id, offset=0, nbytes=self.size)
+
     def view(self, dtype=np.float32, offset: int = 0, count: Optional[int] = None) -> np.ndarray:
         """Typed numpy view of the device memory (the 'device pointer')."""
         return self.device_buffer.view(dtype, offset, count)
 
     def ref(self, offset: int = 0, nbytes: Optional[int] = None) -> BufferRef:
         """Reference a byte range for use in a collective."""
+        if offset == 0 and nbytes is None:
+            return self._whole
         if nbytes is None:
             nbytes = self.size - offset
         return BufferRef(buffer_id=self.buffer_id, offset=offset, nbytes=nbytes)

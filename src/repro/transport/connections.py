@@ -20,7 +20,7 @@ deployments matter for the evaluation and are modelled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..cluster.gpu import GpuDevice
 from ..cluster.specs import Cluster
@@ -76,12 +76,17 @@ class ConnectionTable:
     the MCCS proxy engine does during a reconfiguration (§4.2: "close all
     existing peer-to-peer connections for the communicator and clean up
     corresponding resources").
+
+    It also remembers each rank's routed launch batch (:meth:`route`), so a
+    steady-state collective looks up no connection.
     """
 
     def __init__(self, cluster: Cluster, discriminator: str) -> None:
         self.cluster = cluster
         self.discriminator = discriminator
         self._connections: Dict[EdgeId, Connection] = {}
+        #: rank -> (transfers, batch) of the rank's last :meth:`route`.
+        self._routed: Dict[int, tuple] = {}
         self.torn_down = False
         # Routing generation the pinned paths were resolved under.  When
         # the topology's epoch moves (link restored / bandwidth resized),
@@ -96,11 +101,9 @@ class ConnectionTable:
         selector: PathSelector,
     ) -> None:
         """Create connections for each (src, dst) pair on every channel."""
-        if self.torn_down:
-            raise RuntimeError("connection table already torn down")
         for src, dst in edges:
             for channel in range(channels):
-                self._establish_one(src, dst, channel, selector)
+                self.establish_edge(src, dst, channel, selector)
 
     def establish_edge(
         self,
@@ -111,41 +114,47 @@ class ConnectionTable:
     ) -> Connection:
         if self.torn_down:
             raise RuntimeError("connection table already torn down")
-        return self._establish_one(src, dst, channel, selector)
-
-    def _establish_one(
-        self, src: GpuDevice, dst: GpuDevice, channel: int, selector: PathSelector
-    ) -> Connection:
-        epoch = self.cluster.topology.routing_epoch
-        if epoch != self._routing_epoch:
-            # Re-resolve every pin: the usable path set widened since the
-            # connections were established (restored or resized link).
-            self._connections.clear()
-            self._routing_epoch = epoch
+        self.routed()  # re-resolve every pin once the routing epoch moved
         edge = (src.global_id, dst.global_id, channel)
         if edge in self._connections:
             return self._connections[edge]
         if src.host_id == dst.host_id:
-            conn = Connection(
-                src=src,
-                dst=dst,
-                channel=channel,
-                path=self.cluster.hosts[src.host_id].local_path,
-                key=("", "", f"{self.discriminator}/local"),
-                intra_host=True,
-            )
+            path = self.cluster.hosts[src.host_id].local_path
+            key = ("", "", f"{self.discriminator}/local")
         else:
             key = connection_key(self.cluster, src, dst, channel, self.discriminator)
-            conn = Connection(
-                src=src,
-                dst=dst,
-                channel=channel,
-                path=selector.select(self.cluster.topology, key),
-                key=key,
-                intra_host=False,
-            )
-        self._connections[edge] = conn
+            path = selector.select(self.cluster.topology, key)
+        conn = self._connections[edge] = Connection(
+            src=src, dst=dst, channel=channel, path=path, key=key,
+            intra_host=src.host_id == dst.host_id,
+        )
         return conn
+
+    def route(
+        self, gpus: Sequence[GpuDevice], rank: int, transfers: tuple, selector: PathSelector
+    ) -> tuple:
+        """``rank``'s launch batch over ``gpus``: one ``(nbytes, path, channel,
+        rank)`` per non-empty transfer, every edge established first."""
+        src = gpus[rank]
+        batch = tuple(
+            (t.nbytes, self.establish_edge(src, gpus[t.dst_rank], t.channel, selector).path,
+             t.channel, rank)
+            for t in transfers
+            if t.nbytes > 0
+        )
+        self._routed[rank] = (transfers, batch)
+        return batch
+
+    def routed(self) -> Dict[int, tuple]:
+        """``rank -> (transfers, batch)`` of each rank's last :meth:`route`
+        under the current routing epoch.  A moved epoch drops every pin and
+        batch: the usable path set widened (a restored or resized link)."""
+        epoch = self.cluster.topology.routing_epoch
+        if epoch != self._routing_epoch:
+            self._connections.clear()
+            self._routed.clear()
+            self._routing_epoch = epoch
+        return self._routed
 
     # ------------------------------------------------------------------
     def connection(self, src: GpuDevice, dst: GpuDevice, channel: int) -> Connection:
@@ -161,6 +170,7 @@ class ConnectionTable:
     def teardown(self) -> None:
         """Close every connection (idempotent)."""
         self._connections.clear()
+        self._routed.clear()
         self.torn_down = True
 
     def __len__(self) -> int:

@@ -1,7 +1,8 @@
 """Chaos as a model-based test: one state machine drives the control plane.
 
 Every rule is a public call a tenant or the provider could make:
-collectives (data-carrying and plain), clock advances, alloc/free,
+collectives (data-carrying and plain, and re-issues of an earlier data
+collective on its buffers), clock advances, alloc/free,
 reconfiguration, elastic grow/shrink, live upgrades, create/destroy of a
 second short-lived subject communicator (the *extra*), and
 :meth:`FaultInjector.apply` of link down/up, degrade, bandwidth drift,
@@ -206,6 +207,44 @@ class ChaosMachine(RuleBasedStateMachine):
     def witness_collective(self):
         self.data_op("witness", self.witness, self.wcomm.comm_id, Collective.ALL_REDUCE)
 
+    @precondition(lambda self: any(op.expected is not None for op in self.ops))
+    @rule(pick=PICK, drop=st.booleans())
+    def reissue(self, pick, drop):
+        """Issue an earlier data op's collective again on its buffers
+        (with ``drop``, once it completed, after freeing its first send
+        buffer), whatever the alloc, free, fault, crash, upgrade, grow and
+        shrink rules did since.  On live buffers of the current ranks it
+        must be accepted, and its bytes are checked like the first
+        issue's; on any other it must be refused, typed (or wait out a
+        service outage in the shim, to be refused on reissue)."""
+        op = nth([op for op in self.ops if op.expected is not None], pick)
+        client, comm_id = (
+            (self.witness, self.wcomm.comm_id) if op.tenant == "witness"
+            else (self.subject, self.scomm.comm_id)
+        )
+        world = len(op.expected)
+        send, recv = op.bufs[:world], op.bufs[world:]
+        if drop and op.handle.completed and not send[0].freed:
+            self.issue(f"{op.tenant} free", lambda: client.free(send[0]))
+            self.freed.add(send[0].buffer_id)
+        comm = client.adopt_communicator(comm_id)  # the current ranks
+        live = (
+            not self.deployment.communicator(comm_id).aborted
+            and [buf.gpu for buf in send] == comm.gpus
+            and not any(buf.freed for buf in op.bufs)
+        )
+        call = getattr(client, op.handle.kind.value)
+        handle = self.issue(f"reissue on {'live' if live else 'stale'} buffers", lambda: call(
+            comm, op.handle.out_bytes, send=send, recv=recv
+        ))
+        if live:
+            assert handle is not None, "a re-issue on live buffers was refused"
+            self.ops.append(Op(op.tenant, handle, op.expected, op.bufs))
+        else:
+            assert handle is None or handle.pending, "a re-issue on stale buffers was accepted"
+            if handle is not None:
+                self.ops.append(Op("stale", handle))
+
     @rule(pick=PICK, size=st.sampled_from([256, 4 * KB]))
     def alloc(self, pick, size):
         self.absorb_changes()
@@ -399,7 +438,8 @@ class ChaosMachine(RuleBasedStateMachine):
         note("settle")
         for op in self.ops:
             for buf in op.bufs:
-                self.issue(f"{op.tenant} free", lambda buf=buf: buf.client.free(buf))
+                if not buf.freed:  # re-issued ops share their buffers
+                    self.issue(f"{op.tenant} free", lambda buf=buf: buf.client.free(buf))
         self.ops, self.pending, self.cut_short = [], [], []
 
     def teardown(self):
@@ -415,6 +455,7 @@ class ChaosMachine(RuleBasedStateMachine):
             if handle is None:
                 continue
             assert not handle.pending, f"{op.tenant} seq={handle.seq} stuck in the shim"
+            assert op.tenant != "stale" or handle.instance is None, "a stale re-issue ran"
             if handle.instance is None:
                 assert isinstance(handle.error, ReproError)
                 continue

@@ -26,6 +26,9 @@ render them; a closed trace retains none).  Nor are the gateway's
 per-request objects (its ledger is counts plus a ring of settled
 records), admission decisions (counters and events, no list) or finished
 membership changes and upgrade sessions (their callers own them).
+The launch path's records are bounded as well: one views record per
+communicator, dropped by a free or a destroy, and at most one routed
+batch per rank of each live connection table (the last four cases).
 """
 
 import gc
@@ -39,6 +42,7 @@ from repro.collectives.types import Collective
 from repro.core.admission import AdmissionPolicy
 from repro.core.deployment import MccsDeployment
 from repro.core.journal import checkpoint, replay_journal
+from repro.core.memory import MemoryManager
 from repro.service import (
     GatewayClient,
     GatewayPolicy,
@@ -46,6 +50,7 @@ from repro.service import (
     ServiceGateway,
     TenantQuota,
 )
+from repro.transport.connections import ConnectionTable
 
 #: Types of which a finished collective must leave no instance behind
 #: (closures show up as ``function`` + ``cell``).
@@ -360,3 +365,129 @@ def test_tuned_elastic_churn_leaves_nothing_behind(monkeypatch):
     assert live() == before
     assert before["ServiceCommunicator"] == before["buffers"] == 0
     assert dep.verify_journal() == []
+
+
+def launch_records(dep, comm_id):
+    """(views records, routed batches over the live tables, world, live
+    versions) of one communicator: what it keeps between collectives."""
+    state = dep.communicator(comm_id)
+    tables = state.datapath._tables.values()
+    return (
+        int(state.views_record is not None),
+        sum(len(table._routed) for table in tables),
+        state.world,
+        len(tables),
+    )
+
+
+def test_freed_buffers_leave_no_record_behind():
+    """A collective that reused its checked views still lets go of them
+    when the tenant frees the buffers, with the communicator still
+    alive: no record pins freed memory until some later collective."""
+    cluster = testbed_cluster()
+    dep = MccsDeployment(cluster)
+    client = dep.connect("app")
+    gpus = list(cluster.gpus)
+    comm = client.create_communicator(gpus)
+    bufs = [client.alloc(gpu, NBYTES) for gpu in gpus for _ in "sr"]
+    for _ in range(2):
+        op = client.all_reduce(comm, NBYTES, send=bufs[::2], recv=bufs[1::2])
+        dep.run()
+        assert op.completed
+    device = [weakref.ref(buf.device_buffer) for buf in bufs]
+    backing = [weakref.ref(buf.device_buffer.data) for buf in bufs]
+    for buf in bufs:
+        client.free(buf)
+    del bufs, buf, op
+    gc.collect()
+    assert [ref() for ref in device + backing] == [None] * 4 * len(gpus)
+    assert launch_records(dep, comm.comm_id)[0] == 0
+
+
+def test_destroy_and_retire_release_launch_records():
+    cluster = testbed_cluster()
+    dep = MccsDeployment(cluster)
+    client = dep.connect("app")
+    gpus = list(cluster.gpus)
+    comm = client.create_communicator(gpus)
+    sends = [client.alloc(gpu, NBYTES) for gpu in gpus]
+    recvs = [client.alloc(gpu, NBYTES) for gpu in gpus]
+
+    def serve():
+        for _ in range(2):
+            op = client.all_reduce(comm, NBYTES, send=sends, recv=recvs)
+            dep.run()
+            assert op.completed
+
+    serve()
+    state = dep.communicator(comm.comm_id)
+    (old,) = state.datapath._tables.values()
+    assert launch_records(dep, comm.comm_id) == (1, len(gpus), len(gpus), 1)
+    dep.reconfigure(comm.comm_id, ring=list(range(len(gpus)))[::-1])
+    dep.run()
+    serve()
+    # The retired version's table holds neither connections nor batches.
+    assert old.torn_down and len(old) == 0 and old._routed == {}
+    (new,) = state.datapath._tables.values()
+    assert launch_records(dep, comm.comm_id) == (1, len(gpus), len(gpus), 1)
+    client.destroy_communicator(comm)
+    assert state.views_record is None
+    assert new.torn_down and new._routed == {}
+
+
+def test_launch_records_stay_bounded():
+    """1 000 collectives of two kinds, with a reconfiguration midway: one
+    views record per communicator, and at most one routed batch per rank
+    of each live table."""
+    cluster = testbed_cluster()
+    dep = MccsDeployment(cluster)
+    client = dep.connect("app")
+    gpus = list(cluster.gpus)
+    comm = client.create_communicator(gpus)
+    sends = [client.alloc(gpu, NBYTES) for gpu in gpus]
+    recvs = [client.alloc(gpu, NBYTES) for gpu in gpus]
+    gathered = [client.alloc(gpu, NBYTES * len(gpus)) for gpu in gpus]
+    peak = 0
+    for i in range(1000):
+        if i == 500:
+            dep.reconfigure(comm.comm_id, ring=list(range(len(gpus)))[::-1])
+        if i % 3:
+            op = client.all_reduce(comm, NBYTES, send=sends, recv=recvs)
+        else:
+            op = client.all_gather(comm, NBYTES * len(gpus), send=sends, recv=gathered)
+        dep.run()
+        assert op.completed
+        views, routed, world, versions = launch_records(dep, comm.comm_id)
+        assert views == 1 and routed <= world * versions
+        peak = max(peak, routed)
+    assert peak == len(gpus)
+
+
+def test_a_repeated_collective_checks_and_routes_nothing(monkeypatch):
+    """The second of two identical collectives validates no buffer and
+    routes no transfer: the views record and the routed batches hold."""
+    cluster = testbed_cluster()
+    dep = MccsDeployment(cluster)
+    client = dep.connect("app")
+    gpus = list(cluster.gpus)
+    comm = client.create_communicator(gpus)
+    sends = [client.alloc(gpu, NBYTES) for gpu in gpus]
+    recvs = [client.alloc(gpu, NBYTES) for gpu in gpus]
+    calls = Counter()
+    for cls, name in (
+        (MemoryManager, "validate"),
+        (ConnectionTable, "route"),
+        (ConnectionTable, "establish_edge"),
+    ):
+        def counted(self, *args, _call=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _call(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    for expected in ({"validate": 2 * len(gpus), "route": len(gpus)}, {}):
+        calls.clear()
+        op = client.all_reduce(comm, NBYTES, send=sends, recv=recvs)
+        dep.run()
+        assert op.completed
+        assert {k: v for k, v in calls.items() if k != "establish_edge"} == expected
+        assert bool(calls["establish_edge"]) == bool(expected)

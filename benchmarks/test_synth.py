@@ -12,9 +12,11 @@ archive the trend and ``benchmarks/compare_bench.py`` can guard it:
   built-in on the two-region WAN fabric.  The guard failing means a
   change lost the paper-level win;
 * ``data_plane``: what the one executor (``repro.collectives.executor``)
-  does with an 8-rank float32 AllReduce through the registry's shared
-  ``run_data`` path, writing receive buffers in place and taking scratch
-  from one warm ``Staging``: GB/s (output bytes over wall time),
+  does with an 8-rank float32 AllReduce run as the service runs a
+  repeated collective — the family's plan bound once to the buffers
+  (``plan.bind``) and its bound run replayed, writing receive buffers in
+  place and taking scratch from one warm ``Staging``: GB/s (output bytes
+  over wall time),
   tracemalloc peak, the staging buffer's size (``staging_mb``, MiB
   held after the warm run) and the numpy calls one run makes
   (``records``, its resolved cache-blocked records) at 64 KiB / 1.5 MiB
@@ -150,9 +152,11 @@ _DATA_PLANE = {
 
 
 def _measure_data_plane(key, algorithm, kind, nbytes):
-    """Time ``kind`` with ``nbytes`` of output per rank through the shared
-    ``run_data``, receive buffers written in place and scratch taken from
-    one warm ``Staging``, into ``_RESULTS["data_plane"][key]``."""
+    """Time ``kind`` with ``nbytes`` of output per rank as a bound run
+    replayed on the same buffers (what the service's views record does
+    for a repeated collective), receive buffers written in place and
+    scratch taken from one warm ``Staging``, into
+    ``_RESULTS["data_plane"][key]``."""
     rng = np.random.default_rng(0)
     sends = [
         rng.integers(-8, 8, input_bytes(kind, nbytes, _WORLD) // 4, dtype=np.int8)
@@ -166,11 +170,10 @@ def _measure_data_plane(key, algorithm, kind, nbytes):
     )
     staging = Staging()
     plan, order = algorithm.plan(ctx)
-
-    def once():
-        algorithm.run_data(ctx, sends, ReduceOp.SUM, out=recvs, staging=staging)
-
-    once()  # warm: plan compiled, spans resolved, pages and staging touched
+    # The shared path binds and applies once; the kept bound run replays.
+    algorithm.run_data(ctx, sends, ReduceOp.SUM, out=recvs, staging=staging)
+    once = plan.bind(sends, ReduceOp.SUM, order, recvs, staging).apply
+    once()  # warm: plan compiled, calls resolved, pages and staging touched
     # small ints: exact in any order; one reduced vector, not one per rank
     if kind is Collective.ALL_REDUCE:
         expected = [reduce_many(ReduceOp.SUM, sends)] * _WORLD

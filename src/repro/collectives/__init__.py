@@ -22,6 +22,7 @@ from .cost_model import (
     tree_allreduce_cost,
 )
 from .executor import (
+    BoundRun,
     ExecutionPlan,
     Staging,
     builtin_plan,
@@ -40,6 +41,7 @@ from .tree import TreeSchedule, binary_tree, double_binary_trees
 from .types import Collective, ReduceOp, input_bytes, reduce_many, validate_world
 
 __all__ = [
+    "BoundRun",
     "Collective",
     "DEFAULT_DATAPATH_LATENCY",
     "ExecutionPlan",

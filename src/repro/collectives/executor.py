@@ -11,13 +11,32 @@ stages:
   :class:`ExecutionPlan`: a flat tuple of ``(reduce?, dst, target, src,
   chunk range)`` index records and a slot count.  A plan holds no
   payload-sized array.
-* :meth:`ExecutionPlan.run` (every collective) resolves chunk ranges and
-  pool slots to element slices — in cache-blocked order, below — through
-  a small cache and issues one numpy call per resolved record —
-  ``ufunc(target, src, out=dst)`` or a slice assignment — in one loop for
-  every kind, reading straight from the sender's slot.  A slot that has
-  not been written yet is read from the rank's *send* buffer, so no
-  input is ever copied up front.
+* :meth:`ExecutionPlan.bind` (every new set of buffers) resolves chunk
+  ranges and pool slots to element slices — in cache-blocked order,
+  below — through a small cache, and :meth:`BoundRun.apply` (every
+  collective) issues one numpy call per resolved record —
+  ``ufunc(target, src, out=dst)`` or a copy — in one loop for every kind,
+  reading straight from the sender's slot.  A slot that has not been
+  written yet is read from the rank's *send* buffer, so no input is ever
+  copied up front.
+
+**Binding.**  A run's numpy calls depend only on the plan, the ring
+order, the reduce op and the arrays, so :meth:`ExecutionPlan.bind`
+turns them into a :class:`BoundRun` that can be applied again and again:
+per lane, a list of ``(reduce?, target view, src view, dst view)``
+calls, plus the kind's prologue copies (the all-gather self-block, the
+broadcast root copy) and epilogue copies (the reduce non-roots).  The
+first :meth:`~BoundRun.apply` resolves the calls in one pass that only
+slices, then applies them; every later apply replays the calls without
+slicing anything.  That tight pass costs about what slicing inside the
+apply loop costs (handing each call out of a generator as it was built
+cost several times more), so a run bound and applied once costs what an
+unbound run did, and :meth:`ExecutionPlan.run` is simply
+``bind(...).apply()``.  The service keeps one bound run beside the
+checked views it was built from (the communicator's views record), so
+a tenant repeating a collective on the same buffers replays it, and
+whatever drops the record — a free, a destroy, a restart, an upgrade, a
+membership change — drops the calls with it.
 
 **Cache blocking.**  Plan order runs the earliest pipeline step first, so
 at a large size every record streams a chunk the previous step has
@@ -60,14 +79,15 @@ than a tile, or one tile of an aligned chain — that touch disjoint
 memory, so any order of blocks gives the same bytes.  Where there is more
 than one (some record is wider than a tile), resolution also cuts the
 blocks, in order, into two *lanes* of about equal bytes touched, and
-``run`` applies the second lane on a helper thread (its
+``apply`` runs the second lane on a helper thread (its
 :class:`Staging`'s) while the calling thread applies the first; numpy
 releases the GIL inside each call, so the two cores stream at once.
 Every element still sees the same operations in the same order, so the
 results are bit-identical to one lane's.  Two lanes run only when the
-process's CPU affinity mask holds at least two CPUs; otherwise, and for
-any size with no record wider than a tile (every small collective), the
-calling thread applies the records alone, in the same order as before.
+process's CPU affinity mask holds at least two CPUs when the run is
+bound; otherwise, and for any size with no record wider than a tile
+(every small collective), the calling thread applies the records alone,
+in the same order as before.
 
 **Scratch.**  A chunk that is part of a rank's output is written straight
 into its receive buffer: every chunk of all-reduce, all-gather and
@@ -98,7 +118,7 @@ snapshots.
 
 **Relabelling.**  Built-in plans are compiled in ring-*position* space
 (:func:`builtin_plan`, keyed on family/kind/world/root position) and
-mapped onto ranks by the ``order`` argument of ``run``, so installing a
+mapped onto ranks by the ``order`` argument of ``bind``, so installing a
 new ring order or channel count never recompiles anything.
 
 **The schedule's other clock.**  A plan also keeps the two
@@ -113,6 +133,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
+import weakref
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -241,29 +262,37 @@ class Staging:
     :class:`~repro.core.deployment.MccsDeployment` does, for all its
     communicators) faults its pages in once instead of on every
     collective.  A caller with nothing to keep passes none and
-    :meth:`ExecutionPlan.run` takes a fresh one.
+    :meth:`ExecutionPlan.bind` takes a fresh one.
 
     Invariants that make the reuse safe:
 
-    * a view of the buffer never leaves :meth:`ExecutionPlan.run`: every
-      output chunk is written straight into the caller's receive buffer
-      (or a freshly allocated output), never staged and copied out;
-    * ``run`` makes no callbacks and is not re-entrant, so one run's
-      views are dead before the next run asks for its own;
+    * a view of the buffer lives only in the resolved calls of a
+      :class:`BoundRun` and is never handed to a caller: every output
+      chunk is written straight into the caller's receive buffer (or a
+      freshly allocated output), never staged and copied out;
+    * every bound run that holds such views is registered here
+      (:meth:`hold`), and replacing the buffer releases them all, so a
+      replaced buffer is dead as soon as the old run's caller is: no
+      kept bound run pins it;
+    * bound runs that share the buffer never see each other's values:
+      an apply writes every pool slot before reading it, makes no
+      callbacks and is not re-entrant, so one apply's scratch is dead
+      before the next apply writes its own;
     * the buffer is allocated here and never aliases tenant memory;
     * the thread that applies a run's second lane (see "Lanes" in
       :mod:`repro.collectives.executor`) is this object's own: it starts
-      on the first run with two lanes and exits once this object is
+      on the first apply with two lanes and exits once this object is
       collected;
-    * ``run`` returns, or raises, only after every lane has stopped, so no
-      lane still holds a view when it does.
+    * ``apply`` returns, or raises, only after every lane has stopped,
+      so no lane is still writing when it does.
     """
 
-    __slots__ = ("_buffer", "_helper")
+    __slots__ = ("_buffer", "_helper", "_holders")
 
     def __init__(self) -> None:
         self._buffer = np.empty(0, np.uint8)
         self._helper: Optional[ThreadPoolExecutor] = None
+        self._holders: "weakref.WeakSet[BoundRun]" = weakref.WeakSet()
 
     @property
     def nbytes(self) -> int:
@@ -272,11 +301,21 @@ class Staging:
 
     def arrays(self, count: int, elems: int, dtype: np.dtype) -> np.ndarray:
         """A ``(count, elems)`` array of ``dtype``: ``count`` disjoint
-        ``elems``-element rows, contents undefined."""
+        ``elems``-element rows, contents undefined.  A request larger
+        than the buffer replaces it, and releases every bound run that
+        viewed the old one."""
         need = count * elems * dtype.itemsize
         if need > self._buffer.nbytes:
+            for run in list(self._holders):
+                run.release()
+            self._holders.clear()
             self._buffer = np.empty(need, np.uint8)
         return self._buffer[:need].view(dtype).reshape(count, elems)
+
+    def hold(self, run: "BoundRun") -> None:
+        """Note that ``run`` keeps views of the buffer, so that replacing
+        the buffer releases them (the registration is weak)."""
+        self._holders.add(run)
 
     def helper(self) -> ThreadPoolExecutor:
         """The one worker thread that applies second lanes, started on
@@ -288,6 +327,98 @@ class Staging:
 
             self._helper = ThreadPoolExecutor(1, thread_name_prefix="executor-lane")
         return self._helper
+
+
+#: One resolved numpy call of a bound run: ``(reduce?, target view or
+#: None for a copy, src view, dst view)``.
+Call = Tuple[bool, Optional[np.ndarray], np.ndarray, np.ndarray]
+
+
+class BoundRun:
+    """One collective bound to its buffers (module docstring, "Binding").
+
+    Holds the kind's prologue and epilogue copies as ``(dst, src)`` view
+    pairs, the resolved records of each lane, the arrays they index —
+    receive buffers, then send buffers, in position order — and the pool
+    geometry.  The first :meth:`apply` resolves the records to
+    :data:`Call` tuples, and every apply replays those.
+    """
+
+    __slots__ = (
+        "_ufunc", "_prologue", "_lanes", "_arrays", "_pool", "_staging",
+        "_epilogue", "_outputs", "_calls", "__weakref__",
+    )
+
+    def __init__(
+        self,
+        ufunc: np.ufunc,
+        prologue: tuple,
+        lanes: Tuple[tuple, ...],
+        arrays: List[np.ndarray],
+        pool: Tuple[int, int, np.dtype],
+        staging: Staging,
+        epilogue: tuple,
+        outputs: List[np.ndarray],
+    ) -> None:
+        self._ufunc = ufunc
+        self._prologue = prologue
+        self._lanes = lanes
+        self._arrays = arrays
+        self._pool = pool
+        self._staging = staging
+        self._epilogue = epilogue
+        self._outputs = outputs
+        self._calls: Optional[Tuple[List[Call], ...]] = None
+
+    def release(self) -> None:
+        """Drop the resolved calls, and with them every view of the
+        staging buffer; the next :meth:`apply` resolves them again."""
+        self._calls = None
+
+    def apply(self) -> List[np.ndarray]:
+        """Run the collective once more on the bound buffers; returns the
+        per-rank outputs."""
+        calls = self._calls
+        if calls is None:  # the first apply, or released
+            calls = self._calls = self._resolved()
+        for dst, src in self._prologue:
+            dst[...] = src
+        if len(calls) == 1:
+            self._replay(calls[0])
+        else:
+            second = self._staging.helper().submit(self._replay, calls[1])
+            try:
+                self._replay(calls[0])
+            finally:
+                second.result()  # waits for the lane, and raises its error
+        for dst, src in self._epilogue:
+            dst[...] = src
+        return list(self._outputs)
+
+    def _resolved(self) -> Tuple[List[Call], ...]:
+        """Each lane's records as calls on the bound arrays and the pool,
+        in one pass that only slices."""
+        arrays = self._arrays
+        count, elems, dtype = self._pool
+        if count:
+            arrays = arrays + [self._staging.arrays(count, elems, dtype).reshape(-1)]
+            self._staging.hold(self)
+        return tuple(
+            [
+                (reduce, arrays[target][tspan] if reduce else None,
+                 arrays[src][sspan], arrays[dst][dspan])
+                for reduce, dst, dspan, target, tspan, src, sspan in lane
+            ]
+            for lane in self._lanes
+        )
+
+    def _replay(self, calls: List[Call]) -> None:
+        ufunc = self._ufunc
+        for reduce, target, src, dst in calls:
+            if reduce:
+                ufunc(target, src, out=dst)
+            else:
+                dst[...] = src
 
 
 class ExecutionPlan:
@@ -367,7 +498,7 @@ class ExecutionPlan:
         self, elems: int, itemsize: int, order: Optional[Sequence[int]] = None
     ) -> tuple:
         """The ``(reduce, dst, dspan, target, tspan, src, sspan)`` records
-        — one numpy call each — that :meth:`run` applies to a working
+        — one numpy call each — that a bound run applies to a working
         vector of ``elems`` elements of ``itemsize`` bytes."""
         return _resolve(self, elems, self._blocks(order), TILE_BYTES // itemsize)[0]
 
@@ -380,16 +511,28 @@ class ExecutionPlan:
         out: Optional[Sequence[np.ndarray]] = None,
         staging: Optional[Staging] = None,
     ) -> List[np.ndarray]:
-        """Execute on real buffers; returns the per-rank outputs.
+        """Execute on real buffers once: :meth:`bind` the arguments, apply
+        the bound run; returns the per-rank outputs."""
+        return self.bind(inputs, op, order, out, staging).apply()
+
+    def bind(
+        self,
+        inputs: Sequence[np.ndarray],
+        op: ReduceOp,
+        order: Optional[Sequence[int]],
+        out: Optional[Sequence[np.ndarray]],
+        staging: Optional[Staging],
+    ) -> BoundRun:
+        """This plan bound to real buffers, ready to :meth:`~BoundRun.apply`.
 
         ``inputs[r]`` is rank ``r``'s send buffer (never written unless it
         *is* the receive buffer).  ``out[r]``, when given, is rank ``r``'s
         contiguous receive buffer and is written in place; otherwise
-        outputs are allocated.  ``order[p]`` is the rank at position ``p``
-        for plans compiled in position space.  The slot pool comes from
-        ``staging`` (a fresh :class:`Staging` when omitted), and so does
-        the thread that applies a second lane.  Conventions are those of
-        :mod:`repro.collectives.reference`.
+        outputs are allocated here, once.  ``order[p]`` is the rank at
+        position ``p`` for plans compiled in position space.  The slot
+        pool comes from ``staging`` (a fresh :class:`Staging` when None),
+        and so does the thread that applies a second lane.  Conventions
+        are those of :mod:`repro.collectives.reference`.
         """
         n, kind = self.world, self.kind
         if len(inputs) != n:
@@ -419,39 +562,26 @@ class ExecutionPlan:
         ranks = range(n) if order is None else order
         send = [inputs[r].reshape(-1) for r in ranks]
         recv = [out[r].reshape(-1) for r in ranks]
+        prologue = epilogue = ()
         if kind is Collective.ALL_GATHER:
-            for r, w, s in zip(ranks, recv, send):
-                w[r * size : (r + 1) * size] = s
+            prologue = tuple(
+                (w[r * size : (r + 1) * size], s) for r, w, s in zip(ranks, recv, send)
+            )
         elif kind is Collective.BROADCAST:
-            np.copyto(recv[self.root], send[self.root])
+            prologue = ((recv[self.root], send[self.root]),)
+        elif kind is Collective.REDUCE:
+            epilogue = tuple(
+                (o, s) for p, (o, s) in enumerate(zip(recv, send)) if p != self.root
+            )
         records, slot, lanes = _resolve(
             self, total, self._blocks(order), TILE_BYTES // first.itemsize
         )
-        if staging is None:
-            staging = Staging()
-        arrays = recv + send + [staging.arrays(self.pool, slot, first.dtype).reshape(-1)]
-        ufunc = op.ufunc
-
-        def apply(records: tuple) -> None:
-            for reduce, dst, dspan, target, tspan, src, sspan in records:
-                if reduce:
-                    ufunc(arrays[target][tspan], arrays[src][sspan], out=arrays[dst][dspan])
-                else:
-                    arrays[dst][dspan] = arrays[src][sspan]
-
         if lanes is None or not _two_cpus():
-            apply(records)
-        else:
-            second = staging.helper().submit(apply, lanes[1])
-            try:
-                apply(lanes[0])
-            finally:
-                second.result()  # waits for the lane, and raises its error
-        if kind is Collective.REDUCE:
-            for p, (o, s) in enumerate(zip(recv, send)):
-                if p != self.root:
-                    o[:] = s
-        return list(out)
+            lanes = (records,)
+        return BoundRun(
+            op.ufunc, prologue, lanes, recv + send, (self.pool, slot, first.dtype),
+            Staging() if staging is None else staging, epilogue, list(out),
+        )
 
 
 def _two_cpus() -> bool:

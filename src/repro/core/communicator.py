@@ -34,7 +34,7 @@ from ..cluster.gpu import AsyncOp, Event, GpuDevice, Stream
 from ..cluster.ipc import IpcEventHandle
 from ..cluster.specs import Cluster
 from ..collectives.cost_model import LatencyModel, MCCS_LATENCY
-from ..collectives.executor import Staging
+from ..collectives.executor import BoundRun, ExecutionPlan, Staging
 from ..collectives.programs import FlowProgramCache
 from ..collectives.types import Collective, ReduceOp, validate_world
 from ..netsim.errors import FaultError, NoPathError, ReconfigurationError
@@ -148,6 +148,51 @@ class VersionedDataPath:
         return sorted(self._tables)
 
 
+class ViewsRecord:
+    """A communicator's checked buffer views, and the executor run bound
+    to them.
+
+    The deployment builds one when a collective's buffer check passes;
+    ``key`` is everything the check depended on
+    (:meth:`~repro.core.deployment.MccsDeployment._views`) and ``send`` /
+    ``recv`` are the per-rank views.  ``bound`` is the
+    :class:`~repro.collectives.executor.BoundRun` of the last collective
+    run over these views, kept while its ``(plan, ring order, reduce
+    op)`` holds, so a repeated collective replays its numpy calls.
+    Whatever drops the record — a free, a destroy, a key that stops
+    matching — drops the bound run with it.
+    """
+
+    __slots__ = ("key", "send", "recv", "bound_key", "bound")
+
+    def __init__(
+        self,
+        key: list,
+        send: List[np.ndarray],
+        recv: Optional[List[np.ndarray]],
+    ) -> None:
+        self.key = key
+        self.send = send
+        self.recv = recv
+        self.bound_key: Optional[tuple] = None
+        self.bound: Optional[BoundRun] = None
+
+    def run(
+        self,
+        plan: ExecutionPlan,
+        order: Optional[Sequence[int]],
+        op: ReduceOp,
+        staging: Staging,
+    ) -> None:
+        """Run ``plan`` over these views, writing the receive views in
+        place, from the bound run while plan, order and op hold."""
+        key = (plan, order, op)
+        if self.bound_key != key:
+            self.bound = plan.bind(self.send, op, order, self.recv, staging)
+            self.bound_key = key
+        self.bound.apply()
+
+
 @dataclass
 class CollectiveInstance:
     """One issued collective and its per-rank launch state."""
@@ -164,8 +209,8 @@ class CollectiveInstance:
     root: int = 0
     issue_time: float = 0.0
     dtype: str = "float32"
-    send_views: Optional[List[np.ndarray]] = None
-    recv_views: Optional[List[np.ndarray]] = None
+    #: The request's checked buffer views (None for a payload-free op).
+    views: Optional[ViewsRecord] = None
     on_complete: Optional[Callable[["CollectiveInstance", float], None]] = None
     # filled during execution
     kernel: Optional[AsyncOp] = None
@@ -463,17 +508,15 @@ class CollectiveInstance:
         self.end_time = comm.sim.now
         if not self.consistent:
             comm.inconsistent_collectives += 1
-        if self.recv_views is not None and self.consistent:
+        views = self.views
+        if views is not None and views.recv is not None and self.consistent:
             # The executor writes the tenant's receive buffers in place;
             # with nowhere to put a result, no byte moves.
             strategy = self.launch_strategy
-            get_algorithm(strategy.algorithm).run_data(
-                self._context(strategy, rank=0),
-                self.send_views,
-                self.reduce_op,
-                out=self.recv_views,
-                staging=comm.staging,
+            plan, order = get_algorithm(strategy.algorithm).plan(
+                self._context(strategy, rank=0)
             )
+            views.run(plan, order, self.reduce_op, comm.staging)
         comm.completed_series[self.kind].inc()
         comm.duration_series.observe(self.end_time - self.issue_time)
         comm.bytes_series.inc(self.out_bytes)
@@ -503,7 +546,7 @@ class CollectiveInstance:
         comm.on_instance_finished(self)
         kernel, on_complete = self.kernel, self.on_complete
         self.kernel = self.on_complete = None
-        self.send_views = self.recv_views = None
+        self.views = None
         if self.done_handle is not None:
             # The shim opened it inside its issue call, long before now.
             comm.cluster.hosts[self.done_handle.host_id].ipc.close_event(
@@ -635,8 +678,8 @@ class ServiceCommunicator:
         #: depend on (algorithm, ring order, channels, kind, sizes, root,
         #: rank); traffic loops reissue identical collectives.
         self.program_cache = FlowProgramCache()
-        #: ``(key, views)`` of the last buffer check that passed.
-        self.views_record: Optional[tuple] = None
+        #: The last buffer check that passed, and the run bound to it.
+        self.views_record: Optional[ViewsRecord] = None
         #: Provider-side observers of finished (completed *or* aborted)
         #: collectives — e.g. the autotuner's measurement feed.  Unlike
         #: :attr:`CollectiveInstance.on_complete` (owned by the tenant

@@ -48,7 +48,7 @@ from ..netsim.errors import (
 )
 from ..telemetry.hub import TelemetryHub
 from .admission import AdmissionController, AdmissionPolicy
-from .communicator import CollectiveInstance, ServiceCommunicator
+from .communicator import CollectiveInstance, ServiceCommunicator, ViewsRecord
 from .elastic import ElasticCoordinator
 from .journal import ControlPlaneState, StateJournal, snapshot_deployment
 from .messages import (
@@ -382,7 +382,7 @@ class MccsDeployment:
         self._check_not_aborted(comm)
         if request.out_bytes <= 0:
             raise CommunicatorError("collective size must be positive")
-        send_views, recv_views = self._views(app_id, comm, request)
+        views = self._views(app_id, comm, request)
         seq = comm.next_seq
         comm.next_seq += 1
         # The collective's one trace record; the instance owns it from here.
@@ -406,8 +406,7 @@ class MccsDeployment:
             root=request.root,
             issue_time=self.sim.now,
             dtype=request.dtype,
-            send_views=send_views,
-            recv_views=recv_views,
+            views=views,
         )
         comm.inflight[seq] = instance
 
@@ -520,13 +519,11 @@ class MccsDeployment:
         if request.send_ref is not None:
             if request.send_ref.nbytes != request.nbytes:
                 raise InvalidBufferError("send buffer size mismatch")
-            manager = self.service_of_gpu(comm.gpus[request.src_rank]).memory
-            send_view = manager.view(app_id, request.send_ref, dtype)
+            send_view = self._rank_view(app_id, comm, request.src_rank, request.send_ref, dtype)
         if request.recv_ref is not None:
             if request.recv_ref.nbytes != request.nbytes:
                 raise InvalidBufferError("recv buffer size mismatch")
-            manager = self.service_of_gpu(comm.gpus[request.dst_rank]).memory
-            recv_view = manager.view(app_id, request.recv_ref, dtype)
+            recv_view = self._rank_view(app_id, comm, request.dst_rank, request.recv_ref, dtype)
 
         root_host = self.cluster.hosts[comm.gpus[0].host_id]
         if request.stream_event is not None:
@@ -609,19 +606,22 @@ class MccsDeployment:
 
     def _views(
         self, app_id: str, comm: ServiceCommunicator, request: CollectiveRequest
-    ) -> Tuple[Optional[List], Optional[List]]:
+    ) -> Optional[ViewsRecord]:
         """The request's checked views, from the communicator's record while
-        the tenant, request, rank set and its services' generations hold."""
+        the tenant, request, rank set and its services' generations hold
+        (a new record starts with no bound run)."""
         if not request.send_refs:
-            return None, None
+            return None
         key = [app_id, request.send_refs, request.recv_refs, request.dtype,
                request.kind, request.out_bytes, comm.membership_epoch]
         for gpu in comm.gpus:
             service = self.services[gpu.host_id]
             key += service.generation, service.memory.generation
-        if comm.views_record is None or comm.views_record[0] != key:
-            comm.views_record = (key, self._validated_views(app_id, comm, request))
-        return comm.views_record[1]
+        if comm.views_record is None or comm.views_record.key != key:
+            comm.views_record = ViewsRecord(
+                key, *self._validated_views(app_id, comm, request)
+            )
+        return comm.views_record
 
     def _validated_views(
         self, app_id: str, comm: ServiceCommunicator, request: CollectiveRequest
@@ -638,8 +638,7 @@ class MccsDeployment:
                     f"rank {rank} send buffer is {ref.nbytes} bytes; "
                     f"{request.kind} of {request.out_bytes} needs {expected}"
                 )
-            manager = self.service_of_gpu(comm.gpus[rank]).memory
-            send_views.append(manager.view(app_id, ref, dtype))
+            send_views.append(self._rank_view(app_id, comm, rank, ref, dtype))
         recv_views = None
         if request.recv_refs:
             if len(request.recv_refs) != comm.world:
@@ -651,10 +650,22 @@ class MccsDeployment:
                         f"rank {rank} recv buffer is {ref.nbytes} bytes; the "
                         f"output-buffer convention requires {request.out_bytes}"
                     )
-                manager = self.service_of_gpu(comm.gpus[rank]).memory
-                recv_views.append(manager.view(app_id, ref, dtype))
+                recv_views.append(self._rank_view(app_id, comm, rank, ref, dtype))
             self._check_aliasing(request)
         return send_views, recv_views
+
+    def _rank_view(
+        self,
+        app_id: str,
+        comm: ServiceCommunicator,
+        rank: int,
+        ref: BufferRef,
+        dtype: np.dtype,
+    ) -> np.ndarray:
+        """Rank ``rank``'s checked view of ``ref``: the tenant's buffer, in
+        range, on the rank's own GPU."""
+        gpu = comm.gpus[rank]
+        return self.service_of_gpu(gpu).memory.view(app_id, ref, dtype, gpu)
 
     @staticmethod
     def _check_aliasing(request: CollectiveRequest) -> None:

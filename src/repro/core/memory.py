@@ -137,11 +137,18 @@ class MemoryManager:
             )
         return alloc
 
-    def view(self, app_id: str, ref: BufferRef, dtype=np.uint8) -> np.ndarray:
-        """Validated numpy view over a buffer reference."""
+    def view(
+        self, app_id: str, ref: BufferRef, dtype: np.dtype, device: GpuDevice
+    ) -> np.ndarray:
+        """Validated numpy view over a buffer reference that must live on
+        ``device`` (a rank's own GPU, not merely one of its host's)."""
         alloc = self.validate(app_id, ref)
-        itemsize = np.dtype(dtype).itemsize
-        return alloc.buffer.view(dtype, ref.offset, ref.nbytes // itemsize)
+        if alloc.buffer.device is not device:
+            raise InvalidBufferError(
+                f"buffer {ref.buffer_id} is on GPU {alloc.buffer.device.global_id}, "
+                f"not GPU {device.global_id}"
+            )
+        return alloc.buffer.view(dtype, ref.offset, ref.nbytes // np.dtype(dtype).itemsize)
 
     def allocations(self) -> Dict[int, ManagedAllocation]:
         return dict(self._allocations)

@@ -200,7 +200,7 @@ class IncrementalFairnessSolver:
         # their order), so the live values are the scalar core's input.
         self._sig: Dict[int, Optional[Tuple[int, float]]] = {}
         self._live_entries = 0  # incidence entries of the live slots
-        self._memo: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        self._memo: Dict[tuple, Tuple[List[float], List[int]]] = {}
         # counters (read by the engine's perf_counters())
         self.full_rebuilds = 1  # the initial build
         self.delta_updates = 0
@@ -521,10 +521,17 @@ class IncrementalFairnessSolver:
                     if len(memo) >= SOLVE_MEMO_ENTRIES:
                         del memo[next(iter(memo))]
                     memo[key] = result
-            # The live slots: those with a signature, in ``key`` order.
-            slots = np.fromiter(compress(sig, sig.values()), dtype=np.int64)
-            self._bneck[slots] = result[1]
-            return np.sort(self._install(slots, result[0], deact)), self._rates
+            # The live slots (those with a signature, in ``key`` order),
+            # written one by one: a memo hit is a handful of slots, where
+            # per-slot Python beats a numpy call's fixed cost.
+            rates, bneck = self._rates, self._bneck
+            changed = list(deact)  # deact may be ``_deactivated`` itself
+            for slot, rate, link in zip(compress(sig, sig.values()), *result):
+                bneck[slot] = link
+                if rates[slot] != rate:
+                    rates[slot] = rate
+                    changed.append(slot)
+            return np.array(sorted(changed), dtype=np.int64), rates
         flat_s = self._flat_slots[: self._nnz]
         alive = self._in_use & self._active
         entry_live = alive[flat_s]
@@ -619,7 +626,7 @@ class IncrementalFairnessSolver:
 
     def _solve_scalar(
         self, caps: np.ndarray, key: Tuple[Tuple[int, float], ...]
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[List[float], List[int]]:
         """Scalar progressive filling for small live sets.
 
         Performs exactly the arithmetic of the vectorized loop — per-link
@@ -689,5 +696,4 @@ class IncrementalFairnessSolver:
                 residual[li] = r if r > 0.0 else 0.0
             link_weight = new_weight
             entries = survivors
-        rates = [wgt * level for (_, wgt), level in zip(key, levels)]
-        return np.array(rates), np.array(bneck, dtype=np.int64)
+        return [wgt * level for (_, wgt), level in zip(key, levels)], bneck

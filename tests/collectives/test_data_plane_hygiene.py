@@ -8,7 +8,8 @@ if a second one grows back: a ``*DataPlane`` class, a ``run_data`` /
 ``rank_transfers`` / ``steps`` override that bypasses the shared path,
 reduction code outside the executor and the numpy oracle, executor
 scratch allocated anywhere but its staging buffer, a second record
-loop or staging request in the executor's ``run``, or a closed
+loop or staging request in the executor's ``bind`` / ``BoundRun``, or
+a closed
 form that turns (kind, world) into bytes or steps outside the three
 modules that own the schedule.
 """
@@ -91,17 +92,17 @@ def test_registered_algorithms_and_subclasses_share_run_data():
         assert cls.plan is not CollectiveAlgorithm.plan, cls
 
 
-def _run_method():
+def _executor_classes():
     tree = TREE[SRC / "collectives/executor.py"]
-    (plan,) = [
-        node for node in tree.body
-        if isinstance(node, ast.ClassDef) and node.name == "ExecutionPlan"
+    return {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def _method(cls, name):
+    (method,) = [
+        item for item in cls.body
+        if isinstance(item, ast.FunctionDef) and item.name == name
     ]
-    (run,) = [
-        item for item in plan.body
-        if isinstance(item, ast.FunctionDef) and item.name == "run"
-    ]
-    return run
+    return method
 
 
 #: numpy calls that allocate an array.
@@ -126,10 +127,10 @@ def test_the_executor_allocates_scratch_in_one_place():
         }
 
     tree = TREE[SRC / "collectives/executor.py"]
-    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    run = _run_method()
+    classes = _executor_classes()
+    bind = _method(classes["ExecutionPlan"], "bind")
     (fresh_outputs,) = [
-        node for node in ast.walk(run)
+        node for node in ast.walk(bind)
         if isinstance(node, ast.If) and ast.unparse(node.test) == "out is None"
     ]
     staging = allocations(classes["Staging"])
@@ -148,23 +149,45 @@ def _calls_named(root, name):
 
 
 def test_run_applies_records_in_one_loop_over_one_staging_request():
-    """Every kind runs the same record loop over the same arrays: one
-    loop in ``ExecutionPlan.run`` applies plan records (it is the one
-    that reduces), and scratch is asked for once — the slot pool.  A
-    per-kind working-vector path would be a second of either."""
-    run = _run_method()
-    loops = [node for node in ast.walk(run) if isinstance(node, (ast.For, ast.While))]
+    """Every kind runs the same record loop over the same arrays: ``run``
+    is ``bind(...).apply()``, one loop in the executor applies records (it
+    is the one that reduces, in the bound run), ``bind`` resolves the
+    records once, and scratch is asked for once — the slot pool, by the
+    bound run.  A per-kind working-vector path, or a cached path beside
+    the binding one, would be a second of either."""
+    tree = TREE[SRC / "collectives/executor.py"]
+    classes = _executor_classes()
+    run = _method(classes["ExecutionPlan"], "run")
+    bind = _method(classes["ExecutionPlan"], "bind")
+    bound = classes["BoundRun"]
+    assert not [node for node in ast.walk(run) if isinstance(node, (ast.For, ast.While))]
+    assert [len(_calls_named(run, name)) for name in ("bind", "apply")] == [1, 1]
+    loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
     appliers = [loop for loop in loops if _calls_named(loop, "ufunc")]
     assert [loop.lineno for loop in appliers][1:] == []
     (applier,) = appliers
-    (resolve,) = _calls_named(run, "_resolve")
+    assert applier in set(ast.walk(bound))
+    # the replay slices nothing (``dst[...] = src`` is a whole-view copy):
+    # every view was resolved before it
+    assert not [
+        node for node in ast.walk(applier)
+        if isinstance(node, ast.Subscript) and ast.unparse(node.slice) != "..."
+    ]
+    (resolve,) = _calls_named(bind, "_resolve")
     (assign,) = [
-        node for node in ast.walk(run)
+        node for node in ast.walk(bind)
         if isinstance(node, ast.Assign) and node.value is resolve
     ]
-    bound = {node.id for node in ast.walk(assign.targets[0]) if isinstance(node, ast.Name)}
-    assert ast.unparse(applier.iter) in bound  # it walks the resolved records
-    assert len(_calls_named(run, "arrays")) == 1
+    resolved = {node.id for node in ast.walk(assign.targets[0]) if isinstance(node, ast.Name)}
+    (construct,) = _calls_named(bind, "BoundRun")
+    handed = {
+        node.id for arg in construct.args
+        for node in ast.walk(arg) if isinstance(node, ast.Name)
+    }
+    assert resolved & handed  # the bound run walks the resolved records
+    assert _calls_named(bound, "_resolve") == []
+    assert len(_calls_named(bound, "_resolved")) == 1  # calls resolved in one place
+    assert len(_calls_named(bind, "arrays")) + len(_calls_named(bound, "arrays")) == 1
 
 
 def test_only_the_executor_and_the_oracle_reduce_payload():

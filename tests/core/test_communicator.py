@@ -137,7 +137,7 @@ def test_inflight_map_holds_unfinished_collectives_only(env):
     for op in ops:
         inst = op.instance
         assert op.completed and inst.duration() > 0 and inst.consistent
-        assert inst.send_views is None and inst.recv_views is None
+        assert inst.views is None
         assert inst.kernel is None and inst.on_complete is None
         assert inst.done_handle is None
 

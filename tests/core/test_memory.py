@@ -59,7 +59,7 @@ def test_validate_enforces_tenant_isolation(env):
 def test_view_returns_typed_window(env):
     cl, host, gpu, mm = env
     alloc = mm.allocate("app", gpu, 256, host.ipc)
-    view = mm.view("app", BufferRef(alloc.buffer_id, 16, 64), np.float32)
+    view = mm.view("app", BufferRef(alloc.buffer_id, 16, 64), np.float32, gpu)
     assert view.size == 16
     view[:] = 7.0
     assert np.allclose(alloc.buffer.view(np.float32, 16, 16), 7.0)

@@ -27,8 +27,11 @@ per-request objects (its ledger is counts plus a ring of settled
 records), admission decisions (counters and events, no list) or finished
 membership changes and upgrade sessions (their callers own them).
 The launch path's records are bounded as well: one views record per
-communicator, dropped by a free or a destroy, and at most one routed
-batch per rank of each live connection table (the last four cases).
+communicator, with the executor run bound to it, dropped by a free or a
+destroy; the bound runs' views of the deployment's staging buffer,
+released when another communicator makes it grow; and at most one
+routed batch per rank of each live connection table (the last five
+cases).
 """
 
 import gc
@@ -38,6 +41,7 @@ from collections import Counter
 import numpy as np
 from repro.baselines.nccl import NcclCommunicator
 from repro.cluster.specs import testbed_cluster
+from repro.collectives.executor import BoundRun, ExecutionPlan
 from repro.collectives.types import Collective
 from repro.core.admission import AdmissionPolicy
 from repro.core.deployment import MccsDeployment
@@ -430,9 +434,50 @@ def test_destroy_and_retire_release_launch_records():
     assert old.torn_down and len(old) == 0 and old._routed == {}
     (new,) = state.datapath._tables.values()
     assert launch_records(dep, comm.comm_id) == (1, len(gpus), len(gpus), 1)
+    bound = weakref.ref(state.views_record.bound)
     client.destroy_communicator(comm)
     assert state.views_record is None
     assert new.torn_down and new._routed == {}
+    gc.collect()
+    assert bound() is None  # the destroy released the bound run
+
+
+def test_a_replaced_staging_buffer_is_not_pinned():
+    """A reduce-scatter's bound run views the deployment's staging buffer
+    (its partial sums live there).  When a larger reduce-scatter on
+    another communicator replaces the buffer, the old one is dead after a
+    collection, though the first communicator, its views record and its
+    bound run all live on."""
+    cluster = testbed_cluster()
+    dep = MccsDeployment(cluster)
+    client = dep.connect("app")
+    gpus = list(cluster.gpus)
+    world = len(gpus)
+    small, large = (client.create_communicator(gpus) for _ in range(2))
+    bufs = {
+        nbytes: (
+            [client.alloc(gpu, nbytes * world) for gpu in gpus],
+            [client.alloc(gpu, nbytes) for gpu in gpus],
+        )
+        for nbytes in (NBYTES, 4 * NBYTES)
+    }
+
+    def reduce_scatter(comm, nbytes):
+        sends, recvs = bufs[nbytes]
+        op = client.reduce_scatter(comm, nbytes, send=sends, recv=recvs)
+        dep.run()
+        assert op.completed
+
+    reduce_scatter(small, NBYTES)
+    state = dep.communicator(small.comm_id)
+    bound = state.views_record.bound
+    old = weakref.ref(dep.staging._buffer)
+    reduce_scatter(large, 4 * NBYTES)
+    gc.collect()
+    assert old() is None
+    assert state.views_record.bound is bound
+    reduce_scatter(small, NBYTES)  # resolved again, on the new buffer
+    assert state.views_record.bound is bound
 
 
 def test_launch_records_stay_bounded():
@@ -464,8 +509,9 @@ def test_launch_records_stay_bounded():
 
 
 def test_a_repeated_collective_checks_and_routes_nothing(monkeypatch):
-    """The second of two identical collectives validates no buffer and
-    routes no transfer: the views record and the routed batches hold."""
+    """The second of two identical collectives validates no buffer,
+    routes no transfer, and binds and resolves no numpy view: the views
+    record, its bound run and the routed batches hold."""
     cluster = testbed_cluster()
     dep = MccsDeployment(cluster)
     client = dep.connect("app")
@@ -478,13 +524,16 @@ def test_a_repeated_collective_checks_and_routes_nothing(monkeypatch):
         (MemoryManager, "validate"),
         (ConnectionTable, "route"),
         (ConnectionTable, "establish_edge"),
+        (ExecutionPlan, "bind"),
+        (BoundRun, "_resolved"),
     ):
         def counted(self, *args, _call=getattr(cls, name), _name=name):
             calls[_name] += 1
             return _call(self, *args)
 
         monkeypatch.setattr(cls, name, counted)
-    for expected in ({"validate": 2 * len(gpus), "route": len(gpus)}, {}):
+    first = {"validate": 2 * len(gpus), "route": len(gpus), "bind": 1, "_resolved": 1}
+    for expected in (first, {}):
         calls.clear()
         op = client.all_reduce(comm, NBYTES, send=sends, recv=recvs)
         dep.run()

@@ -353,3 +353,67 @@ def test_solve_returns_an_int64_array_on_every_path():
         "vectorized+deactivated": 3 + SCALAR_SOLVE_MAX_ENTRIES,
         "deactivated-only": 2 + SCALAR_SOLVE_MAX_ENTRIES,
     }
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_replay_op, min_size=1, max_size=30))
+def test_a_memo_hit_returns_what_a_miss_returns(ops):
+    """Two solvers fed the same script, one forgetting its memo before
+    every solve: each solve returns equal ``changed`` arrays (an ``int64``
+    array, sorted, force-zeroed slots included) and leaves equal rates and
+    bottlenecks — whether the first answered from its memo or not."""
+    caps = {link: 10.0 for link in LINKS}
+    solvers = [IncrementalFairnessSolver(caps), IncrementalFairnessSolver(caps)]
+    lives = [[], []]
+    history = []
+    for kind, arg, value in ops:
+        for solver, live in zip(solvers, lives):
+            if kind == "add":
+                live.append(mk_flow(arg, weight=value))
+                solver.add_flow(live[-1])
+            elif kind == "capacity":
+                solver.set_capacity(arg, value)
+            elif kind == "replay" and history:
+                solver.remove_flows(live)
+                live[:] = [
+                    mk_flow(path, weight=weight, gated=gated)
+                    for path, weight, gated in history[arg % len(history)]
+                ]
+                solver.add_flows(live)
+            elif kind in ("remove", "gate") and live:
+                flow = live[arg % len(live)]
+                if kind == "remove":
+                    live.remove(flow)
+                    solver.remove_flow(flow)
+                else:
+                    flow.gated = not flow.gated
+                    solver.set_active(flow, flow.active)
+        remembering, forgetting = solvers
+        forgetting._memo.clear()
+        hit, miss = remembering.solve()[0], forgetting.solve()[0]
+        assert hit.dtype == miss.dtype == np.int64
+        np.testing.assert_array_equal(hit, miss)
+        np.testing.assert_array_equal(remembering._rates, forgetting._rates)
+        np.testing.assert_array_equal(remembering._bneck, forgetting._bneck)
+        history.append([(f.path, f.weight, f.gated) for f in lives[0]])
+    assert forgetting.memo_hits == 0
+
+
+def test_a_memo_hit_reports_the_dropped_slot():
+    """A rated flow leaves and the live set that remains was solved
+    before: the memo answers, and the one slot whose rate moved — the
+    departed flow's, force-zeroed — is the changed set."""
+    solver = IncrementalFairnessSolver({link: 10.0 for link in LINKS})
+    flows = [mk_flow(LINKS[:2]), mk_flow(LINKS[1:3], weight=3.0)]
+    solver.add_flows(flows)
+    solver.solve()
+    other = mk_flow(LINKS[3:5])  # disjoint: the others keep their rates
+    solver.add_flow(other)
+    changed, _ = solver.solve()
+    assert changed.tolist() == [other._slot] and solver.memo_hits == 0
+    slot = other._slot
+    solver.remove_flow(other)
+    changed, rates = solver.solve()
+    assert solver.memo_hits == 1
+    assert changed.dtype == np.int64 and changed.tolist() == [slot]
+    assert rates[slot] == 0.0

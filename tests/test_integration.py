@@ -95,7 +95,7 @@ def test_multi_tenant_isolation_and_fairness_end_to_end():
     from repro.netsim.errors import InvalidBufferError
 
     with pytest.raises(InvalidBufferError):
-        dep.service_of(0).memory.view("B", buf.ref())
+        dep.service_of(0).memory.validate("B", buf.ref())
 
 
 def test_concurrent_communicators_one_tenant():
